@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench bench-smoke results
+.PHONY: all build test check fmt vet race allocs bench bench-smoke results
 
 all: build
 
@@ -10,10 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the CI gate: vet, formatting, and race-enabled tests (the
-# parallel experiment runner and the HA replication machinery must be
-# race-clean).
-check: vet fmt race
+# check is the CI gate: vet, formatting, race-enabled tests (the parallel
+# experiment runner and the HA replication machinery must be race-clean),
+# and the allocation pins, which cannot run under the detector.
+check: vet fmt race allocs
 
 vet:
 	$(GO) vet ./...
@@ -24,19 +24,27 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# The routeserver, HA, pgstate, and plan packages run twice under the
+# The routeserver, daemon, HA, pgstate, and plan packages run twice under the
 # detector: routeserver's parallel miss path overlaps slow searches with
 # scoped and full mutations (the reader/writer strategy lock is exactly the
 # kind of claim the detector can refute); HA exercises real sockets,
 # elections, and concurrent sync streams; pgstate's shard stress drives one
 # table from many goroutines; plan snapshots a server that concurrent
-# queries are hammering. All see different interleavings run to run.
+# queries are hammering; a daemon session's reader and writer goroutines
+# share the pending reply buffer, eviction and drain. All see different
+# interleavings run to run.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=2 ./internal/routeserver/daemon/
 	$(GO) test -race -count=2 -run 'TestMiss|TestParallel|TestQueryLogConcurrent|TestServerConcurrent|TestScopedChurn' ./internal/routeserver/
 	$(GO) test -race -count=2 ./internal/routeserver/ha/
 	$(GO) test -race -count=2 -run 'TestConcurrent' ./internal/pgstate/
 	$(GO) test -race -count=2 ./internal/routeserver/plan/
+
+# The testing.AllocsPerRun pins on the session fast path skip themselves
+# under -race (its instrumentation allocates), so they get a pass without.
+allocs:
+	$(GO) test -run 'Allocs' ./internal/wire/ ./internal/routeserver/daemon/
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"bufio"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -16,11 +15,12 @@ type Config struct {
 	// MaxConns bounds concurrent sessions; connections beyond it are
 	// refused (closed immediately). Default 2048.
 	MaxConns int
-	// WriteQueue is the per-session outbound reply queue length; a
+	// WriteQueue is the per-session outbound reply queue length: how many
+	// encoded replies may wait for the session's writer to take them; a
 	// pipelining client that stops reading fills it. Default 128.
 	WriteQueue int
 	// WriteTimeout is how long a session blocks on a full write queue (or
-	// a stuck socket write) before the client is declared slow and
+	// a socket write stays stuck) before the client is declared slow and
 	// evicted. Default 2s.
 	WriteTimeout time.Duration
 }
@@ -145,11 +145,7 @@ func (d *Daemon) ServeConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	s := &session{
-		d:    d,
-		conn: conn,
-		out:  make(chan wire.Message, d.cfg.WriteQueue),
-	}
+	s := newSession(d, conn)
 	d.sessions[s] = struct{}{}
 	d.wg.Add(1)
 	d.accepted.Add(1)
@@ -236,34 +232,59 @@ func (d *Daemon) Metrics() Metrics {
 	}
 }
 
-// session is one connection's state: a reader loop that decodes and
-// dispatches requests, and a writer goroutine that drains the bounded
-// reply queue. The reader enqueues replies with backpressure: a full queue
-// beyond the write-timeout grace means the client is not consuming and the
+// session is one connection's state. The reader goroutine (run) decodes
+// requests out of its read buffer, dispatches each, and encodes the reply
+// onto pending; the writer goroutine swaps pending for an empty buffer and
+// hands the whole batch to the socket in one Write. Replies therefore leave
+// in the order requests arrived, a pipelined burst costs one read and about
+// one write, and nothing is allocated or handed over per message. The reader
+// appends with backpressure: pending holding WriteQueue replies for longer
+// than the write-timeout grace means the client is not consuming, and the
 // session is evicted.
 type session struct {
 	d    *Daemon
 	conn net.Conn
-	out  chan wire.Message
+
+	mu      sync.Mutex
+	pending []byte // encoded replies the writer has not taken yet
+	queued  int    // replies in pending, at most cfg.WriteQueue
+	closed  bool   // the reader is done: the writer exits after this batch
+	dead    bool   // a socket write failed: no reply can be delivered
+	// wake tells the writer pending went non-empty (or closed was set); room
+	// tells a reader blocked on a full queue that the writer took a batch.
+	// Both carry at most one token, sent without blocking.
+	wake, room chan struct{}
 
 	closeOnce sync.Once
-	draining  atomic.Bool
+}
+
+func newSession(d *Daemon, conn net.Conn) *session {
+	return &session{
+		d:    d,
+		conn: conn,
+		wake: make(chan struct{}, 1),
+		room: make(chan struct{}, 1),
+	}
 }
 
 func (s *session) run() {
 	writerDone := make(chan struct{})
 	go s.writer(writerDone)
 
+	dec := wire.NewDecoder(s.conn)
+	var qr wire.QueryReply // reused: send encodes it before the next dispatch
 	for {
-		m, err := wire.ReadMessage(s.conn)
+		m, err := dec.Next()
 		if err != nil {
 			// EOF, a malformed frame, eviction, or the drain deadline:
-			// either way this session takes no more requests.
+			// either way this session takes no more requests. Requests
+			// already whole in the read buffer were answered; a partial one
+			// is dropped unanswered.
 			break
 		}
 		s.d.requests.Add(1)
-		reply, drain := s.d.dispatch(m)
-		if reply != nil && !s.send(reply) {
+		reply, drain := s.d.dispatch(m, &qr)
+		if !s.send(reply) {
 			break
 		}
 		if drain {
@@ -272,52 +293,131 @@ func (s *session) run() {
 			go s.d.Drain()
 		}
 	}
-	// Flush whatever the writer still holds, then close the connection.
-	close(s.out)
+	// Let the writer flush what is pending, then close the connection.
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	notify(s.wake)
 	<-writerDone
 	s.close()
 }
 
-// writer drains the reply queue to the connection through a buffered
-// writer, flushing whenever the queue goes momentarily idle so pipelined
-// replies batch but interactive clients never wait.
-func (s *session) writer(done chan<- struct{}) {
-	defer close(done)
-	bw := bufio.NewWriter(s.conn)
-	for m := range s.out {
-		if s.d.cfg.WriteTimeout > 0 {
-			s.conn.SetWriteDeadline(time.Now().Add(s.d.cfg.WriteTimeout))
-		}
-		if err := wire.WriteMessage(bw, m); err != nil {
-			s.evict()
-			continue // drain the queue so the reader never blocks on it
-		}
-		if len(s.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				s.evict()
-			}
-		}
-	}
-	bw.Flush()
-}
-
-// send enqueues a reply, giving a slow client the write-timeout grace to
-// make room before evicting it. Reports whether the session should go on.
-func (s *session) send(m wire.Message) bool {
+// notify leaves a token in a one-slot signal channel unless one is there.
+func notify(c chan struct{}) {
 	select {
-	case s.out <- m:
-		return true
+	case c <- struct{}{}:
 	default:
 	}
+}
+
+// maxSpare caps the buffer capacity a session keeps between batches: a burst
+// of large replies (OpState text, plan errors) must not pin its high-water
+// mark for the life of the connection.
+const maxSpare = 64 << 10
+
+// writer writes pending to the connection, one batch per Write: whatever
+// the reader encoded while the previous Write was in the kernel goes out
+// together, so pipelined replies batch and an interactive client's lone
+// reply leaves at once. The write deadline is armed once per Write.
+func (s *session) writer(done chan<- struct{}) {
+	defer close(done)
+	var spare []byte
+	for range s.wake {
+		batch, closed := s.take(spare)
+		if len(batch) > 0 {
+			s.conn.SetWriteDeadline(time.Now().Add(s.d.cfg.WriteTimeout))
+			if _, err := s.conn.Write(batch); err != nil {
+				s.evict()
+				s.mu.Lock()
+				s.dead = true
+				s.mu.Unlock()
+				notify(s.room)
+				return
+			}
+		}
+		if closed {
+			return
+		}
+		if spare = batch; cap(spare) > maxSpare {
+			spare = nil
+		}
+	}
+}
+
+// take hands the writer everything pending, leaves the emptied spare in its
+// place, and tells a reader waiting on a full queue there is room again.
+func (s *session) take(spare []byte) (batch []byte, closed bool) {
+	s.mu.Lock()
+	batch, closed = s.pending, s.closed
+	s.pending, s.queued = spare[:0], 0
+	s.mu.Unlock()
+	notify(s.room)
+	return batch, closed
+}
+
+// send encodes a reply onto pending, giving a slow client the write-timeout
+// grace to make room before evicting it. Reports whether the session should
+// go on. m may be reused by the caller as soon as send returns.
+func (s *session) send(m wire.Message) bool {
+	s.mu.Lock()
+	for s.queued >= s.d.cfg.WriteQueue && !s.dead {
+		s.mu.Unlock()
+		if !s.awaitRoom() {
+			return false
+		}
+		s.mu.Lock()
+	}
+	if s.dead {
+		s.mu.Unlock()
+		return false
+	}
+	first := s.queued == 0
+	buf, err := wire.AppendMessage(s.pending, m)
+	if err != nil {
+		// The reply does not fit a frame. That is this request's failure,
+		// not the session's: answer its ID with the error and carry on.
+		buf, _ = wire.AppendMessage(buf, &wire.ControlReply{ID: replyID(m), Code: wire.CtlErr, Err: err.Error()})
+	}
+	s.pending = buf
+	s.queued++
+	s.mu.Unlock()
+	if first {
+		notify(s.wake)
+	}
+	return true
+}
+
+// awaitRoom blocks until the writer takes a batch, or evicts the client
+// when the write-timeout grace runs out first.
+func (s *session) awaitRoom() bool {
 	t := time.NewTimer(s.d.cfg.WriteTimeout)
 	defer t.Stop()
 	select {
-	case s.out <- m:
+	case <-s.room:
 		return true
 	case <-t.C:
 		s.evict()
 		return false
 	}
+}
+
+// replyID returns the request ID a session reply echoes.
+func replyID(m wire.Message) uint64 {
+	switch r := m.(type) {
+	case *wire.QueryReply:
+		return r.ID
+	case *wire.ControlReply:
+		return r.ID
+	case *wire.DataOpReply:
+		return r.ID
+	case *wire.StatsReply:
+		return r.ID
+	case *wire.PlanReply:
+		return r.ID
+	case *wire.NotPrimary:
+		return r.ID
+	}
+	return 0
 }
 
 // evict closes a slow client's connection; the reader and writer unblock
@@ -330,10 +430,10 @@ func (s *session) evict() {
 }
 
 // beginDrain stops the reader from taking new requests: the read deadline
-// pops immediately, while the request being dispatched (if any) still
-// completes and its reply is flushed before the connection closes.
+// pops at the next socket read, while the request being dispatched and those
+// already whole in the read buffer still complete and their replies are
+// flushed before the connection closes.
 func (s *session) beginDrain() {
-	s.draining.Store(true)
 	s.conn.SetReadDeadline(time.Now())
 }
 
@@ -343,8 +443,10 @@ func (s *session) close() {
 
 // dispatch executes one protocol request against the backend and builds
 // the reply. The drain result asks the session to trigger a daemon drain
-// after the ack is queued.
-func (d *Daemon) dispatch(m wire.Message) (reply wire.Message, drain bool) {
+// after the ack is queued. A Query is answered in *qr, the calling session's
+// reused reply, and m itself may be the decoder's reused Query: dispatch and
+// everything under it copy out what they keep and retain neither.
+func (d *Daemon) dispatch(m wire.Message, qr *wire.QueryReply) (reply wire.Message, drain bool) {
 	if p := d.redirect.Load(); p != nil {
 		switch q := m.(type) {
 		case *wire.Query:
@@ -368,7 +470,8 @@ func (d *Daemon) dispatch(m wire.Message) (reply wire.Message, drain bool) {
 	switch q := m.(type) {
 	case *wire.Query:
 		res := d.be.Query(q.Req)
-		return &wire.QueryReply{ID: q.ID, Found: res.Found, Path: res.Path}, false
+		*qr = wire.QueryReply{ID: q.ID, Found: res.Found, Path: res.Path}
+		return qr, false
 
 	case *wire.Control:
 		rep := &wire.ControlReply{ID: q.ID}

@@ -204,15 +204,16 @@ func (d *DataPlane) Tick(dt sim.Time) (expired int) {
 // hop that already dropped the state NAKs; the flow dies and is queued for
 // Repair.
 func (d *DataPlane) RefreshAll() (refreshed, failed int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	ttlMillis := uint32(0)
 	if d.cfg.Kind == pgstate.Soft {
 		ttlMillis = uint32(d.cfg.TTL / sim.Millisecond)
 	}
+	// A Refresh frame is fixed-width: its size does not depend on the handle.
+	pktLen := uint64(len(wire.Marshal(&wire.Refresh{TTLMillis: ttlMillis})))
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for _, h := range d.sortedFlows() {
 		f := d.flows[h]
-		pktLen := uint64(len(wire.Marshal(&wire.Refresh{Handle: h, TTLMillis: ttlMillis})))
 		ok := true
 		for i, id := range f.Path {
 			if !d.table(id).Refresh(d.now, h, d.cfg.TTL) {

@@ -1,9 +1,6 @@
 package wire
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/ad"
 	"repro/internal/policy"
 )
@@ -333,37 +330,4 @@ func appendString(dst []byte, s string) []byte {
 
 func readString(r *reader) string {
 	return string(r.bytes(int(r.u16())))
-}
-
-// ReadMessage reads exactly one framed message from r: the fixed header,
-// then the body the header's length field declares. A clean EOF before any
-// header byte returns io.EOF; EOF mid-message returns io.ErrUnexpectedEOF.
-// Sessions use it to delimit messages on a byte stream.
-func ReadMessage(r io.Reader) (Message, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	if hdr[0] != Version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, hdr[0])
-	}
-	n := int(hdr[2])<<8 | int(hdr[3])
-	buf := make([]byte, headerLen+n)
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return Unmarshal(buf)
-}
-
-// WriteMessage frames and writes one message to w.
-func WriteMessage(w io.Writer, m Message) error {
-	_, err := w.Write(Marshal(m))
-	return err
 }

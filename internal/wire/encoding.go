@@ -25,7 +25,7 @@ func readADSet(r *reader) policy.ADSet {
 	if r.u8() == 1 {
 		return policy.Universal()
 	}
-	n := int(r.u16())
+	n := r.count(4)
 	ids := make([]ad.ID, 0, n)
 	for i := 0; i < n; i++ {
 		ids = append(ids, ad.ID(r.u32()))
@@ -110,7 +110,7 @@ func appendPath(dst []byte, p ad.Path) []byte {
 }
 
 func readPath(r *reader) ad.Path {
-	n := int(r.u16())
+	n := r.count(4)
 	p := make(ad.Path, 0, n)
 	for i := 0; i < n; i++ {
 		p = append(p, ad.ID(r.u32()))

@@ -137,6 +137,9 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{Version, byte(TypeRefresh), 0, 0})
+	for _, frame := range hostileCounts() {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		m, err := Unmarshal(buf)
 		if err != nil {

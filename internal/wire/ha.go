@@ -154,7 +154,7 @@ func (m *SyncEntry) decodeBody(r *reader) {
 	m.Req = readRequest(r)
 	m.Found = r.u8() == 1
 	m.Path = readPath(r)
-	if n := int(r.u16()); n > 0 {
+	if n := r.count(8); n > 0 {
 		m.Links = make([][2]ad.ID, 0, n)
 		for i := 0; i < n; i++ {
 			a := ad.ID(r.u32())
@@ -162,7 +162,7 @@ func (m *SyncEntry) decodeBody(r *reader) {
 			m.Links = append(m.Links, [2]ad.ID{a, b})
 		}
 	}
-	if n := int(r.u16()); n > 0 {
+	if n := r.count(8); n > 0 {
 		m.Terms = make([]policy.Key, 0, n)
 		for i := 0; i < n; i++ {
 			adv := ad.ID(r.u32())

@@ -48,7 +48,7 @@ func (m *DVUpdate) appendBody(dst []byte) []byte {
 }
 
 func (m *DVUpdate) decodeBody(r *reader) {
-	n := int(r.u16())
+	n := r.count(10)
 	if n == 0 {
 		return
 	}
@@ -105,7 +105,7 @@ func (m *PathVector) appendBody(dst []byte) []byte {
 }
 
 func (m *PathVector) decodeBody(r *reader) {
-	n := int(r.u16())
+	n := r.count(17) // a route with an empty path and a universal source set
 	if n == 0 {
 		return
 	}
@@ -166,7 +166,7 @@ func (m *LSA) appendBody(dst []byte) []byte {
 func (m *LSA) decodeBody(r *reader) {
 	m.Origin = ad.ID(r.u32())
 	m.Seq = r.u32()
-	nl := int(r.u16())
+	nl := r.count(9)
 	if nl > 0 {
 		m.Links = make([]LSALink, 0, nl)
 	}
@@ -177,7 +177,7 @@ func (m *LSA) decodeBody(r *reader) {
 			Up:       r.u8() == 1,
 		})
 	}
-	nt := int(r.u16())
+	nt := r.count(26) // a term whose four AD sets are universal
 	if nt > 0 {
 		m.Terms = make([]policy.Term, 0, nt)
 	}
@@ -225,7 +225,7 @@ func (m *Setup) decodeBody(r *reader) {
 	m.Handle = r.u64()
 	m.Req = readRequest(r)
 	m.Route = readPath(r)
-	n := int(r.u16())
+	n := r.count(8)
 	if n > 0 {
 		m.TermKeys = make([]policy.Key, 0, n)
 	}
@@ -414,7 +414,7 @@ func (m *EGPUpdate) appendBody(dst []byte) []byte {
 }
 
 func (m *EGPUpdate) decodeBody(r *reader) {
-	n := int(r.u16())
+	n := r.count(8)
 	if n == 0 {
 		return
 	}

@@ -54,26 +54,18 @@ func (m *Plan) decodeBody(r *reader) {
 	m.ID = r.u64()
 	m.Commit = r.u8() == 1
 	m.PlanID = r.u64()
-	n := int(r.u16())
-	if r.err != nil {
+	n := r.count(13)
+	if n == 0 {
 		return
 	}
 	m.Steps = make([]PlanStep, 0, n)
 	for i := 0; i < n; i++ {
-		st := PlanStep{
+		m.Steps = append(m.Steps, PlanStep{
 			Op:   r.u8(),
 			A:    ad.ID(r.u32()),
 			B:    ad.ID(r.u32()),
 			Cost: r.u32(),
-		}
-		if r.err != nil {
-			m.Steps = nil
-			return
-		}
-		m.Steps = append(m.Steps, st)
-	}
-	if len(m.Steps) == 0 {
-		m.Steps = nil
+		})
 	}
 }
 

@@ -154,7 +154,7 @@ func (t MsgType) String() string {
 	}
 }
 
-// Errors returned by Unmarshal.
+// Errors returned by Unmarshal, ReadMessage and AppendMessage.
 var (
 	ErrTruncated   = errors.New("wire: truncated message")
 	ErrBadVersion  = errors.New("wire: unsupported version")
@@ -166,34 +166,46 @@ var (
 // maxBody bounds message bodies to what the 16-bit length field can carry.
 const maxBody = 1<<16 - 1
 
-// Message is implemented by every wire message.
+// Message is implemented by every wire message. Decoding is not part of
+// the interface: Unmarshal calls each type's decodeBody on the concrete type,
+// which keeps its cursor on the stack.
 type Message interface {
 	// Type returns the message's type code.
 	Type() MsgType
 	// appendBody appends the marshalled body to dst and returns it.
 	appendBody(dst []byte) []byte
-	// decodeBody parses the body. It must consume the whole buffer.
-	decodeBody(r *reader)
+}
+
+// AppendMessage appends m's frame — header and body — to dst and returns
+// the extended slice. It is the one encoder; Marshal and WriteMessage call
+// it. A body beyond the 16-bit length field returns ErrTooLarge and dst
+// with its original length and contents.
+func AppendMessage(dst []byte, m Message) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, Version, byte(m.Type()), 0, 0)
+	dst = m.appendBody(dst)
+	body := len(dst) - start - headerLen
+	if body > maxBody {
+		return dst[:start], fmt.Errorf("%w: %v body %d bytes, max %d", ErrTooLarge, m.Type(), body, maxBody)
+	}
+	binary.BigEndian.PutUint16(dst[start+2:], uint16(body))
+	return dst, nil
 }
 
 // Marshal encodes m with its header. It panics if the body exceeds the
 // 16-bit length field: that is a protocol design error, not a runtime
-// condition (callers size updates below the limit).
+// condition (callers size updates below the limit). Code that encodes
+// values it did not size itself calls AppendMessage and handles ErrTooLarge.
 func Marshal(m Message) []byte {
-	buf := make([]byte, headerLen, headerLen+64)
-	buf[0] = Version
-	buf[1] = byte(m.Type())
-	buf = m.appendBody(buf)
-	body := len(buf) - headerLen
-	if body > maxBody {
-		panic(fmt.Sprintf("wire: %v body %d bytes exceeds max %d", m.Type(), body, maxBody))
+	buf, err := AppendMessage(make([]byte, 0, headerLen+64), m)
+	if err != nil {
+		panic(err.Error())
 	}
-	binary.BigEndian.PutUint16(buf[2:4], uint16(body))
 	return buf
 }
 
 // Unmarshal decodes one message from b, which must contain exactly one
-// message.
+// message. The message shares no memory with b.
 func Unmarshal(b []byte) (Message, error) {
 	if len(b) < headerLen {
 		return nil, ErrTruncated
@@ -201,7 +213,6 @@ func Unmarshal(b []byte) (Message, error) {
 	if b[0] != Version {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, b[0])
 	}
-	t := MsgType(b[1])
 	bodyLen := int(binary.BigEndian.Uint16(b[2:4]))
 	body := b[headerLen:]
 	if len(body) < bodyLen {
@@ -210,70 +221,118 @@ func Unmarshal(b []byte) (Message, error) {
 	if len(body) > bodyLen {
 		return nil, ErrTrailing
 	}
+	r := reader{buf: body}
 	var m Message
-	switch t {
+	switch MsgType(b[1]) {
 	case TypeDVUpdate:
-		m = &DVUpdate{}
+		v := new(DVUpdate)
+		v.decodeBody(&r)
+		m = v
 	case TypePathVector:
-		m = &PathVector{}
+		v := new(PathVector)
+		v.decodeBody(&r)
+		m = v
 	case TypeLSA:
-		m = &LSA{}
+		v := new(LSA)
+		v.decodeBody(&r)
+		m = v
 	case TypeSetup:
-		m = &Setup{}
+		v := new(Setup)
+		v.decodeBody(&r)
+		m = v
 	case TypeSetupReply:
-		m = &SetupReply{}
+		v := new(SetupReply)
+		v.decodeBody(&r)
+		m = v
 	case TypeData:
-		m = &Data{}
+		v := new(Data)
+		v.decodeBody(&r)
+		m = v
 	case TypeTeardown:
-		m = &Teardown{}
+		v := new(Teardown)
+		v.decodeBody(&r)
+		m = v
 	case TypeEGP:
-		m = &EGPUpdate{}
+		v := new(EGPUpdate)
+		v.decodeBody(&r)
+		m = v
 	case TypeRefresh:
-		m = &Refresh{}
+		v := new(Refresh)
+		v.decodeBody(&r)
+		m = v
 	case TypeQuery:
-		m = &Query{}
+		v := new(Query)
+		v.decodeBody(&r)
+		m = v
 	case TypeQueryReply:
-		m = &QueryReply{}
+		v := new(QueryReply)
+		v.decodeBody(&r)
+		m = v
 	case TypeControl:
-		m = &Control{}
+		v := new(Control)
+		v.decodeBody(&r)
+		m = v
 	case TypeControlReply:
-		m = &ControlReply{}
+		v := new(ControlReply)
+		v.decodeBody(&r)
+		m = v
 	case TypeDataOp:
-		m = &DataOp{}
+		v := new(DataOp)
+		v.decodeBody(&r)
+		m = v
 	case TypeDataOpReply:
-		m = &DataOpReply{}
+		v := new(DataOpReply)
+		v.decodeBody(&r)
+		m = v
 	case TypeStatsQuery:
-		m = &StatsQuery{}
+		v := new(StatsQuery)
+		v.decodeBody(&r)
+		m = v
 	case TypeStatsReply:
-		m = &StatsReply{}
+		v := new(StatsReply)
+		v.decodeBody(&r)
+		m = v
 	case TypeDrain:
-		m = &Drain{}
+		v := new(Drain)
+		v.decodeBody(&r)
+		m = v
 	case TypeHello:
-		m = &Hello{}
+		v := new(Hello)
+		v.decodeBody(&r)
+		m = v
 	case TypeHeartbeat:
-		m = &Heartbeat{}
+		v := new(Heartbeat)
+		v.decodeBody(&r)
+		m = v
 	case TypeSyncEntry:
-		m = &SyncEntry{}
+		v := new(SyncEntry)
+		v.decodeBody(&r)
+		m = v
 	case TypeSyncSnapshot:
-		m = &SyncSnapshot{}
+		v := new(SyncSnapshot)
+		v.decodeBody(&r)
+		m = v
 	case TypePromote:
-		m = &Promote{}
+		v := new(Promote)
+		v.decodeBody(&r)
+		m = v
 	case TypeNotPrimary:
-		m = &NotPrimary{}
+		v := new(NotPrimary)
+		v.decodeBody(&r)
+		m = v
 	case TypePlan:
-		m = &Plan{}
+		v := new(Plan)
+		v.decodeBody(&r)
+		m = v
 	case TypePlanReply:
-		m = &PlanReply{}
+		v := new(PlanReply)
+		v.decodeBody(&r)
+		m = v
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, b[1])
 	}
-	r := &reader{buf: body}
-	m.decodeBody(r)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(body) {
-		return nil, ErrTrailing
+	if err := r.done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -291,6 +350,30 @@ func (r *reader) fail() {
 	if r.err == nil {
 		r.err = ErrTruncated
 	}
+}
+
+// done reports how decoding ended: the first error, or ErrTrailing when the
+// decoder stopped short of the end of the body.
+func (r *reader) done() error {
+	if r.err != nil {
+		return r.err
+	}
+	if r.off != len(r.buf) {
+		return ErrTrailing
+	}
+	return nil
+}
+
+// count reads a 16-bit element count and fails unless that many elements of
+// at least elem bytes each can still follow, so a decoder sizes its slice by
+// the bytes actually present, not by a number off the wire.
+func (r *reader) count(elem int) int {
+	n := int(r.u16())
+	if r.err != nil || n*elem > len(r.buf)-r.off {
+		r.fail()
+		return 0
+	}
+	return n
 }
 
 func (r *reader) u8() uint8 {

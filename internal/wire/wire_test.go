@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -379,4 +381,76 @@ func TestMarshalTooLargePanics(t *testing.T) {
 	}()
 	m := &DVUpdate{Routes: make([]DVRoute, 7000)} // 7000*10 > 65535
 	Marshal(m)
+}
+
+// hostileCounts are frames whose element counts promise far more than their
+// bodies hold. Shared with FuzzDecode's seeds.
+func hostileCounts() [][]byte {
+	frame := func(t MsgType, body ...byte) []byte {
+		return append([]byte{Version, byte(t), byte(len(body) >> 8), byte(len(body))}, body...)
+	}
+	zeros := func(n int, tail ...byte) []byte { return append(make([]byte, n), tail...) }
+	return [][]byte{
+		// 15 bytes: a QueryReply (ID, found) whose path claims 65535 hops.
+		frame(TypeQueryReply, zeros(8, 1, 0xff, 0xff)...),
+		// 23 bytes: a Plan (ID, commit, plan ID) claiming 65535 steps.
+		frame(TypePlan, zeros(17, 0xff, 0xff)...),
+		// A path-vector route (dest, metric, qos, flags, empty path) whose
+		// explicit source set claims 65535 members ahead of its UCI mask.
+		frame(TypePathVector, append([]byte{0, 1}, zeros(12, 0, 0xff, 0xff, 0, 0, 0, 0)...)...),
+		// Element counts with nothing behind them, one per remaining slice.
+		frame(TypeDVUpdate, 0xff, 0xff),
+		frame(TypeEGP, 0xff, 0xff),
+		frame(TypeLSA, zeros(8, 0xff, 0xff)...),
+		frame(TypeLSA, zeros(10, 0xff, 0xff)...),
+		frame(TypeSetup, zeros(21, 0xff, 0xff)...),
+		frame(TypeSyncEntry, zeros(23, 0xff, 0xff)...),
+		frame(TypeSyncEntry, zeros(25, 0xff, 0xff)...),
+	}
+}
+
+// TestDecodeAllocationBoundedByBytesPresent: a count off the wire is not an
+// allocation size. Before the bound a 15-byte QueryReply cost 256 KiB and a
+// 23-byte Plan 1 MiB, ahead of any check the session makes.
+func TestDecodeAllocationBoundedByBytesPresent(t *testing.T) {
+	frames := hostileCounts()
+	const rounds = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		for _, f := range frames {
+			if _, err := Unmarshal(f); !errors.Is(err, ErrTruncated) {
+				t.Fatalf("frame % x: err = %v, want ErrTruncated", f, err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(rounds*len(frames)); per > 1024 {
+		t.Errorf("a hostile frame of at most %d bytes made decode allocate %d bytes", len(frames[1]), per)
+	}
+}
+
+func TestAppendMessageTooLarge(t *testing.T) {
+	big := &DataOpReply{ID: 7, Op: OpState, Text: strings.Repeat("x", maxBody)}
+	dst := Marshal(&Drain{ID: 1})
+	want := append([]byte(nil), dst...)
+	got, err := AppendMessage(dst, big)
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("err = %v, want ErrTooLarge", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("dst changed by a failed append: %d bytes, want the %d it had", len(got), len(want))
+	}
+	if err := WriteMessage(&bytes.Buffer{}, big); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("WriteMessage: err = %v, want ErrTooLarge", err)
+	}
+	// The largest body that fits still encodes and decodes.
+	fits := &DataOpReply{ID: 7, Path: ad.Path{}, Text: strings.Repeat("x", maxBody-8-2-8-2-16-2)}
+	buf, err := AppendMessage(nil, fits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := Unmarshal(buf); err != nil || !reflect.DeepEqual(m, fits) {
+		t.Errorf("largest frame did not round-trip: %v", err)
+	}
 }
