@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet race allocs bench bench-smoke results
+.PHONY: all build test check fmt vet race allocs determinism bench bench-smoke results
 
 all: build
 
@@ -12,8 +12,9 @@ test:
 
 # check is the CI gate: vet, formatting, race-enabled tests (the parallel
 # experiment runner and the HA replication machinery must be race-clean),
-# and the allocation pins, which cannot run under the detector.
-check: vet fmt race allocs
+# the allocation pins, which cannot run under the detector, and the
+# scheduling-independence tests on one, two and four cores.
+check: vet fmt race allocs determinism
 
 vet:
 	$(GO) vet ./...
@@ -41,10 +42,18 @@ race:
 	$(GO) test -race -count=2 -run 'TestConcurrent' ./internal/pgstate/
 	$(GO) test -race -count=2 ./internal/routeserver/plan/
 
-# The testing.AllocsPerRun pins on the session fast path skip themselves
-# under -race (its instrumentation allocates), so they get a pass without.
+# The testing.AllocsPerRun pins on the session fast path and the search
+# kernel skip themselves under -race (its instrumentation allocates), so
+# they get a pass without.
 allocs:
-	$(GO) test -run 'Allocs' ./internal/wire/ ./internal/routeserver/daemon/
+	$(GO) test -run 'Allocs' ./internal/wire/ ./internal/routeserver/daemon/ ./internal/synthesis/
+
+# One synthesis per key per epoch is what makes the E20-E25 counters and the
+# parallel runner's output independent of scheduling; the window that broke
+# it only opens on real cores, so these run at several GOMAXPROCS, repeated.
+determinism:
+	$(GO) test -cpu 1,2,4 -count 3 -run 'TestServerDeterministicAtAnyParallelism|TestLateMissServedFromCache' ./internal/routeserver/
+	$(GO) test -cpu 1,2,4 -count 3 -run 'TestRunAllParallelDeterminism|TestE20RouteServer' ./internal/experiments/
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -10,6 +10,7 @@ package ad
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -170,13 +171,14 @@ func (l Link) Other(id ID) (ID, bool) {
 // The zero value is an empty graph ready for use via AddAD/AddLink.
 type Graph struct {
 	ads    map[ID]Info
-	adj    map[ID][]Link // links incident to each AD
 	links  map[[2]ID]Link
 	nextID ID
-	// sortedAdj caches each AD's neighbor IDs in ascending order. It is
-	// maintained incrementally by AddLink/RemoveLink (never lazily), so
-	// concurrent readers of a finished graph need no synchronization.
+	// sortedAdj holds each AD's neighbor IDs in ascending order and adj its
+	// incident links in the same order (adj[id][i] leads to sortedAdj[id][i]).
+	// Both are maintained incrementally by AddLink/RemoveLink (never lazily),
+	// so concurrent readers of a finished graph need no synchronization.
 	sortedAdj map[ID][]ID
+	adj       map[ID][]Link
 }
 
 // NewGraph returns an empty graph.
@@ -235,32 +237,24 @@ func (g *Graph) AddLink(l Link) error {
 		l.Cost = 1
 	}
 	g.links[key] = l
-	g.adj[l.A] = append(g.adj[l.A], l)
-	g.adj[l.B] = append(g.adj[l.B], l)
-	g.insertNeighbor(l.A, l.B)
-	g.insertNeighbor(l.B, l.A)
+	g.attach(l.A, l.B, l)
+	g.attach(l.B, l.A, l)
 	return nil
 }
 
-// insertNeighbor keeps the sorted-adjacency cache ordered as links are added.
-func (g *Graph) insertNeighbor(id, nb ID) {
-	if g.sortedAdj == nil {
-		g.sortedAdj = make(map[ID][]ID)
-	}
-	s := g.sortedAdj[id]
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= nb })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = nb
-	g.sortedAdj[id] = s
+// attach files link l, which leads from id to nb, at nb's place in id's
+// sorted adjacency.
+func (g *Graph) attach(id, nb ID, l Link) {
+	i, _ := slices.BinarySearch(g.sortedAdj[id], nb)
+	g.sortedAdj[id] = slices.Insert(g.sortedAdj[id], i, nb)
+	g.adj[id] = slices.Insert(g.adj[id], i, l)
 }
 
-// removeNeighbor drops nb from id's sorted-adjacency cache.
-func (g *Graph) removeNeighbor(id, nb ID) {
-	s := g.sortedAdj[id]
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= nb })
-	if i < len(s) && s[i] == nb {
-		g.sortedAdj[id] = append(s[:i], s[i+1:]...)
+// detach drops nb and the link to it from id's sorted adjacency.
+func (g *Graph) detach(id, nb ID) {
+	if i, ok := slices.BinarySearch(g.sortedAdj[id], nb); ok {
+		g.sortedAdj[id] = slices.Delete(g.sortedAdj[id], i, i+1)
+		g.adj[id] = slices.Delete(g.adj[id], i, i+1)
 	}
 }
 
@@ -273,19 +267,8 @@ func (g *Graph) RemoveLink(a, b ID) bool {
 		return false
 	}
 	delete(g.links, key)
-	filter := func(id ID) {
-		adj := g.adj[id][:0]
-		for _, x := range g.adj[id] {
-			if x.Canonical() != l && (x.A != l.A || x.B != l.B) {
-				adj = append(adj, x)
-			}
-		}
-		g.adj[id] = adj
-	}
-	filter(l.A)
-	filter(l.B)
-	g.removeNeighbor(l.A, l.B)
-	g.removeNeighbor(l.B, l.A)
+	g.detach(l.A, l.B)
+	g.detach(l.B, l.A)
 	return true
 }
 
@@ -321,17 +304,16 @@ func (g *Graph) NeighborsCopy(id ID) []ID {
 	return append([]ID(nil), g.sortedAdj[id]...)
 }
 
-// IncidentLinks returns the links incident to id, sorted by far endpoint.
+// Incident returns the links incident to id, sorted by far endpoint. Like
+// Neighbors, the returned slice is the graph's own adjacency: callers must
+// not modify it. Use IncidentLinks for a private slice.
+func (g *Graph) Incident(id ID) []Link {
+	return g.adj[id]
+}
+
+// IncidentLinks returns a freshly allocated copy of Incident(id).
 func (g *Graph) IncidentLinks(id ID) []Link {
-	adj := g.adj[id]
-	out := make([]Link, len(adj))
-	copy(out, adj)
-	sort.Slice(out, func(i, j int) bool {
-		oi, _ := out[i].Other(id)
-		oj, _ := out[j].Other(id)
-		return oi < oj
-	})
-	return out
+	return append([]Link(nil), g.adj[id]...)
 }
 
 // ADs returns all AD infos sorted by ID.
@@ -388,11 +370,10 @@ func (g *Graph) Clone() *Graph {
 	}
 	for key, l := range g.links {
 		c.links[key] = l
-		c.adj[l.A] = append(c.adj[l.A], l)
-		c.adj[l.B] = append(c.adj[l.B], l)
 	}
 	for id, s := range g.sortedAdj {
 		c.sortedAdj[id] = append([]ID(nil), s...)
+		c.adj[id] = append([]Link(nil), g.adj[id]...)
 	}
 	return c
 }
@@ -454,8 +435,17 @@ func (p Path) Valid(g *Graph) bool {
 	return true
 }
 
-// LoopFree reports whether the path visits no AD twice.
+// LoopFree reports whether the path visits no AD twice. Paths of route
+// length are compared pairwise, which allocates nothing.
 func (p Path) LoopFree() bool {
+	if len(p) <= 32 {
+		for i, id := range p {
+			if slices.Contains(p[:i], id) {
+				return false
+			}
+		}
+		return true
+	}
 	seen := make(map[ID]bool, len(p))
 	for _, id := range p {
 		if seen[id] {

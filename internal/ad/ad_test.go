@@ -419,3 +419,95 @@ func TestPathEqualLengthMismatch(t *testing.T) {
 		t.Error("empty paths unequal")
 	}
 }
+
+// checkIncident asserts that every AD's incident links lead, in order, to
+// exactly its ascending neighbours, agree with LinkBetween, and that
+// IncidentLinks hands out a private copy of the shared view.
+func checkIncident(t *testing.T, g *Graph, when string) {
+	t.Helper()
+	for _, id := range g.IDs() {
+		nbs, inc := g.Neighbors(id), g.Incident(id)
+		if len(inc) != len(nbs) || g.Degree(id) != len(nbs) {
+			t.Fatalf("%s: %v has %d incident links, %d neighbours, degree %d", when, id, len(inc), len(nbs), g.Degree(id))
+		}
+		for i, l := range inc {
+			other, ok := l.Other(id)
+			if !ok || other != nbs[i] {
+				t.Fatalf("%s: Incident(%v)[%d] = %v, want the link to %v", when, id, i, l, nbs[i])
+			}
+			if i > 0 && nbs[i-1] >= nbs[i] {
+				t.Fatalf("%s: Neighbors(%v) not ascending: %v", when, id, nbs)
+			}
+			if want, _ := g.LinkBetween(id, other); l != want {
+				t.Fatalf("%s: Incident(%v)[%d] = %v, LinkBetween = %v", when, id, i, l, want)
+			}
+		}
+		if cp := g.IncidentLinks(id); len(cp) > 0 {
+			cp[0].Cost = 9999
+			if g.Incident(id)[0].Cost == 9999 {
+				t.Fatalf("%s: IncidentLinks(%v) aliases the graph's adjacency", when, id)
+			}
+		}
+	}
+}
+
+func TestIncidentOrderAcrossMutations(t *testing.T) {
+	g := NewGraph()
+	var ids []ID
+	for i := 0; i < 7; i++ {
+		ids = append(ids, g.AddAD("x", Transit, Regional))
+	}
+	add := func(g *Graph, i, j int) {
+		t.Helper()
+		if err := g.AddLink(Link{A: ids[i], B: ids[j], Cost: uint32(10*i + j)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Interleave adds (far endpoints out of order, both orientations),
+	// removals (first, middle, last position) and clones.
+	for _, p := range [][2]int{{3, 5}, {3, 0}, {6, 3}, {3, 2}, {1, 3}, {4, 3}, {0, 6}, {5, 6}} {
+		add(g, p[0], p[1])
+		checkIncident(t, g, "after AddLink")
+	}
+	g.RemoveLink(ids[3], ids[0])
+	checkIncident(t, g, "after removing the first")
+	c := g.Clone()
+	checkIncident(t, c, "clone")
+	c.RemoveLink(ids[6], ids[3])
+	c.RemoveLink(ids[2], ids[3])
+	add(c, 0, 3)
+	add(c, 2, 6)
+	checkIncident(t, c, "mutated clone")
+	checkIncident(t, g, "original after the clone mutated")
+	if n := len(g.Incident(ids[3])); n != 5 {
+		t.Errorf("original's Incident(%v) has %d links after its clone changed, want 5", ids[3], n)
+	}
+	if c.HasLink(ids[3], ids[6]) || !g.HasLink(ids[3], ids[6]) {
+		t.Error("RemoveLink on the clone and the original disagree with HasLink")
+	}
+	g.RemoveLink(ids[5], ids[3])
+	add(g, 3, 0)
+	checkIncident(t, g, "original mutated after cloning")
+	checkIncident(t, c, "clone after the original mutated")
+	if n := len(c.Incident(ids[3])); n != 4 {
+		t.Errorf("clone's Incident(%v) has %d links after the original changed, want 4", ids[3], n)
+	}
+}
+
+func TestLoopFreeLongPath(t *testing.T) {
+	// Past the pairwise cut-off LoopFree switches to a set; both sides of
+	// the cut-off must agree on a repeat at either end.
+	for _, n := range []int{2, 31, 32, 33, 100} {
+		p := make(Path, n)
+		for i := range p {
+			p[i] = ID(i + 1)
+		}
+		if !p.LoopFree() {
+			t.Errorf("len %d: distinct path reported a loop", n)
+		}
+		p[n-1] = p[0]
+		if p.LoopFree() {
+			t.Errorf("len %d: repeat of the first AD at the end not seen", n)
+		}
+	}
+}

@@ -178,7 +178,7 @@ func NewFlooder(self ad.ID, kind string) *Flooder {
 func (f *Flooder) Originate(nw *sim.Network, terms []policy.Term) {
 	f.seq++
 	lsa := &wire.LSA{Origin: f.Self, Seq: f.seq}
-	for _, l := range nw.Graph.IncidentLinks(f.Self) {
+	for _, l := range nw.Graph.Incident(f.Self) {
 		other, _ := l.Other(f.Self)
 		lsa.Links = append(lsa.Links, wire.LSALink{
 			Neighbor: other,

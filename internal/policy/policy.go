@@ -290,13 +290,19 @@ func (r Request) String() string {
 // Permits reports whether this term allows the advertiser to be traversed by
 // traffic for req entering from prev and leaving toward next.
 func (t Term) Permits(req Request, prev, next ad.ID) bool {
-	return t.Sources.Contains(req.Src) &&
+	return t.permits(req, prev, next)
+}
+
+// permits is Permits without the copy of the term: the bitmask and hour
+// tests run before the four set lookups, which may each probe a map.
+func (t *Term) permits(req Request, prev, next ad.ID) bool {
+	return t.QOS.Contains(uint8(req.QOS)) &&
+		t.UCI.Contains(uint8(req.UCI)) &&
+		t.Hours.Contains(req.Hour) &&
+		t.Sources.Contains(req.Src) &&
 		t.Dests.Contains(req.Dst) &&
 		t.PrevADs.Contains(prev) &&
-		t.NextADs.Contains(next) &&
-		t.QOS.Contains(uint8(req.QOS)) &&
-		t.UCI.Contains(uint8(req.UCI)) &&
-		t.Hours.Contains(req.Hour)
+		t.NextADs.Contains(next)
 }
 
 // String implements fmt.Stringer.
@@ -569,21 +575,36 @@ func (db *DB) WithTerms(id ad.ID, terms []Term) *DB {
 	return out
 }
 
+// cheapest returns transit's cheapest term (the first such, on a tie) that
+// permits req entering from prev and exiting toward next, or nil. It walks
+// the stored terms in place: a Term is too large to copy per candidate.
+func (db *DB) cheapest(transit ad.ID, req Request, prev, next ad.ID) *Term {
+	var best *Term
+	ts := db.terms[transit]
+	for i := range ts {
+		if t := &ts[i]; (best == nil || t.Cost < best.Cost) && t.permits(req, prev, next) {
+			best = t
+		}
+	}
+	return best
+}
+
 // PermitsTransit reports whether any term of transit permits req entering
 // from prev and exiting toward next, returning the cheapest matching term.
 func (db *DB) PermitsTransit(transit ad.ID, req Request, prev, next ad.ID) (Term, bool) {
-	var best Term
-	found := false
-	for _, t := range db.terms[transit] {
-		if !t.Permits(req, prev, next) {
-			continue
-		}
-		if !found || t.Cost < best.Cost {
-			best = t
-			found = true
-		}
+	if t := db.cheapest(transit, req, prev, next); t != nil {
+		return *t, true
 	}
-	return best, found
+	return Term{}, false
+}
+
+// TransitCost is PermitsTransit for callers that need only the verdict and
+// the cheapest matching term's cost, as route search and validation do.
+func (db *DB) TransitCost(transit ad.ID, req Request, prev, next ad.ID) (uint32, bool) {
+	if t := db.cheapest(transit, req, prev, next); t != nil {
+		return t.Cost, true
+	}
+	return 0, false
 }
 
 // PathLegal reports whether path is legal for req: it must start at req.Src,
@@ -592,21 +613,32 @@ func (db *DB) PermitsTransit(transit ad.ID, req Request, prev, next ad.ID) (Term
 // Endpoint ADs do not need transit terms for their own traffic (§2.1: stub
 // ADs carry only traffic sourced or sunk locally).
 func (db *DB) PathLegal(path ad.Path, req Request) bool {
+	_, ok := db.legalTermCost(path, req)
+	return ok
+}
+
+// legalTermCost is the one pass behind PathLegal and PathCost: whether path
+// is legal for req and, if so, the sum over its transit ADs of the cheapest
+// permitting term's cost.
+func (db *DB) legalTermCost(path ad.Path, req Request) (uint32, bool) {
 	if len(path) < 1 || path.Source() != req.Src || path.Dest() != req.Dst {
-		return false
+		return 0, false
 	}
 	if !path.LoopFree() {
-		return false
+		return 0, false
 	}
 	if !db.CriteriaFor(req.Src).Accepts(path) {
-		return false
+		return 0, false
 	}
+	var total uint32
 	for i := 1; i < len(path)-1; i++ {
-		if _, ok := db.PermitsTransit(path[i], req, path[i-1], path[i+1]); !ok {
-			return false
+		c, ok := db.TransitCost(path[i], req, path[i-1], path[i+1])
+		if !ok {
+			return 0, false
 		}
+		total += c
 	}
-	return true
+	return total, true
 }
 
 // PathCost returns the policy cost of a legal path: the sum of link costs in
@@ -617,16 +649,9 @@ func (db *DB) PathCost(g *ad.Graph, path ad.Path, req Request) (uint32, bool) {
 	if !ok {
 		return 0, false
 	}
-	if !db.PathLegal(path, req) {
+	termCost, ok := db.legalTermCost(path, req)
+	if !ok {
 		return 0, false
 	}
-	total := linkCost
-	for i := 1; i < len(path)-1; i++ {
-		t, ok := db.PermitsTransit(path[i], req, path[i-1], path[i+1])
-		if !ok {
-			return 0, false
-		}
-		total += t.Cost
-	}
-	return total, true
+	return linkCost + termCost, true
 }

@@ -539,3 +539,79 @@ func TestGenerateMaxTermCost(t *testing.T) {
 		t.Error("MaxTermCost produced uniform costs")
 	}
 }
+
+// TestTransitCostMatchesTermScan holds the in-place cheapest-term scan to
+// the plain one it replaced: every term copied out and tested with each
+// constraint on its own, in the documented order, first cheapest winning.
+func TestTransitCostMatchesTermScan(t *testing.T) {
+	g := lineGraph(t)
+	db := Generate(g, GenConfig{
+		Seed: 7, SourceRestrictionProb: 0.6, SourceFraction: 0.5,
+		DestRestrictionProb: 0.5, QOSClasses: 3, QOSCoverage: 0.5,
+		UCIClasses: 2, UCICoverage: 0.5, TimeWindowProb: 0.5,
+		TermsPerTransit: 3, MaxTermCost: 4,
+	})
+	ids := g.IDs()
+	permitted := 0
+	for _, transit := range ids {
+		for _, src := range ids {
+			for _, dst := range ids {
+				for class := 0; class < 6; class++ {
+					req := Request{Src: src, Dst: dst, QOS: QOS(class % 3), UCI: UCI(class / 3), Hour: uint8(class * 5)}
+					prev, next := ids[(int(src)+class)%len(ids)], ids[(int(dst)+class)%len(ids)]
+					var want *Term
+					for _, tm := range db.Terms(transit) {
+						tm := tm
+						ok := tm.Sources.Contains(req.Src) && tm.Dests.Contains(req.Dst) &&
+							tm.PrevADs.Contains(prev) && tm.NextADs.Contains(next) &&
+							tm.QOS.Contains(uint8(req.QOS)) && tm.UCI.Contains(uint8(req.UCI)) &&
+							tm.Hours.Contains(req.Hour)
+						if ok != tm.Permits(req, prev, next) {
+							t.Fatalf("%v.Permits(%v, %v, %v) = %v, constraints say %v", tm, req, prev, next, !ok, ok)
+						}
+						if ok && (want == nil || tm.Cost < want.Cost) {
+							want = &tm
+						}
+					}
+					cost, ok := db.TransitCost(transit, req, prev, next)
+					term, okT := db.PermitsTransit(transit, req, prev, next)
+					if ok != (want != nil) || okT != ok {
+						t.Fatalf("transit %v %v: TransitCost ok=%v PermitsTransit ok=%v, scan found %v", transit, req, ok, okT, want)
+					}
+					if want == nil {
+						if cost != 0 || term.Key() != (Key{}) {
+							t.Fatalf("transit %v %v: refused, yet cost %d term %v", transit, req, cost, term)
+						}
+						continue
+					}
+					permitted++
+					if cost != want.Cost || term.Key() != want.Key() {
+						t.Fatalf("transit %v %v: cost %d term %v, want %v", transit, req, cost, term.Key(), want)
+					}
+				}
+			}
+		}
+	}
+	if permitted == 0 {
+		t.Fatal("generated policy permitted nothing: the comparison is vacuous")
+	}
+}
+
+func TestDBPathCostIllegal(t *testing.T) {
+	g := lineGraph(t)
+	db := NewDB()
+	for _, id := range []ad.ID{2, 4} { // 3 advertises nothing
+		db.Add(OpenTerm(id, 0))
+	}
+	if c, ok := db.PathCost(g, ad.Path{1, 2, 3, 4, 5}, Request{Src: 1, Dst: 5}); ok || c != 0 {
+		t.Errorf("PathCost through a transit without terms = %d,%v, want 0,false", c, ok)
+	}
+	db.Add(OpenTerm(3, 0))
+	db.SetCriteria(1, Criteria{MaxHops: 3})
+	if c, ok := db.PathCost(g, ad.Path{1, 2, 3, 4, 5}, Request{Src: 1, Dst: 5}); ok || c != 0 {
+		t.Errorf("PathCost past the source's hop budget = %d,%v, want 0,false", c, ok)
+	}
+	if _, ok := db.PathCost(g, ad.Path{1, 2, 3}, Request{Src: 1, Dst: 3}); !ok {
+		t.Error("PathCost refused a path inside the hop budget")
+	}
+}

@@ -391,6 +391,10 @@ type Server struct {
 	strategy synthesis.Strategy
 	onInsert func(Key, Result, synthesis.Footprint)
 	qlog     queryLog
+	// afterLookupMiss, when set (by tests, before serving), runs in Query
+	// between the cache lookup that missed and coalesce: it lets a test
+	// park a query in exactly that window.
+	afterLookupMiss func()
 }
 
 // queryLog is the bounded ring of recent queries (Config.QueryLog). The
@@ -561,10 +565,16 @@ func (s *Server) Query(req policy.Request) Result {
 		return res
 	}
 
-	res, leader := s.coalesce(sfKey{epoch: s.epoch.Load(), key: k}, req)
-	if leader {
+	if s.afterLookupMiss != nil {
+		s.afterLookupMiss()
+	}
+	res, how := s.coalesce(sfKey{epoch: s.epoch.Load(), key: k}, req)
+	switch how {
+	case served:
+		s.met.hits.Add(1)
+	case computed:
 		s.met.misses.Add(1)
-	} else {
+	case waited:
 		s.met.coalesced.Add(1)
 	}
 	if !res.Found {
@@ -573,20 +583,38 @@ func (s *Server) Query(req policy.Request) Result {
 	return res
 }
 
+// outcome says how coalesce obtained its result; Query counts each as one
+// of hit, miss and coalesced.
+type outcome int
+
+const (
+	computed outcome = iota // leader: ran the synthesis
+	waited                  // joined another query's in-flight computation
+	served                  // leader, but the cache had been filled meanwhile
+)
+
 // coalesce runs the synthesis for key at most once among concurrent
-// callers; every caller gets the same result. Reports whether this caller
-// was the leader (ran the computation).
+// callers; every caller gets the same result.
+//
+// A caller gets here after a lookup miss, and the leader it would have
+// joined may have inserted and deregistered in between. So a new leader
+// looks the key up again once registered: the previous leader's insert
+// happens before its deregistration under sfMu, which happens before this
+// registration, so that entry — unless a mutation or the LRU has dropped it
+// since — is found and served as a hit, with no second synthesis, insert or
+// OnInsert. This is what makes "one synthesis per key per epoch" hold on
+// real cores. Callers that joined this leader meanwhile share the entry.
 //
 // Panic safety: if the computation panics, the leader re-panics after
 // deregistering the call and releasing every coalesced waiter — waiters
 // observe the zero Result ("no legal route") rather than blocking forever
 // on a wg.Done that would never come, and the sfCalls entry never leaks.
-func (s *Server) coalesce(key sfKey, req policy.Request) (Result, bool) {
+func (s *Server) coalesce(key sfKey, req policy.Request) (Result, outcome) {
 	s.sfMu.Lock()
 	if c, ok := s.sfCalls[key]; ok {
 		s.sfMu.Unlock()
 		c.wg.Wait()
-		return c.res, false
+		return c.res, waited
 	}
 	c := &call{}
 	c.wg.Add(1)
@@ -599,8 +627,12 @@ func (s *Server) coalesce(key sfKey, req policy.Request) (Result, bool) {
 		s.sfMu.Unlock()
 		c.wg.Done()
 	}()
+	if res, ok := s.lookup(key.key, s.gen.Load()); ok {
+		c.res = res
+		return res, served
+	}
 	c.res = s.compute(req)
-	return c.res, true
+	return c.res, computed
 }
 
 // compute runs one synthesis on the strategy's read plane, then caches the

@@ -171,9 +171,14 @@ func TestServerInvalidationReflectsTopologyChange(t *testing.T) {
 }
 
 // TestServerDeterministicAtAnyParallelism is the E20 determinism criterion:
-// identical query results regardless of client parallelism.
+// identical query results, and exactly one synthesis per distinct key,
+// regardless of client parallelism.
 func TestServerDeterministicAtAnyParallelism(t *testing.T) {
 	g, db, workload := testbed(23, 300)
+	distinct := make(map[Key]struct{})
+	for _, req := range workload {
+		distinct[KeyOf(req)] = struct{}{}
+	}
 	strategies := map[string]func() synthesis.Strategy{
 		"on-demand": func() synthesis.Strategy { return synthesis.NewOnDemand(g, db) },
 		"hybrid":    func() synthesis.Strategy { return synthesis.NewHybrid(g, db, workload[:20]) },
@@ -189,6 +194,9 @@ func TestServerDeterministicAtAnyParallelism(t *testing.T) {
 			for _, clients := range []int{1, 2, 4, 8} {
 				srv := New(mk(), Config{})
 				got := ServePhase(srv, workload, clients)
+				if m := srv.Snapshot(); m.Misses != uint64(len(distinct)) {
+					t.Fatalf("clients=%d: %d syntheses for %d distinct keys", clients, m.Misses, len(distinct))
+				}
 				if ref == nil {
 					ref = got
 					continue

@@ -1,0 +1,48 @@
+package synthesis
+
+import (
+	"testing"
+
+	"repro/internal/ad"
+	"repro/internal/policy"
+	"repro/internal/topology"
+	"repro/internal/trafficgen"
+)
+
+// benchWorld is the internet, the policy regime and the traffic of the
+// repository benchmark's miss_thrash workload (bench/inputs.go at full
+// size): 3 backbones down to campuses, mostly permissive terms, uniform
+// stub pairs over 2 QOS x 2 UCI classes with the hour spread.
+func benchWorld() (*ad.Graph, *policy.DB, []policy.Request) {
+	topo := topology.Generate(topology.Config{
+		Seed:      42,
+		Backbones: 3, RegionalsPerBackbone: 4, MetrosPerRegional: 2,
+		CampusesPerParent: 3, LateralProb: 0.25, BypassProb: 0.1,
+		MultihomedProb: 0.15, HybridProb: 0.15,
+	})
+	db := policy.Generate(topo.Graph, policy.GenConfig{
+		Seed: 42, QOSClasses: 2, UCIClasses: 2,
+		QOSCoverage: 1.0, UCICoverage: 1.0, HybridSourceFraction: 0.9,
+		SourceRestrictionProb: 0.2, SourceFraction: 0.7,
+		DestRestrictionProb: 0.1, DestFraction: 0.7, AvoidProb: 0.1,
+	})
+	tape := trafficgen.Generate(topo.Graph, trafficgen.Config{
+		Seed: 42, Requests: 4096, StubsOnly: true, Model: "uniform",
+		HourSpread: true, QOSClasses: 2, UCIClasses: 2,
+	})
+	return topo.Graph, db, tape
+}
+
+// BenchmarkFindRoute is the search-kernel row of the layer ladder: one
+// source search per op over the benchmark's internet. expansions/op must
+// not move when the kernel changes; allocs/op is the returned path.
+func BenchmarkFindRoute(b *testing.B) {
+	g, db, tape := benchWorld()
+	b.ReportAllocs()
+	b.ResetTimer()
+	expanded := 0
+	for i := 0; i < b.N; i++ {
+		expanded += FindRoute(g, db, tape[i%len(tape)]).Expanded
+	}
+	b.ReportMetric(float64(expanded)/float64(b.N), "expansions/op")
+}

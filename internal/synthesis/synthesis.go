@@ -16,8 +16,8 @@
 package synthesis
 
 import (
-	"container/heap"
 	"sort"
+	"sync"
 
 	"repro/internal/ad"
 	"repro/internal/policy"
@@ -41,33 +41,138 @@ type Result struct {
 // (current, previous) pair; when a hop budget applies, hops joins the state.
 type state struct {
 	cur, prev ad.ID
-	hops      int
+	hops      int32
 }
 
-// pqItem is a priority-queue entry.
+func (st state) hash() uint32 {
+	h := (uint64(st.cur)<<32 | uint64(st.prev)) * 0x9E3779B97F4A7C15
+	return uint32(((h + uint64(st.hops)) * 0xC2B2AE3D27D4EB4F) >> 32)
+}
+
+// node is a discovered state: its best known cost and the node it was
+// reached from (-1 at the start of the search).
+type node struct {
+	st     state
+	dist   uint32
+	parent int32
+}
+
+// pqItem is a priority-queue entry. It carries its node's index, so a pop
+// reaches dist and parent without a lookup.
 type pqItem struct {
-	st   state
 	cost uint32
+	node int32
 	seq  uint64
 }
 
-type pq []pqItem
-
-func (q pq) Len() int { return len(q) }
-func (q pq) Less(i, j int) bool {
-	if q[i].cost != q[j].cost {
-		return q[i].cost < q[j].cost
-	}
-	return q[i].seq < q[j].seq
+func (a pqItem) less(b pqItem) bool {
+	return a.cost < b.cost || a.cost == b.cost && a.seq < b.seq
 }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+
+// scratch is the working memory of one search, pooled so that a search
+// allocates only the path it returns. nodes holds the discovered states in
+// discovery order; index is an open-addressed table from state to node
+// whose entries count only when stamped with the current epoch, which makes
+// reset O(1); heap is a binary heap ordered by (cost, seq). A search owns
+// its scratch from Get to Put and nothing in it outlives the Put.
+type scratch struct {
+	nodes []node
+	index []indexEntry
+	epoch uint32
+	heap  []pqItem
+}
+
+type indexEntry struct {
+	epoch uint32
+	node  int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// reset forgets the previous search, whatever state it stopped in.
+func (s *scratch) reset() {
+	s.nodes, s.heap = s.nodes[:0], s.heap[:0]
+	if s.epoch++; s.epoch == 0 {
+		// Wrapped: stamps left 2^32 searches ago would read as current.
+		clear(s.index)
+		s.epoch = 1
+	}
+}
+
+// relax records that st is reachable at cost from node parent. It returns
+// st's node and whether cost beat what was known (always, for a new state).
+func (s *scratch) relax(st state, cost uint32, parent int32) (int32, bool) {
+	if 2*len(s.nodes) >= len(s.index) {
+		s.index = make([]indexEntry, max(64, 2*len(s.index)))
+		for i := range s.nodes {
+			*s.slot(s.nodes[i].st) = indexEntry{s.epoch, int32(i)}
+		}
+	}
+	e := s.slot(st)
+	if e.epoch != s.epoch {
+		*e = indexEntry{s.epoch, int32(len(s.nodes))}
+		s.nodes = append(s.nodes, node{st, cost, parent})
+		return e.node, true
+	}
+	n := &s.nodes[e.node]
+	if cost >= n.dist {
+		return e.node, false
+	}
+	n.dist, n.parent = cost, parent
+	return e.node, true
+}
+
+// slot probes linearly for st's index entry: the one naming its node, or
+// the free entry where it belongs.
+func (s *scratch) slot(st state) *indexEntry {
+	mask := uint32(len(s.index) - 1)
+	for h := st.hash() & mask; ; h = (h + 1) & mask {
+		if e := &s.index[h]; e.epoch != s.epoch || s.nodes[e.node].st == st {
+			return e
+		}
+	}
+}
+
+func (s *scratch) push(it pqItem) {
+	h := append(s.heap, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = it
+	s.heap = h
+}
+
+func (s *scratch) pop() pqItem {
+	h := s.heap
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	s.heap = h
+	if len(h) == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].less(h[c]) {
+			c++
+		}
+		if !h[c].less(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top
 }
 
 // FindRoute computes the minimum-cost legal route for req over the given
@@ -108,83 +213,79 @@ func FindRouteFrom(g *ad.Graph, db *policy.DB, req policy.Request, from, prev ad
 	}
 	crit := db.CriteriaFor(req.Src)
 	trackHops := crit.MaxHops > 0
+	avoids := !crit.Avoid.Empty()
 
-	dist := make(map[state]uint32)
-	parent := make(map[state]state)
-	start := state{cur: from, prev: prev}
-	dist[start] = 0
-	var q pq
+	sc := scratchPool.Get().(*scratch)
+	sc.reset()
+	start, _ := sc.relax(state{cur: from, prev: prev}, 0, -1)
+	sc.push(pqItem{node: start})
 	var seq uint64
-	heap.Push(&q, pqItem{st: start, cost: 0, seq: seq})
 	expanded := 0
-	var goal state
-	found := false
+	goal := int32(-1)
 
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
-		st := it.st
-		if d, ok := dist[st]; !ok || it.cost > d {
+	for len(sc.heap) > 0 {
+		it := sc.pop()
+		n := sc.nodes[it.node]
+		if it.cost > n.dist {
 			continue
 		}
 		expanded++
+		st := n.st
 		if st.cur == req.Dst {
-			goal = st
-			found = true
+			goal = it.node
 			break
 		}
-		if trackHops && st.hops >= crit.MaxHops {
+		if trackHops && int(st.hops) >= crit.MaxHops {
 			continue
 		}
-		cur := st.cur
-		// Transit-term cost and legality at cur (not required at the
-		// source itself).
-		for _, link := range g.IncidentLinks(cur) {
-			next, _ := link.Other(cur)
+		links := g.Incident(st.cur)
+		for i := range links {
+			link := &links[i]
+			next, _ := link.Other(st.cur)
 			if next == st.prev {
 				continue // no immediate backtracking
 			}
-			var termCost uint32
-			if cur != req.Src {
-				t, ok := db.PermitsTransit(cur, req, st.prev, next)
+			// Source criteria: avoid set applies to transit ADs.
+			if avoids && next != req.Dst && crit.Avoid.Contains(next) {
+				continue
+			}
+			nc := it.cost + link.Cost
+			// Transit-term cost and legality at cur (not required at the
+			// source itself).
+			if st.cur != req.Src {
+				termCost, ok := db.TransitCost(st.cur, req, st.prev, next)
 				if !ok {
 					continue
 				}
-				termCost = t.Cost
+				nc += termCost
 			}
-			// Source criteria: avoid set applies to transit ADs.
-			if next != req.Dst && crit.Avoid.Contains(next) {
-				continue
-			}
-			if crit.Avoid.IsUniversal() && next != req.Dst {
-				continue
-			}
-			ns := state{cur: next, prev: cur}
+			ns := state{cur: next, prev: st.cur}
 			if trackHops {
 				ns.hops = st.hops + 1
 			}
-			nc := it.cost + link.Cost + termCost
-			if d, ok := dist[ns]; ok && nc >= d {
-				continue
+			if ni, better := sc.relax(ns, nc, it.node); better {
+				seq++
+				sc.push(pqItem{cost: nc, node: ni, seq: seq})
 			}
-			dist[ns] = nc
-			parent[ns] = st
-			seq++
-			heap.Push(&q, pqItem{st: ns, cost: nc, seq: seq})
 		}
 	}
-	if !found {
+	if goal < 0 {
+		scratchPool.Put(sc)
 		return Result{Expanded: expanded}
 	}
-	// Reconstruct.
-	var rev ad.Path
-	for st := goal; ; {
-		rev = append(rev, st.cur)
-		if st == start {
-			break
-		}
-		st = parent[st]
+	// Reconstruct: one allocation, filled from the goal backwards.
+	hops := 0
+	for i := goal; i >= 0; i = sc.nodes[i].parent {
+		hops++
 	}
-	path := rev.Reverse()
+	path := make(ad.Path, hops)
+	for i := goal; i >= 0; i = sc.nodes[i].parent {
+		hops--
+		path[hops] = sc.nodes[i].st.cur
+	}
+	cost := sc.nodes[goal].dist
+	scratchPool.Put(sc)
+
 	legal := path.LoopFree()
 	if legal {
 		if from == req.Src {
@@ -197,7 +298,7 @@ func FindRouteFrom(g *ad.Graph, db *policy.DB, req policy.Request, from, prev ad
 		// Defensive: should be unreachable with positive costs.
 		return Result{Expanded: expanded}
 	}
-	return Result{Path: path, Cost: dist[goal], Expanded: expanded, Found: true}
+	return Result{Path: path, Cost: cost, Expanded: expanded, Found: true}
 }
 
 // continuationLegal checks a path suffix starting at a transit AD: every AD
@@ -209,7 +310,7 @@ func continuationLegal(db *policy.DB, path ad.Path, req policy.Request, entry ad
 	}
 	prev := entry
 	for i := 0; i < len(path)-1; i++ {
-		if _, ok := db.PermitsTransit(path[i], req, prev, path[i+1]); !ok {
+		if _, ok := db.TransitCost(path[i], req, prev, path[i+1]); !ok {
 			return false
 		}
 		prev = path[i]
@@ -268,7 +369,7 @@ func EnumeratePaths(g *ad.Graph, db *policy.DB, req policy.Request, cfg Enumerat
 				continue
 			}
 			if cur != req.Src {
-				if _, ok := db.PermitsTransit(cur, req, prev, next); !ok {
+				if _, ok := db.TransitCost(cur, req, prev, next); !ok {
 					continue
 				}
 			}
