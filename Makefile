@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet race allocs determinism bench bench-smoke results
+.PHONY: all build test check fmt vet race allocs determinism golden loc bench bench-smoke results
 
 all: build
 
@@ -54,6 +54,17 @@ allocs:
 determinism:
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestServerDeterministicAtAnyParallelism|TestLateMissServedFromCache' ./internal/routeserver/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestRunAllParallelDeterminism|TestE20RouteServer' ./internal/experiments/
+
+# The committed report must come out byte for byte, serially and from the
+# parallel runner.
+golden:
+	$(GO) run ./cmd/experiments -seed 42 | cmp - results_seed42.txt
+	$(GO) run ./cmd/experiments -seed 42 -parallel 8 | cmp - results_seed42.txt
+
+# Non-test, non-blank Go lines under internal/ and cmd/: the count a
+# simplicity PR quotes before and after.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -cv '^[[:space:]]*$$'
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -15,11 +15,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/profile"
 )
 
 func main() {
@@ -31,13 +31,10 @@ func run() int {
 	only := flag.String("only", "", "run a single experiment: table1, figure1, e1..e25")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"max concurrent experiment workers (1 = serial; output is identical either way)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-	blockProfile := flag.String("blockprofile", "", "write a pprof blocking profile to this file on exit")
-	mutexProfile := flag.String("mutexprofile", "", "write a pprof mutex-contention profile to this file on exit")
+	profiles := profile.Register(flag.CommandLine)
 	flag.Parse()
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile, *blockProfile, *mutexProfile)
+	stopProfiles, err := profiles.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -94,62 +91,4 @@ func run() int {
 		}
 	}
 	return 0
-}
-
-// startProfiles begins CPU profiling, enables block/mutex sampling when
-// those profiles are requested, and arranges heap/block/mutex snapshots at
-// stop time. Empty paths disable the corresponding profile; block and
-// mutex sampling stay off unless asked for (they tax the hot path).
-func startProfiles(cpuPath, memPath, blockPath, mutexPath string) (stop func(), err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
-	}
-	if blockPath != "" {
-		runtime.SetBlockProfileRate(1)
-	}
-	if mutexPath != "" {
-		runtime.SetMutexProfileFraction(1)
-	}
-	writeLookup := func(name, path string) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		defer f.Close()
-		if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize a settled heap picture
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}
-		writeLookup("block", blockPath)
-		writeLookup("mutex", mutexPath)
-	}, nil
 }

@@ -73,13 +73,10 @@ import (
 	"syscall"
 	"time"
 
-	"runtime"
-	"runtime/pprof"
-
 	"repro/internal/ad"
-	"repro/internal/core"
 	"repro/internal/pgstate"
 	"repro/internal/policy"
+	"repro/internal/profile"
 	"repro/internal/routeserver"
 	"repro/internal/routeserver/daemon"
 	"repro/internal/routeserver/ha"
@@ -125,10 +122,7 @@ func run() int {
 		stateKind      = flag.String("state", "hard", "PG handle lifecycle for installed routes: hard, soft, capped")
 		stateTTL       = flag.Duration("state-ttl", 30*time.Second, "soft-state TTL in simulated time (-state soft)")
 		stateCap       = flag.Int("state-cap", 64, "per-PG handle capacity (-state capped)")
-		cpuProfile     = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile     = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		blockProfile   = flag.String("blockprofile", "", "write a pprof blocking profile to this file on exit")
-		mutexProfile   = flag.String("mutexprofile", "", "write a pprof mutex-contention profile to this file on exit")
+		profiles       = profile.Register(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -154,7 +148,12 @@ func run() int {
 		return 1
 	}
 
-	srv := routeserver.New(buildStrategy(*strategy, g, db, workload, *qosClasses, *uciClasses), routeserver.Config{
+	strat, err := synthesis.New(*strategy, g, db, workload, *qosClasses, *uciClasses)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	srv := routeserver.New(strat, routeserver.Config{
 		Shards:   *shards,
 		Capacity: *cacheCap,
 		Workers:  *workers,
@@ -174,7 +173,7 @@ func run() int {
 		return 2
 	}
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile, *blockProfile, *mutexProfile)
+	stopProfiles, err := profiles.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -448,64 +447,6 @@ func writeNetJSON(path string, rep daemon.LoadReport) error {
 	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
-// startProfiles begins CPU profiling, enables block/mutex sampling when
-// those profiles are requested, and arranges heap/block/mutex snapshots at
-// stop time. Empty paths disable the corresponding profile; block and
-// mutex sampling stay off unless asked for (they tax the hot path).
-func startProfiles(cpuPath, memPath, blockPath, mutexPath string) (stop func(), err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
-	}
-	if blockPath != "" {
-		runtime.SetBlockProfileRate(1)
-	}
-	if mutexPath != "" {
-		runtime.SetMutexProfileFraction(1)
-	}
-	writeLookup := func(name, path string) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		defer f.Close()
-		if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize a settled heap picture
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}
-		writeLookup("block", blockPath)
-		writeLookup("mutex", mutexPath)
-	}, nil
-}
-
 // materialize builds the internet and workload, either from a scenario file
 // (whose events become the churn timeline, spread evenly through the run)
 // or generated from the seed.
@@ -569,43 +510,6 @@ func materialize(path string, seed int64, requests int, model string, zipfS floa
 		}
 	}
 	return g, db, workload, events, nil
-}
-
-// buildStrategy constructs the named synthesis strategy sized to the
-// workload's class spread.
-func buildStrategy(kind string, g *ad.Graph, db *policy.DB, workload []policy.Request, qos, uci int) synthesis.Strategy {
-	switch kind {
-	case "precomputed":
-		var all []policy.Request
-		for q := 0; q < max(qos, 1); q++ {
-			for u := 0; u < max(uci, 1); u++ {
-				all = append(all, core.AllPairsRequests(g, true, policy.QOS(q), policy.UCI(u))...)
-			}
-		}
-		return synthesis.NewPrecomputed(g, db, all)
-	case "hybrid":
-		hot := len(workload) / 10
-		if hot == 0 {
-			hot = len(workload)
-		}
-		return synthesis.NewHybrid(g, db, workload[:hot])
-	case "pruned":
-		var stubs []ad.ID
-		for _, info := range g.ADs() {
-			if info.Class == ad.Stub || info.Class == ad.MultihomedStub {
-				stubs = append(stubs, info.ID)
-			}
-		}
-		return synthesis.NewPrunedConfig(g, db, stubs, synthesis.PrunedConfig{
-			HopRadius: 2, QOSClasses: qos, UCIClasses: uci,
-		})
-	case "on-demand":
-		return synthesis.NewOnDemand(g, db)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown strategy %q; choose on-demand, precomputed, hybrid, or pruned\n", kind)
-		os.Exit(2)
-		return nil
-	}
 }
 
 // churnEvents is the built-in -churn timeline: the first lateral link (or,

@@ -329,12 +329,15 @@ func TestBuildStrategyKinds(t *testing.T) {
 	g, db, _, _ := testWorld(t)
 	workload := []policy.Request{{Src: 1, Dst: 4}}
 	for _, kind := range []string{"on-demand", "precomputed", "hybrid", "pruned"} {
-		st := buildStrategy(kind, g, db, workload, 1, 1)
-		if st == nil {
-			t.Fatalf("%s: nil strategy", kind)
+		st, err := synthesis.New(kind, g, db, workload, 1, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
 		}
 		if path, found := st.Route(policy.Request{Src: 1, Dst: 4}); !found || len(path) == 0 {
 			t.Errorf("%s: no route served", kind)
 		}
+	}
+	if _, err := synthesis.New("fastest", g, db, workload, 1, 1); err == nil {
+		t.Error("unknown strategy name accepted")
 	}
 }

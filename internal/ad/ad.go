@@ -336,6 +336,18 @@ func (g *Graph) IDs() []ID {
 	return out
 }
 
+// Stubs returns the IDs of the stub and multihomed-stub ADs — the ADs that
+// originate and sink traffic — in ascending order.
+func (g *Graph) Stubs() []ID {
+	var out []ID
+	for _, id := range g.IDs() {
+		if c := g.ads[id].Class; c == Stub || c == MultihomedStub {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // Links returns all links sorted by (A, B).
 func (g *Graph) Links() []Link {
 	out := make([]Link, 0, len(g.links))

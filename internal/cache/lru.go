@@ -1,8 +1,8 @@
-// Package cache provides the fixed-capacity LRU map shared by the
-// synthesis strategies' demand-fill tables and, shard by shard, by the
-// route-server serving cache. It is deliberately minimal: a map plus an
-// intrusive recency list, no locking (callers shard and lock), and an
-// eviction counter so strategies can report cache pressure.
+// Package cache provides the fixed-capacity LRU map behind the route-server
+// serving cache and the policy-gateway handle tables, shard by shard. It is
+// deliberately minimal: a map plus an intrusive recency list, no locking
+// (callers shard and lock), and an eviction counter so owners can report
+// cache pressure.
 package cache
 
 // LRU is a fixed-capacity map with least-recently-used eviction. A

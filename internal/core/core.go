@@ -6,12 +6,12 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ad"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/synthesis"
+	"repro/internal/trafficgen"
 )
 
 // Outcome describes what happened to a traffic request under a protocol.
@@ -177,20 +177,5 @@ func RunScenario(sys System, oracle Oracle, reqs []policy.Request, limit sim.Tim
 // service class. Sources that are not stubs rarely originate traffic in the
 // paper's model, so stubsOnly is the usual choice.
 func AllPairsRequests(g *ad.Graph, stubsOnly bool, qos policy.QOS, uci policy.UCI) []policy.Request {
-	var ids []ad.ID
-	for _, info := range g.ADs() {
-		if !stubsOnly || info.Class == ad.Stub || info.Class == ad.MultihomedStub {
-			ids = append(ids, info.ID)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var reqs []policy.Request
-	for _, s := range ids {
-		for _, d := range ids {
-			if s != d {
-				reqs = append(reqs, policy.Request{Src: s, Dst: d, QOS: qos, UCI: uci, Hour: 12})
-			}
-		}
-	}
-	return reqs
+	return trafficgen.AllPairs(g, stubsOnly, qos, uci)
 }

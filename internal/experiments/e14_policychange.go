@@ -55,12 +55,7 @@ func E14PolicyChange(seed int64) *metrics.Table {
 	// Phase 2: the busiest transit AD tightens its policy to carry only
 	// half the stubs.
 	busiest := busiestTransit(g, db, reqs)
-	var stubs []ad.ID
-	for _, info := range g.ADs() {
-		if info.Class == ad.Stub || info.Class == ad.MultihomedStub {
-			stubs = append(stubs, info.ID)
-		}
-	}
+	stubs := g.Stubs()
 	term := policy.OpenTerm(busiest, 0)
 	term.Sources = policy.SetOf(stubs[:len(stubs)/2]...)
 	msgs1 := sys.Network().Stats.MessagesSent

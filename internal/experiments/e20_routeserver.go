@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/ad"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/routeserver"
@@ -92,30 +91,11 @@ func E20RouteServer(seed int64) *metrics.Table {
 // buildE20Strategy constructs the named synthesis strategy for the E20
 // internet, covering the workload's class spread (QOS/UCI in {0,1}).
 func buildE20Strategy(kind string, g *ad.Graph, db *policy.DB, workload []policy.Request) synthesis.Strategy {
-	switch kind {
-	case "precomputed":
-		var all []policy.Request
-		for qos := 0; qos < 2; qos++ {
-			for uci := 0; uci < 2; uci++ {
-				all = append(all, core.AllPairsRequests(g, true, policy.QOS(qos), policy.UCI(uci))...)
-			}
-		}
-		return synthesis.NewPrecomputed(g, db, all)
-	case "hybrid":
-		return synthesis.NewHybrid(g, db, hottestRequests(workload, len(workload)/10))
-	case "pruned":
-		var stubs []ad.ID
-		for _, info := range g.ADs() {
-			if info.Class == ad.Stub || info.Class == ad.MultihomedStub {
-				stubs = append(stubs, info.ID)
-			}
-		}
-		return synthesis.NewPrunedConfig(g, db, stubs, synthesis.PrunedConfig{
-			HopRadius: 2, QOSClasses: 2, UCIClasses: 2,
-		})
-	default:
-		return synthesis.NewOnDemand(g, db)
+	st, err := synthesis.New(kind, g, db, workload, 2, 2)
+	if err != nil {
+		panic(err)
 	}
+	return st
 }
 
 // applyE20Churn injects the mid-serve events: the first lateral link fails

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/ad"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
@@ -47,19 +45,17 @@ func E7SynthesisStrategies(seed int64) *metrics.Table {
 			Model: "zipf", ZipfS: 1.4,
 		})
 		// The hybrid strategy's hot set: the workload's busiest pairs.
-		hot := hottestRequests(workload, len(all)/5+1)
+		hot := trafficgen.Hottest(workload, len(all)/5+1)
 
-		var stubs []ad.ID
-		for _, info := range g.ADs() {
-			if info.Class == ad.Stub || info.Class == ad.MultihomedStub {
-				stubs = append(stubs, info.ID)
-			}
-		}
+		// Strategies never remember a searched route — a served strategy
+		// leaves that to the route server's cache — so the two that search
+		// behind a table get a memo here, and a repeated cold request
+		// counts as a hit and a table entry, as it would when served.
 		strategies := []synthesis.Strategy{
 			synthesis.NewPrecomputed(g, db, all), // precompute everything
 			synthesis.NewOnDemand(g, db),
-			synthesis.NewHybrid(g, db, hot),
-			synthesis.NewPruned(g, db, stubs, 3), // §5.4.1 pruning heuristic
+			synthesis.NewMemo(synthesis.NewHybrid(g, db, hot)),
+			synthesis.NewMemo(synthesis.NewPruned(g, db, g.Stubs(), 3)), // §5.4.1 pruning heuristic
 		}
 		for _, st := range strategies {
 			for _, req := range workload {
@@ -75,48 +71,4 @@ func E7SynthesisStrategies(seed int64) *metrics.Table {
 	t.AddNote("work = search-state expansions; workload = 400 Zipf-skewed requests (skew: busiest decile carries most traffic)")
 	t.AddNote("precompute-everything pays the full cost up front and grows fastest with internet size (§5.4.1)")
 	return t
-}
-
-// hottestRequests returns up to n requests covering the workload's most
-// frequent (src,dst,qos,uci) contexts, for seeding precomputation.
-func hottestRequests(workload []policy.Request, n int) []policy.Request {
-	type key struct {
-		src, dst ad.ID
-		qos      policy.QOS
-		uci      policy.UCI
-	}
-	counts := map[key]int{}
-	rep := map[key]policy.Request{}
-	for _, r := range workload {
-		k := key{r.Src, r.Dst, r.QOS, r.UCI}
-		counts[k]++
-		rep[k] = r
-	}
-	keys := make([]key, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if counts[keys[i]] != counts[keys[j]] {
-			return counts[keys[i]] > counts[keys[j]]
-		}
-		if keys[i].src != keys[j].src {
-			return keys[i].src < keys[j].src
-		}
-		if keys[i].dst != keys[j].dst {
-			return keys[i].dst < keys[j].dst
-		}
-		if keys[i].qos != keys[j].qos {
-			return keys[i].qos < keys[j].qos
-		}
-		return keys[i].uci < keys[j].uci
-	})
-	if n > len(keys) {
-		n = len(keys)
-	}
-	out := make([]policy.Request, 0, n)
-	for _, k := range keys[:n] {
-		out = append(out, rep[k])
-	}
-	return out
 }

@@ -46,10 +46,10 @@ import (
 	"repro/internal/synthesis"
 )
 
-// Key is the serving-cache key. Unlike the strategies' internal tables it
-// includes the request hour, so the serving layer stays correct even for
-// hour-sensitive strategies; for hour-insensitive ones the extra field only
-// fragments the cache, never corrupts it.
+// Key is the serving-cache key. It includes the request hour: term windows
+// make a route's legality depend on it, so an answer cached for one hour is
+// never served at another. (The strategies' precomputed tables are keyed
+// without the hour and re-check legality instead; see synthesis.Table.)
 type Key struct {
 	Src, Dst ad.ID
 	QOS      policy.QOS

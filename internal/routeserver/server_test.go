@@ -212,6 +212,36 @@ func TestServerDeterministicAtAnyParallelism(t *testing.T) {
 	}
 }
 
+// TestServingStateIsBounded: the server's capacity bounds every route the
+// serving stack remembers. The strategy keeps its precomputed hot table and
+// nothing else, however many distinct keys stream through (it used to keep
+// a second, unbounded copy of every route it searched for).
+func TestServingStateIsBounded(t *testing.T) {
+	g, _, _ := testbed(41, 1)
+	db := policy.OpenDB(g)
+	keys := trafficgen.AllPairs(g, true, 0, 0)
+	const capacity = 16
+	if len(keys) <= 4*capacity {
+		t.Fatalf("fixture: only %d distinct keys", len(keys))
+	}
+	srv := New(synthesis.NewHybrid(g, db, keys[:8]), Config{Capacity: capacity})
+	hot := srv.StrategyStats().CacheEntries
+	if hot != 8 {
+		t.Fatalf("hot table = %d entries, want 8", hot)
+	}
+	for _, res := range ServePhase(srv, keys, 4) {
+		if !res.Found {
+			t.Fatalf("no route under open policy: %+v", res)
+		}
+	}
+	if got := srv.StrategyStats().CacheEntries; got != hot {
+		t.Errorf("strategy holds %d entries after %d distinct keys, want the hot table's %d", got, len(keys), hot)
+	}
+	if got := srv.CacheLen(); got > capacity {
+		t.Errorf("server cache holds %d entries, capacity %d", got, capacity)
+	}
+}
+
 // TestServerConcurrentChurn hammers the server with concurrent clients
 // while invalidations and topology mutations land mid-flight. Run under
 // -race (make check) this is the serving layer's race-cleanness assertion.

@@ -1,6 +1,8 @@
 package synthesis
 
 import (
+	"sync/atomic"
+
 	"repro/internal/ad"
 	"repro/internal/policy"
 )
@@ -13,28 +15,32 @@ type StrategyStats struct {
 	OnDemandExpansions int
 	// Hits are requests answered from the precomputed table.
 	Hits int
-	// Misses are requests that required an on-demand computation.
+	// Misses are requests the table could not answer: searched on demand,
+	// or failed.
 	Misses int
 	// Failures are requests for which no legal route exists.
 	Failures int
 	// CacheEntries is the current size of the route table.
 	CacheEntries int
-	// Evictions counts demand-fill entries dropped for capacity.
+	// Evictions is always 0: strategies hold no capacity-bounded state.
 	Evictions int
 }
 
 // Strategy is a route synthesis strategy: given a traffic request, produce a
 // legal route, accounting the work performed.
 //
-// The contract has two planes. The read plane — Route, Footprint, Stats,
-// Name — is safe for any number of concurrent goroutines: routes are
-// resolved against the strategy's current tables, demand fills land in
-// internally locked sharded caches, and counters are atomics merged on
-// read. The write plane — Invalidate and InvalidateScoped — rebuilds those
-// tables and requires exclusive access: no read-plane call may be in
-// flight while a write-plane call runs. The serving layer enforces this
-// with a sync.RWMutex (misses hold the read side, mutations the write
-// side); code driving a strategy directly must provide the same exclusion.
+// A strategy is precomputed tables plus a pure search: Route reads a table
+// or searches, and never remembers what it found — caching demand-computed
+// routes is the serving layer's job (routeserver.Server), not the
+// strategy's. So the contract is one sentence: tables are immutable between
+// write-plane rebuilds. The read plane — Route, Footprint, Stats, Name —
+// takes no lock and is safe for any number of concurrent goroutines
+// (counters are atomics merged on read). The write plane — Invalidate and
+// InvalidateScoped — rebuilds the tables and requires exclusive access: no
+// read-plane call may be in flight while a write-plane call runs. The
+// serving layer enforces this with a reader/writer lock (misses hold the
+// read side, mutations the write side); code driving a strategy directly
+// must provide the same exclusion.
 type Strategy interface {
 	// Route returns a legal route for req, or false if none exists.
 	// Read plane: safe to call concurrently.
@@ -56,80 +62,21 @@ type Strategy interface {
 	Name() string
 }
 
-// refill reconciles one table entry with a scoped change: entries the
-// change cannot touch are kept as-is; affected entries are recomputed in
-// place (deleted if the route vanished), and absent entries are computed
-// when the change broadens what is routable. Returns the search work done.
-// Write plane only: it mutates the table without locking.
-func refill(g *ad.Graph, db *policy.DB, table map[cacheKey]ad.Path, req policy.Request, c Change) int {
-	k := keyOf(req)
-	p, exists := table[k]
-	if exists && !c.AffectsPath(p) {
-		return 0
-	}
-	if !exists && !c.AffectsNegative() {
-		return 0
-	}
-	res := FindRoute(g, db, req)
-	if res.Found {
-		table[k] = res.Path
-	} else {
-		delete(table, k)
-	}
-	return res.Expanded
+// counters is the read-plane half of StrategyStats: every field Route
+// touches is an atomic, so any number of goroutines can search (and account
+// their work) at once while Stats merges a snapshot. They are never reset,
+// which is how cumulative counters survive Invalidate.
+type counters struct {
+	precompute atomic.Int64
+	onDemand   atomic.Int64
+	hits       atomic.Int64
+	misses     atomic.Int64
+	failures   atomic.Int64
 }
 
-// OnDemand computes every route at request time: minimal state, maximal
-// setup latency (the paper: "on demand computation may introduce excessive
-// latency at setup time", §5.4.1).
-type OnDemand struct {
-	g   *ad.Graph
-	db  *policy.DB
-	ctr counters
-}
-
-// NewOnDemand returns an on-demand strategy over the given view.
-func NewOnDemand(g *ad.Graph, db *policy.DB) *OnDemand {
-	return &OnDemand{g: g, db: db}
-}
-
-// Name implements Strategy.
-func (s *OnDemand) Name() string { return "on-demand" }
-
-// Route implements Strategy.
-func (s *OnDemand) Route(req policy.Request) (ad.Path, bool) {
-	res := FindRoute(s.g, s.db, req)
-	s.ctr.onDemand.Add(int64(res.Expanded))
-	s.ctr.misses.Add(1)
-	if !res.Found {
-		s.ctr.failures.Add(1)
-		return nil, false
-	}
-	return res.Path, true
-}
-
-// Stats implements Strategy.
-func (s *OnDemand) Stats() StrategyStats { return s.ctr.snapshot() }
-
-// Invalidate implements Strategy (no cached state; cumulative counters
-// survive).
-func (s *OnDemand) Invalidate() {}
-
-// InvalidateScoped implements Strategy (no cached state to scope).
-func (s *OnDemand) InvalidateScoped(c Change) {
-	if c.Kind == ChangeFull {
-		s.Invalidate()
-	}
-}
-
-// Footprint implements Strategy.
-func (s *OnDemand) Footprint(req policy.Request, path ad.Path) Footprint {
-	return FootprintOf(s.g, s.db, req, path)
-}
-
-// cacheKey identifies a precomputed route. Hour is quantized out: routes
-// are recomputed only when term windows change legality, which the
-// strategies treat as an invalidation event.
+// cacheKey identifies a table entry. Hour is not part of the key: an entry
+// remembers the hour it was computed for and is re-checked for legality
+// when served at another (see lookup).
 type cacheKey struct {
 	src, dst ad.ID
 	qos      policy.QOS
@@ -140,81 +87,65 @@ func keyOf(req policy.Request) cacheKey {
 	return cacheKey{src: req.Src, dst: req.Dst, qos: req.QOS, uci: req.UCI}
 }
 
-// Precomputed computes routes for an anticipated request population up
-// front. Requests outside the precomputed set fail unless they hit the
-// table ("precomputation of all policy routes in a large internet is
-// computationally intractable", §5.4.1 — this strategy makes that cost
-// measurable).
-type Precomputed struct {
+// entry is one precomputed route and the hour it was computed for.
+type entry struct {
+	path ad.Path
+	hour uint8
+}
+
+// Table is the one strategy type: routes precomputed for a request
+// population, and a pure search behind them. The four strategies of §5.4.1
+// differ only in which population is precomputed and whether a table miss
+// falls through to the search:
+//
+//	on-demand    nothing                       search  ("may introduce excessive latency at setup time")
+//	precomputed  a fixed list                  fail    ("computationally intractable" in a large internet)
+//	hybrid       a hot list                    search  ("a combination ... should be used")
+//	pruned       each source's hop-radius      search  ("heuristics to prune the search and limit it
+//	             neighbourhood, per class               to commonly used routes")
+type Table struct {
+	name string
 	g    *ad.Graph
 	db   *policy.DB
-	reqs []policy.Request
-	// table is read concurrently by Route and replaced wholesale only on
-	// the write plane; map reads need no lock as long as the caller keeps
-	// the planes exclusive.
-	table map[cacheKey]ad.Path
-	ctr   counters
+	// population lists the requests to precompute. It is evaluated on every
+	// write-plane call: the pruned neighbourhood follows the topology.
+	population func() []policy.Request
+	// search makes a table miss fall through to FindRoute instead of failing.
+	search bool
+	// routes is read by Route without a lock and mutated only on the write
+	// plane.
+	routes map[cacheKey]entry
+	ctr    counters
 }
 
-// NewPrecomputed builds the table for the given request population.
-func NewPrecomputed(g *ad.Graph, db *policy.DB, reqs []policy.Request) *Precomputed {
-	s := &Precomputed{g: g, db: db, reqs: reqs}
-	s.build()
-	return s
+func newTable(name string, g *ad.Graph, db *policy.DB, population func() []policy.Request, search bool) *Table {
+	t := &Table{name: name, g: g, db: db, population: population, search: search,
+		routes: make(map[cacheKey]entry)}
+	t.Invalidate()
+	return t
 }
 
-func (s *Precomputed) build() {
-	s.table = make(map[cacheKey]ad.Path, len(s.reqs))
-	for _, req := range s.reqs {
-		res := FindRoute(s.g, s.db, req)
-		s.ctr.precompute.Add(int64(res.Expanded))
-		if res.Found {
-			s.table[keyOf(req)] = res.Path
-		}
-	}
+func fixed(reqs []policy.Request) func() []policy.Request {
+	return func() []policy.Request { return reqs }
 }
 
-// Name implements Strategy.
-func (s *Precomputed) Name() string { return "precomputed" }
-
-// Route implements Strategy.
-func (s *Precomputed) Route(req policy.Request) (ad.Path, bool) {
-	if p, ok := s.table[keyOf(req)]; ok {
-		s.ctr.hits.Add(1)
-		return p, true
-	}
-	s.ctr.misses.Add(1)
-	s.ctr.failures.Add(1)
-	return nil, false
+// NewOnDemand computes every route at request time: minimal state, maximal
+// setup latency.
+func NewOnDemand(g *ad.Graph, db *policy.DB) *Table {
+	return newTable("on-demand", g, db, fixed(nil), true)
 }
 
-// Stats implements Strategy.
-func (s *Precomputed) Stats() StrategyStats {
-	st := s.ctr.snapshot()
-	st.CacheEntries = len(s.table)
-	return st
+// NewPrecomputed computes routes for an anticipated request population up
+// front; requests outside the table fail, which makes the cost of
+// precomputing everything measurable.
+func NewPrecomputed(g *ad.Graph, db *policy.DB, reqs []policy.Request) *Table {
+	return newTable("precomputed", g, db, fixed(reqs), false)
 }
 
-// Invalidate rebuilds the whole table, charging precompute work again.
-func (s *Precomputed) Invalidate() {
-	s.build()
-}
-
-// InvalidateScoped recomputes only the population entries the change can
-// affect; the rest of the table keeps serving untouched.
-func (s *Precomputed) InvalidateScoped(c Change) {
-	if c.Kind == ChangeFull {
-		s.Invalidate()
-		return
-	}
-	for _, req := range s.reqs {
-		s.ctr.precompute.Add(int64(refill(s.g, s.db, s.table, req, c)))
-	}
-}
-
-// Footprint implements Strategy.
-func (s *Precomputed) Footprint(req policy.Request, path ad.Path) Footprint {
-	return FootprintOf(s.g, s.db, req, path)
+// NewHybrid precomputes routes for a hot set of requests and searches on
+// demand for the rest — the combination the paper recommends.
+func NewHybrid(g *ad.Graph, db *policy.DB, hot []policy.Request) *Table {
+	return newTable("hybrid", g, db, fixed(hot), true)
 }
 
 // PrunedConfig parameterizes the pruned-precompute strategy.
@@ -228,63 +159,45 @@ type PrunedConfig struct {
 	// 0 only can never serve a class-1 request from its table.
 	QOSClasses int
 	UCIClasses int
-	// DemandCap bounds the demand-fill cache for requests outside the
-	// precomputed neighbourhood (0 = unbounded).
-	DemandCap int
-}
-
-func (c PrunedConfig) normalize() PrunedConfig {
-	if c.HopRadius < 1 {
-		c.HopRadius = 2
-	}
-	if c.QOSClasses < 1 {
-		c.QOSClasses = 1
-	}
-	if c.UCIClasses < 1 {
-		c.UCIClasses = 1
-	}
-	return c
-}
-
-// Pruned is a heuristic precomputation strategy in the direction the paper
-// sketches ("precomputation could use heuristics to prune the search and
-// limit it to commonly used routes", §5.4.1): for each source it precomputes
-// routes only to destinations within HopRadius AD hops, on the observation
-// that inter-AD traffic is dominated by nearby destinations; everything
-// farther is computed on demand and cached (bounded by DemandCap).
-type Pruned struct {
-	g    *ad.Graph
-	db   *policy.DB
-	srcs []ad.ID
-	cfg  PrunedConfig
-	// HopRadius mirrors cfg.HopRadius for report labelling.
-	HopRadius int
-	table     map[cacheKey]ad.Path
-	demand    *demandCache
-	ctr       counters
 }
 
 // NewPruned builds the pruned-precompute strategy for the given sources with
-// default traffic classes (class 0 only) and an unbounded demand cache.
-func NewPruned(g *ad.Graph, db *policy.DB, srcs []ad.ID, hopRadius int) *Pruned {
+// default traffic classes (class 0 only).
+func NewPruned(g *ad.Graph, db *policy.DB, srcs []ad.ID, hopRadius int) *Table {
 	return NewPrunedConfig(g, db, srcs, PrunedConfig{HopRadius: hopRadius})
 }
 
-// NewPrunedConfig builds the pruned-precompute strategy with explicit
-// neighbourhood, traffic-class, and demand-cache configuration.
-func NewPrunedConfig(g *ad.Graph, db *policy.DB, srcs []ad.ID, cfg PrunedConfig) *Pruned {
-	cfg = cfg.normalize()
-	s := &Pruned{
-		g: g, db: db, srcs: srcs, cfg: cfg, HopRadius: cfg.HopRadius,
-		demand: newDemandCache(cfg.DemandCap),
+// NewPrunedConfig builds the pruned-precompute strategy: for each source it
+// precomputes routes only to destinations within HopRadius AD hops, on the
+// observation that inter-AD traffic is dominated by nearby destinations;
+// everything farther is searched on demand.
+func NewPrunedConfig(g *ad.Graph, db *policy.DB, srcs []ad.ID, cfg PrunedConfig) *Table {
+	if cfg.HopRadius < 1 {
+		cfg.HopRadius = 2
 	}
-	s.build()
-	return s
+	cfg.QOSClasses = max(cfg.QOSClasses, 1)
+	cfg.UCIClasses = max(cfg.UCIClasses, 1)
+	return newTable("pruned", g, db, func() []policy.Request {
+		var reqs []policy.Request
+		for _, src := range srcs {
+			for _, dst := range withinRadius(g, src, cfg.HopRadius) {
+				for qos := 0; qos < cfg.QOSClasses; qos++ {
+					for uci := 0; uci < cfg.UCIClasses; uci++ {
+						reqs = append(reqs, policy.Request{
+							Src: src, Dst: dst, Hour: 12,
+							QOS: policy.QOS(qos), UCI: policy.UCI(uci),
+						})
+					}
+				}
+			}
+		}
+		return reqs
+	}, true)
 }
 
 // withinRadius returns the ADs reachable from src within r hops (BFS on the
 // raw topology, policy-blind — it is only a pruning heuristic).
-func (s *Pruned) withinRadius(src ad.ID, r int) []ad.ID {
+func withinRadius(g *ad.Graph, src ad.ID, r int) []ad.ID {
 	depth := map[ad.ID]int{src: 0}
 	queue := []ad.ID{src}
 	var out []ad.ID
@@ -294,7 +207,7 @@ func (s *Pruned) withinRadius(src ad.ID, r int) []ad.ID {
 		if depth[cur] >= r {
 			continue
 		}
-		for _, nb := range s.g.Neighbors(cur) {
+		for _, nb := range g.Neighbors(cur) {
 			if _, seen := depth[nb]; seen {
 				continue
 			}
@@ -306,198 +219,92 @@ func (s *Pruned) withinRadius(src ad.ID, r int) []ad.ID {
 	return out
 }
 
-func (s *Pruned) build() {
-	s.table = make(map[cacheKey]ad.Path)
-	for _, src := range s.srcs {
-		for _, dst := range s.withinRadius(src, s.cfg.HopRadius) {
-			for qos := 0; qos < s.cfg.QOSClasses; qos++ {
-				for uci := 0; uci < s.cfg.UCIClasses; uci++ {
-					req := policy.Request{
-						Src: src, Dst: dst, Hour: 12,
-						QOS: policy.QOS(qos), UCI: policy.UCI(uci),
-					}
-					res := FindRoute(s.g, s.db, req)
-					s.ctr.precompute.Add(int64(res.Expanded))
-					if res.Found {
-						s.table[keyOf(req)] = res.Path
-					}
-				}
-			}
-		}
-	}
-}
-
 // Name implements Strategy.
-func (s *Pruned) Name() string { return "pruned" }
+func (t *Table) Name() string { return t.name }
 
 // Route implements Strategy.
-func (s *Pruned) Route(req policy.Request) (ad.Path, bool) {
-	k := keyOf(req)
-	if p, ok := s.table[k]; ok {
-		s.ctr.hits.Add(1)
+func (t *Table) Route(req policy.Request) (ad.Path, bool) {
+	if p, ok := t.lookup(req); ok {
 		return p, true
 	}
-	if p, ok := s.demand.get(k); ok {
-		s.ctr.hits.Add(1)
-		return p, true
-	}
-	s.ctr.misses.Add(1)
-	res := FindRoute(s.g, s.db, req)
-	s.ctr.onDemand.Add(int64(res.Expanded))
-	if !res.Found {
-		s.ctr.failures.Add(1)
+	return t.miss(req)
+}
+
+// lookup serves req from the table, counting the hit. An entry computed for
+// another hour is served only if it is legal at req's: term windows differ
+// by hour, and a path that was the answer at noon may cross a term that is
+// shut at 3 am. Such an entry is a table miss, not a failure.
+func (t *Table) lookup(req policy.Request) (ad.Path, bool) {
+	e, ok := t.routes[keyOf(req)]
+	if !ok || (e.hour != req.Hour && !t.db.PathLegal(e.path, req)) {
 		return nil, false
 	}
-	s.demand.put(k, res.Path)
-	return res.Path, true
+	t.ctr.hits.Add(1)
+	return e.path, true
 }
 
-// Stats implements Strategy.
-func (s *Pruned) Stats() StrategyStats {
-	st := s.ctr.snapshot()
-	st.CacheEntries = len(s.table) + s.demand.len()
-	st.Evictions = s.demand.evictions()
-	return st
-}
-
-// Invalidate rebuilds the neighbourhood tables and drops demand fills.
-func (s *Pruned) Invalidate() {
-	s.demand.purge()
-	s.build()
-}
-
-// InvalidateScoped refills only the affected slice of the post-change
-// neighbourhood population. Table entries that fell outside the
-// neighbourhood (a removed link can shrink it) are retained while legal —
-// the contract is legality, not population membership — and dropped when
-// the change touches them, leaving the demand path to recompute.
-func (s *Pruned) InvalidateScoped(c Change) {
-	if c.Kind == ChangeFull {
-		s.Invalidate()
-		return
-	}
-	seen := make(map[cacheKey]bool, len(s.table))
-	for _, src := range s.srcs {
-		for _, dst := range s.withinRadius(src, s.cfg.HopRadius) {
-			for qos := 0; qos < s.cfg.QOSClasses; qos++ {
-				for uci := 0; uci < s.cfg.UCIClasses; uci++ {
-					req := policy.Request{
-						Src: src, Dst: dst, Hour: 12,
-						QOS: policy.QOS(qos), UCI: policy.UCI(uci),
-					}
-					seen[keyOf(req)] = true
-					s.ctr.precompute.Add(int64(refill(s.g, s.db, s.table, req, c)))
-				}
-			}
-		}
-	}
-	for k, p := range s.table {
-		if !seen[k] && c.AffectsPath(p) {
-			delete(s.table, k)
-		}
-	}
-	s.demand.dropAffected(c)
-}
-
-// Footprint implements Strategy.
-func (s *Pruned) Footprint(req policy.Request, path ad.Path) Footprint {
-	return FootprintOf(s.g, s.db, req, path)
-}
-
-// Hybrid precomputes routes for a hot set of requests and falls back to
-// on-demand computation (with caching, bounded by the demand cap) for the
-// rest — the combination the paper recommends (§5.4.1: "a combination of
-// precomputation and on-demand computation should be used").
-type Hybrid struct {
-	g      *ad.Graph
-	db     *policy.DB
-	hot    []policy.Request
-	table  map[cacheKey]ad.Path
-	demand *demandCache
-	ctr    counters
-}
-
-// NewHybrid builds the hot-set table with an unbounded demand cache.
-func NewHybrid(g *ad.Graph, db *policy.DB, hot []policy.Request) *Hybrid {
-	return NewHybridCapped(g, db, hot, 0)
-}
-
-// NewHybridCapped builds the hot-set table with the demand-fill cache
-// bounded to demandCap entries (0 = unbounded). Under streaming workloads
-// the demand map otherwise grows without bound; evictions are reported in
-// StrategyStats.
-func NewHybridCapped(g *ad.Graph, db *policy.DB, hot []policy.Request, demandCap int) *Hybrid {
-	s := &Hybrid{g: g, db: db, hot: hot,
-		demand: newDemandCache(demandCap)}
-	s.build()
-	return s
-}
-
-func (s *Hybrid) build() {
-	s.table = make(map[cacheKey]ad.Path, len(s.hot))
-	for _, req := range s.hot {
-		res := FindRoute(s.g, s.db, req)
-		s.ctr.precompute.Add(int64(res.Expanded))
+// miss answers a request the table could not: by search, or not at all.
+func (t *Table) miss(req policy.Request) (ad.Path, bool) {
+	t.ctr.misses.Add(1)
+	if t.search {
+		res := FindRoute(t.g, t.db, req)
+		t.ctr.onDemand.Add(int64(res.Expanded))
 		if res.Found {
-			s.table[keyOf(req)] = res.Path
+			return res.Path, true
+		}
+	}
+	t.ctr.failures.Add(1)
+	return nil, false
+}
+
+// Stats implements Strategy.
+func (t *Table) Stats() StrategyStats {
+	return StrategyStats{
+		PrecomputeExpansions: int(t.ctr.precompute.Load()),
+		OnDemandExpansions:   int(t.ctr.onDemand.Load()),
+		Hits:                 int(t.ctr.hits.Load()),
+		Misses:               int(t.ctr.misses.Load()),
+		Failures:             int(t.ctr.failures.Load()),
+		CacheEntries:         len(t.routes),
+	}
+}
+
+// Invalidate rebuilds the whole table, charging precompute work again.
+func (t *Table) Invalidate() { t.InvalidateScoped(FullChange()) }
+
+// InvalidateScoped drops the entries the change can affect and recomputes
+// those the post-change population still asks for; the rest of the table
+// keeps serving untouched. An entry that fell outside the population (a
+// removed link can shrink the pruned neighbourhood) is retained while legal
+// — the contract is legality, not population membership — and once dropped
+// is left to the search. Population requests without an entry are computed
+// when the change can have made them routable. A ChangeFull affects every
+// entry, so it is a rebuild.
+func (t *Table) InvalidateScoped(c Change) {
+	stale := make(map[cacheKey]bool)
+	for k, e := range t.routes {
+		if c.AffectsPath(e.path) {
+			delete(t.routes, k)
+			stale[k] = true
+		}
+	}
+	for _, req := range t.population() {
+		k := keyOf(req)
+		if _, kept := t.routes[k]; kept {
+			continue
+		}
+		if !stale[k] && !c.AffectsNegative() {
+			continue // was unroutable, and the change cannot have helped
+		}
+		res := FindRoute(t.g, t.db, req)
+		t.ctr.precompute.Add(int64(res.Expanded))
+		if res.Found {
+			t.routes[k] = entry{path: res.Path, hour: req.Hour}
 		}
 	}
 }
 
-// Name implements Strategy.
-func (s *Hybrid) Name() string { return "hybrid" }
-
-// Route implements Strategy.
-func (s *Hybrid) Route(req policy.Request) (ad.Path, bool) {
-	k := keyOf(req)
-	if p, ok := s.table[k]; ok {
-		s.ctr.hits.Add(1)
-		return p, true
-	}
-	if p, ok := s.demand.get(k); ok {
-		s.ctr.hits.Add(1)
-		return p, true
-	}
-	s.ctr.misses.Add(1)
-	res := FindRoute(s.g, s.db, req)
-	s.ctr.onDemand.Add(int64(res.Expanded))
-	if !res.Found {
-		s.ctr.failures.Add(1)
-		return nil, false
-	}
-	// Demand-filled entries serve later requests from the cache.
-	s.demand.put(k, res.Path)
-	return res.Path, true
-}
-
-// Stats implements Strategy.
-func (s *Hybrid) Stats() StrategyStats {
-	st := s.ctr.snapshot()
-	st.CacheEntries = len(s.table) + s.demand.len()
-	st.Evictions = s.demand.evictions()
-	return st
-}
-
-// Invalidate drops demand-filled entries and rebuilds the hot set.
-func (s *Hybrid) Invalidate() {
-	s.demand.purge()
-	s.build()
-}
-
-// InvalidateScoped refills affected hot-set entries and evicts only the
-// affected demand fills; unaffected entries keep serving.
-func (s *Hybrid) InvalidateScoped(c Change) {
-	if c.Kind == ChangeFull {
-		s.Invalidate()
-		return
-	}
-	for _, req := range s.hot {
-		s.ctr.precompute.Add(int64(refill(s.g, s.db, s.table, req, c)))
-	}
-	s.demand.dropAffected(c)
-}
-
 // Footprint implements Strategy.
-func (s *Hybrid) Footprint(req policy.Request, path ad.Path) Footprint {
-	return FootprintOf(s.g, s.db, req, path)
+func (t *Table) Footprint(req policy.Request, path ad.Path) Footprint {
+	return FootprintOf(t.g, t.db, req, path)
 }

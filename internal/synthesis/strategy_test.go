@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ad"
 	"repro/internal/policy"
-	"repro/internal/topology"
 )
 
 // TestPrunedPrecomputesConfiguredClasses is the regression test for the
@@ -46,80 +45,9 @@ func TestPrunedPrecomputesConfiguredClasses(t *testing.T) {
 	}
 }
 
-// classedWorkload builds distinct cold requests across a generated internet.
-func classedWorkload(t *testing.T) (*ad.Graph, *policy.DB, []policy.Request) {
-	t.Helper()
-	topo := topology.Generate(topology.Config{Seed: 7, LateralProb: 0.3})
-	g := topo.Graph
-	db := policy.OpenDB(g)
-	ids := g.IDs()
-	var reqs []policy.Request
-	for i, s := range ids {
-		for j, d := range ids {
-			if i == j {
-				continue
-			}
-			reqs = append(reqs, policy.Request{Src: s, Dst: d, Hour: 12})
-			if len(reqs) >= 40 {
-				return g, db, reqs
-			}
-		}
-	}
-	return g, db, reqs
-}
-
-func TestHybridDemandCapEvicts(t *testing.T) {
-	g, db, reqs := classedWorkload(t)
-	const capn = 4
-	st := NewHybridCapped(g, db, nil, capn)
-	served := 0
-	for _, r := range reqs {
-		if _, ok := st.Route(r); ok {
-			served++
-		}
-	}
-	if served < capn+2 {
-		t.Skipf("only %d routable requests; need > %d", served, capn+1)
-	}
-	stats := st.Stats()
-	if stats.CacheEntries > capn {
-		t.Fatalf("demand cache exceeded cap: %d > %d", stats.CacheEntries, capn)
-	}
-	if stats.Evictions == 0 {
-		t.Fatalf("no evictions reported under cap pressure: %+v", stats)
-	}
-	if stats.Evictions != served-capn {
-		t.Fatalf("Evictions = %d, want %d (served %d, cap %d)",
-			stats.Evictions, served-capn, served, capn)
-	}
-}
-
-func TestPrunedDemandCapEvicts(t *testing.T) {
-	g, db, reqs := classedWorkload(t)
-	const capn = 3
-	// No sources precomputed: every request is a demand fill.
-	st := NewPrunedConfig(g, db, nil, PrunedConfig{HopRadius: 1, DemandCap: capn})
-	served := 0
-	for _, r := range reqs {
-		if _, ok := st.Route(r); ok {
-			served++
-		}
-	}
-	if served < capn+2 {
-		t.Skipf("only %d routable requests; need > %d", served, capn+1)
-	}
-	stats := st.Stats()
-	if stats.CacheEntries > capn {
-		t.Fatalf("demand cache exceeded cap: %d > %d", stats.CacheEntries, capn)
-	}
-	if stats.Evictions == 0 {
-		t.Fatalf("no evictions reported under cap pressure: %+v", stats)
-	}
-}
-
 // TestInvalidatePreservesStats pins the copy-forward semantics of
 // Strategy.Invalidate for all four strategies: cumulative counters (hits,
-// misses, failures, expansion work, evictions) survive an invalidation;
+// misses, failures, expansion work) survive an invalidation;
 // only the table state is rebuilt.
 func TestInvalidatePreservesStats(t *testing.T) {
 	g, s, _, _, d := diamond(t)
@@ -134,10 +62,8 @@ func TestInvalidatePreservesStats(t *testing.T) {
 	build := map[string]func() Strategy{
 		"on-demand":   func() Strategy { return NewOnDemand(g, db) },
 		"precomputed": func() Strategy { return NewPrecomputed(g, db, hot) },
-		"hybrid":      func() Strategy { return NewHybridCapped(g, db, hot, 8) },
-		"pruned": func() Strategy {
-			return NewPrunedConfig(g, db, []ad.ID{s, d}, PrunedConfig{HopRadius: 2, DemandCap: 8})
-		},
+		"hybrid":      func() Strategy { return NewHybrid(g, db, hot) },
+		"pruned":      func() Strategy { return NewPruned(g, db, []ad.ID{s, d}, 2) },
 	}
 	for name, mk := range build {
 		t.Run(name, func(t *testing.T) {
@@ -160,9 +86,6 @@ func TestInvalidatePreservesStats(t *testing.T) {
 			}
 			if after.PrecomputeExpansions < before.PrecomputeExpansions {
 				t.Fatalf("precompute work went backwards:\nbefore %+v\nafter  %+v", before, after)
-			}
-			if after.Evictions != before.Evictions {
-				t.Fatalf("evictions not preserved:\nbefore %+v\nafter  %+v", before, after)
 			}
 			// The strategy must keep serving and accumulating afterwards.
 			if _, ok := st.Route(policy.Request{Src: s, Dst: d, Hour: 12}); !ok {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/ad"
 	"repro/internal/policy"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 )
 
 // diamond builds:
@@ -374,21 +375,101 @@ func TestHybridStrategy(t *testing.T) {
 	if _, ok := st.Route(policy.Request{Src: s, Dst: d}); !ok {
 		t.Error("hot request failed")
 	}
-	// Cold request: miss then demand-fill.
-	if _, ok := st.Route(policy.Request{Src: d, Dst: s}); !ok {
+	// Cold request: a search, and — strategies remember nothing — the same
+	// search again on the repeat, with the same answer.
+	first, ok := st.Route(policy.Request{Src: d, Dst: s})
+	if !ok {
 		t.Error("cold request failed")
 	}
-	if _, ok := st.Route(policy.Request{Src: d, Dst: s}); !ok {
-		t.Error("demand-filled request failed")
+	work := st.Stats().OnDemandExpansions
+	second, ok := st.Route(policy.Request{Src: d, Dst: s})
+	if !ok || !second.Equal(first) {
+		t.Errorf("repeated cold request = (%v,%v), first answer %v", second, ok, first)
 	}
 	stats := st.Stats()
-	if stats.Hits != 2 || stats.Misses != 1 {
-		t.Errorf("stats = %+v (want 2 hits: 1 hot + 1 demand-filled)", stats)
+	if stats.Hits != 1 || stats.Misses != 2 || stats.OnDemandExpansions != 2*work {
+		t.Errorf("stats = %+v (want 1 hot hit, 2 cold misses of %d expansions each)", stats, work)
+	}
+	if stats.CacheEntries != 1 {
+		t.Errorf("table = %d entries, want 1 (hot only): searched routes must not be kept", stats.CacheEntries)
 	}
 	st.Invalidate()
-	stats = st.Stats()
-	if stats.CacheEntries != 1 {
-		t.Errorf("after invalidate cache = %d, want 1 (hot only)", stats.CacheEntries)
+	if got := st.Stats().CacheEntries; got != 1 {
+		t.Errorf("after invalidate table = %d, want 1 (hot only)", got)
+	}
+}
+
+// TestMemo: the experiment-side memo answers a repeated cold request once,
+// counts it with the table's hits and entries, and forgets on Invalidate.
+func TestMemo(t *testing.T) {
+	g, s, _, _, d := diamond(t)
+	db := policy.OpenDB(g)
+	st := NewMemo(NewHybrid(g, db, []policy.Request{{Src: s, Dst: d}}))
+	cold := policy.Request{Src: d, Dst: s}
+	st.Route(policy.Request{Src: s, Dst: d})
+	first, ok := st.Route(cold)
+	if !ok {
+		t.Fatal("cold request failed")
+	}
+	second, ok := st.Route(cold)
+	if !ok || !second.Equal(first) {
+		t.Fatalf("memoized answer = (%v,%v), want %v", second, ok, first)
+	}
+	if _, ok := st.Route(policy.Request{Src: s, Dst: 99}); ok {
+		t.Fatal("route to unknown AD succeeded")
+	}
+	st.Route(policy.Request{Src: s, Dst: 99})
+	stats := st.Stats()
+	if stats.Hits != 2 || stats.Misses != 3 || stats.Failures != 2 || stats.CacheEntries != 2 {
+		t.Errorf("stats = %+v (want hits: 1 hot + 1 memo; misses: 1 cold + 2 unroutable, never memoized; entries: 1 hot + 1 memo)", stats)
+	}
+	st.Invalidate()
+	if got := st.Stats().CacheEntries; got != 1 {
+		t.Errorf("after Invalidate entries = %d, want 1 (hot only)", got)
+	}
+	st.Route(cold)
+	st.InvalidateScoped(LinkUpChange(s, d))
+	if got := st.Stats().CacheEntries; got != 1 {
+		t.Errorf("after InvalidateScoped entries = %d, want 1 (hot only)", got)
+	}
+	if st.Route(cold); st.Stats().Misses != 5 {
+		t.Errorf("purged key served without a search: %+v", st.Stats())
+	}
+}
+
+// TestTableEntryNotServedAtIllegalHour is the regression test for the
+// hour-blind table: entries are keyed without the hour, so a route computed
+// at noon over terms valid 9-17 was served at 3 am, when no legal route
+// exists.
+func TestTableEntryNotServedAtIllegalHour(t *testing.T) {
+	g, s, t2, t3, d := diamond(t)
+	db := policy.NewDB()
+	for _, transit := range []ad.ID{t2, t3} {
+		term := policy.OpenTerm(transit, 0)
+		term.Hours = policy.HourWindow{Start: 9, End: 17}
+		db.Add(term)
+	}
+	noon := policy.Request{Src: s, Dst: d, Hour: 12}
+	night := policy.Request{Src: s, Dst: d, Hour: 3}
+	afternoon := policy.Request{Src: s, Dst: d, Hour: 16}
+	if FindRoute(g, db, night).Found {
+		t.Fatal("fixture: a route exists at 3 am")
+	}
+	for _, st := range []Strategy{
+		NewHybrid(g, db, []policy.Request{noon}),
+		NewPrecomputed(g, db, []policy.Request{noon}),
+	} {
+		if _, ok := st.Route(noon); !ok || st.Stats().Hits != 1 {
+			t.Fatalf("%s: noon request not served from the table: %+v", st.Name(), st.Stats())
+		}
+		if p, ok := st.Route(night); ok {
+			t.Errorf("%s: served %v at 3 am (PathLegal = %v)", st.Name(), p, db.PathLegal(p, night))
+		}
+		// Another hour inside the window: the noon entry is legal, so it
+		// is still a table hit.
+		if p, ok := st.Route(afternoon); !ok || !db.PathLegal(p, afternoon) || st.Stats().Hits != 2 {
+			t.Errorf("%s: 4 pm request = (%v,%v), stats %+v; want the noon entry as a hit", st.Name(), p, ok, st.Stats())
+		}
 	}
 }
 
@@ -444,7 +525,7 @@ func TestPrunedStrategy(t *testing.T) {
 	if st.Stats().Hits == 0 {
 		t.Error("near destination was not precomputed")
 	}
-	// Far destination: computed on demand and then cached.
+	// Far destination: searched on demand, every time.
 	var far ad.ID
 	for _, info := range g.ADs() {
 		req := policy.Request{Src: stubs[0], Dst: info.ID, Hour: 12}
@@ -463,10 +544,10 @@ func TestPrunedStrategy(t *testing.T) {
 	if st.Stats().Misses != missesBefore+1 {
 		t.Error("far destination unexpectedly precomputed")
 	}
-	hitsBefore := st.Stats().Hits
+	entries := st.Stats().CacheEntries
 	st.Route(policy.Request{Src: stubs[0], Dst: far, Hour: 12})
-	if st.Stats().Hits != hitsBefore+1 {
-		t.Error("demand-filled entry not cached")
+	if got := st.Stats(); got.Misses != missesBefore+2 || got.CacheEntries != entries {
+		t.Errorf("repeated far request was not a second search: %+v", got)
 	}
 	// Invalidate keeps counters, rebuilds neighbourhood.
 	pre := st.Stats().PrecomputeExpansions
@@ -475,24 +556,10 @@ func TestPrunedStrategy(t *testing.T) {
 		t.Error("Invalidate did not recompute")
 	}
 	// Pruned precompute must be cheaper than precompute-everything.
-	all := core_AllPairs(g)
+	all := trafficgen.AllPairs(g, false, 0, 0)
 	full := NewPrecomputed(g, db, all)
 	if st.Stats().PrecomputeExpansions >= full.Stats().PrecomputeExpansions {
 		t.Errorf("pruned precompute %d >= full %d",
 			st.Stats().PrecomputeExpansions, full.Stats().PrecomputeExpansions)
 	}
-}
-
-// core_AllPairs avoids an import cycle with core by building the request
-// population locally.
-func core_AllPairs(g *ad.Graph) []policy.Request {
-	var out []policy.Request
-	for _, a := range g.IDs() {
-		for _, b := range g.IDs() {
-			if a != b {
-				out = append(out, policy.Request{Src: a, Dst: b, Hour: 12})
-			}
-		}
-	}
-	return out
 }

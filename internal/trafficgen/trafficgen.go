@@ -52,13 +52,10 @@ func (c Config) Normalize() Config {
 
 // endpoints returns the candidate AD population.
 func endpoints(g *ad.Graph, stubsOnly bool) []ad.ID {
-	var ids []ad.ID
-	for _, info := range g.ADs() {
-		if !stubsOnly || info.Class == ad.Stub || info.Class == ad.MultihomedStub {
-			ids = append(ids, info.ID)
-		}
+	if stubsOnly {
+		return g.Stubs()
 	}
-	return ids
+	return g.IDs()
 }
 
 // pairs enumerates ordered endpoint pairs.
@@ -139,6 +136,58 @@ func Generate(g *ad.Graph, c Config) []policy.Request {
 			req.Hour = uint8(rng.Intn(24))
 		}
 		out = append(out, req)
+	}
+	return out
+}
+
+// AllPairs is the deterministic sweep workload: one request at noon per
+// ordered stub pair (or per ordered pair of any ADs when stubsOnly is false),
+// in ascending (src, dst) order, with the given service class. Sources that
+// are not stubs rarely originate traffic in the paper's model, so stubsOnly
+// is the usual choice.
+func AllPairs(g *ad.Graph, stubsOnly bool, qos policy.QOS, uci policy.UCI) []policy.Request {
+	var reqs []policy.Request
+	for _, p := range pairs(endpoints(g, stubsOnly)) {
+		reqs = append(reqs, policy.Request{Src: p[0], Dst: p[1], QOS: qos, UCI: uci, Hour: 12})
+	}
+	return reqs
+}
+
+// Hottest returns up to n requests covering the workload's most frequent
+// (src,dst,qos,uci) contexts, busiest first, for seeding precomputation.
+func Hottest(workload []policy.Request, n int) []policy.Request {
+	counts := map[policy.Request]int{}
+	rep := map[policy.Request]policy.Request{}
+	for _, r := range workload {
+		k := r
+		k.Hour = 0
+		counts[k]++
+		rep[k] = r
+	}
+	keys := make([]policy.Request, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if counts[a] != counts[b] {
+			return counts[a] > counts[b]
+		}
+		if a.Src != b.Src {
+			return a.Src < b.Src
+		}
+		if a.Dst != b.Dst {
+			return a.Dst < b.Dst
+		}
+		if a.QOS != b.QOS {
+			return a.QOS < b.QOS
+		}
+		return a.UCI < b.UCI
+	})
+	keys = keys[:min(n, len(keys))]
+	out := make([]policy.Request, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, rep[k])
 	}
 	return out
 }
