@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet race allocs determinism golden loc bench bench-smoke results
+.PHONY: all build test check fmt vet race allocs determinism golden load-smoke loc bench bench-smoke results
 
 all: build
 
@@ -60,6 +60,33 @@ determinism:
 golden:
 	$(GO) run ./cmd/experiments -seed 42 | cmp - results_seed42.txt
 	$(GO) run ./cmd/experiments -seed 42 -parallel 8 | cmp - results_seed42.txt
+
+# load-smoke enters where production enters: it builds the real routed once,
+# starts it as a daemon on a unix socket, and runs the load harness with the
+# -churn fail/restore pair over the wire against it and once more in
+# process. Both runs must exit 0 (any request error or refused event exits
+# 1), the wire report must count no errors, every -bench-json key the two
+# modes shared before they were one harness must be in both files, and the
+# daemon must drain on SIGTERM. Nothing else checks that the binary's two
+# load modes are one harness. Everything it writes goes to a temp dir.
+load-smoke:
+	@set -e; tmp=$$(mktemp -d); pid=; \
+	trap '[ -z "$$pid" ] || kill $$pid 2>/dev/null || true; rm -rf $$tmp' EXIT; \
+	$(GO) build -o $$tmp/routed ./cmd/routed; \
+	$$tmp/routed -unix $$tmp/sock > $$tmp/daemon.out 2>&1 & pid=$$!; \
+	for i in $$(seq 100); do [ -S $$tmp/sock ] && break; sleep 0.1; done; \
+	$$tmp/routed -load -churn -connect $$tmp/sock -bench-json $$tmp/a.json > $$tmp/a.out; \
+	$$tmp/routed -load -churn -bench-json $$tmp/b.json > $$tmp/b.out; \
+	grep -q '"errors": 0' $$tmp/a.json && grep -q '"event_errors": 0' $$tmp/a.json \
+		|| { echo "load-smoke: wire run reported errors"; cat $$tmp/a.out; exit 1; }; \
+	for k in requests served no_route elapsed_ns qps latency_p50 latency_p95 latency_p99; do \
+		grep -q "\"$$k\":" $$tmp/a.json && grep -q "\"$$k\":" $$tmp/b.json \
+			|| { echo "load-smoke: -bench-json key $$k missing"; exit 1; }; \
+	done; \
+	kill -TERM $$pid; wait $$pid; pid=; \
+	grep -q '^drained:' $$tmp/daemon.out \
+		|| { echo "load-smoke: daemon did not drain"; cat $$tmp/daemon.out; exit 1; }; \
+	echo "load-smoke: ok"
 
 # Non-test, non-blank Go lines under internal/ and cmd/: the count a
 # simplicity PR quotes before and after.

@@ -271,24 +271,20 @@ func BenchmarkE22ScopedInvalidation(b *testing.B) {
 
 	// The timeline restores every failed link, so the graph is back in its
 	// initial state after each iteration.
-	events := func(scoped bool) []routeserver.Event {
+	events := func(srv *routeserver.Server, scoped bool) []routeserver.Event {
 		g := topo.Graph
 		mk := func(after float64, l ad.Link, down bool) routeserver.Event {
-			ev := routeserver.Event{After: after}
+			ch, apply := synthesis.LinkUpChange(l.A, l.B), func() { _ = g.AddLink(l) }
 			if down {
-				ev.Label = "fail"
-				ev.Apply = func() { g.RemoveLink(l.A, l.B) }
-				if scoped {
-					ev.Change = synthesis.LinkDownChange(l.A, l.B)
-				}
-			} else {
-				ev.Label = "restore"
-				ev.Apply = func() { _ = g.AddLink(l) }
-				if scoped {
-					ev.Change = synthesis.LinkUpChange(l.A, l.B)
-				}
+				ch, apply = synthesis.LinkDownChange(l.A, l.B), func() { g.RemoveLink(l.A, l.B) }
 			}
-			return ev
+			if !scoped {
+				ch = synthesis.FullChange()
+			}
+			return routeserver.Event{After: after, Fire: func() error {
+				srv.MutateScoped(ch, apply)
+				return nil
+			}}
 		}
 		return []routeserver.Event{
 			mk(0.2, laterals[0], true), mk(0.4, laterals[0], false),
@@ -307,8 +303,8 @@ func BenchmarkE22ScopedInvalidation(b *testing.B) {
 			b.ResetTimer()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				rep := routeserver.Run(srv, workload, routeserver.LoadConfig{
-					Clients: 4, Events: events(mode == "scoped"),
+				rep := routeserver.Run(routeserver.InProcess(srv), workload, routeserver.LoadConfig{
+					Clients: 4, Events: events(srv, mode == "scoped"),
 				})
 				sink += rep.Served
 			}
@@ -394,19 +390,27 @@ func BenchmarkDaemonChurn(b *testing.B) {
 			}
 			go d.Serve(ln)
 
-			var last daemon.LoadReport
+			addrs := []string{ln.Addr().String()}
+			ctl := daemon.DialFailover("tcp", addrs, 2*time.Second, 1)
+			defer ctl.Close()
+			fire := func(op uint8) func() error {
+				return func() error { return ctl.Control(wire.PlanStep{Op: op, A: lateral.A, B: lateral.B}) }
+			}
+			var last routeserver.Report
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				last = daemon.LoadRun("tcp", ln.Addr().String(), workload, daemon.LoadConfig{
+				last = routeserver.Run(func(c int) routeserver.Client {
+					return daemon.DialFailover("tcp", addrs, 2*time.Second, 1+int64(c))
+				}, workload, routeserver.LoadConfig{
 					Clients:        clients,
 					ReconnectEvery: 4, // each client redials ~2x over its 10-request slice
-					Events: []daemon.ChurnEvent{
-						{After: 0.4, Op: wire.CtlFail, A: lateral.A, B: lateral.B},
-						{After: 0.7, Op: wire.CtlRestore, A: lateral.A, B: lateral.B},
+					Events: []routeserver.Event{
+						{After: 0.4, Fire: fire(wire.CtlFail)},
+						{After: 0.7, Fire: fire(wire.CtlRestore)},
 					},
 				})
-				if last.Errors > 0 {
-					b.Fatalf("load run hit %d errors", last.Errors)
+				if last.Errors > 0 || len(last.EventErrors) > 0 {
+					b.Fatalf("load run hit %d errors, event errors %v", last.Errors, last.EventErrors)
 				}
 				if last.Served+last.NoRoute != last.Requests {
 					b.Fatalf("accounting: %d served + %d no-route != %d requests",
@@ -449,7 +453,7 @@ func BenchmarkDaemonChurn(b *testing.B) {
 // to the followers, then a SIGKILL-model primary death mid-run. Each
 // iteration builds a fresh group (the kill is destructive), warms the
 // primary, barriers the followers to the backlog tail, and drives the
-// workload through daemon.LoadRun in failover mode while a side goroutine
+// workload through routeserver.Run over failover clients while a side goroutine
 // kills the primary and clocks the promotion. It emits BENCH_ha.json:
 // throughput and tail latency around the failover, the redirect/reconnect
 // work the clients did, the availability gap (longest reply stall,
@@ -475,7 +479,7 @@ func BenchmarkHAFailover(b *testing.B) {
 
 	const clients = 200
 	const replicas = 3
-	var last daemon.LoadReport
+	var last routeserver.Report
 	var failover time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -552,9 +556,9 @@ func BenchmarkHAFailover(b *testing.B) {
 			failover = time.Since(start)
 		}()
 		b.StartTimer()
-		last = daemon.LoadRun("tcp", "", workload, daemon.LoadConfig{
-			Clients: clients, Addrs: addrs, Seed: benchSeed,
-		})
+		last = routeserver.Run(func(c int) routeserver.Client {
+			return daemon.DialFailover("tcp", addrs, 2*time.Second, benchSeed+int64(c))
+		}, workload, routeserver.LoadConfig{Clients: clients})
 		b.StopTimer()
 		<-done
 		for j := 1; j < replicas; j++ {
@@ -1074,12 +1078,12 @@ func BenchmarkPlan(b *testing.B) {
 			b.Run(fmt.Sprintf("cache=%d/radius=%d", cacheSize, radius), func(b *testing.B) {
 				g, db, srv := planBenchWorld(b, cacheSize, radius)
 				hubA, hubB := ad.ID(1), ad.ID(2)
-				steps := []plan.Step{{Kind: plan.StepFail, A: hubA, B: hubB}}
-				removed := map[[2]ad.ID]ad.Link{}
+				steps := []wire.PlanStep{{Op: wire.CtlFail, A: hubA, B: hubB}}
+				world := synthesis.NewWorld(g, db)
 				b.ResetTimer()
 				start := time.Now()
 				for i := 0; i < b.N; i++ {
-					rep, err := plan.Compute(srv, nil, g, db, removed, steps, plan.Config{Budget: -1})
+					rep, err := plan.Compute(srv, nil, world, steps, plan.Config{Budget: -1})
 					if err != nil {
 						b.Fatal(err)
 					}

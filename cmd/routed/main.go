@@ -38,7 +38,7 @@
 //     gravity) from -clients concurrent goroutines, optionally injecting
 //     churn mid-run (-churn, or a -scenario file's event timeline), then
 //     prints a serving report. -bench-json writes it machine-readably.
-//     With -connect addr the workload is instead replayed over the wire
+//     With -connect addr the same generator instead replays it over the wire
 //     against a running daemon, one connection per client, with optional
 //     connection churn (-reconnect-every); a comma-separated -connect
 //     list makes every client a failover client over the replica group
@@ -60,11 +60,8 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -73,19 +70,13 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/ad"
 	"repro/internal/pgstate"
-	"repro/internal/policy"
 	"repro/internal/profile"
 	"repro/internal/routeserver"
 	"repro/internal/routeserver/daemon"
 	"repro/internal/routeserver/ha"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/synthesis"
-	"repro/internal/topology"
-	"repro/internal/trafficgen"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -142,7 +133,7 @@ func run() int {
 		return 2
 	}
 
-	g, db, workload, events, err := materialize(*scenarioPath, *seed, *requests, *model, *zipfS, *qosClasses, *uciClasses)
+	g, db, workload, muts, err := materialize(*scenarioPath, *seed, *requests, *model, *zipfS, *qosClasses, *uciClasses)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -180,58 +171,18 @@ func run() int {
 	}
 	defer stopProfiles()
 
-	if *load && *connectAddr != "" {
-		// Network load mode: drive a running daemon over the wire. The
-		// workload (and the -churn timeline) is regenerated locally from the
-		// same seed, so client and daemon agree on the topology.
-		var events []daemon.ChurnEvent
-		if *churn {
-			events = wireChurnEvents(g)
-		}
-		// A comma-separated -connect names an HA replica set: clients fail
-		// over between the addresses and follow NotPrimary redirects.
-		var addrs []string
-		first := *connectAddr
-		if strings.Contains(*connectAddr, ",") {
-			addrs = strings.Split(*connectAddr, ",")
-			first = addrs[0]
-		}
-		rep := daemon.LoadRun(networkOf(first), first, workload, daemon.LoadConfig{
-			Clients:        *clients,
-			ReconnectEvery: *reconnectEvery,
-			Events:         events,
-			Addrs:          addrs,
-			Seed:           *seed,
-		})
-		printNetReport(os.Stdout, rep)
-		if *benchJSON != "" {
-			if err := writeNetJSON(*benchJSON, rep); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-		}
-		if rep.Errors > 0 {
-			return 1
-		}
-		return 0
-	}
+	be := daemon.NewBackend(srv, dp, g, db)
 
 	if *load {
+		var churnTimeline []timedOp
 		if *churn {
-			events = append(events, churnEvents(g)...)
+			churnTimeline = churnOps(g)
 		}
-		rep := routeserver.Run(srv, workload, routeserver.LoadConfig{Clients: *clients, Events: events})
-		printReport(os.Stdout, srv, rep)
-		if *benchJSON != "" {
-			if err := writeJSON(*benchJSON, srv, rep); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-		}
-		return 0
+		return runLoad(be, *connectAddr, workload, muts, churnTimeline, routeserver.LoadConfig{
+			Clients:        *clients,
+			ReconnectEvery: *reconnectEvery,
+		}, *seed, *benchJSON)
 	}
-
-	be := daemon.NewBackend(srv, dp, g, db)
 
 	if *listenAddr != "" || *unixPath != "" {
 		return runDaemon(be, *listenAddr, *unixPath, daemon.Config{
@@ -381,469 +332,4 @@ func parsePeers(spec string) ([]ha.Peer, error) {
 		peers = append(peers, ha.Peer{ID: uint32(id), HAAddr: fields[1], ClientAddr: fields[2]})
 	}
 	return peers, nil
-}
-
-// networkOf picks the dial network for a -connect address: a path-looking
-// address means a unix socket, anything else TCP.
-func networkOf(addr string) string {
-	if strings.ContainsRune(addr, '/') {
-		return "unix"
-	}
-	return "tcp"
-}
-
-// wireChurnEvents is -churn for network load mode: the same lateral-link
-// fail/restore timeline as churnEvents, expressed as protocol messages.
-func wireChurnEvents(g *ad.Graph) []daemon.ChurnEvent {
-	links := g.Links()
-	if len(links) == 0 {
-		return nil
-	}
-	target := links[0]
-	for _, l := range links {
-		if l.Class == ad.Lateral {
-			target = l
-			break
-		}
-	}
-	return []daemon.ChurnEvent{
-		{After: 0.4, Op: wire.CtlFail, A: target.A, B: target.B},
-		{After: 0.7, Op: wire.CtlRestore, A: target.A, B: target.B},
-	}
-}
-
-// printNetReport renders a network load-mode report.
-func printNetReport(w io.Writer, rep daemon.LoadReport) {
-	fmt.Fprintf(w, "requests    %d (%d served, %d no-route, %d errors)\n",
-		rep.Requests, rep.Served, rep.NoRoute, rep.Errors)
-	fmt.Fprintf(w, "elapsed     %v (%.0f qps)\n", rep.Elapsed, rep.QPS)
-	fmt.Fprintf(w, "churn       %d reconnects, %d failed dials, %d redirects\n",
-		rep.Reconnects, rep.ReconnectFailures, rep.Redirects)
-	fmt.Fprintf(w, "stall       %v max gap between replies\n", rep.MaxStall)
-	fmt.Fprintf(w, "latency     p50 %v  p95 %v  p99 %v\n",
-		rep.Latency.P50, rep.Latency.P95, rep.Latency.P99)
-}
-
-// writeNetJSON writes the machine-readable form of a network load report.
-func writeNetJSON(path string, rep daemon.LoadReport) error {
-	out, err := json.MarshalIndent(map[string]any{
-		"requests":           rep.Requests,
-		"served":             rep.Served,
-		"no_route":           rep.NoRoute,
-		"errors":             rep.Errors,
-		"reconnects":         rep.Reconnects,
-		"reconnect_failures": rep.ReconnectFailures,
-		"redirects":          rep.Redirects,
-		"max_stall_ns":       rep.MaxStall.Nanoseconds(),
-		"elapsed_ns":         rep.Elapsed.Nanoseconds(),
-		"qps":                rep.QPS,
-		"latency_p50":        rep.Latency.P50.Nanoseconds(),
-		"latency_p95":        rep.Latency.P95.Nanoseconds(),
-		"latency_p99":        rep.Latency.P99.Nanoseconds(),
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// materialize builds the internet and workload, either from a scenario file
-// (whose events become the churn timeline, spread evenly through the run)
-// or generated from the seed.
-func materialize(path string, seed int64, requests int, model string, zipfS float64, qos, uci int) (
-	*ad.Graph, *policy.DB, []policy.Request, []routeserver.Event, error) {
-	if path == "" {
-		topo := topology.Generate(topology.Config{
-			Seed:                 seed,
-			Backbones:            2,
-			RegionalsPerBackbone: 3,
-			CampusesPerParent:    3,
-			LateralProb:          0.25,
-			BypassProb:           0.10,
-			MultihomedProb:       0.15,
-			HybridProb:           0.15,
-		})
-		db := policy.Generate(topo.Graph, policy.GenConfig{
-			Seed:                  seed,
-			SourceRestrictionProb: 0.6,
-			SourceFraction:        0.5,
-			DestRestrictionProb:   0.2,
-			DestFraction:          0.7,
-			AvoidProb:             0.2,
-		})
-		workload := trafficgen.Generate(topo.Graph, trafficgen.Config{
-			Seed:       seed + 2,
-			Requests:   requests,
-			StubsOnly:  true,
-			Model:      model,
-			ZipfS:      zipfS,
-			QOSClasses: qos,
-			UCIClasses: uci,
-		})
-		return topo.Graph, db, workload, nil, nil
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	defer f.Close()
-	sc, err := scenario.Load(f)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	g, db, workload, err := sc.Materialize()
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	muts, err := sc.Mutations(g, db)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	events := make([]routeserver.Event, len(muts))
-	for i, m := range muts {
-		events[i] = routeserver.Event{
-			After:  float64(i+1) / float64(len(muts)+1),
-			Label:  m.Label,
-			Apply:  m.Apply,
-			Change: m.Change,
-		}
-	}
-	return g, db, workload, events, nil
-}
-
-// churnEvents is the built-in -churn timeline: the first lateral link (or,
-// failing that, the first link) goes down at 40% of the run and comes back
-// at 70%.
-func churnEvents(g *ad.Graph) []routeserver.Event {
-	links := g.Links()
-	if len(links) == 0 {
-		return nil
-	}
-	target := links[0]
-	for _, l := range links {
-		if l.Class == ad.Lateral {
-			target = l
-			break
-		}
-	}
-	return []routeserver.Event{
-		{After: 0.4, Label: fmt.Sprintf("fail %v-%v", target.A, target.B),
-			Apply:  func() { g.RemoveLink(target.A, target.B) },
-			Change: synthesis.LinkDownChange(target.A, target.B)},
-		{After: 0.7, Label: fmt.Sprintf("restore %v-%v", target.A, target.B),
-			Apply:  func() { _ = g.AddLink(target) },
-			Change: synthesis.LinkUpChange(target.A, target.B)},
-	}
-}
-
-// printReport renders a load-mode serving report.
-func printReport(w io.Writer, srv *routeserver.Server, rep routeserver.Report) {
-	m := rep.Metrics
-	fmt.Fprintf(w, "strategy    %s\n", srv.StrategyName())
-	fmt.Fprintf(w, "requests    %d (%d served, %d no-route)\n", rep.Requests, rep.Served, rep.NoRoute)
-	fmt.Fprintf(w, "elapsed     %v (%.0f qps)\n", rep.Elapsed, rep.QPS)
-	fmt.Fprintf(w, "cache       %d hits, %d coalesced, %d misses (%.1f%% served without synthesis)\n",
-		m.Hits, m.Coalesced, m.Misses, 100*m.HitRate())
-	fmt.Fprintf(w, "churn       %d full invalidations, %d scoped (%d evicted, %d retained), %d evictions\n",
-		m.Invalidations, m.ScopedMutations, m.ScopedEvicted, m.ScopedRetained, m.Evictions)
-	fmt.Fprintf(w, "latency     p50 %v  p95 %v  p99 %v\n", m.Latency.P50, m.Latency.P95, m.Latency.P99)
-	st := rep.Strategy
-	fmt.Fprintf(w, "synthesis   %d precompute + %d on-demand expansions, %d entries cached by the strategy\n",
-		st.PrecomputeExpansions, st.OnDemandExpansions, st.CacheEntries)
-}
-
-// writeJSON writes the machine-readable form of the report.
-func writeJSON(path string, srv *routeserver.Server, rep routeserver.Report) error {
-	m := rep.Metrics
-	out, err := json.MarshalIndent(map[string]any{
-		"strategy":         srv.StrategyName(),
-		"requests":         rep.Requests,
-		"served":           rep.Served,
-		"no_route":         rep.NoRoute,
-		"elapsed_ns":       rep.Elapsed.Nanoseconds(),
-		"qps":              rep.QPS,
-		"hits":             m.Hits,
-		"coalesced":        m.Coalesced,
-		"misses":           m.Misses,
-		"hit_rate":         m.HitRate(),
-		"invalidations":    m.Invalidations,
-		"scoped_mutations": m.ScopedMutations,
-		"scoped_evicted":   m.ScopedEvicted,
-		"scoped_retained":  m.ScopedRetained,
-		"evictions":        m.Evictions,
-		"latency_p50":      m.Latency.P50.Nanoseconds(),
-		"latency_p95":      m.Latency.P95.Nanoseconds(),
-		"latency_p99":      m.Latency.P99.Nanoseconds(),
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// maxLineBytes bounds one line-mode input line (bufio.Scanner's 64KB
-// default is too small for scripted sessions with long comment or batch
-// lines).
-const maxLineBytes = 1 << 20
-
-// serve runs line mode: one query or command per stdin line. It is
-// factored over io.Reader/io.Writer so tests can script a full session.
-// A read error — including a line over maxLineBytes — is surfaced on out
-// and returned; it must not masquerade as a clean quit.
-func serve(in io.Reader, out io.Writer, be *daemon.Backend) error {
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	for sc.Scan() {
-		if !serveLine(sc.Text(), out, be) {
-			return nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintf(out, "read error: %v\n", err)
-		return err
-	}
-	return nil
-}
-
-// serveLine executes one line-mode command against the shared backend —
-// the same dispatch the binary protocol uses — reporting whether the
-// session continues. The text in and out is the only thing this adapter
-// owns.
-func serveLine(line string, out io.Writer, be *daemon.Backend) bool {
-	line = strings.TrimSpace(line)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return true
-	}
-	fields := strings.Fields(line)
-	switch fields[0] {
-	case "quit", "exit":
-		return false
-	case "stats":
-		st := be.Stats()
-		fmt.Fprintf(out, "gen %d: %d queries, %d hits, %d coalesced, %d misses, %d failures, %d cached\n",
-			st.Gen, st.Queries, st.Hits, st.Coalesced, st.Misses, st.Failures, st.Cached)
-		// Connection counters exist only when a daemon fronts this backend;
-		// line mode stays short so session parity with the wire rendering
-		// holds.
-		if st.ConnsKnown {
-			fmt.Fprintf(out, "conns: %d accepted, %d evicted-slow, %d refused\n",
-				st.Accepted, st.EvictedSlow, st.Refused)
-		}
-	case "fail", "restore":
-		a, b, ok := twoIDs(fields[1:])
-		if !ok {
-			fmt.Fprintf(out, "usage: %s A B\n", fields[0])
-			return true
-		}
-		var evicted, retained int
-		if fields[0] == "fail" {
-			var flushed int
-			var err error
-			evicted, retained, flushed, err = be.Fail(a, b)
-			if err != nil {
-				fmt.Fprintln(out, err)
-				return true
-			}
-			// Failure-driven repair: flush installed handle state that
-			// crossed the dead link and queue its flows for "repair".
-			if flushed > 0 {
-				fmt.Fprintf(out, "flushed %d handle entries\n", flushed)
-			}
-		} else {
-			var err error
-			evicted, retained, err = be.Restore(a, b)
-			if err != nil {
-				fmt.Fprintln(out, err)
-				return true
-			}
-		}
-		fmt.Fprintf(out, "ok (evicted %d, retained %d)\n", evicted, retained)
-	case "policy":
-		// policy AD COST: replace the AD's terms with one open term.
-		a, c, ok := twoIDs(fields[1:])
-		if !ok {
-			fmt.Fprintln(out, "usage: policy AD COST")
-			return true
-		}
-		evicted, retained := be.SetPolicy(a, uint32(c))
-		fmt.Fprintf(out, "ok (evicted %d, retained %d)\n", evicted, retained)
-	case "invalidate":
-		// Full generation bump: drops every cached route, restoring
-		// optimality after scoped retentions.
-		fmt.Fprintf(out, "ok (gen %d)\n", be.Invalidate())
-	case "install":
-		// install SRC DST [QOS UCI HOUR]: serve a route and install it as
-		// PG handle state so data can flow over it.
-		req, err := parseQuery(fields[1:])
-		if err != nil {
-			fmt.Fprintln(out, "usage: install SRC DST [QOS UCI HOUR]")
-			return true
-		}
-		h, path, found := be.Install(req)
-		if !found {
-			fmt.Fprintf(out, "no-route %v\n", req)
-			return true
-		}
-		fmt.Fprintf(out, "handle %d via %v\n", h, path)
-	case "send":
-		// send HANDLE: forward one data packet over installed state.
-		if len(fields) != 2 {
-			fmt.Fprintln(out, "usage: send HANDLE")
-			return true
-		}
-		h, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			fmt.Fprintf(out, "bad handle %q\n", fields[1])
-			return true
-		}
-		switch r := be.Send(h); {
-		case r.Delivered:
-			fmt.Fprintln(out, "delivered")
-		case r.MissAt != 0:
-			fmt.Fprintf(out, "no-state at %v (flow queued for repair)\n", r.MissAt)
-		default:
-			fmt.Fprintf(out, "unknown handle %d\n", h)
-		}
-	case "refresh":
-		refreshed, failed := be.Refresh()
-		fmt.Fprintf(out, "refreshed %d flows, %d lost state\n", refreshed, failed)
-	case "tick":
-		// tick SECONDS: advance the data plane's soft-state clock.
-		secs := int64(1)
-		if len(fields) > 1 {
-			v, err := strconv.ParseInt(fields[1], 10, 32)
-			if err != nil || v <= 0 {
-				fmt.Fprintln(out, "usage: tick SECONDS")
-				return true
-			}
-			secs = v
-		}
-		now, expired := be.Tick(secs)
-		fmt.Fprintf(out, "t=%ds, %d entries expired\n", now, expired)
-	case "repair":
-		attempted, repaired := be.Repair()
-		fmt.Fprintf(out, "repaired %d/%d flows\n", repaired, attempted)
-	case "state":
-		fmt.Fprintln(out, be.State())
-	case "plan":
-		// plan STEP[; STEP ...]: predict the batch's blast radius without
-		// applying it. Same execution path as the wire Plan message.
-		steps, err := parsePlanSteps(strings.TrimSpace(strings.TrimPrefix(line, "plan")))
-		if err != nil {
-			fmt.Fprintln(out, err)
-			return true
-		}
-		for _, l := range daemon.RenderPlanReply(be.HandlePlan(&wire.Plan{Steps: steps})) {
-			fmt.Fprintln(out, l)
-		}
-	case "commit":
-		// commit ID: apply a previously planned batch; refused if the
-		// mutation epoch moved since the plan.
-		if len(fields) != 2 {
-			fmt.Fprintln(out, "usage: commit PLAN_ID")
-			return true
-		}
-		id, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			fmt.Fprintf(out, "bad plan id %q\n", fields[1])
-			return true
-		}
-		for _, l := range daemon.RenderPlanReply(be.HandlePlan(&wire.Plan{Commit: true, PlanID: id})) {
-			fmt.Fprintln(out, l)
-		}
-	default:
-		req, err := parseQuery(fields)
-		if err != nil {
-			fmt.Fprintln(out, err)
-			return true
-		}
-		res := be.Query(req)
-		if res.Found {
-			fmt.Fprintf(out, "%v\n", res.Path)
-		} else {
-			fmt.Fprintf(out, "no-route %v\n", req)
-		}
-	}
-	return true
-}
-
-// parsePlanSteps parses the "plan" argument: semicolon-separated steps,
-// each "fail A B", "restore A B", or "policy AD COST".
-func parsePlanSteps(spec string) ([]wire.PlanStep, error) {
-	usage := fmt.Errorf("usage: plan STEP[; STEP ...] with STEP one of \"fail A B\", \"restore A B\", \"policy AD COST\"")
-	if spec == "" {
-		return nil, usage
-	}
-	var steps []wire.PlanStep
-	for _, part := range strings.Split(spec, ";") {
-		f := strings.Fields(part)
-		if len(f) == 0 {
-			continue
-		}
-		switch f[0] {
-		case "fail", "restore":
-			a, b, ok := twoIDs(f[1:])
-			if !ok {
-				return nil, usage
-			}
-			op := uint8(wire.CtlFail)
-			if f[0] == "restore" {
-				op = wire.CtlRestore
-			}
-			steps = append(steps, wire.PlanStep{Op: op, A: a, B: b})
-		case "policy":
-			a, c, ok := twoIDs(f[1:])
-			if !ok {
-				return nil, usage
-			}
-			steps = append(steps, wire.PlanStep{Op: wire.CtlPolicy, A: a, Cost: uint32(c)})
-		default:
-			return nil, fmt.Errorf("unknown plan step %q: %v", f[0], usage)
-		}
-	}
-	if len(steps) == 0 {
-		return nil, usage
-	}
-	return steps, nil
-}
-
-// parseQuery parses "SRC DST [QOS UCI HOUR]".
-func parseQuery(fields []string) (policy.Request, error) {
-	var req policy.Request
-	if len(fields) < 2 || len(fields) > 5 {
-		return req, fmt.Errorf("query is SRC DST [QOS UCI HOUR]; commands are fail, restore, policy, invalidate, plan, commit, stats, install, send, refresh, tick, repair, state, quit")
-	}
-	vals := make([]uint64, len(fields))
-	for i, f := range fields {
-		v, err := strconv.ParseUint(f, 10, 32)
-		if err != nil {
-			return req, fmt.Errorf("bad number %q", f)
-		}
-		vals[i] = v
-	}
-	req.Src, req.Dst = ad.ID(vals[0]), ad.ID(vals[1])
-	if len(vals) > 2 {
-		req.QOS = policy.QOS(vals[2])
-	}
-	if len(vals) > 3 {
-		req.UCI = policy.UCI(vals[3])
-	}
-	if len(vals) > 4 {
-		req.Hour = uint8(vals[4])
-	}
-	return req, nil
-}
-
-// twoIDs parses two numeric arguments.
-func twoIDs(fields []string) (ad.ID, ad.ID, bool) {
-	if len(fields) != 2 {
-		return 0, 0, false
-	}
-	a, errA := strconv.ParseUint(fields[0], 10, 32)
-	b, errB := strconv.ParseUint(fields[1], 10, 32)
-	if errA != nil || errB != nil {
-		return 0, 0, false
-	}
-	return ad.ID(a), ad.ID(b), true
 }

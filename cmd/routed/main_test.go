@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -272,7 +273,7 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-func TestChurnEventsPreferLateral(t *testing.T) {
+func TestChurnOpsPreferLateral(t *testing.T) {
 	g := ad.NewGraph()
 	a := g.AddAD("a", ad.Transit, ad.Backbone)
 	b := g.AddAD("b", ad.Transit, ad.Regional)
@@ -283,45 +284,81 @@ func TestChurnEventsPreferLateral(t *testing.T) {
 	if err := g.AddLink(ad.Link{A: b, B: c, Class: ad.Lateral}); err != nil {
 		t.Fatal(err)
 	}
-	evs := churnEvents(g)
+	evs := churnOps(g)
 	if len(evs) != 2 {
 		t.Fatalf("%d events", len(evs))
 	}
-	if !strings.Contains(evs[0].Label, "AD2") || !strings.Contains(evs[0].Label, "AD3") {
-		t.Errorf("churn did not pick the lateral link: %q", evs[0].Label)
+	if label := evs[0].Op.String(); !strings.Contains(label, "AD2") || !strings.Contains(label, "AD3") {
+		t.Errorf("churn did not pick the lateral link: %q", label)
 	}
-	if churnEvents(ad.NewGraph()) != nil {
-		t.Error("empty graph produced churn events")
+	fail, restore := evs[0].Op, evs[1].Op
+	if fail.Op != wire.CtlFail || restore.Op != wire.CtlRestore || restore.A != fail.A || restore.B != fail.B ||
+		!(evs[0].After < evs[1].After) {
+		t.Errorf("churn is not a fail then a restore of one link: %+v", evs)
+	}
+	if churnOps(ad.NewGraph()) != nil {
+		t.Error("empty graph produced churn ops")
 	}
 }
 
 func TestPrintReportAndWriteJSON(t *testing.T) {
-	g, db, srv, _ := testWorld(t)
-	_ = g
-	_ = db
+	_, _, srv, _ := testWorld(t)
 	workload := []policy.Request{{Src: 1, Dst: 4}, {Src: 1, Dst: 4}, {Src: 4, Dst: 1}}
-	rep := routeserver.Run(srv, workload, routeserver.LoadConfig{Clients: 2})
-	var out strings.Builder
-	printReport(&out, srv, rep)
-	for _, want := range []string{"strategy", "requests    3", "cache", "latency"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("report missing %q:\n%s", want, out.String())
+	rep := routeserver.Run(routeserver.InProcess(srv), workload, routeserver.LoadConfig{
+		Clients: 2,
+		Events:  []routeserver.Event{{After: 0.5, Fire: func() error { return errors.New("refused") }}},
+	})
+	// One report, one printer, one writer: the generator's part always, the
+	// server's block when the run was in process (srv non-nil).
+	generator := []string{"requests", "served", "no_route", "errors", "event_errors", "reconnects",
+		"reconnect_failures", "redirects", "max_stall_ns", "elapsed_ns", "qps",
+		"latency_p50", "latency_p95", "latency_p99"}
+	server := []string{"strategy", "hits", "coalesced", "misses", "hit_rate", "invalidations",
+		"scoped_mutations", "scoped_evicted", "scoped_retained", "evictions"}
+	for _, tc := range []struct {
+		srv        *routeserver.Server
+		lines      []string
+		keys, none []string
+	}{
+		{srv, []string{"strategy", "requests    3 (3 served, 0 no-route, 0 errors)", "latency", "event 1: refused", "cache", "synthesis"},
+			append(generator, server...), nil},
+		{nil, []string{"requests    3", "latency", "conns", "stall", "event 1: refused"}, generator, server},
+	} {
+		var out strings.Builder
+		printReport(&out, rep, tc.srv)
+		for _, want := range tc.lines {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("report missing %q:\n%s", want, out.String())
+			}
 		}
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := writeJSON(path, srv, rep); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m["requests"] != float64(3) {
-		t.Errorf("json requests = %v", m["requests"])
+		if tc.srv == nil && strings.Contains(out.String(), "cache") {
+			t.Errorf("wire report carries a server block:\n%s", out.String())
+		}
+		path := filepath.Join(t.TempDir(), "bench.json")
+		if err := writeJSON(path, rep, tc.srv); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		if m["requests"] != float64(3) || m["event_errors"] != float64(1) {
+			t.Errorf("json requests = %v, event_errors = %v", m["requests"], m["event_errors"])
+		}
+		for _, k := range tc.keys {
+			if _, ok := m[k]; !ok {
+				t.Errorf("json lacks %q", k)
+			}
+		}
+		for _, k := range tc.none {
+			if _, ok := m[k]; ok {
+				t.Errorf("wire json carries server key %q", k)
+			}
+		}
 	}
 }
 

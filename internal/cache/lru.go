@@ -1,8 +1,8 @@
 // Package cache provides the fixed-capacity LRU map behind the route-server
 // serving cache and the policy-gateway handle tables, shard by shard. It is
-// deliberately minimal: a map plus an intrusive recency list, no locking
-// (callers shard and lock), and an eviction counter so owners can report
-// cache pressure.
+// deliberately minimal: a map plus an intrusive recency list and no locking
+// (callers shard and lock); Put reports each capacity eviction so owners can
+// count cache pressure.
 package cache
 
 // LRU is a fixed-capacity map with least-recently-used eviction. A
@@ -10,11 +10,10 @@ package cache
 // is not usable; construct with NewLRU. LRU is not safe for concurrent
 // use.
 type LRU[K comparable, V any] struct {
-	capacity  int
-	entries   map[K]*entry[K, V]
-	head      *entry[K, V] // most recently used
-	tail      *entry[K, V] // least recently used
-	evictions int
+	capacity int
+	entries  map[K]*entry[K, V]
+	head     *entry[K, V] // most recently used
+	tail     *entry[K, V] // least recently used
 
 	// OnEvict, if non-nil, is invoked with each entry dropped for
 	// capacity (not for Delete or Purge), before Put returns.
@@ -105,7 +104,6 @@ func (l *LRU[K, V]) Put(k K, v V) (evicted bool) {
 		victim := l.tail
 		l.unlink(victim)
 		delete(l.entries, victim.key)
-		l.evictions++
 		if l.OnEvict != nil {
 			l.OnEvict(victim.key, victim.val)
 		}
@@ -125,8 +123,7 @@ func (l *LRU[K, V]) Delete(k K) bool {
 	return true
 }
 
-// Purge drops every entry. The eviction counter is preserved: purges are
-// invalidations, not capacity pressure.
+// Purge drops every entry.
 func (l *LRU[K, V]) Purge() {
 	l.entries = make(map[K]*entry[K, V])
 	l.head, l.tail = nil, nil
@@ -159,6 +156,3 @@ func (l *LRU[K, V]) Len() int { return len(l.entries) }
 
 // Cap returns the configured capacity (<= 0 = unbounded).
 func (l *LRU[K, V]) Cap() int { return l.capacity }
-
-// Evictions returns the cumulative count of capacity evictions.
-func (l *LRU[K, V]) Evictions() int { return l.evictions }

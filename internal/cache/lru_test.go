@@ -25,9 +25,6 @@ func TestLRUBasic(t *testing.T) {
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", l.Len())
 	}
-	if l.Evictions() != 1 {
-		t.Fatalf("Evictions = %d, want 1", l.Evictions())
-	}
 }
 
 func TestLRUReplaceDoesNotEvict(t *testing.T) {
@@ -52,8 +49,8 @@ func TestLRUUnbounded(t *testing.T) {
 			t.Fatal("unbounded LRU evicted")
 		}
 	}
-	if l.Len() != 1000 || l.Evictions() != 0 {
-		t.Fatalf("Len=%d Evictions=%d", l.Len(), l.Evictions())
+	if l.Len() != 1000 {
+		t.Fatalf("Len = %d, want 1000", l.Len())
 	}
 }
 
@@ -83,17 +80,15 @@ func TestLRUDeleteAndPurge(t *testing.T) {
 		t.Fatalf("Len = %d, want 3", l.Len())
 	}
 	// Exercise the list after deletion: fill, evict, re-read.
-	l.Put(9, 9)
-	l.Put(10, 10)
-	if l.Evictions() != 1 {
-		t.Fatalf("Evictions = %d, want 1", l.Evictions())
+	if l.Put(9, 9) {
+		t.Fatal("Put into the slot Delete freed evicted")
+	}
+	if !l.Put(10, 10) {
+		t.Fatal("Put over capacity did not evict")
 	}
 	l.Purge()
 	if l.Len() != 0 {
 		t.Fatalf("Len after Purge = %d", l.Len())
-	}
-	if l.Evictions() != 1 {
-		t.Fatal("Purge must preserve the eviction counter")
 	}
 	l.Put(1, 1)
 	if v, ok := l.Get(1); !ok || v != 1 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"net"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/synthesis"
 	"repro/internal/trafficgen"
+	"repro/internal/wire"
 )
 
 // E23HAFailover measures what replicated route servers (internal/routeserver/ha)
@@ -93,8 +95,7 @@ func E23HAFailover(seed int64) *metrics.Table {
 			be, srv := e23Stack(base.Graph, seed)
 			o := newE23Oracle(base.Graph, seed)
 			for _, op := range pre {
-				op.applyTo(be)
-				o.apply(op)
+				e23Apply(be, o, op)
 			}
 			cache := srv.CacheLen()
 			churn, synth, legal, hr := e23Measure(be, srv, workload, post, o)
@@ -115,34 +116,14 @@ const (
 	e23PhaseLen = 50
 )
 
-// e23Op is one control-plane mutation, expressed as the backend operation
-// an operator (or replicated ctl entry) would perform — unlike E22's
-// direct graph/policy closures, every op here must flow through a Backend
-// so the HA row replicates it.
-type e23Op struct {
-	kind string // "fail", "restore", "policy"
-	a, b ad.ID
-	cost uint32
-}
-
-func (o e23Op) applyTo(be *daemon.Backend) {
-	switch o.kind {
-	case "fail":
-		_, _, _, _ = be.Fail(o.a, o.b)
-	case "restore":
-		_, _, _ = be.Restore(o.a, o.b)
-	case "policy":
-		be.SetPolicy(o.a, o.cost)
-	}
-}
-
 // e23Timeline splits the E22-style link-local event list around the kill:
 // fail/restore of the first lateral and a failure of the second before it,
 // then a policy rewrite at the quietest transit, the second lateral's
-// restoration, and a second policy change after it. (Backend.SetPolicy
-// installs an open term, so the post-kill policy pair is change + re-change
-// rather than E22's change + revert.)
-func e23Timeline(g *ad.Graph) (pre, post []e23Op) {
+// restoration, and a second policy change after it. (A policy op installs
+// an open term, so the post-kill policy pair is change + re-change rather
+// than E22's change + revert.) Unlike E22's direct graph/policy closures,
+// every op here flows through a Backend so the HA row replicates it.
+func e23Timeline(g *ad.Graph) (pre, post []wire.PlanStep) {
 	var laterals []ad.Link
 	for _, l := range g.Links() {
 		if l.Class == ad.Lateral {
@@ -157,17 +138,27 @@ func e23Timeline(g *ad.Graph) (pre, post []e23Op) {
 	}
 	l0, l1 := laterals[0], laterals[1]
 	target := quietestTransit(g)
-	pre = []e23Op{
-		{kind: "fail", a: l0.A, b: l0.B},
-		{kind: "restore", a: l0.A, b: l0.B},
-		{kind: "fail", a: l1.A, b: l1.B},
+	pre = []wire.PlanStep{
+		{Op: wire.CtlFail, A: l0.A, B: l0.B},
+		{Op: wire.CtlRestore, A: l0.A, B: l0.B},
+		{Op: wire.CtlFail, A: l1.A, B: l1.B},
 	}
-	post = []e23Op{
-		{kind: "policy", a: target, cost: 10},
-		{kind: "restore", a: l1.A, b: l1.B},
-		{kind: "policy", a: target, cost: 3},
+	post = []wire.PlanStep{
+		{Op: wire.CtlPolicy, A: target, Cost: 10},
+		{Op: wire.CtlRestore, A: l1.A, B: l1.B},
+		{Op: wire.CtlPolicy, A: target, Cost: 3},
 	}
 	return pre, post
+}
+
+// e23Apply applies one timeline op to the server and mirrors it onto the
+// oracle; the timeline is built from the world's own links and ADs, so a
+// refusal is a harness bug.
+func e23Apply(be *daemon.Backend, o *e23Oracle, op wire.PlanStep) {
+	if _, err := be.Control(op); err != nil {
+		panic(fmt.Sprintf("e23: %v: %v", op, err))
+	}
+	o.apply(op)
 }
 
 // e23Stack builds one server's full serving stack over clones of the base
@@ -228,11 +219,10 @@ func e23Group(base *ad.Graph, seed int64) (prim, fol *e23Replica) {
 }
 
 // e23PreChurn runs the pre-kill half: each event followed by its workload
-// slice, mirrored onto the oracle.
-func e23PreChurn(be *daemon.Backend, srv *routeserver.Server, workload []policy.Request, pre []e23Op, o *e23Oracle) {
+// slice.
+func e23PreChurn(be *daemon.Backend, srv *routeserver.Server, workload []policy.Request, pre []wire.PlanStep, o *e23Oracle) {
 	for i, op := range pre {
-		op.applyTo(be)
-		o.apply(op)
+		e23Apply(be, o, op)
 		lo := (i * e23PhaseLen) % len(workload)
 		routeserver.ServePhase(srv, workload[lo:lo+e23PhaseLen], e23Clients)
 	}
@@ -241,11 +231,10 @@ func e23PreChurn(be *daemon.Backend, srv *routeserver.Server, workload []policy.
 // e23Measure runs the post-kill half against one server and reports its
 // slice counters: each event, its slice, and the legality of every answer
 // against the oracle world.
-func e23Measure(be *daemon.Backend, srv *routeserver.Server, workload []policy.Request, post []e23Op, o *e23Oracle) (churn int, synth uint64, legal int, hitRate float64) {
+func e23Measure(be *daemon.Backend, srv *routeserver.Server, workload []policy.Request, post []wire.PlanStep, o *e23Oracle) (churn int, synth uint64, legal int, hitRate float64) {
 	warm := srv.Snapshot()
 	for i, op := range post {
-		op.applyTo(be)
-		o.apply(op)
+		e23Apply(be, o, op)
 		lo := ((len(post) + i) * e23PhaseLen) % len(workload)
 		slice := workload[lo : lo+e23PhaseLen]
 		results := routeserver.ServePhase(srv, slice, e23Clients)
@@ -277,27 +266,27 @@ func newE23Oracle(base *ad.Graph, seed int64) *e23Oracle {
 	return &e23Oracle{g: g, db: e22Policy(g, seed), removed: make(map[[2]ad.ID]ad.Link)}
 }
 
-func (o *e23Oracle) apply(op e23Op) {
-	switch op.kind {
-	case "fail":
-		want := ad.Link{A: op.a, B: op.b}.Canonical()
+func (o *e23Oracle) apply(op wire.PlanStep) {
+	switch op.Op {
+	case wire.CtlFail:
+		want := ad.Link{A: op.A, B: op.B}.Canonical()
 		for _, l := range o.g.Links() {
 			if l.A == want.A && l.B == want.B {
 				o.removed[[2]ad.ID{l.A, l.B}] = l
 				break
 			}
 		}
-		o.g.RemoveLink(op.a, op.b)
-	case "restore":
-		key := ad.Link{A: op.a, B: op.b}.Canonical()
+		o.g.RemoveLink(op.A, op.B)
+	case wire.CtlRestore:
+		key := ad.Link{A: op.A, B: op.B}.Canonical()
 		if l, ok := o.removed[[2]ad.ID{key.A, key.B}]; ok {
 			delete(o.removed, [2]ad.ID{key.A, key.B})
 			_ = o.g.AddLink(l)
 		}
-	case "policy":
-		term := policy.OpenTerm(op.a, 0)
-		term.Cost = op.cost
-		o.db.SetTerms(op.a, []policy.Term{term})
+	case wire.CtlPolicy:
+		term := policy.OpenTerm(op.A, 0)
+		term.Cost = op.Cost
+		o.db.SetTerms(op.A, []policy.Term{term})
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 	"repro/internal/pgstate"
 	"repro/internal/routeserver"
 	"repro/internal/routeserver/daemon"
-	"repro/internal/routeserver/plan"
 	"repro/internal/sim"
 	"repro/internal/synthesis"
 	"repro/internal/trafficgen"
+	"repro/internal/wire"
 )
 
 // E25PlanEngine validates the what-if planning engine end to end: every
@@ -74,7 +74,7 @@ func E25PlanEngine(seed int64) *metrics.Table {
 		}
 
 		for _, steps := range e25Events(g, dp) {
-			label := steps[0].Label()
+			label := steps[0].String()
 			id, rep, err := be.Plan(steps)
 			if err != nil {
 				panic(fmt.Sprintf("e25: plan %s: %v", label, err))
@@ -168,7 +168,7 @@ func E25PlanEngine(seed int64) *metrics.Table {
 // back, and the quietest transit's policy is rewritten to one expensive
 // open term and then re-rewritten cheap. Each event is one single-step plan
 // batch; multi-step union semantics are pinned by the plan package's tests.
-func e25Events(g *ad.Graph, dp *routeserver.DataPlane) [][]plan.Step {
+func e25Events(g *ad.Graph, dp *routeserver.DataPlane) [][]wire.PlanStep {
 	var lateral ad.Link
 	for _, l := range g.Links() {
 		if l.Class == ad.Lateral {
@@ -181,13 +181,13 @@ func e25Events(g *ad.Graph, dp *routeserver.DataPlane) [][]plan.Step {
 	}
 	stub := e25StubLink(g, dp)
 	target := quietestTransit(g)
-	return [][]plan.Step{
-		{{Kind: plan.StepFail, A: lateral.A, B: lateral.B}},
-		{{Kind: plan.StepRestore, A: lateral.A, B: lateral.B}},
-		{{Kind: plan.StepFail, A: stub.A, B: stub.B}},
-		{{Kind: plan.StepPolicy, A: target, Cost: 10}},
-		{{Kind: plan.StepRestore, A: stub.A, B: stub.B}},
-		{{Kind: plan.StepPolicy, A: target, Cost: 1}},
+	return [][]wire.PlanStep{
+		{{Op: wire.CtlFail, A: lateral.A, B: lateral.B}},
+		{{Op: wire.CtlRestore, A: lateral.A, B: lateral.B}},
+		{{Op: wire.CtlFail, A: stub.A, B: stub.B}},
+		{{Op: wire.CtlPolicy, A: target, Cost: 10}},
+		{{Op: wire.CtlRestore, A: stub.A, B: stub.B}},
+		{{Op: wire.CtlPolicy, A: target, Cost: 1}},
 	}
 }
 

@@ -30,19 +30,17 @@ import (
 // and data-plane operations are safe for any number of concurrent
 // sessions (Server and DataPlane synchronize internally); control-plane
 // mutations are serialized by the backend's own lock, which also protects
-// the failed-link memory and makes graph reads in control handlers safe
-// against concurrent mutation (all graph writes happen under this lock,
-// inside MutateScoped's exclusive section).
+// the world and makes its reads in control handlers safe against
+// concurrent mutation (all world writes happen under this lock, inside
+// MutateScoped's exclusive section).
 type Backend struct {
 	srv *routeserver.Server
 	dp  *routeserver.DataPlane
-	g   *ad.Graph
-	db  *policy.DB
 
 	mu sync.Mutex
-	// removed remembers links taken down by Fail so Restore can re-add
-	// them with their original class and cost.
-	removed map[[2]ad.ID]ad.Link
+	// world is the graph, policy database and failed-link memory every
+	// control op resolves against.
+	world *synthesis.World
 
 	// plans holds pending what-if plans by ID, awaiting Commit or
 	// displacement (the store is bounded; the oldest plan is dropped when
@@ -54,7 +52,7 @@ type Backend struct {
 	// MutateScoped closure — i.e. under the server's strategy lock — so an
 	// HA primary appends the op to its sync backlog in exactly the order
 	// mutations interleave with cache inserts. Nil outside an HA group.
-	replicate func(op uint8, a, b ad.ID, cost uint32)
+	replicate func(op wire.PlanStep)
 	// connMetrics, when set, reports the daemon's connection counters for
 	// the stats command. Nil on front ends with no daemon (line mode).
 	connMetrics func() Metrics
@@ -80,10 +78,7 @@ type Stats struct {
 
 // NewBackend wires a backend over the serving stack.
 func NewBackend(srv *routeserver.Server, dp *routeserver.DataPlane, g *ad.Graph, db *policy.DB) *Backend {
-	return &Backend{
-		srv: srv, dp: dp, g: g, db: db,
-		removed: make(map[[2]ad.ID]ad.Link),
-	}
+	return &Backend{srv: srv, dp: dp, world: synthesis.NewWorld(g, db)}
 }
 
 // Server returns the wrapped route server.
@@ -92,7 +87,7 @@ func (b *Backend) Server() *routeserver.Server { return b.srv }
 // SetReplicator registers the HA replication hook; fn is invoked inside
 // every control mutation's exclusive section. Set it before the backend
 // starts serving.
-func (b *Backend) SetReplicator(fn func(op uint8, a, b ad.ID, cost uint32)) {
+func (b *Backend) SetReplicator(fn func(op wire.PlanStep)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.replicate = fn
@@ -106,95 +101,71 @@ func (b *Backend) SetConnMetrics(fn func() Metrics) {
 	b.connMetrics = fn
 }
 
-// repl calls the replication hook if one is registered. Callers hold the
-// strategy lock (it runs inside MutateScoped closures).
-func (b *Backend) repl(op uint8, x, y ad.ID, cost uint32) {
-	if b.replicate != nil {
-		b.replicate(op, x, y, cost)
-	}
-}
-
 // Query answers one route request.
 func (b *Backend) Query(req policy.Request) routeserver.Result {
 	return b.srv.Query(req)
 }
 
-// Fail takes the x-y link down: scoped cache invalidation, then a flush of
-// installed handle state crossing the link (failure-driven repair).
-func (b *Backend) Fail(x, y ad.ID) (evicted, retained, flushed int, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.fail(x, y)
+// Effect records what one applied control op actually did: the scoped
+// invalidation's counts, the installed handle entries a link failure
+// flushed, and — for a full invalidation — the new generation.
+type Effect struct {
+	Evicted, Retained, Flushed int
+	Gen                        uint64
 }
 
-// fail is Fail's body; caller holds b.mu (Commit loops it over a batch
-// under one hold).
-func (b *Backend) fail(x, y ad.ID) (evicted, retained, flushed int, err error) {
-	link, found := linkOf(b.g, x, y)
-	if !found {
-		return 0, 0, 0, fmt.Errorf("no link %v-%v", x, y)
+// Control applies one control op — every front end's only way to mutate the
+// world: fail and restore of a link, the open-term policy replacement, the
+// full invalidation. The op is resolved against the world, performed and
+// replicated under the server's strategy lock with the cache invalidation
+// scoped to what it changed (fail: routes crossing the link; restore and
+// policy: retained entries stay legal but may no longer be optimal until a
+// full invalidation), and a failed link's installed handle state is flushed
+// for failure-driven repair. A refused op changes nothing.
+func (b *Backend) Control(op wire.PlanStep) (Effect, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.control(op)
+}
+
+// control is Control's body; caller holds b.mu (Commit loops it over a
+// batch under one hold).
+func (b *Backend) control(op wire.PlanStep) (eff Effect, err error) {
+	ch, apply, err := b.world.Resolve(op)
+	if err != nil {
+		return eff, err
 	}
-	b.removed[[2]ad.ID{link.A, link.B}] = link
-	evicted, retained = b.srv.MutateScoped(
-		synthesis.LinkDownChange(x, y), func() {
-			b.g.RemoveLink(x, y)
-			b.repl(wire.CtlFail, x, y, 0)
-		})
-	flushed = b.dp.InvalidateLink(x, y)
-	return evicted, retained, flushed, nil
-}
-
-// Restore brings a previously failed x-y link back up with its original
-// class and cost. Retained entries stay legal but may no longer be optimal
-// until a full invalidation.
-func (b *Backend) Restore(x, y ad.ID) (evicted, retained int, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.restore(x, y)
-}
-
-// restore is Restore's body; caller holds b.mu.
-func (b *Backend) restore(x, y ad.ID) (evicted, retained int, err error) {
-	key := ad.Link{A: x, B: y}.Canonical()
-	link, found := b.removed[[2]ad.ID{key.A, key.B}]
-	if !found {
-		return 0, 0, fmt.Errorf("link %v-%v was not failed here", x, y)
-	}
-	delete(b.removed, [2]ad.ID{key.A, key.B})
-	evicted, retained = b.srv.MutateScoped(
-		synthesis.LinkUpChange(x, y), func() {
-			_ = b.g.AddLink(link)
-			b.repl(wire.CtlRestore, x, y, 0)
-		})
-	return evicted, retained, nil
-}
-
-// SetPolicy replaces a's terms with one open term of the given cost,
-// scoping the invalidation to the term keys that actually changed.
-func (b *Backend) SetPolicy(a ad.ID, cost uint32) (evicted, retained int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.setPolicy(a, cost)
-}
-
-// setPolicy is SetPolicy's body; caller holds b.mu.
-func (b *Backend) setPolicy(a ad.ID, cost uint32) (evicted, retained int) {
-	term := policy.OpenTerm(a, 0)
-	term.Cost = cost
-	ch := synthesis.PolicyChangeOf(b.db.DiffTerms(a, []policy.Term{term}))
-	return b.srv.MutateScoped(ch, func() {
-		b.db.SetTerms(a, []policy.Term{term})
-		b.repl(wire.CtlPolicy, a, 0, cost)
+	eff.Evicted, eff.Retained = b.srv.MutateScoped(ch, func() {
+		apply()
+		if b.replicate != nil {
+			b.replicate(op)
+		}
 	})
+	switch ch.Kind {
+	case synthesis.ChangeLinkDown:
+		eff.Flushed = b.dp.InvalidateLink(op.A, op.B)
+	case synthesis.ChangeFull:
+		eff.Gen = b.srv.Generation()
+	}
+	return eff, nil
 }
 
-// Invalidate forces the full generation bump, restoring optimality after
-// scoped retentions, and returns the new generation.
-func (b *Backend) Invalidate() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.srv.Mutate(func() { b.repl(wire.CtlInvalidate, 0, 0, 0) })
-	return b.srv.Generation()
+// Fail is Control of a CtlFail step.
+func (b *Backend) Fail(x, y ad.ID) (evicted, retained, flushed int, err error) {
+	eff, err := b.Control(wire.PlanStep{Op: wire.CtlFail, A: x, B: y})
+	return eff.Evicted, eff.Retained, eff.Flushed, err
+}
+
+// Restore is Control of a CtlRestore step.
+func (b *Backend) Restore(x, y ad.ID) (evicted, retained int, err error) {
+	eff, err := b.Control(wire.PlanStep{Op: wire.CtlRestore, A: x, B: y})
+	return eff.Evicted, eff.Retained, err
+}
+
+// SetPolicy is Control of a CtlPolicy step.
+func (b *Backend) SetPolicy(a ad.ID, cost uint32) (evicted, retained int, err error) {
+	eff, err := b.Control(wire.PlanStep{Op: wire.CtlPolicy, A: a, Cost: cost})
+	return eff.Evicted, eff.Retained, err
 }
 
 // maxPendingPlans bounds the uncommitted-plan store: plans are cheap to
@@ -204,7 +175,7 @@ const maxPendingPlans = 16
 
 // pendingPlan is one computed, not-yet-committed what-if plan.
 type pendingPlan struct {
-	steps  []plan.Step
+	steps  []wire.PlanStep
 	report *plan.Report
 }
 
@@ -213,10 +184,10 @@ type pendingPlan struct {
 // take — and parks the batch under a fresh plan ID for a later Commit. The
 // recorded query log (when the server has one) is replayed as the assessed
 // workload.
-func (b *Backend) Plan(steps []plan.Step) (id uint64, rep *plan.Report, err error) {
+func (b *Backend) Plan(steps []wire.PlanStep) (id uint64, rep *plan.Report, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	rep, err = plan.Compute(b.srv, b.dp, b.g, b.db, b.removed, steps,
+	rep, err = plan.Compute(b.srv, b.dp, b.world, steps,
 		plan.Config{Workload: b.srv.RecentQueries()})
 	if err != nil {
 		return 0, nil, err
@@ -239,16 +210,11 @@ func (b *Backend) Plan(steps []plan.Step) (id uint64, rep *plan.Report, err erro
 	return id, rep, nil
 }
 
-// CommitStep records what one applied plan step actually did.
-type CommitStep struct {
-	Evicted, Retained, Flushed int
-}
-
 // CommitResult records what applying a whole plan actually did: per-step
 // counts plus the batch totals (Retained is the final step's count —
 // what is still cached once the batch has landed).
 type CommitResult struct {
-	Steps             []CommitStep
+	Steps             []Effect
 	Evicted, Retained int
 	Flushed           int
 }
@@ -274,20 +240,9 @@ func (b *Backend) Commit(id uint64) (CommitResult, error) {
 	}
 	var out CommitResult
 	for i, st := range p.steps {
-		var cs CommitStep
-		var err error
-		switch st.Kind {
-		case plan.StepFail:
-			cs.Evicted, cs.Retained, cs.Flushed, err = b.fail(st.A, st.B)
-		case plan.StepRestore:
-			cs.Evicted, cs.Retained, err = b.restore(st.A, st.B)
-		case plan.StepPolicy:
-			cs.Evicted, cs.Retained = b.setPolicy(st.A, st.Cost)
-		default:
-			err = fmt.Errorf("unknown step kind %d", st.Kind)
-		}
+		cs, err := b.control(st)
 		if err != nil {
-			return out, fmt.Errorf("plan %d step %d (%s): %v", id, i+1, st.Label(), err)
+			return out, fmt.Errorf("plan %d step %d (%v): %v", id, i+1, st, err)
 		}
 		out.Steps = append(out.Steps, cs)
 		out.Evicted += cs.Evicted
@@ -356,15 +311,4 @@ func (b *Backend) Repair() (attempted, repaired int) {
 // State reports the data-plane metrics.
 func (b *Backend) State() routeserver.DataPlaneMetrics {
 	return b.dp.Metrics()
-}
-
-// linkOf returns the graph's link between a and b, if present.
-func linkOf(g *ad.Graph, a, b ad.ID) (ad.Link, bool) {
-	want := ad.Link{A: a, B: b}.Canonical()
-	for _, l := range g.Links() {
-		if l.A == want.A && l.B == want.B {
-			return l, true
-		}
-	}
-	return ad.Link{}, false
 }

@@ -1,0 +1,147 @@
+package daemon
+
+import (
+	"flag"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/ad"
+	"repro/internal/pgstate"
+	"repro/internal/policy"
+	"repro/internal/routeserver"
+	"repro/internal/synthesis"
+	"repro/internal/topology"
+	"repro/internal/wire"
+)
+
+// TestControlRefusesUnknownAD pins the outside-input check: a policy op for
+// an AD that does not exist is refused on the wire, installs nothing, and
+// leaves the mutation epoch — and with it every pending plan — alone.
+func TestControlRefusesUnknownAD(t *testing.T) {
+	be := testWorld(t, nil)
+	cl := pipeSession(t, New(be, Config{}))
+	id, _, err := be.Plan([]wire.PlanStep{{Op: wire.CtlFail, A: 2, B: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := be.Server().Epoch()
+
+	cr, err := cl.Control(wire.CtlPolicy, 99999, 0, 5)
+	if err != nil || cr.Code != wire.CtlErr || cr.Err != "unknown AD AD99999" {
+		t.Fatalf("policy for a nonexistent AD = %+v, %v; want CtlErr", cr, err)
+	}
+	if got := be.Server().Epoch(); got != epoch {
+		t.Errorf("refused op moved the mutation epoch %d -> %d", epoch, got)
+	}
+	if terms := be.world.DB.Terms(99999); len(terms) != 0 {
+		t.Errorf("refused op installed terms %v", terms)
+	}
+	if pr, err := cl.Plan([]wire.PlanStep{{Op: wire.CtlPolicy, A: 99999, Cost: 5}}); err != nil || pr.OK() {
+		t.Errorf("plan predicted a policy for a nonexistent AD: %+v, %v", pr, err)
+	}
+	if _, err := be.Commit(id); err != nil {
+		t.Errorf("the refused op staled a pending plan: %v", err)
+	}
+}
+
+// scopeRecorder is a strategy that records the Change each server mutation
+// handed it: what the live stack really scoped its invalidation to.
+type scopeRecorder struct {
+	synthesis.Strategy
+	seen []synthesis.Change
+}
+
+func (r *scopeRecorder) Invalidate() {
+	r.seen = append(r.seen, synthesis.FullChange())
+	r.Strategy.Invalidate()
+}
+
+func (r *scopeRecorder) InvalidateScoped(ch synthesis.Change) {
+	r.seen = append(r.seen, ch)
+	r.Strategy.InvalidateScoped(ch)
+}
+
+var controlSeed = flag.Int64("controlseed", 0, "seed for TestControlLiveMatchesClone (0 = from the clock)")
+
+// TestControlLiveMatchesClone is the reason prediction and commit cannot
+// drift: random op sequences — refused ones included: absent link, restore
+// without fail, unknown AD, unknown op — driven through Backend.Control on
+// a live stack and through World.Apply on a clone of its starting world
+// yield the same Change and the same error at every step, and end in the
+// same world.
+func TestControlLiveMatchesClone(t *testing.T) {
+	seed := *controlSeed
+	if seed == 0 {
+		seed = time.Now().UnixNano()
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for round := 0; round < 20; round++ {
+		g := topology.Generate(topology.Config{
+			Seed: rng.Int63(), Backbones: 2, RegionalsPerBackbone: 2, CampusesPerParent: 2,
+			LateralProb: 0.3, BypassProb: 0.1, MultihomedProb: 0.2, HybridProb: 0.1,
+		}).Graph
+		db := policy.OpenDB(g)
+		scoped := &scopeRecorder{Strategy: synthesis.NewOnDemand(g, db)}
+		dp, err := routeserver.NewDataPlane(pgstate.Config{Kind: pgstate.Hard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		be := NewBackend(routeserver.New(scoped, routeserver.Config{}), dp, g, db)
+		clone := be.world.Clone()
+		var replicated []wire.PlanStep
+		be.SetReplicator(func(op wire.PlanStep) { replicated = append(replicated, op) })
+
+		ids, links := g.IDs(), g.Links()
+		someAD := func() ad.ID {
+			if rng.Intn(8) == 0 {
+				return ad.ID(1000 + rng.Intn(3)) // unknown
+			}
+			return ids[rng.Intn(len(ids))]
+		}
+		var applied []wire.PlanStep
+		var want []synthesis.Change
+		for step := 0; step < 60; step++ {
+			var op wire.PlanStep
+			switch l := links[rng.Intn(len(links))]; rng.Intn(10) {
+			case 0, 1, 2:
+				op = wire.PlanStep{Op: wire.CtlFail, A: l.A, B: l.B}
+			case 3, 4, 5:
+				op = wire.PlanStep{Op: wire.CtlRestore, A: l.B, B: l.A}
+			case 6:
+				op = wire.PlanStep{Op: wire.CtlFail, A: someAD(), B: someAD()}
+			case 7, 8:
+				op = wire.PlanStep{Op: wire.CtlPolicy, A: someAD(), Cost: uint32(1 + rng.Intn(4))}
+			default:
+				op = wire.PlanStep{Op: wire.CtlInvalidate + uint8(rng.Intn(3)), A: someAD()}
+			}
+			_, err := be.Control(op)
+			ch, cloneErr := clone.Apply(op)
+			if (err == nil) != (cloneErr == nil) || (err != nil && err.Error() != cloneErr.Error()) {
+				t.Fatalf("seed %d round %d step %d %v: live error %v, clone error %v",
+					seed, round, step, op, err, cloneErr)
+			}
+			if err == nil {
+				applied, want = append(applied, op), append(want, ch)
+			}
+		}
+		if !reflect.DeepEqual(scoped.seen, want) {
+			t.Fatalf("seed %d round %d: live changes %+v, clone changes %+v", seed, round, scoped.seen, want)
+		}
+		if !reflect.DeepEqual(replicated, applied) {
+			t.Fatalf("seed %d round %d: replicated %v, applied %v", seed, round, replicated, applied)
+		}
+		if live, want := be.world.G.Links(), clone.G.Links(); !reflect.DeepEqual(live, want) {
+			t.Fatalf("seed %d round %d: live links %v, clone links %v", seed, round, live, want)
+		}
+		if !reflect.DeepEqual(be.world.Failed, clone.Failed) {
+			t.Fatalf("seed %d round %d: live failed-link memory %v, clone %v", seed, round, be.world.Failed, clone.Failed)
+		}
+		for _, id := range append(ids, 1000, 1001, 1002) {
+			if live, want := be.world.DB.Terms(id), clone.DB.Terms(id); !reflect.DeepEqual(live, want) {
+				t.Fatalf("seed %d round %d: %v live terms %v, clone terms %v", seed, round, id, live, want)
+			}
+		}
+	}
+}

@@ -474,32 +474,14 @@ func (d *Daemon) dispatch(m wire.Message, qr *wire.QueryReply) (reply wire.Messa
 		return qr, false
 
 	case *wire.Control:
-		rep := &wire.ControlReply{ID: q.ID}
-		switch q.Op {
-		case wire.CtlFail:
-			evicted, retained, flushed, err := d.be.Fail(q.A, q.B)
-			if err != nil {
-				rep.Code, rep.Err = wire.CtlErr, err.Error()
-				break
-			}
-			rep.Evicted, rep.Retained, rep.Flushed =
-				uint64(evicted), uint64(retained), uint64(flushed)
-		case wire.CtlRestore:
-			evicted, retained, err := d.be.Restore(q.A, q.B)
-			if err != nil {
-				rep.Code, rep.Err = wire.CtlErr, err.Error()
-				break
-			}
-			rep.Evicted, rep.Retained = uint64(evicted), uint64(retained)
-		case wire.CtlPolicy:
-			evicted, retained := d.be.SetPolicy(q.A, q.Cost)
-			rep.Evicted, rep.Retained = uint64(evicted), uint64(retained)
-		case wire.CtlInvalidate:
-			rep.Gen = d.be.Invalidate()
-		default:
-			rep.Code, rep.Err = wire.CtlErr, "unknown control op"
+		eff, err := d.be.Control(wire.PlanStep{Op: q.Op, A: q.A, B: q.B, Cost: q.Cost})
+		if err != nil {
+			return &wire.ControlReply{ID: q.ID, Code: wire.CtlErr, Err: err.Error()}, false
 		}
-		return rep, false
+		return &wire.ControlReply{
+			ID: q.ID, Evicted: uint64(eff.Evicted), Retained: uint64(eff.Retained),
+			Flushed: uint64(eff.Flushed), Gen: eff.Gen,
+		}, false
 
 	case *wire.DataOp:
 		rep := &wire.DataOpReply{ID: q.ID, Op: q.Op}

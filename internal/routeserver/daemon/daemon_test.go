@@ -3,6 +3,8 @@ package daemon
 import (
 	"io"
 	"net"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -424,30 +426,42 @@ func TestConcurrentSessionsAcrossScopedMutation(t *testing.T) {
 	}
 }
 
-func TestLoadRunAgainstDaemon(t *testing.T) {
-	be := testWorld(t, nil)
+// unixDaemon serves be on a unix socket and returns the generator's wire
+// dialler plus a dedicated control connection for its events.
+func unixDaemon(t *testing.T, be *Backend) (*Daemon, func(int) routeserver.Client, *Failover) {
+	t.Helper()
 	d := New(be, Config{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	sock := filepath.Join(t.TempDir(), "routed.sock")
+	ln, err := net.Listen("unix", sock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go d.Serve(ln)
-	defer d.Drain()
+	t.Cleanup(d.Drain)
+	ctl := DialFailover("unix", []string{sock}, 2*time.Second, 1)
+	t.Cleanup(func() { ctl.Close() })
+	return d, func(i int) routeserver.Client {
+		return DialFailover("unix", []string{sock}, 2*time.Second, 1+int64(i))
+	}, ctl
+}
 
+func TestLoadRunAgainstDaemon(t *testing.T) {
+	d, dial, ctl := unixDaemon(t, testWorld(t, nil))
 	workload := make([]policy.Request, 200)
 	for i := range workload {
 		workload[i] = policy.Request{Src: 1, Dst: 4, Hour: uint8(i % 4)}
 	}
-	rep := LoadRun("tcp", ln.Addr().String(), workload, LoadConfig{
+	fire := func(op wire.PlanStep) func() error { return func() error { return ctl.Control(op) } }
+	rep := routeserver.Run(dial, workload, routeserver.LoadConfig{
 		Clients:        8,
 		ReconnectEvery: 10,
-		Events: []ChurnEvent{
-			{After: 0.3, Op: wire.CtlFail, A: 2, B: 4},
-			{After: 0.6, Op: wire.CtlRestore, A: 2, B: 4},
+		Events: []routeserver.Event{
+			{After: 0.3, Fire: fire(wire.PlanStep{Op: wire.CtlFail, A: 2, B: 4})},
+			{After: 0.6, Fire: fire(wire.PlanStep{Op: wire.CtlRestore, A: 2, B: 4})},
 		},
 	})
-	if rep.Errors != 0 {
-		t.Fatalf("load run hit %d errors: %+v", rep.Errors, rep)
+	if rep.Errors != 0 || len(rep.EventErrors) != 0 {
+		t.Fatalf("load run hit %d errors, event errors %v: %+v", rep.Errors, rep.EventErrors, rep)
 	}
 	if rep.Served != rep.Requests {
 		t.Fatalf("served %d of %d", rep.Served, rep.Requests)
@@ -463,6 +477,92 @@ func TestLoadRunAgainstDaemon(t *testing.T) {
 	}
 }
 
+// TestLoadRunParityInProcessVsWire pins that the two load modes are one
+// harness: the same world, workload and client count through the in-process
+// dialler and through a real daemon over a unix socket count the same
+// answers, both survive the -churn fail/restore pair with every request
+// answered, and an event the world refuses — or that cannot be sent — lands
+// in the report on both.
+func TestLoadRunParityInProcessVsWire(t *testing.T) {
+	var workload []policy.Request
+	for i := 0; i < 300; i++ {
+		// One pair in three has no route (AD 9 does not exist).
+		workload = append(workload, policy.Request{Src: 1, Dst: ad.ID(4 + 5*(i%3/2)), Hour: uint8(i % 5)})
+	}
+	fail, restore := wire.PlanStep{Op: wire.CtlFail, A: 2, B: 4}, wire.PlanStep{Op: wire.CtlRestore, A: 2, B: 4}
+	type mode struct {
+		name    string
+		dial    func(int) routeserver.Client
+		control func(wire.PlanStep) error
+	}
+	modes := func() []mode {
+		local := testWorld(t, nil)
+		_, dial, ctl := unixDaemon(t, testWorld(t, nil))
+		return []mode{
+			{"in-process", routeserver.InProcess(local.Server()), func(op wire.PlanStep) error {
+				_, err := local.Control(op)
+				return err
+			}},
+			{"wire", dial, ctl.Control},
+		}
+	}
+	timeline := func(m mode, ops ...wire.PlanStep) []routeserver.Event {
+		var evs []routeserver.Event
+		for i, op := range ops {
+			evs = append(evs, routeserver.Event{
+				After: float64(i+1) / float64(len(ops)+1),
+				Fire:  func() error { return m.control(op) },
+			})
+		}
+		return evs
+	}
+
+	var quiet []routeserver.Report
+	for _, m := range modes() {
+		rep := routeserver.Run(m.dial, workload, routeserver.LoadConfig{Clients: 4})
+		if rep.Errors != 0 || rep.Served+rep.NoRoute != rep.Requests || rep.NoRoute != 100 {
+			t.Fatalf("%s, no events: %+v", m.name, rep)
+		}
+		quiet = append(quiet, rep)
+	}
+	if quiet[0].Served != quiet[1].Served || quiet[0].NoRoute != quiet[1].NoRoute {
+		t.Fatalf("in-process served/no-route %d/%d, wire %d/%d",
+			quiet[0].Served, quiet[0].NoRoute, quiet[1].Served, quiet[1].NoRoute)
+	}
+
+	for _, m := range modes() {
+		rep := routeserver.Run(m.dial, workload, routeserver.LoadConfig{
+			Clients: 4, Events: timeline(m, fail, restore),
+		})
+		if rep.Errors != 0 || len(rep.EventErrors) != 0 || rep.Served+rep.NoRoute != rep.Requests {
+			t.Fatalf("%s, churn pair: %+v", m.name, rep)
+		}
+		// A restore with no fail before it is refused; the fail after it
+		// still fires, so the refusal is reported and nothing is dropped.
+		rep = routeserver.Run(m.dial, workload, routeserver.LoadConfig{
+			Clients: 4, Events: timeline(m, restore, fail),
+		})
+		if len(rep.EventErrors) != 1 || !strings.Contains(rep.EventErrors[0].Error(), "event 1: link AD2-AD4 was not failed here") {
+			t.Fatalf("%s: refused event reported as %v", m.name, rep.EventErrors)
+		}
+		if err := m.control(fail); err == nil || !strings.Contains(err.Error(), "no link") {
+			t.Fatalf("%s: the event after the refused one never fired (second fail: %v)", m.name, err)
+		}
+	}
+
+	// Unsendable: the control connection's daemon is gone.
+	gone := DialFailover("unix", []string{filepath.Join(t.TempDir(), "nobody.sock")}, 50*time.Millisecond, 1)
+	rep := routeserver.Run(routeserver.InProcess(testWorld(t, nil).Server()), workload[:20], routeserver.LoadConfig{
+		Events: []routeserver.Event{{After: 0.5, Fire: func() error { return gone.Control(fail) }}},
+	})
+	if len(rep.EventErrors) != 1 {
+		t.Fatalf("unsendable event reported as %v", rep.EventErrors)
+	}
+}
+
+// TestLinkOf pins the resolver's link lookup through the backend: it is
+// order-insensitive (the graph stores the canonical form), a restore brings
+// back the link a fail took, cost and all, and an absent link is refused.
 func TestLinkOf(t *testing.T) {
 	g := ad.NewGraph()
 	a := g.AddAD("a", ad.Stub, ad.Campus)
@@ -470,12 +570,22 @@ func TestLinkOf(t *testing.T) {
 	if err := g.AddLink(ad.Link{A: a, B: b, Cost: 3}); err != nil {
 		t.Fatal(err)
 	}
-	// Link lookup is order-insensitive: the graph stores the canonical form.
-	l, ok := linkOf(g, b, a)
-	if !ok || l.Cost != 3 {
-		t.Errorf("linkOf(b, a) = %+v %v", l, ok)
+	srv := routeserver.New(synthesis.NewOnDemand(g, policy.OpenDB(g)), routeserver.Config{})
+	dp, err := routeserver.NewDataPlane(pgstate.Config{Kind: pgstate.Hard})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := linkOf(g, a, 99); ok {
-		t.Error("linkOf found a nonexistent link")
+	be := NewBackend(srv, dp, g, policy.OpenDB(g))
+	if _, _, _, err := be.Fail(b, a); err != nil || g.HasLink(a, b) {
+		t.Fatalf("Fail(b, a) = %v, link still up: %v", err, g.HasLink(a, b))
+	}
+	if _, _, err := be.Restore(a, b); err != nil {
+		t.Fatal(err)
+	}
+	if l, ok := g.LinkBetween(b, a); !ok || l.Cost != 3 {
+		t.Errorf("restored link = %+v %v, want cost 3", l, ok)
+	}
+	if _, _, _, err := be.Fail(a, 99); err == nil {
+		t.Error("Fail found a nonexistent link")
 	}
 }

@@ -1,70 +1,51 @@
 package daemon
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 
-	"repro/internal/ad"
 	"repro/internal/policy"
 	"repro/internal/routeserver"
 	"repro/internal/wire"
 )
 
-// backoff is the capped jittered retry delay shared by the failover
-// client and the load harness: base doubles per consecutive failure up to
-// cap, and each sleep is jittered to half-to-full of the current value so
-// a thundering herd of reconnecting clients spreads out. The rng is
-// caller-owned (one per client goroutine).
+// backoff is the failover client's capped jittered retry delay: it doubles
+// per consecutive failure from backoffBase up to backoffCap, and each sleep
+// is jittered to half-to-full of the current value so a thundering herd of
+// reconnecting clients spreads out. The rng is caller-owned (one per client
+// goroutine).
 type backoff struct {
-	base, cap time.Duration
-	cur       time.Duration
-	rng       *rand.Rand
+	cur time.Duration
+	rng *rand.Rand
 }
 
-func newBackoff(base, cap time.Duration, rng *rand.Rand) *backoff {
-	if base <= 0 {
-		base = 500 * time.Microsecond
-	}
-	if cap <= 0 {
-		cap = 50 * time.Millisecond
-	}
-	return &backoff{base: base, cap: cap, rng: rng}
-}
+const (
+	backoffBase = 500 * time.Microsecond
+	backoffCap  = 50 * time.Millisecond
+)
 
 // sleep waits the current delay (jittered) and doubles it toward the cap.
 func (b *backoff) sleep() {
 	if b.cur <= 0 {
-		b.cur = b.base
+		b.cur = backoffBase
 	}
 	d := b.cur/2 + time.Duration(b.rng.Int63n(int64(b.cur/2)+1))
 	time.Sleep(d)
-	b.cur *= 2
-	if b.cur > b.cap {
-		b.cur = b.cap
-	}
+	b.cur = min(2*b.cur, backoffCap)
 }
 
 // reset returns to the base delay after a success.
 func (b *backoff) reset() { b.cur = 0 }
 
-// FailoverStats counts a failover client's recovery work.
-type FailoverStats struct {
-	// Redirects counts NotPrimary replies followed to a named primary.
-	Redirects uint64
-	// Reconnects counts redials after a connection error (dead replica,
-	// refused connection, timeout).
-	Reconnects uint64
-	// Failures counts dial or connect attempts that did not yield a
-	// usable connection.
-	Failures uint64
-}
-
 // Failover is a client over an HA replica group: it talks to one replica
 // at a time, follows NotPrimary redirects to the current primary, and on
 // connection errors or timeouts rotates to the next replica address with
 // capped jittered backoff. Like Client it is synchronous and not safe for
-// concurrent use.
+// concurrent use. It is the load generator's wire client (routeserver.Run
+// dials one per client goroutine); over a single address it is a plain
+// reconnecting client.
 type Failover struct {
 	network string
 	addrs   []string
@@ -73,7 +54,7 @@ type Failover struct {
 	target  string // explicit redirect target, overrides addrs[cur] once
 	cl      *Client
 	bo      *backoff
-	stats   FailoverStats
+	stats   routeserver.RecoveryStats
 }
 
 // maxAttempts is the floor of one request's recovery loop: enough to try
@@ -90,17 +71,16 @@ func (f *Failover) maxAttempts() int { return 3*len(f.addrs) + 2 }
 // dead primary whose TCP peer never closed. Connections are established
 // lazily on first use. seed derandomizes the backoff jitter for tests.
 func DialFailover(network string, addrs []string, timeout time.Duration, seed int64) *Failover {
-	rng := rand.New(rand.NewSource(seed))
 	return &Failover{
 		network: network,
 		addrs:   append([]string(nil), addrs...),
 		timeout: timeout,
-		bo:      newBackoff(0, 0, rng),
+		bo:      &backoff{rng: rand.New(rand.NewSource(seed))},
 	}
 }
 
 // RecoveryStats returns the redirect/reconnect counters.
-func (f *Failover) RecoveryStats() FailoverStats { return f.stats }
+func (f *Failover) RecoveryStats() routeserver.RecoveryStats { return f.stats }
 
 // Close drops the current connection (a later request redials).
 func (f *Failover) Close() error {
@@ -198,29 +178,20 @@ func (f *Failover) Query(req policy.Request) (routeserver.Result, error) {
 	return res, err
 }
 
-// Control issues a control-plane mutation, failing over as needed. The
-// churn ops the load harness replays (fail/restore/policy) are idempotent
-// at the backend, so retrying after a mid-request connection loss is
-// safe; the reply's error code (e.g. "link was not failed here" after a
-// retried restore landed twice) is returned to the caller as-is.
-func (f *Failover) Control(op uint8, a, b ad.ID, cost uint32) (*wire.ControlReply, error) {
+// Control sends one control op, failing over as needed, and returns the
+// daemon's refusal as an error — the form a load run's wire events fire.
+// Retrying after a mid-request connection loss can land an op twice; the
+// second landing's refusal ("link was not failed here" after a retried
+// restore) is returned as-is.
+func (f *Failover) Control(op wire.PlanStep) error {
 	var rep *wire.ControlReply
 	err := f.do(func(c *Client) error {
 		var err error
-		rep, err = c.Control(op, a, b, cost)
+		rep, err = c.Control(op.Op, op.A, op.B, op.Cost)
 		return err
 	})
-	return rep, err
-}
-
-// Stats fetches the serving counters from whichever replica currently
-// serves this client (followers answer stats directly).
-func (f *Failover) Stats() (*wire.StatsReply, error) {
-	var rep *wire.StatsReply
-	err := f.do(func(c *Client) error {
-		var err error
-		rep, err = c.Stats()
-		return err
-	})
-	return rep, err
+	if err == nil && !rep.OK() {
+		err = errors.New(rep.Err)
+	}
+	return err
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/policytool"
-	"repro/internal/routeserver/plan"
 	"repro/internal/wire"
 )
 
@@ -28,21 +27,7 @@ func (b *Backend) HandlePlan(q *wire.Plan) *wire.PlanReply {
 		rep.Flushed = uint64(res.Flushed)
 		return rep
 	}
-	steps := make([]plan.Step, len(q.Steps))
-	for i, st := range q.Steps {
-		switch st.Op {
-		case wire.CtlFail:
-			steps[i] = plan.Step{Kind: plan.StepFail, A: st.A, B: st.B}
-		case wire.CtlRestore:
-			steps[i] = plan.Step{Kind: plan.StepRestore, A: st.A, B: st.B}
-		case wire.CtlPolicy:
-			steps[i] = plan.Step{Kind: plan.StepPolicy, A: st.A, Cost: st.Cost}
-		default:
-			rep.Code, rep.Err = wire.CtlErr, fmt.Sprintf("step %d: unknown plan op %d", i+1, st.Op)
-			return rep
-		}
-	}
-	id, r, err := b.Plan(steps)
+	id, r, err := b.Plan(q.Steps)
 	if err != nil {
 		rep.Code, rep.Err = wire.CtlErr, err.Error()
 		return rep

@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ad"
 	"repro/internal/routeserver"
 	"repro/internal/routeserver/daemon"
 	"repro/internal/synthesis"
@@ -123,7 +122,6 @@ type Node struct {
 
 	primaryNow atomic.Bool
 	applied    atomic.Uint64 // follower cursor: highest applied backlog seq
-	limit      atomic.Uint64 // test hook: apply gate (0 = no gate)
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -197,11 +195,6 @@ func (n *Node) AppliedSeq() uint64 { return n.applied.Load() }
 // (0 unless it has been primary).
 func (n *Node) BacklogLatest() uint64 { return n.currentBacklog().latest() }
 
-// LimitApply gates the follower's apply loop at seq for failure
-// injection: entries past it block until the gate is raised. 0 removes
-// the gate.
-func (n *Node) LimitApply(seq uint64) { n.limit.Store(seq) }
-
 // Start installs the replication hooks and launches the group machinery:
 // the replication listener, one heartbeat dialer per peer, the follower
 // sync loop, and the election ticker.
@@ -215,12 +208,12 @@ func (n *Node) Start() {
 			Links: fp.Links, Terms: fp.Terms,
 		})
 	})
-	n.be.SetReplicator(func(op uint8, a, b ad.ID, cost uint32) {
+	n.be.SetReplicator(func(op wire.PlanStep) {
 		if !n.primaryNow.Load() {
 			return
 		}
 		n.currentBacklog().append(wire.SyncEntry{
-			Op: wire.SyncCtl, CtlOp: op, A: a, B: b, Cost: cost,
+			Op: wire.SyncCtl, CtlOp: op.Op, A: op.A, B: op.B, Cost: op.Cost,
 		})
 	})
 	if n.d != nil {

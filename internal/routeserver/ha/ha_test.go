@@ -295,7 +295,9 @@ func TestHeartbeatLossPromotesLowestLiveReplica(t *testing.T) {
 	// the new epoch's sequence space. (The promoted cache is warm, so
 	// plain re-queries would hit and log nothing — force misses with a
 	// replicated full invalidation.)
-	r2.be.Invalidate()
+	if _, err := r2.be.Control(wire.PlanStep{Op: wire.CtlInvalidate}); err != nil {
+		t.Fatal(err)
+	}
 	routeserver.ServePhase(r2.srv, workload[:50], 4)
 	waitFor(t, 5*time.Second, func() bool { return synced(r2, r3) }, "resync to new primary")
 }

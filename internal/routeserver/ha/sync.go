@@ -210,9 +210,7 @@ func (n *Node) followStream(conn net.Conn) {
 		}
 		switch e := m.(type) {
 		case *wire.SyncEntry:
-			if !n.applyEntry(e, inSnapshot) {
-				return
-			}
+			n.applyEntry(e, inSnapshot)
 		case *wire.SyncSnapshot:
 			if e.Done {
 				// The warm cut is fully installed: the cursor jumps to the
@@ -236,31 +234,23 @@ func (n *Node) followStream(conn net.Conn) {
 // the primary and retained entries stay legal; cache puts install
 // directly. During a snapshot, puts carry the cut sequence and do not
 // advance the cursor — only the Done marker does, so a half-applied
-// snapshot resumes legal but colder. Returns false when the node is
-// stopping.
-func (n *Node) applyEntry(e *wire.SyncEntry, inSnapshot bool) bool {
-	// Failure-injection gate: hold the stream at the configured sequence.
-	for {
-		lim := n.limit.Load()
-		if lim == 0 || e.Seq <= lim {
-			break
-		}
-		select {
-		case <-n.stop:
-			return false
-		case <-time.After(time.Millisecond):
-		}
-	}
+// snapshot resumes legal but colder.
+func (n *Node) applyEntry(e *wire.SyncEntry, inSnapshot bool) {
 	if e.Op == wire.SyncCtl {
 		if e.Seq <= n.applied.Load() {
-			return true // already applied before a reconnect
+			return // already applied before a reconnect
 		}
-		n.applyCtl(e)
+		// A control op replays through the one resolver the primary ran it
+		// through. Its error is tolerated: a fail of an already-absent link
+		// or a restore of a link not failed here can occur when a
+		// snapshot's control suffix overlaps ops applied before a
+		// reconnect, and refusing them leaves the world as it should be.
+		_, _ = n.be.Control(wire.PlanStep{Op: e.CtlOp, A: e.A, B: e.B, Cost: e.Cost})
 		n.applied.Store(e.Seq)
-		return true
+		return
 	}
 	if !inSnapshot && e.Seq <= n.applied.Load() {
-		return true
+		return
 	}
 	n.srv.InstallEntry(
 		routeserver.KeyOf(e.Req),
@@ -269,24 +259,5 @@ func (n *Node) applyEntry(e *wire.SyncEntry, inSnapshot bool) bool {
 	)
 	if !inSnapshot {
 		n.applied.Store(e.Seq)
-	}
-	return true
-}
-
-// applyCtl replays one control mutation through the local backend.
-// Errors are tolerated: a fail of an already-absent link or a restore of
-// a link not failed here can occur when a snapshot's control suffix
-// overlaps ops applied before a reconnect, and the scoped invalidation
-// still ran.
-func (n *Node) applyCtl(e *wire.SyncEntry) {
-	switch e.CtlOp {
-	case wire.CtlFail:
-		_, _, _, _ = n.be.Fail(e.A, e.B)
-	case wire.CtlRestore:
-		_, _, _ = n.be.Restore(e.A, e.B)
-	case wire.CtlPolicy:
-		n.be.SetPolicy(e.A, e.Cost)
-	case wire.CtlInvalidate:
-		n.be.Invalidate()
 	}
 }

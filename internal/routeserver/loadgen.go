@@ -1,112 +1,205 @@
 package routeserver
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/policy"
-	"repro/internal/synthesis"
 )
 
-// Event is one churn injection during a load run: after roughly the given
-// fraction of the workload has been served, Apply runs under
-// Server.MutateScoped (exclusive access, then invalidation scoped to
-// Change).
+// Client is one load-run client. The in-process dialler (InProcess) hands
+// every client the server itself; a wire dialler gives each its own
+// connection (daemon.Failover), so connection counts mean something.
+type Client interface {
+	Query(req policy.Request) (Result, error)
+	// Close drops the connection; the next Query redials.
+	Close() error
+	RecoveryStats() RecoveryStats
+}
+
+// RecoveryStats counts a client's connection-recovery work.
+type RecoveryStats struct {
+	// Redirects counts NotPrimary replies followed to a named primary.
+	Redirects uint64
+	// Reconnects counts redials after a connection error (dead replica,
+	// refused connection, timeout).
+	Reconnects uint64
+	// Failures counts dial or connect attempts that did not yield a
+	// usable connection.
+	Failures uint64
+}
+
+// InProcess is the dialler that queries srv directly: no socket, no
+// framing, nothing to recover from.
+func InProcess(srv *Server) func(int) Client {
+	return func(int) Client { return direct{srv} }
+}
+
+type direct struct{ srv *Server }
+
+func (d direct) Query(req policy.Request) (Result, error) { return d.srv.Query(req), nil }
+func (direct) Close() error                               { return nil }
+func (direct) RecoveryStats() RecoveryStats               { return RecoveryStats{} }
+
+// Event is one churn injection during a load run.
 type Event struct {
 	// After is the workload fraction (0..1) at which the event fires.
 	After float64
-	// Label names the event in reports.
-	Label string
-	// Apply mutates the topology or policy database the server's
-	// strategy synthesizes over.
-	Apply func()
-	// Change scopes the invalidation to what Apply actually touched. The
-	// zero value is a full (unscoped) invalidation, so existing timelines
-	// keep their whole-cache-bump semantics.
-	Change synthesis.Change
+	// Fire performs it: a Backend.Control call in process, a Control
+	// round trip over the wire, or any closure over the server's world
+	// (Server.MutateScoped) — whatever the transport can express. Its
+	// error lands in Report.EventErrors.
+	Fire func() error
 }
 
 // LoadConfig parameterizes a load run.
 type LoadConfig struct {
-	// Clients is the number of concurrent client goroutines (default 4).
+	// Clients is the number of concurrent clients, each driven by its own
+	// goroutine (default 4).
 	Clients int
-	// Events is the churn timeline, injected while clients are querying.
+	// ReconnectEvery injects connection churn: each client closes its
+	// connection after this many requests (0 = never).
+	ReconnectEvery int
+	// Events is the churn timeline, fired in order from one goroutine as
+	// each event's workload fraction is reached.
 	Events []Event
 }
 
-func (c LoadConfig) normalize() LoadConfig {
-	if c.Clients <= 0 {
-		c.Clients = 4
-	}
-	return c
-}
-
-// Report summarizes a load run.
+// Report summarizes a load run, as the generator observed it.
 type Report struct {
-	// Elapsed is wall-clock duration of the serving phase.
+	// Requests is the workload length; Served of them found a route,
+	// NoRoute did not, and Errors hit connection failures that survived
+	// every retry.
+	Requests, Served, NoRoute, Errors int
+	// Reconnects counts voluntary connection-churn closes plus failover
+	// rotations off a dead replica; ReconnectFailures the dial attempts
+	// that failed (refused at a connection limit, dead primary before
+	// failover kicks in); Redirects the NotPrimary replies followed.
+	Reconnects, ReconnectFailures, Redirects int
+	// EventErrors holds one error per event that was refused or could not
+	// be sent, naming its position in the timeline.
+	EventErrors []error
+	// MaxStall is the longest gap between consecutive successful replies
+	// across all clients — the availability gap a failover opens.
+	MaxStall time.Duration
+	// Elapsed is the serving phase's wall-clock duration; QPS is
+	// Requests/Elapsed.
 	Elapsed time.Duration
-	// QPS is Requests / Elapsed.
-	QPS float64
-	// Requests is the workload length; Served of them found a route.
-	Requests, Served, NoRoute int
-	// Metrics is the server's counter/latency snapshot after the run.
-	Metrics MetricsSnapshot
-	// Strategy is the wrapped strategy's instrumentation after the run.
-	Strategy synthesis.StrategyStats
+	QPS     float64
+	// Latency digests per-request round-trip latency (P50/P95/P99).
+	Latency metrics.LatencySummary
 }
 
-// Run replays the workload against the server from cfg.Clients concurrent
-// goroutines — client i takes requests i, i+C, i+2C, … — injecting
-// cfg.Events at their workload fractions, and blocks until every request is
-// answered. Results are wall-clock timed; for deterministic phase-by-phase
-// serving use ServePhase and call Server.Mutate at the barriers yourself.
-func Run(srv *Server, workload []policy.Request, cfg LoadConfig) Report {
-	cfg = cfg.normalize()
+// Run replays the workload from cfg.Clients concurrent clients, each
+// dialled by dial — client i takes requests i, i+C, i+2C, … — with optional
+// connection churn, firing cfg.Events at their workload fractions, and
+// blocks until every request is answered (or has exhausted its client's
+// retries) and every event has fired. In process and over the wire differ
+// only in dial and in what the events' Fire closures do. Results are
+// wall-clock timed; for deterministic phase-by-phase serving use ServePhase
+// and mutate at the barriers yourself.
+func Run(dial func(i int) Client, workload []policy.Request, cfg LoadConfig) Report {
 	rep := Report{Requests: len(workload)}
 	if len(workload) == 0 {
 		return rep
 	}
+	n := cfg.Clients
+	if n <= 0 {
+		n = 4
+	}
+	if n > len(workload) {
+		n = len(workload)
+	}
 
-	// Churn driver: watch served-query progress, fire events in order.
-	stop := make(chan struct{})
+	var (
+		progress atomic.Uint64 // requests answered so far
+		hist     metrics.Histogram
+		// lastOK is when the latest successful reply landed, maxStall the
+		// longest gap between two of them, both in ns since start.
+		lastOK, maxStall atomic.Int64
+		mu               sync.Mutex // guards rep's counters
+	)
+
+	// Churn driver: fire events in order as the answered-request count
+	// crosses their fractions. Every request is counted whatever its
+	// outcome, so the last threshold is always reached and no event is
+	// dropped.
 	churnDone := make(chan struct{})
-	base := srv.Snapshot().Queries
 	go func() {
 		defer close(churnDone)
-		for _, ev := range cfg.Events {
-			threshold := base + uint64(ev.After*float64(len(workload)))
-			for srv.Snapshot().Queries < threshold {
-				select {
-				case <-stop:
-					return
-				default:
-					time.Sleep(50 * time.Microsecond)
-				}
+		for i, ev := range cfg.Events {
+			threshold := min(uint64(ev.After*float64(len(workload))), uint64(len(workload)))
+			for progress.Load() < threshold {
+				time.Sleep(100 * time.Microsecond)
 			}
-			srv.MutateScoped(ev.Change, ev.Apply)
+			if err := ev.Fire(); err != nil {
+				rep.EventErrors = append(rep.EventErrors, fmt.Errorf("event %d: %w", i+1, err))
+			}
 		}
 	}()
 
-	results := make([]Result, len(workload))
 	start := time.Now()
-	serveStriped(srv, workload, results, cfg.Clients)
+	var wg sync.WaitGroup
+	for c := 0; c < n; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cl := dial(c)
+			defer cl.Close()
+			var served, noRoute, errs, reconnects int
+			for i, sent := c, 0; i < len(workload); i, sent = i+n, sent+1 {
+				if cfg.ReconnectEvery > 0 && sent > 0 && sent%cfg.ReconnectEvery == 0 {
+					cl.Close()
+					reconnects++
+				}
+				t0 := time.Now()
+				res, err := cl.Query(workload[i])
+				t1 := time.Now()
+				hist.Observe(t1.Sub(t0))
+				progress.Add(1)
+				switch {
+				case err != nil:
+					errs++
+					continue
+				case res.Found:
+					served++
+				default:
+					noRoute++
+				}
+				t := int64(t1.Sub(start))
+				storeMax(&maxStall, t-lastOK.Load())
+				storeMax(&lastOK, t)
+			}
+			rs := cl.RecoveryStats()
+			mu.Lock()
+			rep.Served += served
+			rep.NoRoute += noRoute
+			rep.Errors += errs
+			rep.Reconnects += reconnects + int(rs.Reconnects)
+			rep.ReconnectFailures += int(rs.Failures)
+			rep.Redirects += int(rs.Redirects)
+			mu.Unlock()
+		}(c)
+	}
+	wg.Wait()
 	rep.Elapsed = time.Since(start)
-
-	close(stop)
 	<-churnDone
 
-	for _, r := range results {
-		if r.Found {
-			rep.Served++
-		} else {
-			rep.NoRoute++
-		}
-	}
+	rep.MaxStall = time.Duration(maxStall.Load())
 	if rep.Elapsed > 0 {
 		rep.QPS = float64(rep.Requests) / rep.Elapsed.Seconds()
 	}
-	rep.Metrics = srv.Snapshot()
-	rep.Strategy = srv.StrategyStats()
+	rep.Latency = hist.Snapshot()
 	return rep
+}
+
+// storeMax raises a to v if v is larger.
+func storeMax(a *atomic.Int64, v int64) {
+	for old := a.Load(); v > old && !a.CompareAndSwap(old, v); old = a.Load() {
+	}
 }
 
 // ServePhase serves every request across clients concurrent goroutines and

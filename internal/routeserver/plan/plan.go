@@ -4,9 +4,10 @@
 // radius on the live serving layer before anything is applied.
 //
 // A plan is computed in two phases. First, a read-only snapshot under the
-// server's strategy lock (Server.CollectAffected): the graph and policy
-// database are cloned twice from one consistent cut, the batch is simulated
-// on the post-change clones to derive each step's synthesis.Change, and each
+// server's strategy lock (Server.CollectAffected): the world is cloned
+// twice from one consistent cut, the batch is applied to the post-change
+// clone — by synthesis.World.Apply, the function a commit applies it to the
+// live world with — to derive each step's synthesis.Change, and each
 // change's cache victims are resolved through the same reverse indexes and
 // AffectsPath/AffectsNegative soundness rules scoped eviction applies —
 // without deleting anything. Nothing a concurrent query can observe is
@@ -36,45 +37,8 @@ import (
 	"repro/internal/policytool"
 	"repro/internal/routeserver"
 	"repro/internal/synthesis"
+	"repro/internal/wire"
 )
-
-// StepKind enumerates the proposable control mutations — the same three
-// scoped operations daemon.Backend applies (fail, restore, set-policy).
-type StepKind uint8
-
-const (
-	// StepFail proposes taking the A-B link down.
-	StepFail StepKind = iota + 1
-	// StepRestore proposes restoring the previously failed A-B link.
-	StepRestore
-	// StepPolicy proposes replacing A's terms with one open term of the
-	// given cost (Backend.SetPolicy's operation).
-	StepPolicy
-)
-
-// Step is one proposed control mutation in a plan batch.
-type Step struct {
-	Kind StepKind
-	// A, B are the link endpoints (fail/restore); A alone is the
-	// advertiser for a policy step.
-	A, B ad.ID
-	// Cost is the open-term cost for a policy step.
-	Cost uint32
-}
-
-// Label renders the step the way the routed CLI spells it.
-func (st Step) Label() string {
-	switch st.Kind {
-	case StepFail:
-		return fmt.Sprintf("fail %v-%v", st.A, st.B)
-	case StepRestore:
-		return fmt.Sprintf("restore %v-%v", st.A, st.B)
-	case StepPolicy:
-		return fmt.Sprintf("policy %v cost %d", st.A, st.Cost)
-	default:
-		return fmt.Sprintf("step(%d)", st.Kind)
-	}
-}
 
 // Config bounds a plan computation.
 type Config struct {
@@ -96,7 +60,7 @@ type Config struct {
 // are incremental: a cache entry or flow already claimed by an earlier
 // step is not counted again, mirroring sequential application.
 type StepReport struct {
-	Step   Step
+	Step   wire.PlanStep
 	Change synthesis.Change
 	// Evicted counts cache entries this step newly evicts; Retained is
 	// the current-generation population still cached after it.
@@ -151,61 +115,31 @@ type Report struct {
 
 // Compute predicts the blast radius of applying steps, in order, to the
 // serving stack: srv's route cache, dp's installed flow state (nil when no
-// data plane is attached), and the g/db the strategy synthesizes over.
-// removed is the failed-link memory restore steps resolve against
-// (Backend's map); Compute never mutates any of them. The caller must hold
-// whatever lock serializes control mutations (Backend.Plan holds the
-// backend lock), so g, db, and removed are stable for the duration.
-func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, g *ad.Graph, db *policy.DB, removed map[[2]ad.ID]ad.Link, steps []Step, cfg Config) (*Report, error) {
+// data plane is attached), and the world w the strategy synthesizes over,
+// which Compute never mutates. The caller must hold whatever lock
+// serializes control mutations (Backend.Plan holds the backend lock), so w
+// is stable for the duration.
+func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.World, steps []wire.PlanStep, cfg Config) (*Report, error) {
 	if len(steps) == 0 {
 		return nil, fmt.Errorf("empty plan")
 	}
 
 	// Phase 1: consistent snapshot under the strategy lock. prepare clones
-	// the pre-change state, simulates the batch on a second clone to derive
+	// the pre-change world, applies the batch to a second clone to derive
 	// each step's Change, and CollectAffected resolves the victims.
-	var (
-		gBefore, gAfter   *ad.Graph
-		dbBefore, dbAfter *policy.DB
-		changes           []synthesis.Change
-	)
+	var before, after *synthesis.World
+	changes := make([]synthesis.Change, len(steps))
 	prepare := func() ([]synthesis.Change, error) {
-		gBefore, dbBefore = g.Clone(), db.Clone()
-		gAfter, dbAfter = g.Clone(), db.Clone()
-		rem := make(map[[2]ad.ID]ad.Link, len(removed))
-		for k, v := range removed {
-			rem[k] = v
-		}
-		changes = make([]synthesis.Change, len(steps))
+		before, after = w.Clone(), w.Clone()
 		for i, st := range steps {
-			switch st.Kind {
-			case StepFail:
-				link, ok := gAfter.LinkBetween(st.A, st.B)
-				if !ok {
-					return nil, fmt.Errorf("step %d: no link %v-%v", i+1, st.A, st.B)
-				}
-				rem[synthesis.CanonicalPair(st.A, st.B)] = link
-				gAfter.RemoveLink(st.A, st.B)
-				changes[i] = synthesis.LinkDownChange(st.A, st.B)
-			case StepRestore:
-				key := synthesis.CanonicalPair(st.A, st.B)
-				link, ok := rem[key]
-				if !ok {
-					return nil, fmt.Errorf("step %d: link %v-%v was not failed here", i+1, st.A, st.B)
-				}
-				delete(rem, key)
-				if err := gAfter.AddLink(link); err != nil {
-					return nil, fmt.Errorf("step %d: restore %v-%v: %v", i+1, st.A, st.B, err)
-				}
-				changes[i] = synthesis.LinkUpChange(st.A, st.B)
-			case StepPolicy:
-				term := policy.OpenTerm(st.A, 0)
-				term.Cost = st.Cost
-				changes[i] = synthesis.PolicyChangeOf(dbAfter.DiffTerms(st.A, []policy.Term{term}))
-				dbAfter.SetTerms(st.A, []policy.Term{term})
-			default:
-				return nil, fmt.Errorf("step %d: unknown kind %d", i+1, st.Kind)
+			ch, err := after.Apply(st)
+			if err == nil && ch.Kind == synthesis.ChangeFull {
+				err = fmt.Errorf("%v is not plannable", st)
 			}
+			if err != nil {
+				return nil, fmt.Errorf("step %d: %v", i+1, err)
+			}
+			changes[i] = ch
 		}
 		return changes, nil
 	}
@@ -230,7 +164,7 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, g *ad.Graph, db
 			}
 		}
 		sr.Retained = live - len(evicted)
-		if steps[i].Kind == StepFail && dp != nil {
+		if changes[i].Kind == synthesis.ChangeLinkDown && dp != nil {
 			for _, h := range dp.FlowsCrossing(steps[i].A, steps[i].B) {
 				if _, dup := tornDown[h]; !dup {
 					tornDown[h] = struct{}{}
@@ -288,25 +222,25 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, g *ad.Graph, db
 	// clone pair is safe for the whole pool; results land by index, so the
 	// fold below is deterministic at any parallelism.
 	focus := focusAD(steps)
-	before := make([]synthesis.Result, len(rep.Population))
-	after := make([]synthesis.Result, len(rep.Population))
+	was := make([]synthesis.Result, len(rep.Population))
+	now := make([]synthesis.Result, len(rep.Population))
 	tasks := make([]func(), len(rep.Population))
 	for i := range rep.Population {
 		i := i
 		tasks[i] = func() {
-			before[i] = synthesis.FindRoute(gBefore, dbBefore, rep.Population[i])
-			after[i] = synthesis.FindRoute(gAfter, dbAfter, rep.Population[i])
+			was[i] = synthesis.FindRoute(before.G, before.DB, rep.Population[i])
+			now[i] = synthesis.FindRoute(after.G, after.DB, rep.Population[i])
 		}
 	}
 	parallel.Do(parallel.Normalize(cfg.Workers), tasks)
 	rep.Impact = policytool.Impact{
 		AD:          focus,
-		TermsBefore: len(dbBefore.Terms(focus)),
-		TermsAfter:  len(dbAfter.Terms(focus)),
+		TermsBefore: len(before.DB.Terms(focus)),
+		TermsAfter:  len(after.DB.Terms(focus)),
 	}
 	for i, req := range rep.Population {
-		rep.Impact.Add(req, before[i], after[i])
-		if !after[i].Found {
+		rep.Impact.Add(req, was[i], now[i])
+		if !now[i].Found {
 			rep.UnroutableAfter = append(rep.UnroutableAfter, req)
 		}
 	}
@@ -328,9 +262,9 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, g *ad.Graph, db
 
 // focusAD picks the AD whose transit load the impact summary tracks: the
 // first policy step's advertiser, else the first step's A endpoint.
-func focusAD(steps []Step) ad.ID {
+func focusAD(steps []wire.PlanStep) ad.ID {
 	for _, st := range steps {
-		if st.Kind == StepPolicy {
+		if st.Op == wire.CtlPolicy {
 			return st.A
 		}
 	}

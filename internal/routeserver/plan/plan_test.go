@@ -15,6 +15,7 @@ import (
 	"repro/internal/routeserver/plan"
 	"repro/internal/sim"
 	"repro/internal/synthesis"
+	"repro/internal/wire"
 )
 
 // world is the diamond the serving-layer tests share — src(1)-t1(2)-dst(4)
@@ -88,9 +89,9 @@ func TestPlanPredictsCommitExactly(t *testing.T) {
 		t.Fatal("install 1-3 failed")
 	}
 
-	steps := []plan.Step{
-		{Kind: plan.StepFail, A: 2, B: 4},
-		{Kind: plan.StepPolicy, A: 2, Cost: 50},
+	steps := []wire.PlanStep{
+		{Op: wire.CtlFail, A: 2, B: 4},
+		{Op: wire.CtlPolicy, A: 2, Cost: 50},
 	}
 	id, rep, err := be.Plan(steps)
 	if err != nil {
@@ -184,9 +185,9 @@ func TestPlanSequentialUnionSemantics(t *testing.T) {
 
 	// 1-4 (via 1-2, 2-4) is a victim of both steps; 2-4 only of the first;
 	// 1-2 only of the second.
-	id, rep, err := be.Plan([]plan.Step{
-		{Kind: plan.StepFail, A: 2, B: 4},
-		{Kind: plan.StepFail, A: 1, B: 2},
+	id, rep, err := be.Plan([]wire.PlanStep{
+		{Op: wire.CtlFail, A: 2, B: 4},
+		{Op: wire.CtlFail, A: 1, B: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,9 +235,9 @@ func TestPlanReadOnly(t *testing.T) {
 		}(i)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := plan.Compute(srv, dp, g, db, nil, []plan.Step{
-			{Kind: plan.StepFail, A: 2, B: 4},
-			{Kind: plan.StepPolicy, A: 3, Cost: 7},
+		if _, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db), []wire.PlanStep{
+			{Op: wire.CtlFail, A: 2, B: 4},
+			{Op: wire.CtlPolicy, A: 3, Cost: 7},
 		}, plan.Config{Workload: srv.RecentQueries()}); err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +250,7 @@ func TestPlanReadOnly(t *testing.T) {
 	epoch, gen := srv.Epoch(), srv.Generation()
 	dump := srv.DumpEntries(nil)
 	qlog := srv.RecentQueries()
-	if _, err := plan.Compute(srv, dp, g, db, nil, []plan.Step{{Kind: plan.StepFail, A: 2, B: 4}},
+	if _, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db), []wire.PlanStep{{Op: wire.CtlFail, A: 2, B: 4}},
 		plan.Config{Workload: qlog}); err != nil {
 		t.Fatal(err)
 	}
@@ -269,15 +270,15 @@ func TestPlanReadOnly(t *testing.T) {
 func TestPlanSerialParallelIdentical(t *testing.T) {
 	g, db, srv, dp, _ := world(t)
 	reqs := warm(t, srv)
-	steps := []plan.Step{
-		{Kind: plan.StepFail, A: 2, B: 4},
-		{Kind: plan.StepPolicy, A: 2, Cost: 50},
+	steps := []wire.PlanStep{
+		{Op: wire.CtlFail, A: 2, B: 4},
+		{Op: wire.CtlPolicy, A: 2, Cost: 50},
 	}
-	serial, err := plan.Compute(srv, dp, g, db, nil, steps, plan.Config{Workers: 1, Workload: reqs})
+	serial, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db), steps, plan.Config{Workers: 1, Workload: reqs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelRep, err := plan.Compute(srv, dp, g, db, nil, steps, plan.Config{Workers: 8, Workload: reqs})
+	parallelRep, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db), steps, plan.Config{Workers: 8, Workload: reqs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestPlanStaleness(t *testing.T) {
 	_, _, srv, _, be := world(t)
 	warm(t, srv)
 
-	id, _, err := be.Plan([]plan.Step{{Kind: plan.StepFail, A: 2, B: 4}})
+	id, _, err := be.Plan([]wire.PlanStep{{Op: wire.CtlFail, A: 2, B: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +307,11 @@ func TestPlanStaleness(t *testing.T) {
 	}
 
 	// Two plans at one epoch: committing the first stales the second.
-	idA, _, err := be.Plan([]plan.Step{{Kind: plan.StepFail, A: 2, B: 4}})
+	idA, _, err := be.Plan([]wire.PlanStep{{Op: wire.CtlFail, A: 2, B: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idB, _, err := be.Plan([]plan.Step{{Kind: plan.StepPolicy, A: 2, Cost: 3}})
+	idB, _, err := be.Plan([]wire.PlanStep{{Op: wire.CtlPolicy, A: 2, Cost: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,29 +328,32 @@ func TestPlanStaleness(t *testing.T) {
 }
 
 // TestPlanErrors covers the rejected batches: empty, a fail of a link that
-// does not exist, a restore of a link never failed, an unknown kind.
+// does not exist, a restore of a link never failed, an unknown op, a policy
+// for an AD that does not exist, a full invalidation.
 func TestPlanErrors(t *testing.T) {
 	g, db, srv, dp, _ := world(t)
 	cases := []struct {
-		steps []plan.Step
+		steps []wire.PlanStep
 		want  string
 	}{
 		{nil, "empty plan"},
-		{[]plan.Step{{Kind: plan.StepFail, A: 9, B: 9}}, "no link"},
-		{[]plan.Step{{Kind: plan.StepRestore, A: 2, B: 4}}, "was not failed"},
-		{[]plan.Step{{Kind: 99, A: 1}}, "unknown kind"},
+		{[]wire.PlanStep{{Op: wire.CtlFail, A: 9, B: 9}}, "no link"},
+		{[]wire.PlanStep{{Op: wire.CtlRestore, A: 2, B: 4}}, "was not failed"},
+		{[]wire.PlanStep{{Op: 99, A: 1}}, "unknown control op"},
+		{[]wire.PlanStep{{Op: wire.CtlPolicy, A: 99, Cost: 5}}, "unknown AD"},
+		{[]wire.PlanStep{{Op: wire.CtlInvalidate}}, "not plannable"},
 	}
 	for _, tc := range cases {
-		_, err := plan.Compute(srv, dp, g, db, nil, tc.steps, plan.Config{})
+		_, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db), tc.steps, plan.Config{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("steps %+v: err = %v, want %q", tc.steps, err, tc.want)
 		}
 	}
 	// A failed-then-restored link inside one batch is coherent, and the
 	// plan leaves the backend's failed-link memory alone.
-	rep, err := plan.Compute(srv, dp, g, db, nil, []plan.Step{
-		{Kind: plan.StepFail, A: 2, B: 4},
-		{Kind: plan.StepRestore, A: 2, B: 4},
+	rep, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db), []wire.PlanStep{
+		{Op: wire.CtlFail, A: 2, B: 4},
+		{Op: wire.CtlRestore, A: 2, B: 4},
 	}, plan.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -367,16 +371,16 @@ func TestPlanErrors(t *testing.T) {
 func TestPlanBudgetTruncation(t *testing.T) {
 	g, db, srv, dp, _ := world(t)
 	reqs := warm(t, srv)
-	full, err := plan.Compute(srv, dp, g, db, nil,
-		[]plan.Step{{Kind: plan.StepFail, A: 2, B: 4}}, plan.Config{Workload: reqs})
+	full, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db),
+		[]wire.PlanStep{{Op: wire.CtlFail, A: 2, B: 4}}, plan.Config{Workload: reqs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Truncated || len(full.Population) < 3 {
 		t.Fatalf("full run: truncated=%v population=%d", full.Truncated, len(full.Population))
 	}
-	cut, err := plan.Compute(srv, dp, g, db, nil,
-		[]plan.Step{{Kind: plan.StepFail, A: 2, B: 4}}, plan.Config{Workload: reqs, Budget: 2})
+	cut, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db),
+		[]wire.PlanStep{{Op: wire.CtlFail, A: 2, B: 4}}, plan.Config{Workload: reqs, Budget: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +390,8 @@ func TestPlanBudgetTruncation(t *testing.T) {
 	if !reflect.DeepEqual(cut.Population, full.Population[:2]) {
 		t.Error("truncation is not a prefix of the sorted population")
 	}
-	unbounded, err := plan.Compute(srv, dp, g, db, nil,
-		[]plan.Step{{Kind: plan.StepFail, A: 2, B: 4}}, plan.Config{Workload: reqs, Budget: -1})
+	unbounded, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db),
+		[]wire.PlanStep{{Op: wire.CtlFail, A: 2, B: 4}}, plan.Config{Workload: reqs, Budget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,8 +406,8 @@ func TestPlanBudgetTruncation(t *testing.T) {
 func TestPlanBill(t *testing.T) {
 	g, db, srv, dp, _ := world(t)
 	warm(t, srv)
-	rep, err := plan.Compute(srv, dp, g, db, nil,
-		[]plan.Step{{Kind: plan.StepFail, A: 2, B: 4}}, plan.Config{})
+	rep, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db),
+		[]wire.PlanStep{{Op: wire.CtlFail, A: 2, B: 4}}, plan.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,9 +428,9 @@ func TestPlanUnroutableDetection(t *testing.T) {
 	g, db, srv, dp, _ := world(t)
 	reqs := warm(t, srv)
 	// Failing both of dst's links strands every pair ending at 4.
-	rep, err := plan.Compute(srv, dp, g, db, nil, []plan.Step{
-		{Kind: plan.StepFail, A: 2, B: 4},
-		{Kind: plan.StepFail, A: 3, B: 4},
+	rep, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db), []wire.PlanStep{
+		{Op: wire.CtlFail, A: 2, B: 4},
+		{Op: wire.CtlFail, A: 3, B: 4},
 	}, plan.Config{Workload: reqs})
 	if err != nil {
 		t.Fatal(err)
@@ -449,16 +453,17 @@ func TestPlanUnroutableDetection(t *testing.T) {
 // TestStepLabel covers the CLI spellings.
 func TestStepLabel(t *testing.T) {
 	for _, tc := range []struct {
-		st   plan.Step
+		st   wire.PlanStep
 		want string
 	}{
-		{plan.Step{Kind: plan.StepFail, A: 2, B: 4}, "fail AD2-AD4"},
-		{plan.Step{Kind: plan.StepRestore, A: 2, B: 4}, "restore AD2-AD4"},
-		{plan.Step{Kind: plan.StepPolicy, A: 7, Cost: 9}, "policy AD7 cost 9"},
-		{plan.Step{Kind: 42}, "step(42)"},
+		{wire.PlanStep{Op: wire.CtlFail, A: 2, B: 4}, "fail AD2-AD4"},
+		{wire.PlanStep{Op: wire.CtlRestore, A: 2, B: 4}, "restore AD2-AD4"},
+		{wire.PlanStep{Op: wire.CtlPolicy, A: 7, Cost: 9}, "policy AD7 cost 9"},
+		{wire.PlanStep{Op: wire.CtlInvalidate}, "invalidate"},
+		{wire.PlanStep{Op: 42}, "step(42)"},
 	} {
-		if got := tc.st.Label(); got != tc.want {
-			t.Errorf("Label() = %q, want %q", got, tc.want)
+		if got := tc.st.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package routeserver
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -318,28 +319,36 @@ func TestLoadGenRunWithChurn(t *testing.T) {
 	links := g.Links()
 	lateral := links[len(links)-1]
 	srv := New(synthesis.NewOnDemand(g, db), Config{})
-	rep := Run(srv, workload, LoadConfig{
+	rep := Run(InProcess(srv), workload, LoadConfig{
 		Clients: 4,
 		Events: []Event{
-			{After: 0.3, Label: "fail", Apply: func() { g.RemoveLink(lateral.A, lateral.B) }},
-			{After: 0.6, Label: "restore", Apply: func() {
-				if err := g.AddLink(lateral); err != nil {
-					panic(err)
-				}
+			{After: 0.3, Fire: func() error {
+				srv.Mutate(func() { g.RemoveLink(lateral.A, lateral.B) })
+				return nil
 			}},
+			{After: 0.6, Fire: func() error {
+				var err error
+				srv.Mutate(func() { err = g.AddLink(lateral) })
+				return err
+			}},
+			// An event past the end of the run still fires.
+			{After: 7, Fire: func() error { return errors.New("refused") }},
 		},
 	})
-	if rep.Requests != len(workload) || rep.Served+rep.NoRoute != rep.Requests {
+	if rep.Requests != len(workload) || rep.Served+rep.NoRoute != rep.Requests || rep.Errors != 0 {
 		t.Fatalf("report accounting broken: %+v", rep)
 	}
-	if rep.Metrics.Invalidations != 2 {
-		t.Fatalf("Invalidations = %d, want 2", rep.Metrics.Invalidations)
+	if got := srv.Snapshot().Invalidations; got != 2 {
+		t.Fatalf("Invalidations = %d, want 2", got)
+	}
+	if len(rep.EventErrors) != 1 || rep.EventErrors[0].Error() != "event 3: refused" {
+		t.Fatalf("EventErrors = %v, want the third event's refusal", rep.EventErrors)
 	}
 	if rep.Elapsed <= 0 || rep.QPS <= 0 {
 		t.Fatalf("no timing recorded: %+v", rep)
 	}
-	if rep.Metrics.Latency.P99 < rep.Metrics.Latency.P50 {
-		t.Fatalf("latency digest out of order: %+v", rep.Metrics.Latency)
+	if rep.Latency.P99 < rep.Latency.P50 || rep.Latency.P50 <= 0 {
+		t.Fatalf("latency digest out of order: %+v", rep.Latency)
 	}
 }
 

@@ -51,6 +51,18 @@ func TestValidateRejectsBadScenarios(t *testing.T) {
 			"protocol": {"name": "orwg"},
 			"events": [{"action": "fail", "a": 1, "b": 9999}],
 			"requests": {"all_pairs": true}}`,
+		// The link exists, so this used to load, and replay then re-added a
+		// duplicate link (error swallowed) and charged the cache a LinkUp.
+		"restore without fail": `{
+			"topology": {"figure1": true}, "policy": {"open": true},
+			"protocol": {"name": "orwg"},
+			"events": [{"action": "restore", "a": 1, "b": 2}],
+			"requests": {"all_pairs": true}}`,
+		"restore of another link than the failed one": `{
+			"topology": {"figure1": true}, "policy": {"open": true},
+			"protocol": {"name": "orwg"},
+			"events": [{"action": "fail", "a": 1, "b": 2}, {"action": "restore", "a": 1, "b": 3}],
+			"requests": {"all_pairs": true}}`,
 	}
 	for name, body := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -28,6 +28,7 @@ import (
 	"repro/internal/synthesis"
 	"repro/internal/topology"
 	"repro/internal/trafficgen"
+	"repro/internal/wire"
 )
 
 // Scenario is the top-level declarative description.
@@ -358,40 +359,51 @@ func (sc *Scenario) build() (*ad.Graph, *policy.DB, core.System, []policy.Reques
 // AD's whole term list, so term-level deltas are not known until Apply
 // runs.
 type Mutation struct {
-	Label  string
 	Apply  func()
 	Change synthesis.Change
 }
 
+// op is the control op a "fail" or "restore" event, or a "policy" plan
+// step, spells.
+func (ev Event) op() (op wire.PlanStep, ok bool) {
+	switch ev.Action {
+	case "fail":
+		return wire.PlanStep{Op: wire.CtlFail, A: ad.ID(ev.A), B: ad.ID(ev.B)}, true
+	case "restore":
+		return wire.PlanStep{Op: wire.CtlRestore, A: ad.ID(ev.A), B: ad.ID(ev.B)}, true
+	case "policy":
+		return wire.PlanStep{Op: wire.CtlPolicy, A: ad.ID(ev.AD), Cost: ev.Cost}, true
+	}
+	return op, false
+}
+
 // Mutations compiles the scenario's events into graph/policy closures, for
 // route-serving front ends (cmd/routed) that replay events as churn through
-// routeserver.Server.Mutate rather than through a protocol simulation. Link
-// metadata is resolved against the pristine graph up front, so a "restore"
-// re-adds the exact link an earlier "fail" removed. It also validates the
-// event list; Validate relies on this.
+// routeserver.Server.MutateScoped rather than through a protocol
+// simulation. Fail and restore go through the resolver the route server's
+// control plane uses (synthesis.World): the timeline is applied to a clone
+// here, so an event the live world would refuse — a fail of an absent
+// link, a restore that does not follow a fail of the same link — is a load
+// error, and the compiled closure replays it on g. It also validates the
+// rest of the event list; Validate relies on this.
 func (sc *Scenario) Mutations(g *ad.Graph, db *policy.DB) ([]Mutation, error) {
+	live := synthesis.NewWorld(g, db)
+	shadow := live.Clone()
 	out := make([]Mutation, 0, len(sc.Events))
 	for i, ev := range sc.Events {
 		switch ev.Action {
 		case "fail", "restore":
-			a, b := ad.ID(ev.A), ad.ID(ev.B)
-			link, ok := findLink(g, a, b)
-			if !ok {
-				return nil, fmt.Errorf("scenario: event %d: no link %v-%v", i+1, a, b)
+			op, _ := ev.op()
+			ch, err := shadow.Apply(op)
+			if err != nil {
+				return nil, fmt.Errorf("scenario: event %d: %w", i+1, err)
 			}
-			if ev.Action == "fail" {
-				out = append(out, Mutation{
-					Label:  fmt.Sprintf("fail %v-%v", a, b),
-					Apply:  func() { g.RemoveLink(a, b) },
-					Change: synthesis.LinkDownChange(a, b),
-				})
-			} else {
-				out = append(out, Mutation{
-					Label:  fmt.Sprintf("restore %v-%v", a, b),
-					Apply:  func() { _ = g.AddLink(link) },
-					Change: synthesis.LinkUpChange(a, b),
-				})
-			}
+			out = append(out, Mutation{
+				// Replayed in order, the op meets the state the clone just
+				// accepted it in, so it cannot be refused.
+				Apply:  func() { _, _ = live.Apply(op) },
+				Change: ch,
+			})
 		case "update-policy":
 			id := ad.ID(ev.AD)
 			if _, ok := g.AD(id); !ok {
@@ -402,20 +414,19 @@ func (sc *Scenario) Mutations(g *ad.Graph, db *policy.DB) ([]Mutation, error) {
 				terms[j] = ts.toTerm()
 			}
 			out = append(out, Mutation{
-				Label:  fmt.Sprintf("update-policy %v", id),
 				Apply:  func() { db.SetTerms(id, terms) },
 				Change: synthesis.PolicyChangeAt(id),
 			})
 		case "kill-primary":
 			out = append(out, Mutation{
-				Label:  "kill-primary",
 				Apply:  func() {},
 				Change: synthesis.FullChange(),
 			})
 		case "plan":
 			// A plan predicts, it never mutates: validate the batch and
-			// emit no Mutation, so churn replay skips it.
-			if err := validatePlanEvent(g, i, ev); err != nil {
+			// emit no Mutation, so churn replay skips it. Like Run, which
+			// never mutates g, it is assessed against the initial world.
+			if _, err := planWorld(live, i, ev); err != nil {
 				return nil, err
 			}
 		default:
@@ -425,33 +436,20 @@ func (sc *Scenario) Mutations(g *ad.Graph, db *policy.DB) ([]Mutation, error) {
 	return out, nil
 }
 
-// validatePlanEvent checks a "plan" event's batch and assert bounds
-// without touching the graph or policy database.
-func validatePlanEvent(g *ad.Graph, i int, ev Event) error {
+// planWorld checks a "plan" event and returns the world its batch leads
+// to: the steps applied, in order, to a clone of w — w itself is untouched.
+func planWorld(w *synthesis.World, i int, ev Event) (*synthesis.World, error) {
 	if len(ev.Steps) == 0 {
-		return fmt.Errorf("scenario: event %d: plan needs at least one step", i+1)
+		return nil, fmt.Errorf("scenario: event %d: plan needs at least one step", i+1)
 	}
-	failed := make(map[[2]ad.ID]bool)
+	after := w.Clone()
 	for j, st := range ev.Steps {
-		switch st.Action {
-		case "fail":
-			a, b := ad.ID(st.A), ad.ID(st.B)
-			if _, ok := findLink(g, a, b); !ok {
-				return fmt.Errorf("scenario: event %d step %d: no link %v-%v", i+1, j+1, a, b)
-			}
-			failed[synthesis.CanonicalPair(a, b)] = true
-		case "restore":
-			a, b := ad.ID(st.A), ad.ID(st.B)
-			if !failed[synthesis.CanonicalPair(a, b)] {
-				return fmt.Errorf("scenario: event %d step %d: restore %v-%v does not follow a fail of it in this plan", i+1, j+1, a, b)
-			}
-			delete(failed, synthesis.CanonicalPair(a, b))
-		case "policy":
-			if _, ok := g.AD(ad.ID(st.AD)); !ok {
-				return fmt.Errorf("scenario: event %d step %d: unknown AD %v", i+1, j+1, ad.ID(st.AD))
-			}
-		default:
-			return fmt.Errorf("scenario: event %d step %d: unknown plan step action %q", i+1, j+1, st.Action)
+		op, ok := st.op()
+		if !ok {
+			return nil, fmt.Errorf("scenario: event %d step %d: unknown plan step action %q", i+1, j+1, st.Action)
+		}
+		if _, err := after.Apply(op); err != nil {
+			return nil, fmt.Errorf("scenario: event %d step %d: %w", i+1, j+1, err)
 		}
 	}
 	if as := ev.Assert; as != nil {
@@ -460,50 +458,24 @@ func validatePlanEvent(g *ad.Graph, i int, ev Event) error {
 			"max_unroutable_after": as.MaxUnroutableAfter,
 		} {
 			if v != nil && *v < 0 {
-				return fmt.Errorf("scenario: event %d: plan assert %s must be >= 0, got %d", i+1, name, *v)
+				return nil, fmt.Errorf("scenario: event %d: plan assert %s must be >= 0, got %d", i+1, name, *v)
 			}
 		}
 	}
-	return nil
+	return after, nil
 }
 
 // evaluatePlanEvent assesses a "plan" event's batch against clones of the
 // current graph and policy database — the live scenario is untouched —
 // and enforces the event's assert bounds on the predicted report.
 func evaluatePlanEvent(g *ad.Graph, db *policy.DB, reqs []policy.Request, i int, ev Event) (gained, lost, unroutable int, err error) {
-	gAfter, dbAfter := g.Clone(), db.Clone()
-	removed := make(map[[2]ad.ID]ad.Link)
-	for j, st := range ev.Steps {
-		switch st.Action {
-		case "fail":
-			a, b := ad.ID(st.A), ad.ID(st.B)
-			link, ok := gAfter.LinkBetween(a, b)
-			if !ok {
-				return 0, 0, 0, fmt.Errorf("scenario: event %d step %d: no link %v-%v", i+1, j+1, a, b)
-			}
-			removed[synthesis.CanonicalPair(a, b)] = link
-			gAfter.RemoveLink(a, b)
-		case "restore":
-			a, b := ad.ID(st.A), ad.ID(st.B)
-			link, ok := removed[synthesis.CanonicalPair(a, b)]
-			if !ok {
-				return 0, 0, 0, fmt.Errorf("scenario: event %d step %d: restore %v-%v does not follow a fail of it in this plan", i+1, j+1, a, b)
-			}
-			delete(removed, synthesis.CanonicalPair(a, b))
-			if err := gAfter.AddLink(link); err != nil {
-				return 0, 0, 0, fmt.Errorf("scenario: event %d step %d: %w", i+1, j+1, err)
-			}
-		case "policy":
-			term := policy.OpenTerm(ad.ID(st.AD), 0)
-			term.Cost = st.Cost
-			dbAfter.SetTerms(ad.ID(st.AD), []policy.Term{term})
-		default:
-			return 0, 0, 0, fmt.Errorf("scenario: event %d step %d: unknown plan step action %q", i+1, j+1, st.Action)
-		}
+	w, err := planWorld(synthesis.NewWorld(g, db), i, ev)
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	for _, req := range reqs {
 		before := synthesis.FindRoute(g, db, req)
-		after := synthesis.FindRoute(gAfter, dbAfter, req)
+		after := synthesis.FindRoute(w.G, w.DB, req)
 		switch {
 		case !before.Found && after.Found:
 			gained++
@@ -526,17 +498,6 @@ func evaluatePlanEvent(g *ad.Graph, db *policy.DB, reqs []policy.Request, i int,
 		}
 	}
 	return gained, lost, unroutable, nil
-}
-
-// findLink returns the graph's link between a and b, if present.
-func findLink(g *ad.Graph, a, b ad.ID) (ad.Link, bool) {
-	for _, l := range g.Links() {
-		want := ad.Link{A: a, B: b}.Canonical()
-		if l.A == want.A && l.B == want.B {
-			return l, true
-		}
-	}
-	return ad.Link{}, false
 }
 
 // Run executes the scenario and writes a phased report to w.

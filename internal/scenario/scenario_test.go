@@ -212,7 +212,7 @@ func TestPlanEventValidation(t *testing.T) {
 	}{
 		{`{"action": "plan"}`, "at least one step"},
 		{`{"action": "plan", "steps": [{"action": "fail", "a": 1, "b": 6}]}`, "no link"},
-		{`{"action": "plan", "steps": [{"action": "restore", "a": 1, "b": 2}]}`, "does not follow a fail"},
+		{`{"action": "plan", "steps": [{"action": "restore", "a": 1, "b": 2}]}`, "was not failed here"},
 		{`{"action": "plan", "steps": [{"action": "policy", "ad": 99}]}`, "unknown AD"},
 		{`{"action": "plan", "steps": [{"action": "explode"}]}`, "unknown plan step action"},
 		{`{"action": "plan", "steps": [{"action": "policy", "ad": 1}], "assert": {"max_lost": -1}}`, "must be >= 0"},

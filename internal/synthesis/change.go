@@ -1,8 +1,12 @@
 package synthesis
 
 import (
+	"fmt"
+	"maps"
+
 	"repro/internal/ad"
 	"repro/internal/policy"
+	"repro/internal/wire"
 )
 
 // ChangeKind classifies a topology or policy mutation for scoped
@@ -94,6 +98,83 @@ func FullChange() Change { return Change{Kind: ChangeFull} }
 // exist.
 func PolicyChangeAt(id ad.ID) Change {
 	return Change{Kind: ChangePolicy, AD: id, AllTerms: true, Broadens: true}
+}
+
+// World is the state a control mutation acts on: the graph and policy
+// database a strategy synthesizes over, and the memory of links a fail took
+// down, so a restore re-adds them with their original class and cost. It is
+// the one place a wire.PlanStep is validated and applied — the live backend
+// runs Resolve's closure under its server's strategy lock, the plan engine
+// and scenario replay call Apply on a Clone — so a prediction and the
+// commit it predicts cannot drift.
+type World struct {
+	G  *ad.Graph
+	DB *policy.DB
+	// Failed holds each link a fail removed, by canonical endpoint pair,
+	// until its restore.
+	Failed map[[2]ad.ID]ad.Link
+}
+
+// NewWorld wraps g and db with an empty failed-link memory.
+func NewWorld(g *ad.Graph, db *policy.DB) *World {
+	return &World{G: g, DB: db, Failed: make(map[[2]ad.ID]ad.Link)}
+}
+
+// Clone returns an independent deep copy.
+func (w *World) Clone() *World {
+	return &World{G: w.G.Clone(), DB: w.DB.Clone(), Failed: maps.Clone(w.Failed)}
+}
+
+// Resolve validates op against the world and returns the Change that
+// scopes its invalidation plus the closure that performs it; nothing is
+// mutated until apply runs. A refused op — absent link, restore without a
+// fail, unknown AD, unknown code — returns the same error on every path.
+func (w *World) Resolve(op wire.PlanStep) (ch Change, apply func(), err error) {
+	switch op.Op {
+	case wire.CtlFail:
+		link, ok := w.G.LinkBetween(op.A, op.B)
+		if !ok {
+			return ch, nil, fmt.Errorf("no link %v-%v", op.A, op.B)
+		}
+		return LinkDownChange(op.A, op.B), func() {
+			w.Failed[CanonicalPair(op.A, op.B)] = link
+			w.G.RemoveLink(op.A, op.B)
+		}, nil
+	case wire.CtlRestore:
+		key := CanonicalPair(op.A, op.B)
+		link, ok := w.Failed[key]
+		if !ok {
+			return ch, nil, fmt.Errorf("link %v-%v was not failed here", op.A, op.B)
+		}
+		return LinkUpChange(op.A, op.B), func() {
+			delete(w.Failed, key)
+			// Cannot fail: the link came out of this graph, and only a
+			// restore — which forgets it — puts it back.
+			_ = w.G.AddLink(link)
+		}, nil
+	case wire.CtlPolicy:
+		if _, ok := w.G.AD(op.A); !ok {
+			return ch, nil, fmt.Errorf("unknown AD %v", op.A)
+		}
+		term := policy.OpenTerm(op.A, 0)
+		term.Cost = op.Cost
+		terms := []policy.Term{term}
+		return PolicyChangeOf(w.DB.DiffTerms(op.A, terms)), func() { w.DB.SetTerms(op.A, terms) }, nil
+	case wire.CtlInvalidate:
+		return FullChange(), func() {}, nil
+	default:
+		return ch, nil, fmt.Errorf("unknown control op %d", op.Op)
+	}
+}
+
+// Apply resolves op and performs it at once: the form for a world nothing
+// else is reading (a clone).
+func (w *World) Apply(op wire.PlanStep) (Change, error) {
+	ch, apply, err := w.Resolve(op)
+	if err == nil {
+		apply()
+	}
+	return ch, err
 }
 
 // AffectsPath reports whether the change can invalidate the legality of an

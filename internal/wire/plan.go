@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"fmt"
+
 	"repro/internal/ad"
 )
 
@@ -11,13 +13,32 @@ import (
 // moved since the plan was computed). Like every serving message, requests
 // carry a client-chosen ID echoed verbatim in the reply.
 
-// PlanStep is one proposed control mutation. Op reuses the Control
-// operation codes CtlFail, CtlRestore, and CtlPolicy (CtlInvalidate is not
-// plannable: a full bump's blast radius is the whole cache by definition).
+// PlanStep is one control mutation — the value every front end parses into,
+// synthesis.World resolves, a Control or SyncEntry carries and a Plan
+// batches. Op is a Control operation code; A, B are the link endpoints
+// (fail/restore), A alone the advertiser and Cost the open term's cost
+// (policy). CtlInvalidate is not plannable: a full bump's blast radius is
+// the whole cache by definition.
 type PlanStep struct {
 	Op   uint8
 	A, B ad.ID
 	Cost uint32
+}
+
+// String renders the step the way reports and errors spell it.
+func (st PlanStep) String() string {
+	switch st.Op {
+	case CtlFail:
+		return fmt.Sprintf("fail %v-%v", st.A, st.B)
+	case CtlRestore:
+		return fmt.Sprintf("restore %v-%v", st.A, st.B)
+	case CtlPolicy:
+		return fmt.Sprintf("policy %v cost %d", st.A, st.Cost)
+	case CtlInvalidate:
+		return "invalidate"
+	default:
+		return fmt.Sprintf("step(%d)", st.Op)
+	}
 }
 
 // Plan proposes a what-if batch (Commit false, Steps set) or asks to apply
