@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet race allocs determinism golden load-smoke loc bench bench-smoke results
+.PHONY: all build test check fmt vet race allocs determinism golden load-smoke loc bench bench-kernel bench-smoke results
 
 all: build
 
@@ -95,6 +95,14 @@ loc:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# bench-kernel is the search layer of the ladder, five samples each: a
+# search over a held snapshot (expansions/op is pinned by TestExpandedPinned,
+# allocs/op by TestAllocsFindRoute), a compile (ns/op and B/op: what every
+# mutation and every holder whose graph moved pays), and the one-shot
+# wrapper that pays for both.
+bench-kernel:
+	$(GO) test -run '^$$' -bench 'BenchmarkFindRoute$$|BenchmarkCompile$$|BenchmarkFindRouteOneShot$$' -benchmem -count 5 ./internal/synthesis/
 
 # bench-smoke runs every benchmark exactly once — CI uses it to catch
 # benchmarks that no longer compile or that crash, without paying for

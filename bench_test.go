@@ -207,11 +207,12 @@ func BenchmarkE20RouteServer(b *testing.B) {
 
 	b.Run("naive", func(b *testing.B) {
 		served := 0
+		snap := synthesis.Compile(topo.Graph, db)
 		b.ResetTimer()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			for _, req := range workload {
-				res := synthesis.FindRoute(topo.Graph, db, req)
+				res := snap.FindRoute(req)
 				sink += res.Expanded
 				synthNaive++
 			}
@@ -870,11 +871,12 @@ func BenchmarkWireLSAUnmarshal(b *testing.B) {
 func BenchmarkSynthesisFindRoute(b *testing.B) {
 	topo, db := benchTopo()
 	reqs := core.AllPairsRequests(topo.Graph, true, 0, 0)
+	snap := synthesis.Compile(topo.Graph, db)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := reqs[i%len(reqs)]
-		res := synthesis.FindRoute(topo.Graph, db, req)
+		res := snap.FindRoute(req)
 		sink += res.Expanded
 	}
 }
@@ -1032,10 +1034,11 @@ func BenchmarkLargeECMAConvergence(b *testing.B) {
 func BenchmarkLargeSynthesis(b *testing.B) {
 	topo, db := largeTopo()
 	reqs := core.AllPairsRequests(topo.Graph, true, 0, 0)
+	snap := synthesis.Compile(topo.Graph, db)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := synthesis.FindRoute(topo.Graph, db, reqs[i%len(reqs)])
+		res := snap.FindRoute(reqs[i%len(reqs)])
 		sink += res.Expanded
 	}
 }
@@ -1154,11 +1157,12 @@ func planBenchWorld(b *testing.B, total, affected int) (*ad.Graph, *policy.DB, *
 	}
 	db := policy.OpenDB(g)
 	srv := routeserver.New(synthesis.NewOnDemand(g, db), routeserver.Config{})
+	snap := synthesis.Compile(g, db)
 
 	install := func(req policy.Request, path ad.Path) {
 		srv.InstallEntry(routeserver.KeyOf(req),
 			routeserver.Result{Path: path, Found: true},
-			synthesis.FootprintOf(g, db, req, path))
+			snap.Footprint(req, path))
 	}
 	// Affected entries: distinct (src, dst, hour) keys routed across the
 	// hub link.

@@ -124,7 +124,7 @@ func main() {
 		SourceFraction:        0.5,
 	})
 
-	oracle := core.Oracle{G: g, DB: db}
+	oracle := core.NewOracle(g, db)
 	var reqs []policy.Request
 	if *workload == "all-pairs" {
 		reqs = core.AllPairsRequests(g, true, 0, 0)

@@ -30,7 +30,7 @@ func main() {
 		SourceRestrictionProb: 0.7,
 		SourceFraction:        0.5,
 	})
-	oracle := core.Oracle{G: g, DB: db}
+	oracle := core.NewOracle(g, db)
 	reqs := core.AllPairsRequests(g, true, 0, 0)
 
 	table := metrics.NewTable("Design space on Figure 1 (source-restricted policies)",

@@ -59,6 +59,6 @@ func main() {
 	fmt.Printf("data delivered: %v (routing header %d bytes)\n", delivered, header)
 
 	// 6. Sanity-check against the global oracle.
-	oracle := core.Oracle{G: g, DB: db}
+	oracle := core.NewOracle(g, db)
 	fmt.Printf("path legal under global policy: %v\n", oracle.Legal(res.Path, req))
 }

@@ -65,7 +65,7 @@ func main() {
 	if err := sys.UpdatePolicy(target, []policy.Term{proposed}); err != nil {
 		panic(err)
 	}
-	oracle := core.Oracle{G: g, DB: sys.PolicyDB()}
+	oracle := core.NewOracle(g, sys.PolicyDB())
 	lost, rerouted, unchanged := 0, 0, 0
 	predictedLost := map[string]bool{}
 	for _, c := range im.Lost {

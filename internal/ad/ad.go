@@ -179,6 +179,8 @@ type Graph struct {
 	// so concurrent readers of a finished graph need no synchronization.
 	sortedAdj map[ID][]ID
 	adj       map[ID][]Link
+	// version counts mutations; see Version.
+	version uint64
 }
 
 // NewGraph returns an empty graph.
@@ -197,6 +199,7 @@ func (g *Graph) AddAD(name string, class Class, level Level) ID {
 	id := g.nextID
 	g.nextID++
 	g.ads[id] = Info{ID: id, Name: name, Class: class, Level: level}
+	g.version++
 	return id
 }
 
@@ -213,6 +216,7 @@ func (g *Graph) AddADWithID(id ID, name string, class Class, level Level) error 
 	if id >= g.nextID {
 		g.nextID = id + 1
 	}
+	g.version++
 	return nil
 }
 
@@ -239,6 +243,7 @@ func (g *Graph) AddLink(l Link) error {
 	g.links[key] = l
 	g.attach(l.A, l.B, l)
 	g.attach(l.B, l.A, l)
+	g.version++
 	return nil
 }
 
@@ -269,8 +274,15 @@ func (g *Graph) RemoveLink(a, b ID) bool {
 	delete(g.links, key)
 	g.detach(l.A, l.B)
 	g.detach(l.B, l.A)
+	g.version++
 	return true
 }
+
+// Version counts the mutations applied to this graph: AddAD, AddADWithID,
+// AddLink and RemoveLink each move it when they succeed. A compiled view of
+// the graph (synthesis.Snapshot) records it to detect that the graph moved
+// on; a Clone counts its own mutations from zero.
+func (g *Graph) Version() uint64 { return g.version }
 
 // AD returns the Info for id and whether it exists.
 func (g *Graph) AD(id ID) (Info, bool) {
@@ -332,7 +344,7 @@ func (g *Graph) IDs() []ID {
 	for id := range g.ads {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

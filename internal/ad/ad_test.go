@@ -511,3 +511,53 @@ func TestLoopFreeLongPath(t *testing.T) {
 		}
 	}
 }
+
+// TestVersionMovesWithEveryMutation: a compiled view of the graph detects
+// staleness by Version, so every mutator that changes the graph must move
+// it, a refused one must not, and a clone counts for itself.
+func TestVersionMovesWithEveryMutation(t *testing.T) {
+	g := NewGraph()
+	last := g.Version()
+	moved := func(op string, want bool) {
+		t.Helper()
+		if got := g.Version() != last; got != want {
+			t.Errorf("%s: version moved = %v, want %v", op, got, want)
+		}
+		last = g.Version()
+	}
+	a := g.AddAD("a", Stub, Campus)
+	moved("AddAD", true)
+	if err := g.AddADWithID(40, "b", Stub, Campus); err != nil {
+		t.Fatal(err)
+	}
+	moved("AddADWithID", true)
+	if err := g.AddADWithID(40, "dup", Stub, Campus); err == nil {
+		t.Fatal("duplicate ID accepted")
+	}
+	moved("refused AddADWithID", false)
+	if err := g.AddLink(Link{A: a, B: 40}); err != nil {
+		t.Fatal(err)
+	}
+	moved("AddLink", true)
+	if err := g.AddLink(Link{A: 40, B: a}); err == nil {
+		t.Fatal("duplicate link accepted")
+	}
+	moved("refused AddLink", false)
+
+	c := g.Clone()
+	if c.Version() != 0 {
+		t.Errorf("clone starts at version %d, want 0", c.Version())
+	}
+	c.RemoveLink(a, 40)
+	moved("RemoveLink on a clone", false)
+	if c.Version() == 0 {
+		t.Error("RemoveLink did not move the clone's version")
+	}
+
+	if !g.RemoveLink(40, a) {
+		t.Fatal("link not removed")
+	}
+	moved("RemoveLink", true)
+	g.RemoveLink(40, a)
+	moved("RemoveLink of an absent link", false)
+}

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ad"
 	"repro/internal/policy"
@@ -55,20 +56,51 @@ type System interface {
 }
 
 // Oracle answers ground-truth questions from the global topology and policy
-// database, independent of any protocol.
+// database, independent of any protocol. The literal Oracle{G: g, DB: db}
+// compiles a search snapshot for every question, which is right for a
+// question or two; anything that asks in a loop builds it with NewOracle,
+// which keeps the snapshot between questions (RunScenario does so by
+// itself).
 type Oracle struct {
 	G  *ad.Graph
 	DB *policy.DB
+	// held is shared by every copy of a NewOracle; nil in a literal.
+	held *heldSnapshot
+}
+
+// heldSnapshot is the snapshot of (G, DB) a NewOracle keeps, recompiled when
+// either has been mutated since; the lock lets copies of one Oracle answer
+// from several goroutines.
+type heldSnapshot struct {
+	mu   sync.Mutex
+	snap *synthesis.Snapshot
+}
+
+// NewOracle returns an oracle over g and db that compiles its search
+// snapshot once and again only after g or db was mutated — mutating them
+// while a question is being answered remains a race.
+func NewOracle(g *ad.Graph, db *policy.DB) Oracle {
+	return Oracle{G: g, DB: db, held: new(heldSnapshot)}
+}
+
+func (o Oracle) snapshot() *synthesis.Snapshot {
+	if o.held == nil {
+		return synthesis.Compile(o.G, o.DB)
+	}
+	o.held.mu.Lock()
+	defer o.held.mu.Unlock()
+	o.held.snap = o.held.snap.Refresh(o.G, o.DB)
+	return o.held.snap
 }
 
 // HasRoute reports whether a legal route exists for req.
 func (o Oracle) HasRoute(req policy.Request) bool {
-	return synthesis.RouteExists(o.G, o.DB, req)
+	return o.snapshot().RouteExists(req)
 }
 
 // BestCost returns the optimal legal policy cost for req.
 func (o Oracle) BestCost(req policy.Request) (uint32, bool) {
-	res := synthesis.FindRoute(o.G, o.DB, req)
+	res := o.snapshot().FindRoute(req)
 	return res.Cost, res.Found
 }
 
@@ -135,6 +167,9 @@ func (m Metrics) String() string {
 // RunScenario converges sys and evaluates it against every request,
 // scoring outcomes with the oracle.
 func RunScenario(sys System, oracle Oracle, reqs []policy.Request, limit sim.Time) Metrics {
+	if oracle.held == nil {
+		oracle = NewOracle(oracle.G, oracle.DB)
+	}
 	conv, ok := sys.Converge(limit)
 	m := Metrics{
 		Protocol:        sys.Name(),

@@ -151,3 +151,48 @@ func TestMetricsHelpers(t *testing.T) {
 		t.Error("empty metrics helpers wrong")
 	}
 }
+
+// TestOracleFollowsMutations: an oracle that holds a compiled snapshot must
+// notice that the graph or the database moved on and answer for what they
+// are now, not for what it compiled; the literal form compiles per question
+// and cannot go stale.
+func TestOracleFollowsMutations(t *testing.T) {
+	g := ad.NewGraph()
+	s := g.AddAD("s", ad.Stub, ad.Campus)
+	m := g.AddAD("m", ad.Transit, ad.Regional)
+	d := g.AddAD("d", ad.Stub, ad.Campus)
+	for _, l := range []ad.Link{{A: s, B: m}, {A: m, B: d}} {
+		if err := g.AddLink(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := policy.OpenDB(g)
+	req := policy.Request{Src: s, Dst: d}
+	for name, oracle := range map[string]core.Oracle{
+		"NewOracle": core.NewOracle(g, db),
+		"literal":   {G: g, DB: db},
+	} {
+		if !oracle.HasRoute(req) {
+			t.Fatalf("%s: no route s-m-d", name)
+		}
+		g.RemoveLink(m, d)
+		if oracle.HasRoute(req) {
+			t.Errorf("%s: still routes over the removed link m-d", name)
+		}
+		if err := g.AddLink(ad.Link{A: m, B: d}); err != nil {
+			t.Fatal(err)
+		}
+		if cost, ok := oracle.BestCost(req); !ok || cost != 3 {
+			t.Errorf("%s: after the restore BestCost = %d, %v, want 3, true", name, cost, ok)
+		}
+		terms := db.Terms(m)
+		db.SetTerms(m, nil)
+		if oracle.HasRoute(req) {
+			t.Errorf("%s: still routes through m, which withdrew its terms", name)
+		}
+		db.SetTerms(m, terms)
+		if !oracle.HasRoute(req) {
+			t.Errorf("%s: no route after m's terms came back", name)
+		}
+	}
+}

@@ -17,7 +17,7 @@ func E11FilterDiscovery(seed int64) *metrics.Table {
 	g := topo.Graph
 	db := restrictedPolicy(g, seed+1)
 	reqs := core.AllPairsRequests(g, true, 0, 0)
-	oracle := core.Oracle{G: g, DB: db}
+	oracle := core.NewOracle(g, db)
 
 	fs := filters.New(g, db, filters.Config{Seed: seed, Timeout: 500 * sim.Millisecond, MaxCandidates: 5})
 	var fDrops, fAttempts, fDelivered int

@@ -17,7 +17,7 @@ func E12IDRPMultiRoute(seed int64) *metrics.Table {
 	topo := defaultTopology(seed)
 	g := topo.Graph
 	db := restrictedPolicy(g, seed+1)
-	oracle := core.Oracle{G: g, DB: db}
+	oracle := core.NewOracle(g, db)
 	reqs := core.AllPairsRequests(g, true, 0, 0)
 
 	t := metrics.NewTable("E12 — IDRP multi-route advertisement tradeoff",

@@ -44,7 +44,7 @@ func E13TimeOfDay(seed int64) *metrics.Table {
 
 	sys := orwg.New(g, db, orwg.Config{Seed: seed})
 	sys.Converge(convergenceLimit)
-	oracle := core.Oracle{G: g, DB: db}
+	oracle := core.NewOracle(g, db)
 
 	t := metrics.NewTable("E13 — time-of-day policies (ORWG)",
 		"hour", "d1-via", "d1-legal", "d2-delivered", "d2-routable")

@@ -91,8 +91,9 @@ func E14PolicyChange(seed int64) *metrics.Table {
 // routes.
 func busiestTransit(g *ad.Graph, db *policy.DB, reqs []policy.Request) ad.ID {
 	counts := make(map[ad.ID]int)
+	snap := synthesis.Compile(g, db)
 	for _, req := range reqs {
-		res := synthesis.FindRoute(g, db, req)
+		res := snap.FindRoute(req)
 		if !res.Found {
 			continue
 		}

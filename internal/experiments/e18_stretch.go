@@ -29,7 +29,7 @@ func E18PathStretch(seed int64) *metrics.Table {
 		TermsPerTransit: 2,
 		MaxTermCost:     8,
 	})
-	oracle := core.Oracle{G: g, DB: db}
+	oracle := core.NewOracle(g, db)
 	reqs := core.AllPairsRequests(g, true, 0, 0)
 
 	type entry struct {

@@ -27,7 +27,7 @@ func E19MultihomedStubs(seed int64) *metrics.Table {
 	})
 	g := topo.Graph
 	db := policy.OpenDB(g) // open transit policy; stubs still advertise nothing
-	oracle := core.Oracle{G: g, DB: db}
+	oracle := core.NewOracle(g, db)
 	reqs := core.AllPairsRequests(g, true, 0, 0)
 
 	multihomed := map[ad.ID]bool{}

@@ -30,7 +30,7 @@ func E1RouteAvailability(seed int64) *metrics.Table {
 			SourceRestrictionProb: p,
 			SourceFraction:        0.5,
 		})
-		oracle := core.Oracle{G: g, DB: db}
+		oracle := core.NewOracle(g, db)
 		routable := 0
 		for _, r := range reqs {
 			if oracle.HasRoute(r) {

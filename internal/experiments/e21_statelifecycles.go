@@ -69,7 +69,7 @@ func E21StateLifecycles(seed int64) *metrics.Table {
 			// actually establish.
 			g := base.Graph.Clone()
 			db := policy.OpenDB(g)
-			oracle := core.Oracle{G: g, DB: db}
+			oracle := core.NewOracle(g, db)
 			sys := orwg.New(g, db, orwg.Config{Seed: seed, State: st})
 			sys.Converge(convergenceLimit)
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ad"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/routeserver"
@@ -62,6 +63,7 @@ func E22ScopedInvalidation(seed int64) *metrics.Table {
 				g := base.Graph.Clone()
 				db := e22Policy(g, seed)
 				srv := routeserver.New(buildE20Strategy(kind, g, db, workload), routeserver.Config{})
+				oracle := core.NewOracle(g, db)
 
 				// Warm phase: the whole workload, populating the cache and
 				// its dependency index.
@@ -80,7 +82,7 @@ func E22ScopedInvalidation(seed int64) *metrics.Table {
 					results := routeserver.ServePhase(srv, slice, clients)
 					churnReqs += len(slice)
 					for j, req := range slice {
-						if e22Legal(g, db, req, results[j]) {
+						if e22Legal(oracle, req, results[j]) {
 							legalOK++
 						}
 					}
@@ -211,9 +213,9 @@ func quietestTransit(g *ad.Graph) ad.ID {
 // e22Legal is the retention oracle: a served route must be a valid path on
 // the current graph that every transit AD's policy still admits; a
 // no-route answer must mean no legal route exists at all.
-func e22Legal(g *ad.Graph, db *policy.DB, req policy.Request, res routeserver.Result) bool {
+func e22Legal(oracle core.Oracle, req policy.Request, res routeserver.Result) bool {
 	if !res.Found {
-		return !synthesis.RouteExists(g, db, req)
+		return !oracle.HasRoute(req)
 	}
-	return res.Path.Valid(g) && db.PathLegal(res.Path, req)
+	return oracle.Legal(res.Path, req)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/ad"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/pgstate"
 	"repro/internal/policy"
@@ -233,6 +234,7 @@ func e23PreChurn(be *daemon.Backend, srv *routeserver.Server, workload []policy.
 // against the oracle world.
 func e23Measure(be *daemon.Backend, srv *routeserver.Server, workload []policy.Request, post []wire.PlanStep, o *e23Oracle) (churn int, synth uint64, legal int, hitRate float64) {
 	warm := srv.Snapshot()
+	oracle := core.NewOracle(o.g, o.db)
 	for i, op := range post {
 		e23Apply(be, o, op)
 		lo := ((len(post) + i) * e23PhaseLen) % len(workload)
@@ -240,7 +242,7 @@ func e23Measure(be *daemon.Backend, srv *routeserver.Server, workload []policy.R
 		results := routeserver.ServePhase(srv, slice, e23Clients)
 		churn += len(slice)
 		for j, req := range slice {
-			if e22Legal(o.g, o.db, req, results[j]) {
+			if e22Legal(oracle, req, results[j]) {
 				legal++
 			}
 		}

@@ -136,9 +136,10 @@ func E25PlanEngine(seed int64) *metrics.Table {
 				predLost[routeserver.KeyOf(req)] = true
 			}
 			lost := 0
+			oracle := synthesis.Compile(g, db) // as the commit left them
 			for i, req := range rep.Population {
 				got := srv.Query(req)
-				if got.Found != synthesis.RouteExists(g, db, req) {
+				if got.Found != oracle.RouteExists(req) {
 					exact = false
 				}
 				isLost := foundBefore[i] && !got.Found

@@ -29,7 +29,7 @@ func E4QOSScaling(seed int64) *metrics.Table {
 			// protocol's, not the policy's.
 			QOSCoverage: 1.0,
 		})
-		oracle := core.Oracle{G: g, DB: db}
+		oracle := core.NewOracle(g, db)
 		reqs := core.AllPairsRequests(g, true, 0, 0)
 
 		mEcma := core.RunScenario(ecma.New(g, db, ecma.Config{Seed: seed, QOSClasses: q}), oracle, reqs, convergenceLimit)

@@ -25,7 +25,7 @@ func E8PolicyGranularity(seed int64) *metrics.Table {
 			Seed:            seed + int64(granularity),
 			TermsPerTransit: granularity,
 		})
-		oracle := core.Oracle{G: g, DB: db}
+		oracle := core.NewOracle(g, db)
 		sys := orwg.New(g, db, orwg.Config{Seed: seed})
 		sys.Converge(convergenceLimit)
 		floodBytes := sys.Network().Stats.BytesSent

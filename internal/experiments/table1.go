@@ -54,7 +54,7 @@ func newTable1Run(seed int64) *table1Run {
 	return &table1Run{
 		seed:    seed,
 		g:       g,
-		oracle:  core.Oracle{G: g, DB: db},
+		oracle:  core.NewOracle(g, db),
 		reqs:    core.AllPairsRequests(g, true, 0, 0),
 		points:  points,
 		results: make([]core.Metrics, len(points)),

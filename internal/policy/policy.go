@@ -13,6 +13,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -69,6 +70,9 @@ func (s ClassSet) Count() int {
 type ADSet struct {
 	all bool
 	ids map[ad.ID]struct{}
+	// list holds the keys of ids, each once, in the order given: whoever
+	// walks a set (Each, Members) reads a slice, not a map iterator.
+	list []ad.ID
 }
 
 // Universal returns the set matching every AD.
@@ -76,9 +80,12 @@ func Universal() ADSet { return ADSet{all: true} }
 
 // SetOf returns a set containing exactly the given ADs.
 func SetOf(ids ...ad.ID) ADSet {
-	s := ADSet{ids: make(map[ad.ID]struct{}, len(ids))}
+	s := ADSet{ids: make(map[ad.ID]struct{}, len(ids)), list: make([]ad.ID, 0, len(ids))}
 	for _, id := range ids {
-		s.ids[id] = struct{}{}
+		if _, dup := s.ids[id]; !dup {
+			s.ids[id] = struct{}{}
+			s.list = append(s.list, id)
+		}
 	}
 	return s
 }
@@ -101,12 +108,16 @@ func (s ADSet) Size() int { return len(s.ids) }
 
 // Members returns the explicit members in ascending order.
 func (s ADSet) Members() []ad.ID {
-	out := make([]ad.ID, 0, len(s.ids))
-	for id := range s.ids {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := append(make([]ad.ID, 0, len(s.list)), s.list...)
+	slices.Sort(out)
 	return out
+}
+
+// Each calls fn for every explicit member, in no particular order.
+func (s ADSet) Each(fn func(ad.ID)) {
+	for _, id := range s.list {
+		fn(id)
+	}
 }
 
 // Intersect returns the set of ADs in both s and o.
@@ -117,13 +128,13 @@ func (s ADSet) Intersect(o ADSet) ADSet {
 	if o.all {
 		return s
 	}
-	out := ADSet{ids: make(map[ad.ID]struct{})}
-	for id := range s.ids {
+	var both []ad.ID
+	for _, id := range s.list {
 		if _, ok := o.ids[id]; ok {
-			out.ids[id] = struct{}{}
+			both = append(both, id)
 		}
 	}
-	return out
+	return SetOf(both...)
 }
 
 // Union returns the set of ADs in either s or o.
@@ -131,14 +142,7 @@ func (s ADSet) Union(o ADSet) ADSet {
 	if s.all || o.all {
 		return Universal()
 	}
-	out := ADSet{ids: make(map[ad.ID]struct{}, len(s.ids)+len(o.ids))}
-	for id := range s.ids {
-		out.ids[id] = struct{}{}
-	}
-	for id := range o.ids {
-		out.ids[id] = struct{}{}
-	}
-	return out
+	return SetOf(append(slices.Clone(s.list), o.list...)...)
 }
 
 // Empty reports whether the set matches no AD.
@@ -364,6 +368,8 @@ type DB struct {
 	terms    map[ad.ID][]Term
 	criteria map[ad.ID]Criteria
 	serial   map[ad.ID]uint32
+	// version counts mutations; see Version.
+	version uint64
 }
 
 // NewDB returns an empty policy database.
@@ -385,11 +391,21 @@ func (db *DB) Add(t Term) Term {
 		db.serial[t.Advertiser] = t.Serial
 	}
 	db.terms[t.Advertiser] = append(db.terms[t.Advertiser], t)
+	db.version++
 	return t
 }
 
 // SetCriteria installs source selection criteria for an AD.
-func (db *DB) SetCriteria(id ad.ID, c Criteria) { db.criteria[id] = c }
+func (db *DB) SetCriteria(id ad.ID, c Criteria) {
+	db.criteria[id] = c
+	db.version++
+}
+
+// Version counts the mutations applied to this database: every Add, SetTerms
+// and SetCriteria moves it. A compiled view (synthesis.Snapshot) records it
+// to detect that the database moved on; a Clone counts its own mutations
+// from zero.
+func (db *DB) Version() uint64 { return db.version }
 
 // CriteriaFor returns the selection criteria for id (open if none set).
 func (db *DB) CriteriaFor(id ad.ID) Criteria { return db.criteria[id] }
@@ -535,6 +551,7 @@ func pairTerms(id ad.ID, old, terms []Term) ([]Term, TermsDelta) {
 func (db *DB) SetTerms(id ad.ID, terms []Term) TermsDelta {
 	prepared, delta := pairTerms(id, db.terms[id], terms)
 	db.terms[id] = nil
+	db.version++ // even when no term is left to Add
 	for _, t := range prepared {
 		db.Add(t)
 	}
@@ -599,7 +616,8 @@ func (db *DB) PermitsTransit(transit ad.ID, req Request, prev, next ad.ID) (Term
 }
 
 // TransitCost is PermitsTransit for callers that need only the verdict and
-// the cheapest matching term's cost, as route search and validation do.
+// the cheapest matching term's cost, as path enumeration and validation do
+// (the route search asks a compiled synthesis.Snapshot instead).
 func (db *DB) TransitCost(transit ad.ID, req Request, prev, next ad.ID) (uint32, bool) {
 	if t := db.cheapest(transit, req, prev, next); t != nil {
 		return t.Cost, true

@@ -40,3 +40,37 @@ func TestSetTermsReplacesInPlace(t *testing.T) {
 		}
 	}
 }
+
+// TestVersionMovesWithEveryMutation: a compiled view of the database
+// detects staleness by Version, so Add, SetTerms (even to nothing) and
+// SetCriteria must each move it; reads must not, and a clone counts for
+// itself.
+func TestVersionMovesWithEveryMutation(t *testing.T) {
+	db := NewDB()
+	last := db.Version()
+	moved := func(op string, want bool) {
+		t.Helper()
+		if got := db.Version() != last; got != want {
+			t.Errorf("%s: version moved = %v, want %v", op, got, want)
+		}
+		last = db.Version()
+	}
+	db.Add(OpenTerm(3, 0))
+	moved("Add", true)
+	db.SetTerms(3, []Term{OpenTerm(3, 0)})
+	moved("SetTerms", true)
+	db.SetTerms(3, nil)
+	moved("SetTerms(nil)", true)
+	db.SetCriteria(5, Criteria{MaxHops: 4})
+	moved("SetCriteria", true)
+	db.DiffTerms(3, []Term{OpenTerm(3, 0)})
+	db.CriteriaFor(5)
+	db.WithTerms(3, []Term{OpenTerm(3, 0)})
+	moved("DiffTerms, CriteriaFor, WithTerms", false)
+	c := db.Clone()
+	if c.Version() != 0 {
+		t.Errorf("clone starts at version %d, want 0", c.Version())
+	}
+	c.SetCriteria(5, Criteria{})
+	moved("SetCriteria on a clone", false)
+}

@@ -85,10 +85,9 @@ func Assess(g *ad.Graph, db *policy.DB, adID ad.ID, newTerms []policy.Term, reqs
 		TermsBefore: len(db.Terms(adID)),
 		TermsAfter:  len(after.Terms(adID)),
 	}
+	was, now := synthesis.Compile(g, db), synthesis.Compile(g, after)
 	for _, req := range reqs {
-		rb := synthesis.FindRoute(g, db, req)
-		ra := synthesis.FindRoute(g, after, req)
-		im.Add(req, rb, ra)
+		im.Add(req, was.FindRoute(req), now.FindRoute(req))
 	}
 	return im
 }

@@ -162,13 +162,14 @@ type node struct {
 	sys     *System
 	flooder *flood.Flooder
 
-	// view is the graph+policy reconstructed from the LSDB, rebuilt
-	// lazily after changes.
-	view       *ad.Graph
-	viewDB     *policy.DB
-	unitView   *ad.Graph
-	unitViewDB *policy.DB
-	viewDirty  bool
+	// view is the graph+policy reconstructed from the LSDB, rebuilt lazily
+	// after changes and compiled for searching as it is rebuilt; unitView
+	// is its unit-cost variant, built on first use.
+	view      *synthesis.Snapshot
+	viewG     *ad.Graph
+	viewDB    *policy.DB
+	unitView  *synthesis.Snapshot
+	viewDirty bool
 
 	routeCache map[cacheKey]ad.ID // next hop per context
 
@@ -209,28 +210,29 @@ func (n *node) refreshView() {
 	if n.view != nil && !n.viewDirty {
 		return
 	}
-	n.view = n.flooder.DB.Graph()
+	n.viewG = n.flooder.DB.Graph()
 	n.viewDB = n.flooder.DB.PolicyDB()
 	// Route selection criteria are private to each source (they are not
 	// flooded): only this AD's own criteria are known locally. Transit
 	// ADs therefore compute without the source's criteria — precisely the
 	// consistency gap §5.3 identifies.
 	n.viewDB.SetCriteria(n.id, n.sys.db.CriteriaFor(n.id))
+	n.view = synthesis.Compile(n.viewG, n.viewDB)
 	n.unitView = nil
 	n.viewDirty = false
 }
 
 // unitCostView clones the view with all link and term costs forced to 1:
 // the divergent minimize-hops objective used by the inconsistency ablation.
-func (n *node) unitCostView() (*ad.Graph, *policy.DB) {
+func (n *node) unitCostView() *synthesis.Snapshot {
 	if n.unitView != nil {
-		return n.unitView, n.unitViewDB
+		return n.unitView
 	}
 	g := ad.NewGraph()
-	for _, info := range n.view.ADs() {
+	for _, info := range n.viewG.ADs() {
 		_ = g.AddADWithID(info.ID, info.Name, info.Class, info.Level)
 	}
-	for _, l := range n.view.Links() {
+	for _, l := range n.viewG.Links() {
 		l.Cost = 1
 		_ = g.AddLink(l)
 	}
@@ -244,9 +246,8 @@ func (n *node) unitCostView() (*ad.Graph, *policy.DB) {
 	for _, src := range n.viewDB.CriteriaADs() {
 		db.SetCriteria(src, n.viewDB.CriteriaFor(src))
 	}
-	n.unitView = g
-	n.unitViewDB = db
-	return g, db
+	n.unitView = synthesis.Compile(g, db)
+	return n.unitView
 }
 
 // nextHop computes (or retrieves) this AD's forwarding decision for the
@@ -258,12 +259,12 @@ func (n *node) nextHop(req policy.Request, prev ad.ID) ad.ID {
 		return nh
 	}
 	n.refreshView()
-	view, viewDB := n.view, n.viewDB
+	view := n.view
 	if n.sys.cfg.InconsistentTieBreak && n.id%2 == 1 {
-		view, viewDB = n.unitCostView()
+		view = n.unitCostView()
 	}
 	n.computations++
-	res := synthesis.FindRouteFrom(view, viewDB, req, n.id, prev)
+	res := view.FindRouteFrom(req, n.id, prev)
 	n.expansions += res.Expanded
 	nh := ad.Invalid
 	if res.Found && len(res.Path) >= 2 {

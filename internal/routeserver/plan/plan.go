@@ -218,18 +218,19 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.Wo
 	}
 
 	// Phase 2: shadow re-synthesis against the clones, outside all server
-	// locks. FindRoute only reads the graph/policy state, so a shared
-	// clone pair is safe for the whole pool; results land by index, so the
+	// locks. Each clone is compiled once; a snapshot is immutable, so the
+	// pair is safe for the whole pool, and results land by index, so the
 	// fold below is deterministic at any parallelism.
 	focus := focusAD(steps)
+	snapWas, snapNow := synthesis.Compile(before.G, before.DB), synthesis.Compile(after.G, after.DB)
 	was := make([]synthesis.Result, len(rep.Population))
 	now := make([]synthesis.Result, len(rep.Population))
 	tasks := make([]func(), len(rep.Population))
 	for i := range rep.Population {
 		i := i
 		tasks[i] = func() {
-			was[i] = synthesis.FindRoute(before.G, before.DB, rep.Population[i])
-			now[i] = synthesis.FindRoute(after.G, after.DB, rep.Population[i])
+			was[i] = snapWas.FindRoute(rep.Population[i])
+			now[i] = snapNow.FindRoute(rep.Population[i])
 		}
 	}
 	parallel.Do(parallel.Normalize(cfg.Workers), tasks)

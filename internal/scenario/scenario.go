@@ -473,9 +473,10 @@ func evaluatePlanEvent(g *ad.Graph, db *policy.DB, reqs []policy.Request, i int,
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	was, now := synthesis.Compile(g, db), synthesis.Compile(w.G, w.DB)
 	for _, req := range reqs {
-		before := synthesis.FindRoute(g, db, req)
-		after := synthesis.FindRoute(w.G, w.DB, req)
+		before := was.FindRoute(req)
+		after := now.FindRoute(req)
 		switch {
 		case !before.Found && after.Found:
 			gained++

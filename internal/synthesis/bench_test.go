@@ -2,6 +2,7 @@ package synthesis
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/ad"
 	"repro/internal/policy"
@@ -34,9 +35,47 @@ func benchWorld() (*ad.Graph, *policy.DB, []policy.Request) {
 }
 
 // BenchmarkFindRoute is the search-kernel row of the layer ladder: one
-// source search per op over the benchmark's internet. expansions/op must
-// not move when the kernel changes; allocs/op is the returned path.
+// source search per op over a held snapshot of the benchmark's internet.
+// expansions/op must not move when the kernel changes (TestExpandedPinned
+// fails if it does); allocs/op is the returned path.
 func BenchmarkFindRoute(b *testing.B) {
+	g, db, tape := benchWorld()
+	snap := Compile(g, db)
+	b.ReportAllocs()
+	b.ResetTimer()
+	expanded := 0
+	for i := 0; i < b.N; i++ {
+		expanded += snap.FindRoute(tape[i%len(tape)]).Expanded
+	}
+	b.ReportMetric(float64(expanded)/float64(b.N), "expansions/op")
+}
+
+// BenchmarkCompile is what every write-plane call and every holder whose
+// graph moved pays once: the benchmark's internet into a Snapshot.
+// snapshot-B/AD is the size of the compiled tables per AD: the search state
+// a route server keeps per (graph, policy) state, as
+// routeserver.bytes_per_entry is what it keeps per cached route.
+func BenchmarkCompile(b *testing.B) {
+	g, db, _ := benchWorld()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var s *Snapshot
+	for i := 0; i < b.N; i++ {
+		s = Compile(g, db)
+	}
+	bytes := 4*len(s.ids) + 4*len(s.adjOff) + 8*len(s.edges) + 4*len(s.tail) +
+		4*len(s.termOff) + int(unsafe.Sizeof(term{}))*len(s.terms) + 8*len(s.bits) +
+		int(unsafe.Sizeof(criteria{}))*len(s.crit)
+	for _, ids := range s.absent {
+		bytes += 24 + 4*len(ids)
+	}
+	b.ReportMetric(float64(bytes)/float64(g.NumADs()), "snapshot-B/AD")
+}
+
+// BenchmarkFindRouteOneShot is the price of the free FindRoute(g, db, req):
+// a compile and a search per op. It is on record so that nobody leaves the
+// wrapper inside a loop.
+func BenchmarkFindRouteOneShot(b *testing.B) {
 	g, db, tape := benchWorld()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -223,27 +223,6 @@ type Footprint struct {
 	Terms []policy.Key
 }
 
-// FootprintOf derives the footprint of a found route. It re-resolves the
-// cheapest permitting term at each transit AD, which is the term whose
-// cost the synthesis charged; a change to any other term at that AD
-// cannot make the path illegal (some term still permits it) — only
-// cheaper, which the legality retention contract tolerates.
-func FootprintOf(g *ad.Graph, db *policy.DB, req policy.Request, path ad.Path) Footprint {
-	if len(path) < 2 {
-		return Footprint{}
-	}
-	fp := Footprint{Links: make([][2]ad.ID, 0, len(path)-1)}
-	for i := 1; i < len(path); i++ {
-		fp.Links = append(fp.Links, CanonicalPair(path[i-1], path[i]))
-	}
-	for i := 1; i < len(path)-1; i++ {
-		if t, ok := db.PermitsTransit(path[i], req, path[i-1], path[i+1]); ok {
-			fp.Terms = append(fp.Terms, t.Key())
-		}
-	}
-	return fp
-}
-
 // CanonicalPair orders an adjacency low-high so both directions of a link
 // index to the same slot.
 func CanonicalPair(a, b ad.ID) [2]ad.ID {

@@ -94,7 +94,7 @@ func TestFootprintOf(t *testing.T) {
 		t.Fatalf("setup: route = %+v", res)
 	}
 
-	fp := FootprintOf(g, db, req, res.Path)
+	fp := Compile(g, db).Footprint(req, res.Path)
 	wantLinks := [][2]ad.ID{CanonicalPair(src, t1), CanonicalPair(t1, dst)}
 	if len(fp.Links) != len(wantLinks) {
 		t.Fatalf("links = %v, want %v", fp.Links, wantLinks)
@@ -114,7 +114,7 @@ func TestFootprintOf(t *testing.T) {
 	}
 
 	// Degenerate paths carry no dependencies.
-	if fp := FootprintOf(g, db, req, ad.Path{src}); len(fp.Links) != 0 || len(fp.Terms) != 0 {
+	if fp := Compile(g, db).Footprint(req, ad.Path{src}); len(fp.Links) != 0 || len(fp.Terms) != 0 {
 		t.Fatalf("single-AD path footprint = %+v", fp)
 	}
 }

@@ -3,9 +3,10 @@ package synthesis
 // Differential harness for the search kernel (PR 8's method: a retained
 // reference, lockstep seeded random inputs, the seed printed on
 // divergence). referenceFindRouteFrom is the constrained Dijkstra exactly
-// as it stood before the pooled kernel replaced it: two maps keyed by
-// state, container/heap, the adjacency sorted on every expansion, a copied
-// Term per candidate. The kernel must return the same Path, Cost, Found
+// as it stood before any kernel replaced it: it walks the live graph and
+// policy database, two maps keyed by (current, previous, hops) state,
+// container/heap, the adjacency sorted on every expansion, a copied Term
+// per candidate. The snapshot kernel must return the same Path, Cost, Found
 // and — because (cost, seq) is a total order and neighbours are visited in
 // the same order — the same Expanded. Replay one world with
 // `-run TestDifferentialFindRoute -diffseed N`.
@@ -13,7 +14,9 @@ package synthesis
 import (
 	"container/heap"
 	"flag"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -166,6 +169,23 @@ func referenceFindRouteFrom(g *ad.Graph, db *policy.DB, req policy.Request, from
 	return Result{Path: path, Cost: dist[goal], Expanded: expanded, Found: true}
 }
 
+// continuationLegal checks a path suffix starting at a transit AD: every AD
+// on it except the final destination needs a permitting term, where the
+// first AD's previous hop is entry.
+func continuationLegal(db *policy.DB, path ad.Path, req policy.Request, entry ad.ID) bool {
+	if len(path) == 0 || path.Dest() != req.Dst {
+		return false
+	}
+	prev := entry
+	for i := 0; i < len(path)-1; i++ {
+		if _, ok := db.TransitCost(path[i], req, prev, path[i+1]); !ok {
+			return false
+		}
+		prev = path[i]
+	}
+	return true
+}
+
 // search is one kernel input: a request and the position it is searched
 // from (from == req.Src, prev == Invalid for a source search).
 type search struct {
@@ -173,8 +193,8 @@ type search struct {
 	from, prev ad.ID
 }
 
-func (s search) run(g *ad.Graph, db *policy.DB) Result {
-	return FindRouteFrom(g, db, s.req, s.from, s.prev)
+func (s search) run(snap *Snapshot) Result {
+	return snap.FindRouteFrom(s.req, s.from, s.prev)
 }
 
 func (s search) reference(g *ad.Graph, db *policy.DB) Result {
@@ -235,26 +255,172 @@ func diffWorld(seed int64, rng *rand.Rand) (*ad.Graph, *policy.DB) {
 	return g, db
 }
 
-// randomSearch draws a source search, a continuation from a transit
-// position (the lshh path: from != src, with or without an entry hop), or
-// one of the degenerate cases: from == dst, unknown endpoints.
-func randomSearch(rng *rand.Rand, g *ad.Graph, ids []ad.ID) search {
-	pick := func() ad.ID {
-		if rng.Intn(25) == 0 {
-			return ids[len(ids)-1] + ad.ID(1+rng.Intn(3)) // unknown AD
-		}
-		return ids[rng.Intn(len(ids))]
+// churn is a differential world under mutation: the graph and database the
+// reference walks, and what the mutations need to remember.
+type churn struct {
+	rng  *rand.Rand
+	g    *ad.Graph
+	db   *policy.DB
+	ids  []ad.ID   // g.IDs()
+	down []ad.Link // removed, not yet restored
+}
+
+// pick draws an AD: usually one of the graph's, now and then one it does
+// not have — past the last ID, in a gap, or Invalid.
+func (c *churn) pick() ad.ID {
+	if c.rng.Intn(25) == 0 {
+		return c.absent()
 	}
-	req := policy.Request{Src: pick(), Dst: pick(), Hour: uint8(rng.Intn(24))}
+	return c.ids[c.rng.Intn(len(c.ids))]
+}
+
+func (c *churn) absent() ad.ID {
+	for {
+		var id ad.ID
+		switch c.rng.Intn(4) {
+		case 0:
+			return ad.Invalid
+		case 1:
+			id = c.ids[c.rng.Intn(len(c.ids))] + 1 // in a gap, once IDs have gaps
+		default:
+			id = c.ids[len(c.ids)-1] + ad.ID(1+c.rng.Intn(3))
+		}
+		if _, ok := c.g.AD(id); !ok {
+			return id
+		}
+	}
+}
+
+// set draws an AD set: universal, or a few members of which some may be
+// absent from the graph.
+func (c *churn) set(universalIn, members int) policy.ADSet {
+	if c.rng.Intn(universalIn) > 0 {
+		return policy.Universal()
+	}
+	ids := make([]ad.ID, c.rng.Intn(members+1))
+	for i := range ids {
+		ids[i] = c.pick()
+	}
+	return policy.SetOf(ids...)
+}
+
+// neighbourSet draws a PrevADs/NextADs constraint at id: universal, or some
+// of its neighbours plus, now and then, an AD that is none.
+func (c *churn) neighbourSet(id ad.ID) policy.ADSet {
+	if c.rng.Intn(2) == 0 {
+		return policy.Universal()
+	}
+	var ids []ad.ID
+	for _, nb := range c.g.Neighbors(id) {
+		if c.rng.Intn(3) > 0 {
+			ids = append(ids, nb)
+		}
+	}
+	if c.rng.Intn(4) == 0 {
+		ids = append(ids, c.pick())
+	}
+	return policy.SetOf(ids...)
+}
+
+func (c *churn) term(id ad.ID) policy.Term {
+	t := policy.OpenTerm(id, 0)
+	t.Sources, t.Dests = c.set(4, 40), c.set(5, 40)
+	t.PrevADs, t.NextADs = c.neighbourSet(id), c.neighbourSet(id)
+	t.Cost = uint32(1 + c.rng.Intn(3)) // ties are the rule
+	if c.rng.Intn(4) == 0 {
+		t.QOS = policy.ClassSetOf(uint8(c.rng.Intn(3)), uint8(c.rng.Intn(3)))
+	}
+	if c.rng.Intn(4) == 0 {
+		t.UCI = policy.ClassSetOf(uint8(c.rng.Intn(2)))
+	}
+	if c.rng.Intn(3) == 0 { // plain, wrapping and empty windows
+		t.Hours = policy.HourWindow{Start: uint8(c.rng.Intn(24)), End: uint8(c.rng.Intn(25))}
+	}
+	return t
+}
+
+// mutate applies one random mutation, or most of the time none. Beyond the
+// adjacency churn the kernel has always faced (remove, restore, clone) it
+// replaces term sets, installs criteria — also for sources the graph does
+// not have — and grows the graph by ADs whose IDs leave gaps.
+func (c *churn) mutate(t *testing.T) {
+	rng := c.rng
+	switch rng.Intn(18) {
+	case 0:
+		if links := c.g.Links(); len(links) > 0 {
+			l := links[rng.Intn(len(links))]
+			c.g.RemoveLink(l.A, l.B)
+			c.down = append(c.down, l)
+		}
+	case 1:
+		if len(c.down) > 0 {
+			i := rng.Intn(len(c.down))
+			if err := c.g.AddLink(c.down[i]); err != nil {
+				t.Fatalf("restore %v: %v", c.down[i], err)
+			}
+			c.down = append(c.down[:i], c.down[i+1:]...)
+		}
+	case 2:
+		c.g = c.g.Clone()
+		if rng.Intn(2) == 0 {
+			c.db = c.db.Clone()
+		}
+	case 3, 4:
+		id := c.ids[rng.Intn(len(c.ids))]
+		terms := make([]policy.Term, rng.Intn(4))
+		for i := range terms {
+			terms[i] = c.term(id)
+		}
+		c.db.SetTerms(id, terms)
+	case 5:
+		crit := policy.Criteria{MaxHops: rng.Intn(9)}
+		switch rng.Intn(4) {
+		case 0:
+			crit.Avoid = policy.Universal()
+		case 1, 2:
+			crit.Avoid = c.set(1, 6)
+		}
+		c.db.SetCriteria(c.pick(), crit)
+	case 6:
+		id := c.ids[len(c.ids)-1] + ad.ID(1+rng.Intn(4))
+		if rng.Intn(4) == 0 {
+			id += 1 << 20
+		}
+		if err := c.g.AddADWithID(id, id.String(), ad.Hybrid, ad.Regional); err != nil {
+			t.Fatalf("add %v: %v", id, err)
+		}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			// A duplicate link is refused; the AD just has fewer.
+			_ = c.g.AddLink(ad.Link{A: id, B: c.ids[rng.Intn(len(c.ids))], Cost: uint32(1 + rng.Intn(3))})
+		}
+		if rng.Intn(3) > 0 {
+			c.db.Add(policy.OpenTerm(id, 0))
+		}
+		c.ids = c.g.IDs()
+	}
+}
+
+// search draws a source search, a continuation from a transit position (the
+// lshh path: from != src, entered from a neighbour, from an AD that is no
+// neighbour, from one the graph does not have, or from nowhere), or one of
+// the degenerate cases: from == dst, unknown endpoints.
+func (c *churn) search() search {
+	rng := c.rng
+	req := policy.Request{Src: c.pick(), Dst: c.pick(), Hour: uint8(rng.Intn(24))}
 	if rng.Intn(3) == 0 { // classes above 0 are not offered everywhere
 		req.QOS, req.UCI = policy.QOS(rng.Intn(3)), policy.UCI(rng.Intn(2))
 	}
 	s := search{req: req, from: req.Src, prev: ad.Invalid}
 	switch rng.Intn(4) {
 	case 0:
-		s.from = pick()
-		if nbs := g.Neighbors(s.from); len(nbs) > 0 && rng.Intn(4) > 0 {
+		s.from = c.pick()
+		switch nbs, r := c.g.Neighbors(s.from), rng.Intn(8); {
+		case r < 5 && len(nbs) > 0:
 			s.prev = nbs[rng.Intn(len(nbs))]
+		case r == 5:
+			s.prev = c.pick()
+		case r == 6:
+			s.prev = c.absent()
 		}
 	case 1:
 		if rng.Intn(5) == 0 {
@@ -273,37 +439,33 @@ func TestDifferentialFindRoute(t *testing.T) {
 		seeds = []int64{*diffSeed}
 	}
 	for _, seed := range seeds {
-		rng := rand.New(rand.NewSource(seed))
-		g, db := diffWorld(seed, rng)
-		ids := g.IDs()
-		var down []ad.Link
+		c := &churn{rng: rand.New(rand.NewSource(seed))}
+		c.g, c.db = diffWorld(seed, c.rng)
+		c.ids = c.g.IDs()
+		snap := Compile(c.g, c.db)
+		found := 0
 		for step := 0; step < 300; step++ {
-			// Churn the adjacency between searches: the kernel reads the
-			// graph's own sorted view, the reference sorts a copy.
-			switch rng.Intn(12) {
-			case 0:
-				if links := g.Links(); len(links) > 0 {
-					l := links[rng.Intn(len(links))]
-					g.RemoveLink(l.A, l.B)
-					down = append(down, l)
-				}
-			case 1:
-				if len(down) > 0 {
-					i := rng.Intn(len(down))
-					if err := g.AddLink(down[i]); err != nil {
-						t.Fatalf("seed %d step %d: restore %v: %v", seed, step, down[i], err)
-					}
-					down = append(down[:i], down[i+1:]...)
-				}
-			case 2:
-				g = g.Clone()
+			c.mutate(t)
+			// The holder's duty: a snapshot answers for the state it was
+			// compiled from, so recompile when that state moved on.
+			if !snap.Current(c.g, c.db) {
+				snap = Compile(c.g, c.db)
 			}
-			s := randomSearch(rng, g, ids)
-			got, want := s.run(g, db), s.reference(g, db)
+			s := c.search()
+			got, want := s.run(snap), s.reference(c.g, c.db)
 			if !sameResult(got, want) {
 				t.Fatalf("seed %d step %d: %v from %v (entered from %v) diverged:\nkernel    %+v\nreference %+v",
 					seed, step, s.req, s.from, s.prev, got, want)
 			}
+			if got.Found && len(got.Path) > 2 {
+				found++
+				if gl, wl := snap.PathLegal(got.Path, s.req), c.db.PathLegal(got.Path, s.req); gl != wl {
+					t.Fatalf("seed %d step %d: PathLegal(%v, %v) = %v, policy.DB says %v", seed, step, got.Path, s.req, gl, wl)
+				}
+			}
+		}
+		if found < 20 {
+			t.Errorf("seed %d: only %d searches found a transit route; the churn has strangled the world", seed, found)
 		}
 	}
 }
@@ -313,15 +475,16 @@ func TestDifferentialFindRoute(t *testing.T) {
 // for a different request, must not see any of it.
 func TestScratchReuse(t *testing.T) {
 	g, db, tape := benchWorld()
+	snap := Compile(g, db)
 	searches := foundAndNot(t, g, db, tape)
 	dirty := false
 	for try := 0; try < 100 && !dirty; try++ {
-		searches.found.run(g, db)
+		searches.found.run(snap)
 		sc := scratchPool.Get().(*scratch)
-		dirty = len(sc.heap) > 0 && len(sc.nodes) > 0
+		dirty = len(sc.heap) > 0 && sc.epoch > 0
 		scratchPool.Put(sc)
 		for _, s := range []search{searches.none, searches.other, searches.found} {
-			if got, want := s.run(g, db), s.reference(g, db); !sameResult(got, want) {
+			if got, want := s.run(snap), s.reference(g, db); !sameResult(got, want) {
 				t.Fatalf("%v after an early exit diverged:\nkernel    %+v\nreference %+v", s.req, got, want)
 			}
 		}
@@ -331,35 +494,56 @@ func TestScratchReuse(t *testing.T) {
 	}
 }
 
-// TestScratchEpochWrap: when the epoch counter wraps, index stamps written
-// 2^32 searches ago must not read as current (they name nodes that are gone).
+// TestScratchEpochWrap: when the epoch counter wraps, cells stamped 2^32
+// searches ago must not read as current (their costs and parents are gone).
 func TestScratchEpochWrap(t *testing.T) {
 	var s scratch
-	s.reset()
-	st := state{cur: 3, prev: 2}
-	s.relax(st, 5, -1) // stamped with epoch 1
+	s.reset(8)
+	s.relax(3, 5, -1) // stamped with epoch 1
 	s.epoch = ^uint32(0)
-	s.reset()
+	s.reset(8)
 	if s.epoch != 1 {
 		t.Fatalf("epoch after wrap = %d, want 1", s.epoch)
 	}
-	if n, fresh := s.relax(st, 9, -1); n != 0 || !fresh || s.nodes[0].dist != 9 {
-		t.Fatalf("state of a wrapped-away search still indexed: node %d fresh %v", n, fresh)
+	if s.relax(3, 9, -1); len(s.heap) != 1 || s.cells[3].dist != 9 {
+		t.Fatalf("state of a wrapped-away search still known: queued %d, dist %d", len(s.heap), s.cells[3].dist)
 	}
 }
 
-// TestConcurrentSearches: goroutines searching one graph share nothing but
-// the pool. Run under -race by `make check`.
+// TestScratchSeqWrap: the queue breaks cost ties by push order with a 32-bit
+// sequence number; when a search runs out of them, the queued entries are
+// renumbered and the order of everything queued before and after holds.
+func TestScratchSeqWrap(t *testing.T) {
+	var s scratch
+	s.reset(16)
+	s.seq = math.MaxUint32 - 3
+	for st := int32(0); st < 8; st++ {
+		s.relax(st, uint32(7-st)/3, -1) // costs 2,2,1,1,1,0,0,0
+	}
+	if s.seq >= math.MaxUint32-3 {
+		t.Fatalf("seq = %d: never renumbered", s.seq)
+	}
+	var got []int32
+	for len(s.heap) > 0 {
+		got = append(got, s.pop().state)
+	}
+	if want := []int32{5, 6, 7, 2, 3, 4, 0, 1}; !slices.Equal(got, want) {
+		t.Fatalf("pop order across a seq wrap = %v, want %v", got, want)
+	}
+}
+
+// TestConcurrentSearches: goroutines searching one shared snapshot share
+// nothing else but the pool. Run under -race by `make check`.
 func TestConcurrentSearches(t *testing.T) {
 	g, db, _ := benchWorld()
-	rng := rand.New(rand.NewSource(5))
-	ids := g.IDs()
+	c := &churn{rng: rand.New(rand.NewSource(5)), g: g, db: db, ids: g.IDs()}
 	tape := make([]search, 400)
 	want := make([]Result, len(tape))
 	for i := range tape {
-		tape[i] = randomSearch(rng, g, ids)
+		tape[i] = c.search()
 		want[i] = tape[i].reference(g, db)
 	}
+	snap := Compile(g, db)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -367,7 +551,7 @@ func TestConcurrentSearches(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < len(tape); n++ {
 				i := (n*7 + w*53) % len(tape)
-				if got := tape[i].run(g, db); !sameResult(got, want[i]) {
+				if got := tape[i].run(snap); !sameResult(got, want[i]) {
 					t.Errorf("worker %d: %v diverged:\nkernel    %+v\nreference %+v", w, tape[i].req, got, want[i])
 					return
 				}
@@ -384,12 +568,30 @@ func TestAllocsFindRoute(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	g, db, tape := benchWorld()
+	snap := Compile(g, db)
 	searches := foundAndNot(t, g, db, tape)
-	if n := testing.AllocsPerRun(200, func() { searches.none.run(g, db) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { searches.none.run(snap) }); n != 0 {
 		t.Errorf("no-route search: %v allocs/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { searches.found.run(g, db) }); n != 1 {
+	if n := testing.AllocsPerRun(200, func() { searches.found.run(snap) }); n != 1 {
 		t.Errorf("found search: %v allocs/op, want 1 (the path)", n)
+	}
+}
+
+// TestExpandedPinned: the work the kernel does over the benchmark's request
+// tape, counted in expansions, is a property of the algorithm and the
+// world, not of the box — 74.46 per search, to the unit. A kernel change
+// that moves it has changed what E3/E7/E8/E20 report.
+func TestExpandedPinned(t *testing.T) {
+	g, db, tape := benchWorld()
+	snap := Compile(g, db)
+	total := 0
+	for _, req := range tape {
+		total += snap.FindRoute(req).Expanded
+	}
+	const want = 305015
+	if total != want {
+		t.Errorf("expansions over the %d-request tape = %d (%.2f/op), want %d", len(tape), total, float64(total)/float64(len(tape)), want)
 	}
 }
 

@@ -32,15 +32,19 @@ type StrategyStats struct {
 // A strategy is precomputed tables plus a pure search: Route reads a table
 // or searches, and never remembers what it found — caching demand-computed
 // routes is the serving layer's job (routeserver.Server), not the
-// strategy's. So the contract is one sentence: tables are immutable between
-// write-plane rebuilds. The read plane — Route, Footprint, Stats, Name —
-// takes no lock and is safe for any number of concurrent goroutines
-// (counters are atomics merged on read). The write plane — Invalidate and
-// InvalidateScoped — rebuilds the tables and requires exclusive access: no
+// strategy's. So the contract is one sentence: tables and snapshot are
+// immutable between write-plane rebuilds. The read plane — Route, Footprint,
+// Stats, Name — takes no lock and is safe for any number of concurrent
+// goroutines (counters are atomics merged on read). The write plane —
+// Invalidate and InvalidateScoped — recompiles the snapshot of the graph and
+// policy database, rebuilds the tables and requires exclusive access: no
 // read-plane call may be in flight while a write-plane call runs. The
 // serving layer enforces this with a reader/writer lock (misses hold the
 // read side, mutations the write side); code driving a strategy directly
-// must provide the same exclusion.
+// must provide the same exclusion — and must announce every mutation of the
+// graph or database with a write-plane call before it routes again: the
+// read plane searches the snapshot, not the live maps, and panics rather
+// than answer for a state that has moved on.
 type Strategy interface {
 	// Route returns a legal route for req, or false if none exists.
 	// Read plane: safe to call concurrently.
@@ -112,6 +116,10 @@ type Table struct {
 	population func() []policy.Request
 	// search makes a table miss fall through to FindRoute instead of failing.
 	search bool
+	// snap is g and db as of the last write-plane call, and all the read
+	// plane ever searches or checks legality against; g and db themselves
+	// are read only on the write plane, apart from their version counters.
+	snap *Snapshot
 	// routes is read by Route without a lock and mutated only on the write
 	// plane.
 	routes map[cacheKey]entry
@@ -234,9 +242,15 @@ func (t *Table) Route(req policy.Request) (ad.Path, bool) {
 // another hour is served only if it is legal at req's: term windows differ
 // by hour, and a path that was the answer at noon may cross a term that is
 // shut at 3 am. Such an entry is a table miss, not a failure.
+//
+// Every Route starts here, so this is where a mutation nobody announced is
+// caught: the snapshot would answer for a state that no longer exists.
 func (t *Table) lookup(req policy.Request) (ad.Path, bool) {
+	if !t.snap.Current(t.g, t.db) {
+		panic("synthesis: " + t.name + " strategy: graph/policy mutated without Invalidate")
+	}
 	e, ok := t.routes[keyOf(req)]
-	if !ok || (e.hour != req.Hour && !t.db.PathLegal(e.path, req)) {
+	if !ok || (e.hour != req.Hour && !t.snap.PathLegal(e.path, req)) {
 		return nil, false
 	}
 	t.ctr.hits.Add(1)
@@ -247,7 +261,7 @@ func (t *Table) lookup(req policy.Request) (ad.Path, bool) {
 func (t *Table) miss(req policy.Request) (ad.Path, bool) {
 	t.ctr.misses.Add(1)
 	if t.search {
-		res := FindRoute(t.g, t.db, req)
+		res := t.snap.FindRoute(req)
 		t.ctr.onDemand.Add(int64(res.Expanded))
 		if res.Found {
 			return res.Path, true
@@ -281,6 +295,7 @@ func (t *Table) Invalidate() { t.InvalidateScoped(FullChange()) }
 // when the change can have made them routable. A ChangeFull affects every
 // entry, so it is a rebuild.
 func (t *Table) InvalidateScoped(c Change) {
+	t.snap = t.snap.Refresh(t.g, t.db)
 	stale := make(map[cacheKey]bool)
 	for k, e := range t.routes {
 		if c.AffectsPath(e.path) {
@@ -296,7 +311,7 @@ func (t *Table) InvalidateScoped(c Change) {
 		if !stale[k] && !c.AffectsNegative() {
 			continue // was unroutable, and the change cannot have helped
 		}
-		res := FindRoute(t.g, t.db, req)
+		res := t.snap.FindRoute(req)
 		t.ctr.precompute.Add(int64(res.Expanded))
 		if res.Found {
 			t.routes[k] = entry{path: res.Path, hour: req.Hour}
@@ -306,5 +321,5 @@ func (t *Table) InvalidateScoped(c Change) {
 
 // Footprint implements Strategy.
 func (t *Table) Footprint(req policy.Request, path ad.Path) Footprint {
-	return FootprintOf(t.g, t.db, req, path)
+	return t.snap.Footprint(req, path)
 }

@@ -1,6 +1,7 @@
 package synthesis
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ad"
@@ -96,5 +97,44 @@ func TestInvalidatePreservesStats(t *testing.T) {
 				t.Fatalf("counters stopped accumulating after Invalidate: %+v", final)
 			}
 		})
+	}
+}
+
+// TestUnannouncedMutationIsLoud: the read plane searches the snapshot taken
+// at the last write-plane call. A graph or policy mutation nobody announced
+// would make that a silently wrong answer, so Route refuses — on every
+// strategy, table hit or miss, wrapped in a Memo or not — until Invalidate.
+func TestUnannouncedMutationIsLoud(t *testing.T) {
+	g, s, t1, _, d := diamond(t)
+	db := policy.OpenDB(g)
+	req := policy.Request{Src: s, Dst: d, Hour: 12}
+	routePanics := func(st Strategy) (msg any) {
+		defer func() { msg = recover() }()
+		st.Route(req)
+		return nil
+	}
+	for _, build := range []func() Strategy{
+		func() Strategy { return NewOnDemand(g, db) },
+		func() Strategy { return NewPrecomputed(g, db, []policy.Request{req}) },
+		func() Strategy { return NewMemo(NewHybrid(g, db, nil)) },
+	} {
+		st := build()
+		if msg := routePanics(st); msg != nil {
+			t.Fatalf("%s: fresh strategy refused: %v", st.Name(), msg)
+		}
+		for name, mutate := range map[string]func(){
+			"graph":  func() { g.RemoveLink(s, t1); _ = g.AddLink(ad.Link{A: s, B: t1, Cost: 1}) },
+			"policy": func() { db.SetCriteria(s, policy.Criteria{}) },
+		} {
+			mutate()
+			msg, _ := routePanics(st).(string)
+			if !strings.Contains(msg, "graph/policy mutated without Invalidate") {
+				t.Errorf("%s: Route after an unannounced %s mutation: panic %q, want the staleness refusal", st.Name(), name, msg)
+			}
+			st.Invalidate()
+			if msg := routePanics(st); msg != nil {
+				t.Errorf("%s: still refusing after Invalidate: %v", st.Name(), msg)
+			}
+		}
 	}
 }
