@@ -107,8 +107,8 @@ bench-kernel:
 # bench-smoke runs every benchmark exactly once — CI uses it to catch
 # benchmarks that no longer compile or that crash, without paying for
 # real measurement. BenchmarkE20RouteServer, BenchmarkE22ScopedInvalidation,
-# BenchmarkDaemonChurn, BenchmarkHAFailover, BenchmarkPGStateMillion,
-# BenchmarkPlan, and BenchmarkParallelSynth also emit BENCH_*.json reports
+# BenchmarkHAFailover, BenchmarkPGStateMillion, BenchmarkPlan, and
+# BenchmarkParallelSynth also emit BENCH_*.json reports
 # (untracked) as a machine-readable side effect; BENCH_parallelsynth.json
 # records miss QPS at GOMAXPROCS 1/2/4 against a calibrated slow strategy.
 bench-smoke:

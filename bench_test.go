@@ -335,120 +335,6 @@ func BenchmarkE22ScopedInvalidation(b *testing.B) {
 	}
 }
 
-// BenchmarkDaemonChurn measures the network daemon end to end: a TCP
-// daemon serving 1000 concurrent client connections through the load
-// harness (framing, per-session write queues, backpressure), once with a
-// uniform workload and once Zipf-skewed, with connection churn
-// (reconnect-every) and a control-plane fail/restore mid-run, ending in a
-// graceful drain. It emits BENCH_daemon.json (QPS, P50/P99, reconnects;
-// consumed by the bench-smoke CI step). Wall-clock numbers are hardware-
-// dependent; served+no-route must equal requests and errors must be zero.
-func BenchmarkDaemonChurn(b *testing.B) {
-	topo := topology.Generate(topology.Config{
-		Seed: benchSeed, Backbones: 2, RegionalsPerBackbone: 3,
-		CampusesPerParent: 3, LateralProb: 0.25, BypassProb: 0.1,
-		MultihomedProb: 0.15, HybridProb: 0.15,
-	})
-	db := policy.Generate(topo.Graph, policy.GenConfig{
-		Seed: benchSeed, QOSClasses: 2, UCIClasses: 2,
-		QOSCoverage: 1.0, UCICoverage: 1.0, HybridSourceFraction: 0.9,
-		SourceRestrictionProb: 0.2, SourceFraction: 0.7,
-		DestRestrictionProb: 0.1, DestFraction: 0.7, AvoidProb: 0.1,
-	})
-	var lateral ad.Link
-	for _, l := range topo.Graph.Links() {
-		if l.Class == ad.Lateral {
-			lateral = l
-			break
-		}
-	}
-	if lateral.A == 0 {
-		b.Skip("topology has no lateral link")
-	}
-
-	const clients = 1000
-	report := daemonBenchReport{GOMAXPROCS: runtime.GOMAXPROCS(0), Clients: clients}
-	for _, model := range []string{"uniform", "zipf"} {
-		model := model
-		b.Run(model, func(b *testing.B) {
-			workload := trafficgen.Generate(topo.Graph, trafficgen.Config{
-				Seed: benchSeed + 2, Requests: 10000, StubsOnly: true,
-				Model: model, ZipfS: 1.4, QOSClasses: 2, UCIClasses: 2,
-			})
-			srv := routeserver.New(synthesis.NewOnDemand(topo.Graph, db), routeserver.Config{})
-			dp, err := routeserver.NewDataPlane(pgstate.Config{Kind: pgstate.Hard})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Twice the client count plus slack: a redialing client's old
-			// session lingers until its reader observes the close, so the
-			// transient session count tops the steady-state one.
-			d := daemon.New(daemon.NewBackend(srv, dp, topo.Graph, db),
-				daemon.Config{MaxConns: clients*2 + 64})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			go d.Serve(ln)
-
-			addrs := []string{ln.Addr().String()}
-			ctl := daemon.DialFailover("tcp", addrs, 2*time.Second, 1)
-			defer ctl.Close()
-			fire := func(op uint8) func() error {
-				return func() error { return ctl.Control(wire.PlanStep{Op: op, A: lateral.A, B: lateral.B}) }
-			}
-			var last routeserver.Report
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				last = routeserver.Run(func(c int) routeserver.Client {
-					return daemon.DialFailover("tcp", addrs, 2*time.Second, 1+int64(c))
-				}, workload, routeserver.LoadConfig{
-					Clients:        clients,
-					ReconnectEvery: 4, // each client redials ~2x over its 10-request slice
-					Events: []routeserver.Event{
-						{After: 0.4, Fire: fire(wire.CtlFail)},
-						{After: 0.7, Fire: fire(wire.CtlRestore)},
-					},
-				})
-				if last.Errors > 0 || len(last.EventErrors) > 0 {
-					b.Fatalf("load run hit %d errors, event errors %v", last.Errors, last.EventErrors)
-				}
-				if last.Served+last.NoRoute != last.Requests {
-					b.Fatalf("accounting: %d served + %d no-route != %d requests",
-						last.Served, last.NoRoute, last.Requests)
-				}
-			}
-			b.StopTimer()
-			d.Drain() // graceful: in-flight replies flushed, zero drops above
-			m := d.Metrics()
-
-			mr := daemonModeReport{
-				Requests:   last.Requests,
-				Served:     last.Served,
-				NoRoute:    last.NoRoute,
-				Reconnects: last.Reconnects,
-				QPS:        last.QPS,
-				P50NS:      last.Latency.P50.Nanoseconds(),
-				P99NS:      last.Latency.P99.Nanoseconds(),
-				Sessions:   m.Accepted,
-				Evicted:    m.Evicted,
-			}
-			if model == "zipf" {
-				report.Zipf = mr
-			} else {
-				report.Uniform = mr
-			}
-		})
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatalf("marshal bench report: %v", err)
-	}
-	if err := os.WriteFile("BENCH_daemon.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatalf("write BENCH_daemon.json: %v", err)
-	}
-}
-
 // BenchmarkHAFailover measures a 3-replica HA group end to end: TCP
 // daemons fronted by failover clients, the primary's warm cache streaming
 // to the followers, then a SIGKILL-model primary death mid-run. Each
@@ -751,25 +637,6 @@ type haBenchReport struct {
 	P99NS             int64   `json:"p99_ns"`
 	AvailabilityGapMS float64 `json:"availability_gap_ms"`
 	FailoverLatencyMS float64 `json:"failover_latency_ms"`
-}
-
-type daemonModeReport struct {
-	Requests   int     `json:"requests"`
-	Served     int     `json:"served"`
-	NoRoute    int     `json:"no_route"`
-	Reconnects int     `json:"reconnects"`
-	QPS        float64 `json:"qps"`
-	P50NS      int64   `json:"p50_ns"`
-	P99NS      int64   `json:"p99_ns"`
-	Sessions   uint64  `json:"sessions"`
-	Evicted    uint64  `json:"evicted"`
-}
-
-type daemonBenchReport struct {
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	Clients    int              `json:"clients"`
-	Uniform    daemonModeReport `json:"uniform"`
-	Zipf       daemonModeReport `json:"zipf"`
 }
 
 type scopedBenchReport struct {

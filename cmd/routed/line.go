@@ -65,8 +65,8 @@ func serveLine(line string, out io.Writer, be *daemon.Backend) bool {
 		// The control ops: one parser, one Backend.Control. Scoped ops
 		// report what they evicted and retained — a failure also flushes
 		// installed handle state that crossed the dead link and queues its
-		// flows for "repair" — and the full bump reports the generation
-		// that restores optimality after scoped retentions.
+		// flows for "repair" — and the full invalidation, which restores
+		// optimality after scoped retentions, reports its count.
 		var eff daemon.Effect
 		op, err := parseStep(fields)
 		if err == nil {

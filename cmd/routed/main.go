@@ -1,5 +1,5 @@
 // Command routed fronts the route-server serving layer (§5.4): a concurrent
-// query engine — sharded route cache, request coalescing, generation-based
+// query engine — sharded route cache, request coalescing, scoped and full
 // invalidation — wrapped around a route-synthesis strategy.
 //
 // Three modes:
@@ -12,14 +12,15 @@
 //     "state". fail/restore/policy invalidate the route cache scoped to
 //     the change — entries provably unaffected keep serving (still legal,
 //     possibly no longer optimal after a restore or policy broadening);
-//     "invalidate" forces the full generation bump that restores
-//     optimality. Served routes are installed as per-PG handle state whose
-//     lifecycle (-state hard|soft|capped, -state-ttl, -state-cap)
-//     follows §6. "plan STEP[; STEP ...]" (steps "fail A B", "restore A
-//     B", "policy AD COST") predicts a change batch's blast radius —
-//     cache evictions, flow teardowns, pairs losing all routes — without
-//     mutating anything, and "commit ID" applies a predicted plan unless
-//     the server's mutation epoch moved since (staleness guard).
+//     "invalidate" empties the cache, which restores optimality, and
+//     reports how many times that has happened (gen). Served routes are
+//     installed as per-PG handle state whose lifecycle (-state
+//     hard|soft|capped, -state-ttl, -state-cap) follows §6. "plan STEP[;
+//     STEP ...]" (steps "fail A B", "restore A B", "policy AD COST")
+//     predicts a change batch's blast radius — cache evictions, flow
+//     teardowns, pairs losing all routes — without mutating anything, and
+//     "commit ID" applies a predicted plan unless the server's mutation
+//     epoch moved since (staleness guard).
 //
 //   - Daemon mode (-listen addr and/or -unix path): serves the same
 //     commands as a network daemon speaking the framed binary protocol of

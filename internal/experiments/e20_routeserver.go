@@ -11,16 +11,16 @@ import (
 
 // E20RouteServer measures the route-server serving layer (§5.4/§5.4.1):
 // a concurrent query engine — sharded route cache, singleflight coalescing,
-// generation invalidation — wrapped around each synthesis strategy, serving
+// full invalidation — wrapped around each synthesis strategy, serving
 // skewed workloads with and without mid-serve churn (a link failure plus a
 // policy change, each of which invalidates every cached route).
 //
 // Reported counters are scheduling-independent by construction: with an
 // uncapped cache, negative caching, and coalescing, the server runs exactly
-// one synthesis per unique (src,dst,qos,uci,hour) key per generation, so
-// "synth" is deterministic even though four client goroutines race on the
-// cache. Naive on-demand serving runs one synthesis per request; "saved" is
-// the ratio. Wall-clock throughput and tail latency are measured by
+// one synthesis per unique (src,dst,qos,uci,hour) key between
+// invalidations, so "synth" is deterministic even though four client
+// goroutines race on the cache. Naive on-demand serving runs one synthesis
+// per request; "saved" is the ratio. Wall-clock throughput and tail latency are measured by
 // cmd/routed's load mode and BenchmarkE20RouteServer, which emits
 // BENCH_routeserver.json.
 func E20RouteServer(seed int64) *metrics.Table {

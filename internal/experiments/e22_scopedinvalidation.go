@@ -15,9 +15,9 @@ import (
 // E22ScopedInvalidation measures what dependency-indexed cache invalidation
 // buys under the slow-and-local churn the paper assumes (§2.2–§2.3): the
 // same link-local event timeline is replayed against a route server in
-// "full" mode (every mutation bumps the generation and discards the whole
-// cache — the pre-scoping behaviour) and in "scoped" mode (MutateScoped
-// evicts only the entries whose recorded footprint the change can touch).
+// "full" mode (every mutation empties the whole cache — the pre-scoping
+// behaviour) and in "scoped" mode (MutateScoped evicts only the entries
+// whose recorded footprint the change can touch).
 // After warming the cache with the full workload, each of six events (two
 // lateral-link failures, their restorations, a policy change at a
 // low-degree transit AD, and its revert) is followed by a 50-request slice

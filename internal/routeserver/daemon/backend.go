@@ -60,13 +60,15 @@ type Backend struct {
 
 // Stats is the serving-counter snapshot the stats command reports.
 type Stats struct {
+	// Gen counts full invalidations so far.
 	Gen       uint64
 	Queries   uint64
 	Hits      uint64
 	Coalesced uint64
 	Misses    uint64
 	Failures  uint64
-	Cached    int
+	// Cached is Server.CacheLen: the entries held, every one current.
+	Cached int
 	// Connection counters, filled only when the backend fronts a daemon
 	// (ConnsKnown true): sessions accepted, evicted for slow consumption,
 	// and refused at the connection limit or during drain.

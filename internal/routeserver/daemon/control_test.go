@@ -46,6 +46,34 @@ func TestControlRefusesUnknownAD(t *testing.T) {
 	}
 }
 
+// TestInvalidateReleasesEntries pins that a full invalidation empties the
+// cache there and then, with no capacity pressure to push anything out:
+// every count and the replication dump agree that nothing is held.
+func TestInvalidateReleasesEntries(t *testing.T) {
+	w := testWorld(t, nil).world
+	srv := routeserver.New(synthesis.NewOnDemand(w.G, w.DB), routeserver.Config{Capacity: -1})
+	be := NewBackend(srv, nil, w.G, w.DB)
+	for h := 0; h < 24; h++ {
+		be.Query(policy.Request{Src: 1, Dst: 4, Hour: uint8(h)})
+		be.Query(policy.Request{Src: 4, Dst: 1, Hour: uint8(h)})
+	}
+	if n := srv.CacheLen(); n != 48 {
+		t.Fatalf("filled cache holds %d entries, want 48", n)
+	}
+	if _, err := be.Control(wire.PlanStep{Op: wire.CtlInvalidate}); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.CacheLen(); n != 0 {
+		t.Errorf("CacheLen = %d after invalidate, want 0", n)
+	}
+	if n := be.Stats().Cached; n != 0 {
+		t.Errorf("Stats().Cached = %d after invalidate, want 0", n)
+	}
+	if ents := srv.DumpEntries(nil); len(ents) != 0 {
+		t.Errorf("DumpEntries returned %d entries after invalidate, want none", len(ents))
+	}
+}
+
 // scopeRecorder is a strategy that records the Change each server mutation
 // handed it: what the live stack really scoped its invalidation to.
 type scopeRecorder struct {

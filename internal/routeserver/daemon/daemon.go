@@ -160,41 +160,10 @@ func (d *Daemon) ServeConn(conn net.Conn) {
 	s.run()
 }
 
-// Drain shuts the daemon down gracefully: stop accepting, let every
-// session finish the request it is processing, flush queued replies, and
-// close. Idempotent; blocks until the drain completes. Safe to call from
-// inside a session (the Drain protocol message does, via a goroutine).
-func (d *Daemon) Drain() {
-	d.drainOnce.Do(func() {
-		d.mu.Lock()
-		d.draining = true
-		lns := make([]net.Listener, 0, len(d.listeners))
-		for ln := range d.listeners {
-			lns = append(lns, ln)
-		}
-		sess := make([]*session, 0, len(d.sessions))
-		for s := range d.sessions {
-			sess = append(sess, s)
-		}
-		d.mu.Unlock()
-		for _, ln := range lns {
-			ln.Close()
-		}
-		for _, s := range sess {
-			s.beginDrain()
-		}
-		d.wg.Wait()
-		close(d.done)
-	})
-	<-d.done
-}
-
-// Kill shuts the daemon down abruptly: stop accepting and close every
-// live session's connection without flushing queued replies — the
-// SIGKILL model HA failover is built against (clients observe connection
-// errors, not a drain). Blocks until every session goroutine has exited.
-// A later Drain still completes (and closes Done) immediately.
-func (d *Daemon) Kill() {
+// stopAccepting is how every shutdown begins: mark the daemon draining (so
+// Serve and ServeConn refuse from here on), close the listeners, and return
+// the sessions live at that point.
+func (d *Daemon) stopAccepting() []*session {
 	d.mu.Lock()
 	d.draining = true
 	lns := make([]net.Listener, 0, len(d.listeners))
@@ -209,7 +178,31 @@ func (d *Daemon) Kill() {
 	for _, ln := range lns {
 		ln.Close()
 	}
-	for _, s := range sess {
+	return sess
+}
+
+// Drain shuts the daemon down gracefully: stop accepting, let every
+// session finish the request it is processing, flush queued replies, and
+// close. Idempotent; blocks until the drain completes. Safe to call from
+// inside a session (the Drain protocol message does, via a goroutine).
+func (d *Daemon) Drain() {
+	d.drainOnce.Do(func() {
+		for _, s := range d.stopAccepting() {
+			s.beginDrain()
+		}
+		d.wg.Wait()
+		close(d.done)
+	})
+	<-d.done
+}
+
+// Kill shuts the daemon down abruptly: stop accepting and close every
+// live session's connection without flushing queued replies — the
+// SIGKILL model HA failover is built against (clients observe connection
+// errors, not a drain). Blocks until every session goroutine has exited.
+// A later Drain still completes (and closes Done) immediately.
+func (d *Daemon) Kill() {
+	for _, s := range d.stopAccepting() {
 		s.close()
 	}
 	d.wg.Wait()
@@ -420,6 +413,22 @@ func replyID(m wire.Message) uint64 {
 	return 0
 }
 
+// requestID returns the ID of a request the redirect gate covers: Query,
+// Control, DataOp and Plan. Stats and Drain are not gated.
+func requestID(m wire.Message) (id uint64, gated bool) {
+	switch q := m.(type) {
+	case *wire.Query:
+		return q.ID, true
+	case *wire.Control:
+		return q.ID, true
+	case *wire.DataOp:
+		return q.ID, true
+	case *wire.Plan:
+		return q.ID, true
+	}
+	return 0, false
+}
+
 // evict closes a slow client's connection; the reader and writer unblock
 // with errors and the session winds down.
 func (s *session) evict() {
@@ -448,22 +457,9 @@ func (s *session) close() {
 // everything under it copy out what they keep and retain neither.
 func (d *Daemon) dispatch(m wire.Message, qr *wire.QueryReply) (reply wire.Message, drain bool) {
 	if p := d.redirect.Load(); p != nil {
-		switch q := m.(type) {
-		case *wire.Query:
+		if rid, gated := requestID(m); gated {
 			if id, addr, redir := (*p)(); redir {
-				return &wire.NotPrimary{ID: q.ID, PrimaryID: id, Addr: addr}, false
-			}
-		case *wire.Control:
-			if id, addr, redir := (*p)(); redir {
-				return &wire.NotPrimary{ID: q.ID, PrimaryID: id, Addr: addr}, false
-			}
-		case *wire.DataOp:
-			if id, addr, redir := (*p)(); redir {
-				return &wire.NotPrimary{ID: q.ID, PrimaryID: id, Addr: addr}, false
-			}
-		case *wire.Plan:
-			if id, addr, redir := (*p)(); redir {
-				return &wire.NotPrimary{ID: q.ID, PrimaryID: id, Addr: addr}, false
+				return &wire.NotPrimary{ID: rid, PrimaryID: id, Addr: addr}, false
 			}
 		}
 	}

@@ -204,7 +204,7 @@ func (n *Node) Start() {
 			return
 		}
 		n.currentBacklog().append(wire.SyncEntry{
-			Op: wire.SyncPut, Req: k.Request(), Found: res.Found, Path: res.Path,
+			Op: wire.SyncPut, Req: k, Found: res.Found, Path: res.Path,
 			Links: fp.Links, Terms: fp.Terms,
 		})
 	})

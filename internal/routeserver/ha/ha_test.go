@@ -454,7 +454,7 @@ func TestSyncSnapshotUnderConcurrentScopedMutations(t *testing.T) {
 	// valid, policy-legal paths; negatives only where no route exists.
 	checked := 0
 	for _, e := range fol.srv.DumpEntries(nil) {
-		req := e.Key.Request()
+		req := e.Key
 		if e.Res.Found {
 			if !e.Res.Path.Valid(fol.g) || !fol.db.PathLegal(e.Res.Path, req) {
 				t.Fatalf("synced entry %v -> %v is illegal", req, e.Res.Path)

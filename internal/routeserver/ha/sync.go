@@ -116,7 +116,7 @@ func (n *Node) sendSnapshot(bw *bufio.Writer, cursor uint64, bl *backlog) (uint6
 	}
 	for _, ce := range entries {
 		e := wire.SyncEntry{
-			Seq: s0, Op: wire.SyncPut, Req: ce.Key.Request(),
+			Seq: s0, Op: wire.SyncPut, Req: ce.Key,
 			Found: ce.Res.Found, Path: ce.Res.Path,
 			Links: ce.Fp.Links, Terms: ce.Fp.Terms,
 		}
@@ -253,7 +253,7 @@ func (n *Node) applyEntry(e *wire.SyncEntry, inSnapshot bool) {
 		return
 	}
 	n.srv.InstallEntry(
-		routeserver.KeyOf(e.Req),
+		e.Req,
 		routeserver.Result{Path: e.Path, Found: e.Found},
 		synthesis.Footprint{Links: e.Links, Terms: e.Terms},
 	)

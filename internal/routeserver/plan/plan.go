@@ -60,10 +60,8 @@ type Config struct {
 // are incremental: a cache entry or flow already claimed by an earlier
 // step is not counted again, mirroring sequential application.
 type StepReport struct {
-	Step   wire.PlanStep
-	Change synthesis.Change
 	// Evicted counts cache entries this step newly evicts; Retained is
-	// the current-generation population still cached after it.
+	// the population still cached after it.
 	Evicted, Retained int
 	// Teardowns counts live data-plane flows this step newly tears down.
 	Teardowns int
@@ -87,7 +85,7 @@ type Report struct {
 	// Steps holds the per-step predictions in batch order.
 	Steps []StepReport
 	// EvictedKeys is the sorted union of cache keys the batch evicts;
-	// Retained is the current-generation population left cached.
+	// Retained is the population left cached.
 	EvictedKeys []routeserver.Key
 	Retained    int
 	// Teardowns is the sorted union of live flow handles torn down.
@@ -156,7 +154,7 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.Wo
 	evicted := make(map[routeserver.Key]routeserver.CacheEntry)
 	tornDown := make(map[uint64]struct{})
 	for i, ents := range perChange {
-		sr := StepReport{Step: steps[i], Change: changes[i]}
+		var sr StepReport
 		for _, ent := range ents {
 			if _, dup := evicted[ent.Key]; !dup {
 				evicted[ent.Key] = ent
@@ -178,7 +176,7 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.Wo
 	for k := range evicted {
 		rep.EvictedKeys = append(rep.EvictedKeys, k)
 	}
-	sortKeys(rep.EvictedKeys)
+	sortRequests(rep.EvictedKeys)
 	for h := range tornDown {
 		rep.Teardowns = append(rep.Teardowns, h)
 	}
@@ -188,9 +186,8 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.Wo
 	// flow intents, deduplicated by serving key and sorted.
 	seen := make(map[routeserver.Key]struct{})
 	add := func(req policy.Request) {
-		k := routeserver.KeyOf(req)
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
+		if _, dup := seen[req]; !dup {
+			seen[req] = struct{}{}
 			rep.Population = append(rep.Population, req)
 		}
 	}
@@ -198,7 +195,7 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.Wo
 		add(req)
 	}
 	for _, k := range rep.EvictedKeys {
-		add(k.Request())
+		add(k)
 	}
 	if dp != nil {
 		for _, h := range rep.Teardowns {
@@ -272,12 +269,13 @@ func focusAD(steps []wire.PlanStep) ad.ID {
 	return steps[0].A
 }
 
-// sortKeys orders cache keys by (Src, Dst, QOS, UCI, Hour).
-func sortKeys(keys []routeserver.Key) {
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+// sortRequests orders requests — cache keys are requests — by (Src, Dst,
+// QOS, UCI, Hour).
+func sortRequests(reqs []policy.Request) {
+	sort.Slice(reqs, func(i, j int) bool { return keyLess(reqs[i], reqs[j]) })
 }
 
-func keyLess(a, b routeserver.Key) bool {
+func keyLess(a, b policy.Request) bool {
 	if a.Src != b.Src {
 		return a.Src < b.Src
 	}
@@ -291,11 +289,4 @@ func keyLess(a, b routeserver.Key) bool {
 		return a.UCI < b.UCI
 	}
 	return a.Hour < b.Hour
-}
-
-// sortRequests orders requests by their serving key.
-func sortRequests(reqs []policy.Request) {
-	sort.Slice(reqs, func(i, j int) bool {
-		return keyLess(routeserver.KeyOf(reqs[i]), routeserver.KeyOf(reqs[j]))
-	})
 }

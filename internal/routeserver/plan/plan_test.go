@@ -176,6 +176,40 @@ func TestPlanPredictsCommitExactly(t *testing.T) {
 	}
 }
 
+// TestPlanPredictsCommitAfterInvalidate pins plan == commit on a cache that
+// a full invalidation has been through: the prediction and the eviction see
+// the same entries, the refilled ones and nothing older.
+func TestPlanPredictsCommitAfterInvalidate(t *testing.T) {
+	_, _, srv, _, be := world(t)
+	warm(t, srv)
+	if _, err := be.Control(wire.PlanStep{Op: wire.CtlInvalidate}); err != nil {
+		t.Fatal(err)
+	}
+	// One refilled entry crosses the link about to fail, one does not.
+	crossing := policy.Request{Src: 1, Dst: 4}
+	be.Query(crossing)
+	be.Query(policy.Request{Src: 1, Dst: 3})
+
+	id, rep, err := be.Plan([]wire.PlanStep{{Op: wire.CtlFail, A: 2, B: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []routeserver.Key{routeserver.KeyOf(crossing)}; !reflect.DeepEqual(rep.EvictedKeys, want) {
+		t.Errorf("predicted evicted keys %v, want %v", rep.EvictedKeys, want)
+	}
+	res, err := be.Commit(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evicted != len(rep.EvictedKeys) || res.Retained != rep.Retained {
+		t.Errorf("committed evicted/retained %d/%d, predicted %d/%d",
+			res.Evicted, res.Retained, len(rep.EvictedKeys), rep.Retained)
+	}
+	if got := srv.CacheLen(); got != rep.Retained {
+		t.Errorf("%d entries cached after commit, predicted %d retained", got, rep.Retained)
+	}
+}
+
 // TestPlanSequentialUnionSemantics pins that overlapping steps do not
 // double-count: a victim of step 1 is gone by the time step 2 runs, and
 // the per-step reports mirror that sequential reality.

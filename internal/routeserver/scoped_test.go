@@ -150,6 +150,7 @@ func TestMutateScopedPolicyEvictsByTerm(t *testing.T) {
 	// and — because it may broaden — every cached negative too.
 	srv.Invalidate()
 	srv.Query(rVia1)
+	srv.Query(rVia2)
 	evicted, _ = srv.MutateScoped(synthesis.PolicyChangeAt(t1), nil)
 	if evicted != 2 {
 		t.Fatalf("AllTerms change at t1 evicted %d, want the t1 route and the negative", evicted)

@@ -3,8 +3,8 @@
 // clients, and §5.4.1 leaves open how to make that fast at scale. This
 // package wraps any synthesis.Strategy behind a thread-safe query engine:
 //
-//   - a sharded LRU route cache keyed by (src, dst, QOS, UCI, hour) with
-//     generation-based invalidation on topology/policy-change events,
+//   - a sharded LRU route cache keyed by (src, dst, QOS, UCI, hour), purged
+//     outright on an unscoped topology/policy-change event,
 //   - a per-shard reverse dependency index (link → keys, term → keys,
 //     negative-entry set) fed by each route's synthesis.Footprint, so
 //     MutateScoped evicts only the entries a change can affect while the
@@ -21,16 +21,16 @@
 //     a latency histogram with p50/p95/p99.
 //
 // Correctness contract: a query observes either the state before an
-// invalidation or after it, never a mix — cached entries are tagged with
-// the generation that produced them and are never served across a full
-// bump. Scoped mutations do not bump the generation; instead they evict
-// every dependent entry under the strategy lock before any post-change
-// synthesis can run, and bump a coalescing epoch so queries issued after
-// the mutation never join a pre-mutation in-flight computation. Entries
-// retained across a scoped mutation are legal under the post-change state
-// by construction (the change provably cannot affect them), though a
-// broadening change may have created a cheaper route; callers that need
-// optimality back use the full Invalidate.
+// invalidation or after it, never a mix — an entry that is present is
+// current. Every mutation runs under the write side of the strategy lock,
+// which drains every in-flight synthesis first: a full invalidation then
+// purges every shard, a scoped mutation evicts every dependent entry, both
+// before any post-change synthesis can run, and both bump a coalescing
+// epoch so queries issued after the mutation never join a pre-mutation
+// in-flight computation. Entries retained across a scoped mutation are
+// legal under the post-change state by construction (the change provably
+// cannot affect them), though a broadening change may have created a
+// cheaper route; callers that need optimality back use the full Invalidate.
 package routeserver
 
 import (
@@ -46,30 +46,18 @@ import (
 	"repro/internal/synthesis"
 )
 
-// Key is the serving-cache key. It includes the request hour: term windows
-// make a route's legality depend on it, so an answer cached for one hour is
-// never served at another. (The strategies' precomputed tables are keyed
-// without the hour and re-check legality instead; see synthesis.Table.)
-type Key struct {
-	Src, Dst ad.ID
-	QOS      policy.QOS
-	UCI      policy.UCI
-	Hour     uint8
-}
+// Key is the serving-cache key: the request itself, every field. That
+// includes the hour: term windows make a route's legality depend on it, so
+// an answer cached for one hour is never served at another. (The
+// strategies' precomputed tables are keyed without the hour and re-check
+// legality instead; see synthesis.Table.)
+type Key = policy.Request
 
-// KeyOf derives the serving-cache key for a request.
-func KeyOf(req policy.Request) Key {
-	return Key{Src: req.Src, Dst: req.Dst, QOS: req.QOS, UCI: req.UCI, Hour: req.Hour}
-}
-
-// Request reconstructs the request a key stands for (keys carry every
-// request field). Replication uses it to ship cache entries as requests.
-func (k Key) Request() policy.Request {
-	return policy.Request{Src: k.Src, Dst: k.Dst, QOS: k.QOS, UCI: k.UCI, Hour: k.Hour}
-}
+// KeyOf derives the serving-cache key for a request: the identity.
+func KeyOf(req policy.Request) Key { return req }
 
 // hash is FNV-1a over the key's fields, used to pick a cache shard.
-func (k Key) hash() uint32 {
+func hash(k Key) uint32 {
 	h := uint32(2166136261)
 	mix := func(b byte) {
 		h ^= uint32(b)
@@ -133,11 +121,9 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// cached is one route-cache entry, tagged with the generation whose
-// topology/policy state produced it and carrying the route's dependency
+// cached is one route-cache entry: the answer plus the route's dependency
 // footprint for the reverse index.
 type cached struct {
-	gen   uint64
 	path  ad.Path
 	found bool
 	fp    synthesis.Footprint
@@ -155,13 +141,13 @@ type shard struct {
 	byLink map[[2]ad.ID]map[Key]struct{}
 	byTerm map[policy.Key]map[Key]struct{}
 	negs   map[Key]struct{}
-	// live counts resident current-generation entries — the population
-	// scoped mutations report as "retained" and the plan engine reads in
-	// O(shards) instead of O(cache). Maintained under mu at every insert,
-	// capacity eviction, stale-on-sight deletion, and scoped eviction; a
-	// full bump zeroes it (every resident entry just went stale, deletion
-	// stays lazy). Stale entries are never counted.
-	live int
+}
+
+// reset empties the reverse index. Caller holds mu (or owns sh outright).
+func (sh *shard) reset() {
+	sh.byLink = make(map[[2]ad.ID]map[Key]struct{})
+	sh.byTerm = make(map[policy.Key]map[Key]struct{})
+	sh.negs = make(map[Key]struct{})
 }
 
 // index adds k's dependency edges. Caller holds mu.
@@ -253,38 +239,18 @@ func (sh *shard) victimKeys(c synthesis.Change) map[Key]struct{} {
 
 // evictScoped drops every entry the change can affect, resolved through
 // the reverse index, and returns the number of entries actually deleted —
-// a victim key whose cache entry is already gone (e.g. dropped by a
-// concurrent lookup's stale-on-sight deletion between index resolution and
-// here, or a dangling index edge) is not counted as eviction work. gen is
-// the current cache generation: victims still carrying it come out of the
-// live count. Caller holds mu.
-func (sh *shard) evictScoped(c synthesis.Change, gen uint64) int {
+// a victim key whose cache entry is already gone (a dangling index edge) is
+// not counted as eviction work. Caller holds mu.
+func (sh *shard) evictScoped(c synthesis.Change) int {
 	deleted := 0
 	for k := range sh.victimKeys(c) {
 		if ent, ok := sh.lru.Peek(k); ok {
 			sh.unindex(k, ent)
 			sh.lru.Delete(k)
 			deleted++
-			if ent.gen == gen {
-				sh.live--
-			}
 		}
 	}
 	return deleted
-}
-
-// retainedCurrent counts the shard's entries of generation gen — stale
-// entries left behind by a prior full bump are dead weight awaiting lazy
-// deletion, not retained work. Caller holds mu.
-func (sh *shard) retainedCurrent(gen uint64) int {
-	n := 0
-	sh.lru.Range(func(_ Key, c cached) bool {
-		if c.gen == gen {
-			n++
-		}
-		return true
-	})
-	return n
 }
 
 // call is one in-flight singleflight computation.
@@ -295,9 +261,8 @@ type call struct {
 
 // sfKey scopes coalescing to a mutation epoch: a miss issued after any
 // invalidation — full or scoped — never joins a computation started
-// before it. The epoch (unlike the cache generation) is bumped by scoped
-// mutations too, which is what keeps a post-mutation query from adopting
-// a pre-mutation in-flight result for a dependent key.
+// before it, which is what keeps a post-mutation query from adopting a
+// pre-mutation in-flight result for a dependent key.
 type sfKey struct {
 	epoch uint64
 	key   Key
@@ -334,7 +299,7 @@ type MetricsSnapshot struct {
 	Failures uint64
 	// Evictions counts cache entries dropped for capacity.
 	Evictions uint64
-	// Invalidations counts full generation bumps.
+	// Invalidations counts full invalidations (each purges the cache).
 	Invalidations uint64
 	// ScopedMutations counts MutateScoped calls that took the scoped
 	// (non-full) eviction path.
@@ -342,8 +307,7 @@ type MetricsSnapshot struct {
 	// ScopedEvicted is the total entries evicted by scoped mutations.
 	ScopedEvicted uint64
 	// ScopedRetained is the total entries retained across scoped
-	// mutations (current-generation entries summed after each scoped
-	// eviction; stale entries awaiting lazy deletion are excluded).
+	// mutations (resident entries summed after each scoped eviction).
 	ScopedRetained uint64
 	// Latency digests per-query serving latency.
 	Latency metrics.LatencySummary
@@ -367,7 +331,6 @@ func (s MetricsSnapshot) HitRate() float64 {
 // queries.
 type Server struct {
 	cfg     Config
-	gen     atomic.Uint64
 	epoch   atomic.Uint64 // coalescing scope; bumped by full AND scoped mutations
 	shards  []shard
 	mask    uint32
@@ -378,9 +341,10 @@ type Server struct {
 	// stratMu splits the strategy into a concurrent-read plane and an
 	// exclusive-write plane: misses hold the read side while they search
 	// (synthesis.Strategy's Route/Footprint/Stats are concurrent-safe),
-	// mutations and rebuilds hold the write side. The generation and epoch
-	// advance only under the write side, so a read-side holder sees both
-	// frozen for the duration of its hold.
+	// mutations and rebuilds hold the write side. The epoch advances and
+	// the cache is purged only under the write side, so a read-side holder
+	// sees the epoch frozen and inserts into a cache no full invalidation
+	// can cross for the duration of its hold.
 	stratMu sync.RWMutex
 	// seqMu sequences cache inserts and the OnInsert hook among concurrent
 	// read-side holders, so HA replication observes puts in one total
@@ -467,17 +431,10 @@ func New(strategy synthesis.Strategy, cfg Config) *Server {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.lru = cache.NewLRU[Key, cached](perShard)
-		sh.byLink = make(map[[2]ad.ID]map[Key]struct{})
-		sh.byTerm = make(map[policy.Key]map[Key]struct{})
-		sh.negs = make(map[Key]struct{})
+		sh.reset()
 		// Capacity evictions fire inside Put, i.e. under sh.mu: keep the
-		// reverse index and the live count in step with the LRU.
-		sh.lru.OnEvict = func(k Key, c cached) {
-			sh.unindex(k, c)
-			if c.gen == s.gen.Load() {
-				sh.live--
-			}
-		}
+		// reverse index in step with the LRU.
+		sh.lru.OnEvict = sh.unindex
 	}
 	if cfg.QueryLog > 0 {
 		s.qlog.buf = make([]atomic.Pointer[policy.Request], cfg.QueryLog)
@@ -485,9 +442,9 @@ func New(strategy synthesis.Strategy, cfg Config) *Server {
 	return s
 }
 
-// Generation returns the current cache generation (bumped by every
-// invalidation).
-func (s *Server) Generation() uint64 { return s.gen.Load() }
+// Generation returns the number of full invalidations so far: how many
+// times the whole cache has been purged.
+func (s *Server) Generation() uint64 { return s.met.invalidations.Load() }
 
 // Epoch returns the mutation epoch. Unlike the generation it is bumped by
 // every mutation, full or scoped — but not by routine cache fills — so the
@@ -500,50 +457,31 @@ func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 // replays them as the recorded workload.
 func (s *Server) RecentQueries() []policy.Request { return s.qlog.recent() }
 
-// lookup serves k from the cache if a current-generation entry exists.
-// Stale entries are deleted on sight.
-func (s *Server) lookup(k Key, gen uint64) (Result, bool) {
-	sh := &s.shards[k.hash()&s.mask]
+// lookup serves k from the cache if an entry exists; an entry that is
+// present is current.
+func (s *Server) lookup(k Key) (Result, bool) {
+	sh := &s.shards[hash(k)&s.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	c, ok := sh.lru.Get(k)
-	if !ok {
-		return Result{}, false
-	}
-	if c.gen != gen {
-		// gen was loaded before sh.mu was taken; re-check against the live
-		// generation so an entry inserted after a concurrent bump is not
-		// dropped from the count it was added under.
-		if c.gen == s.gen.Load() {
-			sh.live--
-		}
-		sh.unindex(k, c)
-		sh.lru.Delete(k)
-		return Result{}, false
-	}
-	return Result{Path: c.path, Found: c.found}, true
+	return Result{Path: c.path, Found: c.found}, ok
 }
 
-// insert stores a computed result tagged with the generation it was
-// computed under and indexes its dependency footprint. Every caller loads
-// gen while holding at least the read side of stratMu and inserts under
-// the same hold; the generation advances only under the write side, so gen
-// is always the current generation and the new entry always joins the live
-// count.
-func (s *Server) insert(k Key, gen uint64, res Result, fp synthesis.Footprint) {
-	sh := &s.shards[k.hash()&s.mask]
+// insert stores a computed result and indexes its dependency footprint.
+// Every caller holds at least the read side of stratMu from before the
+// search to after the insert, and the cache is purged only under the write
+// side, so a result computed against one state never lands behind a full
+// invalidation.
+func (s *Server) insert(k Key, res Result, fp synthesis.Footprint) {
+	sh := &s.shards[hash(k)&s.mask]
 	sh.mu.Lock()
 	if old, ok := sh.lru.Peek(k); ok {
 		sh.unindex(k, old)
-		if old.gen == gen {
-			sh.live--
-		}
 	}
-	ent := cached{gen: gen, path: res.Path, found: res.Found, fp: fp}
+	ent := cached{path: res.Path, found: res.Found, fp: fp}
 	if sh.lru.Put(k, ent) {
 		s.met.evictions.Add(1)
 	}
-	sh.live++
 	sh.index(k, ent)
 	sh.mu.Unlock()
 }
@@ -555,9 +493,7 @@ func (s *Server) Query(req policy.Request) Result {
 	s.met.queries.Add(1)
 	s.qlog.record(req)
 
-	k := KeyOf(req)
-	gen := s.gen.Load()
-	if res, ok := s.lookup(k, gen); ok {
+	if res, ok := s.lookup(req); ok {
 		s.met.hits.Add(1)
 		if !res.Found {
 			s.met.failures.Add(1)
@@ -568,7 +504,7 @@ func (s *Server) Query(req policy.Request) Result {
 	if s.afterLookupMiss != nil {
 		s.afterLookupMiss()
 	}
-	res, how := s.coalesce(sfKey{epoch: s.epoch.Load(), key: k}, req)
+	res, how := s.coalesce(sfKey{epoch: s.epoch.Load(), key: req})
 	switch how {
 	case served:
 		s.met.hits.Add(1)
@@ -609,7 +545,7 @@ const (
 // deregistering the call and releasing every coalesced waiter — waiters
 // observe the zero Result ("no legal route") rather than blocking forever
 // on a wg.Done that would never come, and the sfCalls entry never leaks.
-func (s *Server) coalesce(key sfKey, req policy.Request) (Result, outcome) {
+func (s *Server) coalesce(key sfKey) (Result, outcome) {
 	s.sfMu.Lock()
 	if c, ok := s.sfCalls[key]; ok {
 		s.sfMu.Unlock()
@@ -627,39 +563,38 @@ func (s *Server) coalesce(key sfKey, req policy.Request) (Result, outcome) {
 		s.sfMu.Unlock()
 		c.wg.Done()
 	}()
-	if res, ok := s.lookup(key.key, s.gen.Load()); ok {
+	if res, ok := s.lookup(key.key); ok {
 		c.res = res
 		return res, served
 	}
-	c.res = s.compute(req)
+	c.res = s.compute(key.key)
 	return c.res, computed
 }
 
 // compute runs one synthesis on the strategy's read plane, then caches the
 // result (negative results too — repeated queries for an unroutable pair
-// must not re-run the search) under the generation current at computation
-// time. Any number of computations for distinct keys run concurrently; a
-// mutation takes the write side of stratMu and therefore waits for every
-// in-flight search, so every in-flight result is either indexed before a
-// scoped eviction scans (and evicted if dependent) or computed after the
-// mutation (and already post-change) — never a stale result landing behind
-// a completed scoped eviction. The insert and the OnInsert hook run under
-// seqMu while still holding the read side: inserts form one total order
-// among themselves, and order against mutations through stratMu, so HA
-// replication replays puts and control mutations in stream order.
+// must not re-run the search). Any number of computations for distinct keys
+// run concurrently; a mutation takes the write side of stratMu and
+// therefore waits for every in-flight search, so every in-flight result is
+// either inserted before the purge or scoped eviction runs (and dropped if
+// dependent) or computed after the mutation (and already post-change) —
+// never a stale result landing behind a completed invalidation. The insert
+// and the OnInsert hook run under seqMu while still holding the read side:
+// inserts form one total order among themselves, and order against
+// mutations through stratMu, so HA replication replays puts and control
+// mutations in stream order.
 //
 // Unlock via defer throughout: a panicking strategy must not leave the
 // strategy lock held, or every later query and mutation would deadlock.
 func (s *Server) compute(req policy.Request) Result {
 	s.stratMu.RLock()
 	defer s.stratMu.RUnlock()
-	gen := s.gen.Load() // frozen for this hold: gen advances only write-side
 	res, fp := s.search(req)
 	s.seqMu.Lock()
 	defer s.seqMu.Unlock()
-	s.insert(KeyOf(req), gen, res, fp)
+	s.insert(req, res, fp)
 	if s.onInsert != nil {
-		s.onInsert(KeyOf(req), res, fp)
+		s.onInsert(req, res, fp)
 	}
 	return res
 }
@@ -683,10 +618,10 @@ func (s *Server) search(req policy.Request) (Result, synthesis.Footprint) {
 	return res, fp
 }
 
-// Invalidate reacts to a topology or policy change: it bumps the cache
-// generation (so every cached route is stale) and rebuilds the strategy.
-// In-flight computations finish against whichever state they observed and
-// are tagged accordingly; their results are never served across the bump.
+// Invalidate reacts to a topology or policy change: it empties the cache
+// and rebuilds the strategy. In-flight computations finish, against the
+// state they observed, before the purge; their results are never served
+// after it.
 func (s *Server) Invalidate() {
 	s.Mutate(nil)
 }
@@ -694,8 +629,8 @@ func (s *Server) Invalidate() {
 // Mutate applies fn — which may mutate the graph or policy database the
 // strategy synthesizes over — with exclusive access, then invalidates the
 // whole cache. Use this for unscoped changes on a live server; queries
-// that hit the cache keep being served concurrently (from the pre-change
-// generation) until the bump lands.
+// that hit the cache keep being served concurrently (pre-change answers)
+// until the purge lands.
 func (s *Server) Mutate(fn func()) {
 	s.MutateScoped(synthesis.FullChange(), fn)
 }
@@ -707,10 +642,10 @@ func (s *Server) Mutate(fn func()) {
 // routable (link restored, terms added) — cached negative answers.
 // Everything else keeps serving with zero recomputation. The wrapped
 // strategy gets the same change for partial invalidation of its own
-// tables. A ChangeFull falls back to the legacy full generation bump.
+// tables. A ChangeFull purges every shard instead.
 //
-// Returns the evicted and retained entry counts (0, 0 for a full bump,
-// whose eviction is lazy).
+// Returns the evicted and retained entry counts; a full change resolves no
+// victims and reports (0, 0).
 func (s *Server) MutateScoped(ch synthesis.Change, fn func()) (evicted, retained int) {
 	s.stratMu.Lock()
 	defer s.stratMu.Unlock()
@@ -718,14 +653,14 @@ func (s *Server) MutateScoped(ch synthesis.Change, fn func()) (evicted, retained
 		fn()
 	}
 	if ch.Kind == synthesis.ChangeFull {
-		s.gen.Add(1)
 		s.epoch.Add(1)
-		// Every resident entry just went stale: zero the live counts
-		// (the deletions themselves stay lazy).
+		// O(shards), not O(entries): the LRU and the reverse index are
+		// replaced, not walked.
 		for i := range s.shards {
 			sh := &s.shards[i]
 			sh.mu.Lock()
-			sh.live = 0
+			sh.lru.Purge()
+			sh.reset()
 			sh.mu.Unlock()
 		}
 		s.strategy.Invalidate()
@@ -736,12 +671,11 @@ func (s *Server) MutateScoped(ch synthesis.Change, fn func()) (evicted, retained
 	// finish under the read side of stratMu — which acquiring the write
 	// side drained — and are therefore indexed before this point.
 	s.epoch.Add(1)
-	gen := s.gen.Load()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		evicted += sh.evictScoped(ch, gen)
-		retained += sh.live
+		evicted += sh.evictScoped(ch)
+		retained += sh.lru.Len()
 		sh.mu.Unlock()
 	}
 	s.strategy.InvalidateScoped(ch)
@@ -774,22 +708,22 @@ type CacheEntry struct {
 	Fp  synthesis.Footprint
 }
 
-// InstallEntry inserts a replicated entry at the current generation,
-// indexing its footprint exactly as a computed result would be: read side
-// of the strategy lock (so installs order against mutations) plus the
-// insert sequencer (so they order against concurrent computed inserts).
-// The OnInsert hook does not fire.
+// InstallEntry inserts a replicated entry, indexing its footprint exactly
+// as a computed result would be: read side of the strategy lock (so
+// installs order against mutations) plus the insert sequencer (so they
+// order against concurrent computed inserts). The OnInsert hook does not
+// fire.
 func (s *Server) InstallEntry(k Key, res Result, fp synthesis.Footprint) {
 	s.stratMu.RLock()
 	defer s.stratMu.RUnlock()
 	s.seqMu.Lock()
 	defer s.seqMu.Unlock()
-	s.insert(k, s.gen.Load(), res, fp)
+	s.insert(k, res, fp)
 }
 
-// DumpEntries copies every current-generation cache entry under the write
-// side of the strategy lock — draining every in-flight miss — so the dump
-// is a consistent cut: no mutation or insert can interleave with it. fn
+// DumpEntries copies every cache entry under the write side of the
+// strategy lock — draining every in-flight miss — so the dump is a
+// consistent cut: no mutation or insert can interleave with it. fn
 // (optional) runs first under the same lock hold — HA replication uses it
 // to record the sync-backlog position the cut corresponds to, making
 // snapshot + subsequent incremental entries seamless.
@@ -799,19 +733,16 @@ func (s *Server) DumpEntries(fn func()) []CacheEntry {
 	if fn != nil {
 		fn()
 	}
-	gen := s.gen.Load()
 	var out []CacheEntry
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.lru.Range(func(k Key, c cached) bool {
-			if c.gen == gen {
-				out = append(out, CacheEntry{
-					Key: k,
-					Res: Result{Path: c.path, Found: c.found},
-					Fp:  c.fp,
-				})
-			}
+			out = append(out, CacheEntry{
+				Key: k,
+				Res: Result{Path: c.path, Found: c.found},
+				Fp:  c.fp,
+			})
 			return true
 		})
 		sh.mu.Unlock()
@@ -829,12 +760,10 @@ func (s *Server) DumpEntries(fn func()) []CacheEntry {
 // read side means concurrent queries keep being served, including misses;
 // a routine fill landing mid-scan is invisible to the prediction, exactly
 // as a fill landing between plan and commit always was (fills bump no
-// epoch). It returns the victim entries per change (current generation
-// only; stale leftovers of an old full bump are dead weight, not predicted
-// work), the live current-generation entry count, and the epoch/generation
-// the snapshot corresponds to. Nothing a query can observe is mutated, and
-// the cost is proportional to the changes' blast radius (index fan-out),
-// not to the cache size.
+// epoch). It returns the victim entries per change, the resident entry
+// count, and the epoch/generation the snapshot corresponds to. Nothing a
+// query can observe is mutated, and the cost is proportional to the
+// changes' blast radius (index fan-out), not to the cache size.
 func (s *Server) CollectAffected(prepare func() ([]synthesis.Change, error)) (perChange [][]CacheEntry, live int, epoch, gen uint64, err error) {
 	s.stratMu.RLock()
 	defer s.stratMu.RUnlock()
@@ -842,16 +771,16 @@ func (s *Server) CollectAffected(prepare func() ([]synthesis.Change, error)) (pe
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
-	gen = s.gen.Load()
+	gen = s.Generation()
 	epoch = s.epoch.Load()
 	perChange = make([][]CacheEntry, len(changes))
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		live += sh.live
+		live += sh.lru.Len()
 		for ci := range changes {
 			for k := range sh.victimKeys(changes[ci]) {
-				if ent, ok := sh.lru.Peek(k); ok && ent.gen == gen {
+				if ent, ok := sh.lru.Peek(k); ok {
 					perChange[ci] = append(perChange[ci], CacheEntry{
 						Key: k,
 						Res: Result{Path: ent.path, Found: ent.found},
@@ -877,8 +806,7 @@ func (s *Server) StrategyStats() synthesis.StrategyStats {
 // StrategyName names the wrapped strategy.
 func (s *Server) StrategyName() string { return s.strategy.Name() }
 
-// CacheLen returns the total number of live cache entries (stale entries
-// not yet lazily dropped included).
+// CacheLen returns the number of cached entries, every one of them current.
 func (s *Server) CacheLen() int {
 	n := 0
 	for i := range s.shards {

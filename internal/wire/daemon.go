@@ -20,7 +20,7 @@ const (
 	CtlRestore
 	// CtlPolicy replaces AD A's terms with one open term of cost Cost.
 	CtlPolicy
-	// CtlInvalidate forces the full generation bump.
+	// CtlInvalidate empties the whole route cache: the full invalidation.
 	CtlInvalidate
 )
 

@@ -17,7 +17,7 @@ import (
 // synthesis.World resolves, a Control or SyncEntry carries and a Plan
 // batches. Op is a Control operation code; A, B are the link endpoints
 // (fail/restore), A alone the advertiser and Cost the open term's cost
-// (policy). CtlInvalidate is not plannable: a full bump's blast radius is
+// (policy). CtlInvalidate is not plannable: a full invalidation's blast radius is
 // the whole cache by definition.
 type PlanStep struct {
 	Op   uint8
