@@ -62,9 +62,11 @@ golden:
 	$(GO) run ./cmd/experiments -seed 42 -parallel 8 | cmp - results_seed42.txt
 
 # load-smoke enters where production enters: it builds the real routed once,
-# starts it as a daemon on a unix socket, and runs the load harness with the
-# -churn fail/restore pair over the wire against it and once more in
-# process. Both runs must exit 0 (any request error or refused event exits
+# starts it as a daemon on a unix socket, asks the untouched daemon for
+# "stats" and "state" through the remote line mode (routed -connect: the only
+# check that the shipped binary's operator path reaches a live daemon), and
+# runs the load harness with the -churn fail/restore pair over the wire
+# against it and once more in process. Both runs must exit 0 (any request error or refused event exits
 # 1), the wire report must count no errors, every -bench-json key the two
 # modes shared before they were one harness must be in both files, and the
 # daemon must drain on SIGTERM. Nothing else checks that the binary's two
@@ -75,6 +77,9 @@ load-smoke:
 	$(GO) build -o $$tmp/routed ./cmd/routed; \
 	$$tmp/routed -unix $$tmp/sock > $$tmp/daemon.out 2>&1 & pid=$$!; \
 	for i in $$(seq 100); do [ -S $$tmp/sock ] && break; sleep 0.1; done; \
+	printf 'stats\nstate\n' | $$tmp/routed -connect $$tmp/sock > $$tmp/op.out \
+		&& grep -q '^gen 0:' $$tmp/op.out && grep -q '^conns:' $$tmp/op.out && grep -q '^flows 0' $$tmp/op.out \
+		|| { echo "load-smoke: the operator line mode did not reach the daemon"; cat $$tmp/op.out; exit 1; }; \
 	$$tmp/routed -load -churn -connect $$tmp/sock -bench-json $$tmp/a.json > $$tmp/a.out; \
 	$$tmp/routed -load -churn -bench-json $$tmp/b.json > $$tmp/b.out; \
 	grep -q '"errors": 0' $$tmp/a.json && grep -q '"event_errors": 0' $$tmp/a.json \

@@ -1027,7 +1027,7 @@ func planBenchWorld(b *testing.B, total, affected int) (*ad.Graph, *policy.DB, *
 	snap := synthesis.Compile(g, db)
 
 	install := func(req policy.Request, path ad.Path) {
-		srv.InstallEntry(routeserver.KeyOf(req),
+		srv.InstallEntry(req,
 			routeserver.Result{Path: path, Found: true},
 			snap.Footprint(req, path))
 	}

@@ -1,24 +1,63 @@
 package main
 
 import (
-	"fmt"
+	"errors"
 	"net"
 	"strings"
 	"testing"
 
-	"repro/internal/ad"
-	"repro/internal/policy"
 	"repro/internal/routeserver/daemon"
-	"repro/internal/wire"
 )
 
-// TestSessionParityLineVsProtocol pins that the stdin line mode and the
-// binary protocol are two skins over the same dispatch: a scripted session
-// — queries, fail/restore/policy churn, data-plane lifecycle, stats — run
-// over a TCP daemon must produce, reply by reply, the results the line
-// mode prints for the same commands against an identical world.
+// TestSessionParityLineVsProtocol pins what "line mode is a text skin over
+// the protocol" means: one script — queries, fail/restore/policy churn, the
+// data-plane lifecycle, plan/commit with its staleness and unknown-plan
+// refusals, usage errors, stats — served twice, by Backend.Handle in process
+// and by a client's round trips to a TCP daemon over an identically built
+// world, must leave the same transcript byte for byte. The one tolerated
+// difference is the "conns:" line a daemon's stats carry. ("state" is asked
+// before the first repair: afterwards it quotes a wall-clock resetup latency.)
 func TestSessionParityLineVsProtocol(t *testing.T) {
-	// The protocol side: its own world behind a TCP daemon.
+	const script = `install 1 4
+send 1
+1 4
+fail 2 4
+send 1
+state
+1 4
+repair
+restore 2 4
+1 4
+fail 9 9
+restore 9 9
+policy 2 100
+policy 99999 5
+1 4
+invalidate
+1 4
+99 98
+1 4 0 0 268
+refresh
+tick
+tick 100
+send 1
+send 7
+plan fail 2 4; policy 2 50
+commit 1
+1 4
+restore 2 4
+plan fail 2 4
+policy 2 1
+commit 2
+commit 99
+plan
+plan invalidate
+commit x
+tick 0
+stats
+`
+	inProcess := session(t, script)
+
 	g, db, srv, dp := testWorld(t)
 	d := daemon.New(daemon.NewBackend(srv, dp, g, db), daemon.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -32,137 +71,25 @@ func TestSessionParityLineVsProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-
-	// Each step is one line-mode command plus the wire calls that mirror
-	// it; the wire replies are rendered with the line adapter's formats so
-	// the two transcripts must match byte for byte.
-	var lines, fromWire []string
-	step := func(line string, viaWire func() string) {
-		lines = append(lines, line)
-		fromWire = append(fromWire, viaWire())
-	}
-	query := func(src, dst uint32) func() string {
-		return func() string {
-			res, err := cl.Query(policy.Request{Src: ad.ID(src), Dst: ad.ID(dst)})
-			if err != nil {
-				t.Fatalf("query %d %d: %v", src, dst, err)
-			}
-			if !res.Found {
-				return fmt.Sprintf("no-route %v\n", policy.Request{Src: ad.ID(src), Dst: ad.ID(dst)})
-			}
-			return fmt.Sprintf("%v\n", res.Path)
-		}
-	}
-	control := func(op uint8, a, b uint32, cost uint32) func() string {
-		return func() string {
-			cr, err := cl.Control(op, ad.ID(a), ad.ID(b), cost)
-			if err != nil {
-				t.Fatalf("control %d: %v", op, err)
-			}
-			if !cr.OK() {
-				return cr.Err + "\n"
-			}
-			if op == wire.CtlInvalidate {
-				return fmt.Sprintf("ok (gen %d)\n", cr.Gen)
-			}
-			var out string
-			if cr.Flushed > 0 {
-				out = fmt.Sprintf("flushed %d handle entries\n", cr.Flushed)
-			}
-			return out + fmt.Sprintf("ok (evicted %d, retained %d)\n", cr.Evicted, cr.Retained)
-		}
+	var out strings.Builder
+	if err := serve(strings.NewReader(script), &out, cl.Do); err != nil {
+		t.Fatalf("serve over the wire: %v", err)
 	}
 
-	step("install 1 4", func() string {
-		dr, err := cl.DataOp(wire.OpInstall, 0, 0, policy.Request{Src: 1, Dst: 4})
-		if err != nil {
-			t.Fatalf("install: %v", err)
-		}
-		if dr.Code != wire.DataOK {
-			return fmt.Sprintf("no-route %v\n", policy.Request{Src: 1, Dst: 4})
-		}
-		return fmt.Sprintf("handle %d via %v\n", dr.Handle, dr.Path)
-	})
-	step("send 1", func() string {
-		dr, err := cl.DataOp(wire.OpSend, 1, 0, policy.Request{})
-		if err != nil {
-			t.Fatalf("send: %v", err)
-		}
-		if dr.Code != wire.DataOK {
-			t.Fatalf("send code %d", dr.Code)
-		}
-		return "delivered\n"
-	})
-	step("1 4", query(1, 4))
-	step("fail 2 4", control(wire.CtlFail, 2, 4, 0))
-	step("1 4", query(1, 4))
-	step("repair", func() string {
-		dr, err := cl.DataOp(wire.OpRepair, 0, 0, policy.Request{})
-		if err != nil {
-			t.Fatalf("repair: %v", err)
-		}
-		return fmt.Sprintf("repaired %d/%d flows\n", dr.N2, dr.N1)
-	})
-	step("restore 2 4", control(wire.CtlRestore, 2, 4, 0))
-	step("1 4", query(1, 4))
-	step("fail 9 9", control(wire.CtlFail, 9, 9, 0))
-	step("restore 9 9", control(wire.CtlRestore, 9, 9, 0))
-	step("policy 2 100", control(wire.CtlPolicy, 2, 0, 100))
-	step("1 4", query(1, 4))
-	step("invalidate", control(wire.CtlInvalidate, 0, 0, 0))
-	step("1 4", query(1, 4))
-	step("99 98", query(99, 98))
-
-	// Plan/commit must render identically too: the what-if report, the
-	// committed summary, the staleness refusal, and the unknown-plan error
-	// all flow through the same HandlePlan/RenderPlanReply pair.
-	planWire := func(steps ...wire.PlanStep) func() string {
-		return func() string {
-			rep, err := cl.Plan(steps)
-			if err != nil {
-				t.Fatalf("plan: %v", err)
-			}
-			return strings.Join(daemon.RenderPlanReply(rep), "\n") + "\n"
-		}
+	const conns = "conns: 1 accepted, 0 evicted-slow, 0 refused\n"
+	overWire := strings.Replace(out.String(), conns, "", 1)
+	if overWire == out.String() {
+		t.Errorf("the daemon's stats carry no %q", conns)
 	}
-	commitWire := func(id uint64) func() string {
-		return func() string {
-			rep, err := cl.Commit(id)
-			if err != nil {
-				t.Fatalf("commit %d: %v", id, err)
-			}
-			return strings.Join(daemon.RenderPlanReply(rep), "\n") + "\n"
-		}
+	if inProcess != overWire {
+		t.Fatalf("line mode in process and over the wire diverged.\nin process:\n%s\nover the wire:\n%s", inProcess, overWire)
 	}
-	step("plan fail 2 4; policy 2 50", planWire(
-		wire.PlanStep{Op: wire.CtlFail, A: 2, B: 4},
-		wire.PlanStep{Op: wire.CtlPolicy, A: 2, Cost: 50},
-	))
-	step("commit 1", commitWire(1))
-	step("1 4", query(1, 4))
-	step("restore 2 4", control(wire.CtlRestore, 2, 4, 0))
-	step("plan fail 2 4", planWire(wire.PlanStep{Op: wire.CtlFail, A: 2, B: 4}))
-	step("policy 2 1", control(wire.CtlPolicy, 2, 0, 1))
-	step("commit 2", commitWire(2)) // stale: the policy change moved the epoch
-	step("commit 99", commitWire(99))
-	step("plan", func() string {
-		_, err := parsePlanSteps("")
-		return err.Error() + "\n"
-	})
-
-	step("stats", func() string {
-		st, err := cl.Stats()
-		if err != nil {
-			t.Fatalf("stats: %v", err)
+	// Guard against two empty or all-error transcripts agreeing.
+	for _, want := range []string{"handle 1 via AD1>AD2>AD4", "flushed 3 handle entries", "repaired 1/1 flows",
+		"committed plan 1", "is stale", "unknown plan 99", "bad number \"268\"", "gen 1: "} {
+		if !strings.Contains(inProcess, want) {
+			t.Errorf("transcript lacks %q:\n%s", want, inProcess)
 		}
-		return fmt.Sprintf("gen %d: %d queries, %d hits, %d coalesced, %d misses, %d failures, %d cached\n",
-			st.Gen, st.Queries, st.Hits, st.Coalesced, st.Misses, st.Failures, st.Cached)
-	})
-
-	// The line side: the same script against a fresh identical world.
-	lineOut := session(t, strings.Join(lines, "\n")+"\n")
-	if want := strings.Join(fromWire, ""); lineOut != want {
-		t.Fatalf("line mode and binary protocol diverged.\nline mode:\n%s\nprotocol:\n%s", lineOut, want)
 	}
 }
 
@@ -180,11 +107,38 @@ func TestServeLongLines(t *testing.T) {
 	g, db, srv, dp := testWorld(t)
 	var sb strings.Builder
 	huge := strings.Repeat("y", maxLineBytes+1)
-	err := serve(strings.NewReader(huge), &sb, daemon.NewBackend(srv, dp, g, db))
+	err := serve(strings.NewReader(huge), &sb, local(daemon.NewBackend(srv, dp, g, db)))
 	if err == nil {
 		t.Fatal("an over-limit line was not surfaced as an error")
 	}
 	if !strings.Contains(sb.String(), "read error") {
 		t.Fatalf("read error not reported to the session:\n%s", sb.String())
+	}
+}
+
+// TestRemoteLineModeEndsOnFailedRoundTrip: a follower's redirect (or a dead
+// connection) is one error line and the end of the session — the lines after
+// it are not sent — while what a follower does serve, stats, is rendered as
+// ever.
+func TestRemoteLineModeEndsOnFailedRoundTrip(t *testing.T) {
+	g, db, srv, dp := testWorld(t)
+	d := daemon.New(daemon.NewBackend(srv, dp, g, db), daemon.Config{})
+	d.SetRedirect(func() (uint32, string, bool) { return 2, "10.0.0.2:4242", true })
+	server, client := net.Pipe()
+	go d.ServeConn(server)
+	cl := daemon.NewClient(client)
+	defer cl.Close()
+
+	var out strings.Builder
+	err := serve(strings.NewReader("stats\n1 4\nstats\n"), &out, cl.Do)
+	var np *daemon.NotPrimaryError
+	if !errors.As(err, &np) {
+		t.Fatalf("serve on a follower returned %v, want the redirect", err)
+	}
+	want := "gen 0: 0 queries, 0 hits, 0 coalesced, 0 misses, 0 failures, 0 cached\n" +
+		"conns: 1 accepted, 0 evicted-slow, 0 refused\n" +
+		"error: daemon: not primary, redirect to replica 2 at 10.0.0.2:4242\n"
+	if out.String() != want {
+		t.Errorf("transcript:\n%s\nwant:\n%s", out.String(), want)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/ad"
 	"repro/internal/policy"
-	"repro/internal/routeserver/daemon"
+	"repro/internal/policytool"
 	"repro/internal/wire"
 )
 
@@ -18,16 +18,37 @@ import (
 // lines).
 const maxLineBytes = 1 << 20
 
-// serve runs line mode: one query or command per stdin line. It is
-// factored over io.Reader/io.Writer so tests can script a full session.
-// A read error — including a line over maxLineBytes — is surfaced on out
-// and returned; it must not masquerade as a clean quit.
-func serve(in io.Reader, out io.Writer, be *daemon.Backend) error {
+// serve runs line mode, a text skin over the wire protocol: each stdin line
+// is parsed into the request a protocol client would have sent (parseLine),
+// executed by do — the backend in this process or a client's round trip to a
+// running daemon, line mode cannot tell which — and the reply rendered back
+// to text (render). It is factored over io.Reader/io.Writer so tests can
+// script a full session. A read error — including a line over maxLineBytes —
+// or a failed round trip is surfaced on out and returned; neither may
+// masquerade as a clean quit.
+func serve(in io.Reader, out io.Writer, do func(wire.Message) (wire.Message, error)) error {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	for sc.Scan() {
-		if !serveLine(sc.Text(), out, be) {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if cmd := strings.Fields(line)[0]; cmd == "quit" || cmd == "exit" {
 			return nil
+		}
+		request, err := parseLine(line)
+		if err != nil {
+			fmt.Fprintln(out, err)
+			continue
+		}
+		reply, err := do(request)
+		if err != nil {
+			fmt.Fprintf(out, "error: %v\n", err)
+			return err
+		}
+		for _, l := range render(request, reply) {
+			fmt.Fprintln(out, l)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -37,147 +58,188 @@ func serve(in io.Reader, out io.Writer, be *daemon.Backend) error {
 	return nil
 }
 
-// serveLine executes one line-mode command against the shared backend —
-// the same dispatch the binary protocol uses — reporting whether the
-// session continues. The text in and out is the only thing this adapter
-// owns.
-func serveLine(line string, out io.Writer, be *daemon.Backend) bool {
-	line = strings.TrimSpace(line)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return true
-	}
+// parseLine turns one command line into its protocol request; the error is
+// the usage text to print instead. Anything that is not a command is a
+// query, "SRC DST [QOS UCI HOUR]".
+func parseLine(line string) (wire.Message, error) {
 	fields := strings.Fields(line)
 	switch fields[0] {
-	case "quit", "exit":
-		return false
 	case "stats":
-		st := be.Stats()
-		fmt.Fprintf(out, "gen %d: %d queries, %d hits, %d coalesced, %d misses, %d failures, %d cached\n",
-			st.Gen, st.Queries, st.Hits, st.Coalesced, st.Misses, st.Failures, st.Cached)
-		// Connection counters exist only when a daemon fronts this backend;
-		// line mode stays short so session parity with the wire rendering
-		// holds.
-		if st.ConnsKnown {
-			fmt.Fprintf(out, "conns: %d accepted, %d evicted-slow, %d refused\n",
-				st.Accepted, st.EvictedSlow, st.Refused)
-		}
+		return &wire.StatsQuery{}, nil
 	case "fail", "restore", "policy", "invalidate":
-		// The control ops: one parser, one Backend.Control. Scoped ops
-		// report what they evicted and retained — a failure also flushes
-		// installed handle state that crossed the dead link and queues its
-		// flows for "repair" — and the full invalidation, which restores
-		// optimality after scoped retentions, reports its count.
-		var eff daemon.Effect
-		op, err := parseStep(fields)
-		if err == nil {
-			eff, err = be.Control(op)
-		}
+		// The control ops. Scoped ops report what they evicted and retained —
+		// a failure also flushes installed handle state that crossed the dead
+		// link and queues its flows for "repair" — and the full invalidation,
+		// which restores optimality after scoped retentions, reports its
+		// count.
+		st, err := parseStep(fields)
 		if err != nil {
-			fmt.Fprintln(out, err)
-			return true
+			return nil, err
 		}
-		if eff.Flushed > 0 {
-			fmt.Fprintf(out, "flushed %d handle entries\n", eff.Flushed)
-		}
-		if op.Op == wire.CtlInvalidate {
-			fmt.Fprintf(out, "ok (gen %d)\n", eff.Gen)
-		} else {
-			fmt.Fprintf(out, "ok (evicted %d, retained %d)\n", eff.Evicted, eff.Retained)
-		}
+		return &wire.Control{Op: st.Op, A: st.A, B: st.B, Cost: st.Cost}, nil
 	case "install":
 		// install SRC DST [QOS UCI HOUR]: serve a route and install it as
 		// PG handle state so data can flow over it.
 		req, err := parseQuery(fields[1:])
 		if err != nil {
-			fmt.Fprintln(out, "usage: install SRC DST [QOS UCI HOUR]")
-			return true
+			return nil, fmt.Errorf("usage: install SRC DST [QOS UCI HOUR]")
 		}
-		h, path, found := be.Install(req)
-		if !found {
-			fmt.Fprintf(out, "no-route %v\n", req)
-			return true
-		}
-		fmt.Fprintf(out, "handle %d via %v\n", h, path)
+		return &wire.DataOp{Op: wire.OpInstall, Req: req}, nil
 	case "send":
 		// send HANDLE: forward one data packet over installed state.
 		if len(fields) != 2 {
-			fmt.Fprintln(out, "usage: send HANDLE")
-			return true
+			return nil, fmt.Errorf("usage: send HANDLE")
 		}
 		h, err := strconv.ParseUint(fields[1], 10, 64)
 		if err != nil {
-			fmt.Fprintf(out, "bad handle %q\n", fields[1])
-			return true
+			return nil, fmt.Errorf("bad handle %q", fields[1])
 		}
-		switch r := be.Send(h); {
-		case r.Delivered:
-			fmt.Fprintln(out, "delivered")
-		case r.MissAt != 0:
-			fmt.Fprintf(out, "no-state at %v (flow queued for repair)\n", r.MissAt)
-		default:
-			fmt.Fprintf(out, "unknown handle %d\n", h)
-		}
+		return &wire.DataOp{Op: wire.OpSend, Handle: h}, nil
 	case "refresh":
-		refreshed, failed := be.Refresh()
-		fmt.Fprintf(out, "refreshed %d flows, %d lost state\n", refreshed, failed)
+		return &wire.DataOp{Op: wire.OpRefresh}, nil
 	case "tick":
-		// tick SECONDS: advance the data plane's soft-state clock.
-		secs := int64(1)
+		// tick [SECONDS]: advance the data plane's soft-state clock; without
+		// an argument Arg stays 0 and the executor steps its minimum, 1s.
+		op := &wire.DataOp{Op: wire.OpTick}
 		if len(fields) > 1 {
-			v, err := strconv.ParseInt(fields[1], 10, 32)
-			if err != nil || v <= 0 {
-				fmt.Fprintln(out, "usage: tick SECONDS")
-				return true
+			v, err := strconv.ParseUint(fields[1], 10, 31)
+			if err != nil || v == 0 {
+				return nil, fmt.Errorf("usage: tick SECONDS")
 			}
-			secs = v
+			op.Arg = uint32(v)
 		}
-		now, expired := be.Tick(secs)
-		fmt.Fprintf(out, "t=%ds, %d entries expired\n", now, expired)
+		return op, nil
 	case "repair":
-		attempted, repaired := be.Repair()
-		fmt.Fprintf(out, "repaired %d/%d flows\n", repaired, attempted)
+		return &wire.DataOp{Op: wire.OpRepair}, nil
 	case "state":
-		fmt.Fprintln(out, be.State())
+		return &wire.DataOp{Op: wire.OpState}, nil
 	case "plan":
 		// plan STEP[; STEP ...]: predict the batch's blast radius without
-		// applying it. Same execution path as the wire Plan message.
-		steps, err := parsePlanSteps(strings.TrimSpace(strings.TrimPrefix(line, "plan")))
+		// applying it.
+		steps, err := parsePlanSteps(strings.TrimPrefix(line, "plan"))
 		if err != nil {
-			fmt.Fprintln(out, err)
-			return true
+			return nil, err
 		}
-		for _, l := range daemon.RenderPlanReply(be.HandlePlan(&wire.Plan{Steps: steps})) {
-			fmt.Fprintln(out, l)
-		}
+		return &wire.Plan{Steps: steps}, nil
 	case "commit":
 		// commit ID: apply a previously planned batch; refused if the
 		// mutation epoch moved since the plan.
 		if len(fields) != 2 {
-			fmt.Fprintln(out, "usage: commit PLAN_ID")
-			return true
+			return nil, fmt.Errorf("usage: commit PLAN_ID")
 		}
 		id, err := strconv.ParseUint(fields[1], 10, 64)
 		if err != nil {
-			fmt.Fprintf(out, "bad plan id %q\n", fields[1])
-			return true
+			return nil, fmt.Errorf("bad plan id %q", fields[1])
 		}
-		for _, l := range daemon.RenderPlanReply(be.HandlePlan(&wire.Plan{Commit: true, PlanID: id})) {
-			fmt.Fprintln(out, l)
+		return &wire.Plan{Commit: true, PlanID: id}, nil
+	}
+	req, err := parseQuery(fields)
+	if err != nil {
+		return nil, err
+	}
+	return &wire.Query{Req: req}, nil
+}
+
+// render prints reply, the answer to request, as line mode's text. The
+// request supplies what replies do not echo (the pair a no-route names, the
+// handle a send missed, which control op an "ok" acknowledges) and says which
+// reply type is in order.
+func render(request, reply wire.Message) []string {
+	line := func(format string, args ...any) []string { return []string{fmt.Sprintf(format, args...)} }
+	if cr, ok := reply.(*wire.ControlReply); ok && !cr.OK() {
+		return line("%s", cr.Err)
+	}
+	switch q := request.(type) {
+	case *wire.Query:
+		if rep, ok := reply.(*wire.QueryReply); ok {
+			if !rep.Found {
+				return line("no-route %v", q.Req)
+			}
+			return line("%v", rep.Path)
 		}
-	default:
-		req, err := parseQuery(fields)
-		if err != nil {
-			fmt.Fprintln(out, err)
-			return true
+	case *wire.Control:
+		if rep, ok := reply.(*wire.ControlReply); ok {
+			var lines []string
+			if rep.Flushed > 0 {
+				lines = line("flushed %d handle entries", rep.Flushed)
+			}
+			if q.Op == wire.CtlInvalidate {
+				return append(lines, fmt.Sprintf("ok (gen %d)", rep.Gen))
+			}
+			return append(lines, fmt.Sprintf("ok (evicted %d, retained %d)", rep.Evicted, rep.Retained))
 		}
-		res := be.Query(req)
-		if res.Found {
-			fmt.Fprintf(out, "%v\n", res.Path)
-		} else {
-			fmt.Fprintf(out, "no-route %v\n", req)
+	case *wire.DataOp:
+		if rep, ok := reply.(*wire.DataOpReply); ok && rep.Op == q.Op && rep.Code != wire.DataBadOp {
+			switch q.Op {
+			case wire.OpInstall:
+				if rep.Code == wire.DataNoRoute {
+					return line("no-route %v", q.Req)
+				}
+				return line("handle %d via %v", rep.Handle, rep.Path)
+			case wire.OpSend:
+				switch rep.Code {
+				case wire.DataNoState:
+					return line("no-state at %v (flow queued for repair)", ad.ID(rep.N1))
+				case wire.DataUnknownHandle:
+					return line("unknown handle %d", q.Handle)
+				}
+				return line("delivered")
+			case wire.OpRefresh:
+				return line("refreshed %d flows, %d lost state", rep.N1, rep.N2)
+			case wire.OpTick:
+				return line("t=%ds, %d entries expired", rep.N1, rep.N2)
+			case wire.OpRepair:
+				return line("repaired %d/%d flows", rep.N2, rep.N1)
+			case wire.OpState:
+				return line("%s", rep.Text)
+			}
+		}
+	case *wire.StatsQuery:
+		if rep, ok := reply.(*wire.StatsReply); ok {
+			lines := line("gen %d: %d queries, %d hits, %d coalesced, %d misses, %d failures, %d cached",
+				rep.Gen, rep.Queries, rep.Hits, rep.Coalesced, rep.Misses, rep.Failures, rep.Cached)
+			// A daemon has accepted at least the session asking; a backend
+			// with no daemon in front has no connections to count.
+			if rep.Accepted > 0 {
+				lines = append(lines, fmt.Sprintf("conns: %d accepted, %d evicted-slow, %d refused",
+					rep.Accepted, rep.EvictedSlow, rep.Refused))
+			}
+			return lines
+		}
+	case *wire.Plan:
+		if rep, ok := reply.(*wire.PlanReply); ok {
+			return renderPlan(rep)
 		}
 	}
-	return true
+	return line("unexpected %v in reply to %v", reply.Type(), request.Type())
+}
+
+// renderPlan prints a plan or commit reply, routing the Gained/Lost/transit
+// digest through policytool's shared formatter so routed and policytool
+// print the same summary. The wall-clock projection fields are deliberately
+// omitted: the text must be deterministic for a given serving state (the
+// session-parity test compares two independently built worlds byte for
+// byte), while the nanosecond fields stay available on the wire reply.
+func renderPlan(rep *wire.PlanReply) []string {
+	if !rep.OK() {
+		return []string{"error: " + rep.Err}
+	}
+	if rep.Committed {
+		return []string{fmt.Sprintf("committed plan %d: evicted %d, retained %d, flushed %d",
+			rep.PlanID, rep.Evicted, rep.Retained, rep.Flushed)}
+	}
+	lines := []string{
+		fmt.Sprintf("plan %d @ epoch %d", rep.PlanID, rep.Epoch),
+		fmt.Sprintf("cache: evict %d, retain %d | teardown %d flows | %d pairs lose all routes | resynth %d",
+			rep.Evicted, rep.Retained, rep.Teardowns, rep.Unroutable, rep.Resynth),
+	}
+	lines = append(lines, policytool.SummaryLines(rep.Focus,
+		int(rep.TransitBefore), int(rep.TransitAfter),
+		int(rep.Gained), int(rep.Lost), int(rep.Rerouted))...)
+	if rep.Truncated {
+		lines = append(lines, "note: population truncated by budget")
+	}
+	return append(lines, fmt.Sprintf("commit %d to apply", rep.PlanID))
 }
 
 // parsePlanSteps parses the "plan" argument: semicolon-separated steps,
@@ -228,31 +290,29 @@ func parseStep(f []string) (wire.PlanStep, error) {
 	return wire.PlanStep{}, fmt.Errorf("unknown control op %q", f[0])
 }
 
-// parseQuery parses "SRC DST [QOS UCI HOUR]".
+// parseQuery parses "SRC DST [QOS UCI HOUR]": two AD IDs, then three
+// one-byte fields.
 func parseQuery(fields []string) (policy.Request, error) {
 	var req policy.Request
 	if len(fields) < 2 || len(fields) > 5 {
 		return req, fmt.Errorf("query is SRC DST [QOS UCI HOUR]; commands are fail, restore, policy, invalidate, plan, commit, stats, install, send, refresh, tick, repair, state, quit")
 	}
-	vals := make([]uint64, len(fields))
+	var vals [5]uint64
 	for i, f := range fields {
-		v, err := strconv.ParseUint(f, 10, 32)
+		bits := 32
+		if i >= 2 {
+			bits = 8
+		}
+		v, err := strconv.ParseUint(f, 10, bits)
 		if err != nil {
 			return req, fmt.Errorf("bad number %q", f)
 		}
 		vals[i] = v
 	}
-	req.Src, req.Dst = ad.ID(vals[0]), ad.ID(vals[1])
-	if len(vals) > 2 {
-		req.QOS = policy.QOS(vals[2])
-	}
-	if len(vals) > 3 {
-		req.UCI = policy.UCI(vals[3])
-	}
-	if len(vals) > 4 {
-		req.Hour = uint8(vals[4])
-	}
-	return req, nil
+	return policy.Request{
+		Src: ad.ID(vals[0]), Dst: ad.ID(vals[1]),
+		QOS: policy.QOS(vals[2]), UCI: policy.UCI(vals[3]), Hour: uint8(vals[4]),
+	}, nil
 }
 
 // twoIDs parses two numeric arguments.

@@ -4,12 +4,16 @@
 //
 // Three modes:
 //
-//   - Line mode (default): reads queries from stdin, one per line
-//     ("SRC DST [QOS UCI HOUR]"), answers each, and accepts the commands
-//     "fail A B", "restore A B", "policy AD COST", "invalidate", "stats",
-//     and "quit", plus the data-plane commands "install SRC DST [QOS UCI
-//     HOUR]", "send HANDLE", "refresh", "tick SECONDS", "repair", and
-//     "state". fail/restore/policy invalidate the route cache scoped to
+//   - Line mode (default): a text skin over the wire protocol. Each stdin
+//     line is parsed into the request a protocol client would send, executed
+//     by the one executor (daemon.Backend.Handle) — in this process, or with
+//     -connect addr by a running daemon, which makes the same binary the
+//     operator's client — and the reply printed as text. A line is a
+//     query ("SRC DST [QOS UCI HOUR]") or one of the commands "fail A B",
+//     "restore A B", "policy AD COST", "invalidate", "stats", and "quit",
+//     plus the data-plane commands "install SRC DST [QOS UCI HOUR]", "send
+//     HANDLE", "refresh", "tick SECONDS", "repair", and "state".
+//     fail/restore/policy invalidate the route cache scoped to
 //     the change — entries provably unaffected keep serving (still legal,
 //     possibly no longer optimal after a restore or policy broadening);
 //     "invalidate" empties the cache, which restores optimality, and
@@ -20,7 +24,9 @@
 //     predicts a change batch's blast radius — cache evictions, flow
 //     teardowns, pairs losing all routes — without mutating anything, and
 //     "commit ID" applies a predicted plan unless the server's mutation
-//     epoch moved since (staleness guard).
+//     epoch moved since (staleness guard). Against a daemon, "stats" adds the
+//     daemon's connection counters, and a failed round trip — a follower's
+//     NotPrimary redirect, a dead connection — is one error line, exit 1.
 //
 //   - Daemon mode (-listen addr and/or -unix path): serves the same
 //     commands as a network daemon speaking the framed binary protocol of
@@ -51,7 +57,7 @@
 //
 // Usage:
 //
-//	routed [-strategy on-demand|precomputed|hybrid|pruned] [-load] \
+//	routed [-strategy on-demand|precomputed|hybrid|pruned] [-load] [-connect addr] \
 //	       [-scenario file.json] [-seed N] [-requests N] [-model zipf] \
 //	       [-clients N] [-churn] [-cache N] [-shards N] [-workers N] \
 //	       [-qos N] [-uci N] [-bench-json file] \
@@ -78,6 +84,7 @@ import (
 	"repro/internal/routeserver/ha"
 	"repro/internal/sim"
 	"repro/internal/synthesis"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -103,7 +110,7 @@ func run() int {
 		benchJSON      = flag.String("bench-json", "", "load mode: also write the report as JSON to this file")
 		listenAddr     = flag.String("listen", "", "serve the binary protocol on this TCP address (daemon mode)")
 		unixPath       = flag.String("unix", "", "serve the binary protocol on this unix socket path (daemon mode)")
-		connectAddr    = flag.String("connect", "", "load mode: drive a running daemon at this address instead of serving in-process (host:port, or a unix socket path containing '/')")
+		connectAddr    = flag.String("connect", "", "drive a running daemon at this address instead of serving in-process, with -load from the load harness, else from line mode (host:port, or a unix socket path containing '/')")
 		maxConns       = flag.Int("max-conns", 0, "daemon mode: concurrent connection limit (0 = default 2048)")
 		writeQueue     = flag.Int("write-queue", 0, "daemon mode: per-session reply queue length (0 = default 128)")
 		writeTimeout   = flag.Duration("write-timeout", 0, "daemon mode: slow-client grace before eviction (0 = default 2s)")
@@ -132,6 +139,17 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "routed: %v\n", err)
 		flag.Usage()
 		return 2
+	}
+
+	if *connectAddr != "" && !*load {
+		// Remote line mode: the same text skin, executed by a running daemon.
+		cl, err := daemon.Dial(networkOf(*connectAddr), *connectAddr)
+		if err != nil {
+			fmt.Println("error:", err)
+			return 1
+		}
+		defer cl.Close()
+		return lineMode(cl.Do)
 	}
 
 	g, db, workload, muts, err := materialize(*scenarioPath, *seed, *requests, *model, *zipfS, *qosClasses, *uciClasses)
@@ -193,10 +211,23 @@ func run() int {
 		}, uint32(*replicaID), uint32(*replicaOf), *peersFlag)
 	}
 
-	if err := serve(os.Stdin, os.Stdout, be); err != nil {
+	return lineMode(local(be))
+}
+
+// lineMode serves stdin to stdout over do and exits 1 if the session ended on
+// an error (serve has printed it).
+func lineMode(do func(wire.Message) (wire.Message, error)) int {
+	if serve(os.Stdin, os.Stdout, do) != nil {
 		return 1
 	}
 	return 0
+}
+
+// local is line mode's executor in this process: the backend's Handle, with
+// the one QueryReply a session would reuse.
+func local(be *daemon.Backend) func(wire.Message) (wire.Message, error) {
+	var qr wire.QueryReply
+	return func(m wire.Message) (wire.Message, error) { return be.Handle(m, &qr), nil }
 }
 
 // flagCoherence carries the mode-selecting flags into validateFlags, which
@@ -215,14 +246,17 @@ type flagCoherence struct {
 
 // validateFlags rejects incoherent flag combinations up front with a usage
 // error instead of letting a half-selected mode silently misbehave (e.g.
-// -connect without -load would drop into line mode and never dial out).
+// -churn without -load would drop into line mode and never fire).
 func validateFlags(f flagCoherence) error {
 	daemonMode := f.Listen != "" || f.Unix != ""
-	if f.Connect != "" && !f.Load {
-		return fmt.Errorf("-connect drives a running daemon from the load harness; add -load")
+	if strings.Contains(f.Connect, ",") && !f.Load {
+		return fmt.Errorf("a -connect replica set is followed only by the load harness's failover clients; add -load or name one daemon")
 	}
-	if f.ReconnectEvery != 0 && f.Connect == "" {
-		return fmt.Errorf("-reconnect-every only applies to network load mode; add -connect")
+	if f.Connect != "" && daemonMode {
+		return fmt.Errorf("-connect and -listen/-unix are exclusive: one process is either a daemon's client or the daemon")
+	}
+	if f.ReconnectEvery != 0 && (f.Connect == "" || !f.Load) {
+		return fmt.Errorf("-reconnect-every only applies to network load mode; add -load -connect")
 	}
 	if f.Churn && !f.Load {
 		return fmt.Errorf("-churn injects events into a load run; add -load")

@@ -47,7 +47,7 @@ func session(t *testing.T, input string) string {
 	t.Helper()
 	g, db, srv, dp := testWorld(t)
 	var out strings.Builder
-	if err := serve(strings.NewReader(input), &out, daemon.NewBackend(srv, dp, g, db)); err != nil {
+	if err := serve(strings.NewReader(input), &out, local(daemon.NewBackend(srv, dp, g, db))); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
 	return out.String()
@@ -205,6 +205,17 @@ func TestParseQuery(t *testing.T) {
 			t.Errorf("parseQuery(%v) accepted", bad)
 		}
 	}
+	// QOS, UCI and HOUR are one byte each: a larger value must be refused, not
+	// narrowed into another request's key (hour 268 used to be served, and
+	// cached, as hour 12).
+	for _, bad := range [][]string{{"1", "4", "256"}, {"1", "4", "0", "300"}, {"1", "4", "0", "0", "268"}} {
+		if _, err := parseQuery(bad); err == nil || !strings.Contains(err.Error(), "bad number") {
+			t.Errorf("parseQuery(%v) = %v, want a bad-number error", bad, err)
+		}
+	}
+	if req, err := parseQuery([]string{"4294967295", "4", "255", "255", "255"}); err != nil || req.Src != 1<<32-1 || req.Hour != 255 {
+		t.Errorf("parseQuery at the field maxima = %+v, %v", req, err)
+	}
 }
 
 func TestTwoIDs(t *testing.T) {
@@ -247,8 +258,11 @@ func TestValidateFlags(t *testing.T) {
 	ok := []flagCoherence{
 		{},                        // plain line mode
 		{Load: true, Churn: true}, // local load run
-		{Load: true, Connect: "h:1", ReconnectEvery: 5}, // network load
-		{Listen: ":0"}, // standalone daemon
+		{Load: true, Connect: "h:1", ReconnectEvery: 5},            // network load
+		{Load: true, Connect: "h:1,h:2"},                           // network load over a replica set
+		{Connect: "h:1"},                                           // remote line mode
+		{Connect: "/tmp/sock"},                                     // remote line mode, unix socket
+		{Listen: ":0"},                                             // standalone daemon
 		{Listen: ":0", ReplicaID: 1, Peers: "1@a@b", ReplicaOf: 1}, // HA daemon
 	}
 	for _, f := range ok {
@@ -257,14 +271,17 @@ func TestValidateFlags(t *testing.T) {
 		}
 	}
 	bad := []flagCoherence{
-		{Connect: "h:1"},                // -connect without -load
-		{Load: true, ReconnectEvery: 5}, // -reconnect-every without -connect
-		{Churn: true},                   // -churn without -load
-		{Load: true, Listen: ":0"},      // load generator and daemon at once
-		{ReplicaID: 1, Peers: "1@a@b"},  // HA flags outside daemon mode
-		{Listen: ":0", ReplicaID: 1},    // -replica-id without -peers
-		{Listen: ":0", Peers: "1@a@b"},  // -peers without -replica-id
-		{Listen: ":0", ReplicaOf: 2},    // -replica-of without -replica-id
+		{Connect: "h:1,h:2"},                // a replica set without the load harness's failover
+		{Connect: "h:1", Listen: ":0"},      // a daemon's client and a daemon at once
+		{Connect: "h:1", Unix: "/s"},        // likewise on a unix socket
+		{Load: true, ReconnectEvery: 5},     // -reconnect-every without -connect
+		{Connect: "h:1", ReconnectEvery: 5}, // -reconnect-every in remote line mode
+		{Churn: true},                       // -churn without -load
+		{Load: true, Listen: ":0"},          // load generator and daemon at once
+		{ReplicaID: 1, Peers: "1@a@b"},      // HA flags outside daemon mode
+		{Listen: ":0", ReplicaID: 1},        // -replica-id without -peers
+		{Listen: ":0", Peers: "1@a@b"},      // -peers without -replica-id
+		{Listen: ":0", ReplicaOf: 2},        // -replica-of without -replica-id
 	}
 	for _, f := range bad {
 		if err := validateFlags(f); err == nil {

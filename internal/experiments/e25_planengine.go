@@ -133,7 +133,7 @@ func E25PlanEngine(seed int64) *metrics.Table {
 			// would) and oracle-verify every answer by exhaustive search.
 			predLost := make(map[routeserver.Key]bool, len(rep.Unroutable))
 			for _, req := range rep.Unroutable {
-				predLost[routeserver.KeyOf(req)] = true
+				predLost[req] = true
 			}
 			lost := 0
 			oracle := synthesis.Compile(g, db) // as the commit left them
@@ -146,7 +146,7 @@ func E25PlanEngine(seed int64) *metrics.Table {
 				if isLost {
 					lost++
 				}
-				if isLost != predLost[routeserver.KeyOf(req)] {
+				if isLost != predLost[req] {
 					exact = false
 				}
 			}

@@ -134,7 +134,7 @@ func TestEvictScopedCountsActualDeletions(t *testing.T) {
 	// Manufacture the dangling edge: drop the LRU entry while leaving its
 	// index edges in place, as a racing deletion between index resolution
 	// and the eviction sweep would.
-	k := KeyOf(rCheap)
+	k := rCheap
 	sh := &srv.shards[hash(k)&srv.mask]
 	sh.mu.Lock()
 	if _, ok := sh.lru.Peek(k); !ok {

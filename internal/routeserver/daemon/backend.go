@@ -6,10 +6,10 @@
 // limits, and drain semantics (stop accepting, finish in-flight requests,
 // flush replies, close).
 //
-// The command dispatch itself lives in Backend, shared by the binary
-// protocol and cmd/routed's stdin line mode, so both front ends execute
-// identical operations against the same serving state — the session-parity
-// test in cmd/routed pins this.
+// The wire protocol is the only API: Backend.Handle executes every request,
+// and cmd/routed's line mode is a text skin over it — each line is parsed
+// into the wire.Message a session would have decoded and the reply rendered
+// back to text — so no front end has operations of its own.
 package daemon
 
 import (
@@ -20,13 +20,12 @@ import (
 	"repro/internal/policy"
 	"repro/internal/routeserver"
 	"repro/internal/routeserver/plan"
-	"repro/internal/sim"
 	"repro/internal/synthesis"
 	"repro/internal/wire"
 )
 
 // Backend bundles the serving state one daemon (or line-mode session)
-// operates on and dispatches every protocol command against it. Queries
+// operates on; Handle executes every protocol request against it. Queries
 // and data-plane operations are safe for any number of concurrent
 // sessions (Server and DataPlane synchronize internally); control-plane
 // mutations are serialized by the backend's own lock, which also protects
@@ -56,26 +55,6 @@ type Backend struct {
 	// connMetrics, when set, reports the daemon's connection counters for
 	// the stats command. Nil on front ends with no daemon (line mode).
 	connMetrics func() Metrics
-}
-
-// Stats is the serving-counter snapshot the stats command reports.
-type Stats struct {
-	// Gen counts full invalidations so far.
-	Gen       uint64
-	Queries   uint64
-	Hits      uint64
-	Coalesced uint64
-	Misses    uint64
-	Failures  uint64
-	// Cached is Server.CacheLen: the entries held, every one current.
-	Cached int
-	// Connection counters, filled only when the backend fronts a daemon
-	// (ConnsKnown true): sessions accepted, evicted for slow consumption,
-	// and refused at the connection limit or during drain.
-	ConnsKnown  bool
-	Accepted    uint64
-	EvictedSlow uint64
-	Refused     uint64
 }
 
 // NewBackend wires a backend over the serving stack.
@@ -254,31 +233,6 @@ func (b *Backend) Commit(id uint64) (CommitResult, error) {
 	return out, nil
 }
 
-// Stats snapshots the serving counters.
-func (b *Backend) Stats() Stats {
-	m := b.srv.Snapshot()
-	st := Stats{
-		Gen:       b.srv.Generation(),
-		Queries:   m.Queries,
-		Hits:      m.Hits,
-		Coalesced: m.Coalesced,
-		Misses:    m.Misses,
-		Failures:  m.Failures,
-		Cached:    b.srv.CacheLen(),
-	}
-	b.mu.Lock()
-	connMetrics := b.connMetrics
-	b.mu.Unlock()
-	if connMetrics != nil {
-		cm := connMetrics()
-		st.ConnsKnown = true
-		st.Accepted = cm.Accepted
-		st.EvictedSlow = cm.Evicted
-		st.Refused = cm.Refused
-	}
-	return st
-}
-
 // Install serves a route for req and installs it as PG handle state.
 func (b *Backend) Install(req policy.Request) (handle uint64, path ad.Path, found bool) {
 	res := b.srv.Query(req)
@@ -286,31 +240,4 @@ func (b *Backend) Install(req policy.Request) (handle uint64, path ad.Path, foun
 		return 0, nil, false
 	}
 	return b.dp.Install(req, res.Path), res.Path, true
-}
-
-// Send forwards one data packet over handle.
-func (b *Backend) Send(handle uint64) routeserver.SendResult {
-	return b.dp.Send(handle)
-}
-
-// Refresh re-asserts every live flow's soft state.
-func (b *Backend) Refresh() (refreshed, failed int) {
-	return b.dp.RefreshAll()
-}
-
-// Tick advances the data plane's logical clock by secs seconds and returns
-// the new clock reading plus the expired-entry count.
-func (b *Backend) Tick(secs int64) (nowSecs int64, expired int) {
-	expired = b.dp.Tick(sim.Time(secs) * sim.Second)
-	return int64(b.dp.Now() / sim.Second), expired
-}
-
-// Repair re-establishes every flow queued by misses or failures.
-func (b *Backend) Repair() (attempted, repaired int) {
-	return b.dp.Repair(b.srv)
-}
-
-// State reports the data-plane metrics.
-func (b *Backend) State() routeserver.DataPlaneMetrics {
-	return b.dp.Metrics()
 }

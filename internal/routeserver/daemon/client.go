@@ -67,9 +67,12 @@ func NewClient(conn net.Conn) *Client {
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip sends one request and reads its reply. A NotPrimary reply is
-// surfaced as *NotPrimaryError on every request kind.
-func (c *Client) roundTrip(m wire.Message) (wire.Message, error) {
+// Do sends one request and reads its reply, whatever their types: what a
+// front end that already holds a wire.Message — cmd/routed's remote line
+// mode — calls instead of a typed method. The caller picks m's ID; Do does
+// not match it. A NotPrimary reply is surfaced as *NotPrimaryError on every
+// request kind.
+func (c *Client) Do(m wire.Message) (wire.Message, error) {
 	if c.Timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.Timeout))
 		defer c.conn.SetDeadline(time.Time{})
@@ -90,16 +93,26 @@ func (c *Client) roundTrip(m wire.Message) (wire.Message, error) {
 	return rep, nil
 }
 
+// call is the typed round trip under every method below: send m, which
+// carries the sequence number just taken, and insist on a reply of type R
+// that echoes it.
+func call[R wire.Message](c *Client, m wire.Message) (r R, err error) {
+	rep, err := c.Do(m)
+	if err != nil {
+		return r, err
+	}
+	if got, ok := rep.(R); ok && replyID(rep) == c.seq {
+		return got, nil
+	}
+	return r, fmt.Errorf("daemon: bad reply %T to %v", rep, m.Type())
+}
+
 // Query asks for a route.
 func (c *Client) Query(req policy.Request) (routeserver.Result, error) {
 	c.seq++
-	rep, err := c.roundTrip(&wire.Query{ID: c.seq, Req: req})
+	qr, err := call[*wire.QueryReply](c, &wire.Query{ID: c.seq, Req: req})
 	if err != nil {
 		return routeserver.Result{}, err
-	}
-	qr, ok := rep.(*wire.QueryReply)
-	if !ok || qr.ID != c.seq {
-		return routeserver.Result{}, fmt.Errorf("daemon: bad query reply %T", rep)
 	}
 	return routeserver.Result{Path: qr.Path, Found: qr.Found}, nil
 }
@@ -107,80 +120,41 @@ func (c *Client) Query(req policy.Request) (routeserver.Result, error) {
 // Control issues a control-plane mutation.
 func (c *Client) Control(op uint8, a, b ad.ID, cost uint32) (*wire.ControlReply, error) {
 	c.seq++
-	rep, err := c.roundTrip(&wire.Control{ID: c.seq, Op: op, A: a, B: b, Cost: cost})
-	if err != nil {
-		return nil, err
-	}
-	cr, ok := rep.(*wire.ControlReply)
-	if !ok || cr.ID != c.seq {
-		return nil, fmt.Errorf("daemon: bad control reply %T", rep)
-	}
-	return cr, nil
+	return call[*wire.ControlReply](c, &wire.Control{ID: c.seq, Op: op, A: a, B: b, Cost: cost})
 }
 
 // DataOp issues a data-plane operation.
 func (c *Client) DataOp(op uint8, handle uint64, arg uint32, req policy.Request) (*wire.DataOpReply, error) {
 	c.seq++
-	rep, err := c.roundTrip(&wire.DataOp{ID: c.seq, Op: op, Handle: handle, Arg: arg, Req: req})
-	if err != nil {
-		return nil, err
-	}
-	dr, ok := rep.(*wire.DataOpReply)
-	if !ok || dr.ID != c.seq {
-		return nil, fmt.Errorf("daemon: bad data-op reply %T", rep)
-	}
-	return dr, nil
+	return call[*wire.DataOpReply](c, &wire.DataOp{ID: c.seq, Op: op, Handle: handle, Arg: arg, Req: req})
 }
 
 // Plan sends a what-if proposal (steps) and returns the predicted blast
 // radius plus the plan ID a later Commit may apply.
 func (c *Client) Plan(steps []wire.PlanStep) (*wire.PlanReply, error) {
 	c.seq++
-	return c.planRoundTrip(&wire.Plan{ID: c.seq, Steps: steps})
+	return call[*wire.PlanReply](c, &wire.Plan{ID: c.seq, Steps: steps})
 }
 
 // Commit asks the daemon to apply a previously computed plan. The daemon
 // refuses (CtlErr) if its mutation epoch moved since the plan.
 func (c *Client) Commit(planID uint64) (*wire.PlanReply, error) {
 	c.seq++
-	return c.planRoundTrip(&wire.Plan{ID: c.seq, Commit: true, PlanID: planID})
-}
-
-func (c *Client) planRoundTrip(m *wire.Plan) (*wire.PlanReply, error) {
-	rep, err := c.roundTrip(m)
-	if err != nil {
-		return nil, err
-	}
-	pr, ok := rep.(*wire.PlanReply)
-	if !ok || pr.ID != c.seq {
-		return nil, fmt.Errorf("daemon: bad plan reply %T", rep)
-	}
-	return pr, nil
+	return call[*wire.PlanReply](c, &wire.Plan{ID: c.seq, Commit: true, PlanID: planID})
 }
 
 // Stats fetches the serving counters.
 func (c *Client) Stats() (*wire.StatsReply, error) {
 	c.seq++
-	rep, err := c.roundTrip(&wire.StatsQuery{ID: c.seq})
-	if err != nil {
-		return nil, err
-	}
-	sr, ok := rep.(*wire.StatsReply)
-	if !ok || sr.ID != c.seq {
-		return nil, fmt.Errorf("daemon: bad stats reply %T", rep)
-	}
-	return sr, nil
+	return call[*wire.StatsReply](c, &wire.StatsQuery{ID: c.seq})
 }
 
 // Drain asks the daemon to drain; the ack arrives before the drain begins.
 func (c *Client) Drain() error {
 	c.seq++
-	rep, err := c.roundTrip(&wire.Drain{ID: c.seq})
-	if err != nil {
-		return err
+	cr, err := call[*wire.ControlReply](c, &wire.Drain{ID: c.seq})
+	if err == nil && !cr.OK() {
+		err = fmt.Errorf("daemon: drain refused: %s", cr.Err)
 	}
-	if cr, ok := rep.(*wire.ControlReply); !ok || cr.ID != c.seq || !cr.OK() {
-		return fmt.Errorf("daemon: bad drain ack %T", rep)
-	}
-	return nil
+	return err
 }

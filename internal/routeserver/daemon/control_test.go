@@ -66,7 +66,7 @@ func TestInvalidateReleasesEntries(t *testing.T) {
 	if n := srv.CacheLen(); n != 0 {
 		t.Errorf("CacheLen = %d after invalidate, want 0", n)
 	}
-	if n := be.Stats().Cached; n != 0 {
+	if n := be.Server().CacheLen(); n != 0 {
 		t.Errorf("Stats().Cached = %d after invalidate, want 0", n)
 	}
 	if ents := srv.DumpEntries(nil); len(ents) != 0 {

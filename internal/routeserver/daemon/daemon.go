@@ -450,11 +450,11 @@ func (s *session) close() {
 	s.closeOnce.Do(func() { s.conn.Close() })
 }
 
-// dispatch executes one protocol request against the backend and builds
-// the reply. The drain result asks the session to trigger a daemon drain
-// after the ack is queued. A Query is answered in *qr, the calling session's
-// reused reply, and m itself may be the decoder's reused Query: dispatch and
-// everything under it copy out what they keep and retain neither.
+// dispatch is what a daemon adds in front of the one executor,
+// Backend.Handle: the HA redirect gate and the Drain ack (the drain result
+// asks the session to trigger a daemon drain after the ack is queued).
+// Handle's contract on m and *qr, the calling session's reused reply, holds
+// here too.
 func (d *Daemon) dispatch(m wire.Message, qr *wire.QueryReply) (reply wire.Message, drain bool) {
 	if p := d.redirect.Load(); p != nil {
 		if rid, gated := requestID(m); gated {
@@ -463,78 +463,8 @@ func (d *Daemon) dispatch(m wire.Message, qr *wire.QueryReply) (reply wire.Messa
 			}
 		}
 	}
-	switch q := m.(type) {
-	case *wire.Query:
-		res := d.be.Query(q.Req)
-		*qr = wire.QueryReply{ID: q.ID, Found: res.Found, Path: res.Path}
-		return qr, false
-
-	case *wire.Control:
-		eff, err := d.be.Control(wire.PlanStep{Op: q.Op, A: q.A, B: q.B, Cost: q.Cost})
-		if err != nil {
-			return &wire.ControlReply{ID: q.ID, Code: wire.CtlErr, Err: err.Error()}, false
-		}
-		return &wire.ControlReply{
-			ID: q.ID, Evicted: uint64(eff.Evicted), Retained: uint64(eff.Retained),
-			Flushed: uint64(eff.Flushed), Gen: eff.Gen,
-		}, false
-
-	case *wire.DataOp:
-		rep := &wire.DataOpReply{ID: q.ID, Op: q.Op}
-		switch q.Op {
-		case wire.OpInstall:
-			handle, path, found := d.be.Install(q.Req)
-			if !found {
-				rep.Code = wire.DataNoRoute
-				break
-			}
-			rep.Handle, rep.Path = handle, path
-		case wire.OpSend:
-			switch r := d.be.Send(q.Handle); {
-			case r.Delivered:
-			case r.MissAt != 0:
-				rep.Code, rep.N1 = wire.DataNoState, uint64(r.MissAt)
-			default:
-				rep.Code = wire.DataUnknownHandle
-			}
-		case wire.OpRefresh:
-			refreshed, failed := d.be.Refresh()
-			rep.N1, rep.N2 = uint64(refreshed), uint64(failed)
-		case wire.OpTick:
-			secs := int64(q.Arg)
-			if secs <= 0 {
-				secs = 1
-			}
-			now, expired := d.be.Tick(secs)
-			rep.N1, rep.N2 = uint64(now), uint64(expired)
-		case wire.OpRepair:
-			attempted, repaired := d.be.Repair()
-			rep.N1, rep.N2 = uint64(attempted), uint64(repaired)
-		case wire.OpState:
-			rep.Text = d.be.State().String()
-		default:
-			rep.Code = wire.DataBadOp
-		}
-		return rep, false
-
-	case *wire.Plan:
-		return d.be.HandlePlan(q), false
-
-	case *wire.StatsQuery:
-		st := d.be.Stats()
-		return &wire.StatsReply{
-			ID: q.ID, Gen: st.Gen, Queries: st.Queries, Hits: st.Hits,
-			Coalesced: st.Coalesced, Misses: st.Misses, Failures: st.Failures,
-			Cached:   uint64(st.Cached),
-			Accepted: st.Accepted, EvictedSlow: st.EvictedSlow, Refused: st.Refused,
-		}, false
-
-	case *wire.Drain:
+	if q, ok := m.(*wire.Drain); ok {
 		return &wire.ControlReply{ID: q.ID}, true
-
-	default:
-		// A routing-protocol message (or a reply) is not a request this
-		// daemon serves.
-		return &wire.ControlReply{Code: wire.CtlErr, Err: "unexpected " + m.Type().String()}, false
 	}
+	return d.be.Handle(m, qr), false
 }

@@ -353,7 +353,6 @@ func (n *Node) adopt(epoch uint64, primary uint32) {
 		n.mu.Unlock()
 		return
 	}
-	wasPrimary := n.primary == n.cfg.ID
 	n.epoch, n.primary = epoch, primary
 	becomePrimary := primary == n.cfg.ID
 	sc := n.syncConn
@@ -368,7 +367,6 @@ func (n *Node) adopt(epoch uint64, primary uint32) {
 		if sc != nil {
 			sc.Close() // kick the sync loop onto the new primary
 		}
-		_ = wasPrimary // a demoted primary simply starts following
 	}
 }
 

@@ -247,11 +247,11 @@ func TestBacklogCutoverToSnapshot(t *testing.T) {
 	var fresh policy.Request
 	seen := map[routeserver.Key]bool{}
 	for _, r := range workload {
-		seen[routeserver.KeyOf(r)] = true
+		seen[r] = true
 	}
 	for _, r := range workload {
 		r.Dst, r.Src = r.Src, r.Dst
-		if !seen[routeserver.KeyOf(r)] {
+		if !seen[r] {
 			fresh = r
 			break
 		}

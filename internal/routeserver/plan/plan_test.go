@@ -166,11 +166,11 @@ func TestPlanPredictsCommitExactly(t *testing.T) {
 	// Routability: every assessed pair resolves exactly as predicted.
 	unroutable := make(map[routeserver.Key]bool)
 	for _, req := range rep.UnroutableAfter {
-		unroutable[routeserver.KeyOf(req)] = true
+		unroutable[req] = true
 	}
 	for _, req := range rep.Population {
 		got := be.Query(req).Found
-		if want := !unroutable[routeserver.KeyOf(req)]; got != want {
+		if want := !unroutable[req]; got != want {
 			t.Errorf("post-commit %v: found=%v, predicted %v", req, got, want)
 		}
 	}
@@ -194,7 +194,7 @@ func TestPlanPredictsCommitAfterInvalidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []routeserver.Key{routeserver.KeyOf(crossing)}; !reflect.DeepEqual(rep.EvictedKeys, want) {
+	if want := []routeserver.Key{crossing}; !reflect.DeepEqual(rep.EvictedKeys, want) {
 		t.Errorf("predicted evicted keys %v, want %v", rep.EvictedKeys, want)
 	}
 	res, err := be.Commit(id)

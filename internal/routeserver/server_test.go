@@ -34,7 +34,7 @@ func testbed(seed int64, requests int) (*ad.Graph, *policy.DB, []policy.Request)
 func uniqueKeys(reqs []policy.Request) int {
 	seen := map[Key]bool{}
 	for _, r := range reqs {
-		seen[KeyOf(r)] = true
+		seen[r] = true
 	}
 	return len(seen)
 }
@@ -178,7 +178,7 @@ func TestServerDeterministicAtAnyParallelism(t *testing.T) {
 	g, db, workload := testbed(23, 300)
 	distinct := make(map[Key]struct{})
 	for _, req := range workload {
-		distinct[KeyOf(req)] = struct{}{}
+		distinct[req] = struct{}{}
 	}
 	strategies := map[string]func() synthesis.Strategy{
 		"on-demand": func() synthesis.Strategy { return synthesis.NewOnDemand(g, db) },
