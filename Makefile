@@ -70,10 +70,14 @@ golden:
 # 1), the wire report must count no errors, every -bench-json key the two
 # modes shared before they were one harness must be in both files, and the
 # daemon must drain on SIGTERM. Nothing else checks that the binary's two
-# load modes are one harness. Everything it writes goes to a temp dir.
+# load modes are one harness. A second daemon, started on
+# scenarios/policy_change.json, is the operator path for scenarios: a load run
+# over the wire must deliver the scenario's policy change (no event errors),
+# after which the daemon answers "8 6" with no-route — AD6's only neighbour
+# now carries sources 6 and 7 alone. Everything it writes goes to a temp dir.
 load-smoke:
-	@set -e; tmp=$$(mktemp -d); pid=; \
-	trap '[ -z "$$pid" ] || kill $$pid 2>/dev/null || true; rm -rf $$tmp' EXIT; \
+	@set -e; tmp=$$(mktemp -d); pid=; pid2=; \
+	trap 'kill $$pid $$pid2 2>/dev/null || true; rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/routed ./cmd/routed; \
 	$$tmp/routed -unix $$tmp/sock > $$tmp/daemon.out 2>&1 & pid=$$!; \
 	for i in $$(seq 100); do [ -S $$tmp/sock ] && break; sleep 0.1; done; \
@@ -91,6 +95,17 @@ load-smoke:
 	kill -TERM $$pid; wait $$pid; pid=; \
 	grep -q '^drained:' $$tmp/daemon.out \
 		|| { echo "load-smoke: daemon did not drain"; cat $$tmp/daemon.out; exit 1; }; \
+	sc=scenarios/policy_change.json; \
+	$$tmp/routed -scenario $$sc -unix $$tmp/sock2 > $$tmp/daemon2.out 2>&1 & pid2=$$!; \
+	for i in $$(seq 100); do [ -S $$tmp/sock2 ] && break; sleep 0.1; done; \
+	$$tmp/routed -load -scenario $$sc -connect $$tmp/sock2 -bench-json $$tmp/c.json > $$tmp/c.out \
+		&& grep -q '"event_errors": 0' $$tmp/c.json \
+		|| { echo "load-smoke: scenario run over the wire failed"; cat $$tmp/c.out; exit 1; }; \
+	printf '8 6\n' | $$tmp/routed -connect $$tmp/sock2 > $$tmp/op2.out && grep -q '^no-route' $$tmp/op2.out \
+		|| { echo "load-smoke: the scenario's policy change did not reach the daemon"; cat $$tmp/op2.out; exit 1; }; \
+	kill -TERM $$pid2; wait $$pid2; pid2=; \
+	grep -q '^drained:' $$tmp/daemon2.out \
+		|| { echo "load-smoke: scenario daemon did not drain"; cat $$tmp/daemon2.out; exit 1; }; \
 	echo "load-smoke: ok"
 
 # Non-test, non-blank Go lines under internal/ and cmd/: the count a

@@ -236,8 +236,8 @@ func BenchmarkE20RouteServer(b *testing.B) {
 
 // BenchmarkE22ScopedInvalidation measures serving under churn with the two
 // invalidation modes: the same fail/restore timeline over the first two
-// lateral links fires mid-run (by workload fraction), once with zero-value
-// Changes (full generation bumps) and once with scoped link changes. It
+// lateral links fires mid-run (by workload fraction), once with every step a
+// full invalidation and once scoped to the change the step resolves to. It
 // emits BENCH_scopedinvalidation.json. Wall-clock QPS and P95 are hardware-
 // dependent; the synthesis counts are approximate here because event firing
 // points depend on scheduling (E22 measures them exactly at phase barriers).
@@ -270,27 +270,31 @@ func BenchmarkE22ScopedInvalidation(b *testing.B) {
 		b.Skip("topology has fewer than two lateral links")
 	}
 
-	// The timeline restores every failed link, so the graph is back in its
+	// The timeline restores every failed link, so the world is back in its
 	// initial state after each iteration.
+	l0, l1 := laterals[0], laterals[1]
+	timeline := []wire.PlanStep{
+		{Op: wire.CtlFail, A: l0.A, B: l0.B}, {Op: wire.CtlRestore, A: l0.A, B: l0.B},
+		{Op: wire.CtlFail, A: l1.A, B: l1.B}, {Op: wire.CtlRestore, A: l1.A, B: l1.B},
+	}
+	world := synthesis.NewWorld(topo.Graph, db)
 	events := func(srv *routeserver.Server, scoped bool) []routeserver.Event {
-		g := topo.Graph
-		mk := func(after float64, l ad.Link, down bool) routeserver.Event {
-			ch, apply := synthesis.LinkUpChange(l.A, l.B), func() { _ = g.AddLink(l) }
-			if down {
-				ch, apply = synthesis.LinkDownChange(l.A, l.B), func() { g.RemoveLink(l.A, l.B) }
-			}
-			if !scoped {
-				ch = synthesis.FullChange()
-			}
-			return routeserver.Event{After: after, Fire: func() error {
-				srv.MutateScoped(ch, apply)
+		evs := make([]routeserver.Event, len(timeline))
+		for i, op := range timeline {
+			evs[i] = routeserver.Event{After: float64(i+1) / 5, Fire: func() error {
+				ch, apply, err := world.Resolve(op)
+				if err != nil {
+					return err
+				}
+				if scoped {
+					srv.MutateScoped(ch, apply)
+				} else {
+					srv.Mutate(apply)
+				}
 				return nil
 			}}
 		}
-		return []routeserver.Event{
-			mk(0.2, laterals[0], true), mk(0.4, laterals[0], false),
-			mk(0.6, laterals[1], true), mk(0.8, laterals[1], false),
-		}
+		return evs
 	}
 
 	report := scopedBenchReport{GOMAXPROCS: runtime.GOMAXPROCS(0), Requests: len(workload)}

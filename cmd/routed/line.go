@@ -76,7 +76,7 @@ func parseLine(line string) (wire.Message, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &wire.Control{Op: st.Op, A: st.A, B: st.B, Cost: st.Cost}, nil
+		return wire.NewControl(0, st), nil
 	case "install":
 		// install SRC DST [QOS UCI HOUR]: serve a route and install it as
 		// PG handle state so data can flow over it.
@@ -283,15 +283,15 @@ func parseStep(f []string) (wire.PlanStep, error) {
 		if !ok {
 			return wire.PlanStep{}, fmt.Errorf("usage: policy AD COST")
 		}
-		return wire.PlanStep{Op: wire.CtlPolicy, A: a, Cost: uint32(c)}, nil
+		return wire.OpenPolicy(a, uint32(c)), nil
 	case "invalidate":
 		return wire.PlanStep{Op: wire.CtlInvalidate}, nil
 	}
 	return wire.PlanStep{}, fmt.Errorf("unknown control op %q", f[0])
 }
 
-// parseQuery parses "SRC DST [QOS UCI HOUR]": two AD IDs, then three
-// one-byte fields.
+// parseQuery parses "SRC DST [QOS UCI HOUR]": two AD IDs, two one-byte
+// classes, and an hour of day, 0-23.
 func parseQuery(fields []string) (policy.Request, error) {
 	var req policy.Request
 	if len(fields) < 2 || len(fields) > 5 {
@@ -304,7 +304,7 @@ func parseQuery(fields []string) (policy.Request, error) {
 			bits = 8
 		}
 		v, err := strconv.ParseUint(f, 10, bits)
-		if err != nil {
+		if err != nil || (i == 4 && v > 23) {
 			return req, fmt.Errorf("bad number %q", f)
 		}
 		vals[i] = v

@@ -31,7 +31,7 @@ func TestLineCommandTable(t *testing.T) {
 			&wire.ControlReply{Evicted: 1, Retained: 2, Flushed: 3}, "flushed 3 handle entries\nok (evicted 1, retained 2)"},
 		{"restore 2 4", &wire.Control{Op: wire.CtlRestore, A: 2, B: 4},
 			&wire.ControlReply{Code: wire.CtlErr, Err: "link AD2-AD4 was not failed here"}, "link AD2-AD4 was not failed here"},
-		{"policy 7 10", &wire.Control{Op: wire.CtlPolicy, A: 7, Cost: 10},
+		{"policy 7 10", wire.NewControl(0, wire.OpenPolicy(7, 10)),
 			&wire.ControlReply{Retained: 5}, "ok (evicted 0, retained 5)"},
 		{"invalidate", &wire.Control{Op: wire.CtlInvalidate},
 			&wire.ControlReply{Gen: 3}, "ok (gen 3)"},
@@ -56,7 +56,7 @@ func TestLineCommandTable(t *testing.T) {
 		{"state", &wire.DataOp{Op: wire.OpState},
 			&wire.DataOpReply{Op: wire.OpState, Text: "flows 0, pending-repairs 0"}, "flows 0, pending-repairs 0"},
 		{"plan fail 2 4; policy 7 10 ;restore 2 4", &wire.Plan{Steps: []wire.PlanStep{
-			{Op: wire.CtlFail, A: 2, B: 4}, {Op: wire.CtlPolicy, A: 7, Cost: 10}, {Op: wire.CtlRestore, A: 2, B: 4}}},
+			{Op: wire.CtlFail, A: 2, B: 4}, wire.OpenPolicy(7, 10), {Op: wire.CtlRestore, A: 2, B: 4}}},
 			&wire.PlanReply{PlanID: 5, Epoch: 8, Evicted: 1, Retained: 2, Teardowns: 3, Unroutable: 4, Resynth: 1,
 				Focus: 7, Gained: 1, Lost: 4, Rerouted: 2, TransitBefore: 6, TransitAfter: 3, Truncated: true,
 				MeanSynthNanos: 999, ProjNanos: 999},

@@ -19,10 +19,10 @@ import (
 )
 
 // materialize builds the internet and workload, either from a scenario file
-// (whose events, compiled, become the in-process churn timeline) or
-// generated from the seed.
+// (whose events, compiled to control ops, become a load run's churn timeline)
+// or generated from the seed.
 func materialize(path string, seed int64, requests int, model string, zipfS float64, qos, uci int) (
-	*ad.Graph, *policy.DB, []policy.Request, []scenario.Mutation, error) {
+	*ad.Graph, *policy.DB, []policy.Request, []wire.PlanStep, error) {
 	if path == "" {
 		topo := topology.Generate(topology.Config{
 			Seed:                 seed,
@@ -67,11 +67,20 @@ func materialize(path string, seed int64, requests int, model string, zipfS floa
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	muts, err := sc.Mutations(g, db)
+	ops, err := sc.Ops(g, db)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	return g, db, workload, muts, nil
+	return g, db, workload, ops, nil
+}
+
+// scenarioOps spreads a scenario's control ops evenly through a load run.
+func scenarioOps(ops []wire.PlanStep) []timedOp {
+	out := make([]timedOp, len(ops))
+	for i, op := range ops {
+		out[i] = timedOp{After: float64(i+1) / float64(len(ops)+1), Op: op}
+	}
+	return out
 }
 
 // timedOp is one control op of a load run's timeline, fired once After
@@ -115,16 +124,18 @@ func networkOf(addr string) string {
 	return "tcp"
 }
 
-// runLoad is load mode: one generator replays the workload either in
-// process against be — scenario events and the churn ops applied to its
-// world directly — or, with connect set, over the wire against a running
-// daemon, the churn ops sent from a dedicated control connection. The
-// workload and churn were built locally from the same seed, so client and
-// daemon agree on the topology. A comma-separated connect names an HA
-// replica set: clients fail over between the addresses and follow
-// NotPrimary redirects.
-func runLoad(be *daemon.Backend, connect string, workload []policy.Request, muts []scenario.Mutation,
-	churn []timedOp, cfg routeserver.LoadConfig, seed int64, benchJSON string) int {
+// runLoad is load mode: one generator replays the workload and fires the
+// timeline's control ops — a scenario's events, the -churn pair — either in
+// process against be or, with connect set, over the wire against a running
+// daemon, the ops sent from a dedicated control connection. Either way an op
+// is one Backend.Control: resolved against the server's world, replicated to
+// HA followers, flushed in the data plane. The workload and timeline were
+// built locally from the same seed or scenario file the daemon was started
+// on, so client and daemon agree on the topology. A comma-separated connect
+// names an HA replica set: clients fail over between the addresses and
+// follow NotPrimary redirects.
+func runLoad(be *daemon.Backend, connect string, workload []policy.Request, timeline []timedOp,
+	cfg routeserver.LoadConfig, seed int64, benchJSON string) int {
 	srv := be.Server()
 	dial := routeserver.InProcess(srv)
 	control := func(op wire.PlanStep) error {
@@ -141,20 +152,8 @@ func runLoad(be *daemon.Backend, connect string, workload []policy.Request, muts
 		defer ctl.Close()
 		control = ctl.Control
 		srv = nil // the serving counters live in the daemon
-	} else {
-		// Scenario events replace whole term lists, which no control op
-		// expresses; they replay as closures, spread evenly through the run.
-		for i, m := range muts {
-			cfg.Events = append(cfg.Events, routeserver.Event{
-				After: float64(i+1) / float64(len(muts)+1),
-				Fire: func() error {
-					srv.MutateScoped(m.Change, m.Apply)
-					return nil
-				},
-			})
-		}
 	}
-	for _, ev := range churn {
+	for _, ev := range timeline {
 		cfg.Events = append(cfg.Events, routeserver.Event{
 			After: ev.After,
 			Fire:  func() error { return control(ev.Op) },

@@ -43,10 +43,13 @@
 //
 //   - Load mode (-load): replays a synthetic workload (uniform / Zipf /
 //     gravity) from -clients concurrent goroutines, optionally injecting
-//     churn mid-run (-churn, or a -scenario file's event timeline), then
-//     prints a serving report. -bench-json writes it machine-readably.
-//     With -connect addr the same generator instead replays it over the wire
-//     against a running daemon, one connection per client, with optional
+//     churn mid-run (-churn, or a -scenario file's event timeline, compiled
+//     to control ops: update-policy is a policy op carrying the event's term
+//     list, kill-primary is invalidate), then prints a serving report.
+//     -bench-json writes it machine-readably. With -connect addr the same
+//     generator instead replays it over the wire against a running daemon
+//     (started on the same seed or scenario file), one connection per client
+//     and the control ops sent from one more, with optional
 //     connection churn (-reconnect-every); a comma-separated -connect
 //     list makes every client a failover client over the replica group
 //     (NotPrimary redirects followed, dead replicas rotated past).
@@ -93,7 +96,7 @@ func main() {
 
 func run() int {
 	var (
-		scenarioPath   = flag.String("scenario", "", "scenario file supplying topology, policy, workload, and churn events")
+		scenarioPath   = flag.String("scenario", "", "scenario file supplying topology, policy, workload, and — in load mode — the churn events, fired as control ops in process or over -connect")
 		seed           = flag.Int64("seed", 42, "seed for the generated internet and workload")
 		strategy       = flag.String("strategy", "on-demand", "synthesis strategy: on-demand, precomputed, hybrid, pruned")
 		cacheCap       = flag.Int("cache", 0, "server route-cache capacity in entries (0 = default, <0 = unbounded)")
@@ -110,7 +113,7 @@ func run() int {
 		benchJSON      = flag.String("bench-json", "", "load mode: also write the report as JSON to this file")
 		listenAddr     = flag.String("listen", "", "serve the binary protocol on this TCP address (daemon mode)")
 		unixPath       = flag.String("unix", "", "serve the binary protocol on this unix socket path (daemon mode)")
-		connectAddr    = flag.String("connect", "", "drive a running daemon at this address instead of serving in-process, with -load from the load harness, else from line mode (host:port, or a unix socket path containing '/')")
+		connectAddr    = flag.String("connect", "", "drive a running daemon at this address instead of serving in-process, with -load from the load harness (queries, -churn and -scenario events alike), else from line mode (host:port, or a unix socket path containing '/')")
 		maxConns       = flag.Int("max-conns", 0, "daemon mode: concurrent connection limit (0 = default 2048)")
 		writeQueue     = flag.Int("write-queue", 0, "daemon mode: per-session reply queue length (0 = default 128)")
 		writeTimeout   = flag.Duration("write-timeout", 0, "daemon mode: slow-client grace before eviction (0 = default 2s)")
@@ -152,7 +155,7 @@ func run() int {
 		return lineMode(cl.Do)
 	}
 
-	g, db, workload, muts, err := materialize(*scenarioPath, *seed, *requests, *model, *zipfS, *qosClasses, *uciClasses)
+	g, db, workload, scOps, err := materialize(*scenarioPath, *seed, *requests, *model, *zipfS, *qosClasses, *uciClasses)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -193,11 +196,11 @@ func run() int {
 	be := daemon.NewBackend(srv, dp, g, db)
 
 	if *load {
-		var churnTimeline []timedOp
+		timeline := scenarioOps(scOps)
 		if *churn {
-			churnTimeline = churnOps(g)
+			timeline = append(timeline, churnOps(g)...)
 		}
-		return runLoad(be, *connectAddr, workload, muts, churnTimeline, routeserver.LoadConfig{
+		return runLoad(be, *connectAddr, workload, timeline, routeserver.LoadConfig{
 			Clients:        *clients,
 			ReconnectEvery: *reconnectEvery,
 		}, *seed, *benchJSON)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -205,15 +206,17 @@ func TestParseQuery(t *testing.T) {
 			t.Errorf("parseQuery(%v) accepted", bad)
 		}
 	}
-	// QOS, UCI and HOUR are one byte each: a larger value must be refused, not
-	// narrowed into another request's key (hour 268 used to be served, and
-	// cached, as hour 12).
-	for _, bad := range [][]string{{"1", "4", "256"}, {"1", "4", "0", "300"}, {"1", "4", "0", "0", "268"}} {
+	// QOS and UCI are one byte each and HOUR is an hour of day: a larger value
+	// must be refused, not folded into another request's answer (hour 268 used
+	// to be served, and cached, as hour 12; hour 36 was answered as hour 12 and
+	// cached beside it).
+	for _, bad := range [][]string{{"1", "4", "256"}, {"1", "4", "0", "300"}, {"1", "4", "0", "0", "268"},
+		{"1", "2", "0", "0", "36"}, {"1", "2", "0", "0", "24"}} {
 		if _, err := parseQuery(bad); err == nil || !strings.Contains(err.Error(), "bad number") {
 			t.Errorf("parseQuery(%v) = %v, want a bad-number error", bad, err)
 		}
 	}
-	if req, err := parseQuery([]string{"4294967295", "4", "255", "255", "255"}); err != nil || req.Src != 1<<32-1 || req.Hour != 255 {
+	if req, err := parseQuery([]string{"4294967295", "4", "255", "255", "23"}); err != nil || req.Src != 1<<32-1 || req.Hour != 23 {
 		t.Errorf("parseQuery at the field maxima = %+v, %v", req, err)
 	}
 }
@@ -236,14 +239,14 @@ func TestParsePlanSteps(t *testing.T) {
 	}
 	want := []wire.PlanStep{
 		{Op: wire.CtlFail, A: 2, B: 4},
-		{Op: wire.CtlPolicy, A: 7, Cost: 10},
+		wire.OpenPolicy(7, 10),
 		{Op: wire.CtlRestore, A: 2, B: 4},
 	}
 	if len(steps) != len(want) {
 		t.Fatalf("parsed %d steps, want %d", len(steps), len(want))
 	}
 	for i := range want {
-		if steps[i] != want[i] {
+		if !reflect.DeepEqual(steps[i], want[i]) {
 			t.Errorf("step %d: %+v, want %+v", i, steps[i], want[i])
 		}
 	}

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"fmt"
+
 	"repro/internal/ad"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/routeserver"
 	"repro/internal/synthesis"
-	"repro/internal/trafficgen"
+	"repro/internal/wire"
 )
 
 // E20RouteServer measures the route-server serving layer (§5.4/§5.4.1):
@@ -33,10 +35,7 @@ func E20RouteServer(seed int64) *metrics.Table {
 	base := defaultTopology(seed)
 
 	for _, model := range []string{"uniform", "zipf"} {
-		workload := trafficgen.Generate(base.Graph, trafficgen.Config{
-			Seed: seed + 2, Requests: requests, StubsOnly: true,
-			Model: model, ZipfS: 1.4, QOSClasses: 2, UCIClasses: 2,
-		})
+		workload := servingWorkload(base.Graph, seed+2, requests, model)
 		for _, churn := range []bool{false, true} {
 			for _, kind := range []string{"on-demand", "precomputed", "hybrid", "pruned"} {
 				// Churn mutates the graph and policy database, so every
@@ -52,7 +51,15 @@ func E20RouteServer(seed int64) *metrics.Table {
 				var oracleOK, failures int
 				for pi, phase := range phases {
 					if pi > 0 {
-						srv.Mutate(func() { applyE20Churn(g, db) })
+						// Both events under one full invalidation.
+						world := synthesis.NewWorld(g, db)
+						srv.Mutate(func() {
+							for _, op := range e20Churn(g) {
+								if _, err := world.Apply(op); err != nil {
+									panic(fmt.Sprintf("e20: %v: %v", op, err))
+								}
+							}
+						})
 					}
 					results := routeserver.ServePhase(srv, phase, clients)
 					oracle := synthesis.Compile(g, db) // the churn moved both
@@ -99,29 +106,25 @@ func buildE20Strategy(kind string, g *ad.Graph, db *policy.DB, workload []policy
 	return st
 }
 
-// applyE20Churn injects the mid-serve events: the first lateral link fails
-// and the busiest transit AD replaces its policy with a single expensive
-// open term (rerouting traffic that used it as a cheap transit).
-func applyE20Churn(g *ad.Graph, db *policy.DB) {
-	for _, l := range g.Links() {
-		if l.Class == ad.Lateral {
-			g.RemoveLink(l.A, l.B)
-			break
-		}
-	}
+// e20Churn is the mid-serve timeline: the first lateral link fails and the
+// busiest transit AD — most links once that one is down, lowest ID on ties —
+// replaces its policy with a single expensive open term (rerouting traffic
+// that used it as a cheap transit).
+func e20Churn(g *ad.Graph) []wire.PlanStep {
+	down := lateralLinks(g, 1)[0]
 	var busiest ad.ID
 	bestDeg := -1
 	for _, info := range g.ADs() {
 		if info.Class != ad.Transit {
 			continue
 		}
-		if d := g.Degree(info.ID); d > bestDeg || (d == bestDeg && info.ID < busiest) {
+		d := g.Degree(info.ID)
+		if info.ID == down.A || info.ID == down.B {
+			d--
+		}
+		if d > bestDeg || (d == bestDeg && info.ID < busiest) {
 			busiest, bestDeg = info.ID, d
 		}
 	}
-	if bestDeg >= 0 {
-		expensive := policy.OpenTerm(busiest, 0)
-		expensive.Cost = 10
-		db.SetTerms(busiest, []policy.Term{expensive})
-	}
+	return []wire.PlanStep{failOf(down), wire.OpenPolicy(busiest, 10)}
 }

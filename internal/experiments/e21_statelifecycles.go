@@ -8,7 +8,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/protocols/orwg"
 	"repro/internal/sim"
-	"repro/internal/trafficgen"
 )
 
 // e21TTL is the soft-state lifetime. It must comfortably exceed the
@@ -53,10 +52,7 @@ func E21StateLifecycles(seed int64) *metrics.Table {
 	base := defaultTopology(seed)
 
 	for _, model := range []string{"uniform", "zipf"} {
-		workload := trafficgen.Generate(base.Graph, trafficgen.Config{
-			Seed: seed + 3, Requests: requests, StubsOnly: true,
-			Model: model, ZipfS: 1.4, QOSClasses: 2, UCIClasses: 2,
-		})
+		workload := servingWorkload(base.Graph, seed+3, requests, model)
 		for _, st := range []pgstate.Config{
 			{Kind: pgstate.Hard},
 			{Kind: pgstate.Soft, TTL: e21TTL},

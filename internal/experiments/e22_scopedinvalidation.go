@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ad"
 	"repro/internal/core"
@@ -9,7 +10,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/routeserver"
 	"repro/internal/synthesis"
-	"repro/internal/trafficgen"
+	"repro/internal/wire"
 )
 
 // E22ScopedInvalidation measures what dependency-indexed cache invalidation
@@ -54,16 +55,14 @@ func E22ScopedInvalidation(seed int64) *metrics.Table {
 	// positive footprints to discriminate on.
 
 	for _, model := range []string{"uniform", "zipf"} {
-		workload := trafficgen.Generate(base.Graph, trafficgen.Config{
-			Seed: seed + 2, Requests: requests, StubsOnly: true,
-			Model: model, ZipfS: 1.4, QOSClasses: 2, UCIClasses: 2,
-		})
+		workload := servingWorkload(base.Graph, seed+2, requests, model)
 		for _, kind := range []string{"on-demand", "hybrid"} {
 			for _, mode := range []string{"full", "scoped"} {
 				g := base.Graph.Clone()
 				db := e22Policy(g, seed)
 				srv := routeserver.New(buildE20Strategy(kind, g, db, workload), routeserver.Config{})
 				oracle := core.NewOracle(g, db)
+				world := synthesis.NewWorld(g, db)
 
 				// Warm phase: the whole workload, populating the cache and
 				// its dependency index.
@@ -71,12 +70,16 @@ func E22ScopedInvalidation(seed int64) *metrics.Table {
 				warm := srv.Snapshot()
 
 				churnReqs, legalOK := 0, 0
-				for i, ev := range e22Events(g, db) {
-					ch := ev.change()
-					if mode == "full" {
-						ch = synthesis.FullChange()
+				for i, op := range e22Events(g, db) {
+					ch, apply, err := world.Resolve(op)
+					if err != nil {
+						panic(fmt.Sprintf("e22: %v: %v", op, err))
 					}
-					srv.MutateScoped(ch, ev.apply)
+					if mode == "full" {
+						srv.Mutate(apply)
+					} else {
+						srv.MutateScoped(ch, apply)
+					}
 					lo := (i * phaseLen) % requests
 					slice := workload[lo : lo+phaseLen]
 					results := routeserver.ServePhase(srv, slice, clients)
@@ -126,69 +129,22 @@ func e22Policy(g *ad.Graph, seed int64) *policy.DB {
 	})
 }
 
-// e22Event is one churn injection: change describes the mutation for
-// scoped invalidation and is computed against the pre-mutation state
-// (policy deltas diff the incoming terms with the current ones), apply
-// performs it.
-type e22Event struct {
-	label  string
-	change func() synthesis.Change
-	apply  func()
-}
-
 // e22Events builds the six-event link-local timeline over g and db: fail
 // and restore the first two lateral links, interleaved with an expensive
-// open-term rewrite at the busiest transit AD and its revert.
-func e22Events(g *ad.Graph, db *policy.DB) []e22Event {
-	var laterals []ad.Link
-	for _, l := range g.Links() {
-		if l.Class == ad.Lateral {
-			laterals = append(laterals, l)
-		}
-	}
-	// The default topology has several laterals; fall back to the first
-	// links so hand-rolled graphs still get a timeline.
-	for _, l := range g.Links() {
-		if len(laterals) >= 2 {
-			break
-		}
-		laterals = append(laterals, l)
-	}
-	l0, l1 := laterals[0], laterals[1]
-
+// open-term rewrite at the quietest transit AD and its revert — the term
+// list it advertised before, serials included, so the revert's delta is
+// computed against the rewritten policy like any other change.
+func e22Events(g *ad.Graph, db *policy.DB) []wire.PlanStep {
+	l := lateralLinks(g, 2)
 	target := quietestTransit(g)
-	expensive := policy.OpenTerm(target, 0)
-	expensive.Cost = 10
-	original := append([]policy.Term(nil), db.Terms(target)...)
-
-	failEv := func(l ad.Link) e22Event {
-		return e22Event{
-			label:  fmt.Sprintf("fail %v-%v", l.A, l.B),
-			change: func() synthesis.Change { return synthesis.LinkDownChange(l.A, l.B) },
-			apply:  func() { g.RemoveLink(l.A, l.B) },
-		}
-	}
-	restoreEv := func(l ad.Link) e22Event {
-		return e22Event{
-			label:  fmt.Sprintf("restore %v-%v", l.A, l.B),
-			change: func() synthesis.Change { return synthesis.LinkUpChange(l.A, l.B) },
-			apply:  func() { _ = g.AddLink(l) },
-		}
-	}
-	policyEv := func(label string, terms []policy.Term) e22Event {
-		return e22Event{
-			label:  fmt.Sprintf("%s %v", label, target),
-			change: func() synthesis.Change { return synthesis.PolicyChangeOf(db.DiffTerms(target, terms)) },
-			apply:  func() { db.SetTerms(target, terms) },
-		}
-	}
-	return []e22Event{
-		failEv(l0),
-		restoreEv(l0),
-		failEv(l1),
-		policyEv("policy", []policy.Term{expensive}),
-		restoreEv(l1),
-		policyEv("revert", original),
+	original := slices.Clone(db.Terms(target))
+	return []wire.PlanStep{
+		failOf(l[0]),
+		restoreOf(l[0]),
+		failOf(l[1]),
+		wire.OpenPolicy(target, 10),
+		restoreOf(l[1]),
+		{Op: wire.CtlPolicy, A: target, Terms: original},
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"repro/internal/routeserver/ha"
 	"repro/internal/sim"
 	"repro/internal/synthesis"
-	"repro/internal/trafficgen"
 	"repro/internal/wire"
 )
 
@@ -53,10 +52,7 @@ func E23HAFailover(seed int64) *metrics.Table {
 	base := defaultTopology(seed)
 
 	for _, model := range []string{"uniform", "zipf"} {
-		workload := trafficgen.Generate(base.Graph, trafficgen.Config{
-			Seed: seed + 2, Requests: requests, StubsOnly: true,
-			Model: model, ZipfS: 1.4, QOSClasses: 2, UCIClasses: 2,
-		})
+		workload := servingWorkload(base.Graph, seed+2, requests, model)
 		pre, post := e23Timeline(base.Graph)
 
 		// Warm reference: one server lives through the whole timeline.
@@ -120,46 +116,28 @@ const (
 // e23Timeline splits the E22-style link-local event list around the kill:
 // fail/restore of the first lateral and a failure of the second before it,
 // then a policy rewrite at the quietest transit, the second lateral's
-// restoration, and a second policy change after it. (A policy op installs
-// an open term, so the post-kill policy pair is change + re-change rather
-// than E22's change + revert.) Unlike E22's direct graph/policy closures,
-// every op here flows through a Backend so the HA row replicates it.
+// restoration, and a second policy change after it (two open-term rewrites,
+// where E22 has a rewrite and its revert). E22 resolves its steps on a World
+// of its own; here every op flows through a Backend so the HA row replicates
+// it.
 func e23Timeline(g *ad.Graph) (pre, post []wire.PlanStep) {
-	var laterals []ad.Link
-	for _, l := range g.Links() {
-		if l.Class == ad.Lateral {
-			laterals = append(laterals, l)
-		}
-	}
-	for _, l := range g.Links() {
-		if len(laterals) >= 2 {
-			break
-		}
-		laterals = append(laterals, l)
-	}
-	l0, l1 := laterals[0], laterals[1]
+	l := lateralLinks(g, 2)
 	target := quietestTransit(g)
-	pre = []wire.PlanStep{
-		{Op: wire.CtlFail, A: l0.A, B: l0.B},
-		{Op: wire.CtlRestore, A: l0.A, B: l0.B},
-		{Op: wire.CtlFail, A: l1.A, B: l1.B},
-	}
-	post = []wire.PlanStep{
-		{Op: wire.CtlPolicy, A: target, Cost: 10},
-		{Op: wire.CtlRestore, A: l1.A, B: l1.B},
-		{Op: wire.CtlPolicy, A: target, Cost: 3},
-	}
+	pre = []wire.PlanStep{failOf(l[0]), restoreOf(l[0]), failOf(l[1])}
+	post = []wire.PlanStep{wire.OpenPolicy(target, 10), restoreOf(l[1]), wire.OpenPolicy(target, 3)}
 	return pre, post
 }
 
 // e23Apply applies one timeline op to the server and mirrors it onto the
 // oracle; the timeline is built from the world's own links and ADs, so a
 // refusal is a harness bug.
-func e23Apply(be *daemon.Backend, o *e23Oracle, op wire.PlanStep) {
+func e23Apply(be *daemon.Backend, o *synthesis.World, op wire.PlanStep) {
 	if _, err := be.Control(op); err != nil {
 		panic(fmt.Sprintf("e23: %v: %v", op, err))
 	}
-	o.apply(op)
+	if _, err := o.Apply(op); err != nil {
+		panic(fmt.Sprintf("e23 oracle: %v: %v", op, err))
+	}
 }
 
 // e23Stack builds one server's full serving stack over clones of the base
@@ -221,7 +199,7 @@ func e23Group(base *ad.Graph, seed int64) (prim, fol *e23Replica) {
 
 // e23PreChurn runs the pre-kill half: each event followed by its workload
 // slice.
-func e23PreChurn(be *daemon.Backend, srv *routeserver.Server, workload []policy.Request, pre []wire.PlanStep, o *e23Oracle) {
+func e23PreChurn(be *daemon.Backend, srv *routeserver.Server, workload []policy.Request, pre []wire.PlanStep, o *synthesis.World) {
 	for i, op := range pre {
 		e23Apply(be, o, op)
 		lo := (i * e23PhaseLen) % len(workload)
@@ -232,9 +210,9 @@ func e23PreChurn(be *daemon.Backend, srv *routeserver.Server, workload []policy.
 // e23Measure runs the post-kill half against one server and reports its
 // slice counters: each event, its slice, and the legality of every answer
 // against the oracle world.
-func e23Measure(be *daemon.Backend, srv *routeserver.Server, workload []policy.Request, post []wire.PlanStep, o *e23Oracle) (churn int, synth uint64, legal int, hitRate float64) {
+func e23Measure(be *daemon.Backend, srv *routeserver.Server, workload []policy.Request, post []wire.PlanStep, o *synthesis.World) (churn int, synth uint64, legal int, hitRate float64) {
 	warm := srv.Snapshot()
-	oracle := core.NewOracle(o.g, o.db)
+	oracle := core.NewOracle(o.G, o.DB)
 	for i, op := range post {
 		e23Apply(be, o, op)
 		lo := ((len(post) + i) * e23PhaseLen) % len(workload)
@@ -253,43 +231,11 @@ func e23Measure(be *daemon.Backend, srv *routeserver.Server, workload []policy.R
 	return churn, synth, legal, hitRate
 }
 
-// e23Oracle is the independent legality world: the same base clone mutated
-// in lockstep with the measured server, mirroring Backend semantics
-// (Restore re-adds the failed link's original class and cost, SetPolicy
-// installs a single open term).
-type e23Oracle struct {
-	g       *ad.Graph
-	db      *policy.DB
-	removed map[[2]ad.ID]ad.Link
-}
-
-func newE23Oracle(base *ad.Graph, seed int64) *e23Oracle {
+// newE23Oracle is the independent legality world: the same base clone,
+// mutated in lockstep with the measured server by the same resolver.
+func newE23Oracle(base *ad.Graph, seed int64) *synthesis.World {
 	g := base.Clone()
-	return &e23Oracle{g: g, db: e22Policy(g, seed), removed: make(map[[2]ad.ID]ad.Link)}
-}
-
-func (o *e23Oracle) apply(op wire.PlanStep) {
-	switch op.Op {
-	case wire.CtlFail:
-		want := ad.Link{A: op.A, B: op.B}.Canonical()
-		for _, l := range o.g.Links() {
-			if l.A == want.A && l.B == want.B {
-				o.removed[[2]ad.ID{l.A, l.B}] = l
-				break
-			}
-		}
-		o.g.RemoveLink(op.A, op.B)
-	case wire.CtlRestore:
-		key := ad.Link{A: op.A, B: op.B}.Canonical()
-		if l, ok := o.removed[[2]ad.ID{key.A, key.B}]; ok {
-			delete(o.removed, [2]ad.ID{key.A, key.B})
-			_ = o.g.AddLink(l)
-		}
-	case wire.CtlPolicy:
-		term := policy.OpenTerm(op.A, 0)
-		term.Cost = op.Cost
-		o.db.SetTerms(op.A, []policy.Term{term})
-	}
+	return synthesis.NewWorld(g, e22Policy(g, seed))
 }
 
 // e23Wait polls cond until it holds, panicking after a generous deadline

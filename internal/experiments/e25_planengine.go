@@ -10,7 +10,6 @@ import (
 	"repro/internal/routeserver/daemon"
 	"repro/internal/sim"
 	"repro/internal/synthesis"
-	"repro/internal/trafficgen"
 	"repro/internal/wire"
 )
 
@@ -47,10 +46,7 @@ func E25PlanEngine(seed int64) *metrics.Table {
 	base := defaultTopology(seed)
 
 	for _, model := range []string{"uniform", "zipf"} {
-		workload := trafficgen.Generate(base.Graph, trafficgen.Config{
-			Seed: seed + 2, Requests: requests, StubsOnly: true,
-			Model: model, ZipfS: 1.4, QOSClasses: 2, UCIClasses: 2,
-		})
+		workload := servingWorkload(base.Graph, seed+2, requests, model)
 		g := base.Graph.Clone()
 		db := e22Policy(g, seed)
 		srv := routeserver.New(synthesis.NewOnDemand(g, db), routeserver.Config{QueryLog: 2048})
@@ -170,25 +166,16 @@ func E25PlanEngine(seed int64) *metrics.Table {
 // open term and then re-rewritten cheap. Each event is one single-step plan
 // batch; multi-step union semantics are pinned by the plan package's tests.
 func e25Events(g *ad.Graph, dp *routeserver.DataPlane) [][]wire.PlanStep {
-	var lateral ad.Link
-	for _, l := range g.Links() {
-		if l.Class == ad.Lateral {
-			lateral = l
-			break
-		}
-	}
-	if lateral == (ad.Link{}) {
-		lateral = g.Links()[0]
-	}
+	lateral := lateralLinks(g, 1)[0]
 	stub := e25StubLink(g, dp)
 	target := quietestTransit(g)
 	return [][]wire.PlanStep{
-		{{Op: wire.CtlFail, A: lateral.A, B: lateral.B}},
-		{{Op: wire.CtlRestore, A: lateral.A, B: lateral.B}},
-		{{Op: wire.CtlFail, A: stub.A, B: stub.B}},
-		{{Op: wire.CtlPolicy, A: target, Cost: 10}},
-		{{Op: wire.CtlRestore, A: stub.A, B: stub.B}},
-		{{Op: wire.CtlPolicy, A: target, Cost: 1}},
+		{failOf(lateral)},
+		{restoreOf(lateral)},
+		{failOf(stub)},
+		{wire.OpenPolicy(target, 10)},
+		{restoreOf(stub)},
+		{wire.OpenPolicy(target, 1)},
 	}
 }
 

@@ -14,6 +14,8 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
+	"repro/internal/wire"
 )
 
 // convergenceLimit bounds every protocol run.
@@ -51,6 +53,45 @@ func restrictedPolicy(g *ad.Graph, seed int64) *policy.DB {
 		DestFraction:          0.7,
 		AvoidProb:             0.2,
 	})
+}
+
+// servingWorkload generates the request stream the route-server experiments
+// (E20-E25) serve: stub-to-stub requests under the named popularity model,
+// spread over two QOS and two UCI classes.
+func servingWorkload(g *ad.Graph, seed int64, requests int, model string) []policy.Request {
+	return trafficgen.Generate(g, trafficgen.Config{
+		Seed: seed, Requests: requests, StubsOnly: true,
+		Model: model, ZipfS: 1.4, QOSClasses: 2, UCIClasses: 2,
+	})
+}
+
+// lateralLinks returns the first n lateral links, the links the churn
+// timelines of E20-E25 fail and restore. The default topology has several;
+// first links pad the list so hand-rolled graphs still get a timeline.
+func lateralLinks(g *ad.Graph, n int) []ad.Link {
+	var out []ad.Link
+	for _, l := range g.Links() {
+		if l.Class == ad.Lateral && len(out) < n {
+			out = append(out, l)
+		}
+	}
+	for _, l := range g.Links() {
+		if len(out) >= n {
+			break
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
+// failOf and restoreOf are the control ops that take l down and bring it
+// back.
+func failOf(l ad.Link) wire.PlanStep {
+	return wire.PlanStep{Op: wire.CtlFail, A: l.A, B: l.B}
+}
+
+func restoreOf(l ad.Link) wire.PlanStep {
+	return wire.PlanStep{Op: wire.CtlRestore, A: l.A, B: l.B}
 }
 
 // independent lists every experiment other than Table 1, in report order.

@@ -96,8 +96,8 @@ type Effect struct {
 }
 
 // Control applies one control op — every front end's only way to mutate the
-// world: fail and restore of a link, the open-term policy replacement, the
-// full invalidation. The op is resolved against the world, performed and
+// world: fail and restore of a link, the replacement of an AD's term list,
+// the full invalidation. The op is resolved against the world, performed and
 // replicated under the server's strategy lock with the cache invalidation
 // scoped to what it changed (fail: routes crossing the link; restore and
 // policy: retained entries stay legal but may no longer be optimal until a
@@ -140,12 +140,6 @@ func (b *Backend) Fail(x, y ad.ID) (evicted, retained, flushed int, err error) {
 // Restore is Control of a CtlRestore step.
 func (b *Backend) Restore(x, y ad.ID) (evicted, retained int, err error) {
 	eff, err := b.Control(wire.PlanStep{Op: wire.CtlRestore, A: x, B: y})
-	return eff.Evicted, eff.Retained, err
-}
-
-// SetPolicy is Control of a CtlPolicy step.
-func (b *Backend) SetPolicy(a ad.ID, cost uint32) (evicted, retained int, err error) {
-	eff, err := b.Control(wire.PlanStep{Op: wire.CtlPolicy, A: a, Cost: cost})
 	return eff.Evicted, eff.Retained, err
 }
 

@@ -6,7 +6,6 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/ad"
 	"repro/internal/policy"
 	"repro/internal/routeserver"
 	"repro/internal/wire"
@@ -118,9 +117,9 @@ func (c *Client) Query(req policy.Request) (routeserver.Result, error) {
 }
 
 // Control issues a control-plane mutation.
-func (c *Client) Control(op uint8, a, b ad.ID, cost uint32) (*wire.ControlReply, error) {
+func (c *Client) Control(op wire.PlanStep) (*wire.ControlReply, error) {
 	c.seq++
-	return call[*wire.ControlReply](c, &wire.Control{ID: c.seq, Op: op, A: a, B: b, Cost: cost})
+	return call[*wire.ControlReply](c, wire.NewControl(c.seq, op))
 }
 
 // DataOp issues a data-plane operation.

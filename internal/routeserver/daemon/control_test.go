@@ -28,9 +28,17 @@ func TestControlRefusesUnknownAD(t *testing.T) {
 	}
 	epoch := be.Server().Epoch()
 
-	cr, err := cl.Control(wire.CtlPolicy, 99999, 0, 5)
-	if err != nil || cr.Code != wire.CtlErr || cr.Err != "unknown AD AD99999" {
-		t.Fatalf("policy for a nonexistent AD = %+v, %v; want CtlErr", cr, err)
+	narrow := policy.OpenTerm(99999, 0)
+	narrow.Sources = policy.SetOf(1, 2)
+	for _, op := range []wire.PlanStep{
+		wire.OpenPolicy(99999, 5),
+		{Op: wire.CtlPolicy, A: 99999, Terms: []policy.Term{narrow, policy.OpenTerm(99999, 0)}},
+		{Op: wire.CtlPolicy, A: 99999},
+	} {
+		cr, err := cl.Control(op)
+		if err != nil || cr.Code != wire.CtlErr || cr.Err != "unknown AD AD99999" {
+			t.Fatalf("%v for a nonexistent AD = %+v, %v; want CtlErr", op, cr, err)
+		}
 	}
 	if got := be.Server().Epoch(); got != epoch {
 		t.Errorf("refused op moved the mutation epoch %d -> %d", epoch, got)
@@ -38,7 +46,7 @@ func TestControlRefusesUnknownAD(t *testing.T) {
 	if terms := be.world.DB.Terms(99999); len(terms) != 0 {
 		t.Errorf("refused op installed terms %v", terms)
 	}
-	if pr, err := cl.Plan([]wire.PlanStep{{Op: wire.CtlPolicy, A: 99999, Cost: 5}}); err != nil || pr.OK() {
+	if pr, err := cl.Plan([]wire.PlanStep{wire.OpenPolicy(99999, 5)}); err != nil || pr.OK() {
 		t.Errorf("plan predicted a policy for a nonexistent AD: %+v, %v", pr, err)
 	}
 	if _, err := be.Commit(id); err != nil {
@@ -91,6 +99,75 @@ func (r *scopeRecorder) InvalidateScoped(ch synthesis.Change) {
 	r.Strategy.InvalidateScoped(ch)
 }
 
+// randomTerms draws a term list of 0 to 3 terms — the empty list included —
+// with random explicit or universal source and destination sets, hour windows
+// and costs: the policy changes an open term cannot spell.
+func randomTerms(rng *rand.Rand, ids []ad.ID) []policy.Term {
+	someSet := func() policy.ADSet {
+		if rng.Intn(3) == 0 {
+			return policy.Universal()
+		}
+		members := make([]ad.ID, rng.Intn(4))
+		for i := range members {
+			members[i] = ids[rng.Intn(len(ids))]
+		}
+		return policy.SetOf(members...)
+	}
+	var terms []policy.Term
+	for n := rng.Intn(4); n > 0; n-- {
+		t := policy.OpenTerm(0, 0) // SetTerms forces the advertiser
+		t.Sources, t.Dests = someSet(), someSet()
+		t.Hours = policy.HourWindow{Start: uint8(rng.Intn(24)), End: uint8(1 + rng.Intn(24))}
+		t.Cost = uint32(1 + rng.Intn(4))
+		terms = append(terms, t)
+	}
+	return terms
+}
+
+// TestLargestControlReplicates pins that any step a Control frame can carry,
+// the HA stream can carry: a SyncEntry has more fixed overhead than a
+// Control, so as a term list grows four bytes at a time across the frame
+// limit, each step the backend accepts must fit the replication record, and
+// the ones that fit a Control but not that record must be refused with
+// nothing changed.
+func TestLargestControlReplicates(t *testing.T) {
+	be := testWorld(t, nil)
+	// Explicit serials: pairing serial-less terms with their predecessors is
+	// quadratic in the list length.
+	bulk := make([]policy.Term, (1<<16)/wire.TermWireLen(policy.OpenTerm(2, 0))-8)
+	for i := range bulk {
+		bulk[i] = policy.OpenTerm(2, uint32(i+1))
+	}
+	accepted, refused := 0, 0
+	for members := 0; ; members++ {
+		filler := policy.OpenTerm(2, uint32(len(bulk)+1))
+		ids := make([]ad.ID, members)
+		for i := range ids {
+			ids[i] = ad.ID(i + 1)
+		}
+		filler.Sources = policy.SetOf(ids...)
+		op := wire.PlanStep{Op: wire.CtlPolicy, A: 2, Terms: append(bulk[:len(bulk):len(bulk)], filler)}
+		if _, err := wire.AppendMessage(nil, wire.NewControl(1, op)); err != nil {
+			break // beyond what any client can send
+		}
+		before := be.world.DB.Terms(2)
+		if _, err := be.Control(op); err != nil {
+			refused++
+			if after := be.world.DB.Terms(2); !reflect.DeepEqual(before, after) {
+				t.Fatalf("refused step (%d filler members) changed AD2's terms", members)
+			}
+			continue
+		}
+		accepted++
+		if _, err := wire.AppendMessage(nil, &wire.SyncEntry{Op: wire.SyncCtl, Ctl: op}); err != nil {
+			t.Fatalf("backend accepted a step (%d filler members) its followers cannot be sent: %v", members, err)
+		}
+	}
+	if accepted == 0 || refused == 0 {
+		t.Fatalf("accepted %d, refused %d: the sweep did not straddle the replication limit", accepted, refused)
+	}
+}
+
 var controlSeed = flag.Int64("controlseed", 0, "seed for TestControlLiveMatchesClone (0 = from the clock)")
 
 // TestControlLiveMatchesClone is the reason prediction and commit cannot
@@ -139,8 +216,10 @@ func TestControlLiveMatchesClone(t *testing.T) {
 				op = wire.PlanStep{Op: wire.CtlRestore, A: l.B, B: l.A}
 			case 6:
 				op = wire.PlanStep{Op: wire.CtlFail, A: someAD(), B: someAD()}
-			case 7, 8:
-				op = wire.PlanStep{Op: wire.CtlPolicy, A: someAD(), Cost: uint32(1 + rng.Intn(4))}
+			case 7:
+				op = wire.OpenPolicy(someAD(), uint32(1+rng.Intn(4)))
+			case 8:
+				op = wire.PlanStep{Op: wire.CtlPolicy, A: someAD(), Terms: randomTerms(rng, ids)}
 			default:
 				op = wire.PlanStep{Op: wire.CtlInvalidate + uint8(rng.Intn(3)), A: someAD()}
 			}

@@ -110,7 +110,7 @@ func TestSessionProtocolRoundTrip(t *testing.T) {
 
 	// Control plane: fail evicts the cheap route and flushes the handle,
 	// the rerouted query takes the detour, restore retains it.
-	cr, err := cl.Control(wire.CtlFail, 2, 4, 0)
+	cr, err := cl.Control(wire.PlanStep{Op: wire.CtlFail, A: 2, B: 4})
 	if err != nil || !cr.OK() || cr.Evicted != 1 || cr.Flushed != 3 {
 		t.Fatalf("fail = %+v, %v", cr, err)
 	}
@@ -120,24 +120,24 @@ func TestSessionProtocolRoundTrip(t *testing.T) {
 	if dr, err = cl.DataOp(wire.OpRepair, 0, 0, policy.Request{}); err != nil || dr.N1 != 1 || dr.N2 != 1 {
 		t.Fatalf("repair = %+v, %v", dr, err)
 	}
-	if cr, err = cl.Control(wire.CtlRestore, 2, 4, 0); err != nil || !cr.OK() || cr.Retained == 0 {
+	if cr, err = cl.Control(wire.PlanStep{Op: wire.CtlRestore, A: 2, B: 4}); err != nil || !cr.OK() || cr.Retained == 0 {
 		t.Fatalf("restore = %+v, %v", cr, err)
 	}
 
 	// Control errors travel as text, not as broken sessions.
-	if cr, err = cl.Control(wire.CtlFail, 9, 9, 0); err != nil || cr.OK() || cr.Err != "no link AD9-AD9" {
+	if cr, err = cl.Control(wire.PlanStep{Op: wire.CtlFail, A: 9, B: 9}); err != nil || cr.OK() || cr.Err != "no link AD9-AD9" {
 		t.Fatalf("fail bad link = %+v, %v", cr, err)
 	}
-	if cr, err = cl.Control(wire.CtlRestore, 9, 9, 0); err != nil || cr.OK() || cr.Err != "link AD9-AD9 was not failed here" {
+	if cr, err = cl.Control(wire.PlanStep{Op: wire.CtlRestore, A: 9, B: 9}); err != nil || cr.OK() || cr.Err != "link AD9-AD9 was not failed here" {
 		t.Fatalf("restore unfailed = %+v, %v", cr, err)
 	}
-	if cr, err = cl.Control(99, 0, 0, 0); err != nil || cr.OK() {
+	if cr, err = cl.Control(wire.PlanStep{Op: 99}); err != nil || cr.OK() {
 		t.Fatalf("unknown control op = %+v, %v", cr, err)
 	}
 
 	// Policy: making t1 expensive reroutes through t2 after the scoped
 	// eviction.
-	if cr, err = cl.Control(wire.CtlPolicy, 2, 0, 100); err != nil || !cr.OK() {
+	if cr, err = cl.Control(wire.OpenPolicy(2, 100)); err != nil || !cr.OK() {
 		t.Fatalf("policy = %+v, %v", cr, err)
 	}
 	if res, err = cl.Query(policy.Request{Src: 1, Dst: 4}); err != nil || !res.Path.Equal(ad.Path{1, 3, 4}) {
@@ -145,7 +145,7 @@ func TestSessionProtocolRoundTrip(t *testing.T) {
 	}
 
 	// Invalidate bumps the generation; stats reflect the session's work.
-	if cr, err = cl.Control(wire.CtlInvalidate, 0, 0, 0); err != nil || cr.Gen != 1 {
+	if cr, err = cl.Control(wire.PlanStep{Op: wire.CtlInvalidate}); err != nil || cr.Gen != 1 {
 		t.Fatalf("invalidate = %+v, %v", cr, err)
 	}
 	st, err := cl.Stats()
@@ -161,21 +161,36 @@ func TestSessionProtocolRoundTrip(t *testing.T) {
 func TestSessionRejectsNonRequests(t *testing.T) {
 	be := testWorld(t, nil)
 	cl := pipeSession(t, New(be, Config{}))
-	// A routing-protocol message is not a serving request: the daemon
-	// answers with a control error instead of wedging or closing.
-	if err := wire.WriteMessage(cl.bw, &wire.DVUpdate{}); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		m    wire.Message
+		id   uint64
+	}{
+		// A routing-protocol message is not a serving request: the daemon
+		// answers with a control error instead of wedging or closing.
+		{"routing message", &wire.DVUpdate{}, 0},
+		// Nor is a request for an hour no day has: hour 36 would be served
+		// with hour 12's semantics and cached under a second key.
+		{"query hour 36", &wire.Query{ID: 7, Req: policy.Request{Src: 1, Dst: 4, Hour: 36}}, 7},
+		{"install hour 24", &wire.DataOp{ID: 8, Op: wire.OpInstall, Req: policy.Request{Src: 1, Dst: 4, Hour: 24}}, 8},
+	} {
+		if err := wire.WriteMessage(cl.bw, tc.m); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := wire.ReadMessage(cl.br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr, ok := rep.(*wire.ControlReply)
+		if !ok || cr.OK() || cr.ID != tc.id {
+			t.Fatalf("%s: reply = %#v, want a control error echoing ID %d", tc.name, rep, tc.id)
+		}
 	}
-	if err := cl.bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := wire.ReadMessage(cl.br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr, ok := rep.(*wire.ControlReply)
-	if !ok || cr.OK() {
-		t.Fatalf("reply to a non-request = %#v", rep)
+	if s := be.Server().Snapshot(); s.Queries != 0 || be.Server().CacheLen() != 0 {
+		t.Fatalf("refused requests reached the server: %d queries, %d cached", s.Queries, be.Server().CacheLen())
 	}
 }
 
@@ -391,15 +406,15 @@ func TestConcurrentSessionsAcrossScopedMutation(t *testing.T) {
 		}
 		defer ctl.Close()
 		for i := 0; i < 10; i++ {
-			if _, err := ctl.Control(wire.CtlFail, 2, 4, 0); err != nil {
+			if _, err := ctl.Control(wire.PlanStep{Op: wire.CtlFail, A: 2, B: 4}); err != nil {
 				t.Errorf("fail: %v", err)
 				return
 			}
-			if _, err := ctl.Control(wire.CtlRestore, 2, 4, 0); err != nil {
+			if _, err := ctl.Control(wire.PlanStep{Op: wire.CtlRestore, A: 2, B: 4}); err != nil {
 				t.Errorf("restore: %v", err)
 				return
 			}
-			if _, err := ctl.Control(wire.CtlPolicy, 3, 0, uint32(5+i%3)); err != nil {
+			if _, err := ctl.Control(wire.OpenPolicy(3, uint32(5+i%3))); err != nil {
 				t.Errorf("policy: %v", err)
 				return
 			}

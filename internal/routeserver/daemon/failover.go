@@ -187,7 +187,7 @@ func (f *Failover) Control(op wire.PlanStep) error {
 	var rep *wire.ControlReply
 	err := f.do(func(c *Client) error {
 		var err error
-		rep, err = c.Control(op.Op, op.A, op.B, op.Cost)
+		rep, err = c.Control(op)
 		return err
 	})
 	if err == nil && !rep.OK() {

@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -16,12 +18,15 @@ import (
 func (b *Backend) Handle(m wire.Message, qr *wire.QueryReply) wire.Message {
 	switch q := m.(type) {
 	case *wire.Query:
+		if q.Req.Hour > 23 {
+			return badHour(q.ID, q.Req.Hour)
+		}
 		res := b.srv.Query(q.Req)
 		*qr = wire.QueryReply{ID: q.ID, Found: res.Found, Path: res.Path}
 		return qr
 
 	case *wire.Control:
-		eff, err := b.Control(wire.PlanStep{Op: q.Op, A: q.A, B: q.B, Cost: q.Cost})
+		eff, err := b.Control(q.Step())
 		if err != nil {
 			return &wire.ControlReply{ID: q.ID, Code: wire.CtlErr, Err: err.Error()}
 		}
@@ -31,6 +36,9 @@ func (b *Backend) Handle(m wire.Message, qr *wire.QueryReply) wire.Message {
 		}
 
 	case *wire.DataOp:
+		if q.Req.Hour > 23 {
+			return badHour(q.ID, q.Req.Hour)
+		}
 		return b.dataOp(q)
 
 	case *wire.Plan:
@@ -55,6 +63,13 @@ func (b *Backend) Handle(m wire.Message, qr *wire.QueryReply) wire.Message {
 	default:
 		return &wire.ControlReply{Code: wire.CtlErr, Err: "unexpected " + m.Type().String()}
 	}
+}
+
+// badHour refuses a request whose hour of day is not one. Policy windows take
+// the hour modulo 24, so hour 36 would be answered as hour 12 and cached
+// beside it: two syntheses and two entries for one answer.
+func badHour(id uint64, hour uint8) *wire.ControlReply {
+	return &wire.ControlReply{ID: id, Code: wire.CtlErr, Err: fmt.Sprintf("hour %d out of range 0-23", hour)}
 }
 
 // dataOp executes one data-plane operation: install serves a route and

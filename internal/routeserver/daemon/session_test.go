@@ -210,7 +210,7 @@ func TestFollowerRedirectsEveryRequestKind(t *testing.T) {
 	}
 	_, err := cl.Query(policy.Request{Src: 1, Dst: 4})
 	redirected("query", err)
-	_, err = cl.Control(wire.CtlFail, 2, 4, 0)
+	_, err = cl.Control(wire.PlanStep{Op: wire.CtlFail, A: 2, B: 4})
 	redirected("control", err)
 	_, err = cl.DataOp(wire.OpInstall, 0, 0, policy.Request{Src: 1, Dst: 4})
 	redirected("data-op", err)

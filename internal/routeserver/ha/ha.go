@@ -212,9 +212,7 @@ func (n *Node) Start() {
 		if !n.primaryNow.Load() {
 			return
 		}
-		n.currentBacklog().append(wire.SyncEntry{
-			Op: wire.SyncCtl, CtlOp: op.Op, A: op.A, B: op.B, Cost: op.Cost,
-		})
+		n.currentBacklog().append(wire.SyncEntry{Op: wire.SyncCtl, Ctl: op})
 	})
 	if n.d != nil {
 		n.d.SetRedirect(func() (uint32, string, bool) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -176,6 +177,61 @@ func TestReplicationStreamsWarmCache(t *testing.T) {
 		if !ok || fres.Found != res.Found || !fres.Path.Equal(res.Path) {
 			t.Fatalf("key %+v: follower %+v, primary %+v (present %v)", k, fres, res, ok)
 		}
+	}
+}
+
+// TestTermListOpReplicates: a policy op carrying a real term list — not the
+// open term "policy AD COST" spells — reaches the follower through the sync
+// stream like any other control op: after quiesce both caches hold the same
+// entries, and the pair the new terms cut off gets the primary's answer from
+// the follower too.
+func TestTermListOpReplicates(t *testing.T) {
+	g, db, workload := world(37, 300)
+	reps := newGroup(t, 2, g, db, false, nil, nil)
+	prim, fol := reps[0], reps[1]
+	routeserver.ServePhase(prim.srv, workload, 4)
+
+	// The first served route with a transit hop: that transit stops
+	// admitting the route's source.
+	var cut policy.Request
+	var was ad.Path
+	for _, req := range workload {
+		if res := prim.be.Query(req); res.Found && len(res.Path) > 2 {
+			cut, was = req, res.Path
+			break
+		}
+	}
+	if was == nil {
+		t.Fatal("workload has no transit route")
+	}
+	only := policy.OpenTerm(was[1], 0)
+	only.Sources = policy.SetOf(cut.Dst)
+	night := policy.OpenTerm(was[1], 0)
+	night.Sources, night.Hours = policy.SetOf(cut.Dst, was[1]), policy.HourWindow{Start: 22, End: 6}
+	eff, err := prim.be.Control(wire.PlanStep{Op: wire.CtlPolicy, A: was[1], Terms: []policy.Term{only, night}})
+	if err != nil || eff.Evicted == 0 {
+		t.Fatalf("term-list op: %+v, %v; want evictions", eff, err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return synced(prim, fol) }, "follower sync")
+
+	got, want := fol.db.Terms(was[1]), prim.db.Terms(was[1])
+	if len(got) != 2 || len(want) != 2 {
+		t.Fatalf("terms at %v: follower %+v, primary %+v, want two each", was[1], got, want)
+	}
+	for i := range want {
+		if got[i].Serial != want[i].Serial || !got[i].EqualContent(want[i]) {
+			t.Fatalf("follower term %+v, primary %+v", got[i], want[i])
+		}
+	}
+	if got, want := dumpMap(fol.srv), dumpMap(prim.srv); !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower cache has %d entries, primary %d, or they differ", len(got), len(want))
+	}
+	now := prim.be.Query(cut)
+	if now.Found && now.Path.Equal(was) {
+		t.Fatalf("primary still serves %v after %v cut its source off", was, was[1])
+	}
+	if got := fol.be.Query(cut); got.Found != now.Found || !got.Path.Equal(now.Path) {
+		t.Fatalf("follower answers %+v for the cut pair, primary %+v", got, now)
 	}
 }
 
@@ -437,7 +493,7 @@ func TestSyncSnapshotUnderConcurrentScopedMutations(t *testing.T) {
 			if _, _, err := prim.be.Restore(lat.A, lat.B); err != nil {
 				panic(err)
 			}
-			prim.be.SetPolicy(target, uint32(10+i))
+			prim.be.Control(wire.OpenPolicy(target, uint32(10+i)))
 			time.Sleep(time.Millisecond)
 		}
 	}()

@@ -245,7 +245,7 @@ func (n *Node) applyEntry(e *wire.SyncEntry, inSnapshot bool) {
 		// or a restore of a link not failed here can occur when a
 		// snapshot's control suffix overlaps ops applied before a
 		// reconnect, and refusing them leaves the world as it should be.
-		_, _ = n.be.Control(wire.PlanStep{Op: e.CtlOp, A: e.A, B: e.B, Cost: e.Cost})
+		_, _ = n.be.Control(e.Ctl)
 		n.applied.Store(e.Seq)
 		return
 	}

@@ -49,9 +49,7 @@ type Event struct {
 	// After is the workload fraction (0..1) at which the event fires.
 	After float64
 	// Fire performs it: a Backend.Control call in process, a Control
-	// round trip over the wire, or any closure over the server's world
-	// (Server.MutateScoped) — whatever the transport can express. Its
-	// error lands in Report.EventErrors.
+	// round trip over the wire. Its error lands in Report.EventErrors.
 	Fire func() error
 }
 

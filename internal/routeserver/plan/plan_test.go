@@ -91,7 +91,7 @@ func TestPlanPredictsCommitExactly(t *testing.T) {
 
 	steps := []wire.PlanStep{
 		{Op: wire.CtlFail, A: 2, B: 4},
-		{Op: wire.CtlPolicy, A: 2, Cost: 50},
+		wire.OpenPolicy(2, 50),
 	}
 	id, rep, err := be.Plan(steps)
 	if err != nil {
@@ -271,7 +271,7 @@ func TestPlanReadOnly(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if _, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db), []wire.PlanStep{
 			{Op: wire.CtlFail, A: 2, B: 4},
-			{Op: wire.CtlPolicy, A: 3, Cost: 7},
+			wire.OpenPolicy(3, 7),
 		}, plan.Config{Workload: srv.RecentQueries()}); err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func TestPlanSerialParallelIdentical(t *testing.T) {
 	reqs := warm(t, srv)
 	steps := []wire.PlanStep{
 		{Op: wire.CtlFail, A: 2, B: 4},
-		{Op: wire.CtlPolicy, A: 2, Cost: 50},
+		wire.OpenPolicy(2, 50),
 	}
 	serial, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db), steps, plan.Config{Workers: 1, Workload: reqs})
 	if err != nil {
@@ -331,7 +331,7 @@ func TestPlanStaleness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be.SetPolicy(3, 9) // conflicting mutation moves the epoch
+	be.Control(wire.OpenPolicy(3, 9)) // conflicting mutation moves the epoch
 	if _, err := be.Commit(id); err == nil || !strings.Contains(err.Error(), "stale") {
 		t.Fatalf("commit after mutation: err = %v, want staleness refusal", err)
 	}
@@ -345,7 +345,7 @@ func TestPlanStaleness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idB, _, err := be.Plan([]wire.PlanStep{{Op: wire.CtlPolicy, A: 2, Cost: 3}})
+	idB, _, err := be.Plan([]wire.PlanStep{wire.OpenPolicy(2, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestPlanErrors(t *testing.T) {
 		{[]wire.PlanStep{{Op: wire.CtlFail, A: 9, B: 9}}, "no link"},
 		{[]wire.PlanStep{{Op: wire.CtlRestore, A: 2, B: 4}}, "was not failed"},
 		{[]wire.PlanStep{{Op: 99, A: 1}}, "unknown control op"},
-		{[]wire.PlanStep{{Op: wire.CtlPolicy, A: 99, Cost: 5}}, "unknown AD"},
+		{[]wire.PlanStep{wire.OpenPolicy(99, 5)}, "unknown AD"},
 		{[]wire.PlanStep{{Op: wire.CtlInvalidate}}, "not plannable"},
 	}
 	for _, tc := range cases {
@@ -492,7 +492,9 @@ func TestStepLabel(t *testing.T) {
 	}{
 		{wire.PlanStep{Op: wire.CtlFail, A: 2, B: 4}, "fail AD2-AD4"},
 		{wire.PlanStep{Op: wire.CtlRestore, A: 2, B: 4}, "restore AD2-AD4"},
-		{wire.PlanStep{Op: wire.CtlPolicy, A: 7, Cost: 9}, "policy AD7 cost 9"},
+		{wire.OpenPolicy(7, 9), "policy AD7 cost 9"},
+		{wire.PlanStep{Op: wire.CtlPolicy, A: 7}, "policy AD7 (0 terms)"},
+		{wire.PlanStep{Op: wire.CtlPolicy, A: 7, Terms: []policy.Term{{Sources: policy.SetOf(1), Cost: 9}}}, "policy AD7 (1 terms)"},
 		{wire.PlanStep{Op: wire.CtlInvalidate}, "invalidate"},
 		{wire.PlanStep{Op: 42}, "step(42)"},
 	} {

@@ -213,19 +213,9 @@ func (sh *shard) victimKeys(c synthesis.Change) map[Key]struct{} {
 			victims[k] = struct{}{}
 		}
 	case synthesis.ChangePolicy:
-		if c.AllTerms {
-			for tk, keys := range sh.byTerm {
-				if tk.Advertiser == c.AD {
-					for k := range keys {
-						victims[k] = struct{}{}
-					}
-				}
-			}
-		} else {
-			for _, tk := range c.RemovedTerms {
-				for k := range sh.byTerm[tk] {
-					victims[k] = struct{}{}
-				}
+		for _, tk := range c.RemovedTerms {
+			for k := range sh.byTerm[tk] {
+				victims[k] = struct{}{}
 			}
 		}
 	}

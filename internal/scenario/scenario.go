@@ -167,7 +167,7 @@ type ProtocolSpec struct {
 type Event struct {
 	// Action is "fail", "restore", "update-policy", "kill-primary", or
 	// "plan". kill-primary models a route-server replica failover: in
-	// single-server replay it compiles to a full invalidation (the cold
+	// single-server replay it is the "invalidate" control op (the cold
 	// cache a restarted server — or an unreplicated standby — starts
 	// from); protocol simulations re-evaluate without mutating the
 	// network. plan is a what-if proposal: the Steps batch is assessed
@@ -180,14 +180,15 @@ type Event struct {
 	// AD is the update-policy target (and the advertiser of a "policy"
 	// plan step).
 	AD uint32 `json:"ad,omitempty"`
-	// Terms replace the AD's policy for update-policy.
+	// Terms replace the AD's policy for update-policy (as an event or as a
+	// plan step).
 	Terms []TermSpec `json:"terms,omitempty"`
 	// Cost is the open-term cost of a "policy" plan step.
 	Cost uint32 `json:"cost,omitempty"`
 	// Steps is a "plan" event's proposed batch, in order: nested events
 	// restricted to "fail", "restore" (of a link failed earlier in the
-	// same batch), and "policy" (AD + Cost, the open-term replacement the
-	// plan engine proposes).
+	// same batch), "policy" (AD + Cost: one open term) and
+	// "update-policy" (AD + Terms).
 	Steps []Event `json:"steps,omitempty"`
 	// Assert bounds a "plan" event's predicted report; the scenario fails
 	// if a bound is exceeded.
@@ -244,8 +245,8 @@ func Load(r io.Reader) (*Scenario, error) {
 
 // Materialize builds the scenario's graph, policy database, and traffic
 // workload without constructing a protocol system. The route-server CLI
-// (cmd/routed) serves queries straight off this state, applying the
-// scenario's events as churn.
+// (cmd/routed) serves queries straight off this state, firing the
+// scenario's events (Ops) as churn.
 func (sc *Scenario) Materialize() (*ad.Graph, *policy.DB, []policy.Request, error) {
 	var g *ad.Graph
 	switch {
@@ -346,25 +347,17 @@ func (sc *Scenario) build() (*ad.Graph, *policy.DB, core.System, []policy.Reques
 		return nil, nil, nil, nil, fmt.Errorf("scenario: unknown protocol %q", p.Name)
 	}
 
-	if _, err := sc.Mutations(g, db); err != nil {
+	if _, err := sc.Ops(g, db); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	return g, db, sys, reqs, nil
 }
 
-// Mutation is one compiled scenario event: Apply performs it against the
-// materialized graph and policy database; Change describes the event for
-// scoped cache invalidation (routeserver.Server.MutateScoped). Policy
-// events compile to AD-level changes — the scenario schema replaces an
-// AD's whole term list, so term-level deltas are not known until Apply
-// runs.
-type Mutation struct {
-	Apply  func()
-	Change synthesis.Change
-}
-
-// op is the control op a "fail" or "restore" event, or a "policy" plan
-// step, spells.
+// op is the control op the event spells: the one event-to-step mapping,
+// for timeline events and plan steps alike. A "policy" step installs one
+// open term, update-policy the event's term list; kill-primary, in
+// single-server replay, is the full invalidation a restarted server's cold
+// cache amounts to. A "plan" event spells none.
 func (ev Event) op() (op wire.PlanStep, ok bool) {
 	switch ev.Action {
 	case "fail":
@@ -372,66 +365,50 @@ func (ev Event) op() (op wire.PlanStep, ok bool) {
 	case "restore":
 		return wire.PlanStep{Op: wire.CtlRestore, A: ad.ID(ev.A), B: ad.ID(ev.B)}, true
 	case "policy":
-		return wire.PlanStep{Op: wire.CtlPolicy, A: ad.ID(ev.AD), Cost: ev.Cost}, true
+		return wire.OpenPolicy(ad.ID(ev.AD), ev.Cost), true
+	case "update-policy":
+		terms := make([]policy.Term, len(ev.Terms))
+		for i, ts := range ev.Terms {
+			terms[i] = ts.toTerm()
+		}
+		return wire.PlanStep{Op: wire.CtlPolicy, A: ad.ID(ev.AD), Terms: terms}, true
+	case "kill-primary":
+		return wire.PlanStep{Op: wire.CtlInvalidate}, true
 	}
 	return op, false
 }
 
-// Mutations compiles the scenario's events into graph/policy closures, for
-// route-serving front ends (cmd/routed) that replay events as churn through
-// routeserver.Server.MutateScoped rather than through a protocol
-// simulation. Fail and restore go through the resolver the route server's
-// control plane uses (synthesis.World): the timeline is applied to a clone
-// here, so an event the live world would refuse — a fail of an absent
-// link, a restore that does not follow a fail of the same link — is a load
-// error, and the compiled closure replays it on g. It also validates the
-// rest of the event list; Validate relies on this.
-func (sc *Scenario) Mutations(g *ad.Graph, db *policy.DB) ([]Mutation, error) {
-	live := synthesis.NewWorld(g, db)
-	shadow := live.Clone()
-	out := make([]Mutation, 0, len(sc.Events))
+// Ops compiles the scenario's events into the control ops a route-serving
+// front end (cmd/routed) fires as churn, in process or over the wire. Every
+// op goes through the resolver the route server's control plane uses
+// (synthesis.World): the timeline is applied to a clone here, so an event the
+// live world would refuse — a fail of an absent link, a restore that does not
+// follow a fail of the same link, a policy for an unknown AD — is a load
+// error, and replayed in order each op meets the state the clone accepted it
+// in. A plan predicts, it never mutates: its batch is validated and it
+// compiles to no op, so churn replay skips it. Validate relies on this
+// checking the whole event list.
+func (sc *Scenario) Ops(g *ad.Graph, db *policy.DB) ([]wire.PlanStep, error) {
+	initial := synthesis.NewWorld(g, db)
+	shadow := initial.Clone()
+	out := make([]wire.PlanStep, 0, len(sc.Events))
 	for i, ev := range sc.Events {
-		switch ev.Action {
-		case "fail", "restore":
-			op, _ := ev.op()
-			ch, err := shadow.Apply(op)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: event %d: %w", i+1, err)
-			}
-			out = append(out, Mutation{
-				// Replayed in order, the op meets the state the clone just
-				// accepted it in, so it cannot be refused.
-				Apply:  func() { _, _ = live.Apply(op) },
-				Change: ch,
-			})
-		case "update-policy":
-			id := ad.ID(ev.AD)
-			if _, ok := g.AD(id); !ok {
-				return nil, fmt.Errorf("scenario: event %d: unknown AD %v", i+1, id)
-			}
-			terms := make([]policy.Term, len(ev.Terms))
-			for j, ts := range ev.Terms {
-				terms[j] = ts.toTerm()
-			}
-			out = append(out, Mutation{
-				Apply:  func() { db.SetTerms(id, terms) },
-				Change: synthesis.PolicyChangeAt(id),
-			})
-		case "kill-primary":
-			out = append(out, Mutation{
-				Apply:  func() {},
-				Change: synthesis.FullChange(),
-			})
-		case "plan":
-			// A plan predicts, it never mutates: validate the batch and
-			// emit no Mutation, so churn replay skips it. Like Run, which
-			// never mutates g, it is assessed against the initial world.
-			if _, err := planWorld(live, i, ev); err != nil {
+		if ev.Action == "plan" {
+			// Like Run, which never mutates g, a plan is assessed against
+			// the initial world.
+			if _, err := planWorld(initial, i, ev); err != nil {
 				return nil, err
 			}
-		default:
+			continue
+		}
+		op, ok := ev.op()
+		if !ok || ev.Action == "policy" { // the open-term shorthand is a plan step only
 			return nil, fmt.Errorf("scenario: event %d: unknown action %q", i+1, ev.Action)
 		}
+		if _, err := shadow.Apply(op); err != nil {
+			return nil, fmt.Errorf("scenario: event %d: %w", i+1, err)
+		}
+		out = append(out, op)
 	}
 	return out, nil
 }
@@ -445,7 +422,7 @@ func planWorld(w *synthesis.World, i int, ev Event) (*synthesis.World, error) {
 	after := w.Clone()
 	for j, st := range ev.Steps {
 		op, ok := st.op()
-		if !ok {
+		if !ok || op.Op == wire.CtlInvalidate { // not plannable: its blast radius is the whole cache
 			return nil, fmt.Errorf("scenario: event %d step %d: unknown plan step action %q", i+1, j+1, st.Action)
 		}
 		if _, err := after.Apply(op); err != nil {
@@ -547,14 +524,11 @@ func (sc *Scenario) Run(w io.Writer) error {
 			if !ok {
 				return fmt.Errorf("scenario: update-policy requires the orwg protocol")
 			}
-			terms := make([]policy.Term, 0, len(ev.Terms))
-			for _, ts := range ev.Terms {
-				terms = append(terms, ts.toTerm())
-			}
-			if err := ow.UpdatePolicy(ad.ID(ev.AD), terms); err != nil {
+			op, _ := ev.op()
+			if err := ow.UpdatePolicy(op.A, op.Terms); err != nil {
 				return fmt.Errorf("scenario: event %d: %w", i+1, err)
 			}
-			label = fmt.Sprintf("event %d: update-policy %v (%d terms)", i+1, ad.ID(ev.AD), len(terms))
+			label = fmt.Sprintf("event %d: update-policy %v (%d terms)", i+1, op.A, len(op.Terms))
 		case "kill-primary":
 			// A route-server replica event: the protocol network itself is
 			// untouched, so the phase just re-evaluates.

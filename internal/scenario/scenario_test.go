@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/policy"
+	"repro/internal/wire"
 )
 
 func run(t *testing.T, js string) string {
@@ -202,6 +205,96 @@ func TestPlanEventAssertViolation(t *testing.T) {
 	var out bytes.Buffer
 	if err := sc.Run(&out); err == nil || !strings.Contains(err.Error(), "max_lost") {
 		t.Errorf("assert violation: err = %v", err)
+	}
+}
+
+// TestPlanStepUpdatePolicy: a plan step may install a term list — the event
+// and the step share one mapping to a control op — and the prediction sees
+// it: once AD3 carries sources 6 and 7 only, AD6 (whose only link is to AD3)
+// is lost to every other stub, which max_lost 0 must catch.
+func TestPlanStepUpdatePolicy(t *testing.T) {
+	sc, err := Load(strings.NewReader(`{
+		"topology": {"figure1": true},
+		"policy": {"open": true},
+		"protocol": {"name": "orwg"},
+		"events": [
+			{"action": "plan", "steps": [
+				{"action": "update-policy", "ad": 3, "terms": [{"advertiser": 3, "sources": [6, 7]}]}
+			], "assert": {"max_lost": 0}}
+		],
+		"requests": {"all_stub_pairs": true}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := sc.Run(&out); err == nil || !strings.Contains(err.Error(), "pairs lost, assert max_lost 0") {
+		t.Errorf("plan with an update-policy step: err = %v, want the max_lost violation", err)
+	}
+}
+
+// TestOps pins the timeline a route-serving front end fires: one control op
+// per mutating event, in order, update-policy carrying its term list and
+// kill-primary spelled "invalidate"; plan events compile to nothing. A
+// timeline the live control plane would refuse is refused here, with the
+// resolver's own message.
+func TestOps(t *testing.T) {
+	load := func(events string) ([]wire.PlanStep, error) {
+		sc, err := Load(strings.NewReader(`{
+			"topology": {"figure1": true},
+			"policy": {"open": true},
+			"protocol": {"name": "orwg"},
+			"events": [` + events + `],
+			"requests": {"all_stub_pairs": true}
+		}`))
+		if err != nil {
+			t.Fatalf("%s: Load: %v", events, err)
+		}
+		g, db, _, err := sc.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc.Ops(g, db)
+	}
+
+	ops, err := load(`
+		{"action": "fail", "a": 4, "b": 5},
+		{"action": "plan", "steps": [{"action": "fail", "a": 1, "b": 2}]},
+		{"action": "update-policy", "ad": 4, "terms": [{"advertiser": 4, "sources": [6, 7, 8], "cost": 2}, {"advertiser": 4, "hour_start": 22, "hour_end": 6}]},
+		{"action": "update-policy", "ad": 5},
+		{"action": "kill-primary"},
+		{"action": "restore", "a": 4, "b": 5}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, op := range ops {
+		got = append(got, op.String())
+	}
+	want := "fail AD4-AD5, policy AD4 (2 terms), policy AD5 (0 terms), invalidate, restore AD4-AD5"
+	if strings.Join(got, ", ") != want {
+		t.Errorf("ops = %v, want %s", got, want)
+	}
+	if t0 := ops[1].Terms[0]; !t0.Sources.Equal(policy.SetOf(6, 7, 8)) || t0.Cost != 2 ||
+		ops[1].Terms[1].Hours != (policy.HourWindow{Start: 22, End: 6}) {
+		t.Errorf("update-policy terms = %+v", ops[1].Terms)
+	}
+
+	for events, want := range map[string]string{
+		`{"action": "fail", "a": 1, "b": 9999}`:                                                                 "scenario: event 1: no link AD1-AD9999",
+		`{"action": "fail", "a": 4, "b": 5}, {"action": "fail", "a": 5, "b": 4}`:                                "scenario: event 2: no link AD5-AD4",
+		`{"action": "restore", "a": 1, "b": 2}`:                                                                 "scenario: event 1: link AD1-AD2 was not failed here",
+		`{"action": "update-policy", "ad": 99, "terms": [{"advertiser": 99}]}`:                                  "scenario: event 1: unknown AD AD99",
+		`{"action": "explode"}`:                                                                                 `scenario: event 1: unknown action "explode"`,
+		`{"action": "policy", "ad": 1, "cost": 5}`:                                                              `scenario: event 1: unknown action "policy"`,
+		`{"action": "plan", "steps": [{"action": "kill-primary"}]}`:                                             `scenario: event 1 step 1: unknown plan step action "kill-primary"`,
+		`{"action": "plan", "steps": [{"action": "update-policy", "ad": 99}]}`:                                  "scenario: event 1 step 1: unknown AD AD99",
+		`{"action": "fail", "a": 4, "b": 5}, {"action": "plan", "steps": [{"action": "fail", "a": 4, "b": 5}]}`: "",
+	} {
+		_, err := load(events)
+		if (err == nil) != (want == "") || (err != nil && err.Error() != want) {
+			t.Errorf("%s: Ops err = %v, want %q", events, err, want)
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ const (
 	// may have gained a route.
 	ChangeLinkUp
 	// ChangePolicy replaces terms at advertiser AD, described by the
-	// RemovedTerms/AllTerms/Broadens fields.
+	// RemovedTerms/Broadens fields.
 	ChangePolicy
 )
 
@@ -59,9 +59,6 @@ type Change struct {
 	// RemovedTerms lists the term keys dropped or modified by a
 	// ChangePolicy: routes admitted by one of them must go.
 	RemovedTerms []policy.Key
-	// AllTerms widens a ChangePolicy to every term of AD, for callers
-	// that know only "this AD's policy changed" (scenario timelines).
-	AllTerms bool
 	// Broadens reports whether the change can admit routes that did not
 	// exist before (terms added or modified); it forces negative entries
 	// out. Link restorations broaden by construction.
@@ -93,13 +90,6 @@ func PolicyChangeOf(delta policy.TermsDelta) Change {
 // suspect.
 func FullChange() Change { return Change{Kind: ChangeFull} }
 
-// PolicyChangeAt describes "some terms at id changed" with AD-level
-// precision: every route transiting id is suspect, and new routes may
-// exist.
-func PolicyChangeAt(id ad.ID) Change {
-	return Change{Kind: ChangePolicy, AD: id, AllTerms: true, Broadens: true}
-}
-
 // World is the state a control mutation acts on: the graph and policy
 // database a strategy synthesizes over, and the memory of links a fail took
 // down, so a restore re-adds them with their original class and cost. It is
@@ -128,7 +118,8 @@ func (w *World) Clone() *World {
 // Resolve validates op against the world and returns the Change that
 // scopes its invalidation plus the closure that performs it; nothing is
 // mutated until apply runs. A refused op — absent link, restore without a
-// fail, unknown AD, unknown code — returns the same error on every path.
+// fail, unknown AD, a term list too long to replicate, unknown code —
+// returns the same error on every path.
 func (w *World) Resolve(op wire.PlanStep) (ch Change, apply func(), err error) {
 	switch op.Op {
 	case wire.CtlFail:
@@ -156,10 +147,10 @@ func (w *World) Resolve(op wire.PlanStep) (ch Change, apply func(), err error) {
 		if _, ok := w.G.AD(op.A); !ok {
 			return ch, nil, fmt.Errorf("unknown AD %v", op.A)
 		}
-		term := policy.OpenTerm(op.A, 0)
-		term.Cost = op.Cost
-		terms := []policy.Term{term}
-		return PolicyChangeOf(w.DB.DiffTerms(op.A, terms)), func() { w.DB.SetTerms(op.A, terms) }, nil
+		if !op.Replicable() {
+			return ch, nil, fmt.Errorf("policy %v: %d terms do not fit one replication record", op.A, len(op.Terms))
+		}
+		return PolicyChangeOf(w.DB.DiffTerms(op.A, op.Terms)), func() { w.DB.SetTerms(op.A, op.Terms) }, nil
 	case wire.CtlInvalidate:
 		return FullChange(), func() {}, nil
 	default:

@@ -39,8 +39,8 @@ func TestChangeAffectsPath(t *testing.T) {
 		{"link-down crossing reversed", LinkDownChange(dst, t1), true},
 		{"link-down elsewhere", LinkDownChange(src, t2), false},
 		{"link-up never breaks", LinkUpChange(t1, dst), false},
-		{"policy at transited AD", PolicyChangeAt(t1), true},
-		{"policy at other AD", PolicyChangeAt(t2), false},
+		{"policy at transited AD", PolicyChangeOf(policy.TermsDelta{AD: t1}), true},
+		{"policy at other AD", PolicyChangeOf(policy.TermsDelta{AD: t2}), false},
 		{"full", FullChange(), true},
 	}
 	for _, tc := range cases {
@@ -50,7 +50,7 @@ func TestChangeAffectsPath(t *testing.T) {
 	}
 	// Policy changes taint transits, not endpoints: the source and
 	// destination ADs advertise no transit terms a route depends on.
-	if PolicyChangeAt(src).AffectsPath(via1) {
+	if PolicyChangeOf(policy.TermsDelta{AD: src}).AffectsPath(via1) {
 		t.Error("policy change at the source AD tainted the path")
 	}
 }
@@ -65,7 +65,6 @@ func TestChangeAffectsNegative(t *testing.T) {
 		{"link-up broadens", LinkUpChange(1, 2), true},
 		{"narrowing policy", PolicyChangeOf(policy.TermsDelta{AD: 3, Removed: []policy.Key{{Advertiser: 3, Serial: 1}}}), false},
 		{"broadening policy", PolicyChangeOf(policy.TermsDelta{AD: 3, Broadens: true}), true},
-		{"AD-level policy", PolicyChangeAt(3), true},
 		{"full", FullChange(), true},
 	}
 	for _, tc := range cases {

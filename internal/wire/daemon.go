@@ -18,7 +18,7 @@ const (
 	CtlFail uint8 = iota
 	// CtlRestore brings a previously failed A-B link back up.
 	CtlRestore
-	// CtlPolicy replaces AD A's terms with one open term of cost Cost.
+	// CtlPolicy replaces AD A's terms with the step's term list.
 	CtlPolicy
 	// CtlInvalidate empties the whole route cache: the full invalidation.
 	CtlInvalidate
@@ -110,33 +110,35 @@ func (m *QueryReply) decodeBody(r *reader) {
 	m.Path = readPath(r)
 }
 
-// Control is a control-plane mutation: link fail/restore (A, B), policy
-// replacement (A = the AD, Cost = the open term's cost), or a full
-// invalidation.
+// Control is a control-plane mutation: a request ID and one PlanStep's
+// fields — link fail/restore (A, B), policy replacement (A = the AD, Terms =
+// its new term list), or a full invalidation.
 type Control struct {
-	ID   uint64
-	Op   uint8
-	A, B ad.ID
-	Cost uint32
+	ID    uint64
+	Op    uint8
+	A, B  ad.ID
+	Terms []policy.Term
+}
+
+// NewControl is the request that asks for st under the given ID.
+func NewControl(id uint64, st PlanStep) *Control {
+	return &Control{ID: id, Op: st.Op, A: st.A, B: st.B, Terms: st.Terms}
+}
+
+// Step is the mutation the request asks for.
+func (m *Control) Step() PlanStep {
+	return PlanStep{Op: m.Op, A: m.A, B: m.B, Terms: m.Terms}
 }
 
 // Type implements Message.
 func (*Control) Type() MsgType { return TypeControl }
 
 func (m *Control) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.ID)
-	dst = append(dst, m.Op)
-	dst = appendU32(dst, uint32(m.A))
-	dst = appendU32(dst, uint32(m.B))
-	return appendU32(dst, m.Cost)
+	return appendStep(appendU64(dst, m.ID), m.Step())
 }
 
 func (m *Control) decodeBody(r *reader) {
-	m.ID = r.u64()
-	m.Op = r.u8()
-	m.A = ad.ID(r.u32())
-	m.B = ad.ID(r.u32())
-	m.Cost = r.u32()
+	*m = *NewControl(r.u64(), readStep(r))
 }
 
 // ControlReply acknowledges a Control or Drain: the scoped-invalidation

@@ -11,13 +11,45 @@ import (
 	"repro/internal/policy"
 )
 
+// policySteps are CtlPolicy steps with no, one and many terms, explicit AD
+// sets included: what Control, Plan and SyncEntry must each carry whole.
+func policySteps() []PlanStep {
+	narrow := policy.Term{
+		Advertiser: 3, Serial: 4,
+		Sources: policy.SetOf(6, 7), Dests: policy.SetOf(), PrevADs: policy.Universal(), NextADs: policy.SetOf(1),
+		QOS: policy.ClassSetOf(1), UCI: policy.ClassSetOf(0, 2),
+		Hours: policy.HourWindow{Start: 22, End: 6}, Cost: 9,
+	}
+	many := make([]policy.Term, 40)
+	for i := range many {
+		many[i] = narrow
+		many[i].Serial = uint32(i + 1)
+		many[i].Sources = policy.SetOf(ad.ID(i+1), ad.ID(i+2), ad.ID(i+3))
+	}
+	return []PlanStep{
+		{Op: CtlPolicy, A: 3},
+		OpenPolicy(2, 100),
+		{Op: CtlPolicy, A: 3, Terms: []policy.Term{narrow}},
+		{Op: CtlPolicy, A: 3, Terms: many},
+	}
+}
+
 func daemonMessages() []Message {
+	msgs := baseDaemonMessages()
+	for i, st := range policySteps() {
+		msgs = append(msgs,
+			NewControl(uint64(100+i), st),
+			&SyncEntry{Seq: uint64(200 + i), Op: SyncCtl, Path: ad.Path{}, Ctl: st})
+	}
+	return append(msgs, &Plan{ID: 15, Steps: policySteps()})
+}
+
+func baseDaemonMessages() []Message {
 	return []Message{
 		&Query{ID: 1, Req: policy.Request{Src: 1, Dst: 9, QOS: 1, UCI: 2, Hour: 13}},
 		&QueryReply{ID: 1, Found: true, Path: ad.Path{1, 4, 9}},
 		&QueryReply{ID: 2, Found: false, Path: ad.Path{}},
 		&Control{ID: 3, Op: CtlFail, A: 2, B: 4},
-		&Control{ID: 4, Op: CtlPolicy, A: 2, Cost: 100},
 		&ControlReply{ID: 3, Code: CtlOK, Evicted: 5, Retained: 12, Flushed: 3, Gen: 2},
 		&ControlReply{ID: 9, Code: CtlErr, Err: "no link AD2-AD4"},
 		&DataOp{ID: 5, Op: OpInstall, Req: policy.Request{Src: 1, Dst: 4}},
@@ -40,7 +72,7 @@ func daemonMessages() []Message {
 			Terms: []policy.Key{{Advertiser: 4, Serial: 2}}},
 		&SyncEntry{Seq: 10, Op: SyncPut,
 			Req: policy.Request{Src: 1, Dst: 3}, Found: false, Path: ad.Path{}},
-		&SyncEntry{Seq: 11, Op: SyncCtl, Path: ad.Path{}, CtlOp: CtlFail, A: 2, B: 4},
+		&SyncEntry{Seq: 11, Op: SyncCtl, Path: ad.Path{}, Ctl: PlanStep{Op: CtlFail, A: 2, B: 4}},
 		&SyncSnapshot{Seq: 40, Count: 17},
 		&SyncSnapshot{Seq: 40, Done: true},
 		&Promote{ReplicaID: 2, Epoch: 4},
@@ -48,7 +80,7 @@ func daemonMessages() []Message {
 		&NotPrimary{},
 		&Plan{ID: 12, Steps: []PlanStep{
 			{Op: CtlFail, A: 2, B: 4},
-			{Op: CtlPolicy, A: 7, Cost: 10},
+			OpenPolicy(7, 10),
 		}},
 		&Plan{ID: 13, Commit: true, PlanID: 3},
 		&PlanReply{ID: 12, Code: CtlOK, PlanID: 3, Epoch: 9,

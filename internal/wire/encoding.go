@@ -45,6 +45,9 @@ func adSetWireLen(s policy.ADSet) int {
 // Policy Term encoding: advertiser, serial, the four AD sets, QOS and UCI
 // class masks, hour window, and cost.
 
+// minTermLen is the encoded size of a term whose four AD sets are universal.
+const minTermLen = 4 + 4 + 4*1 + 4 + 4 + 2 + 4
+
 func appendTerm(dst []byte, t policy.Term) []byte {
 	dst = appendU32(dst, uint32(t.Advertiser))
 	dst = appendU32(dst, t.Serial)

@@ -119,18 +119,22 @@ func FuzzDecode(f *testing.F) {
 			Path:  ad.Path{1, 4, 9},
 			Links: [][2]ad.ID{{1, 4}, {4, 9}},
 			Terms: []policy.Key{{Advertiser: 4, Serial: 2}}},
-		&SyncEntry{Seq: 11, Op: SyncCtl, CtlOp: CtlFail, A: 2, B: 4},
+		&SyncEntry{Seq: 11, Op: SyncCtl, Ctl: PlanStep{Op: CtlFail, A: 2, B: 4}},
 		&SyncSnapshot{Seq: 40, Count: 17},
 		&SyncSnapshot{Seq: 40, Done: true},
 		&Promote{ReplicaID: 2, Epoch: 4},
 		&NotPrimary{ID: 5, PrimaryID: 1, Addr: "127.0.0.1:4242"},
-		&Plan{ID: 12, Steps: []PlanStep{{Op: CtlFail, A: 2, B: 4}, {Op: CtlPolicy, A: 7, Cost: 10}}},
+		&Plan{ID: 12, Steps: []PlanStep{{Op: CtlFail, A: 2, B: 4}, OpenPolicy(7, 10)}},
+		&Plan{ID: 15, Steps: policySteps()},
 		&Plan{ID: 13, Commit: true, PlanID: 3},
 		&PlanReply{ID: 12, Code: CtlOK, PlanID: 3, Epoch: 9,
 			Evicted: 17, Retained: 203, Teardowns: 4, Unroutable: 2, Resynth: 17,
 			MeanSynthNanos: 12345, ProjNanos: 209865, Focus: 7,
 			Gained: 1, Lost: 2, Rerouted: 5, TransitBefore: 40, TransitAfter: 38},
 		&PlanReply{ID: 14, Code: CtlErr, Err: "plan 3 is stale", Committed: true},
+	}
+	for i, st := range policySteps() {
+		seeds = append(seeds, NewControl(uint64(100+i), st), &SyncEntry{Seq: uint64(200 + i), Op: SyncCtl, Ctl: st})
 	}
 	for _, m := range seeds {
 		f.Add(Marshal(m))

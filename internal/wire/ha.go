@@ -30,8 +30,8 @@ const (
 const (
 	// SyncPut replicates one warm-cache entry (request, result, footprint).
 	SyncPut uint8 = iota
-	// SyncCtl replicates one control-plane mutation (CtlOp/A/B/Cost as in
-	// Control); the follower applies it through its own backend so scoped
+	// SyncCtl replicates one control-plane mutation (the step a Control
+	// carried); the follower applies it through its own backend so scoped
 	// eviction replays naturally.
 	SyncCtl
 )
@@ -113,10 +113,8 @@ type SyncEntry struct {
 	Links [][2]ad.ID
 	Terms []policy.Key
 
-	// SyncCtl: the mutation, encoded like Control.
-	CtlOp uint8
-	A, B  ad.ID
-	Cost  uint32
+	// SyncCtl: the mutation.
+	Ctl PlanStep
 }
 
 // Type implements Message.
@@ -142,10 +140,7 @@ func (m *SyncEntry) appendBody(dst []byte) []byte {
 		dst = appendU32(dst, uint32(t.Advertiser))
 		dst = appendU32(dst, t.Serial)
 	}
-	dst = append(dst, m.CtlOp)
-	dst = appendU32(dst, uint32(m.A))
-	dst = appendU32(dst, uint32(m.B))
-	return appendU32(dst, m.Cost)
+	return appendStep(dst, m.Ctl)
 }
 
 func (m *SyncEntry) decodeBody(r *reader) {
@@ -169,10 +164,7 @@ func (m *SyncEntry) decodeBody(r *reader) {
 			m.Terms = append(m.Terms, policy.Key{Advertiser: adv, Serial: r.u32()})
 		}
 	}
-	m.CtlOp = r.u8()
-	m.A = ad.ID(r.u32())
-	m.B = ad.ID(r.u32())
-	m.Cost = r.u32()
+	m.Ctl = readStep(r)
 }
 
 // SyncSnapshot brackets a full state transfer on a sync link. The opener

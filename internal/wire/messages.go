@@ -177,7 +177,7 @@ func (m *LSA) decodeBody(r *reader) {
 			Up:       r.u8() == 1,
 		})
 	}
-	nt := r.count(26) // a term whose four AD sets are universal
+	nt := r.count(minTermLen)
 	if nt > 0 {
 		m.Terms = make([]policy.Term, 0, nt)
 	}

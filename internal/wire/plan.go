@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ad"
+	"repro/internal/policy"
 )
 
 // What-if planning messages: a daemon session may propose a batch of
@@ -16,13 +17,23 @@ import (
 // PlanStep is one control mutation — the value every front end parses into,
 // synthesis.World resolves, a Control or SyncEntry carries and a Plan
 // batches. Op is a Control operation code; A, B are the link endpoints
-// (fail/restore), A alone the advertiser and Cost the open term's cost
-// (policy). CtlInvalidate is not plannable: a full invalidation's blast radius is
-// the whole cache by definition.
+// (fail/restore); for a policy step A is the advertiser and Terms the list
+// its policy is replaced with, the empty list included (§5.4: the AD then
+// carries no transit). CtlInvalidate is not plannable: a full invalidation's
+// blast radius is the whole cache by definition.
 type PlanStep struct {
-	Op   uint8
-	A, B ad.ID
-	Cost uint32
+	Op    uint8
+	A, B  ad.ID
+	Terms []policy.Term
+}
+
+// OpenPolicy is the policy step that replaces id's terms with one open term
+// of the given cost: what "policy AD COST" spells in line mode, in a
+// scenario's plan steps and in the experiment timelines.
+func OpenPolicy(id ad.ID, cost uint32) PlanStep {
+	t := policy.OpenTerm(id, 0)
+	t.Cost = cost
+	return PlanStep{Op: CtlPolicy, A: id, Terms: []policy.Term{t}}
 }
 
 // String renders the step the way reports and errors spell it.
@@ -33,12 +44,60 @@ func (st PlanStep) String() string {
 	case CtlRestore:
 		return fmt.Sprintf("restore %v-%v", st.A, st.B)
 	case CtlPolicy:
-		return fmt.Sprintf("policy %v cost %d", st.A, st.Cost)
+		if len(st.Terms) == 1 {
+			t := st.Terms[0]
+			t.Advertiser = st.A // as SetTerms will force it
+			if t.EqualContent(OpenPolicy(st.A, t.Cost).Terms[0]) {
+				return fmt.Sprintf("policy %v cost %d", st.A, t.Cost)
+			}
+		}
+		return fmt.Sprintf("policy %v (%d terms)", st.A, len(st.Terms))
 	case CtlInvalidate:
 		return "invalidate"
 	default:
 		return fmt.Sprintf("step(%d)", st.Op)
 	}
+}
+
+// Replicable reports whether the SyncEntry that carries st to HA followers
+// fits a frame. Of the three messages that hold a step it has the most fixed
+// overhead, so a term list that just fits a Control would otherwise be
+// accepted by a primary that can never stream it. Only a term list can be
+// that long.
+func (st PlanStep) Replicable() bool {
+	if len(st.Terms) == 0 {
+		return true
+	}
+	_, err := AppendMessage(nil, &SyncEntry{Op: SyncCtl, Ctl: st})
+	return err == nil
+}
+
+// Step encoding, shared by Control, SyncEntry and Plan: op, the two AD IDs,
+// a 16-bit term count and the terms as an LSA carries them.
+
+// minStepLen is the encoded size of a step with no terms.
+const minStepLen = 1 + 4 + 4 + 2
+
+func appendStep(dst []byte, st PlanStep) []byte {
+	dst = append(dst, st.Op)
+	dst = appendU32(dst, uint32(st.A))
+	dst = appendU32(dst, uint32(st.B))
+	dst = appendU16(dst, uint16(len(st.Terms)))
+	for _, t := range st.Terms {
+		dst = appendTerm(dst, t)
+	}
+	return dst
+}
+
+func readStep(r *reader) PlanStep {
+	st := PlanStep{Op: r.u8(), A: ad.ID(r.u32()), B: ad.ID(r.u32())}
+	if n := r.count(minTermLen); n > 0 {
+		st.Terms = make([]policy.Term, 0, n)
+		for i := 0; i < n; i++ {
+			st.Terms = append(st.Terms, readTerm(r))
+		}
+	}
+	return st
 }
 
 // Plan proposes a what-if batch (Commit false, Steps set) or asks to apply
@@ -63,10 +122,7 @@ func (m *Plan) appendBody(dst []byte) []byte {
 	dst = appendU64(dst, m.PlanID)
 	dst = appendU16(dst, uint16(len(m.Steps)))
 	for _, st := range m.Steps {
-		dst = append(dst, st.Op)
-		dst = appendU32(dst, uint32(st.A))
-		dst = appendU32(dst, uint32(st.B))
-		dst = appendU32(dst, st.Cost)
+		dst = appendStep(dst, st)
 	}
 	return dst
 }
@@ -75,18 +131,13 @@ func (m *Plan) decodeBody(r *reader) {
 	m.ID = r.u64()
 	m.Commit = r.u8() == 1
 	m.PlanID = r.u64()
-	n := r.count(13)
+	n := r.count(minStepLen)
 	if n == 0 {
 		return
 	}
 	m.Steps = make([]PlanStep, 0, n)
 	for i := 0; i < n; i++ {
-		m.Steps = append(m.Steps, PlanStep{
-			Op:   r.u8(),
-			A:    ad.ID(r.u32()),
-			B:    ad.ID(r.u32()),
-			Cost: r.u32(),
-		})
+		m.Steps = append(m.Steps, readStep(r))
 	}
 }
 

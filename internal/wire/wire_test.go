@@ -406,6 +406,11 @@ func hostileCounts() [][]byte {
 		frame(TypeSetup, zeros(21, 0xff, 0xff)...),
 		frame(TypeSyncEntry, zeros(23, 0xff, 0xff)...),
 		frame(TypeSyncEntry, zeros(25, 0xff, 0xff)...),
+		// A step (op, A, B) claiming 65535 terms: in a Control after the ID,
+		// in a Plan after its one-step count, in a SyncEntry after the put.
+		frame(TypeControl, zeros(17, 0xff, 0xff)...),
+		frame(TypePlan, append(zeros(17, 0, 1), zeros(9, 0xff, 0xff)...)...),
+		frame(TypeSyncEntry, zeros(36, 0xff, 0xff)...),
 	}
 }
 
