@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet race allocs determinism golden load-smoke loc bench bench-kernel bench-smoke results
+.PHONY: all build test check fmt vet race allocs determinism golden load-smoke loc bench bench-kernel bench-cache bench-smoke results
 
 all: build
 
@@ -28,7 +28,8 @@ fmt:
 # The routeserver, daemon, HA, pgstate, and plan packages run twice under the
 # detector: routeserver's parallel miss path overlaps slow searches with
 # scoped and full mutations (the reader/writer strategy lock is exactly the
-# kind of claim the detector can refute); HA exercises real sockets,
+# kind of claim the detector can refute, and the shard table's lock-free
+# lookup another); HA exercises real sockets,
 # elections, and concurrent sync streams; pgstate's shard stress drives one
 # table from many goroutines; plan snapshots a server that concurrent
 # queries are hammering; a daemon session's reader and writer goroutines
@@ -37,7 +38,7 @@ fmt:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/routeserver/daemon/
-	$(GO) test -race -count=2 -run 'TestMiss|TestParallel|TestQueryLogConcurrent|TestServerConcurrent|TestScopedChurn' ./internal/routeserver/
+	$(GO) test -race -count=2 -run 'TestMiss|TestParallel|TestQueryLogConcurrent|TestServerConcurrent|TestScopedChurn|TestLockFree' ./internal/routeserver/
 	$(GO) test -race -count=2 ./internal/routeserver/ha/
 	$(GO) test -race -count=2 -run 'TestConcurrent' ./internal/pgstate/
 	$(GO) test -race -count=2 ./internal/routeserver/plan/
@@ -51,8 +52,10 @@ allocs:
 # One synthesis per key per epoch is what makes the E20-E25 counters and the
 # parallel runner's output independent of scheduling; the window that broke
 # it only opens on real cores, so these run at several GOMAXPROCS, repeated.
+# The lock-free lookup's contract — a reader sees only what was published,
+# and nothing whose eviction had returned — is a claim about real cores too.
 determinism:
-	$(GO) test -cpu 1,2,4 -count 3 -run 'TestServerDeterministicAtAnyParallelism|TestLateMissServedFromCache' ./internal/routeserver/
+	$(GO) test -cpu 1,2,4 -count 3 -run 'TestServerDeterministicAtAnyParallelism|TestLateMissServedFromCache|TestLockFreeReadersVersusWriter' ./internal/routeserver/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestRunAllParallelDeterminism|TestE20RouteServer' ./internal/experiments/
 
 # The committed report must come out byte for byte, serially and from the
@@ -123,6 +126,14 @@ bench:
 # wrapper that pays for both.
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'BenchmarkFindRoute$$|BenchmarkCompile$$|BenchmarkFindRouteOneShot$$' -benchmem -count 5 ./internal/synthesis/
+
+# bench-cache is the serving-cache layer, five samples each: a cached answer
+# from one goroutine, from every core on Zipf keys (the two must stay close:
+# a hit writes nothing another core reads), and a miss on a capped server
+# behind a stub strategy, which is insert, reverse-index upkeep and CLOCK
+# eviction with the search taken out.
+bench-cache:
+	$(GO) test -run '^$$' -bench 'BenchmarkQueryHit$$|BenchmarkQueryHitParallel$$|BenchmarkMissInsertEvict$$' -benchmem -count 5 ./internal/routeserver/
 
 # bench-smoke runs every benchmark exactly once — CI uses it to catch
 # benchmarks that no longer compile or that crash, without paying for

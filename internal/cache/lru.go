@@ -1,5 +1,5 @@
-// Package cache provides the fixed-capacity LRU map behind the route-server
-// serving cache and the policy-gateway handle tables, shard by shard. It is
+// Package cache provides the fixed-capacity LRU map behind the capped
+// policy-gateway handle tables, shard by shard. It is
 // deliberately minimal: a map plus an intrusive recency list and no locking
 // (callers shard and lock); Put reports each capacity eviction so owners can
 // count cache pressure.

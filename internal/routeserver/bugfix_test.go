@@ -131,17 +131,18 @@ func TestEvictScopedCountsActualDeletions(t *testing.T) {
 		t.Fatalf("warm route = %+v", res)
 	}
 
-	// Manufacture the dangling edge: drop the LRU entry while leaving its
-	// index edges in place, as a racing deletion between index resolution
-	// and the eviction sweep would.
+	// Manufacture the dangling edge: drop the entry while leaving its index
+	// edges in place, as a racing deletion between index resolution and the
+	// eviction sweep would.
 	k := rCheap
 	sh := &srv.shards[hash(k)&srv.mask]
 	sh.mu.Lock()
-	if _, ok := sh.lru.Peek(k); !ok {
+	e := sh.get(k, hash(k))
+	if e == nil {
 		sh.mu.Unlock()
 		t.Fatal("warm entry missing")
 	}
-	sh.lru.Delete(k)
+	sh.detach(e)
 	sh.mu.Unlock()
 
 	evicted, _ := srv.MutateScoped(

@@ -26,6 +26,11 @@ import (
 //	src(1) ─ t2(3) ─ dst(4)   (cost 10)
 func testWorld(t *testing.T, strat func(*ad.Graph, *policy.DB) synthesis.Strategy) *Backend {
 	t.Helper()
+	return testWorldConfig(t, strat, routeserver.Config{})
+}
+
+func testWorldConfig(t *testing.T, strat func(*ad.Graph, *policy.DB) synthesis.Strategy, cfg routeserver.Config) *Backend {
+	t.Helper()
 	g := ad.NewGraph()
 	src := g.AddAD("src", ad.Stub, ad.Campus)
 	t1 := g.AddAD("t1", ad.Transit, ad.Regional)
@@ -45,7 +50,7 @@ func testWorld(t *testing.T, strat func(*ad.Graph, *policy.DB) synthesis.Strateg
 			return synthesis.NewOnDemand(g, db)
 		}
 	}
-	srv := routeserver.New(strat(g, db), routeserver.Config{})
+	srv := routeserver.New(strat(g, db), cfg)
 	dp, err := routeserver.NewDataPlane(pgstate.Config{Kind: pgstate.Soft, TTL: 30 * sim.Second})
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/ad"
 	"repro/internal/policy"
 	"repro/internal/racecheck"
+	"repro/internal/routeserver"
 	"repro/internal/wire"
 )
 
@@ -260,41 +261,48 @@ func TestUnencodableReplyFailsItsRequestOnly(t *testing.T) {
 }
 
 // TestAllocsCachedQuery pins the serving path of a cached answer — decode,
-// dispatch, encode, and the writer taking the batch — at no allocation.
-// Skipped under -race; `make check` and CI run it in a pass without.
+// dispatch, encode, and the writer taking the batch — at no allocation,
+// on the default server and on the one cmd/routed builds, which records
+// every query in the plan engine's ring. Skipped under -race; `make check`
+// and CI run it in a pass without.
 func TestAllocsCachedQuery(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	be := testWorld(t, nil)
-	d := New(be, Config{})
-	reqs := mixedRequests(14)
-	var stream []byte
-	for i, req := range reqs {
-		be.Query(req) // warm: every request below is a hit or a cached no-route
-		stream, _ = wire.AppendMessage(stream, &wire.Query{ID: uint64(i), Req: req})
-	}
-	s := newSession(d, nil)
-	dec := wire.NewDecoder(&repeatReader{data: stream})
-	var qr wire.QueryReply
-	var spare []byte
-	var bytesOut int
-	if n := testing.AllocsPerRun(2000, func() {
-		m, err := dec.Next()
-		if err != nil {
-			t.Fatal(err)
+	for _, cfg := range []routeserver.Config{{}, {QueryLog: 1024}} {
+		be := testWorldConfig(t, nil, cfg)
+		d := New(be, Config{})
+		reqs := mixedRequests(14)
+		var stream []byte
+		for i, req := range reqs {
+			be.Query(req) // warm: every request below is a hit or a cached no-route
+			stream, _ = wire.AppendMessage(stream, &wire.Query{ID: uint64(i), Req: req})
 		}
-		reply, _ := d.dispatch(m, &qr)
-		if !s.send(reply) {
-			t.Fatal("send failed")
+		s := newSession(d, nil)
+		dec := wire.NewDecoder(&repeatReader{data: stream})
+		var qr wire.QueryReply
+		var spare []byte
+		var bytesOut int
+		if n := testing.AllocsPerRun(2000, func() {
+			m, err := dec.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply, _ := d.dispatch(m, &qr)
+			if !s.send(reply) {
+				t.Fatal("send failed")
+			}
+			spare, _ = s.take(spare)
+			bytesOut += len(spare)
+		}); n != 0 {
+			t.Errorf("%+v: cached query, decode to encoded reply: %v allocs/op, want 0", cfg, n)
 		}
-		spare, _ = s.take(spare)
-		bytesOut += len(spare)
-	}); n != 0 {
-		t.Errorf("cached query, decode to encoded reply: %v allocs/op, want 0", n)
-	}
-	if bytesOut == 0 {
-		t.Error("no reply bytes were produced")
+		if bytesOut == 0 {
+			t.Error("no reply bytes were produced")
+		}
+		if got := len(be.srv.RecentQueries()); got != cfg.QueryLog {
+			t.Errorf("%+v: the query ring holds %d requests, want %d", cfg, got, cfg.QueryLog)
+		}
 	}
 }
 

@@ -193,12 +193,14 @@ func TestParallelMissesStraddleMutateScoped(t *testing.T) {
 }
 
 // TestQueryLogConcurrentRecord hammers the atomic ring from many writers
-// with readers in flight, then pins the quiesced semantics: the newest
+// with readers in flight — writers lap each other on eight slots, so a
+// record whose words came from two writers would show as an hour that does
+// not match its endpoints — then pins the quiesced semantics: the newest
 // cap records win, oldest first — exactly what the old mutex ring
 // reported.
 func TestQueryLogConcurrentRecord(t *testing.T) {
 	const capn = 8
-	q := &queryLog{buf: make([]atomic.Pointer[policy.Request], capn)}
+	q := &queryLog{buf: make([]querySlot, capn)}
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -217,6 +219,10 @@ func TestQueryLogConcurrentRecord(t *testing.T) {
 						t.Error("recent() surfaced a zero request")
 						return
 					}
+					if req.Hour != uint8(req.Src-1)*7+uint8(req.Dst-1) {
+						t.Errorf("recent() surfaced a torn request %+v", req)
+						return
+					}
 				}
 			}
 		}()
@@ -228,7 +234,7 @@ func TestQueryLogConcurrentRecord(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 0; i < 1000; i++ {
-				q.record(policy.Request{Src: 1 + ad.ID(w), Dst: 1 + ad.ID(i%7)})
+				q.record(policy.Request{Src: 1 + ad.ID(w), Dst: 1 + ad.ID(i%7), Hour: uint8(w*7 + i%7)})
 			}
 		}()
 	}

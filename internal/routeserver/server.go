@@ -3,9 +3,11 @@
 // clients, and §5.4.1 leaves open how to make that fast at scale. This
 // package wraps any synthesis.Strategy behind a thread-safe query engine:
 //
-//   - a sharded LRU route cache keyed by (src, dst, QOS, UCI, hour), purged
-//     outright on an unscoped topology/policy-change event,
-//   - a per-shard reverse dependency index (link → keys, term → keys,
+//   - a sharded route cache keyed by (src, dst, QOS, UCI, hour) whose hits
+//     take no lock (see table.go: each shard owns its entries; replacement
+//     is CLOCK), purged outright on an unscoped topology/policy-change
+//     event,
+//   - a per-shard reverse dependency index (link → entries, term → entries,
 //     negative-entry set) fed by each route's synthesis.Footprint, so
 //     MutateScoped evicts only the entries a change can affect while the
 //     rest of the cache keeps serving with zero recomputation,
@@ -17,8 +19,9 @@
 //     rebuilds take the write side and run exclusively,
 //   - a bounded worker pool for miss computation, charged only for the
 //     search itself — never for time spent waiting on a lock,
-//   - an atomic server-metrics layer: query/hit/miss/coalesce counters and
-//     a latency histogram with p50/p95/p99.
+//   - an atomic server-metrics layer: exact query/hit/miss/coalesce
+//     counters, an exact histogram of synthesis times, and a serving-latency
+//     histogram (p50/p95/p99) over a 1-in-64 sample of queries.
 //
 // Correctness contract: a query observes either the state before an
 // invalidation or after it, never a mix — an entry that is present is
@@ -40,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/ad"
-	"repro/internal/cache"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/synthesis"
@@ -56,22 +58,24 @@ type Key = policy.Request
 // KeyOf derives the serving-cache key for a request: the identity.
 func KeyOf(req policy.Request) Key { return req }
 
-// hash is FNV-1a over the key's fields, used to pick a cache shard.
+// hash is FNV-1a over the key's eleven bytes (Src and Dst little-endian,
+// then QOS, UCI, Hour), written out straight: no slice, no closure. Its low
+// bits pick the cache shard, so DumpEntries and HA snapshot order depend on
+// it; TestHashPinned holds the values.
 func hash(k Key) uint32 {
+	const prime = 16777619
 	h := uint32(2166136261)
-	mix := func(b byte) {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	for _, v := range []uint32{uint32(k.Src), uint32(k.Dst)} {
-		mix(byte(v))
-		mix(byte(v >> 8))
-		mix(byte(v >> 16))
-		mix(byte(v >> 24))
-	}
-	mix(byte(k.QOS))
-	mix(byte(k.UCI))
-	mix(k.Hour)
+	h = (h ^ uint32(k.Src)&0xff) * prime
+	h = (h ^ uint32(k.Src)>>8&0xff) * prime
+	h = (h ^ uint32(k.Src)>>16&0xff) * prime
+	h = (h ^ uint32(k.Src)>>24) * prime
+	h = (h ^ uint32(k.Dst)&0xff) * prime
+	h = (h ^ uint32(k.Dst)>>8&0xff) * prime
+	h = (h ^ uint32(k.Dst)>>16&0xff) * prime
+	h = (h ^ uint32(k.Dst)>>24) * prime
+	h = (h ^ uint32(k.QOS)) * prime
+	h = (h ^ uint32(k.UCI)) * prime
+	h = (h ^ uint32(k.Hour)) * prime
 	return h
 }
 
@@ -87,10 +91,12 @@ type Result struct {
 // 65536 total entries, one miss worker per CPU.
 type Config struct {
 	// Shards is the cache shard count, rounded up to a power of two
-	// (default 16). More shards = less hit-path contention.
+	// (default 16). Hits take no lock; more shards = less contention among
+	// inserts and evictions, which lock one shard each.
 	Shards int
 	// Capacity is the total cache capacity in entries, split evenly
-	// across shards (default 65536; < 0 = unbounded).
+	// across shards, each of which replaces by CLOCK once full (default
+	// 65536; < 0 = unbounded).
 	Capacity int
 	// Workers bounds concurrent miss computations (default GOMAXPROCS).
 	// Coalesced waiters do not consume workers.
@@ -119,128 +125,6 @@ func (c Config) normalize() Config {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
-}
-
-// cached is one route-cache entry: the answer plus the route's dependency
-// footprint for the reverse index.
-type cached struct {
-	path  ad.Path
-	found bool
-	fp    synthesis.Footprint
-}
-
-// shard is one lockable slice of the route cache plus the reverse
-// dependency index over its entries: byLink/byTerm map each footprint
-// element to the keys depending on it, and negs holds the keys of cached
-// negative ("no legal route") answers, which depend on the absence of
-// routes rather than on any particular link or term. All four structures
-// are maintained together under mu.
-type shard struct {
-	mu     sync.Mutex
-	lru    *cache.LRU[Key, cached]
-	byLink map[[2]ad.ID]map[Key]struct{}
-	byTerm map[policy.Key]map[Key]struct{}
-	negs   map[Key]struct{}
-}
-
-// reset empties the reverse index. Caller holds mu (or owns sh outright).
-func (sh *shard) reset() {
-	sh.byLink = make(map[[2]ad.ID]map[Key]struct{})
-	sh.byTerm = make(map[policy.Key]map[Key]struct{})
-	sh.negs = make(map[Key]struct{})
-}
-
-// index adds k's dependency edges. Caller holds mu.
-func (sh *shard) index(k Key, c cached) {
-	if !c.found {
-		sh.negs[k] = struct{}{}
-		return
-	}
-	for _, l := range c.fp.Links {
-		m := sh.byLink[l]
-		if m == nil {
-			m = make(map[Key]struct{})
-			sh.byLink[l] = m
-		}
-		m[k] = struct{}{}
-	}
-	for _, t := range c.fp.Terms {
-		m := sh.byTerm[t]
-		if m == nil {
-			m = make(map[Key]struct{})
-			sh.byTerm[t] = m
-		}
-		m[k] = struct{}{}
-	}
-}
-
-// unindex removes k's dependency edges. Caller holds mu.
-func (sh *shard) unindex(k Key, c cached) {
-	if !c.found {
-		delete(sh.negs, k)
-		return
-	}
-	for _, l := range c.fp.Links {
-		if m := sh.byLink[l]; m != nil {
-			delete(m, k)
-			if len(m) == 0 {
-				delete(sh.byLink, l)
-			}
-		}
-	}
-	for _, t := range c.fp.Terms {
-		if m := sh.byTerm[t]; m != nil {
-			delete(m, k)
-			if len(m) == 0 {
-				delete(sh.byTerm, t)
-			}
-		}
-	}
-}
-
-// victimKeys resolves the set of cached keys the change can affect through
-// the reverse index: routes crossing a failed link, routes admitted by a
-// removed or modified policy term, and — when the change broadens what is
-// routable — cached negative answers. Shared by evictScoped (which deletes
-// the victims) and the read-only plan path CollectAffected (which only
-// reports them), so prediction and eviction can never disagree on the
-// soundness rules. Caller holds mu.
-func (sh *shard) victimKeys(c synthesis.Change) map[Key]struct{} {
-	victims := make(map[Key]struct{})
-	switch c.Kind {
-	case synthesis.ChangeLinkDown:
-		for k := range sh.byLink[synthesis.CanonicalPair(c.A, c.B)] {
-			victims[k] = struct{}{}
-		}
-	case synthesis.ChangePolicy:
-		for _, tk := range c.RemovedTerms {
-			for k := range sh.byTerm[tk] {
-				victims[k] = struct{}{}
-			}
-		}
-	}
-	if c.AffectsNegative() {
-		for k := range sh.negs {
-			victims[k] = struct{}{}
-		}
-	}
-	return victims
-}
-
-// evictScoped drops every entry the change can affect, resolved through
-// the reverse index, and returns the number of entries actually deleted —
-// a victim key whose cache entry is already gone (a dangling index edge) is
-// not counted as eviction work. Caller holds mu.
-func (sh *shard) evictScoped(c synthesis.Change) int {
-	deleted := 0
-	for k := range sh.victimKeys(c) {
-		if ent, ok := sh.lru.Peek(k); ok {
-			sh.unindex(k, ent)
-			sh.lru.Delete(k)
-			deleted++
-		}
-	}
-	return deleted
 }
 
 // call is one in-flight singleflight computation.
@@ -299,7 +183,8 @@ type MetricsSnapshot struct {
 	// ScopedRetained is the total entries retained across scoped
 	// mutations (resident entries summed after each scoped eviction).
 	ScopedRetained uint64
-	// Latency digests per-query serving latency.
+	// Latency digests serving latency over a sample: the first query and
+	// every 64th after it, so Latency.Count is Queries/64 rounded up.
 	Latency metrics.LatencySummary
 	// SynthLatency digests the wall time of each synthesis computation
 	// (strategy route + footprint extraction, under the strategy lock).
@@ -352,10 +237,10 @@ type Server struct {
 }
 
 // queryLog is the bounded ring of recent queries (Config.QueryLog). The
-// cursor is an atomic ticket counter and each slot an atomic pointer, so
-// hot-path queries never contend on a log lock: record is one atomic add
-// plus one pointer store. buf is sized once at construction and never
-// resized, so its length may be read without synchronization.
+// cursor is an atomic ticket counter and each slot holds its request packed
+// into atomic words, so hot-path queries never contend on a log lock and
+// never allocate. buf is sized once at construction and never resized, so
+// its length may be read without synchronization.
 //
 // Serially the semantics match the old mutex ring exactly: the last
 // len(buf) requests in arrival order, oldest first. Under concurrent
@@ -366,7 +251,19 @@ type Server struct {
 // plan engine tolerates both.
 type queryLog struct {
 	next atomic.Uint64
-	buf  []atomic.Pointer[policy.Request]
+	buf  []querySlot
+}
+
+// querySlot is a sequence lock with many writers. seq is 0 while the slot
+// has never been written, 2t+1 while ticket t's writer owns it and 2t+2
+// once ticket t's request is whole. A writer claims the slot by
+// compare-and-swap from an even value below its own, so two writers a full
+// lap apart never interleave their words: the one that cannot claim — the
+// slot is mid-write, or already holds a newer ticket — drops its record.
+type querySlot struct {
+	seq   atomic.Uint64
+	ends  atomic.Uint64 // Src<<32 | Dst
+	class atomic.Uint32 // QOS<<16 | UCI<<8 | Hour
 }
 
 func (q *queryLog) record(req policy.Request) {
@@ -374,8 +271,14 @@ func (q *queryLog) record(req policy.Request) {
 		return
 	}
 	t := q.next.Add(1) - 1
-	r := req
-	q.buf[t%uint64(len(q.buf))].Store(&r)
+	sl := &q.buf[t%uint64(len(q.buf))]
+	seq := sl.seq.Load()
+	if seq&1 == 1 || seq > 2*t || !sl.seq.CompareAndSwap(seq, 2*t+1) {
+		return
+	}
+	sl.ends.Store(uint64(req.Src)<<32 | uint64(req.Dst))
+	sl.class.Store(uint32(req.QOS)<<16 | uint32(req.UCI)<<8 | uint32(req.Hour))
+	sl.seq.Store(2*t + 2)
 }
 
 func (q *queryLog) recent() []policy.Request {
@@ -390,9 +293,19 @@ func (q *queryLog) recent() []policy.Request {
 	}
 	var out []policy.Request
 	for i := start; i < t; i++ {
-		if p := q.buf[i%n].Load(); p != nil {
-			out = append(out, *p)
+		sl := &q.buf[i%n]
+		seq := sl.seq.Load()
+		if seq == 0 || seq&1 == 1 {
+			continue
 		}
+		ends, class := sl.ends.Load(), sl.class.Load()
+		if sl.seq.Load() != seq {
+			continue
+		}
+		out = append(out, policy.Request{
+			Src: ad.ID(ends >> 32), Dst: ad.ID(ends),
+			QOS: policy.QOS(class >> 16), UCI: policy.UCI(class >> 8), Hour: uint8(class),
+		})
 	}
 	return out
 }
@@ -411,23 +324,16 @@ func New(strategy synthesis.Strategy, cfg Config) *Server {
 		sfCalls:  make(map[sfKey]*call),
 		strategy: strategy,
 	}
-	perShard := cfg.Capacity
-	if perShard > 0 {
+	perShard := 0 // unbounded
+	if cfg.Capacity > 0 {
 		perShard = (cfg.Capacity + cfg.Shards - 1) / cfg.Shards
 	}
-	if perShard < 0 {
-		perShard = 0 // unbounded
-	}
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.lru = cache.NewLRU[Key, cached](perShard)
-		sh.reset()
-		// Capacity evictions fire inside Put, i.e. under sh.mu: keep the
-		// reverse index in step with the LRU.
-		sh.lru.OnEvict = sh.unindex
+		s.shards[i].capacity = perShard
+		s.shards[i].purge()
 	}
 	if cfg.QueryLog > 0 {
-		s.qlog.buf = make([]atomic.Pointer[policy.Request], cfg.QueryLog)
+		s.qlog.buf = make([]querySlot, cfg.QueryLog)
 	}
 	return s
 }
@@ -448,13 +354,13 @@ func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 func (s *Server) RecentQueries() []policy.Request { return s.qlog.recent() }
 
 // lookup serves k from the cache if an entry exists; an entry that is
-// present is current.
+// present is current. It takes no lock (see shard.get).
 func (s *Server) lookup(k Key) (Result, bool) {
-	sh := &s.shards[hash(k)&s.mask]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c, ok := sh.lru.Get(k)
-	return Result{Path: c.path, Found: c.found}, ok
+	h := hash(k)
+	if e := s.shards[h&s.mask].get(k, h); e != nil {
+		return Result{Path: e.path, Found: e.found}, true
+	}
+	return Result{}, false
 }
 
 // insert stores a computed result and indexes its dependency footprint.
@@ -463,24 +369,34 @@ func (s *Server) lookup(k Key) (Result, bool) {
 // side, so a result computed against one state never lands behind a full
 // invalidation.
 func (s *Server) insert(k Key, res Result, fp synthesis.Footprint) {
-	sh := &s.shards[hash(k)&s.mask]
+	h := hash(k)
+	sh := &s.shards[h&s.mask]
 	sh.mu.Lock()
-	if old, ok := sh.lru.Peek(k); ok {
-		sh.unindex(k, old)
-	}
-	ent := cached{path: res.Path, found: res.Found, fp: fp}
-	if sh.lru.Put(k, ent) {
+	evicted := sh.put(k, h, res, fp)
+	sh.mu.Unlock()
+	if evicted {
 		s.met.evictions.Add(1)
 	}
-	sh.index(k, ent)
-	sh.mu.Unlock()
 }
 
 // Query answers one route request. Safe for concurrent use.
 func (s *Server) Query(req policy.Request) Result {
+	if s.met.queries.Add(1)%latencySample != 1 {
+		return s.serve(req)
+	}
 	start := time.Now()
-	defer func() { s.met.latency.Observe(time.Since(start)) }()
-	s.met.queries.Add(1)
+	res := s.serve(req)
+	s.met.latency.Observe(time.Since(start))
+	return res
+}
+
+// latencySample is how many queries share one latency observation: a clock
+// read costs a cached answer a third of its time, and the quantiles do not
+// need every query. The counter every query bumps anyway picks the sample,
+// so sampling adds no shared write.
+const latencySample = 64
+
+func (s *Server) serve(req policy.Request) Result {
 	s.qlog.record(req)
 
 	if res, ok := s.lookup(req); ok {
@@ -526,8 +442,8 @@ const (
 // joined may have inserted and deregistered in between. So a new leader
 // looks the key up again once registered: the previous leader's insert
 // happens before its deregistration under sfMu, which happens before this
-// registration, so that entry — unless a mutation or the LRU has dropped it
-// since — is found and served as a hit, with no second synthesis, insert or
+// registration, so that entry — unless a mutation or replacement has dropped
+// it since — is found and served as a hit, with no second synthesis, insert or
 // OnInsert. This is what makes "one synthesis per key per epoch" hold on
 // real cores. Callers that joined this leader meanwhile share the entry.
 //
@@ -644,13 +560,10 @@ func (s *Server) MutateScoped(ch synthesis.Change, fn func()) (evicted, retained
 	}
 	if ch.Kind == synthesis.ChangeFull {
 		s.epoch.Add(1)
-		// O(shards), not O(entries): the LRU and the reverse index are
-		// replaced, not walked.
 		for i := range s.shards {
 			sh := &s.shards[i]
 			sh.mu.Lock()
-			sh.lru.Purge()
-			sh.reset()
+			sh.purge()
 			sh.mu.Unlock()
 		}
 		s.strategy.Invalidate()
@@ -665,7 +578,7 @@ func (s *Server) MutateScoped(ch synthesis.Change, fn func()) (evicted, retained
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		evicted += sh.evictScoped(ch)
-		retained += sh.lru.Len()
+		retained += sh.live
 		sh.mu.Unlock()
 	}
 	s.strategy.InvalidateScoped(ch)
@@ -727,14 +640,7 @@ func (s *Server) DumpEntries(fn func()) []CacheEntry {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.lru.Range(func(k Key, c cached) bool {
-			out = append(out, CacheEntry{
-				Key: k,
-				Res: Result{Path: c.path, Found: c.found},
-				Fp:  c.fp,
-			})
-			return true
-		})
+		sh.each(func(e *entry) { out = append(out, e.export()) })
 		sh.mu.Unlock()
 	}
 	return out
@@ -767,16 +673,10 @@ func (s *Server) CollectAffected(prepare func() ([]synthesis.Change, error)) (pe
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		live += sh.lru.Len()
+		live += sh.live
 		for ci := range changes {
-			for k := range sh.victimKeys(changes[ci]) {
-				if ent, ok := sh.lru.Peek(k); ok {
-					perChange[ci] = append(perChange[ci], CacheEntry{
-						Key: k,
-						Res: Result{Path: ent.path, Found: ent.found},
-						Fp:  ent.fp,
-					})
-				}
+			for _, e := range sh.victims(changes[ci]) {
+				perChange[ci] = append(perChange[ci], e.export())
 			}
 		}
 		sh.mu.Unlock()
@@ -802,7 +702,7 @@ func (s *Server) CacheLen() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n += sh.lru.Len()
+		n += sh.live
 		sh.mu.Unlock()
 	}
 	return n

@@ -59,8 +59,8 @@ func TestServerServesOracleResults(t *testing.T) {
 	if snap.Hits+snap.Misses+snap.Coalesced != snap.Queries {
 		t.Fatalf("counter accounting broken: %+v", snap)
 	}
-	if snap.Latency.Count != snap.Queries {
-		t.Fatalf("latency observations %d != queries %d", snap.Latency.Count, snap.Queries)
+	if want := (snap.Queries + latencySample - 1) / latencySample; snap.Latency.Count != want {
+		t.Fatalf("latency observations %d, want %d: one query in %d of %d", snap.Latency.Count, want, latencySample, snap.Queries)
 	}
 }
 
@@ -361,7 +361,7 @@ func TestConfigNormalize(t *testing.T) {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 	srv := New(synthesis.NewOnDemand(ad.NewGraph(), policy.NewDB()), Config{Capacity: -1})
-	if srv.shards[0].lru.Cap() != 0 {
+	if srv.shards[0].capacity != 0 {
 		t.Fatal("negative capacity should mean unbounded shards")
 	}
 }
