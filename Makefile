@@ -28,8 +28,9 @@ fmt:
 # The routeserver, daemon, HA, pgstate, and plan packages run twice under the
 # detector: routeserver's parallel miss path overlaps slow searches with
 # scoped and full mutations (the reader/writer strategy lock is exactly the
-# kind of claim the detector can refute, and the shard table's lock-free
-# lookup another); HA exercises real sockets,
+# kind of claim the detector can refute, the shard table's lock-free lookup
+# another, and a miss claiming its key against a writer a third); HA
+# exercises real sockets,
 # elections, and concurrent sync streams; pgstate's shard stress drives one
 # table from many goroutines; plan snapshots a server that concurrent
 # queries are hammering; a daemon session's reader and writer goroutines
@@ -38,7 +39,7 @@ fmt:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/routeserver/daemon/
-	$(GO) test -race -count=2 -run 'TestMiss|TestParallel|TestQueryLogConcurrent|TestServerConcurrent|TestScopedChurn|TestLockFree' ./internal/routeserver/
+	$(GO) test -race -count=2 -run 'TestMiss|TestParallel|TestQueryLogConcurrent|TestServerConcurrent|TestScopedChurn|TestLockFree|TestMutationStraddling|TestCoalesce|TestLateMiss' ./internal/routeserver/
 	$(GO) test -race -count=2 ./internal/routeserver/ha/
 	$(GO) test -race -count=2 -run 'TestConcurrent' ./internal/pgstate/
 	$(GO) test -race -count=2 ./internal/routeserver/plan/
@@ -52,10 +53,13 @@ allocs:
 # One synthesis per key per epoch is what makes the E20-E25 counters and the
 # parallel runner's output independent of scheduling; the window that broke
 # it only opens on real cores, so these run at several GOMAXPROCS, repeated.
+# TestMutationStraddlingMissSynthesizesOnce pins the case a mutation used to
+# reopen: a miss that claimed its key before the mutation and searches after
+# it is joined, not duplicated, by a query issued once the mutation returned.
 # The lock-free lookup's contract — a reader sees only what was published,
 # and nothing whose eviction had returned — is a claim about real cores too.
 determinism:
-	$(GO) test -cpu 1,2,4 -count 3 -run 'TestServerDeterministicAtAnyParallelism|TestLateMissServedFromCache|TestLockFreeReadersVersusWriter' ./internal/routeserver/
+	$(GO) test -cpu 1,2,4 -count 3 -run 'TestServerDeterministicAtAnyParallelism|TestLateMissServedFromCache|TestMutationStraddlingMissSynthesizesOnce|TestLockFreeReadersVersusWriter' ./internal/routeserver/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestRunAllParallelDeterminism|TestE20RouteServer' ./internal/experiments/
 
 # The committed report must come out byte for byte, serially and from the

@@ -306,14 +306,8 @@ func (g *Graph) LinkBetween(a, b ID) (Link, bool) {
 
 // Neighbors returns the IDs adjacent to id in ascending order. The returned
 // slice is the graph's cached adjacency index: callers must not modify it.
-// Use NeighborsCopy for a private slice.
 func (g *Graph) Neighbors(id ID) []ID {
 	return g.sortedAdj[id]
-}
-
-// NeighborsCopy returns a freshly allocated copy of Neighbors(id).
-func (g *Graph) NeighborsCopy(id ID) []ID {
-	return append([]ID(nil), g.sortedAdj[id]...)
 }
 
 // Incident returns the links incident to id, sorted by far endpoint. Like

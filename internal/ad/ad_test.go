@@ -144,18 +144,6 @@ func TestNeighborsCacheTracksMutations(t *testing.T) {
 	}
 }
 
-func TestNeighborsCopyIsPrivate(t *testing.T) {
-	g, a, b, c := buildTriangle(t)
-	cp := g.NeighborsCopy(a)
-	if len(cp) != 2 {
-		t.Fatalf("NeighborsCopy = %v", cp)
-	}
-	cp[0] = 999
-	if n := g.Neighbors(a); n[0] != b || n[1] != c {
-		t.Errorf("mutating NeighborsCopy corrupted the cache: %v", n)
-	}
-}
-
 func TestCloneCopiesNeighborCache(t *testing.T) {
 	g, a, b, _ := buildTriangle(t)
 	clone := g.Clone()

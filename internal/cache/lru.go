@@ -16,7 +16,7 @@ type LRU[K comparable, V any] struct {
 	tail     *entry[K, V] // least recently used
 
 	// OnEvict, if non-nil, is invoked with each entry dropped for
-	// capacity (not for Delete or Purge), before Put returns.
+	// capacity (not for Delete), before Put returns.
 	OnEvict func(K, V)
 }
 
@@ -123,12 +123,6 @@ func (l *LRU[K, V]) Delete(k K) bool {
 	return true
 }
 
-// Purge drops every entry.
-func (l *LRU[K, V]) Purge() {
-	l.entries = make(map[K]*entry[K, V])
-	l.head, l.tail = nil, nil
-}
-
 // Keys returns the live keys in recency order, most recently used first.
 // The order is deterministic: it reflects only the sequence of Put/Get
 // calls, never map iteration.
@@ -140,19 +134,5 @@ func (l *LRU[K, V]) Keys() []K {
 	return out
 }
 
-// Range calls fn for each live entry in recency order (most recently used
-// first) without touching recency, stopping early if fn returns false. fn
-// must not mutate the LRU.
-func (l *LRU[K, V]) Range(fn func(K, V) bool) {
-	for e := l.head; e != nil; e = e.next {
-		if !fn(e.key, e.val) {
-			return
-		}
-	}
-}
-
 // Len returns the number of live entries.
 func (l *LRU[K, V]) Len() int { return len(l.entries) }
-
-// Cap returns the configured capacity (<= 0 = unbounded).
-func (l *LRU[K, V]) Cap() int { return l.capacity }

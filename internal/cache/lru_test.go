@@ -68,7 +68,7 @@ func TestLRUPeekDoesNotPromote(t *testing.T) {
 	}
 }
 
-func TestLRUDeleteAndPurge(t *testing.T) {
+func TestLRUDelete(t *testing.T) {
 	l := NewLRU[int, int](4)
 	for i := 0; i < 4; i++ {
 		l.Put(i, i)
@@ -85,14 +85,6 @@ func TestLRUDeleteAndPurge(t *testing.T) {
 	}
 	if !l.Put(10, 10) {
 		t.Fatal("Put over capacity did not evict")
-	}
-	l.Purge()
-	if l.Len() != 0 {
-		t.Fatalf("Len after Purge = %d", l.Len())
-	}
-	l.Put(1, 1)
-	if v, ok := l.Get(1); !ok || v != 1 {
-		t.Fatal("LRU unusable after Purge")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // E20RouteServer measures the route-server serving layer (§5.4/§5.4.1):
-// a concurrent query engine — sharded route cache, singleflight coalescing,
+// a concurrent query engine — sharded route cache, request coalescing,
 // full invalidation — wrapped around each synthesis strategy, serving
 // skewed workloads with and without mid-serve churn (a link failure plus a
 // policy change, each of which invalidates every cached route).

@@ -17,7 +17,7 @@ import (
 // stubStrategy answers every request with the two-hop path src → dst at no
 // cost, and a footprint the size a real route's is on the benchmark's
 // internet (four links, four terms, drawn from ~150 links and ~40 terms):
-// what is left of a miss is the server's own bookkeeping — singleflight,
+// what is left of a miss is the server's own bookkeeping — the claim,
 // insert, index, evict.
 type stubStrategy struct{}
 

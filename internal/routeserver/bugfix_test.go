@@ -13,7 +13,7 @@ import (
 )
 
 // panicOnceStrategy panics on the first Route call after arming, after
-// letting concurrent waiters pile onto the same singleflight call.
+// letting concurrent waiters pile onto the same pending call.
 type panicOnceStrategy struct {
 	synthesis.Strategy
 	armed   atomic.Bool
@@ -30,10 +30,10 @@ func (s *panicOnceStrategy) Route(req policy.Request) (ad.Path, bool) {
 	return s.Strategy.Route(req)
 }
 
-// TestCoalescePanicSafety pins the panic contract of the singleflight
-// path: a panicking synthesis must re-panic on the leader, release every
+// TestCoalescePanicSafety pins the panic contract of the miss path: a
+// panicking synthesis must re-panic on the leader, release every
 // coalesced waiter (with the zero "no legal route" Result) rather than
-// hanging them forever, deregister the in-flight call, and leave the
+// hanging them forever, withdraw the leader's claim, and leave the
 // strategy lock released so the server keeps serving.
 func TestCoalescePanicSafety(t *testing.T) {
 	g := ad.NewGraph()
@@ -73,7 +73,7 @@ func TestCoalescePanicSafety(t *testing.T) {
 			results[i] = srv.Query(req)
 		}()
 	}
-	// Give the waiters time to register on the singleflight call before
+	// Give the waiters time to join the leader's pending call before
 	// the leader blows up; joining late (as fresh leaders) would dodge the
 	// regression this test exists for.
 	time.Sleep(20 * time.Millisecond)
@@ -98,12 +98,16 @@ func TestCoalescePanicSafety(t *testing.T) {
 		}
 	}
 
-	// The in-flight call must not leak.
-	srv.sfMu.Lock()
-	leaked := len(srv.sfCalls)
-	srv.sfMu.Unlock()
+	// The claim must not leak.
+	leaked := 0
+	for i := range srv.shards {
+		sh := &srv.shards[i]
+		sh.mu.Lock()
+		leaked += len(sh.pending)
+		sh.mu.Unlock()
+	}
 	if leaked != 0 {
-		t.Fatalf("%d singleflight calls leaked", leaked)
+		t.Fatalf("%d claims leaked", leaked)
 	}
 
 	// The strategy lock must be free again: queries and mutations proceed.

@@ -66,7 +66,7 @@ func TestMissOverlapBarrier(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Distinct hours make distinct serving keys, so singleflight
+			// Distinct hours make distinct serving keys, so the shard
 			// cannot coalesce these into one computation.
 			results[i] = srv.Query(policy.Request{Src: src, Dst: dst, Hour: uint8(i)})
 		}()

@@ -116,19 +116,19 @@ type Report struct {
 // data plane is attached), and the world w the strategy synthesizes over,
 // which Compute never mutates. The caller must hold whatever lock
 // serializes control mutations (Backend.Plan holds the backend lock), so w
-// is stable for the duration.
+// is stable for the duration: it is the pre-change state, read in place.
 func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.World, steps []wire.PlanStep, cfg Config) (*Report, error) {
 	if len(steps) == 0 {
 		return nil, fmt.Errorf("empty plan")
 	}
 
-	// Phase 1: consistent snapshot under the strategy lock. prepare clones
-	// the pre-change world, applies the batch to a second clone to derive
-	// each step's Change, and CollectAffected resolves the victims.
-	var before, after *synthesis.World
+	// Phase 1: consistent snapshot under the strategy lock. prepare applies
+	// the batch to a clone of the world to derive each step's Change, and
+	// CollectAffected resolves the victims.
+	var after *synthesis.World
 	changes := make([]synthesis.Change, len(steps))
 	prepare := func() ([]synthesis.Change, error) {
-		before, after = w.Clone(), w.Clone()
+		after = w.Clone()
 		for i, st := range steps {
 			ch, err := after.Apply(st)
 			if err == nil && ch.Kind == synthesis.ChangeFull {
@@ -214,12 +214,12 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.Wo
 		rep.Truncated = true
 	}
 
-	// Phase 2: shadow re-synthesis against the clones, outside all server
-	// locks. Each clone is compiled once; a snapshot is immutable, so the
-	// pair is safe for the whole pool, and results land by index, so the
+	// Phase 2: shadow re-synthesis against the world and its clone, outside
+	// all server locks. Each is compiled once; a snapshot is immutable, so
+	// the pair is safe for the whole pool, and results land by index, so the
 	// fold below is deterministic at any parallelism.
 	focus := focusAD(steps)
-	snapWas, snapNow := synthesis.Compile(before.G, before.DB), synthesis.Compile(after.G, after.DB)
+	snapWas, snapNow := synthesis.Compile(w.G, w.DB), synthesis.Compile(after.G, after.DB)
 	was := make([]synthesis.Result, len(rep.Population))
 	now := make([]synthesis.Result, len(rep.Population))
 	tasks := make([]func(), len(rep.Population))
@@ -233,7 +233,7 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.Wo
 	parallel.Do(parallel.Normalize(cfg.Workers), tasks)
 	rep.Impact = policytool.Impact{
 		AD:          focus,
-		TermsBefore: len(before.DB.Terms(focus)),
+		TermsBefore: len(w.DB.Terms(focus)),
 		TermsAfter:  len(after.DB.Terms(focus)),
 	}
 	for i, req := range rep.Population {

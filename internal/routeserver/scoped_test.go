@@ -162,8 +162,8 @@ func (s slowStrategy) Route(req policy.Request) (ad.Path, bool) {
 // TestScopedChurnStress is the race-detector workout for the scoped path:
 // concurrent clients query while a churn goroutine interleaves scoped link
 // failures/restorations, scoped policy changes, and full bumps. The slow
-// strategy keeps misses in flight across mutations, exercising the
-// epoch-keyed coalescing and the insert-under-mutation path.
+// strategy keeps misses in flight across mutations, exercising claims
+// pending across a mutation and the insert-under-mutation path.
 func TestScopedChurnStress(t *testing.T) {
 	g, db, workload := testbed(23, 300)
 	target := ad.ID(0)

@@ -11,8 +11,8 @@
 //     negative-entry set) fed by each route's synthesis.Footprint, so
 //     MutateScoped evicts only the entries a change can affect while the
 //     rest of the cache keeps serving with zero recomputation,
-//   - singleflight request coalescing, so concurrent misses for the same
-//     key trigger exactly one synthesis,
+//   - request coalescing in the same table: a key is resident, pending or
+//     absent in its shard, so concurrent misses for one key run one synthesis,
 //   - a reader/writer strategy lock: misses for distinct keys synthesize
 //     concurrently on the strategy's read plane (Route/Footprint are
 //     concurrent-safe; see synthesis.Strategy), while mutations and
@@ -28,9 +28,9 @@
 // current. Every mutation runs under the write side of the strategy lock,
 // which drains every in-flight synthesis first: a full invalidation then
 // purges every shard, a scoped mutation evicts every dependent entry, both
-// before any post-change synthesis can run, and both bump a coalescing
-// epoch so queries issued after the mutation never join a pre-mutation
-// in-flight computation. Entries retained across a scoped mutation are
+// before any post-change synthesis can run; a computation still pending when
+// the mutation returns has not searched yet, so a query that joins it gets a
+// post-change answer. Entries retained across a scoped mutation are
 // legal under the post-change state by construction (the change provably
 // cannot affect them), though a broadening change may have created a
 // cheaper route; callers that need optimality back use the full Invalidate.
@@ -127,26 +127,11 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// call is one in-flight singleflight computation.
-type call struct {
-	wg  sync.WaitGroup
-	res Result
-}
-
-// sfKey scopes coalescing to a mutation epoch: a miss issued after any
-// invalidation — full or scoped — never joins a computation started
-// before it, which is what keeps a post-mutation query from adopting a
-// pre-mutation in-flight result for a dependent key.
-type sfKey struct {
-	epoch uint64
-	key   Key
-}
-
 // Metrics is the server's atomic instrumentation. Read it via Snapshot.
 type Metrics struct {
 	queries         atomic.Uint64
 	hits            atomic.Uint64
-	misses          atomic.Uint64 // singleflight leaders = synthesis computations
+	misses          atomic.Uint64 // leaders = synthesis computations
 	coalesced       atomic.Uint64 // waiters served by another query's computation
 	failures        atomic.Uint64
 	evictions       atomic.Uint64
@@ -165,7 +150,7 @@ type MetricsSnapshot struct {
 	Queries uint64
 	// Hits were served from the sharded cache.
 	Hits uint64
-	// Misses ran a synthesis computation (the singleflight leaders).
+	// Misses ran a synthesis computation (the leaders).
 	Misses uint64
 	// Coalesced joined another query's in-flight computation.
 	Coalesced uint64
@@ -206,20 +191,17 @@ func (s MetricsSnapshot) HitRate() float64 {
 // queries.
 type Server struct {
 	cfg     Config
-	epoch   atomic.Uint64 // coalescing scope; bumped by full AND scoped mutations
+	epoch   atomic.Uint64 // bumped by full AND scoped mutations; see Epoch
 	shards  []shard
 	mask    uint32
 	met     Metrics
 	workers chan struct{}
-	sfMu    sync.Mutex
-	sfCalls map[sfKey]*call
 	// stratMu splits the strategy into a concurrent-read plane and an
 	// exclusive-write plane: misses hold the read side while they search
 	// (synthesis.Strategy's Route/Footprint/Stats are concurrent-safe),
-	// mutations and rebuilds hold the write side. The epoch advances and
-	// the cache is purged only under the write side, so a read-side holder
-	// sees the epoch frozen and inserts into a cache no full invalidation
-	// can cross for the duration of its hold.
+	// mutations and rebuilds hold the write side. The cache is purged only
+	// under the write side, so a read-side holder inserts into a cache no
+	// invalidation can cross for the duration of its hold.
 	stratMu sync.RWMutex
 	// seqMu sequences cache inserts and the OnInsert hook among concurrent
 	// read-side holders, so HA replication observes puts in one total
@@ -231,7 +213,7 @@ type Server struct {
 	onInsert func(Key, Result, synthesis.Footprint)
 	qlog     queryLog
 	// afterLookupMiss, when set (by tests, before serving), runs in Query
-	// between the cache lookup that missed and coalesce: it lets a test
+	// between the cache lookup that missed and the claim: it lets a test
 	// park a query in exactly that window.
 	afterLookupMiss func()
 }
@@ -321,7 +303,6 @@ func New(strategy synthesis.Strategy, cfg Config) *Server {
 		shards:   make([]shard, cfg.Shards),
 		mask:     uint32(cfg.Shards - 1),
 		workers:  make(chan struct{}, cfg.Workers),
-		sfCalls:  make(map[sfKey]*call),
 		strategy: strategy,
 	}
 	perShard := 0 // unbounded
@@ -330,6 +311,7 @@ func New(strategy synthesis.Strategy, cfg Config) *Server {
 	}
 	for i := range s.shards {
 		s.shards[i].capacity = perShard
+		s.shards[i].pending = make(map[Key]*call)
 		s.shards[i].purge()
 	}
 	if cfg.QueryLog > 0 {
@@ -353,26 +335,19 @@ func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 // replays them as the recorded workload.
 func (s *Server) RecentQueries() []policy.Request { return s.qlog.recent() }
 
-// lookup serves k from the cache if an entry exists; an entry that is
-// present is current. It takes no lock (see shard.get).
-func (s *Server) lookup(k Key) (Result, bool) {
-	h := hash(k)
-	if e := s.shards[h&s.mask].get(k, h); e != nil {
-		return Result{Path: e.path, Found: e.found}, true
-	}
-	return Result{}, false
-}
-
-// insert stores a computed result and indexes its dependency footprint.
-// Every caller holds at least the read side of stratMu from before the
-// search to after the insert, and the cache is purged only under the write
-// side, so a result computed against one state never lands behind a full
-// invalidation.
-func (s *Server) insert(k Key, res Result, fp synthesis.Footprint) {
+// insert stores a result and indexes its dependency footprint; a leader's
+// insert withdraws its claim on k in the same critical section. Every caller
+// holds at least the read side of stratMu from before the search to after
+// the insert, and the cache is purged only under the write side, so a result
+// computed against one state never lands behind a full invalidation.
+func (s *Server) insert(k Key, res Result, fp synthesis.Footprint, lead bool) {
 	h := hash(k)
 	sh := &s.shards[h&s.mask]
 	sh.mu.Lock()
 	evicted := sh.put(k, h, res, fp)
+	if lead {
+		delete(sh.pending, k)
+	}
 	sh.mu.Unlock()
 	if evicted {
 		s.met.evictions.Add(1)
@@ -396,27 +371,34 @@ func (s *Server) Query(req policy.Request) Result {
 // so sampling adds no shared write.
 const latencySample = 64
 
+// serve answers from the shard that owns the key: a lock-free get, and when
+// that misses a claim, which makes the query a hit after all, a waiter on
+// the key's pending computation, or its leader.
 func (s *Server) serve(req policy.Request) Result {
 	s.qlog.record(req)
 
-	if res, ok := s.lookup(req); ok {
-		s.met.hits.Add(1)
-		if !res.Found {
-			s.met.failures.Add(1)
+	h := hash(req)
+	sh := &s.shards[h&s.mask]
+	e := sh.get(req, h)
+	var c *call
+	var lead bool
+	if e == nil {
+		if s.afterLookupMiss != nil {
+			s.afterLookupMiss()
 		}
-		return res
+		e, c, lead = sh.claim(req, h)
 	}
-
-	if s.afterLookupMiss != nil {
-		s.afterLookupMiss()
-	}
-	res, how := s.coalesce(sfKey{epoch: s.epoch.Load(), key: req})
-	switch how {
-	case served:
+	var res Result
+	switch {
+	case e != nil:
+		res = e.result()
 		s.met.hits.Add(1)
-	case computed:
+	case lead:
+		res = s.lead(sh, req, c)
 		s.met.misses.Add(1)
-	case waited:
+	default:
+		c.wg.Wait()
+		res = c.res
 		s.met.coalesced.Add(1)
 	}
 	if !res.Found {
@@ -425,56 +407,25 @@ func (s *Server) serve(req policy.Request) Result {
 	return res
 }
 
-// outcome says how coalesce obtained its result; Query counts each as one
-// of hit, miss and coalesced.
-type outcome int
-
-const (
-	computed outcome = iota // leader: ran the synthesis
-	waited                  // joined another query's in-flight computation
-	served                  // leader, but the cache had been filled meanwhile
-)
-
-// coalesce runs the synthesis for key at most once among concurrent
-// callers; every caller gets the same result.
-//
-// A caller gets here after a lookup miss, and the leader it would have
-// joined may have inserted and deregistered in between. So a new leader
-// looks the key up again once registered: the previous leader's insert
-// happens before its deregistration under sfMu, which happens before this
-// registration, so that entry — unless a mutation or replacement has dropped
-// it since — is found and served as a hit, with no second synthesis, insert or
-// OnInsert. This is what makes "one synthesis per key per epoch" hold on
-// real cores. Callers that joined this leader meanwhile share the entry.
-//
-// Panic safety: if the computation panics, the leader re-panics after
-// deregistering the call and releasing every coalesced waiter — waiters
-// observe the zero Result ("no legal route") rather than blocking forever
-// on a wg.Done that would never come, and the sfCalls entry never leaks.
-func (s *Server) coalesce(key sfKey) (Result, outcome) {
-	s.sfMu.Lock()
-	if c, ok := s.sfCalls[key]; ok {
-		s.sfMu.Unlock()
-		c.wg.Wait()
-		return c.res, waited
-	}
-	c := &call{}
-	c.wg.Add(1)
-	s.sfCalls[key] = c
-	s.sfMu.Unlock()
-
+// lead computes the key this query claimed and releases the queries waiting
+// on c. If the computation panics, the leader withdraws the claim here
+// unless its insert already had, and re-panics; its waiters observe the zero
+// Result ("no legal route") rather than blocking forever.
+func (s *Server) lead(sh *shard, k Key, c *call) Result {
+	done := false
 	defer func() {
-		s.sfMu.Lock()
-		delete(s.sfCalls, key)
-		s.sfMu.Unlock()
+		if !done {
+			sh.mu.Lock()
+			if sh.pending[k] == c {
+				delete(sh.pending, k)
+			}
+			sh.mu.Unlock()
+		}
 		c.wg.Done()
 	}()
-	if res, ok := s.lookup(key.key); ok {
-		c.res = res
-		return res, served
-	}
-	c.res = s.compute(key.key)
-	return c.res, computed
+	c.res = s.compute(k)
+	done = true
+	return c.res
 }
 
 // compute runs one synthesis on the strategy's read plane, then caches the
@@ -498,7 +449,7 @@ func (s *Server) compute(req policy.Request) Result {
 	res, fp := s.search(req)
 	s.seqMu.Lock()
 	defer s.seqMu.Unlock()
-	s.insert(req, res, fp)
+	s.insert(req, res, fp, true)
 	if s.onInsert != nil {
 		s.onInsert(req, res, fp)
 	}
@@ -558,8 +509,8 @@ func (s *Server) MutateScoped(ch synthesis.Change, fn func()) (evicted, retained
 	if fn != nil {
 		fn()
 	}
+	s.epoch.Add(1)
 	if ch.Kind == synthesis.ChangeFull {
-		s.epoch.Add(1)
 		for i := range s.shards {
 			sh := &s.shards[i]
 			sh.mu.Lock()
@@ -570,10 +521,8 @@ func (s *Server) MutateScoped(ch synthesis.Change, fn func()) (evicted, retained
 		s.met.invalidations.Add(1)
 		return 0, 0
 	}
-	// New queries must not join pre-mutation in-flight computations; those
-	// finish under the read side of stratMu — which acquiring the write
-	// side drained — and are therefore indexed before this point.
-	s.epoch.Add(1)
+	// Every pre-mutation search finished under the read side of stratMu —
+	// which acquiring the write side drained — and is indexed by now.
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -621,7 +570,7 @@ func (s *Server) InstallEntry(k Key, res Result, fp synthesis.Footprint) {
 	defer s.stratMu.RUnlock()
 	s.seqMu.Lock()
 	defer s.seqMu.Unlock()
-	s.insert(k, res, fp)
+	s.insert(k, res, fp, false)
 }
 
 // DumpEntries copies every cache entry under the write side of the

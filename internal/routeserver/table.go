@@ -17,6 +17,14 @@ import (
 // internal/pgstate — an entry sits in one ring slot for its whole life and
 // everything that refers to it does so by slot number.
 //
+// The shard is also the only thing that says where a key is: resident (in
+// the index), pending (in pending: one query, its leader, is computing it
+// and the others wait on its call), or absent. A query that get misses
+// settles which under mu (claim); the leader's insert puts the answer and
+// withdraws the claim in one critical section, so a computed key is never in
+// neither place, and nobody else removes a claim — a mutation drops entries
+// and leaves pending alone.
+//
 // Only get reads without a lock. It loads the published index and probes an
 // open-addressed array of atomic entry pointers; every other field of the
 // shard belongs to writers, who hold mu. An entry is immutable once
@@ -192,11 +200,12 @@ type shard struct {
 	byLink   map[[2]ad.ID]*bucket
 	byTerm   map[policy.Key]*bucket
 	negs     bucket
+	pending  map[Key]*call // keys being computed; purge leaves it alone
 }
 
-// purge empties the shard. Caller holds mu (or owns sh outright). The empty
-// index is published before the old entries are marked dead, so a reader
-// sent back by a dead entry finds the new one.
+// purge drops every resident entry. Caller holds mu (or owns sh outright).
+// The empty index is published before the old entries are marked dead, so a
+// reader sent back by a dead entry finds the new one.
 func (sh *shard) purge() {
 	sh.idx.Store(newIndex(minIndex))
 	sh.each(func(e *entry) { e.dead.Store(true) })
@@ -213,11 +222,44 @@ func (sh *shard) get(k Key, h uint32) *entry {
 		if stale {
 			continue
 		}
-		if e != nil && !e.ref.Load() {
-			e.ref.Store(true)
+		if e != nil {
+			e.touch()
 		}
 		return e
 	}
+}
+
+// touch sets the CLOCK reference bit, writing only when it reads it clear.
+func (e *entry) touch() {
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
+}
+
+// call is one pending computation: the leader sets res, then releases wg.
+type call struct {
+	wg  sync.WaitGroup
+	res Result
+}
+
+// claim settles where k is for a query whose get missed. Resident (a leader
+// finished in between): e, a hit. Pending: c, to wait on. Absent: k becomes
+// pending and the caller leads — it must compute k and insert it, or
+// withdraw the claim itself if the computation panics.
+func (sh *shard) claim(k Key, h uint32) (e *entry, c *call, lead bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, e := sh.idx.Load().locate(k, h); e != nil {
+		e.touch()
+		return e, nil, false
+	}
+	if c := sh.pending[k]; c != nil {
+		return nil, c, false
+	}
+	c = &call{}
+	c.wg.Add(1)
+	sh.pending[k] = c
+	return nil, c, true
 }
 
 // find is the lock-free probe. stale reports that it met k's entry marked
@@ -423,6 +465,6 @@ func (sh *shard) each(fn func(*entry)) {
 	}
 }
 
-func (e *entry) export() CacheEntry {
-	return CacheEntry{Key: e.key, Res: Result{Path: e.path, Found: e.found}, Fp: e.fp}
-}
+func (e *entry) result() Result { return Result{Path: e.path, Found: e.found} }
+
+func (e *entry) export() CacheEntry { return CacheEntry{Key: e.key, Res: e.result(), Fp: e.fp} }

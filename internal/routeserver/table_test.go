@@ -153,8 +153,10 @@ func keysOf(es []*entry) []Key {
 // checkShard verifies the table's own invariants: the index holds exactly
 // the ring's entries and keeps its load bound, every resident entry is
 // reachable from each bucket its footprint names, bucket counts are exact,
-// and no bucket is more than half dead. It returns Σ len(refs), Σ live and
-// the bucket count. Caller holds mu or owns sh.
+// no bucket is more than half dead, and no key is both resident and pending.
+// Every caller's server is quiescent, so pending must be empty altogether.
+// It returns Σ len(refs), Σ live and the bucket count. Caller holds mu or
+// owns sh.
 func checkShard(t *testing.T, sh *shard) (refs, live, buckets int) {
 	t.Helper()
 	ix := sh.idx.Load()
@@ -178,6 +180,9 @@ func checkShard(t *testing.T, sh *shard) (refs, live, buckets int) {
 	resident := 0
 	sh.each(func(e *entry) {
 		resident++
+		if sh.pending[e.key] != nil {
+			t.Fatalf("%+v is both resident and pending", e.key)
+		}
 		if _, got := ix.locate(e.key, hash(e.key)); got != e {
 			t.Fatalf("resident %+v is not reachable through the index", e.key)
 		}
@@ -198,6 +203,9 @@ func checkShard(t *testing.T, sh *shard) (refs, live, buckets int) {
 			}
 		}
 	})
+	if len(sh.pending) != 0 {
+		t.Fatalf("%d claims pending on a quiescent shard", len(sh.pending))
+	}
 	if resident != sh.live || len(sh.free)+resident > len(sh.ring) {
 		t.Fatalf("ring: %d resident (live %d), %d free of %d slots", resident, sh.live, len(sh.free), len(sh.ring))
 	}
@@ -426,10 +434,11 @@ func TestLockFreeReadersVersusWriter(t *testing.T) {
 				i := rng.Intn(keys)
 				k := keyAt(i)
 				floor := evicted[i].Load()
-				res, ok := srv.lookup(k)
-				if !ok {
+				e := srv.shards[hash(k)&srv.mask].get(k, hash(k))
+				if e == nil {
 					continue
 				}
+				res := e.result()
 				if !res.Found || len(res.Path) != 3 || res.Path[0] != k.Src || res.Path[2] != k.Dst {
 					t.Errorf("lookup(%+v) = %+v: not an answer published for this key", k, res)
 					return
