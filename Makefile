@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet race allocs determinism golden load-smoke loc bench bench-kernel bench-cache bench-smoke results
+.PHONY: all build test check fmt vet race allocs determinism golden load-smoke loc bench bench-kernel bench-cache bench-sim bench-smoke results
 
 all: build
 
@@ -44,11 +44,11 @@ race:
 	$(GO) test -race -count=2 -run 'TestConcurrent' ./internal/pgstate/
 	$(GO) test -race -count=2 ./internal/routeserver/plan/
 
-# The testing.AllocsPerRun pins on the session fast path and the search
-# kernel skip themselves under -race (its instrumentation allocates), so
-# they get a pass without.
+# The testing.AllocsPerRun pins on the session fast path, the search kernel
+# and policy.ADSet skip themselves under -race (its instrumentation
+# allocates), so they get a pass without.
 allocs:
-	$(GO) test -run 'Allocs' ./internal/wire/ ./internal/routeserver/daemon/ ./internal/synthesis/
+	$(GO) test -run 'Allocs' ./internal/wire/ ./internal/routeserver/daemon/ ./internal/synthesis/ ./internal/policy/
 
 # One synthesis per key per epoch is what makes the E20-E25 counters and the
 # parallel runner's output independent of scheduling; the window that broke
@@ -138,6 +138,15 @@ bench-kernel:
 # eviction with the search taken out.
 bench-cache:
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryHit$$|BenchmarkQueryHitParallel$$|BenchmarkMissInsertEvict$$' -benchmem -count 5 ./internal/routeserver/
+
+# bench-sim is the discrete-event protocol layer repro_suite times, five
+# samples each: E10's 320-constraint row, 200 negotiations over 60 ADs
+# (rounds/op is that row's total and must not move), and one IDRP cold start
+# to quiescence on E9's largest internet (messages/op and wire-bytes/op are
+# E9's idrp row and must not move either).
+bench-sim:
+	$(GO) test -run '^$$' -bench 'BenchmarkNegotiate$$' -benchmem -count 5 ./internal/ordering/
+	$(GO) test -run '^$$' -bench 'BenchmarkIDRPConverge$$' -benchmem -count 5 ./internal/protocols/idrp/
 
 # bench-smoke runs every benchmark exactly once — CI uses it to catch
 # benchmarks that no longer compile or that crash, without paying for

@@ -14,6 +14,7 @@ package ordering
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ad"
@@ -184,58 +185,116 @@ func FromConstraints(universe []ad.ID, cons []Constraint) (Ordering, bool) {
 	return o, true
 }
 
-// findCycle returns one directed cycle in the constraint graph as a list of
-// constraint indices, or nil if acyclic.
-func findCycle(cons []Constraint) []int {
-	// adjacency with constraint indices
-	adj := make(map[ad.ID][]int)
+// cycleFinder is the constraint digraph Above -> Below over dense node
+// numbers, built once per negotiation. Node i is the i-th smallest AD ID
+// named by any constraint; out[off[u]:off[u+1]] are u's constraint indices
+// in constraint order. Dropping a constraint clears its live bit, so each
+// round searches the same arrays.
+type cycleFinder struct {
+	head   []int32 // dense Above of each constraint
+	tail   []int32 // dense Below of each constraint
+	off    []int32
+	out    []int32
+	live   []bool
+	color  []uint8 // white, gray or black, per node
+	parent []int32 // constraint by which the DFS entered each node
+	stack  []int32 // DFS path: node u at depth d resumes at out[pos[d]]
+	pos    []int32
+}
+
+const (
+	white uint8 = iota
+	gray
+	black
+)
+
+func newCycleFinder(cons []Constraint) *cycleFinder {
+	// Sort the endpoints as (AD ID, 2i for Above or 2i+1 for Below) so one
+	// walk numbers the ADs in ascending ID.
+	ends := make([]uint64, 0, 2*len(cons))
 	for i, c := range cons {
-		adj[c.Above] = append(adj[c.Above], i)
+		ends = append(ends, uint64(c.Above)<<32|uint64(2*i), uint64(c.Below)<<32|uint64(2*i+1))
 	}
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[ad.ID]int)
-	parentEdge := make(map[ad.ID]int)
-	var cycle []int
-	var dfs func(u ad.ID) bool
-	dfs = func(u ad.ID) bool {
-		color[u] = gray
-		for _, ei := range adj[u] {
-			v := cons[ei].Below
-			switch color[v] {
+	slices.Sort(ends)
+	f := &cycleFinder{
+		head: make([]int32, len(cons)),
+		tail: make([]int32, len(cons)),
+		out:  make([]int32, len(cons)),
+		live: make([]bool, len(cons)),
+	}
+	n := int32(0) // ADs numbered so far
+	for j, e := range ends {
+		if j == 0 || e>>32 != ends[j-1]>>32 {
+			n++
+		}
+		if i := uint32(e) / 2; e&1 == 0 {
+			f.head[i] = n - 1
+		} else {
+			f.tail[i] = n - 1
+		}
+	}
+	f.off = make([]int32, n+1)
+	f.color = make([]uint8, n)
+	f.parent = make([]int32, n)
+	for i, u := range f.head {
+		f.off[u+1]++
+		f.live[i] = true
+	}
+	for u := int32(0); u < n; u++ {
+		f.off[u+1] += f.off[u]
+	}
+	next := slices.Clone(f.off[:n])
+	for i, u := range f.head {
+		f.out[next[u]] = int32(i)
+		next[u]++
+	}
+	return f
+}
+
+// find returns the highest constraint index on one directed cycle among the
+// live constraints, or -1 if they are acyclic. DFS roots are tried in
+// ascending AD ID and edges in constraint order. A root with no live
+// out-edge turns black at once and finds nothing, so trying it changes no
+// later visit.
+func (f *cycleFinder) find() int {
+	clear(f.color)
+	for root := range f.color {
+		if f.color[root] != white {
+			continue
+		}
+		f.color[root] = gray
+		f.stack = append(f.stack[:0], int32(root))
+		f.pos = append(f.pos[:0], f.off[root])
+		for len(f.stack) > 0 {
+			d := len(f.stack) - 1
+			u := f.stack[d]
+			if f.pos[d] == f.off[u+1] {
+				f.color[u] = black
+				f.stack, f.pos = f.stack[:d], f.pos[:d]
+				continue
+			}
+			ei := f.out[f.pos[d]]
+			f.pos[d]++
+			if !f.live[ei] {
+				continue
+			}
+			switch v := f.tail[ei]; f.color[v] {
 			case white:
-				parentEdge[v] = ei
-				if dfs(v) {
-					return true
-				}
+				f.color[v] = gray
+				f.parent[v] = ei
+				f.stack = append(f.stack, v)
+				f.pos = append(f.pos, f.off[v])
 			case gray:
 				// Found a cycle: walk back from u to v.
-				cycle = append(cycle, ei)
-				for x := u; x != v; {
-					pe := parentEdge[x]
-					cycle = append(cycle, pe)
-					x = cons[pe].Above
+				top := ei
+				for x := u; x != v; x = f.head[f.parent[x]] {
+					top = max(top, f.parent[x])
 				}
-				return true
+				return int(top)
 			}
 		}
-		color[u] = black
-		return false
 	}
-	var nodes []ad.ID
-	for id := range adj {
-		nodes = append(nodes, id)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	for _, u := range nodes {
-		if color[u] == white && dfs(u) {
-			return cycle
-		}
-	}
-	return nil
+	return -1
 }
 
 // Negotiate simulates the central authority's conflict-resolution process:
@@ -244,26 +303,23 @@ func findCycle(cons []Constraint) []int {
 // loses). It returns the satisfiable subset and the number of negotiation
 // rounds (dropped constraints).
 func Negotiate(cons []Constraint) (kept []Constraint, rounds int) {
-	kept = append([]Constraint(nil), cons...)
-	for {
-		cycle := findCycle(kept)
-		if cycle == nil {
-			return kept, rounds
-		}
-		drop := cycle[0]
-		for _, i := range cycle {
-			if i > drop {
-				drop = i
-			}
-		}
-		kept = append(kept[:drop], kept[drop+1:]...)
+	f := newCycleFinder(cons)
+	for drop := f.find(); drop >= 0; drop = f.find() {
+		f.live[drop] = false
 		rounds++
 	}
+	kept = make([]Constraint, 0, len(cons)-rounds)
+	for i, c := range cons {
+		if f.live[i] {
+			kept = append(kept, c)
+		}
+	}
+	return kept, rounds
 }
 
 // Satisfiable reports whether the constraint set admits a single partial
-// ordering.
+// ordering: whether it has no cycle, a self-constraint counting as one.
+// FromConstraints builds that ordering.
 func Satisfiable(cons []Constraint) bool {
-	_, ok := FromConstraints(nil, cons)
-	return ok
+	return newCycleFinder(cons).find() < 0
 }

@@ -1,7 +1,10 @@
 package ordering
 
 import (
+	"flag"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/ad"
@@ -232,4 +235,191 @@ func TestUpDownLoopsAreMountains(t *testing.T) {
 	if loops == 0 {
 		t.Skip("random walks found no loops; topology too sparse for this seed")
 	}
+}
+
+var negSeed = flag.Int64("negseed", -1, "replay one TestNegotiateDifferential seed (-1 = all)")
+
+// refFindCycle is the map-based cycle search Negotiate ran before it kept one
+// dense cycle finder per call, retained as the reference: adjacency, colour
+// and parent maps rebuilt from the constraint list on every call, roots in
+// ascending AD ID among the ADs that head a constraint.
+func refFindCycle(cons []Constraint) []int {
+	adj := make(map[ad.ID][]int)
+	for i, c := range cons {
+		adj[c.Above] = append(adj[c.Above], i)
+	}
+	color := make(map[ad.ID]int)
+	parentEdge := make(map[ad.ID]int)
+	var cycle []int
+	var dfs func(u ad.ID) bool
+	dfs = func(u ad.ID) bool {
+		color[u] = 1
+		for _, ei := range adj[u] {
+			v := cons[ei].Below
+			switch color[v] {
+			case 0:
+				parentEdge[v] = ei
+				if dfs(v) {
+					return true
+				}
+			case 1:
+				cycle = append(cycle, ei)
+				for x := u; x != v; {
+					pe := parentEdge[x]
+					cycle = append(cycle, pe)
+					x = cons[pe].Above
+				}
+				return true
+			}
+		}
+		color[u] = 2
+		return false
+	}
+	var nodes []ad.ID
+	for id := range adj {
+		nodes = append(nodes, id)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	for _, u := range nodes {
+		if color[u] == 0 && dfs(u) {
+			return cycle
+		}
+	}
+	return nil
+}
+
+// refNegotiate drops the highest-index constraint of refFindCycle's cycle
+// from a re-sliced copy of the list until none is left.
+func refNegotiate(cons []Constraint) (kept []Constraint, rounds int) {
+	kept = append([]Constraint(nil), cons...)
+	for {
+		cycle := refFindCycle(kept)
+		if cycle == nil {
+			return kept, rounds
+		}
+		drop := slices.Max(cycle)
+		kept = append(kept[:drop], kept[drop+1:]...)
+		rounds++
+	}
+}
+
+// e10Constraints draws k constraints uniformly over ordered pairs of
+// distinct ADs 1..numADs, as E10 does.
+func e10Constraints(rng *rand.Rand, numADs, k int) []Constraint {
+	cons := make([]Constraint, 0, k)
+	for len(cons) < k {
+		a, b := ad.ID(1+rng.Intn(numADs)), ad.ID(1+rng.Intn(numADs))
+		if a != b {
+			cons = append(cons, Constraint{Above: a, Below: b})
+		}
+	}
+	return cons
+}
+
+// negInput is one seeded input of the differential test: an E10 row's shape
+// (10 to 320 constraints over 60 ADs), then, by seed, repeated constraints,
+// self-constraints, IDs far apart, or the empty list.
+func negInput(seed int64) []Constraint {
+	rng := rand.New(rand.NewSource(seed))
+	cons := e10Constraints(rng, 60, 10<<rng.Intn(6))
+	switch seed % 5 {
+	case 1: // repeats
+		for i := rng.Intn(len(cons)); i > 0; i-- {
+			at := rng.Intn(len(cons) + 1)
+			cons = slices.Insert(cons, at, cons[rng.Intn(len(cons))])
+		}
+	case 2: // self-constraints
+		for i := 1 + rng.Intn(4); i > 0; i-- {
+			id := ad.ID(1 + rng.Intn(60))
+			cons = slices.Insert(cons, rng.Intn(len(cons)+1), Constraint{Above: id, Below: id})
+		}
+	case 3: // far-apart IDs
+		far := []ad.ID{7, 1_000_000, 1 << 31}
+		for i := range cons {
+			if rng.Intn(2) == 0 {
+				cons[i].Above = far[rng.Intn(len(far))]
+			}
+			if rng.Intn(2) == 0 {
+				cons[i].Below = far[rng.Intn(len(far))]
+			}
+		}
+	case 4:
+		if rng.Intn(4) == 0 {
+			cons = nil
+		}
+	}
+	return cons
+}
+
+// TestNegotiateDifferential runs Negotiate and the map-based reference on
+// the same seeded inputs: the kept constraints (content and order) and the
+// round count must agree, and the input is satisfiable — by Satisfiable and
+// by FromConstraints alike — exactly when no round was needed. Replay one input with -run TestNegotiateDifferential -negseed N.
+func TestNegotiateDifferential(t *testing.T) {
+	seeds := make([]int64, 400)
+	for i := range seeds {
+		seeds[i] = int64(i)*37 + 3
+	}
+	if *negSeed >= 0 {
+		seeds = []int64{*negSeed}
+	}
+	dropped := 0
+	for _, seed := range seeds {
+		cons := negInput(seed)
+		in := slices.Clone(cons)
+		kept, rounds := Negotiate(cons)
+		wantKept, wantRounds := refNegotiate(cons)
+		if !slices.Equal(cons, in) {
+			t.Fatalf("seed %d: Negotiate modified its input", seed)
+		}
+		if rounds != wantRounds || !slices.Equal(kept, wantKept) {
+			t.Fatalf("seed %d (%d constraints): Negotiate kept %d in %d rounds, reference kept %d in %d rounds\n got  %v\n want %v",
+				seed, len(cons), len(kept), rounds, len(wantKept), wantRounds, kept, wantKept)
+		}
+		_, ordered := FromConstraints(nil, cons)
+		if sat := Satisfiable(cons); sat != (rounds == 0) || ordered != sat {
+			t.Fatalf("seed %d: Satisfiable = %v, FromConstraints ok = %v, after %d rounds", seed, sat, ordered, rounds)
+		}
+		dropped += rounds
+	}
+	if *negSeed < 0 && dropped == 0 {
+		t.Fatal("no input needed negotiation: the generator lost its cycles")
+	}
+}
+
+func TestNegotiateEdgeCases(t *testing.T) {
+	for _, cons := range [][]Constraint{
+		nil,
+		{{Above: 7, Below: 7}},
+		{{Above: 7, Below: 7}, {Above: 7, Below: 7}},
+		{{Above: 1, Below: 2}, {Above: 1, Below: 2}, {Above: 2, Below: 1}},
+		{{Above: 7, Below: 1_000_000}, {Above: 1_000_000, Below: 1 << 31}, {Above: 1 << 31, Below: 7}},
+	} {
+		kept, rounds := Negotiate(cons)
+		wantKept, wantRounds := refNegotiate(cons)
+		if rounds != wantRounds || !slices.Equal(kept, wantKept) {
+			t.Errorf("%v: kept %v in %d rounds, reference %v in %d", cons, kept, rounds, wantKept, wantRounds)
+		}
+	}
+}
+
+// BenchmarkNegotiate is E10's largest row: one op negotiates its 200
+// trials of 320 random constraints over 60 ADs. rounds/op is the row's
+// total of dropped constraints, fixed by the inputs.
+func BenchmarkNegotiate(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	trials := make([][]Constraint, 200)
+	for i := range trials {
+		trials[i] = e10Constraints(rng, 60, 320)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	rounds := 0
+	for i := 0; i < b.N; i++ {
+		for _, cons := range trials {
+			_, r := Negotiate(cons)
+			rounds += r
+		}
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }

@@ -69,25 +69,24 @@ func (s ClassSet) Count() int {
 // wildcard.
 type ADSet struct {
 	all bool
-	ids map[ad.ID]struct{}
-	// list holds the keys of ids, each once, in the order given: whoever
-	// walks a set (Each, Members) reads a slice, not a map iterator.
-	list []ad.ID
+	// ids holds the explicit members, ascending and each once; it is nil
+	// for an empty or universal set, so every empty set is the zero value.
+	// No method writes to it after construction: sets share it freely.
+	ids []ad.ID
 }
 
 // Universal returns the set matching every AD.
 func Universal() ADSet { return ADSet{all: true} }
 
-// SetOf returns a set containing exactly the given ADs.
+// SetOf returns a set containing exactly the given ADs, in any order and
+// with any repeats.
 func SetOf(ids ...ad.ID) ADSet {
-	s := ADSet{ids: make(map[ad.ID]struct{}, len(ids)), list: make([]ad.ID, 0, len(ids))}
-	for _, id := range ids {
-		if _, dup := s.ids[id]; !dup {
-			s.ids[id] = struct{}{}
-			s.list = append(s.list, id)
-		}
+	if len(ids) == 0 {
+		return ADSet{}
 	}
-	return s
+	s := slices.Clone(ids)
+	slices.Sort(s)
+	return ADSet{ids: slices.Compact(s)}
 }
 
 // IsUniversal reports whether the set matches every AD.
@@ -98,7 +97,7 @@ func (s ADSet) Contains(id ad.ID) bool {
 	if s.all {
 		return true
 	}
-	_, ok := s.ids[id]
+	_, ok := slices.BinarySearch(s.ids, id)
 	return ok
 }
 
@@ -107,15 +106,11 @@ func (s ADSet) Contains(id ad.ID) bool {
 func (s ADSet) Size() int { return len(s.ids) }
 
 // Members returns the explicit members in ascending order.
-func (s ADSet) Members() []ad.ID {
-	out := append(make([]ad.ID, 0, len(s.list)), s.list...)
-	slices.Sort(out)
-	return out
-}
+func (s ADSet) Members() []ad.ID { return slices.Clone(s.ids) }
 
-// Each calls fn for every explicit member, in no particular order.
+// Each calls fn for every explicit member, in ascending order.
 func (s ADSet) Each(fn func(ad.ID)) {
-	for _, id := range s.list {
+	for _, id := range s.ids {
 		fn(id)
 	}
 }
@@ -129,12 +124,19 @@ func (s ADSet) Intersect(o ADSet) ADSet {
 		return s
 	}
 	var both []ad.ID
-	for _, id := range s.list {
-		if _, ok := o.ids[id]; ok {
-			both = append(both, id)
+	for i, j := 0, 0; i < len(s.ids) && j < len(o.ids); {
+		switch a, b := s.ids[i], o.ids[j]; {
+		case a < b:
+			i++
+		case a > b:
+			j++
+		default:
+			both = append(both, a)
+			i++
+			j++
 		}
 	}
-	return SetOf(both...)
+	return ADSet{ids: both}
 }
 
 // Union returns the set of ADs in either s or o.
@@ -142,7 +144,30 @@ func (s ADSet) Union(o ADSet) ADSet {
 	if s.all || o.all {
 		return Universal()
 	}
-	return SetOf(append(slices.Clone(s.list), o.list...)...)
+	if len(o.ids) == 0 {
+		return s
+	}
+	if len(s.ids) == 0 {
+		return o
+	}
+	either := make([]ad.ID, 0, len(s.ids)+len(o.ids))
+	i, j := 0, 0
+	for i < len(s.ids) && j < len(o.ids) {
+		switch a, b := s.ids[i], o.ids[j]; {
+		case a < b:
+			either = append(either, a)
+			i++
+		case a > b:
+			either = append(either, b)
+			j++
+		default:
+			either = append(either, a)
+			i++
+			j++
+		}
+	}
+	either = append(either, s.ids[i:]...)
+	return ADSet{ids: append(either, o.ids[j:]...)}
 }
 
 // Empty reports whether the set matches no AD.
@@ -150,21 +175,7 @@ func (s ADSet) Empty() bool { return !s.all && len(s.ids) == 0 }
 
 // Equal reports whether two sets have identical membership.
 func (s ADSet) Equal(o ADSet) bool {
-	if s.all != o.all {
-		return false
-	}
-	if s.all {
-		return true
-	}
-	if len(s.ids) != len(o.ids) {
-		return false
-	}
-	for id := range s.ids {
-		if _, ok := o.ids[id]; !ok {
-			return false
-		}
-	}
-	return true
+	return s.all == o.all && slices.Equal(s.ids, o.ids)
 }
 
 // String renders "*" for the universal set, else the sorted member list.
@@ -173,7 +184,7 @@ func (s ADSet) String() string {
 		return "*"
 	}
 	parts := make([]string, 0, len(s.ids))
-	for _, id := range s.Members() {
+	for _, id := range s.ids {
 		parts = append(parts, id.String())
 	}
 	return "{" + strings.Join(parts, ",") + "}"
@@ -298,7 +309,7 @@ func (t Term) Permits(req Request, prev, next ad.ID) bool {
 }
 
 // permits is Permits without the copy of the term: the bitmask and hour
-// tests run before the four set lookups, which may each probe a map.
+// tests run before the four set lookups, which may each binary-search.
 func (t *Term) permits(req Request, prev, next ad.ID) bool {
 	return t.QOS.Contains(uint8(req.QOS)) &&
 		t.UCI.Contains(uint8(req.UCI)) &&

@@ -18,8 +18,10 @@
 package idrp
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/ad"
 	"repro/internal/core"
@@ -77,10 +79,10 @@ type route struct {
 	from    ad.ID
 }
 
-// attrSig canonicalizes a route's policy attributes for distinctness checks
-// in multi-route mode.
-func (r route) attrSig() string {
-	return fmt.Sprintf("%s/%08x", r.sources, uint32(r.uci))
+// sameAttrs reports whether two routes carry identical policy attributes,
+// the distinctness test of multi-route mode.
+func (r route) sameAttrs(o route) bool {
+	return r.uci == o.uci && r.sources.Equal(o.sources)
 }
 
 // System is an IDRP deployment.
@@ -92,6 +94,9 @@ type System struct {
 
 	computations int
 	started      bool
+	// wbuf is the encode buffer every update is marshalled into: Send
+	// copies the payload, so one buffer serves the whole simulation.
+	wbuf []byte
 }
 
 // New builds the system over g with policy db.
@@ -325,12 +330,11 @@ func (n *node) takeDirty() []ribKey {
 func (n *node) exportRoutes(k ribKey) []wire.PVRoute {
 	rs := n.adv[k]
 	isSelf := k.dest == n.id
-	var out []wire.PVRoute
+	out := make([]wire.PVRoute, 0, len(rs))
 	for _, r := range rs {
 		pv := wire.PVRoute{
 			Dest:   k.dest,
 			QOS:    k.qos,
-			Path:   append(ad.Path{n.id}, r.path...),
 			Metric: r.metric,
 		}
 		if isSelf {
@@ -359,6 +363,7 @@ func (n *node) exportRoutes(k ribKey) []wire.PVRoute {
 			}
 			pv.Metric = r.metric + n.transitCost[int(k.qos)]
 		}
+		pv.Path = append(append(make(ad.Path, 0, len(r.path)+1), n.id), r.path...)
 		out = append(out, pv)
 	}
 	return out
@@ -370,17 +375,23 @@ func (n *node) flushTo(nw *sim.Network, keys []ribKey, only ad.ID) {
 	if len(keys) == 0 {
 		return
 	}
+	exports := make([][]wire.PVRoute, len(keys))
+	size := 0
+	for i, k := range keys {
+		exports[i] = n.exportRoutes(k)
+		size += max(len(exports[i]), 1)
+	}
+	upd := wire.PathVector{Routes: make([]wire.PVRoute, 0, size)}
 	for _, nb := range nw.UpNeighbors(n.id) {
 		if only != ad.Invalid && nb != only {
 			continue
 		}
-		var upd wire.PathVector
-		for _, k := range keys {
-			routes := n.exportRoutes(k)
+		upd.Routes = upd.Routes[:0]
+		for i, k := range keys {
 			// Receiver-side loop rejection also exists; skipping
 			// routes through nb here is sender-side cleanliness.
 			sentAny := false
-			for _, pv := range routes {
+			for _, pv := range exports[i] {
 				if pv.Path.Contains(nb) {
 					continue
 				}
@@ -395,7 +406,11 @@ func (n *node) flushTo(nw *sim.Network, keys []ribKey, only ad.ID) {
 			}
 		}
 		if len(upd.Routes) > 0 {
-			nw.Send("idrp", n.id, nb, wire.Marshal(&upd))
+			var err error
+			if n.sys.wbuf, err = wire.AppendMessage(n.sys.wbuf[:0], &upd); err != nil {
+				panic(err.Error())
+			}
+			nw.Send("idrp", n.id, nb, n.sys.wbuf)
 		}
 	}
 }
@@ -491,27 +506,23 @@ func (n *node) selectRoutes(k ribKey) []route {
 	for _, rs := range n.cands[k] {
 		all = append(all, rs...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].metric != all[j].metric {
-			return all[i].metric < all[j].metric
+	slices.SortFunc(all, func(a, b route) int {
+		if a.metric != b.metric {
+			return cmp.Compare(a.metric, b.metric)
 		}
-		if all[i].from != all[j].from {
-			return all[i].from < all[j].from
+		if a.from != b.from {
+			return cmp.Compare(a.from, b.from)
 		}
-		return all[i].path.String() < all[j].path.String()
+		return strings.Compare(a.path.String(), b.path.String())
 	})
 	var sel []route
-	seenSig := map[string]bool{}
 	for _, r := range all {
 		if len(sel) >= n.sys.cfg.MultiRoute {
 			break
 		}
-		sig := r.attrSig()
-		if len(sel) > 0 && seenSig[sig] {
-			continue
+		if !slices.ContainsFunc(sel, r.sameAttrs) {
+			sel = append(sel, r)
 		}
-		seenSig[sig] = true
-		sel = append(sel, r)
 	}
 	return sel
 }
@@ -522,9 +533,7 @@ func routesEqual(a, b []route) bool {
 	}
 	for i := range a {
 		if a[i].from != b[i].from || a[i].metric != b[i].metric ||
-			!a[i].path.Equal(b[i].path) ||
-			a[i].sources.String() != b[i].sources.String() ||
-			a[i].uci != b[i].uci {
+			!a[i].path.Equal(b[i].path) || !a[i].sameAttrs(b[i]) {
 			return false
 		}
 	}

@@ -343,3 +343,58 @@ func TestPrevNextConstraintsInAttributes(t *testing.T) {
 		t.Errorf("b delivered despite source exclusion: %v", outB.Path)
 	}
 }
+
+// TestMultiRouteDistinctByValue pins multi-route selection's distinctness
+// test to set membership, not to how a set was built: a candidate whose
+// sources hold the same members (given in another order) and whose UCI is
+// the same as a better route's is not selected, while a universal set and
+// an explicit one, or equal sets under different UCIs, stay distinct.
+func TestMultiRouteDistinctByValue(t *testing.T) {
+	g, s1, s2, t1, t2, d := twoTransitNet(t)
+	s := New(g, policy.OpenDB(g), Config{MultiRoute: 4})
+	n := s.nodes[s1]
+	k := ribKey{dest: d}
+	cand := func(via ad.ID, metric uint32, sources policy.ADSet, uci policy.ClassSet) route {
+		return route{path: ad.Path{via, d}, metric: metric, sources: sources, uci: uci, from: via}
+	}
+	n.cands[k] = map[ad.ID][]route{
+		t1: {cand(t1, 2, policy.SetOf(s1, s2, 9), policy.AllClasses)},
+		t2: {cand(t2, 5, policy.SetOf(9, s2, s1, s2), policy.AllClasses)},
+	}
+	if sel := n.selectRoutes(k); len(sel) != 1 || sel[0].from != t1 {
+		t.Fatalf("equal attributes: selected %+v, want only the cheaper route via t1", sel)
+	}
+	n.cands[k][t2] = []route{cand(t2, 5, policy.Universal(), policy.AllClasses)}
+	if sel := n.selectRoutes(k); len(sel) != 2 {
+		t.Fatalf("universal vs explicit sources: selected %d routes, want 2", len(sel))
+	}
+	n.cands[k][t2] = []route{cand(t2, 5, policy.SetOf(s2, 9, s1), policy.ClassSetOf(0))}
+	if sel := n.selectRoutes(k); len(sel) != 2 {
+		t.Fatalf("equal sources, different UCI: selected %d routes, want 2", len(sel))
+	}
+}
+
+// TestReselectValueEqualIsNoChange checks that a candidate re-announced with
+// a value-equal source set — built from other members, in another order —
+// is no change: nothing is marked for re-advertisement.
+func TestReselectValueEqualIsNoChange(t *testing.T) {
+	g, s1, s2, t1, _, d := twoTransitNet(t)
+	s := New(g, policy.OpenDB(g), Config{})
+	n := s.nodes[s1]
+	k := ribKey{dest: d}
+	r := route{path: ad.Path{t1, d}, metric: 2, sources: policy.SetOf(s1, s2), uci: policy.AllClasses, from: t1}
+	n.cands[k] = map[ad.ID][]route{t1: {r}}
+	n.adv[k] = n.selectRoutes(k)
+	r.sources = policy.SetOf(s2, 7, s1).Intersect(policy.SetOf(s1, s2))
+	n.cands[k][t1] = []route{r}
+	n.reselect(s.nw, map[ribKey]bool{k: true})
+	if len(n.dirty) != 0 || n.flushPending {
+		t.Errorf("value-equal sources re-advertised: dirty %v", n.dirty)
+	}
+	r.sources = policy.SetOf(s1)
+	n.cands[k][t1] = []route{r}
+	n.reselect(s.nw, map[ribKey]bool{k: true})
+	if _, ok := n.dirty[k]; !ok {
+		t.Error("narrowed sources not re-advertised")
+	}
+}

@@ -13,11 +13,8 @@ func appendADSet(dst []byte, s policy.ADSet) []byte {
 		return append(dst, 1)
 	}
 	dst = append(dst, 0)
-	members := s.Members()
-	dst = appendU16(dst, uint16(len(members)))
-	for _, id := range members {
-		dst = appendU32(dst, uint32(id))
-	}
+	dst = appendU16(dst, uint16(s.Size()))
+	s.Each(func(id ad.ID) { dst = appendU32(dst, uint32(id)) })
 	return dst
 }
 
@@ -26,7 +23,14 @@ func readADSet(r *reader) policy.ADSet {
 		return policy.Universal()
 	}
 	n := r.count(4)
-	ids := make([]ad.ID, 0, n)
+	// SetOf copies what it is given, so a set of up to 256 members (a
+	// policy attribute names a share of an internet's ADs) is read into a
+	// buffer on the stack and the set's own slice is the only allocation.
+	var buf [256]ad.ID
+	ids := buf[:0]
+	if n > len(buf) {
+		ids = make([]ad.ID, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		ids = append(ids, ad.ID(r.u32()))
 	}

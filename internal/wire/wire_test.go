@@ -74,6 +74,34 @@ func TestPathVectorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodedADSetsAreCanonical checks that a set read off the wire is the
+// value the sender held, down to its representation: the empty set SetOf,
+// a disjoint Intersect and the decoder build is one value, and sets on
+// either side of readADSet's stack buffer size come back whole.
+func TestDecodedADSetsAreCanonical(t *testing.T) {
+	large := make([]ad.ID, 300)
+	for i := range large {
+		large[i] = ad.ID(3 * (len(large) - i))
+	}
+	sets := []policy.ADSet{
+		policy.SetOf(), policy.SetOf(1).Intersect(policy.SetOf(2)), policy.ADSet{},
+		policy.SetOf(5, 1, 5, 3), policy.SetOf(large...), policy.Universal(),
+	}
+	m := &PathVector{}
+	for i, s := range sets {
+		m.Routes = append(m.Routes, PVRoute{Dest: ad.ID(i + 1), AllowedSources: s})
+	}
+	got := roundTrip(t, m).(*PathVector)
+	for i, s := range sets {
+		if g := got.Routes[i].AllowedSources; !reflect.DeepEqual(g, s) {
+			t.Errorf("set %d: decoded %#v, sent %#v", i, g, s)
+		}
+	}
+	if !reflect.DeepEqual(sets[0], sets[1]) || !reflect.DeepEqual(sets[1], sets[2]) {
+		t.Errorf("empty sets differ: %#v, %#v, %#v", sets[0], sets[1], sets[2])
+	}
+}
+
 func testTerm() policy.Term {
 	return policy.Term{
 		Advertiser: 5, Serial: 2,
@@ -350,14 +378,8 @@ func TestPropertyLSATermRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
-		g := got.(*LSA).Terms[0]
-		// ADSet lacks exported equality; compare via String and probes.
-		if g.Advertiser != tm.Advertiser || g.Serial != tm.Serial ||
-			g.Sources.String() != tm.Sources.String() ||
-			g.Dests.String() != tm.Dests.String() ||
-			g.PrevADs.String() != tm.PrevADs.String() ||
-			g.NextADs.String() != tm.NextADs.String() ||
-			g.QOS != tm.QOS || g.UCI != tm.UCI || g.Hours != tm.Hours || g.Cost != tm.Cost {
+		// A set has one representation, so a decoded term is the term.
+		if g := got.(*LSA).Terms[0]; !reflect.DeepEqual(g, tm) {
 			t.Fatalf("iteration %d: term mismatch:\n got %+v\nwant %+v", i, g, tm)
 		}
 	}
