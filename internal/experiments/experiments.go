@@ -94,36 +94,68 @@ func restoreOf(l ad.Link) wire.PlanStep {
 	return wire.PlanStep{Op: wire.CtlRestore, A: l.A, B: l.B}
 }
 
-// independent lists every experiment other than Table 1, in report order.
-// Each entry is deterministic in the seed and shares no state with the
-// others, which is what makes the fan-out in RunAll sound.
-var independent = []func(int64) *metrics.Table{
-	func(int64) *metrics.Table { return Figure1Topology() },
-	E1RouteAvailability,
-	E2Convergence,
-	E3SpanningTreeReplication,
-	E4QOSScaling,
-	E5SetupVsHandle,
-	E6EGPTopologyRestriction,
-	E7SynthesisStrategies,
-	E8PolicyGranularity,
-	E9MessageScaling,
-	E10OrderingSatisfiability,
-	E11FilterDiscovery,
-	E12IDRPMultiRoute,
-	E13TimeOfDay,
-	E14PolicyChange,
-	E15LogicalClusterCost,
-	E16DatabaseDistribution,
-	E17SetupAmortization,
-	E18PathStretch,
-	E19MultihomedStubs,
-	E20RouteServer,
-	E21StateLifecycles,
-	E22ScopedInvalidation,
-	E23HAFailover,
-	E24PGStateScale,
-	E25PlanEngine,
+// rows is an experiment split into independent row tasks and the step that
+// assembles its table once every task has run. Each task writes only state
+// it owns (its slot of a results slice) and reads shared inputs without
+// mutating them, so the tasks may run in any order on any number of workers
+// and the table comes out byte for byte the same.
+type rows struct {
+	tasks []func()
+	table func() *metrics.Table
+}
+
+// run executes the tasks on at most parallelism workers (<= 0 means one per
+// CPU) and assembles the table.
+func (r rows) run(parallelism int) *metrics.Table {
+	parallel.Do(parallelism, r.tasks)
+	return r.table()
+}
+
+// whole is an experiment that runs as a single task.
+func whole(fn func(int64) *metrics.Table) func(int64) rows {
+	return func(seed int64) rows {
+		var t *metrics.Table
+		return rows{
+			tasks: []func(){func() { t = fn(seed) }},
+			table: func() *metrics.Table { return t },
+		}
+	}
+}
+
+// report lists every table of the reproduction in report order, each under
+// its -only name. Table 1, E1, E4, E9 and E24 split into row tasks; the
+// others run whole. No entry shares mutable state with another.
+var report = []struct {
+	name string
+	rows func(int64) rows
+}{
+	{"table1", table1Rows},
+	{"figure1", whole(func(int64) *metrics.Table { return Figure1Topology() })},
+	{"e1", e1Rows},
+	{"e2", whole(E2Convergence)},
+	{"e3", whole(E3SpanningTreeReplication)},
+	{"e4", e4Rows},
+	{"e5", whole(E5SetupVsHandle)},
+	{"e6", whole(E6EGPTopologyRestriction)},
+	{"e7", whole(E7SynthesisStrategies)},
+	{"e8", whole(E8PolicyGranularity)},
+	{"e9", e9Rows},
+	{"e10", whole(E10OrderingSatisfiability)},
+	{"e11", whole(E11FilterDiscovery)},
+	{"e12", whole(E12IDRPMultiRoute)},
+	{"e13", whole(E13TimeOfDay)},
+	{"e14", whole(E14PolicyChange)},
+	{"e15", whole(E15LogicalClusterCost)},
+	{"e16", whole(E16DatabaseDistribution)},
+	{"e17", whole(E17SetupAmortization)},
+	{"e18", whole(E18PathStretch)},
+	{"e19", whole(E19MultihomedStubs)},
+	{"e20", whole(E20RouteServer)},
+	{"e21", whole(E21StateLifecycles)},
+	{"e22", whole(E22ScopedInvalidation)},
+	{"e23", whole(E23HAFailover)},
+	{"e24", e24Rows},
+	{"e25", whole(E25PlanEngine)},
 }
 
 // All runs every experiment serially with the given seed. It is equivalent
@@ -132,25 +164,34 @@ func All(seed int64) []*metrics.Table {
 	return RunAll(seed, 1)
 }
 
-// RunAll runs every experiment with the given seed, fanning the independent
-// experiments — and, within Table 1, the nine independent protocol runs —
-// across a bounded pool of at most parallelism workers (<= 0 means one per
-// CPU). Tables are collected in the same fixed order as All, and because
-// every experiment owns its topology, RNGs, and engine, the rendered output
-// is byte-identical for any parallelism.
+// RunAll runs every experiment with the given seed, fanning the row tasks of
+// every experiment across one bounded pool of at most parallelism workers
+// (<= 0 means one per CPU). Tables are collected in the same fixed order as
+// All, and because every task owns what it writes, the rendered output is
+// byte-identical for any parallelism.
 func RunAll(seed int64, parallelism int) []*metrics.Table {
-	t1 := newTable1Run(seed)
-	out := make([]*metrics.Table, 1+len(independent))
-	tasks := make([]func(), 0, len(t1.points)+len(independent))
-	for i := range t1.points {
-		i := i
-		tasks = append(tasks, func() { t1.runPoint(i) })
-	}
-	for j, fn := range independent {
-		j, fn := j, fn
-		tasks = append(tasks, func() { out[1+j] = fn(seed) })
+	plans := make([]rows, len(report))
+	var tasks []func()
+	for i, e := range report {
+		plans[i] = e.rows(seed)
+		tasks = append(tasks, plans[i].tasks...)
 	}
 	parallel.Do(parallelism, tasks)
-	out[0] = t1.table()
+	out := make([]*metrics.Table, len(plans))
+	for i, p := range plans {
+		out[i] = p.table()
+	}
 	return out
+}
+
+// Run runs the experiment named name ("table1", "figure1", "e1" … "e25")
+// with its row tasks on at most parallelism workers (<= 0 means one per
+// CPU). ok is false if no experiment has that name.
+func Run(name string, seed int64, parallelism int) (t *metrics.Table, ok bool) {
+	for _, e := range report {
+		if e.name == name {
+			return e.rows(seed).run(parallelism), true
+		}
+	}
+	return nil, false
 }

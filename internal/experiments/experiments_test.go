@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -366,6 +367,49 @@ func TestRunAllParallelDeterminism(t *testing.T) {
 	parallel := render(RunAll(seed, 8))
 	if serial != parallel {
 		t.Error("RunAll(seed, 8) output differs from RunAll(seed, 1)")
+	}
+}
+
+// TestRowsAtAnyParallelism pins the premise of every experiment that splits
+// into row tasks: each task owns what it writes, so the table renders the
+// same on one worker and on four.
+func TestRowsAtAnyParallelism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long")
+	}
+	split := 0
+	for _, e := range report {
+		if len(e.rows(seed).tasks) < 2 {
+			continue
+		}
+		split++
+		serial := e.rows(seed).run(1).String()
+		if got := e.rows(seed).run(4).String(); got != serial {
+			t.Errorf("%s: four workers rendered\n%s\none worker rendered\n%s", e.name, got, serial)
+		}
+	}
+	if split != 5 {
+		t.Errorf("%d experiments split into row tasks, want 5 (table1, e1, e4, e9, e24)", split)
+	}
+}
+
+func TestRunByName(t *testing.T) {
+	var names []string
+	for _, e := range report {
+		names = append(names, e.name)
+	}
+	want := []string{"table1", "figure1"}
+	for i := 1; i <= 25; i++ {
+		want = append(want, fmt.Sprintf("e%d", i))
+	}
+	if !slices.Equal(names, want) {
+		t.Errorf("report names = %v, want %v", names, want)
+	}
+	if _, ok := Run("e26", seed, 1); ok {
+		t.Error(`Run("e26") found an experiment`)
+	}
+	if tbl, ok := Run("figure1", seed, 1); !ok || tbl.String() != Figure1Topology().String() {
+		t.Error(`Run("figure1") is not Figure1Topology`)
 	}
 }
 

@@ -211,3 +211,21 @@ func TestDifferentialManySeeds(t *testing.T) {
 		runDifferential(t, seed, NewReference(cfg), NewTable(cfg), 1500)
 	}
 }
+
+// TestReferenceIgnoresShards pins what lets E24 replay its Reference once
+// and compare every shard count against that one record: the Reference
+// behaves the same whatever Config.Shards says.
+func TestReferenceIgnoresShards(t *testing.T) {
+	for i, cfg := range []Config{
+		{Kind: Hard},
+		{Kind: Soft, TTL: 10 * sim.Second},
+	} {
+		seed := *diffSeed
+		if seed == 0 {
+			seed = int64(7 + i)
+		}
+		one, many := cfg, cfg
+		one.Shards, many.Shards = 1, 32
+		runDifferential(t, seed, NewReference(one), NewReference(many), diffOps)
+	}
+}
