@@ -132,9 +132,13 @@ func randomTerms(rng *rand.Rand, ids []ad.ID) []policy.Term {
 // nothing changed.
 func TestLargestControlReplicates(t *testing.T) {
 	be := testWorld(t, nil)
+	// An open term's encoded size is what it adds to a Control frame.
+	empty := wire.PlanStep{Op: wire.CtlPolicy, A: 2}
+	one := wire.PlanStep{Op: wire.CtlPolicy, A: 2, Terms: []policy.Term{policy.OpenTerm(2, 0)}}
+	termLen := len(wire.Marshal(wire.NewControl(1, one))) - len(wire.Marshal(wire.NewControl(1, empty)))
 	// Explicit serials: pairing serial-less terms with their predecessors is
 	// quadratic in the list length.
-	bulk := make([]policy.Term, (1<<16)/wire.TermWireLen(policy.OpenTerm(2, 0))-8)
+	bulk := make([]policy.Term, (1<<16)/termLen-8)
 	for i := range bulk {
 		bulk[i] = policy.OpenTerm(2, uint32(i+1))
 	}

@@ -73,14 +73,10 @@ type Query struct {
 // Type implements Message.
 func (*Query) Type() MsgType { return TypeQuery }
 
-func (m *Query) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.ID)
-	return appendRequest(dst, m.Req)
-}
-
-func (m *Query) decodeBody(r *reader) {
-	m.ID = r.u64()
-	m.Req = readRequest(r)
+func (m *Query) code(c codec) codec {
+	c.u64(&m.ID)
+	c.request(&m.Req)
+	return c
 }
 
 // QueryReply answers a Query: the synthesized route, or Found false when no
@@ -94,20 +90,11 @@ type QueryReply struct {
 // Type implements Message.
 func (*QueryReply) Type() MsgType { return TypeQueryReply }
 
-func (m *QueryReply) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.ID)
-	found := uint8(0)
-	if m.Found {
-		found = 1
-	}
-	dst = append(dst, found)
-	return appendPath(dst, m.Path)
-}
-
-func (m *QueryReply) decodeBody(r *reader) {
-	m.ID = r.u64()
-	m.Found = r.u8() == 1
-	m.Path = readPath(r)
+func (m *QueryReply) code(c codec) codec {
+	c.u64(&m.ID)
+	c.flag(&m.Found)
+	c.path(&m.Path)
+	return c
 }
 
 // Control is a control-plane mutation: a request ID and one PlanStep's
@@ -133,12 +120,14 @@ func (m *Control) Step() PlanStep {
 // Type implements Message.
 func (*Control) Type() MsgType { return TypeControl }
 
-func (m *Control) appendBody(dst []byte) []byte {
-	return appendStep(appendU64(dst, m.ID), m.Step())
-}
-
-func (m *Control) decodeBody(r *reader) {
-	*m = *NewControl(r.u64(), readStep(r))
+func (m *Control) code(c codec) codec {
+	c.u64(&m.ID)
+	st := m.Step() // the rest of the body is the step's
+	c.step(&st)
+	if c.dec {
+		m.Op, m.A, m.B, m.Terms = st.Op, st.A, st.B, st.Terms
+	}
+	return c
 }
 
 // ControlReply acknowledges a Control or Drain: the scoped-invalidation
@@ -162,24 +151,15 @@ func (m *ControlReply) OK() bool { return m.Code == CtlOK }
 // Type implements Message.
 func (*ControlReply) Type() MsgType { return TypeControlReply }
 
-func (m *ControlReply) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.ID)
-	dst = append(dst, m.Code)
-	dst = appendU64(dst, m.Evicted)
-	dst = appendU64(dst, m.Retained)
-	dst = appendU64(dst, m.Flushed)
-	dst = appendU64(dst, m.Gen)
-	return appendString(dst, m.Err)
-}
-
-func (m *ControlReply) decodeBody(r *reader) {
-	m.ID = r.u64()
-	m.Code = r.u8()
-	m.Evicted = r.u64()
-	m.Retained = r.u64()
-	m.Flushed = r.u64()
-	m.Gen = r.u64()
-	m.Err = readString(r)
+func (m *ControlReply) code(c codec) codec {
+	c.u64(&m.ID)
+	c.u8(&m.Code)
+	c.u64(&m.Evicted)
+	c.u64(&m.Retained)
+	c.u64(&m.Flushed)
+	c.u64(&m.Gen)
+	c.str(&m.Err)
+	return c
 }
 
 // DataOp is one data-plane operation: install (Req), send (Handle), tick
@@ -195,20 +175,13 @@ type DataOp struct {
 // Type implements Message.
 func (*DataOp) Type() MsgType { return TypeDataOp }
 
-func (m *DataOp) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.ID)
-	dst = append(dst, m.Op)
-	dst = appendU64(dst, m.Handle)
-	dst = appendU32(dst, m.Arg)
-	return appendRequest(dst, m.Req)
-}
-
-func (m *DataOp) decodeBody(r *reader) {
-	m.ID = r.u64()
-	m.Op = r.u8()
-	m.Handle = r.u64()
-	m.Arg = r.u32()
-	m.Req = readRequest(r)
+func (m *DataOp) code(c codec) codec {
+	c.u64(&m.ID)
+	c.u8(&m.Op)
+	c.u64(&m.Handle)
+	c.u32(&m.Arg)
+	c.request(&m.Req)
+	return c
 }
 
 // DataOpReply answers a DataOp. Field use per op:
@@ -232,25 +205,16 @@ type DataOpReply struct {
 // Type implements Message.
 func (*DataOpReply) Type() MsgType { return TypeDataOpReply }
 
-func (m *DataOpReply) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.ID)
-	dst = append(dst, m.Op, m.Code)
-	dst = appendU64(dst, m.Handle)
-	dst = appendPath(dst, m.Path)
-	dst = appendU64(dst, m.N1)
-	dst = appendU64(dst, m.N2)
-	return appendString(dst, m.Text)
-}
-
-func (m *DataOpReply) decodeBody(r *reader) {
-	m.ID = r.u64()
-	m.Op = r.u8()
-	m.Code = r.u8()
-	m.Handle = r.u64()
-	m.Path = readPath(r)
-	m.N1 = r.u64()
-	m.N2 = r.u64()
-	m.Text = readString(r)
+func (m *DataOpReply) code(c codec) codec {
+	c.u64(&m.ID)
+	c.u8(&m.Op)
+	c.u8(&m.Code)
+	c.u64(&m.Handle)
+	c.path(&m.Path)
+	c.u64(&m.N1)
+	c.u64(&m.N2)
+	c.str(&m.Text)
+	return c
 }
 
 // StatsQuery asks for the serving counters.
@@ -261,9 +225,7 @@ type StatsQuery struct {
 // Type implements Message.
 func (*StatsQuery) Type() MsgType { return TypeStatsQuery }
 
-func (m *StatsQuery) appendBody(dst []byte) []byte { return appendU64(dst, m.ID) }
-
-func (m *StatsQuery) decodeBody(r *reader) { m.ID = r.u64() }
+func (m *StatsQuery) code(c codec) codec { c.u64(&m.ID); return c }
 
 // StatsReply carries the serving counters: generation, query/hit/coalesce/
 // miss/failure totals, the live cache size, and the daemon's connection
@@ -288,25 +250,14 @@ type StatsReply struct {
 // Type implements Message.
 func (*StatsReply) Type() MsgType { return TypeStatsReply }
 
-func (m *StatsReply) appendBody(dst []byte) []byte {
-	for _, v := range []uint64{m.ID, m.Gen, m.Queries, m.Hits, m.Coalesced, m.Misses, m.Failures, m.Cached, m.Accepted, m.EvictedSlow, m.Refused} {
-		dst = appendU64(dst, v)
+func (m *StatsReply) code(c codec) codec {
+	for _, v := range [...]*uint64{
+		&m.ID, &m.Gen, &m.Queries, &m.Hits, &m.Coalesced, &m.Misses,
+		&m.Failures, &m.Cached, &m.Accepted, &m.EvictedSlow, &m.Refused,
+	} {
+		c.u64(v)
 	}
-	return dst
-}
-
-func (m *StatsReply) decodeBody(r *reader) {
-	m.ID = r.u64()
-	m.Gen = r.u64()
-	m.Queries = r.u64()
-	m.Hits = r.u64()
-	m.Coalesced = r.u64()
-	m.Misses = r.u64()
-	m.Failures = r.u64()
-	m.Cached = r.u64()
-	m.Accepted = r.u64()
-	m.EvictedSlow = r.u64()
-	m.Refused = r.u64()
+	return c
 }
 
 // Drain asks the daemon to shut down gracefully: stop accepting, finish
@@ -319,17 +270,4 @@ type Drain struct {
 // Type implements Message.
 func (*Drain) Type() MsgType { return TypeDrain }
 
-func (m *Drain) appendBody(dst []byte) []byte { return appendU64(dst, m.ID) }
-
-func (m *Drain) decodeBody(r *reader) { m.ID = r.u64() }
-
-// String encoding: 16-bit byte length followed by the raw bytes.
-
-func appendString(dst []byte, s string) []byte {
-	dst = appendU16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
-func readString(r *reader) string {
-	return string(r.bytes(int(r.u16())))
-}
+func (m *Drain) code(c codec) codec { c.u64(&m.ID); return c }

@@ -39,7 +39,7 @@ func daemonMessages() []Message {
 	for i, st := range policySteps() {
 		msgs = append(msgs,
 			NewControl(uint64(100+i), st),
-			&SyncEntry{Seq: uint64(200 + i), Op: SyncCtl, Path: ad.Path{}, Ctl: st})
+			&SyncEntry{Seq: uint64(200 + i), Op: SyncCtl, Ctl: st})
 	}
 	return append(msgs, &Plan{ID: 15, Steps: policySteps()})
 }
@@ -48,7 +48,7 @@ func baseDaemonMessages() []Message {
 	return []Message{
 		&Query{ID: 1, Req: policy.Request{Src: 1, Dst: 9, QOS: 1, UCI: 2, Hour: 13}},
 		&QueryReply{ID: 1, Found: true, Path: ad.Path{1, 4, 9}},
-		&QueryReply{ID: 2, Found: false, Path: ad.Path{}},
+		&QueryReply{ID: 2, Found: false},
 		&Control{ID: 3, Op: CtlFail, A: 2, B: 4},
 		&ControlReply{ID: 3, Code: CtlOK, Evicted: 5, Retained: 12, Flushed: 3, Gen: 2},
 		&ControlReply{ID: 9, Code: CtlErr, Err: "no link AD2-AD4"},
@@ -56,8 +56,8 @@ func baseDaemonMessages() []Message {
 		&DataOp{ID: 6, Op: OpSend, Handle: 7},
 		&DataOp{ID: 7, Op: OpTick, Arg: 30},
 		&DataOpReply{ID: 5, Op: OpInstall, Code: DataOK, Handle: 7, Path: ad.Path{1, 2, 4}},
-		&DataOpReply{ID: 6, Op: OpSend, Code: DataNoState, N1: 2, Path: ad.Path{}},
-		&DataOpReply{ID: 8, Op: OpState, Code: DataOK, Path: ad.Path{}, Text: "flows 3, pending-repairs 0"},
+		&DataOpReply{ID: 6, Op: OpSend, Code: DataNoState, N1: 2},
+		&DataOpReply{ID: 8, Op: OpState, Code: DataOK, Text: "flows 3, pending-repairs 0"},
 		&StatsQuery{ID: 10},
 		&StatsReply{ID: 10, Gen: 1, Queries: 100, Hits: 80, Coalesced: 5, Misses: 15, Failures: 2, Cached: 15,
 			Accepted: 40, EvictedSlow: 1, Refused: 3},
@@ -71,8 +71,8 @@ func baseDaemonMessages() []Message {
 			Links: [][2]ad.ID{{1, 4}, {4, 9}},
 			Terms: []policy.Key{{Advertiser: 4, Serial: 2}}},
 		&SyncEntry{Seq: 10, Op: SyncPut,
-			Req: policy.Request{Src: 1, Dst: 3}, Found: false, Path: ad.Path{}},
-		&SyncEntry{Seq: 11, Op: SyncCtl, Path: ad.Path{}, Ctl: PlanStep{Op: CtlFail, A: 2, B: 4}},
+			Req: policy.Request{Src: 1, Dst: 3}, Found: false},
+		&SyncEntry{Seq: 11, Op: SyncCtl, Ctl: PlanStep{Op: CtlFail, A: 2, B: 4}},
 		&SyncSnapshot{Seq: 40, Count: 17},
 		&SyncSnapshot{Seq: 40, Done: true},
 		&Promote{ReplicaID: 2, Epoch: 4},

@@ -52,18 +52,12 @@ type Hello struct {
 // Type implements Message.
 func (*Hello) Type() MsgType { return TypeHello }
 
-func (m *Hello) appendBody(dst []byte) []byte {
-	dst = appendU32(dst, m.ReplicaID)
-	dst = append(dst, m.Mode)
-	dst = appendU64(dst, m.Epoch)
-	return appendU64(dst, m.FromSeq)
-}
-
-func (m *Hello) decodeBody(r *reader) {
-	m.ReplicaID = r.u32()
-	m.Mode = r.u8()
-	m.Epoch = r.u64()
-	m.FromSeq = r.u64()
+func (m *Hello) code(c codec) codec {
+	c.u32(&m.ReplicaID)
+	c.u8(&m.Mode)
+	c.u64(&m.Epoch)
+	c.u64(&m.FromSeq)
+	return c
 }
 
 // Heartbeat is the periodic liveness beacon on a heartbeat link. It also
@@ -81,18 +75,12 @@ type Heartbeat struct {
 // Type implements Message.
 func (*Heartbeat) Type() MsgType { return TypeHeartbeat }
 
-func (m *Heartbeat) appendBody(dst []byte) []byte {
-	dst = appendU32(dst, m.ReplicaID)
-	dst = appendU64(dst, m.Epoch)
-	dst = appendU32(dst, m.Primary)
-	return appendU64(dst, m.Seq)
-}
-
-func (m *Heartbeat) decodeBody(r *reader) {
-	m.ReplicaID = r.u32()
-	m.Epoch = r.u64()
-	m.Primary = r.u32()
-	m.Seq = r.u64()
+func (m *Heartbeat) code(c codec) codec {
+	c.u32(&m.ReplicaID)
+	c.u64(&m.Epoch)
+	c.u32(&m.Primary)
+	c.u64(&m.Seq)
+	return c
 }
 
 // SyncEntry is one replicated backlog record: a warm-cache put (SyncPut)
@@ -120,51 +108,23 @@ type SyncEntry struct {
 // Type implements Message.
 func (*SyncEntry) Type() MsgType { return TypeSyncEntry }
 
-func (m *SyncEntry) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.Seq)
-	dst = append(dst, m.Op)
-	dst = appendRequest(dst, m.Req)
-	found := uint8(0)
-	if m.Found {
-		found = 1
+func (m *SyncEntry) code(c codec) codec {
+	c.u64(&m.Seq)
+	c.u8(&m.Op)
+	c.request(&m.Req)
+	c.flag(&m.Found)
+	c.path(&m.Path)
+	list(&c, &m.Links, 8)
+	for i := range m.Links {
+		c.id(&m.Links[i][0])
+		c.id(&m.Links[i][1])
 	}
-	dst = append(dst, found)
-	dst = appendPath(dst, m.Path)
-	dst = appendU16(dst, uint16(len(m.Links)))
-	for _, l := range m.Links {
-		dst = appendU32(dst, uint32(l[0]))
-		dst = appendU32(dst, uint32(l[1]))
+	list(&c, &m.Terms, 8)
+	for i := range m.Terms {
+		c.key(&m.Terms[i])
 	}
-	dst = appendU16(dst, uint16(len(m.Terms)))
-	for _, t := range m.Terms {
-		dst = appendU32(dst, uint32(t.Advertiser))
-		dst = appendU32(dst, t.Serial)
-	}
-	return appendStep(dst, m.Ctl)
-}
-
-func (m *SyncEntry) decodeBody(r *reader) {
-	m.Seq = r.u64()
-	m.Op = r.u8()
-	m.Req = readRequest(r)
-	m.Found = r.u8() == 1
-	m.Path = readPath(r)
-	if n := r.count(8); n > 0 {
-		m.Links = make([][2]ad.ID, 0, n)
-		for i := 0; i < n; i++ {
-			a := ad.ID(r.u32())
-			b := ad.ID(r.u32())
-			m.Links = append(m.Links, [2]ad.ID{a, b})
-		}
-	}
-	if n := r.count(8); n > 0 {
-		m.Terms = make([]policy.Key, 0, n)
-		for i := 0; i < n; i++ {
-			adv := ad.ID(r.u32())
-			m.Terms = append(m.Terms, policy.Key{Advertiser: adv, Serial: r.u32()})
-		}
-	}
-	m.Ctl = readStep(r)
+	c.step(&m.Ctl)
+	return c
 }
 
 // SyncSnapshot brackets a full state transfer on a sync link. The opener
@@ -181,20 +141,11 @@ type SyncSnapshot struct {
 // Type implements Message.
 func (*SyncSnapshot) Type() MsgType { return TypeSyncSnapshot }
 
-func (m *SyncSnapshot) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.Seq)
-	dst = appendU32(dst, m.Count)
-	done := uint8(0)
-	if m.Done {
-		done = 1
-	}
-	return append(dst, done)
-}
-
-func (m *SyncSnapshot) decodeBody(r *reader) {
-	m.Seq = r.u64()
-	m.Count = r.u32()
-	m.Done = r.u8() == 1
+func (m *SyncSnapshot) code(c codec) codec {
+	c.u64(&m.Seq)
+	c.u32(&m.Count)
+	c.flag(&m.Done)
+	return c
 }
 
 // Promote announces a self-promotion on heartbeat links: ReplicaID now
@@ -208,14 +159,10 @@ type Promote struct {
 // Type implements Message.
 func (*Promote) Type() MsgType { return TypePromote }
 
-func (m *Promote) appendBody(dst []byte) []byte {
-	dst = appendU32(dst, m.ReplicaID)
-	return appendU64(dst, m.Epoch)
-}
-
-func (m *Promote) decodeBody(r *reader) {
-	m.ReplicaID = r.u32()
-	m.Epoch = r.u64()
+func (m *Promote) code(c codec) codec {
+	c.u32(&m.ReplicaID)
+	c.u64(&m.Epoch)
+	return c
 }
 
 // NotPrimary tells the peer it is talking to a follower. On a serving
@@ -232,14 +179,9 @@ type NotPrimary struct {
 // Type implements Message.
 func (*NotPrimary) Type() MsgType { return TypeNotPrimary }
 
-func (m *NotPrimary) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.ID)
-	dst = appendU32(dst, m.PrimaryID)
-	return appendString(dst, m.Addr)
-}
-
-func (m *NotPrimary) decodeBody(r *reader) {
-	m.ID = r.u64()
-	m.PrimaryID = r.u32()
-	m.Addr = readString(r)
+func (m *NotPrimary) code(c codec) codec {
+	c.u64(&m.ID)
+	c.u32(&m.PrimaryID)
+	c.str(&m.Addr)
+	return c
 }

@@ -78,26 +78,14 @@ func (st PlanStep) Replicable() bool {
 // minStepLen is the encoded size of a step with no terms.
 const minStepLen = 1 + 4 + 4 + 2
 
-func appendStep(dst []byte, st PlanStep) []byte {
-	dst = append(dst, st.Op)
-	dst = appendU32(dst, uint32(st.A))
-	dst = appendU32(dst, uint32(st.B))
-	dst = appendU16(dst, uint16(len(st.Terms)))
-	for _, t := range st.Terms {
-		dst = appendTerm(dst, t)
+func (c *codec) step(st *PlanStep) {
+	c.u8(&st.Op)
+	c.id(&st.A)
+	c.id(&st.B)
+	list(c, &st.Terms, minTermLen)
+	for i := range st.Terms {
+		c.term(&st.Terms[i])
 	}
-	return dst
-}
-
-func readStep(r *reader) PlanStep {
-	st := PlanStep{Op: r.u8(), A: ad.ID(r.u32()), B: ad.ID(r.u32())}
-	if n := r.count(minTermLen); n > 0 {
-		st.Terms = make([]policy.Term, 0, n)
-		for i := 0; i < n; i++ {
-			st.Terms = append(st.Terms, readTerm(r))
-		}
-	}
-	return st
 }
 
 // Plan proposes a what-if batch (Commit false, Steps set) or asks to apply
@@ -112,33 +100,15 @@ type Plan struct {
 // Type implements Message.
 func (*Plan) Type() MsgType { return TypePlan }
 
-func (m *Plan) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.ID)
-	commit := uint8(0)
-	if m.Commit {
-		commit = 1
+func (m *Plan) code(c codec) codec {
+	c.u64(&m.ID)
+	c.flag(&m.Commit)
+	c.u64(&m.PlanID)
+	list(&c, &m.Steps, minStepLen)
+	for i := range m.Steps {
+		c.step(&m.Steps[i])
 	}
-	dst = append(dst, commit)
-	dst = appendU64(dst, m.PlanID)
-	dst = appendU16(dst, uint16(len(m.Steps)))
-	for _, st := range m.Steps {
-		dst = appendStep(dst, st)
-	}
-	return dst
-}
-
-func (m *Plan) decodeBody(r *reader) {
-	m.ID = r.u64()
-	m.Commit = r.u8() == 1
-	m.PlanID = r.u64()
-	n := r.count(minStepLen)
-	if n == 0 {
-		return
-	}
-	m.Steps = make([]PlanStep, 0, n)
-	for i := 0; i < n; i++ {
-		m.Steps = append(m.Steps, readStep(r))
-	}
+	return c
 }
 
 // PlanReply answers a Plan. For a proposal it carries the predicted blast
@@ -191,12 +161,12 @@ func (m *PlanReply) OK() bool { return m.Code == CtlOK }
 // Type implements Message.
 func (*PlanReply) Type() MsgType { return TypePlanReply }
 
-func (m *PlanReply) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.ID)
-	dst = append(dst, m.Code)
-	dst = appendString(dst, m.Err)
-	dst = appendU64(dst, m.PlanID)
-	dst = appendU64(dst, m.Epoch)
+func (m *PlanReply) code(c codec) codec {
+	c.u64(&m.ID)
+	c.u8(&m.Code)
+	c.str(&m.Err)
+	c.u64(&m.PlanID)
+	c.u64(&m.Epoch)
 	flags := uint8(0)
 	if m.Committed {
 		flags |= 1
@@ -204,41 +174,19 @@ func (m *PlanReply) appendBody(dst []byte) []byte {
 	if m.Truncated {
 		flags |= 2
 	}
-	dst = append(dst, flags)
-	for _, v := range []uint64{
-		m.Evicted, m.Retained, m.Teardowns, m.Flushed,
-		m.Unroutable, m.Resynth, m.MeanSynthNanos, m.ProjNanos,
+	c.u8(&flags)
+	if c.dec {
+		m.Committed, m.Truncated = flags&1 != 0, flags&2 != 0
+	}
+	for _, v := range [...]*uint64{
+		&m.Evicted, &m.Retained, &m.Teardowns, &m.Flushed,
+		&m.Unroutable, &m.Resynth, &m.MeanSynthNanos, &m.ProjNanos,
 	} {
-		dst = appendU64(dst, v)
+		c.u64(v)
 	}
-	dst = appendU32(dst, uint32(m.Focus))
-	for _, v := range []uint64{m.Gained, m.Lost, m.Rerouted, m.TransitBefore, m.TransitAfter} {
-		dst = appendU64(dst, v)
+	c.id(&m.Focus)
+	for _, v := range [...]*uint64{&m.Gained, &m.Lost, &m.Rerouted, &m.TransitBefore, &m.TransitAfter} {
+		c.u64(v)
 	}
-	return dst
-}
-
-func (m *PlanReply) decodeBody(r *reader) {
-	m.ID = r.u64()
-	m.Code = r.u8()
-	m.Err = readString(r)
-	m.PlanID = r.u64()
-	m.Epoch = r.u64()
-	flags := r.u8()
-	m.Committed = flags&1 != 0
-	m.Truncated = flags&2 != 0
-	m.Evicted = r.u64()
-	m.Retained = r.u64()
-	m.Teardowns = r.u64()
-	m.Flushed = r.u64()
-	m.Unroutable = r.u64()
-	m.Resynth = r.u64()
-	m.MeanSynthNanos = r.u64()
-	m.ProjNanos = r.u64()
-	m.Focus = ad.ID(r.u32())
-	m.Gained = r.u64()
-	m.Lost = r.u64()
-	m.Rerouted = r.u64()
-	m.TransitBefore = r.u64()
-	m.TransitAfter = r.u64()
+	return c
 }

@@ -22,7 +22,7 @@ import (
 func ReadMessage(r io.Reader) (Message, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
-		frame, err := readFrame(r)
+		frame, err := copyFrame(r)
 		if err != nil {
 			return nil, err
 		}
@@ -37,8 +37,8 @@ func ReadMessage(r io.Reader) (Message, error) {
 	return m, err
 }
 
-// readFrame is the copy path: it reads one frame from r into a new slice.
-func readFrame(r io.Reader) ([]byte, error) {
+// copyFrame is the copy path: it reads one frame from r into a new slice.
+func copyFrame(r io.Reader) ([]byte, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err // io.EOF before the first byte, io.ErrUnexpectedEOF after
@@ -76,7 +76,7 @@ func peekFrame(br *bufio.Reader) (frame []byte, held int, err error) {
 	}
 	n := headerLen + (int(hdr[2])<<8 | int(hdr[3]))
 	if n > br.Size() {
-		frame, err = readFrame(br)
+		frame, err = copyFrame(br)
 		return frame, 0, err
 	}
 	if frame, err = br.Peek(n); err != nil {
@@ -112,9 +112,7 @@ func (d *Decoder) Next() (Message, error) {
 	}
 	var m Message
 	if MsgType(frame[1]) == TypeQuery {
-		r := reader{buf: frame[headerLen:]}
-		d.query.decodeBody(&r)
-		if err = r.done(); err == nil {
+		if err = d.query.code(codec{buf: frame[headerLen:], dec: true}).done(); err == nil {
 			m = &d.query
 		}
 	} else {

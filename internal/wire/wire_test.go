@@ -140,16 +140,6 @@ func TestLSARoundTrip(t *testing.T) {
 	}
 }
 
-func TestTermWireLenMatchesEncoding(t *testing.T) {
-	for _, tm := range []policy.Term{testTerm(), policy.OpenTerm(1, 1)} {
-		var buf []byte
-		buf = appendTerm(buf, tm)
-		if got := TermWireLen(tm); got != len(buf) {
-			t.Errorf("TermWireLen(%v) = %d, encoded %d", tm, got, len(buf))
-		}
-	}
-}
-
 func TestSetupRoundTrip(t *testing.T) {
 	m := &Setup{
 		Handle: 0xDEADBEEF12345678,
@@ -458,21 +448,25 @@ func TestDecodeAllocationBoundedByBytesPresent(t *testing.T) {
 }
 
 func TestAppendMessageTooLarge(t *testing.T) {
-	big := &DataOpReply{ID: 7, Op: OpState, Text: strings.Repeat("x", maxBody)}
-	dst := Marshal(&Drain{ID: 1})
-	want := append([]byte(nil), dst...)
-	got, err := AppendMessage(dst, big)
-	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("err = %v, want ErrTooLarge", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("dst changed by a failed append: %d bytes, want the %d it had", len(got), len(want))
-	}
-	if err := WriteMessage(&bytes.Buffer{}, big); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("WriteMessage: err = %v, want ErrTooLarge", err)
+	// A text whose length wraps the 16-bit field fails as surely as one
+	// that does not.
+	for _, n := range []int{maxBody, 1<<16 + 7} {
+		big := &DataOpReply{ID: 7, Op: OpState, Text: strings.Repeat("x", n)}
+		dst := Marshal(&Drain{ID: 1})
+		want := append([]byte(nil), dst...)
+		got, err := AppendMessage(dst, big)
+		if !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("%d-byte text: err = %v, want ErrTooLarge", n, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("dst changed by a failed append: %d bytes, want the %d it had", len(got), len(want))
+		}
+		if err := WriteMessage(&bytes.Buffer{}, big); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("WriteMessage of a %d-byte text: err = %v, want ErrTooLarge", n, err)
+		}
 	}
 	// The largest body that fits still encodes and decodes.
-	fits := &DataOpReply{ID: 7, Path: ad.Path{}, Text: strings.Repeat("x", maxBody-8-2-8-2-16-2)}
+	fits := &DataOpReply{ID: 7, Text: strings.Repeat("x", maxBody-8-2-8-2-16-2)}
 	buf, err := AppendMessage(nil, fits)
 	if err != nil {
 		t.Fatal(err)
