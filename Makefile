@@ -44,11 +44,13 @@ race:
 	$(GO) test -race -count=2 -run 'TestConcurrent' ./internal/pgstate/
 	$(GO) test -race -count=2 ./internal/routeserver/plan/
 
-# The testing.AllocsPerRun pins on the session fast path, the search kernel
-# and policy.ADSet skip themselves under -race (its instrumentation
-# allocates), so they get a pass without.
+# The testing.AllocsPerRun pins on the session fast path, the search kernel,
+# policy.ADSet, the simulator's message path (a warm SendMessage and
+# delivery, a stale flooded copy, IDRP's tie-break) and a small PG table's
+# first slab skip themselves under -race (its instrumentation allocates), so
+# they get a pass without.
 allocs:
-	$(GO) test -run 'Allocs' ./internal/wire/ ./internal/routeserver/daemon/ ./internal/synthesis/ ./internal/policy/
+	$(GO) test -run 'Allocs' ./internal/wire/ ./internal/routeserver/daemon/ ./internal/synthesis/ ./internal/policy/ ./internal/sim/ ./internal/flood/ ./internal/pgstate/ ./internal/protocols/idrp/
 
 # One synthesis per key per epoch is what makes the E20-E25 counters and the
 # parallel runner's output independent of scheduling; the window that broke
@@ -158,11 +160,13 @@ bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkNegotiate$$' -benchmem -count 5 ./internal/ordering/
 	$(GO) test -run '^$$' -bench 'BenchmarkIDRPConverge$$' -benchmem -count 5 ./internal/protocols/idrp/
 
-# bench-suite is the row pool repro_suite leans on, five samples each: Table
-# 1, E1, E4, E9 and E24 on one worker and on one per CPU. The one-worker time
-# is the experiment's serial cost; the ratio is what the fan-out buys here.
+# bench-suite is what repro_suite runs, experiment by experiment, five
+# samples each: every table of the report on one worker, with its bytes and
+# allocations per run, and Table 1, E1, E4, E9 and E24, which split into row
+# tasks, once more on one worker per CPU. The one-worker time is the
+# experiment's serial cost; the ratio is what the fan-out buys here.
 bench-suite:
-	$(GO) test -run '^$$' -bench 'BenchmarkRows$$' -count 5 ./internal/experiments/
+	$(GO) test -run '^$$' -bench 'BenchmarkRows$$' -benchmem -count 5 ./internal/experiments/
 
 # bench-smoke runs every benchmark exactly once — CI uses it to catch
 # benchmarks that no longer compile or that crash, without paying for

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // ID identifies an Administrative Domain. IDs are dense small integers
@@ -23,10 +25,19 @@ const Invalid ID = 0
 
 // String implements fmt.Stringer.
 func (id ID) String() string {
+	var buf [maxIDText]byte
+	return string(id.Append(buf[:0]))
+}
+
+// maxIDText is the longest String of an ID: "AD" and ten digits.
+const maxIDText = 2 + 10
+
+// Append appends the String form of id to b and returns the extended slice.
+func (id ID) Append(b []byte) []byte {
 	if id == Invalid {
-		return "AD?"
+		return append(b, "AD?"...)
 	}
-	return fmt.Sprintf("AD%d", uint32(id))
+	return strconv.AppendUint(append(b, "AD"...), uint64(id), 10)
 }
 
 // Class categorizes an AD by its transit behaviour (paper §2.1).
@@ -573,17 +584,24 @@ func (p Path) Reverse() Path {
 	return out
 }
 
-// String renders the path as "AD1>AD2>AD3".
+// String renders the path as "AD1>AD2>AD3". It sizes the text before
+// writing it, so the string is its one allocation.
 func (p Path) String() string {
 	if len(p) == 0 {
 		return "<empty>"
 	}
-	s := ""
+	var buf [maxIDText]byte
+	n := len(p) - 1 // the separators
+	for _, id := range p {
+		n += len(id.Append(buf[:0]))
+	}
+	var b strings.Builder
+	b.Grow(n)
 	for i, id := range p {
 		if i > 0 {
-			s += ">"
+			b.WriteByte('>')
 		}
-		s += id.String()
+		b.Write(id.Append(buf[:0]))
 	}
-	return s
+	return b.String()
 }

@@ -3,6 +3,8 @@ package ad
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/racecheck"
 )
 
 func buildTriangle(t *testing.T) (*Graph, ID, ID, ID) {
@@ -549,3 +551,45 @@ func TestVersionMovesWithEveryMutation(t *testing.T) {
 	g.RemoveLink(40, a)
 	moved("RemoveLink of an absent link", false)
 }
+
+// TestTextGolden pins the text of IDs and paths, which reports, traces and
+// IDRP's tie-break order are made of, and what building it costs: one
+// allocation, the string itself.
+func TestTextGolden(t *testing.T) {
+	for _, c := range []struct {
+		p    Path
+		want string
+	}{
+		{nil, "<empty>"},
+		{Path{}, "<empty>"},
+		{Path{Invalid}, "AD?"},
+		{Path{7}, "AD7"},
+		{Path{1, 12, 3}, "AD1>AD12>AD3"},
+		{Path{Invalid, 5, Invalid}, "AD?>AD5>AD?"},
+		{Path{4294967295, 10, 9}, "AD4294967295>AD10>AD9"},
+	} {
+		if got := c.p.String(); got != c.want {
+			t.Errorf("%#v.String() = %q, want %q", []ID(c.p), got, c.want)
+		}
+		if len(c.p) == 1 {
+			if got := c.p[0].String(); got != c.want {
+				t.Errorf("ID(%d).String() = %q, want %q", uint32(c.p[0]), got, c.want)
+			}
+		}
+	}
+	if got := string(ID(42).Append([]byte("x="))); got != "x=AD42" {
+		t.Errorf("Append = %q, want x=AD42", got)
+	}
+	if racecheck.Enabled {
+		return // the detector's instrumentation allocates
+	}
+	p := Path{3, 141, 59, 26535, 89793, 2384626, 433832795, Invalid}
+	if n := testing.AllocsPerRun(100, func() { textSink = p.String() }); n != 1 {
+		t.Errorf("Path.String: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { textSink = ID(123456).String() }); n != 1 {
+		t.Errorf("ID.String: %v allocs, want 1", n)
+	}
+}
+
+var textSink string

@@ -112,7 +112,7 @@ func (t *Table) TakeDirty() []Key {
 		}
 		return out[i].QOS < out[j].QOS
 	})
-	t.dirty = make(map[Key]struct{})
+	clear(t.dirty)
 	return out
 }
 

@@ -30,14 +30,20 @@ func NewDB() *DB {
 // Install stores l if it is strictly newer than the current LSA from the
 // same origin, reporting whether it was accepted.
 func (db *DB) Install(l *wire.LSA) bool {
-	cur, ok := db.lsas[l.Origin]
-	if ok && cur.Seq >= l.Seq {
+	if db.stale(l.Origin, l.Seq) {
 		db.Duplicates++
 		return false
 	}
 	db.lsas[l.Origin] = l
 	db.Installs++
 	return true
+}
+
+// stale reports whether an LSA (origin, seq) is no newer than the one
+// installed: what Install would count as a duplicate.
+func (db *DB) stale(origin ad.ID, seq uint32) bool {
+	cur, ok := db.lsas[origin]
+	return ok && cur.Seq >= seq
 }
 
 // Get returns the newest LSA from origin, if any.
@@ -188,10 +194,29 @@ func (f *Flooder) Originate(nw *sim.Network, terms []policy.Term) {
 	}
 	lsa.Terms = terms
 	f.DB.Install(lsa)
-	f.floodScoped(nw, wire.Marshal(lsa))
+	f.floodScoped(nw, nw.Encode(lsa))
 	if f.OnChange != nil {
 		f.OnChange(nw)
 	}
+}
+
+// Receive handles payload if it is an LSA frame, reporting whether it was.
+// A copy no newer than the installed LSA from its origin is counted as a
+// duplicate without being decoded: on a node of degree d only one copy in d
+// is new, and only that one is worth decoding.
+func (f *Flooder) Receive(nw *sim.Network, from ad.ID, payload []byte) bool {
+	origin, seq, ok := wire.PeekLSA(payload)
+	if !ok {
+		return false
+	}
+	if f.DB.stale(origin, seq) {
+		f.DB.Duplicates++
+		return true
+	}
+	if msg, err := wire.Unmarshal(payload); err == nil {
+		f.HandleLSA(nw, from, msg.(*wire.LSA))
+	}
+	return true
 }
 
 // HandleLSA processes a received LSA: install if newer, then re-flood to all
@@ -200,7 +225,7 @@ func (f *Flooder) HandleLSA(nw *sim.Network, from ad.ID, lsa *wire.LSA) {
 	if !f.DB.Install(lsa) {
 		return
 	}
-	f.floodScoped(nw, wire.Marshal(lsa), from)
+	f.floodScoped(nw, nw.Encode(lsa), from)
 	if f.OnChange != nil {
 		f.OnChange(nw)
 	}

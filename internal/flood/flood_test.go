@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ad"
 	"repro/internal/policy"
+	"repro/internal/racecheck"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -96,9 +97,12 @@ func TestDBWireBytes(t *testing.T) {
 	}
 }
 
-// floodNode wires a Flooder into a sim.Node for substrate testing.
+// floodNode wires a Flooder into a sim.Node for substrate testing. With
+// decodeAll it decodes every copy and hands it to HandleLSA, the way
+// Flooder.Receive's duplicate check must be indistinguishable from.
 type floodNode struct {
-	f *Flooder
+	f         *Flooder
+	decodeAll bool
 }
 
 func (n *floodNode) ID() ad.ID { return n.f.Self }
@@ -106,6 +110,10 @@ func (n *floodNode) Start(nw *sim.Network) {
 	n.f.Originate(nw, nil)
 }
 func (n *floodNode) Receive(nw *sim.Network, from ad.ID, payload []byte) {
+	if !n.decodeAll {
+		n.f.Receive(nw, from, payload)
+		return
+	}
 	msg, err := wire.Unmarshal(payload)
 	if err != nil {
 		return
@@ -225,5 +233,70 @@ func TestFlooderScope(t *testing.T) {
 	}
 	if _, ok := blockedNode.f.DB.Get(hub); ok {
 		t.Error("blocked neighbor received the LSA")
+	}
+}
+
+// TestReceiveCountsLikeFullDecode: counting a stale copy as a duplicate
+// from its (origin, seq) alone leaves every node's Installs and Duplicates
+// where decoding every copy puts them, through the initial flood and a
+// link failure's re-flood.
+func TestReceiveCountsLikeFullDecode(t *testing.T) {
+	type counts struct{ installs, dups int }
+	run := func(decodeAll bool) map[ad.ID]counts {
+		nw, nodes := buildFloodNet(t)
+		for _, n := range nodes {
+			n.decodeAll = decodeAll
+		}
+		nw.Start()
+		nw.RunToQuiescence(10 * sim.Second)
+		l := nw.Graph.Links()[0]
+		nw.Engine.After(sim.Second, func() { _ = nw.FailLink(l.A, l.B) })
+		nw.Engine.Run()
+		out := make(map[ad.ID]counts)
+		for id, n := range nodes {
+			out[id] = counts{n.f.DB.Installs, n.f.DB.Duplicates}
+		}
+		return out
+	}
+	peek, full := run(false), run(true)
+	for id, want := range full {
+		if got := peek[id]; got != want {
+			t.Errorf("%v: installs/duplicates %v, decoding every copy gives %v", id, got, want)
+		}
+	}
+}
+
+// TestAllocsFloodDuplicate: a stale copy of an LSA — what a node of degree
+// d receives d-1 times for each new one — is counted without decoding it,
+// so it allocates nothing.
+func TestAllocsFloodDuplicate(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g := ad.NewGraph()
+	a := g.AddAD("a", ad.Transit, ad.Backbone)
+	b := g.AddAD("b", ad.Transit, ad.Backbone)
+	if err := g.AddLink(ad.Link{A: a, B: b}); err != nil {
+		t.Fatal(err)
+	}
+	nw := sim.NewNetwork(g, 1)
+	f := NewFlooder(a, "lsa")
+	lsa := &wire.LSA{
+		Origin: b, Seq: 3,
+		Links: []wire.LSALink{{Neighbor: a, Cost: 1, Up: true}},
+		Terms: []policy.Term{policy.OpenTerm(b, 1)},
+	}
+	frame := wire.Marshal(lsa)
+	if !f.Receive(nw, b, frame) || f.DB.Installs != 1 {
+		t.Fatalf("first copy: installs %d, want 1", f.DB.Installs)
+	}
+	if n := testing.AllocsPerRun(100, func() { f.Receive(nw, b, frame) }); n != 0 {
+		t.Errorf("stale copy: %v allocs, want 0", n)
+	}
+	if f.DB.Installs != 1 || f.DB.Duplicates != 101 {
+		t.Errorf("installs %d, duplicates %d; want 1 and 101", f.DB.Installs, f.DB.Duplicates)
+	}
+	if f.Receive(nw, b, wire.Marshal(&wire.DVUpdate{})) {
+		t.Error("Receive claimed a frame that is not an LSA")
 	}
 }

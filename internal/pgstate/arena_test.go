@@ -7,9 +7,11 @@ package pgstate
 // previous tenant's link-index edges.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ad"
+	"repro/internal/racecheck"
 	"repro/internal/sim"
 )
 
@@ -105,5 +107,67 @@ func TestArenaSteadyStateNoGrowth(t *testing.T) {
 	}
 	if tab.Len() != slabSize {
 		t.Fatalf("churn lost entries: %d", tab.Len())
+	}
+}
+
+// TestArenaRampLayout: the slabs ramp 16, 16, 32, 64, 128 and then stay at
+// 256 records, indices are handed out in ascending order, and at maps each
+// index to its own record, so no two live handles share one.
+func TestArenaRampLayout(t *testing.T) {
+	var a arena
+	const n = 3*slabSize + 5
+	seen := make(map[*rec]int32, n)
+	for want := int32(0); want < n; want++ {
+		idx := a.alloc()
+		if idx != want {
+			t.Fatalf("alloc %d returned index %d", want, idx)
+		}
+		r := a.at(idx)
+		if prev, dup := seen[r]; dup {
+			t.Fatalf("indices %d and %d share a record", prev, idx)
+		}
+		seen[r] = idx
+		r.handle = uint64(idx)
+	}
+	for idx := int32(0); idx < n; idx++ {
+		if h := a.at(idx).handle; h != uint64(idx) {
+			t.Fatalf("at(%d) holds the record of %d", idx, h)
+		}
+	}
+	var lens []int
+	for _, s := range a.slabs {
+		lens = append(lens, len(s))
+	}
+	want := []int{16, 16, 32, 64, 128, 256, 256, 256}
+	if !slices.Equal(lens, want) {
+		t.Fatalf("slab sizes %v, want %v", lens, want)
+	}
+}
+
+// TestAllocsSmallTable: a table that never holds more than 16 entries — the
+// simulator's per-PG tables — allocates one 16-record slab for its arena,
+// not a full 256-record one.
+func TestAllocsSmallTable(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	tab := NewTable(Config{Kind: Hard, Shards: 1})
+	sh := tab.shards[0]
+	for h := uint64(1); h <= 16; h++ {
+		tab.Install(0, h, testRoute, 1, testReq, 0)
+	}
+	if len(sh.arena.slabs) != 1 || len(sh.arena.slabs[0]) != 16 {
+		t.Fatalf("16 entries: %d slabs, first of %d records; want one of 16", len(sh.arena.slabs), len(sh.arena.slabs[0]))
+	}
+	// With the slab in place, churning within 16 entries allocates no
+	// record: a remove and an install reuse the freed slot.
+	if n := testing.AllocsPerRun(100, func() {
+		tab.Remove(16)
+		tab.Install(0, 16, testRoute, 1, testReq, 0)
+	}); n != 0 {
+		t.Errorf("remove+install at 16 entries: %v allocs, want 0", n)
+	}
+	if len(sh.arena.slabs) != 1 {
+		t.Errorf("churn grew the arena to %d slabs", len(sh.arena.slabs))
 	}
 }

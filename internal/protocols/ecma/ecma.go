@@ -67,6 +67,10 @@ type System struct {
 
 	computations int
 	started      bool
+	// rx is the update Receive decodes into and tx the one flush builds,
+	// each reused message to message: routes are values, and nothing
+	// keeps a slice of either.
+	rx, tx wire.DVUpdate
 }
 
 // New builds the system over g with policy db. The partial ordering is
@@ -280,25 +284,22 @@ func (n *node) flush(nw *sim.Network, keys []dvcore.Key, only ad.ID) {
 		if only != ad.Invalid && nb != only {
 			continue
 		}
-		var upd wire.DVUpdate
+		upd := &n.sys.tx
+		upd.Routes = upd.Routes[:0]
 		for _, k := range keys {
 			if rt, ok := n.advertisable(k, nb); ok {
 				upd.Routes = append(upd.Routes, rt)
 			}
 		}
 		if len(upd.Routes) > 0 {
-			nw.Send("ecma", n.id, nb, wire.Marshal(&upd))
+			nw.SendMessage("ecma", n.id, nb, upd)
 		}
 	}
 }
 
 func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
-	msg, err := wire.Unmarshal(payload)
-	if err != nil {
-		return
-	}
-	upd, ok := msg.(*wire.DVUpdate)
-	if !ok {
+	upd := &n.sys.rx
+	if wire.UnmarshalInto(payload, upd) != nil {
 		return
 	}
 	if len(upd.Routes) == 0 {
@@ -372,7 +373,7 @@ func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
 	if changed {
 		n.scheduleFlush(nw)
 		for _, other := range nw.UpNeighbors(n.id) {
-			nw.Send("ecma", n.id, other, wire.Marshal(&wire.DVUpdate{}))
+			nw.SendMessage("ecma", n.id, other, &wire.DVUpdate{})
 		}
 	}
 }
@@ -384,5 +385,5 @@ func (n *node) LinkUp(nw *sim.Network, nb ad.ID) {
 	}
 	n.flush(nw, keys, nb)
 	// Ask the recovered neighbor for its table too.
-	nw.Send("ecma", n.id, nb, wire.Marshal(&wire.DVUpdate{}))
+	nw.SendMessage("ecma", n.id, nb, &wire.DVUpdate{})
 }

@@ -45,6 +45,9 @@ type System struct {
 
 	computations int
 	started      bool
+	// rx is the update Receive decodes into, reused message to message:
+	// routes are values, and nothing keeps a slice of it.
+	rx wire.EGPUpdate
 }
 
 // New builds the system over g. Policy is not representable in EGP beyond
@@ -150,7 +153,7 @@ func (n *node) advertise(nw *sim.Network, routes []wire.EGPRoute, skip ad.ID) {
 	if len(routes) == 0 {
 		return
 	}
-	msg := wire.Marshal(&wire.EGPUpdate{Routes: routes})
+	msg := nw.Encode(&wire.EGPUpdate{Routes: routes})
 	for _, nb := range nw.UpNeighbors(n.id) {
 		if nb == skip {
 			continue
@@ -160,12 +163,8 @@ func (n *node) advertise(nw *sim.Network, routes []wire.EGPRoute, skip ad.ID) {
 }
 
 func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
-	msg, err := wire.Unmarshal(payload)
-	if err != nil {
-		return
-	}
-	upd, ok := msg.(*wire.EGPUpdate)
-	if !ok {
+	upd := &n.sys.rx
+	if wire.UnmarshalInto(payload, upd) != nil {
 		return
 	}
 	n.sys.computations++
@@ -239,6 +238,6 @@ func (n *node) LinkUp(nw *sim.Network, nb ad.ID) {
 		routes = append(routes, wire.EGPRoute{Dest: dest, Metric: n.metric[dest]})
 	}
 	if len(routes) > 0 {
-		nw.Send("egp", n.id, nb, wire.Marshal(&wire.EGPUpdate{Routes: routes}))
+		nw.SendMessage("egp", n.id, nb, &wire.EGPUpdate{Routes: routes})
 	}
 }

@@ -141,7 +141,7 @@ func (s *System) Discover(req policy.Request) Discovery {
 			Payload: make([]byte, s.cfg.Payload),
 		}
 		sent := s.nw.Now()
-		s.nw.Send("probe", req.Src, cand[1], wire.Marshal(pkt))
+		s.nw.SendMessage("probe", req.Src, cand[1], pkt)
 		s.nw.Engine.Run()
 		if s.acked[id] {
 			d.Delivered = true
@@ -212,7 +212,7 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 			Route:    pkt.Route.Reverse(),
 		}
 		if len(ack.Route) >= 2 {
-			nw.Send("ack", n.id, ack.Route[1], wire.Marshal(ack))
+			nw.SendMessage("ack", n.id, ack.Route[1], ack)
 		}
 		return
 	}
@@ -225,7 +225,7 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 		return
 	}
 	pkt.HopIndex++
-	nw.Send("probe", n.id, next, wire.Marshal(pkt))
+	nw.SendMessage("probe", n.id, next, pkt)
 }
 
 // forwardAck relays an acknowledgement (unfiltered) toward the original
@@ -240,5 +240,5 @@ func (n *node) forwardAck(nw *sim.Network, pkt *wire.Data) {
 		return
 	}
 	pkt.HopIndex++
-	nw.Send("ack", n.id, pkt.Route[idx+1], wire.Marshal(pkt))
+	nw.SendMessage("ack", n.id, pkt.Route[idx+1], pkt)
 }

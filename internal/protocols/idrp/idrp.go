@@ -18,10 +18,9 @@
 package idrp
 
 import (
+	"bytes"
 	"cmp"
 	"slices"
-	"sort"
-	"strings"
 
 	"repro/internal/ad"
 	"repro/internal/core"
@@ -94,10 +93,36 @@ type System struct {
 
 	computations int
 	started      bool
-	// wbuf is the encode buffer every update is marshalled into: Send
-	// copies the payload, so one buffer serves the whole simulation.
-	wbuf []byte
+
+	// Scratch shared by every node of the system. Nodes run one callback
+	// at a time inside the event loop, and nothing here outlives the call
+	// that fills it, so a message costs no allocation for bookkeeping.
+	//
+	// rx is the update Receive decodes into; its paths are overwritten by
+	// the next decode, so a kept route copies its path. marks records, per
+	// context, the Receive that last changed it and the Receive that last
+	// refilled a neighbour's candidates for it; receives numbers the calls.
+	// changed lists the contexts a Receive or LinkDown reselects.
+	rx       wire.PathVector
+	marks    map[ribKey]mark
+	receives uint64
+	changed  []ribKey
+	// sel is selectRoutes' picks.
+	sel []route
+	// keys holds a flush's contexts, sorted. exports holds their exported
+	// routes, context i's at exports[ends[i-1]:ends[i]], with paths backed
+	// by paths; upd is the update built from them for one neighbour.
+	keys    []ribKey
+	exports []wire.PVRoute
+	ends    []int
+	paths   []ad.ID
+	upd     wire.PathVector
 }
+
+// mark is what System.marks holds for one context: the numbers of the last
+// Receive to put it on the changed list and the last to refill a
+// neighbour's candidates for it.
+type mark struct{ changed, replaced uint64 }
 
 // New builds the system over g with policy db.
 func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
@@ -107,15 +132,17 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 		nw:    sim.NewNetwork(g, cfg.Seed),
 		db:    db,
 		nodes: make(map[ad.ID]*node),
+		marks: make(map[ribKey]mark),
 	}
 	for _, info := range g.ADs() {
 		n := &node{
 			id:    info.ID,
 			info:  info,
 			sys:   s,
-			cands: make(map[ribKey]map[ad.ID][]route),
+			cands: make(map[ribKey][]route),
 			adv:   make(map[ribKey][]route),
 		}
+		n.flushFn = n.flush
 		n.deriveTransit()
 		s.nodes[info.ID] = n
 		s.nw.AddNode(n)
@@ -190,10 +217,8 @@ func (s *System) Route(req policy.Request) core.Outcome {
 func (s *System) StateEntries() int {
 	total := 0
 	for _, n := range s.nodes {
-		for _, byNbr := range n.cands {
-			for _, rs := range byNbr {
-				total += len(rs)
-			}
+		for _, rs := range n.cands {
+			total += len(rs)
 		}
 		for _, rs := range n.adv {
 			total += len(rs)
@@ -229,9 +254,9 @@ type node struct {
 	info ad.Info
 	sys  *System
 
-	// cands is the Adj-RIB-In: candidate routes per context per
-	// neighbor.
-	cands map[ribKey]map[ad.ID][]route
+	// cands is the Adj-RIB-In: the candidate routes per context, every
+	// neighbor's in one slice.
+	cands map[ribKey][]route
 	// adv is the Loc-RIB/Adj-RIB-Out: the routes currently selected and
 	// advertised (up to MultiRoute per context).
 	adv map[ribKey][]route
@@ -247,6 +272,9 @@ type node struct {
 
 	flushPending bool
 	dirty        map[ribKey]struct{}
+	// flushFn is n.flush, bound once so scheduling a flush allocates
+	// nothing.
+	flushFn func()
 }
 
 func (n *node) deriveTransit() {
@@ -302,36 +330,40 @@ func (n *node) scheduleFlush(nw *sim.Network) {
 		return
 	}
 	n.flushPending = true
-	nw.After(flushDelay, func() {
-		n.flushPending = false
-		keys := n.takeDirty()
-		n.flushTo(nw, keys, ad.Invalid)
-	})
+	nw.After(flushDelay, n.flushFn)
 }
 
-func (n *node) takeDirty() []ribKey {
-	keys := make([]ribKey, 0, len(n.dirty))
-	for k := range n.dirty {
-		keys = append(keys, k)
+// flush advertises every context marked dirty since the last flush.
+func (n *node) flush() {
+	n.flushPending = false
+	s := n.sys
+	s.keys = appendSortedKeys(s.keys[:0], n.dirty)
+	clear(n.dirty)
+	n.flushTo(s.nw, s.keys, ad.Invalid)
+}
+
+// appendSortedKeys appends m's contexts to dst in (dest, qos) order.
+func appendSortedKeys[V any](dst []ribKey, m map[ribKey]V) []ribKey {
+	for k := range m {
+		dst = append(dst, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dest != keys[j].dest {
-			return keys[i].dest < keys[j].dest
+	slices.SortFunc(dst, func(a, b ribKey) int {
+		if a.dest != b.dest {
+			return cmp.Compare(a.dest, b.dest)
 		}
-		return keys[i].qos < keys[j].qos
+		return cmp.Compare(a.qos, b.qos)
 	})
-	n.dirty = make(map[ribKey]struct{})
-	return keys
+	return dst
 }
 
-// exportRoutes builds the PVRoutes n advertises for context k: the selected
-// routes, with n prepended to the path, n's policy attributes intersected
-// in, and the transit cost added. Empty result means withdraw.
-func (n *node) exportRoutes(k ribKey) []wire.PVRoute {
-	rs := n.adv[k]
+// exportRoutes appends to out the PVRoutes n advertises for context k: the
+// selected routes, with n prepended to the path, n's policy attributes
+// intersected in, and the transit cost added. Appending none means
+// withdraw. The prepended paths live in the system's paths scratch.
+func (n *node) exportRoutes(out []wire.PVRoute, k ribKey) []wire.PVRoute {
+	s := n.sys
 	isSelf := k.dest == n.id
-	out := make([]wire.PVRoute, 0, len(rs))
-	for _, r := range rs {
+	for _, r := range n.adv[k] {
 		pv := wire.PVRoute{
 			Dest:   k.dest,
 			QOS:    k.qos,
@@ -363,7 +395,9 @@ func (n *node) exportRoutes(k ribKey) []wire.PVRoute {
 			}
 			pv.Metric = r.metric + n.transitCost[int(k.qos)]
 		}
-		pv.Path = append(append(make(ad.Path, 0, len(r.path)+1), n.id), r.path...)
+		start := len(s.paths)
+		s.paths = append(append(s.paths, n.id), r.path...)
+		pv.Path = s.paths[start:len(s.paths):len(s.paths)]
 		out = append(out, pv)
 	}
 	return out
@@ -375,23 +409,24 @@ func (n *node) flushTo(nw *sim.Network, keys []ribKey, only ad.ID) {
 	if len(keys) == 0 {
 		return
 	}
-	exports := make([][]wire.PVRoute, len(keys))
-	size := 0
-	for i, k := range keys {
-		exports[i] = n.exportRoutes(k)
-		size += max(len(exports[i]), 1)
+	s := n.sys
+	s.exports, s.ends, s.paths = s.exports[:0], s.ends[:0], s.paths[:0]
+	for _, k := range keys {
+		s.exports = n.exportRoutes(s.exports, k)
+		s.ends = append(s.ends, len(s.exports))
 	}
-	upd := wire.PathVector{Routes: make([]wire.PVRoute, 0, size)}
+	upd := &s.upd
 	for _, nb := range nw.UpNeighbors(n.id) {
 		if only != ad.Invalid && nb != only {
 			continue
 		}
 		upd.Routes = upd.Routes[:0]
+		start := 0
 		for i, k := range keys {
 			// Receiver-side loop rejection also exists; skipping
 			// routes through nb here is sender-side cleanliness.
 			sentAny := false
-			for _, pv := range exports[i] {
+			for _, pv := range s.exports[start:s.ends[i]] {
 				if pv.Path.Contains(nb) {
 					continue
 				}
@@ -404,80 +439,96 @@ func (n *node) flushTo(nw *sim.Network, keys []ribKey, only ad.ID) {
 					AllowedSources: policy.SetOf(),
 				})
 			}
+			start = s.ends[i]
 		}
 		if len(upd.Routes) > 0 {
-			var err error
-			if n.sys.wbuf, err = wire.AppendMessage(n.sys.wbuf[:0], &upd); err != nil {
-				panic(err.Error())
-			}
-			nw.Send("idrp", n.id, nb, n.sys.wbuf)
+			nw.SendMessage("idrp", n.id, nb, upd)
 		}
 	}
 }
 
 func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
-	msg, err := wire.Unmarshal(payload)
-	if err != nil {
+	s := n.sys
+	if wire.UnmarshalInto(payload, &s.rx) != nil {
 		return
 	}
-	upd, ok := msg.(*wire.PathVector)
-	if !ok {
-		return
-	}
-	n.sys.computations++
+	s.computations++
 	link, haveLink := nw.Graph.LinkBetween(n.id, from)
 	if !haveLink {
 		return
 	}
-	changed := make(map[ribKey]bool)
-	replaced := make(map[ribKey]bool)
-	for _, pv := range upd.Routes {
-		if int(pv.QOS) >= n.sys.cfg.QOSClasses || pv.Dest == n.id {
+	s.receives++
+	changed := s.changed[:0]
+	for i := range s.rx.Routes {
+		pv := &s.rx.Routes[i]
+		if int(pv.QOS) >= s.cfg.QOSClasses || pv.Dest == n.id {
 			continue
 		}
 		k := ribKey{dest: pv.Dest, qos: pv.QOS}
-		if pv.Withdrawn {
-			if byNbr := n.cands[k]; byNbr != nil {
-				if _, had := byNbr[from]; had {
-					delete(byNbr, from)
-					changed[k] = true
-				}
+		m := s.marks[k]
+		switch {
+		case pv.Withdrawn:
+			rs := n.cands[k]
+			kept := slices.DeleteFunc(rs, func(c route) bool { return c.from == from })
+			if len(kept) == len(rs) {
+				continue
 			}
+			n.cands[k] = kept
+		case pv.Path.Contains(n.id):
+			// Loop avoidance: reject routes containing ourselves (§5.2.1).
 			continue
+		default:
+			r := route{
+				path:    pv.Path,
+				metric:  pv.Metric + link.Cost,
+				sources: pv.AllowedSources,
+				uci:     pv.UCI,
+				from:    from,
+			}
+			rs := n.cands[k]
+			if rs == nil {
+				rs = make([]route, 0, len(nw.Graph.Neighbors(n.id)))
+			}
+			// A neighbor's full offering for one context arrives in one
+			// message: its first route replaces what the neighbor
+			// offered before, later ones (multi-route mode) accumulate.
+			if m.replaced != s.receives {
+				m.replaced = s.receives
+				r.path = keptPath(rs, from, pv.Path)
+				rs = slices.DeleteFunc(rs, func(c route) bool { return c.from == from })
+			} else {
+				r.path = slices.Clone(pv.Path)
+			}
+			n.cands[k] = append(rs, r)
 		}
-		// Loop avoidance: reject routes containing ourselves (§5.2.1).
-		if pv.Path.Contains(n.id) {
-			continue
+		if m.changed != s.receives {
+			m.changed = s.receives
+			changed = append(changed, k)
 		}
-		r := route{
-			path:    pv.Path,
-			metric:  pv.Metric + link.Cost,
-			sources: pv.AllowedSources,
-			uci:     pv.UCI,
-			from:    from,
-		}
-		if n.cands[k] == nil {
-			n.cands[k] = make(map[ad.ID][]route)
-		}
-		// A neighbor's full offering for one context arrives in one
-		// message: the first route replaces the stored slice, later
-		// ones (multi-route mode) accumulate.
-		if replaced[k] {
-			n.cands[k][from] = append(n.cands[k][from], r)
-		} else {
-			n.cands[k][from] = []route{r}
-			replaced[k] = true
-		}
-		changed[k] = true
+		s.marks[k] = m
 	}
+	s.changed = changed
 	n.reselect(nw, changed)
+}
+
+// keptPath returns a path of the node's own equal to p, which is the decode
+// scratch's: the path of from's stored route when equal — the neighbor
+// re-advertised it — and a copy otherwise. Stored paths are never written
+// to, so routes share them freely.
+func keptPath(rs []route, from ad.ID, p ad.Path) ad.Path {
+	for _, c := range rs {
+		if c.from == from && c.path.Equal(p) {
+			return c.path
+		}
+	}
+	return slices.Clone(p)
 }
 
 // reselect recomputes the selected route set for each changed context and
 // schedules advertisement of the differences.
-func (n *node) reselect(nw *sim.Network, changed map[ribKey]bool) {
+func (n *node) reselect(nw *sim.Network, changed []ribKey) {
 	any := false
-	for k := range changed {
+	for _, k := range changed {
 		if k.dest == n.id {
 			continue
 		}
@@ -486,7 +537,7 @@ func (n *node) reselect(nw *sim.Network, changed map[ribKey]bool) {
 			if len(sel) == 0 {
 				delete(n.adv, k)
 			} else {
-				n.adv[k] = sel
+				n.adv[k] = append(n.adv[k][:0], sel...)
 			}
 			n.dirty[k] = struct{}{}
 			any = true
@@ -500,12 +551,12 @@ func (n *node) reselect(nw *sim.Network, changed map[ribKey]bool) {
 // selectRoutes picks up to MultiRoute best candidates for k, requiring
 // attribute-distinct routes beyond the first (the paper's condition for
 // loop-safe multi-route advertisement: "each route and each packet can be
-// identified with a unique set of policy attributes", §5.2).
+// identified with a unique set of policy attributes", §5.2). The result is
+// the system's scratch, valid until the next call. It sorts k's candidates
+// in place, best first.
 func (n *node) selectRoutes(k ribKey) []route {
-	var all []route
-	for _, rs := range n.cands[k] {
-		all = append(all, rs...)
-	}
+	s := n.sys
+	all := n.cands[k]
 	slices.SortFunc(all, func(a, b route) int {
 		if a.metric != b.metric {
 			return cmp.Compare(a.metric, b.metric)
@@ -513,18 +564,49 @@ func (n *node) selectRoutes(k ribKey) []route {
 		if a.from != b.from {
 			return cmp.Compare(a.from, b.from)
 		}
-		return strings.Compare(a.path.String(), b.path.String())
+		return comparePaths(a.path, b.path)
 	})
-	var sel []route
+	sel := s.sel[:0]
 	for _, r := range all {
-		if len(sel) >= n.sys.cfg.MultiRoute {
+		if len(sel) >= s.cfg.MultiRoute {
 			break
 		}
 		if !slices.ContainsFunc(sel, r.sameAttrs) {
 			sel = append(sel, r)
 		}
 	}
+	s.sel = sel
 	return sel
+}
+
+// comparePaths orders two paths as strings.Compare orders their String
+// forms, without building them: byte-wise on "AD12>AD3", so AD12 sorts
+// before AD3, a path sorts before its extensions ('>' sorts after every
+// digit, the end of the text before everything), and "<empty>" sorts first.
+// Paths render hop by hop as the hop's text and, but for the last hop, a
+// '>'; those chunks are compared in turn, and the first unequal pair orders
+// the texts because a chunk cannot be a proper prefix of another chunk
+// unless its path ends there.
+func comparePaths(a, b ad.Path) int {
+	if len(a) == 0 || len(b) == 0 {
+		return cmp.Compare(min(len(a), 1), min(len(b), 1))
+	}
+	var ta, tb [16]byte
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if c := bytes.Compare(hopText(ta[:0], a, i), hopText(tb[:0], b, i)); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// hopText appends hop i's chunk of p's String form to dst.
+func hopText(dst []byte, p ad.Path, i int) []byte {
+	dst = p[i].Append(dst)
+	if i < len(p)-1 {
+		dst = append(dst, '>')
+	}
+	return dst
 }
 
 func routesEqual(a, b []route) bool {
@@ -541,27 +623,19 @@ func routesEqual(a, b []route) bool {
 }
 
 func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
-	changed := make(map[ribKey]bool)
-	for k, byNbr := range n.cands {
-		if _, had := byNbr[nb]; had {
-			delete(byNbr, nb)
-			changed[k] = true
+	changed := n.sys.changed[:0]
+	for k, rs := range n.cands {
+		if kept := slices.DeleteFunc(rs, func(c route) bool { return c.from == nb }); len(kept) < len(rs) {
+			n.cands[k] = kept
+			changed = append(changed, k)
 		}
 	}
+	n.sys.changed = changed
 	n.reselect(nw, changed)
 }
 
 func (n *node) LinkUp(nw *sim.Network, nb ad.ID) {
 	// Advertise the full Adj-RIB-Out to the recovered neighbor.
-	var keys []ribKey
-	for k := range n.adv {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dest != keys[j].dest {
-			return keys[i].dest < keys[j].dest
-		}
-		return keys[i].qos < keys[j].qos
-	})
-	n.flushTo(nw, keys, nb)
+	n.sys.keys = appendSortedKeys(n.sys.keys[:0], n.adv)
+	n.flushTo(nw, n.sys.keys, nb)
 }

@@ -1,11 +1,15 @@
 package idrp
 
 import (
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ad"
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/racecheck"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -357,18 +361,18 @@ func TestMultiRouteDistinctByValue(t *testing.T) {
 	cand := func(via ad.ID, metric uint32, sources policy.ADSet, uci policy.ClassSet) route {
 		return route{path: ad.Path{via, d}, metric: metric, sources: sources, uci: uci, from: via}
 	}
-	n.cands[k] = map[ad.ID][]route{
-		t1: {cand(t1, 2, policy.SetOf(s1, s2, 9), policy.AllClasses)},
-		t2: {cand(t2, 5, policy.SetOf(9, s2, s1, s2), policy.AllClasses)},
+	n.cands[k] = []route{
+		cand(t1, 2, policy.SetOf(s1, s2, 9), policy.AllClasses),
+		cand(t2, 5, policy.SetOf(9, s2, s1, s2), policy.AllClasses),
 	}
 	if sel := n.selectRoutes(k); len(sel) != 1 || sel[0].from != t1 {
 		t.Fatalf("equal attributes: selected %+v, want only the cheaper route via t1", sel)
 	}
-	n.cands[k][t2] = []route{cand(t2, 5, policy.Universal(), policy.AllClasses)}
+	n.cands[k][1] = cand(t2, 5, policy.Universal(), policy.AllClasses)
 	if sel := n.selectRoutes(k); len(sel) != 2 {
 		t.Fatalf("universal vs explicit sources: selected %d routes, want 2", len(sel))
 	}
-	n.cands[k][t2] = []route{cand(t2, 5, policy.SetOf(s2, 9, s1), policy.ClassSetOf(0))}
+	n.cands[k][1] = cand(t2, 5, policy.SetOf(s2, 9, s1), policy.ClassSetOf(0))
 	if sel := n.selectRoutes(k); len(sel) != 2 {
 		t.Fatalf("equal sources, different UCI: selected %d routes, want 2", len(sel))
 	}
@@ -383,18 +387,90 @@ func TestReselectValueEqualIsNoChange(t *testing.T) {
 	n := s.nodes[s1]
 	k := ribKey{dest: d}
 	r := route{path: ad.Path{t1, d}, metric: 2, sources: policy.SetOf(s1, s2), uci: policy.AllClasses, from: t1}
-	n.cands[k] = map[ad.ID][]route{t1: {r}}
-	n.adv[k] = n.selectRoutes(k)
+	n.cands[k] = []route{r}
+	n.adv[k] = slices.Clone(n.selectRoutes(k))
 	r.sources = policy.SetOf(s2, 7, s1).Intersect(policy.SetOf(s1, s2))
-	n.cands[k][t1] = []route{r}
-	n.reselect(s.nw, map[ribKey]bool{k: true})
+	n.cands[k] = []route{r}
+	n.reselect(s.nw, []ribKey{k})
 	if len(n.dirty) != 0 || n.flushPending {
 		t.Errorf("value-equal sources re-advertised: dirty %v", n.dirty)
 	}
 	r.sources = policy.SetOf(s1)
-	n.cands[k][t1] = []route{r}
-	n.reselect(s.nw, map[ribKey]bool{k: true})
+	n.cands[k] = []route{r}
+	n.reselect(s.nw, []ribKey{k})
 	if _, ok := n.dirty[k]; !ok {
 		t.Error("narrowed sources not re-advertised")
+	}
+}
+
+// TestComparePathsMatchesStringOrder holds the tie-break comparator to the
+// order it replaced, strings.Compare on the paths' String forms: byte-wise
+// on "AD12>AD3", where AD10 sorts before AD9, a path before its extensions,
+// '>' after every digit, "AD?" (ad.Invalid) after every number and
+// "<empty>" first. Hand cases pin those corners; seeded random pairs with
+// shared prefixes cover the rest (-run TestComparePaths, seed in the log on
+// failure).
+func TestComparePathsMatchesStringOrder(t *testing.T) {
+	check := func(a, b ad.Path) {
+		t.Helper()
+		if got, want := comparePaths(a, b), strings.Compare(a.String(), b.String()); got != want {
+			t.Errorf("comparePaths(%v, %v) = %d, want %d", a, b, got, want)
+		}
+	}
+	hand := []ad.Path{
+		nil, {}, {ad.Invalid}, {ad.Invalid, 1}, {1, ad.Invalid},
+		{9}, {10}, {1}, {12}, {2}, {1, 2}, {1, 2, 3}, {1, 12}, {12, 3}, {1, 2, 12},
+		{100}, {1000}, {99}, {4294967295}, {429496729}, {4294967295, 1},
+	}
+	for _, a := range hand {
+		for _, b := range hand {
+			check(a, b)
+		}
+	}
+	const seed = 1
+	rng := rand.New(rand.NewSource(seed))
+	id := func() ad.ID {
+		switch rng.Intn(4) {
+		case 0:
+			return ad.ID(rng.Intn(3)) // 0 is ad.Invalid
+		case 1:
+			return ad.ID(rng.Intn(20))
+		case 2:
+			return ad.ID(rng.Intn(2000))
+		default:
+			return ad.ID(rng.Uint32())
+		}
+	}
+	randPath := func() ad.Path {
+		p := make(ad.Path, rng.Intn(6))
+		for i := range p {
+			p[i] = id()
+		}
+		return p
+	}
+	for i := 0; i < 3000; i++ {
+		a := randPath()
+		// Half the pairs share a prefix, so the comparison reaches later
+		// hops and the ends of paths.
+		b := randPath()
+		if rng.Intn(2) == 0 {
+			b = append(slices.Clone(a[:rng.Intn(len(a)+1)]), b...)
+		}
+		check(a, b)
+		check(b, a)
+	}
+	if t.Failed() {
+		t.Logf("random pairs drawn from seed %d", seed)
+	}
+}
+
+// TestAllocsComparePaths: the tie-break builds no strings.
+func TestAllocsComparePaths(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	a, b := ad.Path{1, 12, 3, 4294967295}, ad.Path{1, 12, 3, 42}
+	if n := testing.AllocsPerRun(100, func() { _ = comparePaths(a, b) }); n != 0 {
+		t.Errorf("comparePaths: %v allocs, want 0", n)
 	}
 }

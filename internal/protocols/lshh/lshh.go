@@ -23,7 +23,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/synthesis"
-	"repro/internal/wire"
 )
 
 // Config parameterizes the protocol.
@@ -184,13 +183,7 @@ func (n *node) Start(nw *sim.Network) {
 }
 
 func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
-	msg, err := wire.Unmarshal(payload)
-	if err != nil {
-		return
-	}
-	if lsa, ok := msg.(*wire.LSA); ok {
-		n.flooder.HandleLSA(nw, from, lsa)
-	}
+	n.flooder.Receive(nw, from, payload)
 }
 
 func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {

@@ -258,7 +258,7 @@ func (s *System) SendData(srcID ad.ID, handle uint64, payload int) (delivered bo
 	headerBytes = pkt.HeaderLen()
 	dest := s.nodes[path.Dest()]
 	before := dest.delivered[handle]
-	s.nw.Send("data", srcID, path[1], wire.Marshal(pkt))
+	s.nw.SendMessage("data", srcID, path[1], pkt)
 	s.nw.Engine.Run()
 	return dest.delivered[handle] > before, headerBytes
 }
@@ -277,9 +277,9 @@ func (s *System) Teardown(srcID ad.ID, handle uint64) {
 	delete(src.flows, handle)
 	src.table.Remove(handle)
 	if len(path) >= 2 {
-		s.nw.Send("teardown", srcID, path[1], wire.Marshal(&wire.Teardown{
+		s.nw.SendMessage("teardown", srcID, path[1], &wire.Teardown{
 			Handle: handle, Reason: wire.TeardownExplicit,
-		}))
+		})
 		s.nw.Engine.Run()
 	}
 }
@@ -343,9 +343,9 @@ func (s *System) RefreshEstablished() {
 				continue
 			}
 			n.table.Refresh(s.nw.Now(), h, ttlSim)
-			s.nw.Send("refresh", n.id, path[1], wire.Marshal(&wire.Refresh{
+			s.nw.SendMessage("refresh", n.id, path[1], &wire.Refresh{
 				Handle: h, TTLMillis: ttl,
-			}))
+			})
 		}
 	}
 	s.nw.Engine.Run()
@@ -646,7 +646,7 @@ func (n *node) startSetup(nw *sim.Network, handle uint64, req policy.Request, ro
 	ttl := n.sys.ttlMillis()
 	n.install(nw, handle, route, 0, req, ttl)
 	msg := &wire.Setup{Handle: handle, Req: req, Route: route, TermKeys: keys, TTLMillis: ttl}
-	nw.Send("setup", n.id, route[1], wire.Marshal(msg))
+	nw.SendMessage("setup", n.id, route[1], msg)
 }
 
 // install adds a handle entry under the configured discipline, honouring
@@ -656,13 +656,14 @@ func (n *node) install(nw *sim.Network, handle uint64, route ad.Path, idx int, r
 }
 
 func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
+	if n.flooder.Receive(nw, from, payload) {
+		return
+	}
 	msg, err := wire.Unmarshal(payload)
 	if err != nil {
 		return
 	}
 	switch m := msg.(type) {
-	case *wire.LSA:
-		n.flooder.HandleLSA(nw, from, m)
 	case *wire.Setup:
 		n.handleSetup(nw, from, m)
 	case *wire.SetupReply:
@@ -691,9 +692,9 @@ func (n *node) indexOn(route ad.Path) int {
 func (n *node) handleSetup(nw *sim.Network, from ad.ID, m *wire.Setup) {
 	idx := n.indexOn(m.Route)
 	reject := func(code uint8) {
-		nw.Send("setup-reply", n.id, from, wire.Marshal(&wire.SetupReply{
+		nw.SendMessage("setup-reply", n.id, from, &wire.SetupReply{
 			Handle: m.Handle, Code: code, FailedAt: n.id,
-		}))
+		})
 	}
 	if idx <= 0 || !m.Route.LoopFree() || m.Route.Dest() != m.Req.Dst || m.Route.Source() != m.Req.Src {
 		reject(wire.SetupBadRoute)
@@ -706,9 +707,9 @@ func (n *node) handleSetup(nw *sim.Network, from ad.ID, m *wire.Setup) {
 	if idx == len(m.Route)-1 {
 		// Destination PG: accept, install for the data plane, reply OK.
 		n.install(nw, m.Handle, m.Route, idx, m.Req, m.TTLMillis)
-		nw.Send("setup-reply", n.id, from, wire.Marshal(&wire.SetupReply{
+		nw.SendMessage("setup-reply", n.id, from, &wire.SetupReply{
 			Handle: m.Handle, Code: wire.SetupOK,
-		}))
+		})
 		return
 	}
 	// Transit PG: validate the claimed term against LOCAL policy.
@@ -717,10 +718,10 @@ func (n *node) handleSetup(nw *sim.Network, from ad.ID, m *wire.Setup) {
 		if k.Advertiser != n.id {
 			continue
 		}
-		for _, t := range n.sys.db.Terms(n.id) {
-			if t.Serial == k.Serial {
-				tt := t
-				claimed = &tt
+		terms := n.sys.db.Terms(n.id)
+		for i := range terms {
+			if terms[i].Serial == k.Serial {
+				claimed = &terms[i]
 				break
 			}
 		}
@@ -736,7 +737,7 @@ func (n *node) handleSetup(nw *sim.Network, from ad.ID, m *wire.Setup) {
 		return
 	}
 	n.install(nw, m.Handle, m.Route, idx, m.Req, m.TTLMillis)
-	nw.Send("setup", n.id, next, wire.Marshal(m))
+	nw.SendMessage("setup", n.id, next, m)
 }
 
 // failFlow resolves a NAK at the flow's source: the flow dies and is
@@ -780,7 +781,7 @@ func (n *node) handleSetupReply(nw *sim.Network, from ad.ID, m *wire.SetupReply)
 		}
 		return
 	}
-	nw.Send("setup-reply", n.id, e.Route[e.Idx-1], wire.Marshal(m))
+	nw.SendMessage("setup-reply", n.id, e.Route[e.Idx-1], m)
 }
 
 // handleData forwards a handle-mode data packet along the installed route
@@ -793,9 +794,9 @@ func (n *node) handleData(nw *sim.Network, from ad.ID, m *wire.Data) {
 	}
 	e, ok := n.table.Lookup(nw.Now(), m.Handle)
 	if !ok {
-		nw.Send("setup-reply", n.id, from, wire.Marshal(&wire.SetupReply{
+		nw.SendMessage("setup-reply", n.id, from, &wire.SetupReply{
 			Handle: m.Handle, Code: wire.SetupNoState, FailedAt: n.id,
-		}))
+		})
 		return
 	}
 	if e.Idx > 0 && e.Route[e.Idx-1] != from {
@@ -805,7 +806,7 @@ func (n *node) handleData(nw *sim.Network, from ad.ID, m *wire.Data) {
 		n.delivered[m.Handle]++
 		return
 	}
-	nw.Send("data", n.id, e.Route[e.Idx+1], wire.Marshal(m))
+	nw.SendMessage("data", n.id, e.Route[e.Idx+1], m)
 }
 
 // handleRefresh extends a handle's lifetime (§6 soft state) and forwards
@@ -814,9 +815,9 @@ func (n *node) handleData(nw *sim.Network, from ad.ID, m *wire.Data) {
 func (n *node) handleRefresh(nw *sim.Network, from ad.ID, m *wire.Refresh) {
 	now := nw.Now()
 	if !n.table.Refresh(now, m.Handle, sim.Time(m.TTLMillis)*sim.Millisecond) {
-		nw.Send("setup-reply", n.id, from, wire.Marshal(&wire.SetupReply{
+		nw.SendMessage("setup-reply", n.id, from, &wire.SetupReply{
 			Handle: m.Handle, Code: wire.SetupNoState, FailedAt: n.id,
-		}))
+		})
 		return
 	}
 	e, ok := n.table.Peek(now, m.Handle)
@@ -827,7 +828,7 @@ func (n *node) handleRefresh(nw *sim.Network, from ad.ID, m *wire.Refresh) {
 		return
 	}
 	if e.Idx < len(e.Route)-1 {
-		nw.Send("refresh", n.id, e.Route[e.Idx+1], wire.Marshal(m))
+		nw.SendMessage("refresh", n.id, e.Route[e.Idx+1], m)
 	}
 }
 
@@ -840,7 +841,7 @@ func (n *node) handleTeardown(nw *sim.Network, from ad.ID, m *wire.Teardown) {
 	}
 	n.table.Remove(m.Handle)
 	if e.Idx < len(e.Route)-1 {
-		nw.Send("teardown", n.id, e.Route[e.Idx+1], wire.Marshal(m))
+		nw.SendMessage("teardown", n.id, e.Route[e.Idx+1], m)
 	}
 }
 
@@ -868,9 +869,9 @@ func (n *node) revalidateCache(nw *sim.Network) {
 			continue
 		}
 		n.table.Remove(h)
-		nw.Send("setup-reply", n.id, prev, wire.Marshal(&wire.SetupReply{
+		nw.SendMessage("setup-reply", n.id, prev, &wire.SetupReply{
 			Handle: h, Code: wire.SetupNoPolicy, FailedAt: n.id,
-		}))
+		})
 	}
 }
 
@@ -904,15 +905,15 @@ func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
 					delete(n.established, h)
 				}
 			} else {
-				nw.Send("setup-reply", n.id, e.Route[e.Idx-1], wire.Marshal(&wire.SetupReply{
+				nw.SendMessage("setup-reply", n.id, e.Route[e.Idx-1], &wire.SetupReply{
 					Handle: h, Code: wire.SetupNoLink, FailedAt: n.id,
-				}))
+				})
 			}
 		}
 		if upDead && e.Idx < len(e.Route)-1 {
-			nw.Send("teardown", n.id, e.Route[e.Idx+1], wire.Marshal(&wire.Teardown{
+			nw.SendMessage("teardown", n.id, e.Route[e.Idx+1], &wire.Teardown{
 				Handle: h, Reason: wire.TeardownRepair,
-			}))
+			})
 		}
 	}
 }

@@ -54,6 +54,10 @@ type System struct {
 	// message), the DV analogue of a route computation.
 	computations int
 	started      bool
+	// rx is the update Receive decodes into and tx the one flush builds,
+	// each reused message to message: routes are values, and nothing
+	// keeps a slice of either.
+	rx, tx wire.DVUpdate
 }
 
 // New builds the system over g. The policy database is deliberately ignored:
@@ -151,7 +155,8 @@ func (n *node) flush(nw *sim.Network) {
 		return
 	}
 	for _, nb := range nw.UpNeighbors(n.id) {
-		var upd wire.DVUpdate
+		upd := &n.sys.tx
+		upd.Routes = upd.Routes[:0]
 		for _, k := range dirty {
 			e, ok := n.table.Get(k)
 			if !ok {
@@ -164,18 +169,14 @@ func (n *node) flush(nw *sim.Network) {
 			upd.Routes = append(upd.Routes, wire.DVRoute{Dest: k.Dest, Metric: e.Metric})
 		}
 		if len(upd.Routes) > 0 {
-			nw.Send("dv", n.id, nb, wire.Marshal(&upd))
+			nw.SendMessage("dv", n.id, nb, upd)
 		}
 	}
 }
 
 func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
-	msg, err := wire.Unmarshal(payload)
-	if err != nil {
-		return
-	}
-	upd, ok := msg.(*wire.DVUpdate)
-	if !ok {
+	upd := &n.sys.rx
+	if wire.UnmarshalInto(payload, upd) != nil {
 		return
 	}
 	if len(upd.Routes) == 0 {
@@ -237,7 +238,7 @@ func (n *node) respondFullTable(nw *sim.Network, nb ad.ID) {
 		upd.Routes = append(upd.Routes, wire.DVRoute{Dest: e.Key.Dest, Metric: e.Metric})
 	}
 	if len(upd.Routes) > 0 {
-		nw.Send("dv", n.id, nb, wire.Marshal(&upd))
+		nw.SendMessage("dv", n.id, nb, &upd)
 	}
 }
 
@@ -259,7 +260,7 @@ func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
 		// the stale route it learned from us, starting the classic
 		// count-to-infinity bounce.
 		for _, other := range nw.UpNeighbors(n.id) {
-			nw.Send("dv", n.id, other, wire.Marshal(&wire.DVUpdate{}))
+			nw.SendMessage("dv", n.id, other, &wire.DVUpdate{})
 		}
 	}
 }

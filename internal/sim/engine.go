@@ -25,11 +25,14 @@ func (t Time) String() string {
 	return fmt.Sprintf("%d.%06ds", int64(t)/int64(Second), int64(t)%int64(Second))
 }
 
-// event is a scheduled callback.
+// event is a scheduled callback, or a message delivery: Network.Send
+// queues a recycled delivery record instead of allocating a closure per
+// message.
 type event struct {
 	at  Time
 	seq uint64
 	fn  func()
+	d   *delivery
 }
 
 // eventHeap is a binary min-heap of events ordered by (time, sequence). It
@@ -62,7 +65,7 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = event{} // release the callback for GC
+	s[n] = event{} // release the callback and the delivery for GC
 	s = s[:n]
 	*h = s
 	for i := 0; ; {
@@ -109,11 +112,18 @@ func (e *Engine) Now() Time { return e.now }
 // At schedules fn to run at absolute time t. Scheduling in the past (before
 // Now) panics: it would make the run non-causal.
 func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
+	e.schedule(event{at: t, fn: fn})
+}
+
+// schedule queues ev at ev.at behind every event already queued for that
+// time.
+func (e *Engine) schedule(ev event) {
+	if ev.at < e.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", ev.at, e.now))
 	}
 	e.seq++
-	e.queue.push(event{at: t, seq: e.seq, fn: fn})
+	ev.seq = e.seq
+	e.queue.push(ev)
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -144,12 +154,20 @@ func (e *Engine) RunUntil(limit Time) Time {
 			e.now = limit
 			return e.now
 		}
-		next := e.queue.pop()
-		e.now = next.at
-		e.Processed++
-		next.fn()
+		e.run(e.queue.pop())
 	}
 	return e.now
+}
+
+// run executes one dequeued event at its time.
+func (e *Engine) run(ev event) {
+	e.now = ev.at
+	e.Processed++
+	if ev.d != nil {
+		ev.d.nw.deliver(ev.d)
+	} else {
+		ev.fn()
+	}
 }
 
 // Step executes exactly one event if any is pending, reporting whether one
@@ -161,9 +179,6 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	next := e.queue.pop()
-	e.now = next.at
-	e.Processed++
-	next.fn()
+	e.run(e.queue.pop())
 	return true
 }

@@ -6,14 +6,18 @@ import (
 	"sort"
 
 	"repro/internal/ad"
+	"repro/internal/wire"
 )
 
 // Node is the behaviour of one AD's routing entity (its route server /
 // border gateway complex, abstracted to a single process per the paper's
 // AD-level model).
 //
-// All callbacks run inside the event loop; implementations must not block
-// and must not retain the payload slice beyond the call.
+// All callbacks run inside the event loop; implementations must not block.
+// Receive's payload is a pooled buffer, valid only until Receive returns:
+// the network hands it to a later message once the call is over, so a node
+// decodes or copies what it keeps. Likewise SendMessage reads its message
+// only during the call, so a sender may reuse the value at once.
 type Node interface {
 	// ID returns the AD this node represents.
 	ID() ad.ID
@@ -82,10 +86,13 @@ type Network struct {
 	busyUntil map[[2]ad.ID]Time
 	rng       *rand.Rand
 
-	// freeBufs recycles payload copies. The Node contract forbids
-	// retaining the payload beyond Receive, so a delivered (or dropped)
-	// buffer can be reused by a later Send.
-	freeBufs [][]byte
+	// free recycles the in-flight records the event queue carries, each
+	// with its payload buffer. The Node contract forbids retaining the
+	// payload beyond Receive, so a delivered (or dropped) message's record
+	// and buffer can carry a later Send.
+	free []*delivery
+	// encBuf is Encode's buffer.
+	encBuf []byte
 
 	// DefaultDelay is used for links whose DelayMicros is zero.
 	DefaultDelay Time
@@ -158,28 +165,6 @@ func (nw *Network) After(d Time, fn func()) { nw.Engine.After(d, fn) }
 // the time of the most recent Send.
 func (nw *Network) LastSend() Time { return nw.lastSend }
 
-// getBuf returns a payload buffer of length n, reusing a recycled copy when
-// one is large enough.
-func (nw *Network) getBuf(n int) []byte {
-	if k := len(nw.freeBufs); k > 0 {
-		if b := nw.freeBufs[k-1]; cap(b) >= n {
-			nw.freeBufs[k-1] = nil
-			nw.freeBufs = nw.freeBufs[:k-1]
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-// putBuf recycles a payload buffer once its delivery (or drop) is complete.
-// Safe because Nodes must not retain the payload beyond Receive.
-func (nw *Network) putBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	nw.freeBufs = append(nw.freeBufs, b[:0])
-}
-
 func linkKey(a, b ad.ID) [2]ad.ID {
 	if a > b {
 		a, b = b, a
@@ -222,12 +207,39 @@ func (nw *Network) UpNeighbors(id ad.ID) []ad.ID {
 	return all
 }
 
+// Encode marshals m into the network's encode buffer and returns the bytes,
+// which stay valid until the next Encode. Send copies its payload, so one
+// encoding serves every copy of a message flooded to several neighbours.
+// Like Marshal, it panics if m's body exceeds the 16-bit length field.
+func (nw *Network) Encode(m wire.Message) []byte {
+	var err error
+	if nw.encBuf, err = wire.AppendMessage(nw.encBuf[:0], m); err != nil {
+		panic(err.Error())
+	}
+	return nw.encBuf
+}
+
+// delivery is one message in flight, the record the event queue carries
+// from Send to its arrival: its link's failure epoch at sending time, and
+// the payload in the record's own buffer. Records are recycled with their
+// buffers, so a message costs no allocation once the pool is warm; a buffer
+// too small for its message grows and stays grown.
+type delivery struct {
+	nw       *Network
+	kind     string
+	from, to ad.ID
+	epoch    uint64
+	buf      []byte
+}
+
 // Send transmits a marshalled protocol message from one AD to an adjacent
 // AD. kind labels the message for the statistics tables. Send returns false
 // (and counts a drop) if the ADs are not adjacent or the link is down.
+// payload is copied; the caller may reuse it once Send returns.
 func (nw *Network) Send(kind string, from, to ad.ID, payload []byte) bool {
+	key := linkKey(from, to)
 	link, ok := nw.Graph.LinkBetween(from, to)
-	if !ok || nw.down[linkKey(from, to)] {
+	if !ok || nw.down[key] {
 		nw.Stats.MessagesDropped++
 		return false
 	}
@@ -258,30 +270,46 @@ func (nw *Network) Send(kind string, from, to ad.ID, payload []byte) bool {
 	if end := start + tx; end > nw.lastSend {
 		nw.lastSend = end
 	}
-	key := linkKey(from, to)
-	epoch := nw.linkEpoch[key]
-	buf := nw.getBuf(len(payload))
-	copy(buf, payload)
-	nw.Engine.After(delay, func() {
-		// A failure while the message was in flight loses it.
-		if nw.down[key] || nw.linkEpoch[key] != epoch {
-			nw.Stats.MessagesDropped++
-			nw.putBuf(buf)
-			return
-		}
-		nw.Stats.DeliveredByLink[key]++
-		if nw.Trace != nil {
-			nw.Trace("%v %s %v->%v %dB", nw.Now(), kind, from, to, len(buf))
-		}
-		if node := nw.nodes[to]; node != nil {
-			node.Receive(nw, from, buf)
-		}
-		nw.putBuf(buf)
-	})
+	var d *delivery
+	if k := len(nw.free); k > 0 {
+		d = nw.free[k-1]
+		nw.free = nw.free[:k-1]
+	} else {
+		d = &delivery{nw: nw}
+	}
+	d.kind, d.from, d.to, d.epoch = kind, from, to, nw.linkEpoch[key]
+	d.buf = append(d.buf[:0], payload...)
+	nw.Engine.schedule(event{at: nw.Now() + delay, d: d})
 	if p := nw.Engine.Pending(); p > nw.Stats.MaxQueuedPending {
 		nw.Stats.MaxQueuedPending = p
 	}
 	return true
+}
+
+// SendMessage is Send for a message not yet encoded. It encodes m into the
+// network's encode buffer, and Send copies the bytes into a recycled
+// payload buffer: the copy sizes a buffer to the messages it carried in one
+// step, where encoding into it would grow it field by field. Like Marshal,
+// it panics if m's body exceeds the 16-bit length field.
+func (nw *Network) SendMessage(kind string, from, to ad.ID, m wire.Message) bool {
+	return nw.Send(kind, from, to, nw.Encode(m))
+}
+
+// deliver runs d's arrival, then recycles the record and its buffer.
+func (nw *Network) deliver(d *delivery) {
+	// A failure while the message was in flight loses it.
+	if key := linkKey(d.from, d.to); nw.down[key] || nw.linkEpoch[key] != d.epoch {
+		nw.Stats.MessagesDropped++
+	} else {
+		nw.Stats.DeliveredByLink[key]++
+		if nw.Trace != nil {
+			nw.Trace("%v %s %v->%v %dB", nw.Now(), d.kind, d.from, d.to, len(d.buf))
+		}
+		if node := nw.nodes[d.to]; node != nil {
+			node.Receive(nw, d.from, d.buf)
+		}
+	}
+	nw.free = append(nw.free, d)
 }
 
 // Flood sends payload to every up neighbor of from except those in skip.

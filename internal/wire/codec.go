@@ -114,14 +114,17 @@ func (c *codec) count(n, min int) int {
 }
 
 // list codes the length of *s, elements of at least min bytes each. Decoding
-// makes *s that long, nil when empty, for the walk to fill in place; the
-// caller then codes each element.
+// makes *s that long for the walk to fill in place, and the caller then codes
+// each element. Into a fresh message, an empty list decodes to nil and a
+// non-empty one to a new slice; UnmarshalInto's reused message keeps its
+// slices' backing arrays wherever they are long enough.
 func list[T any](c *codec, s *[]T, min int) {
 	n := c.count(len(*s), min)
 	if c.dec {
-		*s = nil
-		if n > 0 {
+		if n > cap(*s) {
 			*s = make([]T, n)
+		} else {
+			*s = (*s)[:n]
 		}
 	}
 }

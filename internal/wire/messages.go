@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+
 	"repro/internal/ad"
 	"repro/internal/policy"
 )
@@ -130,6 +132,21 @@ func (m *LSA) code(c codec) codec {
 		c.term(&m.Terms[i])
 	}
 	return c
+}
+
+// PeekLSA reads the origin and sequence number at the front of an LSA
+// frame — the two fields a flooder's duplicate check needs — without
+// decoding the links and terms behind them. ok is false unless b is one
+// whole frame of type TypeLSA with both fields present.
+func PeekLSA(b []byte) (origin ad.ID, seq uint32, ok bool) {
+	if len(b) < headerLen || b[0] != Version || MsgType(b[1]) != TypeLSA ||
+		int(binary.BigEndian.Uint16(b[2:4])) != len(b)-headerLen {
+		return 0, 0, false
+	}
+	c := codec{buf: b[headerLen:], dec: true}
+	c.id(&origin)
+	c.u32(&seq)
+	return origin, seq, !c.fail
 }
 
 // Setup is an ORWG policy-route setup packet: it carries the full policy

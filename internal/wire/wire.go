@@ -240,3 +240,28 @@ func Unmarshal(b []byte) (Message, error) {
 	}
 	return m, nil
 }
+
+// UnmarshalInto decodes one message from b, which must contain exactly one
+// message of m's type, into m, overwriting every field. Unlike Unmarshal it
+// reuses m's lists: a decode loop that keeps one value allocates only where
+// a list outgrows its last use (and for non-empty AD sets, which are always
+// new). m shares no memory with b; after an error its contents are
+// unspecified.
+func UnmarshalInto(b []byte, m Message) error {
+	if len(b) < headerLen {
+		return ErrTruncated
+	}
+	if b[0] != Version {
+		return fmt.Errorf("%w: %d", ErrBadVersion, b[0])
+	}
+	if t := MsgType(b[1]); t != m.Type() {
+		return fmt.Errorf("%w: %v frame into %v", ErrUnknownType, t, m.Type())
+	}
+	switch body, n := b[headerLen:], int(binary.BigEndian.Uint16(b[2:4])); {
+	case len(body) < n:
+		return ErrTruncated
+	case len(body) > n:
+		return ErrTrailing
+	}
+	return m.code(codec{buf: b[headerLen:], dec: true}).done()
+}

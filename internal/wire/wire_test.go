@@ -475,3 +475,63 @@ func TestAppendMessageTooLarge(t *testing.T) {
 		t.Errorf("largest frame did not round-trip: %v", err)
 	}
 }
+
+// TestUnmarshalIntoReusedValue decodes every seed frame of a type, forward
+// and then backward, into one value of that type: each decode must re-encode
+// to its frame, so no field can keep what the previous frame left there.
+func TestUnmarshalIntoReusedValue(t *testing.T) {
+	reused := map[MsgType]Message{}
+	seeds := fuzzSeeds()
+	for _, order := range []int{1, -1} {
+		for i := range seeds {
+			if order < 0 {
+				i = len(seeds) - 1 - i
+			}
+			frame := Marshal(seeds[i])
+			typ := seeds[i].Type()
+			if reused[typ] == nil {
+				reused[typ] = messageTypes[typ].new()
+			}
+			if err := UnmarshalInto(frame, reused[typ]); err != nil {
+				t.Fatalf("%v seed %d: %v", typ, i, err)
+			}
+			if got := Marshal(reused[typ]); !bytes.Equal(got, frame) {
+				t.Errorf("%v seed %d: reused decode re-encodes to\n%x, want\n%x", typ, i, got, frame)
+			}
+		}
+	}
+	frame := Marshal(&DVUpdate{Routes: []DVRoute{{Dest: 1}}})
+	if err := UnmarshalInto(frame, &PathVector{}); !errors.Is(err, ErrUnknownType) {
+		t.Errorf("DVUpdate frame into a PathVector: %v, want ErrUnknownType", err)
+	}
+	if err := UnmarshalInto(frame[:len(frame)-1], &DVUpdate{}); !errors.Is(err, ErrTruncated) {
+		t.Errorf("short frame: %v, want ErrTruncated", err)
+	}
+	if err := UnmarshalInto(append(frame, 0), &DVUpdate{}); !errors.Is(err, ErrTrailing) {
+		t.Errorf("long frame: %v, want ErrTrailing", err)
+	}
+}
+
+// TestPeekLSA holds PeekLSA to the origin and sequence number a full decode
+// reads, and to refusing anything that is not one whole LSA frame.
+func TestPeekLSA(t *testing.T) {
+	for _, m := range []*LSA{
+		{Origin: 4, Seq: 17, Links: []LSALink{{Neighbor: 1, Cost: 2, Up: true}}, Terms: []policy.Term{testTerm()}},
+		{Origin: 4294967295, Seq: 1},
+		{},
+	} {
+		frame := Marshal(m)
+		origin, seq, ok := PeekLSA(frame)
+		if !ok || origin != m.Origin || seq != m.Seq {
+			t.Errorf("PeekLSA(%v/%v) = %v/%v, %v", m.Origin, m.Seq, origin, seq, ok)
+		}
+		for _, bad := range [][]byte{frame[:len(frame)-1], append(frame, 0), frame[:headerLen+7]} {
+			if _, _, ok := PeekLSA(bad); ok {
+				t.Errorf("PeekLSA accepted a %d-byte cut of a %d-byte frame", len(bad), len(frame))
+			}
+		}
+	}
+	if _, _, ok := PeekLSA(Marshal(&DVUpdate{Routes: []DVRoute{{Dest: 1}, {Dest: 2}}})); ok {
+		t.Error("PeekLSA accepted a DVUpdate frame")
+	}
+}
