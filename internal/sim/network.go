@@ -208,8 +208,9 @@ func (nw *Network) UpNeighbors(id ad.ID) []ad.ID {
 }
 
 // Encode marshals m into the network's encode buffer and returns the bytes,
-// which stay valid until the next Encode. Send copies its payload, so one
-// encoding serves every copy of a message flooded to several neighbours.
+// which stay valid until the next Encode or SendMessage. Send copies its
+// payload, so one encoding serves every copy of a message flooded to
+// several neighbours.
 // Like Marshal, it panics if m's body exceeds the 16-bit length field.
 func (nw *Network) Encode(m wire.Message) []byte {
 	var err error
