@@ -7,7 +7,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/wire"
 )
 
 // E16DatabaseDistribution explores §6's open issue of "database
@@ -106,13 +105,7 @@ type distNode struct {
 func (n *distNode) ID() ad.ID             { return n.f.Self }
 func (n *distNode) Start(nw *sim.Network) { n.f.Originate(nw, n.terms) }
 func (n *distNode) Receive(nw *sim.Network, from ad.ID, payload []byte) {
-	msg, err := wire.Unmarshal(payload)
-	if err != nil {
-		return
-	}
-	if lsa, ok := msg.(*wire.LSA); ok {
-		n.f.HandleLSA(nw, from, lsa)
-	}
+	n.f.Receive(nw, from, payload)
 }
 func (n *distNode) LinkDown(nw *sim.Network, nb ad.ID) { n.f.Originate(nw, n.terms) }
 func (n *distNode) LinkUp(nw *sim.Network, nb ad.ID)   { n.f.Originate(nw, n.terms) }

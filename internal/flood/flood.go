@@ -214,14 +214,14 @@ func (f *Flooder) Receive(nw *sim.Network, from ad.ID, payload []byte) bool {
 		return true
 	}
 	if msg, err := wire.Unmarshal(payload); err == nil {
-		f.HandleLSA(nw, from, msg.(*wire.LSA))
+		f.handleLSA(nw, from, msg.(*wire.LSA))
 	}
 	return true
 }
 
-// HandleLSA processes a received LSA: install if newer, then re-flood to all
+// handleLSA processes a decoded LSA: install if newer, then re-flood to all
 // up neighbors except the sender.
-func (f *Flooder) HandleLSA(nw *sim.Network, from ad.ID, lsa *wire.LSA) {
+func (f *Flooder) handleLSA(nw *sim.Network, from ad.ID, lsa *wire.LSA) {
 	if !f.DB.Install(lsa) {
 		return
 	}

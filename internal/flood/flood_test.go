@@ -98,7 +98,7 @@ func TestDBWireBytes(t *testing.T) {
 }
 
 // floodNode wires a Flooder into a sim.Node for substrate testing. With
-// decodeAll it decodes every copy and hands it to HandleLSA, the way
+// decodeAll it decodes every copy and hands it to handleLSA, the way
 // Flooder.Receive's duplicate check must be indistinguishable from.
 type floodNode struct {
 	f         *Flooder
@@ -119,7 +119,7 @@ func (n *floodNode) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 		return
 	}
 	if lsa, ok := msg.(*wire.LSA); ok {
-		n.f.HandleLSA(nw, from, lsa)
+		n.f.handleLSA(nw, from, lsa)
 	}
 }
 func (n *floodNode) LinkDown(nw *sim.Network, nb ad.ID) { n.f.Originate(nw, nil) }
