@@ -1,6 +1,8 @@
-// Package repro's benchmark harness: one benchmark per reproduced table and
-// figure (see DESIGN.md's per-experiment index), plus microbenchmarks for
-// the hot substrates (wire encoding, route synthesis, flooding).
+// Package repro's benchmark harness: the whole report serially and in
+// parallel, the benchmarks that emit BENCH_*.json reports, and
+// microbenchmarks for the hot substrates (wire encoding, route synthesis,
+// flooding). Each experiment on its own is timed by
+// internal/experiments.BenchmarkRows.
 //
 // Run everything with:
 //
@@ -37,143 +39,8 @@ import (
 
 const benchSeed = 42
 
-// sink prevents dead-code elimination of table generation.
+// sink keeps benchmarked results live against dead-code elimination.
 var sink int
-
-// Table and figure benchmarks: each iteration regenerates the full
-// experiment, so ns/op is the cost of reproducing that result.
-
-func BenchmarkTable1DesignSpace(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.Table1DesignSpace(benchSeed).Rows)
-	}
-}
-
-func BenchmarkFigure1Topology(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.Figure1Topology().Rows)
-	}
-}
-
-func BenchmarkE1RouteAvailability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E1RouteAvailability(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE2Convergence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E2Convergence(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE3SpanningTreeReplication(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E3SpanningTreeReplication(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE4QOSScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E4QOSScaling(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE5SetupVsHandle(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E5SetupVsHandle(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE6EGPTopologyRestriction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E6EGPTopologyRestriction(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE7SynthesisStrategies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E7SynthesisStrategies(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE8PolicyGranularity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E8PolicyGranularity(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE9MessageScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E9MessageScaling(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE10OrderingSatisfiability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E10OrderingSatisfiability(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE11FilterDiscovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E11FilterDiscovery(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE12IDRPMultiRoute(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E12IDRPMultiRoute(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE13TimeOfDay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E13TimeOfDay(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE14PolicyChange(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E14PolicyChange(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE15LogicalClusterCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E15LogicalClusterCost(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE16DatabaseDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E16DatabaseDistribution(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE17SetupAmortization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E17SetupAmortization(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE18PathStretch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E18PathStretch(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE19MultihomedStubs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E19MultihomedStubs(benchSeed).Rows)
-	}
-}
-
-func BenchmarkE21StateLifecycles(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink += len(experiments.E21StateLifecycles(benchSeed).Rows)
-	}
-}
 
 // BenchmarkE20RouteServer compares the caching/coalescing route server
 // against naive per-request synthesis on a Zipf-skewed workload, then

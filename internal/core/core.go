@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/ad"
@@ -30,6 +31,27 @@ type Outcome struct {
 	// SetupMessages counts protocol messages spent on route establishment
 	// for this request (nonzero only for setup-based architectures).
 	SetupMessages int
+}
+
+// Forward walks hop-by-hop forwarding from src toward dst: next returns the
+// next hop the AD cur picks for traffic that entered it from prev (ad.Invalid
+// at src), or ad.Invalid for an unknown AD or a missing route. The walk is
+// delivered at dst, looped when it revisits an AD (the path then ends with
+// that AD), and black-holed where next returns ad.Invalid.
+func Forward(src, dst ad.ID, next func(cur, prev ad.ID) ad.ID) Outcome {
+	path := ad.Path{src}
+	for cur, prev := src, ad.Invalid; cur != dst; {
+		if slices.Contains(path[:len(path)-1], cur) {
+			return Outcome{Path: path, Looped: true}
+		}
+		nh := next(cur, prev)
+		if nh == ad.Invalid {
+			return Outcome{Path: path}
+		}
+		prev, cur = cur, nh
+		path = append(path, cur)
+	}
+	return Outcome{Path: path, Delivered: true}
 }
 
 // System is one routing architecture instantiated over a simulated network.

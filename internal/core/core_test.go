@@ -196,3 +196,45 @@ func TestOracleFollowsMutations(t *testing.T) {
 		}
 	}
 }
+
+// TestForward walks next-hop tables 1 -> 2 -> 3 and variants of them: a
+// delivery, a loop, a black hole, an unknown AD, and a walk that starts at
+// its destination.
+func TestForward(t *testing.T) {
+	tables := map[ad.ID]map[ad.ID]ad.ID{1: {3: 2}, 2: {3: 3}, 3: {}}
+	next := func(cur, _ ad.ID) ad.ID {
+		if tbl, ok := tables[cur]; ok {
+			return tbl[3]
+		}
+		return ad.Invalid
+	}
+	check := func(name string, got core.Outcome, want ad.Path, delivered, looped bool) {
+		t.Helper()
+		if !got.Path.Equal(want) || got.Delivered != delivered || got.Looped != looped {
+			t.Errorf("%s: path=%v delivered=%v looped=%v, want %v %v %v",
+				name, got.Path, got.Delivered, got.Looped, want, delivered, looped)
+		}
+	}
+	check("delivered", core.Forward(1, 3, next), ad.Path{1, 2, 3}, true, false)
+	check("at the destination", core.Forward(3, 3, next), ad.Path{3}, true, false)
+	check("unknown AD", core.Forward(9, 3, next), ad.Path{9}, false, false)
+
+	tables[2][3] = 1
+	check("loop", core.Forward(1, 3, next), ad.Path{1, 2, 1}, false, true)
+
+	delete(tables[2], 3)
+	check("black hole", core.Forward(1, 3, next), ad.Path{1, 2}, false, false)
+
+	// A longer loop ends with the AD it revisits, and next sees the hop
+	// each AD was entered from: none at the source, then the previous AD.
+	ring := map[ad.ID]ad.ID{1: 2, 2: 3, 3: 4, 4: 2}
+	var prevs []ad.ID
+	out := core.Forward(1, 9, func(cur, prev ad.ID) ad.ID {
+		prevs = append(prevs, prev)
+		return ring[cur]
+	})
+	check("ring", out, ad.Path{1, 2, 3, 4, 2}, false, true)
+	if want := []ad.ID{ad.Invalid, 1, 2, 3}; !ad.Path(prevs).Equal(want) {
+		t.Errorf("prev hops = %v, want %v", prevs, want)
+	}
+}

@@ -1,7 +1,7 @@
-// Package dvcore provides the routing-table machinery shared by the
-// distance-vector family of protocols in this repository (plain DV, ECMA,
-// and the EGP baseline): a (destination, QOS)-keyed table with change
-// tracking for triggered updates.
+// Package dvcore provides the routing-table machinery shared by the two
+// distance-vector protocols in this repository, plain DV and ECMA: a
+// (destination, QOS)-keyed table with change tracking for triggered updates,
+// and the distance-vector rule that updates it.
 package dvcore
 
 import (
@@ -136,31 +136,36 @@ func (t *Table) ViaNeighbor(n ad.ID) []Key {
 	return out
 }
 
-// FollowNextHops traces the hop-by-hop forwarding path for key k from src,
-// consulting lookup for each AD's table. It returns the traversed path and
-// an outcome: delivered (reached k.Dest), looped (revisited an AD), or
-// black-holed (an AD had no route).
-func FollowNextHops(src ad.ID, k Key, lookup func(ad.ID) *Table) (path ad.Path, delivered, looped bool) {
-	cur := src
-	seen := map[ad.ID]bool{}
-	path = ad.Path{cur}
-	for {
-		if cur == k.Dest {
-			return path, true, false
+// Learn applies the distance-vector rule to a route for k that neighbour
+// from offers at metric (clamped to inf, the unreachable metric), with the
+// given flags. An offer from the current next hop is authoritative, better or
+// worse: at inf it leaves the route unreachable with no next hop. Any other
+// neighbour replaces the route only with a better, reachable metric. Learn
+// reports whether the table changed.
+func (t *Table) Learn(k Key, metric, inf uint32, from ad.ID, flags uint8) bool {
+	metric = min(metric, inf)
+	cur, have := t.entries[k]
+	switch {
+	case have && cur.NextHop == from:
+		e := Entry{Key: k, Metric: metric, NextHop: from, Flags: flags}
+		if metric == inf {
+			e.NextHop = ad.Invalid
 		}
-		if seen[cur] {
-			return path, false, true
-		}
-		seen[cur] = true
-		tbl := lookup(cur)
-		if tbl == nil {
-			return path, false, false
-		}
-		nh := tbl.NextHop(k)
-		if nh == ad.Invalid {
-			return path, false, false
-		}
-		cur = nh
-		path = append(path, cur)
+		return t.Set(e)
+	case (!have || metric < cur.Metric) && metric < inf:
+		return t.Set(Entry{Key: k, Metric: metric, NextHop: from, Flags: flags})
 	}
+	return false
+}
+
+// Poison makes every route through neighbour nb unreachable: metric inf, no
+// next hop, flags kept. It reports whether the table changed.
+func (t *Table) Poison(nb ad.ID, inf uint32) bool {
+	changed := false
+	for _, k := range t.ViaNeighbor(nb) {
+		e := t.entries[k]
+		e.Metric, e.NextHop = inf, ad.Invalid
+		changed = t.Set(e) || changed
+	}
+	return changed
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/ad"
-	"repro/internal/policy"
 )
 
 func TestTableSetGet(t *testing.T) {
@@ -103,47 +102,63 @@ func TestNextHop(t *testing.T) {
 	}
 }
 
-func TestFollowNextHops(t *testing.T) {
-	// Tables: 1 -> 2 -> 3 (dest).
-	tables := map[ad.ID]*Table{
-		1: NewTable(), 2: NewTable(), 3: NewTable(),
+// TestLearn walks one route through the distance-vector rule: each step
+// offers it from a neighbour and checks whether the table changed and what
+// it holds after.
+func TestLearn(t *testing.T) {
+	const inf = 16
+	k := Key{Dest: 9, QOS: 1}
+	tbl := NewTable()
+	for _, st := range []struct {
+		name    string
+		metric  uint32
+		from    ad.ID
+		flags   uint8
+		changed bool
+		want    Entry
+		have    bool
+	}{
+		{"a fresh unreachable is not learned", inf + 3, 2, 0, false, Entry{}, false},
+		{"a fresh route is learned", 5, 2, 1, true, Entry{Key: k, Metric: 5, NextHop: 2, Flags: 1}, true},
+		{"the next hop gets worse and is accepted", 8, 2, 0, true, Entry{Key: k, Metric: 8, NextHop: 2}, true},
+		{"another neighbour's worse route is ignored", 9, 3, 0, false, Entry{Key: k, Metric: 8, NextHop: 2}, true},
+		{"another neighbour's equal route is ignored", 8, 3, 0, false, Entry{Key: k, Metric: 8, NextHop: 2}, true},
+		{"another neighbour's better route replaces it", 4, 3, 2, true, Entry{Key: k, Metric: 4, NextHop: 3, Flags: 2}, true},
+		{"the same offer again changes nothing", 4, 3, 2, false, Entry{Key: k, Metric: 4, NextHop: 3, Flags: 2}, true},
+		{"the next hop withdraws", inf + 1, 3, 2, true, Entry{Key: k, Metric: inf, NextHop: ad.Invalid, Flags: 2}, true},
+		{"an unreachable from another neighbour is ignored", inf, 4, 0, false, Entry{Key: k, Metric: inf, NextHop: ad.Invalid, Flags: 2}, true},
+		{"any reachable route replaces a withdrawn one", 15, 4, 0, true, Entry{Key: k, Metric: 15, NextHop: 4}, true},
+	} {
+		if got := tbl.Learn(k, st.metric, inf, st.from, st.flags); got != st.changed {
+			t.Errorf("%s: Learn = %v, want %v", st.name, got, st.changed)
+		}
+		if e, ok := tbl.Get(k); ok != st.have || e != st.want {
+			t.Errorf("%s: entry = %+v,%v, want %+v,%v", st.name, e, ok, st.want, st.have)
+		}
+		if st.want.NextHop == ad.Invalid && st.have && tbl.NextHop(k) != ad.Invalid {
+			t.Errorf("%s: NextHop = %v after a withdrawal", st.name, tbl.NextHop(k))
+		}
 	}
-	k := Key{Dest: 3, QOS: policy.QOS(0)}
-	tables[1].Set(Entry{Key: k, NextHop: 2})
-	tables[2].Set(Entry{Key: k, NextHop: 3})
-	lookup := func(id ad.ID) *Table { return tables[id] }
+}
 
-	path, delivered, looped := FollowNextHops(1, k, lookup)
-	if !delivered || looped || !path.Equal(ad.Path{1, 2, 3}) {
-		t.Errorf("delivered=%v looped=%v path=%v", delivered, looped, path)
+func TestPoison(t *testing.T) {
+	tbl := NewTable()
+	tbl.Set(Entry{Key: Key{Dest: 1}, Metric: 3, NextHop: 7, Flags: 1})
+	tbl.Set(Entry{Key: Key{Dest: 2}, Metric: 4, NextHop: 8})
+	tbl.TakeDirty()
+	if !tbl.Poison(7, 16) {
+		t.Fatal("Poison(7) reported no change")
 	}
-
-	// Loop: 2 points back at 1.
-	tables[2].Set(Entry{Key: k, NextHop: 1})
-	_, delivered, looped = FollowNextHops(1, k, lookup)
-	if delivered || !looped {
-		t.Errorf("loop not detected: delivered=%v looped=%v", delivered, looped)
+	if e, _ := tbl.Get(Key{Dest: 1}); e != (Entry{Key: Key{Dest: 1}, Metric: 16, NextHop: ad.Invalid, Flags: 1}) {
+		t.Errorf("poisoned entry = %+v, want metric 16, no next hop, flags kept", e)
 	}
-
-	// Black hole: 2 has no entry.
-	tables[2].Delete(k)
-	path, delivered, looped = FollowNextHops(1, k, lookup)
-	if delivered || looped {
-		t.Errorf("black hole misreported: delivered=%v looped=%v", delivered, looped)
+	if e, _ := tbl.Get(Key{Dest: 2}); e.NextHop != 8 || e.Metric != 4 {
+		t.Errorf("route via another neighbour changed: %+v", e)
 	}
-	if !path.Equal(ad.Path{1, 2}) {
-		t.Errorf("black hole path = %v", path)
+	if d := tbl.TakeDirty(); len(d) != 1 || d[0].Dest != 1 {
+		t.Errorf("dirty after Poison = %v", d)
 	}
-
-	// Missing table entirely.
-	_, delivered, looped = FollowNextHops(9, k, lookup)
-	if delivered || looped {
-		t.Error("missing table misreported")
-	}
-
-	// Already at destination.
-	path, delivered, _ = FollowNextHops(3, k, lookup)
-	if !delivered || !path.Equal(ad.Path{3}) {
-		t.Errorf("self delivery wrong: %v %v", path, delivered)
+	if tbl.Poison(7, 16) {
+		t.Error("second Poison(7) reported a change")
 	}
 }

@@ -51,7 +51,6 @@ func E16DatabaseDistribution(seed int64) *metrics.Table {
 			nodes[id] = n
 			nw.AddNode(n)
 		}
-		nw.Start()
 		nw.RunToQuiescence(convergenceLimit)
 
 		count := func() (complete, stale int) {

@@ -140,7 +140,6 @@ func buildFloodNet(t *testing.T) (*sim.Network, map[ad.ID]*floodNode) {
 
 func TestFloodingConverges(t *testing.T) {
 	nw, nodes := buildFloodNet(t)
-	nw.Start()
 	if _, ok := nw.RunToQuiescence(10 * sim.Second); !ok {
 		t.Fatal("flooding did not quiesce")
 	}
@@ -161,7 +160,6 @@ func TestFloodingConverges(t *testing.T) {
 
 func TestFloodingLinkFailurePropagates(t *testing.T) {
 	nw, nodes := buildFloodNet(t)
-	nw.Start()
 	nw.RunToQuiescence(10 * sim.Second)
 
 	// Fail a link and let the re-originated LSAs flood.
@@ -182,7 +180,6 @@ func TestFloodingOnChangeCallback(t *testing.T) {
 	for _, n := range nodes {
 		n.f.OnChange = func(nw *sim.Network) { calls++ }
 	}
-	nw.Start()
 	nw.RunToQuiescence(10 * sim.Second)
 	// Each of the N nodes accepts N LSAs (its own + N-1 others).
 	n := nw.Graph.NumADs()
@@ -193,7 +190,6 @@ func TestFloodingOnChangeCallback(t *testing.T) {
 
 func TestFloodingDuplicateSuppression(t *testing.T) {
 	nw, nodes := buildFloodNet(t)
-	nw.Start()
 	nw.RunToQuiescence(10 * sim.Second)
 	// Without suppression flooding never terminates; reaching here proves
 	// it. Sanity: every node saw at least one duplicate on the cyclic
@@ -247,7 +243,6 @@ func TestReceiveCountsLikeFullDecode(t *testing.T) {
 		for _, n := range nodes {
 			n.decodeAll = decodeAll
 		}
-		nw.Start()
 		nw.RunToQuiescence(10 * sim.Second)
 		l := nw.Graph.Links()[0]
 		nw.Engine.After(sim.Second, func() { _ = nw.FailLink(l.A, l.B) })

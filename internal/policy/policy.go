@@ -603,6 +603,35 @@ func (db *DB) WithTerms(id ad.ID, terms []Term) *DB {
 	return out
 }
 
+// Transit summarizes what an AD's terms offer it as a transit, the view a
+// hop-by-hop protocol re-advertises routes by: OK[q] reports whether some
+// term offers QOS class q and Cost[q] is the cheapest such term's cost;
+// Sources, UCI and Dests are the unions of the terms' source, user-class and
+// destination sets. An AD with no terms offers nothing: every OK[q] is false.
+type Transit struct {
+	OK      []bool
+	Cost    []uint32
+	Sources ADSet
+	UCI     ClassSet
+	Dests   ADSet
+}
+
+// TransitOf summarizes id's terms over QOS classes 0..qosClasses-1.
+func (db *DB) TransitOf(id ad.ID, qosClasses int) Transit {
+	tr := Transit{OK: make([]bool, qosClasses), Cost: make([]uint32, qosClasses)}
+	for _, t := range db.terms[id] {
+		for q := range tr.OK {
+			if t.QOS.Contains(uint8(q)) && (!tr.OK[q] || t.Cost < tr.Cost[q]) {
+				tr.OK[q], tr.Cost[q] = true, t.Cost
+			}
+		}
+		tr.Sources = tr.Sources.Union(t.Sources)
+		tr.UCI |= t.UCI
+		tr.Dests = tr.Dests.Union(t.Dests)
+	}
+	return tr
+}
+
 // cheapest returns transit's cheapest term (the first such, on a tie) that
 // permits req entering from prev and exiting toward next, or nil. It walks
 // the stored terms in place: a Term is too large to copy per candidate.

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -227,6 +228,42 @@ func TestDBPermitsTransitPicksCheapest(t *testing.T) {
 	got, ok := db.PermitsTransit(2, Request{Src: 1, Dst: 3}, 1, 3)
 	if !ok || got.Cost != 2 {
 		t.Errorf("PermitsTransit = %+v,%v want cost 2", got, ok)
+	}
+}
+
+func TestTransitOf(t *testing.T) {
+	db := NewDB()
+	// AD 2: two terms offering class 0, the cheaper second, one of them
+	// also class 1; none offers class 2.
+	a := Term{Advertiser: 2, Sources: SetOf(5), Dests: SetOf(7), QOS: ClassSetOf(0, 1), UCI: ClassSetOf(0), Hours: Always, Cost: 6}
+	b := Term{Advertiser: 2, Sources: SetOf(4, 5), Dests: SetOf(8), QOS: ClassSetOf(0), UCI: ClassSetOf(3), Hours: Always, Cost: 2}
+	db.Add(a)
+	db.Add(b)
+	// AD 3: one term with a universal destination set beside a narrow one.
+	db.Add(Term{Advertiser: 3, Sources: SetOf(1), Dests: Universal(), QOS: ClassSetOf(0), UCI: AllClasses, Hours: Always, Cost: 1})
+	db.Add(Term{Advertiser: 3, Sources: SetOf(1), Dests: SetOf(9), QOS: ClassSetOf(0), UCI: AllClasses, Hours: Always, Cost: 4})
+
+	tr := db.TransitOf(2, 3)
+	if want := []bool{true, true, false}; !slices.Equal(tr.OK, want) {
+		t.Errorf("OK = %v, want %v", tr.OK, want)
+	}
+	if tr.Cost[0] != 2 || tr.Cost[1] != 6 {
+		t.Errorf("Cost = %v, want the cheapest per class: [2 6 _]", tr.Cost)
+	}
+	if !tr.Sources.Equal(SetOf(4, 5)) || tr.UCI != ClassSetOf(0, 3) || !tr.Dests.Equal(SetOf(7, 8)) {
+		t.Errorf("unions = %v %b %v, want {4 5} classes {0 3} dests {7 8}", tr.Sources, tr.UCI, tr.Dests)
+	}
+	if tr.Dests.Contains(9) {
+		t.Error("AD 2 exports a destination no term names")
+	}
+
+	if tr := db.TransitOf(3, 1); !tr.Dests.IsUniversal() || !tr.Dests.Contains(42) || tr.Cost[0] != 1 {
+		t.Errorf("universal-destination term: Dests=%v Cost=%v", tr.Dests, tr.Cost)
+	}
+
+	none := db.TransitOf(6, 2)
+	if len(none.OK) != 2 || none.OK[0] || none.OK[1] || !none.Sources.Empty() || none.UCI != 0 || !none.Dests.Empty() {
+		t.Errorf("AD with no terms: %+v, want no class offered and empty sets", none)
 	}
 }
 

@@ -61,12 +61,10 @@ const flushDelay = sim.Millisecond
 type System struct {
 	cfg   Config
 	nw    *sim.Network
-	db    *policy.DB
 	order ordering.Ordering
 	nodes map[ad.ID]*node
 
 	computations int
-	started      bool
 	// rx is the update Receive decodes into and tx the one flush builds,
 	// each reused message to message: routes are values, and nothing
 	// keeps a slice of either.
@@ -87,14 +85,12 @@ func NewWithOrdering(g *ad.Graph, db *policy.DB, order ordering.Ordering, cfg Co
 	s := &System{
 		cfg:   cfg,
 		nw:    sim.NewNetwork(g, cfg.Seed),
-		db:    db,
 		order: order,
 		nodes: make(map[ad.ID]*node),
 	}
-	for _, info := range g.ADs() {
-		n := &node{id: info.ID, info: info, sys: s, table: dvcore.NewTable()}
-		n.deriveTransit()
-		s.nodes[info.ID] = n
+	for _, id := range g.IDs() {
+		n := &node{id: id, sys: s, table: dvcore.NewTable(), transit: db.TransitOf(id, cfg.QOSClasses)}
+		s.nodes[id] = n
 		s.nw.AddNode(n)
 	}
 	return s
@@ -108,10 +104,6 @@ func (s *System) Network() *sim.Network { return s.nw }
 
 // Converge implements core.System.
 func (s *System) Converge(limit sim.Time) (sim.Time, bool) {
-	if !s.started {
-		s.started = true
-		s.nw.Start()
-	}
 	return s.nw.RunToQuiescence(limit)
 }
 
@@ -122,13 +114,12 @@ func (s *System) Route(req policy.Request) core.Outcome {
 		qos = 0
 	}
 	k := dvcore.Key{Dest: req.Dst, QOS: qos}
-	path, delivered, looped := dvcore.FollowNextHops(req.Src, k, func(id ad.ID) *dvcore.Table {
-		if n, ok := s.nodes[id]; ok {
-			return n.table
+	return core.Forward(req.Src, req.Dst, func(cur, _ ad.ID) ad.ID {
+		if n, ok := s.nodes[cur]; ok {
+			return n.table.NextHop(k)
 		}
-		return nil
+		return ad.Invalid
 	})
-	return core.Outcome{Path: path, Delivered: delivered, Looped: looped}
 }
 
 // StateEntries implements core.System.
@@ -159,55 +150,17 @@ func (s *System) Ordering() ordering.Ordering { return s.order }
 
 // node is one AD's ECMA process.
 type node struct {
-	id   ad.ID
-	info ad.Info
-	sys  *System
+	id  ad.ID
+	sys *System
 
 	table *dvcore.Table
 
-	// transitQOS[q] is true when some local term offers QOS q.
-	transitQOS []bool
-	// transitCost[q] is the cheapest local term cost offering q.
-	transitCost []uint32
-	// destFilter is nil when all destinations may transit; otherwise the
-	// union of the terms' destination sets.
-	destAll bool
-	destSet map[ad.ID]bool
+	// transit is what the local policy terms offer: the QOS classes and
+	// costs of re-advertised routes, and in Dests the destinations they
+	// may be exported for (destination-specific policies, paper §5.1).
+	transit policy.Transit
 
 	flushPending bool
-}
-
-// deriveTransit precomputes the node's QOS support, transit costs, and
-// destination export filter from its local policy terms.
-func (n *node) deriveTransit() {
-	q := n.sys.cfg.QOSClasses
-	n.transitQOS = make([]bool, q)
-	n.transitCost = make([]uint32, q)
-	n.destSet = make(map[ad.ID]bool)
-	for _, t := range n.sys.db.Terms(n.id) {
-		for c := 0; c < q; c++ {
-			if !t.QOS.Contains(uint8(c)) {
-				continue
-			}
-			if !n.transitQOS[c] || t.Cost < n.transitCost[c] {
-				n.transitQOS[c] = true
-				n.transitCost[c] = t.Cost
-			}
-		}
-		if t.Dests.IsUniversal() {
-			n.destAll = true
-		} else {
-			for _, d := range t.Dests.Members() {
-				n.destSet[d] = true
-			}
-		}
-	}
-}
-
-// mayExportDest reports whether the destination filter allows advertising
-// routes to dest (destination-specific policies, paper §5.1).
-func (n *node) mayExportDest(dest ad.ID) bool {
-	return n.destAll || n.destSet[dest]
 }
 
 func (n *node) ID() ad.ID { return n.id }
@@ -251,10 +204,7 @@ func (n *node) advertisable(k dvcore.Key, nb ad.ID) (wire.DVRoute, bool) {
 		// Only transit-capable ADs re-advertise third-party routes:
 		// stubs and multihomed stubs have no terms, so they never do
 		// (information hiding + no-transit, §5.1).
-		if !n.transitQOS[int(k.QOS)] {
-			return wire.DVRoute{}, false
-		}
-		if !n.mayExportDest(k.Dest) {
+		if !n.transit.OK[int(k.QOS)] || !n.transit.Dests.Contains(k.Dest) {
 			return wire.DVRoute{}, false
 		}
 	}
@@ -269,7 +219,7 @@ func (n *node) advertisable(k dvcore.Key, nb ad.ID) (wire.DVRoute, bool) {
 	}
 	metric := e.Metric
 	if !isSelf {
-		metric += n.transitCost[int(k.QOS)]
+		metric += n.transit.Cost[int(k.QOS)]
 	}
 	return wire.DVRoute{Dest: k.Dest, Metric: metric, QOS: k.QOS, Flags: flags}, true
 }
@@ -331,28 +281,10 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 			}
 		}
 		metric := rt.Metric + link.Cost
-		if metric > inf || rt.Flags&wire.FlagWithdraw != 0 {
+		if rt.Flags&wire.FlagWithdraw != 0 {
 			metric = inf
 		}
-		k := dvcore.Key{Dest: rt.Dest, QOS: rt.QOS}
-		cur, have := n.table.Get(k)
-		switch {
-		case have && cur.NextHop == from:
-			e := dvcore.Entry{Key: k, Metric: metric, NextHop: from, Flags: flags}
-			if metric >= inf {
-				e.NextHop = ad.Invalid
-			}
-			if n.table.Set(e) {
-				changed = true
-			}
-		case !have || metric < cur.Metric:
-			if metric >= inf {
-				continue
-			}
-			if n.table.Set(dvcore.Entry{Key: k, Metric: metric, NextHop: from, Flags: flags}) {
-				changed = true
-			}
-		}
+		changed = n.table.Learn(dvcore.Key{Dest: rt.Dest, QOS: rt.QOS}, metric, inf, from, flags) || changed
 	}
 	if changed {
 		n.scheduleFlush(nw)
@@ -360,17 +292,7 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 }
 
 func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
-	inf := n.sys.cfg.Infinity
-	changed := false
-	for _, k := range n.table.ViaNeighbor(nb) {
-		e, _ := n.table.Get(k)
-		e.Metric = inf
-		e.NextHop = ad.Invalid
-		if n.table.Set(e) {
-			changed = true
-		}
-	}
-	if changed {
+	if n.table.Poison(nb, n.sys.cfg.Infinity) {
 		n.scheduleFlush(nw)
 		for _, other := range nw.UpNeighbors(n.id) {
 			nw.SendMessage("ecma", n.id, other, &wire.DVUpdate{})

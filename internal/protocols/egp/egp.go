@@ -44,7 +44,6 @@ type System struct {
 	nodes map[ad.ID]*node
 
 	computations int
-	started      bool
 	// rx is the update Receive decodes into, reused message to message:
 	// routes are values, and nothing keeps a slice of it.
 	rx wire.EGPUpdate
@@ -80,35 +79,17 @@ func (s *System) Network() *sim.Network { return s.nw }
 
 // Converge implements core.System.
 func (s *System) Converge(limit sim.Time) (sim.Time, bool) {
-	if !s.started {
-		s.started = true
-		s.nw.Start()
-	}
 	return s.nw.RunToQuiescence(limit)
 }
 
 // Route implements core.System.
 func (s *System) Route(req policy.Request) core.Outcome {
-	cur := req.Src
-	path := ad.Path{cur}
-	seen := map[ad.ID]bool{}
-	for cur != req.Dst {
-		if seen[cur] {
-			return core.Outcome{Path: path, Looped: true}
+	return core.Forward(req.Src, req.Dst, func(cur, _ ad.ID) ad.ID {
+		if n, ok := s.nodes[cur]; ok {
+			return n.nextHop[req.Dst]
 		}
-		seen[cur] = true
-		n, ok := s.nodes[cur]
-		if !ok {
-			return core.Outcome{Path: path}
-		}
-		nh, ok := n.nextHop[req.Dst]
-		if !ok || nh == ad.Invalid {
-			return core.Outcome{Path: path}
-		}
-		cur = nh
-		path = append(path, cur)
-	}
-	return core.Outcome{Path: path, Delivered: true}
+		return ad.Invalid
+	})
 }
 
 // StateEntries implements core.System.

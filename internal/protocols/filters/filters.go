@@ -80,7 +80,6 @@ type System struct {
 
 	probeSeq uint64
 	acked    map[uint64]bool
-	started  bool
 }
 
 // New builds the baseline over g. db is each gateway's private filter
@@ -112,7 +111,6 @@ func (s *System) Network() *sim.Network { return s.nw }
 // Converge implements core.System: there is no routing protocol, so the
 // system is trivially converged.
 func (s *System) Converge(limit sim.Time) (sim.Time, bool) {
-	s.started = true
 	return 0, true
 }
 

@@ -88,11 +88,9 @@ func (r route) sameAttrs(o route) bool {
 type System struct {
 	cfg   Config
 	nw    *sim.Network
-	db    *policy.DB
 	nodes map[ad.ID]*node
 
 	computations int
-	started      bool
 
 	// Scratch shared by every node of the system. Nodes run one callback
 	// at a time inside the event loop, and nothing here outlives the call
@@ -130,21 +128,20 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 	s := &System{
 		cfg:   cfg,
 		nw:    sim.NewNetwork(g, cfg.Seed),
-		db:    db,
 		nodes: make(map[ad.ID]*node),
 		marks: make(map[ribKey]mark),
 	}
-	for _, info := range g.ADs() {
+	for _, id := range g.IDs() {
 		n := &node{
-			id:    info.ID,
-			info:  info,
-			sys:   s,
-			cands: make(map[ribKey][]route),
-			adv:   make(map[ribKey][]route),
+			id:      id,
+			sys:     s,
+			cands:   make(map[ribKey][]route),
+			adv:     make(map[ribKey][]route),
+			dirty:   make(map[ribKey]struct{}),
+			transit: db.TransitOf(id, cfg.QOSClasses),
 		}
 		n.flushFn = n.flush
-		n.deriveTransit()
-		s.nodes[info.ID] = n
+		s.nodes[id] = n
 		s.nw.AddNode(n)
 	}
 	return s
@@ -166,10 +163,6 @@ func (s *System) Network() *sim.Network { return s.nw }
 
 // Converge implements core.System.
 func (s *System) Converge(limit sim.Time) (sim.Time, bool) {
-	if !s.started {
-		s.started = true
-		s.nw.Start()
-	}
 	return s.nw.RunToQuiescence(limit)
 }
 
@@ -184,32 +177,16 @@ func (s *System) Route(req policy.Request) core.Outcome {
 		qos = 0
 	}
 	k := ribKey{dest: req.Dst, qos: qos}
-	cur := req.Src
-	path := ad.Path{cur}
-	seen := map[ad.ID]bool{}
-	for cur != req.Dst {
-		if seen[cur] {
-			return core.Outcome{Path: path, Looped: true}
-		}
-		seen[cur] = true
-		n, ok := s.nodes[cur]
-		if !ok {
-			return core.Outcome{Path: path}
-		}
-		next := ad.Invalid
-		for _, r := range n.adv[k] {
-			if r.sources.Contains(req.Src) && r.uci.Contains(uint8(req.UCI)) {
-				next = r.from
-				break
+	return core.Forward(req.Src, req.Dst, func(cur, _ ad.ID) ad.ID {
+		if n, ok := s.nodes[cur]; ok {
+			for _, r := range n.adv[k] {
+				if r.sources.Contains(req.Src) && r.uci.Contains(uint8(req.UCI)) {
+					return r.from
+				}
 			}
 		}
-		if next == ad.Invalid {
-			return core.Outcome{Path: path}
-		}
-		cur = next
-		path = append(path, cur)
-	}
-	return core.Outcome{Path: path, Delivered: true}
+		return ad.Invalid
+	})
 }
 
 // StateEntries implements core.System: total Adj-RIB-In candidate routes
@@ -250,9 +227,8 @@ func (s *System) SelectedRoutes(id, dest ad.ID) []ad.Path {
 
 // node is one AD's IDRP process.
 type node struct {
-	id   ad.ID
-	info ad.Info
-	sys  *System
+	id  ad.ID
+	sys *System
 
 	// cands is the Adj-RIB-In: the candidate routes per context, every
 	// neighbor's in one slice.
@@ -261,50 +237,14 @@ type node struct {
 	// advertised (up to MultiRoute per context).
 	adv map[ribKey][]route
 
-	// Transit capabilities derived from local policy terms.
-	transitQOS  []bool
-	transitCost []uint32
-	srcUnion    policy.ADSet
-	uciUnion    policy.ClassSet
-	destAll     bool
-	destSet     map[ad.ID]bool
-	hasTerms    bool
+	// transit is what the local policy terms offer re-advertised routes.
+	transit policy.Transit
 
 	flushPending bool
 	dirty        map[ribKey]struct{}
 	// flushFn is n.flush, bound once so scheduling a flush allocates
 	// nothing.
 	flushFn func()
-}
-
-func (n *node) deriveTransit() {
-	q := n.sys.cfg.QOSClasses
-	n.transitQOS = make([]bool, q)
-	n.transitCost = make([]uint32, q)
-	n.destSet = make(map[ad.ID]bool)
-	n.dirty = make(map[ribKey]struct{})
-	n.srcUnion = policy.SetOf()
-	for _, t := range n.sys.db.Terms(n.id) {
-		n.hasTerms = true
-		for c := 0; c < q; c++ {
-			if !t.QOS.Contains(uint8(c)) {
-				continue
-			}
-			if !n.transitQOS[c] || t.Cost < n.transitCost[c] {
-				n.transitQOS[c] = true
-				n.transitCost[c] = t.Cost
-			}
-		}
-		n.srcUnion = n.srcUnion.Union(t.Sources)
-		n.uciUnion |= t.UCI
-		if t.Dests.IsUniversal() {
-			n.destAll = true
-		} else {
-			for _, d := range t.Dests.Members() {
-				n.destSet[d] = true
-			}
-		}
-	}
 }
 
 func (n *node) ID() ad.ID { return n.id }
@@ -375,10 +315,7 @@ func (n *node) exportRoutes(out []wire.PVRoute, k ribKey) []wire.PVRoute {
 		} else {
 			// Re-advertising makes n a transit for the route: n
 			// must have terms, offer the QOS, and carry the dest.
-			if !n.hasTerms || !n.transitQOS[int(k.qos)] {
-				continue
-			}
-			if !n.destAll && !n.destSet[k.dest] {
+			if !n.transit.OK[int(k.qos)] || !n.transit.Dests.Contains(k.dest) {
 				continue
 			}
 			if n.sys.cfg.BGPMode {
@@ -387,13 +324,13 @@ func (n *node) exportRoutes(out []wire.PVRoute, k ribKey) []wire.PVRoute {
 				pv.AllowedSources = policy.Universal()
 				pv.UCI = policy.AllClasses
 			} else {
-				pv.AllowedSources = r.sources.Intersect(n.srcUnion)
-				pv.UCI = r.uci & n.uciUnion
+				pv.AllowedSources = r.sources.Intersect(n.transit.Sources)
+				pv.UCI = r.uci & n.transit.UCI
 				if pv.AllowedSources.Empty() || pv.UCI == 0 {
 					continue
 				}
 			}
-			pv.Metric = r.metric + n.transitCost[int(k.qos)]
+			pv.Metric = r.metric + n.transit.Cost[int(k.qos)]
 		}
 		start := len(s.paths)
 		s.paths = append(append(s.paths, n.id), r.path...)

@@ -40,8 +40,6 @@ type System struct {
 	nw    *sim.Network
 	db    *policy.DB // ground-truth policy: each node floods only its own terms
 	nodes map[ad.ID]*node
-
-	started bool
 }
 
 // New builds the system over g with policy db.
@@ -69,10 +67,6 @@ func (s *System) Network() *sim.Network { return s.nw }
 
 // Converge implements core.System.
 func (s *System) Converge(limit sim.Time) (sim.Time, bool) {
-	if !s.started {
-		s.started = true
-		s.nw.Start()
-	}
 	return s.nw.RunToQuiescence(limit)
 }
 
@@ -80,28 +74,12 @@ func (s *System) Converge(limit sim.Time) (sim.Time, bool) {
 // recomputes the constrained route from its own position using its own
 // LSDB.
 func (s *System) Route(req policy.Request) core.Outcome {
-	cur := req.Src
-	prev := ad.Invalid
-	path := ad.Path{cur}
-	seen := map[ad.ID]bool{}
-	for cur != req.Dst {
-		if seen[cur] {
-			return core.Outcome{Path: path, Looped: true}
+	return core.Forward(req.Src, req.Dst, func(cur, prev ad.ID) ad.ID {
+		if n, ok := s.nodes[cur]; ok {
+			return n.nextHop(req, prev)
 		}
-		seen[cur] = true
-		n, ok := s.nodes[cur]
-		if !ok {
-			return core.Outcome{Path: path}
-		}
-		next := n.nextHop(req, prev)
-		if next == ad.Invalid {
-			return core.Outcome{Path: path}
-		}
-		prev = cur
-		cur = next
-		path = append(path, cur)
-	}
-	return core.Outcome{Path: path, Delivered: true}
+		return ad.Invalid
+	})
 }
 
 // StateEntries implements core.System: LSDB entries plus cached routes (the

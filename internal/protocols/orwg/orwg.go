@@ -136,8 +136,6 @@ type System struct {
 
 	// resetup records the setup RTT of each successful failure repair.
 	resetup metrics.Histogram
-
-	started bool
 }
 
 // New builds the system over g with policy db.
@@ -175,10 +173,6 @@ func (s *System) Network() *sim.Network { return s.nw }
 
 // Converge implements core.System: floods all LSAs to quiescence.
 func (s *System) Converge(limit sim.Time) (sim.Time, bool) {
-	if !s.started {
-		s.started = true
-		s.nw.Start()
-	}
 	return s.nw.RunToQuiescence(limit)
 }
 

@@ -53,7 +53,6 @@ type System struct {
 	// computations counts table update rounds (one per processed
 	// message), the DV analogue of a route computation.
 	computations int
-	started      bool
 	// rx is the update Receive decodes into and tx the one flush builds,
 	// each reused message to message: routes are values, and nothing
 	// keeps a slice of either.
@@ -85,23 +84,18 @@ func (s *System) Network() *sim.Network { return s.nw }
 
 // Converge implements core.System.
 func (s *System) Converge(limit sim.Time) (sim.Time, bool) {
-	if !s.started {
-		s.started = true
-		s.nw.Start()
-	}
 	return s.nw.RunToQuiescence(limit)
 }
 
 // Route implements core.System: hop-by-hop forwarding over the FIBs.
 func (s *System) Route(req policy.Request) core.Outcome {
 	k := dvcore.Key{Dest: req.Dst, QOS: 0}
-	path, delivered, looped := dvcore.FollowNextHops(req.Src, k, func(id ad.ID) *dvcore.Table {
-		if n, ok := s.nodes[id]; ok {
-			return n.table
+	return core.Forward(req.Src, req.Dst, func(cur, _ ad.ID) ad.ID {
+		if n, ok := s.nodes[cur]; ok {
+			return n.table.NextHop(k)
 		}
-		return nil
+		return ad.Invalid
 	})
-	return core.Outcome{Path: path, Delivered: delivered, Looped: looped}
 }
 
 // StateEntries implements core.System.
@@ -190,36 +184,10 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 	if !ok {
 		return
 	}
-	inf := n.sys.cfg.Infinity
 	changed := false
 	for _, rt := range upd.Routes {
-		if rt.Dest == n.id {
-			continue
-		}
-		metric := rt.Metric + link.Cost
-		if metric > inf {
-			metric = inf
-		}
-		k := dvcore.Key{Dest: rt.Dest}
-		cur, have := n.table.Get(k)
-		switch {
-		case have && cur.NextHop == from:
-			// Updates from the current next hop are authoritative,
-			// better or worse.
-			e := dvcore.Entry{Key: k, Metric: metric, NextHop: from}
-			if metric >= inf {
-				e.NextHop = ad.Invalid
-			}
-			if n.table.Set(e) {
-				changed = true
-			}
-		case !have || metric < cur.Metric:
-			if metric >= inf {
-				continue // don't learn fresh unreachables
-			}
-			if n.table.Set(dvcore.Entry{Key: k, Metric: metric, NextHop: from}) {
-				changed = true
-			}
+		if rt.Dest != n.id {
+			changed = n.table.Learn(dvcore.Key{Dest: rt.Dest}, rt.Metric+link.Cost, n.sys.cfg.Infinity, from, 0) || changed
 		}
 	}
 	if changed {
@@ -243,17 +211,7 @@ func (n *node) respondFullTable(nw *sim.Network, nb ad.ID) {
 }
 
 func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
-	inf := n.sys.cfg.Infinity
-	changed := false
-	for _, k := range n.table.ViaNeighbor(nb) {
-		e, _ := n.table.Get(k)
-		e.Metric = inf
-		e.NextHop = ad.Invalid
-		if n.table.Set(e) {
-			changed = true
-		}
-	}
-	if changed {
+	if n.table.Poison(nb, n.sys.cfg.Infinity) {
 		n.scheduleFlush(nw)
 		// Solicit alternatives from the remaining neighbors (RIP
 		// request). Without split horizon a neighbor may answer with

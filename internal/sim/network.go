@@ -21,7 +21,8 @@ import (
 type Node interface {
 	// ID returns the AD this node represents.
 	ID() ad.ID
-	// Start is invoked once at simulation time zero, before any messages.
+	// Start is invoked once, when the network first runs, before any
+	// messages.
 	Start(nw *Network)
 	// Receive is invoked when a protocol message from an adjacent AD
 	// arrives. payload is the marshalled wire message.
@@ -101,6 +102,8 @@ type Network struct {
 	// Sends (start of serialization plus transmission delay), used by
 	// convergence detection.
 	lastSend Time
+	// started is set once the first RunToQuiescence has started the nodes.
+	started bool
 
 	// Trace, if non-nil, receives a line per delivered message. Used by
 	// tests and the CLI's -trace flag.
@@ -381,18 +384,18 @@ func (nw *Network) RestoreLink(a, b ad.ID) error {
 	return nil
 }
 
-// Start invokes Start on every node (in AD order) at the current time.
-func (nw *Network) Start() {
-	for _, n := range nw.Nodes() {
-		n.Start(nw)
-	}
-}
-
 // RunToQuiescence starts (if not yet started) and runs the event loop until
 // the queue drains or limit is reached. It returns the convergence time
 // (time of the last message transmission) and whether the queue drained
-// before the limit.
+// before the limit. Starting runs every node's Start, in AD order, at the
+// current time.
 func (nw *Network) RunToQuiescence(limit Time) (Time, bool) {
+	if !nw.started {
+		nw.started = true
+		for _, n := range nw.Nodes() {
+			n.Start(nw)
+		}
+	}
 	end := nw.Engine.RunUntil(limit)
 	return nw.lastSend, end < limit || nw.Engine.Pending() == 0
 }

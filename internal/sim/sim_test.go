@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/ad"
@@ -328,6 +329,61 @@ func TestRunToQuiescence(t *testing.T) {
 	// The last send is the pong at t=5ms.
 	if conv != 5*Millisecond {
 		t.Errorf("convergence time = %v, want 5ms", conv)
+	}
+}
+
+// startNode is an echoNode that counts its Start calls, logs its AD to
+// order, and pings its neighbours from Start.
+type startNode struct {
+	echoNode
+	starts int
+	order  *[]ad.ID
+}
+
+func (n *startNode) Start(nw *Network) {
+	n.starts++
+	*n.order = append(*n.order, n.id)
+	nw.Flood("ping", n.id, []byte("ping"))
+}
+
+// TestRunToQuiescenceStartsOnce: the first run starts every node, in AD
+// order, before delivering anything; a second run starts none again.
+func TestRunToQuiescenceStartsOnce(t *testing.T) {
+	g := ad.NewGraph()
+	a := g.AddAD("a", ad.Stub, ad.Campus)
+	b := g.AddAD("b", ad.Transit, ad.Regional)
+	c := g.AddAD("c", ad.Stub, ad.Campus)
+	for _, l := range []ad.Link{{A: a, B: b}, {A: b, B: c}} {
+		if err := g.AddLink(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw := NewNetwork(g, 1)
+	var order []ad.ID
+	var nodes []*startNode
+	ids := g.IDs()
+	for i := len(ids) - 1; i >= 0; i-- {
+		n := &startNode{echoNode: echoNode{id: ids[i]}, order: &order}
+		nodes = append(nodes, n)
+		nw.AddNode(n)
+	}
+	for run := 1; run <= 2; run++ {
+		if _, ok := nw.RunToQuiescence(Second); !ok {
+			t.Fatalf("run %d did not quiesce", run)
+		}
+		for _, n := range nodes {
+			if n.starts != 1 {
+				t.Errorf("run %d: %v started %d times, want 1", run, n.id, n.starts)
+			}
+		}
+	}
+	if !ad.Path(order).Equal(ids) {
+		t.Errorf("start order = %v, want %v", order, ids)
+	}
+	for _, n := range nodes {
+		if !slices.Contains(n.received, "ping") {
+			t.Errorf("%v received no ping from a neighbour's Start: %v", n.id, n.received)
+		}
 	}
 }
 

@@ -213,26 +213,33 @@ func Marshal(m Message) []byte {
 	return buf
 }
 
+// frame checks b's header — its length, version and body length — and
+// returns the frame's type and body. The type is not checked.
+func frame(b []byte) (MsgType, []byte, error) {
+	if len(b) < headerLen {
+		return 0, nil, ErrTruncated
+	}
+	if b[0] != Version {
+		return 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, b[0])
+	}
+	switch body, n := b[headerLen:], int(binary.BigEndian.Uint16(b[2:4])); {
+	case len(body) < n:
+		return 0, nil, ErrTruncated
+	case len(body) > n:
+		return 0, nil, ErrTrailing
+	}
+	return MsgType(b[1]), b[headerLen:], nil
+}
+
 // Unmarshal decodes one message from b, which must contain exactly one
 // message. The message shares no memory with b.
 func Unmarshal(b []byte) (Message, error) {
-	if len(b) < headerLen {
-		return nil, ErrTruncated
+	t, body, err := frame(b)
+	if err != nil {
+		return nil, err
 	}
-	if b[0] != Version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, b[0])
-	}
-	bodyLen := int(binary.BigEndian.Uint16(b[2:4]))
-	body := b[headerLen:]
-	if len(body) < bodyLen {
-		return nil, ErrTruncated
-	}
-	if len(body) > bodyLen {
-		return nil, ErrTrailing
-	}
-	t := MsgType(b[1])
 	if !t.known() {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, b[1])
+		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}
 	m := messageTypes[t].new()
 	if err := m.code(codec{buf: body, dec: true}).done(); err != nil {
@@ -248,20 +255,12 @@ func Unmarshal(b []byte) (Message, error) {
 // new). m shares no memory with b; after an error its contents are
 // unspecified.
 func UnmarshalInto(b []byte, m Message) error {
-	if len(b) < headerLen {
-		return ErrTruncated
+	t, body, err := frame(b)
+	if err != nil {
+		return err
 	}
-	if b[0] != Version {
-		return fmt.Errorf("%w: %d", ErrBadVersion, b[0])
-	}
-	if t := MsgType(b[1]); t != m.Type() {
+	if t != m.Type() {
 		return fmt.Errorf("%w: %v frame into %v", ErrUnknownType, t, m.Type())
 	}
-	switch body, n := b[headerLen:], int(binary.BigEndian.Uint16(b[2:4])); {
-	case len(body) < n:
-		return ErrTruncated
-	case len(body) > n:
-		return ErrTrailing
-	}
-	return m.code(codec{buf: b[headerLen:], dec: true}).done()
+	return m.code(codec{buf: body, dec: true}).done()
 }
