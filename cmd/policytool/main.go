@@ -22,7 +22,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/policytool"
+	"repro/internal/synthesis"
 	"repro/internal/topology"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -87,7 +89,12 @@ func main() {
 	}
 
 	reqs := core.AllPairsRequests(g, true, 0, 0)
-	im := policytool.Assess(g, db, target, newTerms, reqs)
+	change := wire.PlanStep{Op: wire.CtlPolicy, A: target, Terms: newTerms}
+	im, err := policytool.Assess(synthesis.NewWorld(g, db), []wire.PlanStep{change}, reqs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if err := im.Report(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -19,7 +19,9 @@ import (
 	"repro/internal/policytool"
 	"repro/internal/protocols/orwg"
 	"repro/internal/sim"
+	"repro/internal/synthesis"
 	"repro/internal/topology"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -51,7 +53,11 @@ func main() {
 
 	// 1. Predict.
 	fmt.Println("--- prediction (policytool) ---")
-	im := policytool.Assess(g, db, target, []policy.Term{proposed}, reqs)
+	change := wire.PlanStep{Op: wire.CtlPolicy, A: target, Terms: []policy.Term{proposed}}
+	im, err := policytool.Assess(synthesis.NewWorld(g, db), []wire.PlanStep{change}, reqs)
+	if err != nil {
+		panic(err)
+	}
 	if err := im.Report(os.Stdout); err != nil {
 		panic(err)
 	}

@@ -108,7 +108,7 @@ func TestStressRandomFailures(t *testing.T) {
 // infinity bound) under repeated partitioning failures.
 func TestStressPlainDVAlwaysConverges(t *testing.T) {
 	topo := topology.Generate(topology.Config{Seed: 80, LateralProb: 0.2})
-	sys := plaindv.New(topo.Graph, plaindv.Config{SplitHorizon: false, Infinity: 16, Seed: 2})
+	sys := plaindv.New(topo.Graph, plaindv.Config{SplitHorizon: false, Seed: 2})
 	if _, ok := sys.Converge(600 * sim.Second); !ok {
 		t.Fatal("initial convergence failed")
 	}

@@ -22,9 +22,9 @@ import (
 // one synthesis per unique (src,dst,qos,uci,hour) key between
 // invalidations, so "synth" is deterministic even though four client
 // goroutines race on the cache. Naive on-demand serving runs one synthesis
-// per request; "saved" is the ratio. Wall-clock throughput and tail latency are measured by
-// cmd/routed's load mode and BenchmarkE20RouteServer, which emits
-// BENCH_routeserver.json.
+// per request; "saved" is the ratio. Wall-clock throughput and tail latency
+// are measured by cmd/routed's load mode and the repository benchmark's
+// hit_* and miss_thrash workloads (go run ./bench).
 func E20RouteServer(seed int64) *metrics.Table {
 	t := metrics.NewTable("E20 — route-server serving layer",
 		"workload", "churn", "strategy", "reqs", "synth", "naive", "saved",

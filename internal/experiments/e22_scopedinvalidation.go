@@ -33,7 +33,8 @@ import (
 // broadening made suboptimal-but-legal, so every served route is checked
 // against PathLegal on the then-current topology/policy (and every
 // no-route answer against an exhaustive search). Wall-clock latency during
-// churn is measured by BenchmarkE22ScopedInvalidation.
+// churn is measured by the repository benchmark's churn workload (go run
+// ./bench -workload churn).
 func E22ScopedInvalidation(seed int64) *metrics.Table {
 	t := metrics.NewTable("E22 — scoped cache invalidation under churn",
 		"workload", "strategy", "mode", "churn-reqs", "synth", "hit-rate",

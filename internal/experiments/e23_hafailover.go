@@ -43,7 +43,8 @@ import (
 // backlog tail) before the kill, so its content equals the primary's exactly
 // and the rendered table is byte-identical under any parallelism. Failover
 // wall-clock (availability gap, promotion latency) is timing, not counting,
-// and is measured by BenchmarkHAFailover instead.
+// and belongs to routed's load mode (Report.MaxStall); that a load run loses
+// no request across a primary kill is ha.TestLoadRunSurvivesPrimaryKill.
 func E23HAFailover(seed int64) *metrics.Table {
 	t := metrics.NewTable("E23 — failover to a warm replica vs cold restart",
 		"workload", "server", "cache", "churn-reqs", "synth", "hit-rate", "legal-ok")

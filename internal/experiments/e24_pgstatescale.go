@@ -14,8 +14,8 @@ import (
 // E24 workload shape: e24Handles soft-state flows whose TTLs spread across
 // e24Cohorts staggered deadlines, swept cohort by cohort. Small enough to
 // run in the full-suite budget, large enough that a full-scan expiry pays
-// visibly more than a wheel sweep (BenchmarkPGStateMillion covers the
-// million-handle point).
+// visibly more than a wheel sweep (the pgstate package's
+// BenchmarkPGStateMillion covers the million-handle point).
 const (
 	e24Handles = 40_000
 	e24Cohorts = 20

@@ -31,10 +31,10 @@ import (
 // The assessed population is the recorded query log (the plan engine's
 // recorded-workload mode), so "exact" also pins that the log ring captures
 // the serving history. The resynth column is the plan's re-synthesis bill
-// (count only — its latency projection is wall-clock and belongs to
-// BenchmarkPlan). Counters are scheduling-independent for the E22 reasons:
-// uncapped cache, negative caching, coalescing, and a population that is
-// deduplicated and sorted before assessment.
+// (count only — its latency projection is wall-clock and belongs to the
+// plan package's BenchmarkPlan). Counters are scheduling-independent for the
+// E22 reasons: uncapped cache, negative caching, coalescing, and a
+// population that is deduplicated and sorted before assessment.
 func E25PlanEngine(seed int64) *metrics.Table {
 	t := metrics.NewTable("E25 — what-if plan vs committed reality",
 		"workload", "event", "pred-evict", "evict", "pred-torn", "torn",
@@ -127,9 +127,9 @@ func E25PlanEngine(seed int64) *metrics.Table {
 			// Lost: re-query the whole assessed population on the live
 			// post-change server (re-filling the evictions, as real traffic
 			// would) and oracle-verify every answer by exhaustive search.
-			predLost := make(map[routeserver.Key]bool, len(rep.Unroutable))
-			for _, req := range rep.Unroutable {
-				predLost[req] = true
+			predLost := make(map[routeserver.Key]bool, len(rep.Impact.Lost))
+			for _, pc := range rep.Impact.Lost {
+				predLost[pc.Req] = true
 			}
 			lost := 0
 			oracle := synthesis.Compile(g, db) // as the commit left them
@@ -148,14 +148,14 @@ func E25PlanEngine(seed int64) *metrics.Table {
 			}
 
 			t.AddRow(model, label, len(rep.EvictedKeys), len(gone),
-				len(rep.Teardowns), len(dead), len(rep.Unroutable), lost,
+				len(rep.Teardowns), len(dead), len(rep.Impact.Lost), lost,
 				rep.Bill.Count, yesNo(exact))
 		}
 	}
 	t.AddNote("six events after a 600-request warm (4 clients) with 120 installed flows: fail/restore a lateral, fail/restore a flow-carrying single-homed stub uplink, open-term policy rewrite at the quietest transit + re-rewrite")
 	t.AddNote("each event is planned (read-only blast-radius prediction over the recorded query log) then committed on the same backend; pred-* vs observed columns compare key/handle/pair SETS, not just counts")
 	t.AddNote("exact = predicted evicted keys, torn-down handles, lost pairs, retained count, and re-synthesis bill all match the committed outcome, with every post-commit answer verified by exhaustive search")
-	t.AddNote("resynth = the plan's re-synthesis bill (one per evicted key); its latency projection is wall-clock and measured by BenchmarkPlan (BENCH_plan.json)")
+	t.AddNote("resynth = the plan's re-synthesis bill (one per evicted key); its latency projection is wall-clock and measured by BenchmarkPlan")
 	return t
 }
 

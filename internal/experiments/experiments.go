@@ -4,7 +4,7 @@
 // recorded outcomes in EXPERIMENTS.md.
 //
 // All experiments are deterministic in their seed. cmd/experiments runs them
-// all; bench_test.go wraps each as a benchmark.
+// all; BenchmarkRows times each one.
 package experiments
 
 import (
@@ -158,16 +158,10 @@ var report = []struct {
 	{"e25", whole(E25PlanEngine)},
 }
 
-// All runs every experiment serially with the given seed. It is equivalent
-// to RunAll(seed, 1).
-func All(seed int64) []*metrics.Table {
-	return RunAll(seed, 1)
-}
-
 // RunAll runs every experiment with the given seed, fanning the row tasks of
 // every experiment across one bounded pool of at most parallelism workers
-// (<= 0 means one per CPU). Tables are collected in the same fixed order as
-// All, and because every task owns what it writes, the rendered output is
+// (<= 0 means one per CPU). Tables are collected in the report's fixed
+// order, and because every task owns what it writes, the rendered output is
 // byte-identical for any parallelism.
 func RunAll(seed int64, parallelism int) []*metrics.Table {
 	plans := make([]rows, len(report))

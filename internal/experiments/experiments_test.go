@@ -335,7 +335,7 @@ func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	tables := All(seed)
+	tables := RunAll(seed, 1)
 	if len(tables) != 27 {
 		t.Fatalf("tables = %d, want 27", len(tables))
 	}

@@ -5,9 +5,11 @@
 // the routing architecture."
 //
 // Assess compares the internet's routing behaviour before and after a
-// proposed policy change at one AD: which source/destination pairs gain or
-// lose legal routes, how the AD's transit load shifts, and how route
-// synthesis cost changes.
+// proposed batch of control steps — a policy change at one AD, link
+// failures, or a mix: which source/destination pairs gain or lose legal
+// routes, how the focus AD's transit load shifts, and how route synthesis
+// cost changes. It is the one what-if classification: the plan engine,
+// scenario plan events and cmd/policytool all go through Classify.
 package policytool
 
 import (
@@ -16,8 +18,10 @@ import (
 	"sort"
 
 	"repro/internal/ad"
+	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/synthesis"
+	"repro/internal/wire"
 )
 
 // PairChange records a traffic pair whose best legal route changed.
@@ -27,9 +31,10 @@ type PairChange struct {
 	Before, After ad.Path
 }
 
-// Impact is the predicted effect of replacing one AD's policy terms.
+// Impact is the predicted effect of a batch of control steps.
 type Impact struct {
-	// AD is the AD whose policy is being changed.
+	// AD is the AD whose transit load and terms the summary tracks: the
+	// first policy step's advertiser, else the first step's A endpoint.
 	AD ad.ID
 	// Requests is the evaluated traffic population size.
 	Requests int
@@ -38,6 +43,9 @@ type Impact struct {
 	Gained, Lost []PairChange
 	// Rerouted lists pairs that keep connectivity but shift paths.
 	Rerouted []PairChange
+	// UnroutableAfter lists every pair with no route after the batch,
+	// whether or not it had one before.
+	UnroutableAfter []policy.Request
 	// TransitBefore / TransitAfter count best routes crossing the AD —
 	// the traffic the AD invites or sheds with its policy.
 	TransitBefore, TransitAfter int
@@ -52,11 +60,8 @@ type Impact struct {
 // ConnectivityDelta is Gained minus Lost.
 func (im Impact) ConnectivityDelta() int { return len(im.Gained) - len(im.Lost) }
 
-// Add folds one request's before/after synthesis results into the impact.
-// It is the single classification path shared by Assess and the what-if
-// plan engine, so the two tools can never disagree on what "gained",
-// "lost", or "transit" means.
-func (im *Impact) Add(req policy.Request, before, after synthesis.Result) {
+// add folds one request's before/after synthesis results into the impact.
+func (im *Impact) add(req policy.Request, before, after synthesis.Result) {
 	im.Requests++
 	im.WorkBefore += before.Expanded
 	im.WorkAfter += after.Expanded
@@ -65,6 +70,9 @@ func (im *Impact) Add(req policy.Request, before, after synthesis.Result) {
 	}
 	if after.Found && isTransit(after.Path, im.AD) {
 		im.TransitAfter++
+	}
+	if !after.Found {
+		im.UnroutableAfter = append(im.UnroutableAfter, req)
 	}
 	switch {
 	case !before.Found && after.Found:
@@ -76,20 +84,50 @@ func (im *Impact) Add(req policy.Request, before, after synthesis.Result) {
 	}
 }
 
-// Assess evaluates replacing adID's terms with newTerms over the given
-// traffic population. The input database is not modified.
-func Assess(g *ad.Graph, db *policy.DB, adID ad.ID, newTerms []policy.Term, reqs []policy.Request) Impact {
-	after := db.WithTerms(adID, newTerms)
-	im := Impact{
-		AD:          adID,
-		TermsBefore: len(db.Terms(adID)),
-		TermsAfter:  len(after.Terms(adID)),
+// Assess evaluates applying steps, in order, to w over the given traffic
+// population. w is not modified; a batch World.After refuses is an error.
+func Assess(w *synthesis.World, steps []wire.PlanStep, reqs []policy.Request) (Impact, error) {
+	after, _, err := w.After(steps)
+	if err != nil {
+		return Impact{}, err
 	}
-	was, now := synthesis.Compile(g, db), synthesis.Compile(g, after)
-	for _, req := range reqs {
-		im.Add(req, was.FindRoute(req), now.FindRoute(req))
+	return Classify(w, after, steps, reqs), nil
+}
+
+// Classify compares every request's best route in the world before steps
+// with the one in the world after them; steps is the non-empty batch that
+// led from one to the other (World.After). Each world is compiled once and
+// shared by a worker per CPU; results land by index, so the impact is the
+// same at any parallelism.
+func Classify(before, after *synthesis.World, steps []wire.PlanStep, reqs []policy.Request) Impact {
+	focus := focusAD(steps)
+	im := Impact{
+		AD:          focus,
+		TermsBefore: len(before.DB.Terms(focus)),
+		TermsAfter:  len(after.DB.Terms(focus)),
+	}
+	was, now := synthesis.Compile(before.G, before.DB), synthesis.Compile(after.G, after.DB)
+	res := make([][2]synthesis.Result, len(reqs))
+	tasks := make([]func(), len(reqs))
+	for i, req := range reqs {
+		tasks[i] = func() { res[i] = [2]synthesis.Result{was.FindRoute(req), now.FindRoute(req)} }
+	}
+	parallel.Do(0, tasks)
+	for i, req := range reqs {
+		im.add(req, res[i][0], res[i][1])
 	}
 	return im
+}
+
+// focusAD picks the AD whose transit load the impact summary tracks: the
+// first policy step's advertiser, else the first step's A endpoint.
+func focusAD(steps []wire.PlanStep) ad.ID {
+	for _, st := range steps {
+		if st.Op == wire.CtlPolicy {
+			return st.A
+		}
+	}
+	return steps[0].A
 }
 
 // isTransit reports whether id appears strictly inside path.

@@ -8,8 +8,20 @@ import (
 	"repro/internal/ad"
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/synthesis"
 	"repro/internal/topology"
+	"repro/internal/wire"
 )
+
+// assess runs Assess on one policy step replacing id's terms.
+func assess(t *testing.T, g *ad.Graph, db *policy.DB, id ad.ID, terms []policy.Term, reqs []policy.Request) Impact {
+	t.Helper()
+	im, err := Assess(synthesis.NewWorld(g, db), []wire.PlanStep{{Op: wire.CtlPolicy, A: id, Terms: terms}}, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im
+}
 
 // diamondNet: src -- {t1 cheap, t2 dear} -- d.
 func diamondNet(t *testing.T) (*ad.Graph, ad.ID, ad.ID, ad.ID, ad.ID) {
@@ -40,7 +52,7 @@ func TestAssessRestrictionShedsTransit(t *testing.T) {
 	// t1 closes to everyone except d's own traffic sourced at d.
 	restricted := policy.OpenTerm(t1, 0)
 	restricted.Sources = policy.SetOf(d)
-	im := Assess(g, db, t1, []policy.Term{restricted}, reqs)
+	im := assess(t, g, db, t1, []policy.Term{restricted}, reqs)
 
 	if im.TransitBefore != 2 {
 		t.Errorf("TransitBefore = %d, want 2 (both directions via cheap t1)", im.TransitBefore)
@@ -70,7 +82,7 @@ func TestAssessClosureLosesConnectivity(t *testing.T) {
 	db.Add(policy.OpenTerm(t1, 0))
 	reqs := []policy.Request{{Src: src, Dst: d}}
 
-	im := Assess(g, db, t1, nil, reqs) // withdraw all terms
+	im := assess(t, g, db, t1, nil, reqs) // withdraw all terms
 	if len(im.Lost) != 1 {
 		t.Fatalf("lost = %d, want 1", len(im.Lost))
 	}
@@ -87,7 +99,7 @@ func TestAssessRelaxationGainsConnectivity(t *testing.T) {
 	db := policy.NewDB() // no transit at all
 	_ = t2
 	reqs := []policy.Request{{Src: src, Dst: d}, {Src: d, Dst: src}}
-	im := Assess(g, db, t1, []policy.Term{policy.OpenTerm(t1, 0)}, reqs)
+	im := assess(t, g, db, t1, []policy.Term{policy.OpenTerm(t1, 0)}, reqs)
 	if len(im.Gained) != 2 {
 		t.Fatalf("gained = %d, want 2", len(im.Gained))
 	}
@@ -101,7 +113,7 @@ func TestAssessDoesNotMutateInput(t *testing.T) {
 	db := policy.NewDB()
 	db.Add(policy.OpenTerm(t1, 0))
 	before := db.NumTerms()
-	Assess(g, db, t1, nil, []policy.Request{{Src: src, Dst: d}})
+	assess(t, g, db, t1, nil, []policy.Request{{Src: src, Dst: d}})
 	if db.NumTerms() != before {
 		t.Error("Assess mutated the input database")
 	}
@@ -114,7 +126,7 @@ func TestReportRendering(t *testing.T) {
 	g, src, t1, _, d := diamondNet(t)
 	db := policy.NewDB()
 	db.Add(policy.OpenTerm(t1, 0))
-	im := Assess(g, db, t1, nil, []policy.Request{{Src: src, Dst: d}})
+	im := assess(t, g, db, t1, nil, []policy.Request{{Src: src, Dst: d}})
 	var buf bytes.Buffer
 	if err := im.Report(&buf); err != nil {
 		t.Fatal(err)
@@ -139,7 +151,7 @@ func TestReportTruncation(t *testing.T) {
 		}
 	}
 	reqs := core.AllPairsRequests(g, true, 0, 0)
-	im := Assess(g, db, regional, nil, reqs)
+	im := assess(t, g, db, regional, nil, reqs)
 	if len(im.Lost) <= 10 {
 		t.Fatalf("scenario produced only %d losses; need > 10", len(im.Lost))
 	}
@@ -163,7 +175,7 @@ func TestAssessOnGeneratedInternet(t *testing.T) {
 		if info.Class != ad.Transit {
 			continue
 		}
-		im := Assess(g, db, info.ID, nil, reqs)
+		im := assess(t, g, db, info.ID, nil, reqs)
 		if len(im.Gained) != 0 {
 			t.Errorf("closing %v gained %d pairs", info.ID, len(im.Gained))
 		}

@@ -37,8 +37,6 @@ type Config struct {
 	// protocol degenerates into multi-FIB plain DV and may loop or count
 	// to infinity.
 	DisableOrdering bool
-	// Infinity is the unreachable metric.
-	Infinity uint32
 }
 
 // Normalize fills defaults.
@@ -49,13 +47,13 @@ func (c Config) Normalize() Config {
 	if c.QOSClasses > policy.MaxClasses {
 		c.QOSClasses = policy.MaxClasses
 	}
-	if c.Infinity == 0 {
-		c.Infinity = 64
-	}
 	return c
 }
 
 const flushDelay = sim.Millisecond
+
+// infinity is the unreachable metric.
+const infinity = 64
 
 // System is an ECMA deployment.
 type System struct {
@@ -194,10 +192,10 @@ func (n *node) scheduleFlush(nw *sim.Network) {
 // cost. ok=false means the route must not be advertised to nb.
 func (n *node) advertisable(k dvcore.Key, nb ad.ID) (wire.DVRoute, bool) {
 	e, have := n.table.Get(k)
-	if !have || e.Metric >= n.sys.cfg.Infinity {
+	if !have || e.Metric >= infinity {
 		// Withdrawals propagate regardless of policy filters so stale
 		// routes die.
-		return wire.DVRoute{Dest: k.Dest, Metric: n.sys.cfg.Infinity, QOS: k.QOS, Flags: wire.FlagWithdraw}, true
+		return wire.DVRoute{Dest: k.Dest, Metric: infinity, QOS: k.QOS, Flags: wire.FlagWithdraw}, true
 	}
 	isSelf := k.Dest == n.id
 	if !isSelf {
@@ -266,7 +264,6 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 	if !ok {
 		return
 	}
-	inf := n.sys.cfg.Infinity
 	changed := false
 	for _, rt := range upd.Routes {
 		if rt.Dest == n.id || int(rt.QOS) >= n.sys.cfg.QOSClasses {
@@ -282,9 +279,9 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 		}
 		metric := rt.Metric + link.Cost
 		if rt.Flags&wire.FlagWithdraw != 0 {
-			metric = inf
+			metric = infinity
 		}
-		changed = n.table.Learn(dvcore.Key{Dest: rt.Dest, QOS: rt.QOS}, metric, inf, from, flags) || changed
+		changed = n.table.Learn(dvcore.Key{Dest: rt.Dest, QOS: rt.QOS}, metric, infinity, from, flags) || changed
 	}
 	if changed {
 		n.scheduleFlush(nw)
@@ -292,7 +289,7 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 }
 
 func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
-	if n.table.Poison(nb, n.sys.cfg.Infinity) {
+	if n.table.Poison(nb, infinity) {
 		n.scheduleFlush(nw)
 		for _, other := range nw.UpNeighbors(n.id) {
 			nw.SendMessage("ecma", n.id, other, &wire.DVUpdate{})

@@ -256,7 +256,7 @@ func TestOrderingPreventsCountToInfinity(t *testing.T) {
 			}
 		}
 		db := policy.OpenDB(g)
-		s := New(g, db, Config{DisableOrdering: disable, Infinity: 32})
+		s := New(g, db, Config{DisableOrdering: disable})
 		s.Converge(seconds(300))
 		before := s.Network().Stats.MessagesSent
 		s.FailLink(r2, leaf) // leaf unreachable

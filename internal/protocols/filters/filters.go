@@ -36,9 +36,10 @@ type Config struct {
 	// Timeout is the higher-level timeout after which the source deems
 	// an attempt dropped.
 	Timeout sim.Time
-	// Payload is the probe payload size in bytes.
-	Payload int
 }
+
+// probePayload is the probe payload size in bytes.
+const probePayload = 64
 
 // Normalize fills defaults.
 func (c Config) Normalize() Config {
@@ -47,9 +48,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 500 * sim.Millisecond
-	}
-	if c.Payload == 0 {
-		c.Payload = 64
 	}
 	return c
 }
@@ -136,7 +134,7 @@ func (s *System) Discover(req policy.Request) Discovery {
 			Mode:    wire.ModeSourceRoute,
 			Req:     req,
 			Route:   cand,
-			Payload: make([]byte, s.cfg.Payload),
+			Payload: make([]byte, probePayload),
 		}
 		sent := s.nw.Now()
 		s.nw.SendMessage("probe", req.Src, cand[1], pkt)

@@ -66,18 +66,16 @@ type Config struct {
 	// State selects each policy gateway's handle lifecycle discipline —
 	// the PG state-management issue of §6. The zero value is hard state.
 	State pgstate.Config
-	// DataPayload is the payload size for Route's verification packet.
-	DataPayload int
 }
+
+// dataPayload is the payload size in bytes of Route's verification packet.
+const dataPayload = 64
 
 // Normalize fills defaults. It panics on an invalid State config: that is
 // a programming error, not a runtime condition.
 func (c Config) Normalize() Config {
 	if c.Strategy == "" {
 		c.Strategy = OnDemand
-	}
-	if c.DataPayload == 0 {
-		c.DataPayload = 64
 	}
 	if c.State.Kind == "" && c.CacheCapacity > 0 {
 		c.State = pgstate.Config{Kind: pgstate.Capped, Capacity: c.CacheCapacity}
@@ -423,7 +421,7 @@ func (s *System) Route(req policy.Request) core.Outcome {
 	if len(res.Path) == 1 {
 		return core.Outcome{Path: res.Path, Delivered: true}
 	}
-	delivered, _ := s.SendData(req.Src, res.Handle, s.cfg.DataPayload)
+	delivered, _ := s.SendData(req.Src, res.Handle, dataPayload)
 	return core.Outcome{
 		Path:          res.Path,
 		Delivered:     delivered,

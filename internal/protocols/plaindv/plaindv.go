@@ -15,23 +15,16 @@ import (
 	"repro/internal/wire"
 )
 
+// infinity is the unreachable metric, classic RIP's 16.
+const infinity = 16
+
 // Config parameterizes the protocol.
 type Config struct {
-	// Infinity is the unreachable metric (classic RIP uses 16).
-	Infinity uint32
 	// SplitHorizon suppresses advertising a route back to the neighbor
 	// it was learned from.
 	SplitHorizon bool
 	// Seed fixes the network RNG.
 	Seed int64
-}
-
-// Normalize fills defaults.
-func (c Config) Normalize() Config {
-	if c.Infinity == 0 {
-		c.Infinity = 16
-	}
-	return c
 }
 
 // flushDelay batches triggered updates dirtied within a small window.
@@ -62,7 +55,6 @@ type System struct {
 // New builds the system over g. The policy database is deliberately ignored:
 // plain DV has no way to express it.
 func New(g *ad.Graph, cfg Config) *System {
-	cfg = cfg.Normalize()
 	s := &System{
 		cfg:   cfg,
 		nw:    sim.NewNetwork(g, cfg.Seed),
@@ -154,7 +146,7 @@ func (n *node) flush(nw *sim.Network) {
 		for _, k := range dirty {
 			e, ok := n.table.Get(k)
 			if !ok {
-				upd.Routes = append(upd.Routes, wire.DVRoute{Dest: k.Dest, Metric: n.sys.cfg.Infinity})
+				upd.Routes = append(upd.Routes, wire.DVRoute{Dest: k.Dest, Metric: infinity})
 				continue
 			}
 			if n.sys.cfg.SplitHorizon && e.NextHop == nb {
@@ -187,7 +179,7 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 	changed := false
 	for _, rt := range upd.Routes {
 		if rt.Dest != n.id {
-			changed = n.table.Learn(dvcore.Key{Dest: rt.Dest}, rt.Metric+link.Cost, n.sys.cfg.Infinity, from, 0) || changed
+			changed = n.table.Learn(dvcore.Key{Dest: rt.Dest}, rt.Metric+link.Cost, infinity, from, 0) || changed
 		}
 	}
 	if changed {
@@ -211,7 +203,7 @@ func (n *node) respondFullTable(nw *sim.Network, nb ad.ID) {
 }
 
 func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
-	if n.table.Poison(nb, n.sys.cfg.Infinity) {
+	if n.table.Poison(nb, infinity) {
 		n.scheduleFlush(nw)
 		// Solicit alternatives from the remaining neighbors (RIP
 		// request). Without split horizon a neighbor may answer with

@@ -125,7 +125,7 @@ func TestCountToInfinityWithoutSplitHorizon(t *testing.T) {
 	// generates far more messages than with it (count to infinity).
 	run := func(split bool) uint64 {
 		g, ids := lineGraph(t, 3)
-		s := New(g, Config{SplitHorizon: split, Infinity: 16})
+		s := New(g, Config{SplitHorizon: split})
 		s.Converge(time(120))
 		before := s.Network().Stats.MessagesSent
 		// Cut the only link to ids[2]: destination unreachable.

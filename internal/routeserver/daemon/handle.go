@@ -136,7 +136,7 @@ func (b *Backend) plan(q *wire.Plan) *wire.PlanReply {
 		Evicted:        uint64(len(r.EvictedKeys)),
 		Retained:       uint64(r.Retained),
 		Teardowns:      uint64(len(r.Teardowns)),
-		Unroutable:     uint64(len(r.Unroutable)),
+		Unroutable:     uint64(len(r.Impact.Lost)),
 		Resynth:        uint64(r.Bill.Count),
 		MeanSynthNanos: uint64(r.Bill.PerSynth),
 		ProjNanos:      uint64(r.Bill.Projected),

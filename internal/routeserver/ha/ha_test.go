@@ -429,6 +429,35 @@ func TestDrainDuringFailover(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return fol.node.IsPrimary() }, "drained follower promotion")
 }
 
+// TestLoadRunSurvivesPrimaryKill drives a load run through failover clients
+// while the primary of a warm three-replica group dies a quarter of the way
+// in: every request must still be answered, served or no-route, and none may
+// be lost to the failover. Reconnects > 0 proves the kill landed mid-run.
+func TestLoadRunSurvivesPrimaryKill(t *testing.T) {
+	g, db, workload := world(43, 3000)
+	reps := newGroup(t, 3, g, db, true, nil, nil)
+	prim := reps[0]
+	routeserver.ServePhase(prim.srv, workload[:500], 4)
+	waitFor(t, 5*time.Second, func() bool { return synced(prim, reps[1]) && synced(prim, reps[2]) }, "followers sync")
+
+	addrs := []string{reps[0].clientAddr, reps[1].clientAddr, reps[2].clientAddr}
+	rep := routeserver.Run(func(c int) routeserver.Client {
+		return daemon.DialFailover("tcp", addrs, 2*time.Second, int64(c))
+	}, workload, routeserver.LoadConfig{
+		Clients: 16,
+		Events:  []routeserver.Event{{After: 0.25, Fire: func() error { prim.node.Kill(); return nil }}},
+	})
+	if rep.Errors != 0 {
+		t.Fatalf("load run hit %d errors across the failover", rep.Errors)
+	}
+	if rep.Served+rep.NoRoute != rep.Requests {
+		t.Fatalf("accounting: %d served + %d no-route != %d requests", rep.Served, rep.NoRoute, rep.Requests)
+	}
+	if rep.Reconnects == 0 {
+		t.Fatalf("no client reconnected: the kill did not land mid-run (%+v)", rep)
+	}
+}
+
 // slowStrategy widens the synthesis window so computations straddle
 // concurrent mutations and snapshot cuts.
 type slowStrategy struct {

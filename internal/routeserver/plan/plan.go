@@ -4,21 +4,19 @@
 // radius on the live serving layer before anything is applied.
 //
 // A plan is computed in two phases. First, a read-only snapshot under the
-// server's strategy lock (Server.CollectAffected): the world is cloned
-// twice from one consistent cut, the batch is applied to the post-change
-// clone — by synthesis.World.Apply, the function a commit applies it to the
-// live world with — to derive each step's synthesis.Change, and each
+// server's strategy lock (Server.CollectAffected): the batch is applied to a
+// clone of the world — by synthesis.World.After, over the function a commit
+// applies it to the live world with — to derive each step's
+// synthesis.Change, and each
 // change's cache victims are resolved through the same reverse indexes and
 // AffectsPath/AffectsNegative soundness rules scoped eviction applies —
 // without deleting anything. Nothing a concurrent query can observe is
 // mutated, and the snapshot cost is proportional to the batch's blast
 // radius (index fan-out), not to the cache size. Second, outside all server
-// locks, a bounded worker pool shadow-re-synthesizes the affected
-// population (the recorded workload plus every evicted pair and torn-down
-// flow) against the pre- and post-change clones to find which pairs lose
-// all routes, folding the per-request classifications through
-// policytool.Impact so plan reports and policytool assessments can never
-// disagree.
+// locks, policytool.Classify shadow-re-synthesizes the affected population
+// (the recorded workload plus every evicted pair and torn-down flow) against
+// the pre- and post-change worlds to find which pairs lose all routes, so
+// plan reports and policytool assessments can never disagree.
 //
 // The report carries the epoch the snapshot corresponds to; the
 // plan-then-commit workflow in daemon.Backend refuses to commit a plan
@@ -27,12 +25,9 @@
 package plan
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
-	"repro/internal/ad"
-	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/policytool"
 	"repro/internal/routeserver"
@@ -42,8 +37,6 @@ import (
 
 // Config bounds a plan computation.
 type Config struct {
-	// Workers bounds the shadow re-synthesis pool (default GOMAXPROCS).
-	Workers int
 	// Budget caps the population size the shadow pool re-synthesizes
 	// (each member costs two FindRoutes). 0 means the 8192 default; < 0
 	// means unbounded. When the affected population exceeds it, the
@@ -97,13 +90,9 @@ type Report struct {
 	Population []policy.Request
 	Truncated  bool
 	// Impact classifies the population before vs after the batch through
-	// the shared policytool path (gained/lost/rerouted, transit shift).
+	// the shared policytool path (gained/lost/rerouted, unroutable after,
+	// transit shift).
 	Impact policytool.Impact
-	// Unroutable lists pairs that lose all routes (routable before, not
-	// after) — Impact.Lost's requests. UnroutableAfter lists every
-	// assessed pair with no route after, whether or not it had one.
-	Unroutable      []policy.Request
-	UnroutableAfter []policy.Request
 	// Bill is the estimated re-synthesis cost.
 	Bill Bill
 	// Epoch and Gen identify the server state the plan was computed
@@ -118,28 +107,15 @@ type Report struct {
 // serializes control mutations (Backend.Plan holds the backend lock), so w
 // is stable for the duration: it is the pre-change state, read in place.
 func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.World, steps []wire.PlanStep, cfg Config) (*Report, error) {
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("empty plan")
-	}
-
 	// Phase 1: consistent snapshot under the strategy lock. prepare applies
 	// the batch to a clone of the world to derive each step's Change, and
 	// CollectAffected resolves the victims.
 	var after *synthesis.World
-	changes := make([]synthesis.Change, len(steps))
+	var changes []synthesis.Change
 	prepare := func() ([]synthesis.Change, error) {
-		after = w.Clone()
-		for i, st := range steps {
-			ch, err := after.Apply(st)
-			if err == nil && ch.Kind == synthesis.ChangeFull {
-				err = fmt.Errorf("%v is not plannable", st)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("step %d: %v", i+1, err)
-			}
-			changes[i] = ch
-		}
-		return changes, nil
+		var err error
+		after, changes, err = w.After(steps)
+		return changes, err
 	}
 	perChange, live, epoch, gen, err := srv.CollectAffected(prepare)
 	if err != nil {
@@ -215,36 +191,8 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.Wo
 	}
 
 	// Phase 2: shadow re-synthesis against the world and its clone, outside
-	// all server locks. Each is compiled once; a snapshot is immutable, so
-	// the pair is safe for the whole pool, and results land by index, so the
-	// fold below is deterministic at any parallelism.
-	focus := focusAD(steps)
-	snapWas, snapNow := synthesis.Compile(w.G, w.DB), synthesis.Compile(after.G, after.DB)
-	was := make([]synthesis.Result, len(rep.Population))
-	now := make([]synthesis.Result, len(rep.Population))
-	tasks := make([]func(), len(rep.Population))
-	for i := range rep.Population {
-		i := i
-		tasks[i] = func() {
-			was[i] = snapWas.FindRoute(rep.Population[i])
-			now[i] = snapNow.FindRoute(rep.Population[i])
-		}
-	}
-	parallel.Do(parallel.Normalize(cfg.Workers), tasks)
-	rep.Impact = policytool.Impact{
-		AD:          focus,
-		TermsBefore: len(w.DB.Terms(focus)),
-		TermsAfter:  len(after.DB.Terms(focus)),
-	}
-	for i, req := range rep.Population {
-		rep.Impact.Add(req, was[i], now[i])
-		if !now[i].Found {
-			rep.UnroutableAfter = append(rep.UnroutableAfter, req)
-		}
-	}
-	for _, pc := range rep.Impact.Lost {
-		rep.Unroutable = append(rep.Unroutable, pc.Req)
-	}
+	// all server locks.
+	rep.Impact = policytool.Classify(w, after, steps, rep.Population)
 
 	// The re-synthesis bill: one synthesis per evicted key on its next
 	// miss, priced from the live histogram.
@@ -256,17 +204,6 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.Wo
 		Projected: time.Duration(len(rep.EvictedKeys)) * lat.Mean,
 	}
 	return rep, nil
-}
-
-// focusAD picks the AD whose transit load the impact summary tracks: the
-// first policy step's advertiser, else the first step's A endpoint.
-func focusAD(steps []wire.PlanStep) ad.ID {
-	for _, st := range steps {
-		if st.Op == wire.CtlPolicy {
-			return st.A
-		}
-	}
-	return steps[0].A
 }
 
 // sortRequests orders requests — cache keys are requests — by (Src, Dst,

@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -165,7 +166,7 @@ func TestPlanPredictsCommitExactly(t *testing.T) {
 
 	// Routability: every assessed pair resolves exactly as predicted.
 	unroutable := make(map[routeserver.Key]bool)
-	for _, req := range rep.UnroutableAfter {
+	for _, req := range rep.Impact.UnroutableAfter {
 		unroutable[req] = true
 	}
 	for _, req := range rep.Population {
@@ -300,7 +301,8 @@ func TestPlanReadOnly(t *testing.T) {
 }
 
 // TestPlanSerialParallelIdentical pins determinism: the same plan computed
-// with one shadow worker and with eight is identical field for field.
+// with one shadow worker (GOMAXPROCS 1) and with eight is identical field
+// for field.
 func TestPlanSerialParallelIdentical(t *testing.T) {
 	g, db, srv, dp, _ := world(t)
 	reqs := warm(t, srv)
@@ -308,14 +310,15 @@ func TestPlanSerialParallelIdentical(t *testing.T) {
 		{Op: wire.CtlFail, A: 2, B: 4},
 		wire.OpenPolicy(2, 50),
 	}
-	serial, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db), steps, plan.Config{Workers: 1, Workload: reqs})
-	if err != nil {
-		t.Fatal(err)
+	compute := func(procs int) *plan.Report {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rep, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db), steps, plan.Config{Workload: reqs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	parallelRep, err := plan.Compute(srv, dp, synthesis.NewWorld(g, db), steps, plan.Config{Workers: 8, Workload: reqs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, parallelRep := compute(1), compute(8)
 	if !reflect.DeepEqual(serial, parallelRep) {
 		t.Fatalf("serial and parallel reports diverge:\n%+v\nvs\n%+v", serial, parallelRep)
 	}
@@ -475,12 +478,9 @@ func TestPlanUnroutableDetection(t *testing.T) {
 			wantLost++
 		}
 	}
-	if len(rep.Unroutable) != wantLost || len(rep.UnroutableAfter) != wantLost {
-		t.Fatalf("unroutable %d / after %d, want %d (population %v)",
-			len(rep.Unroutable), len(rep.UnroutableAfter), wantLost, rep.Population)
-	}
-	if len(rep.Impact.Lost) != wantLost {
-		t.Errorf("impact lost %d, want %d", len(rep.Impact.Lost), wantLost)
+	if len(rep.Impact.Lost) != wantLost || len(rep.Impact.UnroutableAfter) != wantLost {
+		t.Fatalf("lost %d / unroutable after %d, want %d (population %v)",
+			len(rep.Impact.Lost), len(rep.Impact.UnroutableAfter), wantLost, rep.Population)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
+	"repro/internal/policytool"
 	"repro/internal/protocols/ecma"
 	"repro/internal/protocols/egp"
 	"repro/internal/protocols/filters"
@@ -396,8 +397,12 @@ func (sc *Scenario) Ops(g *ad.Graph, db *policy.DB) ([]wire.PlanStep, error) {
 		if ev.Action == "plan" {
 			// Like Run, which never mutates g, a plan is assessed against
 			// the initial world.
-			if _, err := planWorld(initial, i, ev); err != nil {
+			ops, err := planSteps(i, ev)
+			if err != nil {
 				return nil, err
+			}
+			if _, _, err := initial.After(ops); err != nil {
+				return nil, fmt.Errorf("scenario: event %d %w", i+1, err) // err names the step
 			}
 			continue
 		}
@@ -413,21 +418,19 @@ func (sc *Scenario) Ops(g *ad.Graph, db *policy.DB) ([]wire.PlanStep, error) {
 	return out, nil
 }
 
-// planWorld checks a "plan" event and returns the world its batch leads
-// to: the steps applied, in order, to a clone of w — w itself is untouched.
-func planWorld(w *synthesis.World, i int, ev Event) (*synthesis.World, error) {
+// planSteps checks a "plan" event's steps and assert bounds and spells its
+// batch as control ops.
+func planSteps(i int, ev Event) ([]wire.PlanStep, error) {
 	if len(ev.Steps) == 0 {
 		return nil, fmt.Errorf("scenario: event %d: plan needs at least one step", i+1)
 	}
-	after := w.Clone()
+	ops := make([]wire.PlanStep, len(ev.Steps))
 	for j, st := range ev.Steps {
 		op, ok := st.op()
 		if !ok || op.Op == wire.CtlInvalidate { // not plannable: its blast radius is the whole cache
 			return nil, fmt.Errorf("scenario: event %d step %d: unknown plan step action %q", i+1, j+1, st.Action)
 		}
-		if _, err := after.Apply(op); err != nil {
-			return nil, fmt.Errorf("scenario: event %d step %d: %w", i+1, j+1, err)
-		}
+		ops[j] = op
 	}
 	if as := ev.Assert; as != nil {
 		for name, v := range map[string]*int{
@@ -439,43 +442,34 @@ func planWorld(w *synthesis.World, i int, ev Event) (*synthesis.World, error) {
 			}
 		}
 	}
-	return after, nil
+	return ops, nil
 }
 
-// evaluatePlanEvent assesses a "plan" event's batch against clones of the
-// current graph and policy database — the live scenario is untouched —
-// and enforces the event's assert bounds on the predicted report.
-func evaluatePlanEvent(g *ad.Graph, db *policy.DB, reqs []policy.Request, i int, ev Event) (gained, lost, unroutable int, err error) {
-	w, err := planWorld(synthesis.NewWorld(g, db), i, ev)
+// evaluatePlanEvent assesses a "plan" event's batch through policytool
+// against the current graph and policy database — the live scenario is
+// untouched — and enforces the event's assert bounds on the prediction.
+func evaluatePlanEvent(g *ad.Graph, db *policy.DB, reqs []policy.Request, i int, ev Event) (policytool.Impact, error) {
+	ops, err := planSteps(i, ev)
 	if err != nil {
-		return 0, 0, 0, err
+		return policytool.Impact{}, err
 	}
-	was, now := synthesis.Compile(g, db), synthesis.Compile(w.G, w.DB)
-	for _, req := range reqs {
-		before := was.FindRoute(req)
-		after := now.FindRoute(req)
-		switch {
-		case !before.Found && after.Found:
-			gained++
-		case before.Found && !after.Found:
-			lost++
-		}
-		if !after.Found {
-			unroutable++
-		}
+	im, err := policytool.Assess(synthesis.NewWorld(g, db), ops, reqs)
+	if err != nil {
+		return im, fmt.Errorf("scenario: event %d %w", i+1, err)
 	}
+	gained, lost, unroutable := len(im.Gained), len(im.Lost), len(im.UnroutableAfter)
 	if as := ev.Assert; as != nil {
 		if as.MaxLost != nil && lost > *as.MaxLost {
-			return gained, lost, unroutable, fmt.Errorf("scenario: event %d: plan predicts %d pairs lost, assert max_lost %d", i+1, lost, *as.MaxLost)
+			return im, fmt.Errorf("scenario: event %d: plan predicts %d pairs lost, assert max_lost %d", i+1, lost, *as.MaxLost)
 		}
 		if as.MinGained != nil && gained < *as.MinGained {
-			return gained, lost, unroutable, fmt.Errorf("scenario: event %d: plan predicts %d pairs gained, assert min_gained %d", i+1, gained, *as.MinGained)
+			return im, fmt.Errorf("scenario: event %d: plan predicts %d pairs gained, assert min_gained %d", i+1, gained, *as.MinGained)
 		}
 		if as.MaxUnroutableAfter != nil && unroutable > *as.MaxUnroutableAfter {
-			return gained, lost, unroutable, fmt.Errorf("scenario: event %d: plan predicts %d pairs unroutable after, assert max_unroutable_after %d", i+1, unroutable, *as.MaxUnroutableAfter)
+			return im, fmt.Errorf("scenario: event %d: plan predicts %d pairs unroutable after, assert max_unroutable_after %d", i+1, unroutable, *as.MaxUnroutableAfter)
 		}
 	}
-	return gained, lost, unroutable, nil
+	return im, nil
 }
 
 // Run executes the scenario and writes a phased report to w.
@@ -536,12 +530,12 @@ func (sc *Scenario) Run(w io.Writer) error {
 		case "plan":
 			// A what-if proposal: assessed on clones, asserted, reported as
 			// a note — the live world and the phase table see no change.
-			gained, lost, unroutable, err := evaluatePlanEvent(g, currentDB(sys, db), reqs, i, ev)
+			im, err := evaluatePlanEvent(g, currentDB(sys, db), reqs, i, ev)
 			if err != nil {
 				return err
 			}
 			tbl.AddNote("event %d: plan (%d steps): %d gained, %d lost, %d unroutable after — asserts hold",
-				i+1, len(ev.Steps), gained, lost, unroutable)
+				i+1, len(ev.Steps), len(im.Gained), len(im.Lost), len(im.UnroutableAfter))
 			continue
 		default:
 			return fmt.Errorf("scenario: unknown event action %q", ev.Action)

@@ -94,9 +94,10 @@ func FullChange() Change { return Change{Kind: ChangeFull} }
 // database a strategy synthesizes over, and the memory of links a fail took
 // down, so a restore re-adds them with their original class and cost. It is
 // the one place a wire.PlanStep is validated and applied — the live backend
-// runs Resolve's closure under its server's strategy lock, the plan engine
-// and scenario replay call Apply on a Clone — so a prediction and the
-// commit it predicts cannot drift.
+// runs Resolve's closure under its server's strategy lock, scenario replay
+// calls Apply on a Clone, and every what-if (the plan engine, scenario plan
+// events, policytool) goes through After — so a prediction and the commit it
+// predicts cannot drift.
 type World struct {
 	G  *ad.Graph
 	DB *policy.DB
@@ -166,6 +167,30 @@ func (w *World) Apply(op wire.PlanStep) (Change, error) {
 		apply()
 	}
 	return ch, err
+}
+
+// After applies a what-if batch, in order, to a clone of w and returns the
+// world it leads to with each step's Change; w itself is untouched. An
+// empty batch is refused, and so is a full invalidation, as not plannable:
+// its blast radius is the whole cache. A step's error names its 1-based
+// position.
+func (w *World) After(steps []wire.PlanStep) (*World, []Change, error) {
+	if len(steps) == 0 {
+		return nil, nil, fmt.Errorf("empty plan")
+	}
+	after := w.Clone()
+	changes := make([]Change, len(steps))
+	for i, st := range steps {
+		ch, err := after.Apply(st)
+		if err == nil && ch.Kind == ChangeFull {
+			err = fmt.Errorf("%v is not plannable", st)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("step %d: %w", i+1, err)
+		}
+		changes[i] = ch
+	}
+	return after, changes, nil
 }
 
 // AffectsPath reports whether the change can invalidate the legality of an

@@ -1,10 +1,12 @@
 package synthesis
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ad"
 	"repro/internal/policy"
+	"repro/internal/wire"
 )
 
 // diamondDB builds src -(t1|t2)- dst with t1 the cheap transit.
@@ -121,5 +123,42 @@ func TestFootprintOf(t *testing.T) {
 func TestCanonicalPair(t *testing.T) {
 	if CanonicalPair(7, 3) != [2]ad.ID{3, 7} || CanonicalPair(3, 7) != [2]ad.ID{3, 7} {
 		t.Error("CanonicalPair is not order-insensitive")
+	}
+}
+
+// TestWorldAfter: a what-if batch lands on a clone, one Change per step, and
+// a refused step — absent link, full invalidation — names its position.
+func TestWorldAfter(t *testing.T) {
+	g, db, src, t1, _, _ := diamondDB(t)
+	w := NewWorld(g, db)
+	after, chs, err := w.After([]wire.PlanStep{
+		{Op: wire.CtlFail, A: src, B: t1}, {Op: wire.CtlRestore, A: src, B: t1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chs) != 2 || chs[0].Kind != ChangeLinkDown || chs[1].Kind != ChangeLinkUp {
+		t.Errorf("changes %+v, want link-down then link-up", chs)
+	}
+	if _, ok := after.G.LinkBetween(src, t1); !ok || len(after.Failed) != 0 {
+		t.Errorf("restore did not put the link back in the clone")
+	}
+	if _, _, err := w.After([]wire.PlanStep{{Op: wire.CtlFail, A: src, B: t1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := g.LinkBetween(src, t1); !ok || len(w.Failed) != 0 {
+		t.Fatal("After mutated the world it was called on")
+	}
+	for _, tc := range []struct {
+		steps []wire.PlanStep
+		want  string
+	}{
+		{nil, "empty plan"},
+		{[]wire.PlanStep{{Op: wire.CtlFail, A: src, B: t1}, {Op: wire.CtlFail, A: src, B: t1}}, "step 2: no link"},
+		{[]wire.PlanStep{{Op: wire.CtlInvalidate}}, "step 1: invalidate is not plannable"},
+	} {
+		if _, _, err := w.After(tc.steps); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("After(%v) = %v, want %q", tc.steps, err, tc.want)
+		}
 	}
 }
