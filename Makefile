@@ -80,15 +80,18 @@ golden:
 	$(GO) run ./cmd/experiments -seed 42 | cmp - results_seed42.txt
 	$(GO) run ./cmd/experiments -seed 42 -parallel 8 | cmp - results_seed42.txt
 
-# fuzz runs the codec's two native fuzz targets for 15 s each, past the seed
-# corpora every `go test` replays: FuzzDecode holds Unmarshal to no panic and
-# to a fixed point after one re-encode, FuzzDecoderStream holds the copy,
-# in-place and Decoder read paths to the same messages and errors. An input
-# that fails is written under internal/wire/testdata/fuzz, where `go test`
+# fuzz runs three native fuzz targets for 15 s each, past the seed corpora
+# every `go test` replays: FuzzDecode holds Unmarshal to no panic and to a
+# fixed point after one re-encode, FuzzDecoderStream holds the copy,
+# in-place and Decoder read paths to the same messages and errors, and
+# FuzzFindRoute holds the search kernel, on a differential world the seed
+# picks, to the reference search with and without the reach rule. An input
+# that fails is written under the package's testdata/fuzz, where `go test`
 # replays it from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 15s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoderStream$$' -fuzztime 15s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzFindRoute$$' -fuzztime 15s ./internal/synthesis/
 
 # load-smoke enters where production enters: it builds the real routed once,
 # starts it as a daemon on a unix socket, asks the untouched daemon for
@@ -143,10 +146,13 @@ loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -cv '^[[:space:]]*$$'
 
 # bench-kernel is the search layer of the ladder, five samples each: a
-# search over a held snapshot (expansions/op is pinned by TestExpandedPinned,
-# allocs/op by TestAllocsFindRoute), a compile (ns/op and B/op: what every
-# mutation and every holder whose graph moved pays), and the one-shot
-# wrapper that pays for both.
+# search over a held snapshot, split into the tape's searches that find a
+# route (found) and those that find none (noroute, which the reachability
+# pass settles with no expansion), so each shows where its time goes
+# (expansions/op is pinned by TestExpandedPinned, allocs/op by
+# TestAllocsFindRoute); a compile (ns/op and B/op: what every mutation and
+# every holder whose graph moved pays); and a compile plus a search, which
+# is what a compile left inside a loop costs.
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'BenchmarkFindRoute$$|BenchmarkCompile$$|BenchmarkFindRouteOneShot$$' -benchmem -count 5 ./internal/synthesis/
 

@@ -390,7 +390,7 @@ func TestNotPrimaryRedirect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("failover query: %v", err)
 	}
-	want := synthesis.FindRoute(prim.g, prim.db, workload[0])
+	want := synthesis.Compile(prim.g, prim.db).FindRoute(workload[0])
 	if res.Found != want.Found || (want.Found && !res.Path.Equal(want.Path)) {
 		t.Fatalf("failover query = %+v, oracle %+v", res, want)
 	}
@@ -544,7 +544,7 @@ func TestSyncSnapshotUnderConcurrentScopedMutations(t *testing.T) {
 			if !e.Res.Path.Valid(fol.g) || !fol.db.PathLegal(e.Res.Path, req) {
 				t.Fatalf("synced entry %v -> %v is illegal", req, e.Res.Path)
 			}
-		} else if res := synthesis.FindRoute(fol.g, fol.db, req); res.Found {
+		} else if res := synthesis.Compile(fol.g, fol.db).FindRoute(req); res.Found {
 			t.Fatalf("synced negative %v but oracle routes %v", req, res.Path)
 		}
 		checked++

@@ -184,7 +184,7 @@ func TestParallelMissesStraddleMutateScoped(t *testing.T) {
 	}
 	srv.Invalidate()
 	for _, req := range workload[:40] {
-		want := synthesis.FindRoute(g, db, req)
+		want := synthesis.Compile(g, db).FindRoute(req)
 		got := srv.Query(req)
 		if got.Found != want.Found || (want.Found && !got.Path.Equal(want.Path)) {
 			t.Fatalf("req %v: %+v vs oracle %+v", req, got, want)

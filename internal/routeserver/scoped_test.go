@@ -232,7 +232,7 @@ func TestScopedChurnStress(t *testing.T) {
 	// answer must match the oracle exactly.
 	srv.Invalidate()
 	for _, req := range workload[:50] {
-		want := synthesis.FindRoute(g, db, req)
+		want := synthesis.Compile(g, db).FindRoute(req)
 		got := srv.Query(req)
 		if got.Found != want.Found || (want.Found && !got.Path.Equal(want.Path)) {
 			t.Fatalf("req %v: %+v vs oracle %+v", req, got, want)

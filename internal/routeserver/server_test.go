@@ -44,7 +44,7 @@ func TestServerServesOracleResults(t *testing.T) {
 	srv := New(synthesis.NewOnDemand(g, db), Config{})
 	results := ServePhase(srv, workload, 4)
 	for i, req := range workload {
-		want := synthesis.FindRoute(g, db, req)
+		want := synthesis.Compile(g, db).FindRoute(req)
 		if results[i].Found != want.Found {
 			t.Fatalf("req %v: Found = %v, oracle %v", req, results[i].Found, want.Found)
 		}
@@ -74,7 +74,7 @@ func TestCoalescingReducesComputations(t *testing.T) {
 	results := ServePhase(srv, workload, 8)
 
 	for i, req := range workload {
-		want := synthesis.FindRoute(g, db, req)
+		want := synthesis.Compile(g, db).FindRoute(req)
 		if results[i].Found != want.Found ||
 			(want.Found && !results[i].Path.Equal(want.Path)) {
 			t.Fatalf("req %v: server diverged from oracle", req)
@@ -294,7 +294,7 @@ func TestServerConcurrentChurn(t *testing.T) {
 	// Every query must still be answered consistently with *some*
 	// generation's topology; spot-check final state answers.
 	req := workload[0]
-	want := synthesis.FindRoute(g, db, req)
+	want := synthesis.Compile(g, db).FindRoute(req)
 	got := srv.Query(req)
 	if got.Found != want.Found {
 		t.Fatalf("final-state query inconsistent: %v vs oracle %v", got, want)

@@ -35,19 +35,37 @@ func benchWorld() (*ad.Graph, *policy.DB, []policy.Request) {
 }
 
 // BenchmarkFindRoute is the search-kernel row of the layer ladder: one
-// source search per op over a held snapshot of the benchmark's internet.
-// expansions/op must not move when the kernel changes (TestExpandedPinned
-// fails if it does); allocs/op is the returned path.
+// source search per op over a held snapshot of the benchmark's internet,
+// split by outcome so that each half shows what it costs. found runs the
+// tape's searches that find a route; noroute runs those that find none,
+// which the reachability pass settles before the search expands a state.
+// expansions/op must not move when only the kernel's speed changes
+// (TestExpandedPinned fails if the tape's total does); allocs/op is the
+// returned path.
 func BenchmarkFindRoute(b *testing.B) {
 	g, db, tape := benchWorld()
 	snap := Compile(g, db)
-	b.ReportAllocs()
-	b.ResetTimer()
-	expanded := 0
-	for i := 0; i < b.N; i++ {
-		expanded += snap.FindRoute(tape[i%len(tape)]).Expanded
+	var found, none []policy.Request
+	for _, req := range tape {
+		if snap.FindRoute(req).Found {
+			found = append(found, req)
+		} else {
+			none = append(none, req)
+		}
 	}
-	b.ReportMetric(float64(expanded)/float64(b.N), "expansions/op")
+	for _, sub := range []struct {
+		name string
+		tape []policy.Request
+	}{{"found", found}, {"noroute", none}} {
+		b.Run(sub.name, func(b *testing.B) {
+			b.ReportAllocs()
+			expanded := 0
+			for i := 0; i < b.N; i++ {
+				expanded += snap.FindRoute(sub.tape[i%len(sub.tape)]).Expanded
+			}
+			b.ReportMetric(float64(expanded)/float64(b.N), "expansions/op")
+		})
+	}
 }
 
 // BenchmarkCompile is what every write-plane call and every holder whose
@@ -72,16 +90,16 @@ func BenchmarkCompile(b *testing.B) {
 	b.ReportMetric(float64(bytes)/float64(g.NumADs()), "snapshot-B/AD")
 }
 
-// BenchmarkFindRouteOneShot is the price of the free FindRoute(g, db, req):
-// a compile and a search per op. It is on record so that nobody leaves the
-// wrapper inside a loop.
+// BenchmarkFindRouteOneShot is the price of Compile(g, db).FindRoute(req):
+// a compile and a search per op. It is on record so that nobody leaves a
+// compile inside a loop.
 func BenchmarkFindRouteOneShot(b *testing.B) {
 	g, db, tape := benchWorld()
 	b.ReportAllocs()
 	b.ResetTimer()
 	expanded := 0
 	for i := 0; i < b.N; i++ {
-		expanded += FindRoute(g, db, tape[i%len(tape)]).Expanded
+		expanded += Compile(g, db).FindRoute(tape[i%len(tape)]).Expanded
 	}
 	b.ReportMetric(float64(expanded)/float64(b.N), "expansions/op")
 }

@@ -90,7 +90,7 @@ func TestChangeZeroValueIsFull(t *testing.T) {
 func TestFootprintOf(t *testing.T) {
 	g, db, src, t1, _, dst := diamondDB(t)
 	req := policy.Request{Src: src, Dst: dst}
-	res := FindRoute(g, db, req)
+	res := Compile(g, db).FindRoute(req)
 	if !res.Found || !res.Path.Equal(ad.Path{src, t1, dst}) {
 		t.Fatalf("setup: route = %+v", res)
 	}

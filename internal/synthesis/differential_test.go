@@ -1,19 +1,24 @@
 package synthesis
 
-// Differential harness for the search kernel (PR 8's method: a retained
-// reference, lockstep seeded random inputs, the seed printed on
-// divergence). referenceFindRouteFrom is the constrained Dijkstra exactly
-// as it stood before any kernel replaced it: it walks the live graph and
-// policy database, two maps keyed by (current, previous, hops) state,
+// Differential harness for the search kernel (a retained reference,
+// lockstep seeded random inputs, the seed printed on divergence).
+// referenceFindRouteFrom is the constrained Dijkstra exactly as it stood
+// before any kernel replaced it: it walks the live graph and policy
+// database, two maps keyed by (current, previous, hops) state,
 // container/heap, the adjacency sorted on every expansion, a copied Term
-// per candidate. The snapshot kernel must return the same Path, Cost, Found
-// and — because (cost, seq) is a total order and neighbours are visited in
-// the same order — the same Expanded. Replay one world with
-// `-run TestDifferentialFindRoute -diffseed N`.
+// per candidate. It runs two ways. With the reach rule (referenceReach, the
+// kernel's reachability pass written over ad.Graph and policy.Term fields)
+// the snapshot kernel must return the same Path, Cost, Found and — because
+// (cost, seq) is a total order and neighbours are visited in the same
+// order — the same Expanded. Without it, the search the kernel was before
+// the pass, the kernel must return the same Path, Cost and Found in no more
+// expansions. Replay one world with `-run TestDifferentialFindRoute
+// -diffseed N`.
 
 import (
 	"container/heap"
 	"flag"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -59,7 +64,9 @@ func (q *refPQ) Pop() interface{} {
 	return it
 }
 
-func referenceFindRouteFrom(g *ad.Graph, db *policy.DB, req policy.Request, from, prev ad.ID) Result {
+// referenceFindRouteFrom searches for req from AD from, entered from prev.
+// With reach set it drops every state whose AD referenceReach leaves out.
+func referenceFindRouteFrom(g *ad.Graph, db *policy.DB, req policy.Request, from, prev ad.ID, reach bool) Result {
 	if from == req.Dst {
 		if _, ok := g.AD(from); !ok {
 			return Result{}
@@ -71,6 +78,12 @@ func referenceFindRouteFrom(g *ad.Graph, db *policy.DB, req policy.Request, from
 	}
 	if _, ok := g.AD(req.Dst); !ok {
 		return Result{}
+	}
+	var inReach map[ad.ID]bool
+	if reach {
+		if inReach = referenceReach(g, db, req, from); !inReach[from] {
+			return Result{}
+		}
 	}
 	crit := db.CriteriaFor(req.Src)
 	trackHops := crit.MaxHops > 0
@@ -112,7 +125,7 @@ func referenceFindRouteFrom(g *ad.Graph, db *policy.DB, req policy.Request, from
 		})
 		for _, link := range links {
 			next, _ := link.Other(cur)
-			if next == st.prev {
+			if next == st.prev || reach && !inReach[next] {
 				continue
 			}
 			var termCost uint32
@@ -169,6 +182,38 @@ func referenceFindRouteFrom(g *ad.Graph, db *policy.DB, req policy.Request, from
 	return Result{Path: path, Cost: dist[goal], Expanded: expanded, Found: true}
 }
 
+// referenceReach is the kernel's reach set on the reference's own terms:
+// walking back from req.Dst over g, an AD v come to from w joins when it is
+// req.Src, or when the source's avoid set spares it (from is spared: the
+// search never enters it) and one of its terms matches req's classes,
+// hour, source and destination with w in NextADs, whatever PrevADs says.
+func referenceReach(g *ad.Graph, db *policy.DB, req policy.Request, from ad.ID) map[ad.ID]bool {
+	avoid := db.CriteriaFor(req.Src).Avoid
+	leadsTo := func(v, w ad.ID) bool {
+		if v != from && avoid.Contains(v) {
+			return false
+		}
+		for _, t := range db.Terms(v) {
+			if t.QOS.Contains(uint8(req.QOS)) && t.UCI.Contains(uint8(req.UCI)) && t.Hours.Contains(req.Hour) &&
+				t.Sources.Contains(req.Src) && t.Dests.Contains(req.Dst) && t.NextADs.Contains(w) {
+				return true
+			}
+		}
+		return false
+	}
+	reach := map[ad.ID]bool{req.Dst: true}
+	for queue := []ad.ID{req.Dst}; len(queue) > 0; queue = queue[1:] {
+		w := queue[0]
+		for _, v := range g.Neighbors(w) {
+			if !reach[v] && (v == req.Src || leadsTo(v, w)) {
+				reach[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	return reach
+}
+
 // continuationLegal checks a path suffix starting at a transit AD: every AD
 // on it except the final destination needs a permitting term, where the
 // first AD's previous hop is entry.
@@ -197,12 +242,35 @@ func (s search) run(snap *Snapshot) Result {
 	return snap.FindRouteFrom(s.req, s.from, s.prev)
 }
 
+// reference is s on the reference search with the reach rule: the kernel's
+// result in every field.
 func (s search) reference(g *ad.Graph, db *policy.DB) Result {
-	return referenceFindRouteFrom(g, db, s.req, s.from, s.prev)
+	return referenceFindRouteFrom(g, db, s.req, s.from, s.prev, true)
+}
+
+// unpruned is s on the reference search without the reach rule.
+func (s search) unpruned(g *ad.Graph, db *policy.DB) Result {
+	return referenceFindRouteFrom(g, db, s.req, s.from, s.prev, false)
+}
+
+// diverges returns how the kernel's result for s departs from the two
+// references, or "" when it does not.
+func (s search) diverges(got Result, g *ad.Graph, db *policy.DB) string {
+	if want := s.reference(g, db); !sameResult(got, want) {
+		return fmt.Sprintf("kernel    %+v\nreference %+v", got, want)
+	}
+	if full := s.unpruned(g, db); !sameRoute(got, full) || got.Expanded > full.Expanded {
+		return fmt.Sprintf("kernel    %+v\nunpruned  %+v", got, full)
+	}
+	return ""
 }
 
 func sameResult(a, b Result) bool {
-	return a.Found == b.Found && a.Cost == b.Cost && a.Expanded == b.Expanded && a.Path.Equal(b.Path)
+	return sameRoute(a, b) && a.Expanded == b.Expanded
+}
+
+func sameRoute(a, b Result) bool {
+	return a.Found == b.Found && a.Cost == b.Cost && a.Path.Equal(b.Path)
 }
 
 // diffWorld generates an internet large and permissive enough that searches
@@ -430,15 +498,20 @@ func (c *churn) search() search {
 	return s
 }
 
-func TestDifferentialFindRoute(t *testing.T) {
+// diffSeeds are the differential worlds' seeds, or the one -diffseed names.
+func diffSeeds() []int64 {
+	if *diffSeed >= 0 {
+		return []int64{*diffSeed}
+	}
 	seeds := make([]int64, 40)
 	for i := range seeds {
 		seeds[i] = int64(i)*31 + 7
 	}
-	if *diffSeed >= 0 {
-		seeds = []int64{*diffSeed}
-	}
-	for _, seed := range seeds {
+	return seeds
+}
+
+func TestDifferentialFindRoute(t *testing.T) {
+	for _, seed := range diffSeeds() {
 		c := &churn{rng: rand.New(rand.NewSource(seed))}
 		c.g, c.db = diffWorld(seed, c.rng)
 		c.ids = c.g.IDs()
@@ -452,10 +525,10 @@ func TestDifferentialFindRoute(t *testing.T) {
 				snap = Compile(c.g, c.db)
 			}
 			s := c.search()
-			got, want := s.run(snap), s.reference(c.g, c.db)
-			if !sameResult(got, want) {
-				t.Fatalf("seed %d step %d: %v from %v (entered from %v) diverged:\nkernel    %+v\nreference %+v",
-					seed, step, s.req, s.from, s.prev, got, want)
+			got := s.run(snap)
+			if d := s.diverges(got, c.g, c.db); d != "" {
+				t.Fatalf("seed %d step %d: %v from %v (entered from %v) diverged:\n%s",
+					seed, step, s.req, s.from, s.prev, d)
 			}
 			if got.Found && len(got.Path) > 2 {
 				found++
@@ -468,6 +541,95 @@ func TestDifferentialFindRoute(t *testing.T) {
 			t.Errorf("seed %d: only %d searches found a transit route; the churn has strangled the world", seed, found)
 		}
 	}
+}
+
+// TestReachSetSound: the reachability pass leaves out no AD of a legal
+// route. Over the differential worlds, every AD of every legal path that
+// EnumeratePaths finds for a source search (up to MaxPaths of at most
+// MaxHops each) is in the reach set the kernel computes for it.
+func TestReachSetSound(t *testing.T) {
+	for _, seed := range diffSeeds() {
+		c := &churn{rng: rand.New(rand.NewSource(seed))}
+		c.g, c.db = diffWorld(seed, c.rng)
+		c.ids = c.g.IDs()
+		snap := Compile(c.g, c.db)
+		var sc scratch
+		transit := 0
+		for i := 0; i < 100; i++ {
+			req := c.search().req
+			q := snap.query(req)
+			if q.dst.idx < 0 {
+				continue
+			}
+			snap.reachable(&sc, &q, q.src.idx, snap.criteriaOf(q.src).avoid)
+			for _, p := range EnumeratePaths(c.g, c.db, req, EnumerateConfig{MaxPaths: 64, MaxHops: 6}) {
+				for _, id := range p {
+					if !sc.reached(snap.index(id)) {
+						t.Fatalf("seed %d: %v: legal path %v goes through %v, which is outside the reach set", seed, req, p, id)
+					}
+				}
+				if len(p) > 2 {
+					transit++
+				}
+			}
+		}
+		if transit < 20 {
+			t.Errorf("seed %d: only %d legal transit paths to check", seed, transit)
+		}
+	}
+}
+
+// FuzzFindRoute holds the kernel to both references on a differential
+// world: seed picks the world, the rest the search. An AD operand is taken
+// modulo the AD count plus three, so 0 is ad.Invalid and the two values
+// past the last AD are absent from the graph; from == 0 makes it a source
+// search. `make fuzz` runs it for 15 s.
+func FuzzFindRoute(f *testing.F) {
+	for i := range 8 {
+		seed, n := int64(i)*31+7, uint16(3+5*i)
+		f.Add(seed, n, 2*n, uint16(0), uint16(0), uint8(0), uint8(0), uint8(12))
+		f.Add(seed, n, 2*n+1, n+1, n, uint8(i%3), uint8(i%2), uint8(3*i))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, src, dst, from, prev uint16, qos, uci, hour uint8) {
+		w := fuzzWorld(seed)
+		pick := func(x uint16) ad.ID { return ad.ID(int(x) % (w.g.NumADs() + 3)) }
+		req := policy.Request{Src: pick(src), Dst: pick(dst), QOS: policy.QOS(qos), UCI: policy.UCI(uci), Hour: hour}
+		s := search{req: req, from: req.Src, prev: ad.Invalid}
+		if id := pick(from); id != ad.Invalid {
+			s.from, s.prev = id, pick(prev)
+		}
+		if d := s.diverges(s.run(w.snap), w.g, w.db); d != "" {
+			t.Fatalf("world %d: %v from %v (entered from %v) diverged:\n%s", seed, s.req, s.from, s.prev, d)
+		}
+	})
+}
+
+type compiledWorld struct {
+	g    *ad.Graph
+	db   *policy.DB
+	snap *Snapshot
+}
+
+var fuzzWorlds struct {
+	sync.Mutex
+	m map[int64]compiledWorld
+}
+
+// fuzzWorld returns diffWorld(seed) and its snapshot, kept for the next
+// input that names the same seed.
+func fuzzWorld(seed int64) compiledWorld {
+	fuzzWorlds.Lock()
+	defer fuzzWorlds.Unlock()
+	if w, ok := fuzzWorlds.m[seed]; ok {
+		return w
+	}
+	if len(fuzzWorlds.m) >= 64 || fuzzWorlds.m == nil {
+		fuzzWorlds.m = make(map[int64]compiledWorld)
+	}
+	g, db := diffWorld(seed, rand.New(rand.NewSource(seed)))
+	w := compiledWorld{g: g, db: db, snap: Compile(g, db)}
+	fuzzWorlds.m[seed] = w
+	return w
 }
 
 // TestScratchReuse: a search that stops at the goal leaves its queue and
@@ -580,8 +742,10 @@ func TestAllocsFindRoute(t *testing.T) {
 
 // TestExpandedPinned: the work the kernel does over the benchmark's request
 // tape, counted in expansions, is a property of the algorithm and the
-// world, not of the box — 74.46 per search, to the unit. A kernel change
-// that moves it has changed what E3/E7/E8/E20 report.
+// world, not of the box — 27.92 per search, to the unit: 48.83 for each of
+// the 2,342 searches that find a route, none for the 1,754 that the
+// reachability pass settles. A kernel change that moves it has changed what
+// Table 1, E3, E7, E8 and E20 report.
 func TestExpandedPinned(t *testing.T) {
 	g, db, tape := benchWorld()
 	snap := Compile(g, db)
@@ -589,7 +753,7 @@ func TestExpandedPinned(t *testing.T) {
 	for _, req := range tape {
 		total += snap.FindRoute(req).Expanded
 	}
-	const want = 305015
+	const want = 114369
 	if total != want {
 		t.Errorf("expansions over the %d-request tape = %d (%.2f/op), want %d", len(tape), total, float64(total)/float64(len(tape)), want)
 	}
@@ -598,14 +762,16 @@ func TestExpandedPinned(t *testing.T) {
 type pickedSearches struct{ found, other, none search }
 
 // foundAndNot picks from the tape two multi-hop searches that find a route
-// and one that expands states and finds none.
+// and one that finds none after expanding states without the reach rule.
+// (With it, the reachability pass alone settles every no-route search of
+// the tape.)
 func foundAndNot(t *testing.T, g *ad.Graph, db *policy.DB, tape []policy.Request) pickedSearches {
 	t.Helper()
 	var p pickedSearches
 	have := 0
 	for _, req := range tape {
 		s := search{req: req, from: req.Src, prev: ad.Invalid}
-		res := s.reference(g, db)
+		res := s.unpruned(g, db)
 		switch {
 		case res.Found && len(res.Path) >= 4 && have&1 == 0:
 			p.found, have = s, have|1

@@ -8,9 +8,9 @@ import (
 	"repro/internal/synthesis"
 )
 
-// ExampleFindRoute demonstrates policy route synthesis: the cheap transit
+// ExampleSnapshot_FindRoute demonstrates policy route synthesis: the cheap transit
 // refuses the source, so the route detours through the expensive one.
-func ExampleFindRoute() {
+func ExampleSnapshot_FindRoute() {
 	g := ad.NewGraph()
 	src := g.AddAD("src", ad.Stub, ad.Campus)
 	cheap := g.AddAD("cheap", ad.Transit, ad.Regional)
@@ -31,7 +31,7 @@ func ExampleFindRoute() {
 	db.Add(restricted)
 	db.Add(policy.OpenTerm(dear, 0))
 
-	res := synthesis.FindRoute(g, db, policy.Request{Src: src, Dst: dst})
+	res := synthesis.Compile(g, db).FindRoute(policy.Request{Src: src, Dst: dst})
 	fmt.Println(res.Found, res.Path)
 	// Output: true AD1>AD3>AD4
 }

@@ -58,7 +58,7 @@ func TestPropertyFindRouteSoundAndComplete(t *testing.T) {
 			if req.Src == req.Dst {
 				continue
 			}
-			res := FindRoute(g, db, req)
+			res := Compile(g, db).FindRoute(req)
 			paths := EnumeratePaths(g, db, req, EnumerateConfig{})
 			if res.Found != (len(paths) > 0) {
 				t.Fatalf("seed %d %v: found=%v but oracle has %d paths",
@@ -130,12 +130,12 @@ func TestPropertyContinuationConsistency(t *testing.T) {
 			if req.Src == req.Dst {
 				continue
 			}
-			res := FindRoute(g, db, req)
+			res := Compile(g, db).FindRoute(req)
 			if !res.Found || len(res.Path) < 3 {
 				continue
 			}
 			// Continue from the first transit hop.
-			cont := FindRouteFrom(g, db, req, res.Path[1], res.Path[0])
+			cont := Compile(g, db).FindRouteFrom(req, res.Path[1], res.Path[0])
 			if !cont.Found {
 				t.Fatalf("seed %d %v: continuation from %v not found though full path %v exists",
 					seed, req, res.Path[1], res.Path)

@@ -134,7 +134,7 @@ func TestInvalidateScopedBroadeningStaysLegal(t *testing.T) {
 
 			for _, req := range workload {
 				path, found := scoped.Route(req)
-				exists := RouteExists(gS, dbS, req)
+				exists := Compile(gS, dbS).RouteExists(req)
 				if found != exists {
 					t.Fatalf("req %v: found = %v, route exists = %v", req, found, exists)
 				}

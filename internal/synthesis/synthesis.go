@@ -9,9 +9,9 @@
 //   - Snapshot: a (graph, policy database) state compiled into dense,
 //     immutable tables, and the one search kernel over it — FindRoute, an
 //     exact constrained shortest-path search (Dijkstra over directed edges,
-//     since term legality depends on the previous and next AD in the path).
-//     The free FindRoute, FindRouteFrom and RouteExists compile and search
-//     once.
+//     since term legality depends on the previous and next AD in the path,
+//     behind a reachability pass that drops states which can no longer get
+//     to the destination).
 //   - EnumeratePaths: bounded DFS enumeration of all legal paths, used as
 //     the ground-truth oracle. It and KShortest walk the plain graph and
 //     database on purpose: the oracle must not share the kernel's view.
@@ -36,28 +36,14 @@ type Result struct {
 	Path ad.Path
 	// Cost is the policy cost of Path (links + transit terms).
 	Cost uint32
-	// Expanded counts search-state expansions, the computation-cost
-	// measure used by E3/E7/E8.
+	// Expanded counts search-state expansions (states popped from the
+	// queue at their best cost), the computation-cost measure of Table 1,
+	// E3, E7, E8 and E20.
+	// The reachability pass that runs before the search is not counted: a
+	// search it settles expands nothing.
 	Expanded int
 	// Found reports whether a legal route exists in the view.
 	Found bool
-}
-
-// FindRoute is Compile(g, db).FindRoute(req): a one-shot search that pays for
-// a compile first. Anything that searches in a loop holds a Snapshot.
-func FindRoute(g *ad.Graph, db *policy.DB, req policy.Request) Result {
-	return Compile(g, db).FindRoute(req)
-}
-
-// FindRouteFrom is Compile(g, db).FindRouteFrom(req, from, prev), one-shot
-// like FindRoute.
-func FindRouteFrom(g *ad.Graph, db *policy.DB, req policy.Request, from, prev ad.ID) Result {
-	return Compile(g, db).FindRouteFrom(req, from, prev)
-}
-
-// RouteExists is Compile(g, db).RouteExists(req), one-shot like FindRoute.
-func RouteExists(g *ad.Graph, db *policy.DB, req policy.Request) bool {
-	return Compile(g, db).RouteExists(req)
 }
 
 // EnumerateConfig bounds EnumeratePaths.

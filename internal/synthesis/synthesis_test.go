@@ -39,7 +39,7 @@ func diamond(t *testing.T) (*ad.Graph, ad.ID, ad.ID, ad.ID, ad.ID) {
 func TestFindRouteBasic(t *testing.T) {
 	g, s, t2, _, d := diamond(t)
 	db := policy.OpenDB(g)
-	res := FindRoute(g, db, policy.Request{Src: s, Dst: d})
+	res := Compile(g, db).FindRoute(policy.Request{Src: s, Dst: d})
 	if !res.Found {
 		t.Fatal("no route found in open diamond")
 	}
@@ -65,7 +65,7 @@ func TestFindRouteRespectsTermCost(t *testing.T) {
 	cheap := policy.OpenTerm(t3, 0)
 	cheap.Cost = 1
 	db.Add(cheap)
-	res := FindRoute(g, db, policy.Request{Src: s, Dst: d})
+	res := Compile(g, db).FindRoute(policy.Request{Src: s, Dst: d})
 	if !res.Found || !res.Path.Contains(t3) {
 		t.Errorf("route should prefer cheap transit %v, got %v", t3, res.Path)
 	}
@@ -81,12 +81,12 @@ func TestFindRouteSourceRestriction(t *testing.T) {
 	term3 := policy.OpenTerm(t3, 0)
 	term3.Sources = policy.SetOf(s)
 	db.Add(term3)
-	res := FindRoute(g, db, policy.Request{Src: s, Dst: d})
+	res := Compile(g, db).FindRoute(policy.Request{Src: s, Dst: d})
 	if !res.Found || !res.Path.Contains(t3) || res.Path.Contains(t2) {
 		t.Errorf("route = %v, want via %v only", res.Path, t3)
 	}
 	// Reverse direction must use t2.
-	res = FindRoute(g, db, policy.Request{Src: d, Dst: s})
+	res = Compile(g, db).FindRoute(policy.Request{Src: d, Dst: s})
 	if !res.Found || !res.Path.Contains(t2) {
 		t.Errorf("reverse route = %v, want via %v", res.Path, t2)
 	}
@@ -95,7 +95,7 @@ func TestFindRouteSourceRestriction(t *testing.T) {
 func TestFindRouteNoRoute(t *testing.T) {
 	g, s, _, _, d := diamond(t)
 	db := policy.NewDB() // no terms at all: no transit possible
-	res := FindRoute(g, db, policy.Request{Src: s, Dst: d})
+	res := Compile(g, db).FindRoute(policy.Request{Src: s, Dst: d})
 	if res.Found {
 		t.Errorf("route found with empty policy DB: %v", res.Path)
 	}
@@ -105,7 +105,7 @@ func TestFindRouteAvoidCriteria(t *testing.T) {
 	g, s, t2, t3, d := diamond(t)
 	db := policy.OpenDB(g)
 	db.SetCriteria(s, policy.Criteria{Avoid: policy.SetOf(t2)})
-	res := FindRoute(g, db, policy.Request{Src: s, Dst: d})
+	res := Compile(g, db).FindRoute(policy.Request{Src: s, Dst: d})
 	if !res.Found || res.Path.Contains(t2) {
 		t.Errorf("route = %v, must avoid %v", res.Path, t2)
 	}
@@ -114,7 +114,7 @@ func TestFindRouteAvoidCriteria(t *testing.T) {
 	}
 	// Avoiding both transits leaves no route.
 	db.SetCriteria(s, policy.Criteria{Avoid: policy.SetOf(t2, t3)})
-	if res := FindRoute(g, db, policy.Request{Src: s, Dst: d}); res.Found {
+	if res := Compile(g, db).FindRoute(policy.Request{Src: s, Dst: d}); res.Found {
 		t.Errorf("route found despite avoiding all transits: %v", res.Path)
 	}
 }
@@ -137,11 +137,11 @@ func TestFindRouteMaxHops(t *testing.T) {
 	}
 	db := policy.OpenDB(g)
 	db.SetCriteria(ids[0], policy.Criteria{MaxHops: 3})
-	if res := FindRoute(g, db, policy.Request{Src: ids[0], Dst: ids[4]}); res.Found {
+	if res := Compile(g, db).FindRoute(policy.Request{Src: ids[0], Dst: ids[4]}); res.Found {
 		t.Errorf("route found beyond hop budget: %v", res.Path)
 	}
 	db.SetCriteria(ids[0], policy.Criteria{MaxHops: 4})
-	if res := FindRoute(g, db, policy.Request{Src: ids[0], Dst: ids[4]}); !res.Found {
+	if res := Compile(g, db).FindRoute(policy.Request{Src: ids[0], Dst: ids[4]}); !res.Found {
 		t.Error("route not found within hop budget")
 	}
 }
@@ -169,7 +169,7 @@ func TestFindRoutePrevNextConstraints(t *testing.T) {
 	restricted := policy.OpenTerm(t3, 0)
 	restricted.PrevADs = policy.SetOf(s)
 	db.Add(restricted)
-	res := FindRoute(g, db, policy.Request{Src: s, Dst: d})
+	res := Compile(g, db).FindRoute(policy.Request{Src: s, Dst: d})
 	if !res.Found {
 		t.Fatal("no route")
 	}
@@ -184,14 +184,14 @@ func TestFindRoutePrevNextConstraints(t *testing.T) {
 func TestFindRouteSelfAndMissing(t *testing.T) {
 	g, s, _, _, _ := diamond(t)
 	db := policy.OpenDB(g)
-	res := FindRoute(g, db, policy.Request{Src: s, Dst: s})
+	res := Compile(g, db).FindRoute(policy.Request{Src: s, Dst: s})
 	if !res.Found || len(res.Path) != 1 {
 		t.Errorf("self route = %+v", res)
 	}
-	if res := FindRoute(g, db, policy.Request{Src: 99, Dst: s}); res.Found {
+	if res := Compile(g, db).FindRoute(policy.Request{Src: 99, Dst: s}); res.Found {
 		t.Error("route from unknown AD found")
 	}
-	if res := FindRoute(g, db, policy.Request{Src: s, Dst: 99}); res.Found {
+	if res := Compile(g, db).FindRoute(policy.Request{Src: s, Dst: 99}); res.Found {
 		t.Error("route to unknown AD found")
 	}
 }
@@ -249,7 +249,7 @@ func TestFindRouteAgreesWithOracleOnFigure1(t *testing.T) {
 				continue
 			}
 			req := policy.Request{Src: src, Dst: dst}
-			found := FindRoute(g, db, req).Found
+			found := Compile(g, db).FindRoute(req).Found
 			oracle := len(EnumeratePaths(g, db, req, EnumerateConfig{MaxPaths: 1})) > 0
 			if found != oracle {
 				t.Errorf("%v: FindRoute=%v oracle=%v", req, found, oracle)
@@ -272,7 +272,7 @@ func TestFindRouteOptimalityAgainstEnumeration(t *testing.T) {
 				continue
 			}
 			req.Src, req.Dst = src, dst
-			res := FindRoute(g, db, req)
+			res := Compile(g, db).FindRoute(req)
 			paths := EnumeratePaths(g, db, req, EnumerateConfig{})
 			if res.Found != (len(paths) > 0) {
 				t.Fatalf("%v: found=%v enumerated=%d", req, res.Found, len(paths))
@@ -452,7 +452,7 @@ func TestTableEntryNotServedAtIllegalHour(t *testing.T) {
 	noon := policy.Request{Src: s, Dst: d, Hour: 12}
 	night := policy.Request{Src: s, Dst: d, Hour: 3}
 	afternoon := policy.Request{Src: s, Dst: d, Hour: 16}
-	if FindRoute(g, db, night).Found {
+	if Compile(g, db).FindRoute(night).Found {
 		t.Fatal("fixture: a route exists at 3 am")
 	}
 	for _, st := range []Strategy{
@@ -529,7 +529,7 @@ func TestPrunedStrategy(t *testing.T) {
 	var far ad.ID
 	for _, info := range g.ADs() {
 		req := policy.Request{Src: stubs[0], Dst: info.ID, Hour: 12}
-		res := FindRoute(g, db, req)
+		res := Compile(g, db).FindRoute(req)
 		if res.Found && res.Path.Hops() > 2 {
 			far = info.ID
 		}
