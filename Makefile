@@ -45,9 +45,13 @@ nodeps:
 # table from many goroutines; plan snapshots a server that concurrent
 # queries are hammering; a daemon session's reader and writer goroutines
 # share the pending reply buffer, eviction and drain. All see different
-# interleavings run to run.
+# interleavings run to run. The experiment runner runs twice more too:
+# twenty experiments split into row tasks that share a graph, a policy
+# database, an oracle or a workload read-only across goroutines, and a
+# task that wrote what another reads would show in some runs only.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=2 -run 'TestRowsAtAnyParallelism|TestRunAllParallelDeterminism' ./internal/experiments/
 	$(GO) test -race -count=2 ./internal/routeserver/daemon/
 	$(GO) test -race -count=2 -run 'TestMiss|TestParallel|TestQueryLogConcurrent|TestServerConcurrent|TestScopedChurn|TestLockFree|TestMutationStraddling|TestCoalesce|TestLateMiss' ./internal/routeserver/
 	$(GO) test -race -count=2 ./internal/routeserver/ha/
@@ -74,10 +78,10 @@ determinism:
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestServerDeterministicAtAnyParallelism|TestLateMissServedFromCache|TestMutationStraddlingMissSynthesizesOnce|TestLockFreeReadersVersusWriter' ./internal/routeserver/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestRunAllParallelDeterminism|TestRowsAtAnyParallelism|TestE20RouteServer' ./internal/experiments/
 
-# The committed report must come out byte for byte, serially and from the
-# parallel runner.
+# The committed report must come out byte for byte, serially (one worker:
+# the default is one per CPU) and from the parallel runner.
 golden:
-	$(GO) run ./cmd/experiments -seed 42 | cmp - results_seed42.txt
+	$(GO) run ./cmd/experiments -seed 42 -parallel 1 | cmp - results_seed42.txt
 	$(GO) run ./cmd/experiments -seed 42 -parallel 8 | cmp - results_seed42.txt
 
 # fuzz runs three native fuzz targets for 15 s each, past the seed corpora
@@ -175,9 +179,10 @@ bench-sim:
 
 # bench-suite is what repro_suite runs, experiment by experiment, five
 # samples each: every table of the report on one worker, with its bytes and
-# allocations per run, and Table 1, E1, E4, E9 and E24, which split into row
-# tasks, once more on one worker per CPU. The one-worker time is the
-# experiment's serial cost; the ratio is what the fan-out buys here.
+# allocations per run, and the twenty that split into row tasks (all but
+# figure1, E13-E17 and E23, which stay whole) once more on one worker per
+# CPU. The one-worker time is the experiment's serial cost; the ratio is
+# what the fan-out buys here.
 bench-suite:
 	$(GO) test -run '^$$' -bench 'BenchmarkRows$$' -benchmem -count 5 ./internal/experiments/
 

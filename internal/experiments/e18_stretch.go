@@ -16,8 +16,17 @@ import (
 // Stretch is the mean ratio of the delivered path's policy cost to the
 // optimal legal cost (1.0 = always optimal). ECMA's valley-free constraint
 // and IDRP's single-selected-route both force detours; ORWG's source
-// synthesis is cost-optimal by construction.
+// synthesis is cost-optimal by construction. Every protocol's run is
+// independent and runs on every core.
 func E18PathStretch(seed int64) *metrics.Table {
+	return e18Rows(seed).run(0)
+}
+
+// e18Rows makes one task per protocol, each building its system inside the
+// task, in reverse table order: the link-state and ORWG runs, the longest,
+// start first. The topology, policy database, oracle and requests are shared
+// read-only.
+func e18Rows(seed int64) rows {
 	topo := defaultTopology(seed)
 	g := topo.Graph
 	// Heterogeneous transit costs and per-destination term splits make
@@ -32,26 +41,35 @@ func E18PathStretch(seed int64) *metrics.Table {
 	oracle := core.NewOracle(g, db)
 	reqs := core.AllPairsRequests(g, true, 0, 0)
 
-	type entry struct {
+	systems := []struct {
 		label string
-		sys   core.System
+		sys   func() core.System
+	}{
+		{"ecma", func() core.System { return ecma.New(g, db, ecma.Config{Seed: seed}) }},
+		{"idrp", func() core.System { return idrp.New(g, db, idrp.Config{Seed: seed}) }},
+		{"idrp-multi", func() core.System { return idrp.New(g, db, idrp.Config{Seed: seed, MultiRoute: 4}) }},
+		{"ls-hop-by-hop", func() core.System { return lshh.New(g, db, lshh.Config{Seed: seed}) }},
+		{"lshh-inconsistent", func() core.System {
+			return lshh.New(g, db, lshh.Config{Seed: seed, InconsistentTieBreak: true})
+		}},
+		{"orwg", func() core.System { return orwg.New(g, db, orwg.Config{Seed: seed}) }},
 	}
-	systems := []entry{
-		{"ecma", ecma.New(g, db, ecma.Config{Seed: seed})},
-		{"idrp", idrp.New(g, db, idrp.Config{Seed: seed})},
-		{"idrp-multi", idrp.New(g, db, idrp.Config{Seed: seed, MultiRoute: 4})},
-		{"ls-hop-by-hop", lshh.New(g, db, lshh.Config{Seed: seed})},
-		{"lshh-inconsistent", lshh.New(g, db, lshh.Config{Seed: seed, InconsistentTieBreak: true})},
-		{"orwg", orwg.New(g, db, orwg.Config{Seed: seed})},
+	results := make([]core.Metrics, len(systems))
+	var tasks []func()
+	for i := len(systems) - 1; i >= 0; i-- {
+		tasks = append(tasks, func() { results[i] = core.RunScenario(systems[i].sys(), oracle, reqs, convergenceLimit) })
 	}
-	t := metrics.NewTable("E18 — path stretch (delivered cost / optimal legal cost)",
-		"protocol", "delivered-legal", "mean-stretch", "loops", "availability")
-	for _, e := range systems {
-		m := core.RunScenario(e.sys, oracle, reqs, convergenceLimit)
-		t.AddRow(e.label, m.DeliveredLegal, m.Stretch(), m.Looped, m.Availability())
-	}
-	t.AddNote("stretch computed only over legally delivered pairs; 1.0 means cost-optimal routes")
-	t.AddNote("the cost-consistent designs deliver optimal-or-nothing: their penalty is availability, not stretch")
-	t.AddNote("lshh-inconsistent (odd ADs minimize hops, not cost) shows the §5.3 consistency requirement: detours and possible loops")
-	return t
+
+	return rows{tasks, func() *metrics.Table {
+		t := metrics.NewTable("E18 — path stretch (delivered cost / optimal legal cost)",
+			"protocol", "delivered-legal", "mean-stretch", "loops", "availability")
+		for i, e := range systems {
+			m := results[i]
+			t.AddRow(e.label, m.DeliveredLegal, m.Stretch(), m.Looped, m.Availability())
+		}
+		t.AddNote("stretch computed only over legally delivered pairs; 1.0 means cost-optimal routes")
+		t.AddNote("the cost-consistent designs deliver optimal-or-nothing: their penalty is availability, not stretch")
+		t.AddNote("lshh-inconsistent (odd ADs minimize hops, not cost) shows the §5.3 consistency requirement: detours and possible loops")
+		return t
+	}}
 }

@@ -19,8 +19,17 @@ import (
 // wish to disallow any transit traffic." A topology rich in multi-homed
 // stubs (which create tempting shortcuts) is routed by every architecture;
 // the experiment counts deliveries that cut through a multi-homed stub —
-// each one a violation of the stub's no-transit wish.
+// each one a violation of the stub's no-transit wish. Every protocol's run
+// is independent and runs on every core.
 func E19MultihomedStubs(seed int64) *metrics.Table {
+	return e19Rows(seed).run(0)
+}
+
+// e19Rows makes one task per protocol, each building its system inside the
+// task, in reverse table order: the ORWG and link-state runs, the longest,
+// start first. The topology, policy database, oracle, requests and the set of
+// multi-homed stubs are shared read-only.
+func e19Rows(seed int64) rows {
 	topo := topology.Generate(topology.Config{
 		Seed: seed, Backbones: 2, RegionalsPerBackbone: 3,
 		CampusesPerParent: 3, LateralProb: 0.15, MultihomedProb: 0.5,
@@ -39,44 +48,55 @@ func E19MultihomedStubs(seed int64) *metrics.Table {
 		}
 	}
 
-	systems := []core.System{
-		plaindv.New(g, plaindv.Config{SplitHorizon: true, Seed: seed}),
-		egp.New(g, egp.Config{Seed: seed}),
-		ecma.New(g, db, ecma.Config{Seed: seed}),
-		idrp.New(g, db, idrp.Config{Seed: seed}),
-		lshh.New(g, db, lshh.Config{Seed: seed}),
-		orwg.New(g, db, orwg.Config{Seed: seed}),
+	systems := []func() core.System{
+		func() core.System { return plaindv.New(g, plaindv.Config{SplitHorizon: true, Seed: seed}) },
+		func() core.System { return egp.New(g, egp.Config{Seed: seed}) },
+		func() core.System { return ecma.New(g, db, ecma.Config{Seed: seed}) },
+		func() core.System { return idrp.New(g, db, idrp.Config{Seed: seed}) },
+		func() core.System { return lshh.New(g, db, lshh.Config{Seed: seed}) },
+		func() core.System { return orwg.New(g, db, orwg.Config{Seed: seed}) },
 	}
-	t := metrics.NewTable("E19 — transit through multi-homed stubs (§2.1 no-transit requirement)",
-		"protocol", "delivered", "through-multihomed", "availability")
-	for _, sys := range systems {
-		sys.Converge(convergenceLimit)
-		delivered, through := 0, 0
-		legal := 0
-		routable := 0
-		for _, req := range reqs {
-			if oracle.HasRoute(req) {
-				routable++
-			}
-			out := sys.Route(req)
-			if !out.Delivered {
-				continue
-			}
-			delivered++
-			if oracle.Legal(out.Path, req) {
-				legal++
-			}
-			for i := 1; i < len(out.Path)-1; i++ {
-				if multihomed[out.Path[i]] {
-					through++
-					break
+	cells := make([][]any, len(systems))
+	var tasks []func()
+	for i := len(systems) - 1; i >= 0; i-- {
+		tasks = append(tasks, func() {
+			sys := systems[i]()
+			sys.Converge(convergenceLimit)
+			delivered, through := 0, 0
+			legal := 0
+			routable := 0
+			for _, req := range reqs {
+				if oracle.HasRoute(req) {
+					routable++
+				}
+				out := sys.Route(req)
+				if !out.Delivered {
+					continue
+				}
+				delivered++
+				if oracle.Legal(out.Path, req) {
+					legal++
+				}
+				for _, hop := range out.Path[1 : len(out.Path)-1] {
+					if multihomed[hop] {
+						through++
+						break
+					}
 				}
 			}
-		}
-		t.AddRow(sys.Name(), delivered, through,
-			metrics.Ratio(float64(legal), float64(routable)))
+			cells[i] = []any{sys.Name(), delivered, through,
+				metrics.Ratio(float64(legal), float64(routable))}
+		})
 	}
-	t.AddNote("%d of %d ADs are multi-homed stubs; shortest physical paths often cut through them", nMulti, g.NumADs())
-	t.AddNote("policy-aware designs never transit a stub because stubs advertise no terms; plain DV and EGP cannot tell")
-	return t
+
+	return rows{tasks, func() *metrics.Table {
+		t := metrics.NewTable("E19 — transit through multi-homed stubs (§2.1 no-transit requirement)",
+			"protocol", "delivered", "through-multihomed", "availability")
+		for _, c := range cells {
+			t.AddRow(c...)
+		}
+		t.AddNote("%d of %d ADs are multi-homed stubs; shortest physical paths often cut through them", nMulti, g.NumADs())
+		t.AddNote("policy-aware designs never transit a stub because stubs advertise no terms; plain DV and EGP cannot tell")
+		return t
+	}}
 }

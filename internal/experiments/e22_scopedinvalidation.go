@@ -34,12 +34,17 @@ import (
 // against PathLegal on the then-current topology/policy (and every
 // no-route answer against an exhaustive search). Wall-clock latency during
 // churn is measured by the repository benchmark's churn workload (go run
-// ./bench -workload churn).
+// ./bench -workload churn). Every table row serves its own server on its
+// own copy of the internet, independently, and runs on every core.
 func E22ScopedInvalidation(seed int64) *metrics.Table {
-	t := metrics.NewTable("E22 — scoped cache invalidation under churn",
-		"workload", "strategy", "mode", "churn-reqs", "synth", "hit-rate",
-		"evicted", "retained", "legal-ok")
+	return e22Rows(seed).run(0)
+}
 
+// e22Rows makes one task per table row (workload × strategy × mode), in
+// table order. The base graph and each model's workload are shared
+// read-only; the events mutate the graph and policy database, so every row
+// gets a private copy of both.
+func e22Rows(seed int64) rows {
 	const requests = 600
 	const clients = 4
 	const phaseLen = 50
@@ -55,57 +60,72 @@ func E22ScopedInvalidation(seed int64) *metrics.Table {
 	// where ~95% of the workload is routable and the dependency index has
 	// positive footprints to discriminate on.
 
+	var cells [][]any
+	var tasks []func()
 	for _, model := range []string{"uniform", "zipf"} {
 		workload := servingWorkload(base.Graph, seed+2, requests, model)
 		for _, kind := range []string{"on-demand", "hybrid"} {
 			for _, mode := range []string{"full", "scoped"} {
-				g := base.Graph.Clone()
-				db := e22Policy(g, seed)
-				srv := routeserver.New(buildE20Strategy(kind, g, db, workload), routeserver.Config{})
-				oracle := core.NewOracle(g, db)
-				world := synthesis.NewWorld(g, db)
+				row := len(cells)
+				cells = append(cells, nil)
+				tasks = append(tasks, func() {
+					g := base.Graph.Clone()
+					db := e22Policy(g, seed)
+					srv := routeserver.New(buildE20Strategy(kind, g, db, workload), routeserver.Config{})
+					oracle := core.NewOracle(g, db)
+					world := synthesis.NewWorld(g, db)
 
-				// Warm phase: the whole workload, populating the cache and
-				// its dependency index.
-				routeserver.ServePhase(srv, workload, clients)
-				warm := srv.Snapshot()
+					// Warm phase: the whole workload, populating the cache and
+					// its dependency index.
+					routeserver.ServePhase(srv, workload, clients)
+					warm := srv.Snapshot()
 
-				churnReqs, legalOK := 0, 0
-				for i, op := range e22Events(g, db) {
-					ch, apply, err := world.Resolve(op)
-					if err != nil {
-						panic(fmt.Sprintf("e22: %v: %v", op, err))
-					}
-					if mode == "full" {
-						srv.Mutate(apply)
-					} else {
-						srv.MutateScoped(ch, apply)
-					}
-					lo := (i * phaseLen) % requests
-					slice := workload[lo : lo+phaseLen]
-					results := routeserver.ServePhase(srv, slice, clients)
-					churnReqs += len(slice)
-					for j, req := range slice {
-						if e22Legal(oracle, req, results[j]) {
-							legalOK++
+					churnReqs, legalOK := 0, 0
+					for i, op := range e22Events(g, db) {
+						ch, apply, err := world.Resolve(op)
+						if err != nil {
+							panic(fmt.Sprintf("e22: %v: %v", op, err))
+						}
+						if mode == "full" {
+							srv.Mutate(apply)
+						} else {
+							srv.MutateScoped(ch, apply)
+						}
+						lo := (i * phaseLen) % requests
+						slice := workload[lo : lo+phaseLen]
+						results := routeserver.ServePhase(srv, slice, clients)
+						churnReqs += len(slice)
+						for j, req := range slice {
+							if e22Legal(oracle, req, results[j]) {
+								legalOK++
+							}
 						}
 					}
-				}
 
-				fin := srv.Snapshot()
-				synth := fin.Misses - warm.Misses
-				hitRate := float64((fin.Hits-warm.Hits)+(fin.Coalesced-warm.Coalesced)) /
-					float64(churnReqs)
-				t.AddRow(model, srv.StrategyName(), mode, churnReqs, synth,
-					hitRate, fin.ScopedEvicted, fin.ScopedRetained, legalOK)
+					fin := srv.Snapshot()
+					synth := fin.Misses - warm.Misses
+					hitRate := float64((fin.Hits-warm.Hits)+(fin.Coalesced-warm.Coalesced)) /
+						float64(churnReqs)
+					cells[row] = []any{model, srv.StrategyName(), mode, churnReqs, synth,
+						hitRate, fin.ScopedEvicted, fin.ScopedRetained, legalOK}
+				})
 			}
 		}
 	}
-	t.AddNote("six link-local events (fail/restore two laterals, policy change + revert at a low-degree transit) after a 600-request warm; each followed by a 50-request slice (4 clients)")
-	t.AddNote("synth/hit-rate cover the post-churn slices only: full mode re-synthesizes the working set after every event, scoped keeps serving unaffected entries")
-	t.AddNote("evicted/retained = cache entries dropped/kept across scoped mutations (0 for full mode, whose discard is the lazy generation bump)")
-	t.AddNote("legal-ok = served routes legal under the then-current topology+policy (retained routes may be suboptimal by contract, never illegal); no-route answers verified by exhaustive search")
-	return t
+
+	return rows{tasks, func() *metrics.Table {
+		t := metrics.NewTable("E22 — scoped cache invalidation under churn",
+			"workload", "strategy", "mode", "churn-reqs", "synth", "hit-rate",
+			"evicted", "retained", "legal-ok")
+		for _, c := range cells {
+			t.AddRow(c...)
+		}
+		t.AddNote("six link-local events (fail/restore two laterals, policy change + revert at a low-degree transit) after a 600-request warm; each followed by a 50-request slice (4 clients)")
+		t.AddNote("synth/hit-rate cover the post-churn slices only: full mode re-synthesizes the working set after every event, scoped keeps serving unaffected entries")
+		t.AddNote("evicted/retained = cache entries dropped/kept across scoped mutations (0 for full mode, whose discard is the lazy generation bump)")
+		t.AddNote("legal-ok = served routes legal under the then-current topology+policy (retained routes may be suboptimal by contract, never illegal); no-route answers verified by exhaustive search")
+		return t
+	}}
 }
 
 // e22Policy builds the mostly permissive regime E22 serves: every transit

@@ -34,129 +34,149 @@ import (
 // (count only — its latency projection is wall-clock and belongs to the
 // plan package's BenchmarkPlan). Counters are scheduling-independent for the
 // E22 reasons: uncapped cache, negative caching, coalescing, and a
-// population that is deduplicated and sorted before assessment.
+// population that is deduplicated and sorted before assessment. The two
+// workload models' timelines are independent and run on every core.
 func E25PlanEngine(seed int64) *metrics.Table {
-	t := metrics.NewTable("E25 — what-if plan vs committed reality",
-		"workload", "event", "pred-evict", "evict", "pred-torn", "torn",
-		"pred-lose", "lose", "resynth", "exact")
+	return e25Rows(seed).run(0)
+}
 
+// e25Rows makes one task per workload model. The base graph is shared
+// read-only; each task serves, plans and commits on its own clone of it and
+// its own policy database.
+func e25Rows(seed int64) rows {
 	const requests = 600
 	const clients = 4
 	const flows = 120
 	base := defaultTopology(seed)
 
-	for _, model := range []string{"uniform", "zipf"} {
+	models := []string{"uniform", "zipf"}
+	cells := make([][][]any, len(models)) // one row per event
+	tasks := make([]func(), len(models))
+	for mi, model := range models {
 		workload := servingWorkload(base.Graph, seed+2, requests, model)
-		g := base.Graph.Clone()
-		db := e22Policy(g, seed)
-		srv := routeserver.New(synthesis.NewOnDemand(g, db), routeserver.Config{QueryLog: 2048})
-		dp, err := routeserver.NewDataPlane(pgstate.Config{Kind: pgstate.Soft, TTL: 300 * sim.Second})
-		if err != nil {
-			panic(fmt.Sprintf("e25: data plane: %v", err))
-		}
-		be := daemon.NewBackend(srv, dp, g, db)
-
-		// Warm phase: the whole workload populates the cache, its
-		// dependency index, and the query-log ring the plans will replay.
-		routeserver.ServePhase(srv, workload, clients)
-		installed := 0
-		for _, req := range workload {
-			if installed >= flows {
-				break
-			}
-			if _, _, ok := be.Install(req); ok {
-				installed++
-			}
-		}
-
-		for _, steps := range e25Events(g, dp) {
-			label := steps[0].String()
-			id, rep, err := be.Plan(steps)
+		tasks[mi] = func() {
+			g := base.Graph.Clone()
+			db := e22Policy(g, seed)
+			srv := routeserver.New(synthesis.NewOnDemand(g, db), routeserver.Config{QueryLog: 2048})
+			dp, err := routeserver.NewDataPlane(pgstate.Config{Kind: pgstate.Soft, TTL: 300 * sim.Second})
 			if err != nil {
-				panic(fmt.Sprintf("e25: plan %s: %v", label, err))
+				panic(fmt.Sprintf("e25: data plane: %v", err))
 			}
+			be := daemon.NewBackend(srv, dp, g, db)
 
-			// Pre-commit observation point. The plan itself mutated
-			// nothing, so this is the exact state the plan was computed
-			// against; the population probes below are pure cache hits
-			// (every member is resident after the previous event's
-			// re-queries), so they perturb nothing either.
-			preKeys := e25KeySet(srv.DumpEntries(nil))
-			preHandles := dp.Handles()
-			foundBefore := make([]bool, len(rep.Population))
-			for i, req := range rep.Population {
-				foundBefore[i] = srv.Query(req).Found
-			}
-
-			res, err := be.Commit(id)
-			if err != nil {
-				panic(fmt.Sprintf("e25: commit %s: %v", label, err))
-			}
-
-			// Evicted: the keys that left the cache must be exactly the
-			// predicted set.
-			postKeys := e25KeySet(srv.DumpEntries(nil))
-			gone := make(map[routeserver.Key]bool)
-			for k := range preKeys {
-				if !postKeys[k] {
-					gone[k] = true
+			// Warm phase: the whole workload populates the cache, its
+			// dependency index, and the query-log ring the plans will replay.
+			routeserver.ServePhase(srv, workload, clients)
+			installed := 0
+			for _, req := range workload {
+				if installed >= flows {
+					break
+				}
+				if _, _, ok := be.Install(req); ok {
+					installed++
 				}
 			}
-			exact := len(gone) == len(rep.EvictedKeys) &&
-				res.Evicted == len(rep.EvictedKeys) &&
-				res.Retained == rep.Retained &&
-				rep.Bill.Count == len(rep.EvictedKeys)
-			for _, k := range rep.EvictedKeys {
-				if !gone[k] {
+
+			for _, steps := range e25Events(g, dp) {
+				label := steps[0].String()
+				id, rep, err := be.Plan(steps)
+				if err != nil {
+					panic(fmt.Sprintf("e25: plan %s: %v", label, err))
+				}
+
+				// Pre-commit observation point. The plan itself mutated
+				// nothing, so this is the exact state the plan was computed
+				// against; the population probes below are pure cache hits
+				// (every member is resident after the previous event's
+				// re-queries), so they perturb nothing either.
+				preKeys := e25KeySet(srv.DumpEntries(nil))
+				preHandles := dp.Handles()
+				foundBefore := make([]bool, len(rep.Population))
+				for i, req := range rep.Population {
+					foundBefore[i] = srv.Query(req).Found
+				}
+
+				res, err := be.Commit(id)
+				if err != nil {
+					panic(fmt.Sprintf("e25: commit %s: %v", label, err))
+				}
+
+				// Evicted: the keys that left the cache must be exactly the
+				// predicted set.
+				postKeys := e25KeySet(srv.DumpEntries(nil))
+				gone := make(map[routeserver.Key]bool)
+				for k := range preKeys {
+					if !postKeys[k] {
+						gone[k] = true
+					}
+				}
+				exact := len(gone) == len(rep.EvictedKeys) &&
+					res.Evicted == len(rep.EvictedKeys) &&
+					res.Retained == rep.Retained &&
+					rep.Bill.Count == len(rep.EvictedKeys)
+				for _, k := range rep.EvictedKeys {
+					if !gone[k] {
+						exact = false
+					}
+				}
+
+				// Torn down: the flow handles that died must be exactly the
+				// predicted set.
+				dead := e25HandleDiff(preHandles, dp.Handles())
+				if len(dead) != len(rep.Teardowns) {
 					exact = false
 				}
-			}
+				for _, h := range rep.Teardowns {
+					if !dead[h] {
+						exact = false
+					}
+				}
 
-			// Torn down: the flow handles that died must be exactly the
-			// predicted set.
-			dead := e25HandleDiff(preHandles, dp.Handles())
-			if len(dead) != len(rep.Teardowns) {
-				exact = false
-			}
-			for _, h := range rep.Teardowns {
-				if !dead[h] {
-					exact = false
+				// Lost: re-query the whole assessed population on the live
+				// post-change server (re-filling the evictions, as real traffic
+				// would) and oracle-verify every answer by exhaustive search.
+				predLost := make(map[routeserver.Key]bool, len(rep.Impact.Lost))
+				for _, pc := range rep.Impact.Lost {
+					predLost[pc.Req] = true
 				}
-			}
+				lost := 0
+				oracle := synthesis.Compile(g, db) // as the commit left them
+				for i, req := range rep.Population {
+					got := srv.Query(req)
+					if got.Found != oracle.RouteExists(req) {
+						exact = false
+					}
+					isLost := foundBefore[i] && !got.Found
+					if isLost {
+						lost++
+					}
+					if isLost != predLost[req] {
+						exact = false
+					}
+				}
 
-			// Lost: re-query the whole assessed population on the live
-			// post-change server (re-filling the evictions, as real traffic
-			// would) and oracle-verify every answer by exhaustive search.
-			predLost := make(map[routeserver.Key]bool, len(rep.Impact.Lost))
-			for _, pc := range rep.Impact.Lost {
-				predLost[pc.Req] = true
+				cells[mi] = append(cells[mi], []any{model, label, len(rep.EvictedKeys), len(gone),
+					len(rep.Teardowns), len(dead), len(rep.Impact.Lost), lost,
+					rep.Bill.Count, yesNo(exact)})
 			}
-			lost := 0
-			oracle := synthesis.Compile(g, db) // as the commit left them
-			for i, req := range rep.Population {
-				got := srv.Query(req)
-				if got.Found != oracle.RouteExists(req) {
-					exact = false
-				}
-				isLost := foundBefore[i] && !got.Found
-				if isLost {
-					lost++
-				}
-				if isLost != predLost[req] {
-					exact = false
-				}
-			}
-
-			t.AddRow(model, label, len(rep.EvictedKeys), len(gone),
-				len(rep.Teardowns), len(dead), len(rep.Impact.Lost), lost,
-				rep.Bill.Count, yesNo(exact))
 		}
 	}
-	t.AddNote("six events after a 600-request warm (4 clients) with 120 installed flows: fail/restore a lateral, fail/restore a flow-carrying single-homed stub uplink, open-term policy rewrite at the quietest transit + re-rewrite")
-	t.AddNote("each event is planned (read-only blast-radius prediction over the recorded query log) then committed on the same backend; pred-* vs observed columns compare key/handle/pair SETS, not just counts")
-	t.AddNote("exact = predicted evicted keys, torn-down handles, lost pairs, retained count, and re-synthesis bill all match the committed outcome, with every post-commit answer verified by exhaustive search")
-	t.AddNote("resynth = the plan's re-synthesis bill (one per evicted key); its latency projection is wall-clock and measured by BenchmarkPlan")
-	return t
+
+	return rows{tasks, func() *metrics.Table {
+		t := metrics.NewTable("E25 — what-if plan vs committed reality",
+			"workload", "event", "pred-evict", "evict", "pred-torn", "torn",
+			"pred-lose", "lose", "resynth", "exact")
+		for _, model := range cells {
+			for _, c := range model {
+				t.AddRow(c...)
+			}
+		}
+		t.AddNote("six events after a 600-request warm (4 clients) with 120 installed flows: fail/restore a lateral, fail/restore a flow-carrying single-homed stub uplink, open-term policy rewrite at the quietest transit + re-rewrite")
+		t.AddNote("each event is planned (read-only blast-radius prediction over the recorded query log) then committed on the same backend; pred-* vs observed columns compare key/handle/pair SETS, not just counts")
+		t.AddNote("exact = predicted evicted keys, torn-down handles, lost pairs, retained count, and re-synthesis bill all match the committed outcome, with every post-commit answer verified by exhaustive search")
+		t.AddNote("resynth = the plan's re-synthesis bill (one per evicted key); its latency projection is wall-clock and measured by BenchmarkPlan")
+		return t
+	}}
 }
 
 // e25Events builds the six-event plan timeline: the first lateral link

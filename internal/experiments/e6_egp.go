@@ -20,81 +20,115 @@ import (
 // The experiment sweeps every possible single-link failure on a tree
 // topology and on the paper's cyclic topology (lateral + bypass links) and
 // counts how many failures leave persistent loops, how many pairs loop, and
-// how many deliveries are lost.
+// how many deliveries are lost. Every failure is simulated on a fresh
+// system, independently, and runs on every core.
 func E6EGPTopologyRestriction(seed int64) *metrics.Table {
-	t := metrics.NewTable("E6 — EGP and the acyclic topology restriction",
-		"topology", "phase", "pairs", "delivered", "loops", "blackholes", "loop-inducing-failures")
+	return e6Rows(seed).run(0)
+}
 
-	evaluate := func(sys *egp.System, g *ad.Graph) (delivered, loops, holes int) {
-		for _, src := range g.IDs() {
-			for _, dst := range g.IDs() {
-				if src == dst {
-					continue
-				}
-				out := sys.Route(policy.Request{Src: src, Dst: dst})
-				switch {
-				case out.Delivered:
-					delivered++
-				case out.Looped:
-					loops++
-				default:
-					holes++
-				}
-			}
-		}
-		return
-	}
-
-	runTopology := func(name string, topo *topology.Topology) {
-		g := topo.Graph
-		n := g.NumADs()
-		pairs := n * (n - 1)
-
-		base := egp.New(g.Clone(), egp.Config{Seed: seed})
-		base.Converge(convergenceLimit)
-		d0, l0, h0 := evaluate(base, g)
-		t.AddRow(name, "initial", pairs, d0, l0, h0, "-")
-
-		// Sweep every single-link failure on a fresh system, in both
-		// deployment styles: static (no fallback — blackholes) and
-		// adaptive (fallback — loops).
-		for _, mode := range []struct {
-			label      string
-			noFallback bool
-		}{{"post-failure static", true}, {"post-failure adaptive", false}} {
-			totalD, totalL, totalH := 0, 0, 0
-			loopInducing := 0
-			links := g.Links()
-			for _, victim := range links {
-				sys := egp.New(g.Clone(), egp.Config{Seed: seed, NoFallback: mode.noFallback})
-				sys.Converge(convergenceLimit)
-				_ = sys.FailLink(victim.A, victim.B)
-				sys.Converge(10 * convergenceLimit)
-				d, l, h := evaluate(sys, g)
-				totalD += d
-				totalL += l
-				totalH += h
-				if l > 0 {
-					loopInducing++
-				}
-			}
-			t.AddRow(name, mode.label, pairs,
-				totalD/len(links), totalL/len(links), totalH/len(links),
-				formatFrac(loopInducing, len(links)))
-		}
-	}
-
+// e6Rows makes one task per topology × mode × failed link, plus one per
+// topology for its initial row, the mesh (more links, more pairs) first.
+// Every task builds its EGP system on its own clone of the topology's graph,
+// which is otherwise only read.
+func e6Rows(seed int64) rows {
 	treeTopo := topology.Generate(topology.Config{Seed: seed})
 	if !treeTopo.Graph.IsTree() {
 		panic("experiments: default hierarchy is not a tree")
 	}
-	runTopology("tree", treeTopo)
-	runTopology("mesh", topology.Generate(topology.Config{Seed: seed, LateralProb: 0.4, BypassProb: 0.2}))
+	topos := []struct {
+		name string
+		g    *ad.Graph
+	}{
+		{"tree", treeTopo.Graph},
+		{"mesh", topology.Generate(topology.Config{Seed: seed, LateralProb: 0.4, BypassProb: 0.2}).Graph},
+	}
+	// Both deployment styles: static (no fallback — blackholes) and
+	// adaptive (fallback — loops).
+	modes := []struct {
+		label      string
+		noFallback bool
+	}{{"post-failure static", true}, {"post-failure adaptive", false}}
 
-	t.AddNote("each post-failure row averages over every possible single-link failure (fresh system per failure)")
-	t.AddNote("static EGP never loops but never adapts (blackholes, even where the mesh has a legal detour)")
-	t.AddNote("adaptive fallback forms persistent undetectable loops — the dilemma behind the acyclic restriction (§3)")
-	return t
+	// Every run's outcome is e6Evaluate's delivered, looped and blackholed
+	// pair counts.
+	initial := make([][3]int, len(topos))
+	failed := make([][][][3]int, len(topos)) // by topology, mode, victim link
+	var tasks []func()
+	for ti := len(topos) - 1; ti >= 0; ti-- {
+		g := topos[ti].g
+		tasks = append(tasks, func() {
+			base := egp.New(g.Clone(), egp.Config{Seed: seed})
+			base.Converge(convergenceLimit)
+			initial[ti] = e6Evaluate(base, g)
+		})
+		failed[ti] = make([][][3]int, len(modes))
+		for mi, mode := range modes {
+			links := g.Links()
+			failed[ti][mi] = make([][3]int, len(links))
+			for li, victim := range links {
+				tasks = append(tasks, func() {
+					sys := egp.New(g.Clone(), egp.Config{Seed: seed, NoFallback: mode.noFallback})
+					sys.Converge(convergenceLimit)
+					_ = sys.FailLink(victim.A, victim.B)
+					sys.Converge(10 * convergenceLimit)
+					failed[ti][mi][li] = e6Evaluate(sys, g)
+				})
+			}
+		}
+	}
+
+	return rows{tasks, func() *metrics.Table {
+		t := metrics.NewTable("E6 — EGP and the acyclic topology restriction",
+			"topology", "phase", "pairs", "delivered", "loops", "blackholes", "loop-inducing-failures")
+		for ti, topo := range topos {
+			n := topo.g.NumADs()
+			pairs := n * (n - 1)
+			d0 := initial[ti]
+			t.AddRow(topo.name, "initial", pairs, d0[0], d0[1], d0[2], "-")
+			for mi, mode := range modes {
+				var total [3]int
+				loopInducing := 0
+				runs := failed[ti][mi]
+				for _, r := range runs {
+					for k := range total {
+						total[k] += r[k]
+					}
+					if r[1] > 0 {
+						loopInducing++
+					}
+				}
+				t.AddRow(topo.name, mode.label, pairs,
+					total[0]/len(runs), total[1]/len(runs), total[2]/len(runs),
+					formatFrac(loopInducing, len(runs)))
+			}
+		}
+		t.AddNote("each post-failure row averages over every possible single-link failure (fresh system per failure)")
+		t.AddNote("static EGP never loops but never adapts (blackholes, even where the mesh has a legal detour)")
+		t.AddNote("adaptive fallback forms persistent undetectable loops — the dilemma behind the acyclic restriction (§3)")
+		return t
+	}}
+}
+
+// e6Evaluate routes every ordered pair of g's ADs through sys and counts the
+// delivered, looped and blackholed ones.
+func e6Evaluate(sys *egp.System, g *ad.Graph) (out [3]int) {
+	for _, src := range g.IDs() {
+		for _, dst := range g.IDs() {
+			if src == dst {
+				continue
+			}
+			r := sys.Route(policy.Request{Src: src, Dst: dst})
+			switch {
+			case r.Delivered:
+				out[0]++
+			case r.Looped:
+				out[1]++
+			default:
+				out[2]++
+			}
+		}
+	}
+	return out
 }
 
 func formatFrac(a, b int) string {

@@ -370,26 +370,73 @@ func TestRunAllParallelDeterminism(t *testing.T) {
 	}
 }
 
+// exported is the function each report entry is exported as: what callers
+// outside the package, the repository benchmark's repro_suite among them,
+// run and time.
+var exported = map[string]func(int64) *metrics.Table{
+	"table1":  Table1DesignSpace,
+	"figure1": func(int64) *metrics.Table { return Figure1Topology() },
+	"e1":      E1RouteAvailability,
+	"e2":      E2Convergence,
+	"e3":      E3SpanningTreeReplication,
+	"e4":      E4QOSScaling,
+	"e5":      E5SetupVsHandle,
+	"e6":      E6EGPTopologyRestriction,
+	"e7":      E7SynthesisStrategies,
+	"e8":      E8PolicyGranularity,
+	"e9":      E9MessageScaling,
+	"e10":     E10OrderingSatisfiability,
+	"e11":     E11FilterDiscovery,
+	"e12":     E12IDRPMultiRoute,
+	"e13":     E13TimeOfDay,
+	"e14":     E14PolicyChange,
+	"e15":     E15LogicalClusterCost,
+	"e16":     E16DatabaseDistribution,
+	"e17":     E17SetupAmortization,
+	"e18":     E18PathStretch,
+	"e19":     E19MultihomedStubs,
+	"e20":     E20RouteServer,
+	"e21":     E21StateLifecycles,
+	"e22":     E22ScopedInvalidation,
+	"e23":     E23HAFailover,
+	"e24":     E24PGStateScale,
+	"e25":     E25PlanEngine,
+}
+
 // TestRowsAtAnyParallelism pins the premise of every experiment that splits
 // into row tasks: each task owns what it writes, so the table renders the
-// same on one worker and on four.
+// same on one worker and on four. It names the experiments that split, so
+// one that falls back to a single task fails by name, and it holds every
+// exported function, which runs its rows on one worker per CPU, to the
+// table Run renders on one worker.
 func TestRowsAtAnyParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	split := 0
+	var split []string
 	for _, e := range report {
+		fn, ok := exported[e.name]
+		if !ok {
+			t.Errorf("%s: no exported function listed", e.name)
+			continue
+		}
+		serial, _ := Run(e.name, seed, 1)
+		want := serial.String()
+		if got := fn(seed).String(); got != want {
+			t.Errorf("%s: the exported function rendered\n%s\nRun on one worker rendered\n%s", e.name, got, want)
+		}
 		if len(e.rows(seed).tasks) < 2 {
 			continue
 		}
-		split++
-		serial := e.rows(seed).run(1).String()
-		if got := e.rows(seed).run(4).String(); got != serial {
-			t.Errorf("%s: four workers rendered\n%s\none worker rendered\n%s", e.name, got, serial)
+		split = append(split, e.name)
+		if got := e.rows(seed).run(4).String(); got != want {
+			t.Errorf("%s: four workers rendered\n%s\none worker rendered\n%s", e.name, got, want)
 		}
 	}
-	if split != 5 {
-		t.Errorf("%d experiments split into row tasks, want 5 (table1, e1, e4, e9, e24)", split)
+	wantSplit := []string{"table1", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10",
+		"e11", "e12", "e18", "e19", "e20", "e21", "e22", "e24", "e25"}
+	if !slices.Equal(split, wantSplit) {
+		t.Errorf("experiments split into row tasks = %v, want %v", split, wantSplit)
 	}
 }
 

@@ -10,6 +10,7 @@ package parallel
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Normalize resolves a parallelism request: values <= 0 mean "one worker per
@@ -22,8 +23,11 @@ func Normalize(parallelism int) int {
 }
 
 // Do runs every task, using at most parallelism concurrent workers
-// (Normalize applies). With one worker the tasks run inline, in order, on the
-// calling goroutine — the serial path stays allocation- and goroutine-free.
+// (Normalize applies). The calling goroutine is one of the workers: it and
+// at most parallelism-1 goroutines started for the call claim tasks in list
+// order from one atomic cursor until none is left, and Do returns when every
+// task has. With one worker the tasks run inline, in order, on the calling
+// goroutine — the serial path stays allocation- and goroutine-free.
 func Do(parallelism int, tasks []func()) {
 	parallelism = Normalize(parallelism)
 	if parallelism > len(tasks) {
@@ -35,20 +39,20 @@ func Do(parallelism int, tasks []func()) {
 		}
 		return
 	}
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(tasks)); i = next.Add(1) - 1 {
+			tasks[i]()
+		}
+	}
 	var wg sync.WaitGroup
-	ch := make(chan func())
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
+	wg.Add(parallelism - 1)
+	for w := 1; w < parallelism; w++ {
 		go func() {
 			defer wg.Done()
-			for t := range ch {
-				t()
-			}
+			work()
 		}()
 	}
-	for _, t := range tasks {
-		ch <- t
-	}
-	close(ch)
+	work()
 	wg.Wait()
 }
