@@ -116,9 +116,6 @@ func (t *Table) TakeDirty() []Key {
 	return out
 }
 
-// HasDirty reports whether un-taken dirty keys exist.
-func (t *Table) HasDirty() bool { return len(t.dirty) > 0 }
-
 // ViaNeighbor returns the keys of all entries whose next hop is n.
 func (t *Table) ViaNeighbor(n ad.ID) []Key {
 	var out []Key

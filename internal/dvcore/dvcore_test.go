@@ -36,19 +36,19 @@ func TestTableDirtyTracking(t *testing.T) {
 	tbl := NewTable()
 	tbl.Set(Entry{Key: Key{Dest: 1}, Metric: 1, NextHop: 2})
 	tbl.Set(Entry{Key: Key{Dest: 3}, Metric: 1, NextHop: 2})
-	if !tbl.HasDirty() {
-		t.Error("HasDirty = false after sets")
+	if len(tbl.dirty) == 0 {
+		t.Error("no dirty keys after sets")
 	}
 	dirty := tbl.TakeDirty()
 	if len(dirty) != 2 || dirty[0].Dest != 1 || dirty[1].Dest != 3 {
 		t.Errorf("dirty = %v", dirty)
 	}
-	if tbl.HasDirty() {
+	if len(tbl.dirty) != 0 {
 		t.Error("dirty set not cleared")
 	}
 	// Unchanged set does not re-dirty.
 	tbl.Set(Entry{Key: Key{Dest: 1}, Metric: 1, NextHop: 2})
-	if tbl.HasDirty() {
+	if len(tbl.dirty) != 0 {
 		t.Error("no-op Set dirtied the table")
 	}
 	// Delete dirties.

@@ -45,12 +45,6 @@ type Ordering struct {
 	rank map[ad.ID]int64
 }
 
-// Rank returns the rank of id (0 if unknown).
-func (o Ordering) Rank(id ad.ID) int64 { return o.rank[id] }
-
-// Len returns the number of ranked ADs.
-func (o Ordering) Len() int { return len(o.rank) }
-
 // Direction returns the direction of travelling from one AD to an adjacent
 // AD: Up when the target ranks higher.
 func (o Ordering) Direction(from, to ad.ID) Direction {
@@ -73,19 +67,6 @@ func (o Ordering) UpDownValid(path ad.Path) bool {
 				return false
 			}
 		}
-	}
-	return true
-}
-
-// Strict reports whether no two ADs in ids share a rank.
-func (o Ordering) Strict(ids []ad.ID) bool {
-	seen := make(map[int64]bool, len(ids))
-	for _, id := range ids {
-		r := o.rank[id]
-		if seen[r] {
-			return false
-		}
-		seen[r] = true
 	}
 	return true
 }

@@ -14,18 +14,22 @@ import (
 func TestFromLevels(t *testing.T) {
 	topo := topology.Figure1()
 	o := FromLevels(topo.Graph)
-	if o.Len() != topo.Graph.NumADs() {
-		t.Fatalf("Len = %d, want %d", o.Len(), topo.Graph.NumADs())
+	if len(o.rank) != topo.Graph.NumADs() {
+		t.Fatalf("%d ranks, want %d", len(o.rank), topo.Graph.NumADs())
 	}
-	if !o.Strict(topo.Graph.IDs()) {
-		t.Error("ordering not strict")
+	seen := map[int64]bool{}
+	for _, id := range topo.Graph.IDs() {
+		if seen[o.rank[id]] {
+			t.Errorf("AD %v shares rank %d: ordering not strict", id, o.rank[id])
+		}
+		seen[o.rank[id]] = true
 	}
 	// Backbones rank above regionals, which rank above campuses.
 	bb := topo.ByLevel[ad.Backbone][0]
 	reg := topo.ByLevel[ad.Regional][0]
 	cam := topo.ByLevel[ad.Campus][0]
-	if o.Rank(bb) <= o.Rank(reg) || o.Rank(reg) <= o.Rank(cam) {
-		t.Errorf("ranks: bb=%d reg=%d cam=%d", o.Rank(bb), o.Rank(reg), o.Rank(cam))
+	if o.rank[bb] <= o.rank[reg] || o.rank[reg] <= o.rank[cam] {
+		t.Errorf("ranks: bb=%d reg=%d cam=%d", o.rank[bb], o.rank[reg], o.rank[cam])
 	}
 	if o.Direction(cam, reg) != Up || o.Direction(reg, cam) != Down {
 		t.Error("Direction wrong for hierarchical link")
@@ -73,12 +77,12 @@ func TestFromConstraintsSimple(t *testing.T) {
 	if !ok {
 		t.Fatal("satisfiable set reported unsatisfiable")
 	}
-	if o.Rank(1) <= o.Rank(2) || o.Rank(2) <= o.Rank(3) {
-		t.Errorf("ranks violate constraints: 1=%d 2=%d 3=%d", o.Rank(1), o.Rank(2), o.Rank(3))
+	if o.rank[1] <= o.rank[2] || o.rank[2] <= o.rank[3] {
+		t.Errorf("ranks violate constraints: 1=%d 2=%d 3=%d", o.rank[1], o.rank[2], o.rank[3])
 	}
 	// Unconstrained AD 4 ranks below constrained ones.
-	if o.Rank(4) >= o.Rank(3) {
-		t.Errorf("unconstrained AD 4 rank %d >= AD3 rank %d", o.Rank(4), o.Rank(3))
+	if o.rank[4] >= o.rank[3] {
+		t.Errorf("unconstrained AD 4 rank %d >= AD3 rank %d", o.rank[4], o.rank[3])
 	}
 }
 
@@ -110,8 +114,8 @@ func TestFromConstraintsDiamond(t *testing.T) {
 		t.Fatal("diamond unsatisfiable")
 	}
 	for _, c := range cons {
-		if o.Rank(c.Above) <= o.Rank(c.Below) {
-			t.Errorf("constraint %v violated: %d <= %d", c, o.Rank(c.Above), o.Rank(c.Below))
+		if o.rank[c.Above] <= o.rank[c.Below] {
+			t.Errorf("constraint %v violated: %d <= %d", c, o.rank[c.Above], o.rank[c.Below])
 		}
 	}
 }
@@ -213,17 +217,17 @@ func TestUpDownLoopsAreMountains(t *testing.T) {
 					// rise to a single peak then strictly fall.
 					peak := 0
 					for i := 1; i < len(path); i++ {
-						if o.Rank(path[i]) > o.Rank(path[peak]) {
+						if o.rank[path[i]] > o.rank[path[peak]] {
 							peak = i
 						}
 					}
 					for i := 1; i <= peak; i++ {
-						if o.Rank(path[i]) <= o.Rank(path[i-1]) {
+						if o.rank[path[i]] <= o.rank[path[i-1]] {
 							t.Errorf("valid loop %v not ascending before peak", path)
 						}
 					}
 					for i := peak + 1; i < len(path); i++ {
-						if o.Rank(path[i]) >= o.Rank(path[i-1]) {
+						if o.rank[path[i]] >= o.rank[path[i-1]] {
 							t.Errorf("valid loop %v not descending after peak", path)
 						}
 					}

@@ -343,9 +343,6 @@ func (t *Table) shardOf(h uint64) *shard {
 // Kind returns the table's lifecycle discipline.
 func (t *Table) Kind() Kind { return t.cfg.Kind }
 
-// Shards returns the table's shard count.
-func (t *Table) Shards() int { return len(t.shards) }
-
 // TTL returns the soft-state lifetime (zero for other kinds).
 func (t *Table) TTL() sim.Time {
 	if t.cfg.Kind != Soft {

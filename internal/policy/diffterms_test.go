@@ -26,14 +26,14 @@ func diffWorld(t *testing.T) (*DB, Term, Term) {
 func TestDiffTermsNoChange(t *testing.T) {
 	db, a, b := diffWorld(t)
 	d := db.DiffTerms(a.Advertiser, []Term{a, b})
-	if !d.Empty() {
+	if !unchanged(d) {
 		t.Fatalf("identical replacement produced delta %+v", d)
 	}
 	// Serial-stripped but content-identical terms pair with the existing
 	// ones (stable term identity), so the delta is still empty.
 	a2, b2 := a, b
 	a2.Serial, b2.Serial = 0, 0
-	if d := db.DiffTerms(a.Advertiser, []Term{a2, b2}); !d.Empty() {
+	if d := db.DiffTerms(a.Advertiser, []Term{a2, b2}); !unchanged(d) {
 		t.Fatalf("content-identical replacement produced delta %+v", d)
 	}
 }
@@ -92,7 +92,10 @@ func TestDiffTermsMatchesSetTerms(t *testing.T) {
 	}
 	// DiffTerms must not have mutated: a second identical SetTerms is a
 	// no-op delta.
-	if d := db.SetTerms(a.Advertiser, next); !d.Empty() {
+	if d := db.SetTerms(a.Advertiser, next); !unchanged(d) {
 		t.Fatalf("SetTerms after DiffTerms not idempotent: %+v", d)
 	}
 }
+
+// unchanged reports whether a delta describes no change at all.
+func unchanged(d TermsDelta) bool { return len(d.Removed) == 0 && !d.Broadens }

@@ -54,16 +54,6 @@ func (s ClassSet) Contains(c uint8) bool {
 	return c < MaxClasses && s&(1<<c) != 0
 }
 
-// Count returns the number of classes in the set.
-func (s ClassSet) Count() int {
-	n := 0
-	for s != 0 {
-		s &= s - 1
-		n++
-	}
-	return n
-}
-
 // ADSet is a possibly-universal set of AD IDs used in policy term
 // constraints. The zero value is the empty set; use Universal() for the
 // wildcard.
@@ -104,9 +94,6 @@ func (s ADSet) Contains(id ad.ID) bool {
 // Size returns the number of explicit members; it is 0 for the universal set
 // (whose membership is implicit).
 func (s ADSet) Size() int { return len(s.ids) }
-
-// Members returns the explicit members in ascending order.
-func (s ADSet) Members() []ad.ID { return slices.Clone(s.ids) }
 
 // Each calls fn for every explicit member, in ascending order.
 func (s ADSet) Each(fn func(ad.ID)) {
@@ -214,9 +201,6 @@ func (w HourWindow) Contains(h uint8) bool {
 	}
 	return h >= w.Start || h < w.End
 }
-
-// IsAlways reports whether the window covers all 24 hours.
-func (w HourWindow) IsAlways() bool { return w == Always }
 
 // Term is one Policy Term: the advertising AD grants transit across itself
 // to traffic matching all of the constraints. Cost is the metric the AD
@@ -339,9 +323,6 @@ type Criteria struct {
 	Prefer ADSet
 }
 
-// OpenCriteria accepts any route.
-func OpenCriteria() Criteria { return Criteria{} }
-
 // Accepts reports whether the source's criteria allow path.
 func (c Criteria) Accepts(path ad.Path) bool {
 	if c.MaxHops > 0 && path.Hops() > c.MaxHops {
@@ -358,17 +339,6 @@ func (c Criteria) Accepts(path ad.Path) bool {
 		}
 	}
 	return true
-}
-
-// PreferenceScore counts preferred ADs on the path; higher is better.
-func (c Criteria) PreferenceScore(path ad.Path) int {
-	score := 0
-	for _, id := range path {
-		if c.Prefer.Contains(id) {
-			score++
-		}
-	}
-	return score
 }
 
 // DB is the global policy database: the set of policy terms advertised by
@@ -486,9 +456,6 @@ type TermsDelta struct {
 	// pairs that previously had no legal route may have gained one.
 	Broadens bool
 }
-
-// Empty reports whether the delta describes no change at all.
-func (d TermsDelta) Empty() bool { return len(d.Removed) == 0 && !d.Broadens }
 
 // pairTerms forces the advertiser on the incoming terms and matches each
 // zero-serial one against an unclaimed old term with identical content,

@@ -57,9 +57,6 @@ type Impact struct {
 	TermsBefore, TermsAfter int
 }
 
-// ConnectivityDelta is Gained minus Lost.
-func (im Impact) ConnectivityDelta() int { return len(im.Gained) - len(im.Lost) }
-
 // add folds one request's before/after synthesis results into the impact.
 func (im *Impact) add(req policy.Request, before, after synthesis.Result) {
 	im.Requests++

@@ -70,9 +70,6 @@ func TestAssessRestrictionShedsTransit(t *testing.T) {
 	if !im.Rerouted[0].After.Contains(t2) {
 		t.Errorf("rerouted path %v should use t2", im.Rerouted[0].After)
 	}
-	if im.ConnectivityDelta() != 0 {
-		t.Errorf("delta = %d", im.ConnectivityDelta())
-	}
 }
 
 func TestAssessClosureLosesConnectivity(t *testing.T) {
@@ -86,8 +83,8 @@ func TestAssessClosureLosesConnectivity(t *testing.T) {
 	if len(im.Lost) != 1 {
 		t.Fatalf("lost = %d, want 1", len(im.Lost))
 	}
-	if im.ConnectivityDelta() != -1 {
-		t.Errorf("delta = %d, want -1", im.ConnectivityDelta())
+	if len(im.Gained) != 0 {
+		t.Errorf("gained = %d, want 0", len(im.Gained))
 	}
 	if im.TermsBefore != 1 || im.TermsAfter != 0 {
 		t.Errorf("terms %d -> %d", im.TermsBefore, im.TermsAfter)
@@ -103,8 +100,8 @@ func TestAssessRelaxationGainsConnectivity(t *testing.T) {
 	if len(im.Gained) != 2 {
 		t.Fatalf("gained = %d, want 2", len(im.Gained))
 	}
-	if im.ConnectivityDelta() != 2 {
-		t.Errorf("delta = %d", im.ConnectivityDelta())
+	if len(im.Lost) != 0 {
+		t.Errorf("lost = %d, want 0", len(im.Lost))
 	}
 }
 

@@ -84,7 +84,7 @@ func TestUpDownRuleOnPaths(t *testing.T) {
 				continue
 			}
 			out := s.Route(policy.Request{Src: src, Dst: dst})
-			if out.Delivered && !s.Ordering().UpDownValid(out.Path) {
+			if out.Delivered && !s.order.UpDownValid(out.Path) {
 				t.Errorf("%v->%v path violates up/down rule: %v", src, dst, out.Path)
 			}
 		}
@@ -284,18 +284,12 @@ func TestDeterminism(t *testing.T) {
 
 func TestTableAccessors(t *testing.T) {
 	s, topo, _ := figure1System(t, Config{})
-	if s.Table(99) != nil {
-		t.Error("Table(99) != nil")
-	}
 	id := topo.Graph.IDs()[0]
-	if s.Table(id) == nil {
-		t.Error("Table(valid) == nil")
-	}
 	if s.StateEntries() == 0 || s.Computations() == 0 {
 		t.Error("counters zero after convergence")
 	}
 	// Self routes exist per QOS class.
-	if _, ok := s.Table(id).Get(dvcore.Key{Dest: id, QOS: 0}); !ok {
+	if _, ok := s.nodes[id].table.Get(dvcore.Key{Dest: id, QOS: 0}); !ok {
 		t.Error("self route missing")
 	}
 }

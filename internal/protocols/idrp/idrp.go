@@ -210,21 +210,6 @@ func (s *System) Computations() int { return s.computations }
 // FailLink injects a link failure.
 func (s *System) FailLink(a, b ad.ID) error { return s.nw.FailLink(a, b) }
 
-// SelectedRoutes returns the paths AD id has selected for dest at QOS 0
-// (tests and reporting).
-func (s *System) SelectedRoutes(id, dest ad.ID) []ad.Path {
-	n, ok := s.nodes[id]
-	if !ok {
-		return nil
-	}
-	var out []ad.Path
-	for _, r := range n.adv[ribKey{dest: dest, qos: 0}] {
-		full := append(ad.Path{id}, r.path...)
-		out = append(out, full)
-	}
-	return out
-}
-
 // node is one AD's IDRP process.
 type node struct {
 	id  ad.ID

@@ -220,7 +220,7 @@ func TestPartitionWithdrawsRoutes(t *testing.T) {
 	if out := s.Route(policy.Request{Src: src, Dst: d}); out.Delivered {
 		t.Errorf("delivered across partition: %v", out.Path)
 	}
-	if paths := s.SelectedRoutes(src, d); len(paths) != 0 {
+	if paths := s.nodes[src].adv[ribKey{dest: d}]; len(paths) != 0 {
 		t.Errorf("stale selected routes at src: %v", paths)
 	}
 }
@@ -255,15 +255,12 @@ func TestSelectedRoutesAccessor(t *testing.T) {
 	db := policy.OpenDB(g)
 	s := New(g, db, Config{})
 	s.Converge(seconds(300))
-	paths := s.SelectedRoutes(s1, d)
-	if len(paths) != 1 {
-		t.Fatalf("selected = %v, want 1 route", paths)
+	routes := s.nodes[s1].adv[ribKey{dest: d}]
+	if len(routes) != 1 {
+		t.Fatalf("selected = %v, want 1 route", routes)
 	}
-	if paths[0].Source() != s1 || paths[0].Dest() != d {
-		t.Errorf("selected path endpoints wrong: %v", paths[0])
-	}
-	if s.SelectedRoutes(99, d) != nil {
-		t.Error("SelectedRoutes(99) != nil")
+	if p := routes[0].path; p.Dest() != d || !g.HasLink(s1, p.Source()) {
+		t.Errorf("selected path wrong: %v from %v", p, s1)
 	}
 }
 
@@ -313,7 +310,7 @@ func TestDestinationExportFilter(t *testing.T) {
 		t.Errorf("filtered destination delivered: %v", out.Path)
 	}
 	// The filtered route never even reaches src's RIB.
-	if paths := s.SelectedRoutes(src, d2); len(paths) != 0 {
+	if paths := s.nodes[src].adv[ribKey{dest: d2}]; len(paths) != 0 {
 		t.Errorf("filtered route advertised to src: %v", paths)
 	}
 }

@@ -1,6 +1,7 @@
 package orwg
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ad"
@@ -58,7 +59,7 @@ func TestSoftStateRefreshKeepsFlowAlive(t *testing.T) {
 	// Once the source stops refreshing, the whole route decays and the
 	// source's own expiry kills the flow (abandonment, not repair).
 	s.Advance(3 * ttl)
-	if s.Established() != 0 {
+	if len(s.nodes[sources[0]].established) != 0 {
 		t.Error("unrefreshed flow still established")
 	}
 	if delivered, _ := s.SendData(sources[0], res.Handle, 8); delivered {
@@ -132,7 +133,7 @@ func TestCappedNAKOnMissQueuesRepair(t *testing.T) {
 	if sum.Attempted != 1 || sum.Repaired != 1 {
 		t.Fatalf("repair summary = %+v", sum)
 	}
-	fresh := s.EstablishedAt(sources[0])
+	fresh := handlesAt(s, sources[0])
 	if len(fresh) != 1 || fresh[0] == handles[0] {
 		t.Fatalf("re-setup handles = %v (old %d)", fresh, handles[0])
 	}
@@ -144,26 +145,29 @@ func TestCappedNAKOnMissQueuesRepair(t *testing.T) {
 func TestLinkFailureInvalidatesAndRepairs(t *testing.T) {
 	topo := topology.Figure1()
 	db := policy.OpenDB(topo.Graph)
-	s := converged(t, topo.Graph, db, Config{})
-	// Find a flow with at least two hops so the failed link is not at the
-	// source.
+	// Find, on a second system, a flow with at least two hops so the failed
+	// link is not at the source; then establish only that flow.
+	probe := converged(t, topo.Graph, db, Config{})
 	var req policy.Request
-	var res SetupResult
+	var want ad.Path
 	for _, src := range topo.Graph.IDs() {
 		for _, dst := range topo.Graph.IDs() {
 			if src == dst {
 				continue
 			}
 			r := policy.Request{Src: src, Dst: dst}
-			if rr := s.Establish(r); rr.OK && rr.Path.Hops() >= 3 && req.Src == ad.Invalid {
-				req, res = r, rr
-			} else if rr.OK {
-				s.Teardown(src, rr.Handle)
+			if rr := probe.Establish(r); rr.OK && rr.Path.Hops() >= 3 && req.Src == ad.Invalid {
+				req, want = r, rr.Path
 			}
 		}
 	}
 	if req.Src == ad.Invalid {
 		t.Fatal("no multi-hop pair found")
+	}
+	s := converged(t, topo.Graph, db, Config{})
+	res := s.Establish(req)
+	if !res.OK || !slices.Equal(res.Path, want) {
+		t.Fatalf("establish %v = %+v, want path %v", req, res, want)
 	}
 	a, b := res.Path[1], res.Path[2]
 	if err := s.FailLink(a, b); err != nil {
@@ -198,7 +202,7 @@ func TestLinkFailureInvalidatesAndRepairs(t *testing.T) {
 		if lat.Count != 1 {
 			t.Errorf("resetup latency count = %d, want 1", lat.Count)
 		}
-		fresh := s.EstablishedAt(req.Src)
+		fresh := handlesAt(s, req.Src)
 		if len(fresh) != 1 {
 			t.Fatalf("re-setup handles = %v", fresh)
 		}
@@ -224,4 +228,14 @@ func TestLegacyCacheCapacityMapsToCapped(t *testing.T) {
 	if cfg.State.Kind != pgstate.Soft {
 		t.Fatalf("explicit state overridden: %+v", cfg.State)
 	}
+}
+
+// handlesAt lists src's live flow handles in ascending order.
+func handlesAt(s *System, src ad.ID) []uint64 {
+	var hs []uint64
+	for h := range s.nodes[src].established {
+		hs = append(hs, h)
+	}
+	slices.Sort(hs)
+	return hs
 }

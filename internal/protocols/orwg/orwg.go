@@ -255,27 +255,6 @@ func (s *System) SendData(srcID ad.ID, handle uint64, payload int) (delivered bo
 	return dest.delivered[handle] > before, headerBytes
 }
 
-// Teardown releases an established route.
-func (s *System) Teardown(srcID ad.ID, handle uint64) {
-	src, ok := s.nodes[srcID]
-	if !ok {
-		return
-	}
-	path, ok := src.established[handle]
-	if !ok {
-		return
-	}
-	delete(src.established, handle)
-	delete(src.flows, handle)
-	src.table.Remove(handle)
-	if len(path) >= 2 {
-		s.nw.SendMessage("teardown", srcID, path[1], &wire.Teardown{
-			Handle: handle, Reason: wire.TeardownExplicit,
-		})
-		s.nw.Engine.Run()
-	}
-}
-
 // Abandon makes the source forget an established flow without tearing it
 // down — the crashed-source / silent-departure model of §6. Downstream
 // handle state is orphaned: soft state expires it, capped state evicts it,
@@ -386,29 +365,6 @@ func (s *System) PendingRepairs() int {
 // ResetupLatency summarizes the setup RTTs of successful failure repairs.
 func (s *System) ResetupLatency() metrics.LatencySummary {
 	return s.resetup.Snapshot()
-}
-
-// Established counts live flows at every source.
-func (s *System) Established() int {
-	total := 0
-	for _, n := range s.nodes {
-		total += len(n.established)
-	}
-	return total
-}
-
-// EstablishedAt lists srcID's live flow handles in ascending order.
-func (s *System) EstablishedAt(srcID ad.ID) []uint64 {
-	n, ok := s.nodes[srcID]
-	if !ok {
-		return nil
-	}
-	handles := make([]uint64, 0, len(n.established))
-	for h := range n.established {
-		handles = append(handles, h)
-	}
-	sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
-	return handles
 }
 
 // Route implements core.System: establish a policy route, then verify it by

@@ -102,14 +102,6 @@ func (s *System) StateEntries() int {
 // Computations implements core.System.
 func (s *System) Computations() int { return s.computations }
 
-// Table exposes an AD's routing table for tests.
-func (s *System) Table(id ad.ID) *dvcore.Table {
-	if n, ok := s.nodes[id]; ok {
-		return n.table
-	}
-	return nil
-}
-
 // FailLink injects a link failure.
 func (s *System) FailLink(a, b ad.ID) error { return s.nw.FailLink(a, b) }
 

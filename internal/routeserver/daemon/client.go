@@ -92,7 +92,7 @@ func (c *Client) Do(m wire.Message) (wire.Message, error) {
 	return rep, nil
 }
 
-// call is the typed round trip under every method below: send m, which
+// call is the typed round trip under Query and Control: send m, which
 // carries the sequence number just taken, and insist on a reply of type R
 // that echoes it.
 func call[R wire.Message](c *Client, m wire.Message) (r R, err error) {
@@ -120,40 +120,4 @@ func (c *Client) Query(req policy.Request) (routeserver.Result, error) {
 func (c *Client) Control(op wire.PlanStep) (*wire.ControlReply, error) {
 	c.seq++
 	return call[*wire.ControlReply](c, wire.NewControl(c.seq, op))
-}
-
-// DataOp issues a data-plane operation.
-func (c *Client) DataOp(op uint8, handle uint64, arg uint32, req policy.Request) (*wire.DataOpReply, error) {
-	c.seq++
-	return call[*wire.DataOpReply](c, &wire.DataOp{ID: c.seq, Op: op, Handle: handle, Arg: arg, Req: req})
-}
-
-// Plan sends a what-if proposal (steps) and returns the predicted blast
-// radius plus the plan ID a later Commit may apply.
-func (c *Client) Plan(steps []wire.PlanStep) (*wire.PlanReply, error) {
-	c.seq++
-	return call[*wire.PlanReply](c, &wire.Plan{ID: c.seq, Steps: steps})
-}
-
-// Commit asks the daemon to apply a previously computed plan. The daemon
-// refuses (CtlErr) if its mutation epoch moved since the plan.
-func (c *Client) Commit(planID uint64) (*wire.PlanReply, error) {
-	c.seq++
-	return call[*wire.PlanReply](c, &wire.Plan{ID: c.seq, Commit: true, PlanID: planID})
-}
-
-// Stats fetches the serving counters.
-func (c *Client) Stats() (*wire.StatsReply, error) {
-	c.seq++
-	return call[*wire.StatsReply](c, &wire.StatsQuery{ID: c.seq})
-}
-
-// Drain asks the daemon to drain; the ack arrives before the drain begins.
-func (c *Client) Drain() error {
-	c.seq++
-	cr, err := call[*wire.ControlReply](c, &wire.Drain{ID: c.seq})
-	if err == nil && !cr.OK() {
-		err = fmt.Errorf("daemon: drain refused: %s", cr.Err)
-	}
-	return err
 }

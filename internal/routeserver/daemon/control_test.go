@@ -46,7 +46,7 @@ func TestControlRefusesUnknownAD(t *testing.T) {
 	if terms := be.world.DB.Terms(99999); len(terms) != 0 {
 		t.Errorf("refused op installed terms %v", terms)
 	}
-	if pr, err := cl.Plan([]wire.PlanStep{wire.OpenPolicy(99999, 5)}); err != nil || pr.OK() {
+	if pr, err := roundTrip[*wire.PlanReply](cl, &wire.Plan{Steps: []wire.PlanStep{wire.OpenPolicy(99999, 5)}}); err != nil || pr.OK() {
 		t.Errorf("plan predicted a policy for a nonexistent AD: %+v, %v", pr, err)
 	}
 	if _, err := be.Commit(id); err != nil {

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"path/filepath"
@@ -90,26 +91,29 @@ func TestSessionProtocolRoundTrip(t *testing.T) {
 	}
 
 	// Data plane: install, send, refresh, tick, repair, state.
-	dr, err := cl.DataOp(wire.OpInstall, 0, 0, policy.Request{Src: 1, Dst: 4})
+	dataOp := func(op uint8, handle uint64, arg uint32, req policy.Request) (*wire.DataOpReply, error) {
+		return roundTrip[*wire.DataOpReply](cl, &wire.DataOp{Op: op, Handle: handle, Arg: arg, Req: req})
+	}
+	dr, err := dataOp(wire.OpInstall, 0, 0, policy.Request{Src: 1, Dst: 4})
 	if err != nil || dr.Code != wire.DataOK || dr.Handle != 1 || !dr.Path.Equal(ad.Path{1, 2, 4}) {
 		t.Fatalf("install = %+v, %v", dr, err)
 	}
-	if dr, err = cl.DataOp(wire.OpSend, 1, 0, policy.Request{}); err != nil || dr.Code != wire.DataOK {
+	if dr, err = dataOp(wire.OpSend, 1, 0, policy.Request{}); err != nil || dr.Code != wire.DataOK {
 		t.Fatalf("send = %+v, %v", dr, err)
 	}
-	if dr, err = cl.DataOp(wire.OpSend, 777, 0, policy.Request{}); err != nil || dr.Code != wire.DataUnknownHandle {
+	if dr, err = dataOp(wire.OpSend, 777, 0, policy.Request{}); err != nil || dr.Code != wire.DataUnknownHandle {
 		t.Fatalf("send unknown = %+v, %v", dr, err)
 	}
-	if dr, err = cl.DataOp(wire.OpRefresh, 0, 0, policy.Request{}); err != nil || dr.N1 != 1 || dr.N2 != 0 {
+	if dr, err = dataOp(wire.OpRefresh, 0, 0, policy.Request{}); err != nil || dr.N1 != 1 || dr.N2 != 0 {
 		t.Fatalf("refresh = %+v, %v", dr, err)
 	}
-	if dr, err = cl.DataOp(wire.OpTick, 0, 10, policy.Request{}); err != nil || dr.N1 != 10 {
+	if dr, err = dataOp(wire.OpTick, 0, 10, policy.Request{}); err != nil || dr.N1 != 10 {
 		t.Fatalf("tick = %+v, %v", dr, err)
 	}
-	if dr, err = cl.DataOp(wire.OpState, 0, 0, policy.Request{}); err != nil || dr.Text == "" {
+	if dr, err = dataOp(wire.OpState, 0, 0, policy.Request{}); err != nil || dr.Text == "" {
 		t.Fatalf("state = %+v, %v", dr, err)
 	}
-	if dr, err = cl.DataOp(99, 0, 0, policy.Request{}); err != nil || dr.Code != wire.DataBadOp {
+	if dr, err = dataOp(99, 0, 0, policy.Request{}); err != nil || dr.Code != wire.DataBadOp {
 		t.Fatalf("bad op = %+v, %v", dr, err)
 	}
 
@@ -122,7 +126,7 @@ func TestSessionProtocolRoundTrip(t *testing.T) {
 	if res, err = cl.Query(policy.Request{Src: 1, Dst: 4}); err != nil || !res.Path.Equal(ad.Path{1, 3, 4}) {
 		t.Fatalf("post-failure query = %+v, %v", res, err)
 	}
-	if dr, err = cl.DataOp(wire.OpRepair, 0, 0, policy.Request{}); err != nil || dr.N1 != 1 || dr.N2 != 1 {
+	if dr, err = dataOp(wire.OpRepair, 0, 0, policy.Request{}); err != nil || dr.N1 != 1 || dr.N2 != 1 {
 		t.Fatalf("repair = %+v, %v", dr, err)
 	}
 	if cr, err = cl.Control(wire.PlanStep{Op: wire.CtlRestore, A: 2, B: 4}); err != nil || !cr.OK() || cr.Retained == 0 {
@@ -153,7 +157,7 @@ func TestSessionProtocolRoundTrip(t *testing.T) {
 	if cr, err = cl.Control(wire.PlanStep{Op: wire.CtlInvalidate}); err != nil || cr.Gen != 1 {
 		t.Fatalf("invalidate = %+v, %v", cr, err)
 	}
-	st, err := cl.Stats()
+	st, err := roundTrip[*wire.StatsReply](cl, &wire.StatsQuery{})
 	if err != nil || st.Gen != 1 || st.Queries == 0 {
 		t.Fatalf("stats = %+v, %v", st, err)
 	}
@@ -344,8 +348,8 @@ func TestDrainMessageOverTCP(t *testing.T) {
 	// The Drain message is acked first, then the daemon winds down: the
 	// listener closes (Serve returns nil, not an accept error) and the
 	// connection reaches EOF.
-	if err := cl.Drain(); err != nil {
-		t.Fatal(err)
+	if cr, err := roundTrip[*wire.ControlReply](cl, &wire.Drain{}); err != nil || !cr.OK() {
+		t.Fatalf("drain = %+v, %v", cr, err)
 	}
 	select {
 	case <-d.Done():
@@ -433,7 +437,7 @@ func TestConcurrentSessionsAcrossScopedMutation(t *testing.T) {
 			return nil, err
 		}
 		defer cl.Close()
-		return cl.Stats()
+		return roundTrip[*wire.StatsReply](cl, &wire.StatsQuery{})
 	}()
 	if err != nil {
 		t.Fatal(err)
@@ -608,4 +612,14 @@ func TestLinkOf(t *testing.T) {
 	if _, _, _, err := be.Fail(a, 99); err == nil {
 		t.Error("Fail found a nonexistent link")
 	}
+}
+
+// roundTrip sends m through cl.Do and wants a reply of type R.
+func roundTrip[R wire.Message](cl *Client, m wire.Message) (R, error) {
+	rep, err := cl.Do(m)
+	r, ok := rep.(R)
+	if err == nil && !ok {
+		err = fmt.Errorf("reply %T to %v", rep, m.Type())
+	}
+	return r, err
 }

@@ -213,14 +213,14 @@ func TestFollowerRedirectsEveryRequestKind(t *testing.T) {
 	redirected("query", err)
 	_, err = cl.Control(wire.PlanStep{Op: wire.CtlFail, A: 2, B: 4})
 	redirected("control", err)
-	_, err = cl.DataOp(wire.OpInstall, 0, 0, policy.Request{Src: 1, Dst: 4})
+	_, err = cl.Do(&wire.DataOp{Op: wire.OpInstall, Req: policy.Request{Src: 1, Dst: 4}})
 	redirected("data-op", err)
-	_, err = cl.Plan([]wire.PlanStep{{Op: wire.CtlFail, A: 2, B: 4}})
+	_, err = cl.Do(&wire.Plan{Steps: []wire.PlanStep{{Op: wire.CtlFail, A: 2, B: 4}}})
 	redirected("plan", err)
-	_, err = cl.Commit(1)
+	_, err = cl.Do(&wire.Plan{Commit: true, PlanID: 1})
 	redirected("commit", err)
 	// Stats are served locally, and show nothing was dispatched to the backend.
-	if st, err := cl.Stats(); err != nil || st.Queries != 0 {
+	if st, err := roundTrip[*wire.StatsReply](cl, &wire.StatsQuery{}); err != nil || st.Queries != 0 {
 		t.Errorf("stats on a follower = %+v, %v", st, err)
 	}
 	// The gate lifts: the same session serves.

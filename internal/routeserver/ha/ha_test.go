@@ -378,7 +378,7 @@ func TestNotPrimaryRedirect(t *testing.T) {
 	if np.PrimaryID != 1 || np.Addr != prim.clientAddr {
 		t.Fatalf("redirect names %d at %q, want 1 at %q", np.PrimaryID, np.Addr, prim.clientAddr)
 	}
-	if _, err := cl.Stats(); err != nil {
+	if _, err := cl.Do(&wire.StatsQuery{}); err != nil {
 		t.Fatalf("stats on follower: %v", err)
 	}
 
@@ -416,8 +416,8 @@ func TestDrainDuringFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Drain(); err != nil {
-		t.Fatalf("drain during failover: %v", err)
+	if rep, err := cl.Do(&wire.Drain{}); err != nil || !rep.(*wire.ControlReply).OK() {
+		t.Fatalf("drain during failover = %+v, %v", rep, err)
 	}
 	select {
 	case <-fol.d.Done():

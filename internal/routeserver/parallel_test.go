@@ -182,7 +182,7 @@ func TestParallelMissesStraddleMutateScoped(t *testing.T) {
 	if snap.Hits+snap.Misses+snap.Coalesced != snap.Queries {
 		t.Fatalf("counter accounting broken: %+v", snap)
 	}
-	srv.Invalidate()
+	srv.Mutate(nil)
 	for _, req := range workload[:40] {
 		want := synthesis.Compile(g, db).FindRoute(req)
 		got := srv.Query(req)

@@ -112,7 +112,7 @@ func TestMutateScopedLinkUpRetainsLegalEvictsNegatives(t *testing.T) {
 		t.Fatalf("retained route %v is illegal", res.Path)
 	}
 	// A full invalidation restores optimality.
-	srv.Invalidate()
+	srv.Mutate(nil)
 	if res := srv.Query(rCheap); !res.Path.Equal(ad.Path{src, t1, dst}) {
 		t.Fatalf("post-invalidate route = %+v, want the cheap path back", res)
 	}
@@ -230,7 +230,7 @@ func TestScopedChurnStress(t *testing.T) {
 
 	// The world is back in its initial state; after a full bump every
 	// answer must match the oracle exactly.
-	srv.Invalidate()
+	srv.Mutate(nil)
 	for _, req := range workload[:50] {
 		want := synthesis.Compile(g, db).FindRoute(req)
 		got := srv.Query(req)

@@ -33,7 +33,7 @@
 // post-change answer. Entries retained across a scoped mutation are
 // legal under the post-change state by construction (the change provably
 // cannot affect them), though a broadening change may have created a
-// cheaper route; callers that need optimality back use the full Invalidate.
+// cheaper route; callers that need optimality back use the full Mutate.
 package routeserver
 
 import (
@@ -187,7 +187,7 @@ func (s MetricsSnapshot) HitRate() float64 {
 }
 
 // Server is the concurrent route-query engine. Queries may be issued from
-// any number of goroutines; Invalidate/Mutate may run concurrently with
+// any number of goroutines; Mutate and MutateScoped may run concurrently with
 // queries.
 type Server struct {
 	cfg     Config
@@ -473,14 +473,6 @@ func (s *Server) search(req policy.Request) (Result, synthesis.Footprint) {
 		fp = s.strategy.Footprint(req, path)
 	}
 	return res, fp
-}
-
-// Invalidate reacts to a topology or policy change: it empties the cache
-// and rebuilds the strategy. In-flight computations finish, against the
-// state they observed, before the purge; their results are never served
-// after it.
-func (s *Server) Invalidate() {
-	s.Mutate(nil)
 }
 
 // Mutate applies fn — which may mutate the graph or policy database the

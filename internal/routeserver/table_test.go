@@ -474,7 +474,7 @@ func TestLockFreeReadersVersusWriter(t *testing.T) {
 			srv.MutateScoped(synthesis.LinkDownChange(linkAt(j)[0], linkAt(j)[1]), nil)
 			evictedThrough(func(i int) bool { return i%links == j })
 		default:
-			srv.Invalidate()
+			srv.Mutate(nil)
 			evictedThrough(func(int) bool { return true })
 		}
 	}

@@ -63,7 +63,7 @@ func TestLateMissServedFromCache(t *testing.T) {
 			t.Fatalf("epoch %d: hits+misses+coalesced = %d, queries = %d",
 				epoch, m.Hits+m.Misses+m.Coalesced, m.Queries)
 		}
-		srv.Invalidate()
+		srv.Mutate(nil)
 	}
 }
 

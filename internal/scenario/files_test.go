@@ -32,9 +32,6 @@ func TestCommittedScenarioFiles(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
-			if err := sc.Validate(); err != nil {
-				t.Fatalf("Validate: %v", err)
-			}
 			var out bytes.Buffer
 			if err := sc.Run(&out); err != nil {
 				t.Fatalf("Run: %v", err)

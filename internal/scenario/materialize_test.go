@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -70,8 +71,10 @@ func TestValidateRejectsBadScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
-			if err := sc.Validate(); err == nil {
-				t.Fatal("Validate accepted a malformed scenario")
+			// Run builds the world, the protocol and the ops before it
+			// simulates anything, so a malformed scenario fails here at once.
+			if err := sc.Run(io.Discard); err == nil {
+				t.Fatal("Run accepted a malformed scenario")
 			}
 		})
 	}

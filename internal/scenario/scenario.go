@@ -98,14 +98,6 @@ func (s *ADSetSpec) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// MarshalJSON implements json.Marshaler.
-func (s ADSetSpec) MarshalJSON() ([]byte, error) {
-	if !s.set || s.universal {
-		return json.Marshal("*")
-	}
-	return json.Marshal(s.ids)
-}
-
 // toADSet converts to the policy representation (universal when unset).
 func (s ADSetSpec) toADSet() policy.ADSet {
 	if !s.set || s.universal {
@@ -241,6 +233,9 @@ func Load(r io.Reader) (*Scenario, error) {
 	if err := dec.Decode(&sc); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("scenario: content after the scenario object")
+	}
 	return &sc, nil
 }
 
@@ -296,14 +291,6 @@ func (sc *Scenario) Materialize() (*ad.Graph, *policy.DB, []policy.Request, erro
 		return nil, nil, nil, fmt.Errorf("scenario: requests must set all_stub_pairs, all_pairs, explicit, or workload")
 	}
 	return g, db, reqs, nil
-}
-
-// Validate checks that the scenario is well-formed — topology, policy, and
-// workload materialize, the protocol is known, and every event action is
-// recognized — without running any simulation phases.
-func (sc *Scenario) Validate() error {
-	_, _, _, _, err := sc.build()
-	return err
 }
 
 // build materializes the scenario's graph, policy, protocol, and workload.
@@ -387,8 +374,7 @@ func (ev Event) op() (op wire.PlanStep, ok bool) {
 // follow a fail of the same link, a policy for an unknown AD — is a load
 // error, and replayed in order each op meets the state the clone accepted it
 // in. A plan predicts, it never mutates: its batch is validated and it
-// compiles to no op, so churn replay skips it. Validate relies on this
-// checking the whole event list.
+// compiles to no op, so churn replay skips it.
 func (sc *Scenario) Ops(g *ad.Graph, db *policy.DB) ([]wire.PlanStep, error) {
 	initial := synthesis.NewWorld(g, db)
 	shadow := initial.Clone()

@@ -133,6 +133,8 @@ func TestLoadErrors(t *testing.T) {
 		`{"topology": {"figure1": true}, "policy": {"open": true}, "protocol": {"name": "nope"}, "requests": {"all_pairs": true}}`,
 		`{"topology": {"figure1": true}, "policy": {"open": true}, "protocol": {"name": "orwg"}, "requests": {}}`,
 		`{"topology": {"figure1": true}, "policy": {"terms": [{"advertiser": 1, "sources": "x"}]}, "protocol": {"name": "orwg"}, "requests": {"all_pairs": true}}`,
+		// A second value after a valid scenario is not silently dropped.
+		`{"topology": {"figure1": true}, "policy": {"open": true}, "protocol": {"name": "orwg"}, "requests": {"explicit": [{"src": 1, "dst": 2}]}} {"bogus": 1} trailing junk`,
 	}
 	for i, js := range cases {
 		sc, err := Load(strings.NewReader(js))
@@ -321,8 +323,12 @@ func TestPlanEventValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Load: %v", tc.event, err)
 		}
-		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Validate err = %v, want %q", tc.event, err, tc.want)
+		g, db, _, err := sc.Materialize()
+		if err != nil {
+			t.Fatalf("%s: Materialize: %v", tc.event, err)
+		}
+		if _, err := sc.Ops(g, db); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Ops err = %v, want %q", tc.event, err, tc.want)
 		}
 	}
 }
@@ -345,15 +351,8 @@ func TestADSetSpecRoundTrip(t *testing.T) {
 	if err := s.UnmarshalJSON([]byte(`"all"`)); err == nil {
 		t.Error("bad string accepted")
 	}
-	b, err := s.MarshalJSON()
-	if err != nil || string(b) == "" {
-		t.Errorf("marshal: %s %v", b, err)
-	}
-	// Zero value marshals as "*" and means universal.
+	// The zero value (an omitted set) means universal.
 	var zero ADSetSpec
-	if b, _ := zero.MarshalJSON(); string(b) != `"*"` {
-		t.Errorf("zero marshals as %s", b)
-	}
 	if !zero.toADSet().IsUniversal() {
 		t.Error("zero value not universal")
 	}
@@ -365,7 +364,7 @@ func TestTermSpecDefaults(t *testing.T) {
 	if term.Cost != 1 {
 		t.Errorf("default cost = %d", term.Cost)
 	}
-	if !term.Sources.IsUniversal() || !term.Hours.IsAlways() {
+	if !term.Sources.IsUniversal() || term.Hours != policy.Always {
 		t.Error("defaults not open")
 	}
 	start, end := uint8(9), uint8(17)

@@ -88,10 +88,9 @@ func (h *eventHeap) pop() event {
 // Engine is a deterministic discrete-event scheduler. The zero value is not
 // usable; create one with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   eventHeap
-	stopped bool
+	now   Time
+	seq   uint64
+	queue eventHeap
 
 	// Processed counts events executed so far.
 	Processed uint64
@@ -134,10 +133,6 @@ func (e *Engine) After(d Time, fn func()) {
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// Stop aborts the current Run/RunUntil loop after the in-flight event
-// finishes. Further Run calls resume normally.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Run executes events until the queue is empty. It returns the time of the
 // last executed event.
 func (e *Engine) Run() Time {
@@ -148,8 +143,7 @@ func (e *Engine) Run() Time {
 // the current time when it stops (the last event time, or limit if the queue
 // still holds later events).
 func (e *Engine) RunUntil(limit Time) Time {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
+	for len(e.queue) > 0 {
 		if e.queue[0].at > limit {
 			e.now = limit
 			return e.now
@@ -168,17 +162,4 @@ func (e *Engine) run(ev event) {
 	} else {
 		ev.fn()
 	}
-}
-
-// Step executes exactly one event if any is pending, reporting whether one
-// was executed. Like RunUntil, it clears any Stop left over from a previous
-// loop on entry, so a Stop issued inside an event callback never leaks into
-// a later Step or Run.
-func (e *Engine) Step() bool {
-	e.stopped = false
-	if len(e.queue) == 0 {
-		return false
-	}
-	e.run(e.queue.pop())
-	return true
 }

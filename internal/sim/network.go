@@ -53,16 +53,6 @@ func newStats() *Stats {
 	}
 }
 
-// KindsSorted returns the message kinds seen, sorted, for stable reporting.
-func (s *Stats) KindsSorted() []string {
-	kinds := make([]string, 0, len(s.MessagesByKind))
-	for k := range s.MessagesByKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
-}
-
 // Network couples the event engine, the AD graph, and the per-AD nodes, and
 // simulates message transmission over inter-AD links with propagation delay.
 //
@@ -136,9 +126,6 @@ func (nw *Network) AddNode(n Node) {
 	nw.nodes[n.ID()] = n
 }
 
-// Node returns the registered node for id, or nil.
-func (nw *Network) Node(id ad.ID) Node { return nw.nodes[id] }
-
 // Nodes returns all registered nodes sorted by AD ID.
 func (nw *Network) Nodes() []Node {
 	ids := make([]ad.ID, 0, len(nw.nodes))
@@ -153,20 +140,11 @@ func (nw *Network) Nodes() []Node {
 	return out
 }
 
-// Rand returns the network's deterministic RNG.
-func (nw *Network) Rand() *rand.Rand { return nw.rng }
-
 // Now returns the current simulated time.
 func (nw *Network) Now() Time { return nw.Engine.Now() }
 
 // After schedules fn after d; it is the timer facility for nodes.
 func (nw *Network) After(d Time, fn func()) { nw.Engine.After(d, fn) }
-
-// LastSend returns the completion time of the latest message transmission
-// (when its last bit left the transmitter), which convergence detection uses
-// as a quiescence marker. On links without bandwidth modelling this is simply
-// the time of the most recent Send.
-func (nw *Network) LastSend() Time { return nw.lastSend }
 
 func linkKey(a, b ad.ID) [2]ad.ID {
 	if a > b {

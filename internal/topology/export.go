@@ -94,69 +94,3 @@ func WriteJSON(w io.Writer, g *ad.Graph) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(jt)
 }
-
-func parseClass(s string) (ad.Class, error) {
-	for _, c := range []ad.Class{ad.Stub, ad.MultihomedStub, ad.Transit, ad.Hybrid} {
-		if c.String() == s {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("topology: unknown AD class %q", s)
-}
-
-func parseLevel(s string) (ad.Level, error) {
-	for _, l := range []ad.Level{ad.Backbone, ad.Regional, ad.Metro, ad.Campus} {
-		if l.String() == s {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("topology: unknown level %q", s)
-}
-
-func parseLinkClass(s string) (ad.LinkClass, error) {
-	for _, lc := range []ad.LinkClass{ad.Hierarchical, ad.Lateral, ad.Bypass} {
-		if lc.String() == s {
-			return lc, nil
-		}
-	}
-	return 0, fmt.Errorf("topology: unknown link class %q", s)
-}
-
-// ReadJSON parses a topology previously written by WriteJSON.
-func ReadJSON(r io.Reader) (*ad.Graph, error) {
-	var jt jsonTopology
-	if err := json.NewDecoder(r).Decode(&jt); err != nil {
-		return nil, fmt.Errorf("topology: decoding JSON: %w", err)
-	}
-	g := ad.NewGraph()
-	for _, ja := range jt.ADs {
-		class, err := parseClass(ja.Class)
-		if err != nil {
-			return nil, err
-		}
-		level, err := parseLevel(ja.Level)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.AddADWithID(ad.ID(ja.ID), ja.Name, class, level); err != nil {
-			return nil, err
-		}
-	}
-	for _, jl := range jt.Links {
-		class, err := parseLinkClass(jl.Class)
-		if err != nil {
-			return nil, err
-		}
-		err = g.AddLink(ad.Link{
-			A: ad.ID(jl.A), B: ad.ID(jl.B),
-			Class:        class,
-			DelayMicros:  jl.DelayMicros,
-			BandwidthBps: jl.BandwidthBps,
-			Cost:         jl.Cost,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}

@@ -6,7 +6,6 @@
 package trafficgen
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
@@ -190,27 +189,4 @@ func Hottest(workload []policy.Request, n int) []policy.Request {
 		out = append(out, rep[k])
 	}
 	return out
-}
-
-// Skew summarizes a workload's concentration: the fraction of requests
-// carried by the busiest decile of pairs (0.1 = perfectly uniform).
-func Skew(reqs []policy.Request) float64 {
-	if len(reqs) == 0 {
-		return 0
-	}
-	counts := map[[2]ad.ID]int{}
-	for _, r := range reqs {
-		counts[[2]ad.ID{r.Src, r.Dst}]++
-	}
-	sorted := make([]int, 0, len(counts))
-	for _, c := range counts {
-		sorted = append(sorted, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-	top := int(math.Ceil(float64(len(sorted)) / 10))
-	sum := 0
-	for _, c := range sorted[:top] {
-		sum += c
-	}
-	return float64(sum) / float64(len(reqs))
 }

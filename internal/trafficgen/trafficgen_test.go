@@ -1,9 +1,12 @@
 package trafficgen
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/ad"
+	"repro/internal/policy"
 	"repro/internal/topology"
 )
 
@@ -40,7 +43,7 @@ func TestZipfSkewExceedsUniform(t *testing.T) {
 	topo := testGraph()
 	uniform := Generate(topo.Graph, Config{Seed: 2, Requests: 2000, Model: "uniform"})
 	zipf := Generate(topo.Graph, Config{Seed: 2, Requests: 2000, Model: "zipf", ZipfS: 1.5})
-	su, sz := Skew(uniform), Skew(zipf)
+	su, sz := skew(uniform), skew(zipf)
 	if sz <= su {
 		t.Errorf("zipf skew %.3f <= uniform skew %.3f", sz, su)
 	}
@@ -113,7 +116,27 @@ func TestDegenerateInputs(t *testing.T) {
 	if reqs := Generate(g, Config{Seed: 1, Requests: 10}); reqs != nil {
 		t.Errorf("single-AD graph produced requests: %v", reqs)
 	}
-	if Skew(nil) != 0 {
-		t.Error("Skew(nil) != 0")
+}
+
+// skew summarizes a workload's concentration: the fraction of requests
+// carried by the busiest decile of pairs (0.1 = perfectly uniform).
+func skew(reqs []policy.Request) float64 {
+	if len(reqs) == 0 {
+		return 0
 	}
+	counts := map[[2]ad.ID]int{}
+	for _, r := range reqs {
+		counts[[2]ad.ID{r.Src, r.Dst}]++
+	}
+	sorted := make([]int, 0, len(counts))
+	for _, c := range counts {
+		sorted = append(sorted, c)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
+	top := int(math.Ceil(float64(len(sorted)) / 10))
+	sum := 0
+	for _, c := range sorted[:top] {
+		sum += c
+	}
+	return float64(sum) / float64(len(reqs))
 }

@@ -7,11 +7,6 @@ import (
 	"repro/internal/policy"
 )
 
-// MetricInfinity is the conventional unreachable metric carried in
-// distance-vector and EGP updates. Protocols may use a smaller local
-// infinity (e.g. plain DV's 16) but the field accommodates this sentinel.
-const MetricInfinity uint32 = 1<<32 - 1
-
 // DVRoute flag bits.
 const (
 	// FlagTraversedDown marks a route that has crossed a "down" link in

@@ -27,7 +27,7 @@ var pinnedFrames = []struct {
 }{
 	{&DVUpdate{Routes: []DVRoute{
 		{Dest: 5, Metric: 3, QOS: 1, Flags: FlagTraversedDown},
-		{Dest: 9, Metric: MetricInfinity, QOS: 2, Flags: FlagWithdraw},
+		{Dest: 9, Metric: 1<<32 - 1, QOS: 2, Flags: FlagWithdraw},
 	}}, "0101001600020000000500000003010100000009ffffffff0202"},
 	{&PathVector{Routes: []PVRoute{
 		{Dest: 7, Metric: 12, QOS: 2, Path: ad.Path{1, 2, 7},

@@ -30,7 +30,7 @@ func roundTrip(t *testing.T, m Message) Message {
 func TestDVUpdateRoundTrip(t *testing.T) {
 	m := &DVUpdate{Routes: []DVRoute{
 		{Dest: 5, Metric: 3, QOS: 1, Flags: FlagTraversedDown},
-		{Dest: 9, Metric: MetricInfinity, QOS: 0, Flags: FlagWithdraw},
+		{Dest: 9, Metric: 1<<32 - 1, QOS: 0, Flags: FlagWithdraw},
 	}}
 	got := roundTrip(t, m).(*DVUpdate)
 	if !reflect.DeepEqual(got, m) {
