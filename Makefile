@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet nodeps surface race allocs determinism golden fuzz load-smoke loc bench-kernel bench-cache bench-sim bench-suite bench-smoke results
+.PHONY: all build test check fmt vet nodeps surface race allocs determinism golden examples fuzz load-smoke loc bench-kernel bench-cache bench-sim bench-suite bench-smoke results
 
 all: build
 
@@ -93,6 +93,19 @@ determinism:
 golden:
 	$(GO) run ./cmd/experiments -seed 42 -parallel 1 | cmp - results_seed42.txt
 	$(GO) run ./cmd/experiments -seed 42 -parallel 8 | cmp - results_seed42.txt
+
+# examples runs the five examples and fails if one exits non-zero. README
+# quotes quickstart's output (the block after "the resulting handle:"), so
+# that block must match the example's output byte for byte.
+examples:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	for e in quickstart convergence designspace multihomed whatif; do \
+		$(GO) run ./examples/$$e > $$tmp/$$e.out || { echo "examples: $$e failed"; exit 1; }; \
+	done; \
+	awk '/resulting handle:$$/ { q = 1; next } q && /^```$$/ { if (b) exit; b = 1; next } b' README.md > $$tmp/readme.out; \
+	cmp -s $$tmp/readme.out $$tmp/quickstart.out \
+		|| { echo "examples: README's quickstart block differs from the example's output:"; diff $$tmp/readme.out $$tmp/quickstart.out; exit 1; }; \
+	echo "examples: ok"
 
 # fuzz runs three native fuzz targets for 15 s each, past the seed corpora
 # every `go test` replays: FuzzDecode holds Unmarshal to no panic and to a

@@ -16,61 +16,27 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	"repro/internal/ad"
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/policy"
-	"repro/internal/protocols/ecma"
-	"repro/internal/protocols/egp"
-	"repro/internal/protocols/filters"
-	"repro/internal/protocols/idrp"
-	"repro/internal/protocols/lshh"
-	"repro/internal/protocols/orwg"
-	"repro/internal/protocols/plaindv"
+	"repro/internal/protocols"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trafficgen"
 )
 
-// protoOrder fixes the report order of the -proto all comparison.
-var protoOrder = []string{
-	"plain-dv", "egp", "filters", "ecma", "bgp", "idrp", "idrp-multi", "lshh", "orwg",
-}
-
-// newSystem builds the named protocol over the shared topology and policy
-// set. The graph and DB are read-only to a running system, so systems built
-// from the same pair may run concurrently.
-func newSystem(proto string, g *ad.Graph, db *policy.DB, seed int64) (core.System, bool) {
-	switch proto {
-	case "plain-dv":
-		return plaindv.New(g, plaindv.Config{SplitHorizon: true, Seed: seed}), true
-	case "egp":
-		return egp.New(g, egp.Config{Seed: seed}), true
-	case "filters":
-		return filters.New(g, db, filters.Config{Seed: seed}), true
-	case "ecma":
-		return ecma.New(g, db, ecma.Config{Seed: seed}), true
-	case "bgp":
-		return idrp.New(g, db, idrp.Config{Seed: seed, BGPMode: true}), true
-	case "idrp":
-		return idrp.New(g, db, idrp.Config{Seed: seed}), true
-	case "idrp-multi":
-		return idrp.New(g, db, idrp.Config{Seed: seed, MultiRoute: 4}), true
-	case "lshh":
-		return lshh.New(g, db, lshh.Config{Seed: seed}), true
-	case "orwg":
-		return orwg.New(g, db, orwg.Config{Seed: seed}), true
-	default:
-		return nil, false
-	}
-}
-
 func main() {
+	var names []string
+	for _, d := range protocols.Designs {
+		names = append(names, d.Name)
+	}
 	var (
-		proto        = flag.String("proto", "orwg", "protocol: plain-dv | egp | filters | ecma | bgp | idrp | idrp-multi | lshh | orwg | all")
-		seed         = flag.Int64("seed", 42, "seed for topology, policy, and simulation")
+		proto        = flag.String("proto", "orwg", "protocol: "+strings.Join(append(names, "all"), " | "))
+		seed         = flag.Int64("seed", 42, "seed for topology, policy, and workload")
 		backbones    = flag.Int("backbones", 2, "backbone ADs")
 		regionals    = flag.Int("regionals", 3, "regionals per backbone")
 		campuses     = flag.Int("campuses", 3, "campuses per regional")
@@ -141,14 +107,10 @@ func main() {
 		}
 		fmt.Printf("topology: %d ADs, %d links (seed %d)\n", g.NumADs(), g.NumLinks(), *seed)
 		fmt.Printf("policy: %d terms, restriction %.2f\n\n", db.NumTerms(), *restriction)
-		ms := make([]core.Metrics, len(protoOrder))
-		tasks := make([]func(), len(protoOrder))
-		for i, name := range protoOrder {
-			i, name := i, name
-			sys, _ := newSystem(name, g, db, *seed)
-			tasks[i] = func() {
-				ms[i] = core.RunScenario(sys, oracle, reqs, 600*sim.Second)
-			}
+		ms := make([]core.Metrics, len(protocols.Designs))
+		tasks := make([]func(), len(protocols.Designs))
+		for i, d := range protocols.Designs {
+			tasks[i] = func() { ms[i] = core.RunScenario(d.New(g, db), oracle, reqs, 600*sim.Second) }
 		}
 		parallel.Do(*parallelism, tasks)
 		for _, m := range ms {
@@ -157,11 +119,12 @@ func main() {
 		return
 	}
 
-	sys, ok := newSystem(*proto, g, db, *seed)
-	if !ok {
+	d := protocols.Lookup(*proto)
+	if d == nil {
 		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *proto)
 		os.Exit(2)
 	}
+	sys := d.New(g, db)
 
 	if *trace {
 		sys.Network().Trace = func(format string, args ...interface{}) {
@@ -178,11 +141,9 @@ func main() {
 	if *failLink {
 		victim := firstSingleHomedUplink(g)
 		fmt.Printf("\nfailing link %v-%v ...\n", victim.A, victim.B)
-		if f, ok := sys.(interface{ FailLink(a, b ad.ID) error }); ok {
-			if err := f.FailLink(victim.A, victim.B); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		if err := sys.FailLink(victim.A, victim.B); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 		conv, quiesced := sys.Converge(6000 * sim.Second)
 		fmt.Printf("reconverged at %v (quiesced: %v), total messages %d\n",

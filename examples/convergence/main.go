@@ -11,9 +11,8 @@ import (
 	"repro/internal/ad"
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/protocols"
 	"repro/internal/protocols/ecma"
-	"repro/internal/protocols/lshh"
-	"repro/internal/protocols/orwg"
 	"repro/internal/protocols/plaindv"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -41,24 +40,16 @@ func main() {
 		build func(g *ad.Graph, db *policy.DB) core.System
 	}
 	makers := []mk{
-		{"plain-dv (split horizon)", func(g *ad.Graph, db *policy.DB) core.System {
-			return plaindv.New(g, plaindv.Config{SplitHorizon: true})
-		}},
+		{"plain-dv (split horizon)", protocols.Lookup("plain-dv").New},
 		{"plain-dv (no split horizon)", func(g *ad.Graph, db *policy.DB) core.System {
 			return plaindv.New(g, plaindv.Config{SplitHorizon: false})
 		}},
-		{"ecma (partial ordering)", func(g *ad.Graph, db *policy.DB) core.System {
-			return ecma.New(g, db, ecma.Config{})
-		}},
+		{"ecma (partial ordering)", protocols.Lookup("ecma").New},
 		{"ecma (ordering disabled)", func(g *ad.Graph, db *policy.DB) core.System {
 			return ecma.New(g, db, ecma.Config{DisableOrdering: true})
 		}},
-		{"ls-hop-by-hop", func(g *ad.Graph, db *policy.DB) core.System {
-			return lshh.New(g, db, lshh.Config{})
-		}},
-		{"orwg", func(g *ad.Graph, db *policy.DB) core.System {
-			return orwg.New(g, db, orwg.Config{})
-		}},
+		{"ls-hop-by-hop", protocols.Lookup("lshh").New},
+		{"orwg", protocols.Lookup("orwg").New},
 	}
 
 	fmt.Printf("%-28s %10s %14s %12s %16s\n", "protocol", "init-msgs", "init-time", "fail-msgs", "reconverge-time")
@@ -69,9 +60,7 @@ func main() {
 		msgs0 := sys.Network().Stats.MessagesSent
 
 		tFail := sys.Network().Now()
-		if f, ok := sys.(interface{ FailLink(a, b ad.ID) error }); ok {
-			_ = f.FailLink(victim.A, victim.B)
-		}
+		_ = sys.FailLink(victim.A, victim.B)
 		conv1, _ := sys.Converge(6000 * sim.Second)
 		msgs1 := sys.Network().Stats.MessagesSent
 		recon := sim.Time(0)

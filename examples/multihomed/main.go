@@ -12,10 +12,7 @@ import (
 	"repro/internal/ad"
 	"repro/internal/core"
 	"repro/internal/policy"
-	"repro/internal/protocols/ecma"
-	"repro/internal/protocols/idrp"
-	"repro/internal/protocols/orwg"
-	"repro/internal/protocols/plaindv"
+	"repro/internal/protocols"
 	"repro/internal/sim"
 )
 
@@ -62,13 +59,8 @@ func main() {
 	fmt.Printf("a legal route exists: %v — not via mh (refuses transit), not via r1 (carries only d's traffic): only s1->r2->d is legal\n\n",
 		oracle.HasRoute(req))
 
-	systems := []core.System{
-		plaindv.New(g, plaindv.Config{SplitHorizon: true}),
-		ecma.New(g, db, ecma.Config{}),
-		idrp.New(g, db, idrp.Config{}),
-		orwg.New(g, db, orwg.Config{}),
-	}
-	for _, sys := range systems {
+	for _, name := range []string{"plain-dv", "ecma", "idrp", "orwg"} {
+		sys := protocols.Lookup(name).New(g, db)
 		sys.Converge(60 * sim.Second)
 		out := sys.Route(req)
 		verdict := "BLACKHOLE (legal route hidden)"

@@ -28,7 +28,7 @@ func main() {
 	db := policy.OpenDB(g)
 
 	// 3. Deploy ORWG and flood LSAs to convergence.
-	system := orwg.New(g, db, orwg.Config{Seed: 1})
+	system := orwg.New(g, db, orwg.Config{})
 	conv, ok := system.Converge(60 * sim.Second)
 	if !ok {
 		log.Fatal("flooding did not converge")

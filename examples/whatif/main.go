@@ -64,7 +64,7 @@ func main() {
 
 	// 2. Apply to a live deployment and verify.
 	fmt.Println("\n--- live verification (orwg) ---")
-	sys := orwg.New(g, db, orwg.Config{Seed: 1})
+	sys := orwg.New(g, db, orwg.Config{})
 	if _, ok := sys.Converge(60 * sim.Second); !ok {
 		panic("did not converge")
 	}

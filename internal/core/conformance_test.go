@@ -23,35 +23,35 @@ import (
 // source-specific ones).
 func TestConformanceAllProtocols(t *testing.T) {
 	runConformance(t, "plain-dv", func(g *ad.Graph, db *policy.DB) core.System {
-		return plaindv.New(g, plaindv.Config{SplitHorizon: true, Seed: 1})
+		return plaindv.New(g, plaindv.Config{SplitHorizon: true})
 	}, conformanceConfig{Seed: 100, SupportsFailure: true})
 
 	runConformance(t, "egp", func(g *ad.Graph, db *policy.DB) core.System {
-		return egp.New(g, egp.Config{Seed: 1})
+		return egp.New(g, egp.Config{})
 	}, conformanceConfig{Seed: 200})
 
 	runConformance(t, "filters", func(g *ad.Graph, db *policy.DB) core.System {
-		return filters.New(g, db, filters.Config{Seed: 1, MaxCandidates: 6})
+		return filters.New(g, db, filters.Config{MaxCandidates: 6})
 	}, conformanceConfig{Seed: 300})
 
 	runConformance(t, "ecma", func(g *ad.Graph, db *policy.DB) core.System {
-		return ecma.New(g, db, ecma.Config{Seed: 1})
+		return ecma.New(g, db, ecma.Config{})
 	}, conformanceConfig{Seed: 400, PolicyAware: true, SupportsFailure: true})
 
 	runConformance(t, "idrp", func(g *ad.Graph, db *policy.DB) core.System {
-		return idrp.New(g, db, idrp.Config{Seed: 1})
+		return idrp.New(g, db, idrp.Config{})
 	}, conformanceConfig{Seed: 500, PolicyAware: true, SourceSpecific: true, SupportsFailure: true})
 
 	runConformance(t, "bgp", func(g *ad.Graph, db *policy.DB) core.System {
-		return idrp.New(g, db, idrp.Config{Seed: 1, BGPMode: true})
+		return idrp.New(g, db, idrp.Config{BGPMode: true})
 	}, conformanceConfig{Seed: 600, PolicyAware: true, SupportsFailure: true})
 
 	runConformance(t, "lshh", func(g *ad.Graph, db *policy.DB) core.System {
-		return lshh.New(g, db, lshh.Config{Seed: 1})
+		return lshh.New(g, db, lshh.Config{})
 	}, conformanceConfig{Seed: 700, PolicyAware: true, SourceSpecific: true, SupportsFailure: true})
 
 	runConformance(t, "orwg", func(g *ad.Graph, db *policy.DB) core.System {
-		return orwg.New(g, db, orwg.Config{Seed: 1})
+		return orwg.New(g, db, orwg.Config{})
 	}, conformanceConfig{Seed: 800, PolicyAware: true, SourceSpecific: true, SupportsFailure: true})
 }
 
@@ -67,8 +67,8 @@ type conformanceConfig struct {
 	// SourceSpecific systems additionally honour source-restricted terms
 	// (either by detouring or by dropping — never by violating).
 	SourceSpecific bool
-	// SupportsFailure runs the failure/recovery checks (requires
-	// FailLink support).
+	// SupportsFailure runs the failure/recovery checks: the system
+	// repairs its routes after FailLink.
 	SupportsFailure bool
 	// Seed drives the generated internets.
 	Seed int64
@@ -161,10 +161,6 @@ func runConformance(t *testing.T, name string, build systemBuilder, cfg conforma
 			g := topo.Graph
 			db := policy.OpenDB(g)
 			sys := build(g, db)
-			f, ok := sys.(interface{ FailLink(a, b ad.ID) error })
-			if !ok {
-				t.Skip("system does not expose FailLink")
-			}
 			sys.Converge(limit)
 			// Fail a redundant link; the system must reconverge and
 			// keep every still-connected pair loop-free.
@@ -177,7 +173,7 @@ func runConformance(t *testing.T, name string, build systemBuilder, cfg conforma
 					break
 				}
 			}
-			if err := f.FailLink(victim.A, victim.B); err != nil {
+			if err := sys.FailLink(victim.A, victim.B); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := sys.Converge(10 * limit); !ok {

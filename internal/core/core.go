@@ -75,6 +75,10 @@ type System interface {
 	// performed anywhere in the system (table recomputations, spanning
 	// tree builds, Dijkstra runs).
 	Computations() int
+	// FailLink fails the link between a and b: both endpoints learn of it
+	// at once and messages in flight on it are lost. The protocol's repair
+	// has run by the time the next Converge returns.
+	FailLink(a, b ad.ID) error
 }
 
 // Oracle answers ground-truth questions from the global topology and policy

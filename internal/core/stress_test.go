@@ -16,12 +16,6 @@ import (
 	"repro/internal/topology"
 )
 
-// failRestorer is the failure-injection surface shared by the protocols.
-type failRestorer interface {
-	core.System
-	FailLink(a, b ad.ID) error
-}
-
 // TestStressRandomFailures subjects every policy-aware architecture to a
 // random sequence of link failures and restorations, reconverging after
 // each event and asserting the steady-state invariants the paper demands:
@@ -36,21 +30,21 @@ func TestStressRandomFailures(t *testing.T) {
 	}
 	makers := []struct {
 		name  string
-		build func(g *ad.Graph, db *policy.DB) failRestorer
+		build func(g *ad.Graph, db *policy.DB) core.System
 		// strictLegal architectures must never deliver illegally.
 		strictLegal bool
 	}{
-		{"ecma", func(g *ad.Graph, db *policy.DB) failRestorer {
-			return ecma.New(g, db, ecma.Config{Seed: 1})
+		{"ecma", func(g *ad.Graph, db *policy.DB) core.System {
+			return ecma.New(g, db, ecma.Config{})
 		}, false},
-		{"idrp", func(g *ad.Graph, db *policy.DB) failRestorer {
-			return idrp.New(g, db, idrp.Config{Seed: 1})
+		{"idrp", func(g *ad.Graph, db *policy.DB) core.System {
+			return idrp.New(g, db, idrp.Config{})
 		}, true},
-		{"lshh", func(g *ad.Graph, db *policy.DB) failRestorer {
-			return lshh.New(g, db, lshh.Config{Seed: 1})
+		{"lshh", func(g *ad.Graph, db *policy.DB) core.System {
+			return lshh.New(g, db, lshh.Config{})
 		}, true},
-		{"orwg", func(g *ad.Graph, db *policy.DB) failRestorer {
-			return orwg.New(g, db, orwg.Config{Seed: 1})
+		{"orwg", func(g *ad.Graph, db *policy.DB) core.System {
+			return orwg.New(g, db, orwg.Config{})
 		}, true},
 	}
 	for _, m := range makers {
@@ -108,7 +102,7 @@ func TestStressRandomFailures(t *testing.T) {
 // infinity bound) under repeated partitioning failures.
 func TestStressPlainDVAlwaysConverges(t *testing.T) {
 	topo := topology.Generate(topology.Config{Seed: 80, LateralProb: 0.2})
-	sys := plaindv.New(topo.Graph, plaindv.Config{SplitHorizon: false, Seed: 2})
+	sys := plaindv.New(topo.Graph, plaindv.Config{SplitHorizon: false})
 	if _, ok := sys.Converge(600 * sim.Second); !ok {
 		t.Fatal("initial convergence failed")
 	}
@@ -136,10 +130,10 @@ func TestCrossProtocolConsistency(t *testing.T) {
 	oracle := core.Oracle{G: g, DB: db}
 	reqs := core.AllPairsRequests(g, true, 0, 0)
 	systems := []core.System{
-		ecma.New(g, db, ecma.Config{Seed: 3}),
-		idrp.New(g, db, idrp.Config{Seed: 3}),
-		lshh.New(g, db, lshh.Config{Seed: 3}),
-		orwg.New(g, db, orwg.Config{Seed: 3}),
+		ecma.New(g, db, ecma.Config{}),
+		idrp.New(g, db, idrp.Config{}),
+		lshh.New(g, db, lshh.Config{}),
+		orwg.New(g, db, orwg.Config{}),
 	}
 	for _, sys := range systems {
 		sys.Converge(600 * sim.Second)

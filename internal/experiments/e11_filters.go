@@ -35,7 +35,7 @@ func e11Rows(seed int64) rows {
 	routable := 0
 	tasks := []func(){
 		func() {
-			fs := filters.New(g, db, filters.Config{Seed: seed, Timeout: 500 * sim.Millisecond, MaxCandidates: 5})
+			fs := filters.New(g, db, filters.Config{Timeout: 500 * sim.Millisecond, MaxCandidates: 5})
 			for _, req := range reqs {
 				d := fs.Discover(req)
 				fDrops += d.DroppedPackets
@@ -47,7 +47,7 @@ func e11Rows(seed int64) rows {
 			}
 		},
 		func() {
-			ow := orwg.New(g, db, orwg.Config{Seed: seed})
+			ow := orwg.New(g, db, orwg.Config{})
 			ow.Converge(convergenceLimit)
 			for _, req := range reqs {
 				res := ow.Establish(req)

@@ -32,7 +32,7 @@ func e12Rows(seed int64) rows {
 	var tasks []func()
 	for i := len(counts) - 1; i >= 0; i-- {
 		tasks = append(tasks, func() {
-			sys := idrp.New(g, db, idrp.Config{Seed: seed, MultiRoute: counts[i]})
+			sys := idrp.New(g, db, idrp.Config{MultiRoute: counts[i]})
 			results[i] = core.RunScenario(sys, oracle, reqs, convergenceLimit)
 		})
 	}

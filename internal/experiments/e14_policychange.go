@@ -20,7 +20,7 @@ func E14PolicyChange(seed int64) *metrics.Table {
 	topo := defaultTopology(seed)
 	g := topo.Graph
 	db := policy.OpenDB(g)
-	sys := orwg.New(g, db, orwg.Config{Seed: seed})
+	sys := orwg.New(g, db, orwg.Config{})
 	sys.Converge(convergenceLimit)
 	reqs := core.AllPairsRequests(g, true, 0, 0)
 

@@ -34,7 +34,7 @@ func E16DatabaseDistribution(seed int64) *metrics.Table {
 		})
 		g := topo.Graph
 		db := policy.OpenDB(g)
-		nw := sim.NewNetwork(g, seed)
+		nw := sim.NewNetwork(g)
 		var tree map[[2]ad.ID]bool
 		if scoped {
 			tree = spanningTree(g)

@@ -22,7 +22,7 @@ func E17SetupAmortization(seed int64) *metrics.Table {
 	topo := defaultTopology(seed)
 	g := topo.Graph
 	db := restrictedPolicy(g, seed+1)
-	sys := orwg.New(g, db, orwg.Config{Seed: seed})
+	sys := orwg.New(g, db, orwg.Config{})
 	sys.Converge(convergenceLimit)
 
 	// Pick a representative long route: the stub pair with the most hops.

@@ -1,13 +1,12 @@
 package experiments
 
 import (
+	"repro/internal/ad"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
-	"repro/internal/protocols/ecma"
-	"repro/internal/protocols/idrp"
+	"repro/internal/protocols"
 	"repro/internal/protocols/lshh"
-	"repro/internal/protocols/orwg"
 )
 
 // E18PathStretch measures §4.1's acknowledged cost of routing at the AD
@@ -43,21 +42,21 @@ func e18Rows(seed int64) rows {
 
 	systems := []struct {
 		label string
-		sys   func() core.System
+		build func(g *ad.Graph, db *policy.DB) core.System
 	}{
-		{"ecma", func() core.System { return ecma.New(g, db, ecma.Config{Seed: seed}) }},
-		{"idrp", func() core.System { return idrp.New(g, db, idrp.Config{Seed: seed}) }},
-		{"idrp-multi", func() core.System { return idrp.New(g, db, idrp.Config{Seed: seed, MultiRoute: 4}) }},
-		{"ls-hop-by-hop", func() core.System { return lshh.New(g, db, lshh.Config{Seed: seed}) }},
-		{"lshh-inconsistent", func() core.System {
-			return lshh.New(g, db, lshh.Config{Seed: seed, InconsistentTieBreak: true})
+		{"ecma", protocols.Lookup("ecma").New},
+		{"idrp", protocols.Lookup("idrp").New},
+		{"idrp-multi", protocols.Lookup("idrp-multi").New},
+		{"ls-hop-by-hop", protocols.Lookup("lshh").New},
+		{"lshh-inconsistent", func(g *ad.Graph, db *policy.DB) core.System {
+			return lshh.New(g, db, lshh.Config{InconsistentTieBreak: true})
 		}},
-		{"orwg", func() core.System { return orwg.New(g, db, orwg.Config{Seed: seed}) }},
+		{"orwg", protocols.Lookup("orwg").New},
 	}
 	results := make([]core.Metrics, len(systems))
 	var tasks []func()
 	for i := len(systems) - 1; i >= 0; i-- {
-		tasks = append(tasks, func() { results[i] = core.RunScenario(systems[i].sys(), oracle, reqs, convergenceLimit) })
+		tasks = append(tasks, func() { results[i] = core.RunScenario(systems[i].build(g, db), oracle, reqs, convergenceLimit) })
 	}
 
 	return rows{tasks, func() *metrics.Table {

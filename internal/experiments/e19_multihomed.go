@@ -5,12 +5,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
-	"repro/internal/protocols/ecma"
-	"repro/internal/protocols/egp"
-	"repro/internal/protocols/idrp"
-	"repro/internal/protocols/lshh"
-	"repro/internal/protocols/orwg"
-	"repro/internal/protocols/plaindv"
+	"repro/internal/protocols"
 	"repro/internal/topology"
 )
 
@@ -48,19 +43,12 @@ func e19Rows(seed int64) rows {
 		}
 	}
 
-	systems := []func() core.System{
-		func() core.System { return plaindv.New(g, plaindv.Config{SplitHorizon: true, Seed: seed}) },
-		func() core.System { return egp.New(g, egp.Config{Seed: seed}) },
-		func() core.System { return ecma.New(g, db, ecma.Config{Seed: seed}) },
-		func() core.System { return idrp.New(g, db, idrp.Config{Seed: seed}) },
-		func() core.System { return lshh.New(g, db, lshh.Config{Seed: seed}) },
-		func() core.System { return orwg.New(g, db, orwg.Config{Seed: seed}) },
-	}
-	cells := make([][]any, len(systems))
+	names := []string{"plain-dv", "egp", "ecma", "idrp", "lshh", "orwg"}
+	cells := make([][]any, len(names))
 	var tasks []func()
-	for i := len(systems) - 1; i >= 0; i-- {
+	for i := len(names) - 1; i >= 0; i-- {
 		tasks = append(tasks, func() {
-			sys := systems[i]()
+			sys := protocols.Lookup(names[i]).New(g, db)
 			sys.Converge(convergenceLimit)
 			delivered, through := 0, 0
 			legal := 0

@@ -6,10 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
-	"repro/internal/protocols/ecma"
-	"repro/internal/protocols/idrp"
-	"repro/internal/protocols/lshh"
-	"repro/internal/protocols/orwg"
+	"repro/internal/protocols"
 )
 
 // E1RouteAvailability sweeps policy restrictiveness and measures, for each
@@ -41,15 +38,9 @@ func e1Rows(seed int64) rows {
 			SourceFraction:        0.5,
 		})
 		oracle := core.NewOracle(g, db)
-		systems := [5]func() core.System{
-			func() core.System { return idrp.New(g, db, idrp.Config{Seed: seed, BGPMode: true}) },
-			func() core.System { return ecma.New(g, db, ecma.Config{Seed: seed}) },
-			func() core.System { return idrp.New(g, db, idrp.Config{Seed: seed}) },
-			func() core.System { return lshh.New(g, db, lshh.Config{Seed: seed}) },
-			func() core.System { return orwg.New(g, db, orwg.Config{Seed: seed}) },
-		}
-		for j, sys := range systems {
-			tasks = append(tasks, func() { results[i][j] = core.RunScenario(sys(), oracle, reqs, convergenceLimit) })
+		for j, name := range []string{"bgp", "ecma", "idrp", "lshh", "orwg"} {
+			d := protocols.Lookup(name)
+			tasks = append(tasks, func() { results[i][j] = core.RunScenario(d.New(g, db), oracle, reqs, convergenceLimit) })
 		}
 	}
 

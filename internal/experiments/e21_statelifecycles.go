@@ -75,7 +75,7 @@ func e21Rows(seed int64) rows {
 				g := base.Graph.Clone()
 				db := policy.OpenDB(g)
 				oracle := core.NewOracle(g, db)
-				sys := orwg.New(g, db, orwg.Config{Seed: seed, State: st})
+				sys := orwg.New(g, db, orwg.Config{State: st})
 				sys.Converge(convergenceLimit)
 
 				type flow struct {

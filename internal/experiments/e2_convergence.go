@@ -5,10 +5,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
+	"repro/internal/protocols"
 	"repro/internal/protocols/ecma"
-	"repro/internal/protocols/idrp"
-	"repro/internal/protocols/lshh"
-	"repro/internal/protocols/orwg"
 	"repro/internal/protocols/plaindv"
 	"repro/internal/sim"
 )
@@ -33,27 +31,17 @@ func e2Rows(seed int64) rows {
 		build func(g *ad.Graph, db *policy.DB) core.System
 	}
 	makers := []mk{
-		{"plain-dv(split-horizon)", func(g *ad.Graph, db *policy.DB) core.System {
-			return plaindv.New(g, plaindv.Config{SplitHorizon: true, Seed: seed})
-		}},
+		{"plain-dv(split-horizon)", protocols.Lookup("plain-dv").New},
 		{"plain-dv(no-split)", func(g *ad.Graph, db *policy.DB) core.System {
-			return plaindv.New(g, plaindv.Config{SplitHorizon: false, Seed: seed})
+			return plaindv.New(g, plaindv.Config{SplitHorizon: false})
 		}},
-		{"ecma", func(g *ad.Graph, db *policy.DB) core.System {
-			return ecma.New(g, db, ecma.Config{Seed: seed})
-		}},
+		{"ecma", protocols.Lookup("ecma").New},
 		{"ecma(no-ordering)", func(g *ad.Graph, db *policy.DB) core.System {
-			return ecma.New(g, db, ecma.Config{Seed: seed, DisableOrdering: true})
+			return ecma.New(g, db, ecma.Config{DisableOrdering: true})
 		}},
-		{"idrp", func(g *ad.Graph, db *policy.DB) core.System {
-			return idrp.New(g, db, idrp.Config{Seed: seed})
-		}},
-		{"ls-hop-by-hop", func(g *ad.Graph, db *policy.DB) core.System {
-			return lshh.New(g, db, lshh.Config{Seed: seed})
-		}},
-		{"orwg", func(g *ad.Graph, db *policy.DB) core.System {
-			return orwg.New(g, db, orwg.Config{Seed: seed})
-		}},
+		{"idrp", protocols.Lookup("idrp").New},
+		{"ls-hop-by-hop", protocols.Lookup("lshh").New},
+		{"orwg", protocols.Lookup("orwg").New},
 	}
 
 	cells := make([][]any, len(makers))
@@ -73,9 +61,7 @@ func e2Rows(seed int64) rows {
 			// unreachable, the worst case for DV withdrawal dynamics.
 			victim := singleHomedStubLink(g)
 			tFail := sys.Network().Now()
-			if f, ok := sys.(failer); ok {
-				_ = f.FailLink(victim.A, victim.B)
-			}
+			_ = sys.FailLink(victim.A, victim.B)
 			conv1, quiesced := sys.Converge(10 * convergenceLimit)
 			msgs1 := sys.Network().Stats.MessagesSent
 

@@ -45,9 +45,9 @@ func e4Rows(seed int64) rows {
 		})
 		oracle := core.NewOracle(g, db)
 		systems := [3]func() core.System{
-			func() core.System { return ecma.New(g, db, ecma.Config{Seed: seed, QOSClasses: q}) },
-			func() core.System { return idrp.New(g, db, idrp.Config{Seed: seed, QOSClasses: q}) },
-			func() core.System { return orwg.New(g, db, orwg.Config{Seed: seed}) },
+			func() core.System { return ecma.New(g, db, ecma.Config{QOSClasses: q}) },
+			func() core.System { return idrp.New(g, db, idrp.Config{QOSClasses: q}) },
+			func() core.System { return orwg.New(g, db, orwg.Config{}) },
 		}
 		for j, sys := range systems {
 			tasks = append(tasks, func() { results[i][j] = core.RunScenario(sys(), oracle, reqs, convergenceLimit) })

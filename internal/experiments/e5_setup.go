@@ -32,7 +32,7 @@ func e5Rows(seed int64) rows {
 	tasks := make([]func(), len(capacities))
 	for i, capacity := range capacities {
 		tasks[i] = func() {
-			sys := orwg.New(g, db, orwg.Config{Seed: seed, CacheCapacity: capacity})
+			sys := orwg.New(g, db, orwg.Config{CacheCapacity: capacity})
 			sys.Converge(convergenceLimit)
 
 			var rtts []float64

@@ -57,7 +57,7 @@ func e6Rows(seed int64) rows {
 	for ti := len(topos) - 1; ti >= 0; ti-- {
 		g := topos[ti].g
 		tasks = append(tasks, func() {
-			base := egp.New(g.Clone(), egp.Config{Seed: seed})
+			base := egp.New(g.Clone(), egp.Config{})
 			base.Converge(convergenceLimit)
 			initial[ti] = e6Evaluate(base, g)
 		})
@@ -67,7 +67,7 @@ func e6Rows(seed int64) rows {
 			failed[ti][mi] = make([][3]int, len(links))
 			for li, victim := range links {
 				tasks = append(tasks, func() {
-					sys := egp.New(g.Clone(), egp.Config{Seed: seed, NoFallback: mode.noFallback})
+					sys := egp.New(g.Clone(), egp.Config{NoFallback: mode.noFallback})
 					sys.Converge(convergenceLimit)
 					_ = sys.FailLink(victim.A, victim.B)
 					sys.Converge(10 * convergenceLimit)

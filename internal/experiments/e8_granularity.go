@@ -37,7 +37,7 @@ func e8Rows(seed int64) rows {
 				TermsPerTransit: granularity,
 			})
 			oracle := core.NewOracle(g, db)
-			sys := orwg.New(g, db, orwg.Config{Seed: seed})
+			sys := orwg.New(g, db, orwg.Config{})
 			sys.Converge(convergenceLimit)
 			floodBytes := sys.Network().Stats.BytesSent
 			work := 0

@@ -4,14 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/ad"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
-	"repro/internal/protocols/ecma"
-	"repro/internal/protocols/idrp"
-	"repro/internal/protocols/lshh"
-	"repro/internal/protocols/orwg"
-	"repro/internal/protocols/plaindv"
+	"repro/internal/protocols"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -50,16 +45,10 @@ func e9Rows(seed int64) rows {
 		g := topology.Generate(sizes[i]).Graph
 		db := policy.Generate(g, policy.GenConfig{Seed: seed + 1, SourceRestrictionProb: 0.3, SourceFraction: 0.5})
 		graphs[i] = g
-		systems := [5]func() core.System{
-			func() core.System { return plaindv.New(g.Clone(), plaindv.Config{SplitHorizon: true, Seed: seed}) },
-			func() core.System { return ecma.New(g.Clone(), db, ecma.Config{Seed: seed}) },
-			func() core.System { return idrp.New(g.Clone(), db, idrp.Config{Seed: seed}) },
-			func() core.System { return lshh.New(g.Clone(), db, lshh.Config{Seed: seed}) },
-			func() core.System { return orwg.New(g.Clone(), db, orwg.Config{Seed: seed}) },
-		}
-		for j, mk := range systems {
+		for j, name := range []string{"plain-dv", "ecma", "idrp", "lshh", "orwg"} {
+			d := protocols.Lookup(name)
 			tasks = append(tasks, func() {
-				sys := mk()
+				sys := d.New(g.Clone(), db)
 				conv, _ := sys.Converge(convergenceLimit)
 				st := sys.Network().Stats
 				runs[i][j] = outcome{sys.Name(), st.MessagesSent, st.BytesSent, conv}

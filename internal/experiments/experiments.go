@@ -21,11 +21,6 @@ import (
 // convergenceLimit bounds every protocol run.
 const convergenceLimit = 600 * sim.Second
 
-// failer is implemented by every system that supports failure injection.
-type failer interface {
-	FailLink(a, b ad.ID) error
-}
-
 // defaultTopology builds the common evaluation internet used by T1/E1: two
 // backbones, three regionals each, three campuses per regional, with
 // lateral, bypass, and multi-homing structure per the paper's model.

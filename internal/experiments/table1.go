@@ -3,27 +3,13 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/protocols/ecma"
-	"repro/internal/protocols/egp"
-	"repro/internal/protocols/filters"
-	"repro/internal/protocols/idrp"
-	"repro/internal/protocols/lshh"
-	"repro/internal/protocols/orwg"
-	"repro/internal/protocols/plaindv"
+	"repro/internal/protocols"
 )
 
-// designPoint annotates a system with its Table 1 coordinates.
-type designPoint struct {
-	sys       core.System
-	algorithm string // "DV" | "LS" | "—"
-	decision  string // "hop-by-hop" | "source"
-	policyIn  string // "topology" | "policy terms" | "none"
-}
-
-// table1Rows instantiates every design point on one topology and policy set;
-// each point's protocol run is one task. The topology, policy database,
-// oracle and request workload are shared read-only; each point's System owns
-// all state it mutates.
+// table1Rows runs every design point on one topology and policy set; each
+// point's construction and protocol run is one task. The topology, policy
+// database, oracle and request workload are shared read-only; each point's
+// System owns all state it mutates.
 func table1Rows(seed int64) rows {
 	topo := defaultTopology(seed)
 	g := topo.Graph
@@ -31,30 +17,19 @@ func table1Rows(seed int64) rows {
 	oracle := core.NewOracle(g, db)
 	reqs := core.AllPairsRequests(g, true, 0, 0)
 
-	points := []designPoint{
-		{plaindv.New(g, plaindv.Config{SplitHorizon: true, Seed: seed}), "DV", "hop-by-hop", "none"},
-		{egp.New(g, egp.Config{Seed: seed}), "DV", "hop-by-hop", "none"},
-		{filters.New(g, db, filters.Config{Seed: seed}), "—", "source", "filters"},
-		{ecma.New(g, db, ecma.Config{Seed: seed}), "DV", "hop-by-hop", "topology"},
-		{idrp.New(g, db, idrp.Config{Seed: seed, BGPMode: true}), "DV", "hop-by-hop", "local only"},
-		{idrp.New(g, db, idrp.Config{Seed: seed}), "DV", "hop-by-hop", "policy terms"},
-		{idrp.New(g, db, idrp.Config{Seed: seed, MultiRoute: 4}), "DV", "hop-by-hop", "policy terms"},
-		{lshh.New(g, db, lshh.Config{Seed: seed}), "LS", "hop-by-hop", "policy terms"},
-		{orwg.New(g, db, orwg.Config{Seed: seed}), "LS", "source", "policy terms"},
-	}
-	results := make([]core.Metrics, len(points))
-	tasks := make([]func(), len(points))
-	for i, p := range points {
-		tasks[i] = func() { results[i] = core.RunScenario(p.sys, oracle, reqs, convergenceLimit) }
+	results := make([]core.Metrics, len(protocols.Designs))
+	tasks := make([]func(), len(protocols.Designs))
+	for i, d := range protocols.Designs {
+		tasks[i] = func() { results[i] = core.RunScenario(d.New(g, db), oracle, reqs, convergenceLimit) }
 	}
 
 	return rows{tasks, func() *metrics.Table {
 		t := metrics.NewTable("Table 1 — inter-AD routing design space on a common internet",
 			"protocol", "algorithm", "decision", "policy", "availability", "illegal", "loops",
 			"messages", "bytes", "conv", "state", "computations")
-		for i, p := range points {
+		for i, d := range protocols.Designs {
 			m := results[i]
-			t.AddRow(m.Protocol, p.algorithm, p.decision, p.policyIn,
+			t.AddRow(m.Protocol, d.Algorithm, d.Decision, d.PolicyIn,
 				m.Availability(), m.DeliveredIllegal, m.Looped,
 				m.Messages, m.Bytes, m.ConvergenceTime.String(), m.StateEntries, m.Computations)
 		}

@@ -128,7 +128,7 @@ func (n *floodNode) LinkUp(nw *sim.Network, nb ad.ID)   { n.f.Originate(nw, nil)
 func buildFloodNet(t *testing.T) (*sim.Network, map[ad.ID]*floodNode) {
 	t.Helper()
 	topo := topology.Figure1()
-	nw := sim.NewNetwork(topo.Graph, 1)
+	nw := sim.NewNetwork(topo.Graph)
 	nodes := make(map[ad.ID]*floodNode)
 	for _, id := range topo.Graph.IDs() {
 		n := &floodNode{f: NewFlooder(id, "lsa")}
@@ -214,7 +214,7 @@ func TestFlooderScope(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nw := sim.NewNetwork(g, 1)
+	nw := sim.NewNetwork(g)
 	hubNode := &floodNode{f: NewFlooder(hub, "lsa")}
 	hubNode.f.Scope = func(nb ad.ID) bool { return nb == allowed }
 	allowedNode := &floodNode{f: NewFlooder(allowed, "lsa")}
@@ -274,7 +274,7 @@ func TestAllocsFloodDuplicate(t *testing.T) {
 	if err := g.AddLink(ad.Link{A: a, B: b}); err != nil {
 		t.Fatal(err)
 	}
-	nw := sim.NewNetwork(g, 1)
+	nw := sim.NewNetwork(g)
 	f := NewFlooder(a, "lsa")
 	lsa := &wire.LSA{
 		Origin: b, Seq: 3,

@@ -21,7 +21,7 @@ func BenchmarkLargeECMAConvergence(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys := New(topo.Graph.Clone(), db, Config{Seed: 42})
+		sys := New(topo.Graph.Clone(), db, Config{})
 		if _, ok := sys.Converge(600 * sim.Second); !ok {
 			b.Fatal("did not converge")
 		}

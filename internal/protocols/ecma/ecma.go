@@ -29,8 +29,6 @@ import (
 
 // Config parameterizes the protocol.
 type Config struct {
-	// Seed fixes the network RNG.
-	Seed int64
 	// QOSClasses is the number of per-QOS FIBs each AD maintains.
 	QOSClasses int
 	// DisableOrdering turns off the up/down rule (ablation): the
@@ -82,7 +80,7 @@ func NewWithOrdering(g *ad.Graph, db *policy.DB, order ordering.Ordering, cfg Co
 	cfg = cfg.Normalize()
 	s := &System{
 		cfg:   cfg,
-		nw:    sim.NewNetwork(g, cfg.Seed),
+		nw:    sim.NewNetwork(g),
 		order: order,
 		nodes: make(map[ad.ID]*node),
 	}

@@ -273,7 +273,7 @@ func TestOrderingPreventsCountToInfinity(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() uint64 {
 		topo := topology.Figure1()
-		s := New(topo.Graph, policy.OpenDB(topo.Graph), Config{Seed: 3})
+		s := New(topo.Graph, policy.OpenDB(topo.Graph), Config{})
 		s.Converge(seconds(300))
 		return s.Network().Stats.MessagesSent
 	}

@@ -26,8 +26,6 @@ import (
 
 // Config parameterizes the baseline.
 type Config struct {
-	// Seed fixes the network RNG.
-	Seed int64
 	// NoFallback disables the stale-advertiser fallback after a link
 	// failure, modelling EGP's actual deployment style: statically
 	// configured reachability that blackholes rather than adapts. With
@@ -54,7 +52,7 @@ type System struct {
 func New(g *ad.Graph, cfg Config) *System {
 	s := &System{
 		cfg:   cfg,
-		nw:    sim.NewNetwork(g, cfg.Seed),
+		nw:    sim.NewNetwork(g),
 		nodes: make(map[ad.ID]*node),
 	}
 	for _, id := range g.IDs() {

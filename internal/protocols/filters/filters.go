@@ -28,8 +28,6 @@ const ackBit = uint64(1) << 63
 
 // Config parameterizes the baseline.
 type Config struct {
-	// Seed fixes the network RNG.
-	Seed int64
 	// MaxCandidates bounds how many distinct source routes a source
 	// tries before giving up.
 	MaxCandidates int
@@ -86,7 +84,7 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 	cfg = cfg.Normalize()
 	s := &System{
 		cfg:    cfg,
-		nw:     sim.NewNetwork(g, cfg.Seed),
+		nw:     sim.NewNetwork(g),
 		db:     db,
 		openDB: policy.OpenDB(g),
 		nodes:  make(map[ad.ID]*node),
@@ -111,6 +109,11 @@ func (s *System) Network() *sim.Network { return s.nw }
 func (s *System) Converge(limit sim.Time) (sim.Time, bool) {
 	return 0, true
 }
+
+// FailLink injects a link failure. Gateways keep no routing state, so
+// nothing reconverges: a later probe over the dead link is dropped, and the
+// source learns of it the way it learns of a filter, by timeout.
+func (s *System) FailLink(a, b ad.ID) error { return s.nw.FailLink(a, b) }
 
 // Discover runs the source's trial-and-error process for req.
 func (s *System) Discover(req policy.Request) Discovery {

@@ -131,3 +131,33 @@ func TestComparedWithORWGOnFigure1(t *testing.T) {
 		t.Error("restricted policies caused no drops — baseline inert")
 	}
 }
+
+// TestFailLinkCutsOnlyUplink: a stub reached only through t2 is delivered
+// to until that uplink fails; after it, every probe is lost on the dead link
+// and the source gives up, one timeout per attempt.
+func TestFailLinkCutsOnlyUplink(t *testing.T) {
+	g, _, src, _, t2, _ := twoPathNet(t)
+	e := g.AddAD("e", ad.Stub, ad.Campus)
+	if err := g.AddLink(ad.Link{A: t2, B: e, Cost: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s := New(g, policy.OpenDB(g), Config{Timeout: 50 * sim.Millisecond})
+	req := policy.Request{Src: src, Dst: e}
+	if out := s.Route(req); !out.Delivered {
+		t.Fatalf("before the failure: %+v", out)
+	}
+	if err := s.FailLink(t2, e); err != nil {
+		t.Fatal(err)
+	}
+	lost := s.Network().Stats.MessagesDropped
+	disc := s.Discover(req)
+	if disc.Delivered {
+		t.Fatalf("delivered over a failed uplink: %+v", disc)
+	}
+	if s.Network().Stats.MessagesDropped == lost {
+		t.Error("no probe was lost on the failed link")
+	}
+	if disc.Latency < sim.Time(disc.Attempts)*50*sim.Millisecond {
+		t.Errorf("latency %v < attempts x timeout", disc.Latency)
+	}
+}

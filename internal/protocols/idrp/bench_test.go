@@ -23,7 +23,7 @@ func BenchmarkIDRPConverge(b *testing.B) {
 	b.ResetTimer()
 	var st *sim.Stats
 	for i := 0; i < b.N; i++ {
-		s := New(topo.Graph.Clone(), db, Config{Seed: 42})
+		s := New(topo.Graph.Clone(), db, Config{})
 		if _, ok := s.Converge(600 * sim.Second); !ok {
 			b.Fatal("did not converge")
 		}

@@ -31,8 +31,6 @@ import (
 
 // Config parameterizes the protocol.
 type Config struct {
-	// Seed fixes the network RNG.
-	Seed int64
 	// MultiRoute is the maximum number of attribute-distinct routes
 	// advertised per (destination, QOS). 1 is classic IDRP/BGP-2.
 	MultiRoute int
@@ -127,7 +125,7 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 	cfg = cfg.Normalize()
 	s := &System{
 		cfg:   cfg,
-		nw:    sim.NewNetwork(g, cfg.Seed),
+		nw:    sim.NewNetwork(g),
 		nodes: make(map[ad.ID]*node),
 		marks: make(map[ribKey]mark),
 	}

@@ -275,7 +275,7 @@ func TestNameAndDeterminism(t *testing.T) {
 	}
 	run := func() uint64 {
 		topo := topology.Figure1()
-		s := New(topo.Graph, policy.OpenDB(topo.Graph), Config{Seed: 5})
+		s := New(topo.Graph, policy.OpenDB(topo.Graph), Config{})
 		s.Converge(seconds(300))
 		return s.Network().Stats.MessagesSent
 	}

@@ -27,8 +27,6 @@ import (
 
 // Config parameterizes the protocol.
 type Config struct {
-	// Seed fixes the network RNG.
-	Seed int64
 	// InconsistentTieBreak makes odd-ID ADs minimize hop count instead
 	// of policy cost — the consistency-violation ablation.
 	InconsistentTieBreak bool
@@ -46,7 +44,7 @@ type System struct {
 func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 	s := &System{
 		cfg:   cfg,
-		nw:    sim.NewNetwork(g, cfg.Seed),
+		nw:    sim.NewNetwork(g),
 		db:    db,
 		nodes: make(map[ad.ID]*node),
 	}

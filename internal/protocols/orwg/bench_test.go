@@ -29,7 +29,7 @@ func BenchmarkORWGConvergence(b *testing.B) {
 	topo, db := benchTopo()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys := New(topo.Graph.Clone(), db, Config{Seed: 42})
+		sys := New(topo.Graph.Clone(), db, Config{})
 		conv, _ := sys.Converge(600 * sim.Second)
 		sink += int(conv)
 	}
@@ -37,7 +37,7 @@ func BenchmarkORWGConvergence(b *testing.B) {
 
 func BenchmarkORWGEstablish(b *testing.B) {
 	topo, db := benchTopo()
-	sys := New(topo.Graph, db, Config{Seed: 42})
+	sys := New(topo.Graph, db, Config{})
 	sys.Converge(600 * sim.Second)
 	reqs := core.AllPairsRequests(topo.Graph, true, 0, 0)
 	b.ResetTimer()
@@ -61,7 +61,7 @@ func BenchmarkLargeFloodingConvergence(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys := New(topo.Graph.Clone(), db, Config{Seed: 42})
+		sys := New(topo.Graph.Clone(), db, Config{})
 		conv, ok := sys.Converge(600 * sim.Second)
 		if !ok {
 			b.Fatal("did not converge")

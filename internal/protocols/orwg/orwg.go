@@ -53,8 +53,6 @@ const (
 
 // Config parameterizes the system.
 type Config struct {
-	// Seed fixes the network RNG.
-	Seed int64
 	// Strategy is the route-server synthesis strategy.
 	Strategy StrategyKind
 	// HotRequests seeds the precomputed/hybrid strategies.
@@ -141,7 +139,7 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 	cfg = cfg.Normalize()
 	s := &System{
 		cfg:   cfg,
-		nw:    sim.NewNetwork(g, cfg.Seed),
+		nw:    sim.NewNetwork(g),
 		db:    db,
 		nodes: make(map[ad.ID]*node),
 	}

@@ -23,8 +23,6 @@ type Config struct {
 	// SplitHorizon suppresses advertising a route back to the neighbor
 	// it was learned from.
 	SplitHorizon bool
-	// Seed fixes the network RNG.
-	Seed int64
 }
 
 // flushDelay batches triggered updates dirtied within a small window.
@@ -57,7 +55,7 @@ type System struct {
 func New(g *ad.Graph, cfg Config) *System {
 	s := &System{
 		cfg:   cfg,
-		nw:    sim.NewNetwork(g, cfg.Seed),
+		nw:    sim.NewNetwork(g),
 		nodes: make(map[ad.ID]*node),
 	}
 	for _, id := range g.IDs() {

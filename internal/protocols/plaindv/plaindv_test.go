@@ -210,7 +210,7 @@ func TestIgnoresPolicy(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() (uint64, sim.Time) {
 		topo := topology.Figure1()
-		s := New(topo.Graph, Config{SplitHorizon: true, Seed: 7})
+		s := New(topo.Graph, Config{SplitHorizon: true})
 		conv, _ := s.Converge(time(120))
 		return s.Network().Stats.MessagesSent, conv
 	}

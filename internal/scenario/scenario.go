@@ -18,11 +18,11 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/policytool"
+	"repro/internal/protocols"
 	"repro/internal/protocols/ecma"
 	"repro/internal/protocols/egp"
 	"repro/internal/protocols/filters"
 	"repro/internal/protocols/idrp"
-	"repro/internal/protocols/lshh"
 	"repro/internal/protocols/orwg"
 	"repro/internal/protocols/plaindv"
 	"repro/internal/sim"
@@ -141,19 +141,19 @@ func (ts TermSpec) toTerm() policy.Term {
 
 // ProtocolSpec names the architecture and its knobs.
 type ProtocolSpec struct {
+	// Name is a name of protocols.Designs.
 	Name string `json:"name"`
-	// Shared knobs; each protocol reads the ones it understands.
-	Seed            int64   `json:"seed,omitempty"`
-	SplitHorizon    *bool   `json:"split_horizon,omitempty"`
-	MultiRoute      int     `json:"multi_route,omitempty"`
-	QOSClasses      int     `json:"qos_classes,omitempty"`
-	DisableOrdering bool    `json:"disable_ordering,omitempty"`
-	CacheCapacity   int     `json:"cache_capacity,omitempty"`
-	Strategy        string  `json:"strategy,omitempty"`
-	TimeoutMS       int64   `json:"timeout_ms,omitempty"`
-	NoFallback      bool    `json:"no_fallback,omitempty"`
-	MaxCandidates   int     `json:"max_candidates,omitempty"`
-	Restriction     float64 `json:"-"`
+	// Shared knobs; each protocol reads the ones it understands, and a
+	// design that takes none runs at its Table 1 configuration.
+	SplitHorizon    *bool  `json:"split_horizon,omitempty"`
+	MultiRoute      int    `json:"multi_route,omitempty"`
+	QOSClasses      int    `json:"qos_classes,omitempty"`
+	DisableOrdering bool   `json:"disable_ordering,omitempty"`
+	CacheCapacity   int    `json:"cache_capacity,omitempty"`
+	Strategy        string `json:"strategy,omitempty"`
+	TimeoutMS       int64  `json:"timeout_ms,omitempty"`
+	NoFallback      bool   `json:"no_fallback,omitempty"`
+	MaxCandidates   int    `json:"max_candidates,omitempty"`
 }
 
 // Event is one timeline entry, applied after the previous phase converges.
@@ -304,35 +304,30 @@ func (sc *Scenario) build() (*ad.Graph, *policy.DB, core.System, []policy.Reques
 	var sys core.System
 	switch p.Name {
 	case "plain-dv":
-		split := true
-		if p.SplitHorizon != nil {
-			split = *p.SplitHorizon
-		}
-		sys = plaindv.New(g, plaindv.Config{SplitHorizon: split, Seed: p.Seed})
+		split := p.SplitHorizon == nil || *p.SplitHorizon
+		sys = plaindv.New(g, plaindv.Config{SplitHorizon: split})
 	case "egp":
-		sys = egp.New(g, egp.Config{Seed: p.Seed, NoFallback: p.NoFallback})
+		sys = egp.New(g, egp.Config{NoFallback: p.NoFallback})
 	case "filters":
 		sys = filters.New(g, db, filters.Config{
-			Seed:          p.Seed,
 			Timeout:       sim.Time(p.TimeoutMS) * sim.Millisecond,
 			MaxCandidates: p.MaxCandidates,
 		})
 	case "ecma":
-		sys = ecma.New(g, db, ecma.Config{Seed: p.Seed, QOSClasses: p.QOSClasses, DisableOrdering: p.DisableOrdering})
+		sys = ecma.New(g, db, ecma.Config{QOSClasses: p.QOSClasses, DisableOrdering: p.DisableOrdering})
 	case "idrp":
-		sys = idrp.New(g, db, idrp.Config{Seed: p.Seed, MultiRoute: p.MultiRoute, QOSClasses: p.QOSClasses})
-	case "bgp":
-		sys = idrp.New(g, db, idrp.Config{Seed: p.Seed, BGPMode: true})
-	case "lshh":
-		sys = lshh.New(g, db, lshh.Config{Seed: p.Seed})
+		sys = idrp.New(g, db, idrp.Config{MultiRoute: p.MultiRoute, QOSClasses: p.QOSClasses})
 	case "orwg":
 		sys = orwg.New(g, db, orwg.Config{
-			Seed:          p.Seed,
 			Strategy:      orwg.StrategyKind(p.Strategy),
 			CacheCapacity: p.CacheCapacity,
 		})
 	default:
-		return nil, nil, nil, nil, fmt.Errorf("scenario: unknown protocol %q", p.Name)
+		d := protocols.Lookup(p.Name)
+		if d == nil {
+			return nil, nil, nil, nil, fmt.Errorf("scenario: unknown protocol %q", p.Name)
+		}
+		sys = d.New(g, db)
 	}
 
 	if _, err := sc.Ops(g, db); err != nil {
@@ -486,11 +481,7 @@ func (sc *Scenario) Run(w io.Writer) error {
 		label := fmt.Sprintf("event %d: %s", i+1, ev.Action)
 		switch ev.Action {
 		case "fail":
-			f, ok := sys.(interface{ FailLink(a, b ad.ID) error })
-			if !ok {
-				return fmt.Errorf("scenario: %s does not support failures", sys.Name())
-			}
-			if err := f.FailLink(ad.ID(ev.A), ad.ID(ev.B)); err != nil {
+			if err := sys.FailLink(ad.ID(ev.A), ad.ID(ev.B)); err != nil {
 				return fmt.Errorf("scenario: event %d: %w", i+1, err)
 			}
 			label = fmt.Sprintf("event %d: fail %v-%v", i+1, ad.ID(ev.A), ad.ID(ev.B))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/policy"
+	"repro/internal/protocols"
 	"repro/internal/wire"
 )
 
@@ -110,16 +111,19 @@ func TestUpdatePolicyRequiresORWG(t *testing.T) {
 	}
 }
 
+// TestAllProtocolsRunnable: every design of the registry runs from its bare
+// name, a link failure included.
 func TestAllProtocolsRunnable(t *testing.T) {
-	for _, proto := range []string{"plain-dv", "egp", "filters", "ecma", "idrp", "lshh", "orwg"} {
+	for _, d := range protocols.Designs {
 		out := run(t, `{
 			"topology": {"figure1": true},
 			"policy": {"open": true},
-			"protocol": {"name": "`+proto+`"},
+			"protocol": {"name": "`+d.Name+`"},
+			"events": [{"action": "fail", "a": 4, "b": 5}],
 			"requests": {"all_stub_pairs": true}
 		}`)
-		if !strings.Contains(out, "initial") {
-			t.Errorf("%s: no report", proto)
+		if !strings.Contains(out, "initial") || !strings.Contains(out, "fail AD4-AD5") {
+			t.Errorf("%s: no report", d.Name)
 		}
 	}
 }
@@ -133,6 +137,8 @@ func TestLoadErrors(t *testing.T) {
 		`{"topology": {"figure1": true}, "policy": {"open": true}, "protocol": {"name": "nope"}, "requests": {"all_pairs": true}}`,
 		`{"topology": {"figure1": true}, "policy": {"open": true}, "protocol": {"name": "orwg"}, "requests": {}}`,
 		`{"topology": {"figure1": true}, "policy": {"terms": [{"advertiser": 1, "sources": "x"}]}, "protocol": {"name": "orwg"}, "requests": {"all_pairs": true}}`,
+		// The protocol takes no seed: nothing in a simulation draws from one.
+		`{"topology": {"figure1": true}, "policy": {"open": true}, "protocol": {"name": "orwg", "seed": 1}, "requests": {"all_pairs": true}}`,
 		// A second value after a valid scenario is not silently dropped.
 		`{"topology": {"figure1": true}, "policy": {"open": true}, "protocol": {"name": "orwg"}, "requests": {"explicit": [{"src": 1, "dst": 2}]}} {"bogus": 1} trailing junk`,
 	}

@@ -21,7 +21,7 @@ func largeGraph() *ad.Graph {
 // caches each AD's live adjacency.
 func BenchmarkNetworkUpNeighbors(b *testing.B) {
 	g := largeGraph()
-	nw := NewNetwork(g, 42)
+	nw := NewNetwork(g)
 	ids := g.IDs()
 	n := 0
 	b.ReportAllocs()
@@ -39,7 +39,7 @@ func BenchmarkNetworkUpNeighbors(b *testing.B) {
 // which recycles payload buffers.
 func BenchmarkNetworkFlood(b *testing.B) {
 	g := largeGraph()
-	nw := NewNetwork(g, 42)
+	nw := NewNetwork(g)
 	hub := g.IDs()[0]
 	for _, id := range g.IDs() {
 		if g.Degree(id) > g.Degree(hub) {

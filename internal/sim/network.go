@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/ad"
@@ -75,7 +74,6 @@ type Network struct {
 	// FailLink clears both directed entries so a restored link starts
 	// with an idle transmitter instead of inheriting pre-failure backlog.
 	busyUntil map[[2]ad.ID]Time
-	rng       *rand.Rand
 
 	// free recycles the in-flight records the event queue carries, each
 	// with its payload buffer. The Node contract forbids retaining the
@@ -101,9 +99,7 @@ type Network struct {
 }
 
 // NewNetwork builds a network over graph with all links initially up.
-// Seed fixes the RNG for any randomized behaviour (delivery jitter is off by
-// default, so most runs never consume randomness).
-func NewNetwork(g *ad.Graph, seed int64) *Network {
+func NewNetwork(g *ad.Graph) *Network {
 	return &Network{
 		Engine:       NewEngine(),
 		Graph:        g,
@@ -112,7 +108,6 @@ func NewNetwork(g *ad.Graph, seed int64) *Network {
 		down:         make(map[[2]ad.ID]bool),
 		linkEpoch:    make(map[[2]ad.ID]uint64),
 		busyUntil:    make(map[[2]ad.ID]Time),
-		rng:          rand.New(rand.NewSource(seed)),
 		DefaultDelay: 10 * Millisecond,
 	}
 }

@@ -108,7 +108,7 @@ func twoNodeNet(t *testing.T) (*Network, *echoNode, *echoNode) {
 	if err := g.AddLink(ad.Link{A: a, B: b, DelayMicros: int64(5 * Millisecond)}); err != nil {
 		t.Fatal(err)
 	}
-	nw := NewNetwork(g, 1)
+	nw := NewNetwork(g)
 	na := &echoNode{id: a}
 	nb := &echoNode{id: b}
 	nw.AddNode(na)
@@ -231,7 +231,7 @@ func TestNetworkFlood(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nw := NewNetwork(g, 1)
+	nw := NewNetwork(g)
 	hn := &echoNode{id: hub}
 	nw.AddNode(hn)
 	var leafNodes []*echoNode
@@ -328,7 +328,7 @@ func TestRunToQuiescenceStartsOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nw := NewNetwork(g, 1)
+	nw := NewNetwork(g)
 	var order []ad.ID
 	var nodes []*startNode
 	ids := g.IDs()
@@ -416,7 +416,7 @@ func TestSerializationDelayAndFIFO(t *testing.T) {
 	if err := g.AddLink(ad.Link{A: a, B: b, DelayMicros: int64(1 * Millisecond), BandwidthBps: 8000}); err != nil {
 		t.Fatal(err)
 	}
-	nw := NewNetwork(g, 1)
+	nw := NewNetwork(g)
 	var arrivals []Time
 	var order []byte
 	nb := &recordNode{id: b, onRecv: func(p []byte, at Time) {
@@ -457,7 +457,7 @@ func bandwidthPair(t *testing.T) (*Network, ad.ID, ad.ID) {
 	if err := g.AddLink(ad.Link{A: a, B: b, DelayMicros: int64(1 * Millisecond), BandwidthBps: 8000}); err != nil {
 		t.Fatal(err)
 	}
-	return NewNetwork(g, 1), a, b
+	return NewNetwork(g), a, b
 }
 
 func TestFailLinkResetsTransmitterState(t *testing.T) {
@@ -534,7 +534,7 @@ func TestLastSendMonotoneAcrossLinks(t *testing.T) {
 	if err := g.AddLink(ad.Link{A: a, B: c, DelayMicros: int64(Millisecond)}); err != nil {
 		t.Fatal(err)
 	}
-	nw := NewNetwork(g, 1)
+	nw := NewNetwork(g)
 	nw.Send("slow", a, b, make([]byte, 100)) // clocks out at 100ms
 	nw.Send("fast", a, c, []byte("x"))       // clocks out immediately
 	if nw.lastSend != 100*Millisecond {
@@ -651,7 +651,7 @@ func TestAllocsSimSendMessage(t *testing.T) {
 	if err := g.AddLink(ad.Link{A: a, B: b}); err != nil {
 		t.Fatal(err)
 	}
-	nw := NewNetwork(g, 1)
+	nw := NewNetwork(g)
 	msg := &wire.PathVector{}
 	for i := 0; i < 20; i++ {
 		msg.Routes = append(msg.Routes, wire.PVRoute{
