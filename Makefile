@@ -70,11 +70,12 @@ race:
 
 # The testing.AllocsPerRun pins on the session fast path, the search kernel,
 # policy.ADSet, the simulator's message path (a warm SendMessage and
-# delivery, a stale flooded copy, IDRP's tie-break) and a small PG table's
-# first slab skip themselves under -race (its instrumentation allocates), so
-# they get a pass without.
+# delivery, a stale flooded copy, IDRP's tie-break, a distance-vector
+# table's Get/Set/Learn/Poison) and a small PG table's first slab skip
+# themselves under -race (its instrumentation allocates), so they get a
+# pass without.
 allocs:
-	$(GO) test -run 'Allocs' ./internal/wire/ ./internal/routeserver/daemon/ ./internal/synthesis/ ./internal/policy/ ./internal/sim/ ./internal/flood/ ./internal/pgstate/ ./internal/protocols/idrp/
+	$(GO) test -run 'Allocs' ./internal/wire/ ./internal/routeserver/daemon/ ./internal/synthesis/ ./internal/policy/ ./internal/sim/ ./internal/flood/ ./internal/pgstate/ ./internal/protocols/idrp/ ./internal/dvcore/
 
 # One synthesis per key per epoch is what makes the E20-E25 counters and the
 # parallel runner's output independent of scheduling; the window that broke
@@ -193,11 +194,19 @@ bench-cache:
 
 # bench-sim is the discrete-event protocol layer repro_suite times, five
 # samples each: E10's 320-constraint row, 200 negotiations over 60 ADs
-# (rounds/op is that row's total and must not move), and one IDRP cold start
+# (rounds/op is that row's total and must not move); the layers under every
+# protocol: neighbour lookup in the position-indexed graph, a flood through
+# the network's edge-indexed send and delivery, and a PG table's soft
+# install and expiry sweep (each with its link index); ECMA's cold start on
+# a ~350-AD internet (its distance-vector tables); and one IDRP cold start
 # to quiescence on E9's largest internet (messages/op and wire-bytes/op are
 # E9's idrp row and must not move either).
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkNegotiate$$' -benchmem -count 5 ./internal/ordering/
+	$(GO) test -run '^$$' -bench 'BenchmarkGraphNeighbors$$' -benchmem -count 5 ./internal/ad/
+	$(GO) test -run '^$$' -bench 'BenchmarkNetworkFlood$$' -benchmem -count 5 ./internal/sim/
+	$(GO) test -run '^$$' -bench 'BenchmarkInstallSoft$$|BenchmarkExpireDueSweep$$' -benchmem -count 5 ./internal/pgstate/
+	$(GO) test -run '^$$' -bench 'BenchmarkLargeECMAConvergence$$' -benchmem -count 5 ./internal/protocols/ecma/
 	$(GO) test -run '^$$' -bench 'BenchmarkIDRPConverge$$' -benchmem -count 5 ./internal/protocols/idrp/
 
 # bench-suite is what repro_suite runs, experiment by experiment, five

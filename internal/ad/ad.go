@@ -10,8 +10,8 @@ package ad
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -181,37 +181,68 @@ func (l Link) Other(id ID) (ID, bool) {
 // Graph is the AD-level topology: a set of ADs and undirected links.
 // The zero value is an empty graph ready for use via AddAD/AddLink.
 type Graph struct {
-	ads    map[ID]Info
-	links  map[[2]ID]Link
-	nextID ID
-	// sortedAdj holds each AD's neighbor IDs in ascending order and adj its
-	// incident links in the same order (adj[id][i] leads to sortedAdj[id][i]).
-	// Both are maintained incrementally by AddLink/RemoveLink (never lazily),
-	// so concurrent readers of a finished graph need no synchronization.
-	sortedAdj map[ID][]ID
-	adj       map[ID][]Link
+	// ids holds the AD IDs in ascending order. An AD's position is its
+	// index there (see Position), and info, nbrs and adj are indexed by
+	// position: nbrs[p] holds p's neighbour IDs in ascending order and
+	// adj[p] its incident links in the same order (adj[p][i] leads to
+	// nbrs[p][i]). The mutators maintain all of it eagerly (never
+	// lazily), so concurrent readers of a finished graph need no
+	// synchronization, and sparse IDs cost memory by AD count, not by ID.
+	ids      []ID
+	info     []Info
+	nbrs     [][]ID
+	adj      [][]Link
+	numLinks int
 	// version counts mutations; see Version.
 	version uint64
 }
 
 // NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	return &Graph{
-		ads:       make(map[ID]Info),
-		adj:       make(map[ID][]Link),
-		links:     make(map[[2]ID]Link),
-		nextID:    1,
-		sortedAdj: make(map[ID][]ID),
+func NewGraph() *Graph { return &Graph{} }
+
+// Position returns id's index in ids, an ascending ID list, or -1 when ids
+// does not hold it. Topology builders number ADs 1..n without gaps, so
+// ids[id-1] == id is tried before a binary search. It is the one rule by
+// which every structure laid out in a graph's ID order finds an AD.
+func Position(ids []ID, id ID) int {
+	if i := int(id) - 1; i >= 0 && i < len(ids) && ids[i] == id {
+		return i
 	}
+	if i, ok := slices.BinarySearch(ids, id); ok {
+		return i
+	}
+	return -1
 }
 
-// AddAD inserts a new AD with the next free ID and returns it.
+// position returns id's index in ids, or -1 when the graph has no such AD.
+func (g *Graph) position(id ID) int { return Position(g.ids, id) }
+
+// AddAD inserts a new AD and returns its ID: one above the highest ID in
+// use or, once that would pass MaxUint32, the lowest free ID. It never
+// returns Invalid or an ID in use.
 func (g *Graph) AddAD(name string, class Class, level Level) ID {
-	id := g.nextID
-	g.nextID++
-	g.ads[id] = Info{ID: id, Name: name, Class: class, Level: level}
-	g.version++
+	id, p := g.freeID()
+	g.insertAD(p, Info{ID: id, Name: name, Class: class, Level: level})
 	return id
+}
+
+// freeID returns the ID AddAD hands out and the position it takes.
+func (g *Graph) freeID() (ID, int) {
+	n := len(g.ids)
+	if n == 0 {
+		return 1, 0
+	}
+	if last := g.ids[n-1]; last < math.MaxUint32 {
+		return last + 1, n
+	}
+	// ids[:i] is 1..i, so the first position whose ID is not i+1 is
+	// where the lowest free ID goes.
+	for i, id := range g.ids {
+		if id != ID(i+1) {
+			return ID(i + 1), i
+		}
+	}
+	panic("ad: every AD ID is in use")
 }
 
 // AddADWithID inserts an AD with a caller-chosen ID. It returns an error if
@@ -220,15 +251,21 @@ func (g *Graph) AddADWithID(id ID, name string, class Class, level Level) error 
 	if id == Invalid {
 		return fmt.Errorf("ad: cannot add AD with the invalid ID")
 	}
-	if _, ok := g.ads[id]; ok {
+	p, dup := slices.BinarySearch(g.ids, id)
+	if dup {
 		return fmt.Errorf("ad: duplicate AD ID %v", id)
 	}
-	g.ads[id] = Info{ID: id, Name: name, Class: class, Level: level}
-	if id >= g.nextID {
-		g.nextID = id + 1
-	}
-	g.version++
+	g.insertAD(p, Info{ID: id, Name: name, Class: class, Level: level})
 	return nil
+}
+
+// insertAD files info, with no links, at position p.
+func (g *Graph) insertAD(p int, info Info) {
+	g.ids = slices.Insert(g.ids, p, info.ID)
+	g.info = slices.Insert(g.info, p, info)
+	g.nbrs = slices.Insert(g.nbrs, p, nil)
+	g.adj = slices.Insert(g.adj, p, nil)
+	g.version++
 }
 
 // AddLink inserts an undirected link. It returns an error if either endpoint
@@ -238,53 +275,51 @@ func (g *Graph) AddLink(l Link) error {
 	if l.A == l.B {
 		return fmt.Errorf("ad: self-link at %v", l.A)
 	}
-	if _, ok := g.ads[l.A]; !ok {
+	pa, pb := g.position(l.A), g.position(l.B)
+	if pa < 0 {
 		return fmt.Errorf("ad: link endpoint %v unknown", l.A)
 	}
-	if _, ok := g.ads[l.B]; !ok {
+	if pb < 0 {
 		return fmt.Errorf("ad: link endpoint %v unknown", l.B)
 	}
-	key := [2]ID{l.A, l.B}
-	if _, ok := g.links[key]; ok {
+	if _, dup := slices.BinarySearch(g.nbrs[pa], l.B); dup {
 		return fmt.Errorf("ad: duplicate link %v-%v", l.A, l.B)
 	}
 	if l.Cost == 0 {
 		l.Cost = 1
 	}
-	g.links[key] = l
-	g.attach(l.A, l.B, l)
-	g.attach(l.B, l.A, l)
+	g.attach(pa, l.B, l)
+	g.attach(pb, l.A, l)
+	g.numLinks++
 	g.version++
 	return nil
 }
 
-// attach files link l, which leads from id to nb, at nb's place in id's
-// sorted adjacency.
-func (g *Graph) attach(id, nb ID, l Link) {
-	i, _ := slices.BinarySearch(g.sortedAdj[id], nb)
-	g.sortedAdj[id] = slices.Insert(g.sortedAdj[id], i, nb)
-	g.adj[id] = slices.Insert(g.adj[id], i, l)
+// attach files link l, which leads from position p to nb, at nb's place in
+// p's sorted adjacency.
+func (g *Graph) attach(p int, nb ID, l Link) {
+	i, _ := slices.BinarySearch(g.nbrs[p], nb)
+	g.nbrs[p] = slices.Insert(g.nbrs[p], i, nb)
+	g.adj[p] = slices.Insert(g.adj[p], i, l)
 }
 
-// detach drops nb and the link to it from id's sorted adjacency.
-func (g *Graph) detach(id, nb ID) {
-	if i, ok := slices.BinarySearch(g.sortedAdj[id], nb); ok {
-		g.sortedAdj[id] = slices.Delete(g.sortedAdj[id], i, i+1)
-		g.adj[id] = slices.Delete(g.adj[id], i, i+1)
+// detach drops nb and the link to it from position p's adjacency.
+func (g *Graph) detach(p int, nb ID) {
+	if i, ok := slices.BinarySearch(g.nbrs[p], nb); ok {
+		g.nbrs[p] = slices.Delete(g.nbrs[p], i, i+1)
+		g.adj[p] = slices.Delete(g.adj[p], i, i+1)
 	}
 }
 
 // RemoveLink deletes the link between a and b if present, reporting whether
 // it existed. It is used by failure-injection scenarios.
 func (g *Graph) RemoveLink(a, b ID) bool {
-	l := Link{A: a, B: b}.Canonical()
-	key := [2]ID{l.A, l.B}
-	if _, ok := g.links[key]; !ok {
+	if !g.HasLink(a, b) {
 		return false
 	}
-	delete(g.links, key)
-	g.detach(l.A, l.B)
-	g.detach(l.B, l.A)
+	g.detach(g.position(a), b)
+	g.detach(g.position(b), a)
+	g.numLinks--
 	g.version++
 	return true
 }
@@ -297,112 +332,115 @@ func (g *Graph) Version() uint64 { return g.version }
 
 // AD returns the Info for id and whether it exists.
 func (g *Graph) AD(id ID) (Info, bool) {
-	info, ok := g.ads[id]
-	return info, ok
+	if p := g.position(id); p >= 0 {
+		return g.info[p], true
+	}
+	return Info{}, false
 }
 
 // HasLink reports whether an undirected link between a and b exists.
 func (g *Graph) HasLink(a, b ID) bool {
-	l := Link{A: a, B: b}.Canonical()
-	_, ok := g.links[[2]ID{l.A, l.B}]
+	_, ok := g.LinkBetween(a, b)
 	return ok
 }
 
-// LinkBetween returns the link between a and b, if any.
+// LinkBetween returns the link between a and b, if any: a binary search in
+// a's sorted adjacency.
 func (g *Graph) LinkBetween(a, b ID) (Link, bool) {
-	l := Link{A: a, B: b}.Canonical()
-	link, ok := g.links[[2]ID{l.A, l.B}]
-	return link, ok
+	if p := g.position(a); p >= 0 {
+		if i, ok := slices.BinarySearch(g.nbrs[p], b); ok {
+			return g.adj[p][i], true
+		}
+	}
+	return Link{}, false
 }
 
 // Neighbors returns the IDs adjacent to id in ascending order. The returned
-// slice is the graph's cached adjacency index: callers must not modify it.
+// slice is the graph's own adjacency index: callers must not modify it.
 func (g *Graph) Neighbors(id ID) []ID {
-	return g.sortedAdj[id]
+	if p := g.position(id); p >= 0 {
+		return g.nbrs[p]
+	}
+	return nil
 }
 
 // Incident returns the links incident to id, sorted by far endpoint. Like
 // Neighbors, the returned slice is the graph's own adjacency: callers must
 // not modify it. Use IncidentLinks for a private slice.
 func (g *Graph) Incident(id ID) []Link {
-	return g.adj[id]
+	if p := g.position(id); p >= 0 {
+		return g.adj[p]
+	}
+	return nil
 }
 
 // IncidentLinks returns a freshly allocated copy of Incident(id).
 func (g *Graph) IncidentLinks(id ID) []Link {
-	return append([]Link(nil), g.adj[id]...)
+	return append([]Link(nil), g.Incident(id)...)
 }
 
 // ADs returns all AD infos sorted by ID.
-func (g *Graph) ADs() []Info {
-	out := make([]Info, 0, len(g.ads))
-	for _, info := range g.ads {
-		out = append(out, info)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func (g *Graph) ADs() []Info { return slices.Clone(g.info) }
 
 // IDs returns all AD IDs in ascending order.
-func (g *Graph) IDs() []ID {
-	out := make([]ID, 0, len(g.ads))
-	for id := range g.ads {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
-}
+func (g *Graph) IDs() []ID { return slices.Clone(g.ids) }
 
 // Stubs returns the IDs of the stub and multihomed-stub ADs — the ADs that
 // originate and sink traffic — in ascending order.
 func (g *Graph) Stubs() []ID {
 	var out []ID
-	for _, id := range g.IDs() {
-		if c := g.ads[id].Class; c == Stub || c == MultihomedStub {
-			out = append(out, id)
+	for _, info := range g.info {
+		if info.Class == Stub || info.Class == MultihomedStub {
+			out = append(out, info.ID)
 		}
 	}
 	return out
 }
 
-// Links returns all links sorted by (A, B).
+// Links returns all links sorted by (A, B): each AD's links to higher IDs,
+// in AD order.
 func (g *Graph) Links() []Link {
-	out := make([]Link, 0, len(g.links))
-	for _, l := range g.links {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
+	out := make([]Link, 0, g.numLinks)
+	for p, id := range g.ids {
+		for _, l := range g.adj[p] {
+			if l.A == id {
+				out = append(out, l)
+			}
 		}
-		return out[i].B < out[j].B
-	})
+	}
 	return out
 }
 
 // NumADs returns the number of ADs in the graph.
-func (g *Graph) NumADs() int { return len(g.ads) }
+func (g *Graph) NumADs() int { return len(g.ids) }
 
 // NumLinks returns the number of undirected links in the graph.
-func (g *Graph) NumLinks() int { return len(g.links) }
+func (g *Graph) NumLinks() int { return g.numLinks }
 
 // Degree returns the number of links incident to id.
-func (g *Graph) Degree(id ID) int { return len(g.adj[id]) }
+func (g *Graph) Degree(id ID) int { return len(g.Incident(id)) }
 
 // Clone returns a deep copy of the graph. Protocol instances clone the graph
-// so failure injection in one scenario cannot leak into another.
+// so failure injection in one scenario cannot leak into another. Every
+// adjacency list of the copy is a full-capacity window on one shared
+// array, so a later insert into one reallocates it rather than writing over
+// its neighbour.
 func (g *Graph) Clone() *Graph {
-	c := NewGraph()
-	c.nextID = g.nextID
-	for id, info := range g.ads {
-		c.ads[id] = info
+	c := &Graph{
+		ids:      slices.Clone(g.ids),
+		info:     slices.Clone(g.info),
+		nbrs:     make([][]ID, len(g.nbrs)),
+		adj:      make([][]Link, len(g.adj)),
+		numLinks: g.numLinks,
 	}
-	for key, l := range g.links {
-		c.links[key] = l
-	}
-	for id, s := range g.sortedAdj {
-		c.sortedAdj[id] = append([]ID(nil), s...)
-		c.adj[id] = append([]Link(nil), g.adj[id]...)
+	nbrs := make([]ID, 0, 2*g.numLinks)
+	adj := make([]Link, 0, 2*g.numLinks)
+	for p := range g.ids {
+		lo := len(nbrs)
+		nbrs = append(nbrs, g.nbrs[p]...)
+		adj = append(adj, g.adj[p]...)
+		c.nbrs[p] = nbrs[lo:len(nbrs):len(nbrs)]
+		c.adj[p] = adj[lo:len(adj):len(adj)]
 	}
 	return c
 }
@@ -410,28 +448,25 @@ func (g *Graph) Clone() *Graph {
 // Connected reports whether the graph is connected (ignoring an empty graph,
 // which is considered connected).
 func (g *Graph) Connected() bool {
-	if len(g.ads) == 0 {
+	if len(g.ids) == 0 {
 		return true
 	}
-	var start ID
-	for id := range g.ads {
-		start = id
-		break
-	}
-	seen := map[ID]bool{start: true}
-	queue := []ID{start}
+	seen := make([]bool, len(g.ids))
+	seen[0] = true
+	reached := 1
+	queue := []int{0}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, l := range g.adj[cur] {
-			other, _ := l.Other(cur)
-			if !seen[other] {
-				seen[other] = true
-				queue = append(queue, other)
+		for _, nb := range g.nbrs[cur] {
+			if p := g.position(nb); !seen[p] {
+				seen[p] = true
+				reached++
+				queue = append(queue, p)
 			}
 		}
 	}
-	return len(seen) == len(g.ads)
+	return reached == len(g.ids)
 }
 
 // IsTree reports whether the graph is connected and acyclic — the topology

@@ -5,7 +5,8 @@
 package dvcore
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"repro/internal/ad"
 	"repro/internal/policy"
@@ -28,109 +29,170 @@ type Entry struct {
 	Flags uint8
 }
 
-// Table is a distance-vector routing table with dirty-key tracking: every
-// mutation records the key so the protocol can emit triggered updates for
-// exactly the changed routes.
-type Table struct {
-	entries map[Key]Entry
-	dirty   map[Key]struct{}
+// Contexts numbers the routing contexts of a graph: (destination, QOS) for
+// every AD of the graph and QOS class below the classes routed. Context
+// (d, q) is Position(d)*classes + q, so index order is (dest, qos) order.
+// One Contexts serves every table of a system; it holds the graph's IDs,
+// which the graph must keep for the system's life.
+type Contexts struct {
+	ids     []ad.ID
+	classes int
 }
 
-// NewTable returns an empty table.
-func NewTable() *Table {
+// NewContexts numbers the contexts over ids, a graph's IDs in ascending
+// order, and classes QOS classes.
+func NewContexts(ids []ad.ID, classes int) Contexts {
+	return Contexts{ids: ids, classes: classes}
+}
+
+// Len returns the number of contexts.
+func (c Contexts) Len() int { return len(c.ids) * c.classes }
+
+// Index returns k's number, or -1 when its destination is not in the graph
+// or its QOS class is not routed.
+func (c Contexts) Index(k Key) int {
+	if int(k.QOS) >= c.classes {
+		return -1
+	}
+	p := ad.Position(c.ids, k.Dest)
+	if p < 0 {
+		return -1
+	}
+	return p*c.classes + int(k.QOS)
+}
+
+// Key returns the context numbered i.
+func (c Contexts) Key(i int) Key {
+	return Key{Dest: c.ids[i/c.classes], QOS: policy.QOS(i % c.classes)}
+}
+
+// Dirty is a set of context numbers to advertise: the ones marked since the
+// last Take, each listed once.
+type Dirty struct {
+	list []int32
+	on   []bool
+}
+
+// NewDirty returns an empty set over n contexts.
+func NewDirty(n int) Dirty { return Dirty{on: make([]bool, n)} }
+
+// Mark adds context i.
+func (d *Dirty) Mark(i int) {
+	if !d.on[i] {
+		d.on[i] = true
+		d.list = append(d.list, int32(i))
+	}
+}
+
+// Take returns the marked contexts in ascending order, which is (dest, qos)
+// order, and empties the set. The slice is the set's, valid until the next
+// Mark.
+func (d *Dirty) Take() []int32 {
+	slices.Sort(d.list)
+	for _, i := range d.list {
+		d.on[i] = false
+	}
+	out := d.list
+	d.list = d.list[:0]
+	return out
+}
+
+// Table is a distance-vector routing table with dirty-key tracking: every
+// mutation records the key so the protocol can emit triggered updates for
+// exactly the changed routes. It is laid out by context number.
+type Table struct {
+	ctx     Contexts
+	entries []Entry
+	present []bool
+	n       int
+	dirty   Dirty
+	taken   []Key // TakeDirty's result
+}
+
+// NewTable returns an empty table over the given contexts.
+func NewTable(ctx Contexts) *Table {
 	return &Table{
-		entries: make(map[Key]Entry),
-		dirty:   make(map[Key]struct{}),
+		ctx:     ctx,
+		entries: make([]Entry, ctx.Len()),
+		present: make([]bool, ctx.Len()),
+		dirty:   NewDirty(ctx.Len()),
 	}
 }
 
 // Get returns the entry for k, if present.
 func (t *Table) Get(k Key) (Entry, bool) {
-	e, ok := t.entries[k]
-	return e, ok
+	if i := t.ctx.Index(k); i >= 0 && t.present[i] {
+		return t.entries[i], true
+	}
+	return Entry{}, false
 }
 
 // Set installs e and marks its key dirty if anything changed. It reports
-// whether the table changed.
+// whether the table changed. A key outside the table's contexts panics.
 func (t *Table) Set(e Entry) bool {
-	old, ok := t.entries[e.Key]
-	if ok && old == e {
+	i := t.ctx.Index(e.Key)
+	if i < 0 {
+		panic(fmt.Sprintf("dvcore: %v/%d is not one of the table's contexts", e.Key.Dest, e.Key.QOS))
+	}
+	return t.set(i, e)
+}
+
+func (t *Table) set(i int, e Entry) bool {
+	if t.present[i] && t.entries[i] == e {
 		return false
 	}
-	t.entries[e.Key] = e
-	t.dirty[e.Key] = struct{}{}
+	if !t.present[i] {
+		t.present[i] = true
+		t.n++
+	}
+	t.entries[i] = e
+	t.dirty.Mark(i)
 	return true
 }
 
 // Delete removes the entry for k, marking it dirty if it existed.
 func (t *Table) Delete(k Key) bool {
-	if _, ok := t.entries[k]; !ok {
+	i := t.ctx.Index(k)
+	if i < 0 || !t.present[i] {
 		return false
 	}
-	delete(t.entries, k)
-	t.dirty[k] = struct{}{}
+	t.present[i] = false
+	t.entries[i] = Entry{}
+	t.n--
+	t.dirty.Mark(i)
 	return true
 }
 
 // Len returns the number of entries.
-func (t *Table) Len() int { return len(t.entries) }
+func (t *Table) Len() int { return t.n }
 
 // Entries returns all entries sorted by (dest, qos) for deterministic
 // iteration.
 func (t *Table) Entries() []Entry {
-	out := make([]Entry, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Dest != out[j].Key.Dest {
-			return out[i].Key.Dest < out[j].Key.Dest
+	out := make([]Entry, 0, t.n)
+	for i, ok := range t.present {
+		if ok {
+			out = append(out, t.entries[i])
 		}
-		return out[i].Key.QOS < out[j].Key.QOS
-	})
+	}
 	return out
 }
 
 // NextHop returns the next hop for k, or Invalid if absent.
 func (t *Table) NextHop(k Key) ad.ID {
-	if e, ok := t.entries[k]; ok {
-		return e.NextHop
-	}
-	return ad.Invalid
+	e, _ := t.Get(k)
+	return e.NextHop
 }
 
 // TakeDirty returns the keys dirtied since the last call, sorted, and
-// clears the dirty set.
+// clears the dirty set. The slice is the table's, valid until the next
+// TakeDirty.
 func (t *Table) TakeDirty() []Key {
-	out := make([]Key, 0, len(t.dirty))
-	for k := range t.dirty {
-		out = append(out, k)
+	t.taken = t.taken[:0]
+	for _, i := range t.dirty.Take() {
+		t.taken = append(t.taken, t.ctx.Key(int(i)))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dest != out[j].Dest {
-			return out[i].Dest < out[j].Dest
-		}
-		return out[i].QOS < out[j].QOS
-	})
-	clear(t.dirty)
-	return out
-}
-
-// ViaNeighbor returns the keys of all entries whose next hop is n.
-func (t *Table) ViaNeighbor(n ad.ID) []Key {
-	var out []Key
-	for k, e := range t.entries {
-		if e.NextHop == n {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dest != out[j].Dest {
-			return out[i].Dest < out[j].Dest
-		}
-		return out[i].QOS < out[j].QOS
-	})
-	return out
+	return t.taken
 }
 
 // Learn applies the distance-vector rule to a route for k that neighbour
@@ -138,19 +200,24 @@ func (t *Table) ViaNeighbor(n ad.ID) []Key {
 // given flags. An offer from the current next hop is authoritative, better or
 // worse: at inf it leaves the route unreachable with no next hop. Any other
 // neighbour replaces the route only with a better, reachable metric. Learn
-// reports whether the table changed.
+// reports whether the table changed; a key outside the table's contexts
+// changes nothing.
 func (t *Table) Learn(k Key, metric, inf uint32, from ad.ID, flags uint8) bool {
+	i := t.ctx.Index(k)
+	if i < 0 {
+		return false
+	}
 	metric = min(metric, inf)
-	cur, have := t.entries[k]
+	cur, have := t.entries[i], t.present[i]
 	switch {
 	case have && cur.NextHop == from:
 		e := Entry{Key: k, Metric: metric, NextHop: from, Flags: flags}
 		if metric == inf {
 			e.NextHop = ad.Invalid
 		}
-		return t.Set(e)
+		return t.set(i, e)
 	case (!have || metric < cur.Metric) && metric < inf:
-		return t.Set(Entry{Key: k, Metric: metric, NextHop: from, Flags: flags})
+		return t.set(i, Entry{Key: k, Metric: metric, NextHop: from, Flags: flags})
 	}
 	return false
 }
@@ -159,10 +226,11 @@ func (t *Table) Learn(k Key, metric, inf uint32, from ad.ID, flags uint8) bool {
 // next hop, flags kept. It reports whether the table changed.
 func (t *Table) Poison(nb ad.ID, inf uint32) bool {
 	changed := false
-	for _, k := range t.ViaNeighbor(nb) {
-		e := t.entries[k]
-		e.Metric, e.NextHop = inf, ad.Invalid
-		changed = t.Set(e) || changed
+	for i, ok := range t.present {
+		if e := t.entries[i]; ok && e.NextHop == nb {
+			e.Metric, e.NextHop = inf, ad.Invalid
+			changed = t.set(i, e) || changed
+		}
 	}
 	return changed
 }

@@ -4,10 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/ad"
+	"repro/internal/racecheck"
 )
 
+// testContexts covers destinations AD1..AD9 in four QOS classes, every key
+// the tests below use.
+var testContexts = NewContexts([]ad.ID{1, 2, 3, 4, 5, 6, 7, 8, 9}, 4)
+
 func TestTableSetGet(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(testContexts)
 	k := Key{Dest: 5, QOS: 1}
 	e := Entry{Key: k, Metric: 3, NextHop: 2}
 	if !tbl.Set(e) {
@@ -33,22 +38,22 @@ func TestTableSetGet(t *testing.T) {
 }
 
 func TestTableDirtyTracking(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(testContexts)
 	tbl.Set(Entry{Key: Key{Dest: 1}, Metric: 1, NextHop: 2})
 	tbl.Set(Entry{Key: Key{Dest: 3}, Metric: 1, NextHop: 2})
-	if len(tbl.dirty) == 0 {
+	if len(tbl.dirty.list) == 0 {
 		t.Error("no dirty keys after sets")
 	}
 	dirty := tbl.TakeDirty()
 	if len(dirty) != 2 || dirty[0].Dest != 1 || dirty[1].Dest != 3 {
 		t.Errorf("dirty = %v", dirty)
 	}
-	if len(tbl.dirty) != 0 {
+	if len(tbl.dirty.list) != 0 {
 		t.Error("dirty set not cleared")
 	}
 	// Unchanged set does not re-dirty.
 	tbl.Set(Entry{Key: Key{Dest: 1}, Metric: 1, NextHop: 2})
-	if len(tbl.dirty) != 0 {
+	if len(tbl.dirty.list) != 0 {
 		t.Error("no-op Set dirtied the table")
 	}
 	// Delete dirties.
@@ -64,7 +69,7 @@ func TestTableDirtyTracking(t *testing.T) {
 }
 
 func TestTableEntriesSorted(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(testContexts)
 	tbl.Set(Entry{Key: Key{Dest: 2, QOS: 1}, Metric: 1, NextHop: 9})
 	tbl.Set(Entry{Key: Key{Dest: 2, QOS: 0}, Metric: 1, NextHop: 9})
 	tbl.Set(Entry{Key: Key{Dest: 1, QOS: 3}, Metric: 1, NextHop: 9})
@@ -77,22 +82,8 @@ func TestTableEntriesSorted(t *testing.T) {
 	}
 }
 
-func TestViaNeighbor(t *testing.T) {
-	tbl := NewTable()
-	tbl.Set(Entry{Key: Key{Dest: 1}, NextHop: 7})
-	tbl.Set(Entry{Key: Key{Dest: 2}, NextHop: 8})
-	tbl.Set(Entry{Key: Key{Dest: 3, QOS: 1}, NextHop: 7})
-	ks := tbl.ViaNeighbor(7)
-	if len(ks) != 2 || ks[0].Dest != 1 || ks[1].Dest != 3 {
-		t.Errorf("ViaNeighbor = %v", ks)
-	}
-	if len(tbl.ViaNeighbor(99)) != 0 {
-		t.Error("ViaNeighbor(99) nonempty")
-	}
-}
-
 func TestNextHop(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(testContexts)
 	tbl.Set(Entry{Key: Key{Dest: 1}, NextHop: 4})
 	if tbl.NextHop(Key{Dest: 1}) != 4 {
 		t.Error("NextHop wrong")
@@ -108,7 +99,7 @@ func TestNextHop(t *testing.T) {
 func TestLearn(t *testing.T) {
 	const inf = 16
 	k := Key{Dest: 9, QOS: 1}
-	tbl := NewTable()
+	tbl := NewTable(testContexts)
 	for _, st := range []struct {
 		name    string
 		metric  uint32
@@ -142,7 +133,7 @@ func TestLearn(t *testing.T) {
 }
 
 func TestPoison(t *testing.T) {
-	tbl := NewTable()
+	tbl := NewTable(testContexts)
 	tbl.Set(Entry{Key: Key{Dest: 1}, Metric: 3, NextHop: 7, Flags: 1})
 	tbl.Set(Entry{Key: Key{Dest: 2}, Metric: 4, NextHop: 8})
 	tbl.TakeDirty()
@@ -160,5 +151,88 @@ func TestPoison(t *testing.T) {
 	}
 	if tbl.Poison(7, 16) {
 		t.Error("second Poison(7) reported a change")
+	}
+}
+
+// TestViaNeighbor: Poison finds every route through the neighbour, in any
+// QOS class, and nothing for a neighbour no route uses.
+func TestViaNeighbor(t *testing.T) {
+	tbl := NewTable(testContexts)
+	tbl.Set(Entry{Key: Key{Dest: 1}, Metric: 2, NextHop: 7})
+	tbl.Set(Entry{Key: Key{Dest: 2}, Metric: 2, NextHop: 8})
+	tbl.Set(Entry{Key: Key{Dest: 3, QOS: 1}, Metric: 2, NextHop: 7})
+	tbl.TakeDirty()
+	if tbl.Poison(99, 16) || len(tbl.TakeDirty()) != 0 {
+		t.Error("Poison(99) changed the table")
+	}
+	if !tbl.Poison(7, 16) {
+		t.Fatal("Poison(7) missed the routes via 7")
+	}
+	if d := tbl.TakeDirty(); len(d) != 2 || d[0] != (Key{Dest: 1}) || d[1] != (Key{Dest: 3, QOS: 1}) {
+		t.Errorf("routes via 7 = %v, want 1/0 and 3/1", d)
+	}
+}
+
+// TestContexts: context numbers run in (dest, qos) order over the graph's
+// positions, sparse IDs included, and keys outside the graph or the routed
+// classes have none.
+func TestContexts(t *testing.T) {
+	ctx := NewContexts([]ad.ID{2, 7, 40}, 2)
+	if ctx.Len() != 6 {
+		t.Fatalf("Len = %d, want 6", ctx.Len())
+	}
+	for i := 0; i < ctx.Len(); i++ {
+		k := ctx.Key(i)
+		if got := ctx.Index(k); got != i {
+			t.Errorf("Index(Key(%d) = %v) = %d", i, k, got)
+		}
+		if i > 0 {
+			if prev := ctx.Key(i - 1); prev.Dest > k.Dest || (prev.Dest == k.Dest && prev.QOS >= k.QOS) {
+				t.Errorf("Key(%d) = %v does not follow Key(%d) = %v", i, k, i-1, prev)
+			}
+		}
+	}
+	for _, k := range []Key{{Dest: 3}, {Dest: 40, QOS: 2}, {Dest: ad.Invalid}} {
+		if got := ctx.Index(k); got != -1 {
+			t.Errorf("Index(%v) = %d, want -1", k, got)
+		}
+	}
+	tbl := NewTable(ctx)
+	if tbl.Learn(Key{Dest: 3}, 1, 16, 2, 0) || tbl.Len() != 0 {
+		t.Error("Learn of a key outside the contexts changed the table")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Set of a key outside the contexts did not panic")
+		}
+	}()
+	tbl.Set(Entry{Key: Key{Dest: 3}})
+}
+
+// TestAllocsDVTable pins the per-message table operations at zero
+// allocations: Get, Set, Learn and Poison on a built table index its
+// context slices and never grow them.
+func TestAllocsDVTable(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	tbl := NewTable(testContexts)
+	for d := ad.ID(1); d <= 9; d++ {
+		tbl.Set(Entry{Key: Key{Dest: d, QOS: 1}, Metric: uint32(d), NextHop: 1 + d%3})
+	}
+	metric := uint32(0)
+	if n := testing.AllocsPerRun(200, func() {
+		metric++
+		for d := ad.ID(1); d <= 9; d++ {
+			k := Key{Dest: d, QOS: 1}
+			if e, ok := tbl.Get(k); ok {
+				e.Flags ^= 1
+				tbl.Set(e)
+			}
+			tbl.Learn(Key{Dest: d, QOS: 2}, metric%16, 16, 1+d%3, 0)
+		}
+		tbl.Poison(2, 16)
+	}); n != 0 {
+		t.Errorf("Get/Set/Learn/Poison: %v allocs, want 0", n)
 	}
 }

@@ -84,3 +84,38 @@ func TestHandlesCrossingTracksExpiryAndEviction(t *testing.T) {
 		t.Fatalf("survivor not indexed: %v", got)
 	}
 }
+
+// TestLinkBucketCompacts: removals and overwrites only count a ref dead, so
+// a bucket is compacted once more than half its refs are dead; it never
+// holds more than twice its live refs, and a route that crosses one link
+// twice is one handle there.
+func TestLinkBucketCompacts(t *testing.T) {
+	tab := NewTable(Config{Kind: Hard, Shards: 1})
+	req := policy.Request{Src: 1, Dst: 3}
+	for h := uint64(1); h <= 100; h++ {
+		tab.Install(0, h, ad.Path{1, 2, 3}, 0, req, 0)
+	}
+	for h := uint64(1); h <= 90; h++ {
+		if h%2 == 0 {
+			tab.Remove(h)
+		} else {
+			tab.Install(0, h, ad.Path{1, 4, 3}, 0, req, 0) // overwrite off the link
+		}
+		b := tab.shards[0].byLink[linkOf(1, 2)]
+		if len(b.refs) > 2*b.live {
+			t.Fatalf("after handle %d the bucket holds %d refs for %d live", h, len(b.refs), b.live)
+		}
+	}
+	want := []uint64{91, 92, 93, 94, 95, 96, 97, 98, 99, 100}
+	if got := tab.HandlesCrossing(2, 1); !handlesEqual(got, want) {
+		t.Fatalf("HandlesCrossing(2,1) = %v, want %v", got, want)
+	}
+	tab.Install(0, 7, ad.Path{1, 2, 1, 2}, 0, req, 0)
+	if got := tab.HandlesCrossing(1, 2); len(got) != 11 || got[0] != 7 {
+		t.Fatalf("a route crossing 1-2 three times: HandlesCrossing = %v", got)
+	}
+	tab.Remove(7)
+	if got := tab.HandlesCrossing(1, 2); !handlesEqual(got, want) {
+		t.Fatalf("after removing it: HandlesCrossing = %v, want %v", got, want)
+	}
+}

@@ -38,6 +38,7 @@ package pgstate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -218,7 +219,8 @@ func linkOf(a, b ad.ID) [2]ad.ID {
 	return [2]ad.ID{a, b}
 }
 
-// indexRoute adds h's link-dependency edges to byLink.
+// indexRoute adds h's link-dependency edges to byLink, the Reference's
+// link index.
 func indexRoute(byLink map[[2]ad.ID]map[uint64]struct{}, h uint64, route ad.Path) {
 	for i := 1; i < len(route); i++ {
 		l := linkOf(route[i-1], route[i])
@@ -231,7 +233,8 @@ func indexRoute(byLink map[[2]ad.ID]map[uint64]struct{}, h uint64, route ad.Path
 	}
 }
 
-// unindexRoute removes h's link-dependency edges from byLink.
+// unindexRoute removes h's link-dependency edges from byLink, the
+// Reference's link index.
 func unindexRoute(byLink map[[2]ad.ID]map[uint64]struct{}, h uint64, route ad.Path) {
 	for i := 1; i < len(route); i++ {
 		l := linkOf(route[i-1], route[i])
@@ -244,18 +247,76 @@ func unindexRoute(byLink map[[2]ad.ID]map[uint64]struct{}, h uint64, route ad.Pa
 	}
 }
 
+// linkRef is one edge of a shard's link index: an arena record, by index,
+// and the gen it had when its route was indexed. The ref is live while the
+// record's gen is still that one: a release or an overwrite bumps gen, so
+// a ref dies without being found. (A ref could come back to life only if
+// its record's 32-bit gen wrapped around while the ref sat in a bucket that
+// never compacted.)
+type linkRef struct {
+	idx int32
+	gen uint32
+}
+
+// linkBucket holds the refs of the records whose routes cross one link.
+// Indexing appends; unindexing only counts the ref dead, and a bucket more
+// than half dead is compacted in place, so len(refs) <= 2*live after every
+// operation. A route that crosses a link twice holds two refs there, and
+// drops both.
+type linkBucket struct {
+	refs []linkRef
+	live int
+}
+
+// indexLinks files the record at idx, whose route is route, under every
+// link the route crosses.
+func (s *shard) indexLinks(idx int32, route ad.Path) {
+	gen := s.arena.at(idx).gen
+	for i := 1; i < len(route); i++ {
+		l := linkOf(route[i-1], route[i])
+		b := s.byLink[l]
+		if b == nil {
+			b = &linkBucket{}
+			s.byLink[l] = b
+		}
+		b.refs = append(b.refs, linkRef{idx, gen})
+		b.live++
+	}
+}
+
+// unindexLinks counts dead the refs indexLinks filed for route, whose
+// record's gen has already moved on. An emptied bucket stays in the map
+// with its capacity: a shard's links are the graph's, a bounded set, and
+// flows come and go over the same links.
+func (s *shard) unindexLinks(route ad.Path) {
+	for i := 1; i < len(route); i++ {
+		b := s.byLink[linkOf(route[i-1], route[i])]
+		b.live--
+		if b.live == 0 {
+			b.refs = b.refs[:0]
+		} else if len(b.refs) > 2*b.live {
+			kept := b.refs[:0]
+			for _, r := range b.refs {
+				if s.arena.at(r.idx).gen == r.gen {
+					kept = append(kept, r)
+				}
+			}
+			b.refs = kept
+		}
+	}
+}
+
 // shard is one hash partition of the handle space: its own mutex, handle
 // index (a plain map for hard/soft, the recency LRU for capped), arena,
-// timer wheel (soft only), slice of the byLink reverse index, and
-// counters. Everything a shard touches is its own, so shards never take
-// two locks.
+// timer wheel (soft only), slice of the link index, and counters.
+// Everything a shard touches is its own, so shards never take two locks.
 type shard struct {
 	mu       sync.Mutex
 	byHandle map[uint64]int32          // hard and soft tables
 	lru      *cache.LRU[uint64, int32] // capped tables
 	arena    arena
 	wheel    *wheel // soft tables
-	byLink   map[[2]ad.ID]map[uint64]struct{}
+	byLink   map[[2]ad.ID]*linkBucket
 	st       Stats // cumulative counters only; Resident/Peak live on Table
 }
 
@@ -309,15 +370,15 @@ func NewTable(cfg Config) *Table {
 		mask:   uint64(cfg.Shards - 1),
 	}
 	for i := range t.shards {
-		sh := &shard{byLink: make(map[[2]ad.ID]map[uint64]struct{})}
+		sh := &shard{byLink: make(map[[2]ad.ID]*linkBucket)}
 		switch cfg.Kind {
 		case Capped:
 			sh.lru = cache.NewLRU[uint64, int32](cfg.Capacity)
-			sh.lru.OnEvict = func(h uint64, idx int32) {
+			sh.lru.OnEvict = func(_ uint64, idx int32) {
 				sh.st.Evictions++
-				r := sh.arena.at(idx)
-				unindexRoute(sh.byLink, h, r.entry.Route)
+				route := sh.arena.at(idx).entry.Route
 				sh.arena.release(idx)
+				sh.unindexLinks(route)
 				t.resident.Add(-1)
 			}
 		case Soft:
@@ -364,17 +425,17 @@ func deadlineFor(cfg Config, now, ttl sim.Time) sim.Time {
 	return now + ttl
 }
 
-// dropLocked removes the record for h at idx: unindex its links, cancel
-// its timer, release its arena slot, and forget the handle. Caller holds
-// sh.mu.
+// dropLocked removes the record for h at idx: cancel its timer, release
+// its arena slot (which kills its link refs), unindex its links, and forget
+// the handle. Caller holds sh.mu.
 func (t *Table) dropLocked(sh *shard, h uint64, idx int32) {
-	r := sh.arena.at(idx)
-	unindexRoute(sh.byLink, h, r.entry.Route)
+	route := sh.arena.at(idx).entry.Route
 	if sh.wheel != nil {
 		sh.wheel.cancel(&sh.arena, idx)
 	}
 	sh.deleteIdx(h)
 	sh.arena.release(idx)
+	sh.unindexLinks(route)
 	t.resident.Add(-1)
 }
 
@@ -391,14 +452,17 @@ func (t *Table) Install(now sim.Time, h uint64, route ad.Path, idx int, req poli
 	}
 	if i, ok := sh.lookupIdx(h, false); ok {
 		// Overwrite in place: re-index the route, re-arm the timer, touch
-		// recency (the reference's Put promotes on overwrite).
+		// recency (the reference's Put promotes on overwrite). Bumping gen
+		// kills the old route's link refs.
 		r := sh.arena.at(i)
-		unindexRoute(sh.byLink, h, r.entry.Route)
 		if sh.wheel != nil {
 			sh.wheel.cancel(&sh.arena, i)
 		}
+		old := r.entry.Route
+		r.gen++
+		sh.unindexLinks(old)
 		r.entry = e
-		indexRoute(sh.byLink, h, route)
+		sh.indexLinks(i, route)
 		if sh.wheel != nil && e.Deadline != 0 {
 			sh.wheel.schedule(&sh.arena, i, e.Deadline)
 		}
@@ -412,7 +476,7 @@ func (t *Table) Install(now sim.Time, h uint64, route ad.Path, idx int, req poli
 	r := sh.arena.at(i)
 	r.entry = e
 	r.handle = h
-	indexRoute(sh.byLink, h, route)
+	sh.indexLinks(i, route)
 	if sh.wheel != nil && e.Deadline != 0 {
 		sh.wheel.schedule(&sh.arena, i, e.Deadline)
 	}
@@ -572,13 +636,18 @@ func (t *Table) HandlesCrossing(a, b ad.ID) []uint64 {
 	var out []uint64
 	for _, sh := range t.shards {
 		sh.mu.Lock()
-		for h := range sh.byLink[l] {
-			out = append(out, h)
+		if b := sh.byLink[l]; b != nil {
+			for _, ref := range b.refs {
+				if r := sh.arena.at(ref.idx); r.gen == ref.gen {
+					out = append(out, r.handle)
+				}
+			}
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	// A route that crosses the link twice is listed twice.
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Len returns the current entry count.

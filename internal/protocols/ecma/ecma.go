@@ -84,8 +84,10 @@ func NewWithOrdering(g *ad.Graph, db *policy.DB, order ordering.Ordering, cfg Co
 		order: order,
 		nodes: make(map[ad.ID]*node),
 	}
-	for _, id := range g.IDs() {
-		n := &node{id: id, sys: s, table: dvcore.NewTable(), transit: db.TransitOf(id, cfg.QOSClasses)}
+	ids := g.IDs()
+	ctx := dvcore.NewContexts(ids, cfg.QOSClasses)
+	for _, id := range ids {
+		n := &node{id: id, sys: s, table: dvcore.NewTable(ctx), transit: db.TransitOf(id, cfg.QOSClasses)}
 		s.nodes[id] = n
 		s.nw.AddNode(n)
 	}

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/ad"
 	"repro/internal/core"
+	"repro/internal/dvcore"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -60,12 +61,6 @@ func (c Config) Normalize() Config {
 
 const flushDelay = sim.Millisecond
 
-// ribKey identifies a routing context.
-type ribKey struct {
-	dest ad.ID
-	qos  policy.QOS
-}
-
 // route is one candidate path with its policy attributes, as stored in the
 // Adj-RIB-In.
 type route struct {
@@ -84,9 +79,14 @@ func (r route) sameAttrs(o route) bool {
 
 // System is an IDRP deployment.
 type System struct {
-	cfg   Config
-	nw    *sim.Network
-	nodes map[ad.ID]*node
+	cfg Config
+	nw  *sim.Network
+	// ctx numbers the routing contexts (destination, QOS) as dvcore
+	// does: marks and every node's RIBs are indexed by context number,
+	// nodes by the AD's position in ids.
+	ctx   dvcore.Contexts
+	ids   []ad.ID
+	nodes []*node
 
 	computations int
 
@@ -100,15 +100,15 @@ type System struct {
 	// refilled a neighbour's candidates for it; receives numbers the calls.
 	// changed lists the contexts a Receive or LinkDown reselects.
 	rx       wire.PathVector
-	marks    map[ribKey]mark
+	marks    []mark
 	receives uint64
-	changed  []ribKey
+	changed  []int32
 	// sel is selectRoutes' picks.
 	sel []route
-	// keys holds a flush's contexts, sorted. exports holds their exported
+	// keys holds LinkUp's contexts, sorted. exports holds a flush's exported
 	// routes, context i's at exports[ends[i-1]:ends[i]], with paths backed
 	// by paths; upd is the update built from them for one neighbour.
-	keys    []ribKey
+	keys    []int32
 	exports []wire.PVRoute
 	ends    []int
 	paths   []ad.ID
@@ -123,26 +123,38 @@ type mark struct{ changed, replaced uint64 }
 // New builds the system over g with policy db.
 func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 	cfg = cfg.Normalize()
+	ids := g.IDs()
+	ctx := dvcore.NewContexts(ids, cfg.QOSClasses)
 	s := &System{
 		cfg:   cfg,
 		nw:    sim.NewNetwork(g),
-		nodes: make(map[ad.ID]*node),
-		marks: make(map[ribKey]mark),
+		ctx:   ctx,
+		ids:   ids,
+		nodes: make([]*node, len(ids)),
+		marks: make([]mark, ctx.Len()),
 	}
-	for _, id := range g.IDs() {
+	for p, id := range ids {
 		n := &node{
 			id:      id,
 			sys:     s,
-			cands:   make(map[ribKey][]route),
-			adv:     make(map[ribKey][]route),
-			dirty:   make(map[ribKey]struct{}),
+			cands:   make([][]route, ctx.Len()),
+			adv:     make([][]route, ctx.Len()),
+			dirty:   dvcore.NewDirty(ctx.Len()),
 			transit: db.TransitOf(id, cfg.QOSClasses),
 		}
 		n.flushFn = n.flush
-		s.nodes[id] = n
+		s.nodes[p] = n
 		s.nw.AddNode(n)
 	}
 	return s
+}
+
+// node returns id's node, or nil when the graph has no such AD.
+func (s *System) node(id ad.ID) *node {
+	if p := ad.Position(s.ids, id); p >= 0 {
+		return s.nodes[p]
+	}
+	return nil
 }
 
 // Name implements core.System.
@@ -174,9 +186,9 @@ func (s *System) Route(req policy.Request) core.Outcome {
 	if int(qos) >= s.cfg.QOSClasses {
 		qos = 0
 	}
-	k := ribKey{dest: req.Dst, qos: qos}
+	k := s.ctx.Index(dvcore.Key{Dest: req.Dst, QOS: qos})
 	return core.Forward(req.Src, req.Dst, func(cur, _ ad.ID) ad.ID {
-		if n, ok := s.nodes[cur]; ok {
+		if n := s.node(cur); n != nil && k >= 0 {
 			for _, r := range n.adv[k] {
 				if r.sources.Contains(req.Src) && r.uci.Contains(uint8(req.UCI)) {
 					return r.from
@@ -213,18 +225,19 @@ type node struct {
 	id  ad.ID
 	sys *System
 
-	// cands is the Adj-RIB-In: the candidate routes per context, every
-	// neighbor's in one slice.
-	cands map[ribKey][]route
+	// cands is the Adj-RIB-In: the candidate routes by context number,
+	// every neighbor's in one slice.
+	cands [][]route
 	// adv is the Loc-RIB/Adj-RIB-Out: the routes currently selected and
-	// advertised (up to MultiRoute per context).
-	adv map[ribKey][]route
+	// advertised (up to MultiRoute per context) by context number.
+	adv [][]route
 
 	// transit is what the local policy terms offer re-advertised routes.
 	transit policy.Transit
 
 	flushPending bool
-	dirty        map[ribKey]struct{}
+	// dirty holds the contexts to advertise at the next flush.
+	dirty dvcore.Dirty
 	// flushFn is n.flush, bound once so scheduling a flush allocates
 	// nothing.
 	flushFn func()
@@ -235,7 +248,7 @@ func (n *node) ID() ad.ID { return n.id }
 func (n *node) Start(nw *sim.Network) {
 	// Originate the self route in every QOS class.
 	for q := 0; q < n.sys.cfg.QOSClasses; q++ {
-		k := ribKey{dest: n.id, qos: policy.QOS(q)}
+		k := n.sys.ctx.Index(dvcore.Key{Dest: n.id, QOS: policy.QOS(q)})
 		n.adv[k] = []route{{
 			path:    ad.Path{n.id},
 			metric:  0,
@@ -243,7 +256,7 @@ func (n *node) Start(nw *sim.Network) {
 			uci:     policy.AllClasses,
 			from:    n.id,
 		}}
-		n.dirty[k] = struct{}{}
+		n.dirty.Mark(k)
 	}
 	n.scheduleFlush(nw)
 }
@@ -259,37 +272,21 @@ func (n *node) scheduleFlush(nw *sim.Network) {
 // flush advertises every context marked dirty since the last flush.
 func (n *node) flush() {
 	n.flushPending = false
-	s := n.sys
-	s.keys = appendSortedKeys(s.keys[:0], n.dirty)
-	clear(n.dirty)
-	n.flushTo(s.nw, s.keys, ad.Invalid)
+	n.flushTo(n.sys.nw, n.dirty.Take(), ad.Invalid)
 }
 
-// appendSortedKeys appends m's contexts to dst in (dest, qos) order.
-func appendSortedKeys[V any](dst []ribKey, m map[ribKey]V) []ribKey {
-	for k := range m {
-		dst = append(dst, k)
-	}
-	slices.SortFunc(dst, func(a, b ribKey) int {
-		if a.dest != b.dest {
-			return cmp.Compare(a.dest, b.dest)
-		}
-		return cmp.Compare(a.qos, b.qos)
-	})
-	return dst
-}
-
-// exportRoutes appends to out the PVRoutes n advertises for context k: the
+// exportRoutes appends to out the PVRoutes n advertises for context i: the
 // selected routes, with n prepended to the path, n's policy attributes
 // intersected in, and the transit cost added. Appending none means
 // withdraw. The prepended paths live in the system's paths scratch.
-func (n *node) exportRoutes(out []wire.PVRoute, k ribKey) []wire.PVRoute {
+func (n *node) exportRoutes(out []wire.PVRoute, i int32) []wire.PVRoute {
 	s := n.sys
-	isSelf := k.dest == n.id
-	for _, r := range n.adv[k] {
+	k := s.ctx.Key(int(i))
+	isSelf := k.Dest == n.id
+	for _, r := range n.adv[i] {
 		pv := wire.PVRoute{
-			Dest:   k.dest,
-			QOS:    k.qos,
+			Dest:   k.Dest,
+			QOS:    k.QOS,
 			Metric: r.metric,
 		}
 		if isSelf {
@@ -298,7 +295,7 @@ func (n *node) exportRoutes(out []wire.PVRoute, k ribKey) []wire.PVRoute {
 		} else {
 			// Re-advertising makes n a transit for the route: n
 			// must have terms, offer the QOS, and carry the dest.
-			if !n.transit.OK[int(k.qos)] || !n.transit.Dests.Contains(k.dest) {
+			if !n.transit.OK[int(k.QOS)] || !n.transit.Dests.Contains(k.Dest) {
 				continue
 			}
 			if n.sys.cfg.BGPMode {
@@ -313,7 +310,7 @@ func (n *node) exportRoutes(out []wire.PVRoute, k ribKey) []wire.PVRoute {
 					continue
 				}
 			}
-			pv.Metric = r.metric + n.transit.Cost[int(k.qos)]
+			pv.Metric = r.metric + n.transit.Cost[int(k.QOS)]
 		}
 		start := len(s.paths)
 		s.paths = append(append(s.paths, n.id), r.path...)
@@ -323,9 +320,10 @@ func (n *node) exportRoutes(out []wire.PVRoute, k ribKey) []wire.PVRoute {
 	return out
 }
 
-// flushTo advertises the given contexts to every up neighbor (or only to
-// `only`). A context with no exportable routes is sent as a withdrawal.
-func (n *node) flushTo(nw *sim.Network, keys []ribKey, only ad.ID) {
+// flushTo advertises the given contexts, ascending, to every up neighbor (or
+// only to `only`). A context with no exportable routes is sent as a
+// withdrawal.
+func (n *node) flushTo(nw *sim.Network, keys []int32, only ad.ID) {
 	if len(keys) == 0 {
 		return
 	}
@@ -354,8 +352,9 @@ func (n *node) flushTo(nw *sim.Network, keys []ribKey, only ad.ID) {
 				sentAny = true
 			}
 			if !sentAny {
+				key := s.ctx.Key(int(k))
 				upd.Routes = append(upd.Routes, wire.PVRoute{
-					Dest: k.dest, QOS: k.qos, Withdrawn: true,
+					Dest: key.Dest, QOS: key.QOS, Withdrawn: true,
 					AllowedSources: policy.SetOf(),
 				})
 			}
@@ -384,8 +383,11 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 		if int(pv.QOS) >= s.cfg.QOSClasses || pv.Dest == n.id {
 			continue
 		}
-		k := ribKey{dest: pv.Dest, qos: pv.QOS}
-		m := s.marks[k]
+		k := int32(s.ctx.Index(dvcore.Key{Dest: pv.Dest, QOS: pv.QOS}))
+		if k < 0 {
+			continue
+		}
+		m := &s.marks[k]
 		switch {
 		case pv.Withdrawn:
 			rs := n.cands[k]
@@ -425,7 +427,6 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 			m.changed = s.receives
 			changed = append(changed, k)
 		}
-		s.marks[k] = m
 	}
 	s.changed = changed
 	n.reselect(nw, changed)
@@ -446,20 +447,16 @@ func keptPath(rs []route, from ad.ID, p ad.Path) ad.Path {
 
 // reselect recomputes the selected route set for each changed context and
 // schedules advertisement of the differences.
-func (n *node) reselect(nw *sim.Network, changed []ribKey) {
+func (n *node) reselect(nw *sim.Network, changed []int32) {
 	any := false
 	for _, k := range changed {
-		if k.dest == n.id {
+		if n.sys.ctx.Key(int(k)).Dest == n.id {
 			continue
 		}
 		sel := n.selectRoutes(k)
 		if !routesEqual(sel, n.adv[k]) {
-			if len(sel) == 0 {
-				delete(n.adv, k)
-			} else {
-				n.adv[k] = append(n.adv[k][:0], sel...)
-			}
-			n.dirty[k] = struct{}{}
+			n.adv[k] = append(n.adv[k][:0], sel...)
+			n.dirty.Mark(int(k))
 			any = true
 		}
 	}
@@ -474,7 +471,7 @@ func (n *node) reselect(nw *sim.Network, changed []ribKey) {
 // identified with a unique set of policy attributes", §5.2). The result is
 // the system's scratch, valid until the next call. It sorts k's candidates
 // in place, best first.
-func (n *node) selectRoutes(k ribKey) []route {
+func (n *node) selectRoutes(k int32) []route {
 	s := n.sys
 	all := n.cands[k]
 	slices.SortFunc(all, func(a, b route) int {
@@ -547,7 +544,7 @@ func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
 	for k, rs := range n.cands {
 		if kept := slices.DeleteFunc(rs, func(c route) bool { return c.from == nb }); len(kept) < len(rs) {
 			n.cands[k] = kept
-			changed = append(changed, k)
+			changed = append(changed, int32(k))
 		}
 	}
 	n.sys.changed = changed
@@ -556,6 +553,12 @@ func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
 
 func (n *node) LinkUp(nw *sim.Network, nb ad.ID) {
 	// Advertise the full Adj-RIB-Out to the recovered neighbor.
-	n.sys.keys = appendSortedKeys(n.sys.keys[:0], n.adv)
-	n.flushTo(nw, n.sys.keys, nb)
+	keys := n.sys.keys[:0]
+	for k, rs := range n.adv {
+		if len(rs) > 0 {
+			keys = append(keys, int32(k))
+		}
+	}
+	n.sys.keys = keys
+	n.flushTo(nw, keys, nb)
 }

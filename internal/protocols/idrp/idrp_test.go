@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ad"
 	"repro/internal/core"
+	"repro/internal/dvcore"
 	"repro/internal/policy"
 	"repro/internal/racecheck"
 	"repro/internal/sim"
@@ -220,7 +221,7 @@ func TestPartitionWithdrawsRoutes(t *testing.T) {
 	if out := s.Route(policy.Request{Src: src, Dst: d}); out.Delivered {
 		t.Errorf("delivered across partition: %v", out.Path)
 	}
-	if paths := s.nodes[src].adv[ribKey{dest: d}]; len(paths) != 0 {
+	if paths := s.node(src).adv[s.ctx.Index(dvcore.Key{Dest: d})]; len(paths) != 0 {
 		t.Errorf("stale selected routes at src: %v", paths)
 	}
 }
@@ -255,7 +256,7 @@ func TestSelectedRoutesAccessor(t *testing.T) {
 	db := policy.OpenDB(g)
 	s := New(g, db, Config{})
 	s.Converge(seconds(300))
-	routes := s.nodes[s1].adv[ribKey{dest: d}]
+	routes := s.node(s1).adv[s.ctx.Index(dvcore.Key{Dest: d})]
 	if len(routes) != 1 {
 		t.Fatalf("selected = %v, want 1 route", routes)
 	}
@@ -310,7 +311,7 @@ func TestDestinationExportFilter(t *testing.T) {
 		t.Errorf("filtered destination delivered: %v", out.Path)
 	}
 	// The filtered route never even reaches src's RIB.
-	if paths := s.nodes[src].adv[ribKey{dest: d2}]; len(paths) != 0 {
+	if paths := s.node(src).adv[s.ctx.Index(dvcore.Key{Dest: d2})]; len(paths) != 0 {
 		t.Errorf("filtered route advertised to src: %v", paths)
 	}
 }
@@ -353,8 +354,8 @@ func TestPrevNextConstraintsInAttributes(t *testing.T) {
 func TestMultiRouteDistinctByValue(t *testing.T) {
 	g, s1, s2, t1, t2, d := twoTransitNet(t)
 	s := New(g, policy.OpenDB(g), Config{MultiRoute: 4})
-	n := s.nodes[s1]
-	k := ribKey{dest: d}
+	n := s.node(s1)
+	k := int32(s.ctx.Index(dvcore.Key{Dest: d}))
 	cand := func(via ad.ID, metric uint32, sources policy.ADSet, uci policy.ClassSet) route {
 		return route{path: ad.Path{via, d}, metric: metric, sources: sources, uci: uci, from: via}
 	}
@@ -381,21 +382,21 @@ func TestMultiRouteDistinctByValue(t *testing.T) {
 func TestReselectValueEqualIsNoChange(t *testing.T) {
 	g, s1, s2, t1, _, d := twoTransitNet(t)
 	s := New(g, policy.OpenDB(g), Config{})
-	n := s.nodes[s1]
-	k := ribKey{dest: d}
+	n := s.node(s1)
+	k := int32(s.ctx.Index(dvcore.Key{Dest: d}))
 	r := route{path: ad.Path{t1, d}, metric: 2, sources: policy.SetOf(s1, s2), uci: policy.AllClasses, from: t1}
 	n.cands[k] = []route{r}
 	n.adv[k] = slices.Clone(n.selectRoutes(k))
 	r.sources = policy.SetOf(s2, 7, s1).Intersect(policy.SetOf(s1, s2))
 	n.cands[k] = []route{r}
-	n.reselect(s.nw, []ribKey{k})
-	if len(n.dirty) != 0 || n.flushPending {
-		t.Errorf("value-equal sources re-advertised: dirty %v", n.dirty)
+	n.reselect(s.nw, []int32{k})
+	if dirty := n.dirty.Take(); len(dirty) != 0 || n.flushPending {
+		t.Errorf("value-equal sources re-advertised: dirty %v", dirty)
 	}
 	r.sources = policy.SetOf(s1)
 	n.cands[k] = []route{r}
-	n.reselect(s.nw, []ribKey{k})
-	if _, ok := n.dirty[k]; !ok {
+	n.reselect(s.nw, []int32{k})
+	if !slices.Contains(n.dirty.Take(), k) {
 		t.Error("narrowed sources not re-advertised")
 	}
 }

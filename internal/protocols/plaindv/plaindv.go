@@ -58,8 +58,10 @@ func New(g *ad.Graph, cfg Config) *System {
 		nw:    sim.NewNetwork(g),
 		nodes: make(map[ad.ID]*node),
 	}
-	for _, id := range g.IDs() {
-		n := &node{id: id, sys: s, table: dvcore.NewTable()}
+	ids := g.IDs()
+	ctx := dvcore.NewContexts(ids, 1)
+	for _, id := range ids {
+		n := &node{id: id, sys: s, table: dvcore.NewTable(ctx)}
 		s.nodes[id] = n
 		s.nw.AddNode(n)
 	}

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ad"
 	"repro/internal/wire"
@@ -40,15 +40,13 @@ type Stats struct {
 	MessagesDropped  uint64 // sends attempted over down/absent links
 	MessagesByKind   map[string]uint64
 	BytesByKind      map[string]uint64
-	DeliveredByLink  map[[2]ad.ID]uint64
 	MaxQueuedPending int
 }
 
 func newStats() *Stats {
 	return &Stats{
-		MessagesByKind:  make(map[string]uint64),
-		BytesByKind:     make(map[string]uint64),
-		DeliveredByLink: make(map[[2]ad.ID]uint64),
+		MessagesByKind: make(map[string]uint64),
+		BytesByKind:    make(map[string]uint64),
 	}
 }
 
@@ -58,22 +56,43 @@ func newStats() *Stats {
 // Links are FIFO: delay is constant per link, so delivery order matches send
 // order. A link can be failed and restored during the run; messages in
 // flight when a link fails are lost (they were "on the wire").
+//
+// A network's graph keeps its ADs and links for the network's life: the
+// network numbers them once, at NewNetwork, and a failure goes through
+// FailLink/RestoreLink, never through the graph. A graph whose Version
+// moved under a network is a harness bug, and the network panics on it.
 type Network struct {
 	Engine *Engine
 	Graph  *ad.Graph
 	Stats  *Stats
 
-	nodes map[ad.ID]Node
-	down  map[[2]ad.ID]bool
-	// epoch increments on each link failure; in-flight messages stamped
-	// with an older epoch for that link are dropped on delivery.
-	linkEpoch map[[2]ad.ID]uint64
+	// gver is the graph's Version at NewNetwork.
+	gver uint64
+	// ids holds the graph's ADs in ascending order, and nodes, nbrs and
+	// adj are indexed by an AD's position there: its registered node
+	// (nil if none) and the graph's own sorted adjacency.
+	ids   []ad.ID
+	nodes []Node
+	nbrs  [][]ad.ID
+	adj   [][]ad.Link
+	// The directed edges out of the AD at position p are numbered
+	// edgeOff[p] on, in its adjacency order, and the per-edge state below
+	// is indexed by that number.
+	edgeOff []int32
+	// down marks both directions of a failed link; numDown counts the
+	// failed links.
+	down    []bool
+	numDown int
+	// linkEpoch increments, in both directions, on each link failure;
+	// in-flight messages stamped with an older epoch for their edge are
+	// dropped on delivery.
+	linkEpoch []uint64
 	// busyUntil tracks each directed link's transmitter: a message may
 	// not start serializing before the previous one finished, which
 	// keeps links FIFO even with size-dependent transmission delays.
-	// FailLink clears both directed entries so a restored link starts
-	// with an idle transmitter instead of inheriting pre-failure backlog.
-	busyUntil map[[2]ad.ID]Time
+	// FailLink clears both directions so a restored link starts with an
+	// idle transmitter instead of inheriting pre-failure backlog.
+	busyUntil []Time
 
 	// free recycles the in-flight records the event queue carries, each
 	// with its payload buffer. The Node contract forbids retaining the
@@ -98,41 +117,79 @@ type Network struct {
 	Trace func(format string, args ...interface{})
 }
 
-// NewNetwork builds a network over graph with all links initially up.
+// NewNetwork builds a network over graph with all links initially up. The
+// graph must keep its ADs and links for the network's life.
 func NewNetwork(g *ad.Graph) *Network {
-	return &Network{
+	ids := g.IDs()
+	nw := &Network{
 		Engine:       NewEngine(),
 		Graph:        g,
 		Stats:        newStats(),
-		nodes:        make(map[ad.ID]Node),
-		down:         make(map[[2]ad.ID]bool),
-		linkEpoch:    make(map[[2]ad.ID]uint64),
-		busyUntil:    make(map[[2]ad.ID]Time),
+		gver:         g.Version(),
+		ids:          ids,
+		nodes:        make([]Node, len(ids)),
+		nbrs:         make([][]ad.ID, len(ids)),
+		adj:          make([][]ad.Link, len(ids)),
+		edgeOff:      make([]int32, len(ids)),
 		DefaultDelay: 10 * Millisecond,
 	}
+	edges := int32(0)
+	for p, id := range ids {
+		nw.nbrs[p], nw.adj[p] = g.Neighbors(id), g.Incident(id)
+		nw.edgeOff[p] = edges
+		edges += int32(len(nw.nbrs[p]))
+	}
+	nw.down = make([]bool, edges)
+	nw.linkEpoch = make([]uint64, edges)
+	nw.busyUntil = make([]Time, edges)
+	return nw
 }
 
-// AddNode registers the node for its AD. Registering two nodes for one AD
-// panics: it is always a harness bug.
+// AddNode registers the node for its AD. Registering two nodes for one AD,
+// or a node for an AD the graph lacks, panics: it is always a harness bug.
 func (nw *Network) AddNode(n Node) {
-	if _, dup := nw.nodes[n.ID()]; dup {
+	p := ad.Position(nw.ids, n.ID())
+	if p < 0 {
+		panic(fmt.Sprintf("sim: node for %v, which the graph lacks", n.ID()))
+	}
+	if nw.nodes[p] != nil {
 		panic(fmt.Sprintf("sim: duplicate node for %v", n.ID()))
 	}
-	nw.nodes[n.ID()] = n
+	nw.nodes[p] = n
 }
 
 // Nodes returns all registered nodes sorted by AD ID.
 func (nw *Network) Nodes() []Node {
-	ids := make([]ad.ID, 0, len(nw.nodes))
-	for id := range nw.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]Node, len(ids))
-	for i, id := range ids {
-		out[i] = nw.nodes[id]
+	out := make([]Node, 0, len(nw.nodes))
+	for _, n := range nw.nodes {
+		if n != nil {
+			out = append(out, n)
+		}
 	}
 	return out
+}
+
+// position returns id's position, or -1 when the graph lacks it. It panics
+// if the graph moved since NewNetwork: the numbering would no longer be its.
+func (nw *Network) position(id ad.ID) int {
+	if v := nw.Graph.Version(); v != nw.gver {
+		panic(fmt.Sprintf("sim: the graph moved from version %d to %d under its network; fail links with FailLink/RestoreLink", nw.gver, v))
+	}
+	return ad.Position(nw.ids, id)
+}
+
+// edge returns the number of the directed edge from a to b, the position of
+// b, and the link, or ok false when a and b are not adjacent.
+func (nw *Network) edge(a, b ad.ID) (e int32, bpos int32, link ad.Link, ok bool) {
+	p := nw.position(a)
+	if p < 0 {
+		return 0, 0, ad.Link{}, false
+	}
+	i, ok := slices.BinarySearch(nw.nbrs[p], b)
+	if !ok {
+		return 0, 0, ad.Link{}, false
+	}
+	return nw.edgeOff[p] + int32(i), int32(ad.Position(nw.ids, b)), nw.adj[p][i], true
 }
 
 // Now returns the current simulated time.
@@ -141,39 +198,35 @@ func (nw *Network) Now() Time { return nw.Engine.Now() }
 // After schedules fn after d; it is the timer facility for nodes.
 func (nw *Network) After(d Time, fn func()) { nw.Engine.After(d, fn) }
 
-func linkKey(a, b ad.ID) [2]ad.ID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]ad.ID{a, b}
-}
-
 // LinkIsUp reports whether the link between a and b exists and is currently
 // up.
 func (nw *Network) LinkIsUp(a, b ad.ID) bool {
-	if !nw.Graph.HasLink(a, b) {
-		return false
-	}
-	return !nw.down[linkKey(a, b)]
+	e, _, _, ok := nw.edge(a, b)
+	return ok && !nw.down[e]
 }
 
 // UpNeighbors returns the neighbors of id reachable over currently-up links,
-// in ascending order. The returned slice may alias the graph's cached
-// adjacency index: callers must not modify it. While no link in the network
-// is down (the common case during convergence), it allocates nothing.
+// in ascending order. The returned slice may alias the graph's adjacency
+// index: callers must not modify it. While no link in the network is down
+// (the common case during convergence), it allocates nothing.
 func (nw *Network) UpNeighbors(id ad.ID) []ad.ID {
-	all := nw.Graph.Neighbors(id)
-	if len(nw.down) == 0 {
+	p := nw.position(id)
+	if p < 0 {
+		return nil
+	}
+	all := nw.nbrs[p]
+	if nw.numDown == 0 {
 		return all
 	}
-	for i, n := range all {
-		if nw.down[linkKey(id, n)] {
+	down := nw.down[nw.edgeOff[p] : int(nw.edgeOff[p])+len(all)]
+	for i := range all {
+		if down[i] {
 			// Copy-on-filter: only pay for an allocation when some
 			// incident link is actually down.
 			out := make([]ad.ID, i, len(all)-1)
 			copy(out, all[:i])
-			for _, m := range all[i+1:] {
-				if !nw.down[linkKey(id, m)] {
+			for j, m := range all[i+1:] {
+				if !down[i+1+j] {
 					out = append(out, m)
 				}
 			}
@@ -197,16 +250,18 @@ func (nw *Network) Encode(m wire.Message) []byte {
 }
 
 // delivery is one message in flight, the record the event queue carries
-// from Send to its arrival: its link's failure epoch at sending time, and
-// the payload in the record's own buffer. Records are recycled with their
-// buffers, so a message costs no allocation once the pool is warm; a buffer
-// too small for its message grows and stays grown.
+// from Send to its arrival: its directed edge and that edge's failure epoch
+// at sending time, the receiver's position, and the payload in the record's
+// own buffer. Records are recycled with their buffers, so a message costs
+// no allocation once the pool is warm; a buffer too small for its message
+// grows and stays grown.
 type delivery struct {
-	nw       *Network
-	kind     string
-	from, to ad.ID
-	epoch    uint64
-	buf      []byte
+	nw        *Network
+	kind      string
+	from, to  ad.ID
+	edge, dst int32
+	epoch     uint64
+	buf       []byte
 }
 
 // Send transmits a marshalled protocol message from one AD to an adjacent
@@ -214,9 +269,8 @@ type delivery struct {
 // (and counts a drop) if the ADs are not adjacent or the link is down.
 // payload is copied; the caller may reuse it once Send returns.
 func (nw *Network) Send(kind string, from, to ad.ID, payload []byte) bool {
-	key := linkKey(from, to)
-	link, ok := nw.Graph.LinkBetween(from, to)
-	if !ok || nw.down[key] {
+	e, dst, link, ok := nw.edge(from, to)
+	if !ok || nw.down[e] {
 		nw.Stats.MessagesDropped++
 		return false
 	}
@@ -226,16 +280,15 @@ func (nw *Network) Send(kind string, from, to ad.ID, payload []byte) bool {
 	}
 	// Serialization: the directed transmitter is busy until the previous
 	// message finished clocking out, so links stay FIFO.
-	dirKey := [2]ad.ID{from, to}
 	start := nw.Now()
-	if busy := nw.busyUntil[dirKey]; busy > start {
+	if busy := nw.busyUntil[e]; busy > start {
 		start = busy
 	}
 	var tx Time
 	if link.BandwidthBps > 0 {
 		tx = Time(int64(len(payload)) * 8 * int64(Second) / link.BandwidthBps)
 	}
-	nw.busyUntil[dirKey] = start + tx
+	nw.busyUntil[e] = start + tx
 	delay := (start - nw.Now()) + tx + prop
 	nw.Stats.MessagesSent++
 	nw.Stats.BytesSent += uint64(len(payload))
@@ -254,7 +307,7 @@ func (nw *Network) Send(kind string, from, to ad.ID, payload []byte) bool {
 	} else {
 		d = &delivery{nw: nw}
 	}
-	d.kind, d.from, d.to, d.epoch = kind, from, to, nw.linkEpoch[key]
+	d.kind, d.from, d.to, d.edge, d.dst, d.epoch = kind, from, to, e, dst, nw.linkEpoch[e]
 	d.buf = append(d.buf[:0], payload...)
 	nw.Engine.schedule(event{at: nw.Now() + delay, d: d})
 	if p := nw.Engine.Pending(); p > nw.Stats.MaxQueuedPending {
@@ -275,14 +328,13 @@ func (nw *Network) SendMessage(kind string, from, to ad.ID, m wire.Message) bool
 // deliver runs d's arrival, then recycles the record and its buffer.
 func (nw *Network) deliver(d *delivery) {
 	// A failure while the message was in flight loses it.
-	if key := linkKey(d.from, d.to); nw.down[key] || nw.linkEpoch[key] != d.epoch {
+	if nw.down[d.edge] || nw.linkEpoch[d.edge] != d.epoch {
 		nw.Stats.MessagesDropped++
 	} else {
-		nw.Stats.DeliveredByLink[key]++
 		if nw.Trace != nil {
 			nw.Trace("%v %s %v->%v %dB", nw.Now(), d.kind, d.from, d.to, len(d.buf))
 		}
-		if node := nw.nodes[d.to]; node != nil {
+		if node := nw.nodes[d.dst]; node != nil {
 			node.Receive(nw, d.from, d.buf)
 		}
 	}
@@ -315,24 +367,27 @@ func (nw *Network) Flood(kind string, from ad.ID, payload []byte, skip ...ad.ID)
 // endpoints' nodes immediately (the paper's model assumes border gateways
 // detect adjacent link failures directly). In-flight messages are lost.
 func (nw *Network) FailLink(a, b ad.ID) error {
-	if !nw.Graph.HasLink(a, b) {
+	ab, bpos, _, ok := nw.edge(a, b)
+	if !ok {
 		return fmt.Errorf("sim: no link %v-%v", a, b)
 	}
-	key := linkKey(a, b)
-	if nw.down[key] {
+	if nw.down[ab] {
 		return nil
 	}
-	nw.down[key] = true
-	nw.linkEpoch[key]++
-	// The failure drops whatever was serializing or queued at either
-	// transmitter; a later restore must start with idle transmitters, not
-	// inherit pre-failure backlog.
-	delete(nw.busyUntil, [2]ad.ID{a, b})
-	delete(nw.busyUntil, [2]ad.ID{b, a})
-	if n := nw.nodes[a]; n != nil {
+	ba, apos, _, _ := nw.edge(b, a)
+	nw.numDown++
+	for _, e := range [2]int32{ab, ba} {
+		nw.down[e] = true
+		nw.linkEpoch[e]++
+		// The failure drops whatever was serializing or queued at the
+		// transmitter; a later restore must start with an idle one, not
+		// inherit pre-failure backlog.
+		nw.busyUntil[e] = 0
+	}
+	if n := nw.nodes[apos]; n != nil {
 		n.LinkDown(nw, b)
 	}
-	if n := nw.nodes[b]; n != nil {
+	if n := nw.nodes[bpos]; n != nil {
 		n.LinkDown(nw, a)
 	}
 	return nil
@@ -340,18 +395,20 @@ func (nw *Network) FailLink(a, b ad.ID) error {
 
 // RestoreLink brings a failed link back up and notifies both endpoints.
 func (nw *Network) RestoreLink(a, b ad.ID) error {
-	if !nw.Graph.HasLink(a, b) {
+	ab, bpos, _, ok := nw.edge(a, b)
+	if !ok {
 		return fmt.Errorf("sim: no link %v-%v", a, b)
 	}
-	key := linkKey(a, b)
-	if !nw.down[key] {
+	if !nw.down[ab] {
 		return nil
 	}
-	delete(nw.down, key)
-	if n := nw.nodes[a]; n != nil {
+	ba, apos, _, _ := nw.edge(b, a)
+	nw.numDown--
+	nw.down[ab], nw.down[ba] = false, false
+	if n := nw.nodes[apos]; n != nil {
 		n.LinkUp(nw, b)
 	}
-	if n := nw.nodes[b]; n != nil {
+	if n := nw.nodes[bpos]; n != nil {
 		n.LinkUp(nw, a)
 	}
 	return nil

@@ -365,6 +365,35 @@ func TestNodesSorted(t *testing.T) {
 	}
 }
 
+// TestGraphMovedUnderNetworkPanics: a network numbers its graph's links
+// once, so a graph mutated under it (instead of FailLink/RestoreLink) is a
+// harness bug the next Send reports, not a silently wrong delivery.
+func TestGraphMovedUnderNetworkPanics(t *testing.T) {
+	nw, na, nb := twoNodeNet(t)
+	if !nw.Send("ping", na.id, nb.id, []byte("ping")) {
+		t.Fatal("Send = false")
+	}
+	nw.Graph.RemoveLink(na.id, nb.id)
+	defer func() {
+		if r := recover(); r == nil {
+			t.Error("Send after the graph lost a link did not panic")
+		}
+	}()
+	nw.Send("ping", na.id, nb.id, []byte("ping"))
+}
+
+// TestAddNodeOutsideGraphPanics: nodes are held by graph position, so a node
+// for an AD the graph lacks is refused like a duplicate.
+func TestAddNodeOutsideGraphPanics(t *testing.T) {
+	nw, _, _ := twoNodeNet(t)
+	defer func() {
+		if recover() == nil {
+			t.Error("AddNode for an AD outside the graph did not panic")
+		}
+	}()
+	nw.AddNode(&echoNode{id: 99})
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() (uint64, Time) {
 		nw, na, nb := twoNodeNet(t)
@@ -608,7 +637,7 @@ func TestPayloadBufferReuseIsolation(t *testing.T) {
 	recv := &recordNode{id: nb.id, onRecv: func(p []byte, at Time) {
 		got = append(got, string(p))
 	}}
-	nw.nodes[nb.id] = recv // swap in a recorder for b
+	nw.nodes[ad.Position(nw.ids, nb.id)] = recv // swap in a recorder for b
 	for _, m := range msgs {
 		nw.Send("m", na.id, nb.id, []byte(m))
 		nw.Engine.Run()

@@ -209,16 +209,7 @@ func (s *Snapshot) Refresh(g *ad.Graph, db *policy.DB) *Snapshot {
 }
 
 // index returns id's dense index, or -1 when the graph has no such AD.
-func (s *Snapshot) index(id ad.ID) int32 {
-	// Topology builders number ADs 1..n without gaps.
-	if i := int(id) - 1; i >= 0 && i < len(s.ids) && s.ids[i] == id {
-		return int32(i)
-	}
-	if i, ok := slices.BinarySearch(s.ids, id); ok {
-		return int32(i)
-	}
-	return -1
-}
+func (s *Snapshot) index(id ad.ID) int32 { return int32(ad.Position(s.ids, id)) }
 
 func (s *Snapshot) ref(id ad.ID) ref { return ref{idx: s.index(id), id: id} }
 
