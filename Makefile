@@ -90,10 +90,16 @@ determinism:
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestRunAllParallelDeterminism|TestRowsAtAnyParallelism|TestE20RouteServer' ./internal/experiments/
 
 # The committed report must come out byte for byte, serially (one worker:
-# the default is one per CPU) and from the parallel runner.
+# the default is one per CPU) and from the parallel runner. So must prsim's
+# nine-protocol comparison followed by every committed scenario, in file
+# name order, against prsim_seed42.txt.
 golden:
 	$(GO) run ./cmd/experiments -seed 42 -parallel 1 | cmp - results_seed42.txt
 	$(GO) run ./cmd/experiments -seed 42 -parallel 8 | cmp - results_seed42.txt
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	$(GO) build -o $$tmp/prsim ./cmd/prsim; \
+	{ $$tmp/prsim -proto all; for f in scenarios/*.json; do $$tmp/prsim -scenario $$f; done; } \
+		| cmp - prsim_seed42.txt
 
 # examples runs the five examples and fails if one exits non-zero. README
 # quotes quickstart's output (the block after "the resulting handle:"), so

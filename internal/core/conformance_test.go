@@ -24,7 +24,7 @@ import (
 func TestConformanceAllProtocols(t *testing.T) {
 	runConformance(t, "plain-dv", func(g *ad.Graph, db *policy.DB) core.System {
 		return plaindv.New(g, plaindv.Config{SplitHorizon: true})
-	}, conformanceConfig{Seed: 100, SupportsFailure: true})
+	}, conformanceConfig{Seed: 100})
 
 	runConformance(t, "egp", func(g *ad.Graph, db *policy.DB) core.System {
 		return egp.New(g, egp.Config{})
@@ -36,23 +36,23 @@ func TestConformanceAllProtocols(t *testing.T) {
 
 	runConformance(t, "ecma", func(g *ad.Graph, db *policy.DB) core.System {
 		return ecma.New(g, db, ecma.Config{})
-	}, conformanceConfig{Seed: 400, PolicyAware: true, SupportsFailure: true})
+	}, conformanceConfig{Seed: 400, PolicyAware: true})
 
 	runConformance(t, "idrp", func(g *ad.Graph, db *policy.DB) core.System {
 		return idrp.New(g, db, idrp.Config{})
-	}, conformanceConfig{Seed: 500, PolicyAware: true, SourceSpecific: true, SupportsFailure: true})
+	}, conformanceConfig{Seed: 500, PolicyAware: true, SourceSpecific: true})
 
 	runConformance(t, "bgp", func(g *ad.Graph, db *policy.DB) core.System {
 		return idrp.New(g, db, idrp.Config{BGPMode: true})
-	}, conformanceConfig{Seed: 600, PolicyAware: true, SupportsFailure: true})
+	}, conformanceConfig{Seed: 600, PolicyAware: true})
 
 	runConformance(t, "lshh", func(g *ad.Graph, db *policy.DB) core.System {
 		return lshh.New(g, db, lshh.Config{})
-	}, conformanceConfig{Seed: 700, PolicyAware: true, SourceSpecific: true, SupportsFailure: true})
+	}, conformanceConfig{Seed: 700, PolicyAware: true, SourceSpecific: true})
 
 	runConformance(t, "orwg", func(g *ad.Graph, db *policy.DB) core.System {
 		return orwg.New(g, db, orwg.Config{})
-	}, conformanceConfig{Seed: 800, PolicyAware: true, SourceSpecific: true, SupportsFailure: true})
+	}, conformanceConfig{Seed: 800, PolicyAware: true, SourceSpecific: true})
 }
 
 // systemBuilder constructs a protocol instance over a topology and policy
@@ -67,9 +67,6 @@ type conformanceConfig struct {
 	// SourceSpecific systems additionally honour source-restricted terms
 	// (either by detouring or by dropping — never by violating).
 	SourceSpecific bool
-	// SupportsFailure runs the failure/recovery checks: the system
-	// repairs its routes after FailLink.
-	SupportsFailure bool
 	// Seed drives the generated internets.
 	Seed int64
 }
@@ -77,8 +74,9 @@ type conformanceConfig struct {
 // runConformance exercises a routing architecture against the invariants
 // every design point of the paper must satisfy at its level of capability:
 // convergence to quiescence, loop-free steady-state forwarding, determinism,
-// oracle agreement under open policies, and policy compliance per the
-// configured capability level.
+// loop-free reconvergence after a link failure with a Computations count
+// that never falls, oracle agreement under open policies, and policy
+// compliance per the configured capability level.
 func runConformance(t *testing.T, name string, build systemBuilder, cfg conformanceConfig) {
 	t.Helper()
 	limit := 600 * sim.Second
@@ -155,35 +153,51 @@ func runConformance(t *testing.T, name string, build systemBuilder, cfg conforma
 		})
 	}
 
-	if cfg.SupportsFailure {
-		t.Run(name+"/failure-recovery", func(t *testing.T) {
-			topo := topology.Generate(topology.Config{Seed: cfg.Seed + 6, LateralProb: 0.35, BypassProb: 0.15})
-			g := topo.Graph
-			db := policy.OpenDB(g)
-			sys := build(g, db)
-			sys.Converge(limit)
-			// Fail a redundant link; the system must reconverge and
-			// keep every still-connected pair loop-free.
-			var victim ad.Link
-			for _, l := range g.Links() {
-				trial := g.Clone()
-				trial.RemoveLink(l.A, l.B)
-				if trial.Connected() {
-					victim = l
-					break
-				}
+	t.Run(name+"/failure-recovery", func(t *testing.T) {
+		topo := topology.Generate(topology.Config{Seed: cfg.Seed + 6, LateralProb: 0.35, BypassProb: 0.15})
+		g := topo.Graph
+		db := policy.OpenDB(g)
+		sys := build(g, db)
+		sys.Converge(limit)
+		pairs := core.AllPairsRequests(g, true, 0, 0)
+		// Computations is cumulative: nothing may make it fall.
+		comp := sys.Computations()
+		cumulative := func(after any) {
+			t.Helper()
+			c := sys.Computations()
+			if c < comp {
+				t.Fatalf("Computations fell from %d to %d after %v", comp, c, after)
 			}
-			if err := sys.FailLink(victim.A, victim.B); err != nil {
-				t.Fatal(err)
+			comp = c
+		}
+		for _, req := range pairs {
+			sys.Route(req)
+		}
+		cumulative("routing every pair")
+		// Fail a redundant link; the system must reconverge and
+		// keep every still-connected pair loop-free.
+		var victim ad.Link
+		for _, l := range g.Links() {
+			trial := g.Clone()
+			trial.RemoveLink(l.A, l.B)
+			if trial.Connected() {
+				victim = l
+				break
 			}
-			if _, ok := sys.Converge(10 * limit); !ok {
-				t.Fatal("did not reconverge after failure")
+		}
+		if err := sys.FailLink(victim.A, victim.B); err != nil {
+			t.Fatal(err)
+		}
+		cumulative("the failure")
+		if _, ok := sys.Converge(10 * limit); !ok {
+			t.Fatal("did not reconverge after failure")
+		}
+		cumulative("reconverging")
+		for _, req := range pairs {
+			if out := sys.Route(req); out.Looped {
+				t.Fatalf("%v looped after failure: %v", req, out.Path)
 			}
-			for _, req := range core.AllPairsRequests(g, true, 0, 0) {
-				if out := sys.Route(req); out.Looped {
-					t.Fatalf("%v looped after failure: %v", req, out.Path)
-				}
-			}
-		})
-	}
+			cumulative(req)
+		}
+	})
 }

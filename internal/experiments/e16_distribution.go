@@ -41,7 +41,7 @@ func E16DatabaseDistribution(seed int64) *metrics.Table {
 		}
 		nodes := make(map[ad.ID]*distNode)
 		for _, id := range g.IDs() {
-			n := &distNode{f: flood.NewFlooder(id, "lsa"), terms: db.Terms(id)}
+			n := &distNode{f: flood.NewFlooder(id), terms: db.Terms(id)}
 			if scoped {
 				self := id
 				n.f.Scope = func(nb ad.ID) bool {

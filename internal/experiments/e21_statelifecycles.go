@@ -8,6 +8,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/protocols/orwg"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // e21TTL is the soft-state lifetime. It must comfortably exceed the
@@ -151,7 +152,7 @@ func e21Rows(seed int64) rows {
 				lat := sys.ResetupLatency()
 
 				cells[row] = []any{model, string(st.Kind), requests, established, maxPeak, resident,
-					sys.Network().Stats.BytesByKind["refresh"],
+					sys.Network().Stats.BytesByType[wire.TypeRefresh],
 					metrics.Ratio(float64(delivered), float64(len(wave2))),
 					repairQ, rsum.Repaired,
 					float64(lat.P95) / 1e6, oracleOK}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/ad"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/pgstate"
 	"repro/internal/protocols/orwg"
 	"repro/internal/wire"
 )
@@ -32,7 +33,11 @@ func e5Rows(seed int64) rows {
 	tasks := make([]func(), len(capacities))
 	for i, capacity := range capacities {
 		tasks[i] = func() {
-			sys := orwg.New(g, db, orwg.Config{CacheCapacity: capacity})
+			var cfg orwg.Config
+			if capacity > 0 {
+				cfg.State = pgstate.Config{Kind: pgstate.Capped, Capacity: capacity}
+			}
+			sys := orwg.New(g, db, cfg)
 			sys.Converge(convergenceLimit)
 
 			var rtts []float64

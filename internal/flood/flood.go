@@ -11,6 +11,7 @@ import (
 	"repro/internal/ad"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/synthesis"
 	"repro/internal/wire"
 )
 
@@ -130,6 +131,16 @@ func (db *DB) PolicyDB() *policy.DB {
 	return p
 }
 
+// View builds what self's route server searches: the topology and policy
+// the database describes, with self's own route-selection criteria (they
+// are private to each source and never flooded), compiled for search. A
+// route server builds one per database change.
+func (db *DB) View(self ad.ID, criteria policy.Criteria) (*ad.Graph, *policy.DB, *synthesis.Snapshot) {
+	g, pdb := db.Graph(), db.PolicyDB()
+	pdb.SetCriteria(self, criteria)
+	return g, pdb, synthesis.Compile(g, pdb)
+}
+
 // Flooder runs the flooding discipline for one AD. Protocol nodes embed it
 // and delegate LSA handling to it.
 type Flooder struct {
@@ -137,8 +148,6 @@ type Flooder struct {
 	Self ad.ID
 	// DB is the local link-state database.
 	DB *DB
-	// Kind labels flooded messages in traffic statistics.
-	Kind string
 	// OnChange, if non-nil, is invoked after each accepted LSA.
 	OnChange func(nw *sim.Network)
 	// Scope, if non-nil, restricts which neighbors receive flooded
@@ -154,7 +163,7 @@ type Flooder struct {
 // except skip.
 func (f *Flooder) floodScoped(nw *sim.Network, payload []byte, skip ...ad.ID) int {
 	if f.Scope == nil {
-		return nw.Flood(f.Kind, f.Self, payload, skip...)
+		return nw.Flood(f.Self, payload, skip...)
 	}
 	sent := 0
 	for _, n := range nw.UpNeighbors(f.Self) {
@@ -167,7 +176,7 @@ func (f *Flooder) floodScoped(nw *sim.Network, payload []byte, skip ...ad.ID) in
 		if skipped {
 			continue
 		}
-		if nw.Send(f.Kind, f.Self, n, payload) {
+		if nw.Send(f.Self, n, payload) {
 			sent++
 		}
 	}
@@ -175,8 +184,8 @@ func (f *Flooder) floodScoped(nw *sim.Network, payload []byte, skip ...ad.ID) in
 }
 
 // NewFlooder returns a flooder for self with an empty database.
-func NewFlooder(self ad.ID, kind string) *Flooder {
-	return &Flooder{Self: self, DB: NewDB(), Kind: kind}
+func NewFlooder(self ad.ID) *Flooder {
+	return &Flooder{Self: self, DB: NewDB()}
 }
 
 // Originate builds, installs, and floods this AD's own LSA describing its

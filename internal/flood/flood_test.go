@@ -131,7 +131,7 @@ func buildFloodNet(t *testing.T) (*sim.Network, map[ad.ID]*floodNode) {
 	nw := sim.NewNetwork(topo.Graph)
 	nodes := make(map[ad.ID]*floodNode)
 	for _, id := range topo.Graph.IDs() {
-		n := &floodNode{f: NewFlooder(id, "lsa")}
+		n := &floodNode{f: NewFlooder(id)}
 		nodes[id] = n
 		nw.AddNode(n)
 	}
@@ -215,10 +215,10 @@ func TestFlooderScope(t *testing.T) {
 		}
 	}
 	nw := sim.NewNetwork(g)
-	hubNode := &floodNode{f: NewFlooder(hub, "lsa")}
+	hubNode := &floodNode{f: NewFlooder(hub)}
 	hubNode.f.Scope = func(nb ad.ID) bool { return nb == allowed }
-	allowedNode := &floodNode{f: NewFlooder(allowed, "lsa")}
-	blockedNode := &floodNode{f: NewFlooder(blocked, "lsa")}
+	allowedNode := &floodNode{f: NewFlooder(allowed)}
+	blockedNode := &floodNode{f: NewFlooder(blocked)}
 	nw.AddNode(hubNode)
 	nw.AddNode(allowedNode)
 	nw.AddNode(blockedNode)
@@ -275,7 +275,7 @@ func TestAllocsFloodDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := sim.NewNetwork(g)
-	f := NewFlooder(a, "lsa")
+	f := NewFlooder(a)
 	lsa := &wire.LSA{
 		Origin: b, Seq: 3,
 		Links: []wire.LSALink{{Neighbor: a, Cost: 1, Up: true}},

@@ -45,10 +45,9 @@ type GenConfig struct {
 	// HybridSourceFraction is the fraction of ADs a hybrid
 	// (limited-transit) AD carries traffic for; hybrids always restrict.
 	HybridSourceFraction float64
-	// AvoidProb is the probability a stub source AD has an avoid-list
-	// selection criterion; AvoidCount is its size.
-	AvoidProb  float64
-	AvoidCount int
+	// AvoidProb is the probability a stub source AD has a selection
+	// criterion avoiding one other AD.
+	AvoidProb float64
 	// MaxTermCost is the upper bound for random per-term transit costs
 	// (cost drawn uniformly from [1, MaxTermCost]). 0 means cost 1.
 	MaxTermCost int
@@ -86,9 +85,6 @@ func (c GenConfig) Normalize() GenConfig {
 	}
 	if c.HybridSourceFraction == 0 {
 		c.HybridSourceFraction = 0.3
-	}
-	if c.AvoidCount == 0 {
-		c.AvoidCount = 1
 	}
 	clamp := func(p *float64) {
 		if *p < 0 {
@@ -246,7 +242,7 @@ func Generate(g *ad.Graph, c GenConfig) *DB {
 			continue
 		}
 		if rng.Float64() < c.AvoidProb {
-			avoid := randomSubset(float64(c.AvoidCount)/float64(len(all)), info.ID)
+			avoid := randomSubset(1/float64(len(all)), info.ID)
 			db.SetCriteria(info.ID, Criteria{Avoid: avoid})
 		}
 	}

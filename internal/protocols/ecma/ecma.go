@@ -229,7 +229,7 @@ func (n *node) flush(nw *sim.Network, keys []dvcore.Key, only ad.ID) {
 			}
 		}
 		if len(upd.Routes) > 0 {
-			nw.SendMessage("ecma", n.id, nb, upd)
+			nw.SendMessage(n.id, nb, upd)
 		}
 	}
 }
@@ -281,7 +281,7 @@ func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
 	if n.table.Poison(nb, infinity) {
 		n.scheduleFlush(nw)
 		for _, other := range nw.UpNeighbors(n.id) {
-			nw.SendMessage("ecma", n.id, other, &wire.DVUpdate{})
+			nw.SendMessage(n.id, other, &wire.DVUpdate{})
 		}
 	}
 }
@@ -293,5 +293,5 @@ func (n *node) LinkUp(nw *sim.Network, nb ad.ID) {
 	}
 	n.flush(nw, keys, nb)
 	// Ask the recovered neighbor for its table too.
-	nw.SendMessage("ecma", n.id, nb, &wire.DVUpdate{})
+	nw.SendMessage(n.id, nb, &wire.DVUpdate{})
 }

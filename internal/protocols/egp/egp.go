@@ -137,7 +137,7 @@ func (n *node) advertise(nw *sim.Network, routes []wire.EGPRoute, skip ad.ID) {
 		if nb == skip {
 			continue
 		}
-		nw.Send("egp", n.id, nb, msg)
+		nw.Send(n.id, nb, msg)
 	}
 }
 
@@ -217,6 +217,6 @@ func (n *node) LinkUp(nw *sim.Network, nb ad.ID) {
 		routes = append(routes, wire.EGPRoute{Dest: dest, Metric: n.metric[dest]})
 	}
 	if len(routes) > 0 {
-		nw.SendMessage("egp", n.id, nb, &wire.EGPUpdate{Routes: routes})
+		nw.SendMessage(n.id, nb, &wire.EGPUpdate{Routes: routes})
 	}
 }

@@ -140,7 +140,7 @@ func (s *System) Discover(req policy.Request) Discovery {
 			Payload: make([]byte, probePayload),
 		}
 		sent := s.nw.Now()
-		s.nw.SendMessage("probe", req.Src, cand[1], pkt)
+		s.nw.SendMessage(req.Src, cand[1], pkt)
 		s.nw.Engine.Run()
 		if s.acked[id] {
 			d.Delivered = true
@@ -211,7 +211,7 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 			Route:    pkt.Route.Reverse(),
 		}
 		if len(ack.Route) >= 2 {
-			nw.SendMessage("ack", n.id, ack.Route[1], ack)
+			nw.SendMessage(n.id, ack.Route[1], ack)
 		}
 		return
 	}
@@ -224,7 +224,7 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 		return
 	}
 	pkt.HopIndex++
-	nw.SendMessage("probe", n.id, next, pkt)
+	nw.SendMessage(n.id, next, pkt)
 }
 
 // forwardAck relays an acknowledgement (unfiltered) toward the original
@@ -239,5 +239,5 @@ func (n *node) forwardAck(nw *sim.Network, pkt *wire.Data) {
 		return
 	}
 	pkt.HopIndex++
-	nw.SendMessage("ack", n.id, pkt.Route[idx+1], pkt)
+	nw.SendMessage(n.id, pkt.Route[idx+1], pkt)
 }

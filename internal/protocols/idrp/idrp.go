@@ -322,7 +322,10 @@ func (n *node) exportRoutes(out []wire.PVRoute, i int32) []wire.PVRoute {
 
 // flushTo advertises the given contexts, ascending, to every up neighbor (or
 // only to `only`). A context with no exportable routes is sent as a
-// withdrawal.
+// withdrawal. The contexts go in one update unless its body would overrun
+// a frame; then it is split between contexts, never within one, since
+// Receive takes a context's routes in an update as the neighbor's whole
+// offering for it.
 func (n *node) flushTo(nw *sim.Network, keys []int32, only ad.ID) {
 	if len(keys) == 0 {
 		return
@@ -339,8 +342,9 @@ func (n *node) flushTo(nw *sim.Network, keys []int32, only ad.ID) {
 			continue
 		}
 		upd.Routes = upd.Routes[:0]
-		start := 0
+		start, body := 0, 2 // the route count
 		for i, k := range keys {
+			first := len(upd.Routes)
 			// Receiver-side loop rejection also exists; skipping
 			// routes through nb here is sender-side cleanliness.
 			sentAny := false
@@ -359,9 +363,20 @@ func (n *node) flushTo(nw *sim.Network, keys []int32, only ad.ID) {
 				})
 			}
 			start = s.ends[i]
+			size := 0
+			for j := first; j < len(upd.Routes); j++ {
+				size += upd.Routes[j].Len()
+			}
+			if body+size > wire.MaxBody && first > 0 {
+				rest := upd.Routes[first:]
+				upd.Routes = upd.Routes[:first]
+				nw.SendMessage(n.id, nb, upd)
+				upd.Routes, body = append(upd.Routes[:0], rest...), 2
+			}
+			body += size
 		}
 		if len(upd.Routes) > 0 {
-			nw.SendMessage("idrp", n.id, nb, upd)
+			nw.SendMessage(n.id, nb, upd)
 		}
 	}
 }

@@ -472,3 +472,42 @@ func TestAllocsComparePaths(t *testing.T) {
 		t.Errorf("comparePaths: %v allocs, want 0", n)
 	}
 }
+
+// TestConvergesWhenAFlushOverflowsOneFrame converges IDRP on a 438-AD
+// internet where one flush's dirty contexts once made a path-vector update
+// whose body overran the 16-bit length field, which panicked the simulator.
+// The update is split at context boundaries, and the routes it leads to
+// still deliver only legally.
+func TestConvergesWhenAFlushOverflowsOneFrame(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("over 150 MB at convergence, and slow under the race detector")
+	}
+	topo := topology.Generate(topology.Config{
+		Seed: 42, Backbones: 6, RegionalsPerBackbone: 8, MetrosPerRegional: 2,
+		CampusesPerParent: 3, LateralProb: 0.05, BypassProb: 0.05,
+	})
+	g := topo.Graph
+	if n := g.NumADs(); n != 438 {
+		t.Fatalf("%d ADs, want 438", n)
+	}
+	db := policy.Generate(g, policy.GenConfig{Seed: 43, SourceRestrictionProb: 0.3, SourceFraction: 0.5})
+	s := New(g, db, Config{})
+	if _, ok := s.Converge(600 * sim.Second); !ok {
+		t.Fatal("did not converge")
+	}
+	oracle := core.Oracle{G: g, DB: db}
+	ids := g.IDs()
+	delivered := 0
+	for i := 0; i < len(ids); i += 7 {
+		req := policy.Request{Src: ids[i], Dst: ids[len(ids)-1-i]}
+		if out := s.Route(req); out.Delivered {
+			delivered++
+			if !oracle.Legal(out.Path, req) {
+				t.Errorf("%v delivered over illegal %v", req, out.Path)
+			}
+		}
+	}
+	if delivered == 0 {
+		t.Error("no sampled request delivered")
+	}
+}

@@ -49,7 +49,7 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 		nodes: make(map[ad.ID]*node),
 	}
 	for _, id := range g.IDs() {
-		n := &node{id: id, sys: s, flooder: flood.NewFlooder(id, "lsa")}
+		n := &node{id: id, sys: s, flooder: flood.NewFlooder(id)}
 		n.flooder.OnChange = n.onLSDBChange
 		s.nodes[id] = n
 		s.nw.AddNode(n)
@@ -179,14 +179,10 @@ func (n *node) refreshView() {
 	if n.view != nil && !n.viewDirty {
 		return
 	}
-	n.viewG = n.flooder.DB.Graph()
-	n.viewDB = n.flooder.DB.PolicyDB()
-	// Route selection criteria are private to each source (they are not
-	// flooded): only this AD's own criteria are known locally. Transit
-	// ADs therefore compute without the source's criteria — precisely the
+	// Only this AD's own route-selection criteria are known locally, so
+	// transit ADs compute without the source's criteria — precisely the
 	// consistency gap §5.3 identifies.
-	n.viewDB.SetCriteria(n.id, n.sys.db.CriteriaFor(n.id))
-	n.view = synthesis.Compile(n.viewG, n.viewDB)
+	n.viewG, n.viewDB, n.view = n.flooder.DB.View(n.id, n.sys.db.CriteriaFor(n.id))
 	n.unitView = nil
 	n.viewDirty = false
 }

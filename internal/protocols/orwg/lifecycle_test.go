@@ -9,6 +9,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/wire"
 )
 
 // hubTopology builds nSources stub ADs all routed through one transit hub
@@ -49,7 +50,7 @@ func TestSoftStateRefreshKeepsFlowAlive(t *testing.T) {
 	if delivered, _ := s.SendData(sources[0], res.Handle, 8); !delivered {
 		t.Fatal("refreshed soft flow died")
 	}
-	if s.Network().Stats.BytesByKind["refresh"] == 0 {
+	if s.Network().Stats.BytesByType[wire.TypeRefresh] == 0 {
 		t.Error("no refresh bytes on the wire")
 	}
 	st, _ := s.StateMetrics()
@@ -215,18 +216,6 @@ func TestLinkFailureInvalidatesAndRepairs(t *testing.T) {
 		if delivered, _ := s.SendData(req.Src, fresh[0], 8); !delivered {
 			t.Error("repaired flow does not deliver")
 		}
-	}
-}
-
-func TestLegacyCacheCapacityMapsToCapped(t *testing.T) {
-	cfg := Config{CacheCapacity: 7}.Normalize()
-	if cfg.State.Kind != pgstate.Capped || cfg.State.Capacity != 7 {
-		t.Fatalf("legacy capacity mapped to %+v", cfg.State)
-	}
-	// An explicit State wins over the legacy knob.
-	cfg = Config{CacheCapacity: 7, State: pgstate.Config{Kind: pgstate.Soft}}.Normalize()
-	if cfg.State.Kind != pgstate.Soft {
-		t.Fatalf("explicit state overridden: %+v", cfg.State)
 	}
 }
 

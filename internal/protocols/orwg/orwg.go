@@ -4,25 +4,25 @@
 // routes, and a setup/handle forwarding plane.
 //
 // Each AD floods an LSA carrying its adjacencies and policy terms. A Route
-// Server at the source synthesizes a policy route (via a configurable
-// precomputation/on-demand strategy, §5.4.1) and emits a Setup packet
-// carrying the full AD route and, per transit AD, the policy term the
-// source claims authorizes the traversal. Policy Gateways validate the
-// claim against their own local policy — not the flooded copy — cache the
-// handle, and forward. Subsequent data packets carry only the handle;
-// the header-length saving is measured by experiment E5.
+// Server at the source searches its LSDB's view for a policy route on demand
+// (§5.4.1) and emits a Setup packet carrying the full AD route and, per
+// transit AD, the policy term the source claims authorizes the traversal.
+// Policy Gateways validate the claim against their own local policy — not
+// the flooded copy — cache the handle, and forward. Subsequent data packets
+// carry only the handle; the header-length saving is measured by experiment
+// E5.
 //
 // Per-PG handle state is managed by internal/pgstate under a configurable
 // lifecycle discipline (§6): hard state released only by teardown, soft
-// state kept alive by source-driven Refresh messages, or a capped LRU
-// table. Each simulated PG runs its table with a single shard (nodes are
-// single-threaded; Config.Normalize pins State.Shards to 1 unless
-// overridden) while still getting the timer-wheel expiry, so ExpireDue
-// sweeps cost due-handles work, not table-size work. A PG that no longer holds state for an arriving data or refresh
-// packet NAKs with SetupNoState; the NAK walks back to the source, which
-// queues the flow for re-establishment (RepairAll). Link failures trigger
-// the same repair path eagerly: the failed link's endpoints flush crossing
-// entries, NAK upstream, and tear down downstream.
+// state kept alive by source-driven Refresh messages, or a capped LRU table.
+// Each simulated PG runs its table with a single shard (nodes are
+// single-threaded; New pins State.Shards to 1 unless overridden) while still
+// getting the timer-wheel expiry, so ExpireDue sweeps cost due-handles work,
+// not table-size work. A PG that no longer holds state for an arriving data
+// or refresh packet NAKs with SetupNoState; the NAK walks back to the
+// source, which queues the flow for re-establishment (RepairAll). Link
+// failures trigger the same repair path eagerly: the failed link's endpoints
+// flush crossing entries, NAK upstream, and tear down downstream.
 package orwg
 
 import (
@@ -41,26 +41,8 @@ import (
 	"repro/internal/wire"
 )
 
-// StrategyKind selects the route server's synthesis strategy.
-type StrategyKind string
-
-// Available strategies (experiment E7).
-const (
-	OnDemand    StrategyKind = "on-demand"
-	Precomputed StrategyKind = "precomputed"
-	Hybrid      StrategyKind = "hybrid"
-)
-
 // Config parameterizes the system.
 type Config struct {
-	// Strategy is the route-server synthesis strategy.
-	Strategy StrategyKind
-	// HotRequests seeds the precomputed/hybrid strategies.
-	HotRequests []policy.Request
-	// CacheCapacity is the legacy capped-cache knob: a positive value is
-	// shorthand for State{Kind: Capped, Capacity: CacheCapacity}. Ignored
-	// when State.Kind is set explicitly.
-	CacheCapacity int
 	// State selects each policy gateway's handle lifecycle discipline —
 	// the PG state-management issue of §6. The zero value is hard state.
 	State pgstate.Config
@@ -68,30 +50,6 @@ type Config struct {
 
 // dataPayload is the payload size in bytes of Route's verification packet.
 const dataPayload = 64
-
-// Normalize fills defaults. It panics on an invalid State config: that is
-// a programming error, not a runtime condition.
-func (c Config) Normalize() Config {
-	if c.Strategy == "" {
-		c.Strategy = OnDemand
-	}
-	if c.State.Kind == "" && c.CacheCapacity > 0 {
-		c.State = pgstate.Config{Kind: pgstate.Capped, Capacity: c.CacheCapacity}
-	}
-	if c.State.Shards == 0 {
-		// Simulator nodes are single-threaded and number in the hundreds:
-		// one shard per PG table unless the caller asks for more (the
-		// sharded serving-layer default would multiply per-node footprint
-		// for concurrency no simulated PG needs).
-		c.State.Shards = 1
-	}
-	st, err := c.State.Normalize()
-	if err != nil {
-		panic(fmt.Sprintf("orwg: %v", err))
-	}
-	c.State = st
-	return c
-}
 
 // SetupResult reports one route establishment.
 type SetupResult struct {
@@ -134,9 +92,21 @@ type System struct {
 	resetup metrics.Histogram
 }
 
-// New builds the system over g with policy db.
+// New builds the system over g with policy db. It panics on an invalid
+// State config: that is a programming error, not a runtime condition.
 func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
-	cfg = cfg.Normalize()
+	if cfg.State.Shards == 0 {
+		// Simulator nodes are single-threaded and number in the hundreds:
+		// one shard per PG table unless the caller asks for more (the
+		// sharded serving-layer default would multiply per-node footprint
+		// for concurrency no simulated PG needs).
+		cfg.State.Shards = 1
+	}
+	st, err := cfg.State.Normalize()
+	if err != nil {
+		panic(fmt.Sprintf("orwg: %v", err))
+	}
+	cfg.State = st
 	s := &System{
 		cfg:   cfg,
 		nw:    sim.NewNetwork(g),
@@ -147,7 +117,7 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 		n := &node{
 			id:          id,
 			sys:         s,
-			flooder:     flood.NewFlooder(id, "lsa"),
+			flooder:     flood.NewFlooder(id),
 			table:       pgstate.NewTable(cfg.State),
 			established: make(map[uint64]ad.Path),
 			flows:       make(map[uint64]policy.Request),
@@ -248,7 +218,7 @@ func (s *System) SendData(srcID ad.ID, handle uint64, payload int) (delivered bo
 	headerBytes = pkt.HeaderLen()
 	dest := s.nodes[path.Dest()]
 	before := dest.delivered[handle]
-	s.nw.SendMessage("data", srcID, path[1], pkt)
+	s.nw.SendMessage(srcID, path[1], pkt)
 	s.nw.Engine.Run()
 	return dest.delivered[handle] > before, headerBytes
 }
@@ -312,7 +282,7 @@ func (s *System) RefreshEstablished() {
 				continue
 			}
 			n.table.Refresh(s.nw.Now(), h, ttlSim)
-			s.nw.SendMessage("refresh", n.id, path[1], &wire.Refresh{
+			s.nw.SendMessage(n.id, path[1], &wire.Refresh{
 				Handle: h, TTLMillis: ttl,
 			})
 		}
@@ -399,10 +369,7 @@ func (s *System) StateEntries() int {
 func (s *System) Computations() int {
 	total := 0
 	for _, n := range s.nodes {
-		if n.strategy != nil {
-			st := n.strategy.Stats()
-			total += st.PrecomputeExpansions + st.OnDemandExpansions
-		}
+		total += n.expansions
 	}
 	return total
 }
@@ -485,11 +452,12 @@ type node struct {
 	sys     *System
 	flooder *flood.Flooder
 
-	// Route server state.
-	view      *ad.Graph
-	viewDB    *policy.DB
-	viewDirty bool
-	strategy  synthesis.Strategy
+	// Route server state: the view compiled from the LSDB, rebuilt on the
+	// first search after a change, and the search work done on it.
+	view       *synthesis.Snapshot
+	viewDB     *policy.DB
+	viewDirty  bool
+	expansions int
 
 	// Policy gateway state: the per-handle table under the configured
 	// lifecycle discipline.
@@ -523,63 +491,31 @@ func (n *node) refreshView() {
 	if n.view != nil && !n.viewDirty {
 		return
 	}
-	n.view = n.flooder.DB.Graph()
-	n.viewDB = n.flooder.DB.PolicyDB()
-	n.viewDB.SetCriteria(n.id, n.sys.db.CriteriaFor(n.id))
+	_, n.viewDB, n.view = n.flooder.DB.View(n.id, n.sys.db.CriteriaFor(n.id))
 	n.viewDirty = false
-	if n.strategy != nil {
-		n.strategy = n.buildStrategy()
-	}
 }
 
-func (n *node) buildStrategy() synthesis.Strategy {
-	switch n.sys.cfg.Strategy {
-	case Precomputed:
-		return synthesis.NewPrecomputed(n.view, n.viewDB, n.hotRequests())
-	case Hybrid:
-		return synthesis.NewHybrid(n.view, n.viewDB, n.hotRequests())
-	default:
-		return synthesis.NewOnDemand(n.view, n.viewDB)
-	}
-}
-
-// hotRequests filters the configured hot set to requests sourced here.
-func (n *node) hotRequests() []policy.Request {
-	var out []policy.Request
-	for _, r := range n.sys.cfg.HotRequests {
-		if r.Src == n.id {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// synthesize runs the route server: compute a policy route and the claimed
-// term key for each transit AD.
+// synthesize runs the route server: search the view for a policy route and
+// find the claimed term key for each transit AD.
 func (n *node) synthesize(req policy.Request) (ad.Path, []policy.Key, int, bool) {
 	n.refreshView()
-	if n.strategy == nil {
-		n.strategy = n.buildStrategy()
+	res := n.view.FindRoute(req)
+	n.expansions += res.Expanded
+	if !res.Found {
+		return nil, nil, res.Expanded, false
 	}
-	st0 := n.strategy.Stats()
-	path, ok := n.strategy.Route(req)
-	st1 := n.strategy.Stats()
-	expansions := (st1.PrecomputeExpansions + st1.OnDemandExpansions) -
-		(st0.PrecomputeExpansions + st0.OnDemandExpansions)
-	if !ok {
-		return nil, nil, expansions, false
-	}
+	path := res.Path
 	var keys []policy.Key
 	for i := 1; i < len(path)-1; i++ {
 		t, ok := n.viewDB.PermitsTransit(path[i], req, path[i-1], path[i+1])
 		if !ok {
-			// The strategy returned a path the view cannot justify;
+			// The search returned a path the view cannot justify;
 			// treat as synthesis failure.
-			return nil, nil, expansions, false
+			return nil, nil, res.Expanded, false
 		}
 		keys = append(keys, t.Key())
 	}
-	return path, keys, expansions, true
+	return path, keys, res.Expanded, true
 }
 
 func (n *node) newHandle() uint64 {
@@ -592,7 +528,7 @@ func (n *node) startSetup(nw *sim.Network, handle uint64, req policy.Request, ro
 	ttl := n.sys.ttlMillis()
 	n.install(nw, handle, route, 0, req, ttl)
 	msg := &wire.Setup{Handle: handle, Req: req, Route: route, TermKeys: keys, TTLMillis: ttl}
-	nw.SendMessage("setup", n.id, route[1], msg)
+	nw.SendMessage(n.id, route[1], msg)
 }
 
 // install adds a handle entry under the configured discipline, honouring
@@ -638,7 +574,7 @@ func (n *node) indexOn(route ad.Path) int {
 func (n *node) handleSetup(nw *sim.Network, from ad.ID, m *wire.Setup) {
 	idx := n.indexOn(m.Route)
 	reject := func(code uint8) {
-		nw.SendMessage("setup-reply", n.id, from, &wire.SetupReply{
+		nw.SendMessage(n.id, from, &wire.SetupReply{
 			Handle: m.Handle, Code: code, FailedAt: n.id,
 		})
 	}
@@ -653,7 +589,7 @@ func (n *node) handleSetup(nw *sim.Network, from ad.ID, m *wire.Setup) {
 	if idx == len(m.Route)-1 {
 		// Destination PG: accept, install for the data plane, reply OK.
 		n.install(nw, m.Handle, m.Route, idx, m.Req, m.TTLMillis)
-		nw.SendMessage("setup-reply", n.id, from, &wire.SetupReply{
+		nw.SendMessage(n.id, from, &wire.SetupReply{
 			Handle: m.Handle, Code: wire.SetupOK,
 		})
 		return
@@ -683,7 +619,7 @@ func (n *node) handleSetup(nw *sim.Network, from ad.ID, m *wire.Setup) {
 		return
 	}
 	n.install(nw, m.Handle, m.Route, idx, m.Req, m.TTLMillis)
-	nw.SendMessage("setup", n.id, next, m)
+	nw.SendMessage(n.id, next, m)
 }
 
 // failFlow resolves a NAK at the flow's source: the flow dies and is
@@ -727,7 +663,7 @@ func (n *node) handleSetupReply(nw *sim.Network, from ad.ID, m *wire.SetupReply)
 		}
 		return
 	}
-	nw.SendMessage("setup-reply", n.id, e.Route[e.Idx-1], m)
+	nw.SendMessage(n.id, e.Route[e.Idx-1], m)
 }
 
 // handleData forwards a handle-mode data packet along the installed route
@@ -740,7 +676,7 @@ func (n *node) handleData(nw *sim.Network, from ad.ID, m *wire.Data) {
 	}
 	e, ok := n.table.Lookup(nw.Now(), m.Handle)
 	if !ok {
-		nw.SendMessage("setup-reply", n.id, from, &wire.SetupReply{
+		nw.SendMessage(n.id, from, &wire.SetupReply{
 			Handle: m.Handle, Code: wire.SetupNoState, FailedAt: n.id,
 		})
 		return
@@ -752,7 +688,7 @@ func (n *node) handleData(nw *sim.Network, from ad.ID, m *wire.Data) {
 		n.delivered[m.Handle]++
 		return
 	}
-	nw.SendMessage("data", n.id, e.Route[e.Idx+1], m)
+	nw.SendMessage(n.id, e.Route[e.Idx+1], m)
 }
 
 // handleRefresh extends a handle's lifetime (§6 soft state) and forwards
@@ -761,7 +697,7 @@ func (n *node) handleData(nw *sim.Network, from ad.ID, m *wire.Data) {
 func (n *node) handleRefresh(nw *sim.Network, from ad.ID, m *wire.Refresh) {
 	now := nw.Now()
 	if !n.table.Refresh(now, m.Handle, sim.Time(m.TTLMillis)*sim.Millisecond) {
-		nw.SendMessage("setup-reply", n.id, from, &wire.SetupReply{
+		nw.SendMessage(n.id, from, &wire.SetupReply{
 			Handle: m.Handle, Code: wire.SetupNoState, FailedAt: n.id,
 		})
 		return
@@ -774,7 +710,7 @@ func (n *node) handleRefresh(nw *sim.Network, from ad.ID, m *wire.Refresh) {
 		return
 	}
 	if e.Idx < len(e.Route)-1 {
-		nw.SendMessage("refresh", n.id, e.Route[e.Idx+1], m)
+		nw.SendMessage(n.id, e.Route[e.Idx+1], m)
 	}
 }
 
@@ -787,7 +723,7 @@ func (n *node) handleTeardown(nw *sim.Network, from ad.ID, m *wire.Teardown) {
 	}
 	n.table.Remove(m.Handle)
 	if e.Idx < len(e.Route)-1 {
-		nw.SendMessage("teardown", n.id, e.Route[e.Idx+1], m)
+		nw.SendMessage(n.id, e.Route[e.Idx+1], m)
 	}
 }
 
@@ -815,7 +751,7 @@ func (n *node) revalidateCache(nw *sim.Network) {
 			continue
 		}
 		n.table.Remove(h)
-		nw.SendMessage("setup-reply", n.id, prev, &wire.SetupReply{
+		nw.SendMessage(n.id, prev, &wire.SetupReply{
 			Handle: h, Code: wire.SetupNoPolicy, FailedAt: n.id,
 		})
 	}
@@ -851,13 +787,13 @@ func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
 					delete(n.established, h)
 				}
 			} else {
-				nw.SendMessage("setup-reply", n.id, e.Route[e.Idx-1], &wire.SetupReply{
+				nw.SendMessage(n.id, e.Route[e.Idx-1], &wire.SetupReply{
 					Handle: h, Code: wire.SetupNoLink, FailedAt: n.id,
 				})
 			}
 		}
 		if upDead && e.Idx < len(e.Route)-1 {
-			nw.SendMessage("teardown", n.id, e.Route[e.Idx+1], &wire.Teardown{
+			nw.SendMessage(n.id, e.Route[e.Idx+1], &wire.Teardown{
 				Handle: h, Reason: wire.TeardownRepair,
 			})
 		}

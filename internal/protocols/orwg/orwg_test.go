@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ad"
 	"repro/internal/core"
+	"repro/internal/pgstate"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -184,7 +185,7 @@ func TestCacheEvictionDropsOldFlows(t *testing.T) {
 		}
 	}
 	db := policy.OpenDB(g)
-	s := converged(t, g, db, Config{CacheCapacity: 2})
+	s := converged(t, g, db, Config{State: pgstate.Config{Kind: pgstate.Capped, Capacity: 2}})
 	var handles []uint64
 	var srcs []ad.ID
 	for _, src := range sources {
@@ -236,27 +237,6 @@ func TestReRouteAfterLinkFailure(t *testing.T) {
 			if (out2.Path[i-1] == a && out2.Path[i] == b) || (out2.Path[i-1] == b && out2.Path[i] == a) {
 				t.Errorf("path still uses failed link: %v", out2.Path)
 			}
-		}
-	}
-}
-
-func TestStrategies(t *testing.T) {
-	topo := topology.Figure1()
-	db := policy.OpenDB(topo.Graph)
-	hot := core.AllPairsRequests(topo.Graph, true, 0, 0)
-	for _, kind := range []StrategyKind{OnDemand, Precomputed, Hybrid} {
-		s := converged(t, topo.Graph, db, Config{Strategy: kind, HotRequests: hot})
-		delivered := 0
-		for _, req := range hot {
-			if out := s.Route(req); out.Delivered {
-				delivered++
-			}
-		}
-		if delivered != len(hot) {
-			t.Errorf("%s: delivered %d/%d", kind, delivered, len(hot))
-		}
-		if s.Computations() == 0 {
-			t.Errorf("%s: no synthesis work recorded", kind)
 		}
 	}
 }
@@ -313,36 +293,6 @@ func TestCountersAndAccessors(t *testing.T) {
 	}
 }
 
-func TestHybridStrategyRebuiltAfterTopologyChange(t *testing.T) {
-	topo := topology.Figure1()
-	db := policy.OpenDB(topo.Graph)
-	hot := core.AllPairsRequests(topo.Graph, true, 0, 0)
-	s := converged(t, topo.Graph, db, Config{Strategy: Hybrid, HotRequests: hot})
-	ids := topo.Graph.IDs()
-	req := policy.Request{Src: ids[5], Dst: ids[9]}
-	out1 := s.Route(req)
-	if !out1.Delivered {
-		t.Fatalf("initial: %+v", out1)
-	}
-	// Fail a link on the path; the hybrid table must be rebuilt over the
-	// new LSDB view rather than serving the stale route.
-	a, b := out1.Path[0], out1.Path[1]
-	if err := s.FailLink(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Converge(seconds(600)); !ok {
-		t.Fatal("did not reconverge")
-	}
-	out2 := s.Route(req)
-	if out2.Delivered {
-		for i := 1; i < len(out2.Path); i++ {
-			if (out2.Path[i-1] == a && out2.Path[i] == b) || (out2.Path[i-1] == b && out2.Path[i] == a) {
-				t.Errorf("hybrid strategy served a stale route over the failed link: %v", out2.Path)
-			}
-		}
-	}
-}
-
 func TestPerPacketValidationRejectsSpoofedOrigin(t *testing.T) {
 	// §5.4.1: PGs use the handle "to allow for some per-packet validation
 	// (e.g., is it coming from the AD specified in the cached PT setup
@@ -373,7 +323,7 @@ func TestPerPacketValidationRejectsSpoofedOrigin(t *testing.T) {
 	destNode := s.nodes[d]
 	before := destNode.delivered[res.Handle]
 	spoof := &wire.Data{Handle: res.Handle, Mode: wire.ModeHandle, Payload: make([]byte, 8)}
-	s.nw.Send("data", evil, tr, wire.Marshal(spoof))
+	s.nw.Send(evil, tr, wire.Marshal(spoof))
 	s.nw.Engine.Run()
 	if destNode.delivered[res.Handle] != before {
 		t.Error("spoofed-origin packet was forwarded to the destination")

@@ -147,7 +147,7 @@ func (n *node) flush(nw *sim.Network) {
 			upd.Routes = append(upd.Routes, wire.DVRoute{Dest: k.Dest, Metric: e.Metric})
 		}
 		if len(upd.Routes) > 0 {
-			nw.SendMessage("dv", n.id, nb, upd)
+			nw.SendMessage(n.id, nb, upd)
 		}
 	}
 }
@@ -190,7 +190,7 @@ func (n *node) respondFullTable(nw *sim.Network, nb ad.ID) {
 		upd.Routes = append(upd.Routes, wire.DVRoute{Dest: e.Key.Dest, Metric: e.Metric})
 	}
 	if len(upd.Routes) > 0 {
-		nw.SendMessage("dv", n.id, nb, &upd)
+		nw.SendMessage(n.id, nb, &upd)
 	}
 }
 
@@ -202,7 +202,7 @@ func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
 		// the stale route it learned from us, starting the classic
 		// count-to-infinity bounce.
 		for _, other := range nw.UpNeighbors(n.id) {
-			nw.SendMessage("dv", n.id, other, &wire.DVUpdate{})
+			nw.SendMessage(n.id, other, &wire.DVUpdate{})
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/ad"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/pgstate"
 	"repro/internal/policy"
 	"repro/internal/policytool"
 	"repro/internal/protocols"
@@ -145,15 +146,14 @@ type ProtocolSpec struct {
 	Name string `json:"name"`
 	// Shared knobs; each protocol reads the ones it understands, and a
 	// design that takes none runs at its Table 1 configuration.
-	SplitHorizon    *bool  `json:"split_horizon,omitempty"`
-	MultiRoute      int    `json:"multi_route,omitempty"`
-	QOSClasses      int    `json:"qos_classes,omitempty"`
-	DisableOrdering bool   `json:"disable_ordering,omitempty"`
-	CacheCapacity   int    `json:"cache_capacity,omitempty"`
-	Strategy        string `json:"strategy,omitempty"`
-	TimeoutMS       int64  `json:"timeout_ms,omitempty"`
-	NoFallback      bool   `json:"no_fallback,omitempty"`
-	MaxCandidates   int    `json:"max_candidates,omitempty"`
+	SplitHorizon    *bool `json:"split_horizon,omitempty"`
+	MultiRoute      int   `json:"multi_route,omitempty"`
+	QOSClasses      int   `json:"qos_classes,omitempty"`
+	DisableOrdering bool  `json:"disable_ordering,omitempty"`
+	CacheCapacity   int   `json:"cache_capacity,omitempty"`
+	TimeoutMS       int64 `json:"timeout_ms,omitempty"`
+	NoFallback      bool  `json:"no_fallback,omitempty"`
+	MaxCandidates   int   `json:"max_candidates,omitempty"`
 }
 
 // Event is one timeline entry, applied after the previous phase converges.
@@ -318,10 +318,11 @@ func (sc *Scenario) build() (*ad.Graph, *policy.DB, core.System, []policy.Reques
 	case "idrp":
 		sys = idrp.New(g, db, idrp.Config{MultiRoute: p.MultiRoute, QOSClasses: p.QOSClasses})
 	case "orwg":
-		sys = orwg.New(g, db, orwg.Config{
-			Strategy:      orwg.StrategyKind(p.Strategy),
-			CacheCapacity: p.CacheCapacity,
-		})
+		var cfg orwg.Config
+		if p.CacheCapacity > 0 {
+			cfg.State = pgstate.Config{Kind: pgstate.Capped, Capacity: p.CacheCapacity}
+		}
+		sys = orwg.New(g, db, cfg)
 	default:
 		d := protocols.Lookup(p.Name)
 		if d == nil {

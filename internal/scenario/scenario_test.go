@@ -2,11 +2,14 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/policy"
 	"repro/internal/protocols"
+	"repro/internal/protocols/orwg"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -381,5 +384,34 @@ func TestTermSpecDefaults(t *testing.T) {
 	}
 	if term2.Hours.Start != 9 || term2.Hours.End != 17 || term2.Cost != 7 {
 		t.Errorf("term2 = %+v", term2)
+	}
+}
+
+// TestORWGProtocolKeys checks that cache_capacity gives every policy gateway
+// a capped handle table of that size, and that a "strategy" key is refused:
+// ORWG's route server is a search over its LSDB view, with nothing to pick.
+func TestORWGProtocolKeys(t *testing.T) {
+	const js = `{"topology": {"figure1": true}, "policy": {"open": true},
+		"protocol": {"name": "orwg", %s}, "requests": {"all_stub_pairs": true}}`
+	if _, err := Load(strings.NewReader(fmt.Sprintf(js, `"strategy": "hybrid"`))); err == nil ||
+		!strings.Contains(err.Error(), `unknown field "strategy"`) {
+		t.Errorf("Load with a strategy key: err = %v, want an unknown-field error", err)
+	}
+	sc, err := Load(strings.NewReader(fmt.Sprintf(js, `"cache_capacity": 3`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, sys, reqs, err := sc.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := sys.(*orwg.System)
+	o.Converge(600 * sim.Second)
+	for _, req := range reqs {
+		o.Establish(req)
+	}
+	if _, peak := o.StateMetrics(); peak != 3 || o.CacheStats().Evictions == 0 {
+		t.Errorf("largest PG peak %d with %d evictions; want a table capped at 3 that evicted",
+			peak, o.CacheStats().Evictions)
 	}
 }

@@ -51,7 +51,7 @@ func BenchmarkNetworkFlood(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sent += nw.Flood("lsa", hub, payload)
+		sent += nw.Flood(hub, payload)
 		nw.Engine.Run() // drain deliveries so buffers recycle
 	}
 	if sent == 0 {

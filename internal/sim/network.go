@@ -35,19 +35,13 @@ type Node interface {
 // Stats aggregates traffic counters for a run. Counters are cumulative and
 // never reset by the network itself.
 type Stats struct {
-	MessagesSent     uint64
-	BytesSent        uint64
-	MessagesDropped  uint64 // sends attempted over down/absent links
-	MessagesByKind   map[string]uint64
-	BytesByKind      map[string]uint64
+	MessagesSent    uint64
+	BytesSent       uint64
+	MessagesDropped uint64 // sends attempted over down/absent links
+	// BytesByType splits BytesSent by the frame's type byte: index it
+	// with a wire.MsgType.
+	BytesByType      [256]uint64
 	MaxQueuedPending int
-}
-
-func newStats() *Stats {
-	return &Stats{
-		MessagesByKind: make(map[string]uint64),
-		BytesByKind:    make(map[string]uint64),
-	}
 }
 
 // Network couples the event engine, the AD graph, and the per-AD nodes, and
@@ -124,7 +118,7 @@ func NewNetwork(g *ad.Graph) *Network {
 	nw := &Network{
 		Engine:       NewEngine(),
 		Graph:        g,
-		Stats:        newStats(),
+		Stats:        new(Stats),
 		gver:         g.Version(),
 		ids:          ids,
 		nodes:        make([]Node, len(ids)),
@@ -250,25 +244,24 @@ func (nw *Network) Encode(m wire.Message) []byte {
 }
 
 // delivery is one message in flight, the record the event queue carries
-// from Send to its arrival: its directed edge and that edge's failure epoch
-// at sending time, the receiver's position, and the payload in the record's
-// own buffer. Records are recycled with their buffers, so a message costs
-// no allocation once the pool is warm; a buffer too small for its message
-// grows and stays grown.
+// from Send to its arrival: its endpoints, its directed edge and that
+// edge's failure epoch at sending time, the receiver's position, and the
+// payload in the record's own buffer. Records are recycled with their
+// buffers, so a message costs no allocation once the pool is warm; a buffer
+// too small for its message grows and stays grown.
 type delivery struct {
 	nw        *Network
-	kind      string
 	from, to  ad.ID
 	edge, dst int32
 	epoch     uint64
 	buf       []byte
 }
 
-// Send transmits a marshalled protocol message from one AD to an adjacent
-// AD. kind labels the message for the statistics tables. Send returns false
-// (and counts a drop) if the ADs are not adjacent or the link is down.
-// payload is copied; the caller may reuse it once Send returns.
-func (nw *Network) Send(kind string, from, to ad.ID, payload []byte) bool {
+// Send transmits a marshalled protocol message, one wire frame, from one AD
+// to an adjacent AD. Send returns false (and counts a drop) if the ADs are
+// not adjacent or the link is down. payload is copied; the caller may reuse
+// it once Send returns.
+func (nw *Network) Send(from, to ad.ID, payload []byte) bool {
 	e, dst, link, ok := nw.edge(from, to)
 	if !ok || nw.down[e] {
 		nw.Stats.MessagesDropped++
@@ -292,8 +285,7 @@ func (nw *Network) Send(kind string, from, to ad.ID, payload []byte) bool {
 	delay := (start - nw.Now()) + tx + prop
 	nw.Stats.MessagesSent++
 	nw.Stats.BytesSent += uint64(len(payload))
-	nw.Stats.MessagesByKind[kind]++
-	nw.Stats.BytesByKind[kind] += uint64(len(payload))
+	nw.Stats.BytesByType[frameType(payload)] += uint64(len(payload))
 	// Convergence marker: when the transmission finishes clocking out, not
 	// when Send was called — a queued message on a bandwidth-limited link
 	// is still "protocol activity" until its last bit leaves.
@@ -307,7 +299,7 @@ func (nw *Network) Send(kind string, from, to ad.ID, payload []byte) bool {
 	} else {
 		d = &delivery{nw: nw}
 	}
-	d.kind, d.from, d.to, d.edge, d.dst, d.epoch = kind, from, to, e, dst, nw.linkEpoch[e]
+	d.from, d.to, d.edge, d.dst, d.epoch = from, to, e, dst, nw.linkEpoch[e]
 	d.buf = append(d.buf[:0], payload...)
 	nw.Engine.schedule(event{at: nw.Now() + delay, d: d})
 	if p := nw.Engine.Pending(); p > nw.Stats.MaxQueuedPending {
@@ -321,8 +313,17 @@ func (nw *Network) Send(kind string, from, to ad.ID, payload []byte) bool {
 // payload buffer: the copy sizes a buffer to the messages it carried in one
 // step, where encoding into it would grow it field by field. Like Marshal,
 // it panics if m's body exceeds the 16-bit length field.
-func (nw *Network) SendMessage(kind string, from, to ad.ID, m wire.Message) bool {
-	return nw.Send(kind, from, to, nw.Encode(m))
+func (nw *Network) SendMessage(from, to ad.ID, m wire.Message) bool {
+	return nw.Send(from, to, nw.Encode(m))
+}
+
+// frameType returns a frame's type byte, or wire.TypeInvalid for a payload
+// too short to hold one.
+func frameType(frame []byte) wire.MsgType {
+	if len(frame) < 2 {
+		return wire.TypeInvalid
+	}
+	return wire.MsgType(frame[1])
 }
 
 // deliver runs d's arrival, then recycles the record and its buffer.
@@ -332,7 +333,7 @@ func (nw *Network) deliver(d *delivery) {
 		nw.Stats.MessagesDropped++
 	} else {
 		if nw.Trace != nil {
-			nw.Trace("%v %s %v->%v %dB", nw.Now(), d.kind, d.from, d.to, len(d.buf))
+			nw.Trace("%v %v %v->%v %dB", nw.Now(), frameType(d.buf), d.from, d.to, len(d.buf))
 		}
 		if node := nw.nodes[d.dst]; node != nil {
 			node.Receive(nw, d.from, d.buf)
@@ -343,7 +344,7 @@ func (nw *Network) deliver(d *delivery) {
 
 // Flood sends payload to every up neighbor of from except those in skip.
 // It returns the number of copies sent.
-func (nw *Network) Flood(kind string, from ad.ID, payload []byte, skip ...ad.ID) int {
+func (nw *Network) Flood(from ad.ID, payload []byte, skip ...ad.ID) int {
 	sent := 0
 	for _, n := range nw.UpNeighbors(from) {
 		skipped := false
@@ -356,7 +357,7 @@ func (nw *Network) Flood(kind string, from ad.ID, payload []byte, skip ...ad.ID)
 		if skipped {
 			continue
 		}
-		if nw.Send(kind, from, n, payload) {
+		if nw.Send(from, n, payload) {
 			sent++
 		}
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -94,7 +95,7 @@ func (n *echoNode) Start(nw *Network) {}
 func (n *echoNode) Receive(nw *Network, from ad.ID, payload []byte) {
 	n.received = append(n.received, string(payload))
 	if string(payload) == "ping" {
-		nw.Send("pong", n.id, from, []byte("pong"))
+		nw.Send(n.id, from, []byte("pong"))
 	}
 }
 func (n *echoNode) LinkDown(nw *Network, nb ad.ID) { n.downs = append(n.downs, nb) }
@@ -118,7 +119,7 @@ func twoNodeNet(t *testing.T) (*Network, *echoNode, *echoNode) {
 
 func TestNetworkSendDelivery(t *testing.T) {
 	nw, na, nb := twoNodeNet(t)
-	if !nw.Send("ping", na.id, nb.id, []byte("ping")) {
+	if !nw.Send(na.id, nb.id, []byte("ping")) {
 		t.Fatal("Send = false")
 	}
 	nw.Engine.Run()
@@ -134,9 +135,6 @@ func TestNetworkSendDelivery(t *testing.T) {
 	if nw.Stats.BytesSent != 8 {
 		t.Errorf("BytesSent = %d, want 8", nw.Stats.BytesSent)
 	}
-	if nw.Stats.MessagesByKind["ping"] != 1 || nw.Stats.MessagesByKind["pong"] != 1 {
-		t.Errorf("by kind = %v", nw.Stats.MessagesByKind)
-	}
 	// Delay is 5ms each way.
 	if nw.Engine.Now() != 10*Millisecond {
 		t.Errorf("final time = %v, want 10ms", nw.Engine.Now())
@@ -145,7 +143,7 @@ func TestNetworkSendDelivery(t *testing.T) {
 
 func TestNetworkSendNonAdjacent(t *testing.T) {
 	nw, na, _ := twoNodeNet(t)
-	if nw.Send("x", na.id, 99, []byte("x")) {
+	if nw.Send(na.id, 99, []byte("x")) {
 		t.Error("Send to non-adjacent returned true")
 	}
 	if nw.Stats.MessagesDropped != 1 {
@@ -164,7 +162,7 @@ func TestNetworkFailLink(t *testing.T) {
 	if len(nb.downs) != 1 || nb.downs[0] != na.id {
 		t.Errorf("b downs = %v", nb.downs)
 	}
-	if nw.Send("ping", na.id, nb.id, []byte("ping")) {
+	if nw.Send(na.id, nb.id, []byte("ping")) {
 		t.Error("Send over failed link returned true")
 	}
 	if nw.LinkIsUp(na.id, nb.id) {
@@ -193,7 +191,7 @@ func TestNetworkFailLink(t *testing.T) {
 
 func TestNetworkInFlightLossOnFailure(t *testing.T) {
 	nw, na, nb := twoNodeNet(t)
-	nw.Send("ping", na.id, nb.id, []byte("ping"))
+	nw.Send(na.id, nb.id, []byte("ping"))
 	// Fail the link while the message is in flight.
 	nw.Engine.At(1*Millisecond, func() { nw.FailLink(na.id, nb.id) })
 	nw.Engine.Run()
@@ -209,7 +207,7 @@ func TestNetworkInFlightLossAcrossRestore(t *testing.T) {
 	// A message in flight when the link fails must not be delivered even
 	// if the link is restored before its arrival time (epoch check).
 	nw, na, nb := twoNodeNet(t)
-	nw.Send("ping", na.id, nb.id, []byte("ping"))
+	nw.Send(na.id, nb.id, []byte("ping"))
 	nw.Engine.At(1*Millisecond, func() {
 		nw.FailLink(na.id, nb.id)
 		nw.RestoreLink(na.id, nb.id)
@@ -240,7 +238,7 @@ func TestNetworkFlood(t *testing.T) {
 		leafNodes = append(leafNodes, n)
 		nw.AddNode(n)
 	}
-	sent := nw.Flood("lsa", hub, []byte("x"), leaves[0])
+	sent := nw.Flood(hub, []byte("x"), leaves[0])
 	if sent != 3 {
 		t.Errorf("Flood sent %d, want 3 (one skipped)", sent)
 	}
@@ -281,7 +279,7 @@ func TestNetworkPayloadIsolation(t *testing.T) {
 	// corrupt in-flight messages.
 	nw, na, nb := twoNodeNet(t)
 	buf := []byte("ping")
-	nw.Send("ping", na.id, nb.id, buf)
+	nw.Send(na.id, nb.id, buf)
 	buf[0] = 'X'
 	nw.Engine.Run()
 	if nb.received[0] != "ping" {
@@ -291,7 +289,7 @@ func TestNetworkPayloadIsolation(t *testing.T) {
 
 func TestRunToQuiescence(t *testing.T) {
 	nw, na, nb := twoNodeNet(t)
-	nw.Send("ping", na.id, nb.id, []byte("ping"))
+	nw.Send(na.id, nb.id, []byte("ping"))
 	conv, ok := nw.RunToQuiescence(1 * Second)
 	if !ok {
 		t.Error("RunToQuiescence reported not quiescent")
@@ -313,7 +311,7 @@ type startNode struct {
 func (n *startNode) Start(nw *Network) {
 	n.starts++
 	*n.order = append(*n.order, n.id)
-	nw.Flood("ping", n.id, []byte("ping"))
+	nw.Flood(n.id, []byte("ping"))
 }
 
 // TestRunToQuiescenceStartsOnce: the first run starts every node, in AD
@@ -370,7 +368,7 @@ func TestNodesSorted(t *testing.T) {
 // harness bug the next Send reports, not a silently wrong delivery.
 func TestGraphMovedUnderNetworkPanics(t *testing.T) {
 	nw, na, nb := twoNodeNet(t)
-	if !nw.Send("ping", na.id, nb.id, []byte("ping")) {
+	if !nw.Send(na.id, nb.id, []byte("ping")) {
 		t.Fatal("Send = false")
 	}
 	nw.Graph.RemoveLink(na.id, nb.id)
@@ -379,7 +377,7 @@ func TestGraphMovedUnderNetworkPanics(t *testing.T) {
 			t.Error("Send after the graph lost a link did not panic")
 		}
 	}()
-	nw.Send("ping", na.id, nb.id, []byte("ping"))
+	nw.Send(na.id, nb.id, []byte("ping"))
 }
 
 // TestAddNodeOutsideGraphPanics: nodes are held by graph position, so a node
@@ -398,7 +396,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() (uint64, Time) {
 		nw, na, nb := twoNodeNet(t)
 		for i := 0; i < 10; i++ {
-			nw.Send("ping", na.id, nb.id, []byte("ping"))
+			nw.Send(na.id, nb.id, []byte("ping"))
 		}
 		nw.Engine.Run()
 		return nw.Stats.MessagesSent, nw.Engine.Now()
@@ -410,23 +408,49 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestBytesByType checks that Send splits BytesSent by each frame's wire
+// type.
+func TestBytesByType(t *testing.T) {
+	nw, na, nb := twoNodeNet(t)
+	refresh := wire.Marshal(&wire.Refresh{Handle: 7, TTLMillis: 100})
+	dataMsg := &wire.Data{Handle: 7, Mode: wire.ModeHandle, Payload: make([]byte, 64)}
+	data := wire.Marshal(dataMsg)
+	nw.Send(na.id, nb.id, refresh)
+	nw.Send(nb.id, na.id, refresh)
+	nw.SendMessage(na.id, nb.id, dataMsg)
+	nw.Engine.Run()
+	var want [256]uint64
+	want[wire.TypeRefresh] = uint64(2 * len(refresh))
+	want[wire.TypeData] = uint64(len(data))
+	if nw.Stats.BytesByType != want {
+		t.Errorf("refresh %d B, data %d B; want %d and %d", nw.Stats.BytesByType[wire.TypeRefresh],
+			nw.Stats.BytesByType[wire.TypeData], want[wire.TypeRefresh], want[wire.TypeData])
+	}
+	if total := want[wire.TypeRefresh] + want[wire.TypeData]; nw.Stats.BytesSent != total {
+		t.Errorf("BytesSent = %d, want %d", nw.Stats.BytesSent, total)
+	}
+}
+
+// TestTraceCallback checks that a delivered frame's trace line names its
+// wire type.
 func TestTraceCallback(t *testing.T) {
 	nw, na, nb := twoNodeNet(t)
 	var lines []string
 	nw.Trace = func(format string, args ...interface{}) {
-		lines = append(lines, format)
+		lines = append(lines, fmt.Sprintf(format, args...))
 	}
-	nw.Send("ping", na.id, nb.id, []byte("ping"))
+	nw.SendMessage(na.id, nb.id, &wire.Teardown{Handle: 1})
 	nw.Engine.Run()
-	if len(lines) == 0 {
-		t.Error("trace produced no lines")
+	want := fmt.Sprintf("0.005000s teardown %v->%v %dB", na.id, nb.id, len(wire.Marshal(&wire.Teardown{Handle: 1})))
+	if len(lines) != 1 || lines[0] != want {
+		t.Errorf("trace = %q, want [%q]", lines, want)
 	}
 }
 
 func TestMaxQueuedPending(t *testing.T) {
 	nw, na, nb := twoNodeNet(t)
 	for i := 0; i < 5; i++ {
-		nw.Send("ping", na.id, nb.id, []byte("p"))
+		nw.Send(na.id, nb.id, []byte("p"))
 	}
 	if nw.Stats.MaxQueuedPending < 5 {
 		t.Errorf("MaxQueuedPending = %d, want >= 5", nw.Stats.MaxQueuedPending)
@@ -456,8 +480,8 @@ func TestSerializationDelayAndFIFO(t *testing.T) {
 	nw.AddNode(nb)
 	// A big message followed by a tiny one: without transmitter
 	// bookkeeping the tiny one would overtake it.
-	nw.Send("big", a, b, make([]byte, 100))
-	nw.Send("tiny", a, b, []byte{9})
+	nw.Send(a, b, make([]byte, 100))
+	nw.Send(a, b, []byte{9})
 	nw.Engine.Run()
 	if len(arrivals) != 2 {
 		t.Fatalf("arrivals = %d", len(arrivals))
@@ -499,8 +523,8 @@ func TestFailLinkResetsTransmitterState(t *testing.T) {
 	nw.AddNode(&recordNode{id: b, onRecv: func(p []byte, at Time) { arrivals = append(arrivals, at) }})
 	nw.AddNode(&echoNode{id: a})
 	// Two 100-byte messages at t=0 occupy the a->b transmitter until 200ms.
-	nw.Send("m", a, b, make([]byte, 100))
-	nw.Send("m", a, b, make([]byte, 100))
+	nw.Send(a, b, make([]byte, 100))
+	nw.Send(a, b, make([]byte, 100))
 	nw.Engine.At(2*Millisecond, func() {
 		if err := nw.FailLink(a, b); err != nil {
 			t.Error(err)
@@ -514,7 +538,7 @@ func TestFailLinkResetsTransmitterState(t *testing.T) {
 	nw.Engine.At(4*Millisecond, func() {
 		// Post-restore the transmitter must be idle: 4ms + 100ms tx +
 		// 1ms prop = 105ms, not 200ms backlog + 100ms + 1ms = 301ms.
-		nw.Send("m", a, b, make([]byte, 100))
+		nw.Send(a, b, make([]byte, 100))
 	})
 	nw.Engine.Run()
 	if len(arrivals) != 1 {
@@ -536,8 +560,8 @@ func TestLastSendIncludesSerialization(t *testing.T) {
 	nw, a, b := bandwidthPair(t)
 	nw.AddNode(&echoNode{id: a})
 	nw.AddNode(&recordNode{id: b, onRecv: func([]byte, Time) {}})
-	nw.Send("m", a, b, make([]byte, 100)) // clocks out at 100ms
-	nw.Send("m", a, b, make([]byte, 100)) // queued: clocks out at 200ms
+	nw.Send(a, b, make([]byte, 100)) // clocks out at 100ms
+	nw.Send(a, b, make([]byte, 100)) // queued: clocks out at 200ms
 	if nw.lastSend != 200*Millisecond {
 		t.Errorf("LastSend = %v, want 200ms (transmission completion)", nw.lastSend)
 	}
@@ -564,8 +588,8 @@ func TestLastSendMonotoneAcrossLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := NewNetwork(g)
-	nw.Send("slow", a, b, make([]byte, 100)) // clocks out at 100ms
-	nw.Send("fast", a, c, []byte("x"))       // clocks out immediately
+	nw.Send(a, b, make([]byte, 100)) // clocks out at 100ms
+	nw.Send(a, c, []byte("x"))       // clocks out immediately
 	if nw.lastSend != 100*Millisecond {
 		t.Errorf("LastSend = %v, want 100ms (must not regress)", nw.lastSend)
 	}
@@ -582,10 +606,10 @@ func TestFIFOUnderSerializationManyMessages(t *testing.T) {
 		order = append(order, p[len(p)-1])
 		arrivals = append(arrivals, at)
 	}})
-	nw.Send("m", a, b, append(make([]byte, 49), 1))  // 50B: tx 50ms
-	nw.Send("m", a, b, append(make([]byte, 9), 2))   // 10B: tx 10ms
-	nw.Send("m", a, b, append(make([]byte, 199), 3)) // 200B: tx 200ms
-	nw.Send("m", a, b, []byte{4})                    // 1B: tx 1ms
+	nw.Send(a, b, append(make([]byte, 49), 1))  // 50B: tx 50ms
+	nw.Send(a, b, append(make([]byte, 9), 2))   // 10B: tx 10ms
+	nw.Send(a, b, append(make([]byte, 199), 3)) // 200B: tx 200ms
+	nw.Send(a, b, []byte{4})                    // 1B: tx 1ms
 	nw.Engine.Run()
 	wantOrder := []byte{1, 2, 3, 4}
 	wantAt := []Time{51 * Millisecond, 61 * Millisecond, 261 * Millisecond, 262 * Millisecond}
@@ -611,12 +635,12 @@ func TestInFlightLossOnFailFastRestoreEpoch(t *testing.T) {
 	var got []byte
 	nw.AddNode(&echoNode{id: a})
 	nw.AddNode(&recordNode{id: b, onRecv: func(p []byte, at Time) { got = append(got, p[0]) }})
-	nw.Send("m", a, b, append(make([]byte, 99), 1)) // delivery at 101ms
-	nw.Send("m", a, b, append(make([]byte, 99), 2)) // delivery at 201ms
+	nw.Send(a, b, append(make([]byte, 99), 1)) // delivery at 101ms
+	nw.Send(a, b, append(make([]byte, 99), 2)) // delivery at 201ms
 	nw.Engine.At(50*Millisecond, func() {
 		nw.FailLink(a, b)
 		nw.RestoreLink(a, b)
-		nw.Send("m", a, b, []byte{3})
+		nw.Send(a, b, []byte{3})
 	})
 	nw.Engine.Run()
 	if len(got) != 1 || got[0] != 3 {
@@ -639,7 +663,7 @@ func TestPayloadBufferReuseIsolation(t *testing.T) {
 	}}
 	nw.nodes[ad.Position(nw.ids, nb.id)] = recv // swap in a recorder for b
 	for _, m := range msgs {
-		nw.Send("m", na.id, nb.id, []byte(m))
+		nw.Send(na.id, nb.id, []byte(m))
 		nw.Engine.Run()
 	}
 	if len(got) != len(msgs) {
@@ -698,7 +722,7 @@ func TestAllocsSimSendMessage(t *testing.T) {
 		received++
 	}})
 	if n := testing.AllocsPerRun(200, func() {
-		nw.SendMessage("idrp", a, b, msg)
+		nw.SendMessage(a, b, msg)
 		nw.Engine.Run()
 	}); n != 0 {
 		t.Errorf("SendMessage + delivery: %v allocs, want 0", n)

@@ -62,6 +62,16 @@ type PVRoute struct {
 	UCI policy.ClassSet
 }
 
+// Len returns r's encoded size in a PathVector body, which is a 16-bit
+// route count followed by the routes.
+func (r *PVRoute) Len() int {
+	n := 17 + 4*len(r.Path) // a route with an empty path and a universal source set
+	if !r.AllowedSources.IsUniversal() {
+		n += 2 + 4*r.AllowedSources.Size()
+	}
+	return n
+}
+
 // PathVector is an IDRP/BGP-2 routing update.
 type PathVector struct {
 	Routes []PVRoute

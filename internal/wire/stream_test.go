@@ -152,8 +152,8 @@ func FuzzDecoderStream(f *testing.F) {
 	f.Add(queries, uint16(4096))
 	f.Add(queries, uint16(1))
 	// A 65 535-byte body, larger than the buffer, between two small frames.
-	big := &Data{Mode: ModeHandle, Payload: bytes.Repeat([]byte{0xab}, maxBody-8-2-11-2-2)}
-	if len(Marshal(big)) != headerLen+maxBody {
+	big := &Data{Mode: ModeHandle, Payload: bytes.Repeat([]byte{0xab}, MaxBody-8-2-11-2-2)}
+	if len(Marshal(big)) != headerLen+MaxBody {
 		f.Fatal("the large seed is not the largest frame")
 	}
 	f.Add(stream(&Drain{ID: 1}, big, &Drain{ID: 2}), uint16(1500))

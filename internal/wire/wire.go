@@ -172,8 +172,8 @@ var (
 	ErrTooLarge    = errors.New("wire: message exceeds maximum size")
 )
 
-// maxBody bounds message bodies to what the 16-bit length field can carry.
-const maxBody = 1<<16 - 1
+// MaxBody is the largest message body the 16-bit length field can carry.
+const MaxBody = 1<<16 - 1
 
 // Message is implemented by every wire message.
 type Message interface {
@@ -194,8 +194,8 @@ func AppendMessage(dst []byte, m Message) ([]byte, error) {
 	start := len(dst)
 	c := m.code(codec{buf: append(dst, Version, byte(m.Type()), 0, 0)})
 	body := len(c.buf) - start - headerLen
-	if body > maxBody {
-		return dst, fmt.Errorf("%w: %v body %d bytes, max %d", ErrTooLarge, m.Type(), body, maxBody)
+	if body > MaxBody {
+		return dst, fmt.Errorf("%w: %v body %d bytes, max %d", ErrTooLarge, m.Type(), body, MaxBody)
 	}
 	binary.BigEndian.PutUint16(c.buf[start+2:], uint16(body))
 	return c.buf, nil

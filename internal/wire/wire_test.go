@@ -209,6 +209,23 @@ func TestDataHeaderLen(t *testing.T) {
 	}
 }
 
+// TestPVRouteLen holds PVRoute.Len to the encoder: a path vector's body is
+// the route count's 2 bytes plus each route's Len.
+func TestPVRouteLen(t *testing.T) {
+	routes := []PVRoute{
+		{Dest: 1, AllowedSources: policy.Universal()},
+		{Dest: 2, Path: ad.Path{3, 4, 2}, AllowedSources: policy.SetOf(5, 6, 7), UCI: policy.AllClasses},
+		{Dest: 8, Withdrawn: true, AllowedSources: policy.SetOf()},
+	}
+	body := 2
+	for i := range routes {
+		body += routes[i].Len()
+		if got := len(Marshal(&PathVector{Routes: routes[:i+1]})); got != headerLen+body {
+			t.Errorf("%d routes: frame %d bytes, Len sums to %d", i+1, got, headerLen+body)
+		}
+	}
+}
+
 func TestTeardownRoundTrip(t *testing.T) {
 	got := roundTrip(t, &Teardown{Handle: 1234, Reason: TeardownRepair}).(*Teardown)
 	if got.Handle != 1234 || got.Reason != TeardownRepair {
@@ -450,7 +467,7 @@ func TestDecodeAllocationBoundedByBytesPresent(t *testing.T) {
 func TestAppendMessageTooLarge(t *testing.T) {
 	// A text whose length wraps the 16-bit field fails as surely as one
 	// that does not.
-	for _, n := range []int{maxBody, 1<<16 + 7} {
+	for _, n := range []int{MaxBody, 1<<16 + 7} {
 		big := &DataOpReply{ID: 7, Op: OpState, Text: strings.Repeat("x", n)}
 		dst := Marshal(&Drain{ID: 1})
 		want := append([]byte(nil), dst...)
@@ -466,7 +483,7 @@ func TestAppendMessageTooLarge(t *testing.T) {
 		}
 	}
 	// The largest body that fits still encodes and decodes.
-	fits := &DataOpReply{ID: 7, Text: strings.Repeat("x", maxBody-8-2-8-2-16-2)}
+	fits := &DataOpReply{ID: 7, Text: strings.Repeat("x", MaxBody-8-2-8-2-16-2)}
 	buf, err := AppendMessage(nil, fits)
 	if err != nil {
 		t.Fatal(err)
