@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet nodeps surface race allocs determinism golden examples fuzz load-smoke loc bench-kernel bench-cache bench-sim bench-suite bench-smoke results
+.PHONY: all build test check fmt vet nodeps surface race allocs determinism golden examples fuzz load-smoke loc bench-kernel bench-cache bench-sim bench-suite bench-smoke e9-ladder results
 
 all: build
 
@@ -70,8 +70,10 @@ race:
 
 # The testing.AllocsPerRun pins on the session fast path, the search kernel,
 # policy.ADSet, the simulator's message path (a warm SendMessage and
-# delivery, a stale flooded copy, IDRP's tie-break, a distance-vector
-# table's Get/Set/Learn/Poison) and a small PG table's first slab skip
+# delivery, a stale flooded copy, a new copy another AD of the system
+# decoded, a path-vector decode through a warm set table, IDRP's tie-break
+# and a warm IDRP Receive, a distance-vector table's Get/Set/Learn/Poison)
+# and a small PG table's first slab skip
 # themselves under -race (its instrumentation allocates), so they get a
 # pass without.
 allocs:
@@ -204,15 +206,19 @@ bench-cache:
 # protocol: neighbour lookup in the position-indexed graph, a flood through
 # the network's edge-indexed send and delivery, and a PG table's soft
 # install and expiry sweep (each with its link index); ECMA's cold start on
-# a ~350-AD internet (its distance-vector tables); and one IDRP cold start
-# to quiescence on E9's largest internet (messages/op and wire-bytes/op are
-# E9's idrp row and must not move either).
+# a ~350-AD internet (its distance-vector tables); ORWG's LSA flood to
+# quiescence on a ~350-AD internet (the link-state layer: its shared table
+# of decoded LSAs; messages/op and wire-bytes/op count every copy and must
+# not move); and one IDRP cold start to quiescence on E9's largest internet
+# (messages/op and wire-bytes/op are E9's idrp row and must not move
+# either).
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkNegotiate$$' -benchmem -count 5 ./internal/ordering/
 	$(GO) test -run '^$$' -bench 'BenchmarkGraphNeighbors$$' -benchmem -count 5 ./internal/ad/
 	$(GO) test -run '^$$' -bench 'BenchmarkNetworkFlood$$' -benchmem -count 5 ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkInstallSoft$$|BenchmarkExpireDueSweep$$' -benchmem -count 5 ./internal/pgstate/
 	$(GO) test -run '^$$' -bench 'BenchmarkLargeECMAConvergence$$' -benchmem -count 5 ./internal/protocols/ecma/
+	$(GO) test -run '^$$' -bench 'BenchmarkLargeFloodingConvergence$$' -benchmem -count 5 ./internal/protocols/orwg/
 	$(GO) test -run '^$$' -bench 'BenchmarkIDRPConverge$$' -benchmem -count 5 ./internal/protocols/idrp/
 
 # bench-suite is what repro_suite runs, experiment by experiment, five
@@ -232,6 +238,14 @@ bench-suite:
 # an HA primary kill) are tests.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
+
+# e9-ladder converges E9's five designs on E9's internets and on a 1,092-
+# and a 2,728-AD one, one run at a time, and prints a markdown table per
+# (internet, design): converged, wall time, live heap after convergence,
+# bytes allocated, messages and bytes (EXPERIMENTS.md quotes it under E9).
+# It takes minutes and about 1.5 GB, so neither CI nor golden runs it.
+e9-ladder:
+	$(GO) test -count=1 -v -timeout 60m -run '^TestE9Ladder$$' ./internal/experiments/ -ladder
 
 # Regenerate the committed golden output for the default seed.
 results:

@@ -40,8 +40,9 @@ func E16DatabaseDistribution(seed int64) *metrics.Table {
 			tree = spanningTree(g)
 		}
 		nodes := make(map[ad.ID]*distNode)
+		lsas := flood.NewTable()
 		for _, id := range g.IDs() {
-			n := &distNode{f: flood.NewFlooder(id), terms: db.Terms(id)}
+			n := &distNode{f: flood.NewFlooder(id, lsas), terms: db.Terms(id)}
 			if scoped {
 				self := id
 				n.f.Scope = func(nb ad.ID) bool {

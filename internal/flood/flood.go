@@ -2,7 +2,9 @@
 // two link-state architectures (LS hop-by-hop, paper §5.3, and ORWG source
 // routing, §5.4): a sequence-numbered link-state database and a reliable-ish
 // flooding discipline (duplicate suppression by sequence number, re-flood of
-// strictly newer LSAs).
+// strictly newer LSAs). The flooders of one system share a Table of decoded
+// LSAs, so the system decodes each (origin, seq) once however many ADs
+// install it.
 package flood
 
 import (
@@ -141,6 +143,41 @@ func (db *DB) View(self ad.ID, criteria policy.Criteria) (*ad.Graph, *policy.DB,
 	return g, pdb, synthesis.Compile(g, pdb)
 }
 
+// Table holds the LSAs a system's flooders decoded: the newest one per
+// origin. An LSA is never written to once decoded, and an (origin, seq)
+// names one LSA within a system, since only its origin's flooder numbers
+// them; so every AD that installs it can hold the one decoded value, and
+// the system pays one decode and one copy per (origin, seq) instead of one
+// per AD. A table belongs to one system: the system's constructor makes it
+// and hands it to every flooder it builds.
+type Table struct {
+	lsas map[ad.ID]*wire.LSA
+}
+
+// NewTable returns an empty table.
+func NewTable() *Table {
+	return &Table{lsas: make(map[ad.ID]*wire.LSA)}
+}
+
+// decode returns the LSA frame carries, whose origin and seq its header
+// gave: the stored value when an AD of the system decoded it before, else
+// the frame decoded, and stored unless the table holds a newer one from the
+// origin. It returns nil for a frame that does not decode.
+func (t *Table) decode(origin ad.ID, seq uint32, frame []byte) *wire.LSA {
+	cur := t.lsas[origin]
+	if cur != nil && cur.Seq == seq {
+		return cur
+	}
+	lsa := new(wire.LSA)
+	if wire.UnmarshalInto(frame, lsa) != nil {
+		return nil
+	}
+	if cur == nil || cur.Seq < seq {
+		t.lsas[origin] = lsa
+	}
+	return lsa
+}
+
 // Flooder runs the flooding discipline for one AD. Protocol nodes embed it
 // and delegate LSA handling to it.
 type Flooder struct {
@@ -156,7 +193,8 @@ type Flooder struct {
 	// every up neighbor (classic flooding).
 	Scope func(neighbor ad.ID) bool
 
-	seq uint32
+	seq  uint32
+	lsas *Table
 }
 
 // floodScoped sends payload to every up neighbor passing the scope filter,
@@ -183,9 +221,10 @@ func (f *Flooder) floodScoped(nw *sim.Network, payload []byte, skip ...ad.ID) in
 	return sent
 }
 
-// NewFlooder returns a flooder for self with an empty database.
-func NewFlooder(self ad.ID) *Flooder {
-	return &Flooder{Self: self, DB: NewDB()}
+// NewFlooder returns a flooder for self with an empty database, decoding
+// through lsas, the table of self's system.
+func NewFlooder(self ad.ID, lsas *Table) *Flooder {
+	return &Flooder{Self: self, DB: NewDB(), lsas: lsas}
 }
 
 // Originate builds, installs, and floods this AD's own LSA describing its
@@ -212,7 +251,9 @@ func (f *Flooder) Originate(nw *sim.Network, terms []policy.Term) {
 // Receive handles payload if it is an LSA frame, reporting whether it was.
 // A copy no newer than the installed LSA from its origin is counted as a
 // duplicate without being decoded: on a node of degree d only one copy in d
-// is new, and only that one is worth decoding.
+// is new. A new copy is decoded through the system's table, so only the
+// first AD of the system to install an (origin, seq) decodes it, and it is
+// re-flooded as the bytes it arrived in (Send copies them).
 func (f *Flooder) Receive(nw *sim.Network, from ad.ID, payload []byte) bool {
 	origin, seq, ok := wire.PeekLSA(payload)
 	if !ok {
@@ -222,19 +263,19 @@ func (f *Flooder) Receive(nw *sim.Network, from ad.ID, payload []byte) bool {
 		f.DB.Duplicates++
 		return true
 	}
-	if msg, err := wire.Unmarshal(payload); err == nil {
-		f.handleLSA(nw, from, msg.(*wire.LSA))
+	if lsa := f.lsas.decode(origin, seq, payload); lsa != nil {
+		f.install(nw, from, lsa, payload)
 	}
 	return true
 }
 
-// handleLSA processes a decoded LSA: install if newer, then re-flood to all
-// up neighbors except the sender.
-func (f *Flooder) handleLSA(nw *sim.Network, from ad.ID, lsa *wire.LSA) {
+// install processes lsa, decoded from frame: install if newer, then
+// re-flood frame to all up neighbors except the sender.
+func (f *Flooder) install(nw *sim.Network, from ad.ID, lsa *wire.LSA, frame []byte) {
 	if !f.DB.Install(lsa) {
 		return
 	}
-	f.floodScoped(nw, nw.Encode(lsa), from)
+	f.floodScoped(nw, frame, from)
 	if f.OnChange != nil {
 		f.OnChange(nw)
 	}

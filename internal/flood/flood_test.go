@@ -98,8 +98,9 @@ func TestDBWireBytes(t *testing.T) {
 }
 
 // floodNode wires a Flooder into a sim.Node for substrate testing. With
-// decodeAll it decodes every copy and hands it to handleLSA, the way
-// Flooder.Receive's duplicate check must be indistinguishable from.
+// decodeAll it decodes every copy itself and hands it to install, the way
+// Flooder.Receive's duplicate check and shared table must be
+// indistinguishable from.
 type floodNode struct {
 	f         *Flooder
 	decodeAll bool
@@ -119,7 +120,7 @@ func (n *floodNode) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 		return
 	}
 	if lsa, ok := msg.(*wire.LSA); ok {
-		n.f.handleLSA(nw, from, lsa)
+		n.f.install(nw, from, lsa, payload)
 	}
 }
 func (n *floodNode) LinkDown(nw *sim.Network, nb ad.ID) { n.f.Originate(nw, nil) }
@@ -130,8 +131,9 @@ func buildFloodNet(t *testing.T) (*sim.Network, map[ad.ID]*floodNode) {
 	topo := topology.Figure1()
 	nw := sim.NewNetwork(topo.Graph)
 	nodes := make(map[ad.ID]*floodNode)
+	lsas := NewTable()
 	for _, id := range topo.Graph.IDs() {
-		n := &floodNode{f: NewFlooder(id)}
+		n := &floodNode{f: NewFlooder(id, lsas)}
 		nodes[id] = n
 		nw.AddNode(n)
 	}
@@ -215,10 +217,11 @@ func TestFlooderScope(t *testing.T) {
 		}
 	}
 	nw := sim.NewNetwork(g)
-	hubNode := &floodNode{f: NewFlooder(hub)}
+	lsas := NewTable()
+	hubNode := &floodNode{f: NewFlooder(hub, lsas)}
 	hubNode.f.Scope = func(nb ad.ID) bool { return nb == allowed }
-	allowedNode := &floodNode{f: NewFlooder(allowed)}
-	blockedNode := &floodNode{f: NewFlooder(blocked)}
+	allowedNode := &floodNode{f: NewFlooder(allowed, lsas)}
+	blockedNode := &floodNode{f: NewFlooder(blocked, lsas)}
 	nw.AddNode(hubNode)
 	nw.AddNode(allowedNode)
 	nw.AddNode(blockedNode)
@@ -275,7 +278,7 @@ func TestAllocsFloodDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := sim.NewNetwork(g)
-	f := NewFlooder(a)
+	f := NewFlooder(a, NewTable())
 	lsa := &wire.LSA{
 		Origin: b, Seq: 3,
 		Links: []wire.LSALink{{Neighbor: a, Cost: 1, Up: true}},
@@ -293,5 +296,81 @@ func TestAllocsFloodDuplicate(t *testing.T) {
 	}
 	if f.Receive(nw, b, wire.Marshal(&wire.DVUpdate{})) {
 		t.Error("Receive claimed a frame that is not an LSA")
+	}
+}
+
+// TestSharedTableDecodesOnce: on a shared table every AD that installs an
+// LSA from another origin holds the one value the system decoded, and an
+// origin holds the LSA it built.
+func TestSharedTableDecodesOnce(t *testing.T) {
+	nw, nodes := buildFloodNet(t)
+	nw.RunToQuiescence(10 * sim.Second)
+	for origin, o := range nodes {
+		own, _ := o.f.DB.Get(origin)
+		shared := o.f.lsas.lsas[origin]
+		if shared == nil || shared == own {
+			t.Fatalf("%v: table holds %p, origin holds %p; want a decoded copy apart from the origin's", origin, shared, own)
+		}
+		for id, n := range nodes {
+			if got, _ := n.f.DB.Get(origin); id != origin && got != shared {
+				t.Errorf("%v holds its own copy of %v's LSA", id, origin)
+			}
+		}
+	}
+}
+
+// TestAllocsFloodSharedCopy: a new copy of an LSA that another AD of the
+// system already decoded, arriving at an AD that holds an older LSA from
+// its origin, installs the stored value and re-floods the frame as it
+// arrived, so it allocates nothing.
+func TestAllocsFloodSharedCopy(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g := ad.NewGraph()
+	a := g.AddAD("a", ad.Transit, ad.Backbone)
+	b := g.AddAD("b", ad.Transit, ad.Backbone)
+	c := g.AddAD("c", ad.Transit, ad.Backbone)
+	for _, l := range []ad.Link{{A: a, B: b}, {A: a, B: c}} {
+		if err := g.AddLink(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw := sim.NewNetwork(g)
+	lsas := NewTable()
+	f, other := NewFlooder(a, lsas), NewFlooder(c, lsas)
+	const runs = 100
+	frames := make([][]byte, runs+1)
+	for i := range frames {
+		origin := ad.ID(100 + i)
+		lsa := &wire.LSA{
+			Origin: origin, Seq: 1,
+			Links: []wire.LSALink{{Neighbor: b, Cost: 1, Up: true}},
+			Terms: []policy.Term{policy.OpenTerm(origin, 1)},
+		}
+		f.Receive(nw, b, wire.Marshal(lsa))
+		lsa.Seq = 2
+		frames[i] = wire.Marshal(lsa)
+		other.Receive(nw, a, frames[i])
+	}
+	nw.Engine.Run()
+	i := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		f.Receive(nw, b, frames[i])
+		nw.Engine.Run()
+		i++
+	}); n != 0 {
+		t.Errorf("shared copy: %v allocs, want 0", n)
+	}
+	for i := range frames {
+		origin := ad.ID(100 + i)
+		mine, _ := f.DB.Get(origin)
+		theirs, _ := other.DB.Get(origin)
+		if mine == nil || mine != theirs || mine.Seq != 2 {
+			t.Fatalf("%v: installed %+v, the system decoded %+v", origin, mine, theirs)
+		}
+	}
+	if got, want := nw.Stats.MessagesSent, uint64(2*len(frames)); got != want {
+		t.Errorf("%d copies flooded, want %d: each new LSA once toward c", got, want)
 	}
 }

@@ -90,6 +90,11 @@ type System struct {
 
 	computations int
 
+	// sets holds one copy of every source set the system has received:
+	// Receive decodes through it, so every route carrying a set shares
+	// the copy, and a set seen before costs a decode no allocation.
+	sets wire.SetTable
+
 	// Scratch shared by every node of the system. Nodes run one callback
 	// at a time inside the event loop, and nothing here outlives the call
 	// that fills it, so a message costs no allocation for bookkeeping.
@@ -383,7 +388,7 @@ func (n *node) flushTo(nw *sim.Network, keys []int32, only ad.ID) {
 
 func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 	s := n.sys
-	if wire.UnmarshalInto(payload, &s.rx) != nil {
+	if s.sets.UnmarshalInto(payload, &s.rx) != nil {
 		return
 	}
 	s.computations++

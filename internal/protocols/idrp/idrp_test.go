@@ -13,6 +13,7 @@ import (
 	"repro/internal/racecheck"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/wire"
 )
 
 var _ core.System = (*System)(nil)
@@ -470,6 +471,37 @@ func TestAllocsComparePaths(t *testing.T) {
 	a, b := ad.Path{1, 12, 3, 4294967295}, ad.Path{1, 12, 3, 42}
 	if n := testing.AllocsPerRun(100, func() { _ = comparePaths(a, b) }); n != 0 {
 		t.Errorf("comparePaths: %v allocs, want 0", n)
+	}
+}
+
+// TestAllocsWarmReceive: an update whose source sets the system has
+// received before, re-offering the routes the neighbour offered last time,
+// is decoded, filed and reselected without allocating.
+func TestAllocsWarmReceive(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g := topology.Figure1().Graph
+	s := New(g, policy.OpenDB(g), Config{})
+	if _, ok := s.Converge(seconds(60)); !ok {
+		t.Fatal("did not converge")
+	}
+	ids := g.IDs()
+	n, from := s.node(ids[0]), g.Neighbors(ids[0])[0]
+	upd := &wire.PathVector{}
+	for _, dst := range ids {
+		if dst != n.id && dst != from {
+			upd.Routes = append(upd.Routes, wire.PVRoute{
+				Dest: dst, Metric: 1, Path: ad.Path{from, dst},
+				AllowedSources: policy.SetOf(n.id, from, dst%3), UCI: policy.AllClasses,
+			})
+		}
+	}
+	frame := wire.Marshal(upd)
+	n.Receive(s.nw, from, frame)
+	s.nw.Engine.Run()
+	if allocs := testing.AllocsPerRun(100, func() { n.Receive(s.nw, from, frame) }); allocs != 0 {
+		t.Errorf("warm Receive: %v allocs, want 0", allocs)
 	}
 }
 

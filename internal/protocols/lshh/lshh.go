@@ -48,8 +48,9 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 		db:    db,
 		nodes: make(map[ad.ID]*node),
 	}
+	lsas := flood.NewTable()
 	for _, id := range g.IDs() {
-		n := &node{id: id, sys: s, flooder: flood.NewFlooder(id)}
+		n := &node{id: id, sys: s, flooder: flood.NewFlooder(id, lsas)}
 		n.flooder.OnChange = n.onLSDBChange
 		s.nodes[id] = n
 		s.nw.AddNode(n)

@@ -49,6 +49,8 @@ func BenchmarkORWGEstablish(b *testing.B) {
 
 // BenchmarkLargeFloodingConvergence is one cold start to quiescence on a
 // ~350-AD internet (4 backbones, 16 regionals, 32 metros, ~300 campuses).
+// messages/op and wire-bytes/op are the flood's traffic, every copy of
+// every LSA, and must not move when only the simulator's cost changes.
 func BenchmarkLargeFloodingConvergence(b *testing.B) {
 	topo := topology.Generate(topology.Config{
 		Seed: 42, Backbones: 4, RegionalsPerBackbone: 4,
@@ -60,6 +62,7 @@ func BenchmarkLargeFloodingConvergence(b *testing.B) {
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
+	var st *sim.Stats
 	for i := 0; i < b.N; i++ {
 		sys := New(topo.Graph.Clone(), db, Config{})
 		conv, ok := sys.Converge(600 * sim.Second)
@@ -67,5 +70,8 @@ func BenchmarkLargeFloodingConvergence(b *testing.B) {
 			b.Fatal("did not converge")
 		}
 		sink += int(conv)
+		st = sys.Network().Stats
 	}
+	b.ReportMetric(float64(st.MessagesSent), "messages/op")
+	b.ReportMetric(float64(st.BytesSent), "wire-bytes/op")
 }

@@ -113,11 +113,12 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 		db:    db,
 		nodes: make(map[ad.ID]*node),
 	}
+	lsas := flood.NewTable()
 	for _, id := range g.IDs() {
 		n := &node{
 			id:          id,
 			sys:         s,
-			flooder:     flood.NewFlooder(id),
+			flooder:     flood.NewFlooder(id, lsas),
 			table:       pgstate.NewTable(cfg.State),
 			established: make(map[uint64]ad.Path),
 			flows:       make(map[uint64]policy.Request),

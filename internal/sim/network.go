@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/ad"
@@ -89,10 +90,13 @@ type Network struct {
 	busyUntil []Time
 
 	// free recycles the in-flight records the event queue carries, each
-	// with its payload buffer. The Node contract forbids retaining the
-	// payload beyond Receive, so a delivered (or dropped) message's record
-	// and buffer can carry a later Send.
-	free []*delivery
+	// with its payload buffer, by buffer class: free[c] holds records whose
+	// buffer has room for 1<<c bytes (see bufClass), so a message rides in
+	// a buffer at most twice its size. The Node contract forbids retaining
+	// the payload beyond Receive, so a delivered (or dropped) message's
+	// record and buffer can carry a later Send. RunToQuiescence drops the
+	// pool when it leaves the queue empty.
+	free [maxClass + 1][]*delivery
 	// encBuf is Encode's buffer.
 	encBuf []byte
 
@@ -247,14 +251,27 @@ func (nw *Network) Encode(m wire.Message) []byte {
 // from Send to its arrival: its endpoints, its directed edge and that
 // edge's failure epoch at sending time, the receiver's position, and the
 // payload in the record's own buffer. Records are recycled with their
-// buffers, so a message costs no allocation once the pool is warm; a buffer
-// too small for its message grows and stays grown.
+// buffers, by buffer class, so a message costs no allocation once its
+// class is warm.
 type delivery struct {
 	nw        *Network
 	from, to  ad.ID
 	edge, dst int32
 	epoch     uint64
 	buf       []byte
+}
+
+// Buffer classes: a payload of n bytes rides in a buffer of 1<<bufClass(n)
+// bytes. The smallest class holds 64 bytes; the largest holds every wire
+// frame (a 4-byte header and a body of up to 65535 bytes), and larger raw
+// payloads grow its buffers.
+const (
+	minClass = 6
+	maxClass = 17
+)
+
+func bufClass(n int) int {
+	return min(max(bits.Len(uint(max(n, 1)-1)), minClass), maxClass)
 }
 
 // Send transmits a marshalled protocol message, one wire frame, from one AD
@@ -293,11 +310,12 @@ func (nw *Network) Send(from, to ad.ID, payload []byte) bool {
 		nw.lastSend = end
 	}
 	var d *delivery
-	if k := len(nw.free); k > 0 {
-		d = nw.free[k-1]
-		nw.free = nw.free[:k-1]
+	c := bufClass(len(payload))
+	if free := nw.free[c]; len(free) > 0 {
+		d = free[len(free)-1]
+		nw.free[c] = free[:len(free)-1]
 	} else {
-		d = &delivery{nw: nw}
+		d = &delivery{nw: nw, buf: make([]byte, 0, 1<<c)}
 	}
 	d.from, d.to, d.edge, d.dst, d.epoch = from, to, e, dst, nw.linkEpoch[e]
 	d.buf = append(d.buf[:0], payload...)
@@ -339,7 +357,8 @@ func (nw *Network) deliver(d *delivery) {
 			node.Receive(nw, d.from, d.buf)
 		}
 	}
-	nw.free = append(nw.free, d)
+	c := bufClass(cap(d.buf))
+	nw.free[c] = append(nw.free[c], d)
 }
 
 // Flood sends payload to every up neighbor of from except those in skip.
@@ -428,5 +447,11 @@ func (nw *Network) RunToQuiescence(limit Time) (Time, bool) {
 		}
 	}
 	end := nw.Engine.RunUntil(limit)
+	if nw.Engine.Pending() == 0 {
+		// Nothing is in flight: the pool holds every buffer the run's
+		// busiest moment needed, which a converged network may never
+		// need again.
+		nw.free = [maxClass + 1][]*delivery{}
+	}
 	return nw.lastSend, end < limit || nw.Engine.Pending() == 0
 }

@@ -676,6 +676,35 @@ func TestPayloadBufferReuseIsolation(t *testing.T) {
 	}
 }
 
+// TestDeliveryBufferFitsItsMessage: a payload rides in a buffer of its own
+// class, whatever larger messages the network carried before it, and
+// RunToQuiescence leaves no pool behind once nothing is in flight.
+func TestDeliveryBufferFitsItsMessage(t *testing.T) {
+	nw, na, nb := twoNodeNet(t)
+	var caps []int
+	nw.nodes[ad.Position(nw.ids, nb.id)] = &recordNode{id: nb.id, onRecv: func(p []byte, _ Time) {
+		caps = append(caps, cap(p))
+	}}
+	sizes := []int{65000, 100, 0, 3000, 100, 65539, 64, 65}
+	for _, n := range sizes {
+		nw.Send(na.id, nb.id, make([]byte, n))
+		nw.Engine.Run()
+	}
+	want := []int{65536, 128, 64, 4096, 128, 131072, 64, 128}
+	if !slices.Equal(caps, want) {
+		t.Errorf("buffer sizes %v for payloads %v, want %v", caps, sizes, want)
+	}
+	nw.Send(na.id, nb.id, make([]byte, 100))
+	if _, ok := nw.RunToQuiescence(Second); !ok {
+		t.Fatal("did not quiesce")
+	}
+	for c, free := range nw.free {
+		if len(free) > 0 {
+			t.Errorf("class %d keeps %d records after quiescence", c, len(free))
+		}
+	}
+}
+
 // recordNode records payload arrivals with timestamps.
 type recordNode struct {
 	id     ad.ID

@@ -88,6 +88,12 @@ func fuzzSeeds() []Message {
 			Dest: 7, Metric: 12, Path: ad.Path{1, 2, 7},
 			AllowedSources: policy.SetOf(1, 3), UCI: policy.ClassSetOf(0, 1),
 		}}},
+		&PathVector{Routes: []PVRoute{
+			{Dest: 7, Path: ad.Path{1, 7}, AllowedSources: policy.SetOf(1, 3), UCI: policy.AllClasses},
+			{Dest: 8, Withdrawn: true, AllowedSources: policy.SetOf()},
+			{Dest: 9, Path: ad.Path{1, 9}, AllowedSources: policy.Universal(), UCI: policy.AllClasses},
+			{Dest: 9, QOS: 1, Path: ad.Path{1, 2, 9}, AllowedSources: policy.SetOf(1, 3), UCI: policy.AllClasses},
+		}},
 		&LSA{Origin: 3, Seq: 9,
 			Links: []LSALink{{Neighbor: 4, Cost: 1, Up: true}},
 			Terms: []policy.Term{policy.OpenTerm(3, 1)}},
@@ -142,7 +148,10 @@ func fuzzSeeds() []Message {
 // that decodes again and re-marshals to the same bytes — a fixed point after
 // one round. An accepted frame need not be canonical (a flag byte of 2 reads
 // as false and re-encodes as 0), so the first re-marshal may differ from the
-// input; after it, nothing may move.
+// input; after it, nothing may move. A path-vector frame is also decoded
+// twice through one SetTable, the second time from the sets the first
+// stored, and each decode must accept or refuse it as Unmarshal did and
+// return the value Unmarshal returned.
 func FuzzDecode(f *testing.F) {
 	for _, m := range fuzzSeeds() {
 		f.Add(Marshal(m))
@@ -154,6 +163,16 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		m, err := Unmarshal(buf)
+		if len(buf) > 1 && MsgType(buf[1]) == TypePathVector {
+			var sets SetTable
+			for i := 0; i < 2; i++ {
+				var pv PathVector
+				perr := sets.UnmarshalInto(buf, &pv)
+				if (perr == nil) != (err == nil) || err == nil && !reflect.DeepEqual(&pv, m) {
+					t.Fatalf("decode %d through a set table: %+v, %v; Unmarshal: %+v, %v", i+1, pv, perr, m, err)
+				}
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -75,6 +75,10 @@ func (r *PVRoute) Len() int {
 // PathVector is an IDRP/BGP-2 routing update.
 type PathVector struct {
 	Routes []PVRoute
+
+	// sets, while SetTable.UnmarshalInto decodes into the update, is the
+	// table its explicit source sets are looked up in.
+	sets *SetTable
 }
 
 // Type implements Message.
@@ -96,10 +100,57 @@ func (m *PathVector) code(c codec) codec {
 			rt.Withdrawn = flags&FlagWithdraw != 0
 		}
 		c.path(&rt.Path)
-		c.adSet(&rt.AllowedSources)
+		if c.dec && m.sets != nil {
+			m.sets.adSet(&c, &rt.AllowedSources)
+		} else {
+			c.adSet(&rt.AllowedSources)
+		}
 		c.u32((*uint32)(&rt.UCI))
 	}
 	return c
+}
+
+// SetTable holds the explicit AD sets that path-vector updates decoded
+// through it carried, keyed by their wire bytes. A policy.ADSet is never
+// written to after construction, so every route decoded through one table
+// holds one copy of each distinct set, and a set the table has seen costs
+// its decode no allocation. The zero value is an empty table.
+type SetTable struct {
+	sets map[string]policy.ADSet
+}
+
+// UnmarshalInto is the package's UnmarshalInto for a path-vector update,
+// with each explicit source set taken from t when t holds its bytes, and
+// decoded once and stored in t otherwise.
+func (t *SetTable) UnmarshalInto(b []byte, m *PathVector) error {
+	m.sets = t
+	err := UnmarshalInto(b, m)
+	m.sets = nil
+	return err
+}
+
+// adSet decodes the set at c's cursor through t.
+func (t *SetTable) adSet(c *codec, s *policy.ADSet) {
+	start := c.off
+	var all bool
+	if c.flag(&all); all {
+		*s = policy.Universal()
+		return
+	}
+	if c.take(4 * c.count(0, 4)); c.fail {
+		return
+	}
+	key := c.buf[start:c.off]
+	if v, ok := t.sets[string(key)]; ok {
+		*s = v
+		return
+	}
+	whole := codec{buf: key, dec: true}
+	whole.adSet(s)
+	if t.sets == nil {
+		t.sets = make(map[string]policy.ADSet)
+	}
+	t.sets[string(key)] = *s
 }
 
 // LSALink describes one adjacency in a link-state advertisement.

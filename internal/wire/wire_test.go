@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/ad"
 	"repro/internal/policy"
+	"repro/internal/racecheck"
 )
 
 func roundTrip(t *testing.T, m Message) Message {
@@ -550,5 +551,46 @@ func TestPeekLSA(t *testing.T) {
 	}
 	if _, _, ok := PeekLSA(Marshal(&DVUpdate{Routes: []DVRoute{{Dest: 1}, {Dest: 2}}})); ok {
 		t.Error("PeekLSA accepted a DVUpdate frame")
+	}
+}
+
+// TestAllocsSetTable: every route decoded through one table holds one
+// copy of each distinct set, and a decode whose sets the table holds
+// allocates nothing once the update's lists are warm.
+func TestAllocsSetTable(t *testing.T) {
+	set := policy.SetOf(9, 3, 5)
+	frame := Marshal(&PathVector{Routes: []PVRoute{
+		{Dest: 1, Path: ad.Path{2, 1}, AllowedSources: set},
+		{Dest: 4, Path: ad.Path{2, 4}, AllowedSources: policy.Universal()},
+		{Dest: 6, Path: ad.Path{2, 6}, AllowedSources: policy.SetOf(3, 5, 9, 3)},
+	}})
+	var sets SetTable
+	var a, b PathVector
+	if err := sets.UnmarshalInto(frame, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := sets.UnmarshalInto(frame, &b); err != nil {
+		t.Fatal(err)
+	}
+	members := func(s policy.ADSet) uintptr { return reflect.ValueOf(s).FieldByName("ids").Pointer() }
+	shared := members(a.Routes[0].AllowedSources)
+	for _, rs := range [][]PVRoute{a.Routes, b.Routes} {
+		for _, i := range []int{0, 2} {
+			if got := rs[i].AllowedSources; !got.Equal(set) || members(got) != shared {
+				t.Errorf("route to %v: sources %v, not the table's copy of %v", rs[i].Dest, got, set)
+			}
+		}
+	}
+	if len(sets.sets) != 1 || !b.Routes[1].AllowedSources.IsUniversal() {
+		t.Errorf("table holds %d sets, want only the explicit one", len(sets.sets))
+	}
+	if !reflect.DeepEqual(b, a) || a.sets != nil {
+		t.Errorf("second decode %+v, first %+v", b, a)
+	}
+	if racecheck.Enabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = sets.UnmarshalInto(frame, &b) }); n != 0 {
+		t.Errorf("decode through a warm table: %v allocs, want 0", n)
 	}
 }
