@@ -51,8 +51,8 @@ surface:
 # kind of claim the detector can refute, the shard table's lock-free lookup
 # another, and a miss claiming its key against a writer a third); HA
 # exercises real sockets,
-# elections, and concurrent sync streams; pgstate's shard stress drives one
-# table from many goroutines; plan snapshots a server that concurrent
+# elections, and concurrent sync streams; pgstate's stress test drives one
+# table, under its one mutex, from many goroutines; plan snapshots a server that concurrent
 # queries are hammering; a daemon session's reader and writer goroutines
 # share the pending reply buffer, eviction and drain. All see different
 # interleavings run to run. The experiment runner runs twice more too:
@@ -73,9 +73,9 @@ race:
 # delivery, a stale flooded copy, a new copy another AD of the system
 # decoded, a path-vector decode through a warm set table, IDRP's tie-break
 # and a warm IDRP Receive, a distance-vector table's Get/Set/Learn/Poison)
-# and a small PG table's first slab skip
-# themselves under -race (its instrumentation allocates), so they get a
-# pass without.
+# and the PG tables (an empty hard, soft and capped table, and a small
+# table's first slab) skip themselves under -race (its instrumentation
+# allocates), so they get a pass without.
 allocs:
 	$(GO) test -run 'Allocs' ./internal/wire/ ./internal/routeserver/daemon/ ./internal/synthesis/ ./internal/policy/ ./internal/sim/ ./internal/flood/ ./internal/pgstate/ ./internal/protocols/idrp/ ./internal/dvcore/
 

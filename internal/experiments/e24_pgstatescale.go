@@ -21,21 +21,19 @@ const (
 	e24Cohorts = 20
 )
 
-// E24PGStateScale measures what the sharded-table rewrite buys and proves
-// it safe: the same staggered-TTL workload drives the scan-based Reference
-// (the retained executable specification) and the sharded Table at each
-// shard count. The differential check — expiry sets compared sweep by
-// sweep, Stats and Len compared at the end — runs inside the experiment, so
-// the equivalence claim is a reported, regression-checked result, not just
-// a test. The cost columns contrast the Reference's full scans (entries
-// visited per sweep = whole table) with the wheel's visit count (due
-// entries plus bounded cascade/slot traffic).
+// E24PGStateScale measures what the timer wheel and the link index buy and
+// proves them safe: the same staggered-TTL workload drives the scan-based
+// Reference (the retained executable specification) and the Table. The
+// differential check — expiry sets compared sweep by sweep, Stats and Len
+// compared at the end — runs inside the experiment, so the equivalence
+// claim is a reported, regression-checked result, not just a test. The cost
+// columns contrast the Reference's full scans (entries visited per sweep =
+// whole table) with the wheel's visit count (due entries plus bounded
+// cascade/slot traffic).
 //
-// The Reference ignores Config.Shards, so it replays the workload once and
-// every shard count is compared against that one record. The four replays
-// are independent and run on every core; each is single-threaded and all
-// costs are deterministic op counts — rows are byte-identical for any
-// -parallel and any host.
+// The two replays are independent and run on every core; each is
+// single-threaded and all costs are deterministic op counts — the row is
+// byte-identical for any -parallel and any host.
 func E24PGStateScale(seed int64) *metrics.Table {
 	return e24Rows(seed).run(0)
 }
@@ -77,7 +75,7 @@ func (r e24Replay) sameAs(o e24Replay) bool {
 		r.stats == o.stats && r.len == o.len
 }
 
-// e24Rows makes one task for the Reference replay and one per shard count.
+// e24Rows makes one task for the Reference replay and one for the Table's.
 func e24Rows(seed int64) rows {
 	// Every handle gets a cohort deadline; routes come from a small AD pool
 	// so the link index has real fan-out. The flows are shared read-only.
@@ -91,24 +89,20 @@ func e24Rows(seed int64) rows {
 	}
 
 	cfg := pgstate.Config{Kind: pgstate.Soft, TTL: 1000 * sim.Second}
-	shardCounts := []int{1, 8, 32}
-	var ref e24Replay
-	tabs := make([]e24Replay, len(shardCounts))
-	costs := make([]pgstate.SweepCost, len(shardCounts))
-	tasks := []func(){func() { ref = replayE24(pgstate.NewReference(cfg), flows) }}
-	for i, shards := range shardCounts {
-		tasks = append(tasks, func() {
-			cfg := cfg
-			cfg.Shards = shards
-			tab := pgstate.NewTable(cfg)
-			tabs[i] = replayE24(tab, flows)
-			costs[i] = tab.SweepCost()
-		})
+	var ref, tab e24Replay
+	var cost pgstate.SweepCost
+	tasks := []func(){
+		func() { ref = replayE24(pgstate.NewReference(cfg), flows) },
+		func() {
+			table := pgstate.NewTable(cfg)
+			tab = replayE24(table, flows)
+			cost = table.SweepCost()
+		},
 	}
 
 	return rows{tasks, func() *metrics.Table {
-		t := metrics.NewTable("E24 — PG state at scale: sharded table + timer wheel vs reference scan",
-			"shards", "handles", "sweeps", "expired", "wheel-visits", "slot-walks",
+		t := metrics.NewTable("E24 — PG state at scale: timer wheel + link index vs reference scan",
+			"handles", "sweeps", "expired", "wheel-visits", "slot-walks",
 			"scan-visits", "visit-ratio", "peak", "equiv")
 		// The Reference pays a full scan of the surviving table each sweep;
 		// the wheel pays the due cohort plus bounded slot/cascade traffic.
@@ -116,21 +110,18 @@ func e24Rows(seed int64) rows {
 		for _, n := range ref.lens {
 			scanVisits += n
 		}
-		for i, shards := range shardCounts {
-			expired := 0
-			for _, due := range tabs[i].expired {
-				expired += len(due)
-			}
-			cost := costs[i]
-			t.AddRow(shards, e24Handles, e24Cohorts, expired,
-				cost.Entries, cost.Slots, scanVisits,
-				metrics.Ratio(float64(cost.Entries), float64(scanVisits)),
-				tabs[i].stats.Peak, yesNo(tabs[i].sameAs(ref)))
+		expired := 0
+		for _, due := range tab.expired {
+			expired += len(due)
 		}
+		t.AddRow(e24Handles, e24Cohorts, expired,
+			cost.Entries, cost.Slots, scanVisits,
+			metrics.Ratio(float64(cost.Entries), float64(scanVisits)),
+			tab.stats.Peak, yesNo(tab.sameAs(ref)))
 		t.AddNote("%d soft-state handles in %d staggered-TTL cohorts; each sweep expires one cohort", e24Handles, e24Cohorts)
-		t.AddNote("equiv = sharded table tracked the retained scan-based Reference exactly: per-sweep expiry sets, final Stats, final Len")
+		t.AddNote("equiv = the table tracked the retained scan-based Reference exactly: per-sweep expiry sets, final Stats, final Len")
 		t.AddNote("wheel-visits = entries popped from wheel slots/overflow across all sweeps (due + bounded cascade); scan-visits = entries the Reference's full scans walked")
-		t.AddNote("slot-walks = timer-wheel slots visited, capped per sweep at levels x slots x shards regardless of table size")
+		t.AddNote("slot-walks = timer-wheel slots visited, capped per sweep at levels x slots regardless of table size")
 		return t
 	}}
 }

@@ -406,38 +406,29 @@ func TestE23HAFailover(t *testing.T) {
 
 func TestE24PGStateScale(t *testing.T) {
 	tbl := E24PGStateScale(seed)
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 (shard counts 1, 8, 32)", len(tbl.Rows))
+	if len(tbl.Rows) != 1 {
+		t.Fatalf("rows = %d, want 1 (the Table against the Reference)", len(tbl.Rows))
 	}
-	for _, row := range tbl.Rows {
-		// The headline claim: the sharded table tracked the retained
-		// scan-based reference exactly — per-sweep expiry sets, final
-		// stats, final length. Any "no" here means the rewrite changed
-		// observable semantics.
-		if row[9] != "yes" {
-			t.Errorf("shards=%s: sharded table diverged from reference", row[0])
-		}
-		// Every cohort expires by the last sweep, at every shard count.
-		if row[3] != row[1] {
-			t.Errorf("shards=%s: expired %s of %s handles", row[0], row[3], row[1])
-		}
-		if row[8] != row[1] {
-			t.Errorf("shards=%s: peak %s, want %s (install-before-sweep workload)", row[0], row[8], row[1])
-		}
-		// The wheel's whole point: entries visited scale with due handles
-		// (plus bounded cascade traffic), far under the reference's full
-		// scans over the same sweeps.
-		wheel, scan := parseFloat(t, row[4]), parseFloat(t, row[6])
-		if wheel >= scan*0.7 {
-			t.Errorf("shards=%s: wheel visited %.0f entries, not clearly under %.0f scanned", row[0], wheel, scan)
-		}
+	row := tbl.Rows[0]
+	// The headline claim: the table tracked the retained scan-based
+	// reference exactly — per-sweep expiry sets, final stats, final
+	// length. A "no" here means the table changed observable semantics.
+	if row[8] != "yes" {
+		t.Error("table diverged from reference")
 	}
-	// Expiry totals and visit counts are functions of the workload, not the
-	// shard layout: the expired column must agree across shard counts.
-	for _, row := range tbl.Rows[1:] {
-		if row[3] != tbl.Rows[0][3] {
-			t.Errorf("expired differs across shard counts: %s vs %s", row[3], tbl.Rows[0][3])
-		}
+	// Every cohort expires by the last sweep.
+	if row[2] != row[0] {
+		t.Errorf("expired %s of %s handles", row[2], row[0])
+	}
+	if row[7] != row[0] {
+		t.Errorf("peak %s, want %s (install-before-sweep workload)", row[7], row[0])
+	}
+	// The wheel's whole point: entries visited scale with due handles
+	// (plus bounded cascade traffic), far under the reference's full
+	// scans over the same sweeps.
+	wheel, scan := parseFloat(t, row[3]), parseFloat(t, row[5])
+	if wheel >= scan*0.7 {
+		t.Errorf("wheel visited %.0f entries, not clearly under %.0f scanned", wheel, scan)
 	}
 }
 

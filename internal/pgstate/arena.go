@@ -13,10 +13,9 @@ import "math/bits"
 // so the capacity doubles from 16 to 256 — because most tables are the
 // simulator's per-PG ones holding a handful of flows. From then on every
 // slab holds 256 records (~24 KB): growth increments stay small, and one
-// shard of the serving layer holds millions of records without ever moving
-// one. Ramp slab k > 0 holds indices [8<<k, 16<<k), so index idx below 256
-// lives in slab bits.Len(idx>>4); from 256 on, slab rampSlabs-1+idx>>8
-// holds it.
+// table holds millions of records without ever moving one. Ramp slab k > 0
+// holds indices [8<<k, 16<<k), so index idx below 256 lives in slab
+// bits.Len(idx>>4); from 256 on, slab rampSlabs-1+idx>>8 holds it.
 const (
 	firstShift = 4
 	slabShift  = 8

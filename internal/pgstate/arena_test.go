@@ -2,9 +2,9 @@ package pgstate
 
 // Interplay between the link index and the arena's slot reuse: the
 // documented Handles/HandlesCrossing semantics (expired-but-unswept
-// entries stay visible until something drops them) must survive the
-// sharded rewrite, and a reused arena slot must never resurrect the
-// previous tenant's link-index edges.
+// entries stay visible until something drops them) must hold, and a
+// reused arena slot must never resurrect the previous tenant's link-index
+// edges.
 
 import (
 	"slices"
@@ -20,34 +20,32 @@ import (
 // documented contract ("call ExpireDue first for a live-only view") —
 // and disappears from both the moment any path drops it.
 func TestExpiredUnsweptStaysVisible(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		tab := NewTable(Config{Kind: Soft, TTL: 1 * sim.Second, Shards: shards})
-		tab.Install(0, 7, ad.Path{1, 2, 3}, 1, testReq, 0)
-		past := 10 * sim.Second // well past the deadline, nothing swept yet
-		if got := tab.Handles(); !handlesEqual(got, []uint64{7}) {
-			t.Fatalf("shards=%d: expired-unswept entry missing from Handles: %v", shards, got)
-		}
-		if got := tab.HandlesCrossing(2, 3); !handlesEqual(got, []uint64{7}) {
-			t.Fatalf("shards=%d: expired-unswept entry missing from HandlesCrossing: %v", shards, got)
-		}
-		// A lookup at the late clock drops it; both views go empty together.
-		if _, ok := tab.Lookup(past, 7); ok {
-			t.Fatalf("shards=%d: expired entry returned live", shards)
-		}
-		if got := tab.Handles(); len(got) != 0 {
-			t.Fatalf("shards=%d: dropped entry still in Handles: %v", shards, got)
-		}
-		if got := tab.HandlesCrossing(2, 3); len(got) != 0 {
-			t.Fatalf("shards=%d: dropped entry still in HandlesCrossing: %v", shards, got)
-		}
+	tab := NewTable(Config{Kind: Soft, TTL: 1 * sim.Second})
+	tab.Install(0, 7, ad.Path{1, 2, 3}, 1, testReq, 0)
+	past := 10 * sim.Second // well past the deadline, nothing swept yet
+	if got := tab.Handles(); !handlesEqual(got, []uint64{7}) {
+		t.Fatalf("expired-unswept entry missing from Handles: %v", got)
+	}
+	if got := tab.HandlesCrossing(2, 3); !handlesEqual(got, []uint64{7}) {
+		t.Fatalf("expired-unswept entry missing from HandlesCrossing: %v", got)
+	}
+	// A lookup at the late clock drops it; both views go empty together.
+	if _, ok := tab.Lookup(past, 7); ok {
+		t.Fatal("expired entry returned live")
+	}
+	if got := tab.Handles(); len(got) != 0 {
+		t.Fatalf("dropped entry still in Handles: %v", got)
+	}
+	if got := tab.HandlesCrossing(2, 3); len(got) != 0 {
+		t.Fatalf("dropped entry still in HandlesCrossing: %v", got)
 	}
 }
 
 // TestSlabReuseNoStaleEdges: Remove then Install reuses the released arena
-// slot (single shard forces it); the new tenant must carry only its own
-// route's edges — none of the old tenant's.
+// slot; the new tenant must carry only its own route's edges — none of the
+// old tenant's.
 func TestSlabReuseNoStaleEdges(t *testing.T) {
-	tab := NewTable(Config{Kind: Hard, Shards: 1})
+	tab := NewTable(Config{Kind: Hard})
 	tab.Install(0, 1, ad.Path{1, 2, 3}, 1, testReq, 0)
 	tab.Remove(1)
 	// The freed slot is the only one on the free list; this install reuses it.
@@ -67,7 +65,7 @@ func TestSlabReuseNoStaleEdges(t *testing.T) {
 // route swaps its link-index edges atomically — the old route's edges go,
 // the new route's arrive, other handles are untouched.
 func TestOverwriteReplacesEdges(t *testing.T) {
-	tab := NewTable(Config{Kind: Soft, Shards: 4})
+	tab := NewTable(Config{Kind: Soft})
 	tab.Install(0, 1, ad.Path{1, 2, 3}, 1, testReq, 0)
 	tab.Install(0, 9, ad.Path{2, 3}, 0, testReq, 0) // shares the 2-3 edge
 	tab.Install(1, 1, ad.Path{1, 4, 3}, 1, testReq, 0)
@@ -88,12 +86,11 @@ func TestOverwriteReplacesEdges(t *testing.T) {
 // TestArenaSteadyStateNoGrowth: a sustained install/remove churn loop must
 // recycle free-listed slots instead of growing new slabs.
 func TestArenaSteadyStateNoGrowth(t *testing.T) {
-	tab := NewTable(Config{Kind: Soft, Shards: 1})
+	tab := NewTable(Config{Kind: Soft})
 	for h := uint64(1); h <= slabSize; h++ {
 		tab.Install(0, h, testRoute, 1, testReq, 0)
 	}
-	sh := tab.shards[0]
-	slabs := len(sh.arena.slabs)
+	slabs := len(tab.arena.slabs)
 	for round := 0; round < 50; round++ {
 		for h := uint64(1); h <= slabSize; h += 2 {
 			tab.Remove(h)
@@ -102,7 +99,7 @@ func TestArenaSteadyStateNoGrowth(t *testing.T) {
 			tab.Install(sim.Time(round), h, testRoute, 1, testReq, 0)
 		}
 	}
-	if got := len(sh.arena.slabs); got != slabs {
+	if got := len(tab.arena.slabs); got != slabs {
 		t.Fatalf("steady-state churn grew the arena: %d -> %d slabs", slabs, got)
 	}
 	if tab.Len() != slabSize {
@@ -151,13 +148,12 @@ func TestAllocsSmallTable(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	tab := NewTable(Config{Kind: Hard, Shards: 1})
-	sh := tab.shards[0]
+	tab := NewTable(Config{Kind: Hard})
 	for h := uint64(1); h <= 16; h++ {
 		tab.Install(0, h, testRoute, 1, testReq, 0)
 	}
-	if len(sh.arena.slabs) != 1 || len(sh.arena.slabs[0]) != 16 {
-		t.Fatalf("16 entries: %d slabs, first of %d records; want one of 16", len(sh.arena.slabs), len(sh.arena.slabs[0]))
+	if len(tab.arena.slabs) != 1 || len(tab.arena.slabs[0]) != 16 {
+		t.Fatalf("16 entries: %d slabs, first of %d records; want one of 16", len(tab.arena.slabs), len(tab.arena.slabs[0]))
 	}
 	// With the slab in place, churning within 16 entries allocates no
 	// record: a remove and an install reuse the freed slot.
@@ -167,7 +163,29 @@ func TestAllocsSmallTable(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("remove+install at 16 entries: %v allocs, want 0", n)
 	}
-	if len(sh.arena.slabs) != 1 {
-		t.Errorf("churn grew the arena to %d slabs", len(sh.arena.slabs))
+	if len(tab.arena.slabs) != 1 {
+		t.Errorf("churn grew the arena to %d slabs", len(tab.arena.slabs))
+	}
+}
+
+// TestAllocsNewTable: an empty table is its struct, its handle index, its
+// link index and, for a soft table, one timer wheel; a capped table's LRU
+// adds its struct, its map and its eviction hook. The data plane builds one
+// table per AD a flow crosses, and the simulator one per PG.
+func TestAllocsNewTable(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		cfg  Config
+		want float64
+	}{
+		{Config{Kind: Hard}, 3},
+		{Config{Kind: Soft}, 4},
+		{Config{Kind: Capped}, 5},
+	} {
+		if n := testing.AllocsPerRun(100, func() { NewTable(tc.cfg) }); n != tc.want {
+			t.Errorf("empty %s table: %v allocs, want %v", tc.cfg.Kind, n, tc.want)
+		}
 	}
 }

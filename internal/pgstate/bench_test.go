@@ -74,18 +74,17 @@ func BenchmarkExpireDueSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkPGStateMillion holds 1M+ soft-state handles in one sharded
-// table and measures the three costs the table is built around: install
-// throughput (arena + wheel + link index, no steady-state allocation),
-// expiry with the timer wheel (cost ∝ due handles — the no-due sweep at full
-// population visits a bounded slot walk, not a million entries), and
-// resident bytes per handle. Wall-clock rates are hardware-dependent; the
+// BenchmarkPGStateMillion holds 1M+ soft-state handles in one table and
+// measures the three costs the table is built around: install throughput
+// (arena + wheel + link index, no steady-state allocation), expiry with the
+// timer wheel (cost ∝ due handles — the no-due sweep at full population
+// visits a bounded slot walk, not a million entries), and resident bytes
+// per handle. Wall-clock rates are hardware-dependent; the
 // visit counts and the residency checks are exact.
 func BenchmarkPGStateMillion(b *testing.B) {
 	const (
 		handles = 1 << 20 // 1,048,576
 		cohorts = 100     // staggered TTLs: each sweep expires ~1% of the table
-		shards  = 64
 		lookups = 200_000
 	)
 	// A small route pool over 64 ADs: entries share routes (as real flows
@@ -97,7 +96,7 @@ func BenchmarkPGStateMillion(b *testing.B) {
 	req := policy.Request{Src: 1, Dst: 33}
 
 	for iter := 0; iter < b.N; iter++ {
-		tab := NewTable(Config{Kind: Soft, Shards: shards})
+		tab := NewTable(Config{Kind: Soft})
 
 		runtime.GC()
 		var before runtime.MemStats

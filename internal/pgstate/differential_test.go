@@ -1,11 +1,11 @@
 package pgstate
 
-// Differential harness: the sharded Table and the scan-based Reference are
-// driven in lockstep through randomized op sequences, and every observable
-// — returned entries, booleans, expiry sets, handle orderings, Stats —
-// must match at every step. The Reference is the executable specification;
-// any divergence fails with the seed printed so the exact sequence
-// replays with `-run TestDifferential -seed N`.
+// Differential harness: the wheel-and-arena Table and the scan-based
+// Reference are driven in lockstep through randomized op sequences, and
+// every observable — returned entries, booleans, expiry sets, handle
+// orderings, Stats — must match at every step. The Reference is the
+// executable specification; any divergence fails with the seed printed so
+// the exact sequence replays with `-run TestDifferential -seed N`.
 
 import (
 	"flag"
@@ -19,8 +19,8 @@ import (
 
 var diffSeed = flag.Int64("seed", 0, "replay a specific differential-test seed (0 = derive per subtest)")
 
-// diffOps is the op count per (Kind, shard-count) sequence; the issue's
-// acceptance floor is 10k randomized ops per Kind.
+// diffOps is the op count per TestDifferential sequence: at least 10k
+// randomized ops per Kind.
 const diffOps = 12_000
 
 // entryEqual compares two returned entries field by field (Route is a
@@ -174,20 +174,19 @@ func runDifferential(t *testing.T, seed int64, ref, tab Store, ops int) {
 	}
 }
 
-// TestDifferential is the headline equivalence proof: for every Kind and a
-// spread of shard counts, the sharded Table tracks the Reference through
-// >= 10k randomized ops with zero divergence. Capped always normalizes to
-// one shard (global LRU order is observable), so it runs once.
+// TestDifferential is the headline equivalence proof: for every Kind, over
+// several seeded sequences, the Table tracks the Reference through >= 10k
+// randomized ops with zero divergence.
 func TestDifferential(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"hard/shards=1", Config{Kind: Hard, Shards: 1}},
-		{"hard/shards=8", Config{Kind: Hard, Shards: 8}},
-		{"soft/shards=1", Config{Kind: Soft, TTL: 10 * sim.Second, Shards: 1}},
-		{"soft/shards=4", Config{Kind: Soft, TTL: 10 * sim.Second, Shards: 4}},
-		{"soft/shards=16", Config{Kind: Soft, TTL: 10 * sim.Second, Shards: 16}},
+		{"hard/1", Config{Kind: Hard}},
+		{"hard/2", Config{Kind: Hard}},
+		{"soft/1", Config{Kind: Soft, TTL: 10 * sim.Second}},
+		{"soft/2", Config{Kind: Soft, TTL: 10 * sim.Second}},
+		{"soft/3", Config{Kind: Soft, TTL: 10 * sim.Second}},
 		{"capped/cap=32", Config{Kind: Capped, Capacity: 32}},
 		{"capped/cap=200", Config{Kind: Capped, Capacity: 200}},
 	}
@@ -203,29 +202,10 @@ func TestDifferential(t *testing.T) {
 }
 
 // TestDifferentialManySeeds widens the net: shorter sequences across many
-// seeds, the soft discipline (the one with a timer wheel to get wrong)
-// at a non-trivial shard count.
+// seeds, on the soft discipline (the one with a timer wheel to get wrong).
 func TestDifferentialManySeeds(t *testing.T) {
-	cfg := Config{Kind: Soft, TTL: 7 * sim.Second, Shards: 8}
+	cfg := Config{Kind: Soft, TTL: 7 * sim.Second}
 	for seed := int64(1); seed <= 40; seed++ {
 		runDifferential(t, seed, NewReference(cfg), NewTable(cfg), 1500)
-	}
-}
-
-// TestReferenceIgnoresShards pins what lets E24 replay its Reference once
-// and compare every shard count against that one record: the Reference
-// behaves the same whatever Config.Shards says.
-func TestReferenceIgnoresShards(t *testing.T) {
-	for i, cfg := range []Config{
-		{Kind: Hard},
-		{Kind: Soft, TTL: 10 * sim.Second},
-	} {
-		seed := *diffSeed
-		if seed == 0 {
-			seed = int64(7 + i)
-		}
-		one, many := cfg, cfg
-		one.Shards, many.Shards = 1, 32
-		runDifferential(t, seed, NewReference(one), NewReference(many), diffOps)
 	}
 }

@@ -90,7 +90,7 @@ func TestHandlesCrossingTracksExpiryAndEviction(t *testing.T) {
 // holds more than twice its live refs, and a route that crosses one link
 // twice is one handle there.
 func TestLinkBucketCompacts(t *testing.T) {
-	tab := NewTable(Config{Kind: Hard, Shards: 1})
+	tab := NewTable(Config{Kind: Hard})
 	req := policy.Request{Src: 1, Dst: 3}
 	for h := uint64(1); h <= 100; h++ {
 		tab.Install(0, h, ad.Path{1, 2, 3}, 0, req, 0)
@@ -101,7 +101,7 @@ func TestLinkBucketCompacts(t *testing.T) {
 		} else {
 			tab.Install(0, h, ad.Path{1, 4, 3}, 0, req, 0) // overwrite off the link
 		}
-		b := tab.shards[0].byLink[linkOf(1, 2)]
+		b := tab.byLink[linkOf(1, 2)]
 		if len(b.refs) > 2*b.live {
 			t.Fatalf("after handle %d the bucket holds %d refs for %d live", h, len(b.refs), b.live)
 		}

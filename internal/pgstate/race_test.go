@@ -1,9 +1,9 @@
 package pgstate
 
-// Concurrency stress for the sharded table, meaningful under -race (the
-// Makefile's race target runs this package explicitly, mirroring the ha
-// package's double-race pattern). Handles are drawn from a small space so
-// goroutines constantly collide on the same shards; the assertions are
+// Concurrency stress for one table, meaningful under -race (the Makefile's
+// race target runs this package explicitly, mirroring the ha package's
+// double-race pattern). Handles are drawn from a small space so goroutines
+// constantly collide on the same handles; the assertions are
 // deliberately weak (the differential harness owns exact semantics) — this
 // test exists so the race detector can watch every lock path at once.
 
@@ -17,13 +17,13 @@ import (
 	"repro/internal/sim"
 )
 
-func TestConcurrentShardStress(t *testing.T) {
+func TestConcurrentStress(t *testing.T) {
 	const (
 		workers = 8
 		opsEach = 4000
-		space   = 256 // handle space << workers*ops: heavy shard overlap
+		space   = 256 // handle space << workers*ops: heavy handle overlap
 	)
-	tab := NewTable(Config{Kind: Soft, TTL: 2 * sim.Second, Shards: 4})
+	tab := NewTable(Config{Kind: Soft, TTL: 2 * sim.Second})
 	var clock atomic.Int64 // shared monotone clock, coarse ticks
 	clock.Store(1)
 	var wg sync.WaitGroup

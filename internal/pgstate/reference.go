@@ -5,7 +5,7 @@ package pgstate
 // specification for Table — every observable behaviour (returned entries,
 // booleans, handle orderings, expiry sets, Stats) is defined by this
 // implementation, and differential_test.go drives the two in lockstep
-// through the Store interface to prove the sharded table equivalent.
+// through the Store interface to prove Table equivalent.
 //
 // Keep this implementation boring. Its value is that it is obviously
 // correct; performance work belongs in Table.

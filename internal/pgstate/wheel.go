@@ -51,7 +51,7 @@ type farEntry struct {
 	gen      uint32
 }
 
-// wheel is one shard's expiry schedule. It is guarded by the shard mutex.
+// wheel is a soft table's expiry schedule. It is guarded by the table mutex.
 type wheel struct {
 	cur      uint64 // ticks: every deadline < cur has been collected
 	slots    [wheelLevels * wheelSlots]int32

@@ -163,11 +163,11 @@ func TestWheelSlotReuseGeneration(t *testing.T) {
 }
 
 // TestExpireDueOrderingDeterminism: Table.ExpireDue returns ascending
-// handles regardless of install order, shard count, or wheel layout — the
-// property simulation replay depends on.
+// handles regardless of install order or wheel layout — the property
+// simulation replay depends on.
 func TestExpireDueOrderingDeterminism(t *testing.T) {
-	build := func(shards int, perm []uint64) *Table {
-		tab := NewTable(Config{Kind: Soft, TTL: 10 * sim.Second, Shards: shards})
+	build := func(perm []uint64) *Table {
+		tab := NewTable(Config{Kind: Soft, TTL: 10 * sim.Second})
 		for _, h := range perm {
 			// Two deadline cohorts so each sweep collects a strict subset.
 			ttl := sim.Time(5+int(h%2)*20) * sim.Second
@@ -184,22 +184,20 @@ func TestExpireDueOrderingDeterminism(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		perm := append([]uint64(nil), handles...)
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for _, shards := range []int{1, 4, 16} {
-			tab := build(shards, perm)
-			due := tab.ExpireDue(6 * sim.Second)
-			if !sort.SliceIsSorted(due, func(i, j int) bool { return due[i] < due[j] }) {
-				t.Fatalf("shards=%d: ExpireDue not ascending: %v", shards, due)
-			}
-			if want == nil {
-				want = due
-			} else if !handlesEqual(due, want) {
-				t.Fatalf("shards=%d perm %d: ExpireDue differs from first layout", shards, trial)
-			}
-			// The second cohort fires later, identically across layouts.
-			rest := tab.ExpireDue(30 * sim.Second)
-			if len(due)+len(rest) != len(handles) {
-				t.Fatalf("shards=%d: sweeps collected %d+%d of %d", shards, len(due), len(rest), len(handles))
-			}
+		tab := build(perm)
+		due := tab.ExpireDue(6 * sim.Second)
+		if !sort.SliceIsSorted(due, func(i, j int) bool { return due[i] < due[j] }) {
+			t.Fatalf("perm %d: ExpireDue not ascending: %v", trial, due)
+		}
+		if want == nil {
+			want = due
+		} else if !handlesEqual(due, want) {
+			t.Fatalf("perm %d: ExpireDue differs from first layout", trial)
+		}
+		// The second cohort fires later, identically across layouts.
+		rest := tab.ExpireDue(30 * sim.Second)
+		if len(due)+len(rest) != len(handles) {
+			t.Fatalf("perm %d: sweeps collected %d+%d of %d", trial, len(due), len(rest), len(handles))
 		}
 	}
 }
@@ -209,7 +207,7 @@ func TestExpireDueOrderingDeterminism(t *testing.T) {
 // the due count plus the fixed slot walk, not the table size.
 func TestWheelSweepCostScalesWithDue(t *testing.T) {
 	const total = 100_000
-	tab := NewTable(Config{Kind: Soft, Shards: 8})
+	tab := NewTable(Config{Kind: Soft})
 	for h := uint64(1); h <= total; h++ {
 		ttl := 1000 * sim.Second
 		if h <= 50 {
@@ -228,7 +226,7 @@ func TestWheelSweepCostScalesWithDue(t *testing.T) {
 		t.Fatalf("sweep visited %d entries for 50 due in a %d-entry table", visited, total)
 	}
 	slots := cost.Slots - before.Slots
-	if max := uint64(8 * wheelLevels * wheelSlots); slots > max {
+	if max := uint64(wheelLevels * wheelSlots); slots > max {
 		t.Fatalf("sweep walked %d slots, cap is %d", slots, max)
 	}
 }

@@ -69,7 +69,6 @@ type System struct {
 	nw     *sim.Network
 	db     *policy.DB
 	openDB *policy.DB
-	nodes  map[ad.ID]*node
 
 	// Dropped counts filter drops across the run.
 	Dropped int
@@ -87,13 +86,10 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 		nw:     sim.NewNetwork(g),
 		db:     db,
 		openDB: policy.OpenDB(g),
-		nodes:  make(map[ad.ID]*node),
 		acked:  make(map[uint64]bool),
 	}
 	for _, id := range g.IDs() {
-		n := &node{id: id, sys: s}
-		s.nodes[id] = n
-		s.nw.AddNode(n)
+		s.nw.AddNode(&node{id: id, sys: s})
 	}
 	return s
 }

@@ -428,9 +428,6 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 				from:    from,
 			}
 			rs := n.cands[k]
-			if rs == nil {
-				rs = make([]route, 0, len(nw.Graph.Neighbors(n.id)))
-			}
 			// A neighbor's full offering for one context arrives in one
 			// message: its first route replaces what the neighbor
 			// offered before, later ones (multi-route mode) accumulate.

@@ -15,14 +15,13 @@
 // Per-PG handle state is managed by internal/pgstate under a configurable
 // lifecycle discipline (§6): hard state released only by teardown, soft
 // state kept alive by source-driven Refresh messages, or a capped LRU table.
-// Each simulated PG runs its table with a single shard (nodes are
-// single-threaded; New pins State.Shards to 1 unless overridden) while still
-// getting the timer-wheel expiry, so ExpireDue sweeps cost due-handles work,
-// not table-size work. A PG that no longer holds state for an arriving data
-// or refresh packet NAKs with SetupNoState; the NAK walks back to the
-// source, which queues the flow for re-establishment (RepairAll). Link
-// failures trigger the same repair path eagerly: the failed link's endpoints
-// flush crossing entries, NAK upstream, and tear down downstream.
+// Each simulated PG owns one table, whose timer-wheel expiry makes an
+// ExpireDue sweep cost due-handles work, not table-size work. A PG that no
+// longer holds state for an arriving data or refresh packet NAKs with
+// SetupNoState; the NAK walks back to the source, which queues the flow for
+// re-establishment (RepairAll). Link failures trigger the same repair path
+// eagerly: the failed link's endpoints flush crossing entries, NAK
+// upstream, and tear down downstream.
 package orwg
 
 import (
@@ -83,10 +82,13 @@ type RepairSummary struct {
 
 // System is an ORWG deployment.
 type System struct {
-	cfg   Config
-	nw    *sim.Network
-	db    *policy.DB
-	nodes map[ad.ID]*node
+	cfg Config
+	nw  *sim.Network
+	db  *policy.DB
+	// nodes holds each AD's node at the AD's position in ids, so ranging
+	// over it sweeps the ADs in ascending order.
+	ids   []ad.ID
+	nodes []*node
 
 	// resetup records the setup RTT of each successful failure repair.
 	resetup metrics.Histogram
@@ -95,26 +97,21 @@ type System struct {
 // New builds the system over g with policy db. It panics on an invalid
 // State config: that is a programming error, not a runtime condition.
 func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
-	if cfg.State.Shards == 0 {
-		// Simulator nodes are single-threaded and number in the hundreds:
-		// one shard per PG table unless the caller asks for more (the
-		// sharded serving-layer default would multiply per-node footprint
-		// for concurrency no simulated PG needs).
-		cfg.State.Shards = 1
-	}
 	st, err := cfg.State.Normalize()
 	if err != nil {
 		panic(fmt.Sprintf("orwg: %v", err))
 	}
 	cfg.State = st
+	ids := g.IDs()
 	s := &System{
 		cfg:   cfg,
 		nw:    sim.NewNetwork(g),
 		db:    db,
-		nodes: make(map[ad.ID]*node),
+		ids:   ids,
+		nodes: make([]*node, len(ids)),
 	}
 	lsas := flood.NewTable()
-	for _, id := range g.IDs() {
+	for p, id := range ids {
 		n := &node{
 			id:          id,
 			sys:         s,
@@ -126,7 +123,7 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 			delivered:   make(map[uint64]int),
 		}
 		n.flooder.OnChange = n.onLSDBChange
-		s.nodes[id] = n
+		s.nodes[p] = n
 		s.nw.AddNode(n)
 	}
 	return s
@@ -143,15 +140,12 @@ func (s *System) Converge(limit sim.Time) (sim.Time, bool) {
 	return s.nw.RunToQuiescence(limit)
 }
 
-// sortedIDs returns the ADs in ascending order, the deterministic sweep
-// order for every whole-system operation.
-func (s *System) sortedIDs() []ad.ID {
-	ids := make([]ad.ID, 0, len(s.nodes))
-	for id := range s.nodes {
-		ids = append(ids, id)
+// node returns id's node, or nil when the graph has no such AD.
+func (s *System) node(id ad.ID) *node {
+	if p := ad.Position(s.ids, id); p >= 0 {
+		return s.nodes[p]
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return nil
 }
 
 // ttlMillis is the lifetime sources request in Setup and Refresh packets:
@@ -166,8 +160,8 @@ func (s *System) ttlMillis() uint32 {
 // Establish synthesizes and sets up a policy route for req, running the
 // simulation through the full setup exchange.
 func (s *System) Establish(req policy.Request) SetupResult {
-	src, ok := s.nodes[req.Src]
-	if !ok {
+	src := s.node(req.Src)
+	if src == nil {
 		return SetupResult{}
 	}
 	msgs0 := s.nw.Stats.MessagesSent
@@ -203,8 +197,8 @@ func (s *System) Establish(req policy.Request) SetupResult {
 // simulation until it is delivered or dropped. It returns whether the
 // destination received it and the packet's routing-header length.
 func (s *System) SendData(srcID ad.ID, handle uint64, payload int) (delivered bool, headerBytes int) {
-	src, ok := s.nodes[srcID]
-	if !ok {
+	src := s.node(srcID)
+	if src == nil {
 		return false, 0
 	}
 	path, ok := src.established[handle]
@@ -217,7 +211,7 @@ func (s *System) SendData(srcID ad.ID, handle uint64, payload int) (delivered bo
 		Payload: make([]byte, payload),
 	}
 	headerBytes = pkt.HeaderLen()
-	dest := s.nodes[path.Dest()]
+	dest := s.node(path.Dest())
 	before := dest.delivered[handle]
 	s.nw.SendMessage(srcID, path[1], pkt)
 	s.nw.Engine.Run()
@@ -229,8 +223,8 @@ func (s *System) SendData(srcID ad.ID, handle uint64, payload int) (delivered bo
 // handle state is orphaned: soft state expires it, capped state evicts it,
 // hard state leaks it until an explicit teardown that will never come.
 func (s *System) Abandon(srcID ad.ID, handle uint64) {
-	src, ok := s.nodes[srcID]
-	if !ok {
+	src := s.node(srcID)
+	if src == nil {
 		return
 	}
 	delete(src.established, handle)
@@ -252,8 +246,7 @@ func (s *System) Advance(d sim.Time) {
 // flow is abandoned, not repaired.
 func (s *System) expireAll() {
 	now := s.nw.Now()
-	for _, id := range s.sortedIDs() {
-		n := s.nodes[id]
+	for _, n := range s.nodes {
 		for _, h := range n.table.ExpireDue(now) {
 			delete(n.established, h)
 			delete(n.flows, h)
@@ -270,8 +263,7 @@ func (s *System) expireAll() {
 func (s *System) RefreshEstablished() {
 	ttl := s.ttlMillis()
 	ttlSim := sim.Time(ttl) * sim.Millisecond
-	for _, id := range s.sortedIDs() {
-		n := s.nodes[id]
+	for _, n := range s.nodes {
 		handles := make([]uint64, 0, len(n.established))
 		for h := range n.established {
 			handles = append(handles, h)
@@ -298,8 +290,7 @@ func (s *System) RefreshEstablished() {
 // recorded in the re-setup latency histogram.
 func (s *System) RepairAll() RepairSummary {
 	var sum RepairSummary
-	for _, id := range s.sortedIDs() {
-		n := s.nodes[id]
+	for _, n := range s.nodes {
 		if len(n.repair) == 0 {
 			continue
 		}
@@ -430,8 +421,8 @@ func (s *System) FailLink(a, b ad.ID) error {
 // and topology change much more slowly than the time required for route
 // setup" — when policy does change.
 func (s *System) UpdatePolicy(id ad.ID, terms []policy.Term) error {
-	n, ok := s.nodes[id]
-	if !ok {
+	n := s.node(id)
+	if n == nil {
 		return fmt.Errorf("orwg: unknown AD %v", id)
 	}
 	// Install the new terms in the ground-truth database by replacing

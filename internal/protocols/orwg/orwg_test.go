@@ -70,7 +70,7 @@ func TestSetupRejectedByLocalPolicy(t *testing.T) {
 	db.Add(term)
 	s := converged(t, g, db, Config{})
 	// Manually inject a setup claiming term 7 for src's traffic.
-	srcNode := s.nodes[src]
+	srcNode := s.node(src)
 	handle := srcNode.newHandle()
 	req := policy.Request{Src: src, Dst: d}
 	route := ad.Path{src, tr, d}
@@ -320,7 +320,7 @@ func TestPerPacketValidationRejectsSpoofedOrigin(t *testing.T) {
 		t.Fatal("legitimate data failed")
 	}
 	// A different neighbor replays the handle toward the transit.
-	destNode := s.nodes[d]
+	destNode := s.node(d)
 	before := destNode.delivered[res.Handle]
 	spoof := &wire.Data{Handle: res.Handle, Mode: wire.ModeHandle, Payload: make([]byte, 8)}
 	s.nw.Send(evil, tr, wire.Marshal(spoof))

@@ -18,10 +18,10 @@ type lsdb [][]byte
 
 func snapshotLSDBs(s *System) map[ad.ID]lsdb {
 	out := make(map[ad.ID]lsdb)
-	for id, n := range s.nodes {
+	for _, n := range s.nodes {
 		for _, origin := range n.flooder.DB.Origins() {
 			l, _ := n.flooder.DB.Get(origin)
-			out[id] = append(out[id], wire.Marshal(l))
+			out[n.id] = append(out[n.id], wire.Marshal(l))
 		}
 	}
 	return out

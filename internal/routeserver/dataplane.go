@@ -27,11 +27,11 @@ import (
 // simulated time, while re-setup latency (a Server query plus re-install)
 // is measured in wall time.
 //
-// The tables themselves are internally sharded and safe for concurrent
-// use (Lookup and Peek return entries by value, so no caller ever holds a
-// pointer into a table); d.mu remains, but only to keep the flow and
-// repair maps coherent with the per-hop state transitions around them,
-// not to serialize table access.
+// d.mu guards everything: the tables map, the flow and repair maps, and
+// every call into a table, so a forwarding attempt or a refresh walks its
+// hops and updates the flow and repair maps as one step. (A table has a
+// lock of its own, which here is never contended.) Only Repair's route
+// queries run outside d.mu.
 type DataPlane struct {
 	mu     sync.Mutex
 	cfg    pgstate.Config
@@ -147,12 +147,7 @@ func (d *DataPlane) Flow(handle uint64) (Flow, bool) {
 func (d *DataPlane) Handles() []uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	hs := make([]uint64, 0, len(d.flows))
-	for h := range d.flows {
-		hs = append(hs, h)
-	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-	return hs
+	return d.sortedFlows()
 }
 
 // Send forwards one data packet over handle, hop by hop. The first PG
@@ -168,16 +163,23 @@ func (d *DataPlane) Send(handle uint64) SendResult {
 	}
 	for i, id := range f.Path {
 		if _, ok := d.table(id).Lookup(d.now, handle); !ok {
-			d.naks++
-			for j := 0; j < i; j++ {
-				d.table(f.Path[j]).Remove(handle)
-			}
-			delete(d.flows, handle)
-			d.repair[handle] = f.Req
+			d.nak(handle, f, i)
 			return SendResult{MissAt: id}
 		}
 	}
 	return SendResult{Delivered: true}
+}
+
+// nak is what a PG without state for handle at hop i of f's path sets off:
+// the NAK is counted, the hops upstream of i drop their entries, and the
+// flow dies and is queued for Repair. Caller holds d.mu.
+func (d *DataPlane) nak(handle uint64, f Flow, i int) {
+	d.naks++
+	for _, id := range f.Path[:i] {
+		d.table(id).Remove(handle)
+	}
+	delete(d.flows, handle)
+	d.repair[handle] = f.Req
 }
 
 // Tick advances the logical clock by d and sweeps expired soft state in AD
@@ -217,12 +219,7 @@ func (d *DataPlane) RefreshAll() (refreshed, failed int) {
 		ok := true
 		for i, id := range f.Path {
 			if !d.table(id).Refresh(d.now, h, d.cfg.TTL) {
-				d.naks++
-				for j := 0; j < i; j++ {
-					d.table(f.Path[j]).Remove(h)
-				}
-				delete(d.flows, h)
-				d.repair[h] = f.Req
+				d.nak(h, f, i)
 				ok = false
 				break
 			}

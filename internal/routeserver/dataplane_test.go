@@ -130,6 +130,45 @@ func TestDataPlaneNAKOnMissRepairs(t *testing.T) {
 	}
 }
 
+// TestDataPlaneRefreshNAKQueuesRepair: a refresh that reaches a hop which
+// lost the flow's state NAKs, exactly as a data packet would: the flow
+// fails, the NAK is counted, the hops upstream of the miss drop their
+// entries, and the request is queued for repair.
+func TestDataPlaneRefreshNAKQueuesRepair(t *testing.T) {
+	g, db, src, t1, _, dst := dpGraph(t)
+	srv := dpServer(g, db)
+	dp, err := NewDataPlane(pgstate.Config{Kind: pgstate.Soft, TTL: 10 * sim.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := policy.Request{Src: src, Dst: dst}
+	res := srv.Query(req)
+	if want := (ad.Path{src, t1, dst}); !res.Found || !res.Path.Equal(want) {
+		t.Fatalf("served %v, want %v", res.Path, want)
+	}
+	h := dp.Install(req, res.Path)
+	// The transit PG loses the state; the source and destination keep it.
+	dp.tables[t1].Remove(h)
+	if refreshed, failed := dp.RefreshAll(); refreshed != 0 || failed != 1 {
+		t.Fatalf("refreshed=%d failed=%d, want 0 and 1", refreshed, failed)
+	}
+	m := dp.Metrics()
+	if m.NAKs != 1 || m.PendingRepairs != 1 || m.Flows != 0 {
+		t.Fatalf("metrics = %+v, want 1 NAK, 1 pending repair, no flows", m)
+	}
+	if _, ok := dp.tables[src].Peek(dp.Now(), h); ok {
+		t.Error("the source still holds the failed flow's state")
+	}
+	// The hop past the miss keeps its entry until it expires, as after a
+	// data-packet NAK.
+	if _, ok := dp.tables[dst].Peek(dp.Now(), h); !ok || m.State.Resident != 1 {
+		t.Errorf("downstream entry: present %v, resident %d; want the destination's alone", ok, m.State.Resident)
+	}
+	if attempted, repaired := dp.Repair(srv); attempted != 1 || repaired != 1 {
+		t.Fatalf("repair = %d/%d", repaired, attempted)
+	}
+}
+
 func TestDataPlaneLinkFailureRepairsAroundIt(t *testing.T) {
 	g, db, src, t1, _, dst := dpGraph(t)
 	srv := dpServer(g, db)

@@ -91,9 +91,6 @@ type Engine struct {
 	now   Time
 	seq   uint64
 	queue eventHeap
-
-	// Processed counts events executed so far.
-	Processed uint64
 }
 
 // initialEventCap presizes the event queue so steady-state protocol bursts
@@ -156,7 +153,6 @@ func (e *Engine) RunUntil(limit Time) Time {
 // run executes one dequeued event at its time.
 func (e *Engine) run(ev event) {
 	e.now = ev.at
-	e.Processed++
 	if ev.d != nil {
 		ev.d.nw.deliver(ev.d)
 	} else {

@@ -41,8 +41,7 @@ type Stats struct {
 	MessagesDropped uint64 // sends attempted over down/absent links
 	// BytesByType splits BytesSent by the frame's type byte: index it
 	// with a wire.MsgType.
-	BytesByType      [256]uint64
-	MaxQueuedPending int
+	BytesByType [256]uint64
 }
 
 // Network couples the event engine, the AD graph, and the per-AD nodes, and
@@ -320,9 +319,6 @@ func (nw *Network) Send(from, to ad.ID, payload []byte) bool {
 	d.from, d.to, d.edge, d.dst, d.epoch = from, to, e, dst, nw.linkEpoch[e]
 	d.buf = append(d.buf[:0], payload...)
 	nw.Engine.schedule(event{at: nw.Now() + delay, d: d})
-	if p := nw.Engine.Pending(); p > nw.Stats.MaxQueuedPending {
-		nw.Stats.MaxQueuedPending = p
-	}
 	return true
 }
 
