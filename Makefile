@@ -70,14 +70,16 @@ race:
 
 # The testing.AllocsPerRun pins on the session fast path, the search kernel,
 # policy.ADSet, the simulator's message path (a warm SendMessage and
-# delivery, a stale flooded copy, a new copy another AD of the system
-# decoded, a path-vector decode through a warm set table, IDRP's tie-break
-# and a warm IDRP Receive, a distance-vector table's Get/Set/Learn/Poison)
-# and the PG tables (an empty hard, soft and capped table, and a small
-# table's first slab) skip themselves under -race (its instrumentation
-# allocates), so they get a pass without.
+# delivery, a warm schedule-and-run of the event queue, a stale flooded
+# copy, a new copy another AD of the system decoded, a path-vector decode
+# through a warm set table, IDRP's tie-break and a warm IDRP Receive, a
+# warm EGP Receive, a distance-vector table's Get/Set/Learn/Poison, one
+# allocation per forwarding walk) and the PG tables (an empty hard, soft and
+# capped table, and a small table's first slab) skip themselves under -race
+# (its instrumentation allocates), so they get a pass without. Beside them
+# runs the pin that a queued sim event holds no pointer.
 allocs:
-	$(GO) test -run 'Allocs' ./internal/wire/ ./internal/routeserver/daemon/ ./internal/synthesis/ ./internal/policy/ ./internal/sim/ ./internal/flood/ ./internal/pgstate/ ./internal/protocols/idrp/ ./internal/dvcore/
+	$(GO) test -run 'Allocs|TestEventHoldsNoPointer' ./internal/wire/ ./internal/routeserver/daemon/ ./internal/synthesis/ ./internal/policy/ ./internal/sim/ ./internal/flood/ ./internal/pgstate/ ./internal/protocols/idrp/ ./internal/protocols/egp/ ./internal/dvcore/ ./internal/core/
 
 # One synthesis per key per epoch is what makes the E20-E25 counters and the
 # parallel runner's output independent of scheduling; the window that broke

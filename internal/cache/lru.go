@@ -134,5 +134,12 @@ func (l *LRU[K, V]) Keys() []K {
 	return out
 }
 
+// Range calls f on every live entry in recency order, most recently used
+// first, until f returns false. f must not add or remove entries.
+func (l *LRU[K, V]) Range(f func(K, V) bool) {
+	for e := l.head; e != nil && f(e.key, e.val); e = e.next {
+	}
+}
+
 // Len returns the number of live entries.
 func (l *LRU[K, V]) Len() int { return len(l.entries) }

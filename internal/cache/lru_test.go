@@ -126,3 +126,34 @@ func TestLRUOrderStress(t *testing.T) {
 		}
 	}
 }
+
+// TestLRURange: Range visits what Keys lists, in the same recency order,
+// with each key's value, and stops when its callback returns false.
+func TestLRURange(t *testing.T) {
+	l := NewLRU[int, int](0)
+	for k := 1; k <= 5; k++ {
+		l.Put(k, 10*k)
+	}
+	l.Get(2)
+	var keys []int
+	l.Range(func(k, v int) bool {
+		if v != 10*k {
+			t.Errorf("Range: %d -> %d, want %d", k, v, 10*k)
+		}
+		keys = append(keys, k)
+		return true
+	})
+	if want := l.Keys(); len(keys) != len(want) || keys[0] != 2 || keys[1] != 5 {
+		t.Fatalf("Range visited %v, Keys lists %v", keys, want)
+	}
+	for i, k := range l.Keys() {
+		if keys[i] != k {
+			t.Fatalf("Range visited %v, Keys lists %v", keys, l.Keys())
+		}
+	}
+	n := 0
+	l.Range(func(int, int) bool { n++; return n < 3 })
+	if n != 3 {
+		t.Errorf("Range went on for %d calls after the callback said stop at 3", n)
+	}
+}

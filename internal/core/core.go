@@ -38,21 +38,36 @@ type Outcome struct {
 // at src), or ad.Invalid for an unknown AD or a missing route. The walk is
 // delivered at dst, looped when it revisits an AD (the path then ends with
 // that AD), and black-holed where next returns ad.Invalid.
+//
+// The walk is kept in a buffer on the stack and copied out once it ends, so
+// a walk of up to forwardHops ADs allocates only its returned path.
 func Forward(src, dst ad.ID, next func(cur, prev ad.ID) ad.ID) Outcome {
-	path := ad.Path{src}
-	for cur, prev := src, ad.Invalid; cur != dst; {
-		if slices.Contains(path[:len(path)-1], cur) {
-			return Outcome{Path: path, Looped: true}
+	var buf [forwardHops]ad.ID
+	walk := append(buf[:0], src)
+	var out Outcome
+	for cur, prev := src, ad.Invalid; ; {
+		if cur == dst {
+			out.Delivered = true
+			break
+		}
+		if slices.Contains(walk[:len(walk)-1], cur) {
+			out.Looped = true
+			break
 		}
 		nh := next(cur, prev)
 		if nh == ad.Invalid {
-			return Outcome{Path: path}
+			break
 		}
 		prev, cur = cur, nh
-		path = append(path, cur)
+		walk = append(walk, cur)
 	}
-	return Outcome{Path: path, Delivered: true}
+	out.Path = slices.Clone(walk)
+	return out
 }
+
+// forwardHops is the walk Forward holds on the stack, room for the paths
+// the experiments' internets produce; a longer walk spills to the heap.
+const forwardHops = 32
 
 // System is one routing architecture instantiated over a simulated network.
 type System interface {

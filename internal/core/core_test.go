@@ -12,6 +12,7 @@ import (
 	"repro/internal/protocols/lshh"
 	"repro/internal/protocols/orwg"
 	"repro/internal/protocols/plaindv"
+	"repro/internal/racecheck"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -236,5 +237,40 @@ func TestForward(t *testing.T) {
 	check("ring", out, ad.Path{1, 2, 3, 4, 2}, false, true)
 	if want := []ad.ID{ad.Invalid, 1, 2, 3}; !ad.Path(prevs).Equal(want) {
 		t.Errorf("prev hops = %v, want %v", prevs, want)
+	}
+}
+
+// TestAllocsForward: a walk allocates once, for the path it returns,
+// whether it is delivered, loops or ends in a black hole, and however many
+// hops it takes up to the length the experiments' internets produce.
+func TestAllocsForward(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	line := func(cur, _ ad.ID) ad.ID { return cur + 1 }
+	ring := func(cur, _ ad.ID) ad.ID { return cur%12 + 1 }
+	hole := func(cur, _ ad.ID) ad.ID {
+		if cur < 12 {
+			return cur + 1
+		}
+		return ad.Invalid
+	}
+	for _, walk := range []struct {
+		name string
+		dst  ad.ID
+		next func(cur, prev ad.ID) ad.ID
+		hops int
+	}{
+		{"delivered", 20, line, 20},
+		{"looped", 99, ring, 13},
+		{"black hole", 99, hole, 12},
+	} {
+		var out core.Outcome
+		if n := testing.AllocsPerRun(100, func() { out = core.Forward(1, walk.dst, walk.next) }); n != 1 {
+			t.Errorf("%s: %v allocs, want 1", walk.name, n)
+		}
+		if len(out.Path) != walk.hops {
+			t.Errorf("%s: path %v, want %d hops", walk.name, out.Path, walk.hops)
+		}
 	}
 }

@@ -52,10 +52,12 @@ func e10Rows(seed int64) rows {
 			tasks = append(tasks, func() {
 				s := &chunks[i][c]
 				for _, cons := range sets[i][c*e10Chunk : (c+1)*e10Chunk] {
-					if ordering.Satisfiable(cons) {
+					// A set is satisfiable exactly when
+					// negotiation drops nothing.
+					kept, rounds := ordering.Negotiate(cons)
+					if rounds == 0 {
 						s.satisfiable++
 					}
-					kept, rounds := ordering.Negotiate(cons)
 					s.rounds += rounds
 					s.maxRounds = max(s.maxRounds, rounds)
 					s.kept += len(kept)

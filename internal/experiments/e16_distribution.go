@@ -40,7 +40,7 @@ func E16DatabaseDistribution(seed int64) *metrics.Table {
 			tree = spanningTree(g)
 		}
 		nodes := make(map[ad.ID]*distNode)
-		lsas := flood.NewTable()
+		lsas := flood.NewTable(g.IDs())
 		for _, id := range g.IDs() {
 			n := &distNode{f: flood.NewFlooder(id, lsas), terms: db.Terms(id)}
 			if scoped {

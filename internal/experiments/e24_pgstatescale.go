@@ -79,13 +79,16 @@ func (r e24Replay) sameAs(o e24Replay) bool {
 func e24Rows(seed int64) rows {
 	// Every handle gets a cohort deadline; routes come from a small AD pool
 	// so the link index has real fan-out. The flows are shared read-only.
+	// The two-hop routes share one backing array.
 	rng := rand.New(rand.NewSource(seed))
 	flows := make([]e24Flow, e24Handles)
+	hops := make([]ad.ID, 2*e24Handles)
 	for i := range flows {
 		cohort := rng.Intn(e24Cohorts)
-		a := ad.ID(rng.Intn(16) + 1)
-		b := ad.ID(rng.Intn(16) + 17)
-		flows[i] = e24Flow{sim.Time(cohort+1) * 10 * sim.Second, ad.Path{a, b}}
+		route := ad.Path(hops[2*i : 2*i+2 : 2*i+2])
+		route[0] = ad.ID(rng.Intn(16) + 1)
+		route[1] = ad.ID(rng.Intn(16) + 17)
+		flows[i] = e24Flow{sim.Time(cohort+1) * 10 * sim.Second, route}
 	}
 
 	cfg := pgstate.Config{Kind: pgstate.Soft, TTL: 1000 * sim.Second}

@@ -11,8 +11,11 @@ import (
 	"repro/internal/wire"
 )
 
+// testDB returns an empty LSDB of a system of the ADs ids, ascending.
+func testDB(ids ...ad.ID) *DB { return newDB(NewTable(ids)) }
+
 func TestDBInstall(t *testing.T) {
-	db := NewDB()
+	db := testDB(1, 9)
 	l1 := &wire.LSA{Origin: 1, Seq: 1}
 	if !db.Install(l1) {
 		t.Error("first install rejected")
@@ -42,7 +45,7 @@ func TestDBInstall(t *testing.T) {
 }
 
 func TestDBGraphReconstruction(t *testing.T) {
-	db := NewDB()
+	db := testDB(1, 2, 3)
 	db.Install(&wire.LSA{Origin: 1, Seq: 1, Links: []wire.LSALink{{Neighbor: 2, Cost: 3, Up: true}}})
 	db.Install(&wire.LSA{Origin: 2, Seq: 1, Links: []wire.LSALink{
 		{Neighbor: 1, Cost: 5, Up: true},
@@ -65,7 +68,7 @@ func TestDBGraphReconstruction(t *testing.T) {
 }
 
 func TestDBGraphDownLinks(t *testing.T) {
-	db := NewDB()
+	db := testDB(1, 2)
 	db.Install(&wire.LSA{Origin: 1, Seq: 1, Links: []wire.LSALink{{Neighbor: 2, Cost: 1, Up: false}}})
 	db.Install(&wire.LSA{Origin: 2, Seq: 1, Links: []wire.LSALink{{Neighbor: 1, Cost: 1, Up: true}}})
 	if db.Graph().HasLink(1, 2) {
@@ -74,7 +77,7 @@ func TestDBGraphDownLinks(t *testing.T) {
 }
 
 func TestDBPolicyReconstruction(t *testing.T) {
-	db := NewDB()
+	db := testDB(1)
 	term := policy.OpenTerm(1, 1)
 	term.Cost = 9
 	db.Install(&wire.LSA{Origin: 1, Seq: 1, Terms: []policy.Term{term}})
@@ -86,7 +89,7 @@ func TestDBPolicyReconstruction(t *testing.T) {
 }
 
 func TestDBWireBytes(t *testing.T) {
-	db := NewDB()
+	db := testDB(1)
 	if db.WireBytes() != 0 {
 		t.Error("empty DB has bytes")
 	}
@@ -131,7 +134,7 @@ func buildFloodNet(t *testing.T) (*sim.Network, map[ad.ID]*floodNode) {
 	topo := topology.Figure1()
 	nw := sim.NewNetwork(topo.Graph)
 	nodes := make(map[ad.ID]*floodNode)
-	lsas := NewTable()
+	lsas := NewTable(topo.Graph.IDs())
 	for _, id := range topo.Graph.IDs() {
 		n := &floodNode{f: NewFlooder(id, lsas)}
 		nodes[id] = n
@@ -217,7 +220,7 @@ func TestFlooderScope(t *testing.T) {
 		}
 	}
 	nw := sim.NewNetwork(g)
-	lsas := NewTable()
+	lsas := NewTable(g.IDs())
 	hubNode := &floodNode{f: NewFlooder(hub, lsas)}
 	hubNode.f.Scope = func(nb ad.ID) bool { return nb == allowed }
 	allowedNode := &floodNode{f: NewFlooder(allowed, lsas)}
@@ -278,7 +281,7 @@ func TestAllocsFloodDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := sim.NewNetwork(g)
-	f := NewFlooder(a, NewTable())
+	f := NewFlooder(a, NewTable(g.IDs()))
 	lsa := &wire.LSA{
 		Origin: b, Seq: 3,
 		Links: []wire.LSALink{{Neighbor: a, Cost: 1, Up: true}},
@@ -299,20 +302,20 @@ func TestAllocsFloodDuplicate(t *testing.T) {
 	}
 }
 
-// TestSharedTableDecodesOnce: on a shared table every AD that installs an
-// LSA from another origin holds the one value the system decoded, and an
-// origin holds the LSA it built.
+// TestSharedTableDecodesOnce: on a shared table an origin holds the LSA it
+// built, the table holds that same value, and so does every AD that
+// installs it: the system decodes no LSA its origin built.
 func TestSharedTableDecodesOnce(t *testing.T) {
 	nw, nodes := buildFloodNet(t)
 	nw.RunToQuiescence(10 * sim.Second)
 	for origin, o := range nodes {
 		own, _ := o.f.DB.Get(origin)
-		shared := o.f.lsas.lsas[origin]
-		if shared == nil || shared == own {
-			t.Fatalf("%v: table holds %p, origin holds %p; want a decoded copy apart from the origin's", origin, shared, own)
+		shared := o.f.lsas.lsas[ad.Position(o.f.lsas.ids, origin)]
+		if shared == nil || shared != own {
+			t.Fatalf("%v: table holds %p, origin holds %p; want the origin's own", origin, shared, own)
 		}
 		for id, n := range nodes {
-			if got, _ := n.f.DB.Get(origin); id != origin && got != shared {
+			if got, _ := n.f.DB.Get(origin); got != shared {
 				t.Errorf("%v holds its own copy of %v's LSA", id, origin)
 			}
 		}
@@ -337,10 +340,16 @@ func TestAllocsFloodSharedCopy(t *testing.T) {
 		}
 	}
 	nw := sim.NewNetwork(g)
-	lsas := NewTable()
-	f, other := NewFlooder(a, lsas), NewFlooder(c, lsas)
 	const runs = 100
 	frames := make([][]byte, runs+1)
+	// The origins are ADs of the system beyond the three the network
+	// links.
+	ids := g.IDs()
+	for i := range frames {
+		ids = append(ids, ad.ID(100+i))
+	}
+	lsas := NewTable(ids)
+	f, other := NewFlooder(a, lsas), NewFlooder(c, lsas)
 	for i := range frames {
 		origin := ad.ID(100 + i)
 		lsa := &wire.LSA{
@@ -372,5 +381,40 @@ func TestAllocsFloodSharedCopy(t *testing.T) {
 	}
 	if got, want := nw.Stats.MessagesSent, uint64(2*len(frames)); got != want {
 		t.Errorf("%d copies flooded, want %d: each new LSA once toward c", got, want)
+	}
+}
+
+// TestViewSharedOnceConverged: once the flood has converged every AD's
+// database holds the same LSAs, so every AD takes the one view the system
+// built; an AD whose database differs gets a view of its own. Own adds nothing for open criteria and compiles
+// anew for criteria that constrain a search.
+func TestViewSharedOnceConverged(t *testing.T) {
+	nw, nodes := buildFloodNet(t)
+	nw.RunToQuiescence(10 * sim.Second)
+	ids := nw.Graph.IDs()
+	first := nodes[ids[0]].f.DB.View()
+	for _, id := range ids {
+		if v := nodes[id].f.DB.View(); v != first {
+			t.Fatalf("%v built a view of its own from a converged database", id)
+		}
+	}
+	if first.Graph.NumLinks() != nw.Graph.NumLinks() {
+		t.Errorf("view has %d links, want %d", first.Graph.NumLinks(), nw.Graph.NumLinks())
+	}
+	// A newer LSA at one AD alone moves that AD's database on.
+	n := nodes[ids[1]]
+	own, _ := n.f.DB.Get(ids[1])
+	newer := *own
+	newer.Seq++
+	n.f.DB.Install(&newer)
+	if v := n.f.DB.View(); v == first {
+		t.Error("an AD with a newer LSA shared the converged view")
+	}
+	v := nodes[ids[2]].f.DB.View()
+	if got := v.Own(ids[2], policy.Criteria{}); got != v.Snap {
+		t.Error("Own compiled anew for open criteria")
+	}
+	if got := v.Own(ids[2], policy.Criteria{MaxHops: 2}); got == v.Snap {
+		t.Error("Own ignored a hop budget")
 	}
 }

@@ -7,19 +7,21 @@ import (
 	"repro/internal/ordering"
 )
 
-// ExampleSatisfiable shows the paper's §5.1.1 concern: individually
+// ExampleNegotiate shows the paper's §5.1.1 concern: individually
 // reasonable topological policies can be jointly unsatisfiable, requiring a
-// central authority to negotiate one away.
-func ExampleSatisfiable() {
+// central authority to negotiate one away. A set is satisfiable exactly
+// when negotiating it drops nothing.
+func ExampleNegotiate() {
 	cons := []ordering.Constraint{
 		{Above: 1, Below: 2}, // AD1 insists on being AD2's provider
 		{Above: 2, Below: 3}, // AD2 insists on being AD3's provider
 		{Above: 3, Below: 1}, // AD3 insists on being AD1's provider
 	}
-	fmt.Println("satisfiable:", ordering.Satisfiable(cons))
 	kept, rounds := ordering.Negotiate(cons)
+	fmt.Println("satisfiable:", rounds == 0)
 	fmt.Println("after negotiation:", len(kept), "constraints kept,", rounds, "dropped")
-	fmt.Println("now satisfiable:", ordering.Satisfiable(kept))
+	_, again := ordering.Negotiate(kept)
+	fmt.Println("now satisfiable:", again == 0)
 	// Output:
 	// satisfiable: false
 	// after negotiation: 2 constraints kept, 1 dropped

@@ -282,7 +282,9 @@ func (f *cycleFinder) find() int {
 // while the constraint set is cyclic, one constraint on a detected cycle is
 // dropped (the highest-index one, i.e. most recently registered policy
 // loses). It returns the satisfiable subset and the number of negotiation
-// rounds (dropped constraints).
+// rounds (dropped constraints). A set is satisfiable — it admits a single
+// partial ordering, a self-constraint counting as a cycle — exactly when
+// negotiating it takes 0 rounds; FromConstraints builds that ordering.
 func Negotiate(cons []Constraint) (kept []Constraint, rounds int) {
 	f := newCycleFinder(cons)
 	for drop := f.find(); drop >= 0; drop = f.find() {
@@ -296,11 +298,4 @@ func Negotiate(cons []Constraint) (kept []Constraint, rounds int) {
 		}
 	}
 	return kept, rounds
-}
-
-// Satisfiable reports whether the constraint set admits a single partial
-// ordering: whether it has no cycle, a self-constraint counting as one.
-// FromConstraints builds that ordering.
-func Satisfiable(cons []Constraint) bool {
-	return newCycleFinder(cons).find() < 0
 }

@@ -86,19 +86,27 @@ func TestFromConstraintsSimple(t *testing.T) {
 	}
 }
 
+// satisfiable reports whether cons admits a single partial ordering, by the
+// reference: FromConstraints' layering, which shares no code with
+// Negotiate's cycle finder.
+func satisfiable(cons []Constraint) bool {
+	_, ok := FromConstraints(nil, cons)
+	return ok
+}
+
 func TestFromConstraintsCycle(t *testing.T) {
 	cons := []Constraint{{Above: 1, Below: 2}, {Above: 2, Below: 3}, {Above: 3, Below: 1}}
 	if _, ok := FromConstraints(nil, cons); ok {
 		t.Error("cyclic constraints reported satisfiable")
 	}
-	if Satisfiable(cons) {
-		t.Error("Satisfiable(cycle) = true")
+	if _, rounds := Negotiate(cons); rounds == 0 {
+		t.Error("negotiating a cycle took 0 rounds")
 	}
-	if !Satisfiable(cons[:2]) {
-		t.Error("Satisfiable(chain) = false")
+	if _, rounds := Negotiate(cons[:2]); rounds != 0 {
+		t.Error("negotiating a chain took rounds")
 	}
 	// Self-constraint is trivially unsatisfiable.
-	if Satisfiable([]Constraint{{Above: 7, Below: 7}}) {
+	if _, rounds := Negotiate([]Constraint{{Above: 7, Below: 7}}); rounds == 0 {
 		t.Error("self-constraint satisfiable")
 	}
 }
@@ -132,7 +140,7 @@ func TestNegotiate(t *testing.T) {
 	if len(kept) != 3 {
 		t.Errorf("kept %d constraints, want 3", len(kept))
 	}
-	if !Satisfiable(kept) {
+	if !satisfiable(kept) {
 		t.Error("negotiated set unsatisfiable")
 	}
 	// Acyclic input: nothing dropped.
@@ -157,7 +165,7 @@ func TestNegotiateManyCycles(t *testing.T) {
 	if rounds != 2 {
 		t.Errorf("rounds = %d, want 2", rounds)
 	}
-	if !Satisfiable(kept) {
+	if !satisfiable(kept) {
 		t.Error("result unsatisfiable")
 	}
 }
@@ -175,7 +183,7 @@ func TestNegotiateAlwaysTerminatesAndSatisfies(t *testing.T) {
 			}
 		}
 		kept, rounds := Negotiate(cons)
-		if !Satisfiable(kept) {
+		if !satisfiable(kept) {
 			t.Fatalf("trial %d: negotiated set still unsatisfiable", trial)
 		}
 		if rounds != len(cons)-len(kept) {
@@ -357,8 +365,8 @@ func negInput(seed int64) []Constraint {
 
 // TestNegotiateDifferential runs Negotiate and the map-based reference on
 // the same seeded inputs: the kept constraints (content and order) and the
-// round count must agree, and the input is satisfiable — by Satisfiable and
-// by FromConstraints alike — exactly when no round was needed. Replay one input with -run TestNegotiateDifferential -negseed N.
+// round count must agree, and the input is satisfiable — by FromConstraints
+// — exactly when no round was needed. Replay one input with -run TestNegotiateDifferential -negseed N.
 func TestNegotiateDifferential(t *testing.T) {
 	seeds := make([]int64, 400)
 	for i := range seeds {
@@ -380,9 +388,8 @@ func TestNegotiateDifferential(t *testing.T) {
 			t.Fatalf("seed %d (%d constraints): Negotiate kept %d in %d rounds, reference kept %d in %d rounds\n got  %v\n want %v",
 				seed, len(cons), len(kept), rounds, len(wantKept), wantRounds, kept, wantKept)
 		}
-		_, ordered := FromConstraints(nil, cons)
-		if sat := Satisfiable(cons); sat != (rounds == 0) || ordered != sat {
-			t.Fatalf("seed %d: Satisfiable = %v, FromConstraints ok = %v, after %d rounds", seed, sat, ordered, rounds)
+		if ordered := satisfiable(cons); ordered != (rounds == 0) {
+			t.Fatalf("seed %d: FromConstraints ok = %v after %d rounds", seed, ordered, rounds)
 		}
 		dropped += rounds
 	}

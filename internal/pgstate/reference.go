@@ -11,6 +11,7 @@ package pgstate
 // correct; performance work belongs in Table.
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/ad"
@@ -144,11 +145,13 @@ func (t *Reference) Remove(h uint64) bool { return t.drop(h) }
 // passed, and returns their handles in ascending order.
 func (t *Reference) ExpireDue(now sim.Time) []uint64 {
 	var due []uint64
-	for _, h := range t.Handles() {
-		if e, ok := t.lru.Peek(h); ok && e.expired(now) {
+	t.lru.Range(func(h uint64, e *Entry) bool {
+		if e.expired(now) {
 			due = append(due, h)
 		}
-	}
+		return true
+	})
+	slices.Sort(due)
 	for _, h := range due {
 		t.drop(h)
 		t.stats.Expirations++
@@ -159,11 +162,8 @@ func (t *Reference) ExpireDue(now sim.Time) []uint64 {
 // Handles returns the live handles in ascending order, including
 // expired-but-unswept entries.
 func (t *Reference) Handles() []uint64 {
-	out := make([]uint64, 0, t.lru.Len())
-	for _, h := range t.lru.Keys() {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := t.lru.Keys()
+	slices.Sort(out)
 	return out
 }
 

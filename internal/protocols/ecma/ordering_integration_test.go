@@ -27,7 +27,7 @@ func TestCustomOrderingFromConstraints(t *testing.T) {
 		ordering.Constraint{Above: bb[0], Below: bb[1]},
 		ordering.Constraint{Above: bb[1], Below: bb[0]}, // conflict
 	)
-	if ordering.Satisfiable(cons) {
+	if _, ok := ordering.FromConstraints(nil, cons); ok {
 		t.Fatal("conflicting constraints reported satisfiable")
 	}
 	kept, rounds := ordering.Negotiate(cons)

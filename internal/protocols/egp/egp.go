@@ -15,7 +15,7 @@
 package egp
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/ad"
 	"repro/internal/core"
@@ -37,33 +37,42 @@ type Config struct {
 
 // System is an EGP deployment.
 type System struct {
-	cfg   Config
-	nw    *sim.Network
-	nodes map[ad.ID]*node
+	cfg Config
+	nw  *sim.Network
+	// nodes holds each AD's node at the AD's position in ids; every
+	// node's tables are indexed by a destination's position there too.
+	ids   []ad.ID
+	nodes []*node
 
 	computations int
 	// rx is the update Receive decodes into, reused message to message:
-	// routes are values, and nothing keeps a slice of it.
-	rx wire.EGPUpdate
+	// routes are values, and nothing keeps a slice of it. tx is the
+	// update every advertisement encodes, its routes built in out.
+	rx, tx wire.EGPUpdate
+	out    []wire.EGPRoute
 }
 
 // New builds the system over g. Policy is not representable in EGP beyond
 // reachability hiding, which the baseline does not model.
 func New(g *ad.Graph, cfg Config) *System {
+	ids := g.IDs()
 	s := &System{
 		cfg:   cfg,
 		nw:    sim.NewNetwork(g),
-		nodes: make(map[ad.ID]*node),
+		ids:   ids,
+		nodes: make([]*node, len(ids)),
 	}
-	for _, id := range g.IDs() {
+	for p, id := range ids {
+		nbrs := g.Neighbors(id)
 		n := &node{
 			id:          id,
 			sys:         s,
-			nextHop:     make(map[ad.ID]ad.ID),
-			metric:      make(map[ad.ID]uint32),
-			advertisers: make(map[ad.ID]map[ad.ID]uint32),
+			nbrs:        nbrs,
+			nextHop:     make([]ad.ID, len(ids)),
+			metric:      make([]uint32, len(ids)),
+			advertisers: make([]uint32, len(ids)*len(nbrs)),
 		}
-		s.nodes[id] = n
+		s.nodes[p] = n
 		s.nw.AddNode(n)
 	}
 	return s
@@ -82,9 +91,10 @@ func (s *System) Converge(limit sim.Time) (sim.Time, bool) {
 
 // Route implements core.System.
 func (s *System) Route(req policy.Request) core.Outcome {
+	d := ad.Position(s.ids, req.Dst)
 	return core.Forward(req.Src, req.Dst, func(cur, _ ad.ID) ad.ID {
-		if n, ok := s.nodes[cur]; ok {
-			return n.nextHop[req.Dst]
+		if p := ad.Position(s.ids, cur); p >= 0 && d >= 0 {
+			return s.nodes[p].nextHop[d]
 		}
 		return ad.Invalid
 	})
@@ -94,7 +104,7 @@ func (s *System) Route(req policy.Request) core.Outcome {
 func (s *System) StateEntries() int {
 	total := 0
 	for _, n := range s.nodes {
-		total += len(n.nextHop)
+		total += n.routes
 	}
 	return total
 }
@@ -109,21 +119,36 @@ func (s *System) FailLink(a, b ad.ID) error { return s.nw.FailLink(a, b) }
 type node struct {
 	id  ad.ID
 	sys *System
+	// nbrs is the AD's neighbours, ascending: the graph's adjacency.
+	nbrs []ad.ID
 
-	nextHop map[ad.ID]ad.ID
-	metric  map[ad.ID]uint32
+	// nextHop and metric are the route to each destination, by position;
+	// ad.Invalid marks none. routes counts the destinations with one.
+	nextHop []ad.ID
+	metric  []uint32
+	routes  int
 	// advertisers records every neighbor that ever claimed reachability
-	// of a destination and the metric it quoted — the stale knowledge
-	// that creates loops after failures on cyclic topologies.
-	advertisers map[ad.ID]map[ad.ID]uint32
+	// of a destination and the metric it quoted (one above its own, so
+	// never 0; 0 means none) — the stale knowledge that creates loops
+	// after failures on cyclic topologies. Destination d's entry from
+	// neighbour nbrs[i] is advertisers[d*len(nbrs)+i].
+	advertisers []uint32
 }
 
 func (n *node) ID() ad.ID { return n.id }
 
+// setRoute installs the route to the destination at position d.
+func (n *node) setRoute(d int, nh ad.ID, metric uint32) {
+	if n.nextHop[d] == ad.Invalid {
+		n.routes++
+	}
+	n.nextHop[d], n.metric[d] = nh, metric
+}
+
 func (n *node) Start(nw *sim.Network) {
-	n.nextHop[n.id] = n.id
-	n.metric[n.id] = 0
-	n.advertise(nw, []wire.EGPRoute{{Dest: n.id, Metric: 0}}, ad.Invalid)
+	n.setRoute(ad.Position(n.sys.ids, n.id), n.id, 0)
+	n.sys.out = append(n.sys.out[:0], wire.EGPRoute{Dest: n.id, Metric: 0})
+	n.advertise(nw, n.sys.out, ad.Invalid)
 }
 
 // advertise sends reachability for the given routes to all up neighbors
@@ -132,7 +157,8 @@ func (n *node) advertise(nw *sim.Network, routes []wire.EGPRoute, skip ad.ID) {
 	if len(routes) == 0 {
 		return
 	}
-	msg := nw.Encode(&wire.EGPUpdate{Routes: routes})
+	n.sys.tx.Routes = routes
+	msg := nw.Encode(&n.sys.tx)
 	for _, nb := range nw.UpNeighbors(n.id) {
 		if nb == skip {
 			continue
@@ -142,28 +168,31 @@ func (n *node) advertise(nw *sim.Network, routes []wire.EGPRoute, skip ad.ID) {
 }
 
 func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
-	upd := &n.sys.rx
+	s := n.sys
+	upd := &s.rx
 	if wire.UnmarshalInto(payload, upd) != nil {
 		return
 	}
-	n.sys.computations++
-	var fresh []wire.EGPRoute
+	s.computations++
+	i, ok := slices.BinarySearch(n.nbrs, from)
+	if !ok {
+		return
+	}
+	fresh := s.out[:0]
 	for _, rt := range upd.Routes {
-		if rt.Dest == n.id {
+		d := ad.Position(s.ids, rt.Dest)
+		if rt.Dest == n.id || d < 0 {
 			continue
 		}
-		if n.advertisers[rt.Dest] == nil {
-			n.advertisers[rt.Dest] = make(map[ad.ID]uint32)
-		}
-		n.advertisers[rt.Dest][from] = rt.Metric + 1
+		n.advertisers[d*len(n.nbrs)+i] = rt.Metric + 1
 		// First advertiser wins: no metric-based replacement. This is
 		// the protocol's simplicity and its trap.
-		if _, have := n.nextHop[rt.Dest]; !have {
-			n.nextHop[rt.Dest] = from
-			n.metric[rt.Dest] = rt.Metric + 1
+		if n.nextHop[d] == ad.Invalid {
+			n.setRoute(d, from, rt.Metric+1)
 			fresh = append(fresh, wire.EGPRoute{Dest: rt.Dest, Metric: rt.Metric + 1})
 		}
 	}
+	s.out = fresh
 	// EGP neighbor-reachability messages list everything reachable to
 	// every peer — there is no split horizon. Advertising back to the
 	// peer a route was learned from is what seeds the stale-advertiser
@@ -174,49 +203,38 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
 	// Fall back to any other known advertiser — possibly one whose
 	// reachability came through us. No verification, no withdrawal.
-	var dests []ad.ID
-	for dest, nh := range n.nextHop {
-		if nh == nb {
-			dests = append(dests, dest)
+	// Destinations go in ascending order; the pick is the lowest up
+	// neighbour that advertised the destination.
+	for d, nh := range n.nextHop {
+		if nh != nb {
+			continue
 		}
-	}
-	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-	for _, dest := range dests {
-		delete(n.nextHop, dest)
-		delete(n.metric, dest)
+		n.nextHop[d], n.metric[d] = ad.Invalid, 0
+		n.routes--
 		if n.sys.cfg.NoFallback {
 			continue // static deployment: blackhole, never adapt
 		}
-		alts := n.advertisers[dest]
-		var pick ad.ID
-		var pickMetric uint32
-		for _, cand := range nw.UpNeighbors(n.id) {
-			if m, ok := alts[cand]; ok {
-				if pick == ad.Invalid || cand < pick {
-					pick = cand
-					pickMetric = m
-				}
+		alts := n.advertisers[d*len(n.nbrs) : (d+1)*len(n.nbrs)]
+		for i, cand := range n.nbrs {
+			if alts[i] != 0 && nw.LinkIsUp(n.id, cand) {
+				n.setRoute(d, cand, alts[i])
+				break
 			}
-		}
-		if pick != ad.Invalid {
-			n.nextHop[dest] = pick
-			n.metric[dest] = pickMetric
 		}
 	}
 }
 
 func (n *node) LinkUp(nw *sim.Network, nb ad.ID) {
 	// Re-advertise everything we can reach to the recovered neighbor.
-	var routes []wire.EGPRoute
-	var dests []ad.ID
-	for dest := range n.nextHop {
-		dests = append(dests, dest)
+	routes := n.sys.out[:0]
+	for d, nh := range n.nextHop {
+		if nh != ad.Invalid {
+			routes = append(routes, wire.EGPRoute{Dest: n.sys.ids[d], Metric: n.metric[d]})
+		}
 	}
-	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-	for _, dest := range dests {
-		routes = append(routes, wire.EGPRoute{Dest: dest, Metric: n.metric[dest]})
-	}
+	n.sys.out = routes
 	if len(routes) > 0 {
-		nw.SendMessage(n.id, nb, &wire.EGPUpdate{Routes: routes})
+		n.sys.tx.Routes = routes
+		nw.SendMessage(n.id, nb, &n.sys.tx)
 	}
 }

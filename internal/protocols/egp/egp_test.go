@@ -6,7 +6,9 @@ import (
 	"repro/internal/ad"
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/racecheck"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 var _ core.System = (*System)(nil)
@@ -173,5 +175,40 @@ func TestAccessorsAndLinkUp(t *testing.T) {
 	out := s.Route(policy.Request{Src: leaves[0], Dst: root})
 	if !out.Delivered {
 		t.Errorf("leaf->root after recovery: %+v", out)
+	}
+}
+
+// TestAllocsEGPReceive: once a converged system's buffers are warm, a
+// Receive that learns a route — decoding the update, advertising the new
+// route to every neighbour, and each neighbour decoding that — allocates
+// nothing.
+func TestAllocsEGPReceive(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g, ids, stub := ring(t)
+	s := New(g, Config{})
+	if _, ok := s.Converge(seconds(120)); !ok {
+		t.Fatal("did not converge")
+	}
+	n, from := s.nodes[ad.Position(s.ids, ids[2])], ids[1]
+	d := ad.Position(s.ids, stub)
+	frame := wire.Marshal(&wire.EGPUpdate{Routes: []wire.EGPRoute{{Dest: stub, Metric: 2}, {Dest: ids[0], Metric: 1}}})
+	msgs := s.nw.Stats.MessagesSent
+	relearn := func() {
+		n.nextHop[d], n.routes = ad.Invalid, n.routes-1
+		n.Receive(s.nw, from, frame)
+		s.nw.Engine.Run()
+	}
+	relearn()
+	if n := testing.AllocsPerRun(100, relearn); n != 0 {
+		t.Errorf("warm Receive: %v allocs, want 0", n)
+	}
+	if n.nextHop[d] != from || n.metric[d] != 3 {
+		t.Errorf("route to %v via %v metric %d, want via %v metric 3", stub, n.nextHop[d], n.metric[d], from)
+	}
+	// Each relearning advertises to both of the node's neighbours.
+	if got, want := s.nw.Stats.MessagesSent-msgs, uint64(2*102); got != want {
+		t.Errorf("%d advertisements sent, want %d", got, want)
 	}
 }

@@ -143,7 +143,8 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 			id:      id,
 			sys:     s,
 			cands:   make([][]route, ctx.Len()),
-			adv:     make([][]route, ctx.Len()),
+			adv:     make([]route, ctx.Len()),
+			nadv:    make([]int32, ctx.Len()),
 			dirty:   dvcore.NewDirty(ctx.Len()),
 			transit: db.TransitOf(id, cfg.QOSClasses),
 		}
@@ -194,7 +195,7 @@ func (s *System) Route(req policy.Request) core.Outcome {
 	k := s.ctx.Index(dvcore.Key{Dest: req.Dst, QOS: qos})
 	return core.Forward(req.Src, req.Dst, func(cur, _ ad.ID) ad.ID {
 		if n := s.node(cur); n != nil && k >= 0 {
-			for _, r := range n.adv[k] {
+			for _, r := range n.selected(k) {
 				if r.sources.Contains(req.Src) && r.uci.Contains(uint8(req.UCI)) {
 					return r.from
 				}
@@ -212,8 +213,8 @@ func (s *System) StateEntries() int {
 		for _, rs := range n.cands {
 			total += len(rs)
 		}
-		for _, rs := range n.adv {
-			total += len(rs)
+		for _, c := range n.nadv {
+			total += int(c)
 		}
 	}
 	return total
@@ -234,8 +235,14 @@ type node struct {
 	// every neighbor's in one slice.
 	cands [][]route
 	// adv is the Loc-RIB/Adj-RIB-Out: the routes currently selected and
-	// advertised (up to MultiRoute per context) by context number.
-	adv [][]route
+	// advertised, up to MultiRoute per context, nadv[k] of them for
+	// context k (see selected). adv[k] holds context k's first, so one
+	// slab made in New holds every single-route selection and a new one is
+	// copied in place, never allocated; in multi-route mode, more[k] holds
+	// all of context k's once it has selected more than one.
+	adv  []route
+	nadv []int32
+	more [][]route
 
 	// transit is what the local policy terms offer re-advertised routes.
 	transit policy.Transit
@@ -250,17 +257,50 @@ type node struct {
 
 func (n *node) ID() ad.ID { return n.id }
 
+// selected returns the routes selected for context k.
+func (n *node) selected(k int) []route {
+	if n.nadv[k] > 1 {
+		return n.more[k]
+	}
+	return n.adv[k : k+int(n.nadv[k])]
+}
+
+// setSelected copies sel, at most MultiRoute routes, into context k's
+// selection, clearing what it no longer fills so those paths can go.
+func (n *node) setSelected(k int, sel []route) {
+	n.nadv[k] = int32(len(sel))
+	n.adv[k] = route{}
+	if len(sel) > 0 {
+		n.adv[k] = sel[0]
+	}
+	if len(sel) < 2 {
+		if n.more != nil {
+			clear(n.more[k])
+			n.more[k] = n.more[k][:0]
+		}
+		return
+	}
+	if n.more == nil {
+		n.more = make([][]route, len(n.adv))
+	}
+	old := n.more[k]
+	n.more[k] = append(old[:0], sel...)
+	if len(old) > len(sel) {
+		clear(old[len(sel):])
+	}
+}
+
 func (n *node) Start(nw *sim.Network) {
 	// Originate the self route in every QOS class.
 	for q := 0; q < n.sys.cfg.QOSClasses; q++ {
 		k := n.sys.ctx.Index(dvcore.Key{Dest: n.id, QOS: policy.QOS(q)})
-		n.adv[k] = []route{{
+		n.setSelected(k, []route{{
 			path:    ad.Path{n.id},
 			metric:  0,
 			sources: policy.Universal(),
 			uci:     policy.AllClasses,
 			from:    n.id,
-		}}
+		}})
 		n.dirty.Mark(k)
 	}
 	n.scheduleFlush(nw)
@@ -288,7 +328,7 @@ func (n *node) exportRoutes(out []wire.PVRoute, i int32) []wire.PVRoute {
 	s := n.sys
 	k := s.ctx.Key(int(i))
 	isSelf := k.Dest == n.id
-	for _, r := range n.adv[i] {
+	for _, r := range n.selected(int(i)) {
 		pv := wire.PVRoute{
 			Dest:   k.Dest,
 			QOS:    k.QOS,
@@ -471,8 +511,8 @@ func (n *node) reselect(nw *sim.Network, changed []int32) {
 			continue
 		}
 		sel := n.selectRoutes(k)
-		if !routesEqual(sel, n.adv[k]) {
-			n.adv[k] = append(n.adv[k][:0], sel...)
+		if !routesEqual(sel, n.selected(int(k))) {
+			n.setSelected(int(k), sel)
 			n.dirty.Mark(int(k))
 			any = true
 		}
@@ -571,8 +611,8 @@ func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
 func (n *node) LinkUp(nw *sim.Network, nb ad.ID) {
 	// Advertise the full Adj-RIB-Out to the recovered neighbor.
 	keys := n.sys.keys[:0]
-	for k, rs := range n.adv {
-		if len(rs) > 0 {
+	for k, c := range n.nadv {
+		if c > 0 {
 			keys = append(keys, int32(k))
 		}
 	}

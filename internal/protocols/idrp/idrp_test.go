@@ -222,7 +222,7 @@ func TestPartitionWithdrawsRoutes(t *testing.T) {
 	if out := s.Route(policy.Request{Src: src, Dst: d}); out.Delivered {
 		t.Errorf("delivered across partition: %v", out.Path)
 	}
-	if paths := s.node(src).adv[s.ctx.Index(dvcore.Key{Dest: d})]; len(paths) != 0 {
+	if paths := s.node(src).selected(s.ctx.Index(dvcore.Key{Dest: d})); len(paths) != 0 {
 		t.Errorf("stale selected routes at src: %v", paths)
 	}
 }
@@ -257,7 +257,7 @@ func TestSelectedRoutesAccessor(t *testing.T) {
 	db := policy.OpenDB(g)
 	s := New(g, db, Config{})
 	s.Converge(seconds(300))
-	routes := s.node(s1).adv[s.ctx.Index(dvcore.Key{Dest: d})]
+	routes := s.node(s1).selected(s.ctx.Index(dvcore.Key{Dest: d}))
 	if len(routes) != 1 {
 		t.Fatalf("selected = %v, want 1 route", routes)
 	}
@@ -312,7 +312,7 @@ func TestDestinationExportFilter(t *testing.T) {
 		t.Errorf("filtered destination delivered: %v", out.Path)
 	}
 	// The filtered route never even reaches src's RIB.
-	if paths := s.node(src).adv[s.ctx.Index(dvcore.Key{Dest: d2})]; len(paths) != 0 {
+	if paths := s.node(src).selected(s.ctx.Index(dvcore.Key{Dest: d2})); len(paths) != 0 {
 		t.Errorf("filtered route advertised to src: %v", paths)
 	}
 }
@@ -387,7 +387,7 @@ func TestReselectValueEqualIsNoChange(t *testing.T) {
 	k := int32(s.ctx.Index(dvcore.Key{Dest: d}))
 	r := route{path: ad.Path{t1, d}, metric: 2, sources: policy.SetOf(s1, s2), uci: policy.AllClasses, from: t1}
 	n.cands[k] = []route{r}
-	n.adv[k] = slices.Clone(n.selectRoutes(k))
+	n.setSelected(int(k), n.selectRoutes(k))
 	r.sources = policy.SetOf(s2, 7, s1).Intersect(policy.SetOf(s1, s2))
 	n.cands[k] = []route{r}
 	n.reselect(s.nw, []int32{k})

@@ -48,7 +48,7 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 		db:    db,
 		nodes: make(map[ad.ID]*node),
 	}
-	lsas := flood.NewTable()
+	lsas := flood.NewTable(g.IDs())
 	for _, id := range g.IDs() {
 		n := &node{id: id, sys: s, flooder: flood.NewFlooder(id, lsas)}
 		n.flooder.OnChange = n.onLSDBChange
@@ -138,14 +138,14 @@ type node struct {
 	sys     *System
 	flooder *flood.Flooder
 
-	// view is the graph+policy reconstructed from the LSDB, rebuilt lazily
-	// after changes and compiled for searching as it is rebuilt; unitView
-	// is its unit-cost variant, built on first use.
-	view      *synthesis.Snapshot
-	viewG     *ad.Graph
-	viewDB    *policy.DB
-	unitView  *synthesis.Snapshot
-	viewDirty bool
+	// view is the LSDB's view (shared with every AD of the system in the
+	// same LSDB state), taken on the first search after a change and nil
+	// until then; own is what this AD searches its own requests on (the
+	// view plus its criteria), and unitView the unit-cost variant with its
+	// criteria, each built on first use.
+	view     *flood.View
+	own      *synthesis.Snapshot
+	unitView *synthesis.Snapshot
 
 	routeCache map[cacheKey]ad.ID // next hop per context
 
@@ -172,46 +172,53 @@ func (n *node) LinkUp(nw *sim.Network, nb ad.ID) {
 }
 
 func (n *node) onLSDBChange(nw *sim.Network) {
-	n.viewDirty = true
+	n.view, n.own, n.unitView = nil, nil, nil
 	n.routeCache = nil
 }
 
-func (n *node) refreshView() {
-	if n.view != nil && !n.viewDirty {
-		return
+// snapshot returns what this AD searches req on. Only this AD's own
+// route-selection criteria are known locally, so transit ADs compute
+// without the source's criteria — precisely the consistency gap §5.3
+// identifies.
+func (n *node) snapshot(req policy.Request) *synthesis.Snapshot {
+	if n.view == nil {
+		n.view = n.flooder.DB.View()
 	}
-	// Only this AD's own route-selection criteria are known locally, so
-	// transit ADs compute without the source's criteria — precisely the
-	// consistency gap §5.3 identifies.
-	n.viewG, n.viewDB, n.view = n.flooder.DB.View(n.id, n.sys.db.CriteriaFor(n.id))
-	n.unitView = nil
-	n.viewDirty = false
+	if n.sys.cfg.InconsistentTieBreak && n.id%2 == 1 {
+		return n.unitCostView()
+	}
+	if req.Src != n.id {
+		return n.view.Snap
+	}
+	if n.own == nil {
+		n.own = n.view.Own(n.id, n.sys.db.CriteriaFor(n.id))
+	}
+	return n.own
 }
 
-// unitCostView clones the view with all link and term costs forced to 1:
-// the divergent minimize-hops objective used by the inconsistency ablation.
+// unitCostView clones the view with all link and term costs forced to 1,
+// adding this AD's criteria: the divergent minimize-hops objective used by
+// the inconsistency ablation.
 func (n *node) unitCostView() *synthesis.Snapshot {
 	if n.unitView != nil {
 		return n.unitView
 	}
 	g := ad.NewGraph()
-	for _, info := range n.viewG.ADs() {
+	for _, info := range n.view.Graph.ADs() {
 		_ = g.AddADWithID(info.ID, info.Name, info.Class, info.Level)
 	}
-	for _, l := range n.viewG.Links() {
+	for _, l := range n.view.Graph.Links() {
 		l.Cost = 1
 		_ = g.AddLink(l)
 	}
 	db := policy.NewDB()
-	for _, adv := range n.viewDB.Advertisers() {
-		for _, term := range n.viewDB.Terms(adv) {
+	for _, adv := range n.view.Policy.Advertisers() {
+		for _, term := range n.view.Policy.Terms(adv) {
 			term.Cost = 1
 			db.Add(term)
 		}
 	}
-	for _, src := range n.viewDB.CriteriaADs() {
-		db.SetCriteria(src, n.viewDB.CriteriaFor(src))
-	}
+	db.SetCriteria(n.id, n.sys.db.CriteriaFor(n.id))
 	n.unitView = synthesis.Compile(g, db)
 	return n.unitView
 }
@@ -224,13 +231,8 @@ func (n *node) nextHop(req policy.Request, prev ad.ID) ad.ID {
 	if nh, ok := n.routeCache[k]; ok {
 		return nh
 	}
-	n.refreshView()
-	view := n.view
-	if n.sys.cfg.InconsistentTieBreak && n.id%2 == 1 {
-		view = n.unitCostView()
-	}
 	n.computations++
-	res := view.FindRouteFrom(req, n.id, prev)
+	res := n.snapshot(req).FindRouteFrom(req, n.id, prev)
 	n.expansions += res.Expanded
 	nh := ad.Invalid
 	if res.Found && len(res.Path) >= 2 {

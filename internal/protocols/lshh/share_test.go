@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/ad"
+	"repro/internal/core"
 	"repro/internal/flood"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/synthesis"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -19,8 +21,11 @@ type lsdb [][]byte
 func snapshotLSDBs(s *System) map[ad.ID]lsdb {
 	out := make(map[ad.ID]lsdb)
 	for id, n := range s.nodes {
-		for _, origin := range n.flooder.DB.Origins() {
-			l, _ := n.flooder.DB.Get(origin)
+		for _, origin := range s.nw.Graph.IDs() {
+			l, ok := n.flooder.DB.Get(origin)
+			if !ok {
+				continue
+			}
 			out[id] = append(out[id], wire.Marshal(l))
 		}
 	}
@@ -49,7 +54,7 @@ func TestSharedLSAsAreInvisible(t *testing.T) {
 			s := New(g.Clone(), db, Config{})
 			if private {
 				for _, n := range s.nodes {
-					n.flooder = flood.NewFlooder(n.id, flood.NewTable())
+					n.flooder = flood.NewFlooder(n.id, flood.NewTable(g.IDs()))
 					n.flooder.OnChange = n.onLSDBChange
 				}
 			}
@@ -83,6 +88,98 @@ func TestSharedLSAsAreInvisible(t *testing.T) {
 				for j := range want {
 					if !bytes.Equal(got[j], want[j]) {
 						t.Errorf("seed %d %s: %v's LSA %d differs from a private decode", seed, phase, id, j)
+					}
+				}
+			}
+		}
+	}
+}
+
+// privateViews gives every AD of s the view it built for itself before the
+// system shared one: its own LSDB's graph and policy with its own criteria
+// set, compiled, searched for every request.
+func privateViews(s *System) {
+	for _, n := range s.nodes {
+		g, pdb := n.flooder.DB.Graph(), n.flooder.DB.PolicyDB()
+		pdb.SetCriteria(n.id, s.db.CriteriaFor(n.id))
+		snap := synthesis.Compile(g, pdb)
+		n.view = &flood.View{Graph: g, Policy: pdb, Snap: snap}
+		n.own, n.unitView = snap, nil
+	}
+}
+
+// TestSharedViewsAreInvisible converges the system on each of six generated
+// internets, in which some stubs avoid ADs, and routes every pair twice,
+// once on the views the system shares and once on a private view per AD.
+// Every route, the computation and expansion counts, the state and every
+// traffic counter must agree, under the consistent and the inconsistent
+// tie-break, before and after a link failure; and shared, the ADs must hold
+// one view between them.
+func TestSharedViewsAreInvisible(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		g := topology.Generate(topology.Config{
+			Seed: seed, Backbones: 2, RegionalsPerBackbone: 3, MetrosPerRegional: 1,
+			CampusesPerParent: 2, LateralProb: 0.2, BypassProb: 0.1,
+		}).Graph
+		db := policy.Generate(g, policy.GenConfig{
+			Seed: seed + 1, SourceRestrictionProb: 0.3, SourceFraction: 0.5, AvoidProb: 0.6,
+		})
+		victim := g.Links()[int(seed)%g.NumLinks()]
+		cut := g.Clone()
+		cut.RemoveLink(victim.A, victim.B)
+		// Where the failure partitions the internet, each side converges
+		// on an LSDB state of its own.
+		connected := cut.Connected()
+		reqs := core.AllPairsRequests(g, false, 0, 0)
+		phases := []string{"initial", "after a failure"}
+		type phase struct {
+			routes                   []core.Outcome
+			comps, expansions, state int
+			stats                    sim.Stats
+		}
+		run := func(cfg Config, private bool) (r [2]phase) {
+			s := New(g.Clone(), db, cfg)
+			for i := range r {
+				if i == 1 {
+					if err := s.FailLink(victim.A, victim.B); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, ok := s.Converge(600 * sim.Second); !ok {
+					t.Fatalf("seed %d: did not converge", seed)
+				}
+				if private {
+					privateViews(s)
+				}
+				for _, req := range reqs {
+					r[i].routes = append(r[i].routes, s.Route(req))
+				}
+				r[i].comps, r[i].expansions, r[i].state = s.Computations(), s.Expansions(), s.StateEntries()
+				r[i].stats = *s.Network().Stats
+				if !private && (i == 0 || connected) {
+					views := make(map[*flood.View]bool)
+					for _, n := range s.nodes {
+						views[n.view] = true
+					}
+					if len(views) != 1 {
+						t.Errorf("seed %d %s: the ADs hold %d views between them, want 1", seed, phases[i], len(views))
+					}
+				}
+			}
+			return r
+		}
+		for _, cfg := range []Config{{}, {InconsistentTieBreak: true}} {
+			shared, private := run(cfg, false), run(cfg, true)
+			for i, when := range phases {
+				sh, pr := shared[i], private[i]
+				if sh.comps != pr.comps || sh.expansions != pr.expansions || sh.state != pr.state || sh.stats != pr.stats {
+					t.Errorf("seed %d %+v %s: shared views %d computations, %d expansions, %d entries, %+v; private %d, %d, %d, %+v",
+						seed, cfg, when, sh.comps, sh.expansions, sh.state, sh.stats, pr.comps, pr.expansions, pr.state, pr.stats)
+				}
+				for j, req := range reqs {
+					a, b := sh.routes[j], pr.routes[j]
+					if !a.Path.Equal(b.Path) || a.Delivered != b.Delivered || a.Looped != b.Looped {
+						t.Errorf("seed %d %+v %s %v->%v: shared views route %+v, private %+v", seed, cfg, when, req.Src, req.Dst, a, b)
 					}
 				}
 			}

@@ -26,6 +26,7 @@ package orwg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -92,6 +93,17 @@ type System struct {
 
 	// resetup records the setup RTT of each successful failure repair.
 	resetup metrics.Histogram
+
+	// rx holds what Receive decodes into, one value per handle-plane
+	// message type, reused message to message: a handler keeps no part of
+	// its message but a setup's route, which it copies.
+	rx struct {
+		setup    wire.Setup
+		reply    wire.SetupReply
+		data     wire.Data
+		teardown wire.Teardown
+		refresh  wire.Refresh
+	}
 }
 
 // New builds the system over g with policy db. It panics on an invalid
@@ -110,7 +122,7 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 		ids:   ids,
 		nodes: make([]*node, len(ids)),
 	}
-	lsas := flood.NewTable()
+	lsas := flood.NewTable(ids)
 	for p, id := range ids {
 		n := &node{
 			id:          id,
@@ -444,11 +456,12 @@ type node struct {
 	sys     *System
 	flooder *flood.Flooder
 
-	// Route server state: the view compiled from the LSDB, rebuilt on the
-	// first search after a change, and the search work done on it.
-	view       *synthesis.Snapshot
-	viewDB     *policy.DB
-	viewDirty  bool
+	// Route server state: the LSDB's view (shared with every AD of the
+	// system in the same LSDB state), taken on the first search after a
+	// change and nil until then; own, the view plus this AD's criteria,
+	// which its searches read; and the search work done on it.
+	view       *flood.View
+	own        *synthesis.Snapshot
 	expansions int
 
 	// Policy gateway state: the per-handle table under the configured
@@ -476,22 +489,21 @@ func (n *node) Start(nw *sim.Network) {
 }
 
 func (n *node) onLSDBChange(nw *sim.Network) {
-	n.viewDirty = true
+	n.view, n.own = nil, nil
 }
 
 func (n *node) refreshView() {
-	if n.view != nil && !n.viewDirty {
-		return
+	if n.view == nil {
+		n.view = n.flooder.DB.View()
+		n.own = n.view.Own(n.id, n.sys.db.CriteriaFor(n.id))
 	}
-	_, n.viewDB, n.view = n.flooder.DB.View(n.id, n.sys.db.CriteriaFor(n.id))
-	n.viewDirty = false
 }
 
 // synthesize runs the route server: search the view for a policy route and
 // find the claimed term key for each transit AD.
 func (n *node) synthesize(req policy.Request) (ad.Path, []policy.Key, int, bool) {
 	n.refreshView()
-	res := n.view.FindRoute(req)
+	res := n.own.FindRoute(req)
 	n.expansions += res.Expanded
 	if !res.Found {
 		return nil, nil, res.Expanded, false
@@ -499,7 +511,7 @@ func (n *node) synthesize(req policy.Request) (ad.Path, []policy.Key, int, bool)
 	path := res.Path
 	var keys []policy.Key
 	for i := 1; i < len(path)-1; i++ {
-		t, ok := n.viewDB.PermitsTransit(path[i], req, path[i-1], path[i+1])
+		t, ok := n.view.Policy.PermitsTransit(path[i], req, path[i-1], path[i+1])
 		if !ok {
 			// The search returned a path the view cannot justify;
 			// treat as synthesis failure.
@@ -533,8 +545,8 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 	if n.flooder.Receive(nw, from, payload) {
 		return
 	}
-	msg, err := wire.Unmarshal(payload)
-	if err != nil {
+	msg := n.sys.decodeTarget(payload)
+	if msg == nil || wire.UnmarshalInto(payload, msg) != nil {
 		return
 	}
 	switch m := msg.(type) {
@@ -549,6 +561,29 @@ func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {
 	case *wire.Refresh:
 		n.handleRefresh(nw, from, m)
 	}
+}
+
+// decodeTarget returns the value of s.rx a frame of payload's type decodes
+// into, or nil for a frame too short to name a type or of a type the handle
+// plane does not carry. A frame's type is its second byte, after the
+// version.
+func (s *System) decodeTarget(payload []byte) wire.Message {
+	if len(payload) < 2 {
+		return nil
+	}
+	switch wire.MsgType(payload[1]) {
+	case wire.TypeSetup:
+		return &s.rx.setup
+	case wire.TypeSetupReply:
+		return &s.rx.reply
+	case wire.TypeData:
+		return &s.rx.data
+	case wire.TypeTeardown:
+		return &s.rx.teardown
+	case wire.TypeRefresh:
+		return &s.rx.refresh
+	}
+	return nil
 }
 
 // indexOn returns this AD's position on route, or -1.
@@ -580,7 +615,7 @@ func (n *node) handleSetup(nw *sim.Network, from ad.ID, m *wire.Setup) {
 	}
 	if idx == len(m.Route)-1 {
 		// Destination PG: accept, install for the data plane, reply OK.
-		n.install(nw, m.Handle, m.Route, idx, m.Req, m.TTLMillis)
+		n.install(nw, m.Handle, slices.Clone(m.Route), idx, m.Req, m.TTLMillis)
 		nw.SendMessage(n.id, from, &wire.SetupReply{
 			Handle: m.Handle, Code: wire.SetupOK,
 		})
@@ -610,7 +645,7 @@ func (n *node) handleSetup(nw *sim.Network, from ad.ID, m *wire.Setup) {
 		reject(wire.SetupNoLink)
 		return
 	}
-	n.install(nw, m.Handle, m.Route, idx, m.Req, m.TTLMillis)
+	n.install(nw, m.Handle, slices.Clone(m.Route), idx, m.Req, m.TTLMillis)
 	nw.SendMessage(n.id, next, m)
 }
 

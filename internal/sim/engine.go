@@ -8,6 +8,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 )
 
 // Time is a simulated timestamp in microseconds since the start of the run.
@@ -25,14 +27,22 @@ func (t Time) String() string {
 	return fmt.Sprintf("%d.%06ds", int64(t)/int64(Second), int64(t)%int64(Second))
 }
 
-// event is a scheduled callback, or a message delivery: Network.Send
-// queues a recycled delivery record instead of allocating a closure per
-// message.
+// event is one queued entry: its time, its sequence number, and the slot of
+// the engine's table that holds what it runs. It holds no pointer, so a
+// sift moves plain words past no write barrier and the collector never
+// scans the queue; and it is two words, so a sift moves little.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-	d   *delivery
+	at   Time
+	seq  uint32
+	slot int32
+}
+
+// slot is what a queued event runs: a callback, or a message delivery
+// (Network.Send queues a recycled delivery record instead of allocating a
+// closure per message).
+type slot struct {
+	fn func()
+	d  *delivery
 }
 
 // eventHeap is a binary min-heap of events ordered by (time, sequence). It
@@ -40,11 +50,14 @@ type event struct {
 // beyond occasional slice growth (no per-event box, no interface conversion).
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h eventHeap) less(i, j int) bool { return before(h[i], h[j]) }
+
+// before reports whether a runs before b: earlier, or scheduled first.
+func before(a, b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
 func (h *eventHeap) push(ev event) {
@@ -65,7 +78,6 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = event{} // release the callback and the delivery for GC
 	s = s[:n]
 	*h = s
 	for i := 0; ; {
@@ -88,19 +100,19 @@ func (h *eventHeap) pop() event {
 // Engine is a deterministic discrete-event scheduler. The zero value is not
 // usable; create one with NewEngine.
 type Engine struct {
-	now   Time
-	seq   uint64
+	now Time
+	// seq numbers the events scheduled, from 1; renumber restarts it.
+	seq   uint32
 	queue eventHeap
+	// slots holds what the queued events run, by event.slot; free lists
+	// the slots no queued event names. Both grow to the run's busiest
+	// moment and are reused from then on.
+	slots []slot
+	free  []int32
 }
-
-// initialEventCap presizes the event queue so steady-state protocol bursts
-// (floods, all-pairs setups) do not pay repeated heap growth.
-const initialEventCap = 1024
 
 // NewEngine returns an engine with an empty queue at time zero.
-func NewEngine() *Engine {
-	return &Engine{queue: make(eventHeap, 0, initialEventCap)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -108,18 +120,45 @@ func (e *Engine) Now() Time { return e.now }
 // At schedules fn to run at absolute time t. Scheduling in the past (before
 // Now) panics: it would make the run non-causal.
 func (e *Engine) At(t Time, fn func()) {
-	e.schedule(event{at: t, fn: fn})
+	e.schedule(t, slot{fn: fn})
 }
 
-// schedule queues ev at ev.at behind every event already queued for that
-// time.
-func (e *Engine) schedule(ev event) {
-	if ev.at < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", ev.at, e.now))
+// schedule queues what to run at time at, behind every event already
+// queued for that time.
+func (e *Engine) schedule(at Time, what slot) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
+	}
+	var i int32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slots[i] = what
+	} else {
+		i = int32(len(e.slots))
+		e.slots = append(e.slots, what)
+	}
+	if e.seq == math.MaxUint32 {
+		e.renumber()
 	}
 	e.seq++
-	ev.seq = e.seq
-	e.queue.push(ev)
+	e.queue.push(event{at: at, seq: e.seq, slot: i})
+}
+
+// renumber gives the queued events the sequence numbers 1..n in the order
+// they will run, and restarts the count behind them, so 32 bits number the
+// events of a run of any length. A sorted queue is a heap.
+func (e *Engine) renumber() {
+	slices.SortFunc(e.queue, func(a, b event) int {
+		if before(a, b) {
+			return -1
+		}
+		return 1
+	})
+	for i := range e.queue {
+		e.queue[i].seq = uint32(i + 1)
+	}
+	e.seq = uint32(len(e.queue))
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -150,12 +189,17 @@ func (e *Engine) RunUntil(limit Time) Time {
 	return e.now
 }
 
-// run executes one dequeued event at its time.
+// run executes one dequeued event at its time. Its slot is released first,
+// so what it schedules may reuse it, and cleared, so the callback and the
+// delivery are not kept alive by the table.
 func (e *Engine) run(ev event) {
+	what := e.slots[ev.slot]
+	e.slots[ev.slot] = slot{}
+	e.free = append(e.free, ev.slot)
 	e.now = ev.at
-	if ev.d != nil {
-		ev.d.nw.deliver(ev.d)
+	if what.d != nil {
+		what.d.nw.deliver(what.d)
 	} else {
-		ev.fn()
+		what.fn()
 	}
 }

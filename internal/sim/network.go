@@ -318,7 +318,7 @@ func (nw *Network) Send(from, to ad.ID, payload []byte) bool {
 	}
 	d.from, d.to, d.edge, d.dst, d.epoch = from, to, e, dst, nw.linkEpoch[e]
 	d.buf = append(d.buf[:0], payload...)
-	nw.Engine.schedule(event{at: nw.Now() + delay, d: d})
+	nw.Engine.schedule(nw.Now()+delay, slot{d: d})
 	return true
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -742,5 +744,72 @@ func TestAllocsSimSendMessage(t *testing.T) {
 	}
 	if received != 201 || !bytes.Equal(wire.Marshal(&rx), wire.Marshal(msg)) {
 		t.Errorf("received %d messages, last %+v; want 201 copies of the sent one", received, rx)
+	}
+}
+
+// TestEventHoldsNoPointer pins the queue's element type to plain words: a
+// pointer, slice, map, func, interface, string or channel anywhere in an
+// event would put every sift back behind the collector's write barrier.
+func TestEventHoldsNoPointer(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Func, reflect.Interface, reflect.String, reflect.Chan:
+			t.Errorf("%s is a %v: a queued event must hold no pointer", path, typ.Kind())
+		}
+	}
+	walk("event", reflect.TypeFor[event]())
+}
+
+// TestEngineOrderAcrossRenumbering: when the 32-bit sequence count runs
+// out, the queued events are renumbered in their order, so events that share
+// a timestamp still run in the order they were scheduled.
+func TestEngineOrderAcrossRenumbering(t *testing.T) {
+	e := NewEngine()
+	e.seq = math.MaxUint32 - 3
+	var order []int
+	for i := range 8 {
+		e.At(Time(10+i%2), func() { order = append(order, i) })
+	}
+	if e.seq != 8 {
+		t.Errorf("after renumbering, %d events numbered, want 8", e.seq)
+	}
+	e.Run()
+	if want := []int{0, 2, 4, 6, 1, 3, 5, 7}; !slices.Equal(order, want) {
+		t.Errorf("order = %v, want %v", order, want)
+	}
+}
+
+// TestAllocsScheduleAndRun: once the engine's queue and slot table have
+// grown to a run's size, scheduling a callback and running it allocates
+// nothing.
+func TestAllocsScheduleAndRun(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := NewEngine()
+	ran := 0
+	fn := func() { ran++ }
+	schedule := func() {
+		for d := Time(4); d > 0; d-- {
+			e.After(d, fn)
+		}
+		e.Run()
+	}
+	schedule()
+	if n := testing.AllocsPerRun(100, schedule); n != 0 {
+		t.Errorf("schedule and run: %v allocs, want 0", n)
+	}
+	// AllocsPerRun makes one warm-up call beyond the runs it counts.
+	if ran != 4*102 {
+		t.Errorf("ran %d callbacks, want %d", ran, 4*102)
 	}
 }
