@@ -58,18 +58,18 @@ var dvPinConfigs = []struct {
 // dvPinWant holds each world's and configuration's cold start, failure and
 // restore phases.
 var dvPinWant = map[string][3]dvPhase{
-	"world0/plain-dv":         {{552, 15392, 46774, 0xc6ad83bb15b0732f}, {99, 6704, 91857, 0xf581f0417fc050f3}, {49, 4844, 141895, 0x3698da032393570f}},
-	"world0/plain-dv-nosplit": {{738, 22268, 46774, 0xc48b85f2ed237b0a}, {2174, 95734, 192395, 0x899c30702c94c752}, {68, 6638, 242433, 0x9531d594a5240cda}},
+	"world0/plain-dv":         {{552, 15392, 46774, 0xc6ad83bb15b0732f}, {99, 6704, 91857, 0xf581f0417fc050f3}, {45, 3730, 140895, 0x3698da032393570f}},
+	"world0/plain-dv-nosplit": {{738, 22268, 46774, 0xc48b85f2ed237b0a}, {2174, 95734, 192395, 0x899c30702c94c752}, {64, 5414, 241433, 0x9531d594a5240cda}},
 	"world0/ecma":             {{324, 9364, 47248, 0xad797dd06ee00f8f}, {82, 5302, 84934, 0xf71b59d1ccaa482e}, {34, 3054, 124068, 0xad797dd06ee00f8f}},
 	"world0/ecma-noorder":     {{418, 13188, 47248, 0xc21d6e6224f2b5eb}, {1470, 52490, 277966, 0x6158af28ab32abeb}, {45, 3620, 323996, 0xc21d6e6224f2b5eb}},
 	"world0/ecma-qos3":        {{324, 11354, 47354, 0xf04163a1e7291bb4}, {82, 6042, 85298, 0x61dd42f9139b4d1a}, {34, 3354, 124446, 0xf04163a1e7291bb4}},
-	"world1/plain-dv":         {{1206, 47736, 53788, 0x2c5c76be59c03067}, {189, 17944, 125566, 0xfbfe0c42e6eeb9aa}, {52, 8502, 179341, 0x23d0ad4b9478193c}},
-	"world1/plain-dv-nosplit": {{1818, 78848, 53796, 0x2c5c76be59c03067}, {268, 26628, 125603, 0xfbfe0c42e6eeb9aa}, {80, 12420, 179371, 0x23d0ad4b9478193c}},
+	"world1/plain-dv":         {{1206, 47736, 53788, 0x2c5c76be59c03067}, {189, 17944, 125566, 0xfbfe0c42e6eeb9aa}, {48, 6398, 178341, 0x23d0ad4b9478193c}},
+	"world1/plain-dv-nosplit": {{1818, 78848, 53796, 0x2c5c76be59c03067}, {268, 26628, 125603, 0xfbfe0c42e6eeb9aa}, {76, 9696, 178371, 0x23d0ad4b9478193c}},
 	"world1/ecma":             {{707, 25252, 50129, 0x16d3b99919f3e4fb}, {113, 7628, 86845, 0xa14a6ab3d7afc8aa}, {42, 4802, 131091, 0x16d3b99919f3e4fb}},
 	"world1/ecma-noorder":     {{1011, 37356, 50137, 0x16d3b99919f3e4fb}, {461, 31056, 113090, 0x23d96d7b590c90e}, {57, 6142, 162012, 0x16d3b99919f3e4fb}},
 	"world1/ecma-qos3":        {{735, 31420, 50257, 0xd3ededb567efb7f}, {125, 9200, 88058, 0x81722754228749c7}, {46, 5646, 141825, 0xd3ededb567efb7f}},
-	"world2/plain-dv":         {{955, 37650, 67665, 0xbc2209ae4cddb0c7}, {154, 13964, 128919, 0x9eefa0aa259fd4ae}, {67, 6762, 189887, 0x8a550a3f09f755dd}},
-	"world2/plain-dv-nosplit": {{1433, 61158, 67676, 0xbc2209ae4cddb0c7}, {6873, 357608, 370475, 0x9eefa0aa259fd4ae}, {107, 10282, 446126, 0x8a550a3f09f755dd}},
+	"world2/plain-dv":         {{955, 37650, 67665, 0xbc2209ae4cddb0c7}, {154, 13964, 128919, 0x9eefa0aa259fd4ae}, {65, 5740, 188887, 0x8a550a3f09f755dd}},
+	"world2/plain-dv-nosplit": {{1433, 61158, 67676, 0xbc2209ae4cddb0c7}, {6873, 357608, 370475, 0x9eefa0aa259fd4ae}, {105, 8830, 445126, 0x8a550a3f09f755dd}},
 	"world2/ecma":             {{523, 18828, 64848, 0x2bb7f0ae3922b2ed}, {84, 7434, 109817, 0x64b8af8140f7a10}, {38, 4638, 169219, 0x2bb7f0ae3922b2ed}},
 	"world2/ecma-noorder":     {{825, 31700, 64908, 0xb39a853b7284e6d9}, {5388, 238628, 580521, 0xb250b4244120b121}, {48, 4348, 652409, 0xe3ae3fa324d772d}},
 	"world2/ecma-qos3":        {{527, 24462, 65026, 0xc2ed604f9f0253ed}, {90, 10230, 122688, 0xee6d4eb8f5c26bf8}, {38, 6228, 183007, 0xc2ed604f9f0253ed}},

@@ -1,7 +1,9 @@
-// Package dvcore provides the routing-table machinery shared by the two
-// distance-vector protocols in this repository, plain DV and ECMA: a
-// (destination, QOS)-keyed table with change tracking for triggered updates,
-// and the distance-vector rule that updates it.
+// Package dvcore is the distance-vector protocol that plain DV and ECMA
+// share: a (destination, QOS)-keyed table with change tracking for
+// triggered updates, the distance-vector rule that updates it, and the node
+// and core.System built on them. The two designs differ only in a Design:
+// a name, an infinity, a QOS class count and the rule that decides which
+// routes go to which neighbour.
 package dvcore
 
 import (
@@ -106,7 +108,6 @@ type Table struct {
 	present []bool
 	n       int
 	dirty   Dirty
-	taken   []Key // TakeDirty's result
 }
 
 // NewTable returns an empty table over the given contexts.
@@ -150,49 +151,13 @@ func (t *Table) set(i int, e Entry) bool {
 	return true
 }
 
-// Delete removes the entry for k, marking it dirty if it existed.
-func (t *Table) Delete(k Key) bool {
-	i := t.ctx.Index(k)
-	if i < 0 || !t.present[i] {
-		return false
-	}
-	t.present[i] = false
-	t.entries[i] = Entry{}
-	t.n--
-	t.dirty.Mark(i)
-	return true
-}
-
 // Len returns the number of entries.
 func (t *Table) Len() int { return t.n }
-
-// Entries returns all entries sorted by (dest, qos) for deterministic
-// iteration.
-func (t *Table) Entries() []Entry {
-	out := make([]Entry, 0, t.n)
-	for i, ok := range t.present {
-		if ok {
-			out = append(out, t.entries[i])
-		}
-	}
-	return out
-}
 
 // NextHop returns the next hop for k, or Invalid if absent.
 func (t *Table) NextHop(k Key) ad.ID {
 	e, _ := t.Get(k)
 	return e.NextHop
-}
-
-// TakeDirty returns the keys dirtied since the last call, sorted, and
-// clears the dirty set. The slice is the table's, valid until the next
-// TakeDirty.
-func (t *Table) TakeDirty() []Key {
-	t.taken = t.taken[:0]
-	for _, i := range t.dirty.Take() {
-		t.taken = append(t.taken, t.ctx.Key(int(i)))
-	}
-	return t.taken
 }
 
 // Learn applies the distance-vector rule to a route for k that neighbour

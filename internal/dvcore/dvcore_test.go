@@ -37,48 +37,34 @@ func TestTableSetGet(t *testing.T) {
 	}
 }
 
+// takeDirty returns the keys of the table's dirty contexts and clears them.
+func takeDirty(tbl *Table) []Key {
+	var keys []Key
+	for _, i := range tbl.dirty.Take() {
+		keys = append(keys, tbl.ctx.Key(int(i)))
+	}
+	return keys
+}
+
+// TestTableDirtyTracking: a change marks its context dirty once, a no-op
+// Set marks nothing, and the dirty contexts come out in (dest, qos) order
+// whatever order they changed in.
 func TestTableDirtyTracking(t *testing.T) {
 	tbl := NewTable(testContexts)
-	tbl.Set(Entry{Key: Key{Dest: 1}, Metric: 1, NextHop: 2})
-	tbl.Set(Entry{Key: Key{Dest: 3}, Metric: 1, NextHop: 2})
-	if len(tbl.dirty.list) == 0 {
-		t.Error("no dirty keys after sets")
-	}
-	dirty := tbl.TakeDirty()
-	if len(dirty) != 2 || dirty[0].Dest != 1 || dirty[1].Dest != 3 {
-		t.Errorf("dirty = %v", dirty)
+	tbl.Set(Entry{Key: Key{Dest: 2, QOS: 1}, Metric: 1, NextHop: 9})
+	tbl.Set(Entry{Key: Key{Dest: 2, QOS: 0}, Metric: 1, NextHop: 9})
+	tbl.Set(Entry{Key: Key{Dest: 1, QOS: 3}, Metric: 1, NextHop: 9})
+	tbl.Set(Entry{Key: Key{Dest: 2, QOS: 1}, Metric: 2, NextHop: 9})
+	if d := takeDirty(tbl); len(d) != 3 || d[0] != (Key{Dest: 1, QOS: 3}) || d[1] != (Key{Dest: 2, QOS: 0}) || d[2] != (Key{Dest: 2, QOS: 1}) {
+		t.Errorf("dirty = %v, want 1/3, 2/0, 2/1", d)
 	}
 	if len(tbl.dirty.list) != 0 {
 		t.Error("dirty set not cleared")
 	}
 	// Unchanged set does not re-dirty.
-	tbl.Set(Entry{Key: Key{Dest: 1}, Metric: 1, NextHop: 2})
+	tbl.Set(Entry{Key: Key{Dest: 2, QOS: 0}, Metric: 1, NextHop: 9})
 	if len(tbl.dirty.list) != 0 {
 		t.Error("no-op Set dirtied the table")
-	}
-	// Delete dirties.
-	if !tbl.Delete(Key{Dest: 1}) {
-		t.Error("Delete existing = false")
-	}
-	if tbl.Delete(Key{Dest: 1}) {
-		t.Error("Delete absent = true")
-	}
-	if d := tbl.TakeDirty(); len(d) != 1 || d[0].Dest != 1 {
-		t.Errorf("dirty after delete = %v", d)
-	}
-}
-
-func TestTableEntriesSorted(t *testing.T) {
-	tbl := NewTable(testContexts)
-	tbl.Set(Entry{Key: Key{Dest: 2, QOS: 1}, Metric: 1, NextHop: 9})
-	tbl.Set(Entry{Key: Key{Dest: 2, QOS: 0}, Metric: 1, NextHop: 9})
-	tbl.Set(Entry{Key: Key{Dest: 1, QOS: 3}, Metric: 1, NextHop: 9})
-	es := tbl.Entries()
-	if len(es) != 3 {
-		t.Fatalf("entries = %d", len(es))
-	}
-	if es[0].Key != (Key{Dest: 1, QOS: 3}) || es[1].Key != (Key{Dest: 2, QOS: 0}) || es[2].Key != (Key{Dest: 2, QOS: 1}) {
-		t.Errorf("order = %v", es)
 	}
 }
 
@@ -136,7 +122,7 @@ func TestPoison(t *testing.T) {
 	tbl := NewTable(testContexts)
 	tbl.Set(Entry{Key: Key{Dest: 1}, Metric: 3, NextHop: 7, Flags: 1})
 	tbl.Set(Entry{Key: Key{Dest: 2}, Metric: 4, NextHop: 8})
-	tbl.TakeDirty()
+	takeDirty(tbl)
 	if !tbl.Poison(7, 16) {
 		t.Fatal("Poison(7) reported no change")
 	}
@@ -146,7 +132,7 @@ func TestPoison(t *testing.T) {
 	if e, _ := tbl.Get(Key{Dest: 2}); e.NextHop != 8 || e.Metric != 4 {
 		t.Errorf("route via another neighbour changed: %+v", e)
 	}
-	if d := tbl.TakeDirty(); len(d) != 1 || d[0].Dest != 1 {
+	if d := takeDirty(tbl); len(d) != 1 || d[0].Dest != 1 {
 		t.Errorf("dirty after Poison = %v", d)
 	}
 	if tbl.Poison(7, 16) {
@@ -161,14 +147,14 @@ func TestViaNeighbor(t *testing.T) {
 	tbl.Set(Entry{Key: Key{Dest: 1}, Metric: 2, NextHop: 7})
 	tbl.Set(Entry{Key: Key{Dest: 2}, Metric: 2, NextHop: 8})
 	tbl.Set(Entry{Key: Key{Dest: 3, QOS: 1}, Metric: 2, NextHop: 7})
-	tbl.TakeDirty()
-	if tbl.Poison(99, 16) || len(tbl.TakeDirty()) != 0 {
+	takeDirty(tbl)
+	if tbl.Poison(99, 16) || len(takeDirty(tbl)) != 0 {
 		t.Error("Poison(99) changed the table")
 	}
 	if !tbl.Poison(7, 16) {
 		t.Fatal("Poison(7) missed the routes via 7")
 	}
-	if d := tbl.TakeDirty(); len(d) != 2 || d[0] != (Key{Dest: 1}) || d[1] != (Key{Dest: 3, QOS: 1}) {
+	if d := takeDirty(tbl); len(d) != 2 || d[0] != (Key{Dest: 1}) || d[1] != (Key{Dest: 3, QOS: 1}) {
 		t.Errorf("routes via 7 = %v, want 1/0 and 3/1", d)
 	}
 }

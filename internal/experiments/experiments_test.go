@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/protocols"
+	"repro/internal/topology"
 )
 
 func parseFloat(t *testing.T, s string) float64 {
@@ -282,6 +284,32 @@ func TestE9TrafficGrowsWithSize(t *testing.T) {
 			if bytes[i] <= bytes[i-1] {
 				t.Errorf("%s: bytes not growing: %v", proto, bytes)
 				break
+			}
+		}
+	}
+}
+
+// TestE9FloodIdentity holds the link-state designs' cold start to its
+// closed form. Each AD's LSA leaves its origin on every link there and
+// leaves every other AD on every link but the one it first arrived on, so
+// an internet of N ADs and L links floods exactly N·(2L − N + 1) messages.
+// E9's four internets make 42, 910, 5,670 and 25,308.
+func TestE9FloodIdentity(t *testing.T) {
+	want := [][3]int{{7, 6, 42}, {26, 30, 910}, {63, 76, 5670}, {148, 159, 25308}}
+	for i, c := range e9Sizes(seed) {
+		g := topology.Generate(c).Graph
+		n, l := g.NumADs(), g.NumLinks()
+		if w := want[i]; n != w[0] || l != w[1] || n*(2*l-n+1) != w[2] {
+			t.Fatalf("internet %d: %d ADs, %d links, flood %d; want %v", i, n, l, n*(2*l-n+1), w)
+		}
+		db := e9Policy(g, seed)
+		for _, name := range []string{"lshh", "orwg"} {
+			sys := protocols.Lookup(name).New(g.Clone(), db)
+			if _, ok := sys.Converge(convergenceLimit); !ok {
+				t.Fatalf("%s on %d ADs did not converge", name, n)
+			}
+			if got := sys.Network().Stats.MessagesSent; got != uint64(want[i][2]) {
+				t.Errorf("%s on %d ADs, %d links: %d messages, want %d", name, n, l, got, want[i][2])
 			}
 		}
 	}

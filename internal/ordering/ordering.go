@@ -169,62 +169,67 @@ func FromConstraints(universe []ad.ID, cons []Constraint) (Ordering, bool) {
 // cycleFinder is the constraint digraph Above -> Below over dense node
 // numbers, built once per negotiation. Node i is the i-th smallest AD ID
 // named by any constraint; out[off[u]:off[u+1]] are u's constraint indices
-// in constraint order. Dropping a constraint clears its live bit, so each
-// round searches the same arrays.
+// in constraint order. Dropping a constraint sets its tail to -1, so each
+// round searches the same arrays. Every array is carved from one slab.
 type cycleFinder struct {
 	head   []int32 // dense Above of each constraint
-	tail   []int32 // dense Below of each constraint
+	tail   []int32 // dense Below of each constraint, -1 once dropped
 	off    []int32
 	out    []int32
-	live   []bool
-	color  []uint8 // white, gray or black, per node
+	color  []int32 // white, gray or black, per node
 	parent []int32 // constraint by which the DFS entered each node
 	stack  []int32 // DFS path: node u at depth d resumes at out[pos[d]]
 	pos    []int32
 }
 
 const (
-	white uint8 = iota
+	white int32 = iota
 	gray
 	black
 )
 
-func newCycleFinder(cons []Constraint) *cycleFinder {
+func newCycleFinder(cons []Constraint) cycleFinder {
 	// Sort the endpoints as (AD ID, 2i for Above or 2i+1 for Below) so one
-	// walk numbers the ADs in ascending ID.
-	ends := make([]uint64, 0, 2*len(cons))
+	// walk numbers the ADs in ascending ID; it writes each endpoint's
+	// number over its ID.
+	m := len(cons)
+	ends := make([]uint64, 0, 2*m)
 	for i, c := range cons {
 		ends = append(ends, uint64(c.Above)<<32|uint64(2*i), uint64(c.Below)<<32|uint64(2*i+1))
 	}
 	slices.Sort(ends)
-	f := &cycleFinder{
-		head: make([]int32, len(cons)),
-		tail: make([]int32, len(cons)),
-		out:  make([]int32, len(cons)),
-		live: make([]bool, len(cons)),
-	}
-	n := int32(0) // ADs numbered so far
+	n, prev := 0, uint64(0) // ADs numbered so far, and the last one's ID
 	for j, e := range ends {
-		if j == 0 || e>>32 != ends[j-1]>>32 {
-			n++
+		if id := e >> 32; j == 0 || id != prev {
+			n, prev = n+1, id
 		}
+		ends[j] = uint64(n-1)<<32 | e&(1<<32-1)
+	}
+	slab := make([]int32, 3*m+5*n+1)
+	carve := func(k int) []int32 {
+		s := slab[:k:k]
+		slab = slab[k:]
+		return s
+	}
+	f := cycleFinder{
+		head: carve(m), tail: carve(m), out: carve(m), off: carve(n + 1),
+		color: carve(n), parent: carve(n), stack: carve(n)[:0], pos: carve(n)[:0],
+	}
+	for _, e := range ends {
 		if i := uint32(e) / 2; e&1 == 0 {
-			f.head[i] = n - 1
+			f.head[i] = int32(e >> 32)
 		} else {
-			f.tail[i] = n - 1
+			f.tail[i] = int32(e >> 32)
 		}
 	}
-	f.off = make([]int32, n+1)
-	f.color = make([]uint8, n)
-	f.parent = make([]int32, n)
-	for i, u := range f.head {
+	for _, u := range f.head {
 		f.off[u+1]++
-		f.live[i] = true
 	}
-	for u := int32(0); u < n; u++ {
+	for u := 0; u < n; u++ {
 		f.off[u+1] += f.off[u]
 	}
-	next := slices.Clone(f.off[:n])
+	// The build's cursors borrow the DFS stack, empty until find.
+	next := append(f.stack, f.off[:n]...)
 	for i, u := range f.head {
 		f.out[next[u]] = int32(i)
 		next[u]++
@@ -256,10 +261,11 @@ func (f *cycleFinder) find() int {
 			}
 			ei := f.out[f.pos[d]]
 			f.pos[d]++
-			if !f.live[ei] {
+			v := f.tail[ei]
+			if v < 0 {
 				continue
 			}
-			switch v := f.tail[ei]; f.color[v] {
+			switch f.color[v] {
 			case white:
 				f.color[v] = gray
 				f.parent[v] = ei
@@ -288,12 +294,12 @@ func (f *cycleFinder) find() int {
 func Negotiate(cons []Constraint) (kept []Constraint, rounds int) {
 	f := newCycleFinder(cons)
 	for drop := f.find(); drop >= 0; drop = f.find() {
-		f.live[drop] = false
+		f.tail[drop] = -1
 		rounds++
 	}
 	kept = make([]Constraint, 0, len(cons)-rounds)
 	for i, c := range cons {
-		if f.live[i] {
+		if f.tail[i] >= 0 {
 			kept = append(kept, c)
 		}
 	}

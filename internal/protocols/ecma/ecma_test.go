@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/ad"
 	"repro/internal/core"
-	"repro/internal/dvcore"
+	"repro/internal/ordering"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -78,13 +78,14 @@ func TestStubsDoNotTransit(t *testing.T) {
 func TestUpDownRuleOnPaths(t *testing.T) {
 	// Every forwarding path must satisfy the up/down (valley-free) rule.
 	s, topo, _ := figure1System(t, Config{})
+	order := ordering.FromLevels(topo.Graph)
 	for _, src := range topo.Graph.IDs() {
 		for _, dst := range topo.Graph.IDs() {
 			if src == dst {
 				continue
 			}
 			out := s.Route(policy.Request{Src: src, Dst: dst})
-			if out.Delivered && !s.order.UpDownValid(out.Path) {
+			if out.Delivered && !order.UpDownValid(out.Path) {
 				t.Errorf("%v->%v path violates up/down rule: %v", src, dst, out.Path)
 			}
 		}
@@ -283,14 +284,13 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestTableAccessors(t *testing.T) {
-	s, topo, _ := figure1System(t, Config{})
-	id := topo.Graph.IDs()[0]
+	s, topo, _ := figure1System(t, Config{QOSClasses: 2})
 	if s.StateEntries() == 0 || s.Computations() == 0 {
 		t.Error("counters zero after convergence")
 	}
 	// Self routes exist per QOS class.
-	if _, ok := s.nodes[id].table.Get(dvcore.Key{Dest: id, QOS: 0}); !ok {
-		t.Error("self route missing")
+	if n := topo.Graph.NumADs(); s.StateEntries() < 2*n {
+		t.Errorf("StateEntries = %d, below one self route per AD and class (%d)", s.StateEntries(), 2*n)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ad"
 	"repro/internal/core"
-	"repro/internal/dvcore"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -34,17 +33,16 @@ func TestConvergesOnLine(t *testing.T) {
 	if _, ok := s.Converge(time(60)); !ok {
 		t.Fatal("did not converge")
 	}
-	// Every node must know every destination with the right metric.
+	// Every node must reach every destination over the line, each hop
+	// costing 1.
 	for i, id := range ids {
-		tbl := s.nodes[id].table
 		for j, dst := range ids {
-			e, ok := tbl.Get(dvcore.Key{Dest: dst})
-			if !ok {
+			out := s.Route(policy.Request{Src: id, Dst: dst})
+			if !out.Delivered {
 				t.Fatalf("%v missing route to %v", id, dst)
 			}
-			want := uint32(abs(i - j))
-			if e.Metric != want {
-				t.Errorf("%v->%v metric = %d, want %d", id, dst, e.Metric, want)
+			if want := abs(i - j); out.Path.Hops() != want {
+				t.Errorf("%v->%v path = %v, want %d hops", id, dst, out.Path, want)
 			}
 		}
 	}
