@@ -68,6 +68,28 @@ func TestTableDirtyTracking(t *testing.T) {
 	}
 }
 
+// TestTableEntriesSorted: walking the table's slots in index order, as a
+// full-table answer does, yields its entries sorted by (dest, qos) whatever
+// order they were set in.
+func TestTableEntriesSorted(t *testing.T) {
+	tbl := NewTable(testContexts)
+	tbl.Set(Entry{Key: Key{Dest: 2, QOS: 1}, Metric: 1, NextHop: 9})
+	tbl.Set(Entry{Key: Key{Dest: 2, QOS: 0}, Metric: 1, NextHop: 9})
+	tbl.Set(Entry{Key: Key{Dest: 1, QOS: 3}, Metric: 1, NextHop: 9})
+	var es []Entry
+	for i, ok := range tbl.present {
+		if ok {
+			es = append(es, tbl.entries[i])
+		}
+	}
+	if len(es) != 3 {
+		t.Fatalf("entries = %d", len(es))
+	}
+	if es[0].Key != (Key{Dest: 1, QOS: 3}) || es[1].Key != (Key{Dest: 2, QOS: 0}) || es[2].Key != (Key{Dest: 2, QOS: 1}) {
+		t.Errorf("order = %v", es)
+	}
+}
+
 func TestNextHop(t *testing.T) {
 	tbl := NewTable(testContexts)
 	tbl.Set(Entry{Key: Key{Dest: 1}, NextHop: 4})
