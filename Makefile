@@ -72,7 +72,8 @@ race:
 # policy.ADSet, the simulator's message path (a warm SendMessage and
 # delivery, a warm schedule-and-run of the event queue, a stale flooded
 # copy, a new copy another AD of the system decoded, a path-vector decode
-# through a warm set table, IDRP's tie-break and a warm IDRP Receive, a
+# through a warm set table, IDRP's tie-break, a warm IDRP Receive and an
+# IDRP flush with one of the AD's links down, a
 # warm EGP Receive, a distance-vector table's Get/Set/Learn/Poison, one
 # allocation per forwarding walk) and the PG tables (an empty hard, soft and
 # capped table, and a small table's first slab) skip themselves under -race
@@ -198,9 +199,10 @@ bench-kernel:
 # from one goroutine, from every core on Zipf keys (the two must stay close:
 # a hit writes nothing another core reads), and a miss on a capped server
 # behind a stub strategy, which is insert, reverse-index upkeep and CLOCK
-# eviction with the search taken out.
+# eviction with the search taken out, from one goroutine and from every core
+# (where the misses contend for the table's one lock).
 bench-cache:
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryHit$$|BenchmarkQueryHitParallel$$|BenchmarkMissInsertEvict$$' -benchmem -count 5 ./internal/routeserver/
+	$(GO) test -run '^$$' -bench 'BenchmarkQueryHit$$|BenchmarkQueryHitParallel$$|BenchmarkMissInsertEvict$$|BenchmarkMissInsertEvictParallel$$' -benchmem -count 5 ./internal/routeserver/
 
 # bench-sim is the discrete-event protocol layer repro_suite times, five
 # samples each: E10's 320-constraint row, 200 negotiations over 60 ADs

@@ -1,5 +1,5 @@
 // Command routed fronts the route-server serving layer (§5.4): a concurrent
-// query engine — sharded route cache, request coalescing, scoped and full
+// query engine — one route cache, request coalescing, scoped and full
 // invalidation — wrapped around a route-synthesis strategy.
 //
 // Three modes:
@@ -62,7 +62,7 @@
 //
 //	routed [-strategy on-demand|precomputed|hybrid|pruned] [-load] [-connect addr] \
 //	       [-scenario file.json] [-seed N] [-requests N] [-model zipf] \
-//	       [-clients N] [-churn] [-cache N] [-shards N] [-workers N] \
+//	       [-clients N] [-churn] [-cache N] [-workers N] \
 //	       [-qos N] [-uci N] [-bench-json file] \
 //	       [-state hard|soft|capped] [-state-ttl dur] [-state-cap N] \
 //	       [-cpuprofile file] [-memprofile file] \
@@ -100,7 +100,6 @@ func run() int {
 		seed           = flag.Int64("seed", 42, "seed for the generated internet and workload")
 		strategy       = flag.String("strategy", "on-demand", "synthesis strategy: on-demand, precomputed, hybrid, pruned")
 		cacheCap       = flag.Int("cache", 0, "server route-cache capacity in entries (0 = default, <0 = unbounded)")
-		shards         = flag.Int("shards", 0, "cache shard count, rounded up to a power of two (0 = default)")
 		workers        = flag.Int("workers", 0, "max concurrent synthesis computations (0 = GOMAXPROCS)")
 		load           = flag.Bool("load", false, "run the load generator instead of reading stdin")
 		clients        = flag.Int("clients", 4, "concurrent client goroutines in load mode")
@@ -167,7 +166,6 @@ func run() int {
 		return 2
 	}
 	srv := routeserver.New(strat, routeserver.Config{
-		Shards:   *shards,
 		Capacity: *cacheCap,
 		Workers:  *workers,
 		// The query-log ring feeds "plan" its recorded-workload mode: a plan

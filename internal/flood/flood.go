@@ -250,17 +250,8 @@ func (f *Flooder) floodScoped(nw *sim.Network, payload []byte, skip ...ad.ID) in
 		return nw.Flood(f.Self, payload, skip...)
 	}
 	sent := 0
-	for _, n := range nw.UpNeighbors(f.Self) {
-		skipped := !f.Scope(n)
-		for _, s := range skip {
-			if n == s {
-				skipped = true
-			}
-		}
-		if skipped {
-			continue
-		}
-		if nw.Send(f.Self, n, payload) {
+	for _, n := range nw.Graph.Neighbors(f.Self) {
+		if nw.LinkIsUp(f.Self, n) && f.Scope(n) && !slices.Contains(skip, n) && nw.Send(f.Self, n, payload) {
 			sent++
 		}
 	}

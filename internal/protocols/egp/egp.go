@@ -158,13 +158,7 @@ func (n *node) advertise(nw *sim.Network, routes []wire.EGPRoute, skip ad.ID) {
 		return
 	}
 	n.sys.tx.Routes = routes
-	msg := nw.Encode(&n.sys.tx)
-	for _, nb := range nw.UpNeighbors(n.id) {
-		if nb == skip {
-			continue
-		}
-		nw.Send(n.id, nb, msg)
-	}
+	nw.Flood(n.id, nw.Encode(&n.sys.tx), skip)
 }
 
 func (n *node) Receive(nw *sim.Network, from ad.ID, payload []byte) {

@@ -382,8 +382,8 @@ func (n *node) flushTo(nw *sim.Network, keys []int32, only ad.ID) {
 		s.ends = append(s.ends, len(s.exports))
 	}
 	upd := &s.upd
-	for _, nb := range nw.UpNeighbors(n.id) {
-		if only != ad.Invalid && nb != only {
+	for _, nb := range nw.Graph.Neighbors(n.id) {
+		if only != ad.Invalid && nb != only || !nw.LinkIsUp(n.id, nb) {
 			continue
 		}
 		upd.Routes = upd.Routes[:0]

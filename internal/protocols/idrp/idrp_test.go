@@ -505,6 +505,51 @@ func TestAllocsWarmReceive(t *testing.T) {
 	}
 }
 
+// TestAllocsFlushWithALinkDown: a flush from an AD one of whose links is
+// down walks its neighbours in place, past the down one, and sends its
+// update to the rest without allocating.
+func TestAllocsFlushWithALinkDown(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g := topology.Figure1().Graph
+	s := New(g, policy.OpenDB(g), Config{})
+	if _, ok := s.Converge(seconds(60)); !ok {
+		t.Fatal("did not converge")
+	}
+	hub := g.IDs()[0]
+	for _, id := range g.IDs() {
+		if g.Degree(id) > g.Degree(hub) {
+			hub = id
+		}
+	}
+	if err := s.FailLink(hub, g.Neighbors(hub)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Converge(seconds(60)); !ok {
+		t.Fatal("did not reconverge")
+	}
+	n := s.node(hub)
+	var keys []int32
+	for k, c := range n.nadv {
+		if c > 0 {
+			keys = append(keys, int32(k))
+		}
+	}
+	flush := func() {
+		n.flushTo(s.nw, keys, ad.Invalid)
+		s.nw.Engine.Run()
+	}
+	flush()
+	sent := s.nw.Stats.MessagesSent
+	if allocs := testing.AllocsPerRun(100, flush); allocs != 0 {
+		t.Errorf("flush with a link down: %v allocs, want 0", allocs)
+	}
+	if got, want := s.nw.Stats.MessagesSent-sent, uint64(101*(g.Degree(hub)-1)); got != want {
+		t.Errorf("%d updates sent, want %d: one per up neighbour per flush", got, want)
+	}
+}
+
 // TestConvergesWhenAFlushOverflowsOneFrame converges IDRP on a 438-AD
 // internet where one flush's dirty contexts once made a path-vector update
 // whose body overran the 16-bit length field, which panicked the simulator.

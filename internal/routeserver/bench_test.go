@@ -12,7 +12,7 @@ import (
 
 // The cache layer of the ladder (make bench-cache): a cached answer from one
 // goroutine, from all of them on a skewed key set, and a miss with the
-// search taken out.
+// search taken out, from one goroutine and from all of them.
 
 // stubStrategy answers every request with the two-hop path src → dst at no
 // cost, and a footprint the size a real route's is on the benchmark's
@@ -102,6 +102,38 @@ func BenchmarkMissInsertEvict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchSink = srv.Query(tape[i&(len(tape)-1)])
 	}
+	b.StopTimer()
+	if s := srv.Snapshot(); float64(s.Misses) < 0.9*float64(s.Queries) {
+		b.Fatalf("only %d of %d queries missed", s.Misses, s.Queries)
+	}
+}
+
+// BenchmarkMissInsertEvictParallel is BenchmarkMissInsertEvict from every
+// core: the goroutines take the tape in chunks of 64 from one cursor, so
+// together they issue it in nearly its serial order, miss as often, and
+// contend for the table's lock (the claim, and the insert with its eviction
+// and index upkeep).
+func BenchmarkMissInsertEvictParallel(b *testing.B) {
+	const capacity = 4096
+	tape := benchTape(1<<16, 16*capacity, false)
+	srv := New(stubStrategy{}, Config{Capacity: capacity})
+	for _, req := range tape[:2*capacity] {
+		srv.Query(req)
+	}
+	var cursor atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var res Result
+		for i, end := 0, 0; pb.Next(); i++ {
+			if i == end {
+				end = int(cursor.Add(64))
+				i = end - 64
+			}
+			res = srv.Query(tape[i&(len(tape)-1)])
+		}
+		_ = res
+	})
 	b.StopTimer()
 	if s := srv.Snapshot(); float64(s.Misses) < 0.9*float64(s.Queries) {
 		b.Fatalf("only %d of %d queries missed", s.Misses, s.Queries)

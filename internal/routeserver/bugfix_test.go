@@ -99,13 +99,9 @@ func TestCoalescePanicSafety(t *testing.T) {
 	}
 
 	// The claim must not leak.
-	leaked := 0
-	for i := range srv.shards {
-		sh := &srv.shards[i]
-		sh.mu.Lock()
-		leaked += len(sh.pending)
-		sh.mu.Unlock()
-	}
+	srv.tab.mu.Lock()
+	leaked := len(srv.tab.pending)
+	srv.tab.mu.Unlock()
 	if leaked != 0 {
 		t.Fatalf("%d claims leaked", leaked)
 	}
@@ -139,15 +135,14 @@ func TestEvictScopedCountsActualDeletions(t *testing.T) {
 	// edges in place, as a racing deletion between index resolution and the
 	// eviction sweep would.
 	k := rCheap
-	sh := &srv.shards[hash(k)&srv.mask]
-	sh.mu.Lock()
-	e := sh.get(k, hash(k))
+	srv.tab.mu.Lock()
+	e := srv.tab.get(k, hash(k))
 	if e == nil {
-		sh.mu.Unlock()
+		srv.tab.mu.Unlock()
 		t.Fatal("warm entry missing")
 	}
-	sh.detach(e)
-	sh.mu.Unlock()
+	srv.tab.detach(e)
+	srv.tab.mu.Unlock()
 
 	evicted, _ := srv.MutateScoped(
 		synthesis.LinkDownChange(t1, dst), func() { g.RemoveLink(t1, dst) })

@@ -3,16 +3,15 @@
 // clients, and §5.4.1 leaves open how to make that fast at scale. This
 // package wraps any synthesis.Strategy behind a thread-safe query engine:
 //
-//   - a sharded route cache keyed by (src, dst, QOS, UCI, hour) whose hits
-//     take no lock (see table.go: each shard owns its entries; replacement
-//     is CLOCK), purged outright on an unscoped topology/policy-change
-//     event,
-//   - a per-shard reverse dependency index (link → entries, term → entries,
+//   - one route cache keyed by (src, dst, QOS, UCI, hour) whose hits take
+//     no lock (see table.go: the table owns its entries; replacement is
+//     CLOCK), purged outright on an unscoped topology/policy-change event,
+//   - a reverse dependency index (link → entries, term → entries,
 //     negative-entry set) fed by each route's synthesis.Footprint, so
 //     MutateScoped evicts only the entries a change can affect while the
 //     rest of the cache keeps serving with zero recomputation,
 //   - request coalescing in the same table: a key is resident, pending or
-//     absent in its shard, so concurrent misses for one key run one synthesis,
+//     absent in the table, so concurrent misses for one key run one synthesis,
 //   - a reader/writer strategy lock: misses for distinct keys synthesize
 //     concurrently on the strategy's read plane (Route/Footprint are
 //     concurrent-safe; see synthesis.Strategy), while mutations and
@@ -27,7 +26,7 @@
 // invalidation or after it, never a mix — an entry that is present is
 // current. Every mutation runs under the write side of the strategy lock,
 // which drains every in-flight synthesis first: a full invalidation then
-// purges every shard, a scoped mutation evicts every dependent entry, both
+// purges the cache, a scoped mutation evicts every dependent entry, both
 // before any post-change synthesis can run; a computation still pending when
 // the mutation returns has not searched yet, so a query that joins it gets a
 // post-change answer. Entries retained across a scoped mutation are
@@ -59,9 +58,11 @@ type Key = policy.Request
 func KeyOf(req policy.Request) Key { return req }
 
 // hash is FNV-1a over the key's eleven bytes (Src and Dst little-endian,
-// then QOS, UCI, Hour), written out straight: no slice, no closure. Its low
-// bits pick the cache shard, so DumpEntries and HA snapshot order depend on
-// it; TestHashPinned holds the values.
+// then QOS, UCI, Hour), written out straight: no slice, no closure. It
+// places a key in the cache's index and nothing else: no output depends on
+// it, since every walk of the cache is in ring-slot order. TestHashPinned
+// holds it to the looped FNV-1a it replaced, so every byte of the key keeps
+// reaching the index's home slot.
 func hash(k Key) uint32 {
 	const prime = 16777619
 	h := uint32(2166136261)
@@ -87,16 +88,11 @@ type Result struct {
 	Found bool
 }
 
-// Config parameterizes a Server. The zero value is usable: 16 shards,
-// 65536 total entries, one miss worker per CPU.
+// Config parameterizes a Server. The zero value is usable: 65536 entries,
+// one miss worker per CPU.
 type Config struct {
-	// Shards is the cache shard count, rounded up to a power of two
-	// (default 16). Hits take no lock; more shards = less contention among
-	// inserts and evictions, which lock one shard each.
-	Shards int
-	// Capacity is the total cache capacity in entries, split evenly
-	// across shards, each of which replaces by CLOCK once full (default
-	// 65536; < 0 = unbounded).
+	// Capacity is the cache capacity in entries; a full cache replaces by
+	// CLOCK (default 65536; < 0 = unbounded).
 	Capacity int
 	// Workers bounds concurrent miss computations (default GOMAXPROCS).
 	// Coalesced waiters do not consume workers.
@@ -109,15 +105,6 @@ type Config struct {
 }
 
 func (c Config) normalize() Config {
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
-	// Round up to a power of two so shard selection is a mask.
-	n := 1
-	for n < c.Shards {
-		n <<= 1
-	}
-	c.Shards = n
 	if c.Capacity == 0 {
 		c.Capacity = 1 << 16
 	}
@@ -148,7 +135,7 @@ type MetricsSnapshot struct {
 	// Queries is the total query count; every query is exactly one of a
 	// Hit, a Miss (it ran the synthesis), or a Coalesced wait.
 	Queries uint64
-	// Hits were served from the sharded cache.
+	// Hits were served from the cache.
 	Hits uint64
 	// Misses ran a synthesis computation (the leaders).
 	Misses uint64
@@ -190,10 +177,8 @@ func (s MetricsSnapshot) HitRate() float64 {
 // any number of goroutines; Mutate and MutateScoped may run concurrently with
 // queries.
 type Server struct {
-	cfg     Config
 	epoch   atomic.Uint64 // bumped by full AND scoped mutations; see Epoch
-	shards  []shard
-	mask    uint32
+	tab     table
 	met     Metrics
 	workers chan struct{}
 	// stratMu splits the strategy into a concurrent-read plane and an
@@ -201,14 +186,12 @@ type Server struct {
 	// (synthesis.Strategy's Route/Footprint/Stats are concurrent-safe),
 	// mutations and rebuilds hold the write side. The cache is purged only
 	// under the write side, so a read-side holder inserts into a cache no
-	// invalidation can cross for the duration of its hold.
-	stratMu sync.RWMutex
-	// seqMu sequences cache inserts and the OnInsert hook among concurrent
-	// read-side holders, so HA replication observes puts in one total
-	// order; mutations order against inserts through stratMu itself (the
-	// write side drains every reader first). Lock order is
-	// stratMu(R) → seqMu → shard.mu, nowhere reversed.
-	seqMu    sync.Mutex
+	// invalidation can cross for the duration of its hold. An insert holds
+	// tab.mu across the put, the claim withdrawal and the OnInsert hook, so
+	// HA replication observes puts in one total order; mutations order
+	// against inserts through stratMu itself (the write side drains every
+	// reader first). Lock order is stratMu(R) → tab.mu, nowhere reversed.
+	stratMu  sync.RWMutex
 	strategy synthesis.Strategy
 	onInsert func(Key, Result, synthesis.Footprint)
 	qlog     queryLog
@@ -299,21 +282,12 @@ func (q *queryLog) recent() []policy.Request {
 func New(strategy synthesis.Strategy, cfg Config) *Server {
 	cfg = cfg.normalize()
 	s := &Server{
-		cfg:      cfg,
-		shards:   make([]shard, cfg.Shards),
-		mask:     uint32(cfg.Shards - 1),
 		workers:  make(chan struct{}, cfg.Workers),
 		strategy: strategy,
 	}
-	perShard := 0 // unbounded
-	if cfg.Capacity > 0 {
-		perShard = (cfg.Capacity + cfg.Shards - 1) / cfg.Shards
-	}
-	for i := range s.shards {
-		s.shards[i].capacity = perShard
-		s.shards[i].pending = make(map[Key]*call)
-		s.shards[i].purge()
-	}
+	s.tab.capacity = max(cfg.Capacity, 0)
+	s.tab.pending = make(map[Key]*call)
+	s.tab.purge()
 	if cfg.QueryLog > 0 {
 		s.qlog.buf = make([]querySlot, cfg.QueryLog)
 	}
@@ -335,21 +309,13 @@ func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 // replays them as the recorded workload.
 func (s *Server) RecentQueries() []policy.Request { return s.qlog.recent() }
 
-// insert stores a result and indexes its dependency footprint; a leader's
-// insert withdraws its claim on k in the same critical section. Every caller
+// insert stores a result and indexes its dependency footprint. Every caller
 // holds at least the read side of stratMu from before the search to after
 // the insert, and the cache is purged only under the write side, so a result
-// computed against one state never lands behind a full invalidation.
-func (s *Server) insert(k Key, res Result, fp synthesis.Footprint, lead bool) {
-	h := hash(k)
-	sh := &s.shards[h&s.mask]
-	sh.mu.Lock()
-	evicted := sh.put(k, h, res, fp)
-	if lead {
-		delete(sh.pending, k)
-	}
-	sh.mu.Unlock()
-	if evicted {
+// computed against one state never lands behind a full invalidation. Caller
+// holds tab.mu.
+func (s *Server) insert(k Key, res Result, fp synthesis.Footprint) {
+	if s.tab.put(k, hash(k), res, fp) {
 		s.met.evictions.Add(1)
 	}
 }
@@ -371,22 +337,21 @@ func (s *Server) Query(req policy.Request) Result {
 // so sampling adds no shared write.
 const latencySample = 64
 
-// serve answers from the shard that owns the key: a lock-free get, and when
-// that misses a claim, which makes the query a hit after all, a waiter on
-// the key's pending computation, or its leader.
+// serve answers from the cache: a lock-free get, and when that misses a
+// claim, which makes the query a hit after all, a waiter on the key's
+// pending computation, or its leader.
 func (s *Server) serve(req policy.Request) Result {
 	s.qlog.record(req)
 
 	h := hash(req)
-	sh := &s.shards[h&s.mask]
-	e := sh.get(req, h)
+	e := s.tab.get(req, h)
 	var c *call
 	var lead bool
 	if e == nil {
 		if s.afterLookupMiss != nil {
 			s.afterLookupMiss()
 		}
-		e, c, lead = sh.claim(req, h)
+		e, c, lead = s.tab.claim(req, h)
 	}
 	var res Result
 	switch {
@@ -394,7 +359,7 @@ func (s *Server) serve(req policy.Request) Result {
 		res = e.result()
 		s.met.hits.Add(1)
 	case lead:
-		res = s.lead(sh, req, c)
+		res = s.lead(req, c)
 		s.met.misses.Add(1)
 	default:
 		c.wg.Wait()
@@ -411,15 +376,15 @@ func (s *Server) serve(req policy.Request) Result {
 // on c. If the computation panics, the leader withdraws the claim here
 // unless its insert already had, and re-panics; its waiters observe the zero
 // Result ("no legal route") rather than blocking forever.
-func (s *Server) lead(sh *shard, k Key, c *call) Result {
+func (s *Server) lead(k Key, c *call) Result {
 	done := false
 	defer func() {
 		if !done {
-			sh.mu.Lock()
-			if sh.pending[k] == c {
-				delete(sh.pending, k)
+			s.tab.mu.Lock()
+			if s.tab.pending[k] == c {
+				delete(s.tab.pending, k)
 			}
-			sh.mu.Unlock()
+			s.tab.mu.Unlock()
 		}
 		c.wg.Done()
 	}()
@@ -435,11 +400,11 @@ func (s *Server) lead(sh *shard, k Key, c *call) Result {
 // therefore waits for every in-flight search, so every in-flight result is
 // either inserted before the purge or scoped eviction runs (and dropped if
 // dependent) or computed after the mutation (and already post-change) —
-// never a stale result landing behind a completed invalidation. The insert
-// and the OnInsert hook run under seqMu while still holding the read side:
-// inserts form one total order among themselves, and order against
-// mutations through stratMu, so HA replication replays puts and control
-// mutations in stream order.
+// never a stale result landing behind a completed invalidation. The insert,
+// the claim's withdrawal and the OnInsert hook run under tab.mu while still
+// holding the read side: inserts form one total order among themselves, and
+// order against mutations through stratMu, so HA replication replays puts
+// and control mutations in stream order.
 //
 // Unlock via defer throughout: a panicking strategy must not leave the
 // strategy lock held, or every later query and mutation would deadlock.
@@ -447,9 +412,10 @@ func (s *Server) compute(req policy.Request) Result {
 	s.stratMu.RLock()
 	defer s.stratMu.RUnlock()
 	res, fp := s.search(req)
-	s.seqMu.Lock()
-	defer s.seqMu.Unlock()
-	s.insert(req, res, fp, true)
+	s.tab.mu.Lock()
+	defer s.tab.mu.Unlock()
+	s.insert(req, res, fp)
+	delete(s.tab.pending, req)
 	if s.onInsert != nil {
 		s.onInsert(req, res, fp)
 	}
@@ -491,7 +457,7 @@ func (s *Server) Mutate(fn func()) {
 // routable (link restored, terms added) — cached negative answers.
 // Everything else keeps serving with zero recomputation. The wrapped
 // strategy gets the same change for partial invalidation of its own
-// tables. A ChangeFull purges every shard instead.
+// tables. A ChangeFull purges the whole cache instead.
 //
 // Returns the evicted and retained entry counts; a full change resolves no
 // victims and reports (0, 0).
@@ -503,25 +469,19 @@ func (s *Server) MutateScoped(ch synthesis.Change, fn func()) (evicted, retained
 	}
 	s.epoch.Add(1)
 	if ch.Kind == synthesis.ChangeFull {
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			sh.purge()
-			sh.mu.Unlock()
-		}
+		s.tab.mu.Lock()
+		s.tab.purge()
+		s.tab.mu.Unlock()
 		s.strategy.Invalidate()
 		s.met.invalidations.Add(1)
 		return 0, 0
 	}
 	// Every pre-mutation search finished under the read side of stratMu —
 	// which acquiring the write side drained — and is indexed by now.
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		evicted += sh.evictScoped(ch)
-		retained += sh.live
-		sh.mu.Unlock()
-	}
+	s.tab.mu.Lock()
+	evicted = s.tab.evictScoped(ch)
+	retained = s.tab.live
+	s.tab.mu.Unlock()
 	s.strategy.InvalidateScoped(ch)
 	s.met.scopedMutations.Add(1)
 	s.met.scopedEvicted.Add(uint64(evicted))
@@ -529,8 +489,8 @@ func (s *Server) MutateScoped(ch synthesis.Change, fn func()) (evicted, retained
 	return evicted, retained
 }
 
-// OnInsert registers a hook called — under the insert sequencer, in one
-// total order with every other insert, and ordered against mutations by
+// OnInsert registers a hook called — under the table's lock, in one total
+// order with every other insert, and ordered against mutations by
 // the strategy lock — every time a computed result is inserted into the
 // cache. HA replication uses it to append cache puts to the sync backlog;
 // entries installed via InstallEntry do not fire it (a follower must not
@@ -554,15 +514,14 @@ type CacheEntry struct {
 
 // InstallEntry inserts a replicated entry, indexing its footprint exactly
 // as a computed result would be: read side of the strategy lock (so
-// installs order against mutations) plus the insert sequencer (so they
-// order against concurrent computed inserts). The OnInsert hook does not
-// fire.
+// installs order against mutations) plus the table's lock (so they order
+// against concurrent computed inserts). The OnInsert hook does not fire.
 func (s *Server) InstallEntry(k Key, res Result, fp synthesis.Footprint) {
 	s.stratMu.RLock()
 	defer s.stratMu.RUnlock()
-	s.seqMu.Lock()
-	defer s.seqMu.Unlock()
-	s.insert(k, res, fp, false)
+	s.tab.mu.Lock()
+	defer s.tab.mu.Unlock()
+	s.insert(k, res, fp)
 }
 
 // DumpEntries copies every cache entry under the write side of the
@@ -578,12 +537,9 @@ func (s *Server) DumpEntries(fn func()) []CacheEntry {
 		fn()
 	}
 	var out []CacheEntry
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.each(func(e *entry) { out = append(out, e.export()) })
-		sh.mu.Unlock()
-	}
+	s.tab.mu.Lock()
+	s.tab.each(func(e *entry) { out = append(out, e.export()) })
+	s.tab.mu.Unlock()
 	return out
 }
 
@@ -611,18 +567,14 @@ func (s *Server) CollectAffected(prepare func() ([]synthesis.Change, error)) (pe
 	gen = s.Generation()
 	epoch = s.epoch.Load()
 	perChange = make([][]CacheEntry, len(changes))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		live += sh.live
-		for ci := range changes {
-			for _, e := range sh.victims(changes[ci]) {
-				perChange[ci] = append(perChange[ci], e.export())
-			}
+	s.tab.mu.Lock()
+	defer s.tab.mu.Unlock()
+	for ci := range changes {
+		for _, e := range s.tab.victims(changes[ci]) {
+			perChange[ci] = append(perChange[ci], e.export())
 		}
-		sh.mu.Unlock()
 	}
-	return perChange, live, epoch, gen, nil
+	return perChange, s.tab.live, epoch, gen, nil
 }
 
 // StrategyStats returns the wrapped strategy's cumulative instrumentation.
@@ -639,14 +591,9 @@ func (s *Server) StrategyName() string { return s.strategy.Name() }
 
 // CacheLen returns the number of cached entries, every one of them current.
 func (s *Server) CacheLen() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.live
-		sh.mu.Unlock()
-	}
-	return n
+	s.tab.mu.Lock()
+	defer s.tab.mu.Unlock()
+	return s.tab.live
 }
 
 // Snapshot returns a point-in-time copy of the server metrics.

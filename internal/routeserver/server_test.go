@@ -303,7 +303,7 @@ func TestServerConcurrentChurn(t *testing.T) {
 
 func TestServerCapacityEviction(t *testing.T) {
 	g, db, workload := testbed(17, 300)
-	srv := New(synthesis.NewOnDemand(g, db), Config{Shards: 2, Capacity: 8})
+	srv := New(synthesis.NewOnDemand(g, db), Config{Capacity: 8})
 	ServePhase(srv, workload, 4)
 	snap := srv.Snapshot()
 	if snap.Evictions == 0 {
@@ -311,6 +311,27 @@ func TestServerCapacityEviction(t *testing.T) {
 	}
 	if n := srv.CacheLen(); n > 8 {
 		t.Fatalf("cache grew past capacity: %d > 8", n)
+	}
+}
+
+// TestCapacityIsTheBound: a cache of capacity N holds N distinct keys with
+// no eviction, and key N+1 evicts exactly one. The keys move Src and Dst
+// together, so a cache that placed them by a few bits of their hash would
+// crowd them into a few places and evict early.
+func TestCapacityIsTheBound(t *testing.T) {
+	for _, n := range []int{8, 100, 1000} {
+		srv := New(stubStrategy{}, Config{Capacity: n})
+		keyAt := func(i int) policy.Request { return policy.Request{Src: ad.ID(1 + i), Dst: ad.ID(5000 + i)} }
+		for i := 0; i < n; i++ {
+			srv.Query(keyAt(i))
+		}
+		if got, ev := srv.CacheLen(), srv.Snapshot().Evictions; got != n || ev != 0 {
+			t.Fatalf("capacity %d: %d distinct keys left %d cached after %d evictions", n, n, got, ev)
+		}
+		srv.Query(keyAt(n))
+		if got, ev := srv.CacheLen(), srv.Snapshot().Evictions; got != n || ev != 1 {
+			t.Fatalf("capacity %d: key %d left %d cached after %d evictions, want %d after 1", n, n+1, got, ev, n)
+		}
 	}
 }
 
@@ -353,16 +374,13 @@ func TestLoadGenRunWithChurn(t *testing.T) {
 }
 
 func TestConfigNormalize(t *testing.T) {
-	c := Config{Shards: 5}.normalize()
-	if c.Shards != 8 {
-		t.Fatalf("Shards = %d, want 8 (power of two)", c.Shards)
-	}
+	c := Config{}.normalize()
 	if c.Capacity != 1<<16 || c.Workers <= 0 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 	srv := New(synthesis.NewOnDemand(ad.NewGraph(), policy.NewDB()), Config{Capacity: -1})
-	if srv.shards[0].capacity != 0 {
-		t.Fatal("negative capacity should mean unbounded shards")
+	if srv.tab.capacity != 0 {
+		t.Fatal("negative capacity should mean an unbounded table")
 	}
 }
 

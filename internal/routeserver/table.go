@@ -12,12 +12,12 @@ import (
 	"repro/internal/synthesis"
 )
 
-// The shard owns its entries: one table per shard holds the answers, the
-// replacement order and the reverse dependency index, in the arena idiom of
+// The table owns the cache's entries: it holds the answers, the replacement
+// order and the reverse dependency index, in the arena idiom of
 // internal/pgstate — an entry sits in one ring slot for its whole life and
 // everything that refers to it does so by slot number.
 //
-// The shard is also the only thing that says where a key is: resident (in
+// The table is also the only thing that says where a key is: resident (in
 // the index), pending (in pending: one query, its leader, is computing it
 // and the others wait on its call), or absent. A query that get misses
 // settles which under mu (claim); the leader's insert puts the answer and
@@ -27,7 +27,7 @@ import (
 //
 // Only get reads without a lock. It loads the published index and probes an
 // open-addressed array of atomic entry pointers; every other field of the
-// shard belongs to writers, who hold mu. An entry is immutable once
+// table belongs to writers, who hold mu. An entry is immutable once
 // published apart from its two flags, so a reader holding the pointer holds
 // the answer, and a hit linearizes at the load of its index slot: the entry
 // was resident at that instant, and resident is current (package comment).
@@ -64,9 +64,15 @@ var tombstone = new(entry)
 // three quarters full counting tombstones, so every probe ends at a nil. A
 // slot goes nil → entry → tombstone → entry …, never back to nil, which is
 // what lets a reader trust the nil that ends its probe.
+//
+// The header fills a 64-byte cache line of its own. Every hit loads it, and
+// at its natural 32 bytes the allocator gives the other half of its line to
+// another small object, one the serving path writes: each such write would
+// take the line from every core's hits.
 type index struct {
 	slots []atomic.Pointer[entry]
 	shift uint32 // 32 - log2(len(slots))
+	_     [64 - 24 - 4]byte
 }
 
 const minIndex = 8
@@ -75,8 +81,8 @@ func newIndex(n int) *index {
 	return &index{slots: make([]atomic.Pointer[entry], n), shift: uint32(32 - bits.TrailingZeros(uint(n)))}
 }
 
-// home is where k's probe starts. The shard was picked by the hash's low
-// bits; the multiply folds every bit into the high ones used here.
+// home is where k's probe starts: the multiply folds every bit of the hash
+// into the high ones used here.
 func (ix *index) home(h uint32) int { return int((h * 2654435769) >> ix.shift) }
 
 // locate returns k's entry and its position, or nil and the position an
@@ -182,15 +188,15 @@ func dropRef[K comparable](m map[K]*bucket, k K, ring []ringSlot) {
 	}
 }
 
-// shard is one slice of the route cache: the published index, the CLOCK
-// ring with its LIFO free list, and the reverse dependency index over the
-// resident entries — byLink/byTerm map each footprint element to the
-// entries depending on it, and negs holds the cached negative ("no legal
-// route") answers, which depend on the absence of routes rather than on any
+// table is the route cache: the published index, the CLOCK ring with its
+// LIFO free list, and the reverse dependency index over the resident
+// entries — byLink/byTerm map each footprint element to the entries
+// depending on it, and negs holds the cached negative ("no legal route")
+// answers, which depend on the absence of routes rather than on any
 // particular link or term. Everything but idx is read and written under mu.
-type shard struct {
-	mu       sync.Mutex
+type table struct {
 	idx      atomic.Pointer[index]
+	mu       sync.Mutex
 	capacity int // entries; <= 0 = unbounded
 	ring     []ringSlot
 	free     []int32
@@ -203,22 +209,22 @@ type shard struct {
 	pending  map[Key]*call // keys being computed; purge leaves it alone
 }
 
-// purge drops every resident entry. Caller holds mu (or owns sh outright).
+// purge drops every resident entry. Caller holds mu (or owns t outright).
 // The empty index is published before the old entries are marked dead, so a
 // reader sent back by a dead entry finds the new one.
-func (sh *shard) purge() {
-	sh.idx.Store(newIndex(minIndex))
-	sh.each(func(e *entry) { e.dead.Store(true) })
-	sh.ring, sh.free, sh.hand, sh.live, sh.used = nil, nil, 0, 0, 0
-	sh.byLink = make(map[[2]ad.ID]*bucket)
-	sh.byTerm = make(map[policy.Key]*bucket)
-	sh.negs = bucket{}
+func (t *table) purge() {
+	t.idx.Store(newIndex(minIndex))
+	t.each(func(e *entry) { e.dead.Store(true) })
+	t.ring, t.free, t.hand, t.live, t.used = nil, nil, 0, 0, 0
+	t.byLink = make(map[[2]ad.ID]*bucket)
+	t.byTerm = make(map[policy.Key]*bucket)
+	t.negs = bucket{}
 }
 
 // get is the lock-free hit path: k's resident entry, or nil.
-func (sh *shard) get(k Key, h uint32) *entry {
+func (t *table) get(k Key, h uint32) *entry {
 	for {
-		e, stale := sh.idx.Load().find(k, h)
+		e, stale := t.idx.Load().find(k, h)
 		if stale {
 			continue
 		}
@@ -246,19 +252,19 @@ type call struct {
 // finished in between): e, a hit. Pending: c, to wait on. Absent: k becomes
 // pending and the caller leads — it must compute k and insert it, or
 // withdraw the claim itself if the computation panics.
-func (sh *shard) claim(k Key, h uint32) (e *entry, c *call, lead bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, e := sh.idx.Load().locate(k, h); e != nil {
+func (t *table) claim(k Key, h uint32) (e *entry, c *call, lead bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, e := t.idx.Load().locate(k, h); e != nil {
 		e.touch()
 		return e, nil, false
 	}
-	if c := sh.pending[k]; c != nil {
+	if c := t.pending[k]; c != nil {
 		return nil, c, false
 	}
 	c = &call{}
 	c.wg.Add(1)
-	sh.pending[k] = c
+	t.pending[k] = c
 	return nil, c, true
 }
 
@@ -280,55 +286,55 @@ func (ix *index) find(k Key, h uint32) (e *entry, stale bool) {
 
 // put stores the answer for k, replacing any resident one, and reports
 // whether an unrelated entry was evicted to make room. Caller holds mu.
-func (sh *shard) put(k Key, h uint32, res Result, fp synthesis.Footprint) (evicted bool) {
-	ix := sh.idx.Load()
-	if (sh.used+1)*4 > len(ix.slots)*3 {
-		ix = sh.rebuild()
+func (t *table) put(k Key, h uint32, res Result, fp synthesis.Footprint) (evicted bool) {
+	ix := t.idx.Load()
+	if (t.used+1)*4 > len(ix.slots)*3 {
+		ix = t.rebuild()
 	}
 	pos, old := ix.locate(k, h)
 	switch {
 	case old != nil:
 		// The new entry takes the old one's place in the index in one store
 		// (below): no reader finds k absent in between.
-		sh.vacate(old)
-		sh.unindex(old)
-	case sh.capacity > 0 && sh.live == sh.capacity:
+		t.vacate(old)
+		t.unindex(old)
+	case t.capacity > 0 && t.live == t.capacity:
 		// The victim's index slot turns into a tombstone; pos, a tombstone
 		// or nil already, stays a valid place for k.
-		sh.remove(sh.victim())
+		t.remove(t.victim())
 		evicted = true
 	}
 	e := &entry{key: k, path: res.Path, found: res.Found, fp: fp}
-	if n := len(sh.free); n > 0 {
-		e.slot, sh.free = sh.free[n-1], sh.free[:n-1]
+	if n := len(t.free); n > 0 {
+		e.slot, t.free = t.free[n-1], t.free[:n-1]
 	} else {
-		e.slot = int32(len(sh.ring))
-		sh.ring = append(sh.ring, ringSlot{})
+		e.slot = int32(len(t.ring))
+		t.ring = append(t.ring, ringSlot{})
 	}
-	e.gen = sh.ring[e.slot].gen
-	sh.ring[e.slot].e = e
+	e.gen = t.ring[e.slot].gen
+	t.ring[e.slot].e = e
 	if ix.slots[pos].Load() == nil {
-		sh.used++
+		t.used++
 	}
 	ix.slots[pos].Store(e)
 	if old != nil {
 		old.dead.Store(true)
 	}
-	sh.live++
-	sh.index(e)
+	t.live++
+	t.index(e)
 	return evicted
 }
 
 // victim advances the CLOCK hand to the first entry whose reference bit is
-// clear, clearing bits as it passes. Caller holds mu; the shard is not
+// clear, clearing bits as it passes. Caller holds mu; the table is not
 // empty.
-func (sh *shard) victim() *entry {
+func (t *table) victim() *entry {
 	for {
-		if sh.hand >= len(sh.ring) {
-			sh.hand = 0
+		if t.hand >= len(t.ring) {
+			t.hand = 0
 		}
-		e := sh.ring[sh.hand].e
-		sh.hand++
+		e := t.ring[t.hand].e
+		t.hand++
 		if e != nil && !e.ref.Swap(false) {
 			return e
 		}
@@ -337,78 +343,78 @@ func (sh *shard) victim() *entry {
 
 // remove deletes a resident entry and its reverse-index edges. Caller holds
 // mu.
-func (sh *shard) remove(e *entry) {
-	sh.detach(e)
-	sh.unindex(e)
+func (t *table) remove(e *entry) {
+	t.detach(e)
+	t.unindex(e)
 }
 
 // detach unpublishes e and frees its ring slot, leaving the reverse index
 // alone. Caller holds mu.
-func (sh *shard) detach(e *entry) {
-	ix := sh.idx.Load()
+func (t *table) detach(e *entry) {
+	ix := t.idx.Load()
 	pos, _ := ix.locate(e.key, hash(e.key))
 	ix.slots[pos].Store(tombstone)
 	e.dead.Store(true)
-	sh.vacate(e)
+	t.vacate(e)
 }
 
 // vacate frees e's ring slot. Bumping the slot's gen kills e's refs in the
 // reverse index where they lie; unindex settles the counts. Caller holds
 // mu.
-func (sh *shard) vacate(e *entry) {
-	rs := &sh.ring[e.slot]
+func (t *table) vacate(e *entry) {
+	rs := &t.ring[e.slot]
 	rs.e = nil
 	if rs.gen++; rs.gen < maxGen {
-		sh.free = append(sh.free, e.slot)
+		t.free = append(t.free, e.slot)
 	}
-	sh.live--
+	t.live--
 }
 
 // rebuild publishes a fresh index of the resident entries, at most half
-// full: tombstones are gone, and an unbounded shard has room to grow.
+// full: tombstones are gone, and an unbounded table has room to grow.
 // Readers still probing the old one are turned back by dead. Caller holds
 // mu.
-func (sh *shard) rebuild() *index {
+func (t *table) rebuild() *index {
 	n := minIndex
-	for n < 2*sh.live {
+	for n < 2*t.live {
 		n <<= 1
 	}
 	ix := newIndex(n)
-	sh.each(func(e *entry) {
+	t.each(func(e *entry) {
 		pos, _ := ix.locate(e.key, hash(e.key))
 		ix.slots[pos].Store(e)
 	})
-	sh.used = sh.live
-	sh.idx.Store(ix)
+	t.used = t.live
+	t.idx.Store(ix)
 	return ix
 }
 
 // index adds e's dependency edges. Caller holds mu.
-func (sh *shard) index(e *entry) {
+func (t *table) index(e *entry) {
 	if !e.found {
-		sh.negs.add(e)
+		t.negs.add(e)
 		return
 	}
 	for _, l := range e.fp.Links {
-		addRef(sh.byLink, l, e)
+		addRef(t.byLink, l, e)
 	}
-	for _, t := range e.fp.Terms {
-		addRef(sh.byTerm, t, e)
+	for _, tk := range e.fp.Terms {
+		addRef(t.byTerm, tk, e)
 	}
 }
 
 // unindex retires e's dependency edges once e has left the ring. Caller
 // holds mu.
-func (sh *shard) unindex(e *entry) {
+func (t *table) unindex(e *entry) {
 	if !e.found {
-		sh.negs.drop(sh.ring)
+		t.negs.drop(t.ring)
 		return
 	}
 	for _, l := range e.fp.Links {
-		dropRef(sh.byLink, l, sh.ring)
+		dropRef(t.byLink, l, t.ring)
 	}
-	for _, t := range e.fp.Terms {
-		dropRef(sh.byTerm, t, sh.ring)
+	for _, tk := range e.fp.Terms {
+		dropRef(t.byTerm, tk, t.ring)
 	}
 }
 
@@ -420,18 +426,18 @@ func (sh *shard) unindex(e *entry) {
 // CollectAffected (which only reports them), so prediction and eviction can
 // never disagree on the soundness rules. A ref whose entry is gone resolves
 // to nothing. Caller holds mu.
-func (sh *shard) victims(c synthesis.Change) []*entry {
+func (t *table) victims(c synthesis.Change) []*entry {
 	var slots []int32
 	switch c.Kind {
 	case synthesis.ChangeLinkDown:
-		slots = sh.byLink[synthesis.CanonicalPair(c.A, c.B)].appendLive(slots, sh.ring)
+		slots = t.byLink[synthesis.CanonicalPair(c.A, c.B)].appendLive(slots, t.ring)
 	case synthesis.ChangePolicy:
 		for _, tk := range c.RemovedTerms {
-			slots = sh.byTerm[tk].appendLive(slots, sh.ring)
+			slots = t.byTerm[tk].appendLive(slots, t.ring)
 		}
 	}
 	if c.AffectsNegative() {
-		slots = sh.negs.appendLive(slots, sh.ring)
+		slots = t.negs.appendLive(slots, t.ring)
 	}
 	if len(slots) == 0 {
 		return nil
@@ -441,25 +447,25 @@ func (sh *shard) victims(c synthesis.Change) []*entry {
 	slots = slices.Compact(slots)
 	out := make([]*entry, len(slots))
 	for i, s := range slots {
-		out[i] = sh.ring[s].e
+		out[i] = t.ring[s].e
 	}
 	return out
 }
 
 // evictScoped drops every entry the change can affect and returns how many
 // it deleted. Caller holds mu.
-func (sh *shard) evictScoped(c synthesis.Change) int {
-	vs := sh.victims(c)
+func (t *table) evictScoped(c synthesis.Change) int {
+	vs := t.victims(c)
 	for _, e := range vs {
-		sh.remove(e)
+		t.remove(e)
 	}
 	return len(vs)
 }
 
 // each calls fn for every resident entry in slot order. Caller holds mu.
-func (sh *shard) each(fn func(*entry)) {
-	for i := range sh.ring {
-		if e := sh.ring[i].e; e != nil {
+func (t *table) each(fn func(*entry)) {
+	for i := range t.ring {
+		if e := t.ring[i].e; e != nil {
 			fn(e)
 		}
 	}

@@ -15,8 +15,7 @@ import (
 )
 
 // TestHashPinned holds hash to the values the looped FNV-1a it replaced
-// produced: the low bits place a key in a shard, and DumpEntries — hence an
-// HA snapshot — walks shards in order.
+// produced: every byte of the key reaches the index's home slot.
 func TestHashPinned(t *testing.T) {
 	for _, c := range []struct {
 		k    Key
@@ -150,16 +149,16 @@ func keysOf(es []*entry) []Key {
 	return out
 }
 
-// checkShard verifies the table's own invariants: the index holds exactly
+// checkTable verifies the table's own invariants: the index holds exactly
 // the ring's entries and keeps its load bound, every resident entry is
 // reachable from each bucket its footprint names, bucket counts are exact,
 // no bucket is more than half dead, and no key is both resident and pending.
 // Every caller's server is quiescent, so pending must be empty altogether.
 // It returns Σ len(refs), Σ live and the bucket count. Caller holds mu or
-// owns sh.
-func checkShard(t *testing.T, sh *shard) (refs, live, buckets int) {
+// owns tab.
+func checkTable(t *testing.T, tab *table) (refs, live, buckets int) {
 	t.Helper()
-	ix := sh.idx.Load()
+	ix := tab.idx.Load()
 	var indexed, used int
 	for i := range ix.slots {
 		switch e := ix.slots[i].Load(); {
@@ -169,18 +168,18 @@ func checkShard(t *testing.T, sh *shard) (refs, live, buckets int) {
 		default:
 			used++
 			indexed++
-			if e.dead.Load() || sh.ring[e.slot].e != e || sh.ring[e.slot].gen != e.gen {
+			if e.dead.Load() || tab.ring[e.slot].e != e || tab.ring[e.slot].gen != e.gen {
 				t.Fatalf("index holds %+v, which the ring does not", e.key)
 			}
 		}
 	}
-	if indexed != sh.live || used != sh.used || used*4 > len(ix.slots)*3 {
-		t.Fatalf("index: %d entries (live %d), %d used (counted %d) of %d slots", indexed, sh.live, used, sh.used, len(ix.slots))
+	if indexed != tab.live || used != tab.used || used*4 > len(ix.slots)*3 {
+		t.Fatalf("index: %d entries (live %d), %d used (counted %d) of %d slots", indexed, tab.live, used, tab.used, len(ix.slots))
 	}
 	resident := 0
-	sh.each(func(e *entry) {
+	tab.each(func(e *entry) {
 		resident++
-		if sh.pending[e.key] != nil {
+		if tab.pending[e.key] != nil {
 			t.Fatalf("%+v is both resident and pending", e.key)
 		}
 		if _, got := ix.locate(e.key, hash(e.key)); got != e {
@@ -189,45 +188,45 @@ func checkShard(t *testing.T, sh *shard) (refs, live, buckets int) {
 		inBucket := func(b *bucket) bool {
 			return b != nil && slices.Contains(b.refs, ref{e.slot, e.gen})
 		}
-		if !e.found && !inBucket(&sh.negs) {
+		if !e.found && !inBucket(&tab.negs) {
 			t.Fatalf("negative %+v is not in negs", e.key)
 		}
 		for _, l := range e.fp.Links {
-			if e.found && !inBucket(sh.byLink[l]) {
+			if e.found && !inBucket(tab.byLink[l]) {
 				t.Fatalf("%+v is not reachable from link %v", e.key, l)
 			}
 		}
 		for _, tk := range e.fp.Terms {
-			if e.found && !inBucket(sh.byTerm[tk]) {
+			if e.found && !inBucket(tab.byTerm[tk]) {
 				t.Fatalf("%+v is not reachable from term %v", e.key, tk)
 			}
 		}
 	})
-	if len(sh.pending) != 0 {
-		t.Fatalf("%d claims pending on a quiescent shard", len(sh.pending))
+	if len(tab.pending) != 0 {
+		t.Fatalf("%d claims pending on a quiescent table", len(tab.pending))
 	}
-	if resident != sh.live || len(sh.free)+resident > len(sh.ring) {
-		t.Fatalf("ring: %d resident (live %d), %d free of %d slots", resident, sh.live, len(sh.free), len(sh.ring))
+	if resident != tab.live || len(tab.free)+resident > len(tab.ring) {
+		t.Fatalf("ring: %d resident (live %d), %d free of %d slots", resident, tab.live, len(tab.free), len(tab.ring))
 	}
 	bucket := func(b *bucket) {
 		buckets++
 		refs += len(b.refs)
 		live += b.live
-		if n := len(b.appendLive(nil, sh.ring)); n != b.live || len(b.refs) > 2*b.live {
+		if n := len(b.appendLive(nil, tab.ring)); n != b.live || len(b.refs) > 2*b.live {
 			t.Fatalf("bucket: live = %d, %d live refs of %d", b.live, n, len(b.refs))
 		}
 	}
-	bucket(&sh.negs)
-	for _, b := range sh.byLink {
+	bucket(&tab.negs)
+	for _, b := range tab.byLink {
 		bucket(b)
 	}
-	for _, b := range sh.byTerm {
+	for _, b := range tab.byTerm {
 		bucket(b)
 	}
 	return refs, live, buckets
 }
 
-// TestTableDifferential drives one shard and the model in lockstep with
+// TestTableDifferential drives one table and the model in lockstep with
 // seeded random puts (new keys, replacements, capacity evictions), hits,
 // peeks, deletes, scoped evictions and purges, comparing every answer and,
 // every so often, the whole contents, the table's invariants and the
@@ -240,16 +239,16 @@ func TestTableDifferential(t *testing.T) {
 	}
 	for _, capacity := range []int{0, 5, 48} {
 		rng := rand.New(rand.NewSource(seed))
-		sh := &shard{capacity: capacity}
-		sh.purge()
+		tab := &table{capacity: capacity}
+		tab.purge()
 		m := &model{capacity: capacity, m: map[Key]*modelEntry{}}
 		fail := func(format string, args ...any) {
 			t.Helper()
 			t.Errorf("seed %d, capacity %d: "+format, append([]any{seed, capacity}, args...)...)
 			t.FailNow()
 		}
-		// A key space a few times the capacity, so capped shards evict and
-		// tombstones pile up; the unbounded shard gets one big enough to
+		// A key space a few times the capacity, so capped tables evict and
+		// tombstones pile up; the unbounded table gets one big enough to
 		// grow its index several times.
 		space := 4 * capacity
 		if capacity == 0 {
@@ -260,29 +259,29 @@ func TestTableDifferential(t *testing.T) {
 		randTerm := func() policy.Key { return policy.Key{Advertiser: ad.ID(rng.Intn(3)), Serial: uint32(rng.Intn(3))} }
 		sameContents := func() {
 			t.Helper()
-			if sh.live != len(m.m) {
-				fail("live = %d, model holds %d", sh.live, len(m.m))
+			if tab.live != len(m.m) {
+				fail("live = %d, model holds %d", tab.live, len(m.m))
 			}
-			sh.each(func(e *entry) {
+			tab.each(func(e *entry) {
 				me := m.m[e.key]
 				if me == nil || int(e.slot) != me.slot || e.ref.Load() != me.ref ||
 					e.found != me.res.Found || !e.path.Equal(me.res.Path) {
 					fail("resident %+v (slot %d) disagrees with the model's %+v", e.key, e.slot, me)
 				}
 			})
-			checkShard(t, sh)
+			checkTable(t, tab)
 			for _, c := range []synthesis.Change{
 				synthesis.LinkDownChange(randLink()[0], randLink()[1]),
 				synthesis.LinkUpChange(1, 2),
 				{Kind: synthesis.ChangePolicy, RemovedTerms: []policy.Key{randTerm(), randTerm()}, Broadens: rng.Intn(2) == 0},
 			} {
-				if got, want := keysOf(sh.victims(c)), m.victims(c); !slices.Equal(got, want) {
+				if got, want := keysOf(tab.victims(c)), m.victims(c); !slices.Equal(got, want) {
 					fail("victims(%+v) = %v, brute force %v", c, got, want)
 				}
 			}
 		}
 
-		rebuilds, last := 0, sh.idx.Load()
+		rebuilds, last := 0, tab.idx.Load()
 		for op := 0; op < 20000; op++ {
 			k := randKey()
 			h := hash(k)
@@ -297,27 +296,27 @@ func TestTableDifferential(t *testing.T) {
 						fp.Terms = append(fp.Terms, randTerm())
 					}
 				}
-				if got, want := sh.put(k, h, res, fp), m.put(k, res, fp); got != want {
+				if got, want := tab.put(k, h, res, fp), m.put(k, res, fp); got != want {
 					fail("op %d: put(%+v) evicted = %v, model %v", op, k, got, want)
 				}
 			case r < 75: // hit
-				e, me := sh.get(k, h), m.get(k)
+				e, me := tab.get(k, h), m.get(k)
 				if (e == nil) != (me == nil) || e != nil && !e.path.Equal(me.res.Path) {
 					fail("op %d: get(%+v) = %+v, model %+v", op, k, e, me)
 				}
 			case r < 85: // peek: the reference bit must not move
-				if _, e := sh.idx.Load().locate(k, h); (e == nil) != (m.m[k] == nil) {
+				if _, e := tab.idx.Load().locate(k, h); (e == nil) != (m.m[k] == nil) {
 					fail("op %d: locate(%+v) = %+v, model %+v", op, k, e, m.m[k])
 				}
 			case r < 95: // delete
-				if _, e := sh.idx.Load().locate(k, h); e != nil {
-					sh.remove(e)
+				if _, e := tab.idx.Load().locate(k, h); e != nil {
+					tab.remove(e)
 					m.del(k)
 				}
 			case r < 99: // scoped eviction
 				c := synthesis.LinkDownChange(randLink()[0], randLink()[1])
 				want := m.victims(c)
-				if got := sh.evictScoped(c); got != len(want) {
+				if got := tab.evictScoped(c); got != len(want) {
 					fail("op %d: evictScoped(%+v) = %d, brute force %d", op, c, got, len(want))
 				}
 				// Slot order, as the table evicts: the free list is LIFO.
@@ -327,11 +326,11 @@ func TestTableDifferential(t *testing.T) {
 				}
 			default:
 				if rng.Intn(20) == 0 { // rare, or nothing ever fills up
-					sh.purge()
+					tab.purge()
 					*m = model{capacity: capacity, m: map[Key]*modelEntry{}}
 				}
 			}
-			if ix := sh.idx.Load(); ix != last {
+			if ix := tab.idx.Load(); ix != last {
 				rebuilds, last = rebuilds+1, ix
 			}
 			if op%500 == 0 {
@@ -350,35 +349,35 @@ func TestTableDifferential(t *testing.T) {
 // there after its deletion — the tombstone went into the new index — and
 // only the flag tells it to start over.
 func TestDeadTurnsBackStaleProbe(t *testing.T) {
-	sh := &shard{}
-	sh.purge()
+	tab := &table{}
+	tab.purge()
 	k := Key{Src: 1, Dst: 2}
-	sh.put(k, hash(k), Result{}, synthesis.Footprint{})
-	stale := sh.idx.Load()
-	for i := 0; sh.idx.Load() == stale; i++ {
+	tab.put(k, hash(k), Result{}, synthesis.Footprint{})
+	stale := tab.idx.Load()
+	for i := 0; tab.idx.Load() == stale; i++ {
 		o := Key{Src: ad.ID(10 + i)}
-		sh.put(o, hash(o), Result{}, synthesis.Footprint{})
+		tab.put(o, hash(o), Result{}, synthesis.Footprint{})
 	}
 	if e, retry := stale.find(k, hash(k)); e == nil || retry {
 		t.Fatalf("superseded index: find = %v, %v; want the live entry", e, retry)
 	}
-	sh.remove(sh.get(k, hash(k)))
+	tab.remove(tab.get(k, hash(k)))
 	if e, retry := stale.find(k, hash(k)); e == nil || !retry {
 		t.Fatalf("superseded index after the delete: find = %v, %v; want the entry, marked for a retry", e, retry)
 	}
-	if e := sh.get(k, hash(k)); e != nil {
+	if e := tab.get(k, hash(k)); e != nil {
 		t.Fatalf("get returned the deleted entry %+v", e)
 	}
 	// Replacement and purge unpublish too.
 	o := Key{Src: 10}
-	first := sh.get(o, hash(o))
-	sh.put(o, hash(o), Result{Found: true}, synthesis.Footprint{})
-	second := sh.get(o, hash(o))
+	first := tab.get(o, hash(o))
+	tab.put(o, hash(o), Result{Found: true}, synthesis.Footprint{})
+	second := tab.get(o, hash(o))
 	if !first.dead.Load() || second == first || second.dead.Load() {
 		t.Fatalf("replacement: old dead = %v, new = %+v", first.dead.Load(), second)
 	}
-	sh.purge()
-	if !second.dead.Load() || sh.get(o, hash(o)) != nil {
+	tab.purge()
+	if !second.dead.Load() || tab.get(o, hash(o)) != nil {
 		t.Fatal("purge left an entry alive")
 	}
 }
@@ -386,20 +385,20 @@ func TestDeadTurnsBackStaleProbe(t *testing.T) {
 // TestTableSlotRetires: a ring slot at its last gen is never handed out
 // again, so a (slot, gen) ref can never come to name a later tenant.
 func TestTableSlotRetires(t *testing.T) {
-	sh := &shard{}
-	sh.purge()
+	tab := &table{}
+	tab.purge()
 	k := Key{Src: 1, Dst: 2}
-	sh.put(k, hash(k), Result{}, synthesis.Footprint{})
-	sh.ring[0].gen = maxGen - 1
-	sh.remove(sh.get(k, hash(k)))
-	if len(sh.free) != 0 || sh.ring[0].gen != maxGen {
-		t.Fatalf("slot at its last gen went back on the free list: free %v, gen %d", sh.free, sh.ring[0].gen)
+	tab.put(k, hash(k), Result{}, synthesis.Footprint{})
+	tab.ring[0].gen = maxGen - 1
+	tab.remove(tab.get(k, hash(k)))
+	if len(tab.free) != 0 || tab.ring[0].gen != maxGen {
+		t.Fatalf("slot at its last gen went back on the free list: free %v, gen %d", tab.free, tab.ring[0].gen)
 	}
-	sh.put(k, hash(k), Result{}, synthesis.Footprint{})
-	if e := sh.get(k, hash(k)); e == nil || e.slot != 1 || e.gen != 0 {
+	tab.put(k, hash(k), Result{}, synthesis.Footprint{})
+	if e := tab.get(k, hash(k)); e == nil || e.slot != 1 || e.gen != 0 {
 		t.Fatalf("after retirement the entry sits at %+v, want slot 1 gen 0", e)
 	}
-	checkShard(t, sh)
+	checkTable(t, tab)
 }
 
 // TestLockFreeReadersVersusWriter has readers hammer the lock-free lookup
@@ -413,7 +412,7 @@ func TestLockFreeReadersVersusWriter(t *testing.T) {
 	const keys, links = 96, 4
 	// Capped below the key count: replacement, tombstones and rebuilds all
 	// happen under the readers' feet.
-	srv := New(stubStrategy{}, Config{Shards: 2, Capacity: 64})
+	srv := New(stubStrategy{}, Config{Capacity: 64})
 	keyAt := func(i int) Key { return Key{Src: ad.ID(1 + i), Dst: ad.ID(1000 + i), Hour: uint8(i % 24)} }
 	linkAt := func(j int) [2]ad.ID { return [2]ad.ID{ad.ID(j), ad.ID(100 + j)} }
 	var published, evicted [keys]atomic.Uint32
@@ -434,7 +433,7 @@ func TestLockFreeReadersVersusWriter(t *testing.T) {
 				i := rng.Intn(keys)
 				k := keyAt(i)
 				floor := evicted[i].Load()
-				e := srv.shards[hash(k)&srv.mask].get(k, hash(k))
+				e := srv.tab.get(k, hash(k))
 				if e == nil {
 					continue
 				}
@@ -480,9 +479,7 @@ func TestLockFreeReadersVersusWriter(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	for i := range srv.shards {
-		checkShard(t, &srv.shards[i])
-	}
+	checkTable(t, &srv.tab)
 }
 
 // TestReverseIndexStaysBounded is the bound that protects heap_mb: a small
@@ -505,7 +502,7 @@ func TestReverseIndexStaysBounded(t *testing.T) {
 	original := append([]policy.Term(nil), db.Terms(target)...)
 	links := g.Links()
 	lat := links[len(links)-1]
-	srv := New(synthesis.NewOnDemand(g, db), Config{Shards: 2, Capacity: capacity})
+	srv := New(synthesis.NewOnDemand(g, db), Config{Capacity: capacity})
 
 	for i, req := range workload {
 		req.Hour = uint8(i % 24) // 24 keys a pair: the cache thrashes
@@ -540,17 +537,12 @@ func TestReverseIndexStaysBounded(t *testing.T) {
 		}
 	}
 	changes = append(changes, synthesis.LinkUpChange(lat.A, lat.B))
-	var refs, live, buckets int
-	for i := range srv.shards {
-		sh := &srv.shards[i]
-		r, l, b := checkShard(t, sh)
-		refs, live, buckets = refs+r, live+l, buckets+b
-		m := &model{m: map[Key]*modelEntry{}}
-		sh.each(func(e *entry) { m.m[e.key] = &modelEntry{res: Result{Found: e.found}, fp: e.fp} })
-		for _, c := range changes {
-			if got, want := keysOf(sh.victims(c)), m.victims(c); !slices.Equal(got, want) {
-				t.Fatalf("shard %d: victims(%+v) = %v, brute force %v", i, c, got, want)
-			}
+	refs, live, buckets := checkTable(t, &srv.tab)
+	m := &model{m: map[Key]*modelEntry{}}
+	srv.tab.each(func(e *entry) { m.m[e.key] = &modelEntry{res: Result{Found: e.found}, fp: e.fp} })
+	for _, c := range changes {
+		if got, want := keysOf(srv.tab.victims(c)), m.victims(c); !slices.Equal(got, want) {
+			t.Fatalf("victims(%+v) = %v, brute force %v", c, got, want)
 		}
 	}
 	if live == 0 || refs > 2*live+8*buckets {

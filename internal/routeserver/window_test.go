@@ -98,7 +98,7 @@ func TestMutationStraddlingMissSynthesizesOnce(t *testing.T) {
 	}
 	srv := New(strat, Config{Workers: 2})
 	req := policy.Request{Src: src, Dst: dst}
-	sh := &srv.shards[hash(req)&srv.mask]
+	tab := &srv.tab
 
 	inFn, finishFn, mutated := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
@@ -113,9 +113,9 @@ func TestMutationStraddlingMissSynthesizesOnce(t *testing.T) {
 	results := make(chan Result, 2)
 	go func() { results <- srv.Query(req) }() // A
 	for claimed := false; !claimed; time.Sleep(time.Millisecond) {
-		sh.mu.Lock()
-		claimed = sh.pending[req] != nil
-		sh.mu.Unlock()
+		tab.mu.Lock()
+		claimed = tab.pending[req] != nil
+		tab.mu.Unlock()
 	}
 	close(finishFn)
 	<-mutated
@@ -139,7 +139,7 @@ func TestMutationStraddlingMissSynthesizesOnce(t *testing.T) {
 	if m := srv.Snapshot(); m.Misses != 1 || m.Coalesced+m.Hits != 1 {
 		t.Fatalf("misses %d coalesced %d hits %d, want one miss and one query served by it", m.Misses, m.Coalesced, m.Hits)
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	checkShard(t, sh)
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	checkTable(t, tab)
 }

@@ -17,23 +17,6 @@ func largeGraph() *ad.Graph {
 	}).Graph
 }
 
-// BenchmarkNetworkUpNeighbors should report 0 allocs/op: the network
-// caches each AD's live adjacency.
-func BenchmarkNetworkUpNeighbors(b *testing.B) {
-	g := largeGraph()
-	nw := NewNetwork(g)
-	ids := g.IDs()
-	n := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n += len(nw.UpNeighbors(ids[i%len(ids)]))
-	}
-	if n == 0 {
-		b.Fatal("no neighbours")
-	}
-}
-
 // BenchmarkNetworkFlood floods from the highest-degree AD; no nodes are
 // registered, so the benchmark isolates the Send/delivery machinery itself,
 // which recycles payload buffers.

@@ -73,10 +73,8 @@ type Network struct {
 	// edgeOff[p] on, in its adjacency order, and the per-edge state below
 	// is indexed by that number.
 	edgeOff []int32
-	// down marks both directions of a failed link; numDown counts the
-	// failed links.
-	down    []bool
-	numDown int
+	// down marks both directions of a failed link.
+	down []bool
 	// linkEpoch increments, in both directions, on each link failure;
 	// in-flight messages stamped with an older epoch for their edge are
 	// dropped on delivery.
@@ -99,9 +97,6 @@ type Network struct {
 	// encBuf is Encode's buffer.
 	encBuf []byte
 
-	// DefaultDelay is used for links whose DelayMicros is zero.
-	DefaultDelay Time
-
 	// lastSend records the latest transmission-completion time over all
 	// Sends (start of serialization plus transmission delay), used by
 	// convergence detection.
@@ -114,21 +109,23 @@ type Network struct {
 	Trace func(format string, args ...interface{})
 }
 
+// defaultDelay is the propagation delay of a link whose DelayMicros is zero.
+const defaultDelay = 10 * Millisecond
+
 // NewNetwork builds a network over graph with all links initially up. The
 // graph must keep its ADs and links for the network's life.
 func NewNetwork(g *ad.Graph) *Network {
 	ids := g.IDs()
 	nw := &Network{
-		Engine:       NewEngine(),
-		Graph:        g,
-		Stats:        new(Stats),
-		gver:         g.Version(),
-		ids:          ids,
-		nodes:        make([]Node, len(ids)),
-		nbrs:         make([][]ad.ID, len(ids)),
-		adj:          make([][]ad.Link, len(ids)),
-		edgeOff:      make([]int32, len(ids)),
-		DefaultDelay: 10 * Millisecond,
+		Engine:  NewEngine(),
+		Graph:   g,
+		Stats:   new(Stats),
+		gver:    g.Version(),
+		ids:     ids,
+		nodes:   make([]Node, len(ids)),
+		nbrs:    make([][]ad.ID, len(ids)),
+		adj:     make([][]ad.Link, len(ids)),
+		edgeOff: make([]int32, len(ids)),
 	}
 	edges := int32(0)
 	for p, id := range ids {
@@ -202,37 +199,6 @@ func (nw *Network) LinkIsUp(a, b ad.ID) bool {
 	return ok && !nw.down[e]
 }
 
-// UpNeighbors returns the neighbors of id reachable over currently-up links,
-// in ascending order. The returned slice may alias the graph's adjacency
-// index: callers must not modify it. While no link in the network is down
-// (the common case during convergence), it allocates nothing.
-func (nw *Network) UpNeighbors(id ad.ID) []ad.ID {
-	p := nw.position(id)
-	if p < 0 {
-		return nil
-	}
-	all := nw.nbrs[p]
-	if nw.numDown == 0 {
-		return all
-	}
-	down := nw.down[nw.edgeOff[p] : int(nw.edgeOff[p])+len(all)]
-	for i := range all {
-		if down[i] {
-			// Copy-on-filter: only pay for an allocation when some
-			// incident link is actually down.
-			out := make([]ad.ID, i, len(all)-1)
-			copy(out, all[:i])
-			for j, m := range all[i+1:] {
-				if !down[i+1+j] {
-					out = append(out, m)
-				}
-			}
-			return out
-		}
-	}
-	return all
-}
-
 // Encode marshals m into the network's encode buffer and returns the bytes,
 // which stay valid until the next Encode or SendMessage. Send copies its
 // payload, so one encoding serves every copy of a message flooded to
@@ -285,7 +251,7 @@ func (nw *Network) Send(from, to ad.ID, payload []byte) bool {
 	}
 	prop := Time(link.DelayMicros)
 	if prop == 0 {
-		prop = nw.DefaultDelay
+		prop = defaultDelay
 	}
 	// Serialization: the directed transmitter is busy until the previous
 	// message finished clocking out, so links stay FIFO.
@@ -357,22 +323,17 @@ func (nw *Network) deliver(d *delivery) {
 	nw.free[c] = append(nw.free[c], d)
 }
 
-// Flood sends payload to every up neighbor of from except those in skip.
-// It returns the number of copies sent.
+// Flood sends payload to every up neighbor of from except those in skip,
+// in ascending order. It returns the number of copies sent.
 func (nw *Network) Flood(from ad.ID, payload []byte, skip ...ad.ID) int {
+	p := nw.position(from)
+	if p < 0 {
+		return 0
+	}
 	sent := 0
-	for _, n := range nw.UpNeighbors(from) {
-		skipped := false
-		for _, s := range skip {
-			if n == s {
-				skipped = true
-				break
-			}
-		}
-		if skipped {
-			continue
-		}
-		if nw.Send(from, n, payload) {
+	down := nw.down[nw.edgeOff[p]:]
+	for i, n := range nw.nbrs[p] {
+		if !down[i] && !slices.Contains(skip, n) && nw.Send(from, n, payload) {
 			sent++
 		}
 	}
@@ -391,7 +352,6 @@ func (nw *Network) FailLink(a, b ad.ID) error {
 		return nil
 	}
 	ba, apos, _, _ := nw.edge(b, a)
-	nw.numDown++
 	for _, e := range [2]int32{ab, ba} {
 		nw.down[e] = true
 		nw.linkEpoch[e]++
@@ -419,7 +379,6 @@ func (nw *Network) RestoreLink(a, b ad.ID) error {
 		return nil
 	}
 	ba, apos, _, _ := nw.edge(b, a)
-	nw.numDown--
 	nw.down[ab], nw.down[ba] = false, false
 	if n := nw.nodes[apos]; n != nil {
 		n.LinkUp(nw, b)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ad"
@@ -250,16 +251,36 @@ func TestNetworkFlood(t *testing.T) {
 			t.Errorf("leaf %v received %d, want 1", n.id, len(n.received))
 		}
 	}
+
+	// A down link is passed over, the rest are sent in ascending order.
+	nw.FailLink(hub, leaves[2])
+	var order []string
+	nw.Trace = func(format string, args ...interface{}) { order = append(order, fmt.Sprintf(format, args...)) }
+	if sent := nw.Flood(hub, []byte("x"), leaves[0]); sent != 2 || nw.Stats.MessagesDropped != 0 {
+		t.Errorf("Flood with a link down sent %d, dropped %d; want 2 and 0", sent, nw.Stats.MessagesDropped)
+	}
+	nw.Engine.Run()
+	for i, l := range []ad.ID{leaves[1], leaves[3]} {
+		if i >= len(order) || !strings.Contains(order[i], fmt.Sprintf("%v->%v", hub, l)) {
+			t.Fatalf("deliveries %q, want to %v then %v", order, leaves[1], leaves[3])
+		}
+	}
 }
 
-func TestNetworkUpNeighbors(t *testing.T) {
+// TestNetworkFloodSkipsDownLinks: a flood reaches the neighbors over up
+// links and walks past a down one without counting a drop.
+func TestNetworkFloodSkipsDownLinks(t *testing.T) {
 	nw, na, nb := twoNodeNet(t)
-	if got := nw.UpNeighbors(na.id); len(got) != 1 || got[0] != nb.id {
-		t.Errorf("UpNeighbors = %v", got)
+	if sent := nw.Flood(na.id, []byte("x")); sent != 1 {
+		t.Errorf("Flood sent %d, want 1", sent)
+	}
+	nw.Engine.Run()
+	if len(nb.received) != 1 {
+		t.Errorf("neighbor received %d, want 1", len(nb.received))
 	}
 	nw.FailLink(na.id, nb.id)
-	if got := nw.UpNeighbors(na.id); len(got) != 0 {
-		t.Errorf("UpNeighbors after failure = %v", got)
+	if sent := nw.Flood(na.id, []byte("x")); sent != 0 || nw.Stats.MessagesDropped != 0 {
+		t.Errorf("Flood over a down link sent %d, dropped %d; want 0 and 0", sent, nw.Stats.MessagesDropped)
 	}
 }
 
