@@ -3,11 +3,12 @@ package pgstate
 import "math/bits"
 
 // The arena packs handle records into fixed-size slabs with free-list
-// reuse. A record never moves once allocated, so the timer wheel and the
-// handle map can both refer to it by a stable int32 index; a released slot
-// goes onto the free list and is handed back to the next Install, which
-// keeps steady-state install/remove traffic allocation-free (a new slab is
-// allocated only when the table grows past every slot it has ever held).
+// reuse. A record never moves once allocated, so the handle map, the timer
+// wheel and the recency list can all refer to it by a stable int32 index;
+// a released slot goes onto the free list and is handed back to the next
+// Install, which keeps steady-state install/remove traffic allocation-free
+// (a new slab is allocated only when the table grows past every slot it
+// has ever held).
 
 // Slab sizing: the first slabs ramp up — 16, 16, 32, 64 and 128 records,
 // so the capacity doubles from 16 to 256 — because most tables are the
@@ -33,9 +34,11 @@ func slabLen(k int) int {
 }
 
 // rec is one arena slot: the entry payload, its handle (so wheel sweeps can
-// report handles without a reverse map), and the intrusive timer-wheel
-// links. gen is bumped on every release so stale overflow-heap references
-// to a reused slot can be detected and skipped.
+// report handles without a reverse map), and one pair of intrusive links.
+// A record is on at most one intrusive list: under soft state its wheel
+// slot's chain, under capped state the table's recency list, under hard
+// state none. gen is bumped on every release so stale overflow-heap
+// references to a reused slot can be detected and skipped.
 type rec struct {
 	entry  Entry
 	handle uint64
@@ -43,10 +46,10 @@ type rec struct {
 	live   bool
 	// wSlot is the flat wheel slot holding this record
 	// (level*wheelSlots+slot), wheelOverflow, or wheelNone when the record
-	// is not scheduled. wNext/wPrev are arena indices chaining the slot's
-	// doubly-linked list (-1 terminated).
-	wSlot        int32
-	wNext, wPrev int32
+	// is not scheduled. next/prev are the arena indices of its neighbours
+	// on its list (-1 terminated).
+	wSlot      int32
+	next, prev int32
 }
 
 // arena is a grow-only collection of slabs plus a LIFO free list of
@@ -76,7 +79,7 @@ func (a *arena) alloc() int32 {
 		a.free = a.free[:n-1]
 		r := a.at(idx)
 		r.live = true
-		r.wSlot, r.wNext, r.wPrev = wheelNone, -1, -1
+		r.wSlot, r.next, r.prev = wheelNone, -1, -1
 		return idx
 	}
 	// The new slab's records follow every record so far.
@@ -90,12 +93,12 @@ func (a *arena) alloc() int32 {
 	// order.
 	for i := len(slab) - 1; i >= 1; i-- {
 		slab[i].wSlot = wheelNone
-		slab[i].wNext, slab[i].wPrev = -1, -1
+		slab[i].next, slab[i].prev = -1, -1
 		a.free = append(a.free, base+int32(i))
 	}
 	r := &slab[0]
 	r.live = true
-	r.wSlot, r.wNext, r.wPrev = wheelNone, -1, -1
+	r.wSlot, r.next, r.prev = wheelNone, -1, -1
 	return base
 }
 
@@ -108,6 +111,6 @@ func (a *arena) release(idx int32) {
 	r.handle = 0
 	r.live = false
 	r.gen++
-	r.wSlot, r.wNext, r.wPrev = wheelNone, -1, -1
+	r.wSlot, r.next, r.prev = wheelNone, -1, -1
 	a.free = append(a.free, idx)
 }

@@ -168,10 +168,42 @@ func TestAllocsSmallTable(t *testing.T) {
 	}
 }
 
-// TestAllocsNewTable: an empty table is its struct, its handle index, its
-// link index and, for a soft table, one timer wheel; a capped table's LRU
-// adds its struct, its map and its eviction hook. The data plane builds one
-// table per AD a flow crosses, and the simulator one per PG.
+// TestAllocsCappedInstall: in a full capped table, an install that evicts
+// the least recently used entry, and a Lookup that moves an entry to the
+// front, allocate nothing. The recency list runs through the records' own
+// links, and the evicted record's slot is the next install's.
+func TestAllocsCappedInstall(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const capacity = 16
+	tab := NewTable(Config{Kind: Capped, Capacity: capacity})
+	h := uint64(1)
+	for ; h <= 2*capacity; h++ {
+		tab.Install(0, h, testRoute, 1, testReq, 0)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		tab.Install(0, h, testRoute, 1, testReq, 0)
+		h++
+	}); n != 0 {
+		t.Errorf("install into a full capped table: %v allocs, want 0", n)
+	}
+	oldest := h - capacity
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := tab.Lookup(0, oldest); !ok {
+			t.Fatalf("lookup of resident handle %d missed", oldest)
+		}
+	}); n != 0 {
+		t.Errorf("capped lookup: %v allocs, want 0", n)
+	}
+	if st := tab.Stats(); st.Resident != capacity || st.Evictions != h-1-capacity {
+		t.Errorf("stats %+v: want %d resident, %d evictions", st, capacity, h-1-capacity)
+	}
+}
+
+// TestAllocsNewTable: an empty table is its struct, its handle index and
+// its link index, and a soft table adds one timer wheel. The data plane
+// builds one table per AD a flow crosses, and the simulator one per PG.
 func TestAllocsNewTable(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -182,7 +214,7 @@ func TestAllocsNewTable(t *testing.T) {
 	}{
 		{Config{Kind: Hard}, 3},
 		{Config{Kind: Soft}, 4},
-		{Config{Kind: Capped}, 5},
+		{Config{Kind: Capped}, 3},
 	} {
 		if n := testing.AllocsPerRun(100, func() { NewTable(tc.cfg) }); n != tc.want {
 			t.Errorf("empty %s table: %v allocs, want %v", tc.cfg.Kind, n, tc.want)

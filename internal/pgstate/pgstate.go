@@ -19,14 +19,16 @@
 //     live flow drops packets (NAK-on-miss) until the source re-installs.
 //
 // Table is built for millions of handles: records pack into arena slabs
-// with free-list reuse (no per-install allocation in steady state), expiry
-// runs off a hierarchical timer wheel whose sweep cost is proportional to
-// the handles actually due rather than the table size, and a link index
-// maps each adjacency to the handles whose routes cross it. One mutex
-// guards the whole table. Every caller drives a table from one goroutine
-// at a time — the simulator's PGs run on its single event loop, and the
-// serving-layer data plane holds its own lock around every table call — so
-// partitioning the handle space would buy no parallelism.
+// with free-list reuse (no per-install allocation in steady state, a capped
+// eviction included), one map finds a handle's record under every
+// discipline, expiry runs off a hierarchical timer wheel whose sweep cost
+// is proportional to the handles actually due rather than the table size,
+// a capped table's recency list runs through the records' own links, and a
+// link index maps each adjacency to the handles whose routes cross it. One
+// mutex guards the whole table. Every caller drives a table from one
+// goroutine at a time — the simulator's PGs run on its single event loop,
+// and the serving-layer data plane holds its own lock around every table
+// call — so partitioning the handle space would buy no parallelism.
 //
 // Reference is the retained scan-based implementation with the same
 // observable behaviour; the differential harness in differential_test.go
@@ -41,7 +43,6 @@ import (
 	"sync"
 
 	"repro/internal/ad"
-	"repro/internal/cache"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
@@ -247,12 +248,15 @@ type linkBucket struct {
 type Table struct {
 	cfg      Config
 	mu       sync.Mutex
-	byHandle map[uint64]int32          // hard and soft tables
-	lru      *cache.LRU[uint64, int32] // capped tables
+	byHandle map[uint64]int32
 	arena    arena
 	wheel    *wheel // soft tables
-	byLink   map[[2]ad.ID]*linkBucket
-	st       Stats
+	// head and tail are the most and least recently used records of a
+	// capped table's recency list, chained through the records' links
+	// (-1 when empty).
+	head, tail int32
+	byLink     map[[2]ad.ID]*linkBucket
+	st         Stats
 }
 
 // NewTable builds an empty table. Unknown kinds panic: the Config is
@@ -262,22 +266,15 @@ func NewTable(cfg Config) *Table {
 	if err != nil {
 		panic(err)
 	}
-	t := &Table{cfg: cfg, byLink: make(map[[2]ad.ID]*linkBucket)}
-	switch cfg.Kind {
-	case Capped:
-		t.lru = cache.NewLRU[uint64, int32](cfg.Capacity)
-		t.lru.OnEvict = func(_ uint64, idx int32) {
-			t.st.Evictions++
-			route := t.arena.at(idx).entry.Route
-			t.arena.release(idx)
-			t.unindexLinks(route)
-			t.st.Resident--
-		}
-	case Soft:
-		t.byHandle = make(map[uint64]int32)
+	t := &Table{
+		cfg:      cfg,
+		byHandle: make(map[uint64]int32),
+		head:     -1,
+		tail:     -1,
+		byLink:   make(map[[2]ad.ID]*linkBucket),
+	}
+	if cfg.Kind == Soft {
 		t.wheel = newWheel()
-	default:
-		t.byHandle = make(map[uint64]int32)
 	}
 	return t
 }
@@ -320,16 +317,41 @@ func (t *Table) unindexLinks(route ad.Path) {
 	}
 }
 
-// lookupIdx finds h's record index. touch promotes recency under capped.
-func (t *Table) lookupIdx(h uint64, touch bool) (int32, bool) {
-	if t.lru != nil {
-		if touch {
-			return t.lru.Get(h)
-		}
-		return t.lru.Peek(h)
+// pushFront makes record i the most recently used of a capped table.
+func (t *Table) pushFront(i int32) {
+	r := t.arena.at(i)
+	r.prev, r.next = -1, t.head
+	if t.head != -1 {
+		t.arena.at(t.head).prev = i
+	} else {
+		t.tail = i
 	}
-	idx, ok := t.byHandle[h]
-	return idx, ok
+	t.head = i
+}
+
+// unlink takes record i off a capped table's recency list.
+func (t *Table) unlink(i int32) {
+	r := t.arena.at(i)
+	if r.prev != -1 {
+		t.arena.at(r.prev).next = r.next
+	} else {
+		t.head = r.next
+	}
+	if r.next != -1 {
+		t.arena.at(r.next).prev = r.prev
+	} else {
+		t.tail = r.prev
+	}
+	r.next, r.prev = -1, -1
+}
+
+// touch makes record i the most recently used under capped state; the
+// other disciplines keep no recency.
+func (t *Table) touch(i int32) {
+	if t.cfg.Kind == Capped && t.head != i {
+		t.unlink(i)
+		t.pushFront(i)
+	}
 }
 
 // Kind returns the table's lifecycle discipline.
@@ -356,19 +378,18 @@ func deadlineFor(cfg Config, now, ttl sim.Time) sim.Time {
 	return now + ttl
 }
 
-// dropLocked removes the record for h at idx: cancel its timer, release
-// its arena slot (which kills its link refs), unindex its links, and forget
-// the handle. Caller holds t.mu.
+// dropLocked removes the record for h at idx: cancel its timer or take it
+// off the recency list, release its arena slot (which kills its link refs),
+// unindex its links, and forget the handle. Caller holds t.mu.
 func (t *Table) dropLocked(h uint64, idx int32) {
 	route := t.arena.at(idx).entry.Route
 	if t.wheel != nil {
 		t.wheel.cancel(&t.arena, idx)
 	}
-	if t.lru != nil {
-		t.lru.Delete(h)
-	} else {
-		delete(t.byHandle, h)
+	if t.cfg.Kind == Capped {
+		t.unlink(idx)
 	}
+	delete(t.byHandle, h)
 	t.arena.release(idx)
 	t.unindexLinks(route)
 	t.st.Resident--
@@ -376,7 +397,8 @@ func (t *Table) dropLocked(h uint64, idx int32) {
 
 // Install adds (or overwrites) the entry for handle h. ttl is the
 // source-requested soft lifetime (<= 0 = the table default). Under Capped
-// the LRU entry beyond capacity is evicted.
+// an install that takes the table past Capacity evicts the least recently
+// used entry.
 func (t *Table) Install(now sim.Time, h uint64, route ad.Path, idx int, req policy.Request, ttl sim.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -385,10 +407,9 @@ func (t *Table) Install(now sim.Time, h uint64, route ad.Path, idx int, req poli
 		Route: route, Idx: idx, Req: req,
 		Installed: now, Deadline: deadlineFor(t.cfg, now, ttl),
 	}
-	if i, ok := t.lookupIdx(h, false); ok {
+	if i, ok := t.byHandle[h]; ok {
 		// Overwrite in place: re-index the route, re-arm the timer, touch
-		// recency (the reference's Put promotes on overwrite). Bumping gen
-		// kills the old route's link refs.
+		// recency. Bumping gen kills the old route's link refs.
 		r := t.arena.at(i)
 		if t.wheel != nil {
 			t.wheel.cancel(&t.arena, i)
@@ -401,24 +422,27 @@ func (t *Table) Install(now sim.Time, h uint64, route ad.Path, idx int, req poli
 		if t.wheel != nil && e.Deadline != 0 {
 			t.wheel.schedule(&t.arena, i, e.Deadline)
 		}
-		if t.lru != nil {
-			t.lru.Get(h)
-		}
+		t.touch(i)
 		return
 	}
 	i := t.arena.alloc()
 	r := t.arena.at(i)
 	r.entry = e
 	r.handle = h
+	t.byHandle[h] = i
 	t.indexLinks(i, route)
 	if t.wheel != nil && e.Deadline != 0 {
 		t.wheel.schedule(&t.arena, i, e.Deadline)
 	}
 	t.st.Resident++
-	if t.lru != nil {
-		t.lru.Put(h, i) // may evict the LRU victim via OnEvict
-	} else {
-		t.byHandle[h] = i
+	if t.cfg.Kind == Capped {
+		t.pushFront(i)
+		if t.st.Resident > t.cfg.Capacity {
+			// Evict before Peak is taken: a capped table's Peak never
+			// passes Capacity.
+			t.st.Evictions++
+			t.dropLocked(t.arena.at(t.tail).handle, t.tail)
+		}
 	}
 	t.st.Peak = max(t.st.Peak, t.st.Resident)
 }
@@ -430,7 +454,8 @@ func (t *Table) Install(now sim.Time, h uint64, route ad.Path, idx int, req poli
 func (t *Table) Lookup(now sim.Time, h uint64) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i, ok := t.lookupIdx(h, true); ok {
+	if i, ok := t.byHandle[h]; ok {
+		t.touch(i)
 		r := t.arena.at(i)
 		if !r.entry.expired(now) {
 			t.st.Hits++
@@ -449,7 +474,7 @@ func (t *Table) Lookup(now sim.Time, h uint64) (Entry, bool) {
 func (t *Table) Peek(now sim.Time, h uint64) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.lookupIdx(h, false)
+	i, ok := t.byHandle[h]
 	if !ok {
 		return Entry{}, false
 	}
@@ -468,10 +493,11 @@ func (t *Table) Peek(now sim.Time, h uint64) (Entry, bool) {
 func (t *Table) Refresh(now sim.Time, h uint64, ttl sim.Time) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.lookupIdx(h, true)
+	i, ok := t.byHandle[h]
 	if !ok {
 		return false
 	}
+	t.touch(i)
 	r := t.arena.at(i)
 	if r.entry.expired(now) {
 		t.dropLocked(h, i)
@@ -494,7 +520,7 @@ func (t *Table) Refresh(now sim.Time, h uint64, ttl sim.Time) bool {
 func (t *Table) Remove(h uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.lookupIdx(h, false)
+	i, ok := t.byHandle[h]
 	if !ok {
 		return false
 	}
@@ -529,14 +555,9 @@ func (t *Table) ExpireDue(now sim.Time) []uint64 {
 func (t *Table) Handles() []uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []uint64
-	if t.lru != nil {
-		out = t.lru.Keys()
-	} else {
-		out = make([]uint64, 0, len(t.byHandle))
-		for h := range t.byHandle {
-			out = append(out, h)
-		}
+	out := make([]uint64, 0, len(t.byHandle))
+	for h := range t.byHandle {
+		out = append(out, h)
 	}
 	slices.Sort(out)
 	return out

@@ -95,10 +95,10 @@ func (w *wheel) schedule(a *arena, idx int32, deadline sim.Time) {
 	slot := int((d >> (wheelBits * level)) & wheelMask)
 	flat := int32(level*wheelSlots + slot)
 	r.wSlot = flat
-	r.wPrev = -1
-	r.wNext = w.slots[flat]
-	if r.wNext != -1 {
-		a.at(r.wNext).wPrev = idx
+	r.prev = -1
+	r.next = w.slots[flat]
+	if r.next != -1 {
+		a.at(r.next).prev = idx
 	}
 	w.slots[flat] = idx
 }
@@ -113,15 +113,15 @@ func (w *wheel) cancel(a *arena, idx int32) {
 	case wheelOverflow:
 		r.wSlot = wheelNone // heap element goes stale, skipped on pop
 	default:
-		if r.wPrev != -1 {
-			a.at(r.wPrev).wNext = r.wNext
+		if r.prev != -1 {
+			a.at(r.prev).next = r.next
 		} else {
-			w.slots[r.wSlot] = r.wNext
+			w.slots[r.wSlot] = r.next
 		}
-		if r.wNext != -1 {
-			a.at(r.wNext).wPrev = r.wPrev
+		if r.next != -1 {
+			a.at(r.next).prev = r.prev
 		}
-		r.wSlot, r.wNext, r.wPrev = wheelNone, -1, -1
+		r.wSlot, r.next, r.prev = wheelNone, -1, -1
 	}
 }
 
@@ -176,8 +176,8 @@ func (w *wheel) advance(a *arena, now sim.Time, due []int32) []int32 {
 			w.slots[flat] = wheelNone
 			for idx != -1 {
 				r := a.at(idx)
-				next := r.wNext
-				r.wSlot, r.wNext, r.wPrev = wheelNone, -1, -1
+				next := r.next
+				r.wSlot, r.next, r.prev = wheelNone, -1, -1
 				w.entriesVisited++
 				if uint64(r.entry.Deadline) < target {
 					due = append(due, idx)
