@@ -1,7 +1,8 @@
 package pgstate
 
-// Reference is the retained scan-based handle table: one LRU, one flat
-// link index, full-table scans for expiry. It is the executable
+// Reference is the retained scan-based handle table: one map of entries,
+// each stamped with its last use, one flat link index, and full-table
+// scans for expiry and for the capped eviction. It is the executable
 // specification for Table — every observable behaviour (returned entries,
 // booleans, handle orderings, expiry sets, Stats) is defined by this
 // implementation, and differential_test.go drives the two in lockstep
@@ -15,7 +16,6 @@ import (
 	"sort"
 
 	"repro/internal/ad"
-	"repro/internal/cache"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
@@ -23,13 +23,23 @@ import (
 // Reference is one PG's handle table under a lifecycle discipline. Not
 // safe for concurrent use.
 type Reference struct {
-	cfg Config
-	lru *cache.LRU[uint64, *Entry]
+	cfg     Config
+	entries map[uint64]*refEntry
+	// clock is the last use stamp handed out.
+	clock uint64
 	// byLink maps each adjacency (canonical low-high pair) crossed by an
 	// entry's route to the handles depending on it. Maintained in step
-	// with lru.
+	// with entries.
 	byLink map[[2]ad.ID]map[uint64]struct{}
 	stats  Stats
+}
+
+// refEntry is one entry and the stamp of its last use: the Install,
+// Lookup or Refresh that last touched it. Under capped state the smallest
+// stamp is the least recently used entry.
+type refEntry struct {
+	Entry
+	used uint64
 }
 
 // NewReference builds an empty reference table. Unknown kinds panic,
@@ -39,28 +49,27 @@ func NewReference(cfg Config) *Reference {
 	if err != nil {
 		panic(err)
 	}
-	capacity := 0 // unbounded for hard and soft state
-	if cfg.Kind == Capped {
-		capacity = cfg.Capacity
+	return &Reference{
+		cfg:     cfg,
+		entries: make(map[uint64]*refEntry),
+		byLink:  make(map[[2]ad.ID]map[uint64]struct{}),
 	}
-	t := &Reference{
-		cfg:    cfg,
-		lru:    cache.NewLRU[uint64, *Entry](capacity),
-		byLink: make(map[[2]ad.ID]map[uint64]struct{}),
-	}
-	t.lru.OnEvict = func(h uint64, e *Entry) {
-		t.stats.Evictions++
-		unindexRoute(t.byLink, h, e.Route)
-	}
-	return t
+}
+
+// use stamps e as the most recently used entry.
+func (t *Reference) use(e *refEntry) {
+	t.clock++
+	e.used = t.clock
 }
 
 // drop removes h and its index edges, reporting whether it was present.
 func (t *Reference) drop(h uint64) bool {
-	if e, ok := t.lru.Peek(h); ok {
+	e, ok := t.entries[h]
+	if ok {
 		unindexRoute(t.byLink, h, e.Route)
+		delete(t.entries, h)
 	}
-	return t.lru.Delete(h)
+	return ok
 }
 
 // Kind returns the table's lifecycle discipline.
@@ -77,23 +86,38 @@ func (t *Reference) TTL() sim.Time {
 // Install adds (or overwrites) the entry for handle h.
 func (t *Reference) Install(now sim.Time, h uint64, route ad.Path, idx int, req policy.Request, ttl sim.Time) {
 	t.stats.Installs++
-	if old, ok := t.lru.Peek(h); ok {
-		unindexRoute(t.byLink, h, old.Route)
-	}
-	t.lru.Put(h, &Entry{
+	t.drop(h)
+	e := &refEntry{Entry: Entry{
 		Route: route, Idx: idx, Req: req,
 		Installed: now, Deadline: deadlineFor(t.cfg, now, ttl),
-	})
+	}}
+	t.use(e)
+	t.entries[h] = e
 	indexRoute(t.byLink, h, route)
-	if n := t.lru.Len(); n > t.stats.Peak {
-		t.stats.Peak = n
+	if t.cfg.Kind == Capped && len(t.entries) > t.cfg.Capacity {
+		t.evict()
 	}
+	t.stats.Peak = max(t.stats.Peak, len(t.entries))
+}
+
+// evict drops the least recently used entry, the one with the smallest
+// stamp, scanning the whole table.
+func (t *Reference) evict() {
+	var victim *refEntry
+	var vh uint64
+	for h, e := range t.entries {
+		if victim == nil || e.used < victim.used {
+			victim, vh = e, h
+		}
+	}
+	t.drop(vh)
+	t.stats.Evictions++
 }
 
 // Lookup returns the live entry for h, counting a hit or miss and
 // touching recency; expired entries drop and count as miss + expiration.
 func (t *Reference) Lookup(now sim.Time, h uint64) (Entry, bool) {
-	e, ok := t.lru.Get(h)
+	e, ok := t.entries[h]
 	if ok && e.expired(now) {
 		t.drop(h)
 		t.stats.Expirations++
@@ -103,14 +127,15 @@ func (t *Reference) Lookup(now sim.Time, h uint64) (Entry, bool) {
 		t.stats.Misses++
 		return Entry{}, false
 	}
+	t.use(e)
 	t.stats.Hits++
-	return *e, true
+	return e.Entry, true
 }
 
 // Peek returns the live entry for h without touching recency or the
 // hit/miss counters; expired entries still drop.
 func (t *Reference) Peek(now sim.Time, h uint64) (Entry, bool) {
-	e, ok := t.lru.Peek(h)
+	e, ok := t.entries[h]
 	if !ok {
 		return Entry{}, false
 	}
@@ -119,12 +144,12 @@ func (t *Reference) Peek(now sim.Time, h uint64) (Entry, bool) {
 		t.stats.Expirations++
 		return Entry{}, false
 	}
-	return *e, true
+	return e.Entry, true
 }
 
 // Refresh extends h's soft-state deadline and touches recency.
 func (t *Reference) Refresh(now sim.Time, h uint64, ttl sim.Time) bool {
-	e, ok := t.lru.Get(h)
+	e, ok := t.entries[h]
 	if !ok {
 		return false
 	}
@@ -133,6 +158,7 @@ func (t *Reference) Refresh(now sim.Time, h uint64, ttl sim.Time) bool {
 		t.stats.Expirations++
 		return false
 	}
+	t.use(e)
 	e.Deadline = deadlineFor(t.cfg, now, ttl)
 	t.stats.Refreshes++
 	return true
@@ -145,12 +171,11 @@ func (t *Reference) Remove(h uint64) bool { return t.drop(h) }
 // passed, and returns their handles in ascending order.
 func (t *Reference) ExpireDue(now sim.Time) []uint64 {
 	var due []uint64
-	t.lru.Range(func(h uint64, e *Entry) bool {
+	for h, e := range t.entries {
 		if e.expired(now) {
 			due = append(due, h)
 		}
-		return true
-	})
+	}
 	slices.Sort(due)
 	for _, h := range due {
 		t.drop(h)
@@ -162,7 +187,10 @@ func (t *Reference) ExpireDue(now sim.Time) []uint64 {
 // Handles returns the live handles in ascending order, including
 // expired-but-unswept entries.
 func (t *Reference) Handles() []uint64 {
-	out := t.lru.Keys()
+	out := make([]uint64, 0, len(t.entries))
+	for h := range t.entries {
+		out = append(out, h)
+	}
 	slices.Sort(out)
 	return out
 }
@@ -180,11 +208,11 @@ func (t *Reference) HandlesCrossing(a, b ad.ID) []uint64 {
 }
 
 // Len returns the current entry count.
-func (t *Reference) Len() int { return t.lru.Len() }
+func (t *Reference) Len() int { return len(t.entries) }
 
 // Stats returns the table's counters with Resident filled in.
 func (t *Reference) Stats() Stats {
 	s := t.stats
-	s.Resident = t.lru.Len()
+	s.Resident = len(t.entries)
 	return s
 }
