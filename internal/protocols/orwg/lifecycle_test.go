@@ -60,7 +60,7 @@ func TestSoftStateRefreshKeepsFlowAlive(t *testing.T) {
 	// Once the source stops refreshing, the whole route decays and the
 	// source's own expiry kills the flow (abandonment, not repair).
 	s.Advance(3 * ttl)
-	if len(s.node(sources[0]).established) != 0 {
+	if len(s.node(sources[0]).flows) != 0 {
 		t.Error("unrefreshed flow still established")
 	}
 	if delivered, _ := s.SendData(sources[0], res.Handle, 8); delivered {
@@ -127,7 +127,7 @@ func TestCappedNAKOnMissQueuesRepair(t *testing.T) {
 	if s.PendingRepairs() != 1 {
 		t.Fatalf("pending repairs = %d, want 1", s.PendingRepairs())
 	}
-	if _, ok := s.node(sources[0]).established[handles[0]]; ok {
+	if _, ok := s.node(sources[0]).flows[handles[0]]; ok {
 		t.Error("NAKed flow still established under its old handle")
 	}
 	sum := s.RepairAll()
@@ -176,7 +176,7 @@ func TestLinkFailureInvalidatesAndRepairs(t *testing.T) {
 	}
 	// The NAK from the break walked back to the source: the flow is dead
 	// and queued for repair, and no PG still holds its handle.
-	if _, ok := s.node(req.Src).established[res.Handle]; ok {
+	if _, ok := s.node(req.Src).flows[res.Handle]; ok {
 		t.Fatal("flow crossing failed link still established")
 	}
 	if s.PendingRepairs() != 1 {
@@ -207,7 +207,7 @@ func TestLinkFailureInvalidatesAndRepairs(t *testing.T) {
 		if len(fresh) != 1 {
 			t.Fatalf("re-setup handles = %v", fresh)
 		}
-		path := s.node(req.Src).established[fresh[0]]
+		path := s.node(req.Src).flows[fresh[0]].route
 		for i := 1; i < len(path); i++ {
 			if (path[i-1] == a && path[i] == b) || (path[i-1] == b && path[i] == a) {
 				t.Errorf("repaired route still crosses failed link: %v", path)
@@ -222,7 +222,7 @@ func TestLinkFailureInvalidatesAndRepairs(t *testing.T) {
 // handlesAt lists src's live flow handles in ascending order.
 func handlesAt(s *System, src ad.ID) []uint64 {
 	var hs []uint64
-	for h := range s.node(src).established {
+	for h := range s.node(src).flows {
 		hs = append(hs, h)
 	}
 	slices.Sort(hs)

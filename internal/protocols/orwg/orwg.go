@@ -125,14 +125,13 @@ func New(g *ad.Graph, db *policy.DB, cfg Config) *System {
 	lsas := flood.NewTable(ids)
 	for p, id := range ids {
 		n := &node{
-			id:          id,
-			sys:         s,
-			flooder:     flood.NewFlooder(id, lsas),
-			table:       pgstate.NewTable(cfg.State),
-			established: make(map[uint64]ad.Path),
-			flows:       make(map[uint64]policy.Request),
-			repair:      make(map[uint64]policy.Request),
-			delivered:   make(map[uint64]int),
+			id:        id,
+			sys:       s,
+			flooder:   flood.NewFlooder(id, lsas),
+			table:     pgstate.NewTable(cfg.State),
+			flows:     make(map[uint64]flow),
+			repair:    make(map[uint64]policy.Request),
+			delivered: make(map[uint64]int),
 		}
 		n.flooder.OnChange = n.onLSDBChange
 		s.nodes[p] = n
@@ -195,9 +194,9 @@ func (s *System) Establish(req policy.Request) SetupResult {
 	s.nw.Engine.Run()
 	res.Messages = s.nw.Stats.MessagesSent - msgs0
 	res.RTT = s.nw.Now() - t0
-	if est, ok := src.established[handle]; ok {
+	if f, ok := src.flows[handle]; ok {
 		res.OK = true
-		res.Path = est
+		res.Path = f.route
 	} else {
 		res.FailCode = src.lastFailCode
 		res.FailedAt = src.lastFailedAt
@@ -213,8 +212,8 @@ func (s *System) SendData(srcID ad.ID, handle uint64, payload int) (delivered bo
 	if src == nil {
 		return false, 0
 	}
-	path, ok := src.established[handle]
-	if !ok || len(path) < 2 {
+	path := src.flows[handle].route
+	if len(path) < 2 {
 		return false, 0
 	}
 	pkt := &wire.Data{
@@ -239,7 +238,6 @@ func (s *System) Abandon(srcID ad.ID, handle uint64) {
 	if src == nil {
 		return
 	}
-	delete(src.established, handle)
 	delete(src.flows, handle)
 	src.table.Remove(handle)
 }
@@ -260,7 +258,6 @@ func (s *System) expireAll() {
 	now := s.nw.Now()
 	for _, n := range s.nodes {
 		for _, h := range n.table.ExpireDue(now) {
-			delete(n.established, h)
 			delete(n.flows, h)
 		}
 	}
@@ -276,13 +273,13 @@ func (s *System) RefreshEstablished() {
 	ttl := s.ttlMillis()
 	ttlSim := sim.Time(ttl) * sim.Millisecond
 	for _, n := range s.nodes {
-		handles := make([]uint64, 0, len(n.established))
-		for h := range n.established {
+		handles := make([]uint64, 0, len(n.flows))
+		for h := range n.flows {
 			handles = append(handles, h)
 		}
 		sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
 		for _, h := range handles {
-			path := n.established[h]
+			path := n.flows[h].route
 			if len(path) < 2 {
 				continue
 			}
@@ -468,18 +465,24 @@ type node struct {
 	// lifecycle discipline.
 	table *pgstate.Table
 
-	// Source state. flows mirrors established with the originating
-	// request; it survives table eviction so a NAKed flow can be queued
-	// in repair for re-establishment.
+	// Source state. flows holds the flows this AD established, by handle;
+	// a flow survives table eviction so a NAKed flow can be queued in
+	// repair for re-establishment.
 	handleSeq    uint32
-	established  map[uint64]ad.Path
-	flows        map[uint64]policy.Request
+	flows        map[uint64]flow
 	repair       map[uint64]policy.Request
 	lastFailCode uint8
 	lastFailedAt ad.ID
 
 	// Destination state: packets delivered per handle.
 	delivered map[uint64]int
+}
+
+// flow is one flow an AD sourced: its route and the request it was set up
+// for.
+type flow struct {
+	route ad.Path
+	req   policy.Request
 }
 
 func (n *node) ID() ad.ID { return n.id }
@@ -654,7 +657,6 @@ func (n *node) handleSetup(nw *sim.Network, from ad.ID, m *wire.Setup) {
 func (n *node) failFlow(h uint64, req policy.Request, code uint8, failedAt ad.ID) {
 	n.lastFailCode = code
 	n.lastFailedAt = failedAt
-	delete(n.established, h)
 	delete(n.flows, h)
 	n.repair[h] = req
 }
@@ -668,8 +670,8 @@ func (n *node) handleSetupReply(nw *sim.Network, from ad.ID, m *wire.SetupReply)
 		// node sourced the flow it still resolves the NAK; otherwise the
 		// reply dies here and any state further upstream ages out under
 		// its own discipline.
-		if req, isSource := n.flows[m.Handle]; isSource && !m.OK() {
-			n.failFlow(m.Handle, req, m.Code, m.FailedAt)
+		if f, isSource := n.flows[m.Handle]; isSource && !m.OK() {
+			n.failFlow(m.Handle, f.req, m.Code, m.FailedAt)
 		}
 		return
 	}
@@ -679,14 +681,13 @@ func (n *node) handleSetupReply(nw *sim.Network, from ad.ID, m *wire.SetupReply)
 	if e.Idx == 0 {
 		// Source: resolve the pending setup or kill the live flow.
 		if m.OK() {
-			n.established[m.Handle] = e.Route
-			n.flows[m.Handle] = e.Req
+			n.flows[m.Handle] = flow{e.Route, e.Req}
 			return
 		}
 		n.lastFailCode = m.Code
 		n.lastFailedAt = m.FailedAt
-		if req, isFlow := n.flows[m.Handle]; isFlow {
-			n.failFlow(m.Handle, req, m.Code, m.FailedAt)
+		if f, isFlow := n.flows[m.Handle]; isFlow {
+			n.failFlow(m.Handle, f.req, m.Code, m.FailedAt)
 		}
 		return
 	}
@@ -785,33 +786,30 @@ func (n *node) revalidateCache(nw *sim.Network) {
 }
 
 // LinkDown is the failure-driven repair path (§6): this endpoint flushes
-// every handle whose route crossed the dead adjacency. If the failed hop
-// was downstream, a SetupNoLink NAK walks back so the source re-establishes
-// through its route server; if upstream, a repair teardown clears the
-// now-unreachable state downstream.
+// every handle whose route crossed the dead adjacency, found through the
+// table's link index. Routes are loop-free, so such a handle has nb as its
+// previous or next hop here. If the failed hop was downstream, a
+// SetupNoLink NAK walks back so the source re-establishes through its
+// route server; if upstream, a repair teardown clears the now-unreachable
+// state downstream.
 func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
 	n.flooder.Originate(nw, n.sys.db.Terms(n.id))
 	now := nw.Now()
-	for _, h := range n.table.Handles() {
+	for _, h := range n.table.HandlesCrossing(n.id, nb) {
 		e, ok := n.table.Peek(now, h)
 		if !ok {
 			continue
 		}
 		upDead := e.Idx > 0 && e.Route[e.Idx-1] == nb
 		downDead := e.Idx < len(e.Route)-1 && e.Route[e.Idx+1] == nb
-		if !upDead && !downDead {
-			continue
-		}
 		n.table.Remove(h)
 		if downDead {
 			if e.Idx == 0 {
 				// This PG sourced the flow: fail it locally.
 				n.lastFailCode = wire.SetupNoLink
 				n.lastFailedAt = n.id
-				if req, isFlow := n.flows[h]; isFlow {
-					n.failFlow(h, req, wire.SetupNoLink, n.id)
-				} else {
-					delete(n.established, h)
+				if f, isFlow := n.flows[h]; isFlow {
+					n.failFlow(h, f.req, wire.SetupNoLink, n.id)
 				}
 			} else {
 				nw.SendMessage(n.id, e.Route[e.Idx-1], &wire.SetupReply{

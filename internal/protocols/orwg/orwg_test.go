@@ -76,7 +76,7 @@ func TestSetupRejectedByLocalPolicy(t *testing.T) {
 	route := ad.Path{src, tr, d}
 	srcNode.startSetup(s.nw, handle, req, route, []policy.Key{{Advertiser: tr, Serial: 7}})
 	s.nw.Engine.Run()
-	if _, ok := srcNode.established[handle]; ok {
+	if _, ok := srcNode.flows[handle]; ok {
 		t.Fatal("setup established despite local policy refusal")
 	}
 	if srcNode.lastFailCode != wire.SetupNoPolicy {
