@@ -41,14 +41,25 @@ func (d Direction) String() string {
 // Ordering assigns each AD a rank; higher rank is higher in the hierarchy.
 // Ranks are strict (no two ADs share one) so every link has a definite
 // direction, which the ECMA design requires for the up/down labelling.
+// Ranks are laid out by position: rank[i] is ids[i]'s, and ids ascend, so
+// ECMA's export rule finds a rank with ad.Position, not a hash lookup.
 type Ordering struct {
-	rank map[ad.ID]int64
+	ids  []ad.ID
+	rank []int64
+}
+
+// rankOf returns id's rank, or 0 for an AD the ordering does not place.
+func (o Ordering) rankOf(id ad.ID) int64 {
+	if p := ad.Position(o.ids, id); p >= 0 {
+		return o.rank[p]
+	}
+	return 0
 }
 
 // Direction returns the direction of travelling from one AD to an adjacent
 // AD: Up when the target ranks higher.
 func (o Ordering) Direction(from, to ad.ID) Direction {
-	if o.rank[to] > o.rank[from] {
+	if o.rankOf(to) > o.rankOf(from) {
 		return Up
 	}
 	return Down
@@ -76,10 +87,12 @@ func (o Ordering) UpDownValid(path ad.Path) bool {
 // deterministic tie-break within a level. This is the ordering a central
 // authority would compute for a purely hierarchical internet.
 func FromLevels(g *ad.Graph) Ordering {
-	o := Ordering{rank: make(map[ad.ID]int64, g.NumADs())}
-	for _, info := range g.ADs() {
+	infos := g.ADs() // ascending ID
+	o := Ordering{ids: make([]ad.ID, len(infos)), rank: make([]int64, len(infos))}
+	for i, info := range infos {
 		major := int64(3 - int64(info.Level)) // campus=0 ... backbone=3
-		o.rank[info.ID] = major<<33 - int64(info.ID)
+		o.ids[i] = info.ID
+		o.rank[i] = major<<33 - int64(info.ID)
 	}
 	return o
 }
@@ -154,13 +167,18 @@ func FromConstraints(universe []ad.ID, cons []Constraint) (Ordering, bool) {
 			maxLayer = l
 		}
 	}
-	o := Ordering{rank: make(map[ad.ID]int64, len(universe))}
+	ids := slices.Clone(universe)
 	for id := range nodes {
-		o.rank[id] = (maxLayer-layer[id]+1)<<33 - int64(id)
+		ids = append(ids, id)
 	}
-	for _, id := range universe {
-		if !nodes[id] {
-			o.rank[id] = -int64(id) // below all constrained ADs
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	o := Ordering{ids: ids, rank: make([]int64, len(ids))}
+	for i, id := range ids {
+		if nodes[id] {
+			o.rank[i] = (maxLayer-layer[id]+1)<<33 - int64(id)
+		} else {
+			o.rank[i] = -int64(id) // below all constrained ADs
 		}
 	}
 	return o, true

@@ -19,17 +19,17 @@ func TestFromLevels(t *testing.T) {
 	}
 	seen := map[int64]bool{}
 	for _, id := range topo.Graph.IDs() {
-		if seen[o.rank[id]] {
-			t.Errorf("AD %v shares rank %d: ordering not strict", id, o.rank[id])
+		if seen[o.rankOf(id)] {
+			t.Errorf("AD %v shares rank %d: ordering not strict", id, o.rankOf(id))
 		}
-		seen[o.rank[id]] = true
+		seen[o.rankOf(id)] = true
 	}
 	// Backbones rank above regionals, which rank above campuses.
 	bb := topo.ByLevel[ad.Backbone][0]
 	reg := topo.ByLevel[ad.Regional][0]
 	cam := topo.ByLevel[ad.Campus][0]
-	if o.rank[bb] <= o.rank[reg] || o.rank[reg] <= o.rank[cam] {
-		t.Errorf("ranks: bb=%d reg=%d cam=%d", o.rank[bb], o.rank[reg], o.rank[cam])
+	if o.rankOf(bb) <= o.rankOf(reg) || o.rankOf(reg) <= o.rankOf(cam) {
+		t.Errorf("ranks: bb=%d reg=%d cam=%d", o.rankOf(bb), o.rankOf(reg), o.rankOf(cam))
 	}
 	if o.Direction(cam, reg) != Up || o.Direction(reg, cam) != Down {
 		t.Error("Direction wrong for hierarchical link")
@@ -77,12 +77,12 @@ func TestFromConstraintsSimple(t *testing.T) {
 	if !ok {
 		t.Fatal("satisfiable set reported unsatisfiable")
 	}
-	if o.rank[1] <= o.rank[2] || o.rank[2] <= o.rank[3] {
-		t.Errorf("ranks violate constraints: 1=%d 2=%d 3=%d", o.rank[1], o.rank[2], o.rank[3])
+	if o.rankOf(1) <= o.rankOf(2) || o.rankOf(2) <= o.rankOf(3) {
+		t.Errorf("ranks violate constraints: 1=%d 2=%d 3=%d", o.rankOf(1), o.rankOf(2), o.rankOf(3))
 	}
 	// Unconstrained AD 4 ranks below constrained ones.
-	if o.rank[4] >= o.rank[3] {
-		t.Errorf("unconstrained AD 4 rank %d >= AD3 rank %d", o.rank[4], o.rank[3])
+	if o.rankOf(4) >= o.rankOf(3) {
+		t.Errorf("unconstrained AD 4 rank %d >= AD3 rank %d", o.rankOf(4), o.rankOf(3))
 	}
 }
 
@@ -122,8 +122,8 @@ func TestFromConstraintsDiamond(t *testing.T) {
 		t.Fatal("diamond unsatisfiable")
 	}
 	for _, c := range cons {
-		if o.rank[c.Above] <= o.rank[c.Below] {
-			t.Errorf("constraint %v violated: %d <= %d", c, o.rank[c.Above], o.rank[c.Below])
+		if o.rankOf(c.Above) <= o.rankOf(c.Below) {
+			t.Errorf("constraint %v violated: %d <= %d", c, o.rankOf(c.Above), o.rankOf(c.Below))
 		}
 	}
 }
@@ -225,17 +225,17 @@ func TestUpDownLoopsAreMountains(t *testing.T) {
 					// rise to a single peak then strictly fall.
 					peak := 0
 					for i := 1; i < len(path); i++ {
-						if o.rank[path[i]] > o.rank[path[peak]] {
+						if o.rankOf(path[i]) > o.rankOf(path[peak]) {
 							peak = i
 						}
 					}
 					for i := 1; i <= peak; i++ {
-						if o.rank[path[i]] <= o.rank[path[i-1]] {
+						if o.rankOf(path[i]) <= o.rankOf(path[i-1]) {
 							t.Errorf("valid loop %v not ascending before peak", path)
 						}
 					}
 					for i := peak + 1; i < len(path); i++ {
-						if o.rank[path[i]] >= o.rank[path[i-1]] {
+						if o.rankOf(path[i]) >= o.rankOf(path[i-1]) {
 							t.Errorf("valid loop %v not descending after peak", path)
 						}
 					}
