@@ -19,11 +19,11 @@ import (
 	"strings"
 
 	"repro/internal/ad"
-	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/policytool"
 	"repro/internal/synthesis"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 	"repro/internal/wire"
 )
 
@@ -88,7 +88,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 	change := wire.PlanStep{Op: wire.CtlPolicy, A: target, Terms: newTerms}
 	im, err := policytool.Assess(synthesis.NewWorld(g, db), []wire.PlanStep{change}, reqs)
 	if err != nil {

@@ -93,7 +93,7 @@ func main() {
 	oracle := core.NewOracle(g, db)
 	var reqs []policy.Request
 	if *workload == "all-pairs" {
-		reqs = core.AllPairsRequests(g, true, 0, 0)
+		reqs = trafficgen.AllPairs(g, true, 0, 0)
 	} else {
 		reqs = trafficgen.Generate(g, trafficgen.Config{
 			Seed: *seed + 2, Requests: *requests, StubsOnly: true, Model: *workload,

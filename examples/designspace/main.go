@@ -14,6 +14,7 @@ import (
 	"repro/internal/protocols"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 )
 
 func main() {
@@ -25,7 +26,7 @@ func main() {
 		SourceFraction:        0.5,
 	})
 	oracle := core.NewOracle(g, db)
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 
 	table := metrics.NewTable("Design space on Figure 1 (source-restricted policies)",
 		"protocol", "algorithm", "decision", "policy-in", "availability", "illegal", "blackholes", "msgs", "bytes")

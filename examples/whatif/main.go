@@ -21,6 +21,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/synthesis"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 	"repro/internal/wire"
 )
 
@@ -49,7 +50,7 @@ func main() {
 	proposed := policy.OpenTerm(target, 0)
 	proposed.Sources = policy.SetOf(customers...)
 
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 
 	// 1. Predict.
 	fmt.Println("--- prediction (policytool) ---")

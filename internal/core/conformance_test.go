@@ -15,6 +15,7 @@ import (
 	"repro/internal/protocols/plaindv"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 )
 
 // TestConformanceAllProtocols runs the shared conformance suite over every
@@ -94,7 +95,7 @@ func runConformance(t *testing.T, name string, build systemBuilder, cfg conforma
 		db := policy.OpenDB(topo.Graph)
 		sys := build(topo.Graph, db)
 		sys.Converge(limit)
-		for _, req := range core.AllPairsRequests(topo.Graph, false, 0, 0) {
+		for _, req := range trafficgen.AllPairs(topo.Graph, false, 0, 0) {
 			if out := sys.Route(req); out.Looped {
 				t.Fatalf("%v looped: %v", req, out.Path)
 			}
@@ -108,7 +109,7 @@ func runConformance(t *testing.T, name string, build systemBuilder, cfg conforma
 			sys := build(topo.Graph, db)
 			sys.Converge(limit)
 			delivered := 0
-			for _, req := range core.AllPairsRequests(topo.Graph, true, 0, 0) {
+			for _, req := range trafficgen.AllPairs(topo.Graph, true, 0, 0) {
 				if sys.Route(req).Delivered {
 					delivered++
 				}
@@ -128,7 +129,7 @@ func runConformance(t *testing.T, name string, build systemBuilder, cfg conforma
 			db := policy.OpenDB(topo.Graph)
 			oracle := core.Oracle{G: topo.Graph, DB: db}
 			sys := build(topo.Graph, db)
-			m := core.RunScenario(sys, oracle, core.AllPairsRequests(topo.Graph, true, 0, 0), limit)
+			m := core.RunScenario(sys, oracle, trafficgen.AllPairs(topo.Graph, true, 0, 0), limit)
 			if m.Availability() < 1 {
 				t.Fatalf("availability %.3f under open policy", m.Availability())
 			}
@@ -146,7 +147,7 @@ func runConformance(t *testing.T, name string, build systemBuilder, cfg conforma
 			})
 			oracle := core.Oracle{G: topo.Graph, DB: db}
 			sys := build(topo.Graph, db)
-			m := core.RunScenario(sys, oracle, core.AllPairsRequests(topo.Graph, true, 0, 0), limit)
+			m := core.RunScenario(sys, oracle, trafficgen.AllPairs(topo.Graph, true, 0, 0), limit)
 			if m.DeliveredIllegal != 0 {
 				t.Fatalf("%d deliveries violated source-specific terms", m.DeliveredIllegal)
 			}
@@ -159,7 +160,7 @@ func runConformance(t *testing.T, name string, build systemBuilder, cfg conforma
 		db := policy.OpenDB(g)
 		sys := build(g, db)
 		sys.Converge(limit)
-		pairs := core.AllPairsRequests(g, true, 0, 0)
+		pairs := trafficgen.AllPairs(g, true, 0, 0)
 		// Computations is cumulative: nothing may make it fall.
 		comp := sys.Computations()
 		cumulative := func(after any) {

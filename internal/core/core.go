@@ -13,7 +13,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/synthesis"
-	"repro/internal/trafficgen"
 )
 
 // Outcome describes what happened to a traffic request under a protocol.
@@ -246,12 +245,4 @@ func RunScenario(sys System, oracle Oracle, reqs []policy.Request, limit sim.Tim
 	m.StateEntries = sys.StateEntries()
 	m.Computations = sys.Computations()
 	return m
-}
-
-// AllPairsRequests builds a deterministic request workload: one request per
-// ordered stub pair (or all pairs when stubsOnly is false), with the given
-// service class. Sources that are not stubs rarely originate traffic in the
-// paper's model, so stubsOnly is the usual choice.
-func AllPairsRequests(g *ad.Graph, stubsOnly bool, qos policy.QOS, uci policy.UCI) []policy.Request {
-	return trafficgen.AllPairs(g, stubsOnly, qos, uci)
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/racecheck"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 )
 
 func seconds(s int) sim.Time { return sim.Time(s) * sim.Second }
@@ -36,6 +37,9 @@ func TestOracle(t *testing.T) {
 	}
 }
 
+// TestAllPairsRequests holds trafficgen.AllPairs, the workload the
+// conformance suite and the experiments route, to one request per ordered
+// pair with the classes asked for.
 func TestAllPairsRequests(t *testing.T) {
 	topo := topology.Figure1()
 	stubs := 0
@@ -44,7 +48,7 @@ func TestAllPairsRequests(t *testing.T) {
 			stubs++
 		}
 	}
-	reqs := core.AllPairsRequests(topo.Graph, true, 1, 2)
+	reqs := trafficgen.AllPairs(topo.Graph, true, 1, 2)
 	if len(reqs) != stubs*(stubs-1) {
 		t.Errorf("requests = %d, want %d", len(reqs), stubs*(stubs-1))
 	}
@@ -56,7 +60,7 @@ func TestAllPairsRequests(t *testing.T) {
 			t.Error("classes not propagated")
 		}
 	}
-	all := core.AllPairsRequests(topo.Graph, false, 0, 0)
+	all := trafficgen.AllPairs(topo.Graph, false, 0, 0)
 	n := topo.Graph.NumADs()
 	if len(all) != n*(n-1) {
 		t.Errorf("all-pairs = %d, want %d", len(all), n*(n-1))
@@ -67,7 +71,7 @@ func TestRunScenarioOpenPolicy(t *testing.T) {
 	topo := topology.Figure1()
 	db := policy.OpenDB(topo.Graph)
 	oracle := core.Oracle{G: topo.Graph, DB: db}
-	reqs := core.AllPairsRequests(topo.Graph, true, 0, 0)
+	reqs := trafficgen.AllPairs(topo.Graph, true, 0, 0)
 
 	systems := []core.System{
 		plaindv.New(topo.Graph, plaindv.Config{SplitHorizon: true}),
@@ -108,7 +112,7 @@ func TestRunScenarioRestrictedPolicyOrdering(t *testing.T) {
 		Seed: 32, SourceRestrictionProb: 0.8, SourceFraction: 0.4,
 	})
 	oracle := core.Oracle{G: topo.Graph, DB: db}
-	reqs := core.AllPairsRequests(topo.Graph, true, 0, 0)
+	reqs := trafficgen.AllPairs(topo.Graph, true, 0, 0)
 
 	run := func(sys core.System) core.Metrics {
 		return core.RunScenario(sys, oracle, reqs, seconds(600))

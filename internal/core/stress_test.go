@@ -14,6 +14,7 @@ import (
 	"repro/internal/protocols/plaindv"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 )
 
 // TestStressRandomFailures subjects every policy-aware architecture to a
@@ -56,7 +57,7 @@ func TestStressRandomFailures(t *testing.T) {
 				Seed: 78, SourceRestrictionProb: 0.5, SourceFraction: 0.5,
 			})
 			oracle := core.Oracle{G: g, DB: db}
-			reqs := core.AllPairsRequests(g, true, 0, 0)
+			reqs := trafficgen.AllPairs(g, true, 0, 0)
 			sys := m.build(g, db)
 			if _, ok := sys.Converge(600 * sim.Second); !ok {
 				t.Fatal("initial convergence failed")
@@ -128,7 +129,7 @@ func TestCrossProtocolConsistency(t *testing.T) {
 	g := topo.Graph
 	db := policy.OpenDB(g)
 	oracle := core.Oracle{G: g, DB: db}
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 	systems := []core.System{
 		ecma.New(g, db, ecma.Config{}),
 		idrp.New(g, db, idrp.Config{}),

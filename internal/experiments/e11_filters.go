@@ -6,6 +6,7 @@ import (
 	"repro/internal/protocols/filters"
 	"repro/internal/protocols/orwg"
 	"repro/internal/sim"
+	"repro/internal/trafficgen"
 )
 
 // E11FilterDiscovery compares the §3 baseline — silent packet filters
@@ -25,7 +26,7 @@ func e11Rows(seed int64) rows {
 	topo := defaultTopology(seed)
 	g := topo.Graph
 	db := restrictedPolicy(g, seed+1)
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 	oracle := core.NewOracle(g, db)
 
 	var fDrops, fAttempts, fDelivered int

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/protocols/idrp"
+	"repro/internal/trafficgen"
 )
 
 // E12IDRPMultiRoute sweeps the number of attribute-distinct routes IDRP
@@ -25,7 +26,7 @@ func e12Rows(seed int64) rows {
 	g := topo.Graph
 	db := restrictedPolicy(g, seed+1)
 	oracle := core.NewOracle(g, db)
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 
 	counts := []int{1, 2, 4, 8}
 	results := make([]core.Metrics, len(counts))

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"repro/internal/ad"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/protocols/orwg"
 	"repro/internal/synthesis"
+	"repro/internal/trafficgen"
 )
 
 // E14PolicyChange measures the dynamics of a runtime policy change under
@@ -22,7 +22,7 @@ func E14PolicyChange(seed int64) *metrics.Table {
 	db := policy.OpenDB(g)
 	sys := orwg.New(g, db, orwg.Config{})
 	sys.Converge(convergenceLimit)
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 
 	t := metrics.NewTable("E14 — runtime policy change under ORWG",
 		"phase", "flows-up", "messages", "notes")

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/protocols/orwg"
+	"repro/internal/trafficgen"
 	"repro/internal/wire"
 )
 
@@ -28,7 +28,7 @@ func E17SetupAmortization(seed int64) *metrics.Table {
 	// Pick a representative long route: the stub pair with the most hops.
 	var best orwg.SetupResult
 	var bestReq policy.Request
-	for _, req := range core.AllPairsRequests(g, true, 0, 0) {
+	for _, req := range trafficgen.AllPairs(g, true, 0, 0) {
 		res := sys.Establish(req)
 		if res.OK && res.Path.Hops() > best.Path.Hops() {
 			best = res

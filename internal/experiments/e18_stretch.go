@@ -7,6 +7,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/protocols"
 	"repro/internal/protocols/lshh"
+	"repro/internal/trafficgen"
 )
 
 // E18PathStretch measures §4.1's acknowledged cost of routing at the AD
@@ -38,7 +39,7 @@ func e18Rows(seed int64) rows {
 		MaxTermCost:     8,
 	})
 	oracle := core.NewOracle(g, db)
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 
 	systems := []struct {
 		label string

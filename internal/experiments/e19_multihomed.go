@@ -7,6 +7,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/protocols"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 )
 
 // E19MultihomedStubs verifies the model requirement of §2.1: "Multi-homed
@@ -32,7 +33,7 @@ func e19Rows(seed int64) rows {
 	g := topo.Graph
 	db := policy.OpenDB(g) // open transit policy; stubs still advertise nothing
 	oracle := core.NewOracle(g, db)
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 
 	multihomed := map[ad.ID]bool{}
 	nMulti := 0

@@ -7,6 +7,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/protocols"
+	"repro/internal/trafficgen"
 )
 
 // E1RouteAvailability sweeps policy restrictiveness and measures, for each
@@ -26,7 +27,7 @@ func E1RouteAvailability(seed int64) *metrics.Table {
 func e1Rows(seed int64) rows {
 	topo := defaultTopology(seed)
 	g := topo.Graph
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 
 	levels := []float64{0, 0.25, 0.5, 0.75, 1.0}
 	results := make([][5]core.Metrics, len(levels))

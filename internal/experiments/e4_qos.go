@@ -9,6 +9,7 @@ import (
 	"repro/internal/protocols/ecma"
 	"repro/internal/protocols/idrp"
 	"repro/internal/protocols/orwg"
+	"repro/internal/trafficgen"
 )
 
 // E4QOSScaling sweeps the number of QOS classes and measures routing state
@@ -29,7 +30,7 @@ func E4QOSScaling(seed int64) *metrics.Table {
 func e4Rows(seed int64) rows {
 	topo := defaultTopology(seed)
 	g := topo.Graph
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 
 	classes := []int{1, 2, 4, 8, 16}
 	results := make([][3]core.Metrics, len(classes))

@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/ad"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/pgstate"
 	"repro/internal/protocols/orwg"
+	"repro/internal/trafficgen"
 	"repro/internal/wire"
 )
 
@@ -26,7 +26,7 @@ func e5Rows(seed int64) rows {
 	topo := defaultTopology(seed)
 	g := topo.Graph
 	db := restrictedPolicy(g, seed+1)
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 
 	capacities := []int{0, 64, 16, 4}
 	cells := make([][]any, len(capacities))

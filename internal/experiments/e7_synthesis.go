@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/synthesis"
@@ -48,7 +47,7 @@ func e7Rows(seed int64) rows {
 
 			// Workload: a Zipf-skewed stub traffic matrix (most requests
 			// concentrate on few pairs), as inter-AD traffic does.
-			all := core.AllPairsRequests(g, true, 0, 0)
+			all := trafficgen.AllPairs(g, true, 0, 0)
 			workload := trafficgen.Generate(g, trafficgen.Config{
 				Seed: seed + 2, Requests: 400, StubsOnly: true,
 				Model: "zipf", ZipfS: 1.4,

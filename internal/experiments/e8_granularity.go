@@ -7,6 +7,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/protocols/orwg"
+	"repro/internal/trafficgen"
 )
 
 // E8PolicyGranularity sweeps policy granularity (terms per transit AD) and
@@ -24,7 +25,7 @@ func E8PolicyGranularity(seed int64) *metrics.Table {
 func e8Rows(seed int64) rows {
 	topo := defaultTopology(seed)
 	g := topo.Graph
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 
 	granularities := []int{1, 2, 4, 8, 16}
 	cells := make([][]any, len(granularities))

@@ -4,6 +4,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/protocols"
+	"repro/internal/trafficgen"
 )
 
 // table1Rows runs every design point on one topology and policy set; each
@@ -15,7 +16,7 @@ func table1Rows(seed int64) rows {
 	g := topo.Graph
 	db := restrictedPolicy(g, seed+1)
 	oracle := core.NewOracle(g, db)
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 
 	results := make([]core.Metrics, len(protocols.Designs))
 	tasks := make([]func(), len(protocols.Designs))

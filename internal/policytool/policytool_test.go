@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/ad"
-	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/synthesis"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 	"repro/internal/wire"
 )
 
@@ -147,7 +147,7 @@ func TestReportTruncation(t *testing.T) {
 			regional = info.ID
 		}
 	}
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 	im := assess(t, g, db, regional, nil, reqs)
 	if len(im.Lost) <= 10 {
 		t.Fatalf("scenario produced only %d losses; need > 10", len(im.Lost))
@@ -165,7 +165,7 @@ func TestAssessOnGeneratedInternet(t *testing.T) {
 	topo := topology.Generate(topology.Config{Seed: 9, LateralProb: 0.3})
 	g := topo.Graph
 	db := policy.OpenDB(g)
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 	// Closing a regional with redundancy mostly reroutes; closing a
 	// bridge loses pairs. Either way the accounting must balance.
 	for _, info := range g.ADs() {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 )
 
 var _ core.System = (*System)(nil)
@@ -121,7 +122,7 @@ func TestComparedWithORWGOnFigure1(t *testing.T) {
 	topo := topology.Figure1()
 	db := policy.Generate(topo.Graph, policy.GenConfig{Seed: 17, SourceRestrictionProb: 0.7, SourceFraction: 0.4})
 	s := New(topo.Graph, db, Config{Timeout: 50 * sim.Millisecond, MaxCandidates: 5})
-	reqs := core.AllPairsRequests(topo.Graph, true, 0, 0)
+	reqs := trafficgen.AllPairs(topo.Graph, true, 0, 0)
 	totalDrops := 0
 	for _, req := range reqs {
 		d := s.Discover(req)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/synthesis"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 	"repro/internal/wire"
 )
 
@@ -130,7 +131,7 @@ func TestSharedViewsAreInvisible(t *testing.T) {
 		// Where the failure partitions the internet, each side converges
 		// on an LSDB state of its own.
 		connected := cut.Connected()
-		reqs := core.AllPairsRequests(g, false, 0, 0)
+		reqs := trafficgen.AllPairs(g, false, 0, 0)
 		phases := []string{"initial", "after a failure"}
 		type phase struct {
 			routes                   []core.Outcome

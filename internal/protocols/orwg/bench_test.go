@@ -3,10 +3,10 @@ package orwg
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 )
 
 // sink keeps benchmarked results live against dead-code elimination.
@@ -39,7 +39,7 @@ func BenchmarkORWGEstablish(b *testing.B) {
 	topo, db := benchTopo()
 	sys := New(topo.Graph, db, Config{})
 	sys.Converge(600 * sim.Second)
-	reqs := core.AllPairsRequests(topo.Graph, true, 0, 0)
+	reqs := trafficgen.AllPairs(topo.Graph, true, 0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := sys.Establish(reqs[i%len(reqs)])

@@ -7,6 +7,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 )
 
 func TestLookup(t *testing.T) {
@@ -33,7 +34,7 @@ func TestEveryDesignConvergesOnFigure1(t *testing.T) {
 	g := topology.Figure1().Graph
 	db := policy.OpenDB(g)
 	oracle := core.NewOracle(g, db)
-	reqs := core.AllPairsRequests(g, true, 0, 0)
+	reqs := trafficgen.AllPairs(g, true, 0, 0)
 	for _, d := range Designs {
 		t.Run(d.Name, func(t *testing.T) {
 			m := core.RunScenario(d.New(g, db), oracle, reqs, 600*sim.Second)

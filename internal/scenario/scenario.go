@@ -272,9 +272,9 @@ func (sc *Scenario) Materialize() (*ad.Graph, *policy.DB, []policy.Request, erro
 	var reqs []policy.Request
 	switch {
 	case sc.Requests.AllStubPairs:
-		reqs = core.AllPairsRequests(g, true, 0, 0)
+		reqs = trafficgen.AllPairs(g, true, 0, 0)
 	case sc.Requests.AllPairs:
-		reqs = core.AllPairsRequests(g, false, 0, 0)
+		reqs = trafficgen.AllPairs(g, false, 0, 0)
 	case len(sc.Requests.Explicit) > 0:
 		for _, e := range sc.Requests.Explicit {
 			reqs = append(reqs, policy.Request{

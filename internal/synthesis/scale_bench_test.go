@@ -3,10 +3,10 @@ package synthesis_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/synthesis"
 	"repro/internal/topology"
+	"repro/internal/trafficgen"
 )
 
 // sink keeps benchmarked results live against dead-code elimination.
@@ -22,7 +22,7 @@ func BenchmarkSynthesisEnumerate(b *testing.B) {
 	db := policy.Generate(topo.Graph, policy.GenConfig{
 		Seed: 43, SourceRestrictionProb: 0.5, SourceFraction: 0.5,
 	})
-	reqs := core.AllPairsRequests(topo.Graph, true, 0, 0)
+	reqs := trafficgen.AllPairs(topo.Graph, true, 0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := reqs[i%len(reqs)]
@@ -41,7 +41,7 @@ func BenchmarkLargeSynthesis(b *testing.B) {
 	db := policy.Generate(topo.Graph, policy.GenConfig{
 		Seed: 43, SourceRestrictionProb: 0.3, SourceFraction: 0.5,
 	})
-	reqs := core.AllPairsRequests(topo.Graph, true, 0, 0)
+	reqs := trafficgen.AllPairs(topo.Graph, true, 0, 0)
 	snap := synthesis.Compile(topo.Graph, db)
 	b.ReportAllocs()
 	b.ResetTimer()
