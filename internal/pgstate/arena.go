@@ -102,6 +102,35 @@ func (a *arena) alloc() int32 {
 	return base
 }
 
+// pushFront puts record i first on the list whose first record is *head.
+// tail, when not nil, holds the list's last record.
+func (a *arena) pushFront(i int32, head, tail *int32) {
+	r := a.at(i)
+	r.prev, r.next = -1, *head
+	if *head != -1 {
+		a.at(*head).prev = i
+	} else if tail != nil {
+		*tail = i
+	}
+	*head = i
+}
+
+// unlink takes record i off the list that pushFront put it on.
+func (a *arena) unlink(i int32, head, tail *int32) {
+	r := a.at(i)
+	if r.prev != -1 {
+		a.at(r.prev).next = r.next
+	} else {
+		*head = r.next
+	}
+	if r.next != -1 {
+		a.at(r.next).prev = r.prev
+	} else if tail != nil {
+		*tail = r.prev
+	}
+	r.next, r.prev = -1, -1
+}
+
 // release returns idx to the free list. The payload is cleared so the
 // arena does not pin the route slice, and gen is bumped so any stale
 // overflow-heap reference to this slot is recognizably dead.

@@ -186,6 +186,16 @@ var (
 	_ Store = (*Reference)(nil)
 )
 
+// sortedKeys returns m's handles in ascending order.
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	out := make([]uint64, 0, len(m))
+	for h := range m {
+		out = append(out, h)
+	}
+	slices.Sort(out)
+	return out
+}
+
 // linkOf orders an adjacency low-high so both directions index together.
 func linkOf(a, b ad.ID) [2]ad.ID {
 	if a > b {
@@ -317,40 +327,12 @@ func (t *Table) unindexLinks(route ad.Path) {
 	}
 }
 
-// pushFront makes record i the most recently used of a capped table.
-func (t *Table) pushFront(i int32) {
-	r := t.arena.at(i)
-	r.prev, r.next = -1, t.head
-	if t.head != -1 {
-		t.arena.at(t.head).prev = i
-	} else {
-		t.tail = i
-	}
-	t.head = i
-}
-
-// unlink takes record i off a capped table's recency list.
-func (t *Table) unlink(i int32) {
-	r := t.arena.at(i)
-	if r.prev != -1 {
-		t.arena.at(r.prev).next = r.next
-	} else {
-		t.head = r.next
-	}
-	if r.next != -1 {
-		t.arena.at(r.next).prev = r.prev
-	} else {
-		t.tail = r.prev
-	}
-	r.next, r.prev = -1, -1
-}
-
 // touch makes record i the most recently used under capped state; the
 // other disciplines keep no recency.
 func (t *Table) touch(i int32) {
 	if t.cfg.Kind == Capped && t.head != i {
-		t.unlink(i)
-		t.pushFront(i)
+		t.arena.unlink(i, &t.head, &t.tail)
+		t.arena.pushFront(i, &t.head, &t.tail)
 	}
 }
 
@@ -387,12 +369,24 @@ func (t *Table) dropLocked(h uint64, idx int32) {
 		t.wheel.cancel(&t.arena, idx)
 	}
 	if t.cfg.Kind == Capped {
-		t.unlink(idx)
+		t.arena.unlink(idx, &t.head, &t.tail)
 	}
 	delete(t.byHandle, h)
 	t.arena.release(idx)
 	t.unindexLinks(route)
 	t.st.Resident--
+}
+
+// liveLocked finds h's record, dropping it and counting an expiration if
+// its deadline has passed. Caller holds t.mu.
+func (t *Table) liveLocked(now sim.Time, h uint64) (int32, bool) {
+	i, ok := t.byHandle[h]
+	if ok && t.arena.at(i).entry.expired(now) {
+		t.dropLocked(h, i)
+		t.st.Expirations++
+		return 0, false
+	}
+	return i, ok
 }
 
 // Install adds (or overwrites) the entry for handle h. ttl is the
@@ -436,7 +430,7 @@ func (t *Table) Install(now sim.Time, h uint64, route ad.Path, idx int, req poli
 	}
 	t.st.Resident++
 	if t.cfg.Kind == Capped {
-		t.pushFront(i)
+		t.arena.pushFront(i, &t.head, &t.tail)
 		if t.st.Resident > t.cfg.Capacity {
 			// Evict before Peak is taken: a capped table's Peak never
 			// passes Capacity.
@@ -454,15 +448,10 @@ func (t *Table) Install(now sim.Time, h uint64, route ad.Path, idx int, req poli
 func (t *Table) Lookup(now sim.Time, h uint64) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i, ok := t.byHandle[h]; ok {
+	if i, ok := t.liveLocked(now, h); ok {
 		t.touch(i)
-		r := t.arena.at(i)
-		if !r.entry.expired(now) {
-			t.st.Hits++
-			return r.entry, true
-		}
-		t.dropLocked(h, i)
-		t.st.Expirations++
+		t.st.Hits++
+		return t.arena.at(i).entry, true
 	}
 	t.st.Misses++
 	return Entry{}, false
@@ -474,17 +463,11 @@ func (t *Table) Lookup(now sim.Time, h uint64) (Entry, bool) {
 func (t *Table) Peek(now sim.Time, h uint64) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.byHandle[h]
+	i, ok := t.liveLocked(now, h)
 	if !ok {
 		return Entry{}, false
 	}
-	r := t.arena.at(i)
-	if r.entry.expired(now) {
-		t.dropLocked(h, i)
-		t.st.Expirations++
-		return Entry{}, false
-	}
-	return r.entry, true
+	return t.arena.at(i).entry, true
 }
 
 // Refresh extends h's soft-state deadline (ttl <= 0 = table default) and
@@ -493,17 +476,12 @@ func (t *Table) Peek(now sim.Time, h uint64) (Entry, bool) {
 func (t *Table) Refresh(now sim.Time, h uint64, ttl sim.Time) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.byHandle[h]
+	i, ok := t.liveLocked(now, h)
 	if !ok {
 		return false
 	}
 	t.touch(i)
 	r := t.arena.at(i)
-	if r.entry.expired(now) {
-		t.dropLocked(h, i)
-		t.st.Expirations++
-		return false
-	}
 	r.entry.Deadline = deadlineFor(t.cfg, now, ttl)
 	if t.wheel != nil {
 		// Reschedule: the old slot must no longer fire for this record.
@@ -555,12 +533,7 @@ func (t *Table) ExpireDue(now sim.Time) []uint64 {
 func (t *Table) Handles() []uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]uint64, 0, len(t.byHandle))
-	for h := range t.byHandle {
-		out = append(out, h)
-	}
-	slices.Sort(out)
-	return out
+	return sortedKeys(t.byHandle)
 }
 
 // HandlesCrossing returns, in ascending order, the handles whose routes

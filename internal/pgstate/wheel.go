@@ -95,12 +95,7 @@ func (w *wheel) schedule(a *arena, idx int32, deadline sim.Time) {
 	slot := int((d >> (wheelBits * level)) & wheelMask)
 	flat := int32(level*wheelSlots + slot)
 	r.wSlot = flat
-	r.prev = -1
-	r.next = w.slots[flat]
-	if r.next != -1 {
-		a.at(r.next).prev = idx
-	}
-	w.slots[flat] = idx
+	a.pushFront(idx, &w.slots[flat], nil)
 }
 
 // cancel removes record idx from the schedule. Overflow records are marked
@@ -113,15 +108,8 @@ func (w *wheel) cancel(a *arena, idx int32) {
 	case wheelOverflow:
 		r.wSlot = wheelNone // heap element goes stale, skipped on pop
 	default:
-		if r.prev != -1 {
-			a.at(r.prev).next = r.next
-		} else {
-			w.slots[r.wSlot] = r.next
-		}
-		if r.next != -1 {
-			a.at(r.next).prev = r.prev
-		}
-		r.wSlot, r.next, r.prev = wheelNone, -1, -1
+		a.unlink(idx, &w.slots[r.wSlot], nil)
+		r.wSlot = wheelNone
 	}
 }
 
