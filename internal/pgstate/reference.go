@@ -13,7 +13,6 @@ package pgstate
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/ad"
 	"repro/internal/policy"
@@ -60,6 +59,18 @@ func NewReference(cfg Config) *Reference {
 func (t *Reference) use(e *refEntry) {
 	t.clock++
 	e.used = t.clock
+}
+
+// live finds h's entry, dropping it and counting an expiration if its
+// deadline has passed.
+func (t *Reference) live(now sim.Time, h uint64) (*refEntry, bool) {
+	e, ok := t.entries[h]
+	if ok && e.expired(now) {
+		t.drop(h)
+		t.stats.Expirations++
+		return nil, false
+	}
+	return e, ok
 }
 
 // drop removes h and its index edges, reporting whether it was present.
@@ -117,12 +128,7 @@ func (t *Reference) evict() {
 // Lookup returns the live entry for h, counting a hit or miss and
 // touching recency; expired entries drop and count as miss + expiration.
 func (t *Reference) Lookup(now sim.Time, h uint64) (Entry, bool) {
-	e, ok := t.entries[h]
-	if ok && e.expired(now) {
-		t.drop(h)
-		t.stats.Expirations++
-		ok = false
-	}
+	e, ok := t.live(now, h)
 	if !ok {
 		t.stats.Misses++
 		return Entry{}, false
@@ -135,13 +141,8 @@ func (t *Reference) Lookup(now sim.Time, h uint64) (Entry, bool) {
 // Peek returns the live entry for h without touching recency or the
 // hit/miss counters; expired entries still drop.
 func (t *Reference) Peek(now sim.Time, h uint64) (Entry, bool) {
-	e, ok := t.entries[h]
+	e, ok := t.live(now, h)
 	if !ok {
-		return Entry{}, false
-	}
-	if e.expired(now) {
-		t.drop(h)
-		t.stats.Expirations++
 		return Entry{}, false
 	}
 	return e.Entry, true
@@ -149,13 +150,8 @@ func (t *Reference) Peek(now sim.Time, h uint64) (Entry, bool) {
 
 // Refresh extends h's soft-state deadline and touches recency.
 func (t *Reference) Refresh(now sim.Time, h uint64, ttl sim.Time) bool {
-	e, ok := t.entries[h]
+	e, ok := t.live(now, h)
 	if !ok {
-		return false
-	}
-	if e.expired(now) {
-		t.drop(h)
-		t.stats.Expirations++
 		return false
 	}
 	t.use(e)
@@ -187,24 +183,13 @@ func (t *Reference) ExpireDue(now sim.Time) []uint64 {
 // Handles returns the live handles in ascending order, including
 // expired-but-unswept entries.
 func (t *Reference) Handles() []uint64 {
-	out := make([]uint64, 0, len(t.entries))
-	for h := range t.entries {
-		out = append(out, h)
-	}
-	slices.Sort(out)
-	return out
+	return sortedKeys(t.entries)
 }
 
 // HandlesCrossing returns, in ascending order, the handles whose routes
 // traverse the a-b adjacency (either direction).
 func (t *Reference) HandlesCrossing(a, b ad.ID) []uint64 {
-	m := t.byLink[linkOf(a, b)]
-	out := make([]uint64, 0, len(m))
-	for h := range m {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sortedKeys(t.byLink[linkOf(a, b)])
 }
 
 // Len returns the current entry count.
