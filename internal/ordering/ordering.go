@@ -87,11 +87,9 @@ func (o Ordering) UpDownValid(path ad.Path) bool {
 // deterministic tie-break within a level. This is the ordering a central
 // authority would compute for a purely hierarchical internet.
 func FromLevels(g *ad.Graph) Ordering {
-	infos := g.ADs() // ascending ID
-	o := Ordering{ids: make([]ad.ID, len(infos)), rank: make([]int64, len(infos))}
-	for i, info := range infos {
+	o := Ordering{ids: g.IDs(), rank: make([]int64, g.NumADs())}
+	for i, info := range g.ADs() { // ascending ID, as IDs
 		major := int64(3 - int64(info.Level)) // campus=0 ... backbone=3
-		o.ids[i] = info.ID
 		o.rank[i] = major<<33 - int64(info.ID)
 	}
 	return o
