@@ -76,7 +76,8 @@ race:
 # IDRP flush with one of the AD's links down, a
 # warm EGP Receive, a distance-vector table's Get/Set/Learn/Poison, one
 # allocation per forwarding walk) and the PG tables (an empty hard, soft and
-# capped table, and a small table's first slab) skip themselves under -race
+# capped table, a small table's first slab, and an evicting install and a
+# lookup in a full capped table) skip themselves under -race
 # (its instrumentation allocates), so they get a pass without. Beside them
 # runs the pin that a queued sim event holds no pointer.
 allocs:
