@@ -139,7 +139,7 @@ func main() {
 	fmt.Println(m)
 
 	if *failLink {
-		victim := firstSingleHomedUplink(g)
+		victim := g.StubUplink()
 		fmt.Printf("\nfailing link %v-%v ...\n", victim.A, victim.B)
 		if err := sys.FailLink(victim.A, victim.B); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -156,13 +156,4 @@ func main() {
 		fmt.Printf("\nroute %v: path=%v delivered=%v looped=%v legal=%v\n",
 			req, out.Path, out.Delivered, out.Looped, oracle.Legal(out.Path, req))
 	}
-}
-
-func firstSingleHomedUplink(g *ad.Graph) ad.Link {
-	for _, info := range g.ADs() {
-		if info.Class == ad.Stub && g.Degree(info.ID) == 1 {
-			return g.IncidentLinks(info.ID)[0]
-		}
-	}
-	return g.Links()[0]
 }

@@ -13,55 +13,35 @@ import (
 	"repro/internal/routeserver"
 	"repro/internal/routeserver/daemon"
 	"repro/internal/scenario"
-	"repro/internal/topology"
 	"repro/internal/trafficgen"
 	"repro/internal/wire"
 )
 
-// materialize builds the internet and workload, either from a scenario file
-// (whose events, compiled to control ops, become a load run's churn timeline)
-// or generated from the seed.
+// materialize builds the internet and workload, and compiles the scenario's
+// events to control ops (a load run's churn timeline). The world is a
+// scenario file's or, with no path, the serving preset generated from the
+// seed with a workload drawn at the flag settings; both go through
+// Materialize and Ops.
 func materialize(path string, seed int64, requests int, model string, zipfS float64, qos, uci int) (
 	*ad.Graph, *policy.DB, []policy.Request, []wire.PlanStep, error) {
-	if path == "" {
-		topo := topology.Generate(topology.Config{
-			Seed:                 seed,
-			Backbones:            2,
-			RegionalsPerBackbone: 3,
-			CampusesPerParent:    3,
-			LateralProb:          0.25,
-			BypassProb:           0.10,
-			MultihomedProb:       0.15,
-			HybridProb:           0.15,
-		})
-		db := policy.Generate(topo.Graph, policy.GenConfig{
-			Seed:                  seed,
-			SourceRestrictionProb: 0.6,
-			SourceFraction:        0.5,
-			DestRestrictionProb:   0.2,
-			DestFraction:          0.7,
-			AvoidProb:             0.2,
-		})
-		workload := trafficgen.Generate(topo.Graph, trafficgen.Config{
-			Seed:       seed + 2,
-			Requests:   requests,
-			StubsOnly:  true,
-			Model:      model,
-			ZipfS:      zipfS,
-			QOSClasses: qos,
-			UCIClasses: uci,
-		})
-		return topo.Graph, db, workload, nil, nil
+	topo, pol := scenario.ServingTopology(seed), scenario.RestrictedPolicy(seed)
+	sc := &scenario.Scenario{
+		Topology: scenario.TopologySpec{Generate: &topo},
+		Policy:   scenario.PolicySpec{Generate: &pol},
+		Requests: scenario.RequestSpec{Workload: &trafficgen.Config{
+			Seed: seed + 2, Requests: requests, StubsOnly: true,
+			Model: model, ZipfS: zipfS, QOSClasses: qos, UCIClasses: uci,
+		}},
 	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	defer f.Close()
-	sc, err := scenario.Load(f)
-	if err != nil {
-		return nil, nil, nil, nil, err
+	if path != "" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		defer f.Close()
+		if sc, err = scenario.Load(f); err != nil {
+			return nil, nil, nil, nil, err
+		}
 	}
 	g, db, workload, err := sc.Materialize()
 	if err != nil {
@@ -90,24 +70,17 @@ type timedOp struct {
 	Op    wire.PlanStep
 }
 
-// churnOps is the built-in -churn timeline: the first lateral link (or,
-// failing that, the first link) goes down at 40% of the run and comes back
-// at 70%.
+// churnOps is the built-in -churn timeline: the graph's first churn link
+// (ad.Graph.ChurnLinks) goes down at 40% of the run and comes back at 70%.
 func churnOps(g *ad.Graph) []timedOp {
-	links := g.Links()
+	links := g.ChurnLinks(1)
 	if len(links) == 0 {
 		return nil
 	}
-	target := links[0]
-	for _, l := range links {
-		if l.Class == ad.Lateral {
-			target = l
-			break
-		}
-	}
+	l := links[0]
 	return []timedOp{
-		{0.4, wire.PlanStep{Op: wire.CtlFail, A: target.A, B: target.B}},
-		{0.7, wire.PlanStep{Op: wire.CtlRestore, A: target.A, B: target.B}},
+		{0.4, wire.PlanStep{Op: wire.CtlFail, A: l.A, B: l.B}},
+		{0.7, wire.PlanStep{Op: wire.CtlRestore, A: l.A, B: l.B}},
 	}
 }
 

@@ -25,14 +25,7 @@ func main() {
 			CampusesPerParent: 2, LateralProb: 0.3,
 		})
 		g := topo.Graph
-		var victim ad.Link
-		for _, info := range g.ADs() {
-			if info.Class == ad.Stub && g.Degree(info.ID) == 1 {
-				victim = g.IncidentLinks(info.ID)[0]
-				break
-			}
-		}
-		return g, policy.OpenDB(g), victim
+		return g, policy.OpenDB(g), g.StubUplink()
 	}
 
 	type mk struct {

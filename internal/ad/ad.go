@@ -165,6 +165,15 @@ func (l Link) Canonical() Link {
 	return l
 }
 
+// LinkKey is the canonical key of the link between a and b: its endpoints
+// low-high, so both directions of a link index to the same slot.
+func LinkKey(a, b ID) [2]ID {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]ID{a, b}
+}
+
 // Other returns the far endpoint of the link relative to id, and whether id
 // is an endpoint at all.
 func (l Link) Other(id ID) (ID, bool) {
@@ -366,17 +375,12 @@ func (g *Graph) Neighbors(id ID) []ID {
 
 // Incident returns the links incident to id, sorted by far endpoint. Like
 // Neighbors, the returned slice is the graph's own adjacency: callers must
-// not modify it. Use IncidentLinks for a private slice.
+// not modify it.
 func (g *Graph) Incident(id ID) []Link {
 	if p := g.position(id); p >= 0 {
 		return g.adj[p]
 	}
 	return nil
-}
-
-// IncidentLinks returns a freshly allocated copy of Incident(id).
-func (g *Graph) IncidentLinks(id ID) []Link {
-	return append([]Link(nil), g.Incident(id)...)
 }
 
 // ADs returns all AD infos sorted by ID.
@@ -409,6 +413,37 @@ func (g *Graph) Links() []Link {
 		}
 	}
 	return out
+}
+
+// ChurnLinks returns the links a churn timeline fails and restores: the
+// first n lateral links, padded with the first links when the graph has
+// fewer.
+func (g *Graph) ChurnLinks(n int) []Link {
+	links := g.Links()
+	var out []Link
+	for _, l := range links {
+		if l.Class == Lateral && len(out) < n {
+			out = append(out, l)
+		}
+	}
+	for _, l := range links {
+		if len(out) >= n {
+			break
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
+// StubUplink returns the only link of the first single-homed stub, whose
+// failure cuts that stub off, or the first link if no stub has degree one.
+func (g *Graph) StubUplink() Link {
+	for _, info := range g.info {
+		if info.Class == Stub && g.Degree(info.ID) == 1 {
+			return g.Incident(info.ID)[0]
+		}
+	}
+	return g.Links()[0]
 }
 
 // NumADs returns the number of ADs in the graph.

@@ -302,6 +302,58 @@ func TestPropertyCanonicalLink(t *testing.T) {
 	}
 }
 
+func TestLinkKey(t *testing.T) {
+	if LinkKey(7, 3) != [2]ID{3, 7} || LinkKey(3, 7) != [2]ID{3, 7} {
+		t.Error("LinkKey is not order-insensitive")
+	}
+}
+
+// TestChurnAndStubPickers: ChurnLinks takes lateral links first and pads
+// with the first links; StubUplink takes the first single-homed stub's
+// link and falls back to the first link.
+func TestChurnAndStubPickers(t *testing.T) {
+	g := NewGraph()
+	bb := g.AddAD("bb", Transit, Backbone)
+	r1 := g.AddAD("r1", Transit, Regional)
+	r2 := g.AddAD("r2", Transit, Regional)
+	for _, l := range []Link{
+		{A: bb, B: r1, Class: Hierarchical},
+		{A: bb, B: r2, Class: Hierarchical},
+	} {
+		if err := g.AddLink(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := g.StubUplink(); got.A != bb || got.B != r1 {
+		t.Errorf("StubUplink with no stub = %v, want the first link", got)
+	}
+	if got := g.ChurnLinks(1); len(got) != 1 || got[0].A != bb || got[0].B != r1 {
+		t.Errorf("ChurnLinks(1) with no lateral link = %v, want the first link", got)
+	}
+	s1 := g.AddAD("s1", Stub, Campus)
+	s2 := g.AddAD("s2", Stub, Campus)
+	for _, l := range []Link{
+		{A: r1, B: r2, Class: Lateral},
+		{A: r1, B: s1, Class: Hierarchical},
+		{A: r2, B: s1, Class: Hierarchical},
+		{A: r2, B: s2, Class: Hierarchical},
+	} {
+		if err := g.AddLink(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := g.StubUplink(); got.A != r2 || got.B != s2 {
+		t.Errorf("StubUplink = %v, want s2's only link, r2-s2", got)
+	}
+	got := g.ChurnLinks(2)
+	if len(got) != 2 || got[0].A != r1 || got[0].B != r2 || got[1].A != bb || got[1].B != r1 {
+		t.Errorf("ChurnLinks(2) = %v, want the lateral r1-r2, then the first link", got)
+	}
+	if got := NewGraph().ChurnLinks(1); len(got) != 0 {
+		t.Errorf("ChurnLinks on an empty graph = %v", got)
+	}
+}
+
 func TestPropertyLoopFreeMatchesValidOnCompleteGraph(t *testing.T) {
 	// On a complete graph, Valid reduces to LoopFree for non-empty paths.
 	g := NewGraph()
@@ -387,14 +439,14 @@ func TestGraphAccessors(t *testing.T) {
 	if len(ids) != 3 || ids[0] != a || ids[1] != b {
 		t.Errorf("IDs = %v", ids)
 	}
-	inc := g.IncidentLinks(a)
+	inc := g.Incident(a)
 	if len(inc) != 2 {
-		t.Fatalf("IncidentLinks = %d", len(inc))
+		t.Fatalf("Incident = %d", len(inc))
 	}
 	o0, _ := inc[0].Other(a)
 	o1, _ := inc[1].Other(a)
 	if o0 > o1 {
-		t.Error("IncidentLinks not sorted by far endpoint")
+		t.Error("Incident not sorted by far endpoint")
 	}
 }
 
@@ -411,8 +463,7 @@ func TestPathEqualLengthMismatch(t *testing.T) {
 }
 
 // checkIncident asserts that every AD's incident links lead, in order, to
-// exactly its ascending neighbours, agree with LinkBetween, and that
-// IncidentLinks hands out a private copy of the shared view.
+// exactly its ascending neighbours and agree with LinkBetween.
 func checkIncident(t *testing.T, g *Graph, when string) {
 	t.Helper()
 	for _, id := range g.IDs() {
@@ -430,12 +481,6 @@ func checkIncident(t *testing.T, g *Graph, when string) {
 			}
 			if want, _ := g.LinkBetween(id, other); l != want {
 				t.Fatalf("%s: Incident(%v)[%d] = %v, LinkBetween = %v", when, id, i, l, want)
-			}
-		}
-		if cp := g.IncidentLinks(id); len(cp) > 0 {
-			cp[0].Cost = 9999
-			if g.Incident(id)[0].Cost == 9999 {
-				t.Fatalf("%s: IncidentLinks(%v) aliases the graph's adjacency", when, id)
 			}
 		}
 	}

@@ -96,7 +96,7 @@ func E15LogicalClusterCost(seed int64) *metrics.Table {
 		lsdbBytes := 0
 		for _, info := range g.ADs() {
 			lsa := &wire.LSA{Origin: info.ID, Seq: 1, Terms: db.Terms(info.ID)}
-			for _, l := range g.IncidentLinks(info.ID) {
+			for _, l := range g.Incident(info.ID) {
 				other, _ := l.Other(info.ID)
 				lsa.Links = append(lsa.Links, wire.LSALink{Neighbor: other, Cost: l.Cost, Up: true})
 			}

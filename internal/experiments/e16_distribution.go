@@ -46,7 +46,7 @@ func E16DatabaseDistribution(seed int64) *metrics.Table {
 			if scoped {
 				self := id
 				n.f.Scope = func(nb ad.ID) bool {
-					return tree[linkKey(self, nb)]
+					return tree[ad.LinkKey(self, nb)]
 				}
 			}
 			nodes[id] = n
@@ -129,18 +129,11 @@ func spanningTree(g *ad.Graph) map[[2]ad.ID]bool {
 				continue
 			}
 			seen[nb] = true
-			tree[linkKey(cur, nb)] = true
+			tree[ad.LinkKey(cur, nb)] = true
 			queue = append(queue, nb)
 		}
 	}
 	return tree
-}
-
-func linkKey(a, b ad.ID) [2]ad.ID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]ad.ID{a, b}
 }
 
 // firstCycleTreeLink returns the first spanning-tree link whose removal
@@ -149,7 +142,7 @@ func linkKey(a, b ad.ID) [2]ad.ID {
 func firstCycleTreeLink(g *ad.Graph) ad.Link {
 	tree := spanningTree(g)
 	for _, l := range g.Links() {
-		if !tree[linkKey(l.A, l.B)] {
+		if !tree[ad.LinkKey(l.A, l.B)] {
 			continue
 		}
 		trial := g.Clone()

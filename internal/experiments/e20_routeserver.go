@@ -130,7 +130,7 @@ func buildE20Strategy(kind string, g *ad.Graph, db *policy.DB, workload []policy
 // replaces its policy with a single expensive open term (rerouting traffic
 // that used it as a cheap transit).
 func e20Churn(g *ad.Graph) []wire.PlanStep {
-	down := lateralLinks(g, 1)[0]
+	down := g.ChurnLinks(1)[0]
 	var busiest ad.ID
 	bestDeg := -1
 	for _, info := range g.ADs() {

@@ -156,7 +156,7 @@ func e22Policy(g *ad.Graph, seed int64) *policy.DB {
 // list it advertised before, serials included, so the revert's delta is
 // computed against the rewritten policy like any other change.
 func e22Events(g *ad.Graph, db *policy.DB) []wire.PlanStep {
-	l := lateralLinks(g, 2)
+	l := g.ChurnLinks(2)
 	target := quietestTransit(g)
 	original := slices.Clone(db.Terms(target))
 	return []wire.PlanStep{

@@ -122,7 +122,7 @@ const (
 // of its own; here every op flows through a Backend so the HA row replicates
 // it.
 func e23Timeline(g *ad.Graph) (pre, post []wire.PlanStep) {
-	l := lateralLinks(g, 2)
+	l := g.ChurnLinks(2)
 	target := quietestTransit(g)
 	pre = []wire.PlanStep{failOf(l[0]), restoreOf(l[0]), failOf(l[1])}
 	post = []wire.PlanStep{wire.OpenPolicy(target, 10), restoreOf(l[1]), wire.OpenPolicy(target, 3)}

@@ -186,7 +186,7 @@ func e25Rows(seed int64) rows {
 // open term and then re-rewritten cheap. Each event is one single-step plan
 // batch; multi-step union semantics are pinned by the plan package's tests.
 func e25Events(g *ad.Graph, dp *routeserver.DataPlane) [][]wire.PlanStep {
-	lateral := lateralLinks(g, 1)[0]
+	lateral := g.ChurnLinks(1)[0]
 	stub := e25StubLink(g, dp)
 	target := quietestTransit(g)
 	return [][]wire.PlanStep{
@@ -201,34 +201,15 @@ func e25Events(g *ad.Graph, dp *routeserver.DataPlane) [][]wire.PlanStep {
 
 // e25StubLink picks the uplink of the first live flow's source whose AD has
 // degree one: failing it must strand that stub (lost pairs > 0) and tear
-// the flow down (teardowns > 0). Falls back to the first degree-one stub's
-// uplink if no such flow exists.
+// the flow down (teardowns > 0). Falls back to the first single-homed
+// stub's uplink if no such flow exists.
 func e25StubLink(g *ad.Graph, dp *routeserver.DataPlane) ad.Link {
-	uplink := func(id ad.ID) (ad.Link, bool) {
-		for _, l := range g.Links() {
-			if l.A == id || l.B == id {
-				return l, true
-			}
-		}
-		return ad.Link{}, false
-	}
 	for _, h := range dp.Handles() {
-		f, ok := dp.Flow(h)
-		if !ok || g.Degree(f.Req.Src) != 1 {
-			continue
-		}
-		if l, ok := uplink(f.Req.Src); ok {
-			return l
+		if f, ok := dp.Flow(h); ok && g.Degree(f.Req.Src) == 1 {
+			return g.Incident(f.Req.Src)[0]
 		}
 	}
-	for _, info := range g.ADs() {
-		if info.Class == ad.Stub && g.Degree(info.ID) == 1 {
-			if l, ok := uplink(info.ID); ok {
-				return l
-			}
-		}
-	}
-	return g.Links()[0]
+	return g.StubUplink()
 }
 
 // e25KeySet collapses a cache dump to its key set.

@@ -59,7 +59,7 @@ func e2Rows(seed int64) rows {
 
 			// Fail a stub's only uplink: the destination becomes
 			// unreachable, the worst case for DV withdrawal dynamics.
-			victim := singleHomedStubLink(g)
+			victim := g.StubUplink()
 			tFail := sys.Network().Now()
 			_ = sys.FailLink(victim.A, victim.B)
 			conv1, quiesced := sys.Converge(10 * convergenceLimit)
@@ -83,15 +83,4 @@ func e2Rows(seed int64) rows {
 		t.AddNote("no-split plain DV counts to infinity; the ECMA ordering suppresses the bounce")
 		return t
 	}}
-}
-
-// singleHomedStubLink returns the uplink of the first degree-1 stub, or the
-// first link if none exists.
-func singleHomedStubLink(g *ad.Graph) ad.Link {
-	for _, info := range g.ADs() {
-		if info.Class == ad.Stub && g.Degree(info.ID) == 1 {
-			return g.IncidentLinks(info.ID)[0]
-		}
-	}
-	return g.Links()[0]
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/policy"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trafficgen"
@@ -21,33 +22,16 @@ import (
 // convergenceLimit bounds every protocol run.
 const convergenceLimit = 600 * sim.Second
 
-// defaultTopology builds the common evaluation internet used by T1/E1: two
-// backbones, three regionals each, three campuses per regional, with
-// lateral, bypass, and multi-homing structure per the paper's model.
+// defaultTopology builds the common evaluation internet used by T1/E1 and
+// the route-serving experiments (scenario.ServingTopology).
 func defaultTopology(seed int64) *topology.Topology {
-	return topology.Generate(topology.Config{
-		Seed:                 seed,
-		Backbones:            2,
-		RegionalsPerBackbone: 3,
-		CampusesPerParent:    3,
-		LateralProb:          0.25,
-		BypassProb:           0.10,
-		MultihomedProb:       0.15,
-		HybridProb:           0.15,
-	})
+	return topology.Generate(scenario.ServingTopology(seed))
 }
 
 // restrictedPolicy builds the moderately restricted policy regime used by
-// the headline comparisons.
+// the headline comparisons (scenario.RestrictedPolicy).
 func restrictedPolicy(g *ad.Graph, seed int64) *policy.DB {
-	return policy.Generate(g, policy.GenConfig{
-		Seed:                  seed,
-		SourceRestrictionProb: 0.6,
-		SourceFraction:        0.5,
-		DestRestrictionProb:   0.2,
-		DestFraction:          0.7,
-		AvoidProb:             0.2,
-	})
+	return policy.Generate(g, scenario.RestrictedPolicy(seed))
 }
 
 // servingWorkload generates the request stream the route-server experiments
@@ -58,25 +42,6 @@ func servingWorkload(g *ad.Graph, seed int64, requests int, model string) []poli
 		Seed: seed, Requests: requests, StubsOnly: true,
 		Model: model, ZipfS: 1.4, QOSClasses: 2, UCIClasses: 2,
 	})
-}
-
-// lateralLinks returns the first n lateral links, the links the churn
-// timelines of E20-E25 fail and restore. The default topology has several;
-// first links pad the list so hand-rolled graphs still get a timeline.
-func lateralLinks(g *ad.Graph, n int) []ad.Link {
-	var out []ad.Link
-	for _, l := range g.Links() {
-		if l.Class == ad.Lateral && len(out) < n {
-			out = append(out, l)
-		}
-	}
-	for _, l := range g.Links() {
-		if len(out) >= n {
-			break
-		}
-		out = append(out, l)
-	}
-	return out
 }
 
 // failOf and restoreOf are the control ops that take l down and bring it

@@ -101,7 +101,7 @@ func TestLinkBucketCompacts(t *testing.T) {
 		} else {
 			tab.Install(0, h, ad.Path{1, 4, 3}, 0, req, 0) // overwrite off the link
 		}
-		b := tab.byLink[linkOf(1, 2)]
+		b := tab.byLink[ad.LinkKey(1, 2)]
 		if len(b.refs) > 2*b.live {
 			t.Fatalf("after handle %d the bucket holds %d refs for %d live", h, len(b.refs), b.live)
 		}

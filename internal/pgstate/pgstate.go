@@ -196,19 +196,11 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 	return out
 }
 
-// linkOf orders an adjacency low-high so both directions index together.
-func linkOf(a, b ad.ID) [2]ad.ID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]ad.ID{a, b}
-}
-
 // indexRoute adds h's link-dependency edges to byLink, the Reference's
 // link index.
 func indexRoute(byLink map[[2]ad.ID]map[uint64]struct{}, h uint64, route ad.Path) {
 	for i := 1; i < len(route); i++ {
-		l := linkOf(route[i-1], route[i])
+		l := ad.LinkKey(route[i-1], route[i])
 		m := byLink[l]
 		if m == nil {
 			m = make(map[uint64]struct{})
@@ -222,7 +214,7 @@ func indexRoute(byLink map[[2]ad.ID]map[uint64]struct{}, h uint64, route ad.Path
 // Reference's link index.
 func unindexRoute(byLink map[[2]ad.ID]map[uint64]struct{}, h uint64, route ad.Path) {
 	for i := 1; i < len(route); i++ {
-		l := linkOf(route[i-1], route[i])
+		l := ad.LinkKey(route[i-1], route[i])
 		if m := byLink[l]; m != nil {
 			delete(m, h)
 			if len(m) == 0 {
@@ -294,7 +286,7 @@ func NewTable(cfg Config) *Table {
 func (t *Table) indexLinks(idx int32, route ad.Path) {
 	gen := t.arena.at(idx).gen
 	for i := 1; i < len(route); i++ {
-		l := linkOf(route[i-1], route[i])
+		l := ad.LinkKey(route[i-1], route[i])
 		b := t.byLink[l]
 		if b == nil {
 			b = &linkBucket{}
@@ -311,7 +303,7 @@ func (t *Table) indexLinks(idx int32, route ad.Path) {
 // flows come and go over the same links.
 func (t *Table) unindexLinks(route ad.Path) {
 	for i := 1; i < len(route); i++ {
-		b := t.byLink[linkOf(route[i-1], route[i])]
+		b := t.byLink[ad.LinkKey(route[i-1], route[i])]
 		b.live--
 		if b.live == 0 {
 			b.refs = b.refs[:0]
@@ -547,7 +539,7 @@ func (t *Table) HandlesCrossing(a, b ad.ID) []uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []uint64
-	if bk := t.byLink[linkOf(a, b)]; bk != nil {
+	if bk := t.byLink[ad.LinkKey(a, b)]; bk != nil {
 		for _, ref := range bk.refs {
 			if r := t.arena.at(ref.idx); r.gen == ref.gen {
 				out = append(out, r.handle)

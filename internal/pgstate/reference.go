@@ -189,7 +189,7 @@ func (t *Reference) Handles() []uint64 {
 // HandlesCrossing returns, in ascending order, the handles whose routes
 // traverse the a-b adjacency (either direction).
 func (t *Reference) HandlesCrossing(a, b ad.ID) []uint64 {
-	return sortedKeys(t.byLink[linkOf(a, b)])
+	return sortedKeys(t.byLink[ad.LinkKey(a, b)])
 }
 
 // Len returns the current entry count.

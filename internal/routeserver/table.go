@@ -430,7 +430,7 @@ func (t *table) victims(c synthesis.Change) []*entry {
 	var slots []int32
 	switch c.Kind {
 	case synthesis.ChangeLinkDown:
-		slots = t.byLink[synthesis.CanonicalPair(c.A, c.B)].appendLive(slots, t.ring)
+		slots = t.byLink[ad.LinkKey(c.A, c.B)].appendLive(slots, t.ring)
 	case synthesis.ChangePolicy:
 		for _, tk := range c.RemovedTerms {
 			slots = t.byTerm[tk].appendLive(slots, t.ring)

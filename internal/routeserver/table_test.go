@@ -109,7 +109,7 @@ func (m *model) victims(c synthesis.Change) []Key {
 	var out []Key
 	for k, e := range m.m {
 		hit := !e.res.Found && c.AffectsNegative()
-		if c.Kind == synthesis.ChangeLinkDown && slices.Contains(e.fp.Links, synthesis.CanonicalPair(c.A, c.B)) {
+		if c.Kind == synthesis.ChangeLinkDown && slices.Contains(e.fp.Links, ad.LinkKey(c.A, c.B)) {
 			hit = true
 		}
 		if c.Kind == synthesis.ChangePolicy {

@@ -225,6 +225,37 @@ type RequestEntry struct {
 	Hour uint8  `json:"hour,omitempty"`
 }
 
+// ServingTopology is the evaluation internet of Table 1, most experiments,
+// the route-serving experiments (E20-E25) and routed's generated world: two
+// backbones, three regionals each, three campuses per parent, with lateral,
+// bypass, multi-homed and hybrid structure per the paper's model (§2.1).
+func ServingTopology(seed int64) topology.Config {
+	return topology.Config{
+		Seed:                 seed,
+		Backbones:            2,
+		RegionalsPerBackbone: 3,
+		CampusesPerParent:    3,
+		LateralProb:          0.25,
+		BypassProb:           0.10,
+		MultihomedProb:       0.15,
+		HybridProb:           0.15,
+	}
+}
+
+// RestrictedPolicy is the moderately restricted policy regime of the
+// headline comparisons, the route-serving experiments and routed's
+// generated world.
+func RestrictedPolicy(seed int64) policy.GenConfig {
+	return policy.GenConfig{
+		Seed:                  seed,
+		SourceRestrictionProb: 0.6,
+		SourceFraction:        0.5,
+		DestRestrictionProb:   0.2,
+		DestFraction:          0.7,
+		AvoidProb:             0.2,
+	}
+}
+
 // Load parses a scenario from JSON.
 func Load(r io.Reader) (*Scenario, error) {
 	dec := json.NewDecoder(r)

@@ -129,11 +129,11 @@ func (w *World) Resolve(op wire.PlanStep) (ch Change, apply func(), err error) {
 			return ch, nil, fmt.Errorf("no link %v-%v", op.A, op.B)
 		}
 		return LinkDownChange(op.A, op.B), func() {
-			w.Failed[CanonicalPair(op.A, op.B)] = link
+			w.Failed[ad.LinkKey(op.A, op.B)] = link
 			w.G.RemoveLink(op.A, op.B)
 		}, nil
 	case wire.CtlRestore:
-		key := CanonicalPair(op.A, op.B)
+		key := ad.LinkKey(op.A, op.B)
 		link, ok := w.Failed[key]
 		if !ok {
 			return ch, nil, fmt.Errorf("link %v-%v was not failed here", op.A, op.B)
@@ -237,13 +237,4 @@ func (c Change) AffectsNegative() bool {
 type Footprint struct {
 	Links [][2]ad.ID
 	Terms []policy.Key
-}
-
-// CanonicalPair orders an adjacency low-high so both directions of a link
-// index to the same slot.
-func CanonicalPair(a, b ad.ID) [2]ad.ID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]ad.ID{a, b}
 }

@@ -96,7 +96,7 @@ func TestFootprintOf(t *testing.T) {
 	}
 
 	fp := Compile(g, db).Footprint(req, res.Path)
-	wantLinks := [][2]ad.ID{CanonicalPair(src, t1), CanonicalPair(t1, dst)}
+	wantLinks := [][2]ad.ID{ad.LinkKey(src, t1), ad.LinkKey(t1, dst)}
 	if len(fp.Links) != len(wantLinks) {
 		t.Fatalf("links = %v, want %v", fp.Links, wantLinks)
 	}
@@ -117,12 +117,6 @@ func TestFootprintOf(t *testing.T) {
 	// Degenerate paths carry no dependencies.
 	if fp := Compile(g, db).Footprint(req, ad.Path{src}); len(fp.Links) != 0 || len(fp.Terms) != 0 {
 		t.Fatalf("single-AD path footprint = %+v", fp)
-	}
-}
-
-func TestCanonicalPair(t *testing.T) {
-	if CanonicalPair(7, 3) != [2]ad.ID{3, 7} || CanonicalPair(3, 7) != [2]ad.ID{3, 7} {
-		t.Error("CanonicalPair is not order-insensitive")
 	}
 }
 

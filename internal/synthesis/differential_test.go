@@ -115,9 +115,9 @@ func referenceFindRouteFrom(g *ad.Graph, db *policy.DB, req policy.Request, from
 			continue
 		}
 		cur := st.cur
-		// The reference sorts for itself, as Graph.IncidentLinks used to:
-		// it must not lean on the ordering the kernel's view relies on.
-		links := g.IncidentLinks(cur)
+		// The reference sorts a copy for itself: it must not lean on the
+		// ordering the kernel's view relies on.
+		links := slices.Clone(g.Incident(cur))
 		sort.Slice(links, func(i, j int) bool {
 			oi, _ := links[i].Other(cur)
 			oj, _ := links[j].Other(cur)

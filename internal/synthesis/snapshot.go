@@ -714,7 +714,7 @@ func (s *Snapshot) Footprint(req policy.Request, path ad.Path) Footprint {
 	}
 	fp := Footprint{Links: make([][2]ad.ID, 0, len(path)-1)}
 	for i := 1; i < len(path); i++ {
-		fp.Links = append(fp.Links, CanonicalPair(path[i-1], path[i]))
+		fp.Links = append(fp.Links, ad.LinkKey(path[i-1], path[i]))
 	}
 	var buf [16]int32
 	dense, ok := s.dense(buf[:0], path)
