@@ -132,6 +132,8 @@ func run() int {
 		Connect:        *connectAddr,
 		ReconnectEvery: *reconnectEvery,
 		Churn:          *churn,
+		BenchJSON:      *benchJSON,
+		Scenario:       *scenarioPath,
 		Listen:         *listenAddr,
 		Unix:           *unixPath,
 		ReplicaID:      *replicaID,
@@ -238,6 +240,8 @@ type flagCoherence struct {
 	Connect        string
 	ReconnectEvery int
 	Churn          bool
+	BenchJSON      string
+	Scenario       string
 	Listen         string
 	Unix           string
 	ReplicaID      uint
@@ -261,6 +265,12 @@ func validateFlags(f flagCoherence) error {
 	}
 	if f.Churn && !f.Load {
 		return fmt.Errorf("-churn injects events into a load run; add -load")
+	}
+	if f.BenchJSON != "" && !f.Load {
+		return fmt.Errorf("-bench-json writes a load run's report; add -load")
+	}
+	if f.Scenario != "" && f.Connect != "" && !f.Load {
+		return fmt.Errorf("remote line mode serves the daemon's world, not a -scenario file; drop -scenario or add -load")
 	}
 	if f.Load && daemonMode {
 		return fmt.Errorf("-load and -listen/-unix are exclusive: one process is either the load generator or the daemon")

@@ -280,6 +280,8 @@ func TestValidateFlags(t *testing.T) {
 		{Load: true, ReconnectEvery: 5},     // -reconnect-every without -connect
 		{Connect: "h:1", ReconnectEvery: 5}, // -reconnect-every in remote line mode
 		{Churn: true},                       // -churn without -load
+		{BenchJSON: "b"},                    // -bench-json without -load
+		{Connect: "h:1", Scenario: "s"},     // -scenario in remote line mode
 		{Load: true, Listen: ":0"},          // load generator and daemon at once
 		{ReplicaID: 1, Peers: "1@a@b"},      // HA flags outside daemon mode
 		{Listen: ":0", ReplicaID: 1},        // -replica-id without -peers
