@@ -19,18 +19,34 @@ func benchRoute() (ad.Path, policy.Request) {
 	return ad.Path{1, 2, 3, 4, 5}, policy.Request{Src: 1, Dst: 5}
 }
 
-func BenchmarkInstallHard(b *testing.B)   { benchInstall(b, Config{Kind: Hard}) }
-func BenchmarkInstallSoft(b *testing.B)   { benchInstall(b, Config{Kind: Soft}) }
-func BenchmarkInstallCapped(b *testing.B) { benchInstall(b, Config{Kind: Capped, Capacity: 256}) }
+// benchPopulation is the number of handles the install benchmarks hold.
+const benchPopulation = 256
 
-// benchInstall measures steady-state install cost; under Capped every
-// install past the 256th also evicts.
+func BenchmarkInstallHard(b *testing.B) { benchInstall(b, Config{Kind: Hard}) }
+func BenchmarkInstallSoft(b *testing.B) { benchInstall(b, Config{Kind: Soft}) }
+func BenchmarkInstallCapped(b *testing.B) {
+	benchInstall(b, Config{Kind: Capped, Capacity: benchPopulation})
+}
+
+// benchInstall measures steady-state install cost in a table held at
+// benchPopulation handles, so its maps and arena stop growing: under Hard
+// and Soft each install follows the removal of the handle installed
+// benchPopulation installs earlier (as TestAllocsSmallTable churns), and
+// under Capped the capacity holds the population, so every install evicts.
 func benchInstall(b *testing.B, cfg Config) {
 	route, req := benchRoute()
 	tab := NewTable(cfg)
+	for h := uint64(0); h < benchPopulation; h++ {
+		tab.Install(0, h, route, 2, req, 0)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab.Install(sim.Time(i), uint64(i), route, 2, req, 0)
+		h := uint64(benchPopulation + i)
+		if cfg.Kind != Capped {
+			tab.Remove(h - benchPopulation)
+		}
+		tab.Install(sim.Time(i), h, route, 2, req, 0)
 	}
 }
 
