@@ -48,7 +48,7 @@ surface:
 # The routeserver, daemon, HA, pgstate, and plan packages run twice under the
 # detector: routeserver's parallel miss path overlaps slow searches with
 # scoped and full mutations (the reader/writer strategy lock is exactly the
-# kind of claim the detector can refute, the shard table's lock-free lookup
+# kind of claim the detector can refute, the table's lock-free lookup
 # another, and a miss claiming its key against a writer a third); HA
 # exercises real sockets,
 # elections, and concurrent sync streams; pgstate's stress test drives one

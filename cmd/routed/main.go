@@ -54,9 +54,11 @@
 //     list makes every client a failover client over the replica group
 //     (NotPrimary redirects followed, dead replicas rotated past).
 //
-// The internet is either generated (-seed and the topology defaults shared
-// with the experiment harness) or taken from a -scenario file, in which case
-// the scenario's workload and events are used too.
+// The internet is either generated from -seed (the serving topology and
+// restricted policy presets of package scenario, which the experiment
+// harness shares) or taken from a -scenario file, in which case the
+// scenario's workload and events are used too. Both are one
+// scenario.Scenario, materialized the same way.
 //
 // Usage:
 //

@@ -73,7 +73,7 @@ func TestHandlesCrossingTracksExpiryAndEviction(t *testing.T) {
 		t.Fatalf("expired entry still indexed: %v", got)
 	}
 
-	// Capped: a capacity eviction unindexes through OnEvict.
+	// Capped: a capacity eviction unindexes the evicted entry.
 	capped := NewTable(Config{Kind: Capped, Capacity: 1})
 	capped.Install(0, 1, ad.Path{1, 2}, 0, policy.Request{Src: 1, Dst: 2}, 0)
 	capped.Install(0, 2, ad.Path{3, 4}, 0, policy.Request{Src: 3, Dst: 4}, 0)

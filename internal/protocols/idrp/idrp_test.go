@@ -71,7 +71,7 @@ func TestLoopAvoidanceViaPath(t *testing.T) {
 	}
 }
 
-// sourceRestrictedNet builds the paper's single-route hiding scenario:
+// twoTransitNet builds the paper's single-route hiding scenario:
 //
 //	     t1 (sources: s1 only, cheap)
 //	   /    \

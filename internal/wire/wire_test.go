@@ -78,7 +78,7 @@ func TestPathVectorRoundTrip(t *testing.T) {
 // TestDecodedADSetsAreCanonical checks that a set read off the wire is the
 // value the sender held, down to its representation: the empty set SetOf,
 // a disjoint Intersect and the decoder build is one value, and sets on
-// either side of readADSet's stack buffer size come back whole.
+// either side of the decoder's 256-member stack buffer come back whole.
 func TestDecodedADSetsAreCanonical(t *testing.T) {
 	large := make([]ad.ID, 300)
 	for i := range large {
