@@ -68,8 +68,9 @@ race:
 	$(GO) test -race -count=2 -run 'TestConcurrent' ./internal/pgstate/
 	$(GO) test -race -count=2 ./internal/routeserver/plan/
 
-# The testing.AllocsPerRun pins on the session fast path, the search kernel,
-# policy.ADSet, the simulator's message path (a warm SendMessage and
+# The testing.AllocsPerRun pins on the session fast path, a route-server
+# miss, the search kernel, policy.ADSet, the simulator's message path (a
+# warm SendMessage and
 # delivery, a warm schedule-and-run of the event queue, a stale flooded
 # copy, a new copy another AD of the system decoded, a path-vector decode
 # through a warm set table, IDRP's tie-break, a warm IDRP Receive and an
@@ -81,7 +82,7 @@ race:
 # (its instrumentation allocates), so they get a pass without. Beside them
 # runs the pin that a queued sim event holds no pointer.
 allocs:
-	$(GO) test -run 'Allocs|TestEventHoldsNoPointer' ./internal/wire/ ./internal/routeserver/daemon/ ./internal/synthesis/ ./internal/policy/ ./internal/sim/ ./internal/flood/ ./internal/pgstate/ ./internal/protocols/idrp/ ./internal/protocols/egp/ ./internal/dvcore/ ./internal/core/
+	$(GO) test -run 'Allocs|TestEventHoldsNoPointer' ./internal/wire/ ./internal/routeserver/ ./internal/routeserver/daemon/ ./internal/synthesis/ ./internal/policy/ ./internal/sim/ ./internal/flood/ ./internal/pgstate/ ./internal/protocols/idrp/ ./internal/protocols/egp/ ./internal/dvcore/ ./internal/core/
 
 # One synthesis per key per epoch is what makes the E20-E25 counters and the
 # parallel runner's output independent of scheduling; the window that broke
@@ -196,14 +197,16 @@ loc:
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'BenchmarkFindRoute$$|BenchmarkCompile$$|BenchmarkFindRouteOneShot$$' -benchmem -count 5 ./internal/synthesis/
 
-# bench-cache is the serving-cache layer, five samples each: a cached answer
-# from one goroutine, from every core on Zipf keys (the two must stay close:
-# a hit writes nothing another core reads), and a miss on a capped server
-# behind a stub strategy, which is insert, reverse-index upkeep and CLOCK
-# eviction with the search taken out, from one goroutine and from every core
-# (where the misses contend for the table's one lock).
+# bench-cache is the serving-cache layer, five samples each at one and two
+# cores: a cached answer from one goroutine, from every core on Zipf keys
+# (at -cpu 2 the parallel one should take well under its -cpu 1 time: a hit
+# writes nothing another core reads), and a miss on a capped server behind
+# a stub strategy, which is insert, reverse-index upkeep and CLOCK eviction
+# with the search taken out, from one goroutine and from every core (where
+# the misses contend for the table's one lock). The miss benchmarks report
+# the live heap per resident entry (B/entry).
 bench-cache:
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryHit$$|BenchmarkQueryHitParallel$$|BenchmarkMissInsertEvict$$|BenchmarkMissInsertEvictParallel$$' -benchmem -count 5 ./internal/routeserver/
+	$(GO) test -run '^$$' -bench 'BenchmarkQueryHit$$|BenchmarkQueryHitParallel$$|BenchmarkMissInsertEvict$$|BenchmarkMissInsertEvictParallel$$' -benchmem -count 5 -cpu 1,2 ./internal/routeserver/
 
 # bench-sim is the discrete-event protocol layer repro_suite times, five
 # samples each: E10's 320-constraint row, 200 negotiations over 60 ADs

@@ -141,6 +141,9 @@ func run() int {
 		ReplicaID:      *replicaID,
 		Peers:          *peersFlag,
 		ReplicaOf:      *replicaOf,
+		Requests:       *requests,
+		Model:          *model,
+		ZipfS:          *zipfS,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "routed: %v\n", err)
 		flag.Usage()
@@ -249,6 +252,11 @@ type flagCoherence struct {
 	ReplicaID      uint
 	Peers          string
 	ReplicaOf      uint
+	// The generated workload's flags, which trafficgen.Config.Normalize
+	// would otherwise replace with its defaults without a word.
+	Requests int
+	Model    string
+	ZipfS    float64
 }
 
 // validateFlags rejects incoherent flag combinations up front with a usage
@@ -288,6 +296,16 @@ func validateFlags(f flagCoherence) error {
 	}
 	if f.ReplicaOf != 0 && f.ReplicaID == 0 {
 		return fmt.Errorf("-replica-of names the initial primary of an HA group; add -replica-id and -peers")
+	}
+	// Without -scenario the workload is generated from the flags below
+	// (remote line mode generates none).
+	if f.Scenario == "" && (f.Connect == "" || f.Load) {
+		if f.Requests < 1 {
+			return fmt.Errorf("-requests %d: the generated workload needs at least one request", f.Requests)
+		}
+		if f.Model == "zipf" && f.ZipfS <= 1 {
+			return fmt.Errorf("-zipf %v: the Zipf skew must exceed 1", f.ZipfS)
+		}
 	}
 	return nil
 }

@@ -258,15 +258,24 @@ func TestParsePlanSteps(t *testing.T) {
 }
 
 func TestValidateFlags(t *testing.T) {
+	// def fills in the workload flags' defaults, which every mode-selecting
+	// row below keeps.
+	def := func(f flagCoherence) flagCoherence {
+		f.Requests, f.Model, f.ZipfS = 2000, "zipf", 1.4
+		return f
+	}
 	ok := []flagCoherence{
-		{},                        // plain line mode
-		{Load: true, Churn: true}, // local load run
-		{Load: true, Connect: "h:1", ReconnectEvery: 5},            // network load
-		{Load: true, Connect: "h:1,h:2"},                           // network load over a replica set
-		{Connect: "h:1"},                                           // remote line mode
-		{Connect: "/tmp/sock"},                                     // remote line mode, unix socket
-		{Listen: ":0"},                                             // standalone daemon
-		{Listen: ":0", ReplicaID: 1, Peers: "1@a@b", ReplicaOf: 1}, // HA daemon
+		def(flagCoherence{}),                                                         // plain line mode
+		def(flagCoherence{Load: true, Churn: true}),                                  // local load run
+		def(flagCoherence{Load: true, Connect: "h:1", ReconnectEvery: 5}),            // network load
+		def(flagCoherence{Load: true, Connect: "h:1,h:2"}),                           // network load over a replica set
+		def(flagCoherence{Connect: "h:1"}),                                           // remote line mode
+		def(flagCoherence{Connect: "/tmp/sock"}),                                     // remote line mode, unix socket
+		def(flagCoherence{Listen: ":0"}),                                             // standalone daemon
+		def(flagCoherence{Listen: ":0", ReplicaID: 1, Peers: "1@a@b", ReplicaOf: 1}), // HA daemon
+		{Load: true, Scenario: "s"},                                                  // the scenario's workload: -requests is ignored
+		{Connect: "h:1"},                                                             // remote line mode generates no workload
+		{Load: true, Requests: 1, Model: "uniform", ZipfS: 0.5},                      // -zipf only shapes -model zipf
 	}
 	for _, f := range ok {
 		if err := validateFlags(f); err != nil {
@@ -274,19 +283,24 @@ func TestValidateFlags(t *testing.T) {
 		}
 	}
 	bad := []flagCoherence{
-		{Connect: "h:1,h:2"},                // a replica set without the load harness's failover
-		{Connect: "h:1", Listen: ":0"},      // a daemon's client and a daemon at once
-		{Connect: "h:1", Unix: "/s"},        // likewise on a unix socket
-		{Load: true, ReconnectEvery: 5},     // -reconnect-every without -connect
-		{Connect: "h:1", ReconnectEvery: 5}, // -reconnect-every in remote line mode
-		{Churn: true},                       // -churn without -load
-		{BenchJSON: "b"},                    // -bench-json without -load
-		{Connect: "h:1", Scenario: "s"},     // -scenario in remote line mode
-		{Load: true, Listen: ":0"},          // load generator and daemon at once
-		{ReplicaID: 1, Peers: "1@a@b"},      // HA flags outside daemon mode
-		{Listen: ":0", ReplicaID: 1},        // -replica-id without -peers
-		{Listen: ":0", Peers: "1@a@b"},      // -peers without -replica-id
-		{Listen: ":0", ReplicaOf: 2},        // -replica-of without -replica-id
+		def(flagCoherence{Connect: "h:1,h:2"}),                // a replica set without the load harness's failover
+		def(flagCoherence{Connect: "h:1", Listen: ":0"}),      // a daemon's client and a daemon at once
+		def(flagCoherence{Connect: "h:1", Unix: "/s"}),        // likewise on a unix socket
+		def(flagCoherence{Load: true, ReconnectEvery: 5}),     // -reconnect-every without -connect
+		def(flagCoherence{Connect: "h:1", ReconnectEvery: 5}), // -reconnect-every in remote line mode
+		def(flagCoherence{Churn: true}),                       // -churn without -load
+		def(flagCoherence{BenchJSON: "b"}),                    // -bench-json without -load
+		def(flagCoherence{Connect: "h:1", Scenario: "s"}),     // -scenario in remote line mode
+		def(flagCoherence{Load: true, Listen: ":0"}),          // load generator and daemon at once
+		def(flagCoherence{ReplicaID: 1, Peers: "1@a@b"}),      // HA flags outside daemon mode
+		def(flagCoherence{Listen: ":0", ReplicaID: 1}),        // -replica-id without -peers
+		def(flagCoherence{Listen: ":0", Peers: "1@a@b"}),      // -peers without -replica-id
+		def(flagCoherence{Listen: ":0", ReplicaOf: 2}),        // -replica-of without -replica-id
+		{Load: true, Requests: 0, Model: "zipf", ZipfS: 1.4},  // -requests 0 would run trafficgen's 100
+		{Requests: -5, Model: "zipf", ZipfS: 1.4},             // likewise in line mode, whose strategy it feeds
+		{Listen: ":0", Requests: 0, Model: "uniform"},         // likewise for a daemon
+		{Load: true, Requests: 10, Model: "zipf", ZipfS: 1},   // -zipf 1 would run trafficgen's 1.2
+		{Load: true, Connect: "h:1", Requests: 10, Model: "zipf", ZipfS: 0.9},
 	}
 	for _, f := range bad {
 		if err := validateFlags(f); err == nil {

@@ -293,23 +293,28 @@ func TestE9TrafficGrowsWithSize(t *testing.T) {
 // closed form. Each AD's LSA leaves its origin on every link there and
 // leaves every other AD on every link but the one it first arrived on, so
 // an internet of N ADs and L links floods exactly N·(2L − N + 1) messages.
-// E9's four internets make 42, 910, 5,670 and 25,308.
+// The identity holds at every seed, so N and L come from each seed's own
+// graph; at seed 42 the sizes are pinned too: E9's four internets have 7,
+// 26, 63 and 148 ADs and flood 42, 910, 5,670 and 25,308.
 func TestE9FloodIdentity(t *testing.T) {
-	want := [][3]int{{7, 6, 42}, {26, 30, 910}, {63, 76, 5670}, {148, 159, 25308}}
-	for i, c := range e9Sizes(seed) {
-		g := topology.Generate(c).Graph
-		n, l := g.NumADs(), g.NumLinks()
-		if w := want[i]; n != w[0] || l != w[1] || n*(2*l-n+1) != w[2] {
-			t.Fatalf("internet %d: %d ADs, %d links, flood %d; want %v", i, n, l, n*(2*l-n+1), w)
-		}
-		db := e9Policy(g, seed)
-		for _, name := range []string{"lshh", "orwg"} {
-			sys := protocols.Lookup(name).New(g.Clone(), db)
-			if _, ok := sys.Converge(convergenceLimit); !ok {
-				t.Fatalf("%s on %d ADs did not converge", name, n)
+	pinned := [][3]int{{7, 6, 42}, {26, 30, 910}, {63, 76, 5670}, {148, 159, 25308}}
+	for _, sd := range []int64{seed, 7} {
+		for i, c := range e9Sizes(sd) {
+			g := topology.Generate(c).Graph
+			n, l := g.NumADs(), g.NumLinks()
+			flood := n * (2*l - n + 1)
+			if w := pinned[i]; sd == 42 && (n != w[0] || l != w[1] || flood != w[2]) {
+				t.Fatalf("seed 42, internet %d: %d ADs, %d links, flood %d; want %v", i, n, l, flood, w)
 			}
-			if got := sys.Network().Stats.MessagesSent; got != uint64(want[i][2]) {
-				t.Errorf("%s on %d ADs, %d links: %d messages, want %d", name, n, l, got, want[i][2])
+			db := e9Policy(g, sd)
+			for _, name := range []string{"lshh", "orwg"} {
+				sys := protocols.Lookup(name).New(g.Clone(), db)
+				if _, ok := sys.Converge(convergenceLimit); !ok {
+					t.Fatalf("seed %d: %s on %d ADs did not converge", sd, name, n)
+				}
+				if got := sys.Network().Stats.MessagesSent; got != uint64(flood) {
+					t.Errorf("seed %d: %s on %d ADs, %d links: %d messages, want %d", sd, name, n, l, got, flood)
+				}
 			}
 		}
 	}

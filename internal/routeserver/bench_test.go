@@ -2,6 +2,7 @@ package routeserver
 
 import (
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -14,27 +15,34 @@ import (
 // goroutine, from all of them on a skewed key set, and a miss with the
 // search taken out, from one goroutine and from all of them.
 
-// stubStrategy answers every request with the two-hop path src → dst at no
-// cost, and a footprint the size a real route's is on the benchmark's
-// internet (four links, four terms, drawn from ~150 links and ~40 terms):
-// what is left of a miss is the server's own bookkeeping — the claim,
-// insert, index, evict.
+// stubStrategy answers every request at no cost with a five-AD route drawn
+// from pools of 40, 10, 4, 10 and 40 ADs keyed by src and dst, whose
+// transit ADs charge serial 1 or 2: about 160 links and 50 terms, the
+// benchmark internet's counts, four links and three terms a route (a real
+// one there has 5.6 and 4.6), and a footprint that is the path's, so an
+// entry holds what a real miss's holds. The route does not start at src:
+// nothing checks a stub answer. What is left of a miss is the server's own
+// bookkeeping — the claim, insert, index, evict. Like the real strategy it
+// is a synthesis.Charger.
 type stubStrategy struct{}
 
 func (stubStrategy) Route(req policy.Request) (ad.Path, bool) {
-	return ad.Path{req.Src, req.Dst}, true
+	const pool = 1 << 20 // above every key's Src and Dst
+	s, d := req.Src%40, req.Dst%40
+	return ad.Path{pool + s, pool + 40 + s%10, pool + 50 + (s+d)%4, pool + 60 + d%10, pool + 70 + d}, true
 }
 func (stubStrategy) Stats() synthesis.StrategyStats    { return synthesis.StrategyStats{} }
 func (stubStrategy) Invalidate()                       {}
 func (stubStrategy) InvalidateScoped(synthesis.Change) {}
 func (stubStrategy) Name() string                      { return "stub" }
-func (stubStrategy) Footprint(req policy.Request, _ ad.Path) synthesis.Footprint {
-	fp := synthesis.Footprint{Links: make([][2]ad.ID, 4), Terms: make([]policy.Key, 4)}
-	for i := range fp.Links {
-		fp.Links[i] = [2]ad.ID{req.Src%13 + ad.ID(13*i), 100 + req.Dst%3}
-		fp.Terms[i] = policy.Key{Advertiser: (req.Src + ad.ID(i)) % 40, Serial: 1}
+func (stubStrategy) AppendCharged(dst []uint32, req policy.Request, path ad.Path) []uint32 {
+	for range transits(path) {
+		dst = append(dst, 1+uint32(req.Src+req.Dst)%2)
 	}
-	return fp
+	return dst
+}
+func (s stubStrategy) Footprint(req policy.Request, path ad.Path) synthesis.Footprint {
+	return synthesis.FootprintOf(path, s.AppendCharged(nil, req, path))
 }
 
 var benchSink Result
@@ -88,21 +96,37 @@ func BenchmarkQueryHitParallel(b *testing.B) {
 	})
 }
 
+// missServer is a full server of the given capacity behind the stub, warmed
+// on tape's first twice-capacity keys, and the live heap it holds per
+// resident entry, paths included: the benchmarks report it as B/entry.
+func missServer(capacity int, tape []policy.Request) (*Server, float64) {
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	srv := New(stubStrategy{}, Config{Capacity: capacity})
+	for _, req := range tape[:2*capacity] {
+		srv.Query(req)
+	}
+	return srv, (float64(heap()) - float64(before)) / float64(srv.CacheLen())
+}
+
 // BenchmarkMissInsertEvict: uniform keys over sixteen times the capacity, so
 // nearly every query computes (the stub), inserts, indexes and evicts.
 func BenchmarkMissInsertEvict(b *testing.B) {
 	const capacity = 4096
 	tape := benchTape(1<<16, 16*capacity, false)
-	srv := New(stubStrategy{}, Config{Capacity: capacity})
-	for _, req := range tape[:2*capacity] {
-		srv.Query(req)
-	}
+	srv, perEntry := missServer(capacity, tape)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink = srv.Query(tape[i&(len(tape)-1)])
 	}
 	b.StopTimer()
+	b.ReportMetric(perEntry, "B/entry")
 	if s := srv.Snapshot(); float64(s.Misses) < 0.9*float64(s.Queries) {
 		b.Fatalf("only %d of %d queries missed", s.Misses, s.Queries)
 	}
@@ -116,10 +140,7 @@ func BenchmarkMissInsertEvict(b *testing.B) {
 func BenchmarkMissInsertEvictParallel(b *testing.B) {
 	const capacity = 4096
 	tape := benchTape(1<<16, 16*capacity, false)
-	srv := New(stubStrategy{}, Config{Capacity: capacity})
-	for _, req := range tape[:2*capacity] {
-		srv.Query(req)
-	}
+	srv, perEntry := missServer(capacity, tape)
 	var cursor atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -135,6 +156,7 @@ func BenchmarkMissInsertEvictParallel(b *testing.B) {
 		_ = res
 	})
 	b.StopTimer()
+	b.ReportMetric(perEntry, "B/entry")
 	if s := srv.Snapshot(); float64(s.Misses) < 0.9*float64(s.Queries) {
 		b.Fatalf("only %d of %d queries missed", s.Misses, s.Queries)
 	}

@@ -120,10 +120,9 @@ func TestCoalescePanicSafety(t *testing.T) {
 	srv.MutateScoped(synthesis.LinkDownChange(src, dst), func() { g.RemoveLink(src, dst) })
 }
 
-// TestEvictScopedCountsActualDeletions pins the eviction accounting: a
-// victim key resolved through the reverse index whose cache entry is
-// already gone (a dangling index edge) is not eviction work and must not
-// be reported as such.
+// TestEvictScopedCountsActualDeletions pins the eviction accounting: an
+// entry that left the cache before a mutation takes its index edges with
+// it, so the mutation finds no victim there and reports no eviction work.
 func TestEvictScopedCountsActualDeletions(t *testing.T) {
 	g, _, srv, src, t1, _, dst, _, _ := scopedWorld(t)
 	rCheap := policy.Request{Src: src, Dst: dst}
@@ -131,9 +130,6 @@ func TestEvictScopedCountsActualDeletions(t *testing.T) {
 		t.Fatalf("warm route = %+v", res)
 	}
 
-	// Manufacture the dangling edge: drop the entry while leaving its index
-	// edges in place, as a racing deletion between index resolution and the
-	// eviction sweep would.
 	k := rCheap
 	srv.tab.mu.Lock()
 	e := srv.tab.get(k, hash(k))
@@ -141,12 +137,17 @@ func TestEvictScopedCountsActualDeletions(t *testing.T) {
 		srv.tab.mu.Unlock()
 		t.Fatal("warm entry missing")
 	}
-	srv.tab.detach(e)
+	srv.tab.remove(e)
+	if vs := srv.tab.victims(synthesis.LinkDownChange(t1, dst)); len(vs) != 0 {
+		srv.tab.mu.Unlock()
+		t.Fatalf("the removed entry left edges behind: victims %v", keysOf(vs))
+	}
+	checkTable(t, &srv.tab)
 	srv.tab.mu.Unlock()
 
 	evicted, _ := srv.MutateScoped(
 		synthesis.LinkDownChange(t1, dst), func() { g.RemoveLink(t1, dst) })
 	if evicted != 0 {
-		t.Fatalf("evicted = %d for a dangling index edge, want 0", evicted)
+		t.Fatalf("evicted = %d after the entry was gone, want 0", evicted)
 	}
 }

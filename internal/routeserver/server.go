@@ -9,7 +9,9 @@
 //   - a reverse dependency index (link → entries, term → entries,
 //     negative-entry set) fed by each route's synthesis.Footprint, so
 //     MutateScoped evicts only the entries a change can affect while the
-//     rest of the cache keeps serving with zero recomputation,
+//     rest of the cache keeps serving with zero recomputation; an entry
+//     stores its path and the serial of the term charged at each transit
+//     AD, no footprint, and each bucket holds exactly its live entries,
 //   - request coalescing in the same table: a key is resident, pending or
 //     absent in the table, so concurrent misses for one key run one synthesis,
 //   - a reader/writer strategy lock: misses for distinct keys synthesize
@@ -19,8 +21,10 @@
 //   - a bounded worker pool for miss computation, charged only for the
 //     search itself — never for time spent waiting on a lock,
 //   - an atomic server-metrics layer: exact query/hit/miss/coalesce
-//     counters, an exact histogram of synthesis times, and a serving-latency
-//     histogram (p50/p95/p99) over a 1-in-64 sample of queries.
+//     counters, which a hit bumps in its processor's padded stripe, and
+//     histograms of synthesis times (the first miss and every 64th after
+//     it) and of serving latency (p50/p95/p99; about one query in 64, drawn
+//     at random).
 //
 // Correctness contract: a query observes either the state before an
 // invalidation or after it, never a mix — an entry that is present is
@@ -36,6 +40,7 @@
 package routeserver
 
 import (
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -115,12 +120,14 @@ func (c Config) normalize() Config {
 }
 
 // Metrics is the server's atomic instrumentation. Read it via Snapshot.
+// There is no query counter: every query is a hit, a miss or a coalesced
+// wait, so Snapshot sums them.
 type Metrics struct {
-	queries         atomic.Uint64
-	hits            atomic.Uint64
-	misses          atomic.Uint64 // leaders = synthesis computations
-	coalesced       atomic.Uint64 // waiters served by another query's computation
-	failures        atomic.Uint64
+	stripes         *[stripes]stripe // hits and failures
+	local           sync.Pool        // *stripe: a processor keeps the one it last used
+	dealt           atomic.Uint32    // stripes handed to local.New so far
+	misses          atomic.Uint64    // leaders = synthesis computations
+	coalesced       atomic.Uint64    // waiters served by another query's computation
 	evictions       atomic.Uint64
 	invalidations   atomic.Uint64
 	scopedMutations atomic.Uint64
@@ -129,6 +136,24 @@ type Metrics struct {
 	latency         metrics.Histogram
 	synthLat        metrics.Histogram
 }
+
+// stripe is one query's share of the counters a hit bumps, a cache line of
+// its own, and Snapshot sums them. A query takes its stripe from
+// Metrics.local, whose per-processor cache hands each processor the stripe it
+// used last: two cores serving hits write two lines, each staying in its
+// core's cache. (Picked at random, each line would pass between the cores
+// on about every other hit.) When the pool is emptied by a collection, New
+// deals the stripes round-robin again: stripes are never added, and two
+// processors that come to share one only share a line.
+type stripe struct {
+	hits     atomic.Uint64
+	failures atomic.Uint64
+	_        [64 - 16]byte
+}
+
+// stripes is a power of two. The array's 1 KB allocation is aligned to its
+// size, so each stripe is one cache line.
+const stripes = 16
 
 // MetricsSnapshot is a point-in-time copy of the server counters.
 type MetricsSnapshot struct {
@@ -155,12 +180,13 @@ type MetricsSnapshot struct {
 	// ScopedRetained is the total entries retained across scoped
 	// mutations (resident entries summed after each scoped eviction).
 	ScopedRetained uint64
-	// Latency digests serving latency over a sample: the first query and
-	// every 64th after it, so Latency.Count is Queries/64 rounded up.
+	// Latency digests serving latency over a sample: each query is drawn
+	// with probability 1/64, so Latency.Count is about Queries/64.
 	Latency metrics.LatencySummary
-	// SynthLatency digests the wall time of each synthesis computation
-	// (strategy route + footprint extraction, under the strategy lock).
-	// The plan engine projects the re-synthesis bill from it.
+	// SynthLatency digests the wall time of synthesis computations
+	// (strategy route + footprint extraction, under the strategy lock): the
+	// first miss and every 64th after it. The plan engine projects the
+	// re-synthesis bill from it.
 	SynthLatency metrics.LatencySummary
 }
 
@@ -193,6 +219,7 @@ type Server struct {
 	// reader first). Lock order is stratMu(R) → tab.mu, nowhere reversed.
 	stratMu  sync.RWMutex
 	strategy synthesis.Strategy
+	charger  synthesis.Charger // strategy, when it is one
 	onInsert func(Key, Result, synthesis.Footprint)
 	qlog     queryLog
 	// afterLookupMiss, when set (by tests, before serving), runs in Query
@@ -285,6 +312,9 @@ func New(strategy synthesis.Strategy, cfg Config) *Server {
 		workers:  make(chan struct{}, cfg.Workers),
 		strategy: strategy,
 	}
+	s.charger, _ = strategy.(synthesis.Charger)
+	s.met.stripes = new([stripes]stripe)
+	s.met.local.New = func() any { return &s.met.stripes[s.met.dealt.Add(1)%stripes] }
 	s.tab.capacity = max(cfg.Capacity, 0)
 	s.tab.pending = make(map[Key]*call)
 	s.tab.purge()
@@ -309,38 +339,43 @@ func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 // replays them as the recorded workload.
 func (s *Server) RecentQueries() []policy.Request { return s.qlog.recent() }
 
-// insert stores a result and indexes its dependency footprint. Every caller
+// insert stores an entry and indexes its dependency edges. Every caller
 // holds at least the read side of stratMu from before the search to after
 // the insert, and the cache is purged only under the write side, so a result
 // computed against one state never lands behind a full invalidation. Caller
 // holds tab.mu.
-func (s *Server) insert(k Key, res Result, fp synthesis.Footprint) {
-	if s.tab.put(k, hash(k), res, fp) {
+func (s *Server) insert(e *entry) {
+	if s.tab.put(e, hash(e.key)) {
 		s.met.evictions.Add(1)
 	}
 }
 
 // Query answers one route request. Safe for concurrent use.
 func (s *Server) Query(req policy.Request) Result {
-	if s.met.queries.Add(1)%latencySample != 1 {
-		return s.serve(req)
+	// The stripe is this processor's, and the latency sample a draw from the
+	// calling thread's generator: nothing shared is written.
+	st := s.met.local.Get().(*stripe)
+	var res Result
+	if rand.Uint32()%latencySample != 0 {
+		res = s.serve(req, st)
+	} else {
+		start := time.Now()
+		res = s.serve(req, st)
+		s.met.latency.Observe(time.Since(start))
 	}
-	start := time.Now()
-	res := s.serve(req)
-	s.met.latency.Observe(time.Since(start))
+	s.met.local.Put(st)
 	return res
 }
 
-// latencySample is how many queries share one latency observation: a clock
-// read costs a cached answer a third of its time, and the quantiles do not
-// need every query. The counter every query bumps anyway picks the sample,
-// so sampling adds no shared write.
+// latencySample is how many queries, or misses, share one latency
+// observation: a clock read costs a cached answer a third of its time, and
+// the quantiles do not need every query.
 const latencySample = 64
 
 // serve answers from the cache: a lock-free get, and when that misses a
 // claim, which makes the query a hit after all, a waiter on the key's
 // pending computation, or its leader.
-func (s *Server) serve(req policy.Request) Result {
+func (s *Server) serve(req policy.Request, st *stripe) Result {
 	s.qlog.record(req)
 
 	h := hash(req)
@@ -357,17 +392,16 @@ func (s *Server) serve(req policy.Request) Result {
 	switch {
 	case e != nil:
 		res = e.result()
-		s.met.hits.Add(1)
+		st.hits.Add(1)
 	case lead:
 		res = s.lead(req, c)
-		s.met.misses.Add(1)
 	default:
 		c.wg.Wait()
 		res = c.res
 		s.met.coalesced.Add(1)
 	}
 	if !res.Found {
-		s.met.failures.Add(1)
+		st.failures.Add(1)
 	}
 	return res
 }
@@ -375,7 +409,8 @@ func (s *Server) serve(req policy.Request) Result {
 // lead computes the key this query claimed and releases the queries waiting
 // on c. If the computation panics, the leader withdraws the claim here
 // unless its insert already had, and re-panics; its waiters observe the zero
-// Result ("no legal route") rather than blocking forever.
+// Result ("no legal route") rather than blocking forever. The miss count is
+// its ticket for the synthesis-latency sample.
 func (s *Server) lead(k Key, c *call) Result {
 	done := false
 	defer func() {
@@ -388,7 +423,7 @@ func (s *Server) lead(k Key, c *call) Result {
 		}
 		c.wg.Done()
 	}()
-	c.res = s.compute(k)
+	c.res = s.compute(k, s.met.misses.Add(1)%latencySample == 1)
 	done = true
 	return c.res
 }
@@ -404,41 +439,56 @@ func (s *Server) lead(k Key, c *call) Result {
 // the claim's withdrawal and the OnInsert hook run under tab.mu while still
 // holding the read side: inserts form one total order among themselves, and
 // order against mutations through stratMu, so HA replication replays puts
-// and control mutations in stream order.
+// and control mutations in stream order. A result the table refuses (a
+// footprint that is not its path's, entry.charge, or a route longer than
+// maxRoute) is answered but not cached.
 //
 // Unlock via defer throughout: a panicking strategy must not leave the
 // strategy lock held, or every later query and mutation would deadlock.
-func (s *Server) compute(req policy.Request) Result {
+func (s *Server) compute(req policy.Request, timed bool) Result {
 	s.stratMu.RLock()
 	defer s.stratMu.RUnlock()
-	res, fp := s.search(req)
+	res, e := s.search(req, timed)
 	s.tab.mu.Lock()
 	defer s.tab.mu.Unlock()
-	s.insert(req, res, fp)
-	delete(s.tab.pending, req)
-	if s.onInsert != nil {
-		s.onInsert(req, res, fp)
+	if e != nil {
+		s.insert(e)
+		if s.onInsert != nil {
+			s.onInsert(req, res, e.footprint())
+		}
 	}
+	delete(s.tab.pending, req)
 	return res
 }
 
-// search runs the strategy search and footprint extraction under a worker
-// slot. The slot is acquired here — after the strategy lock, around the
-// search alone — so the pool bounds actual synthesis work; goroutines
-// blocked on a lock hold no slot. Caller holds the read side of stratMu.
-func (s *Server) search(req policy.Request) (Result, synthesis.Footprint) {
+// search runs the strategy search and builds the answer's entry, charged
+// with the route's footprint, under a worker slot; the entry is nil when the
+// table refuses it. The slot is acquired here — after the strategy lock,
+// around the search alone — so the pool bounds actual synthesis work;
+// goroutines blocked on a lock hold no slot. A strategy that is a Charger
+// writes its serials straight into the entry. Caller holds the read side of
+// stratMu.
+func (s *Server) search(req policy.Request, timed bool) (Result, *entry) {
 	s.workers <- struct{}{}
 	defer func() { <-s.workers }()
 
-	synthStart := time.Now()
-	defer func() { s.met.synthLat.Observe(time.Since(synthStart)) }()
+	if timed {
+		synthStart := time.Now()
+		defer func() { s.met.synthLat.Observe(time.Since(synthStart)) }()
+	}
 	path, found := s.strategy.Route(req)
 	res := Result{Path: path, Found: found}
-	var fp synthesis.Footprint
-	if found {
-		fp = s.strategy.Footprint(req, path)
+	e := newEntry(req, res)
+	switch {
+	case e == nil || !found: // refused already, or nothing to charge
+	case s.charger != nil:
+		if len(s.charger.AppendCharged(e.charged()[:0], req, path)) != transits(path) {
+			e = nil
+		}
+	case !e.charge(s.strategy.Footprint(req, path)):
+		e = nil
 	}
-	return res, fp
+	return res, e
 }
 
 // Mutate applies fn — which may mutate the graph or policy database the
@@ -515,13 +565,19 @@ type CacheEntry struct {
 // InstallEntry inserts a replicated entry, indexing its footprint exactly
 // as a computed result would be: read side of the strategy lock (so
 // installs order against mutations) plus the table's lock (so they order
-// against concurrent computed inserts). The OnInsert hook does not fire.
+// against concurrent computed inserts). The OnInsert hook does not fire. An
+// entry the table refuses (a footprint that is not its path's, or a route
+// longer than maxRoute) leaves the cache as it was.
 func (s *Server) InstallEntry(k Key, res Result, fp synthesis.Footprint) {
+	e := newEntry(k, res)
+	if e == nil || !e.charge(fp) {
+		return
+	}
 	s.stratMu.RLock()
 	defer s.stratMu.RUnlock()
 	s.tab.mu.Lock()
 	defer s.tab.mu.Unlock()
-	s.insert(k, res, fp)
+	s.insert(e)
 }
 
 // DumpEntries copies every cache entry under the write side of the
@@ -598,12 +654,18 @@ func (s *Server) CacheLen() int {
 
 // Snapshot returns a point-in-time copy of the server metrics.
 func (s *Server) Snapshot() MetricsSnapshot {
+	var hits, failures uint64
+	for i := range s.met.stripes {
+		hits += s.met.stripes[i].hits.Load()
+		failures += s.met.stripes[i].failures.Load()
+	}
+	misses, coalesced := s.met.misses.Load(), s.met.coalesced.Load()
 	return MetricsSnapshot{
-		Queries:         s.met.queries.Load(),
-		Hits:            s.met.hits.Load(),
-		Misses:          s.met.misses.Load(),
-		Coalesced:       s.met.coalesced.Load(),
-		Failures:        s.met.failures.Load(),
+		Queries:         hits + misses + coalesced,
+		Hits:            hits,
+		Misses:          misses,
+		Coalesced:       coalesced,
+		Failures:        failures,
 		Evictions:       s.met.evictions.Load(),
 		Invalidations:   s.met.invalidations.Load(),
 		ScopedMutations: s.met.scopedMutations.Load(),

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ad"
 	"repro/internal/policy"
+	"repro/internal/racecheck"
 	"repro/internal/synthesis"
 	"repro/internal/topology"
 	"repro/internal/trafficgen"
@@ -59,8 +60,24 @@ func TestServerServesOracleResults(t *testing.T) {
 	if snap.Hits+snap.Misses+snap.Coalesced != snap.Queries {
 		t.Fatalf("counter accounting broken: %+v", snap)
 	}
-	if want := (snap.Queries + latencySample - 1) / latencySample; snap.Latency.Count != want {
-		t.Fatalf("latency observations %d, want %d: one query in %d of %d", snap.Latency.Count, want, latencySample, snap.Queries)
+	if want := (snap.Misses + latencySample - 1) / latencySample; snap.SynthLatency.Count != want {
+		t.Fatalf("synthesis latency observations %d, want %d: the first miss and every %dth after it of %d", snap.SynthLatency.Count, want, latencySample, snap.Misses)
+	}
+}
+
+// TestLatencySampleRate: Query draws its latency sample at random, one query
+// in latencySample. Over 25,600 hits the count is 400 give or take 20; the
+// bounds are five of those either side.
+func TestLatencySampleRate(t *testing.T) {
+	tape := benchTape(1<<10, 256, false)
+	srv := warmServer(tape)
+	before := srv.Snapshot().Latency.Count
+	const n = 400 * latencySample
+	for i := range n {
+		srv.Query(tape[i%len(tape)])
+	}
+	if got := srv.Snapshot().Latency.Count - before; got < 300 || got > 500 {
+		t.Fatalf("%d latency observations over %d queries, want about %d", got, n, n/latencySample)
 	}
 }
 
@@ -393,4 +410,54 @@ func ExampleServer() {
 	res := srv.Query(policy.Request{Src: ids[len(ids)-1], Dst: ids[0], Hour: 12})
 	fmt.Println(res.Found)
 	// Output: true
+}
+
+// TestAllocsMiss pins what a miss allocates on the OnDemand strategy: the
+// claim's call, the path the search returns and the entry (whose serials
+// and bucket positions share its allocation) for a route; the call and the
+// entry for a no-route answer. The keys cycle through more than the
+// capacity with no hit in between, so CLOCK evicts each before it comes
+// back and every query misses. Skipped under -race; `make allocs` runs it.
+func TestAllocsMiss(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g, db, workload := testbed(11, 200)
+	snap := synthesis.Compile(g, db)
+	var found, none []policy.Request
+	for _, req := range workload {
+		for h := range 24 {
+			req.Hour = uint8(h)
+			if res := snap.FindRoute(req); res.Found && len(res.Path) > 3 && len(found) < 24 {
+				found = append(found, req)
+			} else if !res.Found && len(none) < 24 {
+				none = append(none, req)
+			}
+		}
+	}
+	if len(found) < 24 || len(none) < 24 {
+		t.Fatalf("the workload has %d keys with a route of four ADs and %d without a route, want 24 of each", len(found), len(none))
+	}
+	for _, c := range []struct {
+		name string
+		keys []policy.Request
+		want float64
+	}{{"route", found, 3}, {"no route", none, 2}} {
+		srv := New(synthesis.NewOnDemand(g, db), Config{Capacity: 8})
+		i := 0
+		query := func() {
+			srv.Query(c.keys[i%len(c.keys)])
+			i++
+		}
+		for range 4 * len(c.keys) {
+			query()
+		}
+		before := srv.Snapshot()
+		if n := testing.AllocsPerRun(240, query); n != c.want {
+			t.Errorf("miss, %s: %v allocs/op, want %v", c.name, n, c.want)
+		}
+		if after := srv.Snapshot(); after.Misses-before.Misses != after.Queries-before.Queries {
+			t.Fatalf("miss, %s: %d of %d queries missed", c.name, after.Misses-before.Misses, after.Queries-before.Queries)
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package routeserver
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -27,9 +26,9 @@ import (
 //
 // Only get reads without a lock. It loads the published index and probes an
 // open-addressed array of atomic entry pointers; every other field of the
-// table belongs to writers, who hold mu. An entry is immutable once
-// published apart from its two flags, so a reader holding the pointer holds
-// the answer, and a hit linearizes at the load of its index slot: the entry
+// table belongs to writers, who hold mu. What a reader loads of an entry is
+// immutable once published, apart from its state bits, so a reader holding
+// the pointer holds the answer, and a hit linearizes at the load of its index slot: the entry
 // was resident at that instant, and resident is current (package comment).
 //
 // dead exists because deletion tombstones the current index while a reader
@@ -41,19 +40,163 @@ import (
 // Replacement is CLOCK: a hit sets the entry's reference bit, and only when
 // it reads it clear, so a hot entry costs its readers no write; the hand
 // clears bits as it passes and evicts the first entry it finds clear.
+//
+// A cached route costs what it holds. An entry keeps its path and, per
+// transit position, the serial of the term charged there; its footprint's
+// links are its path's, and footprint rebuilds the rest on export. The
+// reverse index is exact: a bucket lists the live edges of one link or term
+// (or the negative answers), each entry records where each of its edges
+// sits, and removal moves the bucket's last edge into the hole, so no
+// bucket holds a dead edge or keeps more than four times its length in
+// capacity.
 
-// entry is one cached answer with the dependency footprint that feeds the
-// reverse index. (slot, gen) names it there: slot is its place in the ring,
-// gen counts the slot's earlier tenants.
+// entry is one cached answer. Readers load key, path, found and state;
+// slot and aux belong to writers. The links an entry depends on are
+// its path's, so it stores no footprint (footprint derives it on export),
+// only aux: for a found route of n ADs with t = n-2 transit positions, its
+// position in each of its n-1 link buckets, then in the bucket of the term
+// charged at each transit position, then the serial of that term (0 =
+// none: term serials start at 1); for a negative answer, its position in
+// negs. newEntry carves aux from the entry's own allocation.
 type entry struct {
 	key   Key
-	slot  int32
-	gen   uint32
-	path  ad.Path
-	fp    synthesis.Footprint
+	slot  int32 // its place in the ring
+	state atomic.Uint32
 	found bool
-	dead  atomic.Bool // set once, by the writer that unpublished the entry
-	ref   atomic.Bool // CLOCK reference bit
+	path  ad.Path
+	aux   []uint32
+}
+
+// The bits of entry.state: referenced is the CLOCK reference bit, and dead
+// is set once, by the writer that unpublished the entry. Writers hold mu;
+// readers set referenced at the same time, so every change is a
+// compare-and-swap.
+const (
+	referenced uint32 = 1 << iota
+	dead
+)
+
+func (e *entry) isDead() bool { return e.state.Load()&dead != 0 }
+
+// kill sets dead.
+func (e *entry) kill() {
+	for s := e.state.Load(); !e.state.CompareAndSwap(s, s|dead); s = e.state.Load() {
+	}
+}
+
+// touch sets the CLOCK reference bit, writing only when it reads it clear.
+func (e *entry) touch() {
+	if s := e.state.Load(); s&referenced == 0 {
+		e.state.CompareAndSwap(s, s|referenced)
+	}
+}
+
+// unref clears the reference bit and reports whether it was set.
+func (e *entry) unref() bool {
+	for {
+		s := e.state.Load()
+		if s&referenced == 0 {
+			return false
+		}
+		if e.state.CompareAndSwap(s, s&^referenced) {
+			return true
+		}
+	}
+}
+
+// withAux is an entry and the storage its aux is carved from, in one
+// allocation. The sizes round 72 bytes of entry plus aux up to the
+// allocator's size classes.
+type withAux[A any] struct {
+	entry
+	buf A
+}
+
+// maxRoute is the longest route the table indexes: a bucket names each of an
+// entry's records with recBits bits. A longer one is answered, not cached.
+const maxRoute = 1 + 1<<recBits
+
+// newEntry allocates the entry for k's answer with aux sized for it and
+// every serial 0, or returns nil for a route longer than maxRoute. Only the
+// rare route of more than eleven ADs takes a second allocation for aux.
+func newEntry(k Key, res Result) *entry {
+	w := 1
+	if res.Found {
+		if len(res.Path) > maxRoute {
+			return nil
+		}
+		w = max(len(res.Path)-1, 0) + 2*transits(res.Path)
+	}
+	var e *entry
+	switch {
+	case w == 0:
+		e = new(entry)
+	case w <= 2:
+		x := new(withAux[[2]uint32])
+		x.aux, e = x.buf[:w:w], &x.entry
+	case w <= 6:
+		x := new(withAux[[6]uint32])
+		x.aux, e = x.buf[:w:w], &x.entry
+	case w <= 10:
+		x := new(withAux[[10]uint32])
+		x.aux, e = x.buf[:w:w], &x.entry
+	case w <= 14:
+		x := new(withAux[[14]uint32])
+		x.aux, e = x.buf[:w:w], &x.entry
+	case w <= 18:
+		x := new(withAux[[18]uint32])
+		x.aux, e = x.buf[:w:w], &x.entry
+	case w <= 22:
+		x := new(withAux[[22]uint32])
+		x.aux, e = x.buf[:w:w], &x.entry
+	case w <= 30:
+		x := new(withAux[[30]uint32])
+		x.aux, e = x.buf[:w:w], &x.entry
+	default:
+		e = &entry{aux: make([]uint32, w)}
+	}
+	e.key, e.path, e.found = k, res.Path, res.Found
+	return e
+}
+
+// transits is the number of transit positions of path.
+func transits(path ad.Path) int { return max(len(path)-2, 0) }
+
+// linkPos, termPos and charged are the three parts of a found entry's aux:
+// linkPos[j] for the link from path[j] to path[j+1], termPos[j] and
+// charged[j] for the term charged at path[j+1].
+func (e *entry) linkPos() []uint32 { return e.aux[:max(len(e.path)-1, 0)] }
+
+func (e *entry) termPos() []uint32 {
+	l := max(len(e.path)-1, 0)
+	return e.aux[l : l+transits(e.path)]
+}
+
+func (e *entry) charged() []uint32 {
+	if !e.found {
+		return nil
+	}
+	return e.aux[max(len(e.path)-1, 0)+transits(e.path):]
+}
+
+// charge copies fp's serials into e and reports whether fp is the footprint
+// of e's path; a negative answer's must be empty. The table refuses an entry
+// that fails: it stores no footprint but the one its path implies.
+func (e *entry) charge(fp synthesis.Footprint) bool {
+	if !e.found {
+		return len(fp.Links) == 0 && len(fp.Terms) == 0
+	}
+	_, ok := fp.Charged(e.charged()[:0], e.path)
+	return ok
+}
+
+// footprint is the dependency set e was indexed under, as the strategy
+// produced it.
+func (e *entry) footprint() synthesis.Footprint {
+	if !e.found {
+		return synthesis.Footprint{}
+	}
+	return synthesis.FootprintOf(e.path, e.charged())
 }
 
 // tombstone marks an index slot whose entry was deleted: probes continue
@@ -107,85 +250,63 @@ func (ix *index) locate(k Key, h uint32) (int, *entry) {
 	}
 }
 
-// ringSlot is one CLOCK position. gen is bumped every time the slot's
-// tenant leaves, so a ref is live exactly when its gen is the slot's — an
-// array read, no hash probe and no pointer to follow. A slot whose gen has
-// reached maxGen is retired rather than reused, so gen never wraps and a
-// dead ref can never come to name a later tenant.
-type ringSlot struct {
-	e   *entry
-	gen uint32
-}
-
-const maxGen = math.MaxUint32
-
-// ref is one reverse-index edge. It holds no pointer: a dead ref pins
-// nothing, and the collector has nothing to follow through a bucket.
-type ref struct {
-	slot int32
-	gen  uint32
-}
-
-// bucket is the set of entries depending on one link or term (or, for
-// negs, the cached negative answers). Adding appends; removing only
-// counts, leaving a dead ref behind, and a bucket more than half dead is
-// compacted in place — so len(refs) <= 2*live after every operation.
+// bucket is the set of resident entries depending on one link or term (or,
+// for negs, the cached negative answers), in no order. Each element is an
+// edge: an entry's ring slot and which of its records (linkPos or termPos
+// index, 0 in negs) holds the edge's position here. So a bucket holds
+// exactly its live edges: removal moves the last edge into the hole and
+// writes its new position straight into the record the edge names. Its
+// capacity is at most four times its length or minBucket, so a bucket that
+// shrank gives its memory back.
 type bucket struct {
-	refs []ref
-	live int
+	edges []edge
 }
 
-func (b *bucket) add(e *entry) {
-	b.refs = append(b.refs, ref{e.slot, e.gen})
-	b.live++
+// edge is slot<<recBits | record.
+type edge uint32
+
+const recBits = 6
+
+// maxSlots bounds the ring, so that every slot fits an edge: an unbounded
+// table holds up to 2^26 entries.
+const maxSlots = 1 << (32 - recBits)
+
+func edgeOf(slot int32, rec int) edge { return edge(slot)<<recBits | edge(rec) }
+
+func (d edge) slot() int32 { return int32(d >> recBits) }
+
+func (d edge) rec() int { return int(d & (1<<recBits - 1)) }
+
+const minBucket = 8
+
+// add appends d and returns its position.
+func (b *bucket) add(d edge) uint32 {
+	b.edges = append(b.edges, d)
+	return uint32(len(b.edges) - 1)
 }
 
-// drop accounts for one entry of b having left the ring and reports whether
-// b is now empty.
-func (b *bucket) drop(ring []ringSlot) bool {
-	b.live--
-	if b.live == 0 {
-		b.refs = b.refs[:0]
-		return true
+// cut removes the edge at pos. When another edge moved into pos from the
+// end, it returns that edge and true, and the caller points the record the
+// edge names at pos.
+func (b *bucket) cut(pos uint32) (moved edge, ok bool) {
+	last := len(b.edges) - 1
+	moved, ok = b.edges[last], int(pos) != last
+	b.edges[pos] = moved
+	b.edges = b.edges[:last]
+	if c := cap(b.edges); c > minBucket && 4*last < c {
+		b.edges = append(make([]edge, 0, 2*last), b.edges...)
 	}
-	if len(b.refs) > 2*b.live {
-		kept := b.refs[:0]
-		for _, r := range b.refs {
-			if ring[r.slot].gen == r.gen {
-				kept = append(kept, r)
-			}
-		}
-		b.refs = kept
-	}
-	return false
+	return moved, ok
 }
 
-// appendLive appends the slots of b's live refs. A nil bucket is empty.
-func (b *bucket) appendLive(dst []int32, ring []ringSlot) []int32 {
-	if b == nil {
-		return dst
-	}
-	for _, r := range b.refs {
-		if ring[r.slot].gen == r.gen {
-			dst = append(dst, r.slot)
-		}
-	}
-	return dst
-}
-
-func addRef[K comparable](m map[K]*bucket, k K, e *entry) {
+// bucketOf returns k's bucket, adding an empty one if k has none.
+func bucketOf[K comparable](m map[K]*bucket, k K) *bucket {
 	b := m[k]
 	if b == nil {
 		b = &bucket{}
 		m[k] = b
 	}
-	b.add(e)
-}
-
-func dropRef[K comparable](m map[K]*bucket, k K, ring []ringSlot) {
-	if m[k].drop(ring) {
-		delete(m, k)
-	}
+	return b
 }
 
 // table is the route cache: the published index, the CLOCK ring with its
@@ -198,7 +319,7 @@ type table struct {
 	idx      atomic.Pointer[index]
 	mu       sync.Mutex
 	capacity int // entries; <= 0 = unbounded
-	ring     []ringSlot
+	ring     []*entry
 	free     []int32
 	hand     int
 	live     int // resident entries
@@ -214,7 +335,7 @@ type table struct {
 // reader sent back by a dead entry finds the new one.
 func (t *table) purge() {
 	t.idx.Store(newIndex(minIndex))
-	t.each(func(e *entry) { e.dead.Store(true) })
+	t.each((*entry).kill)
 	t.ring, t.free, t.hand, t.live, t.used = nil, nil, 0, 0, 0
 	t.byLink = make(map[[2]ad.ID]*bucket)
 	t.byTerm = make(map[policy.Key]*bucket)
@@ -232,13 +353,6 @@ func (t *table) get(k Key, h uint32) *entry {
 			e.touch()
 		}
 		return e
-	}
-}
-
-// touch sets the CLOCK reference bit, writing only when it reads it clear.
-func (e *entry) touch() {
-	if !e.ref.Load() {
-		e.ref.Store(true)
 	}
 }
 
@@ -279,46 +393,45 @@ func (ix *index) find(k Key, h uint32) (e *entry, stale bool) {
 			return nil, false
 		}
 		if e != tombstone && e.key == k {
-			return e, e.dead.Load()
+			return e, e.isDead()
 		}
 	}
 }
 
-// put stores the answer for k, replacing any resident one, and reports
-// whether an unrelated entry was evicted to make room. Caller holds mu.
-func (t *table) put(k Key, h uint32, res Result, fp synthesis.Footprint) (evicted bool) {
+// put stores e, a newEntry with its serials charged, replacing any resident
+// entry for its key, and reports whether an unrelated entry was evicted to
+// make room. Caller holds mu.
+func (t *table) put(e *entry, h uint32) (evicted bool) {
 	ix := t.idx.Load()
 	if (t.used+1)*4 > len(ix.slots)*3 {
 		ix = t.rebuild()
 	}
-	pos, old := ix.locate(k, h)
+	pos, old := ix.locate(e.key, h)
 	switch {
 	case old != nil:
 		// The new entry takes the old one's place in the index in one store
-		// (below): no reader finds k absent in between.
-		t.vacate(old)
+		// (below): no reader finds the key absent in between.
 		t.unindex(old)
-	case t.capacity > 0 && t.live == t.capacity:
+		t.vacate(old)
+	case t.live == maxSlots || t.capacity > 0 && t.live == t.capacity:
 		// The victim's index slot turns into a tombstone; pos, a tombstone
-		// or nil already, stays a valid place for k.
+		// or nil already, stays a valid place for the key.
 		t.remove(t.victim())
 		evicted = true
 	}
-	e := &entry{key: k, path: res.Path, found: res.Found, fp: fp}
 	if n := len(t.free); n > 0 {
 		e.slot, t.free = t.free[n-1], t.free[:n-1]
 	} else {
 		e.slot = int32(len(t.ring))
-		t.ring = append(t.ring, ringSlot{})
+		t.ring = append(t.ring, nil)
 	}
-	e.gen = t.ring[e.slot].gen
-	t.ring[e.slot].e = e
+	t.ring[e.slot] = e
 	if ix.slots[pos].Load() == nil {
 		t.used++
 	}
 	ix.slots[pos].Store(e)
 	if old != nil {
-		old.dead.Store(true)
+		old.kill()
 	}
 	t.live++
 	t.index(e)
@@ -333,9 +446,9 @@ func (t *table) victim() *entry {
 		if t.hand >= len(t.ring) {
 			t.hand = 0
 		}
-		e := t.ring[t.hand].e
+		e := t.ring[t.hand]
 		t.hand++
-		if e != nil && !e.ref.Swap(false) {
+		if e != nil && !e.unref() {
 			return e
 		}
 	}
@@ -344,29 +457,18 @@ func (t *table) victim() *entry {
 // remove deletes a resident entry and its reverse-index edges. Caller holds
 // mu.
 func (t *table) remove(e *entry) {
-	t.detach(e)
 	t.unindex(e)
-}
-
-// detach unpublishes e and frees its ring slot, leaving the reverse index
-// alone. Caller holds mu.
-func (t *table) detach(e *entry) {
 	ix := t.idx.Load()
 	pos, _ := ix.locate(e.key, hash(e.key))
 	ix.slots[pos].Store(tombstone)
-	e.dead.Store(true)
+	e.kill()
 	t.vacate(e)
 }
 
-// vacate frees e's ring slot. Bumping the slot's gen kills e's refs in the
-// reverse index where they lie; unindex settles the counts. Caller holds
-// mu.
+// vacate frees e's ring slot. Caller holds mu.
 func (t *table) vacate(e *entry) {
-	rs := &t.ring[e.slot]
-	rs.e = nil
-	if rs.gen++; rs.gen < maxGen {
-		t.free = append(t.free, e.slot)
-	}
+	t.ring[e.slot] = nil
+	t.free = append(t.free, e.slot)
 	t.live--
 }
 
@@ -389,32 +491,75 @@ func (t *table) rebuild() *index {
 	return ix
 }
 
-// index adds e's dependency edges. Caller holds mu.
+// buckets appends to bs the bucket of each of found entry e's links, then
+// of the term charged at each transit position (nil where none was),
+// adding any that is missing. index and unindex look every bucket up first,
+// so their loops over the buckets make no call and the processor overlaps
+// those loops' cache misses. Caller holds mu.
+func (t *table) buckets(bs []*bucket, e *entry) []*bucket {
+	for j := range e.linkPos() {
+		bs = append(bs, bucketOf(t.byLink, ad.LinkKey(e.path[j], e.path[j+1])))
+	}
+	for j, serial := range e.charged() {
+		var b *bucket
+		if serial != 0 {
+			b = bucketOf(t.byTerm, policy.Key{Advertiser: e.path[j+1], Serial: serial})
+		}
+		bs = append(bs, b)
+	}
+	return bs
+}
+
+// index adds e's dependency edges, recording each one's position in aux.
+// Caller holds mu.
 func (t *table) index(e *entry) {
 	if !e.found {
-		t.negs.add(e)
+		e.aux[0] = t.negs.add(edgeOf(e.slot, 0))
 		return
 	}
-	for _, l := range e.fp.Links {
-		addRef(t.byLink, l, e)
+	lp, tp := e.linkPos(), e.termPos()
+	var buf [2 * maxRoute]*bucket
+	bs := t.buckets(buf[:0], e)
+	for j, b := range bs[:len(lp)] {
+		lp[j] = b.add(edgeOf(e.slot, j))
 	}
-	for _, tk := range e.fp.Terms {
-		addRef(t.byTerm, tk, e)
+	for j, b := range bs[len(lp):] {
+		if b != nil {
+			tp[j] = b.add(edgeOf(e.slot, j))
+		}
 	}
 }
 
-// unindex retires e's dependency edges once e has left the ring. Caller
-// holds mu.
+// unindex removes e's dependency edges while e still holds its ring slot:
+// the edge that moves into each hole names the record to update, found
+// through the ring (it may be e's own, when e's path revisits an AD), and
+// an emptied bucket leaves its map. Caller holds mu.
 func (t *table) unindex(e *entry) {
 	if !e.found {
-		t.negs.drop(t.ring)
+		if d, ok := t.negs.cut(e.aux[0]); ok {
+			t.ring[d.slot()].aux[0] = e.aux[0]
+		}
 		return
 	}
-	for _, l := range e.fp.Links {
-		dropRef(t.byLink, l, t.ring)
+	lp, tp, charged := e.linkPos(), e.termPos(), e.charged()
+	var buf [2 * maxRoute]*bucket
+	bs := t.buckets(buf[:0], e)
+	for j, b := range bs[:len(lp)] {
+		if d, ok := b.cut(lp[j]); ok {
+			t.ring[d.slot()].linkPos()[d.rec()] = lp[j]
+		} else if len(b.edges) == 0 {
+			delete(t.byLink, ad.LinkKey(e.path[j], e.path[j+1]))
+		}
 	}
-	for _, tk := range e.fp.Terms {
-		dropRef(t.byTerm, tk, t.ring)
+	for j, b := range bs[len(lp):] {
+		if b == nil {
+			continue
+		}
+		if d, ok := b.cut(tp[j]); ok {
+			t.ring[d.slot()].termPos()[d.rec()] = tp[j]
+		} else if len(b.edges) == 0 {
+			delete(t.byTerm, policy.Key{Advertiser: e.path[j+1], Serial: charged[j]})
+		}
 	}
 }
 
@@ -424,30 +569,37 @@ func (t *table) unindex(e *entry) {
 // broadens what is routable — cached negative answers. Shared by
 // evictScoped (which deletes them) and the read-only plan path
 // CollectAffected (which only reports them), so prediction and eviction can
-// never disagree on the soundness rules. A ref whose entry is gone resolves
-// to nothing. Caller holds mu.
+// never disagree on the soundness rules. Caller holds mu.
 func (t *table) victims(c synthesis.Change) []*entry {
 	var slots []int32
+	add := func(b *bucket) {
+		if b != nil {
+			for _, d := range b.edges {
+				slots = append(slots, d.slot())
+			}
+		}
+	}
 	switch c.Kind {
 	case synthesis.ChangeLinkDown:
-		slots = t.byLink[ad.LinkKey(c.A, c.B)].appendLive(slots, t.ring)
+		add(t.byLink[ad.LinkKey(c.A, c.B)])
 	case synthesis.ChangePolicy:
 		for _, tk := range c.RemovedTerms {
-			slots = t.byTerm[tk].appendLive(slots, t.ring)
+			add(t.byTerm[tk])
 		}
 	}
 	if c.AffectsNegative() {
-		slots = t.negs.appendLive(slots, t.ring)
+		add(&t.negs)
 	}
 	if len(slots) == 0 {
 		return nil
 	}
-	// An entry admitted by two removed terms is in two buckets.
+	// An entry is in a bucket once per edge it has there, and an entry
+	// admitted by two removed terms is in two buckets.
 	slices.Sort(slots)
 	slots = slices.Compact(slots)
 	out := make([]*entry, len(slots))
 	for i, s := range slots {
-		out[i] = t.ring[s].e
+		out[i] = t.ring[s]
 	}
 	return out
 }
@@ -464,8 +616,8 @@ func (t *table) evictScoped(c synthesis.Change) int {
 
 // each calls fn for every resident entry in slot order. Caller holds mu.
 func (t *table) each(fn func(*entry)) {
-	for i := range t.ring {
-		if e := t.ring[i].e; e != nil {
+	for _, e := range t.ring {
+		if e != nil {
 			fn(e)
 		}
 	}
@@ -473,4 +625,6 @@ func (t *table) each(fn func(*entry)) {
 
 func (e *entry) result() Result { return Result{Path: e.path, Found: e.found} }
 
-func (e *entry) export() CacheEntry { return CacheEntry{Key: e.key, Res: e.result(), Fp: e.fp} }
+func (e *entry) export() CacheEntry {
+	return CacheEntry{Key: e.key, Res: e.result(), Fp: e.footprint()}
+}

@@ -3,6 +3,7 @@ package routeserver
 import (
 	"flag"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -150,13 +151,15 @@ func keysOf(es []*entry) []Key {
 }
 
 // checkTable verifies the table's own invariants: the index holds exactly
-// the ring's entries and keeps its load bound, every resident entry is
-// reachable from each bucket its footprint names, bucket counts are exact,
-// no bucket is more than half dead, and no key is both resident and pending.
-// Every caller's server is quiescent, so pending must be empty altogether.
-// It returns Σ len(refs), Σ live and the bucket count. Caller holds mu or
-// owns tab.
-func checkTable(t *testing.T, tab *table) (refs, live, buckets int) {
+// the ring's entries and keeps its load bound; each bucket holds exactly
+// its live edges — every edge of every resident entry (a link of its path,
+// a charged term, or negs for a negative answer) is recorded at a distinct
+// position whose bucket names the entry there, and the buckets hold nothing
+// else; no bucket's capacity exceeds four times its length or minBucket; and
+// no key is both resident and pending. Every caller's server is quiescent,
+// so pending must be empty altogether. It returns Σ len and Σ cap over the
+// buckets and the bucket count. Caller holds mu or owns tab.
+func checkTable(t *testing.T, tab *table) (edges, capacity, buckets int) {
 	t.Helper()
 	ix := tab.idx.Load()
 	var indexed, used int
@@ -168,13 +171,24 @@ func checkTable(t *testing.T, tab *table) (refs, live, buckets int) {
 		default:
 			used++
 			indexed++
-			if e.dead.Load() || tab.ring[e.slot].e != e || tab.ring[e.slot].gen != e.gen {
+			if e.isDead() || tab.ring[e.slot] != e {
 				t.Fatalf("index holds %+v, which the ring does not", e.key)
 			}
 		}
 	}
 	if indexed != tab.live || used != tab.used || used*4 > len(ix.slots)*3 {
 		t.Fatalf("index: %d entries (live %d), %d used (counted %d) of %d slots", indexed, tab.live, used, tab.used, len(ix.slots))
+	}
+	type at struct {
+		b   *bucket
+		pos uint32
+	}
+	claimed := map[at]bool{}
+	claim := func(e *entry, rec int, b *bucket, pos uint32, what any) {
+		if b == nil || int(pos) >= len(b.edges) || b.edges[pos] != edgeOf(e.slot, rec) || claimed[at{b, pos}] {
+			t.Fatalf("%+v (slot %d) records position %d in the bucket of %v, which does not name its record %d there", e.key, e.slot, pos, what, rec)
+		}
+		claimed[at{b, pos}] = true
 	}
 	resident := 0
 	tab.each(func(e *entry) {
@@ -185,45 +199,58 @@ func checkTable(t *testing.T, tab *table) (refs, live, buckets int) {
 		if _, got := ix.locate(e.key, hash(e.key)); got != e {
 			t.Fatalf("resident %+v is not reachable through the index", e.key)
 		}
-		inBucket := func(b *bucket) bool {
-			return b != nil && slices.Contains(b.refs, ref{e.slot, e.gen})
+		if !e.found {
+			claim(e, 0, &tab.negs, e.aux[0], "negs")
+			return
 		}
-		if !e.found && !inBucket(&tab.negs) {
-			t.Fatalf("negative %+v is not in negs", e.key)
+		for j, pos := range e.linkPos() {
+			l := ad.LinkKey(e.path[j], e.path[j+1])
+			claim(e, j, tab.byLink[l], pos, l)
 		}
-		for _, l := range e.fp.Links {
-			if e.found && !inBucket(tab.byLink[l]) {
-				t.Fatalf("%+v is not reachable from link %v", e.key, l)
-			}
-		}
-		for _, tk := range e.fp.Terms {
-			if e.found && !inBucket(tab.byTerm[tk]) {
-				t.Fatalf("%+v is not reachable from term %v", e.key, tk)
+		tp := e.termPos()
+		for j, serial := range e.charged() {
+			if serial != 0 {
+				k := policy.Key{Advertiser: e.path[j+1], Serial: serial}
+				claim(e, j, tab.byTerm[k], tp[j], k)
 			}
 		}
 	})
 	if len(tab.pending) != 0 {
 		t.Fatalf("%d claims pending on a quiescent table", len(tab.pending))
 	}
-	if resident != tab.live || len(tab.free)+resident > len(tab.ring) {
+	if resident != tab.live || len(tab.free)+resident != len(tab.ring) {
 		t.Fatalf("ring: %d resident (live %d), %d free of %d slots", resident, tab.live, len(tab.free), len(tab.ring))
 	}
-	bucket := func(b *bucket) {
+	bucket := func(b *bucket, what any) {
 		buckets++
-		refs += len(b.refs)
-		live += b.live
-		if n := len(b.appendLive(nil, tab.ring)); n != b.live || len(b.refs) > 2*b.live {
-			t.Fatalf("bucket: live = %d, %d live refs of %d", b.live, n, len(b.refs))
+		edges += len(b.edges)
+		capacity += cap(b.edges)
+		if cap(b.edges) > max(4*len(b.edges), minBucket) {
+			t.Fatalf("bucket of %v: capacity %d for %d edges", what, cap(b.edges), len(b.edges))
 		}
 	}
-	bucket(&tab.negs)
-	for _, b := range tab.byLink {
-		bucket(b)
+	bucket(&tab.negs, "negs")
+	for l, b := range tab.byLink {
+		bucket(b, l)
 	}
-	for _, b := range tab.byTerm {
-		bucket(b)
+	for k, b := range tab.byTerm {
+		bucket(b, k)
 	}
-	return refs, live, buckets
+	if edges != len(claimed) {
+		t.Fatalf("the buckets hold %d edges, %d of them live", edges, len(claimed))
+	}
+	return edges, capacity, buckets
+}
+
+// putEntry is table.put of k's answer charged with fp, which must be the
+// footprint of res's path.
+func putEntry(t *testing.T, tab *table, k Key, res Result, fp synthesis.Footprint) (evicted bool) {
+	t.Helper()
+	e := newEntry(k, res)
+	if e == nil || !e.charge(fp) {
+		t.Fatalf("%+v: footprint %+v is not the path's", res, fp)
+	}
+	return tab.put(e, hash(k))
 }
 
 // TestTableDifferential drives one table and the model in lockstep with
@@ -256,7 +283,22 @@ func TestTableDifferential(t *testing.T) {
 		}
 		randKey := func() Key { return Key{Src: ad.ID(1 + rng.Intn(space)), Dst: ad.ID(rng.Intn(2))} }
 		randLink := func() [2]ad.ID { return [2]ad.ID{ad.ID(rng.Intn(4)), ad.ID(4 + rng.Intn(3))} }
-		randTerm := func() policy.Key { return policy.Key{Advertiser: ad.ID(rng.Intn(3)), Serial: uint32(rng.Intn(3))} }
+		randTerm := func() policy.Key { return policy.Key{Advertiser: ad.ID(rng.Intn(7)), Serial: uint32(rng.Intn(3))} }
+		// A route of one to five ADs alternating between 0-3 and 4-6, so
+		// its links are randLink's; it may revisit an AD, and so hold one
+		// link or term twice. Each transit AD charges serial 0 (none), 1
+		// or 2.
+		randRoute := func() (ad.Path, synthesis.Footprint) {
+			path := make(ad.Path, 1+rng.Intn(5))
+			for i := range path {
+				path[i] = ad.ID(i%2*4 + rng.Intn(4-i%2))
+			}
+			charged := make([]uint32, max(len(path)-2, 0))
+			for i := range charged {
+				charged[i] = uint32(rng.Intn(3))
+			}
+			return path, synthesis.FootprintOf(path, charged)
+		}
 		sameContents := func() {
 			t.Helper()
 			if tab.live != len(m.m) {
@@ -264,7 +306,7 @@ func TestTableDifferential(t *testing.T) {
 			}
 			tab.each(func(e *entry) {
 				me := m.m[e.key]
-				if me == nil || int(e.slot) != me.slot || e.ref.Load() != me.ref ||
+				if me == nil || int(e.slot) != me.slot || (e.state.Load()&referenced != 0) != me.ref ||
 					e.found != me.res.Found || !e.path.Equal(me.res.Path) {
 					fail("resident %+v (slot %d) disagrees with the model's %+v", e.key, e.slot, me)
 				}
@@ -290,18 +332,14 @@ func TestTableDifferential(t *testing.T) {
 				res := Result{Found: rng.Intn(3) > 0}
 				var fp synthesis.Footprint
 				if res.Found {
-					res.Path = ad.Path{k.Src, ad.ID(op), k.Dst}
-					for i := rng.Intn(4); i > 0; i-- {
-						fp.Links = append(fp.Links, randLink())
-						fp.Terms = append(fp.Terms, randTerm())
-					}
+					res.Path, fp = randRoute()
 				}
-				if got, want := tab.put(k, h, res, fp), m.put(k, res, fp); got != want {
+				if got, want := putEntry(t, tab, k, res, fp), m.put(k, res, fp); got != want {
 					fail("op %d: put(%+v) evicted = %v, model %v", op, k, got, want)
 				}
 			case r < 75: // hit
 				e, me := tab.get(k, h), m.get(k)
-				if (e == nil) != (me == nil) || e != nil && !e.path.Equal(me.res.Path) {
+				if (e == nil) != (me == nil) || e != nil && (!e.path.Equal(me.res.Path) || int(e.slot) != me.slot) {
 					fail("op %d: get(%+v) = %+v, model %+v", op, k, e, me)
 				}
 			case r < 85: // peek: the reference bit must not move
@@ -352,11 +390,10 @@ func TestDeadTurnsBackStaleProbe(t *testing.T) {
 	tab := &table{}
 	tab.purge()
 	k := Key{Src: 1, Dst: 2}
-	tab.put(k, hash(k), Result{}, synthesis.Footprint{})
+	putEntry(t, tab, k, Result{}, synthesis.Footprint{})
 	stale := tab.idx.Load()
 	for i := 0; tab.idx.Load() == stale; i++ {
-		o := Key{Src: ad.ID(10 + i)}
-		tab.put(o, hash(o), Result{}, synthesis.Footprint{})
+		putEntry(t, tab, Key{Src: ad.ID(10 + i)}, Result{}, synthesis.Footprint{})
 	}
 	if e, retry := stale.find(k, hash(k)); e == nil || retry {
 		t.Fatalf("superseded index: find = %v, %v; want the live entry", e, retry)
@@ -371,39 +408,21 @@ func TestDeadTurnsBackStaleProbe(t *testing.T) {
 	// Replacement and purge unpublish too.
 	o := Key{Src: 10}
 	first := tab.get(o, hash(o))
-	tab.put(o, hash(o), Result{Found: true}, synthesis.Footprint{})
+	putEntry(t, tab, o, Result{Found: true}, synthesis.Footprint{})
 	second := tab.get(o, hash(o))
-	if !first.dead.Load() || second == first || second.dead.Load() {
-		t.Fatalf("replacement: old dead = %v, new = %+v", first.dead.Load(), second)
+	if !first.isDead() || second == first || second.isDead() {
+		t.Fatalf("replacement: old dead = %v, new = %+v", first.isDead(), second)
 	}
 	tab.purge()
-	if !second.dead.Load() || tab.get(o, hash(o)) != nil {
+	if !second.isDead() || tab.get(o, hash(o)) != nil {
 		t.Fatal("purge left an entry alive")
 	}
 }
 
-// TestTableSlotRetires: a ring slot at its last gen is never handed out
-// again, so a (slot, gen) ref can never come to name a later tenant.
-func TestTableSlotRetires(t *testing.T) {
-	tab := &table{}
-	tab.purge()
-	k := Key{Src: 1, Dst: 2}
-	tab.put(k, hash(k), Result{}, synthesis.Footprint{})
-	tab.ring[0].gen = maxGen - 1
-	tab.remove(tab.get(k, hash(k)))
-	if len(tab.free) != 0 || tab.ring[0].gen != maxGen {
-		t.Fatalf("slot at its last gen went back on the free list: free %v, gen %d", tab.free, tab.ring[0].gen)
-	}
-	tab.put(k, hash(k), Result{}, synthesis.Footprint{})
-	if e := tab.get(k, hash(k)); e == nil || e.slot != 1 || e.gen != 0 {
-		t.Fatalf("after retirement the entry sits at %+v, want slot 1 gen 0", e)
-	}
-	checkTable(t, tab)
-}
-
 // TestLockFreeReadersVersusWriter has readers hammer the lock-free lookup
 // while one writer inserts, replaces, evicts for capacity, scoped-evicts
-// and purges. Every published answer carries its key and a per-key version.
+// and purges. Every published answer carries its key and a per-key version
+// in its last AD, after the link its key depends on.
 // A reader must never see a pairing that was not published, and never an
 // entry at or below the version whose eviction had already returned when
 // the lookup began. make determinism runs it at -cpu 1,2,4; make race runs
@@ -415,6 +434,11 @@ func TestLockFreeReadersVersusWriter(t *testing.T) {
 	srv := New(stubStrategy{}, Config{Capacity: 64})
 	keyAt := func(i int) Key { return Key{Src: ad.ID(1 + i), Dst: ad.ID(1000 + i), Hour: uint8(i % 24)} }
 	linkAt := func(j int) [2]ad.ID { return [2]ad.ID{ad.ID(j), ad.ID(100 + j)} }
+	const stamp = 100000 // last AD = stamp*(1+key) + version; versions stay below it
+	routeOf := func(i int, version uint32) ad.Path {
+		l := linkAt(i % links)
+		return ad.Path{l[0], l[1], ad.ID(stamp*(1+i)) + ad.ID(version)}
+	}
 	var published, evicted [keys]atomic.Uint32
 
 	stop := make(chan struct{})
@@ -438,11 +462,11 @@ func TestLockFreeReadersVersusWriter(t *testing.T) {
 					continue
 				}
 				res := e.result()
-				if !res.Found || len(res.Path) != 3 || res.Path[0] != k.Src || res.Path[2] != k.Dst {
+				if !res.Found || len(res.Path) != 3 || !res.Path[:2].Equal(routeOf(i, 0)[:2]) || int(res.Path[2])/stamp != 1+i {
 					t.Errorf("lookup(%+v) = %+v: not an answer published for this key", k, res)
 					return
 				}
-				if v := uint32(res.Path[1]); v <= floor || v > published[i].Load() {
+				if v := uint32(res.Path[2]) % stamp; v <= floor || v > published[i].Load() {
 					t.Errorf("lookup(%+v) saw version %d: evictions through %d had returned, %d published", k, v, floor, published[i].Load())
 					return
 				}
@@ -466,8 +490,8 @@ func TestLockFreeReadersVersusWriter(t *testing.T) {
 			k := keyAt(i)
 			version[i]++
 			published[i].Store(version[i])
-			srv.InstallEntry(k, Result{Path: ad.Path{k.Src, ad.ID(version[i]), k.Dst}, Found: true},
-				synthesis.Footprint{Links: [][2]ad.ID{linkAt(i % links)}})
+			path := routeOf(i, version[i])
+			srv.InstallEntry(k, Result{Path: path, Found: true}, synthesis.FootprintOf(path, []uint32{0}))
 		case r < 99:
 			j := rng.Intn(links)
 			srv.MutateScoped(synthesis.LinkDownChange(linkAt(j)[0], linkAt(j)[1]), nil)
@@ -485,10 +509,9 @@ func TestLockFreeReadersVersusWriter(t *testing.T) {
 // TestReverseIndexStaysBounded is the bound that protects heap_mb: a small
 // capped server takes well over ten times its capacity in inserts with
 // scoped link and policy mutations in between, after which the reverse
-// index holds at most two refs per live one, reaches every resident entry,
-// and resolves every change to exactly the entries a brute-force scan of
-// resident footprints names. (That a dangling ref is not counted as
-// eviction work is TestEvictScopedCountsActualDeletions.)
+// index holds exactly its live edges (checkTable), in buckets of at most
+// four times their length in capacity, and resolves every change to exactly
+// the entries a brute-force scan of resident footprints names.
 func TestReverseIndexStaysBounded(t *testing.T) {
 	g, db, workload := testbed(29, 4000)
 	const capacity = 32
@@ -537,15 +560,112 @@ func TestReverseIndexStaysBounded(t *testing.T) {
 		}
 	}
 	changes = append(changes, synthesis.LinkUpChange(lat.A, lat.B))
-	refs, live, buckets := checkTable(t, &srv.tab)
+	edges, room, buckets := checkTable(t, &srv.tab)
 	m := &model{m: map[Key]*modelEntry{}}
-	srv.tab.each(func(e *entry) { m.m[e.key] = &modelEntry{res: Result{Found: e.found}, fp: e.fp} })
+	srv.tab.each(func(e *entry) { m.m[e.key] = &modelEntry{res: Result{Found: e.found}, fp: e.footprint()} })
 	for _, c := range changes {
 		if got, want := keysOf(srv.tab.victims(c)), m.victims(c); !slices.Equal(got, want) {
 			t.Fatalf("victims(%+v) = %v, brute force %v", c, got, want)
 		}
 	}
-	if live == 0 || refs > 2*live+8*buckets {
-		t.Fatalf("reverse index: %d refs for %d live in %d buckets", refs, live, buckets)
+	if edges == 0 || room > 4*edges+minBucket*buckets {
+		t.Fatalf("reverse index: capacity %d for %d edges in %d buckets", room, edges, buckets)
+	}
+}
+
+// mislinked hides stubStrategy's AppendCharged and reports a footprint whose
+// links are not the route's: a strategy the table cannot store compactly.
+type mislinked struct{ synthesis.Strategy }
+
+func (mislinked) Footprint(req policy.Request, _ ad.Path) synthesis.Footprint {
+	return synthesis.Footprint{Links: [][2]ad.ID{{req.Src, req.Dst}}}
+}
+
+// TestForeignFootprintIsRefused pins what the table does with a footprint
+// that is not its path's (links other than the path's, a term off the
+// path's transit ADs, a serial 0, a negative answer with dependencies): it
+// refuses the entry. A computed answer is served but not cached, so the
+// next query for it misses again; an installed one is dropped. The same
+// answer with its path's own footprint is cached and exported as given.
+func TestForeignFootprintIsRefused(t *testing.T) {
+	srv := New(mislinked{stubStrategy{}}, Config{})
+	k := Key{Src: 7, Dst: 9}
+	res := srv.Query(k)
+	if !res.Found || len(res.Path) != 5 {
+		t.Fatalf("query = %+v", res)
+	}
+	srv.Query(k)
+	if n, s := srv.CacheLen(), srv.Snapshot(); n != 0 || s.Misses != 2 {
+		t.Fatalf("computed with a foreign footprint: %d cached, %d misses; want 0 and 2", n, s.Misses)
+	}
+	own := synthesis.FootprintOf(res.Path, []uint32{1, 0, 3})
+	for _, fp := range []synthesis.Footprint{
+		{Links: own.Links[1:], Terms: own.Terms},
+		{Links: own.Links, Terms: []policy.Key{{Advertiser: res.Path[0], Serial: 1}}},
+		{Links: own.Links, Terms: []policy.Key{{Advertiser: res.Path[1], Serial: 0}}},
+		{Links: own.Links, Terms: []policy.Key{own.Terms[1], own.Terms[0]}},
+	} {
+		srv.InstallEntry(k, res, fp)
+		if n := srv.CacheLen(); n != 0 {
+			t.Fatalf("installed with footprint %+v: %d cached, want 0", fp, n)
+		}
+	}
+	srv.InstallEntry(Key{Src: 1, Dst: 2}, Result{}, own)
+	srv.InstallEntry(k, res, own)
+	if got := srv.DumpEntries(nil); len(got) != 1 || !reflect.DeepEqual(got[0], CacheEntry{Key: k, Res: res, Fp: own}) {
+		t.Fatalf("dump = %+v, want the one entry with footprint %+v", got, own)
+	}
+}
+
+// TestExportedFootprintsRoundTrip: every footprint the server exports — to
+// the OnInsert hook, from DumpEntries and from CollectAffected — equals the
+// one the strategy's Footprint produces for that key and path, though an
+// entry stores only the serials its strategy charged.
+func TestExportedFootprintsRoundTrip(t *testing.T) {
+	g, db, workload := testbed(31, 600)
+	strat := synthesis.NewOnDemand(g, db)
+	srv := New(strat, Config{})
+	var hooked []CacheEntry
+	srv.OnInsert(func(k Key, res Result, fp synthesis.Footprint) {
+		hooked = append(hooked, CacheEntry{Key: k, Res: res, Fp: fp})
+	})
+	ServePhase(srv, workload, 4)
+	dumped := srv.DumpEntries(nil)
+	affected, _, _, _, err := srv.CollectAffected(func() ([]synthesis.Change, error) {
+		var cs []synthesis.Change
+		for _, l := range g.Links() {
+			cs = append(cs, synthesis.LinkDownChange(l.A, l.B))
+		}
+		return cs, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes, terms := 0, 0
+	check := func(from string, ce CacheEntry) {
+		t.Helper()
+		var want synthesis.Footprint
+		if ce.Res.Found {
+			want = strat.Footprint(ce.Key, ce.Res.Path)
+			routes++
+			terms += len(want.Terms)
+		}
+		if !reflect.DeepEqual(ce.Fp, want) {
+			t.Fatalf("%s: %+v exports footprint %+v, the strategy's is %+v", from, ce.Key, ce.Fp, want)
+		}
+	}
+	for _, ce := range hooked {
+		check("OnInsert", ce)
+	}
+	for _, ce := range dumped {
+		check("DumpEntries", ce)
+	}
+	for _, ces := range affected {
+		for _, ce := range ces {
+			check("CollectAffected", ce)
+		}
+	}
+	if len(hooked) != len(dumped) || routes == 0 || terms == 0 {
+		t.Fatalf("%d hooked, %d dumped, %d routes with %d terms checked", len(hooked), len(dumped), routes, terms)
 	}
 }

@@ -238,3 +238,57 @@ type Footprint struct {
 	Links [][2]ad.ID
 	Terms []policy.Key
 }
+
+// FootprintOf is the footprint of path given charged, the serial of the term
+// charged at each of its transit positions in order (0 = none; term serials
+// start at 1). Links is nil for a path of fewer than two ADs and Terms nil
+// when no serial is set.
+func FootprintOf(path ad.Path, charged []uint32) Footprint {
+	if len(path) < 2 {
+		return Footprint{}
+	}
+	fp := Footprint{Links: make([][2]ad.ID, len(path)-1)}
+	for i := range fp.Links {
+		fp.Links[i] = ad.LinkKey(path[i], path[i+1])
+	}
+	for i, serial := range charged {
+		if serial != 0 {
+			if fp.Terms == nil {
+				fp.Terms = make([]policy.Key, 0, len(charged)-i)
+			}
+			fp.Terms = append(fp.Terms, policy.Key{Advertiser: path[i+1], Serial: serial})
+		}
+	}
+	return fp
+}
+
+// Charged is FootprintOf's inverse: it appends to dst the serial charged at
+// each transit position of path and reports true, or reports false when fp
+// is not the footprint of path — its links are not path's, in order, or a
+// term is not at a transit AD, after the one before it, with a nonzero
+// serial.
+func (fp Footprint) Charged(dst []uint32, path ad.Path) ([]uint32, bool) {
+	if len(path) < 2 {
+		return dst, len(fp.Links) == 0 && len(fp.Terms) == 0
+	}
+	if len(fp.Links) != len(path)-1 {
+		return dst, false
+	}
+	for i, l := range fp.Links {
+		if l != ad.LinkKey(path[i], path[i+1]) {
+			return dst, false
+		}
+	}
+	terms := fp.Terms
+	for _, id := range path[1 : len(path)-1] {
+		var serial uint32
+		if len(terms) > 0 && terms[0].Advertiser == id {
+			serial, terms = terms[0].Serial, terms[1:]
+			if serial == 0 {
+				return dst, false
+			}
+		}
+		dst = append(dst, serial)
+	}
+	return dst, len(terms) == 0
+}

@@ -709,25 +709,35 @@ func (s *Snapshot) transitLegal(path []int32, i int, prev ref, q *query) bool {
 // tolerates. A path through an AD the graph does not have — not one this
 // snapshot found — gets its links only.
 func (s *Snapshot) Footprint(req policy.Request, path ad.Path) Footprint {
-	if len(path) < 2 {
-		return Footprint{}
-	}
-	fp := Footprint{Links: make([][2]ad.ID, 0, len(path)-1)}
-	for i := 1; i < len(path); i++ {
-		fp.Links = append(fp.Links, ad.LinkKey(path[i-1], path[i]))
+	var buf [16]uint32
+	return FootprintOf(path, s.AppendCharged(buf[:0], req, path))
+}
+
+// AppendCharged appends to dst, for each transit position of path in order
+// (every AD but the first and the last), the serial of the term Footprint
+// names there, or 0 where it names none. It is Footprint without the
+// Footprint: the route cache stores these serials and derives the rest from
+// the path.
+func (s *Snapshot) AppendCharged(dst []uint32, req policy.Request, path ad.Path) []uint32 {
+	if len(path) < 3 {
+		return dst
 	}
 	var buf [16]int32
 	dense, ok := s.dense(buf[:0], path)
-	if !ok || len(path) < 3 {
-		return fp
+	if !ok {
+		for range path[2:] {
+			dst = append(dst, 0)
+		}
+		return dst
 	}
 	q := s.query(req)
-	fp.Terms = make([]policy.Key, 0, len(path)-2)
 	var live [8]int32
 	for i := 1; i < len(dense)-1; i++ {
+		var serial uint32
 		if t := s.permitting(s.admitted(live[:0], dense[i], &q, ref{idx: dense[i-1]}), dense[i+1]); t != nil {
-			fp.Terms = append(fp.Terms, policy.Key{Advertiser: path[i], Serial: t.serial})
+			serial = t.serial
 		}
+		dst = append(dst, serial)
 	}
-	return fp
+	return dst
 }

@@ -66,6 +66,15 @@ type Strategy interface {
 	Name() string
 }
 
+// Charger is a strategy that can state a found route's footprint as the
+// serial of the term charged at each transit position (0 = none), the form
+// FootprintOf expands: with it the route cache fills an entry without
+// building a Footprint. AppendCharged is on the read plane, and for a path
+// the strategy returned it appends exactly what Footprint's terms say.
+type Charger interface {
+	AppendCharged(dst []uint32, req policy.Request, path ad.Path) []uint32
+}
+
 // counters is the read-plane half of StrategyStats: every field Route
 // touches is an atomic, so any number of goroutines can search (and account
 // their work) at once while Stats merges a snapshot. They are never reset,
@@ -322,4 +331,9 @@ func (t *Table) InvalidateScoped(c Change) {
 // Footprint implements Strategy.
 func (t *Table) Footprint(req policy.Request, path ad.Path) Footprint {
 	return t.snap.Footprint(req, path)
+}
+
+// AppendCharged implements Charger.
+func (t *Table) AppendCharged(dst []uint32, req policy.Request, path ad.Path) []uint32 {
+	return t.snap.AppendCharged(dst, req, path)
 }
