@@ -74,15 +74,16 @@ race:
 # delivery, a warm schedule-and-run of the event queue, a stale flooded
 # copy, a new copy another AD of the system decoded, a path-vector decode
 # through a warm set table, IDRP's tie-break, a warm IDRP Receive and an
-# IDRP flush with one of the AD's links down, a
-# warm EGP Receive, a distance-vector table's Get/Set/Learn/Poison, one
+# IDRP flush with one of the AD's links down, ORWG's policy-gateway
+# handlers (a warm data packet, a refresh and a teardown walk, a miss's
+# NAK), a warm EGP Receive, a distance-vector table's Get/Set/Learn/Poison, one
 # allocation per forwarding walk) and the PG tables (an empty hard, soft and
 # capped table, a small table's first slab, and an evicting install and a
 # lookup in a full capped table) skip themselves under -race
 # (its instrumentation allocates), so they get a pass without. Beside them
 # runs the pin that a queued sim event holds no pointer.
 allocs:
-	$(GO) test -run 'Allocs|TestEventHoldsNoPointer' ./internal/wire/ ./internal/routeserver/ ./internal/routeserver/daemon/ ./internal/synthesis/ ./internal/policy/ ./internal/sim/ ./internal/flood/ ./internal/pgstate/ ./internal/protocols/idrp/ ./internal/protocols/egp/ ./internal/dvcore/ ./internal/core/
+	$(GO) test -run 'Allocs|TestEventHoldsNoPointer' ./internal/wire/ ./internal/routeserver/ ./internal/routeserver/daemon/ ./internal/synthesis/ ./internal/policy/ ./internal/sim/ ./internal/flood/ ./internal/pgstate/ ./internal/protocols/idrp/ ./internal/protocols/orwg/ ./internal/protocols/egp/ ./internal/dvcore/ ./internal/core/
 
 # One synthesis per key per epoch is what makes the E20-E25 counters and the
 # parallel runner's output independent of scheduling; the window that broke
