@@ -14,10 +14,10 @@ import (
 // allocate, under each lifecycle discipline, on a flow src>hub>d: a warm
 // SendData allocates its payload and its packet and nothing else (the
 // handlers forward without allocating); a refresh and a teardown walk the
-// route allocating nothing; a data packet that misses at the hub costs only
-// SendData's own two, its NAK back to the source and the flow's failure
-// there included. The NAK and teardown cases reinstall the state they
-// remove before the next run.
+// route allocating nothing; a data packet that misses at the hub costs one
+// more, the NAK the hub builds (passing it on and failing the flow at the
+// source allocate nothing). The NAK and teardown cases reinstall the state
+// they remove before the next run.
 func TestAllocsHandlePlane(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("the race detector's instrumentation allocates")

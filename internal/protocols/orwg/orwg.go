@@ -16,12 +16,14 @@
 // lifecycle discipline (§6): hard state released only by teardown, soft
 // state kept alive by source-driven Refresh messages, or a capped LRU table.
 // Each simulated PG owns one table, whose timer-wheel expiry makes an
-// ExpireDue sweep cost due-handles work, not table-size work. A PG that no
-// longer holds state for an arriving data or refresh packet NAKs with
-// SetupNoState; the NAK walks back to the source, which queues the flow for
-// re-establishment (RepairAll). Link failures trigger the same repair path
-// eagerly: the failed link's endpoints flush crossing entries, NAK
-// upstream, and tear down downstream.
+// ExpireDue sweep cost due-handles work, not table-size work. What a PG does
+// with a handle event is pgstate.Gateway's rules, the ones the serving
+// stack's routeserver.DataPlane runs too; a node sends each action they
+// return as a message. A PG that no longer holds state for an arriving data
+// or refresh packet NAKs with SetupNoState; the NAK walks back to the
+// source, which queues the flow for re-establishment (RepairAll). Link
+// failures trigger the same repair path eagerly: the failed link's
+// endpoints flush crossing entries, NAK upstream, and tear down downstream.
 package orwg
 
 import (
@@ -257,8 +259,8 @@ func (s *System) Advance(d sim.Time) {
 func (s *System) expireAll() {
 	now := s.nw.Now()
 	for _, n := range s.nodes {
-		for _, h := range n.table.ExpireDue(now) {
-			delete(n.flows, h)
+		for _, a := range n.gw().OnExpire(now, nil) {
+			n.act(s.nw, a, nil)
 		}
 	}
 }
@@ -439,7 +441,9 @@ func (s *System) UpdatePolicy(id ad.ID, terms []policy.Term) error {
 	s.db = s.db.WithTerms(id, terms)
 	// Re-flood and re-validate.
 	n.flooder.Originate(s.nw, s.db.Terms(id))
-	n.revalidateCache(s.nw)
+	for _, a := range n.gw().OnPolicy(s.nw.Now(), s.db.Terms(id), nil) {
+		n.act(s.nw, a, nil)
+	}
 	s.nw.Engine.Run()
 	return nil
 }
@@ -652,176 +656,81 @@ func (n *node) handleSetup(nw *sim.Network, from ad.ID, m *wire.Setup) {
 	nw.SendMessage(n.id, next, m)
 }
 
-// failFlow resolves a NAK at the flow's source: the flow dies and is
-// queued for re-establishment by RepairAll.
-func (n *node) failFlow(h uint64, req policy.Request, code uint8, failedAt ad.ID) {
-	n.lastFailCode = code
-	n.lastFailedAt = failedAt
-	delete(n.flows, h)
-	n.repair[h] = req
+// gw is this AD's policy gateway as pgstate's rules see it.
+func (n *node) gw() pgstate.Gateway { return pgstate.Gateway{ID: n.id, Table: n.table} }
+
+// act carries out one gateway action as the simulated network's messages;
+// m is the message whose rule returned it, which a Forward passes on.
+func (n *node) act(nw *sim.Network, a pgstate.Action, m wire.Message) {
+	switch a.Op {
+	case pgstate.Forward:
+		nw.SendMessage(n.id, a.To, m)
+	case pgstate.Deliver:
+		n.delivered[a.Handle]++
+	case pgstate.NAK:
+		nw.SendMessage(n.id, a.To, &wire.SetupReply{Handle: a.Handle, Code: a.Code, FailedAt: a.At})
+	case pgstate.Teardown:
+		nw.SendMessage(n.id, a.To, &wire.Teardown{Handle: a.Handle, Reason: wire.TeardownRepair})
+	case pgstate.Fail:
+		// The NAK resolves here: a pending setup learns why it failed, and
+		// a live flow this AD sourced dies and is queued for RepairAll.
+		n.lastFailCode, n.lastFailedAt = a.Code, a.At
+		if f, isFlow := n.flows[a.Handle]; isFlow {
+			delete(n.flows, a.Handle)
+			n.repair[a.Handle] = f.req
+		}
+	case pgstate.Expire:
+		delete(n.flows, a.Handle)
+	}
 }
 
-// handleSetupReply propagates a reply backward along the installed route,
-// dropping the handle state on failure.
+// handleSetupReply propagates a reply backward along the installed route.
+// A success resolves the pending setup at the source; a failure is a NAK,
+// which drops the handle state on its way.
 func (n *node) handleSetupReply(nw *sim.Network, from ad.ID, m *wire.SetupReply) {
-	e, ok := n.table.Peek(nw.Now(), m.Handle)
-	if !ok {
-		// No PG state left for the handle (evicted or expired). If this
-		// node sourced the flow it still resolves the NAK; otherwise the
-		// reply dies here and any state further upstream ages out under
-		// its own discipline.
-		if f, isSource := n.flows[m.Handle]; isSource && !m.OK() {
-			n.failFlow(m.Handle, f.req, m.Code, m.FailedAt)
-		}
-		return
-	}
 	if !m.OK() {
-		n.table.Remove(m.Handle)
-	}
-	if e.Idx == 0 {
-		// Source: resolve the pending setup or kill the live flow.
-		if m.OK() {
-			n.flows[m.Handle] = flow{e.Route, e.Req}
-			return
-		}
-		n.lastFailCode = m.Code
-		n.lastFailedAt = m.FailedAt
-		if f, isFlow := n.flows[m.Handle]; isFlow {
-			n.failFlow(m.Handle, f.req, m.Code, m.FailedAt)
-		}
+		n.act(nw, n.gw().OnNAK(nw.Now(), m.Handle, m.Code, m.FailedAt), m)
 		return
 	}
-	nw.SendMessage(n.id, e.Route[e.Idx-1], m)
+	e, ok := n.table.Peek(nw.Now(), m.Handle)
+	switch {
+	case !ok:
+		// No PG state left for the handle (evicted or expired): the reply
+		// dies here.
+	case e.Idx == 0:
+		n.flows[m.Handle] = flow{e.Route, e.Req}
+	default:
+		nw.SendMessage(n.id, e.Route[e.Idx-1], m)
+	}
 }
 
-// handleData forwards a handle-mode data packet along the installed route
-// with per-packet validation (is it arriving from the cached previous AD?).
-// A miss NAKs SetupNoState back toward the source (§6): evicted or expired
-// state is re-established on demand rather than silently blackholing.
+// handleData forwards a handle-mode data packet along the installed route.
 func (n *node) handleData(nw *sim.Network, from ad.ID, m *wire.Data) {
 	if m.Mode != wire.ModeHandle {
 		return // source-route data packets are the filter baseline's plane
 	}
-	e, ok := n.table.Lookup(nw.Now(), m.Handle)
-	if !ok {
-		nw.SendMessage(n.id, from, &wire.SetupReply{
-			Handle: m.Handle, Code: wire.SetupNoState, FailedAt: n.id,
-		})
-		return
-	}
-	if e.Idx > 0 && e.Route[e.Idx-1] != from {
-		return // per-packet validation failure (§5.4.1)
-	}
-	if e.Idx == len(e.Route)-1 {
-		n.delivered[m.Handle]++
-		return
-	}
-	nw.SendMessage(n.id, e.Route[e.Idx+1], m)
+	n.act(nw, n.gw().OnData(nw.Now(), from, m.Handle), m)
 }
 
 // handleRefresh extends a handle's lifetime (§6 soft state) and forwards
-// the keepalive downstream. A PG that no longer holds the state NAKs so
-// the source learns the route decayed.
+// the keepalive downstream.
 func (n *node) handleRefresh(nw *sim.Network, from ad.ID, m *wire.Refresh) {
-	now := nw.Now()
-	if !n.table.Refresh(now, m.Handle, sim.Time(m.TTLMillis)*sim.Millisecond) {
-		nw.SendMessage(n.id, from, &wire.SetupReply{
-			Handle: m.Handle, Code: wire.SetupNoState, FailedAt: n.id,
-		})
-		return
-	}
-	e, ok := n.table.Peek(now, m.Handle)
-	if !ok {
-		return
-	}
-	if e.Idx > 0 && e.Route[e.Idx-1] != from {
-		return
-	}
-	if e.Idx < len(e.Route)-1 {
-		nw.SendMessage(n.id, e.Route[e.Idx+1], m)
-	}
+	n.act(nw, n.gw().OnRefresh(nw.Now(), from, m.Handle, sim.Time(m.TTLMillis)*sim.Millisecond), m)
 }
 
 // handleTeardown releases handle state along the route, for both explicit
 // releases and failure-driven repair invalidations.
 func (n *node) handleTeardown(nw *sim.Network, from ad.ID, m *wire.Teardown) {
-	e, ok := n.table.Peek(nw.Now(), m.Handle)
-	if !ok {
-		return
-	}
-	n.table.Remove(m.Handle)
-	if e.Idx < len(e.Route)-1 {
-		nw.SendMessage(n.id, e.Route[e.Idx+1], m)
-	}
-}
-
-// revalidateCache re-checks every installed policy route against this AD's
-// current local policy, tearing down routes that are no longer permitted.
-// Handles are processed in sorted order for determinism.
-func (n *node) revalidateCache(nw *sim.Network) {
-	for _, h := range n.table.Handles() {
-		e, ok := n.table.Peek(nw.Now(), h)
-		if !ok {
-			continue
-		}
-		if e.Idx == 0 || e.Idx == len(e.Route)-1 {
-			continue // sources and destinations hold no transit obligation
-		}
-		prev, next := e.Route[e.Idx-1], e.Route[e.Idx+1]
-		permitted := false
-		for _, t := range n.sys.db.Terms(n.id) {
-			if t.Permits(e.Req, prev, next) {
-				permitted = true
-				break
-			}
-		}
-		if permitted {
-			continue
-		}
-		n.table.Remove(h)
-		nw.SendMessage(n.id, prev, &wire.SetupReply{
-			Handle: h, Code: wire.SetupNoPolicy, FailedAt: n.id,
-		})
-	}
+	n.act(nw, n.gw().OnTeardown(nw.Now(), m.Handle), m)
 }
 
 // LinkDown is the failure-driven repair path (§6): this endpoint flushes
-// every handle whose route crossed the dead adjacency, found through the
-// table's link index. Routes are loop-free, so such a handle has nb as its
-// previous or next hop here. If the failed hop was downstream, a
-// SetupNoLink NAK walks back so the source re-establishes through its
-// route server; if upstream, a repair teardown clears the now-unreachable
-// state downstream.
+// every handle whose route crossed the dead adjacency, NAKs upstream and
+// tears down downstream.
 func (n *node) LinkDown(nw *sim.Network, nb ad.ID) {
 	n.flooder.Originate(nw, n.sys.db.Terms(n.id))
-	now := nw.Now()
-	for _, h := range n.table.HandlesCrossing(n.id, nb) {
-		e, ok := n.table.Peek(now, h)
-		if !ok {
-			continue
-		}
-		upDead := e.Idx > 0 && e.Route[e.Idx-1] == nb
-		downDead := e.Idx < len(e.Route)-1 && e.Route[e.Idx+1] == nb
-		n.table.Remove(h)
-		if downDead {
-			if e.Idx == 0 {
-				// This PG sourced the flow: fail it locally.
-				n.lastFailCode = wire.SetupNoLink
-				n.lastFailedAt = n.id
-				if f, isFlow := n.flows[h]; isFlow {
-					n.failFlow(h, f.req, wire.SetupNoLink, n.id)
-				}
-			} else {
-				nw.SendMessage(n.id, e.Route[e.Idx-1], &wire.SetupReply{
-					Handle: h, Code: wire.SetupNoLink, FailedAt: n.id,
-				})
-			}
-		}
-		if upDead && e.Idx < len(e.Route)-1 {
-			nw.SendMessage(n.id, e.Route[e.Idx+1], &wire.Teardown{
-				Handle: h, Reason: wire.TeardownRepair,
-			})
-		}
+	for _, a := range n.gw().OnLinkDown(nw.Now(), nb, nil) {
+		n.act(nw, a, nil)
 	}
 }
 

@@ -88,8 +88,9 @@ func (b *Backend) Query(req policy.Request) routeserver.Result {
 }
 
 // Effect records what one applied control op actually did: the scoped
-// invalidation's counts, the installed handle entries a link failure
-// flushed, and — for a full invalidation — the new generation.
+// invalidation's counts, the installed handle entries a link failure or a
+// policy change tore down, and — for a full invalidation — the new
+// generation.
 type Effect struct {
 	Evicted, Retained, Flushed int
 	Gen                        uint64
@@ -101,8 +102,10 @@ type Effect struct {
 // replicated under the server's strategy lock with the cache invalidation
 // scoped to what it changed (fail: routes crossing the link; restore and
 // policy: retained entries stay legal but may no longer be optimal until a
-// full invalidation), and a failed link's installed handle state is flushed
-// for failure-driven repair. A refused op changes nothing.
+// full invalidation), and the data plane's gateways run their rules for it:
+// a failed link's installed handle state is flushed, and a policy change
+// tears down the transit state its new terms forbid, each failed flow
+// queued for repair. A refused op changes nothing.
 func (b *Backend) Control(op wire.PlanStep) (Effect, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -122,10 +125,8 @@ func (b *Backend) control(op wire.PlanStep) (eff Effect, err error) {
 			b.replicate(op)
 		}
 	})
-	switch ch.Kind {
-	case synthesis.ChangeLinkDown:
-		eff.Flushed = b.dp.InvalidateLink(op.A, op.B)
-	case synthesis.ChangeFull:
+	eff.Flushed = b.dp.Control(op)
+	if ch.Kind == synthesis.ChangeFull {
 		eff.Gen = b.srv.Generation()
 	}
 	return eff, nil

@@ -60,7 +60,11 @@ func TestControlRefusesUnknownAD(t *testing.T) {
 func TestInvalidateReleasesEntries(t *testing.T) {
 	w := testWorld(t, nil).world
 	srv := routeserver.New(synthesis.NewOnDemand(w.G, w.DB), routeserver.Config{Capacity: -1})
-	be := NewBackend(srv, nil, w.G, w.DB)
+	dp, err := routeserver.NewDataPlane(pgstate.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := NewBackend(srv, dp, w.G, w.DB)
 	for h := 0; h < 24; h++ {
 		be.Query(policy.Request{Src: 1, Dst: 4, Hour: uint8(h)})
 		be.Query(policy.Request{Src: 4, Dst: 1, Hour: uint8(h)})

@@ -2,7 +2,7 @@ package routeserver
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,26 +17,38 @@ import (
 // DataPlane is the forwarding half of the serving architecture (§5.4): a
 // route answered by the Server is only useful once every policy gateway on
 // it holds handle state. The DataPlane keeps one pgstate.Table per AD under
-// a configurable lifecycle discipline (§6), installs served routes into
-// them, forwards data hop by hop, expires or evicts state per discipline,
-// and re-establishes flows through the Server after misses or link
-// failures.
+// a configurable lifecycle discipline (§6) and installs served routes into
+// them. Every handle event after that — a data or refresh packet, the NAK
+// or teardown it sets off, a link failure, a policy change, expiry — goes
+// through pgstate.Gateway's rules, the ones ORWG's simulated gateways run:
+// where ORWG sends a rule's action as a message, the DataPlane applies it
+// at once: what the action sends arrives at the next gateway there and
+// then. A flow whose NAK reaches its source fails and is queued for Repair,
+// which re-establishes it through the Server.
+//
+// One operation's rules run as a walk, which takes entries out of an
+// overlay, not out of the tables; the operation commits the walk at its
+// end. Predict, the plan engine's view of a batch of control ops, is the
+// same walk left uncommitted, so a prediction cannot drift from the ops it
+// predicts.
 //
 // Time is a logical clock advanced by Tick — the serving layer has no
 // discrete-event engine, so soft-state TTLs are measured in ticks of
 // simulated time, while re-setup latency (a Server query plus re-install)
 // is measured in wall time.
 //
-// d.mu guards everything: the tables map, the flow and repair maps, and
-// every call into a table, so a forwarding attempt or a refresh walks its
-// hops and updates the flow and repair maps as one step. (A table has a
-// lock of its own, which here is never contended.) Only Repair's route
-// queries run outside d.mu.
+// d.mu guards everything: the tables map, the flow, repair and failed-link
+// maps, and every call into a table, so an operation's walk and its commit
+// are one step. (A table has a lock of its own, which here is never contended.)
+// Only Repair's route queries run outside d.mu.
 type DataPlane struct {
 	mu     sync.Mutex
 	cfg    pgstate.Config
 	tables map[ad.ID]*pgstate.Table
 	now    sim.Time
+	// down holds the links a control op failed and none restored: a packet
+	// sent over one is lost, as on ORWG's simulated network.
+	down map[[2]ad.ID]bool
 
 	handleSeq uint64
 	flows     map[uint64]Flow
@@ -59,9 +71,9 @@ type Flow struct {
 type SendResult struct {
 	// Delivered is true when every hop held state for the handle.
 	Delivered bool
-	// MissAt names the first PG without state (zero when delivered). The
-	// flow is dead afterwards and queued for repair, mirroring the
-	// SetupNoState NAK of the simulated protocol.
+	// MissAt names the PG whose SetupNoState NAK the packet set off (zero
+	// when none did). A NAK that reached the source killed the flow and
+	// queued it for repair.
 	MissAt ad.ID
 }
 
@@ -95,6 +107,7 @@ func NewDataPlane(cfg pgstate.Config) (*DataPlane, error) {
 	return &DataPlane{
 		cfg:    norm,
 		tables: make(map[ad.ID]*pgstate.Table),
+		down:   make(map[[2]ad.ID]bool),
 		flows:  make(map[uint64]Flow),
 		repair: make(map[uint64]policy.Request),
 	}, nil
@@ -147,13 +160,14 @@ func (d *DataPlane) Flow(handle uint64) (Flow, bool) {
 func (d *DataPlane) Handles() []uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.sortedFlows()
+	return sortedKeys(d.flows)
 }
 
-// Send forwards one data packet over handle, hop by hop. The first PG
-// without state NAKs: upstream state is torn down, the flow dies, and the
-// request is queued for Repair — evicted or expired state is re-established
-// on demand instead of silently blackholing.
+// Send forwards one data packet over handle from its source, which, as in
+// ORWG, sends without consulting its own entry. The first PG without state
+// NAKs: the NAK tears the state down on its way back, and at the source
+// the flow dies and is queued for Repair — evicted or expired state is
+// re-established on demand instead of silently blackholing.
 func (d *DataPlane) Send(handle uint64) SendResult {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -161,50 +175,40 @@ func (d *DataPlane) Send(handle uint64) SendResult {
 	if !ok {
 		return SendResult{}
 	}
-	for i, id := range f.Path {
-		if _, ok := d.table(id).Lookup(d.now, handle); !ok {
-			d.nak(handle, f, i)
-			return SendResult{MissAt: id}
-		}
+	if len(f.Path) < 2 {
+		return SendResult{Delivered: true} // traffic to self crosses no gateway
 	}
-	return SendResult{Delivered: true}
+	w := d.walk()
+	w.send(func(g pgstate.Gateway, from ad.ID) pgstate.Action {
+		return g.OnData(d.now, from, handle)
+	}, f.Path[1], f.Path[0])
+	w.commit()
+	return SendResult{Delivered: w.delivered, MissAt: w.missAt}
 }
 
-// nak is what a PG without state for handle at hop i of f's path sets off:
-// the NAK is counted, the hops upstream of i drop their entries, and the
-// flow dies and is queued for Repair. Caller holds d.mu.
-func (d *DataPlane) nak(handle uint64, f Flow, i int) {
-	d.naks++
-	for _, id := range f.Path[:i] {
-		d.table(id).Remove(handle)
-	}
-	delete(d.flows, handle)
-	d.repair[handle] = f.Req
-}
-
-// Tick advances the logical clock by d and sweeps expired soft state in AD
+// Tick advances the logical clock by dt and sweeps expired soft state in AD
 // order. A flow whose source entry expired was abandoned (the source
 // stopped refreshing): it dies without being queued for repair.
 func (d *DataPlane) Tick(dt sim.Time) (expired int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.now += dt
-	for _, id := range d.sortedADs() {
-		due := d.tables[id].ExpireDue(d.now)
-		expired += len(due)
-		for _, h := range due {
-			if f, ok := d.flows[h]; ok && f.Path.Source() == id {
-				delete(d.flows, h)
+	for _, id := range sortedKeys(d.tables) {
+		for _, a := range (pgstate.Gateway{ID: id, Table: d.tables[id]}).OnExpire(d.now, nil) {
+			expired++
+			if f, ok := d.flows[a.Handle]; ok && f.Path.Source() == id {
+				delete(d.flows, a.Handle)
 			}
 		}
 	}
 	return expired
 }
 
-// RefreshAll re-asserts every live flow: each hop's entry is refreshed (and
-// its recency touched), with the keepalive's wire bytes counted per hop. A
-// hop that already dropped the state NAKs; the flow dies and is queued for
-// Repair.
+// RefreshAll re-asserts every live flow, in handle order, as ORWG's sources
+// do: the source refreshes its own entry, whatever that finds, and sends a
+// keepalive down the route, whose wire bytes are counted per link crossed.
+// A hop that already dropped the state NAKs; the flow dies and is queued
+// for Repair.
 func (d *DataPlane) RefreshAll() (refreshed, failed int) {
 	ttlMillis := uint32(0)
 	if d.cfg.Kind == pgstate.Soft {
@@ -214,77 +218,62 @@ func (d *DataPlane) RefreshAll() (refreshed, failed int) {
 	pktLen := uint64(len(wire.Marshal(&wire.Refresh{TTLMillis: ttlMillis})))
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, h := range d.sortedFlows() {
+	for _, h := range sortedKeys(d.flows) {
 		f := d.flows[h]
-		ok := true
-		for i, id := range f.Path {
-			if !d.table(id).Refresh(d.now, h, d.cfg.TTL) {
-				d.nak(h, f, i)
-				ok = false
-				break
-			}
-			if i > 0 {
-				d.refreshBytes += pktLen // one keepalive per traversed link
-			}
+		d.tables[f.Path.Source()].Refresh(d.now, h, d.cfg.TTL)
+		w := d.walk()
+		if len(f.Path) > 1 {
+			w.send(func(g pgstate.Gateway, from ad.ID) pgstate.Action {
+				d.refreshBytes += pktLen
+				return g.OnRefresh(d.now, from, h, d.cfg.TTL)
+			}, f.Path[1], f.Path[0])
 		}
-		if ok {
-			refreshed++
-		} else {
+		w.commit()
+		if len(w.failed) > 0 {
 			failed++
+		} else {
+			refreshed++
 		}
 	}
 	return refreshed, failed
 }
 
-// InvalidateLink flushes every entry whose route crosses the a-b adjacency,
-// in AD then handle order — the eager failure-driven invalidation of the
-// simulated protocol's LinkDown path. Affected flows are queued for Repair.
-// Each table resolves its dependents through its link index, so the cost
-// scales with the flows actually crossing the link, not with total state.
-func (d *DataPlane) InvalidateLink(a, b ad.ID) (flushed int) {
+// Control runs the gateway rules for one control op, which the caller has
+// validated and applied to the world: the endpoints of a failed link flush
+// the handles crossing it, NAK upstream and tear down downstream, and an AD
+// whose policy changed NAKs the transit entries its new terms forbid. It
+// returns the number of handle entries torn down. A restore only brings
+// its link back; a full invalidation changes nothing here.
+func (d *DataPlane) Control(op wire.PlanStep) (flushed int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, id := range d.sortedADs() {
-		t := d.tables[id]
-		for _, h := range t.HandlesCrossing(a, b) {
-			if _, ok := t.Peek(d.now, h); !ok {
-				continue
-			}
-			t.Remove(h)
-			flushed++
-			if f, ok := d.flows[h]; ok && f.Path.Source() == id {
-				delete(d.flows, h)
-				d.repair[h] = f.Req
-			}
-		}
+	switch op.Op {
+	case wire.CtlFail:
+		d.down[ad.LinkKey(op.A, op.B)] = true
+	case wire.CtlRestore:
+		delete(d.down, ad.LinkKey(op.A, op.B))
 	}
-	return flushed
+	w := d.walk()
+	w.control(op)
+	return w.commit()
 }
 
-// FlowsCrossing lists, in ascending handle order, the live flows that
-// InvalidateLink(a, b) would tear down and queue for repair. It mirrors
-// the teardown condition exactly — a flow dies when its *source* AD's
-// table still holds a live entry whose route crosses the a-b adjacency —
-// resolved through the same per-table link indexes, so the cost scales
-// with the flows actually crossing the link. It is the read-only half of
-// the eager failure-driven teardown; the what-if plan engine uses it to
-// predict data-plane blast radius without touching any state.
-func (d *DataPlane) FlowsCrossing(a, b ad.ID) []uint64 {
+// Predict lists, per step and in ascending order, the live flows Control
+// would fail at their source if steps were applied in order: the same
+// walks, left uncommitted, so nothing changes (but an expired entry they
+// read is swept, as any read sweeps it). A flow is listed at the first step
+// that fails it.
+func (d *DataPlane) Predict(steps []wire.PlanStep) [][]uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]uint64, 0)
-	for _, id := range d.sortedADs() {
-		t := d.tables[id]
-		for _, h := range t.HandlesCrossing(a, b) {
-			if _, ok := t.Peek(d.now, h); !ok {
-				continue
-			}
-			if f, ok := d.flows[h]; ok && f.Path.Source() == id {
-				out = append(out, h)
-			}
-		}
+	w := d.walk()
+	out := make([][]uint64, len(steps))
+	for i, op := range steps {
+		n := len(w.failed)
+		w.control(op)
+		out[i] = slices.Clone(w.failed[n:])
+		slices.Sort(out[i])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -294,11 +283,7 @@ func (d *DataPlane) FlowsCrossing(a, b ad.ID) []uint64 {
 // per successful repair is recorded in the re-setup latency histogram.
 func (d *DataPlane) Repair(srv *Server) (attempted, repaired int) {
 	d.mu.Lock()
-	handles := make([]uint64, 0, len(d.repair))
-	for h := range d.repair {
-		handles = append(handles, h)
-	}
-	sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
+	handles := sortedKeys(d.repair)
 	reqs := make([]policy.Request, len(handles))
 	for i, h := range handles {
 		reqs[i] = d.repair[h]
@@ -354,22 +339,119 @@ func (m DataPlaneMetrics) String() string {
 		m.NAKs, m.Resetups, m.ResetupLatency.P95)
 }
 
-// sortedADs lists the ADs holding tables in ascending order.
-func (d *DataPlane) sortedADs() []ad.ID {
-	ids := make([]ad.ID, 0, len(d.tables))
-	for id := range d.tables {
-		ids = append(ids, id)
+// sortedKeys lists m's keys in ascending order.
+func sortedKeys[K ad.ID | uint64, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	slices.Sort(out)
+	return out
 }
 
-// sortedFlows lists live flow handles in ascending order.
-func (d *DataPlane) sortedFlows() []uint64 {
-	hs := make([]uint64, 0, len(d.flows))
-	for h := range d.flows {
-		hs = append(hs, h)
+// A packet is what a walk carries from gateway to gateway: the rule its
+// arrival at g from AD from runs.
+type packet func(g pgstate.Gateway, from ad.ID) pgstate.Action
+
+// A walk runs the gateway rules for one data-plane operation, carrying out
+// each action at once: a packet passed on, or a NAK or teardown sent,
+// arrives at the next gateway there and then. The entries the rules take
+// out are kept per AD in gone, and the flows they fail at their source in
+// failed, until commit.
+type walk struct {
+	d         *DataPlane
+	gone      map[ad.ID]map[uint64]bool
+	failed    []uint64
+	delivered bool
+	missAt    ad.ID  // the AD the first NAK named
+	naks      uint64 // SetupNoState NAKs sent
+}
+
+func (d *DataPlane) walk() *walk {
+	return &walk{d: d, gone: make(map[ad.ID]map[uint64]bool)}
+}
+
+// gateway is id's gateway as this walk sees it, through its overlay.
+func (w *walk) gateway(id ad.ID) pgstate.Gateway {
+	if w.gone[id] == nil {
+		w.gone[id] = make(map[uint64]bool)
 	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-	return hs
+	return pgstate.Gateway{ID: id, Table: w.d.table(id), Gone: w.gone[id]}
+}
+
+// control carries out the rules for one control op at the ADs it touches.
+func (w *walk) control(op wire.PlanStep) {
+	switch op.Op {
+	case wire.CtlFail:
+		for _, end := range [2][2]ad.ID{{op.A, op.B}, {op.B, op.A}} {
+			if _, ok := w.d.tables[end[0]]; ok {
+				for _, a := range w.gateway(end[0]).OnLinkDown(w.d.now, end[1], nil) {
+					w.do(end[0], a, nil)
+				}
+			}
+		}
+	case wire.CtlPolicy:
+		if _, ok := w.d.tables[op.A]; ok {
+			for _, a := range w.gateway(op.A).OnPolicy(w.d.now, op.Terms, nil) {
+				w.do(op.A, a, nil)
+			}
+		}
+	}
+}
+
+// send has packet p arrive at AD to from AD from and carries out what its
+// rule returns there. A packet sent over a failed link never arrives.
+func (w *walk) send(p packet, to, from ad.ID) {
+	if !w.d.down[ad.LinkKey(from, to)] {
+		w.do(to, p(w.gateway(to), from), p)
+	}
+}
+
+// do carries out action a, which a rule returned at AD at; p is the packet
+// a Forward passes on.
+func (w *walk) do(at ad.ID, a pgstate.Action, p packet) {
+	now := w.d.now
+	switch a.Op {
+	case pgstate.Forward:
+		w.send(p, a.To, at)
+	case pgstate.Deliver:
+		w.delivered = true
+	case pgstate.NAK:
+		if a.Code == wire.SetupNoState {
+			w.naks++
+		}
+		if w.missAt == 0 {
+			w.missAt = a.At
+		}
+		w.send(func(g pgstate.Gateway, _ ad.ID) pgstate.Action {
+			return g.OnNAK(now, a.Handle, a.Code, a.At)
+		}, a.To, at)
+	case pgstate.Teardown:
+		w.send(func(g pgstate.Gateway, _ ad.ID) pgstate.Action {
+			return g.OnTeardown(now, a.Handle)
+		}, a.To, at)
+	case pgstate.Fail:
+		if f, ok := w.d.flows[a.Handle]; ok && f.Path.Source() == at && !slices.Contains(w.failed, a.Handle) {
+			w.failed = append(w.failed, a.Handle)
+		}
+	}
+}
+
+// commit applies the walk: the entries it took out leave their tables, in
+// AD then handle order, and the flows it failed die and are queued for
+// repair. It returns the number of entries removed.
+func (w *walk) commit() (removed int) {
+	d := w.d
+	for _, id := range sortedKeys(w.gone) {
+		for _, h := range sortedKeys(w.gone[id]) {
+			d.tables[id].Remove(h)
+			removed++
+		}
+	}
+	for _, h := range w.failed {
+		d.repair[h] = d.flows[h].Req
+		delete(d.flows, h)
+	}
+	d.naks += w.naks
+	return removed
 }

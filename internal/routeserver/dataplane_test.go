@@ -9,6 +9,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/synthesis"
+	"repro/internal/wire"
 )
 
 // dpGraph is a diamond: src reaches dst through either t1 or t2.
@@ -184,7 +185,7 @@ func TestDataPlaneLinkFailureRepairsAroundIt(t *testing.T) {
 	h := dp.Install(req, res.Path)
 	// Fail the t1-dst link on the live server, then flush crossing state.
 	srv.Mutate(func() { g.RemoveLink(t1, dst) })
-	if flushed := dp.InvalidateLink(t1, dst); flushed == 0 {
+	if flushed := dp.Control(wire.PlanStep{Op: wire.CtlFail, A: t1, B: dst}); flushed == 0 {
 		t.Fatal("no state flushed for the failed link")
 	}
 	if r := dp.Send(h); r.Delivered {
@@ -217,4 +218,77 @@ func TestDataPlaneRejectsBadConfig(t *testing.T) {
 	if _, err := NewDataPlane(pgstate.Config{Kind: "bogus"}); err == nil {
 		t.Fatal("bad config accepted")
 	}
+}
+
+// dpChain is a line of five ADs, s-a-b-c-d, with d's flow from s installed
+// over all of it.
+func dpChain(t *testing.T, cfg pgstate.Config) (*DataPlane, ad.Path, uint64) {
+	t.Helper()
+	dp, err := NewDataPlane(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := ad.Path{1, 2, 3, 4, 5}
+	return dp, path, dp.Install(policy.Request{Src: 1, Dst: 5}, path)
+}
+
+// held lists the ADs of path whose tables hold h.
+func held(dp *DataPlane, path ad.Path, h uint64) ad.Path {
+	var out ad.Path
+	for _, id := range path {
+		if _, ok := dp.tables[id].Peek(dp.now, h); ok {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// TestDataPlaneFollowsORWG pins the four places where the data plane's own
+// hop walks used to differ from ORWG's gateways, each now settled ORWG's
+// way by running pgstate.Gateway's rules (TestDriversAgree in package orwg
+// runs both drivers side by side).
+func TestDataPlaneFollowsORWG(t *testing.T) {
+	soft := pgstate.Config{Kind: pgstate.Soft, TTL: 10 * sim.Second}
+	t.Run("send does not consult the source's entry", func(t *testing.T) {
+		dp, path, h := dpChain(t, soft)
+		dp.tables[path[0]].Remove(h)
+		if r := dp.Send(h); !r.Delivered {
+			t.Fatalf("send = %+v; the source sends on its flow whatever its own table holds", r)
+		}
+	})
+	t.Run("refresh ignores the source's own result", func(t *testing.T) {
+		dp, path, h := dpChain(t, soft)
+		dp.tables[path[0]].Remove(h)
+		if refreshed, failed := dp.RefreshAll(); refreshed != 1 || failed != 0 {
+			t.Fatalf("refreshed=%d failed=%d, want 1 and 0", refreshed, failed)
+		}
+		if got := held(dp, path, h); !got.Equal(path[1:]) {
+			t.Errorf("state held at %v, want %v", got, path[1:])
+		}
+	})
+	t.Run("link down flushes at its endpoints; a NAK stops at the first hop without state", func(t *testing.T) {
+		dp, path, h := dpChain(t, pgstate.Config{Kind: pgstate.Hard})
+		dp.tables[path[2]].Remove(h) // b lost the state
+		if flushed := dp.Control(wire.PlanStep{Op: wire.CtlFail, A: path[3], B: path[4]}); flushed != 2 {
+			t.Errorf("flushed %d entries, want c's and d's", flushed)
+		}
+		if got, want := held(dp, path, h), path[:2]; !got.Equal(want) {
+			t.Errorf("state held at %v, want %v: the NAK died at b", got, want)
+		}
+		if m := dp.Metrics(); m.Flows != 1 || m.PendingRepairs != 0 {
+			t.Errorf("flows %d, pending repairs %d; the NAK never reached the source", m.Flows, m.PendingRepairs)
+		}
+	})
+	t.Run("a policy change NAKs upstream only", func(t *testing.T) {
+		dp, path, h := dpChain(t, pgstate.Config{Kind: pgstate.Hard})
+		if flushed := dp.Control(wire.PlanStep{Op: wire.CtlPolicy, A: path[2]}); flushed != 3 {
+			t.Errorf("flushed %d entries, want b's, a's and s's", flushed)
+		}
+		if got, want := held(dp, path, h), path[3:]; !got.Equal(want) {
+			t.Errorf("state held at %v, want %v: downstream state is left to its discipline", got, want)
+		}
+		if m := dp.Metrics(); m.Flows != 0 || m.PendingRepairs != 1 {
+			t.Errorf("flows %d, pending repairs %d; want the flow failed and queued", m.Flows, m.PendingRepairs)
+		}
+	})
 }

@@ -7,12 +7,24 @@ import (
 	"time"
 
 	"repro/internal/ad"
+	"repro/internal/pgstate"
 	"repro/internal/policy"
 	"repro/internal/routeserver"
 	"repro/internal/routeserver/plan"
 	"repro/internal/synthesis"
 	"repro/internal/wire"
 )
+
+// emptyDataPlane is a data plane with no flows: the scaling cases measure
+// the route cache's side of a plan.
+func emptyDataPlane(tb testing.TB) *routeserver.DataPlane {
+	tb.Helper()
+	dp, err := routeserver.NewDataPlane(pgstate.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dp
+}
 
 // hubFail is the step every scaling case plans: failing the hubA-hubB link
 // planBenchWorld routes the affected population across.
@@ -98,7 +110,7 @@ func planBenchWorld(tb testing.TB, total, affected int) (*synthesis.World, *rout
 func TestPlanWorkFollowsRadiusNotCacheSize(t *testing.T) {
 	compute := func(total, radius int) *plan.Report {
 		w, srv := planBenchWorld(t, total, radius)
-		rep, err := plan.Compute(srv, nil, w, hubFail, plan.Config{Budget: -1})
+		rep, err := plan.Compute(srv, emptyDataPlane(t), w, hubFail, plan.Config{Budget: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,10 +154,11 @@ func BenchmarkPlan(b *testing.B) {
 		for _, radius := range []int{64, 1024} {
 			b.Run(fmt.Sprintf("cache=%d/radius=%d", cacheSize, radius), func(b *testing.B) {
 				w, srv := planBenchWorld(b, cacheSize, radius)
+				dp := emptyDataPlane(b)
 				b.ResetTimer()
 				start := time.Now()
 				for i := 0; i < b.N; i++ {
-					rep, err := plan.Compute(srv, nil, w, hubFail, plan.Config{Budget: -1})
+					rep, err := plan.Compute(srv, dp, w, hubFail, plan.Config{Budget: -1})
 					if err != nil {
 						b.Fatal(err)
 					}

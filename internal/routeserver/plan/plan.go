@@ -101,9 +101,9 @@ type Report struct {
 }
 
 // Compute predicts the blast radius of applying steps, in order, to the
-// serving stack: srv's route cache, dp's installed flow state (nil when no
-// data plane is attached), and the world w the strategy synthesizes over,
-// which Compute never mutates. The caller must hold whatever lock
+// serving stack: srv's route cache, dp's installed flow state (the flows
+// the gateway rules fail, from DataPlane.Predict), and the world w the
+// strategy synthesizes over, which Compute never mutates. The caller must hold whatever lock
 // serializes control mutations (Backend.Plan holds the backend lock), so w
 // is stable for the duration: it is the pre-change state, read in place.
 func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.World, steps []wire.PlanStep, cfg Config) (*Report, error) {
@@ -121,6 +121,7 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.Wo
 	if err != nil {
 		return nil, err
 	}
+	perStep := dp.Predict(steps)
 
 	rep := &Report{Epoch: epoch, Gen: gen}
 
@@ -128,7 +129,6 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.Wo
 	// mirror sequential application exactly: a victim of step i that an
 	// earlier step already evicted is gone by the time step i runs.
 	evicted := make(map[routeserver.Key]routeserver.CacheEntry)
-	tornDown := make(map[uint64]struct{})
 	for i, ents := range perChange {
 		var sr StepReport
 		for _, ent := range ents {
@@ -138,14 +138,8 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.Wo
 			}
 		}
 		sr.Retained = live - len(evicted)
-		if changes[i].Kind == synthesis.ChangeLinkDown && dp != nil {
-			for _, h := range dp.FlowsCrossing(steps[i].A, steps[i].B) {
-				if _, dup := tornDown[h]; !dup {
-					tornDown[h] = struct{}{}
-					sr.Teardowns++
-				}
-			}
-		}
+		sr.Teardowns = len(perStep[i])
+		rep.Teardowns = append(rep.Teardowns, perStep[i]...)
 		rep.Steps = append(rep.Steps, sr)
 	}
 	rep.Retained = live - len(evicted)
@@ -153,9 +147,6 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.Wo
 		rep.EvictedKeys = append(rep.EvictedKeys, k)
 	}
 	sortRequests(rep.EvictedKeys)
-	for h := range tornDown {
-		rep.Teardowns = append(rep.Teardowns, h)
-	}
 	sort.Slice(rep.Teardowns, func(i, j int) bool { return rep.Teardowns[i] < rep.Teardowns[j] })
 
 	// Affected population: recorded workload ∪ evicted pairs ∪ torn-down
@@ -173,11 +164,9 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.Wo
 	for _, k := range rep.EvictedKeys {
 		add(k)
 	}
-	if dp != nil {
-		for _, h := range rep.Teardowns {
-			if f, ok := dp.Flow(h); ok {
-				add(f.Req)
-			}
+	for _, h := range rep.Teardowns {
+		if f, ok := dp.Flow(h); ok {
+			add(f.Req)
 		}
 	}
 	sortRequests(rep.Population)

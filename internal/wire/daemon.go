@@ -138,7 +138,8 @@ type ControlReply struct {
 	Code     uint8
 	Evicted  uint64
 	Retained uint64
-	// Flushed counts PG handle entries invalidated by a link failure.
+	// Flushed counts PG handle entries torn down by a link failure or a
+	// policy change.
 	Flushed uint64
 	Gen     uint64
 	// Err is the failure reason when Code is CtlErr.

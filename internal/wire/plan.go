@@ -133,8 +133,8 @@ type PlanReply struct {
 	Evicted   uint64
 	Retained  uint64
 	Teardowns uint64
-	// Flushed counts PG handle entries invalidated by committed link
-	// failures (commit replies only).
+	// Flushed counts PG handle entries torn down by a link failure or a
+	// policy change the plan committed (commit replies only).
 	Flushed uint64
 	// Unroutable counts pairs that lose all routes; Resynth is the
 	// re-synthesis bill's count, with the projection priced from the live
