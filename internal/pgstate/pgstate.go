@@ -18,6 +18,9 @@
 //     least recently used. State is bounded by construction; an evicted
 //     live flow drops packets (NAK-on-miss) until the source re-installs.
 //
+// Gateway holds what a PG does with a handle event, the rules of §5.4.1
+// and §6 that ORWG's simulated gateways and the serving data plane share.
+//
 // Table is built for millions of handles: records pack into arena slabs
 // with free-list reuse (no per-install allocation in steady state, a capped
 // eviction included), one map finds a handle's record under every

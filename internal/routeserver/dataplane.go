@@ -39,8 +39,8 @@ import (
 //
 // d.mu guards everything: the tables map, the flow, repair and failed-link
 // maps, and every call into a table, so an operation's walk and its commit
-// are one step. (A table has a lock of its own, which here is never contended.)
-// Only Repair's route queries run outside d.mu.
+// are one step. (A table has a lock of its own, which here is never
+// contended.) Only Repair's route queries run outside d.mu.
 type DataPlane struct {
 	mu     sync.Mutex
 	cfg    pgstate.Config

@@ -103,16 +103,17 @@ type Report struct {
 // Compute predicts the blast radius of applying steps, in order, to the
 // serving stack: srv's route cache, dp's installed flow state (the flows
 // the gateway rules fail, from DataPlane.Predict), and the world w the
-// strategy synthesizes over, which Compute never mutates. The caller must hold whatever lock
-// serializes control mutations (Backend.Plan holds the backend lock), so w
-// is stable for the duration: it is the pre-change state, read in place.
+// strategy synthesizes over, which Compute never mutates. The caller must
+// hold whatever lock serializes control mutations (Backend.Plan holds the
+// backend lock), so w is stable for the duration: it is the pre-change
+// state, read in place.
 func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, w *synthesis.World, steps []wire.PlanStep, cfg Config) (*Report, error) {
 	// Phase 1: consistent snapshot under the strategy lock. prepare applies
 	// the batch to a clone of the world to derive each step's Change, and
 	// CollectAffected resolves the victims.
 	var after *synthesis.World
-	var changes []synthesis.Change
 	prepare := func() ([]synthesis.Change, error) {
+		var changes []synthesis.Change
 		var err error
 		after, changes, err = w.After(steps)
 		return changes, err
