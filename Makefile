@@ -76,7 +76,7 @@ race:
 # through a warm set table, IDRP's tie-break, a warm IDRP Receive and an
 # IDRP flush with one of the AD's links down, ORWG's policy-gateway
 # handlers (a warm data packet, a refresh and a teardown walk, a miss's
-# NAK), a warm EGP Receive, a distance-vector table's Get/Set/Learn/Poison, one
+# NAK) and its source's refresh round, a warm EGP Receive, a distance-vector table's Get/Set/Learn/Poison, one
 # allocation per forwarding walk) and the PG tables (an empty hard, soft and
 # capped table, a small table's first slab, and an evicting install and a
 # lookup in a full capped table) skip themselves under -race
@@ -100,14 +100,15 @@ determinism:
 # The committed report must come out byte for byte, serially (one worker:
 # the default is one per CPU) and from the parallel runner. So must prsim's
 # nine-protocol comparison followed by every committed scenario, in file
-# name order, against prsim_seed42.txt.
+# name order, against prsim_seed42.txt. Any difference fails, and diff -u
+# prints the rows that moved.
 golden:
-	$(GO) run ./cmd/experiments -seed 42 -parallel 1 | cmp - results_seed42.txt
-	$(GO) run ./cmd/experiments -seed 42 -parallel 8 | cmp - results_seed42.txt
+	$(GO) run ./cmd/experiments -seed 42 -parallel 1 | diff -u results_seed42.txt -
+	$(GO) run ./cmd/experiments -seed 42 -parallel 8 | diff -u results_seed42.txt -
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/prsim ./cmd/prsim; \
 	{ $$tmp/prsim -proto all; for f in scenarios/*.json; do $$tmp/prsim -scenario $$f; done; } \
-		| cmp - prsim_seed42.txt
+		| diff -u prsim_seed42.txt -
 
 # examples runs the five examples and fails if one exits non-zero. README
 # quotes quickstart's output (the block after "the resulting handle:"), so

@@ -46,8 +46,6 @@ func E22ScopedInvalidation(seed int64) *metrics.Table {
 // gets a private copy of both.
 func e22Rows(seed int64) rows {
 	const requests = 600
-	const clients = 4
-	const phaseLen = 50
 	base := defaultTopology(seed)
 
 	// The policy regime matters here in a way it does not for E20: under
@@ -72,16 +70,16 @@ func e22Rows(seed int64) rows {
 					g := base.Graph.Clone()
 					db := e22Policy(g, seed)
 					srv := routeserver.New(buildE20Strategy(kind, g, db, workload), routeserver.Config{})
-					oracle := core.NewOracle(g, db)
 					world := synthesis.NewWorld(g, db)
 
 					// Warm phase: the whole workload, populating the cache and
 					// its dependency index.
-					routeserver.ServePhase(srv, workload, clients)
-					warm := srv.Snapshot()
+					routeserver.ServePhase(srv, workload, churnClients)
 
-					churnReqs, legalOK := 0, 0
-					for i, op := range e22Events(g, db) {
+					// The server searches world's graph and policy, so
+					// resolving each op against world and running its mutation
+					// under the server's lock moves both.
+					churn, synth, hitRate, legal := replay(srv, world, workload, e22Events(g, db), 0, func(op wire.PlanStep) {
 						ch, apply, err := world.Resolve(op)
 						if err != nil {
 							panic(fmt.Sprintf("e22: %v: %v", op, err))
@@ -91,23 +89,10 @@ func e22Rows(seed int64) rows {
 						} else {
 							srv.MutateScoped(ch, apply)
 						}
-						lo := (i * phaseLen) % requests
-						slice := workload[lo : lo+phaseLen]
-						results := routeserver.ServePhase(srv, slice, clients)
-						churnReqs += len(slice)
-						for j, req := range slice {
-							if e22Legal(oracle, req, results[j]) {
-								legalOK++
-							}
-						}
-					}
-
+					})
 					fin := srv.Snapshot()
-					synth := fin.Misses - warm.Misses
-					hitRate := float64((fin.Hits-warm.Hits)+(fin.Coalesced-warm.Coalesced)) /
-						float64(churnReqs)
-					cells[row] = []any{model, srv.StrategyName(), mode, churnReqs, synth,
-						hitRate, fin.ScopedEvicted, fin.ScopedRetained, legalOK}
+					cells[row] = []any{model, srv.StrategyName(), mode, churn, synth,
+						hitRate, fin.ScopedEvicted, fin.ScopedRetained, legal}
 				})
 			}
 		}
@@ -187,12 +172,38 @@ func quietestTransit(g *ad.Graph) ad.ID {
 	return quietest
 }
 
-// e22Legal is the retention oracle: a served route must be a valid path on
-// the current graph that every transit AD's policy still admits; a
-// no-route answer must mean no legal route exists at all.
-func e22Legal(oracle core.Oracle, req policy.Request, res routeserver.Result) bool {
-	if !res.Found {
-		return !oracle.HasRoute(req)
+// churnClients serve every phase of the churn experiments concurrently;
+// churnSlice is the workload slice served after each event.
+const (
+	churnClients = 4
+	churnSlice   = 50
+)
+
+// replay is the churn loop of E22 and E23: each op is applied — apply must
+// bring both srv and world past it — and followed by its slice of the
+// workload (the (first+i)-th, wrapping) served by churnClients clients, and
+// every answer is checked against world: a served route must be a valid
+// path on the current graph that every transit AD's policy still admits, a
+// no-route answer must mean no legal route exists at all. It returns the
+// requests served, the syntheses they caused, the share answered from the
+// cache (hits and coalesced), and the answers the check passed.
+func replay(srv *routeserver.Server, world *synthesis.World, workload []policy.Request, ops []wire.PlanStep, first int,
+	apply func(wire.PlanStep)) (reqs int, synth uint64, hitRate float64, legal int) {
+	before := srv.Snapshot()
+	oracle := core.NewOracle(world.G, world.DB)
+	for i, op := range ops {
+		apply(op)
+		lo := ((first + i) * churnSlice) % len(workload)
+		slice := workload[lo : lo+churnSlice]
+		for j, res := range routeserver.ServePhase(srv, slice, churnClients) {
+			if res.Found && oracle.Legal(res.Path, slice[j]) || !res.Found && !oracle.HasRoute(slice[j]) {
+				legal++
+			}
+		}
+		reqs += len(slice)
 	}
-	return oracle.Legal(res.Path, req)
+	after := srv.Snapshot()
+	synth = after.Misses - before.Misses
+	hitRate = float64((after.Hits-before.Hits)+(after.Coalesced-before.Coalesced)) / float64(reqs)
+	return reqs, synth, hitRate, legal
 }

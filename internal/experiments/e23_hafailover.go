@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/ad"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/pgstate"
 	"repro/internal/policy"
@@ -52,18 +51,33 @@ func E23HAFailover(seed int64) *metrics.Table {
 	const requests = 600
 	base := defaultTopology(seed)
 
+	// lockstep applies each op to a server's backend and to the oracle world
+	// its answers are checked against; the timeline is built from the
+	// world's own links and ADs, so a refusal is a harness bug.
+	lockstep := func(be *daemon.Backend, o *synthesis.World) func(wire.PlanStep) {
+		return func(op wire.PlanStep) {
+			_, err := be.Control(op)
+			if err == nil {
+				_, err = o.Apply(op)
+			}
+			if err != nil {
+				panic(fmt.Sprintf("e23: %v: %v", op, err))
+			}
+		}
+	}
+
 	for _, model := range []string{"uniform", "zipf"} {
 		workload := servingWorkload(base.Graph, seed+2, requests, model)
 		pre, post := e23Timeline(base.Graph)
 
 		// Warm reference: one server lives through the whole timeline.
 		{
-			be, srv := e23Stack(base.Graph, seed)
-			o := newE23Oracle(base.Graph, seed)
-			routeserver.ServePhase(srv, workload, e23Clients)
-			e23PreChurn(be, srv, workload, pre, o)
-			cache := srv.CacheLen()
-			churn, synth, legal, hr := e23Measure(be, srv, workload, post, o)
+			st, o := newServingStack(base.Graph, seed), newE23Oracle(base.Graph, seed)
+			step := lockstep(st.be, o)
+			routeserver.ServePhase(st.srv, workload, churnClients)
+			replay(st.srv, o, workload, pre, 0, step)
+			cache := st.srv.CacheLen()
+			churn, synth, hr, legal := replay(st.srv, o, workload, post, len(pre), step)
 			t.AddRow(model, "warm", cache, churn, synth, hr, legal)
 		}
 
@@ -73,8 +87,8 @@ func E23HAFailover(seed int64) *metrics.Table {
 		{
 			prim, fol := e23Group(base.Graph, seed)
 			o := newE23Oracle(base.Graph, seed)
-			routeserver.ServePhase(prim.srv, workload, e23Clients)
-			e23PreChurn(prim.be, prim.srv, workload, pre, o)
+			routeserver.ServePhase(prim.srv, workload, churnClients)
+			replay(prim.srv, o, workload, pre, 0, lockstep(prim.be, o))
 			e23Wait(func() bool {
 				latest := prim.node.BacklogLatest()
 				return latest > 0 && fol.node.AppliedSeq() == latest
@@ -82,7 +96,7 @@ func E23HAFailover(seed int64) *metrics.Table {
 			prim.node.Kill()
 			e23Wait(fol.node.IsPrimary, "follower promotion")
 			cache := fol.srv.CacheLen()
-			churn, synth, legal, hr := e23Measure(fol.be, fol.srv, workload, post, o)
+			churn, synth, hr, legal := replay(fol.srv, o, workload, post, len(pre), lockstep(fol.be, o))
 			fol.node.Stop()
 			t.AddRow(model, "promoted", cache, churn, synth, hr, legal)
 		}
@@ -90,13 +104,13 @@ func E23HAFailover(seed int64) *metrics.Table {
 		// Cold restart: same control-plane state (the pre-kill events are
 		// applied, unserved), empty cache.
 		{
-			be, srv := e23Stack(base.Graph, seed)
-			o := newE23Oracle(base.Graph, seed)
+			st, o := newServingStack(base.Graph, seed), newE23Oracle(base.Graph, seed)
+			step := lockstep(st.be, o)
 			for _, op := range pre {
-				e23Apply(be, o, op)
+				step(op)
 			}
-			cache := srv.CacheLen()
-			churn, synth, legal, hr := e23Measure(be, srv, workload, post, o)
+			cache := st.srv.CacheLen()
+			churn, synth, hr, legal := replay(st.srv, o, workload, post, len(pre), step)
 			t.AddRow(model, "cold", cache, churn, synth, hr, legal)
 		}
 	}
@@ -106,13 +120,6 @@ func E23HAFailover(seed int64) *metrics.Table {
 	t.AddNote("legal-ok = served routes legal under the then-current topology+policy on an independently mutated oracle world; no-route answers verified by exhaustive search")
 	return t
 }
-
-// e23Clients is the concurrent client count per serve phase, e23PhaseLen
-// the post-event slice length — both as in E22.
-const (
-	e23Clients  = 4
-	e23PhaseLen = 50
-)
 
 // e23Timeline splits the E22-style link-local event list around the kill:
 // fail/restore of the first lateral and a failure of the second before it,
@@ -129,36 +136,36 @@ func e23Timeline(g *ad.Graph) (pre, post []wire.PlanStep) {
 	return pre, post
 }
 
-// e23Apply applies one timeline op to the server and mirrors it onto the
-// oracle; the timeline is built from the world's own links and ADs, so a
-// refusal is a harness bug.
-func e23Apply(be *daemon.Backend, o *synthesis.World, op wire.PlanStep) {
-	if _, err := be.Control(op); err != nil {
-		panic(fmt.Sprintf("e23: %v: %v", op, err))
-	}
-	if _, err := o.Apply(op); err != nil {
-		panic(fmt.Sprintf("e23 oracle: %v: %v", op, err))
-	}
+// servingStack is one route server's serving stack — an on-demand server
+// keeping a log of its last 2,048 queries (the population E25's plans
+// assess), a soft-state data plane (no experiment advances its clock, so
+// its TTL never fires), and the backend every control op goes through —
+// over a private clone of the serving world in E22's permissive policy
+// regime. E23's three servers, its HA group and E25 each build one.
+type servingStack struct {
+	g   *ad.Graph
+	db  *policy.DB
+	srv *routeserver.Server
+	dp  *routeserver.DataPlane
+	be  *daemon.Backend
 }
 
-// e23Stack builds one server's full serving stack over clones of the base
-// world, in the permissive E22 policy regime.
-func e23Stack(base *ad.Graph, seed int64) (*daemon.Backend, *routeserver.Server) {
+// newServingStack builds a serving stack over a clone of base.
+func newServingStack(base *ad.Graph, seed int64) *servingStack {
 	g := base.Clone()
 	db := e22Policy(g, seed)
-	srv := routeserver.New(synthesis.NewOnDemand(g, db), routeserver.Config{})
-	dp, err := routeserver.NewDataPlane(pgstate.Config{Kind: pgstate.Soft, TTL: 30 * sim.Second})
+	srv := routeserver.New(synthesis.NewOnDemand(g, db), routeserver.Config{QueryLog: 2048})
+	dp, err := routeserver.NewDataPlane(pgstate.Config{Kind: pgstate.Soft, TTL: 300 * sim.Second})
 	if err != nil {
 		panic(err)
 	}
-	return daemon.NewBackend(srv, dp, g, db), srv
+	return &servingStack{g, db, srv, dp, daemon.NewBackend(srv, dp, g, db)}
 }
 
 // e23Replica is one group member's stack.
 type e23Replica struct {
 	node *ha.Node
-	be   *daemon.Backend
-	srv  *routeserver.Server
+	*servingStack
 }
 
 // e23Group starts a 2-replica group (IDs 1 and 2, replica 1 primary) over
@@ -175,7 +182,7 @@ func e23Group(base *ad.Graph, seed int64) (prim, fol *e23Replica) {
 		peers[i] = ha.Peer{ID: uint32(i + 1), HAAddr: ln.Addr().String()}
 	}
 	mk := func(i int) *e23Replica {
-		be, srv := e23Stack(base, seed)
+		st := newServingStack(base, seed)
 		// A generous failure-detection window: the experiment may share one
 		// CPU with the rest of the harness, and a heartbeat starved past the
 		// timeout would spuriously promote the follower mid-replication.
@@ -186,50 +193,16 @@ func e23Group(base *ad.Graph, seed int64) (prim, fol *e23Replica) {
 			HeartbeatEvery:   50 * time.Millisecond,
 			HeartbeatTimeout: 2 * time.Second,
 			Listener:         lns[i],
-		}, be, nil)
+		}, st.be, nil)
 		if err != nil {
 			panic(err)
 		}
-		return &e23Replica{node: node, be: be, srv: srv}
+		return &e23Replica{node, st}
 	}
 	prim, fol = mk(0), mk(1)
 	prim.node.Start()
 	fol.node.Start()
 	return prim, fol
-}
-
-// e23PreChurn runs the pre-kill half: each event followed by its workload
-// slice.
-func e23PreChurn(be *daemon.Backend, srv *routeserver.Server, workload []policy.Request, pre []wire.PlanStep, o *synthesis.World) {
-	for i, op := range pre {
-		e23Apply(be, o, op)
-		lo := (i * e23PhaseLen) % len(workload)
-		routeserver.ServePhase(srv, workload[lo:lo+e23PhaseLen], e23Clients)
-	}
-}
-
-// e23Measure runs the post-kill half against one server and reports its
-// slice counters: each event, its slice, and the legality of every answer
-// against the oracle world.
-func e23Measure(be *daemon.Backend, srv *routeserver.Server, workload []policy.Request, post []wire.PlanStep, o *synthesis.World) (churn int, synth uint64, legal int, hitRate float64) {
-	warm := srv.Snapshot()
-	oracle := core.NewOracle(o.G, o.DB)
-	for i, op := range post {
-		e23Apply(be, o, op)
-		lo := ((len(post) + i) * e23PhaseLen) % len(workload)
-		slice := workload[lo : lo+e23PhaseLen]
-		results := routeserver.ServePhase(srv, slice, e23Clients)
-		churn += len(slice)
-		for j, req := range slice {
-			if e22Legal(oracle, req, results[j]) {
-				legal++
-			}
-		}
-	}
-	fin := srv.Snapshot()
-	synth = fin.Misses - warm.Misses
-	hitRate = float64((fin.Hits-warm.Hits)+(fin.Coalesced-warm.Coalesced)) / float64(churn)
-	return churn, synth, legal, hitRate
 }
 
 // newE23Oracle is the independent legality world: the same base clone,

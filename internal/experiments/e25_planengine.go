@@ -5,10 +5,7 @@ import (
 
 	"repro/internal/ad"
 	"repro/internal/metrics"
-	"repro/internal/pgstate"
 	"repro/internal/routeserver"
-	"repro/internal/routeserver/daemon"
-	"repro/internal/sim"
 	"repro/internal/synthesis"
 	"repro/internal/wire"
 )
@@ -45,7 +42,6 @@ func E25PlanEngine(seed int64) *metrics.Table {
 // its own policy database.
 func e25Rows(seed int64) rows {
 	const requests = 600
-	const clients = 4
 	const flows = 120
 	base := defaultTopology(seed)
 
@@ -55,18 +51,12 @@ func e25Rows(seed int64) rows {
 	for mi, model := range models {
 		workload := servingWorkload(base.Graph, seed+2, requests, model)
 		tasks[mi] = func() {
-			g := base.Graph.Clone()
-			db := e22Policy(g, seed)
-			srv := routeserver.New(synthesis.NewOnDemand(g, db), routeserver.Config{QueryLog: 2048})
-			dp, err := routeserver.NewDataPlane(pgstate.Config{Kind: pgstate.Soft, TTL: 300 * sim.Second})
-			if err != nil {
-				panic(fmt.Sprintf("e25: data plane: %v", err))
-			}
-			be := daemon.NewBackend(srv, dp, g, db)
+			st := newServingStack(base.Graph, seed)
+			srv, dp, be := st.srv, st.dp, st.be
 
 			// Warm phase: the whole workload populates the cache, its
 			// dependency index, and the query-log ring the plans will replay.
-			routeserver.ServePhase(srv, workload, clients)
+			routeserver.ServePhase(srv, workload, churnClients)
 			installed := 0
 			for _, req := range workload {
 				if installed >= flows {
@@ -77,7 +67,7 @@ func e25Rows(seed int64) rows {
 				}
 			}
 
-			for _, steps := range e25Events(g, dp) {
+			for _, steps := range e25Events(st.g, dp) {
 				label := steps[0].String()
 				id, rep, err := be.Plan(steps)
 				if err != nil {
@@ -140,7 +130,7 @@ func e25Rows(seed int64) rows {
 					predLost[pc.Req] = true
 				}
 				lost := 0
-				oracle := synthesis.Compile(g, db) // as the commit left them
+				oracle := synthesis.Compile(st.g, st.db) // as the commit left them
 				for i, req := range rep.Population {
 					got := srv.Query(req)
 					if got.Found != oracle.RouteExists(req) {

@@ -1,6 +1,15 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/ad"
+	"repro/internal/core"
+	"repro/internal/policy"
+	"repro/internal/routeserver"
+	"repro/internal/synthesis"
+	"repro/internal/wire"
+)
 
 func TestE13TimeOfDay(t *testing.T) {
 	tbl := E13TimeOfDay(seed)
@@ -475,5 +484,62 @@ func TestE25PlanEngine(t *testing.T) {
 		if rows[4][6] != "0" {
 			t.Errorf("%s: restore still loses %s pairs", rows[4][0], rows[4][6])
 		}
+	}
+}
+
+// plantedStrategy answers as its embedded strategy does, except that it
+// answers the request refuse with no route and the request plant with the
+// one-hop path from its source to its destination.
+type plantedStrategy struct {
+	synthesis.Strategy
+	refuse, plant policy.Request
+}
+
+func (s plantedStrategy) Route(req policy.Request) (ad.Path, bool) {
+	switch req {
+	case s.refuse:
+		return nil, false
+	case s.plant:
+		return ad.Path{req.Src, req.Dst}, true
+	}
+	return s.Strategy.Route(req)
+}
+
+// TestReplayChecksEveryAnswer holds replay's oracle check to something a
+// wrong server fails: every legal-ok cell of E22 and E23 equals churn-reqs,
+// which a check that always said yes would match too. Behind a strategy
+// that refuses a request with a legal route and plants a path over a link
+// the graph does not have, exactly those answers fail; the rest pass.
+func TestReplayChecksEveryAnswer(t *testing.T) {
+	g := defaultTopology(seed).Graph
+	db := e22Policy(g, seed)
+	oracle := core.NewOracle(g, db)
+	workload := servingWorkload(g, seed+2, churnSlice, "uniform")
+	var refuse, plant *policy.Request
+	for i, req := range workload {
+		switch {
+		case !oracle.HasRoute(req):
+		case refuse == nil:
+			refuse = &workload[i]
+		case plant == nil && *refuse != req && !g.HasLink(req.Src, req.Dst):
+			plant = &workload[i]
+		}
+	}
+	if plant == nil {
+		t.Fatal("the workload has fewer than two routable requests")
+	}
+	wrong := 0
+	for _, req := range workload {
+		if req == *refuse || req == *plant {
+			wrong++
+		}
+	}
+	srv := routeserver.New(plantedStrategy{synthesis.NewOnDemand(g, db), *refuse, *plant}, routeserver.Config{})
+	applied := 0
+	reqs, _, _, legal := replay(srv, synthesis.NewWorld(g, db), workload, []wire.PlanStep{{}}, 0,
+		func(wire.PlanStep) { applied++ })
+	if applied != 1 || reqs != churnSlice || legal != reqs-wrong {
+		t.Errorf("replay applied %d ops and passed %d of %d answers; want 1 op and %d passed (%d planted answers)",
+			applied, legal, reqs, reqs-wrong, wrong)
 	}
 }

@@ -16,8 +16,10 @@ import (
 // handlers forward without allocating); a refresh and a teardown walk the
 // route allocating nothing; a data packet that misses at the hub costs one
 // more, the NAK the hub builds (passing it on and failing the flow at the
-// source allocate nothing). The NAK and teardown cases reinstall the state
-// they remove before the next run.
+// source allocate nothing). A warm RefreshEstablished round allocates once:
+// the handle slice every AD's sorted flow list reuses (its keepalive is the
+// one Refresh the system keeps). The NAK and teardown cases reinstall the
+// state they remove before the next run.
 func TestAllocsHandlePlane(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -69,6 +71,7 @@ func TestAllocsHandlePlane(t *testing.T) {
 				s.SendData(src.id, h, 8)
 				reinstall()
 			}},
+			{"refresh round", 1, s.RefreshEstablished},
 		} {
 			c.run() // warm
 			if n := testing.AllocsPerRun(100, c.run); n != c.want {

@@ -106,6 +106,9 @@ type System struct {
 		teardown wire.Teardown
 		refresh  wire.Refresh
 	}
+	// refresh is the keepalive RefreshEstablished sends, reused flow to
+	// flow: SendMessage encodes it at send time.
+	refresh wire.Refresh
 }
 
 // New builds the system over g with policy db. It panics on an invalid
@@ -274,21 +277,21 @@ func (s *System) expireAll() {
 func (s *System) RefreshEstablished() {
 	ttl := s.ttlMillis()
 	ttlSim := sim.Time(ttl) * sim.Millisecond
+	var handles []uint64
 	for _, n := range s.nodes {
-		handles := make([]uint64, 0, len(n.flows))
+		handles = handles[:0]
 		for h := range n.flows {
 			handles = append(handles, h)
 		}
-		sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
+		slices.Sort(handles)
 		for _, h := range handles {
 			path := n.flows[h].route
 			if len(path) < 2 {
 				continue
 			}
 			n.table.Refresh(s.nw.Now(), h, ttlSim)
-			s.nw.SendMessage(n.id, path[1], &wire.Refresh{
-				Handle: h, TTLMillis: ttl,
-			})
+			s.refresh = wire.Refresh{Handle: h, TTLMillis: ttl}
+			s.nw.SendMessage(n.id, path[1], &s.refresh)
 		}
 	}
 	s.nw.Engine.Run()

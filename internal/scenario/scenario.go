@@ -20,12 +20,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/policytool"
 	"repro/internal/protocols"
-	"repro/internal/protocols/ecma"
-	"repro/internal/protocols/egp"
-	"repro/internal/protocols/filters"
-	"repro/internal/protocols/idrp"
 	"repro/internal/protocols/orwg"
-	"repro/internal/protocols/plaindv"
 	"repro/internal/sim"
 	"repro/internal/synthesis"
 	"repro/internal/topology"
@@ -140,20 +135,16 @@ func (ts TermSpec) toTerm() policy.Term {
 	return t
 }
 
-// ProtocolSpec names the architecture and its knobs.
+// ProtocolSpec names the design a scenario runs. Every design runs at its
+// Table 1 configuration; the ablations of the paper's variants (split
+// horizon, multiple routes, QOS classes, ordering, the filter and EGP
+// modes) are measured by the experiments that build them.
 type ProtocolSpec struct {
 	// Name is a name of protocols.Designs.
 	Name string `json:"name"`
-	// Shared knobs; each protocol reads the ones it understands, and a
-	// design that takes none runs at its Table 1 configuration.
-	SplitHorizon    *bool `json:"split_horizon,omitempty"`
-	MultiRoute      int   `json:"multi_route,omitempty"`
-	QOSClasses      int   `json:"qos_classes,omitempty"`
-	DisableOrdering bool  `json:"disable_ordering,omitempty"`
-	CacheCapacity   int   `json:"cache_capacity,omitempty"`
-	TimeoutMS       int64 `json:"timeout_ms,omitempty"`
-	NoFallback      bool  `json:"no_fallback,omitempty"`
-	MaxCandidates   int   `json:"max_candidates,omitempty"`
+	// CacheCapacity, orwg only, caps every policy gateway's handle table
+	// at this many entries.
+	CacheCapacity int `json:"cache_capacity,omitempty"`
 }
 
 // Event is one timeline entry, applied after the previous phase converges.
@@ -267,6 +258,12 @@ func Load(r io.Reader) (*Scenario, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("scenario: content after the scenario object")
 	}
+	switch p := sc.Protocol; {
+	case p.CacheCapacity < 0:
+		return nil, fmt.Errorf("scenario: cache_capacity must be positive, got %d", p.CacheCapacity)
+	case p.CacheCapacity > 0 && p.Name != "orwg":
+		return nil, fmt.Errorf("scenario: cache_capacity applies to orwg only, not %q", p.Name)
+	}
 	return &sc, nil
 }
 
@@ -331,34 +328,14 @@ func (sc *Scenario) build() (*ad.Graph, *policy.DB, core.System, []policy.Reques
 		return nil, nil, nil, nil, err
 	}
 
-	p := sc.Protocol
+	d := protocols.Lookup(sc.Protocol.Name)
+	if d == nil {
+		return nil, nil, nil, nil, fmt.Errorf("scenario: unknown protocol %q", sc.Protocol.Name)
+	}
 	var sys core.System
-	switch p.Name {
-	case "plain-dv":
-		split := p.SplitHorizon == nil || *p.SplitHorizon
-		sys = plaindv.New(g, plaindv.Config{SplitHorizon: split})
-	case "egp":
-		sys = egp.New(g, egp.Config{NoFallback: p.NoFallback})
-	case "filters":
-		sys = filters.New(g, db, filters.Config{
-			Timeout:       sim.Time(p.TimeoutMS) * sim.Millisecond,
-			MaxCandidates: p.MaxCandidates,
-		})
-	case "ecma":
-		sys = ecma.New(g, db, ecma.Config{QOSClasses: p.QOSClasses, DisableOrdering: p.DisableOrdering})
-	case "idrp":
-		sys = idrp.New(g, db, idrp.Config{MultiRoute: p.MultiRoute, QOSClasses: p.QOSClasses})
-	case "orwg":
-		var cfg orwg.Config
-		if p.CacheCapacity > 0 {
-			cfg.State = pgstate.Config{Kind: pgstate.Capped, Capacity: p.CacheCapacity}
-		}
-		sys = orwg.New(g, db, cfg)
-	default:
-		d := protocols.Lookup(p.Name)
-		if d == nil {
-			return nil, nil, nil, nil, fmt.Errorf("scenario: unknown protocol %q", p.Name)
-		}
+	if c := sc.Protocol.CacheCapacity; c > 0 {
+		sys = orwg.New(g, db, orwg.Config{State: pgstate.Config{Kind: pgstate.Capped, Capacity: c}})
+	} else {
 		sys = d.New(g, db)
 	}
 

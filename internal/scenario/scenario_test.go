@@ -115,17 +115,32 @@ func TestUpdatePolicyRequiresORWG(t *testing.T) {
 }
 
 // TestAllProtocolsRunnable: every design of the registry runs from its bare
-// name, a link failure included.
+// name, a link failure included, as the system its own Table 1 constructor
+// builds: the scenario format has no knob to build a variant.
 func TestAllProtocolsRunnable(t *testing.T) {
 	for _, d := range protocols.Designs {
-		out := run(t, `{
+		sc, err := Load(strings.NewReader(`{
 			"topology": {"figure1": true},
 			"policy": {"open": true},
-			"protocol": {"name": "`+d.Name+`"},
+			"protocol": {"name": "` + d.Name + `"},
 			"events": [{"action": "fail", "a": 4, "b": 5}],
 			"requests": {"all_stub_pairs": true}
-		}`)
-		if !strings.Contains(out, "initial") || !strings.Contains(out, "fail AD4-AD5") {
+		}`))
+		if err != nil {
+			t.Fatalf("%s: Load: %v", d.Name, err)
+		}
+		g, db, sys, _, err := sc.build()
+		if err != nil {
+			t.Fatalf("%s: build: %v", d.Name, err)
+		}
+		if want := d.New(g, db).Name(); sys.Name() != want {
+			t.Errorf("%s: built %s, want %s", d.Name, sys.Name(), want)
+		}
+		var out bytes.Buffer
+		if err := sc.Run(&out); err != nil {
+			t.Fatalf("%s: Run: %v", d.Name, err)
+		}
+		if !strings.Contains(out.String(), "initial") || !strings.Contains(out.String(), "fail AD4-AD5") {
 			t.Errorf("%s: no report", d.Name)
 		}
 	}
@@ -388,14 +403,33 @@ func TestTermSpecDefaults(t *testing.T) {
 }
 
 // TestORWGProtocolKeys checks that cache_capacity gives every policy gateway
-// a capped handle table of that size, and that a "strategy" key is refused:
-// ORWG's route server is a search over its LSDB view, with nothing to pick.
+// a capped handle table of that size and is refused when negative or on any
+// other design, and that a "strategy" key is refused: ORWG's route server is a search
+// over its LSDB view, with nothing to pick.
 func TestORWGProtocolKeys(t *testing.T) {
 	const js = `{"topology": {"figure1": true}, "policy": {"open": true},
 		"protocol": {"name": "orwg", %s}, "requests": {"all_stub_pairs": true}}`
-	if _, err := Load(strings.NewReader(fmt.Sprintf(js, `"strategy": "hybrid"`))); err == nil ||
-		!strings.Contains(err.Error(), `unknown field "strategy"`) {
-		t.Errorf("Load with a strategy key: err = %v, want an unknown-field error", err)
+	// The ablation knobs are gone from the format: each is measured by the
+	// experiment that builds its variant, and a file naming one is refused.
+	for _, key := range []string{"strategy", "split_horizon", "multi_route", "qos_classes",
+		"disable_ordering", "timeout_ms", "max_candidates", "no_fallback"} {
+		if _, err := Load(strings.NewReader(fmt.Sprintf(js, `"`+key+`": 1`))); err == nil ||
+			!strings.Contains(err.Error(), `unknown field "`+key+`"`) {
+			t.Errorf("Load with a %s key: err = %v, want an unknown-field error", key, err)
+		}
+	}
+	if _, err := Load(strings.NewReader(fmt.Sprintf(js, `"cache_capacity": -3`))); err == nil ||
+		!strings.Contains(err.Error(), "cache_capacity must be positive") {
+		t.Errorf("Load with a negative cache_capacity: err = %v, want a refusal", err)
+	}
+	for _, d := range protocols.Designs {
+		if d.Name == "orwg" {
+			continue
+		}
+		_, err := Load(strings.NewReader(strings.Replace(fmt.Sprintf(js, `"cache_capacity": 3`), `"orwg"`, `"`+d.Name+`"`, 1)))
+		if err == nil || !strings.Contains(err.Error(), "cache_capacity applies to orwg only") {
+			t.Errorf("Load with cache_capacity under %s: err = %v, want a refusal", d.Name, err)
+		}
 	}
 	sc, err := Load(strings.NewReader(fmt.Sprintf(js, `"cache_capacity": 3`)))
 	if err != nil {
